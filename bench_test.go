@@ -1,8 +1,10 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation, one benchmark per artifact (see DESIGN.md §4 for the
-// mapping). Custom metrics attach the quantity the paper plots:
-// intersections/op and memberships/op for the operation-count figures,
-// MB for the memory tables, accuracy/p-value metrics where relevant.
+// evaluation, one benchmark per artifact: the names carry the paper's
+// figure and table numbers, the ids `bstbench -list` prints for the same
+// experiments (README, "Package layout": internal/experiments). Custom
+// metrics attach the quantity the paper plots: intersections/op and
+// memberships/op for the operation-count figures, MB for the memory
+// tables, accuracy/p-value metrics where relevant.
 //
 // Defaults are scaled to keep `go test -bench=.` under a few minutes; set
 // REPRO_BENCH_FULL=1 to run the paper's namespace sizes (much slower —

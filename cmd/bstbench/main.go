@@ -12,7 +12,8 @@
 //	bstbench -list                  # show available experiment ids
 //
 // Experiment ids follow the paper: fig3..fig15 are Figures 3–15, tab2..
-// tab6 are Tables 2–6, and abl-* are the DESIGN.md ablations. The extra
+// tab6 are Tables 2–6, and abl-* are the ablations of
+// internal/experiments/ablation.go (README, "Package layout"). The extra
 // "concurrency" experiment measures SetDB parallel-sampling throughput
 // as the goroutine count grows — the scaling unlocked by the lock-free
 // read path — and "serving" drives the bstserved HTTP layer in-process

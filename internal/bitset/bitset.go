@@ -10,15 +10,31 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 )
 
 const wordBits = 64
 
 // Set is a fixed-length bit vector of n bits. The zero value is not usable;
 // construct with New.
+//
+// The popcount is remembered: the first Count computes it and publishes it
+// atomically, so any number of readers of an immutable (published) vector
+// pay for one pass between them. Mutators only invalidate the remembered
+// value — maintaining it bit by bit would tax every insert for a number
+// most vectors under construction are never asked for.
 type Set struct {
 	n     uint64
 	words []uint64
+	count atomic.Uint64 // popcount + 1; 0 while unknown
+}
+
+// invalidate forgets the remembered popcount. The load keeps bulk mutation
+// (which finds it already unknown) free of atomic stores.
+func (s *Set) invalidate() {
+	if s.count.Load() != 0 {
+		s.count.Store(0)
+	}
 }
 
 // New returns a bit vector with n bits, all zero.
@@ -46,16 +62,23 @@ func (s *Set) Len() uint64 { return s.n }
 // Words returns the number of 64-bit words backing the vector.
 func (s *Set) Words() int { return len(s.words) }
 
+// Raw returns the backing words (bit i is bit i%64 of word i/64) for
+// read-only use by probe loops that cannot afford a call per bit. Writing
+// through it would bypass the remembered popcount.
+func (s *Set) Raw() []uint64 { return s.words }
+
 // Set sets bit i to 1. It panics if i is out of range.
 func (s *Set) Set(i uint64) {
 	s.check(i)
 	s.words[i/wordBits] |= 1 << (i % wordBits)
+	s.invalidate()
 }
 
 // Clear sets bit i to 0. It panics if i is out of range.
 func (s *Set) Clear(i uint64) {
 	s.check(i)
 	s.words[i/wordBits] &^= 1 << (i % wordBits)
+	s.invalidate()
 }
 
 // Test reports whether bit i is 1. It panics if i is out of range.
@@ -94,12 +117,18 @@ func (s *Set) TestAll(positions []uint64) bool {
 	return true
 }
 
-// Count returns the number of bits set to 1.
+// Count returns the number of bits set to 1: one pass over the words the
+// first time it is asked of a given content, O(1) after that. Like every
+// read it may run concurrently with other reads, not with a mutator.
 func (s *Set) Count() uint64 {
+	if c := s.count.Load(); c != 0 {
+		return c - 1
+	}
 	var c uint64
 	for _, w := range s.words {
 		c += uint64(bits.OnesCount64(w))
 	}
+	s.count.Store(c + 1)
 	return c
 }
 
@@ -121,6 +150,7 @@ func (s *Set) Reset() {
 	for i := range s.words {
 		s.words[i] = 0
 	}
+	s.invalidate()
 }
 
 // Fill sets all bits to 1.
@@ -129,6 +159,7 @@ func (s *Set) Fill() {
 		s.words[i] = ^uint64(0)
 	}
 	s.maskTail()
+	s.invalidate()
 }
 
 // maskTail zeroes the unused bits of the last word so that Count and
@@ -143,6 +174,7 @@ func (s *Set) maskTail() {
 func (s *Set) Clone() *Set {
 	c := &Set{n: s.n, words: make([]uint64, len(s.words))}
 	copy(c.words, s.words)
+	c.count.Store(s.count.Load())
 	return c
 }
 
@@ -189,6 +221,7 @@ func (s *Set) AndWith(t *Set) {
 	for i := range s.words {
 		s.words[i] &= t.words[i]
 	}
+	s.invalidate()
 }
 
 // OrWith replaces s with s OR t. It panics if the lengths differ.
@@ -197,6 +230,7 @@ func (s *Set) OrWith(t *Set) {
 	for i := range s.words {
 		s.words[i] |= t.words[i]
 	}
+	s.invalidate()
 }
 
 // AndCount returns popcount(s AND t) without allocating the intersection.
@@ -206,19 +240,6 @@ func (s *Set) AndCount(t *Set) uint64 {
 	var c uint64
 	for i := range s.words {
 		c += uint64(bits.OnesCount64(s.words[i] & t.words[i]))
-	}
-	return c
-}
-
-// AndNotCount returns popcount(s AND NOT t) — the number of bits set in s
-// but not in t — without allocating the difference. Together with AndCount
-// it recovers both individual popcounts from two vectors in one pass each:
-// count(s) = AndCount + AndNotCount(s, t). It panics if the lengths differ.
-func (s *Set) AndNotCount(t *Set) uint64 {
-	s.checkSameLen(t)
-	var c uint64
-	for i := range s.words {
-		c += uint64(bits.OnesCount64(s.words[i] &^ t.words[i]))
 	}
 	return c
 }
@@ -367,6 +388,7 @@ func (s *Set) UnmarshalBinary(data []byte) error {
 		s.words[i] = binary.LittleEndian.Uint64(data[8+i*8:])
 	}
 	s.maskTail()
+	s.invalidate()
 	return nil
 }
 

@@ -2,6 +2,7 @@ package bitset
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -444,32 +445,108 @@ func BenchmarkAndCount(b *testing.B) {
 	}
 }
 
-func TestAndNotCount(t *testing.T) {
-	s := New(200)
-	u := New(200)
-	for i := uint64(0); i < 200; i += 2 {
-		s.Set(i) // evens
-	}
-	for i := uint64(0); i < 200; i += 6 {
-		u.Set(i) // multiples of 6
-	}
-	// Evens that are not multiples of 6: 100 - 34 = 66.
-	if got := s.AndNotCount(u); got != s.Count()-s.AndCount(u) {
-		t.Fatalf("AndNotCount = %d, want %d", got, s.Count()-s.AndCount(u))
-	}
-	if got := u.AndNotCount(s); got != 0 {
-		t.Fatalf("AndNotCount(subset) = %d, want 0", got)
-	}
-	// Count recovery identity used by the estimator fast path.
-	if s.Count() != s.AndCount(u)+s.AndNotCount(u) {
-		t.Fatal("count != AndCount + AndNotCount")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch not detected")
+// recount is the popcount Count must agree with, taken bit by bit so it
+// shares nothing with the remembered value.
+func recount(s *Set) uint64 {
+	var c uint64
+	for i := uint64(0); i < s.Len(); i++ {
+		if s.Test(i) {
+			c++
 		}
-	}()
-	s.AndNotCount(New(100))
+	}
+	return c
+}
+
+// TestCountSurvivesEveryMutator asks for the count (so it is remembered),
+// runs one mutator, and asks again: a mutator that forgot to invalidate
+// would answer with the stale number.
+func TestCountSurvivesEveryMutator(t *testing.T) {
+	const n = 333 // not a multiple of 64: the masked tail is in play
+	other := New(n)
+	for i := uint64(0); i < n; i += 5 {
+		other.Set(i)
+	}
+	mutators := []struct {
+		name string
+		do   func(s *Set) *Set // returns the vector to check (s unless the op builds a new one)
+	}{
+		{"Set", func(s *Set) *Set { s.Set(1); return s }},
+		{"Set(already set)", func(s *Set) *Set { s.Set(0); return s }},
+		{"Clear", func(s *Set) *Set { s.Clear(0); return s }},
+		{"Clear(already clear)", func(s *Set) *Set { s.Clear(1); return s }},
+		{"Reset", func(s *Set) *Set { s.Reset(); return s }},
+		{"Fill", func(s *Set) *Set { s.Fill(); return s }},
+		{"AndWith", func(s *Set) *Set { s.AndWith(other); return s }},
+		{"OrWith", func(s *Set) *Set { s.OrWith(other); return s }},
+		{"UnmarshalBinary", func(s *Set) *Set {
+			data, _ := other.MarshalBinary()
+			if err := s.UnmarshalBinary(data); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+		{"Clone", func(s *Set) *Set { return s.Clone() }},
+		{"Clone then Set", func(s *Set) *Set { c := s.Clone(); c.Set(1); return c }},
+		{"And", func(s *Set) *Set { return s.And(other) }},
+		{"Or", func(s *Set) *Set { return s.Or(other) }},
+		{"FromWords", func(s *Set) *Set {
+			words := make([]uint64, (n+63)/64)
+			for i := range words {
+				words[i] = ^uint64(0) // tail bits beyond n must not be counted
+			}
+			return FromWords(n, words)
+		}},
+	}
+	for _, m := range mutators {
+		t.Run(m.name, func(t *testing.T) {
+			s := New(n)
+			for i := uint64(0); i < n; i += 3 {
+				s.Set(i)
+			}
+			if got, want := s.Count(), recount(s); got != want {
+				t.Fatalf("before: Count = %d, recount = %d", got, want)
+			}
+			before := s.Count()
+			r := m.do(s)
+			if got, want := r.Count(), recount(r); got != want {
+				t.Fatalf("after %s: Count = %d, recount = %d (was %d)", m.name, got, want, before)
+			}
+			if got, want := r.Count(), recount(r); got != want { // the remembered answer
+				t.Fatalf("second Count after %s = %d, recount = %d", m.name, got, want)
+			}
+		})
+	}
+}
+
+// TestCountConcurrentReaders has eight goroutines ask one shared,
+// never-mutated vector for its count at once; under -race this is the
+// proof that publishing the remembered value is not a data race.
+func TestCountConcurrentReaders(t *testing.T) {
+	s := New(100_003)
+	other := New(100_003)
+	for i := uint64(0); i < s.Len(); i += 7 {
+		s.Set(i)
+		other.Set(i / 2)
+	}
+	want, wantAnd := recount(s), s.And(other).Count()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if got := s.Count(); got != want {
+					t.Errorf("Count = %d, want %d", got, want)
+					return
+				}
+				if got := s.AndCount(other); got != wantAnd {
+					t.Errorf("AndCount = %d, want %d", got, wantAnd)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestAndOrExactAllocation(t *testing.T) {

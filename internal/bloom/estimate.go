@@ -99,20 +99,18 @@ func EstimateIntersection(m uint64, k int, t1, t2, tand uint64) float64 {
 // filters, without materializing their AND. It is read-only on both
 // filters and safe for unsynchronized concurrent callers.
 //
-// Fast path: the AND popcount is computed first, and a zero AND — the
-// common case at the sparse lower levels of a BloomSampleTree descent —
-// returns 0 after a single pass over the words. Otherwise the individual
-// set-bit counts are recovered from the AND count plus one AndNotCount
-// pass per side (t = t∧ + |s AND NOT t|), never touching the bit vectors
-// more than three times in total.
+// The cost is one pass over the two word arrays — the AND popcount. The
+// individual set-bit counts are properties of one vector each, which the
+// bit vector remembers after the first time it is asked, so against the
+// immutable filters of a tree and a pinned query they are O(1). A zero
+// AND — the common case at the sparse lower levels of a BloomSampleTree
+// descent — returns 0 without asking for them at all.
 func EstimateIntersectionOf(a, b *Filter) float64 {
 	tand := a.bits.AndCount(b.bits)
 	if tand == 0 {
 		return 0
 	}
-	t1 := tand + a.bits.AndNotCount(b.bits)
-	t2 := tand + b.bits.AndNotCount(a.bits)
-	return EstimateIntersection(a.M(), a.K(), t1, t2, tand)
+	return EstimateIntersection(a.M(), a.K(), a.bits.Count(), b.bits.Count(), tand)
 }
 
 // Accuracy returns the paper's accuracy measure (§5.4)

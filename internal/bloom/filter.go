@@ -10,6 +10,7 @@ package bloom
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/bitset"
@@ -168,6 +169,48 @@ func (f *Filter) ContainsBatch(xs []uint64, out []bool, scratch []uint64) []uint
 	return scratch
 }
 
+// AppendPositives appends to out, in ascending order, every id of
+// [lo, hi) that answers positively — the brute-force scan at the bottom of
+// every tree descent and reconstruction, and by far the most membership
+// probes the system fires. Families with a fused range probe (the default
+// fast family) stop at each id's first missing bit and store no positions;
+// the others hash the range in blocks through PositionsMany and test each
+// k-group. Either way nothing is allocated while out has room: the block
+// loop borrows its key and position blocks from out's spare capacity. Safe
+// for concurrent callers as long as each owns out.
+func (f *Filter) AppendPositives(lo, hi uint64, out []uint64) []uint64 {
+	if rp, ok := f.fam.(hashfam.RangeProber); ok {
+		return rp.AppendPositives(f.bits.Raw(), lo, hi, out)
+	}
+	k := f.fam.K()
+	tmp := ProbeBlock * (k + 1)
+	for ; lo < hi; lo += ProbeBlock {
+		n := int(min(ProbeBlock, hi-lo))
+		// The key block and its positions sit at the far end of out's
+		// capacity, clear of the at most n hits this block appends.
+		out = slices.Grow(out, n+tmp)
+		buf := out[cap(out)-tmp : cap(out)]
+		xs := buf[:n]
+		for i := range xs {
+			xs[i] = lo + uint64(i)
+		}
+		pos := hashfam.PositionsMany(f.fam, xs, buf[ProbeBlock:ProbeBlock])
+		for i, x := range xs {
+			if f.bits.TestAll(pos[i*k : (i+1)*k]) {
+				out = append(out, x)
+			}
+		}
+	}
+	return out
+}
+
+// ProbeBlock is the number of ids hashed per PositionsMany call, by AddMany
+// and by AppendPositives on families without a fused range probe, so the
+// batched positions stay a few KB however long the batch or the range is.
+// A scan borrows ProbeBlock·(k+2) words beyond the hits already in its
+// output.
+const ProbeBlock = 64
+
 // AddMany inserts every element of xs, hashing the whole batch through
 // the family's batched path in bounded blocks (one scratch allocation
 // sized to the first block, however long xs is). Like Add it mutates the
@@ -177,9 +220,9 @@ func (f *Filter) AddMany(xs []uint64) {
 		return
 	}
 	k := f.fam.K()
-	scratch := make([]uint64, 0, min(len(xs), addBlock)*k)
+	scratch := make([]uint64, 0, min(len(xs), ProbeBlock)*k)
 	for len(xs) > 0 {
-		n := min(len(xs), addBlock)
+		n := min(len(xs), ProbeBlock)
 		scratch = hashfam.PositionsMany(f.fam, xs[:n], scratch[:0])
 		for _, p := range scratch {
 			f.bits.Set(p)
@@ -188,10 +231,6 @@ func (f *Filter) AddMany(xs []uint64) {
 		xs = xs[n:]
 	}
 }
-
-// addBlock bounds the number of keys AddMany hashes per block, so the
-// batched scratch stays a few KB however large the batch is.
-const addBlock = 64
 
 // SetBits returns the number of 1 bits (t in the paper's estimators).
 func (f *Filter) SetBits() uint64 { return f.bits.Count() }

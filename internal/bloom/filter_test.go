@@ -517,23 +517,75 @@ func TestCountingContainsConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEstimateIntersectionOfMatchesSlowPath pins the AndNotCount fast
-// path to the definitional three-count computation.
+// TestEstimateIntersectionOfMatchesSlowPath pins the one-pass estimate to
+// the definitional computation from three independently taken popcounts,
+// bit for bit (the descent compares estimates with thresholds and divides
+// them, so "close" would not keep draws identical), on random pairs of
+// every overlap and fill — including saturated filters, which take the
+// estimator's guard branch, and the empty AND, which takes the early
+// return.
 func TestEstimateIntersectionOfMatchesSlowPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		fm := fam(t, uint64(64+rng.Intn(5000)))
+		a, b := New(fm), New(fm)
+		na, nb, shift := rng.Intn(3000), rng.Intn(3000), rng.Intn(4000)
+		for i := 0; i < na; i++ {
+			a.Add(uint64(i))
+		}
+		for i := 0; i < nb; i++ {
+			b.Add(uint64(i + shift))
+		}
+		count := func(f *Filter) (c uint64) {
+			f.ForEachSetBit(func(uint64) bool { c++; return true })
+			return c
+		}
+		and, err := a.Intersect(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := EstimateIntersection(a.M(), a.K(), count(a), count(b), count(and))
+		for pass := 0; pass < 2; pass++ { // second pass answers from the remembered counts
+			if got := EstimateIntersectionOf(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d (m=%d, %d and %d ids, shift %d) pass %d: one-pass estimate %v != definitional %v",
+					trial, a.M(), na, nb, shift, pass, got, want)
+			}
+		}
+	}
+	a := NewFromElements(fam(t, 60870), []uint64{1, 2, 3})
+	if est := EstimateIntersectionOf(a, New(a.Family())); est != 0 {
+		t.Fatalf("estimate vs empty filter = %v, want 0", est)
+	}
+}
+
+// TestEstimateIntersectionOfConcurrentReaders shares one published pair of
+// filters among eight goroutines that all estimate at once: the first
+// estimates race to publish the remembered popcounts, which must be
+// invisible to -race and to the result.
+func TestEstimateIntersectionOfConcurrentReaders(t *testing.T) {
 	fm := fam(t, 60870)
-	a := New(fm)
-	b := New(fm)
+	a, b := New(fm), New(fm)
 	for i := 0; i < 800; i++ {
 		a.Add(uint64(i))
 		b.Add(uint64(i + 400))
 	}
-	want := EstimateIntersection(a.M(), a.K(), a.SetBits(), b.SetBits(), a.IntersectionSetBits(b))
-	got := EstimateIntersectionOf(a, b)
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("fast path %v != slow path %v", got, want)
+	want := EstimateIntersection(a.M(), a.K(), a.Clone().SetBits(), b.Clone().SetBits(), a.IntersectionSetBits(b))
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if got := EstimateIntersectionOf(a, b); got != want {
+					t.Errorf("estimate = %v, want %v", got, want)
+					return
+				}
+				if got := a.SetBits(); got != a.Bits().Count() {
+					t.Errorf("SetBits = %d", got)
+					return
+				}
+			}
+		}()
 	}
-	empty := New(fm)
-	if est := EstimateIntersectionOf(a, empty); est != 0 {
-		t.Fatalf("estimate vs empty filter = %v, want 0", est)
-	}
+	wg.Wait()
 }

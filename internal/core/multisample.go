@@ -123,7 +123,7 @@ func (t *Tree) multiNode(n *node, q *bloom.Filter, r int, st *multiState, rng *r
 
 // multiLeaf resolves r paths arriving at one leaf.
 func (t *Tree) multiLeaf(n *node, q *bloom.Filter, r int, st *multiState, rng *rand.Rand, ops *Ops) []uint64 {
-	pos, _ := t.positivesInLeaf(n, q, ops, nil, nil)
+	pos := t.positivesInLeaf(n, q, ops, nil)
 	if st.exclude == nil { // with replacement
 		if len(pos) == 0 {
 			return nil

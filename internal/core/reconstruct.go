@@ -41,29 +41,24 @@ func (t *Tree) Reconstruct(q *bloom.Filter, rule PruneRule, ops *Ops) ([]uint64,
 	if root == nil {
 		return nil, nil
 	}
-	// One scratch buffer (leaf key block + batched hash positions) is
-	// threaded through the whole traversal, so every surviving leaf scan
-	// reuses it instead of allocating.
-	scratch := make([]uint64, 0, leafProbeBatch*(q.K()+1))
-	out, _ := t.reconstructNode(root, q, rule, ops, nil, scratch)
-	return out, nil
+	return t.reconstructNode(root, q, rule, ops, nil), nil
 }
 
-func (t *Tree) reconstructNode(n *node, q *bloom.Filter, rule PruneRule, ops *Ops, out, scratch []uint64) ([]uint64, []uint64) {
+func (t *Tree) reconstructNode(n *node, q *bloom.Filter, rule PruneRule, ops *Ops, out []uint64) []uint64 {
 	if ops != nil {
 		ops.NodesVisited++
 	}
 	left, right := n.children()
 	if left == nil && right == nil {
-		return t.positivesInLeaf(n, q, ops, out, scratch)
+		return t.positivesInLeaf(n, q, ops, out)
 	}
 	if left != nil && t.childAlive(left, q, rule, ops) {
-		out, scratch = t.reconstructNode(left, q, rule, ops, out, scratch)
+		out = t.reconstructNode(left, q, rule, ops, out)
 	}
 	if right != nil && t.childAlive(right, q, rule, ops) {
-		out, scratch = t.reconstructNode(right, q, rule, ops, out, scratch)
+		out = t.reconstructNode(right, q, rule, ops, out)
 	}
-	return out, scratch
+	return out
 }
 
 // childAlive applies the prune rule to one child.

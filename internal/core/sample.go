@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/bloom"
-	"repro/internal/hashfam"
 )
 
 // ErrNoSample is returned by Sample when the search exhausts the tree
@@ -27,20 +26,58 @@ var ErrNoSample = fmt.Errorf("core: no sample found")
 // filter's false positives — per the problem statement (§1). ops, if
 // non-nil, accumulates operation counts.
 func (t *Tree) Sample(q *bloom.Filter, rng *rand.Rand, ops *Ops) (uint64, error) {
-	var buf [maxScratchK]uint64
-	x, _, err := t.SampleScratch(q, rng, ops, buf[:0])
+	x, _, err := t.SampleScratch(q, rng, ops, nil)
 	return x, err
 }
 
-// SampleScratch is Sample with a caller-owned hash-position scratch
-// buffer: the whole descent (including every leaf membership probe, via
-// bloom.ContainsScratch) appends into scratch instead of allocating, and
-// the possibly grown buffer is returned for the next call. A steady-state
+// SampleScratch is Sample with a caller-owned scratch buffer: the leaf
+// scan collects its positives in scratch instead of allocating, and the
+// possibly grown buffer is returned for the next call. A steady-state
 // sampling loop that threads the returned buffer back in performs zero
-// heap allocations per draw; DB.SampleMany's workers are built on it.
-// Like Sample it is read-only on the tree and the query filter; the
-// caller owns rng, ops and scratch.
+// heap allocations per draw. Like Sample it is read-only on the tree and
+// the query filter; the caller owns rng, ops and scratch.
 func (t *Tree) SampleScratch(q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch []uint64) (uint64, []uint64, error) {
+	return t.SampleMemo(q, rng, ops, scratch, nil)
+}
+
+// Memo remembers, for the draws one worker makes against one pinned,
+// immutable query filter, the child estimates of every internal node a
+// descent has already passed. The estimates depend only on the node's
+// filters and the query, so a later descent that reaches the node reads
+// them back instead of paying two m-bit AND-popcounts again: r draws cost
+// as many estimates as they touch distinct nodes, not r·depth — what §5.3's
+// multi-sample achieves, with the draws left independent.
+//
+// The zero Memo is ready to use. It is not safe for concurrent use, and it
+// must be Reset at the end of the batch, before it meets another filter or
+// filter version: what it remembers describes one query against the tree
+// as the batch saw it (later growth would go unnoticed) and keeps the
+// nodes reachable.
+type Memo struct {
+	ests map[*node][2]float64
+}
+
+// Reset forgets everything. The table's memory is kept for the next batch
+// unless the batch was large enough that clearing it again and again would
+// cost small batches more than allocating afresh.
+func (m *Memo) Reset() {
+	if len(m.ests) > memoKeep {
+		m.ests = nil
+	} else {
+		clear(m.ests)
+	}
+}
+
+// memoKeep is the largest table a Memo holds on to across Reset.
+const memoKeep = 1024
+
+// SampleMemo is SampleScratch reading child estimates through memo (nil
+// means none). For a given rng state it returns exactly the id
+// SampleScratch would — same branch rule, same backtracking, same rng
+// consumption — so everything known about the draws' distribution carries
+// over; only the intersections drop. ops.Intersections counts estimates
+// computed, not remembered ones read back.
+func (t *Tree) SampleMemo(q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch []uint64, memo *Memo) (uint64, []uint64, error) {
 	if err := t.checkQuery(q); err != nil {
 		return 0, scratch, err
 	}
@@ -48,28 +85,47 @@ func (t *Tree) SampleScratch(q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch 
 	if root == nil { // empty pruned tree
 		return 0, scratch, ErrNoSample
 	}
-	x, ok, scratch := t.sampleNode(root, q, rng, ops, scratch)
-	if !ok {
-		return 0, scratch, ErrNoSample
+	if memo != nil && memo.ests == nil {
+		memo.ests = make(map[*node][2]float64)
 	}
-	return x, scratch, nil
+	d := descent{q: q, rng: rng, ops: ops, scratch: scratch, memo: memo}
+	x, ok := t.sampleNode(root, &d)
+	if !ok {
+		return 0, d.scratch, ErrNoSample
+	}
+	return x, d.scratch, nil
+}
+
+// descent is what one root-to-leaf search carries down the recursion.
+type descent struct {
+	q       *bloom.Filter
+	rng     *rand.Rand
+	ops     *Ops
+	scratch []uint64
+	memo    *Memo
 }
 
 // sampleNode implements one recursive step of BSTSample. Child pointers
 // and filters are loaded once per visit, so a step races a concurrent
-// growth publish only by seeing either the old or the new version. The
-// scratch buffer is threaded through the recursion and returned grown.
-func (t *Tree) sampleNode(n *node, q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch []uint64) (uint64, bool, []uint64) {
-	if ops != nil {
-		ops.NodesVisited++
+// growth publish only by seeing either the old or the new version.
+func (t *Tree) sampleNode(n *node, d *descent) (uint64, bool) {
+	if d.ops != nil {
+		d.ops.NodesVisited++
 	}
 	left, right := n.children()
 	if left == nil && right == nil {
-		return t.sampleLeaf(n, q, rng, ops, scratch)
+		return t.sampleLeaf(n, d)
 	}
 
-	lEst := t.childEstimate(left, q, ops)
-	rEst := t.childEstimate(right, q, ops)
+	var lEst, rEst float64
+	if d.memo == nil {
+		lEst, rEst = t.childEstimate(left, d.q, d.ops), t.childEstimate(right, d.q, d.ops)
+	} else if est, ok := d.memo.ests[n]; ok {
+		lEst, rEst = est[0], est[1]
+	} else {
+		lEst, rEst = t.childEstimate(left, d.q, d.ops), t.childEstimate(right, d.q, d.ops)
+		d.memo.ests[n] = [2]float64{lEst, rEst}
+	}
 	thr := t.cfg.EmptyThreshold
 	lOK, rOK := lEst >= thr, rEst >= thr
 
@@ -77,7 +133,7 @@ func (t *Tree) sampleNode(n *node, q *bloom.Filter, rng *rand.Rand, ops *Ops, sc
 	// positive path; report NULL so the caller backtracks (Algorithm 1
 	// lines 17–18).
 	if !lOK && !rOK {
-		return 0, false, scratch
+		return 0, false
 	}
 
 	// Otherwise choose a child with probability proportional to the
@@ -87,20 +143,19 @@ func (t *Tree) sampleNode(n *node, q *bloom.Filter, rng *rand.Rand, ops *Ops, sc
 	// branch can estimate to zero; reaching it through backtracking keeps
 	// its elements sampleable.
 	first, second := left, right
-	if p := lEst / (lEst + rEst); rng.Float64() >= p {
+	if p := lEst / (lEst + rEst); d.rng.Float64() >= p {
 		first, second = right, left
 	}
-	x, ok, scratch := t.sampleNode(first, q, rng, ops, scratch)
-	if ok {
-		return x, true, scratch
+	if x, ok := t.sampleNode(first, d); ok {
+		return x, true
 	}
-	if ops != nil {
-		ops.Backtracks++
+	if d.ops != nil {
+		d.ops.Backtracks++
 	}
 	if second == nil { // pruned tree: missing sibling
-		return 0, false, scratch
+		return 0, false
 	}
-	return t.sampleNode(second, q, rng, ops, scratch)
+	return t.sampleNode(second, d)
 }
 
 // childEstimate returns the estimated intersection size of a child filter
@@ -116,96 +171,40 @@ func (t *Tree) childEstimate(child *node, q *bloom.Filter, ops *Ops) float64 {
 }
 
 // sampleLeaf brute-force checks the leaf's range against q and picks one
-// positive uniformly at random (reservoir over the range, so no
-// allocation beyond the caller's scratch buffer). The range is probed in
-// blocks of leafProbeBatch: each block's keys are hashed with one
-// PositionsMany call through the family's batched path and every k-group
-// is then checked against the query's word-sliced bit vector, so the
-// per-element cost is one inlined hash plus a short-circuiting probe.
-// Both the key block and the position block are carved out of the
-// threaded scratch buffer — stack arrays would escape through the
-// interface call and break the zero-allocation contract of steady-state
-// sampling loops.
-func (t *Tree) sampleLeaf(n *node, q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch []uint64) (uint64, bool, []uint64) {
-	if ops != nil {
-		ops.LeavesScanned++
-		ops.Memberships += n.hi - n.lo
-	}
-	fam := q.Family()
-	bits := q.Bits()
-	k := fam.K()
-	need := leafProbeBatch * (k + 1)
-	if cap(scratch) < need {
-		scratch = make([]uint64, 0, need)
-	}
-	buf := scratch[:need]
-	xs := buf[:leafProbeBatch]
+// positive uniformly at random. The positives are collected, ascending, in
+// the threaded scratch buffer (so nothing is allocated once it has grown
+// to a leaf's worth of hits) and the choice is a reservoir over them in
+// that order: one rng.Intn per positive, which is what keeps a draw's rng
+// consumption — and so every later draw of the same rng — independent of
+// how the scan itself is carried out.
+func (t *Tree) sampleLeaf(n *node, d *descent) (uint64, bool) {
+	hits := t.positivesInLeaf(n, d.q, d.ops, d.scratch[:0])
+	d.scratch = hits
 	var chosen uint64
-	count := 0
-	for lo := n.lo; lo < n.hi; lo += leafProbeBatch {
-		m := int(min(uint64(leafProbeBatch), n.hi-lo))
-		for i := 0; i < m; i++ {
-			xs[i] = lo + uint64(i)
-		}
-		pos := hashfam.PositionsMany(fam, xs[:m], buf[leafProbeBatch:leafProbeBatch])
-		for i := 0; i < m; i++ {
-			if bits.TestAll(pos[i*k : (i+1)*k]) {
-				count++
-				if rng.Intn(count) == 0 {
-					chosen = xs[i]
-				}
-			}
+	for i, x := range hits {
+		if d.rng.Intn(i+1) == 0 {
+			chosen = x
 		}
 	}
-	return chosen, count > 0, buf[:0]
+	return chosen, len(hits) > 0
 }
 
-// leafProbeBatch is the number of leaf elements hashed per PositionsMany
-// call during leaf scans; it bounds the scratch carve-out at
-// leafProbeBatch*(k+1) words.
-const leafProbeBatch = 64
-
-// maxScratchK sizes the per-key hash-position scratch for descents and
-// leaf scans; families with more hash functions than this just grow the
-// buffer once per scan.
+// maxScratchK is the largest k for which ScratchHint covers a scan; a
+// family with more hash functions grows the buffer once.
 const maxScratchK = 16
 
 // ScratchHint is the recommended initial capacity for the scratch buffer
-// threaded through SampleScratch: one full leaf probe block (keys plus k
-// positions per key) for every shipped hash family, so steady-state
-// sampling loops never grow it.
-const ScratchHint = leafProbeBatch * (maxScratchK + 1)
+// threaded through SampleScratch: the hits of a leaf plus, for hash
+// families that scan in blocks, one block's keys and positions
+// (bloom.AppendPositives), so steady-state sampling loops never grow it.
+const ScratchHint = bloom.ProbeBlock * (maxScratchK + 2)
 
-// positivesInLeaf collects every element of the leaf range answering
-// positively, appending to out. It runs the same batched block probe as
-// sampleLeaf, carving key and position blocks from scratch (allocating a
-// fresh buffer when the one passed in is too small) and returning the
-// possibly grown buffer for the next leaf.
-func (t *Tree) positivesInLeaf(n *node, q *bloom.Filter, ops *Ops, out, scratch []uint64) ([]uint64, []uint64) {
+// positivesInLeaf appends every element of the leaf range answering
+// positively to out, ascending.
+func (t *Tree) positivesInLeaf(n *node, q *bloom.Filter, ops *Ops, out []uint64) []uint64 {
 	if ops != nil {
 		ops.LeavesScanned++
 		ops.Memberships += n.hi - n.lo
 	}
-	fam := q.Family()
-	bits := q.Bits()
-	k := fam.K()
-	need := leafProbeBatch * (k + 1)
-	if cap(scratch) < need {
-		scratch = make([]uint64, 0, need)
-	}
-	buf := scratch[:need]
-	xs := buf[:leafProbeBatch]
-	for lo := n.lo; lo < n.hi; lo += leafProbeBatch {
-		m := int(min(uint64(leafProbeBatch), n.hi-lo))
-		for i := 0; i < m; i++ {
-			xs[i] = lo + uint64(i)
-		}
-		pos := hashfam.PositionsMany(fam, xs[:m], buf[leafProbeBatch:leafProbeBatch])
-		for i := 0; i < m; i++ {
-			if bits.TestAll(pos[i*k : (i+1)*k]) {
-				out = append(out, xs[i])
-			}
-		}
-	}
-	return out, buf[:0]
+	return q.AppendPositives(n.lo, n.hi, out)
 }

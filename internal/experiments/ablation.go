@@ -12,8 +12,8 @@ import (
 
 // RunAblationThreshold sweeps the §5.6 empty-intersection threshold and
 // reports its effect on sampling cost, reachability (fraction of rounds
-// producing a sample) and reconstruction recall — the tradeoff DESIGN.md
-// calls out.
+// producing a sample) and reconstruction recall — the tradeoff the
+// paper's §5.6 describes.
 func RunAblationThreshold(cfg Config) ([]*Table, error) {
 	M := smallestNamespace(cfg)
 	n := closestSetSize(cfg, 1000)
@@ -107,7 +107,8 @@ func RunAblationMultiSample(cfg Config) ([]*Table, error) {
 
 // RunAblationBuild compares the leaf-up union construction used by
 // BuildTree against the naive construction that re-inserts every element
-// at every level, validating the DESIGN.md choice.
+// at every level, validating the §5.1 construction (a node's filter is the
+// union of its children's).
 func RunAblationBuild(cfg Config) ([]*Table, error) {
 	M := smallestNamespace(cfg)
 	n := closestSetSize(cfg, 1000)

@@ -32,11 +32,20 @@ const (
 // double hashing needs from its (h1, h2) pair. Exported so reference
 // vectors and the uniformity tests can pin the mapping.
 func Mix128(x, seed uint64) (h1, h2 uint64) {
+	h1 = mixFirst(x, seed)
+	return h1, mixSecond(h1, x, seed)
+}
+
+// mixFirst and mixSecond are Mix128's two folds apart, for the range probe
+// that wants h2 only for the keys whose first bit is set.
+func mixFirst(x, seed uint64) uint64 {
 	hi, lo := bits.Mul64(x^fastP1, seed^fastP0)
-	h1 = hi ^ lo
-	hi, lo = bits.Mul64(h1^fastP2, x^seed^fastP3)
-	h2 = hi ^ lo
-	return h1, h2
+	return hi ^ lo
+}
+
+func mixSecond(h1, x, seed uint64) uint64 {
+	hi, lo := bits.Mul64(h1^fastP2, x^seed^fastP3)
+	return hi ^ lo
 }
 
 // fastFamily derives k Bloom-filter positions from one Mix128 call per
@@ -75,4 +84,38 @@ func (f *fastFamily) PositionsMany(xs []uint64, out []uint64) []uint64 {
 	return out
 }
 
-var _ BatchFamily = (*fastFamily)(nil)
+// AppendPositives is the leaf scan fused into one loop: for each id of
+// [lo, hi) mix the first fold, reduce it to the first position and test
+// that bit; only an id that passes pays for the second fold and its other
+// k−1 positions, each tested as it is derived. A query filter is mostly
+// zeros (a filter planned for accuracy 0.9 is about a tenth full), so nine
+// ids in ten cost one multiply, one modulo and one load, and no position
+// is ever stored. The positions are doublePositions', in its order.
+func (f *fastFamily) AppendPositives(words []uint64, lo, hi uint64, out []uint64) []uint64 {
+	m, k, seed := f.m, f.k, f.seed
+scan:
+	for x := lo; x < hi; x++ {
+		h1 := mixFirst(x, seed)
+		pos := h1 % m
+		if words[pos/64]&(1<<(pos%64)) == 0 {
+			continue
+		}
+		step := doubleStep(mixSecond(h1, x, seed), m)
+		for i := 1; i < k; i++ {
+			pos += step
+			if pos >= m {
+				pos -= m
+			}
+			if words[pos/64]&(1<<(pos%64)) == 0 {
+				continue scan
+			}
+		}
+		out = append(out, x)
+	}
+	return out
+}
+
+var (
+	_ BatchFamily = (*fastFamily)(nil)
+	_ RangeProber = (*fastFamily)(nil)
+)

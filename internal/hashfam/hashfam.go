@@ -82,6 +82,18 @@ func PositionsMany(f Family, xs []uint64, out []uint64) []uint64 {
 	return out
 }
 
+// RangeProber is implemented by families that can probe a contiguous id
+// range against a bit vector without materializing positions, stopping at
+// each id's first missing bit. It must report exactly the ids for which
+// every position Positions yields is set.
+type RangeProber interface {
+	Family
+	// AppendPositives appends to out, ascending, every x of [lo, hi) whose
+	// k positions are all set in words, where bit p is bit p%64 of
+	// words[p/64] and words covers all M() bits.
+	AppendPositives(words []uint64, lo, hi uint64, out []uint64) []uint64
+}
+
 // Invertible is implemented by families whose functions are weakly
 // invertible in the paper's sense (§4): given a position p and an index i,
 // the set {y : h_i(y) = p} can be enumerated efficiently.
@@ -128,6 +140,16 @@ func MustNew(kind Kind, m uint64, k int, seed uint64) Family {
 	return f
 }
 
+// doubleStep reduces h2 to the stride of the double-hashing sequence.
+func doubleStep(h2, m uint64) uint64 {
+	h2 |= 1
+	h2 %= m
+	if h2 == 0 {
+		h2 = 1
+	}
+	return h2
+}
+
 // splitmix64 is a fast, well-distributed PRNG step used for deterministic
 // parameter derivation from seeds.
 func splitmix64(x uint64) uint64 {
@@ -141,12 +163,8 @@ func splitmix64(x uint64) uint64 {
 // hashing: pos_i = (h1 + i·h2) mod m, with h2 forced odd so that the probe
 // sequence cycles through many residues even for composite m.
 func doublePositions(h1, h2, m uint64, k int, out []uint64) []uint64 {
-	h2 |= 1
 	h1 %= m
-	h2 %= m
-	if h2 == 0 {
-		h2 = 1
-	}
+	h2 = doubleStep(h2, m)
 	pos := h1
 	for i := 0; i < k; i++ {
 		out = append(out, pos)

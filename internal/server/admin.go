@@ -143,6 +143,7 @@ func (s *Server) collectMetrics() *obs.Exposition {
 	e.Counter("bst_db_state_writes_total", "Copy-on-write shard-state writes.", float64(st.StateWrites))
 	e.Counter("bst_db_state_publishes_total", "Shard-state snapshot publishes (group commit coalesces writes).", float64(st.StatePublishes))
 	e.Counter("bst_db_state_bytes_copied_total", "Bytes copied by the copy-on-write write path.", float64(st.StateBytesCopied))
+	e.Counter("bst_db_sample_draws_lost_total", "Batch sample draws that ended on a false-positive path (requested minus returned).", float64(st.SampleDrawsLost))
 	e.Counter("bst_db_generations_total", "Filter-version generations published.", float64(st.Generations))
 	e.Gauge("bst_db_tree_nodes", "Materialized BST nodes.", float64(st.TreeNodes))
 	e.Gauge("bst_db_tree_memory_bytes", "Bytes held by the sampling tree.", float64(st.TreeMemoryBytes))

@@ -284,3 +284,62 @@ func TestSlowRequestLog(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleShortfallIsReported drains a dynamic set so its filter is
+// empty, asks it for batches over both sampling entry points of the HTTP
+// plane, and checks that the ids the replies are short by show up — as the
+// same number — in /v1/stats and in the /metrics counter. A reply with
+// returned < requested must never be the only trace of a lost draw.
+func TestSampleShortfallIsReported(t *testing.T) {
+	srv, data, admin := newObsServer(t, Config{})
+	db := srv.DB()
+	if err := db.AddDynamic("drained", 10, 20, 30); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RemoveDynamic("drained", 10, 20, 30); err != nil {
+		t.Fatal(err)
+	}
+	lostBy := func() uint64 {
+		var st StatsResponse
+		_, body := get(t, data.URL+"/v1/stats")
+		if err := json.Unmarshal([]byte(body), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.DB.SampleDrawsLost
+	}
+	before := lostBy()
+
+	var short uint64
+	for _, body := range []string{
+		`{"key":"drained","dynamic":true,"n":7}`,
+		`{"key":"drained","dynamic":true,"n":1}`,
+		`{"key":"drained","dynamic":true,"n":40,"workers":2}`,
+		`{"key":"plain","n":9}`, // a healthy key loses nothing
+	} {
+		var out SampleResponse
+		resp, err := http.Post(data.URL+"/v1/sample", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d, decode error %v", body, resp.StatusCode, err)
+		}
+		if strings.Contains(body, "drained") && out.Returned != 0 {
+			t.Fatalf("%s: an empty filter returned %d ids", body, out.Returned)
+		}
+		short += uint64(out.Requested - out.Returned)
+	}
+	if short != 48 {
+		t.Fatalf("replies were short by %d ids in total, want 7+1+40", short)
+	}
+	if got := lostBy() - before; got != short {
+		t.Fatalf("/v1/stats sample_draws_lost rose by %d, replies were short by %d", got, short)
+	}
+	_, metrics := get(t, admin.URL+"/metrics")
+	want := "bst_db_sample_draws_lost_total " + strconv.FormatUint(before+short, 10)
+	if !strings.Contains(metrics, want+"\n") {
+		t.Fatalf("/metrics lacks %q", want)
+	}
+}

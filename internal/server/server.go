@@ -572,7 +572,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	// Only the uniform mode consumes a per-request rng; the batch paths
-	// seed their worker pools internally.
+	// draw with setdb's pooled workers.
 	var rng *rand.Rand
 	if req.Uniform {
 		rng = s.rng()
@@ -970,6 +970,7 @@ type DBStats struct {
 	StatePublishes          uint64  `json:"state_publishes"`
 	StateBytesCopied        uint64  `json:"state_bytes_copied"`
 	MeanBytesCopiedPerWrite float64 `json:"mean_bytes_copied_per_write"`
+	SampleDrawsLost         uint64  `json:"sample_draws_lost"` // batch draws that ended on a false-positive path: Σ requested − returned
 	Generations             uint64  `json:"generations"`
 	TreeNodes               uint64  `json:"tree_nodes"`
 	TreeDepth               int     `json:"tree_depth"`
@@ -1058,6 +1059,7 @@ func (s *Server) statsResponse() StatsResponse {
 			StatePublishes:          st.StatePublishes,
 			StateBytesCopied:        st.StateBytesCopied,
 			MeanBytesCopiedPerWrite: st.MeanBytesCopiedPerWrite(),
+			SampleDrawsLost:         st.SampleDrawsLost,
 			Generations:             st.Generations,
 			TreeNodes:               st.TreeNodes,
 			TreeDepth:               st.TreeDepth,

@@ -56,6 +56,11 @@ type DBStats struct {
 	StateWrites      uint64
 	StatePublishes   uint64
 	StateBytesCopied uint64
+	// SampleDrawsLost counts the draws of batch samples (SampleMany and
+	// its variants) that ended on a false-positive path and produced no
+	// id: the sum over all batches of requested − returned. A batch that
+	// comes back short is explained here and nowhere else.
+	SampleDrawsLost uint64
 	// Generations is the number of key lifetimes ever created (it only
 	// grows; Delete does not reclaim it).
 	Generations uint64
@@ -111,6 +116,7 @@ func (db *DB) Stats() DBStats {
 		StateWrites:       db.stateWrites.Load(),
 		StatePublishes:    db.statePublishes.Load(),
 		StateBytesCopied:  db.stateBytes.Load(),
+		SampleDrawsLost:   db.lostDraws.Load(),
 		Generations:       db.gen.Load(),
 		TreeNodes:         db.tree.Nodes(),
 		TreeDepth:         db.tree.Depth(),

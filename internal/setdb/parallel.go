@@ -14,7 +14,7 @@ import (
 // Batch read APIs. These exploit the wait-free read path: stored filters
 // are immutable versions published through atomic shard snapshots and
 // the tree is never mutated in place, so the workers below run genuinely
-// in parallel, each with its own rand source and Ops accumulator, all
+// in parallel, each with its own sampleWorker and Ops accumulator, all
 // sharing the same stored filter — with no locks to take at any point.
 
 // SampleMany draws n samples from the set under key using up to
@@ -70,8 +70,56 @@ func (db *DB) SampleManyFrom(f *bloom.Filter, n, workers int, ops *core.Ops) ([]
 	return db.sampleManyFilter(f, n, workers, ops)
 }
 
+// sampleWorker is what one goroutine of a batch draws with. Workers are
+// pooled because seeding a math/rand source (607 words, ≈ 12 µs) per
+// worker per request cost more than the rest of the fan-out together; each
+// rng is seeded once, from the global source, when the pool creates it.
+type sampleWorker struct {
+	rng     *rand.Rand
+	scratch []uint64  // leaf-scan hits, threaded through every draw
+	memo    core.Memo // child estimates of the batch in progress
+}
+
+var sampleWorkers = sync.Pool{New: func() any {
+	return &sampleWorker{
+		rng:     rand.New(rand.NewSource(rand.Int63())),
+		scratch: make([]uint64, 0, core.ScratchHint),
+	}
+}}
+
+// draw makes quota independent root-to-leaf draws from f, appending the
+// ids to out and returning how many draws were lost to false-positive
+// paths (core.ErrNoSample). Any other tree error ends the batch. A batch
+// of more than one draw remembers the child estimates it computes: f is
+// pinned and immutable, so the draws after the first mostly read them
+// back, and the batch pays for as many estimates as it touches distinct
+// tree nodes. The ids are exactly what quota SampleScratch calls on the
+// same rng would return. The draw loop itself allocates nothing.
+func (w *sampleWorker) draw(tree *core.Tree, f *bloom.Filter, quota int, ops *core.Ops, out []uint64) (_ []uint64, lost int, err error) {
+	var memo *core.Memo
+	if quota > 1 {
+		memo = &w.memo
+		defer memo.Reset() // nothing remembered outlives the batch
+	}
+	for i := 0; i < quota; i++ {
+		var x uint64
+		x, w.scratch, err = tree.SampleMemo(f, w.rng, ops, w.scratch, memo)
+		if err == core.ErrNoSample {
+			lost++
+			continue
+		}
+		if err != nil {
+			return out, lost, err
+		}
+		out = append(out, x)
+	}
+	return out, lost, nil
+}
+
 // sampleManyFilter draws n samples from one immutable filter with up to
-// workers goroutines (0 means GOMAXPROCS).
+// workers goroutines (0 means GOMAXPROCS); a one-worker batch runs on the
+// caller's. Draws lost to false-positive paths are counted in the
+// database's SampleDrawsLost.
 func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) ([]uint64, error) {
 	if n <= 0 {
 		return nil, nil
@@ -82,59 +130,52 @@ func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) (
 	if workers > n {
 		workers = n
 	}
+	out := make([]uint64, 0, n)
+	if workers == 1 {
+		w := sampleWorkers.Get().(*sampleWorker)
+		out, lost, err := w.draw(db.tree, f, n, ops, out)
+		sampleWorkers.Put(w)
+		db.recordLostDraws(lost)
+		return out, err
+	}
 
+	// Each worker fills its own quota-sized window of out; the windows are
+	// closed up afterwards, since a worker may return fewer than its quota.
 	type result struct {
-		xs  []uint64
-		ops core.Ops
-		err error
+		xs   []uint64
+		lost int
+		ops  core.Ops
+		err  error
 	}
 	results := make([]result, workers)
 	var wg sync.WaitGroup
+	start := 0
 	for w := 0; w < workers; w++ {
 		quota := n / workers
 		if w < n%workers {
 			quota++
 		}
+		res, window := &results[w], out[start:start:start+quota]
+		start += quota
 		wg.Add(1)
-		go func(w, quota int, seed int64) {
+		go func() {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			res := &results[w]
 			var wops *core.Ops
 			if ops != nil {
 				wops = &res.ops
 			}
-			// One rng, one output slice and one hash-position scratch
-			// buffer per worker, allocated up front: the draw loop itself
-			// is allocation-free (core.Tree.SampleScratch threads the
-			// buffer through the descent down to the leaf membership
-			// probes), so steady-state sampling costs zero heap
-			// allocations per draw.
-			xs := make([]uint64, 0, quota)
-			scratch := make([]uint64, 0, core.ScratchHint)
-			for i := 0; i < quota; i++ {
-				var x uint64
-				var err error
-				x, scratch, err = db.tree.SampleScratch(f, rng, wops, scratch)
-				if err == core.ErrNoSample {
-					continue // a false-positive path; try the next draw
-				}
-				if err != nil {
-					res.xs = xs
-					res.err = err
-					return
-				}
-				xs = append(xs, x)
-			}
-			res.xs = xs
-		}(w, quota, rand.Int63())
+			sw := sampleWorkers.Get().(*sampleWorker)
+			res.xs, res.lost, res.err = sw.draw(db.tree, f, quota, wops, window)
+			sampleWorkers.Put(sw)
+		}()
 	}
 	wg.Wait()
 
-	out := make([]uint64, 0, n)
 	var firstErr error
+	lost := 0
 	for i := range results {
 		out = append(out, results[i].xs...)
+		lost += results[i].lost
 		if ops != nil {
 			ops.Add(results[i].ops)
 		}
@@ -142,7 +183,16 @@ func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) (
 			firstErr = results[i].err
 		}
 	}
+	db.recordLostDraws(lost)
 	return out, firstErr
+}
+
+// recordLostDraws adds one batch's lost draws to the database's count,
+// leaving the shared counter alone on the usual batch that lost none.
+func (db *DB) recordLostDraws(lost int) {
+	if lost > 0 {
+		db.lostDraws.Add(uint64(lost))
+	}
 }
 
 // ReconstructAll reconstructs every plain set in the database using up to

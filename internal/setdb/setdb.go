@@ -204,6 +204,10 @@ type DB struct {
 	stateWrites    atomic.Uint64
 	statePublishes atomic.Uint64
 	stateBytes     atomic.Uint64
+
+	// lostDraws counts batch draws that ended on a false-positive path
+	// and returned nothing (see Stats).
+	lostDraws atomic.Uint64
 }
 
 // recordWrites accumulates write-amplification accounting for one

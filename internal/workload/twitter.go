@@ -62,8 +62,9 @@ func (c CrawlConfig) withDefaults() CrawlConfig {
 // Crawl is a synthetic stand-in for the paper's Twitter dataset: a
 // population of user ids occupying part of a large namespace, and hashtag
 // audiences (the query sets) drawn from that population with popularity
-// skew. See DESIGN.md for why this preserves the behaviour the §8
-// experiments measure.
+// skew. The §8 experiments depend on the crawl only through how sparsely
+// the namespace is occupied and how skewed the audience sizes are, and
+// both are reproduced (README, "Package layout": internal/workload).
 type Crawl struct {
 	// Namespace is the occupied namespace the crawl lives in.
 	Namespace *OccupiedNamespace
