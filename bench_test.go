@@ -44,7 +44,7 @@ func benchTree(b *testing.B, acc float64, n int, M uint64, kind bloomsample.Hash
 	if err != nil {
 		b.Fatal(err)
 	}
-	tree, err := bloomsample.NewTree(plan, kind, 42)
+	tree, err := bloomsample.NewTreeWith(plan, bloomsample.WithHash(kind), bloomsample.WithSeed(42))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func benchPlanAndBuild(b *testing.B, M uint64) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				tree, err := bloomsample.NewTree(plan, bloomsample.Murmur3, 42)
+				tree, err := bloomsample.NewTreeWith(plan, bloomsample.WithHash(bloomsample.Murmur3), bloomsample.WithSeed(42))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -286,7 +286,7 @@ func benchReconstruction(b *testing.B, M uint64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tree, err := bloomsample.NewTree(plan, bloomsample.Simple, 42)
+	tree, err := bloomsample.NewTreeWith(plan, bloomsample.WithHash(bloomsample.Simple), bloomsample.WithSeed(42))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func benchReconstructionTime(b *testing.B, M uint64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tree, err := bloomsample.NewTree(plan, bloomsample.Simple, 42)
+	tree, err := bloomsample.NewTreeWith(plan, bloomsample.WithHash(bloomsample.Simple), bloomsample.WithSeed(42))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func benchCrawl(b *testing.B, fraction float64) (*bloomsample.Tree, *workload.Cr
 	if err != nil {
 		b.Fatal(err)
 	}
-	tree, err := bloomsample.NewPrunedTree(plan, bloomsample.Murmur3, 5, ns.IDs)
+	tree, err := bloomsample.NewPrunedTreeWith(plan, ns.IDs, bloomsample.WithHash(bloomsample.Murmur3), bloomsample.WithSeed(5))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -610,7 +610,7 @@ func BenchmarkAblationHashInvert(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			tree, err := bloomsample.NewTree(plan, bloomsample.Simple, 42)
+			tree, err := bloomsample.NewTreeWith(plan, bloomsample.WithHash(bloomsample.Simple), bloomsample.WithSeed(42))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -671,7 +671,7 @@ func BenchmarkAblationDynamicInsert(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tree, err := bloomsample.NewPrunedTree(plan, bloomsample.Murmur3, 42, nil)
+	tree, err := bloomsample.NewPrunedTreeWith(plan, nil, bloomsample.WithHash(bloomsample.Murmur3), bloomsample.WithSeed(42))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -752,11 +752,7 @@ func BenchmarkUniformSampler(b *testing.B) {
 func BenchmarkSetDBParallelSample(b *testing.B) {
 	small, _, _ := benchNamespaces()
 	const n = 1000
-	opts, err := bloomsample.PlanSetDB(0.9, n, small, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	db, err := bloomsample.OpenSetDB(opts)
+	db, err := bloomsample.Open(small, bloomsample.WithAccuracy(0.9), bloomsample.WithDesignSetSize(n), bloomsample.WithK(3))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -786,11 +782,7 @@ func BenchmarkSetDBParallelSample(b *testing.B) {
 func BenchmarkSetDBSampleMany(b *testing.B) {
 	small, _, _ := benchNamespaces()
 	const n = 1000
-	opts, err := bloomsample.PlanSetDB(0.9, n, small, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	db, err := bloomsample.OpenSetDB(opts)
+	db, err := bloomsample.Open(small, bloomsample.WithAccuracy(0.9), bloomsample.WithDesignSetSize(n), bloomsample.WithK(3))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -139,25 +139,6 @@ func CalibrateCosts(kind HashKind, m uint64, k int, iters int) (CostEstimate, er
 	return core.CalibrateCosts(kind, m, k, iters)
 }
 
-// NewTree builds the full BloomSampleTree for the plan: every node stores
-// its entire namespace range (Definition 5.1 of the paper). Build once,
-// query with any number of filters created via Tree.NewQueryFilter.
-//
-// Deprecated: use NewTreeWith(plan, WithHash(kind), WithSeed(seed)).
-func NewTree(plan TreePlan, kind HashKind, seed uint64) (*Tree, error) {
-	return NewTreeWith(plan, WithHash(kind), WithSeed(seed))
-}
-
-// NewPrunedTree builds a Pruned-BloomSampleTree over only the occupied
-// identifiers (§5.2): nodes whose ranges contain no occupied id are not
-// allocated, and Tree.Insert grows the tree as occupancy grows.
-//
-// Deprecated: use NewPrunedTreeWith(plan, occupied, WithHash(kind),
-// WithSeed(seed)).
-func NewPrunedTree(plan TreePlan, kind HashKind, seed uint64, occupied []uint64) (*Tree, error) {
-	return NewPrunedTreeWith(plan, occupied, WithHash(kind), WithSeed(seed))
-}
-
 // NewTreeFromConfig builds a full tree from an explicit configuration,
 // bypassing planning.
 func NewTreeFromConfig(cfg TreeConfig) (*Tree, error) { return core.BuildTree(cfg) }
@@ -166,15 +147,6 @@ func NewTreeFromConfig(cfg TreeConfig) (*Tree, error) { return core.BuildTree(cf
 // configuration.
 func NewPrunedTreeFromConfig(cfg TreeConfig, occupied []uint64) (*Tree, error) {
 	return core.BuildPruned(cfg, occupied)
-}
-
-// NewFilter returns an empty Bloom filter with the given parameters. Use
-// Tree.NewQueryFilter instead when the filter will be queried against a
-// tree, which guarantees parameter compatibility.
-//
-// Deprecated: use NewFilterWith(m, k, WithHash(kind), WithSeed(seed)).
-func NewFilter(kind HashKind, m uint64, k int, seed uint64) (*Filter, error) {
-	return NewFilterWith(m, k, WithHash(kind), WithSeed(seed))
 }
 
 // DictionaryAttack is the brute-force baseline: O(M) membership queries
@@ -240,13 +212,6 @@ type SetDBSampler = setdb.Sampler
 // snapshot per touched shard instead of one per key, all-or-nothing.
 type SetDBWrite = setdb.Write
 
-// OpenSetDB creates an empty set database from explicit options.
-//
-// Deprecated: use Open(namespace, ...Option), which plans the filter
-// profile and takes the backend, hash and tree knobs as options.
-// OpenSetDB remains the escape hatch for fully hand-built Options.
-func OpenSetDB(opts SetDBOptions) (*SetDB, error) { return setdb.Open(opts) }
-
 // PlanSetDB derives SetDB options from a desired sampling accuracy.
 func PlanSetDB(accuracy float64, designSetSize, namespace uint64, k int) (SetDBOptions, error) {
 	return setdb.PlanOptions(accuracy, designSetSize, namespace, k)
@@ -262,20 +227,6 @@ func LoadSetDB(path string, occupied []uint64) (*SetDB, error) {
 // reconstructing its hash family from the embedded parameters.
 func UnmarshalFilter(data []byte) (*Filter, error) { return bloom.UnmarshalFilter(data) }
 
-// NewTreeParallel builds the full BloomSampleTree using multiple
-// goroutines (workers <= 0 means GOMAXPROCS); the result is identical to
-// NewTree. Useful at paper-scale namespaces, where construction is a
-// pure hash pass.
-//
-// Deprecated: use NewTreeWith(plan, WithHash(kind), WithSeed(seed),
-// WithWorkers(workers)).
-func NewTreeParallel(plan TreePlan, kind HashKind, seed uint64, workers int) (*Tree, error) {
-	if workers <= 0 {
-		workers = -1 // force the parallel build path with GOMAXPROCS
-	}
-	return NewTreeWith(plan, WithHash(kind), WithSeed(seed), WithWorkers(workers))
-}
-
 // LoadTree reads a tree written by (*Tree).Save.
 func LoadTree(path string) (*Tree, error) { return core.LoadTree(path) }
 
@@ -287,13 +238,3 @@ type TreeStats = core.Stats
 // paper's dynamic-community setting; project it onto a tree-compatible
 // plain Filter with Snapshot.
 type CountingFilter = bloom.CountingFilter
-
-// NewCountingFilter returns an empty counting filter with the given
-// parameters.
-//
-// Deprecated: use NewCountingFilterWith(m, k, WithHash(kind),
-// WithSeed(seed)), or NewDynamicMembership to pick the backend by
-// option.
-func NewCountingFilter(kind HashKind, m uint64, k int, seed uint64) (*CountingFilter, error) {
-	return NewCountingFilterWith(m, k, WithHash(kind), WithSeed(seed))
-}

@@ -15,7 +15,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if plan.Bits == 0 || plan.Depth == 0 {
 		t.Fatalf("degenerate plan: %+v", plan)
 	}
-	tree, err := bloomsample.NewTree(plan, bloomsample.Murmur3, 42)
+	tree, err := bloomsample.NewTreeWith(plan, bloomsample.WithHash(bloomsample.Murmur3), bloomsample.WithSeed(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +87,14 @@ func TestPublicAPIPrunedTree(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		occupied = append(occupied, uint64(i)*13+5)
 	}
-	tree, err := bloomsample.NewPrunedTree(plan, bloomsample.Murmur3, 7, occupied)
+	tree, err := bloomsample.NewPrunedTreeWith(plan, occupied, bloomsample.WithHash(bloomsample.Murmur3), bloomsample.WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !tree.Pruned() {
 		t.Fatal("tree not pruned")
 	}
-	full, err := bloomsample.NewTree(plan, bloomsample.Murmur3, 7)
+	full, err := bloomsample.NewTreeWith(plan, bloomsample.WithHash(bloomsample.Murmur3), bloomsample.WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestPublicAPIPrunedTree(t *testing.T) {
 }
 
 func TestPublicAPIBaselines(t *testing.T) {
-	f, err := bloomsample.NewFilter(bloomsample.Simple, 5000, 3, 3)
+	f, err := bloomsample.NewFilterWith(5000, 3, bloomsample.WithHash(bloomsample.Simple), bloomsample.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +157,8 @@ func TestPublicAPIEstimators(t *testing.T) {
 	if p := bloomsample.FalseSetOverlapProb(1000, 3, 10, 10); p <= 0 || p >= 1 {
 		t.Fatalf("fso = %v", p)
 	}
-	a, _ := bloomsample.NewFilter(bloomsample.FNV, 10_000, 3, 1)
-	b, _ := bloomsample.NewFilter(bloomsample.FNV, 10_000, 3, 1)
+	a, _ := bloomsample.NewFilterWith(10_000, 3, bloomsample.WithHash(bloomsample.FNV), bloomsample.WithSeed(1))
+	b, _ := bloomsample.NewFilterWith(10_000, 3, bloomsample.WithHash(bloomsample.FNV), bloomsample.WithSeed(1))
 	for x := uint64(0); x < 100; x++ {
 		a.Add(x)
 		b.Add(x + 50)

@@ -56,7 +56,7 @@ func main() {
 	if err != nil {
 		fatalf("plan: %v", err)
 	}
-	tree, err := bloomsample.NewTree(plan, bloomsample.HashKind(*hash), *seed)
+	tree, err := bloomsample.NewTreeWith(plan, bloomsample.WithHash(bloomsample.HashKind(*hash)), bloomsample.WithSeed(*seed))
 	if err != nil {
 		fatalf("build: %v", err)
 	}

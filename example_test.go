@@ -12,7 +12,7 @@ import (
 // reconstruct.
 func Example() {
 	plan, _ := bloomsample.Plan(0.9, 100, 100_000, 3)
-	tree, _ := bloomsample.NewTree(plan, bloomsample.Murmur3, 42)
+	tree, _ := bloomsample.NewTreeWith(plan, bloomsample.WithHash(bloomsample.Murmur3), bloomsample.WithSeed(42))
 
 	q := tree.NewQueryFilter()
 	for _, x := range []uint64{11, 22, 33, 44, 55} {
@@ -32,12 +32,12 @@ func Example() {
 
 // Pruned trees cover only the occupied portion of a sparse namespace and
 // grow as new identifiers appear.
-func ExampleNewPrunedTree() {
+func ExampleNewPrunedTreeWith() {
 	plan, _ := bloomsample.Plan(0.8, 100, 10_000_000, 3)
 	occupied := []uint64{5, 1_000_000, 9_999_999}
-	tree, _ := bloomsample.NewPrunedTree(plan, bloomsample.Murmur3, 1, occupied)
+	tree, _ := bloomsample.NewPrunedTreeWith(plan, occupied, bloomsample.WithHash(bloomsample.Murmur3), bloomsample.WithSeed(1))
 
-	full, _ := bloomsample.NewTree(plan, bloomsample.Murmur3, 1)
+	full, _ := bloomsample.NewTreeWith(plan, bloomsample.WithHash(bloomsample.Murmur3), bloomsample.WithSeed(1))
 	fmt.Println("pruned smaller than full:", tree.MemoryBytes() < full.MemoryBytes())
 
 	before := tree.Nodes()
@@ -50,9 +50,8 @@ func ExampleNewPrunedTree() {
 
 // The SetDB stores many named sets against one shared tree — the paper's
 // §3.2 database of Bloom-filter-encoded sets.
-func ExampleOpenSetDB() {
-	opts, _ := bloomsample.PlanSetDB(0.9, 1000, 1_000_000, 3)
-	db, _ := bloomsample.OpenSetDB(opts)
+func ExampleOpen() {
+	db, _ := bloomsample.Open(1_000_000, bloomsample.WithAccuracy(0.9), bloomsample.WithDesignSetSize(1000), bloomsample.WithK(3))
 
 	_ = db.Add("team-a", 1, 2, 3)
 	_ = db.Add("team-b", 3, 4, 5)
@@ -71,7 +70,7 @@ func ExampleOpenSetDB() {
 // downstream statistics assume unbiased samples.
 func ExampleUniformSampler() {
 	plan, _ := bloomsample.Plan(0.9, 100, 100_000, 3)
-	tree, _ := bloomsample.NewTree(plan, bloomsample.Murmur3, 42)
+	tree, _ := bloomsample.NewTreeWith(plan, bloomsample.WithHash(bloomsample.Murmur3), bloomsample.WithSeed(42))
 	q := tree.NewQueryFilter()
 	for x := uint64(0); x < 100; x++ {
 		q.Add(x * 997)
@@ -87,7 +86,7 @@ func ExampleUniformSampler() {
 
 // DictionaryAttack is the O(M) baseline — exact but namespace-bound.
 func ExampleDictionaryAttack() {
-	f, _ := bloomsample.NewFilter(bloomsample.FNV, 10_000, 3, 1)
+	f, _ := bloomsample.NewFilterWith(10_000, 3, bloomsample.WithHash(bloomsample.FNV), bloomsample.WithSeed(1))
 	f.Add(700)
 
 	da := bloomsample.DictionaryAttack{Namespace: 1_000}

@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tree, err := bloomsample.NewTree(plan, bloomsample.Simple, 7)
+	tree, err := bloomsample.NewTreeWith(plan, bloomsample.WithHash(bloomsample.Simple), bloomsample.WithSeed(7))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tree, err := bloomsample.NewPrunedTree(plan, bloomsample.Murmur3, 1, ns.IDs)
+	tree, err := bloomsample.NewPrunedTreeWith(plan, ns.IDs, bloomsample.WithHash(bloomsample.Murmur3), bloomsample.WithSeed(1))
 	if err != nil {
 		log.Fatal(err)
 	}

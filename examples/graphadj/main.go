@@ -55,7 +55,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tree, err := bloomsample.NewTree(plan, bloomsample.Murmur3, 3)
+	tree, err := bloomsample.NewTreeWith(plan, bloomsample.WithHash(bloomsample.Murmur3), bloomsample.WithSeed(3))
 	if err != nil {
 		log.Fatal(err)
 	}

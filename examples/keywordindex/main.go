@@ -45,11 +45,7 @@ func main() {
 
 	// Ingest: open a database planned for the typical posting size, add
 	// every posting list, persist.
-	opts, err := bloomsample.PlanSetDB(accuracy, 5000, docSpace, 3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	db, err := bloomsample.OpenSetDB(opts)
+	db, err := bloomsample.Open(docSpace, bloomsample.WithAccuracy(accuracy), bloomsample.WithDesignSetSize(5000), bloomsample.WithK(3))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func main() {
 
 	// 2. Build the BloomSampleTree once; it serves any number of query
 	// filters with the same parameters.
-	tree, err := bloomsample.NewTree(plan, bloomsample.Murmur3, 42)
+	tree, err := bloomsample.NewTreeWith(plan, bloomsample.WithHash(bloomsample.Murmur3), bloomsample.WithSeed(42))
 	if err != nil {
 		log.Fatal(err)
 	}

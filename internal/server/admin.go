@@ -99,11 +99,11 @@ func (s *Server) collectMetrics() *obs.Exposition {
 			// still advertise the endpoint's existence.
 			continue
 		}
-		counts, sumNS := m.histCounts()
+		counts, sumNS := m.latency.counts()
 		e.Histogram("bst_request_duration_seconds", "Request latency, per endpoint (sheds excluded).",
 			[]obs.Label{label}, latencyUppers, counts[:], float64(sumNS)/1e9)
 		for st := 0; st < obs.NumStages; st++ {
-			stCounts, stSumNS := m.stageCounts(obs.Stage(st))
+			stCounts, stSumNS := m.stages[st].counts()
 			var total uint64
 			for _, c := range stCounts {
 				total += c

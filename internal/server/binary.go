@@ -1,8 +1,9 @@
 package server
 
-// The binary listener: the compact wire protocol (internal/wire) served
-// next to the HTTP/JSON API, over the same database and the same
-// admission gates. The protocol exists because the serving benchmark
+// The binary listener and codec: the compact wire protocol
+// (internal/wire) served next to the HTTP/JSON API, over the same
+// operations (ops.go), the same endpoint table and the same admission
+// gates. The protocol exists because the serving benchmark
 // showed JSON encode/decode as a visible per-request cost; this path
 // replaces it with varint frames and replaces HTTP's per-request
 // connection machinery with pipelined frames on long-lived connections.
@@ -20,66 +21,31 @@ package server
 //   - per-stream credit: a streaming sample response may only have
 //     Credit unconsumed samples in flight; the server stalls drawing
 //     (creditStalls counts it) until the client grants more via
-//     OpCredit frames. A slow stream consumer therefore costs the
-//     server a parked goroutine, not an unbounded buffer.
+//     OpCredit frames. The unit is ids sent: a draw that comes back
+//     short gives the difference back, so what the client can grant
+//     (ids it received) always matches what the stream was charged. A
+//     slow stream consumer therefore costs the server a parked
+//     goroutine, not an unbounded buffer.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/setdb"
 	"repro/internal/wire"
 )
 
 // ErrBinaryClosed is returned by ServeBinary after ShutdownBinary tears
 // the listener down — the binary analogue of http.ErrServerClosed.
 var ErrBinaryClosed = errors.New("server: binary listener closed")
-
-// binEndpoints are the metrics keys of the binary protocol's endpoints,
-// registered alongside the HTTP paths so /v1/stats reports both
-// protocols in one endpoint table.
-var binEndpoints = []string{
-	"bin:sample", "bin:sample_stream", "bin:reconstruct",
-	"bin:intersection", "bin:add", "bin:remove", "bin:stats",
-	"bin:snapshot", "bin:restore",
-}
-
-// binEndpointFor maps a request opcode to its metrics key and write-path
-// classification.
-func binEndpointFor(op byte) (name string, isWrite, ok bool) {
-	switch op {
-	case wire.OpSample:
-		return "bin:sample", false, true
-	case wire.OpSampleStream:
-		return "bin:sample_stream", false, true
-	case wire.OpReconstruct:
-		return "bin:reconstruct", false, true
-	case wire.OpIntersection:
-		return "bin:intersection", false, true
-	case wire.OpAdd:
-		return "bin:add", true, true
-	case wire.OpRemove:
-		return "bin:remove", true, true
-	case wire.OpStats:
-		return "bin:stats", false, true
-	case wire.OpSnapshot:
-		// Snapshotting never touches the shard write path (it pins a
-		// read view), so it rides the global budget only.
-		return "bin:snapshot", false, true
-	case wire.OpRestore:
-		return "bin:restore", true, true
-	}
-	return "", false, false
-}
 
 // binState is the binary listener's shared state and counters, embedded
 // in Server so /v1/stats can report it and both protocols share gates.
@@ -263,68 +229,57 @@ func (bc *binConn) dispatch(h wire.Header, body []byte) {
 		bc.grantCredit(h.RequestID, body)
 		return
 	}
-	name, isWrite, ok := binEndpointFor(h.Opcode)
-	if !ok {
+	var ep *endpoint
+	for i := range endpoints {
+		if endpoints[i].opcode == h.Opcode {
+			ep = &endpoints[i]
+			break
+		}
+	}
+	if ep == nil {
 		bc.srv.bin.protoErrors.Add(1)
 		bc.writeError(h.RequestID, wire.ErrCodeBadRequest, fmt.Sprintf("unknown opcode %d", h.Opcode))
 		return
 	}
-	m := bc.srv.metrics[name]
+	m := bc.srv.metrics[ep.bin]
 	if bc.srv.bin.isDraining() {
 		bc.writeError(h.RequestID, wire.ErrCodeShutdown, "server draining")
 		return
 	}
-	// Admission, cheapest gate first. The per-connection window is
-	// checked before the global budget so one connection's burst can
-	// never consume global slots it would only be shed from anyway.
-	admit := time.Now()
-	if int(bc.inflight.Load()) >= bc.srv.cfg.ConnWindow {
-		bc.busy(h.RequestID, m, name, "conn window")
+	// A shed is the fast path out: no body decode, no database work, one
+	// 12-byte BUSY frame back.
+	arrived := time.Now()
+	if refused := bc.srv.admit(ep, &bc.inflight); refused != "" {
+		bc.srv.shed(m, ep.bin, "binary", nil, refused)
+		bc.srv.bin.shed.Add(1)
+		bc.writeFrame(wire.OpBusy, 0, h.RequestID, nil)
 		return
 	}
-	if !bc.srv.inflight.tryAcquire() {
-		bc.busy(h.RequestID, m, name, "global budget")
-		return
-	}
-	if isWrite && !bc.srv.writeGate.tryAcquire() {
-		bc.srv.inflight.release()
-		bc.busy(h.RequestID, m, name, "write budget")
-		return
-	}
-	bc.inflight.Add(1)
 	// The trace's request ID combines the connection ordinal with the
 	// frame's request id — the same id the response frame echoes, so a
 	// client can quote "bin-3-17" and the server log line is findable.
 	var tr *obs.Trace
 	if !bc.srv.cfg.TraceDisabled {
 		tr = obs.NewTrace(fmt.Sprintf("bin-%d-%d", bc.id, h.RequestID))
-		tr.Add(obs.StageAdmission, time.Since(admit))
+		tr.Add(obs.StageAdmission, time.Since(arrived))
 	}
 	go func() {
 		start := time.Now()
-		err := bc.handle(tr, h, body)
-		d := time.Since(start)
-		m.observe(d, err != nil)
-		if tr != nil {
-			tr.FillExecute(d)
-			m.observeStages(tr)
+		err := ep.frame(bc, tr, h, body)
+		if err != nil && !errors.Is(err, errStreamAborted) {
+			// One taxonomy for both protocols: the wire error code is the
+			// HTTP status. Decode failures are the client's mistake and
+			// additionally count as protocol errors.
+			code := uint64(statusFor(err))
+			if errors.Is(err, wire.ErrMalformed) {
+				bc.srv.bin.protoErrors.Add(1)
+				code = wire.ErrCodeBadRequest
+			}
+			bc.writeError(h.RequestID, code, err.Error())
 		}
-		bc.srv.logRequest(name, "binary", tr, d, err)
-		bc.inflight.Add(-1)
-		if isWrite {
-			bc.srv.writeGate.release()
-		}
-		bc.srv.inflight.release()
+		bc.srv.finish(m, ep.bin, "binary", tr, start, err)
+		bc.srv.release(ep, &bc.inflight)
 	}()
-}
-
-// busy sheds one request with a BUSY frame — the fast path out: no body
-// decode, no database work, one 12-byte frame back.
-func (bc *binConn) busy(reqID uint32, m *endpointMetrics, endpoint, cause string) {
-	m.observeShed()
-	bc.srv.bin.shed.Add(1)
-	bc.writeFrame(wire.OpBusy, 0, reqID, nil)
-	bc.srv.logShed(endpoint, "binary", nil, cause)
 }
 
 // writeFrame writes one frame under the write lock with a write
@@ -345,141 +300,46 @@ func (bc *binConn) writeError(reqID uint32, code uint64, msg string) {
 	_ = bc.writeFrame(wire.OpError, 0, reqID, wire.ErrorResult{Code: code, Msg: msg}.Encode(nil))
 }
 
-// errCodeFor maps handler errors onto wire error codes by reusing the
-// HTTP status classification — one taxonomy for both protocols.
-func errCodeFor(err error) uint64 { return uint64(statusFor(err)) }
-
-// handle serves one admitted request. The returned error is for metrics
-// only; the client-visible form has already been written as an OpError
-// frame.
-func (bc *binConn) handle(tr *obs.Trace, h wire.Header, body []byte) error {
-	var err error
-	switch h.Opcode {
-	case wire.OpSample:
-		err = bc.handleSample(tr, h, body)
-	case wire.OpSampleStream:
-		err = bc.handleSampleStream(tr, h, body)
-	case wire.OpReconstruct:
-		err = bc.handleReconstruct(tr, h, body)
-	case wire.OpIntersection:
-		err = bc.handleIntersection(tr, h, body)
-	case wire.OpAdd:
-		err = bc.handleAdd(tr, h, body)
-	case wire.OpRemove:
-		err = bc.handleRemove(tr, h, body)
-	case wire.OpStats:
-		err = bc.handleStats(tr, h)
-	case wire.OpSnapshot:
-		err = bc.handleSnapshot(tr, h)
-	case wire.OpRestore:
-		err = bc.handleRestore(tr, h, body)
-	}
-	return err
-}
-
 // reply writes one response frame, charging the wire write to the
 // trace's encode stage. (Varint body packing happens at the call sites
 // and rides in execute — it is allocation-light; the frame write with
-// its lock and deadline is where encode time actually goes.)
+// its lock and deadline is where encode time actually goes.) A failed
+// write means the peer is gone: the request ends as aborted, with no
+// error frame sent after it.
 func (bc *binConn) reply(tr *obs.Trace, op, flags byte, reqID uint32, body []byte) error {
 	t0 := time.Now()
 	err := bc.writeFrame(op, flags, reqID, body)
 	tr.Add(obs.StageEncode, time.Since(t0))
-	return err
-}
-
-// fail writes err to the peer as an error frame and returns it for the
-// metrics path. Decode failures additionally count as protocol errors.
-func (bc *binConn) fail(reqID uint32, err error) error {
-	if errors.Is(err, wire.ErrMalformed) {
-		bc.srv.bin.protoErrors.Add(1)
-		bc.writeError(reqID, wire.ErrCodeBadRequest, err.Error())
-		return err
-	}
-	bc.writeError(reqID, errCodeFor(err), err.Error())
-	return err
-}
-
-// sampleRequestFrom translates a wire sample request into the shared
-// SampleRequest the HTTP handlers use, applying the same defaults.
-func sampleRequestFrom(h wire.Header, m wire.SampleReq, stream bool) SampleRequest {
-	req := SampleRequest{
-		Key:     m.Key,
-		N:       int(m.N),
-		Workers: int(m.Workers),
-		Dynamic: h.Flags&wire.FlagDynamic != 0,
-		Uniform: h.Flags&wire.FlagUniform != 0,
-		Stream:  stream,
-	}
-	if req.N == 0 {
-		req.N = 1
-	}
-	return req
-}
-
-// validateSample mirrors handleSample's request validation.
-func (bc *binConn) validateSample(req SampleRequest) error {
-	if req.Key == "" {
-		return errf(400, "missing key")
-	}
-	if req.N < 0 {
-		return errf(400, "negative n %d", req.N)
-	}
-	if req.Stream {
-		if req.N > bc.srv.cfg.MaxStreamBatch {
-			return errf(413, "n %d exceeds the streaming batch limit %d", req.N, bc.srv.cfg.MaxStreamBatch)
-		}
-	} else if req.N > bc.srv.cfg.MaxBatch {
-		return errf(413, "n %d exceeds the batch limit %d (stream mode affords up to %d)", req.N, bc.srv.cfg.MaxBatch, bc.srv.cfg.MaxStreamBatch)
-	}
-	if req.Uniform && req.Dynamic {
-		return errf(400, "uniform sampling serves plain sets only")
+	if err != nil {
+		return fmt.Errorf("%w: %v", errStreamAborted, err)
 	}
 	return nil
 }
 
-func (bc *binConn) handleSample(tr *obs.Trace, h wire.Header, body []byte) error {
+// decodeFrame runs one frame-body decoder, charging it to the trace's
+// decode stage.
+func decodeFrame[M any](tr *obs.Trace, dec func([]byte) (M, error), body []byte) (M, error) {
 	t0 := time.Now()
-	m, err := wire.DecodeSampleReq(body, false)
+	m, err := dec(body)
 	tr.Add(obs.StageDecode, time.Since(t0))
-	if err != nil {
-		return bc.fail(h.RequestID, err)
-	}
-	req := sampleRequestFrom(h, m, false)
-	if err := bc.validateSample(req); err != nil {
-		return bc.fail(h.RequestID, err)
-	}
-	draw, err := bc.srv.chunkDrawer(req)
-	if err != nil {
-		return bc.fail(h.RequestID, err)
-	}
-	var rng *rand.Rand
-	if req.Uniform {
-		rng = bc.srv.rng()
-		defer bc.srv.putRNG(rng)
-	}
-	ids, err := draw(req.N, rng)
-	if err != nil {
-		return bc.fail(h.RequestID, err)
-	}
-	resp := wire.SampleResult{Requested: uint64(req.N), IDs: ids}.Encode(nil)
-	return bc.reply(tr, wire.OpSampleResult, 0, h.RequestID, resp)
+	return m, err
 }
 
-// binStream is the flow-control state of one streaming response.
+// binStream is the flow-control state of one streaming response: its
+// credit window, in ids. A nil *binStream is a stream without one (the
+// NDJSON framing): take is the identity and grant a no-op.
 type binStream struct {
 	credit atomic.Int64
 	notify chan struct{} // capacity 1: "credit changed"
 	done   chan struct{} // closed on connection teardown
 }
 
-// errStreamStarved marks a stream whose client stopped granting credit
-// for a whole StreamWriteTimeout.
-var errStreamStarved = errors.New("stream starved of credit")
-
 // take claims up to max samples of credit, waiting (bounded by timeout)
 // for a grant when the window is empty.
 func (st *binStream) take(max int, timeout time.Duration, stalls *atomic.Uint64) (int, error) {
+	if st == nil {
+		return max, nil
+	}
 	var timer *time.Timer
 	defer func() {
 		if timer != nil {
@@ -512,7 +372,12 @@ func (st *binStream) take(max int, timeout time.Duration, stalls *atomic.Uint64)
 	}
 }
 
+// grant adds n ids of credit: a client's OpCredit, or the stream's own
+// refund of credit that take claimed and the draw did not use.
 func (st *binStream) grant(n uint64) {
+	if st == nil || n == 0 {
+		return
+	}
 	st.credit.Add(int64(n))
 	select {
 	case st.notify <- struct{}{}:
@@ -565,195 +430,138 @@ func (bc *binConn) grantCredit(id uint32, body []byte) {
 	bc.streamsMu.Lock()
 	st := bc.streams[id]
 	bc.streamsMu.Unlock()
-	if st != nil && g.N > 0 {
-		st.grant(g.N)
-	}
+	st.grant(g.N)
 }
 
-func (bc *binConn) handleSampleStream(tr *obs.Trace, h wire.Header, body []byte) error {
-	t0 := time.Now()
-	m, err := wire.DecodeSampleReq(body, true)
-	tr.Add(obs.StageDecode, time.Since(t0))
+// binSample serves OpSample (one SampleResult frame) and OpSampleStream:
+// the credit-gated framing of sampleStream, one chunk frame per draw,
+// FlagFinal on the last.
+func (bc *binConn) binSample(tr *obs.Trace, h wire.Header, body []byte) error {
+	stream := h.Opcode == wire.OpSampleStream
+	m, err := decodeFrame(tr, func(b []byte) (wire.SampleReq, error) { return wire.DecodeSampleReq(b, stream) }, body)
 	if err != nil {
-		return bc.fail(h.RequestID, err)
+		return err
 	}
-	req := sampleRequestFrom(h, m, true)
-	if err := bc.validateSample(req); err != nil {
-		return bc.fail(h.RequestID, err)
+	req := SampleRequest{
+		Key:     m.Key,
+		N:       int(m.N),
+		Workers: int(m.Workers),
+		Dynamic: h.Flags&wire.FlagDynamic != 0,
+		Uniform: h.Flags&wire.FlagUniform != 0,
+		Stream:  stream,
 	}
-	draw, err := bc.srv.chunkDrawer(req)
-	if err != nil {
-		return bc.fail(h.RequestID, err)
+	if !stream {
+		resp, err := bc.srv.sample(req)
+		if err != nil {
+			return err
+		}
+		out := wire.SampleResult{Requested: uint64(resp.Requested), IDs: resp.IDs}
+		return bc.reply(tr, wire.OpSampleResult, 0, h.RequestID, out.Encode(nil))
 	}
 	st := &binStream{notify: make(chan struct{}, 1), done: make(chan struct{})}
 	st.credit.Store(int64(m.Credit))
 	if err := bc.registerStream(h.RequestID, st); err != nil {
-		return bc.fail(h.RequestID, err)
+		return err
 	}
 	defer bc.unregisterStream(h.RequestID)
 	bc.srv.bin.streamsActive.Add(1)
 	defer bc.srv.bin.streamsActive.Add(-1)
-
-	var rng *rand.Rand
-	if req.Uniform {
-		rng = bc.srv.rng()
-		defer bc.srv.putRNG(rng)
-	}
-	for drawn := 0; drawn < req.N; {
-		want := req.N - drawn
-		if want > bc.srv.cfg.StreamChunk {
-			want = bc.srv.cfg.StreamChunk
-		}
-		n, err := st.take(want, bc.srv.cfg.StreamWriteTimeout, &bc.srv.bin.creditStalls)
-		if err != nil {
-			if errors.Is(err, errStreamStarved) {
-				bc.writeError(h.RequestID, wire.ErrCodeTimeout, err.Error())
-			}
-			return err
-		}
-		ids, err := draw(n, rng)
-		if err != nil {
-			return bc.fail(h.RequestID, err)
-		}
+	return bc.srv.sampleStream(req, st, func(ids []uint64, final bool) error {
 		var flags byte
-		// The drawer may return fewer ids than asked (false-positive
-		// descents); progress is counted by the ask, matching the NDJSON
-		// path's accounting, so the stream always terminates.
-		drawn += n
-		if drawn >= req.N {
+		if final {
 			flags = wire.FlagFinal
 		}
-		if err := bc.reply(tr, wire.OpSampleChunk, flags, h.RequestID, wire.SampleChunk{IDs: ids}.Encode(nil)); err != nil {
-			return err
-		}
-	}
-	return nil
+		return bc.reply(tr, wire.OpSampleChunk, flags, h.RequestID, wire.SampleChunk{IDs: ids}.Encode(nil))
+	})
 }
 
-func (bc *binConn) handleReconstruct(tr *obs.Trace, h wire.Header, body []byte) error {
-	t0 := time.Now()
-	m, err := wire.DecodeReconstructReq(body)
-	tr.Add(obs.StageDecode, time.Since(t0))
+func (bc *binConn) binReconstruct(tr *obs.Trace, h wire.Header, body []byte) error {
+	m, err := decodeFrame(tr, wire.DecodeReconstructReq, body)
 	if err != nil {
-		return bc.fail(h.RequestID, err)
+		return err
 	}
-	if m.Key == "" {
-		return bc.fail(h.RequestID, errf(400, "missing key"))
-	}
-	ids, err := bc.srv.reconstructIDs(m.Key, h.Flags&wire.FlagDynamic != 0)
+	resp, err := bc.srv.reconstruct(ReconstructRequest{Key: m.Key, Dynamic: h.Flags&wire.FlagDynamic != 0})
 	if err != nil {
-		return bc.fail(h.RequestID, err)
+		return err
 	}
-	return bc.reply(tr, wire.OpIDsResult, 0, h.RequestID, wire.IDsResult{IDs: ids}.Encode(nil))
+	return bc.reply(tr, wire.OpIDsResult, 0, h.RequestID, wire.IDsResult{IDs: resp.IDs}.Encode(nil))
 }
 
-func (bc *binConn) handleIntersection(tr *obs.Trace, h wire.Header, body []byte) error {
-	t0 := time.Now()
-	m, err := wire.DecodeIntersectionReq(body)
-	tr.Add(obs.StageDecode, time.Since(t0))
+func (bc *binConn) binIntersection(tr *obs.Trace, h wire.Header, body []byte) error {
+	m, err := decodeFrame(tr, wire.DecodeIntersectionReq, body)
 	if err != nil {
-		return bc.fail(h.RequestID, err)
+		return err
 	}
-	if m.KeyA == "" || m.KeyB == "" {
-		return bc.fail(h.RequestID, errf(400, "missing key_a or key_b"))
-	}
-	est, err := bc.srv.DB().IntersectionEstimate(m.KeyA, m.KeyB)
+	resp, err := bc.srv.intersection(IntersectionRequest{KeyA: m.KeyA, KeyB: m.KeyB})
 	if err != nil {
-		return bc.fail(h.RequestID, err)
+		return err
 	}
-	return bc.reply(tr, wire.OpEstimateResult, 0, h.RequestID, wire.EstimateResult{Estimate: est}.Encode(nil))
+	return bc.reply(tr, wire.OpEstimateResult, 0, h.RequestID, wire.EstimateResult{Estimate: resp.Estimate}.Encode(nil))
 }
 
-func (bc *binConn) handleAdd(tr *obs.Trace, h wire.Header, body []byte) error {
-	t0 := time.Now()
-	m, err := wire.DecodeAddReq(body)
-	tr.Add(obs.StageDecode, time.Since(t0))
+func (bc *binConn) binAdd(tr *obs.Trace, h wire.Header, body []byte) error {
+	m, err := decodeFrame(tr, wire.DecodeAddReq, body)
 	if err != nil {
-		return bc.fail(h.RequestID, err)
+		return err
 	}
-	if len(m.Sets) == 0 {
-		return bc.fail(h.RequestID, errf(400, "empty add request"))
-	}
-	if len(m.Sets) > bc.srv.cfg.MaxBatchSets {
-		return bc.fail(h.RequestID, errf(413, "%d sets exceed the batch limit %d", len(m.Sets), bc.srv.cfg.MaxBatchSets))
-	}
-	total := 0
-	writes := make([]setdb.Write, len(m.Sets))
+	sets := make([]AddSet, len(m.Sets))
 	for i, set := range m.Sets {
-		if set.Key == "" {
-			return bc.fail(h.RequestID, errf(400, "sets[%d]: missing key", i))
-		}
-		total += len(set.IDs)
-		writes[i] = setdb.Write{Key: set.Key, IDs: set.IDs, Dynamic: set.Dynamic}
+		sets[i] = AddSet{Key: set.Key, IDs: set.IDs, Dynamic: set.Dynamic}
 	}
-	if total > bc.srv.cfg.MaxBatch {
-		return bc.fail(h.RequestID, errf(413, "%d ids exceed the batch limit %d", total, bc.srv.cfg.MaxBatch))
+	resp, err := bc.srv.add(AddRequest{Sets: sets})
+	if err != nil {
+		return err
 	}
-	if err := bc.srv.applyWrites(writes); err != nil {
-		return bc.fail(h.RequestID, err)
-	}
-	ack := wire.AckResult{Count: uint64(total), Keys: uint64(len(m.Sets))}
+	ack := wire.AckResult{Count: uint64(resp.Added), Keys: uint64(resp.Keys)}
 	return bc.reply(tr, wire.OpAckResult, 0, h.RequestID, ack.Encode(nil))
 }
 
-func (bc *binConn) handleRemove(tr *obs.Trace, h wire.Header, body []byte) error {
-	t0 := time.Now()
-	m, err := wire.DecodeRemoveReq(body)
-	tr.Add(obs.StageDecode, time.Since(t0))
+func (bc *binConn) binRemove(tr *obs.Trace, h wire.Header, body []byte) error {
+	m, err := decodeFrame(tr, wire.DecodeRemoveReq, body)
 	if err != nil {
-		return bc.fail(h.RequestID, err)
+		return err
 	}
-	if m.Key == "" {
-		return bc.fail(h.RequestID, errf(400, "missing key"))
+	resp, err := bc.srv.remove(RemoveRequest{Key: m.Key, IDs: m.IDs})
+	if err != nil {
+		return err
 	}
-	if len(m.IDs) > bc.srv.cfg.MaxBatch {
-		return bc.fail(h.RequestID, errf(413, "%d ids exceed the batch limit %d", len(m.IDs), bc.srv.cfg.MaxBatch))
-	}
-	if err := bc.srv.applyWrites([]setdb.Write{{Key: m.Key, IDs: m.IDs, Dynamic: true, Remove: true}}); err != nil {
-		return bc.fail(h.RequestID, err)
-	}
-	ack := wire.AckResult{Count: uint64(len(m.IDs)), Keys: 1}
+	ack := wire.AckResult{Count: uint64(resp.Removed), Keys: 1}
 	return bc.reply(tr, wire.OpAckResult, 0, h.RequestID, ack.Encode(nil))
 }
 
-func (bc *binConn) handleStats(tr *obs.Trace, h wire.Header) error {
-	doc, err := json.Marshal(bc.srv.statsResponse())
+// binStats and binSnapshot answer with the HTTP API's JSON document
+// inside a frame — one schema, two framings.
+func (bc *binConn) binStats(tr *obs.Trace, h wire.Header, _ []byte) error {
+	doc, err := json.Marshal(bc.srv.stats())
 	if err != nil {
-		return bc.fail(h.RequestID, err)
+		return err
 	}
 	return bc.reply(tr, wire.OpStatsResult, 0, h.RequestID, wire.StatsResult{JSON: doc}.Encode(nil))
 }
 
-func (bc *binConn) handleSnapshot(tr *obs.Trace, h wire.Header) error {
-	d := bc.srv.cfg.Durability
-	if d == nil {
-		return bc.fail(h.RequestID, errf(400, "server has no durability layer (start with -data-dir)"))
-	}
-	info, err := d.Snapshot()
+func (bc *binConn) binSnapshot(tr *obs.Trace, h wire.Header, _ []byte) error {
+	resp, err := bc.srv.snapshot()
 	if err != nil {
-		return bc.fail(h.RequestID, err)
+		return err
 	}
-	doc, err := json.Marshal(SnapshotTriggerResponse{Snapshot: info})
+	doc, err := json.Marshal(resp)
 	if err != nil {
-		return bc.fail(h.RequestID, err)
+		return err
 	}
 	return bc.reply(tr, wire.OpSnapshotResult, 0, h.RequestID, wire.SnapshotInfoResult{JSON: doc}.Encode(nil))
 }
 
-func (bc *binConn) handleRestore(tr *obs.Trace, h wire.Header, body []byte) error {
-	t0 := time.Now()
-	m, err := wire.DecodeRestoreReq(body)
-	tr.Add(obs.StageDecode, time.Since(t0))
+// binRestore takes the bundle from one frame: the frame-body cap has
+// already bounded it.
+func (bc *binConn) binRestore(tr *obs.Trace, h wire.Header, body []byte) error {
+	m, err := decodeFrame(tr, wire.DecodeRestoreReq, body)
 	if err != nil {
-		return bc.fail(h.RequestID, err)
+		return err
 	}
-	// The frame-body cap already bounded the bundle; bundles beyond it
-	// must use POST /v1/restore, which streams arbitrary sizes.
-	db, err := bc.srv.restoreFromBytes(m.Data)
+	resp, err := bc.srv.restore(bytes.NewReader(m.Data))
 	if err != nil {
-		return bc.fail(h.RequestID, err)
+		return err
 	}
-	st := db.Stats()
-	ack := wire.AckResult{Count: uint64(st.Sets + st.DynamicSets), Keys: uint64(st.Sets + st.DynamicSets)}
-	return bc.reply(tr, wire.OpAckResult, 0, h.RequestID, ack.Encode(nil))
+	keys := uint64(resp.Sets + resp.Dynamic)
+	return bc.reply(tr, wire.OpAckResult, 0, h.RequestID, wire.AckResult{Count: keys, Keys: keys}.Encode(nil))
 }

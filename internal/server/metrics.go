@@ -32,22 +32,41 @@ func bucketUpperUS(i int) float64 {
 	return float64(uint64(1) << i)
 }
 
+// logHist is one latency histogram in the layout above: 28 atomic
+// buckets plus the cumulative sum. The hot path adds without locks;
+// exporters copy a point-in-time view bucket by bucket.
+type logHist struct {
+	buckets [latencyBuckets]atomic.Uint64
+	sumNS   atomic.Uint64
+}
+
+func (h *logHist) observe(ns uint64) {
+	h.sumNS.Add(ns)
+	h.buckets[bucketForNS(ns)].Add(1)
+}
+
+// counts copies the buckets and the sum for export.
+func (h *logHist) counts() (counts [latencyBuckets]uint64, sumNS uint64) {
+	for i := range h.buckets {
+		counts[i] = h.buckets[i].Load()
+	}
+	return counts, h.sumNS.Load()
+}
+
 // endpointMetrics accumulates per-endpoint counters. All fields are
 // atomics: the hot path adds to them without locks, and /v1/stats reads
 // them without pausing traffic.
 type endpointMetrics struct {
-	requests  atomic.Uint64
-	errors    atomic.Uint64
-	shed      atomic.Uint64 // rejected by admission control (subset of errors)
-	latencyNS atomic.Uint64 // cumulative, successful and failed alike
-	maxNS     atomic.Uint64
-	hist      [latencyBuckets]atomic.Uint64
+	requests atomic.Uint64
+	errors   atomic.Uint64
+	shed     atomic.Uint64 // rejected by admission control (subset of errors)
+	maxNS    atomic.Uint64
+	latency  logHist // successful and failed alike, sheds excluded
 
 	// Per-stage timing histograms (admission wait / decode / execute /
-	// encode), fed by request tracing. Same bucket layout as hist, so
+	// encode), fed by request tracing. Same bucket layout as latency, so
 	// "where does p99 live" is answerable stage by stage from /metrics.
-	stageNS   [obs.NumStages]atomic.Uint64
-	stageHist [obs.NumStages][latencyBuckets]atomic.Uint64
+	stages [obs.NumStages]logHist
 }
 
 // observe records one finished request.
@@ -57,8 +76,7 @@ func (m *endpointMetrics) observe(d time.Duration, failed bool) {
 		m.errors.Add(1)
 	}
 	ns := uint64(d.Nanoseconds())
-	m.latencyNS.Add(ns)
-	m.hist[bucketForNS(ns)].Add(1)
+	m.latency.observe(ns)
 	for {
 		old := m.maxNS.Load()
 		if ns <= old || m.maxNS.CompareAndSwap(old, ns) {
@@ -72,28 +90,9 @@ func (m *endpointMetrics) observe(d time.Duration, failed bool) {
 // bucket 0) so all four stage series share one _count and stay
 // comparable.
 func (m *endpointMetrics) observeStages(tr *obs.Trace) {
-	for s := 0; s < obs.NumStages; s++ {
-		ns := uint64(tr.StageDur(obs.Stage(s)).Nanoseconds())
-		m.stageNS[s].Add(ns)
-		m.stageHist[s][bucketForNS(ns)].Add(1)
+	for s := range m.stages {
+		m.stages[s].observe(uint64(tr.StageDur(obs.Stage(s)).Nanoseconds()))
 	}
-}
-
-// histCounts copies the latency histogram plus its cumulative sum for
-// export — a point-in-time view taken bucket by bucket.
-func (m *endpointMetrics) histCounts() (counts [latencyBuckets]uint64, sumNS uint64) {
-	for i := range m.hist {
-		counts[i] = m.hist[i].Load()
-	}
-	return counts, m.latencyNS.Load()
-}
-
-// stageCounts is histCounts for one stage histogram.
-func (m *endpointMetrics) stageCounts(s obs.Stage) (counts [latencyBuckets]uint64, sumNS uint64) {
-	for i := range m.stageHist[s] {
-		counts[i] = m.stageHist[s][i].Load()
-	}
-	return counts, m.stageNS[s].Load()
 }
 
 // observeShed records one request rejected by admission control. Sheds
@@ -160,18 +159,15 @@ func (m *endpointMetrics) snapshot(uptime time.Duration) EndpointStats {
 		Shed:         m.shed.Load(),
 		MaxLatencyUS: float64(m.maxNS.Load()) / 1e3,
 	}
-	var counts [latencyBuckets]uint64
-	var histTotal uint64
-	for i := range m.hist {
-		counts[i] = m.hist[i].Load()
-		histTotal += counts[i]
+	counts, sumNS := m.latency.counts()
+	var observed uint64
+	for _, c := range counts {
+		observed += c
 	}
-	if histTotal > 0 {
+	if observed > 0 {
 		st.P50LatencyUS = quantile(&counts, 0.50)
 		st.P99LatencyUS = quantile(&counts, 0.99)
-	}
-	if observed := histTotal; observed > 0 {
-		st.AvgLatencyUS = float64(m.latencyNS.Load()) / float64(observed) / 1e3
+		st.AvgLatencyUS = float64(sumNS) / float64(observed) / 1e3
 	}
 	if s := uptime.Seconds(); s > 0 {
 		st.QPS = float64(st.Requests) / s

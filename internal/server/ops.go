@@ -1,0 +1,660 @@
+package server
+
+// The operation layer: every request the server answers, written once
+// as a plain *Server method from a typed request to a typed result.
+// Both codecs (server.go: HTTP/JSON, binary.go: wire frames) decode
+// into these request types, call the method, and encode what it
+// returns; neither re-checks a limit or words an error. Each operation
+// loads the served database exactly once, so a /v1/restore landing
+// mid-request never splices two databases into one response.
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"runtime"
+	"time"
+
+	"repro/internal/bloom"
+	"repro/internal/core"
+	"repro/internal/setdb"
+	"repro/internal/wal"
+)
+
+// apiError carries an HTTP status with a message. Operations return it
+// for conditions they classify themselves; bare errors are classified by
+// statusFor.
+type apiError struct {
+	status int
+	msg    string
+}
+
+func (e *apiError) Error() string { return e.msg }
+
+func errf(status int, format string, args ...any) *apiError {
+	return &apiError{status: status, msg: fmt.Sprintf(format, args...)}
+}
+
+var (
+	errMissingKey = errf(http.StatusBadRequest, "missing key")
+	// errStreamAborted marks a response that ended before its terminator —
+	// a client disconnect, a cancelled context, a failed frame write, an
+	// error already reported in-band. The request counts as failed (so
+	// truncated streams are visible in /v1/stats) but no further response
+	// is written.
+	errStreamAborted = errors.New("server: stream aborted mid-response")
+	// errStreamStarved marks a stream whose client stopped granting credit
+	// for a whole StreamWriteTimeout.
+	errStreamStarved = errf(http.StatusRequestTimeout, "stream starved of credit")
+)
+
+// statusFor maps errors onto HTTP statuses — and, the numbers being
+// shared, onto wire error codes: absent keys are 404, semantic conflicts
+// (plain/dynamic clash, remove of a non-member, invalidated sampler) are
+// 409, known caller mistakes are 400, and anything unrecognized is a
+// genuine server-side failure — 500, so monitoring never blames the
+// client for an internal bug.
+func statusFor(err error) int {
+	var ae *apiError
+	switch {
+	case errors.As(err, &ae):
+		return ae.status
+	case errors.Is(err, setdb.ErrNoSet):
+		return http.StatusNotFound
+	case errors.Is(err, setdb.ErrKeyClash),
+		errors.Is(err, setdb.ErrSamplerInvalid),
+		errors.Is(err, bloom.ErrNotMember):
+		return http.StatusConflict
+	case errors.Is(err, setdb.ErrOutOfRange):
+		return http.StatusBadRequest
+	default:
+		return http.StatusInternalServerError
+	}
+}
+
+// pinned returns the currently published filter version of key on db:
+// the counting-set snapshot when dynamic, the plain set's filter
+// otherwise. Everything a request does afterwards runs against this one
+// point-in-time version, no matter how writers race it.
+func pinned(db *setdb.DB, key string, dynamic bool) (*bloom.Filter, error) {
+	if key == "" {
+		return nil, errMissingKey
+	}
+	if dynamic {
+		return db.SnapshotDynamic(key)
+	}
+	f := db.Filter(key)
+	if f == nil {
+		return nil, fmt.Errorf("%w %q", setdb.ErrNoSet, key)
+	}
+	return f, nil
+}
+
+// SampleRequest asks for n samples from the set under Key.
+//
+// Exactly one storage/sampling mode applies: plain sets use the
+// near-uniform BSTSample batch path (parallel workers), Dynamic selects
+// the counting-set snapshot path, Uniform the rejection-corrected
+// exactly-uniform sampler (plain sets only; calibration is shared and
+// shows up in /v1/stats). Stream switches the response to chunks —
+// NDJSON lines over HTTP, credit-gated frames on the wire — drawn and
+// sent a chunk at a time, for batches too large to buffer.
+type SampleRequest struct {
+	Key     string `json:"key"`
+	N       int    `json:"n,omitempty"` // default 1
+	Workers int    `json:"workers,omitempty"`
+	Dynamic bool   `json:"dynamic,omitempty"`
+	Uniform bool   `json:"uniform,omitempty"`
+	Stream  bool   `json:"stream,omitempty"`
+}
+
+// SampleResponse carries the drawn ids. Returned can be less than
+// Requested: a BSTSample descent that ends on a false-positive path
+// yields no sample (the near-uniform modes), and the uniform sampler
+// stops at its rejection bound.
+type SampleResponse struct {
+	Key       string   `json:"key"`
+	Requested int      `json:"requested"`
+	Returned  int      `json:"returned"`
+	IDs       []uint64 `json:"ids"`
+}
+
+// pin validates a sample request (defaulting req.N to 1) and resolves
+// its sampling mode to a draw function. The plain and dynamic modes pin
+// the key's currently published filter version here, once: a batch
+// spread over many chunks (streaming) is drawn entirely from that one
+// point-in-time version of that one database, never interleaving set
+// versions mid-response no matter how writers or a restore race it. The
+// uniform mode deliberately does the opposite — the shared sampler
+// follows its key across copy-on-write swaps, which is its documented
+// contract.
+func (s *Server) pin(req *SampleRequest) (draw func(n int) ([]uint64, error), err error) {
+	if req.N == 0 {
+		req.N = 1
+	}
+	switch {
+	case req.Key == "":
+		return nil, errMissingKey
+	case req.N < 0:
+		return nil, errf(http.StatusBadRequest, "negative n %d", req.N)
+	case req.Stream && req.N > s.cfg.MaxStreamBatch:
+		return nil, errf(http.StatusRequestEntityTooLarge, "n %d exceeds the streaming batch limit %d", req.N, s.cfg.MaxStreamBatch)
+	case !req.Stream && req.N > s.cfg.MaxBatch:
+		return nil, errf(http.StatusRequestEntityTooLarge, "n %d exceeds the batch limit %d (stream mode affords up to %d)", req.N, s.cfg.MaxBatch, s.cfg.MaxStreamBatch)
+	case req.Uniform && req.Dynamic:
+		return nil, errf(http.StatusBadRequest, "uniform sampling serves plain sets only")
+	}
+	db := s.DB()
+	if req.Uniform {
+		// Resolve the shared sampler once per request. A Delete/re-Add
+		// racing the request surfaces as ErrSamplerInvalid from the draw
+		// (409, or an in-band stream error) — one response never silently
+		// splices ids from two key lifetimes.
+		smp, err := s.uniformSampler(db, req.Key)
+		if err != nil {
+			return nil, err
+		}
+		// Only this mode consumes a request-side rng; the batch paths
+		// draw with setdb's pooled workers.
+		return func(n int) ([]uint64, error) {
+			rng := s.rng()
+			defer s.putRNG(rng)
+			return smp.SampleN(n, rng, nil)
+		}, nil
+	}
+	f, err := pinned(db, req.Key, req.Dynamic)
+	if err != nil {
+		return nil, err
+	}
+	// Clamp the client-supplied worker count: it is a hint, not a lever
+	// to make the server spawn 100k goroutines for one request.
+	workers := min(max(req.Workers, 0), runtime.GOMAXPROCS(0))
+	return func(n int) ([]uint64, error) {
+		return db.SampleManyFrom(f, n, workers, nil)
+	}, nil
+}
+
+// uniformSampler returns the shared per-key uniform sampler, building it
+// on first use. A cached sampler invalidated by Delete/re-Add is dropped
+// and rebuilt against the key's current lifetime.
+func (s *Server) uniformSampler(db *setdb.DB, key string) (*setdb.Sampler, error) {
+	for attempt := 0; attempt < 2; attempt++ {
+		v, ok := s.samplers.Load(key)
+		if !ok {
+			smp, err := db.UniformSampler(key)
+			if err != nil {
+				return nil, err
+			}
+			v, _ = s.samplers.LoadOrStore(key, smp)
+		}
+		smp := v.(*setdb.Sampler)
+		if smp.Valid() {
+			return smp, nil
+		}
+		// Evict only the sampler we observed stale: a plain Delete could
+		// race-discard a valid replacement (and its calibration) that
+		// another request already stored.
+		s.samplers.CompareAndDelete(key, v)
+	}
+	// Two cache rounds both raced Delete/re-Adds of this key; serve the
+	// request from a fresh sampler bound to the current lifetime rather
+	// than trusting the churning cache.
+	return db.UniformSampler(key)
+}
+
+// sample serves a buffered sample request: the whole batch in one draw.
+func (s *Server) sample(req SampleRequest) (SampleResponse, error) {
+	draw, err := s.pin(&req)
+	if err != nil {
+		return SampleResponse{}, err
+	}
+	ids, err := draw(req.N)
+	return SampleResponse{Key: req.Key, Requested: req.N, Returned: len(ids), IDs: ids}, err
+}
+
+// sampleStream serves a streaming sample request, the one chunk loop
+// under both framings: take(want) → draw → emit(ids, final). st is the
+// stream's credit window on the wire and nil over HTTP, where take is
+// the identity and the reader's pace is enforced by emit's write
+// deadline instead. Nothing reaches the client before the first emit, so
+// an error up to there (bad request, unknown key, failed first draw)
+// still gets a proper status from the codec.
+func (s *Server) sampleStream(req SampleRequest, st *binStream, emit func(ids []uint64, final bool) error) error {
+	draw, err := s.pin(&req)
+	if err != nil {
+		return err
+	}
+	for drawn := 0; drawn < req.N; {
+		n, err := st.take(min(req.N-drawn, s.cfg.StreamChunk), s.cfg.StreamWriteTimeout, &s.bin.creditStalls)
+		if err != nil {
+			return err
+		}
+		ids, err := draw(n)
+		if err != nil {
+			return err
+		}
+		// The drawer may return fewer ids than asked (false-positive
+		// descents, the uniform rejection bound). Credit is charged for
+		// ids actually sent — the client can only grant back what it
+		// received, so charging the ask would leak the difference and
+		// starve a stream over a lossy key. Progress is counted by the
+		// ask, so the stream terminates whatever the key yields.
+		st.grant(uint64(max(n-len(ids), 0)))
+		drawn += n
+		if err := emit(ids, drawn >= req.N); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReconstructRequest asks for the full contents of a stored set.
+type ReconstructRequest struct {
+	Key     string `json:"key"`
+	Dynamic bool   `json:"dynamic,omitempty"`
+}
+
+// ReconstructResponse returns the reconstructed ids in ascending order.
+type ReconstructResponse struct {
+	Key   string   `json:"key"`
+	Count int      `json:"count"`
+	IDs   []uint64 `json:"ids"`
+}
+
+// reconstruct pins the published filter version, bounds the response (a
+// reconstruction buffers the whole set in memory, so it obeys the same
+// cap as a buffered sample batch) and walks the tree.
+func (s *Server) reconstruct(req ReconstructRequest) (ReconstructResponse, error) {
+	db := s.DB()
+	f, err := pinned(db, req.Key, req.Dynamic)
+	if err != nil {
+		return ReconstructResponse{}, err
+	}
+	if est := f.EstimateCardinality(); est > float64(s.cfg.MaxBatch) {
+		return ReconstructResponse{}, errf(http.StatusRequestEntityTooLarge,
+			"set %q holds an estimated %.0f elements, above the %d reconstruction limit", req.Key, est, s.cfg.MaxBatch)
+	}
+	ids, err := db.Tree().Reconstruct(f, core.PruneByEstimate, nil)
+	if err != nil {
+		return ReconstructResponse{}, err
+	}
+	if ids == nil {
+		ids = []uint64{}
+	}
+	return ReconstructResponse{Key: req.Key, Count: len(ids), IDs: ids}, nil
+}
+
+// IntersectionRequest names the two stored sets to compare.
+type IntersectionRequest struct {
+	KeyA string `json:"key_a"`
+	KeyB string `json:"key_b"`
+}
+
+// IntersectionResponse carries the |A ∩ B| estimate (§4 estimator).
+type IntersectionResponse struct {
+	KeyA     string  `json:"key_a"`
+	KeyB     string  `json:"key_b"`
+	Estimate float64 `json:"estimate"`
+}
+
+func (s *Server) intersection(req IntersectionRequest) (IntersectionResponse, error) {
+	if req.KeyA == "" || req.KeyB == "" {
+		return IntersectionResponse{}, errMissingKey
+	}
+	est, err := s.DB().IntersectionEstimate(req.KeyA, req.KeyB)
+	return IntersectionResponse{KeyA: req.KeyA, KeyB: req.KeyB, Estimate: est}, err
+}
+
+// AddRequest inserts ids, creating sets on first use. Two shapes apply:
+//
+//   - single-key: Key + IDs (+ Dynamic) — one copy-on-write publish.
+//   - batch: Sets — any number of key/ids pairs applied through the
+//     database's group-commit path (setdb.ApplyBatch), which folds the
+//     whole batch into one snapshot publish per touched shard, so heavy
+//     ingest pays one publish per batch rather than one per key. The
+//     batch is all-or-nothing: any clash or out-of-range id applies
+//     nothing.
+//
+// Exactly one shape must be used per request (the wire protocol only has
+// the batch shape). Dynamic selects the counting-filter (deletable)
+// storage kind; the kind is fixed at creation and mixing kinds on one
+// key is a 409.
+type AddRequest struct {
+	Key     string   `json:"key,omitempty"`
+	IDs     []uint64 `json:"ids,omitempty"`
+	Dynamic bool     `json:"dynamic,omitempty"`
+	Sets    []AddSet `json:"sets,omitempty"`
+}
+
+// AddSet is one key's pending writes within a batch AddRequest.
+type AddSet struct {
+	Key     string   `json:"key"`
+	IDs     []uint64 `json:"ids"`
+	Dynamic bool     `json:"dynamic,omitempty"`
+}
+
+// AddResponse acknowledges a write. Keys is the number of keys written
+// (batch shape only).
+type AddResponse struct {
+	Key   string `json:"key,omitempty"`
+	Added int    `json:"added"`
+	Keys  int    `json:"keys,omitempty"`
+}
+
+func (s *Server) add(req AddRequest) (AddResponse, error) {
+	sets := req.Sets
+	if len(sets) == 0 {
+		sets = []AddSet{{Key: req.Key, IDs: req.IDs, Dynamic: req.Dynamic}}
+	} else if req.Key != "" || len(req.IDs) > 0 || req.Dynamic {
+		return AddResponse{}, errf(http.StatusBadRequest, "use either key/ids or sets, not both")
+	}
+	writes := make([]setdb.Write, len(sets))
+	for i, set := range sets {
+		writes[i] = setdb.Write{Key: set.Key, IDs: set.IDs, Dynamic: set.Dynamic}
+	}
+	total, err := s.applyWrites(writes)
+	if err != nil {
+		return AddResponse{}, err
+	}
+	return AddResponse{Key: req.Key, Added: total, Keys: len(req.Sets)}, nil
+}
+
+// RemoveRequest removes one insertion of each id from the dynamic set
+// under Key. The batch is all-or-nothing: a single non-member id fails
+// the whole request (409) and publishes nothing.
+type RemoveRequest struct {
+	Key string   `json:"key"`
+	IDs []uint64 `json:"ids"`
+}
+
+// RemoveResponse acknowledges a removal.
+type RemoveResponse struct {
+	Key     string `json:"key"`
+	Removed int    `json:"removed"`
+}
+
+func (s *Server) remove(req RemoveRequest) (RemoveResponse, error) {
+	removed, err := s.applyWrites([]setdb.Write{{Key: req.Key, IDs: req.IDs, Dynamic: true, Remove: true}})
+	return RemoveResponse{Key: req.Key, Removed: removed}, err
+}
+
+// applyWrites is the one mutation path: it bounds the batch, then runs
+// it through the durability layer when one is configured (apply + log +
+// fsync before the ack) or straight into the in-memory database
+// otherwise, and returns the number of ids written. Two limits bound the
+// work: MaxBatch caps the total id count, and MaxBatchSets caps the key
+// count — each set costs a full-size filter allocation and lengthens the
+// locked group-commit build regardless of how few ids it carries.
+func (s *Server) applyWrites(writes []setdb.Write) (total int, err error) {
+	if len(writes) > s.cfg.MaxBatchSets {
+		return 0, errf(http.StatusRequestEntityTooLarge, "%d sets exceed the batch limit %d", len(writes), s.cfg.MaxBatchSets)
+	}
+	for _, w := range writes {
+		if w.Key == "" {
+			return 0, errMissingKey
+		}
+		total += len(w.IDs)
+	}
+	if total > s.cfg.MaxBatch {
+		return 0, errf(http.StatusRequestEntityTooLarge, "%d ids exceed the batch limit %d", total, s.cfg.MaxBatch)
+	}
+	if d := s.cfg.Durability; d != nil {
+		return total, d.Apply(writes)
+	}
+	return total, s.DB().ApplyBatch(writes)
+}
+
+// SnapshotTriggerResponse is the POST /v1/snapshot and OpSnapshot payload.
+type SnapshotTriggerResponse struct {
+	Snapshot wal.SnapshotInfo `json:"snapshot"`
+}
+
+// snapshot triggers an on-disk snapshot of the durability layer.
+// (Downloading a live bundle — GET /v1/snapshot — needs no WAL and is an
+// HTTP-only framing of setdb's SnapshotView; see server.go.)
+func (s *Server) snapshot() (SnapshotTriggerResponse, error) {
+	d := s.cfg.Durability
+	if d == nil {
+		return SnapshotTriggerResponse{}, errf(http.StatusBadRequest,
+			"server has no durability layer (start with -data-dir); GET /v1/snapshot still downloads a live bundle")
+	}
+	info, err := d.Snapshot()
+	return SnapshotTriggerResponse{Snapshot: info}, err
+}
+
+// RestoreResponse acknowledges a completed restore.
+type RestoreResponse struct {
+	Restored bool   `json:"restored"`
+	Sets     int    `json:"sets"`
+	Dynamic  int    `json:"dynamic_sets"`
+	Backend  string `json:"backend"`
+}
+
+// restore replaces the served database with the bundle read from r. The
+// codec bounds r (MaxRestoreBytes over HTTP, the frame-body cap on the
+// wire — bundles beyond that must use POST /v1/restore, which streams
+// arbitrary sizes). The freshly-decoded database is persisted through
+// the WAL first (the restore is itself durable), then published to
+// readers, then the sampler cache — calibrated against the old
+// database's sets — is dropped wholesale.
+func (s *Server) restore(r io.Reader) (RestoreResponse, error) {
+	db, err := setdb.ReadBundle(r)
+	if err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			return RestoreResponse{}, errf(http.StatusRequestEntityTooLarge, "restore bundle exceeds %d bytes", mbe.Limit)
+		}
+		return RestoreResponse{}, errf(http.StatusBadRequest, "bad restore bundle: %v", err)
+	}
+	if d := s.cfg.Durability; d != nil {
+		if err := d.RestoreDB(db); err != nil {
+			return RestoreResponse{}, err
+		}
+		db = d.DB()
+	}
+	s.db.Store(db)
+	s.samplers.Range(func(k, _ any) bool {
+		s.samplers.Delete(k)
+		return true
+	})
+	st := db.Stats()
+	return RestoreResponse{Restored: true, Sets: st.Sets, Dynamic: st.DynamicSets, Backend: string(db.Options().Backend)}, nil
+}
+
+// DBStats mirrors setdb.DBStats with JSON tags; per-shard occupancy is
+// summarized to occupied/min/max so the payload stays small at 64 shards.
+type DBStats struct {
+	Sets           int `json:"sets"`
+	DynamicSets    int `json:"dynamic_sets"`
+	Shards         int `json:"shards"`
+	OccupiedShards int `json:"occupied_shards"`
+	MaxShardKeys   int `json:"max_shard_keys"`
+	// Chunk occupancy and write-amplification observability: every write
+	// copies one chunk of its shard's chunked key map (plus the chunk
+	// table), so mean_bytes_copied_per_write is the live amplification
+	// figure, and occupied_chunks/max_chunk_keys show how evenly the
+	// copy units are loaded. Chunk tables are adaptive — each shard map
+	// grows from 1 chunk toward max_chunks_per_shard with occupancy — so
+	// total_chunks tracks how far the layout has fanned out.
+	// state_publishes < state_writes means group commit (batch /v1/add)
+	// is coalescing writes into shared publishes.
+	MaxChunksPerShard       int     `json:"max_chunks_per_shard"`
+	TotalChunks             int     `json:"total_chunks"`
+	OccupiedChunks          int     `json:"occupied_chunks"`
+	MaxChunkKeys            int     `json:"max_chunk_keys"`
+	StateWrites             uint64  `json:"state_writes"`
+	StatePublishes          uint64  `json:"state_publishes"`
+	StateBytesCopied        uint64  `json:"state_bytes_copied"`
+	MeanBytesCopiedPerWrite float64 `json:"mean_bytes_copied_per_write"`
+	SampleDrawsLost         uint64  `json:"sample_draws_lost"` // batch draws that ended on a false-positive path: Σ requested − returned
+	Generations             uint64  `json:"generations"`
+	TreeNodes               uint64  `json:"tree_nodes"`
+	TreeDepth               int     `json:"tree_depth"`
+	TreePruned              bool    `json:"tree_pruned"`
+	TreeMemoryBytes         uint64  `json:"tree_memory_bytes"`
+	GrowthEpoch             uint64  `json:"growth_epoch"`
+	SubtreeEpochs           uint64  `json:"subtree_epochs_active"` // stripes with ≥1 completed epoch
+	// Backend is the dynamic-set membership backend descriptor: configured
+	// kind plus realized entries, memory, bits/entry and (cuckoo) load
+	// factor. setdb.BackendStats carries its own JSON tags.
+	Backend setdb.BackendStats `json:"backend"`
+}
+
+// SamplerStats is the calibration view of one cached uniform sampler.
+type SamplerStats struct {
+	Attempts     uint64  `json:"attempts"`
+	Accepted     uint64  `json:"accepted"`
+	Clamped      uint64  `json:"clamped"`
+	Retargets    uint64  `json:"retargets"`
+	SafetyFactor float64 `json:"safety_factor"`
+	MaxAttempts  int     `json:"max_attempts"`
+}
+
+// OptionsStats echoes the database profile.
+type OptionsStats struct {
+	Namespace uint64 `json:"namespace"`
+	Bits      uint64 `json:"bits"`
+	K         int    `json:"k"`
+	HashKind  string `json:"hash_kind"`
+	TreeDepth int    `json:"tree_depth"`
+	Pruned    bool   `json:"pruned"`
+}
+
+// WireStats is the binary-listener and admission-control view within
+// /v1/stats: connection counts, frame traffic, stream flow control and
+// shed totals. InFlight/WritesInFlight are point-in-time gate
+// occupancies; the rest are lifetime counters.
+type WireStats struct {
+	ConnsActive    int64  `json:"conns_active"`
+	ConnsTotal     uint64 `json:"conns_total"`
+	FramesIn       uint64 `json:"frames_in"`
+	FramesOut      uint64 `json:"frames_out"`
+	StreamsActive  int64  `json:"streams_active"`
+	CreditStalls   uint64 `json:"credit_stalls"` // stream pauses waiting for client credit
+	ProtocolErrors uint64 `json:"protocol_errors"`
+	Shed           uint64 `json:"shed"` // BUSY frames sent (admission control)
+	InFlight       int    `json:"in_flight"`
+	MaxInFlight    int    `json:"max_in_flight"`
+	WritesInFlight int    `json:"writes_in_flight"`
+	MaxWrites      int    `json:"max_writes"`
+	ConnWindow     int    `json:"conn_window"`
+}
+
+// StatsResponse is the full /v1/stats payload.
+type StatsResponse struct {
+	UptimeSeconds float64                  `json:"uptime_seconds"`
+	Options       OptionsStats             `json:"options"`
+	DB            DBStats                  `json:"db"`
+	Wire          WireStats                `json:"wire"`
+	Durability    *wal.Stats               `json:"durability,omitempty"`
+	Endpoints     map[string]EndpointStats `json:"endpoints"`
+	Samplers      map[string]SamplerStats  `json:"samplers,omitempty"`
+}
+
+// stats assembles the stats document served by both GET /v1/stats and
+// the binary OpStats — one schema, two framings.
+func (s *Server) stats() StatsResponse {
+	db := s.DB()
+	st := db.Stats()
+	// One clock read: the QPS denominators below must agree with the
+	// uptime field they ship with.
+	uptime := time.Since(s.start)
+	resp := StatsResponse{
+		UptimeSeconds: uptime.Seconds(),
+		DB: DBStats{
+			Sets:                    st.Sets,
+			DynamicSets:             st.DynamicSets,
+			Shards:                  len(st.Shards),
+			MaxChunksPerShard:       st.MaxChunksPerShard,
+			TotalChunks:             st.TotalChunks,
+			StateWrites:             st.StateWrites,
+			StatePublishes:          st.StatePublishes,
+			StateBytesCopied:        st.StateBytesCopied,
+			MeanBytesCopiedPerWrite: st.MeanBytesCopiedPerWrite(),
+			SampleDrawsLost:         st.SampleDrawsLost,
+			Generations:             st.Generations,
+			TreeNodes:               st.TreeNodes,
+			TreeDepth:               st.TreeDepth,
+			TreePruned:              st.TreePruned,
+			TreeMemoryBytes:         st.TreeMemoryBytes,
+			GrowthEpoch:             st.GrowthEpoch,
+			Backend:                 st.Backend,
+		},
+		Endpoints: map[string]EndpointStats{},
+	}
+	opts := db.Options()
+	resp.Options = OptionsStats{
+		Namespace: opts.Namespace,
+		Bits:      opts.Bits,
+		K:         opts.K,
+		HashKind:  string(opts.HashKind),
+		TreeDepth: opts.TreeDepth,
+		Pruned:    opts.Pruned,
+	}
+	for i := range st.Shards {
+		keys := st.Shards[i].Sets + st.Shards[i].Dynamic
+		if keys > 0 {
+			resp.DB.OccupiedShards++
+		}
+		if keys > resp.DB.MaxShardKeys {
+			resp.DB.MaxShardKeys = keys
+		}
+		resp.DB.OccupiedChunks += st.Shards[i].OccupiedChunks
+		if st.Shards[i].MaxChunkKeys > resp.DB.MaxChunkKeys {
+			resp.DB.MaxChunkKeys = st.Shards[i].MaxChunkKeys
+		}
+	}
+	for _, e := range st.SubtreeEpochs {
+		if e > 0 {
+			resp.DB.SubtreeEpochs++
+		}
+	}
+	resp.Wire = WireStats{
+		ConnsActive:    s.bin.connsActive.Load(),
+		ConnsTotal:     s.bin.connsTotal.Load(),
+		FramesIn:       s.bin.framesIn.Load(),
+		FramesOut:      s.bin.framesOut.Load(),
+		StreamsActive:  s.bin.streamsActive.Load(),
+		CreditStalls:   s.bin.creditStalls.Load(),
+		ProtocolErrors: s.bin.protoErrors.Load(),
+		Shed:           s.bin.shed.Load(),
+		InFlight:       s.inflight.inUse(),
+		MaxInFlight:    s.cfg.MaxInFlight,
+		WritesInFlight: s.writeGate.inUse(),
+		MaxWrites:      s.cfg.MaxWrites,
+		ConnWindow:     s.cfg.ConnWindow,
+	}
+	if d := s.cfg.Durability; d != nil {
+		ds := d.Stats()
+		resp.Durability = &ds
+	}
+	for path, m := range s.metrics {
+		resp.Endpoints[path] = m.snapshot(uptime)
+	}
+	s.samplers.Range(func(k, v any) bool {
+		smp := v.(*setdb.Sampler)
+		if !smp.Valid() {
+			// The key was deleted (or deleted and re-created) since this
+			// sampler was cached: evict it instead of reporting
+			// calibration for a dead set. CompareAndDelete so a valid
+			// replacement stored meanwhile is left alone.
+			s.samplers.CompareAndDelete(k, v)
+			return true
+		}
+		us := smp.Stats()
+		if resp.Samplers == nil {
+			resp.Samplers = map[string]SamplerStats{}
+		}
+		resp.Samplers[k.(string)] = SamplerStats{
+			Attempts:     us.Attempts,
+			Accepted:     us.Accepted,
+			Clamped:      us.Clamped,
+			Retargets:    us.Retargets,
+			SafetyFactor: smp.SafetyFactor(),
+			MaxAttempts:  smp.MaxAttempts(),
+		}
+		return true
+	})
+	return resp
+}

@@ -1,41 +1,62 @@
-// Package server is the network serving layer over setdb.DB: an
-// HTTP/JSON API (command bstserved) that makes the lock-free sampling
-// and copy-on-write write paths reachable by many remote clients at
-// once.
+// Package server is the network serving layer over setdb.DB (command
+// bstserved): it makes the lock-free sampling and copy-on-write write
+// paths reachable by many remote clients at once, over two protocols
+// that share everything but their framing.
 //
-// Endpoints (all JSON; POST bodies, GET for stats):
+// The package is three layers:
 //
-//	POST /v1/sample        draw n samples (single, batch, uniform, dynamic; NDJSON streaming)
+//   - ops.go — the operation layer. Every operation (sample, sample
+//     stream, reconstruct, intersection, add, remove, snapshot, restore,
+//     stats) is one *Server method from a typed request to a typed
+//     result; it pins one database and one filter version for the whole
+//     request and owns every limit check and error message.
+//   - the pipeline, written once for both listeners: the endpoint table
+//     below, admit (admission.go: connection window → global budget →
+//     write budget), and finish (metrics, stage histograms, access and
+//     slow-request log).
+//   - two codecs that decode, call the operation and encode: HTTP/JSON
+//     (this file) and the binary wire protocol (binary.go, internal/wire).
+//
+// HTTP endpoints (JSON bodies unless noted):
+//
+//	POST /v1/sample        draw n samples (single, batch, uniform, dynamic; "stream": NDJSON)
 //	POST /v1/reconstruct   reconstruct a stored set
 //	POST /v1/intersection  estimate |A ∩ B| for two stored sets
 //	POST /v1/add           insert ids (plain copy-on-write or dynamic counting set; multi-key batches group-commit)
 //	POST /v1/remove        remove ids from a dynamic set (all-or-nothing)
 //	GET  /v1/stats         shard/epoch/calibration introspection + per-endpoint metrics
+//	GET  /v1/snapshot      download a live restore bundle (binary body; works with or without a WAL)
+//	POST /v1/snapshot      trigger an on-disk snapshot (requires a durability layer)
+//	POST /v1/restore       replace the database with an uploaded bundle (binary body)
 //
-// The handler layer adds nothing to the concurrency story — it doesn't
-// need to: every request body is decoded into a value, the database call
-// is lock-free (reads) or shard-serialized (writes), and the per-endpoint
+// The binary listener (ServeBinary) serves the same operations as the
+// opcodes of internal/wire; a sample stream there is a sequence of chunk
+// frames paced by client-granted credit, counted in ids sent.
+//
+// The serving layer adds nothing to the concurrency story — it doesn't
+// need to: every request is decoded into a value, the database call is
+// lock-free (reads) or shard-serialized (writes), and the per-endpoint
 // metrics are atomics. Request limits (body size, batch size) bound the
 // work a single client can demand.
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bloom"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/setdb"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // Default request limits, shared with the bstserved flag definitions so
@@ -171,12 +192,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server serves one setdb.DB over HTTP. It implements http.Handler;
-// lifecycle (listening, graceful shutdown) belongs to the caller's
-// http.Server.
+// Server serves one setdb.DB. It implements http.Handler for the
+// HTTP/JSON protocol — lifecycle (listening, graceful shutdown) belongs
+// to the caller's http.Server — and serves the binary protocol through
+// ServeBinary/ShutdownBinary.
 type Server struct {
 	// db is atomically swappable so /v1/restore can replace the whole
-	// database underneath in-flight readers: each request loads the
+	// database underneath in-flight readers: each operation loads the
 	// pointer once and finishes against a consistent (possibly
 	// just-superseded) database.
 	db      atomic.Pointer[setdb.DB]
@@ -240,19 +262,14 @@ func New(db *setdb.DB, cfg Config) *Server {
 	}
 	s.inflight = newGate(s.cfg.MaxInFlight)
 	s.writeGate = newGate(s.cfg.MaxWrites)
-	s.route("/v1/sample", http.MethodPost, s.handleSample, false)
-	s.route("/v1/reconstruct", http.MethodPost, s.handleReconstruct, false)
-	s.route("/v1/intersection", http.MethodPost, s.handleIntersection, false)
-	s.route("/v1/add", http.MethodPost, s.handleAdd, true)
-	s.route("/v1/remove", http.MethodPost, s.handleRemove, true)
-	s.route("/v1/stats", http.MethodGet, s.handleStats, false)
-	s.routeMulti("/v1/snapshot", map[string]handlerFunc{
-		http.MethodGet:  s.handleSnapshotGet,
-		http.MethodPost: s.handleSnapshotPost,
-	}, false)
-	s.route("/v1/restore", http.MethodPost, s.handleRestore, true)
-	for _, op := range binEndpoints {
-		s.metrics[op] = &endpointMetrics{}
+	for i := range endpoints {
+		ep := &endpoints[i]
+		s.metrics[ep.bin] = &endpointMetrics{}
+		if ep.path != "" {
+			m := &endpointMetrics{}
+			s.metrics[ep.path] = m
+			s.mux.HandleFunc(ep.path, func(w http.ResponseWriter, r *http.Request) { s.serveHTTP(ep, m, w, r) })
+		}
 	}
 	return s
 }
@@ -276,43 +293,6 @@ func (s *Server) SetReady(ready bool) {
 // Ready reports the current /readyz state.
 func (s *Server) Ready() bool { return s.ready.Load() }
 
-// apiError carries an HTTP status with a message. Handlers return it for
-// conditions they classify themselves; bare errors are classified by
-// statusFor.
-type apiError struct {
-	status int
-	msg    string
-}
-
-func (e *apiError) Error() string { return e.msg }
-
-func errf(status int, format string, args ...any) *apiError {
-	return &apiError{status: status, msg: fmt.Sprintf(format, args...)}
-}
-
-// statusFor maps database errors onto HTTP statuses: absent keys are
-// 404, semantic conflicts (plain/dynamic clash, remove of a non-member,
-// invalidated sampler) are 409, known caller mistakes are 400, and
-// anything unrecognized is a genuine server-side failure — 500, so
-// monitoring never blames the client for an internal bug.
-func statusFor(err error) int {
-	var ae *apiError
-	switch {
-	case errors.As(err, &ae):
-		return ae.status
-	case errors.Is(err, setdb.ErrNoSet):
-		return http.StatusNotFound
-	case errors.Is(err, setdb.ErrKeyClash),
-		errors.Is(err, setdb.ErrSamplerInvalid),
-		errors.Is(err, bloom.ErrNotMember):
-		return http.StatusConflict
-	case errors.Is(err, setdb.ErrOutOfRange):
-		return http.StatusBadRequest
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
 // errorBody is the JSON error envelope of every non-2xx response.
 // RequestID echoes the request's trace ID (when tracing is on) so a
 // client-side error report can be joined against the server's logs.
@@ -321,115 +301,138 @@ type errorBody struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
-// handlerFunc is the endpoint handler shape route/routeMulti register.
-type handlerFunc func(http.ResponseWriter, *http.Request) error
+// The two codec shapes: each decodes its protocol's request, calls the
+// operation (ops.go) and encodes the result. A returned error is written
+// to the client and counted by the listener, never by the codec.
+type (
+	httpCodec func(s *Server, w http.ResponseWriter, r *http.Request) error
+	binCodec  func(bc *binConn, tr *obs.Trace, h wire.Header, body []byte) error
+)
 
-// route registers one endpoint with method gating, admission control
-// and metrics. isWrite endpoints additionally pass the write sub-budget.
-func (s *Server) route(path, method string, h handlerFunc, isWrite bool) {
-	s.routeMulti(path, map[string]handlerFunc{method: h}, isWrite)
+// endpoint is one row of the endpoint table: an operation's name under
+// each protocol — the HTTP route and the "bin:" key double as the
+// metrics `endpoint` label values — its codecs, and whether it takes
+// the write sub-budget.
+type endpoint struct {
+	path      string // "" when not served over HTTP
+	get, post httpCodec
+	bin       string
+	opcode    byte
+	frame     binCodec
+	isWrite   bool
 }
 
-// routeMulti registers one endpoint serving several methods (e.g.
-// /v1/snapshot: GET downloads, POST triggers) behind shared admission
-// control and metrics.
-func (s *Server) routeMulti(path string, handlers map[string]handlerFunc, isWrite bool) {
-	m := &endpointMetrics{}
-	s.metrics[path] = m
-	allow := ""
-	for _, method := range []string{http.MethodGet, http.MethodPost, http.MethodPut, http.MethodDelete} {
-		if _, ok := handlers[method]; ok {
-			if allow != "" {
-				allow += ", "
-			}
-			allow += method
-		}
+// endpoints is the one table both listeners are built from: New
+// registers the HTTP routes and the metrics of both protocols from it,
+// the binary reader looks opcodes up in it.
+var endpoints = []endpoint{
+	{path: "/v1/sample", post: (*Server).httpSample, bin: "bin:sample", opcode: wire.OpSample, frame: (*binConn).binSample},
+	// Over HTTP a stream is /v1/sample with "stream": true.
+	{bin: "bin:sample_stream", opcode: wire.OpSampleStream, frame: (*binConn).binSample},
+	{path: "/v1/reconstruct", post: jsonOp((*Server).reconstruct), bin: "bin:reconstruct", opcode: wire.OpReconstruct, frame: (*binConn).binReconstruct},
+	{path: "/v1/intersection", post: jsonOp((*Server).intersection), bin: "bin:intersection", opcode: wire.OpIntersection, frame: (*binConn).binIntersection},
+	{path: "/v1/add", post: jsonOp((*Server).add), bin: "bin:add", opcode: wire.OpAdd, frame: (*binConn).binAdd, isWrite: true},
+	{path: "/v1/remove", post: jsonOp((*Server).remove), bin: "bin:remove", opcode: wire.OpRemove, frame: (*binConn).binRemove, isWrite: true},
+	{path: "/v1/stats", get: (*Server).httpStats, bin: "bin:stats", opcode: wire.OpStats, frame: (*binConn).binStats},
+	// Snapshotting never touches the shard write path (it pins a read
+	// view), so it rides the global budget only.
+	{path: "/v1/snapshot", get: (*Server).httpSnapshotDownload, post: (*Server).httpSnapshot, bin: "bin:snapshot", opcode: wire.OpSnapshot, frame: (*binConn).binSnapshot},
+	{path: "/v1/restore", post: (*Server).httpRestore, bin: "bin:restore", opcode: wire.OpRestore, frame: (*binConn).binRestore, isWrite: true},
+}
+
+// codecFor picks the codec serving an HTTP method; nil means 405 with
+// the returned Allow value.
+func (ep *endpoint) codecFor(method string) (codec httpCodec, allow string) {
+	switch {
+	case method == http.MethodGet && ep.get != nil:
+		return ep.get, ""
+	case method == http.MethodPost && ep.post != nil:
+		return ep.post, ""
+	case ep.post == nil:
+		return nil, http.MethodGet
+	case ep.get == nil:
+		return nil, http.MethodPost
 	}
-	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-		// Tracing first, so even a shed response carries a request ID the
-		// client can quote back. The ID is taken from X-Request-ID when the
-		// caller sent a well-formed one (propagation across hops), freshly
-		// generated otherwise, and always echoed on the response.
-		var tr *obs.Trace
-		if !s.cfg.TraceDisabled {
-			rid := obs.CleanRequestID(r.Header.Get("X-Request-ID"))
-			if rid == "" {
-				rid = obs.NewRequestID()
-			}
-			tr = obs.NewTrace(rid)
-			w.Header().Set("X-Request-ID", rid)
-			r = r.WithContext(obs.WithTrace(r.Context(), tr))
-		}
-		// Admission next, before reading the body: a shed request should
-		// cost the server nothing but the rejection write. 503 (not 429)
-		// because the condition is server saturation, not client quota.
-		admit := time.Now()
-		if !s.inflight.tryAcquire() {
-			m.observeShed()
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, r, http.StatusServiceUnavailable,
-				errorBody{Error: "server at capacity, request shed", RequestID: tr.ID()})
-			s.logShed(path, "http", tr, "global budget")
-			return
-		}
-		defer s.inflight.release()
-		if isWrite {
-			if !s.writeGate.tryAcquire() {
-				m.observeShed()
-				w.Header().Set("Retry-After", "1")
-				writeJSON(w, r, http.StatusServiceUnavailable,
-					errorBody{Error: "write path at capacity, request shed", RequestID: tr.ID()})
-				s.logShed(path, "http", tr, "write budget")
-				return
-			}
-			defer s.writeGate.release()
-		}
-		tr.Add(obs.StageAdmission, time.Since(admit))
-		start := time.Now()
-		var err error
-		if h, ok := handlers[r.Method]; !ok {
-			w.Header().Set("Allow", allow)
-			err = errf(http.StatusMethodNotAllowed, "use %s %s", allow, path)
-		} else {
-			err = h(w, r)
-		}
-		if err != nil && !errors.Is(err, errStreamAborted) {
-			writeJSON(w, r, statusFor(err), errorBody{Error: err.Error(), RequestID: tr.ID()})
-		}
-		d := time.Since(start)
-		m.observe(d, err != nil)
-		if tr != nil {
-			tr.FillExecute(d)
-			m.observeStages(tr)
-		}
-		s.logRequest(path, "http", tr, d, err)
-	})
+	return nil, http.MethodGet + ", " + http.MethodPost
 }
 
-// logShed records one admission rejection at debug — sheds are expected
-// under deliberate overload and already counted, so they must not be
-// able to flood the log at info.
-func (s *Server) logShed(endpoint, proto string, tr *obs.Trace, cause string) {
+// serveHTTP runs one HTTP request through the pipeline: trace, admit,
+// codec, error response, finish.
+func (s *Server) serveHTTP(ep *endpoint, m *endpointMetrics, w http.ResponseWriter, r *http.Request) {
+	// Tracing first, so even a shed response carries a request ID the
+	// client can quote back. The ID is taken from X-Request-ID when the
+	// caller sent a well-formed one (propagation across hops), freshly
+	// generated otherwise, and always echoed on the response.
+	var tr *obs.Trace
+	if !s.cfg.TraceDisabled {
+		rid := obs.CleanRequestID(r.Header.Get("X-Request-ID"))
+		if rid == "" {
+			rid = obs.NewRequestID()
+		}
+		tr = obs.NewTrace(rid)
+		w.Header().Set("X-Request-ID", rid)
+		r = r.WithContext(obs.WithTrace(r.Context(), tr))
+	}
+	// Admission next, before reading the body: a shed request should
+	// cost the server nothing but the rejection write. 503 (not 429)
+	// because the condition is server saturation, not client quota.
+	arrived := time.Now()
+	if refused := s.admit(ep, nil); refused != "" {
+		s.shed(m, ep.path, "http", tr, refused)
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, r, http.StatusServiceUnavailable,
+			errorBody{Error: refused + " exhausted, request shed", RequestID: tr.ID()})
+		return
+	}
+	defer s.release(ep, nil)
+	tr.Add(obs.StageAdmission, time.Since(arrived))
+	start := time.Now()
+	var err error
+	if codec, allow := ep.codecFor(r.Method); codec == nil {
+		w.Header().Set("Allow", allow)
+		err = errf(http.StatusMethodNotAllowed, "use %s %s", allow, ep.path)
+	} else {
+		err = codec(s, w, r)
+	}
+	if err != nil && !errors.Is(err, errStreamAborted) {
+		writeJSON(w, r, statusFor(err), errorBody{Error: err.Error(), RequestID: tr.ID()})
+	}
+	s.finish(m, ep.path, "http", tr, start, err)
+}
+
+// shed records one admission rejection: counted per endpoint, logged at
+// debug — sheds are expected under deliberate overload and already
+// counted, so they must not be able to flood the log at info.
+func (s *Server) shed(m *endpointMetrics, endpoint, proto string, tr *obs.Trace, refused string) {
+	m.observeShed()
 	s.log.Debug("request shed", "endpoint", endpoint, "proto", proto,
-		"request_id", tr.ID(), "cause", cause)
+		"request_id", tr.ID(), "cause", refused)
 }
 
-// logRequest emits the access-log line for one finished request: debug
-// normally, warn with the stage breakdown when it ran slower than
-// cfg.SlowRequest, so production logs surface outliers without paying
-// for a line per request.
-func (s *Server) logRequest(endpoint, proto string, tr *obs.Trace, d time.Duration, err error) {
+// finish closes the books on one served request, for both listeners:
+// the endpoint's counters and latency histogram, the stage histograms
+// when it was traced, and the access-log line — debug normally, warn
+// with the stage breakdown when it ran slower than cfg.SlowRequest, so
+// production logs surface outliers without paying for a line per
+// request.
+func (s *Server) finish(m *endpointMetrics, endpoint, proto string, tr *obs.Trace, start time.Time, err error) {
+	d := time.Since(start)
+	m.observe(d, err != nil)
+	if tr != nil {
+		tr.FillExecute(d)
+		m.observeStages(tr)
+	}
 	slow := s.cfg.SlowRequest > 0 && d >= s.cfg.SlowRequest
-	if !slow && !s.log.Enabled(nil, slog.LevelDebug) {
+	if !slow && !s.log.Enabled(context.Background(), slog.LevelDebug) {
 		return
 	}
 	attrs := make([]any, 0, 12)
 	attrs = append(attrs, "endpoint", endpoint, "proto", proto,
 		"request_id", tr.ID(), "duration_us", float64(d.Nanoseconds())/1e3)
-	if err != nil && !errors.Is(err, errStreamAborted) {
-		attrs = append(attrs, "error", err.Error())
-	} else if errors.Is(err, errStreamAborted) {
+	if errors.Is(err, errStreamAborted) {
 		attrs = append(attrs, "error", "stream aborted")
+	} else if err != nil {
+		attrs = append(attrs, "error", err.Error())
 	}
 	attrs = append(attrs, tr.StageAttr())
 	if slow {
@@ -447,8 +450,12 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) error {
 	tr := obs.TraceFrom(r.Context())
 	t0 := time.Now()
 	defer func() { tr.Add(obs.StageDecode, time.Since(t0)) }()
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+	return decodeJSON(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), dst)
+}
+
+// decodeJSON is the one strict JSON request decoder.
+func decodeJSON(body io.Reader, dst any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		var mbe *http.MaxBytesError
@@ -478,38 +485,58 @@ func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
 	tr.Add(obs.StageEncode, time.Since(t0))
 }
 
-// rng hands out a pooled rand source for one request.
-func (s *Server) rng() *rand.Rand { return s.rngs.Get().(*rand.Rand) }
-
-func (s *Server) putRNG(r *rand.Rand) { s.rngs.Put(r) }
-
-// SampleRequest asks for n samples from the set under Key.
-//
-// Exactly one storage/sampling mode applies: plain sets use the
-// near-uniform BSTSample batch path (parallel workers), Dynamic selects
-// the counting-set snapshot path, Uniform the rejection-corrected
-// exactly-uniform sampler (plain sets only; calibration is shared and
-// shows up in /v1/stats). Stream switches the response to NDJSON — one
-// {"id":N} object per line, drawn and flushed chunk-wise — for batches
-// too large to buffer.
-type SampleRequest struct {
-	Key     string `json:"key"`
-	N       int    `json:"n,omitempty"` // default 1
-	Workers int    `json:"workers,omitempty"`
-	Dynamic bool   `json:"dynamic,omitempty"`
-	Uniform bool   `json:"uniform,omitempty"`
-	Stream  bool   `json:"stream,omitempty"`
+// respond writes an operation's result as the 200 JSON document, or
+// passes its error up to serveHTTP.
+func respond(w http.ResponseWriter, r *http.Request, resp any, err error) error {
+	if err != nil {
+		return err
+	}
+	writeJSON(w, r, http.StatusOK, resp)
+	return nil
 }
 
-// SampleResponse carries the drawn ids. Returned can be less than
-// Requested: a BSTSample descent that ends on a false-positive path
-// yields no sample (the near-uniform modes), and the uniform sampler
-// stops at its rejection bound.
-type SampleResponse struct {
-	Key       string   `json:"key"`
-	Requested int      `json:"requested"`
-	Returned  int      `json:"returned"`
-	IDs       []uint64 `json:"ids"`
+// jsonOp is the HTTP codec of every operation whose request and result
+// are plain JSON documents: strict decode, call, respond.
+func jsonOp[Req, Resp any](op func(*Server, Req) (Resp, error)) httpCodec {
+	return func(s *Server, w http.ResponseWriter, r *http.Request) error {
+		var req Req
+		if err := s.decode(w, r, &req); err != nil {
+			return err
+		}
+		resp, err := op(s, req)
+		return respond(w, r, resp, err)
+	}
+}
+
+func (s *Server) httpStats(w http.ResponseWriter, r *http.Request) error {
+	return respond(w, r, s.stats(), nil)
+}
+
+func (s *Server) httpSnapshot(w http.ResponseWriter, r *http.Request) error {
+	resp, err := s.snapshot()
+	return respond(w, r, resp, err)
+}
+
+// httpSnapshotDownload streams a live restore bundle of the current
+// database. It needs no WAL: the bundle is produced from a pinned
+// in-memory view, so this doubles as the backup/replication primitive
+// for purely in-memory servers.
+func (s *Server) httpSnapshotDownload(w http.ResponseWriter, r *http.Request) error {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Disposition", `attachment; filename="setdb.snap"`)
+	if _, err := s.DB().SnapshotView().WriteBundleTo(w); err != nil {
+		// Headers are long gone mid-stream; the aborted connection is
+		// the only signal the client needs.
+		return fmt.Errorf("%w: snapshot download: %v", errStreamAborted, err)
+	}
+	return nil
+}
+
+// httpRestore bounds the upload by MaxRestoreBytes, not MaxBodyBytes:
+// restore bundles are full database images.
+func (s *Server) httpRestore(w http.ResponseWriter, r *http.Request) error {
+	resp, err := s.restore(http.MaxBytesReader(w, r.Body, s.cfg.MaxRestoreBytes))
+	return respond(w, r, resp, err)
 }
 
 // StreamLine is the decoded form of one NDJSON record of a streamed
@@ -537,611 +564,64 @@ type (
 	}
 )
 
-// errStreamAborted marks a stream that ended before its terminator — a
-// draw failure reported in-band, a client disconnect, a cancelled
-// context. route() must count the request as failed (so truncated
-// streams are visible in /v1/stats) but not write a second response.
-var errStreamAborted = errors.New("server: stream aborted mid-response")
-
-func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) error {
+// httpSample serves /v1/sample: one JSON document, or — "stream": true —
+// the NDJSON framing of sampleStream: one id per line, flushed chunk by
+// chunk, a final {"done":true} terminator. The 200 is committed by the
+// first chunk; an error after it is reported in-band as an {"error":...}
+// line. A client that goes away (write failure or context cancellation)
+// stops the drawing at the next chunk rather than burning tree descents
+// into a dead connection.
+func (s *Server) httpSample(w http.ResponseWriter, r *http.Request) error {
 	var req SampleRequest
 	if err := s.decode(w, r, &req); err != nil {
 		return err
 	}
-	if req.Key == "" {
-		return errf(http.StatusBadRequest, "missing key")
+	if !req.Stream {
+		resp, err := s.sample(req)
+		return respond(w, r, resp, err)
 	}
-	if req.N == 0 {
-		req.N = 1
-	}
-	if req.N < 0 {
-		return errf(http.StatusBadRequest, "negative n %d", req.N)
-	}
-	if req.Stream {
-		if req.N > s.cfg.MaxStreamBatch {
-			return errf(http.StatusRequestEntityTooLarge, "n %d exceeds the streaming batch limit %d", req.N, s.cfg.MaxStreamBatch)
-		}
-	} else if req.N > s.cfg.MaxBatch {
-		return errf(http.StatusRequestEntityTooLarge, "n %d exceeds the batch limit %d (stream mode affords up to %d)", req.N, s.cfg.MaxBatch, s.cfg.MaxStreamBatch)
-	}
-	if req.Uniform && req.Dynamic {
-		return errf(http.StatusBadRequest, "uniform sampling serves plain sets only")
-	}
-	draw, err := s.chunkDrawer(req)
-	if err != nil {
-		return err
-	}
-	// Only the uniform mode consumes a per-request rng; the batch paths
-	// draw with setdb's pooled workers.
-	var rng *rand.Rand
-	if req.Uniform {
-		rng = s.rng()
-		defer s.putRNG(rng)
-	}
-	if req.Stream {
-		return s.streamSamples(w, r, req, draw, rng)
-	}
-	ids, err := draw(req.N, rng)
-	if err != nil {
-		return err
-	}
-	writeJSON(w, r, http.StatusOK, SampleResponse{
-		Key: req.Key, Requested: req.N, Returned: len(ids), IDs: ids,
-	})
-	return nil
-}
-
-// chunkDrawer resolves the request's sampling mode to a draw function.
-// The plain and dynamic modes pin the key's currently published filter
-// version here, once: a batch spread over many chunks (streaming) is
-// drawn entirely from that one point-in-time version, never interleaving
-// set versions mid-response no matter how writers race it. The uniform
-// mode deliberately does the opposite — the shared sampler follows its
-// key across copy-on-write swaps, which is its documented contract.
-func (s *Server) chunkDrawer(req SampleRequest) (func(n int, rng *rand.Rand) ([]uint64, error), error) {
-	// Clamp the client-supplied worker count: it is a hint, not a lever
-	// to make the server spawn 100k goroutines for one request.
-	workers := req.Workers
-	if workers < 0 {
-		workers = 0
-	}
-	if max := runtime.GOMAXPROCS(0); workers > max {
-		workers = max
-	}
-	switch {
-	case req.Uniform:
-		// Resolve the shared sampler once per request. A Delete/re-Add
-		// racing the request surfaces as ErrSamplerInvalid from the draw
-		// (409, or an in-band stream error) — one response never silently
-		// splices ids from two key lifetimes.
-		smp, err := s.uniformSampler(req.Key)
-		if err != nil {
-			return nil, err
-		}
-		return func(n int, rng *rand.Rand) ([]uint64, error) {
-			return smp.SampleN(n, rng, nil)
-		}, nil
-	case req.Dynamic:
-		snap, err := s.DB().SnapshotDynamic(req.Key)
-		if err != nil {
-			return nil, err
-		}
-		return func(n int, _ *rand.Rand) ([]uint64, error) {
-			return s.DB().SampleManyFrom(snap, n, workers, nil)
-		}, nil
-	default:
-		f := s.DB().Filter(req.Key)
-		if f == nil {
-			return nil, fmt.Errorf("%w %q", setdb.ErrNoSet, req.Key)
-		}
-		return func(n int, _ *rand.Rand) ([]uint64, error) {
-			return s.DB().SampleManyFrom(f, n, workers, nil)
-		}, nil
-	}
-}
-
-// uniformSampler returns the shared per-key uniform sampler, building it
-// on first use. A cached sampler invalidated by Delete/re-Add is dropped
-// and rebuilt against the key's current lifetime.
-func (s *Server) uniformSampler(key string) (*setdb.Sampler, error) {
-	for attempt := 0; attempt < 2; attempt++ {
-		v, ok := s.samplers.Load(key)
-		if !ok {
-			smp, err := s.DB().UniformSampler(key)
-			if err != nil {
-				return nil, err
-			}
-			v, _ = s.samplers.LoadOrStore(key, smp)
-		}
-		smp := v.(*setdb.Sampler)
-		if smp.Valid() {
-			return smp, nil
-		}
-		// Evict only the sampler we observed stale: a plain Delete could
-		// race-discard a valid replacement (and its calibration) that
-		// another request already stored.
-		s.samplers.CompareAndDelete(key, v)
-	}
-	// Two cache rounds both raced Delete/re-Adds of this key; serve the
-	// request from a fresh sampler bound to the current lifetime rather
-	// than trusting the churning cache.
-	return s.DB().UniformSampler(key)
-}
-
-// streamSamples writes the NDJSON response: chunk-wise draws, one id per
-// line, a final {"done":true} terminator. An error after the 200 header
-// is reported in-band as an {"error":...} line. A client that goes away
-// (write failure or context cancellation) stops the drawing immediately
-// rather than burning tree descents into a dead connection.
-func (s *Server) streamSamples(w http.ResponseWriter, r *http.Request, req SampleRequest, draw func(int, *rand.Rand) ([]uint64, error), rng *rand.Rand) error {
-	// Draw the first chunk before committing to a 200, so key/mode errors
-	// still get a proper status.
-	first := req.N
-	if first > s.cfg.StreamChunk {
-		first = s.cfg.StreamChunk
-	}
-	ids, err := draw(first, rng)
-	if err != nil {
-		return err
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
 	ctx := r.Context()
+	tr := obs.TraceFrom(ctx)
 	rc := http.NewResponseController(w)
 	// Clear the per-chunk deadline on the way out so it never bleeds
 	// into the next request on a kept-alive connection.
 	defer rc.SetWriteDeadline(time.Time{})
 	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	tr := obs.TraceFrom(ctx)
-	emit := func(ids []uint64) error {
+	committed := false
+	err := s.sampleStream(req, nil, func(ids []uint64, final bool) error {
+		if ctx.Err() != nil {
+			return errStreamAborted
+		}
+		if !committed {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.WriteHeader(http.StatusOK)
+			committed = true
+		}
 		// Each chunk write gets a fresh deadline: a client reading too
 		// slowly fails its own stream instead of pinning this goroutine
 		// (and its draw work) for the server's lifetime.
 		_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.StreamWriteTimeout))
 		t0 := time.Now()
+		defer func() { tr.Add(obs.StageEncode, time.Since(t0)) }()
 		for _, id := range ids {
-			if err := enc.Encode(streamIDLine{ID: id}); err != nil {
-				tr.Add(obs.StageEncode, time.Since(t0))
-				return err
+			if enc.Encode(streamIDLine{ID: id}) != nil {
+				return errStreamAborted // client went away
 			}
 		}
-		if flusher != nil {
-			flusher.Flush()
+		if final && enc.Encode(streamDoneLine{Done: true}) != nil {
+			return errStreamAborted // terminator never reached the client
 		}
-		tr.Add(obs.StageEncode, time.Since(t0))
+		_ = rc.Flush() // a failed flush shows as the next write's error
 		return nil
-	}
-	if err := emit(ids); err != nil {
-		return errStreamAborted // client went away
-	}
-	for drawn := first; drawn < req.N; {
-		if ctx.Err() != nil {
-			return errStreamAborted
-		}
-		chunk := req.N - drawn
-		if chunk > s.cfg.StreamChunk {
-			chunk = s.cfg.StreamChunk
-		}
-		ids, err := draw(chunk, rng)
-		if err != nil {
-			_ = enc.Encode(streamErrorLine{Error: err.Error()})
-			return errStreamAborted
-		}
-		if err := emit(ids); err != nil {
-			return errStreamAborted
-		}
-		drawn += chunk
-	}
-	if enc.Encode(streamDoneLine{Done: true}) != nil {
-		return errStreamAborted // terminator never reached the client
-	}
-	return nil
-}
-
-// ReconstructRequest asks for the full contents of a stored set.
-type ReconstructRequest struct {
-	Key     string `json:"key"`
-	Dynamic bool   `json:"dynamic,omitempty"`
-}
-
-// ReconstructResponse returns the reconstructed ids in ascending order.
-type ReconstructResponse struct {
-	Key   string   `json:"key"`
-	Count int      `json:"count"`
-	IDs   []uint64 `json:"ids"`
-}
-
-func (s *Server) handleReconstruct(w http.ResponseWriter, r *http.Request) error {
-	var req ReconstructRequest
-	if err := s.decode(w, r, &req); err != nil {
-		return err
-	}
-	if req.Key == "" {
-		return errf(http.StatusBadRequest, "missing key")
-	}
-	ids, err := s.reconstructIDs(req.Key, req.Dynamic)
-	if err != nil {
-		return err
-	}
-	writeJSON(w, r, http.StatusOK, ReconstructResponse{Key: req.Key, Count: len(ids), IDs: ids})
-	return nil
-}
-
-// reconstructIDs is the shared reconstruction path of both protocols:
-// pin the published filter version, bound the response (a reconstruction
-// buffers the whole set in memory, so it obeys the same cap as a
-// buffered sample batch), reconstruct.
-func (s *Server) reconstructIDs(key string, dynamic bool) ([]uint64, error) {
-	var f *bloom.Filter
-	if dynamic {
-		snap, err := s.DB().SnapshotDynamic(key)
-		if err != nil {
-			return nil, err
-		}
-		f = snap
-	} else if f = s.DB().Filter(key); f == nil {
-		return nil, fmt.Errorf("%w %q", setdb.ErrNoSet, key)
-	}
-	if est := f.EstimateCardinality(); est > float64(s.cfg.MaxBatch) {
-		return nil, errf(http.StatusRequestEntityTooLarge,
-			"set %q holds an estimated %.0f elements, above the %d reconstruction limit", key, est, s.cfg.MaxBatch)
-	}
-	ids, err := s.DB().Tree().Reconstruct(f, core.PruneByEstimate, nil)
-	if err != nil {
-		return nil, err
-	}
-	if ids == nil {
-		ids = []uint64{}
-	}
-	return ids, nil
-}
-
-// IntersectionRequest names the two stored sets to compare.
-type IntersectionRequest struct {
-	KeyA string `json:"key_a"`
-	KeyB string `json:"key_b"`
-}
-
-// IntersectionResponse carries the |A ∩ B| estimate (§4 estimator).
-type IntersectionResponse struct {
-	KeyA     string  `json:"key_a"`
-	KeyB     string  `json:"key_b"`
-	Estimate float64 `json:"estimate"`
-}
-
-func (s *Server) handleIntersection(w http.ResponseWriter, r *http.Request) error {
-	var req IntersectionRequest
-	if err := s.decode(w, r, &req); err != nil {
-		return err
-	}
-	if req.KeyA == "" || req.KeyB == "" {
-		return errf(http.StatusBadRequest, "missing key_a or key_b")
-	}
-	est, err := s.DB().IntersectionEstimate(req.KeyA, req.KeyB)
-	if err != nil {
-		return err
-	}
-	writeJSON(w, r, http.StatusOK, IntersectionResponse{KeyA: req.KeyA, KeyB: req.KeyB, Estimate: est})
-	return nil
-}
-
-// AddRequest inserts ids, creating sets on first use. Two shapes apply:
-//
-//   - single-key: Key + IDs (+ Dynamic) — one copy-on-write publish.
-//   - batch: Sets — any number of key/ids pairs applied through the
-//     database's group-commit path (setdb.ApplyBatch), which folds the
-//     whole batch into one snapshot publish per touched shard, so heavy
-//     ingest pays one publish per batch rather than one per key. The
-//     batch is all-or-nothing: any clash or out-of-range id applies
-//     nothing.
-//
-// Exactly one shape must be used per request. Dynamic selects the
-// counting-filter (deletable) storage kind; the kind is fixed at
-// creation and mixing kinds on one key is a 409.
-type AddRequest struct {
-	Key     string   `json:"key,omitempty"`
-	IDs     []uint64 `json:"ids,omitempty"`
-	Dynamic bool     `json:"dynamic,omitempty"`
-	Sets    []AddSet `json:"sets,omitempty"`
-}
-
-// AddSet is one key's pending writes within a batch AddRequest.
-type AddSet struct {
-	Key     string   `json:"key"`
-	IDs     []uint64 `json:"ids"`
-	Dynamic bool     `json:"dynamic,omitempty"`
-}
-
-// AddResponse acknowledges a write. Keys is the number of keys written
-// (batch shape only).
-type AddResponse struct {
-	Key   string `json:"key,omitempty"`
-	Added int    `json:"added"`
-	Keys  int    `json:"keys,omitempty"`
-}
-
-func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) error {
-	var req AddRequest
-	if err := s.decode(w, r, &req); err != nil {
-		return err
-	}
-	if len(req.Sets) > 0 {
-		return s.addBatch(w, r, req)
-	}
-	if req.Key == "" {
-		return errf(http.StatusBadRequest, "missing key (or sets for a batch)")
-	}
-	if len(req.IDs) > s.cfg.MaxBatch {
-		return errf(http.StatusRequestEntityTooLarge, "%d ids exceed the batch limit %d", len(req.IDs), s.cfg.MaxBatch)
-	}
-	if err := s.applyWrites([]setdb.Write{{Key: req.Key, IDs: req.IDs, Dynamic: req.Dynamic}}); err != nil {
-		return err
-	}
-	writeJSON(w, r, http.StatusOK, AddResponse{Key: req.Key, Added: len(req.IDs)})
-	return nil
-}
-
-// addBatch serves the batch shape of /v1/add over the group-commit path.
-// Two limits bound the work: MaxBatch caps the total id count across the
-// batch (as for the single-key shape), and MaxBatchSets caps the key
-// count — each set costs a full-size filter allocation and lengthens the
-// locked group-commit build regardless of how few ids it carries.
-func (s *Server) addBatch(w http.ResponseWriter, r *http.Request, req AddRequest) error {
-	if req.Key != "" || len(req.IDs) > 0 || req.Dynamic {
-		return errf(http.StatusBadRequest, "use either key/ids or sets, not both")
-	}
-	if len(req.Sets) > s.cfg.MaxBatchSets {
-		return errf(http.StatusRequestEntityTooLarge, "%d sets exceed the batch limit %d", len(req.Sets), s.cfg.MaxBatchSets)
-	}
-	total := 0
-	writes := make([]setdb.Write, len(req.Sets))
-	for i, set := range req.Sets {
-		if set.Key == "" {
-			return errf(http.StatusBadRequest, "sets[%d]: missing key", i)
-		}
-		total += len(set.IDs)
-		writes[i] = setdb.Write{Key: set.Key, IDs: set.IDs, Dynamic: set.Dynamic}
-	}
-	if total > s.cfg.MaxBatch {
-		return errf(http.StatusRequestEntityTooLarge, "%d ids exceed the batch limit %d", total, s.cfg.MaxBatch)
-	}
-	if err := s.applyWrites(writes); err != nil {
-		return err
-	}
-	writeJSON(w, r, http.StatusOK, AddResponse{Added: total, Keys: len(req.Sets)})
-	return nil
-}
-
-// RemoveRequest removes one insertion of each id from the dynamic set
-// under Key. The batch is all-or-nothing: a single non-member id fails
-// the whole request (409) and publishes nothing.
-type RemoveRequest struct {
-	Key string   `json:"key"`
-	IDs []uint64 `json:"ids"`
-}
-
-// RemoveResponse acknowledges a removal.
-type RemoveResponse struct {
-	Key     string `json:"key"`
-	Removed int    `json:"removed"`
-}
-
-func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) error {
-	var req RemoveRequest
-	if err := s.decode(w, r, &req); err != nil {
-		return err
-	}
-	if req.Key == "" {
-		return errf(http.StatusBadRequest, "missing key")
-	}
-	if len(req.IDs) > s.cfg.MaxBatch {
-		return errf(http.StatusRequestEntityTooLarge, "%d ids exceed the batch limit %d", len(req.IDs), s.cfg.MaxBatch)
-	}
-	if err := s.applyWrites([]setdb.Write{{Key: req.Key, IDs: req.IDs, Dynamic: true, Remove: true}}); err != nil {
-		return err
-	}
-	writeJSON(w, r, http.StatusOK, RemoveResponse{Key: req.Key, Removed: len(req.IDs)})
-	return nil
-}
-
-// DBStats mirrors setdb.DBStats with JSON tags; per-shard occupancy is
-// summarized to occupied/min/max so the payload stays small at 64 shards.
-type DBStats struct {
-	Sets           int `json:"sets"`
-	DynamicSets    int `json:"dynamic_sets"`
-	Shards         int `json:"shards"`
-	OccupiedShards int `json:"occupied_shards"`
-	MaxShardKeys   int `json:"max_shard_keys"`
-	// Chunk occupancy and write-amplification observability: every write
-	// copies one chunk of its shard's chunked key map (plus the chunk
-	// table), so mean_bytes_copied_per_write is the live amplification
-	// figure, and occupied_chunks/max_chunk_keys show how evenly the
-	// copy units are loaded. Chunk tables are adaptive — each shard map
-	// grows from 1 chunk toward max_chunks_per_shard with occupancy — so
-	// total_chunks tracks how far the layout has fanned out.
-	// state_publishes < state_writes means group commit (batch /v1/add)
-	// is coalescing writes into shared publishes.
-	MaxChunksPerShard       int     `json:"max_chunks_per_shard"`
-	TotalChunks             int     `json:"total_chunks"`
-	OccupiedChunks          int     `json:"occupied_chunks"`
-	MaxChunkKeys            int     `json:"max_chunk_keys"`
-	StateWrites             uint64  `json:"state_writes"`
-	StatePublishes          uint64  `json:"state_publishes"`
-	StateBytesCopied        uint64  `json:"state_bytes_copied"`
-	MeanBytesCopiedPerWrite float64 `json:"mean_bytes_copied_per_write"`
-	SampleDrawsLost         uint64  `json:"sample_draws_lost"` // batch draws that ended on a false-positive path: Σ requested − returned
-	Generations             uint64  `json:"generations"`
-	TreeNodes               uint64  `json:"tree_nodes"`
-	TreeDepth               int     `json:"tree_depth"`
-	TreePruned              bool    `json:"tree_pruned"`
-	TreeMemoryBytes         uint64  `json:"tree_memory_bytes"`
-	GrowthEpoch             uint64  `json:"growth_epoch"`
-	SubtreeEpochs           uint64  `json:"subtree_epochs_active"` // stripes with ≥1 completed epoch
-	// Backend is the dynamic-set membership backend descriptor: configured
-	// kind plus realized entries, memory, bits/entry and (cuckoo) load
-	// factor. setdb.BackendStats carries its own JSON tags.
-	Backend setdb.BackendStats `json:"backend"`
-}
-
-// SamplerStats is the calibration view of one cached uniform sampler.
-type SamplerStats struct {
-	Attempts     uint64  `json:"attempts"`
-	Accepted     uint64  `json:"accepted"`
-	Clamped      uint64  `json:"clamped"`
-	Retargets    uint64  `json:"retargets"`
-	SafetyFactor float64 `json:"safety_factor"`
-	MaxAttempts  int     `json:"max_attempts"`
-}
-
-// OptionsStats echoes the database profile.
-type OptionsStats struct {
-	Namespace uint64 `json:"namespace"`
-	Bits      uint64 `json:"bits"`
-	K         int    `json:"k"`
-	HashKind  string `json:"hash_kind"`
-	TreeDepth int    `json:"tree_depth"`
-	Pruned    bool   `json:"pruned"`
-}
-
-// WireStats is the binary-listener and admission-control view within
-// /v1/stats: connection counts, frame traffic, stream flow control and
-// shed totals. InFlight/WritesInFlight are point-in-time gate
-// occupancies; the rest are lifetime counters.
-type WireStats struct {
-	ConnsActive    int64  `json:"conns_active"`
-	ConnsTotal     uint64 `json:"conns_total"`
-	FramesIn       uint64 `json:"frames_in"`
-	FramesOut      uint64 `json:"frames_out"`
-	StreamsActive  int64  `json:"streams_active"`
-	CreditStalls   uint64 `json:"credit_stalls"` // stream pauses waiting for client credit
-	ProtocolErrors uint64 `json:"protocol_errors"`
-	Shed           uint64 `json:"shed"` // BUSY frames sent (admission control)
-	InFlight       int    `json:"in_flight"`
-	MaxInFlight    int    `json:"max_in_flight"`
-	WritesInFlight int    `json:"writes_in_flight"`
-	MaxWrites      int    `json:"max_writes"`
-	ConnWindow     int    `json:"conn_window"`
-}
-
-// StatsResponse is the full /v1/stats payload.
-type StatsResponse struct {
-	UptimeSeconds float64                  `json:"uptime_seconds"`
-	Options       OptionsStats             `json:"options"`
-	DB            DBStats                  `json:"db"`
-	Wire          WireStats                `json:"wire"`
-	Durability    *wal.Stats               `json:"durability,omitempty"`
-	Endpoints     map[string]EndpointStats `json:"endpoints"`
-	Samplers      map[string]SamplerStats  `json:"samplers,omitempty"`
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
-	writeJSON(w, r, http.StatusOK, s.statsResponse())
-	return nil
-}
-
-// statsResponse assembles the stats document served by both GET
-// /v1/stats and the binary OpStats — one schema, two framings.
-func (s *Server) statsResponse() StatsResponse {
-	st := s.DB().Stats()
-	// One clock read: the QPS denominators below must agree with the
-	// uptime field they ship with.
-	uptime := time.Since(s.start)
-	resp := StatsResponse{
-		UptimeSeconds: uptime.Seconds(),
-		DB: DBStats{
-			Sets:                    st.Sets,
-			DynamicSets:             st.DynamicSets,
-			Shards:                  len(st.Shards),
-			MaxChunksPerShard:       st.MaxChunksPerShard,
-			TotalChunks:             st.TotalChunks,
-			StateWrites:             st.StateWrites,
-			StatePublishes:          st.StatePublishes,
-			StateBytesCopied:        st.StateBytesCopied,
-			MeanBytesCopiedPerWrite: st.MeanBytesCopiedPerWrite(),
-			SampleDrawsLost:         st.SampleDrawsLost,
-			Generations:             st.Generations,
-			TreeNodes:               st.TreeNodes,
-			TreeDepth:               st.TreeDepth,
-			TreePruned:              st.TreePruned,
-			TreeMemoryBytes:         st.TreeMemoryBytes,
-			GrowthEpoch:             st.GrowthEpoch,
-			Backend:                 st.Backend,
-		},
-		Endpoints: map[string]EndpointStats{},
-	}
-	opts := s.DB().Options()
-	resp.Options = OptionsStats{
-		Namespace: opts.Namespace,
-		Bits:      opts.Bits,
-		K:         opts.K,
-		HashKind:  string(opts.HashKind),
-		TreeDepth: opts.TreeDepth,
-		Pruned:    opts.Pruned,
-	}
-	for i := range st.Shards {
-		keys := st.Shards[i].Sets + st.Shards[i].Dynamic
-		if keys > 0 {
-			resp.DB.OccupiedShards++
-		}
-		if keys > resp.DB.MaxShardKeys {
-			resp.DB.MaxShardKeys = keys
-		}
-		resp.DB.OccupiedChunks += st.Shards[i].OccupiedChunks
-		if st.Shards[i].MaxChunkKeys > resp.DB.MaxChunkKeys {
-			resp.DB.MaxChunkKeys = st.Shards[i].MaxChunkKeys
-		}
-	}
-	for _, e := range st.SubtreeEpochs {
-		if e > 0 {
-			resp.DB.SubtreeEpochs++
-		}
-	}
-	resp.Wire = WireStats{
-		ConnsActive:    s.bin.connsActive.Load(),
-		ConnsTotal:     s.bin.connsTotal.Load(),
-		FramesIn:       s.bin.framesIn.Load(),
-		FramesOut:      s.bin.framesOut.Load(),
-		StreamsActive:  s.bin.streamsActive.Load(),
-		CreditStalls:   s.bin.creditStalls.Load(),
-		ProtocolErrors: s.bin.protoErrors.Load(),
-		Shed:           s.bin.shed.Load(),
-		InFlight:       s.inflight.inUse(),
-		MaxInFlight:    s.cfg.MaxInFlight,
-		WritesInFlight: s.writeGate.inUse(),
-		MaxWrites:      s.cfg.MaxWrites,
-		ConnWindow:     s.cfg.ConnWindow,
-	}
-	if d := s.cfg.Durability; d != nil {
-		ds := d.Stats()
-		resp.Durability = &ds
-	}
-	for path, m := range s.metrics {
-		resp.Endpoints[path] = m.snapshot(uptime)
-	}
-	s.samplers.Range(func(k, v any) bool {
-		smp := v.(*setdb.Sampler)
-		if !smp.Valid() {
-			// The key was deleted (or deleted and re-created) since this
-			// sampler was cached: evict it instead of reporting
-			// calibration for a dead set. CompareAndDelete so a valid
-			// replacement stored meanwhile is left alone.
-			s.samplers.CompareAndDelete(k, v)
-			return true
-		}
-		us := smp.Stats()
-		if resp.Samplers == nil {
-			resp.Samplers = map[string]SamplerStats{}
-		}
-		resp.Samplers[k.(string)] = SamplerStats{
-			Attempts:     us.Attempts,
-			Accepted:     us.Accepted,
-			Clamped:      us.Clamped,
-			Retargets:    us.Retargets,
-			SafetyFactor: smp.SafetyFactor(),
-			MaxAttempts:  smp.MaxAttempts(),
-		}
-		return true
 	})
-	return resp
+	if err != nil && committed && !errors.Is(err, errStreamAborted) {
+		_ = enc.Encode(streamErrorLine{Error: err.Error()})
+		return errStreamAborted
+	}
+	return err
 }
+
+// rng hands out a pooled rand source for one uniform draw.
+func (s *Server) rng() *rand.Rand { return s.rngs.Get().(*rand.Rand) }
+
+func (s *Server) putRNG(r *rand.Rand) { s.rngs.Put(r) }

@@ -8,16 +8,13 @@ import (
 	"repro/internal/setdb"
 )
 
-// Functional-options construction API. The package started with
-// positional constructors (NewFilter(kind, m, k, seed), NewTree(plan,
-// kind, seed), OpenSetDB(opts)); as the parameter space grew — hash
-// family, seed, membership backend, accuracy, tree shape — every new
-// knob either broke those signatures or forced another NewXxxWithYyy
-// variant. The With* options below compose instead: each constructor
-// takes the values that define what is being built (a namespace, a
-// plan, filter dimensions) positionally, and everything with a sensible
-// default as options. The positional constructors remain as thin
-// deprecated wrappers.
+// Functional-options construction API. The parameter space — hash
+// family, seed, membership backend, accuracy, tree shape — is too wide
+// for positional signatures: every new knob would break them or force
+// another NewXxxWithYyy variant. The With* options below compose
+// instead: each constructor takes the values that define what is being
+// built (a namespace, a plan, filter dimensions) positionally, and
+// everything with a sensible default as options.
 //
 //	db, _ := bloomsample.Open(1_000_000,
 //	        bloomsample.WithAccuracy(0.95),
@@ -127,8 +124,7 @@ func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 
 // Open creates an empty set database over the namespace [0, M),
 // planning the filter profile from the accuracy options and selecting
-// the dynamic-set backend from WithBackend. It replaces
-// OpenSetDB(PlanSetDB(...)) pipelines:
+// the dynamic-set backend from WithBackend:
 //
 //	db, err := bloomsample.Open(1_000_000,
 //	        bloomsample.WithAccuracy(0.95),

@@ -45,50 +45,6 @@ func TestOptionsOpenWithBackend(t *testing.T) {
 	}
 }
 
-func TestOptionsConstructorsMatchDeprecated(t *testing.T) {
-	plan, err := bloomsample.Plan(0.9, 500, 100_000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldTree, err := bloomsample.NewTree(plan, bloomsample.Murmur3, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newTree, err := bloomsample.NewTreeWith(plan,
-		bloomsample.WithHash(bloomsample.Murmur3), bloomsample.WithSeed(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same parameters → filters from either tree are interchangeable.
-	q := oldTree.NewQueryFilter()
-	q.Add(123)
-	q.Add(77)
-	rng := rand.New(rand.NewSource(3))
-	x, err := newTree.Sample(q, rng, nil)
-	if err != nil && !errors.Is(err, bloomsample.ErrNoSample) {
-		t.Fatalf("cross-constructor sample: %v", err)
-	}
-	if err == nil && x != 123 && x != 77 {
-		// Tree sampling can return false positives, but with these
-		// parameters a wrong member is overwhelmingly unlikely.
-		t.Fatalf("sample = %d, want a member of {123, 77}", x)
-	}
-
-	oldF, err := bloomsample.NewFilter(bloomsample.Fast, 1<<12, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newF, err := bloomsample.NewFilterWith(1<<12, 3, bloomsample.WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldF.Add(5)
-	newF.Add(5)
-	if !oldF.Equal(newF) {
-		t.Fatal("deprecated NewFilter and NewFilterWith disagree on identical parameters")
-	}
-}
-
 func TestDynamicMembershipFacade(t *testing.T) {
 	for _, kind := range []bloomsample.BackendKind{bloomsample.BackendCounting, bloomsample.BackendCuckoo} {
 		m, err := bloomsample.NewDynamicMembership(1<<12, 3,
