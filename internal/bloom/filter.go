@@ -151,6 +151,18 @@ func (f *Filter) ContainsScratch(x uint64, buf []uint64) (bool, []uint64) {
 	return f.bits.TestAll(buf), buf
 }
 
+// Probe is ContainsScratch stopping at the first missing bit where the
+// family can (the default fast family: no position is stored and buf is
+// left alone); the other families answer through ContainsScratch. It is
+// the probe for callers that test scattered single ids of a mostly-zero
+// filter — a sampled leaf — where most ids fail on their first position.
+func (f *Filter) Probe(x uint64, buf []uint64) (bool, []uint64) {
+	if rp, ok := f.fam.(hashfam.RangeProber); ok {
+		return rp.Contains(f.bits.Raw(), x), buf
+	}
+	return f.ContainsScratch(x, buf)
+}
+
 // ContainsBatch probes every element of xs against the filter, writing
 // the verdict for xs[i] into out[i] (out must be at least len(xs) long).
 // All keys are hashed in one batched PositionsMany call into scratch and
@@ -171,8 +183,8 @@ func (f *Filter) ContainsBatch(xs []uint64, out []bool, scratch []uint64) []uint
 
 // AppendPositives appends to out, in ascending order, every id of
 // [lo, hi) that answers positively — the brute-force scan at the bottom of
-// every tree descent and reconstruction, and by far the most membership
-// probes the system fires. Families with a fused range probe (the default
+// every reconstruction and multi-sample, and of a draw whose sampled leaf
+// (Probe) found nothing. Families with a fused range probe (the default
 // fast family) stop at each id's first missing bit and store no positions;
 // the others hash the range in blocks through PositionsMany and test each
 // k-group. Either way nothing is allocated while out has room: the block

@@ -40,7 +40,7 @@ func fillTo(f *Filter, fill float64) {
 
 // TestAppendPositivesMatchesContainsBatch holds the range scan — the fused
 // early-exit loop of the fast family and the block loop of every other —
-// to the stored-positions probe, id for id: every family, k of one, three
+// and the single-id Probe to the stored-positions probe, id for id: every family, k of one, three
 // and sixteen, a filter length that is not a multiple of the word size and
 // one that is prime, filters that are empty, a tenth full and saturated,
 // and ranges that are empty, a single id, inside one probe block, and
@@ -63,6 +63,13 @@ func TestAppendPositivesMatchesContainsBatch(t *testing.T) {
 						}
 						if fill == 0 && len(want) != 0 || fill == 1 && uint64(len(want)) != r[1]-r[0] {
 							t.Fatalf("%s: %d positives", name, len(want))
+						}
+						var buf []uint64
+						for x := r[0]; x < r[1]; x++ {
+							var hit bool
+							if hit, buf = f.Probe(x, buf); hit != slices.Contains(want, x) {
+								t.Fatalf("%s: Probe(%d) = %v", name, x, hit)
+							}
 						}
 					}
 				}
@@ -92,7 +99,8 @@ func TestAppendPositivesSteadyStateZeroAllocs(t *testing.T) {
 
 // FuzzAppendPositives explores (m, k, seed, lo, length) for disagreement
 // between the range scan and the stored-positions probe on the two
-// families with distinct scan loops.
+// families with distinct scan loops, and between the single-id early-exit
+// probe and Contains on every id of the range.
 func FuzzAppendPositives(f *testing.F) {
 	f.Add(uint64(1000), uint8(3), uint64(1), uint64(0), uint16(200))
 	f.Add(uint64(4099), uint8(16), uint64(2), uint64(1<<40), uint16(65))
@@ -109,6 +117,13 @@ func FuzzAppendPositives(f *testing.F) {
 			want := positivesByContainsBatch(fl, lo, hi)
 			if got := fl.AppendPositives(lo, hi, nil); !slices.Equal(got, want) {
 				t.Fatalf("%s m=%d k=%d seed=%d [%d,%d): got %v, want %v", kind, m, 1+int(k%20), seed, lo, hi, got, want)
+			}
+			var buf []uint64
+			for x := lo; x < hi; x++ {
+				var got bool
+				if got, buf = fl.Probe(x, buf); got != fl.Contains(x) {
+					t.Fatalf("%s m=%d k=%d seed=%d: Probe(%d) = %v, Contains says %v", kind, m, 1+int(k%20), seed, x, got, !got)
+				}
 			}
 		}
 	})

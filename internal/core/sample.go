@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/bloom"
 )
@@ -19,8 +20,10 @@ var ErrNoSample = fmt.Errorf("core: no sample found")
 // pruning children whose estimate falls below the empty threshold (§5.6),
 // choosing among the rest with probability proportional to the estimates,
 // and backtracking to the sibling when a branch turns out to be a false
-// positive path. At a leaf, the whole leaf range is checked by membership
-// queries and a uniform choice among the positives is returned.
+// positive path. At a leaf, a uniform choice among the ids of its range
+// that answer membership queries positively is returned: found by probing
+// ids drawn at random, and only when those all miss by checking the whole
+// range (sampleLeaf).
 //
 // The returned element is a member of S ∪ S(B) — the stored set plus the
 // filter's false positives — per the problem statement (§1). ops, if
@@ -40,7 +43,7 @@ func (t *Tree) SampleScratch(q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch 
 	return t.SampleMemo(q, rng, ops, scratch, nil)
 }
 
-// Memo remembers, for the draws one worker makes against one pinned,
+// Memo remembers, for the draws one request makes against one pinned,
 // immutable query filter, the child estimates of every internal node a
 // descent has already passed. The estimates depend only on the node's
 // filters and the query, so a later descent that reaches the node reads
@@ -48,24 +51,64 @@ func (t *Tree) SampleScratch(q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch 
 // as many estimates as they touch distinct nodes, not r·depth — what §5.3's
 // multi-sample achieves, with the draws left independent.
 //
-// The zero Memo is ready to use. It is not safe for concurrent use, and it
-// must be Reset at the end of the batch, before it meets another filter or
-// filter version: what it remembers describes one query against the tree
-// as the batch saw it (later growth would go unnoticed) and keeps the
-// nodes reachable.
+// The zero Memo is ready to use, and all the workers of a request share
+// one: whichever reaches a node first computes its pair of estimates, the
+// others wait for that pair alone — the table's lock is held for the
+// lookup, never across an AND-popcount — so a request pays for each node
+// once however many goroutines it runs on. It must be Reset at the end of
+// the request, once its workers have returned and before it meets another
+// filter or filter version: what it remembers describes one query against
+// the tree as the request saw it (later growth would go unnoticed) and
+// keeps the nodes reachable.
 type Memo struct {
-	ests map[*node][2]float64
+	mu   sync.Mutex
+	ests map[*node]*memoEntry
+	// Entries are handed out in order from fixed-size slabs that survive
+	// Reset, so a pooled Memo serves its next request without allocating.
+	// A slab is never reallocated: entries are shared by pointer.
+	slabs [][]memoEntry
+	used  int
 }
 
-// Reset forgets everything. The table's memory is kept for the next batch
-// unless the batch was large enough that clearing it again and again would
-// cost small batches more than allocating afresh.
+// memoEntry is one node's pair of child estimates, computed under once.
+type memoEntry struct {
+	once        sync.Once
+	left, right float64
+}
+
+// memoSlab is the number of entries per slab (4 KB).
+const memoSlab = 128
+
+// entry returns n's entry, a fresh one the first time n is asked for.
+func (m *Memo) entry(n *node) *memoEntry {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e := m.ests[n]; e != nil {
+		return e
+	}
+	if m.ests == nil {
+		m.ests = make(map[*node]*memoEntry)
+	}
+	if m.used == len(m.slabs)*memoSlab {
+		m.slabs = append(m.slabs, make([]memoEntry, memoSlab))
+	}
+	e := &m.slabs[m.used/memoSlab][m.used%memoSlab]
+	*e = memoEntry{}
+	m.used++
+	m.ests[n] = e
+	return e
+}
+
+// Reset forgets everything. The table's memory is kept for the next request
+// unless this one was large enough that clearing it again and again would
+// cost small requests more than allocating afresh.
 func (m *Memo) Reset() {
-	if len(m.ests) > memoKeep {
-		m.ests = nil
+	if m.used > memoKeep {
+		m.ests, m.slabs = nil, nil
 	} else {
 		clear(m.ests)
 	}
+	m.used = 0
 }
 
 // memoKeep is the largest table a Memo holds on to across Reset.
@@ -76,7 +119,8 @@ const memoKeep = 1024
 // SampleScratch would — same branch rule, same backtracking, same rng
 // consumption — so everything known about the draws' distribution carries
 // over; only the intersections drop. ops.Intersections counts estimates
-// computed, not remembered ones read back.
+// this call computed, not remembered ones read back: summed over the
+// callers sharing memo it is twice the distinct internal nodes they passed.
 func (t *Tree) SampleMemo(q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch []uint64, memo *Memo) (uint64, []uint64, error) {
 	if err := t.checkQuery(q); err != nil {
 		return 0, scratch, err
@@ -84,9 +128,6 @@ func (t *Tree) SampleMemo(q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch []u
 	root := t.rootNode()
 	if root == nil { // empty pruned tree
 		return 0, scratch, ErrNoSample
-	}
-	if memo != nil && memo.ests == nil {
-		memo.ests = make(map[*node][2]float64)
 	}
 	d := descent{q: q, rng: rng, ops: ops, scratch: scratch, memo: memo}
 	x, ok := t.sampleNode(root, &d)
@@ -120,11 +161,12 @@ func (t *Tree) sampleNode(n *node, d *descent) (uint64, bool) {
 	var lEst, rEst float64
 	if d.memo == nil {
 		lEst, rEst = t.childEstimate(left, d.q, d.ops), t.childEstimate(right, d.q, d.ops)
-	} else if est, ok := d.memo.ests[n]; ok {
-		lEst, rEst = est[0], est[1]
 	} else {
-		lEst, rEst = t.childEstimate(left, d.q, d.ops), t.childEstimate(right, d.q, d.ops)
-		d.memo.ests[n] = [2]float64{lEst, rEst}
+		e := d.memo.entry(n)
+		e.once.Do(func() {
+			e.left, e.right = t.childEstimate(left, d.q, d.ops), t.childEstimate(right, d.q, d.ops)
+		})
+		lEst, rEst = e.left, e.right
 	}
 	thr := t.cfg.EmptyThreshold
 	lOK, rOK := lEst >= thr, rEst >= thr
@@ -170,14 +212,48 @@ func (t *Tree) childEstimate(child *node, q *bloom.Filter, ops *Ops) float64 {
 	return child.filter().IntersectionEstimate(q)
 }
 
-// sampleLeaf brute-force checks the leaf's range against q and picks one
-// positive uniformly at random. The positives are collected, ascending, in
-// the threaded scratch buffer (so nothing is allocated once it has grown
-// to a leaf's worth of hits) and the choice is a reservoir over them in
-// that order: one rng.Intn per positive, which is what keeps a draw's rng
-// consumption — and so every later draw of the same rng — independent of
-// how the scan itself is carried out.
+// sampleLeaf picks one of the leaf's positives — the ids of its range that
+// answer q positively — uniformly at random. It first probes up to
+// span/leafProbeShare ids drawn uniformly from the range and returns the
+// first that answers positively; only when every probe misses does it scan
+// the whole range and choose among the hits. A probe that hits is a
+// uniform draw over the range conditioned on being a positive, and the scan
+// is reached with a probability that depends on the number of positives
+// alone, so both branches, and their mixture, are exactly uniform over the
+// positives: what the paper's scan-and-pick leaf (§5.3) returns, for the
+// price of the id and not of the leaf. With P positives in a leaf of span
+// ids a probe hits with probability P/span, the probes all miss with
+// probability ≈ e^(−P/8), and the expected number of membership probes is
+//
+//	P           0      1     2     5     8     16     32     87
+//	÷ span  1.125  1.000  0.89  0.63  0.45  0.19  0.049  0.011
+//
+// never more than 1.125·span — P = 0, the false-positive leaf that must
+// still be proven empty before the search backtracks. The planner sizes a
+// leaf to hold dozens of a design-size set's ids (§5.4; 87 of 7 812 on the
+// benchmark's batch shape, ≈ 90 probes a draw), and a leaf narrower than
+// leafScanBelow is cheaper to scan than to sample at all.
+//
+// The scan collects its positives, ascending, in the threaded scratch
+// buffer (so nothing is allocated once it has grown to a leaf's worth of
+// hits) and chooses by a reservoir over them, one rng.Intn per positive.
 func (t *Tree) sampleLeaf(n *node, d *descent) (uint64, bool) {
+	if span := n.hi - n.lo; span >= leafScanBelow {
+		for fired := uint64(1); fired <= span/leafProbeShare; fired++ {
+			x := n.lo + uint64(d.rng.Int63n(int64(span)))
+			var hit bool
+			if hit, d.scratch = d.q.Probe(x, d.scratch); hit {
+				if d.ops != nil {
+					d.ops.LeavesScanned++
+					d.ops.Memberships += fired
+				}
+				return x, true
+			}
+		}
+		if d.ops != nil {
+			d.ops.Memberships += span / leafProbeShare
+		}
+	}
 	hits := t.positivesInLeaf(n, d.q, d.ops, d.scratch[:0])
 	d.scratch = hits
 	var chosen uint64
@@ -188,6 +264,13 @@ func (t *Tree) sampleLeaf(n *node, d *descent) (uint64, bool) {
 	}
 	return chosen, len(hits) > 0
 }
+
+// The sampled leaf's two constants; sampleLeaf's comment has the cost table
+// they were chosen on.
+const (
+	leafProbeShare = 8  // a leaf of span ids is probed at most span/8 times before it is scanned
+	leafScanBelow  = 64 // a narrower leaf is scanned straight away
+)
 
 // maxScratchK is the largest k for which ScratchHint covers a scan; a
 // family with more hash functions grows the buffer once.
@@ -200,7 +283,7 @@ const maxScratchK = 16
 const ScratchHint = bloom.ProbeBlock * (maxScratchK + 2)
 
 // positivesInLeaf appends every element of the leaf range answering
-// positively to out, ascending.
+// positively to out, ascending: the one leaf scan under every search.
 func (t *Tree) positivesInLeaf(n *node, q *bloom.Filter, ops *Ops, out []uint64) []uint64 {
 	if ops != nil {
 		ops.LeavesScanned++

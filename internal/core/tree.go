@@ -269,12 +269,15 @@ type Ops struct {
 	// Intersections counts Bloom-filter intersection-size estimations
 	// (one per child filter examined at an internal node).
 	Intersections uint64
-	// Memberships counts membership queries fired at the query filter.
+	// Memberships counts the membership probes actually fired at the query
+	// filter: a leaf's whole range where it is scanned (SampleN,
+	// Reconstruct, the uniform sampler, a draw's fallback), the ids tried
+	// where a draw samples it.
 	Memberships uint64
 	// NodesVisited counts tree nodes entered.
 	NodesVisited uint64
-	// LeavesScanned counts leaves whose whole range was brute-force
-	// checked.
+	// LeavesScanned counts the leaves a search entered, whether it went on
+	// to scan the whole range or found its id by sampling it.
 	LeavesScanned uint64
 	// Backtracks counts the times the search exhausted one child and
 	// re-descended into the sibling (§5.3's false-positive paths).

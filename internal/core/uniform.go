@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/bloom"
@@ -175,9 +176,11 @@ func (s *UniformSampler) Sample(rng *rand.Rand, ops *Ops) (uint64, error) {
 	if s.t.rootNode() == nil {
 		return 0, ErrNoSample
 	}
+	scratch := leafScratch.Get().(*[]uint64)
+	defer leafScratch.Put(scratch)
 	for attempt := int64(0); attempt < s.maxAttempts.Load(); attempt++ {
 		s.attempts.Add(1)
-		x, ok := s.descend(rng, ops)
+		x, ok := s.descend(rng, ops, scratch)
 		if ok {
 			s.accepted.Add(1)
 			return x, nil
@@ -185,6 +188,14 @@ func (s *UniformSampler) Sample(rng *rand.Rand, ops *Ops) (uint64, error) {
 	}
 	return 0, ErrNoSample
 }
+
+// leafScratch pools the buffers the sampler's attempts scan leaves into: a
+// sampler is shared by any number of goroutines and its Sample takes no
+// scratch from the caller.
+var leafScratch = sync.Pool{New: func() any {
+	s := make([]uint64, 0, ScratchHint)
+	return &s
+}}
 
 // SampleN draws r uniform samples (with replacement) by repeated Sample.
 func (s *UniformSampler) SampleN(r int, rng *rand.Rand, ops *Ops) ([]uint64, error) {
@@ -206,7 +217,7 @@ func (s *UniformSampler) SampleN(r int, rng *rand.Rand, ops *Ops) ([]uint64, err
 // filter, estimate and safety factor are loaded once per attempt so the
 // walk is internally consistent even while another goroutine retargets or
 // recalibrates.
-func (s *UniformSampler) descend(rng *rand.Rand, ops *Ops) (uint64, bool) {
+func (s *UniformSampler) descend(rng *rand.Rand, ops *Ops, scratch *[]uint64) (uint64, bool) {
 	q := s.q.Load()
 	nHat := math.Float64frombits(s.nHatBits.Load())
 	safety := math.Float64frombits(s.safetyBits.Load())
@@ -236,25 +247,11 @@ func (s *UniformSampler) descend(rng *rand.Rand, ops *Ops) (uint64, bool) {
 		ops.NodesVisited++
 	}
 
-	// Reservoir over the leaf's positives, counting them exactly.
-	var chosen uint64
-	count := 0
-	if ops != nil {
-		ops.LeavesScanned++
-		ops.Memberships += n.hi - n.lo
-	}
-	var buf [maxScratchK]uint64
-	scratch := buf[:0]
-	for x := n.lo; x < n.hi; x++ {
-		var hit bool
-		hit, scratch = q.ContainsScratch(x, scratch)
-		if hit {
-			count++
-			if rng.Intn(count) == 0 {
-				chosen = x
-			}
-		}
-	}
+	// The acceptance rule needs ℓ, the leaf's exact number of positives, so
+	// the leaf is scanned whole (never sampled, as a BSTSample draw's is).
+	hits := s.t.positivesInLeaf(n, q, ops, (*scratch)[:0])
+	*scratch = hits
+	count := len(hits)
 	if count == 0 {
 		return 0, false
 	}
@@ -275,7 +272,10 @@ func (s *UniformSampler) descend(rng *rand.Rand, ops *Ops) (uint64, bool) {
 		}
 		return 0, false
 	}
-	return chosen, rng.Float64() < alpha
+	if rng.Float64() >= alpha {
+		return 0, false
+	}
+	return hits[rng.Intn(count)], true
 }
 
 // childWeight is the proposal weight of a child: the estimated

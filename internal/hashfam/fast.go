@@ -84,33 +84,49 @@ func (f *fastFamily) PositionsMany(xs []uint64, out []uint64) []uint64 {
 	return out
 }
 
-// AppendPositives is the leaf scan fused into one loop: for each id of
-// [lo, hi) mix the first fold, reduce it to the first position and test
-// that bit; only an id that passes pays for the second fold and its other
-// k−1 positions, each tested as it is derived. A query filter is mostly
-// zeros (a filter planned for accuracy 0.9 is about a tenth full), so nine
-// ids in ten cost one multiply, one modulo and one load, and no position
-// is ever stored. The positions are doublePositions', in its order.
+// Contains is the early-exit probe of one id: mix the first fold, reduce it
+// to the first position and test that bit; only an id that passes pays for
+// the second fold and its other k−1 positions, each tested as it is
+// derived. A query filter is mostly zeros (a filter planned for accuracy
+// 0.9 is about a tenth full), so nine ids in ten cost one multiply, one
+// modulo and one load, and no position is ever stored. The positions are
+// doublePositions', in its order.
+func (f *fastFamily) Contains(words []uint64, x uint64) bool {
+	h1, pos, set := firstSet(words, x, f.m, f.seed)
+	return set && strideSet(words, pos, doubleStep(mixSecond(h1, x, f.seed), f.m), f.m, f.k)
+}
+
+// firstSet tests the first position of x, and strideSet positions 2..k of
+// the double-hashing sequence that starts there. Contains is written as the
+// two so that each is small enough to inline into the range scan's loop.
+func firstSet(words []uint64, x, m, seed uint64) (h1, pos uint64, set bool) {
+	h1 = mixFirst(x, seed)
+	pos = h1 % m
+	return h1, pos, words[pos/64]&(1<<(pos%64)) != 0
+}
+
+func strideSet(words []uint64, pos, step, m uint64, k int) bool {
+	for i := 1; i < k; i++ {
+		pos += step
+		if pos >= m {
+			pos -= m
+		}
+		if words[pos/64]&(1<<(pos%64)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// AppendPositives is the leaf scan fused into one loop: Contains, inlined,
+// for each id of [lo, hi).
 func (f *fastFamily) AppendPositives(words []uint64, lo, hi uint64, out []uint64) []uint64 {
 	m, k, seed := f.m, f.k, f.seed
-scan:
 	for x := lo; x < hi; x++ {
-		h1 := mixFirst(x, seed)
-		pos := h1 % m
-		if words[pos/64]&(1<<(pos%64)) == 0 {
-			continue
+		h1, pos, set := firstSet(words, x, m, seed)
+		if set && strideSet(words, pos, doubleStep(mixSecond(h1, x, seed), m), m, k) {
+			out = append(out, x)
 		}
-		step := doubleStep(mixSecond(h1, x, seed), m)
-		for i := 1; i < k; i++ {
-			pos += step
-			if pos >= m {
-				pos -= m
-			}
-			if words[pos/64]&(1<<(pos%64)) == 0 {
-				continue scan
-			}
-		}
-		out = append(out, x)
 	}
 	return out
 }

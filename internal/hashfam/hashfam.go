@@ -82,15 +82,17 @@ func PositionsMany(f Family, xs []uint64, out []uint64) []uint64 {
 	return out
 }
 
-// RangeProber is implemented by families that can probe a contiguous id
-// range against a bit vector without materializing positions, stopping at
-// each id's first missing bit. It must report exactly the ids for which
-// every position Positions yields is set.
+// RangeProber is implemented by families that can probe an id, or a
+// contiguous range of them, against a bit vector without materializing
+// positions, stopping at each id's first missing bit. It must report
+// exactly the ids for which every position Positions yields is set. In both
+// methods bit p is bit p%64 of words[p/64] and words covers all M() bits.
 type RangeProber interface {
 	Family
-	// AppendPositives appends to out, ascending, every x of [lo, hi) whose
-	// k positions are all set in words, where bit p is bit p%64 of
-	// words[p/64] and words covers all M() bits.
+	// Contains reports whether the k positions of x are all set in words.
+	Contains(words []uint64, x uint64) bool
+	// AppendPositives appends to out, ascending, every x of [lo, hi) that
+	// Contains accepts.
 	AppendPositives(words []uint64, lo, hi uint64, out []uint64) []uint64
 }
 

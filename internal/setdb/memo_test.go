@@ -126,9 +126,15 @@ func TestBatchDrawsMatchSampleScratch(t *testing.T) {
 // the benchmark's batch workload serves (M = 10⁶, 16 keys of 10⁴ ids, the
 // pruned tree of depth 7 with its 127 internal nodes): a served frame of 64
 // draws computes at most one estimate pair per internal node instead of 14
-// a draw, scans exactly the leaves and fires exactly the probes independent
-// draws do, and a reconstruction counts what it counted before the memo
-// and the leaf kernel existed.
+// a draw, on one worker, on two and on sixteen — the memo belongs to the
+// request, not to the worker (with a memo per worker the same frame computed
+// ≈ 190, ≈ 296 and 622–662 estimates at 1, 2 and 16 workers, recorded at
+// the parent commit) — and without allocating the memo's entries again for
+// every request. A draw samples its leaf for ≈ 90 probes where the scan
+// fired 7 812, with the descent above it unchanged; a memoised batch enters
+// exactly the leaves and fires exactly the probes independent draws do; and
+// a reconstruction counts what it counted before the memo, the leaf kernel
+// and the sampled leaf existed.
 func TestBatchPaysForEachEstimateOnce(t *testing.T) {
 	opts, err := PlanOptions(0.9, 10_000, 1_000_000, 3)
 	if err != nil {
@@ -153,13 +159,32 @@ func TestBatchPaysForEachEstimateOnce(t *testing.T) {
 		t.Fatalf("tree depth %d, the gate below is written for 7", d)
 	}
 
-	var served core.Ops
-	ids, err := db.SampleManyWorkers("k3", 64, 1, &served)
-	if err != nil || len(ids) != 64 {
-		t.Fatalf("served frame: %d ids, err %v", len(ids), err)
-	}
-	if served.Intersections > 254 || served.Intersections >= 14*64 {
-		t.Fatalf("a 64-draw frame computed %d estimates; the tree has 2×127 to compute", served.Intersections)
+	for _, workers := range []int{1, 2, 16} {
+		var served core.Ops
+		ids, err := db.SampleManyWorkers("k3", 64, workers, &served)
+		if err != nil || len(ids) != 64 {
+			t.Fatalf("served frame, %d workers: %d ids, err %v", workers, len(ids), err)
+		}
+		if served.Intersections > 254 {
+			t.Fatalf("a 64-draw frame on %d workers computed %d estimates; the tree has 2×127 to compute", workers, served.Intersections)
+		}
+		if served.NodesVisited != 8*64 || served.LeavesScanned != 64 || served.Backtracks != 0 {
+			t.Fatalf("a 64-draw frame on %d workers counted %v", workers, &served)
+		}
+		// The workers, their rngs and the memo with its slab are pooled, so
+		// a frame allocates its fan-out alone: 3 + workers times (8.01 a
+		// call on two workers at the parent commit, in the benchmark's
+		// ledger). The limit leaves room for the pool handing back less
+		// than it was given, as it does under the race detector; an entry
+		// allocated per node would show as 127.
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := db.SampleManyWorkers("k3", 64, workers, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := float64(8 + 5*workers); allocs > limit {
+			t.Fatalf("a 64-draw frame on %d workers allocates %.1f times, want at most %.0f", workers, allocs, limit)
+		}
 	}
 
 	f := db.Filter("k3")
@@ -178,6 +203,11 @@ func TestBatchPaysForEachEstimateOnce(t *testing.T) {
 	if memo.Memberships != indep.Memberships || memo.LeavesScanned != indep.LeavesScanned ||
 		memo.Backtracks != indep.Backtracks || memo.NodesVisited != indep.NodesVisited {
 		t.Fatalf("memoised batch counted %v, independent draws %v", &memo, &indep)
+	}
+	// The expected-cost gate of the sampled leaf: 7 812-id leaves holding
+	// ≈ 87 positives, so ≈ 90 probes a draw where the scan fired 7 812.
+	if indep.Memberships > 400*64 || indep.NodesVisited != 8*64 || indep.LeavesScanned != 64 || indep.Backtracks != 0 {
+		t.Fatalf("64 independent draws counted %v, want 14 estimates, 8 nodes, 1 leaf, no backtrack and at most 400 probes each", &indep)
 	}
 
 	var recon core.Ops

@@ -15,7 +15,8 @@ import (
 // are immutable versions published through atomic shard snapshots and
 // the tree is never mutated in place, so the workers below run genuinely
 // in parallel, each with its own sampleWorker and Ops accumulator, all
-// sharing the same stored filter — with no locks to take at any point.
+// sharing the same stored filter and the request's core.Memo — whose lock
+// covers a table lookup, never a computation, and is the only one taken.
 
 // SampleMany draws n samples from the set under key using up to
 // GOMAXPROCS goroutines. The samples follow the same per-sample
@@ -74,10 +75,11 @@ func (db *DB) SampleManyFrom(f *bloom.Filter, n, workers int, ops *core.Ops) ([]
 // pooled because seeding a math/rand source (607 words, ≈ 12 µs) per
 // worker per request cost more than the rest of the fan-out together; each
 // rng is seeded once, from the global source, when the pool creates it.
+// What the draws of a request learn about the tree is not a worker's to
+// keep: it sits in the request's memo, which every worker is handed.
 type sampleWorker struct {
 	rng     *rand.Rand
-	scratch []uint64  // leaf-scan hits, threaded through every draw
-	memo    core.Memo // child estimates of the batch in progress
+	scratch []uint64 // leaf-scan hits, threaded through every draw
 }
 
 var sampleWorkers = sync.Pool{New: func() any {
@@ -87,20 +89,45 @@ var sampleWorkers = sync.Pool{New: func() any {
 	}
 }}
 
-// draw makes quota independent root-to-leaf draws from f, appending the
-// ids to out and returning how many draws were lost to false-positive
-// paths (core.ErrNoSample). Any other tree error ends the batch. A batch
-// of more than one draw remembers the child estimates it computes: f is
-// pinned and immutable, so the draws after the first mostly read them
-// back, and the batch pays for as many estimates as it touches distinct
-// tree nodes. The ids are exactly what quota SampleScratch calls on the
-// same rng would return. The draw loop itself allocates nothing.
-func (w *sampleWorker) draw(tree *core.Tree, f *bloom.Filter, quota int, ops *core.Ops, out []uint64) (_ []uint64, lost int, err error) {
-	var memo *core.Memo
-	if quota > 1 {
-		memo = &w.memo
-		defer memo.Reset() // nothing remembered outlives the batch
+// requestMemos pools the child-estimate memos, one per request in flight,
+// so a request finds the table and the entry slab of an earlier one.
+var requestMemos = sync.Pool{New: func() any { return new(core.Memo) }}
+
+// getMemo returns the memo the workers of one request of n draws share: the
+// query filter is pinned and immutable, so the draws after the first
+// mostly read the child estimates back, and the request pays for as many
+// estimates as it touches distinct tree nodes, whatever its worker count.
+// A single draw has nothing to share and gets nil. putMemo takes the memo
+// back once every worker has returned; nothing remembered outlives the
+// request.
+func getMemo(n int) *core.Memo {
+	if n <= 1 {
+		return nil
 	}
+	return requestMemos.Get().(*core.Memo)
+}
+
+func putMemo(memo *core.Memo) {
+	if memo != nil {
+		memo.Reset()
+		requestMemos.Put(memo)
+	}
+}
+
+// draw is a whole request on one worker: drawShared under a memo of its own.
+func (w *sampleWorker) draw(tree *core.Tree, f *bloom.Filter, quota int, ops *core.Ops, out []uint64) (_ []uint64, lost int, err error) {
+	memo := getMemo(quota)
+	defer putMemo(memo)
+	return w.drawShared(tree, f, quota, ops, out, memo)
+}
+
+// drawShared makes quota independent root-to-leaf draws from f through the
+// request's memo (nil for none), appending the ids to out and returning how
+// many draws were lost to false-positive paths (core.ErrNoSample). Any
+// other tree error ends the worker's share. The ids are exactly what quota
+// SampleScratch calls on the same rng would return. The draw loop itself
+// allocates nothing.
+func (w *sampleWorker) drawShared(tree *core.Tree, f *bloom.Filter, quota int, ops *core.Ops, out []uint64, memo *core.Memo) (_ []uint64, lost int, err error) {
 	for i := 0; i < quota; i++ {
 		var x uint64
 		x, w.scratch, err = tree.SampleMemo(f, w.rng, ops, w.scratch, memo)
@@ -148,6 +175,7 @@ func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) (
 		err  error
 	}
 	results := make([]result, workers)
+	memo := getMemo(n)
 	var wg sync.WaitGroup
 	start := 0
 	for w := 0; w < workers; w++ {
@@ -165,11 +193,12 @@ func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) (
 				wops = &res.ops
 			}
 			sw := sampleWorkers.Get().(*sampleWorker)
-			res.xs, res.lost, res.err = sw.draw(db.tree, f, quota, wops, window)
+			res.xs, res.lost, res.err = sw.drawShared(db.tree, f, quota, wops, window, memo)
 			sampleWorkers.Put(sw)
 		}()
 	}
 	wg.Wait()
+	putMemo(memo)
 
 	var firstErr error
 	lost := 0
