@@ -244,6 +244,40 @@ func (s *Set) AndCount(t *Set) uint64 {
 	return c
 }
 
+// andStride is the number of words AndCountAtLeast counts between two looks
+// at its running total: long enough that the comparison is lost beside the
+// popcounts, short enough that a threshold met early is noticed early.
+const andStride = 8
+
+// AndCountAtLeast reports whether popcount(s AND t) ≥ need — AndCount(t) ≥
+// need — stopping at the first stride boundary where the running count
+// reaches need, so a threshold far below the count costs a fraction of the
+// pass and only a count that falls short costs all of it. It panics if the
+// lengths differ.
+func (s *Set) AndCountAtLeast(t *Set, need uint64) bool {
+	reached, _ := s.andCountAtLeast(t, need)
+	return reached
+}
+
+// andCountAtLeast is AndCountAtLeast, also returning the words it read of
+// each vector.
+func (s *Set) andCountAtLeast(t *Set, need uint64) (reached bool, read int) {
+	s.checkSameLen(t)
+	a, b := s.words, t.words[:len(s.words)]
+	var c uint64
+	i := 0
+	for ; c < need && i+andStride <= len(a); i += andStride {
+		x, y := a[i:i+andStride], b[i:i+andStride]
+		for j := range x {
+			c += uint64(bits.OnesCount64(x[j] & y[j]))
+		}
+	}
+	for ; c < need && i < len(a); i++ {
+		c += uint64(bits.OnesCount64(a[i] & b[i]))
+	}
+	return c >= need, i
+}
+
 // AndAny reports whether s AND t has at least one set bit, short-circuiting
 // on the first non-zero word. It panics if the lengths differ.
 func (s *Set) AndAny(t *Set) bool {

@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -149,6 +150,60 @@ func TestAndCountAndAny(t *testing.T) {
 	if !a.AndAny(b) {
 		t.Fatal("AndAny = false with shared bit")
 	}
+}
+
+// TestAndCountAtLeastMatchesAndCount holds the early-exit count to the
+// full one on random vectors of every density, whose word counts are not
+// multiples of the stride (and one shorter than a stride), at the
+// thresholds where the verdict turns — and pins what it is allowed to
+// read: nothing for a threshold of zero, everything when the count falls
+// short, and otherwise the words up to the first stride boundary (or, in
+// the last partial stride, the first word) at which the running count
+// arrives. The tree's words-read gate (core) is computed from that rule.
+func TestAndCountAtLeastMatchesAndCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []uint64{1, 64, 300, 64*andStride - 1, 64 * andStride, 64*andStride + 1, 64*19 + 7, 273_404} {
+		for _, fill := range []float64{0, 0.02, 0.5, 1} {
+			a, b := New(n), New(n)
+			for i := uint64(0); i < n; i++ {
+				if rng.Float64() < fill {
+					a.Set(i)
+				}
+				if rng.Float64() < fill {
+					b.Set(i)
+				}
+			}
+			count := a.AndCount(b)
+			for _, need := range []uint64{0, 1, count / 2, count, count + 1, n + 1} {
+				reached, read := a.andCountAtLeast(b, need)
+				if reached != (count >= need) || a.AndCountAtLeast(b, need) != reached {
+					t.Fatalf("n=%d fill=%v: AndCountAtLeast(%d) = %v with AndCount = %d", n, fill, need, reached, count)
+				}
+				// The count is looked at after every whole stride, then
+				// after every word of the partial stride at the end.
+				want, running := 0, uint64(0)
+				for want < a.Words() && running < need {
+					step := 1
+					if want+andStride <= a.Words() {
+						step = andStride
+					}
+					for ; step > 0; step-- {
+						running += uint64(bits.OnesCount64(a.words[want] & b.words[want]))
+						want++
+					}
+				}
+				if read != want {
+					t.Fatalf("n=%d fill=%v need=%d of %d: read %d of %d words, want %d", n, fill, need, count, read, a.Words(), want)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AndCountAtLeast with mismatched length did not panic")
+		}
+	}()
+	New(10).AndCountAtLeast(New(11), 1)
 }
 
 func TestLengthMismatchPanics(t *testing.T) {

@@ -1,6 +1,9 @@
 package bloom
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // FalsePositiveRate returns the standard Bloom-filter false-positive
 // probability (1 − e^{−kn/m})^k for a filter of m bits, k hash functions
@@ -105,12 +108,79 @@ func EstimateIntersection(m uint64, k int, t1, t2, tand uint64) float64 {
 // immutable filters of a tree and a pinned query they are O(1). A zero
 // AND — the common case at the sparse lower levels of a BloomSampleTree
 // descent — returns 0 without asking for them at all.
+//
+// Its callers are the ones that use the value: a sampling descent weighs a
+// node's two children by their estimates (every backend's
+// IntersectionEstimate is this function), and the database's
+// set-intersection query returns it. A caller that only compares the
+// estimate with a threshold — reconstruction's pruning — asks
+// IntersectionAtLeast, which seldom needs the whole pass.
 func EstimateIntersectionOf(a, b *Filter) float64 {
 	tand := a.bits.AndCount(b.bits)
 	if tand == 0 {
 		return 0
 	}
 	return EstimateIntersection(a.M(), a.K(), a.bits.Count(), b.bits.Count(), tand)
+}
+
+// IntersectionAtLeast reports whether EstimateIntersectionOf(a, b) ≥ thr —
+// §5.6's "is this intersection empty?" — for the price of the verdict
+// instead of the estimate. t1 and t2 are O(1) and, while t1 + t2 ≤ m, the
+// estimate is non-decreasing in t∧ over every value the AND-popcount can
+// take (see intersectionNeed), so the verdict is a test on t∧ alone: the
+// smallest t∧ whose estimate reaches thr is worked out first, and the
+// popcount stops as soon as it gets there (bitset.AndCountAtLeast). For a
+// small threshold that count is about t1·t2/m, what two unrelated filters
+// would share by chance — the estimator measures the excess over it — so a
+// live branch of a BloomSampleTree is decided where its shared bits pass
+// the chance level (two thirds of the way through the vectors for a
+// tenth-full query against the nodes that hold its ids), and only a branch
+// about to be pruned is counted to the end. Callers that need the value —
+// a sampling descent weighs its two children by it — call
+// EstimateIntersectionOf. Read-only on both filters and safe for
+// unsynchronized concurrent callers.
+func IntersectionAtLeast(a, b *Filter, thr float64) bool {
+	m, t1, t2 := a.M(), a.bits.Count(), b.bits.Count()
+	if t1+t2 > m {
+		// Two filters this full share bits by pigeonhole, and at the
+		// fewest they can share the estimator's denominator is zero and
+		// its safety net answers: no single bound on t∧ decides. Decide on
+		// the value.
+		return EstimateIntersectionOf(a, b) >= thr
+	}
+	need := intersectionNeed(m, a.K(), t1, t2, thr)
+	return need <= min(t1, t2) && a.bits.AndCountAtLeast(b.bits, need)
+}
+
+// intersectionNeed returns, for set-bit counts with t1 + t2 ≤ m, the
+// smallest t∧ in [0, min(t1, t2)] for which EstimateIntersection(m, k, t1,
+// t2, t∧) ≥ thr, and min(t1, t2) + 1 when none is. Every larger t∧ reaches
+// thr too: the estimate is 0 at t∧ = 0; above it the quotient (t∧·m −
+// t1·t2)/(m − t1 − t2 + t∧) has a positive denominator and the derivative
+// (m − t1)(m − t2)/(m − t1 − t2 + t∧)² ≥ 0, the estimate grows with the
+// quotient through each of its clamps, and the saturated branch does not
+// look at t∧ at all.
+//
+// So the answer is the one t∧ whose estimate reaches thr while its
+// predecessor's does not, and EstimateIntersection itself is the judge of
+// that: the estimator solved for t∧ only proposes the candidate — two
+// evaluations when it is right, which away from saturation it is — and
+// when it is not, a bisection of the same predicate finds it.
+func intersectionNeed(m uint64, k int, t1, t2 uint64, thr float64) uint64 {
+	most := min(t1, t2)
+	reaches := func(tand uint64) bool { return EstimateIntersection(m, k, t1, t2, tand) >= thr }
+
+	// Ŝ⁻¹ ≥ thr ⇔ the formula's inner term ≤ m·(1 − 1/m)^(k·thr) = z ⇔
+	// t∧ ≥ (t1·t2 + (m − z)(m − t1 − t2))/z: for a small threshold, a
+	// little above the t1·t2/m that chance alone makes two filters share.
+	mf := float64(m)
+	z := mf * math.Exp(float64(k)*thr*math.Log1p(-1/mf))
+	if guess := math.Ceil((float64(t1)*float64(t2) + (mf-z)*(mf-float64(t1)-float64(t2))) / z); guess >= 0 && guess <= float64(most) {
+		if g := uint64(guess); reaches(g) && (g == 0 || !reaches(g-1)) {
+			return g
+		}
+	}
+	return uint64(sort.Search(int(most)+1, func(tand int) bool { return reaches(uint64(tand)) }))
 }
 
 // Accuracy returns the paper's accuracy measure (§5.4)

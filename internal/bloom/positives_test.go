@@ -105,6 +105,13 @@ func FuzzAppendPositives(f *testing.F) {
 	f.Add(uint64(1000), uint8(3), uint64(1), uint64(0), uint16(200))
 	f.Add(uint64(4099), uint8(16), uint64(2), uint64(1<<40), uint16(65))
 	f.Add(uint64(2), uint8(1), uint64(3), uint64(63), uint16(2))
+	// The fast family sieves 64 ids at a time: ranges that start off a
+	// block boundary, end inside a block, and are shorter than one. (A
+	// filter of more than 2³² bits is beyond a fuzz target; the reduction's
+	// large moduli are hashfam's FuzzFastReduce's.)
+	f.Add(uint64(27_392), uint8(3), uint64(4), uint64(37), uint16(200))
+	f.Add(uint64(60_001), uint8(2), uint64(5), uint64(1<<33+65), uint16(127))
+	f.Add(uint64(513), uint8(7), uint64(6), uint64(100), uint16(31))
 	f.Fuzz(func(t *testing.T, m uint64, k uint8, seed, lo uint64, length uint16) {
 		m = 2 + m%(1<<16)
 		lo %= 1 << 62

@@ -29,7 +29,10 @@ const (
 // tree's namespace — by the recursive traversal of §6: subtrees whose
 // intersection with q is deemed empty under the given rule are pruned; at
 // the leaves the surviving ranges are brute-force checked and the
-// positives unioned. The result is in ascending order.
+// positives unioned. The result is in ascending order. Under
+// PruneByEstimate "deemed empty" is §5.6's threshold on the estimated
+// intersection size, decided per child as a verdict without computing the
+// estimate (childAlive); the decisions are those of the comparison.
 //
 // On a pruned tree the reconstruction is restricted to the occupied
 // portion of the namespace, which is exactly the §8 setting.
@@ -41,7 +44,15 @@ func (t *Tree) Reconstruct(q *bloom.Filter, rule PruneRule, ops *Ops) ([]uint64,
 	if root == nil {
 		return nil, nil
 	}
-	return t.reconstructNode(root, q, rule, ops, nil), nil
+	// The answer holds about n̂ ids plus the filter's false positives; sized
+	// once from the cardinality estimate (O(1): the popcount is remembered)
+	// it is not regrown, and copied, a dozen times on the way there.
+	var out []uint64
+	if est := q.EstimateCardinality(); est < float64(t.cfg.Namespace) {
+		n := int(est)
+		out = make([]uint64, 0, n+n/8+64)
+	}
+	return t.reconstructNode(root, q, rule, ops, out), nil
 }
 
 func (t *Tree) reconstructNode(n *node, q *bloom.Filter, rule PruneRule, ops *Ops, out []uint64) []uint64 {
@@ -61,7 +72,13 @@ func (t *Tree) reconstructNode(n *node, q *bloom.Filter, rule PruneRule, ops *Op
 	return out
 }
 
-// childAlive applies the prune rule to one child.
+// childAlive applies the prune rule to one child. Neither rule needs the
+// size of the intersection: PruneByAndBits stops at the first shared bit,
+// and PruneByEstimate is §5.6's threshold read as a test on t∧ — the
+// AND-popcount is taken only as far as the count at which the estimate
+// reaches EmptyThreshold (bloom.IntersectionAtLeast), which a live branch
+// gets to before the end of the vectors. Either way it is one intersection
+// in Ops.
 func (t *Tree) childAlive(child *node, q *bloom.Filter, rule PruneRule, ops *Ops) bool {
 	if ops != nil {
 		ops.Intersections++
@@ -69,5 +86,5 @@ func (t *Tree) childAlive(child *node, q *bloom.Filter, rule PruneRule, ops *Ops
 	if rule == PruneByAndBits {
 		return child.filter().IntersectsAny(q)
 	}
-	return child.filter().IntersectionEstimate(q) >= t.cfg.EmptyThreshold
+	return bloom.IntersectionAtLeast(child.filter().QueryView(), q, t.cfg.EmptyThreshold)
 }

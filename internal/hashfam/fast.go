@@ -5,8 +5,13 @@ import "math/bits"
 // The fast family: one 128-bit multiply-fold mix per key, split into k
 // indices via enhanced double hashing. This is the hardware-friendly
 // default the hot probe path runs on — every membership probe during
-// sampling descent, reconstruction and intersection estimation bottoms
-// out in Positions, so its cost multiplies through the whole system.
+// sampling descent and reconstruction bottoms out in its position
+// sequence, so its cost multiplies through the whole system. The sequence
+// has one definition — Mix128's two folds, fastReduce, fastStep, a stride
+// that wraps at m — in three shapes: Positions and PositionsMany store it,
+// Contains tests it position by position and stops at the first clear bit,
+// and AppendPositives sieves a range by first position before it looks at
+// the rest. Nothing on the path divides or branches on where a hash fell.
 //
 // The mix is wyhash/xxh3-style: the key's 8-byte little-endian encoding
 // is folded through two 64×64→128-bit multiplies (bits.Mul64 compiles to
@@ -49,15 +54,41 @@ func mixSecond(h1, x, seed uint64) uint64 {
 }
 
 // fastFamily derives k Bloom-filter positions from one Mix128 call per
-// key via double hashing.
+// key via double hashing: doublePositions' sequence, reduced by fastReduce.
 type fastFamily struct {
 	m    uint64
+	inv  uint64 // ⌊(2⁶⁴−1)/m⌋, fastReduce's reciprocal
 	k    int
 	seed uint64
 }
 
 func newFast(m uint64, k int, seed uint64) *fastFamily {
-	return &fastFamily{m: m, k: k, seed: seed}
+	return &fastFamily{m: m, inv: fastReciprocal(m), k: k, seed: seed}
+}
+
+// fastReciprocal returns the inv fastReduce divides by m with.
+func fastReciprocal(m uint64) uint64 { return ^uint64(0) / m }
+
+// fastReduce returns h mod m, for every h and every m ≥ 2, without a
+// divide: the one reduction every position of the family goes through, so
+// a hardware divide (tens of cycles, unpipelined) never sits under a
+// probe. With 2⁶⁴−1 = inv·m + e, 0 ≤ e < m, the estimate q = ⌊h·inv/2⁶⁴⌋
+// falls short of h/m by h/2⁶⁴ · (1+e)/m < 1, so q is the quotient or one
+// less, h − q·m lies in [0, 2m) — below 2⁶⁴, being at most h — and one
+// conditional subtraction finishes.
+func fastReduce(h, m, inv uint64) uint64 {
+	q, _ := bits.Mul64(h, inv)
+	r := h - q*m
+	return wrap(r, m)
+}
+
+// fastStep is doubleStep through fastReduce.
+func fastStep(h2, m, inv uint64) uint64 {
+	step := fastReduce(h2|1, m, inv)
+	if step == 0 {
+		step = 1
+	}
+	return step
 }
 
 func (f *fastFamily) Kind() Kind   { return KindFast }
@@ -67,7 +98,7 @@ func (f *fastFamily) Seed() uint64 { return f.seed }
 
 func (f *fastFamily) Positions(x uint64, out []uint64) []uint64 {
 	h1, h2 := Mix128(x, f.seed)
-	return doublePositions(h1, h2, f.m, f.k, out)
+	return stridePositions(fastReduce(h1, f.m, f.inv), fastStep(h2, f.m, f.inv), f.m, f.k, out)
 }
 
 // PositionsMany hashes every key of xs in one call, appending k positions
@@ -76,10 +107,10 @@ func (f *fastFamily) Positions(x uint64, out []uint64) []uint64 {
 // (leaf scans, batch ingest) amortize all per-call overhead across the
 // batch.
 func (f *fastFamily) PositionsMany(xs []uint64, out []uint64) []uint64 {
-	m, k, seed := f.m, f.k, f.seed
+	m, inv, k, seed := f.m, f.inv, f.k, f.seed
 	for _, x := range xs {
 		h1, h2 := Mix128(x, seed)
-		out = doublePositions(h1, h2, m, k, out)
+		out = stridePositions(fastReduce(h1, m, inv), fastStep(h2, m, inv), m, k, out)
 	}
 	return out
 }
@@ -88,29 +119,22 @@ func (f *fastFamily) PositionsMany(xs []uint64, out []uint64) []uint64 {
 // to the first position and test that bit; only an id that passes pays for
 // the second fold and its other k−1 positions, each tested as it is
 // derived. A query filter is mostly zeros (a filter planned for accuracy
-// 0.9 is about a tenth full), so nine ids in ten cost one multiply, one
-// modulo and one load, and no position is ever stored. The positions are
-// doublePositions', in its order.
+// 0.9 is about a tenth full), so nine ids in ten cost two multiplies for
+// the mix, two for the reduction and one load, and no position is ever
+// stored. The positions are Positions', in its order.
 func (f *fastFamily) Contains(words []uint64, x uint64) bool {
-	h1, pos, set := firstSet(words, x, f.m, f.seed)
-	return set && strideSet(words, pos, doubleStep(mixSecond(h1, x, f.seed), f.m), f.m, f.k)
+	h1 := mixFirst(x, f.seed)
+	pos := fastReduce(h1, f.m, f.inv)
+	return words[pos/64]&(1<<(pos%64)) != 0 &&
+		strideSet(words, pos, fastStep(mixSecond(h1, x, f.seed), f.m, f.inv), f.m, f.k)
 }
 
-// firstSet tests the first position of x, and strideSet positions 2..k of
-// the double-hashing sequence that starts there. Contains is written as the
-// two so that each is small enough to inline into the range scan's loop.
-func firstSet(words []uint64, x, m, seed uint64) (h1, pos uint64, set bool) {
-	h1 = mixFirst(x, seed)
-	pos = h1 % m
-	return h1, pos, words[pos/64]&(1<<(pos%64)) != 0
-}
-
+// strideSet tests positions 2..k of the double-hashing sequence that starts
+// at pos, each as it is derived. It is small enough to inline into the
+// range scan's loop.
 func strideSet(words []uint64, pos, step, m uint64, k int) bool {
 	for i := 1; i < k; i++ {
-		pos += step
-		if pos >= m {
-			pos -= m
-		}
+		pos = wrap(pos+step, m)
 		if words[pos/64]&(1<<(pos%64)) == 0 {
 			return false
 		}
@@ -118,17 +142,47 @@ func strideSet(words []uint64, pos, step, m uint64, k int) bool {
 	return true
 }
 
-// AppendPositives is the leaf scan fused into one loop: Contains, inlined,
-// for each id of [lo, hi).
+// sieveBlock is the number of ids the range scan sieves at a time: one
+// mask word's worth.
+const sieveBlock = 64
+
+// AppendPositives is the leaf scan in two phases over blocks of sieveBlock
+// ids. firstMask sieves a block by first position alone, with no branch
+// that depends on the data; then only the ids it let through — about the
+// filter's fill ratio, a tenth — are walked, ascending, through the second
+// fold and the other k−1 positions, as Contains does. One loop doing both
+// mispredicts its "first bit set?" branch for that tenth, and a miss costs
+// more than the probe.
 func (f *fastFamily) AppendPositives(words []uint64, lo, hi uint64, out []uint64) []uint64 {
-	m, k, seed := f.m, f.k, f.seed
-	for x := lo; x < hi; x++ {
-		h1, pos, set := firstSet(words, x, m, seed)
-		if set && strideSet(words, pos, doubleStep(mixSecond(h1, x, seed), m), m, k) {
-			out = append(out, x)
+	m, inv, k, seed := f.m, f.inv, f.k, f.seed
+	for ; lo < hi; lo += sieveBlock {
+		n := int(min(sieveBlock, hi-lo))
+		for mask := firstMask(words, lo, n, m, inv, seed); mask != 0; mask &= mask - 1 {
+			x := lo + uint64(bits.TrailingZeros64(mask))
+			h1 := mixFirst(x, seed)
+			if strideSet(words, fastReduce(h1, m, inv), fastStep(mixSecond(h1, x, seed), m, inv), m, k) {
+				out = append(out, x)
+			}
 		}
 	}
 	return out
+}
+
+// firstMask returns the mask whose bit i says that the first position of
+// id lo+i, i < n ≤ 64, is set in words: mix, reduce, load, shift-or, and
+// no branch on what was loaded. It is kept out of line on purpose: on its
+// own the loop keeps m, inv, seed and the mask in registers, which inside
+// AppendPositives' loop nest, beside out and the walk's temporaries, they
+// do not.
+//
+//go:noinline
+func firstMask(words []uint64, lo uint64, n int, m, inv, seed uint64) uint64 {
+	var mask uint64
+	for i := n - 1; i >= 0; i-- {
+		pos := fastReduce(mixFirst(lo+uint64(i), seed), m, inv)
+		mask = mask<<1 | words[pos/64]>>(pos%64)&1
+	}
+	return mask
 }
 
 var (

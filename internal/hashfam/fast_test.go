@@ -1,6 +1,8 @@
 package hashfam
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/stats"
@@ -27,6 +29,65 @@ func TestMix128Vectors(t *testing.T) {
 			t.Fatalf("Mix128(%#x, %#x) = %#x,%#x want %#x,%#x", c.x, c.seed, h1, h2, c.h1, c.h2)
 		}
 	}
+}
+
+// TestFastReduceIsExact holds the reciprocal reduction to the hardware
+// remainder: every position of every fast-family filter ever persisted was
+// derived with h % m, so a single disagreement would orphan stored bits.
+// The moduli are the smallest, powers of two and their neighbours (where
+// ⌊(2⁶⁴−1)/m⌋ is exact, one short and one over), two planned filter sizes,
+// one just above 2³², and the largest, for which the reciprocal is 1; the
+// hashes are both ends, every multiple of m the quotient estimate could
+// fall short at, and a million random ones.
+func TestFastReduceIsExact(t *testing.T) {
+	moduli := []uint64{2, 3, 27_392, 273_404, 273_408, 1<<63 + 1, 1<<64 - 1}
+	for j := uint(1); j < 64; j++ {
+		moduli = append(moduli, 1<<j-1, 1<<j, 1<<j+1)
+	}
+	rng := rand.New(rand.NewSource(15))
+	for _, m := range moduli {
+		if m < 2 {
+			continue
+		}
+		inv := fastReciprocal(m)
+		top := ^uint64(0) / m // the largest quotient
+		hashes := []uint64{0, 1, m - 1, m, m + 1, top*m - 1, top * m, top*m + (m - 1), 1<<64 - 1}
+		for i := 0; i < 1000; i++ {
+			q := 1 + rng.Uint64()%top
+			hashes = append(hashes, q*m-1, q*m, rng.Uint64())
+		}
+		for _, h := range hashes {
+			if got := fastReduce(h, m, inv); got != h%m {
+				t.Fatalf("fastReduce(%d, m=%d) = %d, want %d", h, m, got, h%m)
+			}
+		}
+	}
+	for i := 0; i < 1_000_000; i++ {
+		h, m := rng.Uint64(), rng.Uint64()>>(rng.Uint64()%63)
+		if m < 2 {
+			continue
+		}
+		if got := fastReduce(h, m, fastReciprocal(m)); got != h%m {
+			t.Fatalf("fastReduce(%d, m=%d) = %d, want %d", h, m, got, h%m)
+		}
+	}
+}
+
+func FuzzFastReduce(f *testing.F) {
+	f.Add(uint64(0), uint64(2))
+	f.Add(uint64(1<<64-1), uint64(3))
+	f.Add(uint64(1<<64-1), uint64(1<<64-1))
+	f.Add(uint64(273_404*977-1), uint64(273_404))
+	f.Add(uint64(1<<63), uint64(1<<63+1))
+	f.Add(uint64(1<<40+12345), uint64(1<<32+15))
+	f.Fuzz(func(t *testing.T, h, m uint64) {
+		if m < 2 {
+			return
+		}
+		if got := fastReduce(h, m, fastReciprocal(m)); got != h%m {
+			t.Fatalf("fastReduce(%d, m=%d) = %d, want %d", h, m, got, h%m)
+		}
+	})
 }
 
 func TestDefaultKindIsFast(t *testing.T) {
@@ -142,6 +203,37 @@ func BenchmarkPositionsMany(b *testing.B) {
 				out = PositionsMany(f, xs, out[:0])
 			}
 			_ = out
+		})
+	}
+}
+
+// BenchmarkFastRangeScan times the fast family's leaf scan over a filter a
+// tenth full, on a fresh range every iteration (a repeated range is learnt
+// by the branch predictor and flatters any branchy loop), for two planned
+// filter sizes: fastReduce's quotient estimate is one short for about
+// (1 + (2⁶⁴−1) mod m)/2m of the hashes — 45 % of them at m = 27 341, 1 % at
+// m = 273 404 — so a correction compiled to a branch is fast for one and
+// slow for the other. The two should read alike.
+func BenchmarkFastRangeScan(b *testing.B) {
+	for _, m := range []uint64{27_341, 273_404} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			const span = 7812
+			f := MustNew(KindFast, m, 3, 1).(RangeProber)
+			words := make([]uint64, (m+63)/64)
+			var pos []uint64
+			for x := uint64(0); x < m/27; x++ {
+				pos = f.Positions(x*97, pos[:0])
+				for _, p := range pos {
+					words[p/64] |= 1 << (p % 64)
+				}
+			}
+			out := make([]uint64, 0, span)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := uint64(i%1024) * span
+				out = f.AppendPositives(words, lo, lo+span, out[:0])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/span, "ns/id")
 		})
 	}
 }

@@ -16,6 +16,7 @@ package hashfam
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // Kind identifies a hash-function family.
@@ -84,15 +85,18 @@ func PositionsMany(f Family, xs []uint64, out []uint64) []uint64 {
 
 // RangeProber is implemented by families that can probe an id, or a
 // contiguous range of them, against a bit vector without materializing
-// positions, stopping at each id's first missing bit. It must report
-// exactly the ids for which every position Positions yields is set. In both
-// methods bit p is bit p%64 of words[p/64] and words covers all M() bits.
+// positions, looking no further into an id's positions than its first
+// missing bit. It must report exactly the ids for which every position
+// Positions yields is set. In both methods bit p is bit p%64 of words[p/64]
+// and words covers all M() bits.
 type RangeProber interface {
 	Family
 	// Contains reports whether the k positions of x are all set in words.
 	Contains(words []uint64, x uint64) bool
 	// AppendPositives appends to out, ascending, every x of [lo, hi) that
-	// Contains accepts.
+	// Contains accepts. How it orders the work is its own business — the
+	// fast family tests the first position of a block of ids before the
+	// later positions of any of them.
 	AppendPositives(words []uint64, lo, hi uint64, out []uint64) []uint64
 }
 
@@ -165,15 +169,24 @@ func splitmix64(x uint64) uint64 {
 // hashing: pos_i = (h1 + i·h2) mod m, with h2 forced odd so that the probe
 // sequence cycles through many residues even for composite m.
 func doublePositions(h1, h2, m uint64, k int, out []uint64) []uint64 {
-	h1 %= m
-	h2 = doubleStep(h2, m)
-	pos := h1
+	return stridePositions(h1%m, doubleStep(h2, m), m, k, out)
+}
+
+// stridePositions appends the k positions of the sequence that starts at
+// pos < m and advances by step < m, modulo m.
+func stridePositions(pos, step, m uint64, k int, out []uint64) []uint64 {
 	for i := 0; i < k; i++ {
 		out = append(out, pos)
-		pos += h2
-		if pos >= m {
-			pos -= m
-		}
+		pos = wrap(pos+step, m)
 	}
 	return out
+}
+
+// wrap returns r mod m for r < 2m: r − m when r ≥ m, r otherwise. Which
+// side of m a hashed position falls is a coin toss no branch predictor
+// wins — and an "if", or min(r, r−m), compiles to a branch — so m is
+// added back under the mask of the subtraction's borrow instead.
+func wrap(r, m uint64) uint64 {
+	d, borrow := bits.Sub64(r, m, 0)
+	return d + m&-borrow
 }

@@ -63,6 +63,17 @@ func dynUnchanged(t *testing.T, db *setdb.DB) {
 	}
 }
 
+// brimStraddlesTheCap is the premise of the "brim" row: estimated at or
+// under MaxBatch, reconstructed above it.
+func brimStraddlesTheCap(t *testing.T, db *setdb.DB) {
+	t.Helper()
+	est := db.Filter("brim").EstimateCardinality()
+	ids, err := db.Reconstruct("brim", 0, nil)
+	if limit := behaviourLimits.MaxBatch; err != nil || est > float64(limit) || len(ids) <= limit {
+		t.Errorf("brim is estimated at %.1f and reconstructs to %d ids (err %v); the row needs MaxBatch = %d between the two", est, len(ids), err, limit)
+	}
+}
+
 var behaviourRows = []behaviourRow{
 	// The served paths.
 	{name: "sample", call: behaviourCall{op: "sample", key: "plain", n: 10}, want: 200},
@@ -117,6 +128,10 @@ var behaviourRows = []behaviourRow{
 	// "plain" holds 256 ids, estimated above MaxBatch.
 	{name: "reconstruct over the cap", call: behaviourCall{op: "reconstruct", key: "plain"}, want: 413},
 
+	// "brim" holds 102 ids its filter estimates at 99.6: under MaxBatch by
+	// the estimate, over it by what the walk returns. The cap is on the reply.
+	{name: "reconstruct reply over the cap", call: behaviourCall{op: "reconstruct", key: "brim"}, want: 413, check: brimStraddlesTheCap},
+
 	// Durability operations on a server that has no WAL.
 	{name: "snapshot without a WAL", call: behaviourCall{op: "snapshot"}, want: 400},
 	{name: "bad restore bundle", call: behaviourCall{op: "restore", bundle: []byte("not a bundle")}, want: 400},
@@ -126,9 +141,17 @@ var behaviourRows = []behaviourRow{
 type behaviourDriver func(t *testing.T, row int, c behaviourCall) int
 
 // runBehaviourSuite serves the shared fixture (plus "dyn2", a dynamic
-// set the remove row may shrink) through driver and checks every row.
+// set the remove row may shrink, and "brim", the set that straddles the
+// reconstruction cap) through driver and checks every row.
 func runBehaviourSuite(t *testing.T, db *setdb.DB, driver behaviourDriver) {
 	if err := db.AddDynamic("dyn2", 7, 8, 9); err != nil {
+		t.Fatal(err)
+	}
+	brim := idRange(102)
+	for i := range brim {
+		brim[i] *= 35
+	}
+	if err := db.Add("brim", brim...); err != nil {
 		t.Fatal(err)
 	}
 	for i, row := range behaviourRows {

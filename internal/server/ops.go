@@ -264,19 +264,32 @@ type ReconstructResponse struct {
 
 // reconstruct pins the published filter version, bounds the response (a
 // reconstruction buffers the whole set in memory, so it obeys the same
-// cap as a buffered sample batch) and walks the tree.
+// cap as a buffered sample batch) and walks the tree. The cap is checked
+// twice: on the cardinality estimate, so that a set far over it is refused
+// before the walk is paid for, and on the ids the walk returned, which
+// hold the filter's false positives too and are what the cap promises to
+// bound.
 func (s *Server) reconstruct(req ReconstructRequest) (ReconstructResponse, error) {
 	db := s.DB()
 	f, err := pinned(db, req.Key, req.Dynamic)
 	if err != nil {
 		return ReconstructResponse{}, err
 	}
-	if est := f.EstimateCardinality(); est > float64(s.cfg.MaxBatch) {
-		return ReconstructResponse{}, errf(http.StatusRequestEntityTooLarge,
-			"set %q holds an estimated %.0f elements, above the %d reconstruction limit", req.Key, est, s.cfg.MaxBatch)
+	overCap := func(n float64) error {
+		if n <= float64(s.cfg.MaxBatch) {
+			return nil
+		}
+		return errf(http.StatusRequestEntityTooLarge,
+			"set %q reconstructs to %.0f ids, above the %d reconstruction limit", req.Key, n, s.cfg.MaxBatch)
+	}
+	if err := overCap(f.EstimateCardinality()); err != nil {
+		return ReconstructResponse{}, err
 	}
 	ids, err := db.Tree().Reconstruct(f, core.PruneByEstimate, nil)
 	if err != nil {
+		return ReconstructResponse{}, err
+	}
+	if err := overCap(float64(len(ids))); err != nil {
 		return ReconstructResponse{}, err
 	}
 	if ids == nil {
