@@ -62,6 +62,7 @@ func runStats(args []string) {
 		[2]string{"tree", fmt.Sprintf("%d nodes, %.1f MB", st.DB.TreeNodes, float64(st.DB.TreeMemoryBytes)/(1<<20))},
 		[2]string{"writes", fmt.Sprintf("%d (%d publishes, %.0f B copied/write)", st.DB.StateWrites, st.DB.StatePublishes, st.DB.MeanBytesCopiedPerWrite)},
 		[2]string{"sample draws lost", num(st.DB.SampleDrawsLost)},
+		[2]string{"estimates", fmt.Sprintf("%d computed, %d remembered", st.DB.EstimatesComputed, st.DB.EstimatesRemembered)},
 		[2]string{"generations", num(st.DB.Generations)},
 		[2]string{"growth epoch", num(st.DB.GrowthEpoch)},
 		[2]string{"backend", fmt.Sprintf("%s: %d entries, %.1f bits/entry", st.DB.Backend.Kind, st.DB.Backend.Entries, st.DB.Backend.BitsPerEntry)},

@@ -141,3 +141,54 @@ func TestCountingSnapshotCache(t *testing.T) {
 		t.Fatal("snapshot after Remove still contains removed element")
 	}
 }
+
+// TestDerivedLivesWithTheBits pins the life of the derived slot: the first
+// value attached wins, it stays while the filter is only read, every
+// in-place mutator drops it, and no copy — Clone, CloneAdd (even the one
+// that shares the bit vector), Union — takes it along.
+func TestDerivedLivesWithTheBits(t *testing.T) {
+	fam := cowFam(t)
+	type tag struct{ n int }
+	first := &tag{1}
+	mutators := map[string]func(f *Filter){
+		"Add":        func(f *Filter) { f.Add(9) },
+		"AddScratch": func(f *Filter) { f.AddScratch(9, nil) },
+		"AddMany":    func(f *Filter) { f.AddMany([]uint64{9, 10}) },
+		"Reset":      func(f *Filter) { f.Reset() },
+		"UnionWith": func(f *Filter) {
+			if err := f.UnionWith(NewFromElements(fam, []uint64{9})); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, mutate := range mutators {
+		f := NewFromElements(fam, []uint64{1, 2, 3})
+		if f.Derived() != nil {
+			t.Fatal("a new filter carries a derived value")
+		}
+		if got := f.AttachDerived(first); got != first {
+			t.Fatalf("the first attach returned %v", got)
+		}
+		if got := f.AttachDerived(&tag{2}); got != first || f.Derived() != first {
+			t.Fatalf("a second attach displaced the first: %v", got)
+		}
+		union, err := f.Union(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for copyName, c := range map[string]*Filter{"Clone": f.Clone(), "CloneAdd": f.CloneAdd(1), "CloneAdd of new ids": f.CloneAdd(77), "Union": union} {
+			if c.Derived() != nil {
+				t.Fatalf("%s carried the derived value over", copyName)
+			}
+		}
+		f.Contains(1)
+		f.SetBits()
+		if f.Derived() != first {
+			t.Fatal("reading the filter dropped the derived value")
+		}
+		mutate(f)
+		if f.Derived() != nil {
+			t.Fatalf("%s left the derived value of the old bits in place", name)
+		}
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/hashfam"
@@ -32,6 +33,44 @@ type Filter struct {
 	bits *bitset.Set
 	fam  hashfam.Family
 	n    uint64 // number of Add calls (insertions, not distinct elements)
+
+	// derived is one value a tightly coupled package computed from this
+	// filter's bits and keeps beside them (core hangs a version's estimate
+	// index here), as bitset.Set carries its popcount and CountingFilter
+	// its snapshot. The filter does not interpret it: it is set at most
+	// once per state of the bits (AttachDerived), dropped by every in-place
+	// mutator and not carried over by Clone or CloneAdd, so it lives exactly
+	// as long as the filter value stays what it was computed from.
+	derived atomic.Pointer[any]
+}
+
+// Derived returns the value attached to the filter's current bits, nil
+// when there is none. Safe for concurrent callers.
+func (f *Filter) Derived() any {
+	if p := f.derived.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// AttachDerived attaches v unless a value is attached already, and returns
+// the attached one: of several concurrent callers all get the first's. Only
+// a filter that is no longer mutated keeps what is attached; writing
+// through Bits() is outside that contract and drops nothing.
+func (f *Filter) AttachDerived(v any) any {
+	if f.derived.CompareAndSwap(nil, &v) {
+		return v
+	}
+	return f.Derived()
+}
+
+// dropDerived forgets the attached value: the bits are about to change. A
+// load before the store keeps bulk inserts off the atomic store, as in
+// bitset.Set's popcount.
+func (f *Filter) dropDerived() {
+	if f.derived.Load() != nil {
+		f.derived.Store(nil)
+	}
 }
 
 // posBuf pools hash-position buffers so that hashing an element allocates
@@ -105,6 +144,7 @@ func (f *Filter) Insertions() uint64 { return f.n }
 // Add inserts x into the filter. Add mutates the filter; callers must
 // serialize it against concurrent readers and writers.
 func (f *Filter) Add(x uint64) {
+	f.dropDerived()
 	bp, pos := getPositions(f.fam, x)
 	for _, p := range pos {
 		f.bits.Set(p)
@@ -119,6 +159,7 @@ func (f *Filter) Add(x uint64) {
 // ingest) skip the pool round trip per element. Like Add it mutates the
 // filter and requires external synchronization.
 func (f *Filter) AddScratch(x uint64, buf []uint64) []uint64 {
+	f.dropDerived()
 	buf = f.fam.Positions(x, buf[:0])
 	for _, p := range buf {
 		f.bits.Set(p)
@@ -231,6 +272,7 @@ func (f *Filter) AddMany(xs []uint64) {
 	if len(xs) == 0 {
 		return
 	}
+	f.dropDerived()
 	k := f.fam.K()
 	scratch := make([]uint64, 0, min(len(xs), ProbeBlock)*k)
 	for len(xs) > 0 {
@@ -255,11 +297,13 @@ func (f *Filter) Empty() bool { return f.bits.None() }
 
 // Reset clears the filter to the empty set.
 func (f *Filter) Reset() {
+	f.dropDerived()
 	f.bits.Reset()
 	f.n = 0
 }
 
-// Clone returns a deep copy of the filter (sharing the immutable family).
+// Clone returns a deep copy of the filter (sharing the immutable family);
+// a derived value stays with the original.
 func (f *Filter) Clone() *Filter {
 	return &Filter{bits: f.bits.Clone(), fam: f.fam, n: f.n}
 }
@@ -349,6 +393,7 @@ func (f *Filter) UnionWith(g *Filter) error {
 	if err := f.Compatible(g); err != nil {
 		return err
 	}
+	f.dropDerived()
 	f.bits.OrWith(g.bits)
 	f.n += g.n
 	return nil

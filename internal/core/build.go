@@ -229,11 +229,25 @@ func (t *Tree) growRoot(ids []uint64) {
 }
 
 // growNode inserts sorted ids into the subtree rooted at the existing
-// node n (remaining depth `depth`), publishing copy-on-write filters.
+// node n (remaining depth `depth`), publishing copy-on-write filters. A
+// node whose filter already answers positively for every id publishes
+// nothing — CloneAdd hands back the receiver's own bit vector then, and
+// that is the test used, so no id is hashed twice to find out: on a
+// saturated tree an insert replaces no box at all, and a published box is a
+// changed bit vector, which is what boxedFilter.stamp promises. (A node
+// filter's insertion counter therefore counts only the batches that changed
+// it; nothing reads it and the tree's encoding stores bit vectors alone.
+// GrowthEpoch still advances per batch.)
+// The children are visited either way: an id can be a false positive here
+// and still be missing below.
 func (t *Tree) growNode(n *node, depth int, ids []uint64) {
 	for {
 		old := n.f.Load()
-		if n.f.CompareAndSwap(old, &boxedFilter{old.m.CloneAdd(ids...)}) {
+		next := old.m.CloneAdd(ids...)
+		if next.QueryView().Bits() == old.m.QueryView().Bits() {
+			break
+		}
+		if n.f.CompareAndSwap(old, box(next)) {
 			break
 		}
 		// CAS failure: a writer of another stripe updated this shared

@@ -33,10 +33,11 @@ func TestMemoComputesEachPairOnceUnderContention(t *testing.T) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(int64(100*round + w)))
 				var scratch []uint64
+				est := Estimates{Memo: &memo}
 				<-start
 				for i := 0; i < 200; i++ {
 					var err error
-					if _, scratch, err = tree.SampleMemo(q, rng, &ops[w], scratch, &memo); err != nil {
+					if _, scratch, err = tree.SampleMemo(q, rng, &ops[w], scratch, &est); err != nil {
 						t.Error(err)
 						return
 					}

@@ -45,11 +45,15 @@ func (t *Tree) SampleScratch(q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch 
 
 // Memo remembers, for the draws one request makes against one pinned,
 // immutable query filter, the child estimates of every internal node a
-// descent has already passed. The estimates depend only on the node's
-// filters and the query, so a later descent that reaches the node reads
-// them back instead of paying two m-bit AND-popcounts again: r draws cost
-// as many estimates as they touch distinct nodes, not r·depth — what §5.3's
-// multi-sample achieves, with the draws left independent.
+// descent has already passed that the version's EstimateIndex does not
+// cover. The estimates depend only on the node's filters and the query, so a
+// later descent that reaches the node reads them back instead of paying two
+// m-bit AND-popcounts again: r draws cost as many estimates as they touch
+// distinct nodes, not r·depth — what §5.3's multi-sample achieves, with the
+// draws left independent. It is the request-long half of the arrangement:
+// the index keeps the top of the tree for as long as the filter version
+// lives and checks every pair against tree growth; the Memo keeps the levels
+// below, where a pair is not worth its bytes for longer, and checks nothing.
 //
 // The zero Memo is ready to use, and all the workers of a request share
 // one: whichever reaches a node first computes its pair of estimates, the
@@ -114,14 +118,33 @@ func (m *Memo) Reset() {
 // memoKeep is the largest table a Memo holds on to across Reset.
 const memoKeep = 1024
 
-// SampleMemo is SampleScratch reading child estimates through memo (nil
-// means none). For a given rng state it returns exactly the id
-// SampleScratch would — same branch rule, same backtracking, same rng
-// consumption — so everything known about the draws' distribution carries
-// over; only the intersections drop. ops.Intersections counts estimates
-// this call computed, not remembered ones read back: summed over the
-// callers sharing memo it is twice the distinct internal nodes they passed.
-func (t *Tree) SampleMemo(q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch []uint64, memo *Memo) (uint64, []uint64, error) {
+// Estimates is where the draws of one worker of a sampling request get their
+// child estimates from, and its tally of what they cost. Index must be
+// IndexFor's for the filter sampled; Memo is the request's. Either may be
+// nil. Index and Memo are shared by the request's workers, the tally is each
+// worker's own.
+type Estimates struct {
+	Index *EstimateIndex
+	Memo  *Memo
+	// Computed counts the estimates the calls handed this value computed
+	// (what Ops.Intersections counts), Remembered those they read back from
+	// Index or Memo instead.
+	Computed, Remembered uint64
+}
+
+// SampleMemo is SampleScratch reading child estimates back where est has
+// them (nil means nowhere): the top levels from the filter version's index,
+// which outlives the call and the request, the rest from the request's memo.
+// For a given rng state it returns exactly the id SampleScratch would — same
+// branch rule, same backtracking, same rng consumption, and a remembered
+// estimate is the float64 that would have been computed — so everything
+// known about the draws' distribution carries over; only the intersections
+// drop. ops.Intersections counts estimates this call computed, not
+// remembered ones read back: summed over every call ever made on one filter
+// version it is at most twice the internal nodes the index covers (while the
+// tree does not grow), plus, per request, twice the distinct nodes passed
+// below it.
+func (t *Tree) SampleMemo(q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch []uint64, est *Estimates) (uint64, []uint64, error) {
 	if err := t.checkQuery(q); err != nil {
 		return 0, scratch, err
 	}
@@ -129,8 +152,15 @@ func (t *Tree) SampleMemo(q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch []u
 	if root == nil { // empty pruned tree
 		return 0, scratch, ErrNoSample
 	}
-	d := descent{q: q, rng: rng, ops: ops, scratch: scratch, memo: memo}
+	d := descent{q: q, rng: rng, ops: ops, scratch: scratch}
+	if est != nil {
+		d.index, d.memo = est.Index, est.Memo
+	}
 	x, ok := t.sampleNode(root, &d)
+	if est != nil {
+		est.Computed += d.computed
+		est.Remembered += d.remembered
+	}
 	if !ok {
 		return 0, d.scratch, ErrNoSample
 	}
@@ -144,12 +174,21 @@ type descent struct {
 	ops     *Ops
 	scratch []uint64
 	memo    *Memo
+	index   *EstimateIndex
+	// Estimates computed and read back so far; see Estimates.
+	computed, remembered uint64
 }
 
-// sampleNode implements one recursive step of BSTSample. Child pointers
-// and filters are loaded once per visit, so a step races a concurrent
-// growth publish only by seeing either the old or the new version.
-func (t *Tree) sampleNode(n *node, d *descent) (uint64, bool) {
+// sampleNode samples from the subtree of the root n.
+func (t *Tree) sampleNode(n *node, d *descent) (uint64, bool) { return t.sampleAt(n, 1, d) }
+
+// sampleAt implements one recursive step of BSTSample at n, the node at
+// heap position pos (root 1, children 2·pos and 2·pos+1: where the index
+// keeps n's pair; only internal nodes look, and theirs cannot overflow).
+// Child pointers and filters are loaded once per visit, so a step races a
+// concurrent growth publish only by seeing either the old or the new
+// version.
+func (t *Tree) sampleAt(n *node, pos uint64, d *descent) (uint64, bool) {
 	if d.ops != nil {
 		d.ops.NodesVisited++
 	}
@@ -158,16 +197,7 @@ func (t *Tree) sampleNode(n *node, d *descent) (uint64, bool) {
 		return t.sampleLeaf(n, d)
 	}
 
-	var lEst, rEst float64
-	if d.memo == nil {
-		lEst, rEst = t.childEstimate(left, d.q, d.ops), t.childEstimate(right, d.q, d.ops)
-	} else {
-		e := d.memo.entry(n)
-		e.once.Do(func() {
-			e.left, e.right = t.childEstimate(left, d.q, d.ops), t.childEstimate(right, d.q, d.ops)
-		})
-		lEst, rEst = e.left, e.right
-	}
+	lEst, rEst := t.childEstimates(n, pos, left, right, d)
 	thr := t.cfg.EmptyThreshold
 	lOK, rOK := lEst >= thr, rEst >= thr
 
@@ -184,11 +214,11 @@ func (t *Tree) sampleNode(n *node, d *descent) (uint64, bool) {
 	// estimator is noisy at leaf scale (§5.6), so a sparse but live
 	// branch can estimate to zero; reaching it through backtracking keeps
 	// its elements sampleable.
-	first, second := left, right
+	first, second, firstPos := left, right, 2*pos
 	if p := lEst / (lEst + rEst); d.rng.Float64() >= p {
-		first, second = right, left
+		first, second, firstPos = right, left, 2*pos+1
 	}
-	if x, ok := t.sampleNode(first, d); ok {
+	if x, ok := t.sampleAt(first, firstPos, d); ok {
 		return x, true
 	}
 	if d.ops != nil {
@@ -197,7 +227,46 @@ func (t *Tree) sampleNode(n *node, d *descent) (uint64, bool) {
 	if second == nil { // pruned tree: missing sibling
 		return 0, false
 	}
-	return t.sampleNode(second, d)
+	return t.sampleAt(second, firstPos^1, d)
+}
+
+// childEstimates returns the estimates of n's two children against the
+// descent's query from the nearest place that has them — the version's
+// index for the levels it covers, the request's memo below — and computes
+// them where neither does, tallying which it was.
+func (t *Tree) childEstimates(n *node, pos uint64, left, right *node, d *descent) (lEst, rEst float64) {
+	pair := uint64(2)
+	if left == nil || right == nil {
+		pair = 1 // a missing child is not estimated
+	}
+	compute := func() (float64, float64) {
+		return t.childEstimate(left, d.q, d.ops), t.childEstimate(right, d.q, d.ops)
+	}
+	computed := true
+	switch {
+	case d.index.covers(pos):
+		// The stamps are read before anything is computed and filters only
+		// move forward, so what is filed under them can describe filters
+		// newer than its label — and is then computed once more than needed
+		// — never older.
+		lEst, rEst, computed = d.index.slots[pos-1].estimates(left.stamp()+right.stamp(), compute)
+	case d.memo != nil:
+		e := d.memo.entry(n)
+		computed = false
+		e.once.Do(func() {
+			e.left, e.right = compute()
+			computed = true
+		})
+		lEst, rEst = e.left, e.right
+	default:
+		lEst, rEst = compute()
+	}
+	if computed {
+		d.computed += pair
+	} else {
+		d.remembered += pair
+	}
+	return lEst, rEst
 }
 
 // childEstimate returns the estimated intersection size of a child filter

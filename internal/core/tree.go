@@ -97,8 +97,28 @@ type node struct {
 // boxedFilter boxes a Membership interface value behind a concrete
 // pointer: atomic.Pointer cannot hold interfaces directly, and boxing
 // happens only on publish (rare) while reads pay one extra dereference.
+//
+// stamp names the bit vector inside: a serial drawn once per box, larger
+// than that of any box made before it, and growth publishes a new box only
+// when bits changed (growNode). So a node's stamp grows exactly when its bits
+// do, and two loads of a node that read the same stamp read the same bits:
+// what an EstimateIndex files a remembered estimate under. A serial rather
+// than the vector's address, which would do for the comparison, because
+// whoever remembers an address keeps a superseded vector alive, and because
+// a serial has an order (indexSlot relies on it).
 type boxedFilter struct {
-	m membership.Membership
+	m     membership.Membership
+	stamp uint64
+}
+
+// filterStamps issues boxedFilter stamps; 0 is never issued and stands for
+// "no child". One counter serves every tree: all that is asked of a stamp is
+// that it grows, and threading a tree through every filter publish to keep
+// one each would buy nothing.
+var filterStamps atomic.Uint64
+
+func box(m membership.Membership) *boxedFilter {
+	return &boxedFilter{m: m, stamp: filterStamps.Add(1)}
 }
 
 // newNode returns a node over [lo, hi) holding f (which may be nil during
@@ -106,7 +126,7 @@ type boxedFilter struct {
 func newNode(lo, hi uint64, f membership.Membership) *node {
 	n := &node{lo: lo, hi: hi}
 	if f != nil {
-		n.f.Store(&boxedFilter{f})
+		n.f.Store(box(f))
 	}
 	return n
 }
@@ -128,8 +148,17 @@ func (n *node) filter() membership.Membership {
 	return nil
 }
 
+// stamp returns the stamp of the node's current filter, 0 for a missing
+// (pruned) child.
+func (n *node) stamp() uint64 {
+	if n == nil {
+		return 0
+	}
+	return n.f.Load().stamp
+}
+
 // setFilter publishes a new membership value for the node.
-func (n *node) setFilter(m membership.Membership) { n.f.Store(&boxedFilter{m}) }
+func (n *node) setFilter(m membership.Membership) { n.f.Store(box(m)) }
 
 // children loads both child pointers once; traversals load them into
 // locals so one visit sees one consistent pair (a node with neither
@@ -227,8 +256,10 @@ func (t *Tree) MemoryBytes() uint64 {
 // of a pruned tree (one per stripe, in namespace order; each counts the
 // insert batches published into that subtree). Nil for full trees. The
 // counters let callers observe that concurrent inserts into different
-// subtrees really do proceed independently, and give cache layers a cheap
-// per-region invalidation signal.
+// subtrees really do proceed independently. They invalidate nothing: the one
+// thing that remembers estimates across growth, the EstimateIndex, checks
+// each pair against the stamps of the two child filters it was computed
+// from, which is exact and per node where an epoch is per region.
 func (t *Tree) SubtreeEpochs() []uint64 {
 	if t.stripes == nil {
 		return nil

@@ -343,3 +343,36 @@ func TestSampleShortfallIsReported(t *testing.T) {
 		t.Fatalf("/metrics lacks %q", want)
 	}
 }
+
+// TestEstimateCountersAreServed samples one key three times and reads the
+// two estimate counters from both stats surfaces: the first request
+// computes estimates, the later ones read them back from the version's
+// index, and /v1/stats and /metrics report the same pair of numbers.
+func TestEstimateCountersAreServed(t *testing.T) {
+	_, data, admin := newObsServer(t, Config{})
+	for i := 0; i < 3; i++ {
+		resp, err := http.Post(data.URL+"/v1/sample", "application/json", strings.NewReader(`{"key":"plain","n":8}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	var st StatsResponse
+	_, body := get(t, data.URL+"/v1/stats")
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.DB.EstimatesComputed == 0 || st.DB.EstimatesRemembered == 0 {
+		t.Fatalf("/v1/stats after three samples of one key: %d estimates computed, %d remembered", st.DB.EstimatesComputed, st.DB.EstimatesRemembered)
+	}
+	_, metrics := get(t, admin.URL+"/metrics")
+	for _, want := range []string{
+		"bst_db_estimates_computed_total " + strconv.FormatUint(st.DB.EstimatesComputed, 10),
+		"bst_db_estimates_remembered_total " + strconv.FormatUint(st.DB.EstimatesRemembered, 10),
+	} {
+		if !strings.Contains(metrics, want+"\n") {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+}

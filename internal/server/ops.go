@@ -500,7 +500,9 @@ type DBStats struct {
 	StatePublishes          uint64  `json:"state_publishes"`
 	StateBytesCopied        uint64  `json:"state_bytes_copied"`
 	MeanBytesCopiedPerWrite float64 `json:"mean_bytes_copied_per_write"`
-	SampleDrawsLost         uint64  `json:"sample_draws_lost"` // batch draws that ended on a false-positive path: Σ requested − returned
+	SampleDrawsLost         uint64  `json:"sample_draws_lost"`    // batch draws that ended on a false-positive path: Σ requested − returned
+	EstimatesComputed       uint64  `json:"estimates_computed"`   // intersection estimates sampling requests computed
+	EstimatesRemembered     uint64  `json:"estimates_remembered"` // and those read back from a filter version's index or the request's memo
 	Generations             uint64  `json:"generations"`
 	TreeNodes               uint64  `json:"tree_nodes"`
 	TreeDepth               int     `json:"tree_depth"`
@@ -586,6 +588,8 @@ func (s *Server) stats() StatsResponse {
 			StateBytesCopied:        st.StateBytesCopied,
 			MeanBytesCopiedPerWrite: st.MeanBytesCopiedPerWrite(),
 			SampleDrawsLost:         st.SampleDrawsLost,
+			EstimatesComputed:       st.EstimatesComputed,
+			EstimatesRemembered:     st.EstimatesRemembered,
 			Generations:             st.Generations,
 			TreeNodes:               st.TreeNodes,
 			TreeDepth:               st.TreeDepth,

@@ -148,3 +148,26 @@ func TestSampleManyAllocsPerDraw(t *testing.T) {
 			perDraw, allocs, draws)
 	}
 }
+
+// BenchmarkSampleManyWarmVersion times the request the estimate index
+// exists for: a 64-draw frame on the benchmark's batch shape (depth 7,
+// m = 273 404) from a filter version whose 254 estimates are all
+// remembered, so that what is left is 64 descents of atomic loads and 64
+// sampled leaves. Run it at -cpu 1 against the parent commit's binary to
+// time the layer in pairs.
+func BenchmarkSampleManyWarmVersion(b *testing.B) {
+	db, _ := openShape(b, 10_000, 1_000_000, 16, 10_000, false)
+	for i := 0; i < 100; i++ { // warm the version
+		if _, err := db.SampleManyWorkers("k3", 64, 1, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		xs, err := db.SampleManyWorkers("k3", 64, 1, nil)
+		if err != nil || len(xs) != 64 {
+			b.Fatalf("%d ids, err %v", len(xs), err)
+		}
+	}
+}

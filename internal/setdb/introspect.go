@@ -61,6 +61,13 @@ type DBStats struct {
 	// id: the sum over all batches of requested − returned. A batch that
 	// comes back short is explained here and nowhere else.
 	SampleDrawsLost uint64
+	// EstimatesComputed counts the intersection estimates the same requests
+	// computed, EstimatesRemembered those they read back instead — from the
+	// estimate index that lives on a filter version (core.EstimateIndex) or
+	// from the request's own memo. Remembered ÷ (computed + remembered) is
+	// the share of the descent's dominant cost that sampling did not pay.
+	EstimatesComputed   uint64
+	EstimatesRemembered uint64
 	// Generations is the number of key lifetimes ever created (it only
 	// grows; Delete does not reclaim it).
 	Generations uint64
@@ -111,19 +118,21 @@ func (st DBStats) MeanBytesCopiedPerWrite() float64 {
 // call at any frequency while readers and writers run.
 func (db *DB) Stats() DBStats {
 	st := DBStats{
-		Shards:            make([]ShardStats, numShards),
-		MaxChunksPerShard: maxChunks,
-		StateWrites:       db.stateWrites.Load(),
-		StatePublishes:    db.statePublishes.Load(),
-		StateBytesCopied:  db.stateBytes.Load(),
-		SampleDrawsLost:   db.lostDraws.Load(),
-		Generations:       db.gen.Load(),
-		TreeNodes:         db.tree.Nodes(),
-		TreeDepth:         db.tree.Depth(),
-		TreePruned:        db.tree.Pruned(),
-		TreeMemoryBytes:   db.tree.MemoryBytes(),
-		GrowthEpoch:       db.tree.GrowthEpoch(),
-		SubtreeEpochs:     db.tree.SubtreeEpochs(),
+		Shards:              make([]ShardStats, numShards),
+		MaxChunksPerShard:   maxChunks,
+		StateWrites:         db.stateWrites.Load(),
+		StatePublishes:      db.statePublishes.Load(),
+		StateBytesCopied:    db.stateBytes.Load(),
+		SampleDrawsLost:     db.lostDraws.Load(),
+		EstimatesComputed:   db.estimatesComputed.Load(),
+		EstimatesRemembered: db.estimatesRemembered.Load(),
+		Generations:         db.gen.Load(),
+		TreeNodes:           db.tree.Nodes(),
+		TreeDepth:           db.tree.Depth(),
+		TreePruned:          db.tree.Pruned(),
+		TreeMemoryBytes:     db.tree.MemoryBytes(),
+		GrowthEpoch:         db.tree.GrowthEpoch(),
+		SubtreeEpochs:       db.tree.SubtreeEpochs(),
 	}
 	st.Backend.Kind = string(db.opts.Backend)
 	var lfSum float64

@@ -15,8 +15,11 @@ import (
 // are immutable versions published through atomic shard snapshots and
 // the tree is never mutated in place, so the workers below run genuinely
 // in parallel, each with its own sampleWorker and Ops accumulator, all
-// sharing the same stored filter and the request's core.Memo — whose lock
-// covers a table lookup, never a computation, and is the only one taken.
+// sharing the same stored filter and what is remembered about it: the
+// version's core.EstimateIndex, which hangs on the filter itself, outlives
+// the request and is read without a lock, and for the tree levels the index
+// does not cover the request's core.Memo — whose lock covers a table lookup,
+// never a computation, and is the only one taken.
 
 // SampleMany draws n samples from the set under key using up to
 // GOMAXPROCS goroutines. The samples follow the same per-sample
@@ -76,10 +79,14 @@ func (db *DB) SampleManyFrom(f *bloom.Filter, n, workers int, ops *core.Ops) ([]
 // worker per request cost more than the rest of the fan-out together; each
 // rng is seeded once, from the global source, when the pool creates it.
 // What the draws of a request learn about the tree is not a worker's to
-// keep: it sits in the request's memo, which every worker is handed.
+// keep: it sits in the filter version's index and the request's memo, which
+// every worker is handed.
 type sampleWorker struct {
 	rng     *rand.Rand
 	scratch []uint64 // leaf-scan hits, threaded through every draw
+	// The estimates the worker's latest share computed and read back, left
+	// for whoever ran it to add to the database's counters.
+	computed, remembered uint64
 }
 
 var sampleWorkers = sync.Pool{New: func() any {
@@ -89,22 +96,25 @@ var sampleWorkers = sync.Pool{New: func() any {
 	}
 }}
 
-// requestMemos pools the child-estimate memos, one per request in flight,
-// so a request finds the table and the entry slab of an earlier one.
+// requestMemos pools the child-estimate memos, one per request in flight
+// that needs one, so a request finds the table and the entry slab of an
+// earlier one.
 var requestMemos = sync.Pool{New: func() any { return new(core.Memo) }}
 
-// getMemo returns the memo the workers of one request of n draws share: the
-// query filter is pinned and immutable, so the draws after the first
-// mostly read the child estimates back, and the request pays for as many
-// estimates as it touches distinct tree nodes, whatever its worker count.
-// A single draw has nothing to share and gets nil. putMemo takes the memo
-// back once every worker has returned; nothing remembered outlives the
-// request.
-func getMemo(n int) *core.Memo {
-	if n <= 1 {
-		return nil
+// estimatesFor returns what the workers of one request of n draws from f
+// read child estimates through. f is pinned and immutable, so every request
+// gets the index that lives on it (created here by the first), a single draw
+// included: what a request pays for at the top of the tree no later request
+// on the version pays for again. The levels below the index are remembered
+// for the length of the request, in a pooled memo, when there are such
+// levels and a second draw to profit; putMemo takes it back once every
+// worker has returned.
+func estimatesFor(tree *core.Tree, f *bloom.Filter, n int) core.Estimates {
+	est := core.Estimates{Index: tree.IndexFor(f)}
+	if n > 1 && est.Index.Levels() < tree.Depth() {
+		est.Memo = requestMemos.Get().(*core.Memo)
 	}
-	return requestMemos.Get().(*core.Memo)
+	return est
 }
 
 func putMemo(memo *core.Memo) {
@@ -114,39 +124,40 @@ func putMemo(memo *core.Memo) {
 	}
 }
 
-// draw is a whole request on one worker: drawShared under a memo of its own.
+// draw is a whole request on one worker: drawShared with the request's
+// estimates fetched and released around it.
 func (w *sampleWorker) draw(tree *core.Tree, f *bloom.Filter, quota int, ops *core.Ops, out []uint64) (_ []uint64, lost int, err error) {
-	memo := getMemo(quota)
-	defer putMemo(memo)
-	return w.drawShared(tree, f, quota, ops, out, memo)
+	est := estimatesFor(tree, f, quota)
+	defer putMemo(est.Memo)
+	return w.drawShared(tree, f, quota, ops, out, est)
 }
 
-// drawShared makes quota independent root-to-leaf draws from f through the
-// request's memo (nil for none), appending the ids to out and returning how
-// many draws were lost to false-positive paths (core.ErrNoSample). Any
-// other tree error ends the worker's share. The ids are exactly what quota
-// SampleScratch calls on the same rng would return. The draw loop itself
-// allocates nothing.
-func (w *sampleWorker) drawShared(tree *core.Tree, f *bloom.Filter, quota int, ops *core.Ops, out []uint64, memo *core.Memo) (_ []uint64, lost int, err error) {
-	for i := 0; i < quota; i++ {
+// drawShared makes quota independent root-to-leaf draws from f, reading
+// child estimates through est (its own copy: the tally is per worker),
+// appending the ids to out and returning how many draws were lost to
+// false-positive paths (core.ErrNoSample). Any other tree error ends the
+// worker's share. The ids are exactly what quota SampleScratch calls on the
+// same rng would return. The draw loop itself allocates nothing.
+func (w *sampleWorker) drawShared(tree *core.Tree, f *bloom.Filter, quota int, ops *core.Ops, out []uint64, est core.Estimates) (_ []uint64, lost int, err error) {
+	for i := 0; i < quota && err == nil; i++ {
 		var x uint64
-		x, w.scratch, err = tree.SampleMemo(f, w.rng, ops, w.scratch, memo)
-		if err == core.ErrNoSample {
+		x, w.scratch, err = tree.SampleMemo(f, w.rng, ops, w.scratch, &est)
+		switch err {
+		case nil:
+			out = append(out, x)
+		case core.ErrNoSample:
 			lost++
-			continue
+			err = nil
 		}
-		if err != nil {
-			return out, lost, err
-		}
-		out = append(out, x)
 	}
-	return out, lost, nil
+	w.computed, w.remembered = est.Computed, est.Remembered
+	return out, lost, err
 }
 
 // sampleManyFilter draws n samples from one immutable filter with up to
 // workers goroutines (0 means GOMAXPROCS); a one-worker batch runs on the
-// caller's. Draws lost to false-positive paths are counted in the
-// database's SampleDrawsLost.
+// caller's. Draws lost to false-positive paths, and the estimates the
+// request computed and read back, are counted in the database's Stats.
 func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) ([]uint64, error) {
 	if n <= 0 {
 		return nil, nil
@@ -161,21 +172,22 @@ func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) (
 	if workers == 1 {
 		w := sampleWorkers.Get().(*sampleWorker)
 		out, lost, err := w.draw(db.tree, f, n, ops, out)
+		db.recordDraws(lost, w.computed, w.remembered)
 		sampleWorkers.Put(w)
-		db.recordLostDraws(lost)
 		return out, err
 	}
 
 	// Each worker fills its own quota-sized window of out; the windows are
 	// closed up afterwards, since a worker may return fewer than its quota.
 	type result struct {
-		xs   []uint64
-		lost int
-		ops  core.Ops
-		err  error
+		xs                   []uint64
+		lost                 int
+		computed, remembered uint64
+		ops                  core.Ops
+		err                  error
 	}
 	results := make([]result, workers)
-	memo := getMemo(n)
+	est := estimatesFor(db.tree, f, n)
 	var wg sync.WaitGroup
 	start := 0
 	for w := 0; w < workers; w++ {
@@ -193,18 +205,22 @@ func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) (
 				wops = &res.ops
 			}
 			sw := sampleWorkers.Get().(*sampleWorker)
-			res.xs, res.lost, res.err = sw.drawShared(db.tree, f, quota, wops, window, memo)
+			res.xs, res.lost, res.err = sw.drawShared(db.tree, f, quota, wops, window, est)
+			res.computed, res.remembered = sw.computed, sw.remembered
 			sampleWorkers.Put(sw)
 		}()
 	}
 	wg.Wait()
-	putMemo(memo)
+	putMemo(est.Memo)
 
 	var firstErr error
+	var computed, remembered uint64
 	lost := 0
 	for i := range results {
 		out = append(out, results[i].xs...)
 		lost += results[i].lost
+		computed += results[i].computed
+		remembered += results[i].remembered
 		if ops != nil {
 			ops.Add(results[i].ops)
 		}
@@ -212,15 +228,23 @@ func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) (
 			firstErr = results[i].err
 		}
 	}
-	db.recordLostDraws(lost)
+	db.recordDraws(lost, computed, remembered)
 	return out, firstErr
 }
 
-// recordLostDraws adds one batch's lost draws to the database's count,
-// leaving the shared counter alone on the usual batch that lost none.
-func (db *DB) recordLostDraws(lost int) {
+// recordDraws adds one request's lost draws and its estimates, computed and
+// read back, to the database's counts: once per request, and leaving a
+// shared counter alone where the request has nothing to add — the usual
+// batch loses no draw, and on a warm version computes nothing.
+func (db *DB) recordDraws(lost int, computed, remembered uint64) {
 	if lost > 0 {
 		db.lostDraws.Add(uint64(lost))
+	}
+	if computed > 0 {
+		db.estimatesComputed.Add(computed)
+	}
+	if remembered > 0 {
+		db.estimatesRemembered.Add(remembered)
 	}
 }
 

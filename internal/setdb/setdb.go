@@ -208,6 +208,10 @@ type DB struct {
 	// lostDraws counts batch draws that ended on a false-positive path
 	// and returned nothing (see Stats).
 	lostDraws atomic.Uint64
+	// estimatesComputed and estimatesRemembered count the intersection
+	// estimates sampling requests computed and those they read back from a
+	// filter version's index or their own memo instead (see Stats).
+	estimatesComputed, estimatesRemembered atomic.Uint64
 }
 
 // recordWrites accumulates write-amplification accounting for one
