@@ -198,7 +198,8 @@ type UniformStats = core.UniformStats
 // batch APIs SampleMany and ReconstructAll parallelize internally.
 type SetDB = setdb.DB
 
-// SetDBOptions configures a SetDB.
+// SetDBOptions is the profile a SetDB was opened with, as SetDB.Options
+// reports it; Open plans one from its With* options.
 type SetDBOptions = setdb.Options
 
 // SetDBSampler is the database-bound exactly-uniform sampler returned by
@@ -211,11 +212,6 @@ type SetDBSampler = setdb.Sampler
 // (SetDB.AddMany/ApplyBatch): a whole batch of writes publishes one
 // snapshot per touched shard instead of one per key, all-or-nothing.
 type SetDBWrite = setdb.Write
-
-// PlanSetDB derives SetDB options from a desired sampling accuracy.
-func PlanSetDB(accuracy float64, designSetSize, namespace uint64, k int) (SetDBOptions, error) {
-	return setdb.PlanOptions(accuracy, designSetSize, namespace, k)
-}
 
 // LoadSetDB reads a database written by (*SetDB).Save. Pruned databases
 // need their occupied ids; pass nil otherwise.

@@ -58,7 +58,7 @@ func runStats(args []string) {
 
 	fmt.Println("\ndatabase")
 	kv(
-		[2]string{"sets", fmt.Sprintf("%d (%d dynamic)", st.DB.Sets, st.DB.DynamicSets)},
+		[2]string{"sets", fmt.Sprintf("%d (%d plain, %d dynamic)", st.DB.Sets+st.DB.DynamicSets, st.DB.Sets, st.DB.DynamicSets)},
 		[2]string{"tree", fmt.Sprintf("%d nodes, %.1f MB", st.DB.TreeNodes, float64(st.DB.TreeMemoryBytes)/(1<<20))},
 		[2]string{"writes", fmt.Sprintf("%d (%d publishes, %.0f B copied/write)", st.DB.StateWrites, st.DB.StatePublishes, st.DB.MeanBytesCopiedPerWrite)},
 		[2]string{"sample draws lost", num(st.DB.SampleDrawsLost)},

@@ -14,7 +14,7 @@ import (
 //	ErrNoSet                            → 404 Not Found
 //	ErrKeyClash, ErrNotMember,
 //	ErrSamplerInvalid                   → 409 Conflict
-//	ErrOutOfRange                       → 400 Bad Request
+//	ErrOutOfRange, ErrNotPlain          → 400 Bad Request
 //	anything else                       → 500 Internal Server Error
 //
 // ErrNoSample and ErrIncompatible never cross the server boundary:
@@ -25,10 +25,14 @@ var (
 	// returns for an absent key.
 	ErrNoSet = setdb.ErrNoSet
 
-	// ErrKeyClash is wrapped by SetDB writes when the key already exists
-	// with the other storage kind (a key is either plain or dynamic,
-	// never both).
+	// ErrKeyClash is wrapped by a SetDB add that names the other kind
+	// than the key was created with (a key holds a plain set or a
+	// removable one for its whole lifetime).
 	ErrKeyClash = setdb.ErrKeyClash
+
+	// ErrNotPlain is wrapped by SetDB.UniformSampler for a removable
+	// set: the exactly-uniform sampler serves sets that only grow.
+	ErrNotPlain = setdb.ErrNotPlain
 
 	// ErrOutOfRange is wrapped by SetDB writes carrying an id outside
 	// the database namespace — a caller mistake, not an internal

@@ -49,21 +49,29 @@ func ExampleNewPrunedTreeWith() {
 }
 
 // The SetDB stores many named sets against one shared tree — the paper's
-// §3.2 database of Bloom-filter-encoded sets.
+// §3.2 database of Bloom-filter-encoded sets. A key is a set; the write
+// that creates it says whether members can later leave it, and every read
+// serves either kind.
 func ExampleOpen() {
 	db, _ := bloomsample.Open(1_000_000, bloomsample.WithAccuracy(0.9), bloomsample.WithDesignSetSize(1000), bloomsample.WithK(3))
 
 	_ = db.Add("team-a", 1, 2, 3)
-	_ = db.Add("team-b", 3, 4, 5)
+	_ = db.AddDynamic("team-b", 3, 4, 5) // a set members can leave
+	_ = db.RemoveDynamic("team-b", 5)
 
 	ok, _ := db.Contains("team-a", 2)
 	fmt.Println("team-a has 2:", ok)
+	ok, _ = db.Contains("team-b", 5)
+	fmt.Println("team-b still has 5:", ok)
 
 	est, _ := db.IntersectionEstimate("team-a", "team-b")
 	fmt.Println("overlap estimate is small:", est < 3)
+	fmt.Println("keys:", db.Keys())
 	// Output:
 	// team-a has 2: true
+	// team-b still has 5: false
 	// overlap estimate is small: true
+	// keys: [team-a team-b]
 }
 
 // The UniformSampler trades throughput for exact uniformity — use it when

@@ -102,6 +102,9 @@ func UnmarshalCounting(data []byte) (*CountingFilter, error) {
 	if uint64(len(data)) != m {
 		return nil, fmt.Errorf("bloom: header m=%d but payload has %d counters", m, len(data))
 	}
+	if uint64(k) > 8*m {
+		return nil, fmt.Errorf("bloom: header k=%d over m=%d counters", k, m)
+	}
 	fam, err := hashfam.New(kind, m, int(k), seed)
 	if err != nil {
 		return nil, fmt.Errorf("bloom: decoding family: %w", err)
@@ -130,6 +133,11 @@ func UnmarshalFilter(data []byte) (*Filter, error) {
 	seed := binary.LittleEndian.Uint64(data[12:])
 	n := binary.LittleEndian.Uint64(data[20:])
 	data = data[28:]
+	// The payload's own length bounds m and k before anything is sized by
+	// them: the filter by m, a family's per-function tables by k.
+	if limit := 8 * uint64(len(data)); m > limit || uint64(k) > limit {
+		return nil, fmt.Errorf("bloom: header m=%d k=%d but payload has %d bytes", m, k, len(data))
+	}
 	fam, err := hashfam.New(kind, m, int(k), seed)
 	if err != nil {
 		return nil, fmt.Errorf("bloom: decoding family: %w", err)

@@ -1,6 +1,8 @@
 package bloom
 
 import (
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"repro/internal/hashfam"
@@ -60,5 +62,31 @@ func TestUnmarshalFilterErrors(t *testing.T) {
 	copy(bad[5:], "zzz")
 	if _, err := UnmarshalFilter(bad); err == nil {
 		t.Fatal("unknown family accepted")
+	}
+}
+
+// TestUnmarshalFilterForgedLength feeds a valid encoding whose header
+// claims 2³⁸ bits: the decoder must refuse it on the payload's own length,
+// before it sizes anything by the claim (it used to build the 32 GB filter
+// first — an out-of-memory kill for whoever accepts encodings from a
+// socket).
+func TestUnmarshalFilterForgedLength(t *testing.T) {
+	fam := hashfam.MustNew(hashfam.DefaultKind, 256, 3, 1)
+	forged, err := NewFromElements(fam, []uint64{1, 2, 3}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := len(filterMagic) + 1 + len(hashfam.DefaultKind) // offset of the header's m
+	binary.LittleEndian.PutUint64(forged[m:], 1<<38)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = UnmarshalFilter(forged)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a forged m was accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("refusing %d forged bytes allocated %d bytes", len(forged), got)
 	}
 }

@@ -285,8 +285,10 @@ func Unmarshal(data []byte) (*Filter, error) {
 	if nb < 2 || nb&(nb-1) != 0 {
 		return nil, fmt.Errorf("cuckoo: bucket count %d not a power of two", nb)
 	}
-	if want := int(nb * slotsPerBucket * 2); len(data) != want {
-		return nil, fmt.Errorf("cuckoo: table payload %d bytes, want %d", len(data), want)
+	// nb is checked against the payload first: a forged one overflows the
+	// product below, and then sizes the table.
+	if have := uint64(len(data)); nb > have || have != nb*slotsPerBucket*2 {
+		return nil, fmt.Errorf("cuckoo: table payload %d bytes, header declares %d buckets", len(data), nb)
 	}
 	f := &Filter{
 		table:    make([]uint16, nb*slotsPerBucket),

@@ -71,22 +71,14 @@ func RunBackend(c Config) ([]*Table, error) {
 					members = append(members, id)
 				}
 			}
+			// The creating write names the key's kind; every read below
+			// serves either.
 			const key = "s"
-			if dynamic {
-				err = db.AddDynamic(key, members...)
-			} else {
-				err = db.Add(key, members...)
-			}
-			if err != nil {
+			if err := db.ApplyBatch([]setdb.Write{{Key: key, IDs: members, Dynamic: dynamic}}); err != nil {
 				return nil, err
 			}
 
-			var stored membership.Membership
-			if dynamic {
-				stored = db.MembershipDynamic(key)
-			} else {
-				stored = db.Membership(key)
-			}
+			stored := db.Membership(key)
 			bytesPerEntry := float64(stored.SizeBytes()) / float64(n)
 			loadFactor := 0.0
 			if lf, ok := stored.(membership.LoadFactorer); ok {
@@ -99,12 +91,7 @@ func RunBackend(c Config) ([]*Table, error) {
 			falsePos := 0
 			for i := 0; i < fpProbes; i++ {
 				id := (rng.Uint64()%(M/2))*2 + 1
-				var hit bool
-				if dynamic {
-					hit, err = db.ContainsDynamic(key, id)
-				} else {
-					hit, err = db.Contains(key, id)
-				}
+				hit, err := db.Contains(key, id)
 				if err != nil {
 					return nil, err
 				}
@@ -153,14 +140,8 @@ func RunBackend(c Config) ([]*Table, error) {
 							writes++
 							continue
 						}
-						var serr error
-						if dynamic {
-							_, serr = db.SampleDynamic(key, opRng, nil)
-						} else {
-							_, serr = db.Sample(key, opRng, nil)
-						}
-						if serr != nil && !errors.Is(serr, core.ErrNoSample) {
-							return nil, serr
+						if _, err := db.Sample(key, opRng, nil); err != nil && !errors.Is(err, core.ErrNoSample) {
+							return nil, err
 						}
 						samples++
 					}

@@ -15,11 +15,6 @@ import (
 //	magic   [4]byte "BSM1"
 //	kind    uint8 length + backend kind string
 //	payload backend-specific encoding
-//
-// For compatibility with snapshots written before backends existed,
-// Unmarshal also accepts a bare plain-filter encoding ("BSF1" — what
-// setdb used to store per set) and returns it as the Bloom backend, and
-// a bare counting encoding ("BSC1") as the counting backend.
 const envelopeMagic = "BSM1"
 
 // MarshalBinary implementations: each adapter wraps its concrete
@@ -76,33 +71,23 @@ func envelope(kind Kind, payload []byte) []byte {
 	return append(out, payload...)
 }
 
-// Unmarshal decodes any Membership encoding: the tagged "BSM1" envelope,
-// or (for pre-backend snapshots) a bare "BSF1" plain filter — returned
-// as the Bloom backend — or a bare "BSC1" counting filter.
+// Unmarshal decodes a Membership from its tagged "BSM1" envelope.
 func Unmarshal(data []byte) (Membership, error) {
-	if len(data) < 4 {
+	if len(data) < 5 {
 		return nil, fmt.Errorf("membership: truncated encoding")
 	}
-	switch string(data[:4]) {
-	case envelopeMagic:
-		kl := 0
-		if len(data) >= 5 {
-			kl = int(data[4])
-		}
-		if len(data) < 5+kl {
-			return nil, fmt.Errorf("membership: truncated envelope")
-		}
-		kind, err := ParseKind(string(data[5 : 5+kl]))
-		if err != nil {
-			return nil, err
-		}
-		return unmarshalPayload(kind, data[5+kl:])
-	case "BSF1": // legacy: a bare plain filter is the Bloom backend
-		return unmarshalPayload(KindBloom, data)
-	case "BSC1": // legacy: a bare counting filter
-		return unmarshalPayload(KindCounting, data)
+	if string(data[:4]) != envelopeMagic {
+		return nil, fmt.Errorf("membership: unrecognized encoding %q", data[:4])
 	}
-	return nil, fmt.Errorf("membership: unrecognized encoding %q", data[:4])
+	kl := int(data[4])
+	if len(data) < 5+kl {
+		return nil, fmt.Errorf("membership: truncated envelope")
+	}
+	kind, err := ParseKind(string(data[5 : 5+kl]))
+	if err != nil {
+		return nil, err
+	}
+	return unmarshalPayload(kind, data[5+kl:])
 }
 
 // UnmarshalDynamic decodes a DynamicMembership, rejecting backends that
@@ -158,6 +143,11 @@ func unmarshalCuckoo(data []byte) (*cuckooSet, error) {
 	data = data[4:]
 	if nt == 0 {
 		return nil, fmt.Errorf("membership: cuckoo payload has no tables")
+	}
+	// Each table carries at least its 4-byte length, so the bytes in hand
+	// bound the count before anything is sized by it.
+	if uint64(nt) > uint64(len(data))/4 {
+		return nil, fmt.Errorf("membership: cuckoo payload declares %d tables in %d bytes", nt, len(data))
 	}
 	tables := make([]*cuckoo.Filter, 0, nt)
 	for i := uint32(0); i < nt; i++ {

@@ -138,8 +138,8 @@ func (s *Server) collectMetrics() *obs.Exposition {
 
 	// Database state: copy-on-write write path and tree memory.
 	st := s.DB().Stats()
-	e.Gauge("bst_db_sets", "Plain sets stored.", float64(st.Sets))
-	e.Gauge("bst_db_dynamic_sets", "Dynamic (deletable) sets stored.", float64(st.DynamicSets))
+	e.Gauge("bst_db_sets", "Keys holding a plain set.", float64(st.Sets))
+	e.Gauge("bst_db_dynamic_sets", "Keys holding a dynamic (removable) set.", float64(st.DynamicSets))
 	e.Counter("bst_db_state_writes_total", "Copy-on-write shard-state writes.", float64(st.StateWrites))
 	e.Counter("bst_db_state_publishes_total", "Shard-state snapshot publishes (group commit coalesces writes).", float64(st.StatePublishes))
 	e.Counter("bst_db_state_bytes_copied_total", "Bytes copied by the copy-on-write write path.", float64(st.StateBytesCopied))
@@ -150,7 +150,7 @@ func (s *Server) collectMetrics() *obs.Exposition {
 	e.Gauge("bst_db_tree_nodes", "Materialized BST nodes.", float64(st.TreeNodes))
 	e.Gauge("bst_db_tree_memory_bytes", "Bytes held by the sampling tree.", float64(st.TreeMemoryBytes))
 	e.Gauge("bst_db_growth_epoch", "Adaptive shard-layout growth epoch.", float64(st.GrowthEpoch))
-	e.Gauge("bst_db_total_chunks", "Chunks across all shard key maps.", float64(st.TotalChunks))
+	e.Gauge("bst_db_total_chunks", "Chunks across all shard key maps (one map per shard).", float64(st.TotalChunks))
 
 	// Dynamic-set membership backend descriptor.
 	kind := obs.L("kind", st.Backend.Kind)

@@ -57,7 +57,7 @@ func idRange(n int) []uint64 {
 func dynUnchanged(t *testing.T, db *setdb.DB) {
 	t.Helper()
 	for id := uint64(1); id <= 5; id++ {
-		if ok, err := db.ContainsDynamic("dyn", id); err != nil || !ok {
+		if ok, err := db.Contains("dyn", id); err != nil || !ok {
 			t.Errorf("failed remove mutated the set: %d present=%v err=%v", id, ok, err)
 		}
 	}
@@ -88,13 +88,22 @@ var behaviourRows = []behaviourRow{
 	{name: "add batch", call: behaviourCall{op: "add", sets: []AddSet{{Key: "b1", IDs: []uint64{1}}, {Key: "b2", IDs: []uint64{2}, Dynamic: true}}}, want: 200},
 	{name: "remove", call: behaviourCall{op: "remove", key: "dyn2", ids: []uint64{7}}, want: 200},
 
-	// Unknown keys and mode mismatches.
+	// One key space: a read serves the key whatever kind of set it holds,
+	// and whatever the deprecated dynamic flag says about it.
+	{name: "sample dynamic key unflagged", call: behaviourCall{op: "sample", key: "dyn", n: 5}, want: 200},
+	{name: "stream dynamic key unflagged", call: behaviourCall{op: "stream", key: "dyn", n: 150}, want: 200},
+	{name: "reconstruct dynamic key unflagged", call: behaviourCall{op: "reconstruct", key: "dyn"}, want: 200},
+	{name: "sample plain key as dynamic", call: behaviourCall{op: "sample", key: "plain", n: 1, dynamic: true}, want: 200},
+	{name: "intersection plain with dynamic", call: behaviourCall{op: "intersection", key: "plain", keyB: "dyn"}, want: 200},
+
+	// Unknown keys and mode mismatches. The uniform sampler refuses a
+	// removable set because of what the key holds, flagged or not.
 	{name: "unknown key", call: behaviourCall{op: "sample", key: "nope", n: 1}, want: 404},
 	{name: "stream unknown key", call: behaviourCall{op: "stream", key: "nope", n: 10}, want: 404},
 	{name: "reconstruct unknown key", call: behaviourCall{op: "reconstruct", key: "nope"}, want: 404},
 	{name: "intersection unknown key", call: behaviourCall{op: "intersection", key: "plain", keyB: "nope"}, want: 404},
-	{name: "sample plain key as dynamic", call: behaviourCall{op: "sample", key: "plain", n: 1, dynamic: true}, want: 404},
 	{name: "uniform+dynamic", call: behaviourCall{op: "sample", key: "dyn", n: 1, uniform: true, dynamic: true}, want: 400},
+	{name: "uniform on dynamic key unflagged", call: behaviourCall{op: "sample", key: "dyn", n: 1, uniform: true}, want: 400},
 	{name: "add kind clash", call: behaviourCall{op: "add", key: "dyn", ids: []uint64{1}}, want: 409},
 	{name: "add out of namespace", call: behaviourCall{op: "add", key: "far", ids: []uint64{999_999_999}}, want: 400},
 
@@ -135,6 +144,31 @@ var behaviourRows = []behaviourRow{
 	// Durability operations on a server that has no WAL.
 	{name: "snapshot without a WAL", call: behaviourCall{op: "snapshot"}, want: 400},
 	{name: "bad restore bundle", call: behaviourCall{op: "restore", bundle: []byte("not a bundle")}, want: 400},
+
+	// A bundle no write path could have produced is refused whole, and the
+	// database being served goes on being served.
+	{name: "restore bundle binding a key twice", call: behaviourCall{op: "restore", bundle: clashingBundle()}, want: 400},
+	{name: "refused restore left the database", call: behaviourCall{op: "sample", key: "plain", n: 1}, want: 200, check: dynUnchanged},
+}
+
+// clashingBundle is the bundle of a database holding plain "k" and dynamic
+// "d", with "d" renamed to "k" in place: well-formed, and binding one key in
+// both sections.
+func clashingBundle() []byte {
+	db, err := setdb.Open(setdb.Options{Namespace: 1024, Bits: 256, K: 3, TreeDepth: 3})
+	if err == nil {
+		err = db.AddMany(setdb.Write{Key: "k", IDs: []uint64{1}}, setdb.Write{Key: "d", IDs: []uint64{4}, Dynamic: true})
+	}
+	var buf bytes.Buffer
+	if err == nil {
+		_, err = db.SnapshotView().WriteBundleTo(&buf)
+	}
+	d := bytes.LastIndex(buf.Bytes(), []byte{1, 0, 'd'}) // the key as a section stores it: length, then bytes
+	if err != nil || d < 0 {
+		panic(fmt.Sprintf("building the clashing bundle: err %v, key at %d", err, d))
+	}
+	buf.Bytes()[d+2] = 'k'
+	return buf.Bytes()
 }
 
 // behaviourDriver frames one call and reports the status it ended in.

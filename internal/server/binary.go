@@ -446,7 +446,6 @@ func (bc *binConn) binSample(tr *obs.Trace, h wire.Header, body []byte) error {
 		Key:     m.Key,
 		N:       int(m.N),
 		Workers: int(m.Workers),
-		Dynamic: h.Flags&wire.FlagDynamic != 0,
 		Uniform: h.Flags&wire.FlagUniform != 0,
 		Stream:  stream,
 	}
@@ -480,7 +479,7 @@ func (bc *binConn) binReconstruct(tr *obs.Trace, h wire.Header, body []byte) err
 	if err != nil {
 		return err
 	}
-	resp, err := bc.srv.reconstruct(ReconstructRequest{Key: m.Key, Dynamic: h.Flags&wire.FlagDynamic != 0})
+	resp, err := bc.srv.reconstruct(ReconstructRequest{Key: m.Key})
 	if err != nil {
 		return err
 	}

@@ -52,7 +52,8 @@ var (
 // statusFor maps errors onto HTTP statuses — and, the numbers being
 // shared, onto wire error codes: absent keys are 404, semantic conflicts
 // (plain/dynamic clash, remove of a non-member, invalidated sampler) are
-// 409, known caller mistakes are 400, and anything unrecognized is a
+// 409, known caller mistakes (an id outside the namespace, uniform
+// sampling of a removable set) are 400, and anything unrecognized is a
 // genuine server-side failure — 500, so monitoring never blames the
 // client for an internal bug.
 func statusFor(err error) int {
@@ -66,23 +67,21 @@ func statusFor(err error) int {
 		errors.Is(err, setdb.ErrSamplerInvalid),
 		errors.Is(err, bloom.ErrNotMember):
 		return http.StatusConflict
-	case errors.Is(err, setdb.ErrOutOfRange):
+	case errors.Is(err, setdb.ErrOutOfRange),
+		errors.Is(err, setdb.ErrNotPlain):
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError
 	}
 }
 
-// pinned returns the currently published filter version of key on db:
-// the counting-set snapshot when dynamic, the plain set's filter
-// otherwise. Everything a request does afterwards runs against this one
-// point-in-time version, no matter how writers race it.
-func pinned(db *setdb.DB, key string, dynamic bool) (*bloom.Filter, error) {
+// pinned returns the currently published filter version of key on db,
+// whatever kind of set the key holds. Everything a request does afterwards
+// runs against this one point-in-time version, no matter how writers race
+// it.
+func pinned(db *setdb.DB, key string) (*bloom.Filter, error) {
 	if key == "" {
 		return nil, errMissingKey
-	}
-	if dynamic {
-		return db.SnapshotDynamic(key)
 	}
 	f := db.Filter(key)
 	if f == nil {
@@ -93,20 +92,22 @@ func pinned(db *setdb.DB, key string, dynamic bool) (*bloom.Filter, error) {
 
 // SampleRequest asks for n samples from the set under Key.
 //
-// Exactly one storage/sampling mode applies: plain sets use the
-// near-uniform BSTSample batch path (parallel workers), Dynamic selects
-// the counting-set snapshot path, Uniform the rejection-corrected
-// exactly-uniform sampler (plain sets only; calibration is shared and
-// shows up in /v1/stats). Stream switches the response to chunks —
-// NDJSON lines over HTTP, credit-gated frames on the wire — drawn and
-// sent a chunk at a time, for batches too large to buffer.
+// Two sampling modes: the near-uniform BSTSample batch path (parallel
+// workers), which serves every key, and — Uniform — the
+// rejection-corrected exactly-uniform sampler (plain sets only;
+// calibration is shared and shows up in /v1/stats). Stream switches the
+// response to chunks — NDJSON lines over HTTP, credit-gated frames on the
+// wire — drawn and sent a chunk at a time, for batches too large to
+// buffer.
 type SampleRequest struct {
 	Key     string `json:"key"`
 	N       int    `json:"n,omitempty"` // default 1
 	Workers int    `json:"workers,omitempty"`
-	Dynamic bool   `json:"dynamic,omitempty"`
-	Uniform bool   `json:"uniform,omitempty"`
-	Stream  bool   `json:"stream,omitempty"`
+	// Deprecated: accepted and ignored — the key says what kind of set it
+	// holds. To be dropped with bench/'s use of it.
+	Dynamic bool `json:"dynamic,omitempty"`
+	Uniform bool `json:"uniform,omitempty"`
+	Stream  bool `json:"stream,omitempty"`
 }
 
 // SampleResponse carries the drawn ids. Returned can be less than
@@ -121,8 +122,8 @@ type SampleResponse struct {
 }
 
 // pin validates a sample request (defaulting req.N to 1) and resolves
-// its sampling mode to a draw function. The plain and dynamic modes pin
-// the key's currently published filter version here, once: a batch
+// its sampling mode to a draw function. The batch mode pins the key's
+// currently published filter version here, once: a batch
 // spread over many chunks (streaming) is drawn entirely from that one
 // point-in-time version of that one database, never interleaving set
 // versions mid-response no matter how writers or a restore race it. The
@@ -142,15 +143,14 @@ func (s *Server) pin(req *SampleRequest) (draw func(n int) ([]uint64, error), er
 		return nil, errf(http.StatusRequestEntityTooLarge, "n %d exceeds the streaming batch limit %d", req.N, s.cfg.MaxStreamBatch)
 	case !req.Stream && req.N > s.cfg.MaxBatch:
 		return nil, errf(http.StatusRequestEntityTooLarge, "n %d exceeds the batch limit %d (stream mode affords up to %d)", req.N, s.cfg.MaxBatch, s.cfg.MaxStreamBatch)
-	case req.Uniform && req.Dynamic:
-		return nil, errf(http.StatusBadRequest, "uniform sampling serves plain sets only")
 	}
 	db := s.DB()
 	if req.Uniform {
-		// Resolve the shared sampler once per request. A Delete/re-Add
-		// racing the request surfaces as ErrSamplerInvalid from the draw
-		// (409, or an in-band stream error) — one response never silently
-		// splices ids from two key lifetimes.
+		// Resolve the shared sampler once per request (a removable set has
+		// none: setdb.ErrNotPlain, 400). A Delete/re-Add racing the request
+		// surfaces as ErrSamplerInvalid from the draw (409, or an in-band
+		// stream error) — one response never silently splices ids from two
+		// key lifetimes.
 		smp, err := s.uniformSampler(db, req.Key)
 		if err != nil {
 			return nil, err
@@ -163,7 +163,7 @@ func (s *Server) pin(req *SampleRequest) (draw func(n int) ([]uint64, error), er
 			return smp.SampleN(n, rng, nil)
 		}, nil
 	}
-	f, err := pinned(db, req.Key, req.Dynamic)
+	f, err := pinned(db, req.Key)
 	if err != nil {
 		return nil, err
 	}
@@ -251,8 +251,9 @@ func (s *Server) sampleStream(req SampleRequest, st *binStream, emit func(ids []
 
 // ReconstructRequest asks for the full contents of a stored set.
 type ReconstructRequest struct {
-	Key     string `json:"key"`
-	Dynamic bool   `json:"dynamic,omitempty"`
+	Key string `json:"key"`
+	// Deprecated: accepted and ignored, as on SampleRequest.
+	Dynamic bool `json:"dynamic,omitempty"`
 }
 
 // ReconstructResponse returns the reconstructed ids in ascending order.
@@ -271,7 +272,7 @@ type ReconstructResponse struct {
 // bound.
 func (s *Server) reconstruct(req ReconstructRequest) (ReconstructResponse, error) {
 	db := s.DB()
-	f, err := pinned(db, req.Key, req.Dynamic)
+	f, err := pinned(db, req.Key)
 	if err != nil {
 		return ReconstructResponse{}, err
 	}
@@ -330,9 +331,10 @@ func (s *Server) intersection(req IntersectionRequest) (IntersectionResponse, er
 //     nothing.
 //
 // Exactly one shape must be used per request (the wire protocol only has
-// the batch shape). Dynamic selects the counting-filter (deletable)
-// storage kind; the kind is fixed at creation and mixing kinds on one
-// key is a 409.
+// the batch shape). Dynamic is the kind a new key gets — a removable set
+// on the configured backend rather than a plain filter; the kind is fixed
+// at creation, and an add naming the other kind of an existing key is a
+// 409.
 type AddRequest struct {
 	Key     string   `json:"key,omitempty"`
 	IDs     []uint64 `json:"ids,omitempty"`
@@ -373,9 +375,10 @@ func (s *Server) add(req AddRequest) (AddResponse, error) {
 	return AddResponse{Key: req.Key, Added: total, Keys: len(req.Sets)}, nil
 }
 
-// RemoveRequest removes one insertion of each id from the dynamic set
-// under Key. The batch is all-or-nothing: a single non-member id fails
-// the whole request (409) and publishes nothing.
+// RemoveRequest removes one insertion of each id from the removable set
+// under Key (a plain set, like an absent key, is a 404). The batch is
+// all-or-nothing: a single non-member id fails the whole request (409)
+// and publishes nothing.
 type RemoveRequest struct {
 	Key string   `json:"key"`
 	IDs []uint64 `json:"ids"`
@@ -489,7 +492,9 @@ type DBStats struct {
 	// figure, and occupied_chunks/max_chunk_keys show how evenly the
 	// copy units are loaded. Chunk tables are adaptive — each shard map
 	// grows from 1 chunk toward max_chunks_per_shard with occupancy — so
-	// total_chunks tracks how far the layout has fanned out.
+	// total_chunks tracks how far the layout has fanned out (it counts one
+	// map per shard; sets and dynamic_sets count the keys of that one map
+	// by what they hold).
 	// state_publishes < state_writes means group commit (batch /v1/add)
 	// is coalescing writes into shared publishes.
 	MaxChunksPerShard       int     `json:"max_chunks_per_shard"`

@@ -19,11 +19,11 @@
 //
 // HTTP endpoints (JSON bodies unless noted):
 //
-//	POST /v1/sample        draw n samples (single, batch, uniform, dynamic; "stream": NDJSON)
+//	POST /v1/sample        draw n samples from any key (single, batch, uniform; "stream": NDJSON)
 //	POST /v1/reconstruct   reconstruct a stored set
 //	POST /v1/intersection  estimate |A ∩ B| for two stored sets
-//	POST /v1/add           insert ids (plain copy-on-write or dynamic counting set; multi-key batches group-commit)
-//	POST /v1/remove        remove ids from a dynamic set (all-or-nothing)
+//	POST /v1/add           insert ids ("dynamic" is the kind a new key gets: a removable set; multi-key batches group-commit)
+//	POST /v1/remove        remove ids from a removable set (all-or-nothing)
 //	GET  /v1/stats         shard/epoch/calibration introspection + per-endpoint metrics
 //	GET  /v1/snapshot      download a live restore bundle (binary body; works with or without a WAL)
 //	POST /v1/snapshot      trigger an on-disk snapshot (requires a durability layer)
@@ -133,8 +133,8 @@ type Config struct {
 	// so they get their own, much larger cap than MaxBodyBytes.
 	MaxRestoreBytes int64
 	// Seed makes uniform-mode sampling deterministic-ish for tests (each
-	// uniform request's rng derives from it); the plain/dynamic batch
-	// paths seed their workers internally. 0 seeds from the clock.
+	// uniform request's rng derives from it); the batch path seeds its
+	// workers internally. 0 seeds from the clock.
 	Seed uint64
 	// Logger receives the server's structured log lines (request access
 	// logs at debug, slow requests and internal failures at warn/error).

@@ -291,7 +291,7 @@ func TestAddRemoveLifecycle(t *testing.T) {
 	if code := post(t, ts, "/v1/remove", `{"key":"web","ids":[8]}`, nil); code != 200 {
 		t.Fatalf("remove: status %d", code)
 	}
-	got, err := db.ReconstructDynamic("web", 0, nil)
+	got, err := db.Reconstruct("web", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestAddBatch(t *testing.T) {
 			t.Fatalf("%s should contain %d (ok=%v err=%v)", key, id, ok, err)
 		}
 	}
-	if ok, err := db.ContainsDynamic("bd", 4); err != nil || !ok {
+	if ok, err := db.Contains("bd", 4); err != nil || !ok {
 		t.Fatalf("bd should contain 4 (ok=%v err=%v)", ok, err)
 	}
 

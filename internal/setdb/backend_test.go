@@ -2,13 +2,10 @@ package setdb
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math/rand"
 	"testing"
 
-	"repro/internal/bloom"
 	"repro/internal/core"
-	"repro/internal/hashfam"
 	"repro/internal/membership"
 )
 
@@ -39,16 +36,16 @@ func TestCuckooBackendEndToEnd(t *testing.T) {
 		t.Fatalf("RemoveDynamic: %v", err)
 	}
 	for _, id := range []uint64{2, 6, 8, 2000, 9999} {
-		ok, err := db.ContainsDynamic("c", id)
+		ok, err := db.Contains("c", id)
 		if err != nil || !ok {
-			t.Fatalf("ContainsDynamic(%d) = %v, %v; want member", id, ok, err)
+			t.Fatalf("Contains(%d) = %v, %v; want member", id, ok, err)
 		}
 	}
-	if ok, _ := db.ContainsDynamic("c", 4); ok {
+	if ok, _ := db.Contains("c", 4); ok {
 		t.Fatal("removed id 4 still a native member")
 	}
 
-	m := db.MembershipDynamic("c")
+	m := db.Membership("c")
 	if m.Backend() != membership.KindCuckoo {
 		t.Fatalf("backend = %q, want cuckoo", m.Backend())
 	}
@@ -59,12 +56,12 @@ func TestCuckooBackendEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	counts := map[uint64]int{}
 	for i := 0; i < 500; i++ {
-		x, err := db.SampleDynamic("c", rng, nil)
+		x, err := db.Sample("c", rng, nil)
 		if err == core.ErrNoSample {
 			continue
 		}
 		if err != nil {
-			t.Fatalf("SampleDynamic: %v", err)
+			t.Fatalf("Sample: %v", err)
 		}
 		counts[x]++
 	}
@@ -72,9 +69,9 @@ func TestCuckooBackendEndToEnd(t *testing.T) {
 		t.Fatal("no samples drawn from cuckoo-backed set")
 	}
 
-	got, err := db.ReconstructDynamic("c", core.PruneByAndBits, nil)
+	got, err := db.Reconstruct("c", core.PruneByAndBits, nil)
 	if err != nil {
-		t.Fatalf("ReconstructDynamic: %v", err)
+		t.Fatalf("Reconstruct: %v", err)
 	}
 	want := map[uint64]bool{2: true, 6: true, 8: true, 2000: true, 9999: true}
 	for id := range want {
@@ -113,93 +110,15 @@ func TestCuckooBackendEndToEnd(t *testing.T) {
 	if db2.Options().Backend != membership.KindCuckoo {
 		t.Fatalf("reloaded backend = %q, want cuckoo", db2.Options().Backend)
 	}
-	m2 := db2.MembershipDynamic("c")
+	m2 := db2.Membership("c")
 	if m2 == nil || m2.Backend() != membership.KindCuckoo || m2.Live() != 5 {
 		t.Fatalf("reloaded dynamic set = %v, want cuckoo with 5 live", m2)
 	}
-	if ok, _ := db2.ContainsDynamic("c", 4); ok {
+	if ok, _ := db2.Contains("c", 4); ok {
 		t.Fatal("reloaded set resurrects removed id 4")
 	}
 	if err := db2.AddDynamic("c", 42); err != nil {
 		t.Fatalf("AddDynamic after reload: %v", err)
-	}
-}
-
-// TestLegacySnapshotLoads hand-crafts a pre-backend SETDB1 snapshot —
-// old magic, no backend header field, one plain section of bare BSF1
-// filter payloads, no dynamic section — and verifies it still loads,
-// defaulting the backend to counting.
-func TestLegacySnapshotLoads(t *testing.T) {
-	const (
-		namespace = uint64(10_000)
-		bits      = uint64(4096)
-		k         = 3
-		seed      = uint64(9)
-		depth     = 8
-	)
-	fam, err := hashfam.New(hashfam.DefaultKind, bits, k, seed)
-	if err != nil {
-		t.Fatalf("hashfam.New: %v", err)
-	}
-	ids := []uint64{5, 17, 4011}
-	filter, err := bloom.NewFromElements(fam, ids).MarshalBinary()
-	if err != nil {
-		t.Fatalf("MarshalBinary: %v", err)
-	}
-	if string(filter[:4]) != "BSF1" {
-		t.Fatalf("plain filter payload starts %q, want legacy bare BSF1", filter[:4])
-	}
-
-	var buf bytes.Buffer
-	buf.WriteString("SETDB1")
-	hdr := make([]byte, 0, 64)
-	hdr = binary.LittleEndian.AppendUint64(hdr, namespace)
-	hdr = binary.LittleEndian.AppendUint64(hdr, bits)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(k))
-	hdr = binary.LittleEndian.AppendUint64(hdr, seed)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(depth))
-	hdr = binary.LittleEndian.AppendUint64(hdr, 100) // design set size
-	hdr = append(hdr, 0)                             // not pruned
-	kind := string(hashfam.DefaultKind)
-	hdr = append(hdr, byte(len(kind)))
-	hdr = append(hdr, kind...)
-	buf.Write(hdr)
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], 1)
-	buf.Write(cnt[:])
-	key := "old"
-	var kl [2]byte
-	binary.LittleEndian.PutUint16(kl[:], uint16(len(key)))
-	buf.Write(kl[:])
-	buf.WriteString(key)
-	var fl [4]byte
-	binary.LittleEndian.PutUint32(fl[:], uint32(len(filter)))
-	buf.Write(fl[:])
-	buf.Write(filter)
-
-	db, err := ReadFrom(&buf)
-	if err != nil {
-		t.Fatalf("ReadFrom(SETDB1): %v", err)
-	}
-	if db.Options().Backend != membership.KindCounting {
-		t.Fatalf("legacy backend = %q, want counting default", db.Options().Backend)
-	}
-	for _, id := range ids {
-		ok, err := db.Contains("old", id)
-		if err != nil || !ok {
-			t.Fatalf("Contains(old, %d) = %v, %v; want member", id, ok, err)
-		}
-	}
-	// The loaded database is fully writable, including dynamic sets on
-	// the defaulted backend.
-	if err := db.Add("old", 77); err != nil {
-		t.Fatalf("Add after legacy load: %v", err)
-	}
-	if err := db.AddDynamic("dyn", 123); err != nil {
-		t.Fatalf("AddDynamic after legacy load: %v", err)
-	}
-	if db.MembershipDynamic("dyn").Backend() != membership.KindCounting {
-		t.Fatal("dynamic set on legacy db not counting-backed")
 	}
 }
 
@@ -217,7 +136,7 @@ func TestBackendBatchAndSnapshotRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ApplyBatch: %v", err)
 			}
-			if ok, _ := db.ContainsDynamic("d", 20); ok {
+			if ok, _ := db.Contains("d", 20); ok {
 				t.Fatal("batched remove left 20 a member")
 			}
 			var buf bytes.Buffer
@@ -232,9 +151,9 @@ func TestBackendBatchAndSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("reloaded backend = %q, want %q", db2.Options().Backend, kind)
 			}
 			for _, id := range []uint64{10, 30} {
-				ok, err := db2.ContainsDynamic("d", id)
+				ok, err := db2.Contains("d", id)
 				if err != nil || !ok {
-					t.Fatalf("reloaded ContainsDynamic(%d) = %v, %v", id, ok, err)
+					t.Fatalf("reloaded Contains(%d) = %v, %v", id, ok, err)
 				}
 			}
 			if ok, _ := db2.Contains("p", 2); !ok {

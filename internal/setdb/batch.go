@@ -2,36 +2,37 @@ package setdb
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/bloom"
 	"repro/internal/membership"
 )
 
-// Group commit: the write-coalescing path. A single Add pays one chunk
-// clone plus one snapshot publish; under heavy ingest (bulk loads, the
-// server's batch /v1/add) that is still one publish per key. ApplyBatch
-// instead folds any number of pending writes into one published
-// successor snapshot per touched shard: the chunk table is cloned once
-// per shard, each touched chunk once, and the atomic store happens once —
-// N writes landing in one shard pay amortized O(keys/chunk · touched
-// chunks / N) copying instead of N full clones.
+// The write path. There is one: every mutation is a Write, the rule that
+// applies one Write to one key is next, and ApplyBatch is the sequence
+// around it — validate, grow the tree, lock, build, publish. A single Add
+// is a batch of one. Folding N pending writes into one call is group
+// commit: the chunk table is cloned once per touched shard, each touched
+// chunk once, and the atomic store happens once — N writes landing in one
+// shard pay amortized O(keys/chunk · touched chunks / N) copying instead of
+// N full clones, which is what heavy ingest (bulk loads, the server's batch
+// /v1/add) needs.
 
-// Write is one pending mutation for the group-commit path: insert IDs
-// into the set under Key, creating it on first use; Dynamic selects the
-// deletable storage kind backed by the database's configured membership
-// backend, exactly as AddDynamic does.
+// Write is one pending mutation of the set under Key.
 //
-// Remove inverts the mutation, mirroring the single-write removal
-// surface. A dynamic remove (Remove with Dynamic set) removes one
-// insertion of each id from the dynamic set under Key with
-// RemoveDynamic's semantics: the key must exist (ErrNoSet) and every id
-// must be a member at its turn (bloom.ErrNotMember) or the whole batch
-// aborts unpublished. A plain remove (Remove without Dynamic) deletes
-// the entire stored set like Delete — IDs must be empty, since
-// individual ids cannot be removed from a plain Bloom filter — and a
-// delete-miss is a no-op rather than an error, matching Delete's
-// bool-not-error contract. Mixed add/remove batches compose in slice
-// order and still publish once per touched shard.
+// An add (Remove unset) inserts IDs, creating the key on first use. Dynamic
+// names the kind a new key gets — removable, on the database's configured
+// membership backend, or plain — and must match the kind an existing key
+// already has (ErrKeyClash): removability is fixed at creation.
+//
+// A remove with IDs (or with Dynamic set) removes one insertion of each id:
+// the key must hold a removable set (ErrNoSet) and every id must be a
+// member at its turn (bloom.ErrNotMember) or the whole batch aborts
+// unpublished; with Dynamic and no IDs it changes nothing. A remove without
+// IDs and without Dynamic unbinds the key, whatever its kind, and an absent
+// key is a no-op rather than an error, matching Delete's bool-not-error
+// contract. Mixed add/remove batches compose in slice order and still
+// publish once per touched shard.
 type Write struct {
 	Key     string
 	IDs     []uint64
@@ -39,28 +40,65 @@ type Write struct {
 	Remove  bool
 }
 
-// AddMany is the variadic convenience form of ApplyBatch.
-func (db *DB) AddMany(writes ...Write) error { return db.ApplyBatch(writes) }
+// next is the one rule a write is applied by: given the entry bound to
+// w.Key (bound false: none) it returns the entry to bind in its place, or
+// bind false to leave the key unbound. It touches no shard state, so a
+// failed batch has published nothing.
+func (db *DB) next(cur entry, bound bool, w *Write) (entry, bool, error) {
+	d, removable := cur.removable()
+	switch {
+	case w.Remove && !w.Dynamic && len(w.IDs) == 0:
+		return entry{}, false, nil
+	case w.Remove:
+		if !bound || !removable {
+			return entry{}, false, fmt.Errorf("%w %q (dynamic)", ErrNoSet, w.Key)
+		}
+		m, err := d.CloneRemove(w.IDs...)
+		return entry{m: m, gen: cur.gen, ver: cur.ver + 1}, err == nil, err
+	case !bound && w.Dynamic:
+		m, err := db.newDynamic(w.IDs)
+		return entry{m: m, gen: db.gen.Add(1)}, err == nil, err
+	case !bound:
+		return entry{m: membership.FromBloom(bloom.NewFromElements(db.fam, w.IDs)), gen: db.gen.Add(1)}, true, nil
+	case removable && !w.Dynamic:
+		return entry{}, false, fmt.Errorf("%w: %q already exists as a dynamic set", ErrKeyClash, w.Key)
+	case w.Dynamic && !removable:
+		return entry{}, false, fmt.Errorf("%w: %q already exists as a plain set", ErrKeyClash, w.Key)
+	}
+	return entry{m: cur.m.CloneAdd(w.IDs...), gen: cur.gen, ver: cur.ver + 1}, true, nil
+}
 
 // ApplyBatch applies a batch of writes with one snapshot publish per
 // touched shard. Writes to the same key compose in slice order, exactly
-// as sequential Add/AddDynamic/Delete/RemoveDynamic calls would; adds
-// and removes may be mixed freely in one batch.
+// as sequential single writes would; adds and removes may be mixed freely
+// in one batch.
 //
-// The batch is all-or-nothing: every id is namespace-validated and every
-// key's storage kind is checked before anything is published, and a
-// failure (ErrOutOfRange, ErrKeyClash, ErrNoSet, bloom.ErrNotMember)
-// leaves the database exactly as it was. On a pruned database the shared tree grows once for the union of
-// all ids, before any shard lock is taken; as with Add, tree occupancy
-// from a batch that later fails costs performance, never correctness.
+// The batch is all-or-nothing: every id is namespace-validated (a remove's
+// too: an out-of-range id can alias onto occupied counter positions and
+// would otherwise corrupt genuine members' counters while looking like a
+// successful remove) and every key's kind is checked before anything is
+// published, and a failure (ErrOutOfRange, ErrKeyClash, ErrNoSet,
+// bloom.ErrNotMember) leaves the database exactly as it was. On a pruned
+// database the shared tree grows once for the union of all inserted ids,
+// before any shard lock is taken — tree growth has its own per-subtree
+// synchronization, so a slow tree epoch never stalls a shard's other
+// writers — and before the new versions become visible, so a published set
+// is always coverable by the tree. Ids present in the tree but, because the
+// batch later fails, in no filter cost occupancy, never correctness.
 //
 // Locking: the touched shards are locked in ascending index order (the
-// same order snapshotAll uses), so concurrent batches, single writes and
-// serialization never deadlock. Readers are unaffected throughout — they
-// keep loading the previous snapshots until the single publishing store.
+// same order snapshotAll uses), so concurrent batches and serialization
+// never deadlock. Readers are unaffected throughout — they keep loading
+// the previous snapshots until the single publishing store.
 func (db *DB) ApplyBatch(writes []Write) error {
+	_, err := db.apply(writes)
+	return err
+}
+
+// apply is ApplyBatch, also reporting how many bound keys the batch unbound.
+func (db *DB) apply(writes []Write) (unbound int, err error) {
 	if len(writes) == 0 {
-		return nil
+		return 0, nil
 	}
 	// Validate everything validatable before paying for tree growth.
 	// Only inserted ids grow the tree: removals never add occupancy (and
@@ -68,10 +106,7 @@ func (db *DB) ApplyBatch(writes []Write) error {
 	total := 0
 	for i := range writes {
 		if err := db.validateIDs(writes[i].IDs); err != nil {
-			return err
-		}
-		if writes[i].Remove && !writes[i].Dynamic && len(writes[i].IDs) > 0 {
-			return fmt.Errorf("setdb: remove of plain set %q carries ids (individual ids cannot be removed from a plain Bloom filter)", writes[i].Key)
+			return 0, err
 		}
 		if !writes[i].Remove {
 			total += len(writes[i].IDs)
@@ -85,7 +120,7 @@ func (db *DB) ApplyBatch(writes []Write) error {
 			}
 		}
 		if err := db.tree.InsertBatch(all); err != nil {
-			return err
+			return 0, err
 		}
 	}
 
@@ -102,13 +137,8 @@ func (db *DB) ApplyBatch(writes []Write) error {
 		}
 		byShard[si] = append(byShard[si], i)
 	}
-	// touched must be ascending for the deadlock-free lock order; the
-	// shard count is tiny, so insertion sort is plenty.
-	for i := 1; i < len(touched); i++ {
-		for j := i; j > 0 && touched[j] < touched[j-1]; j-- {
-			touched[j], touched[j-1] = touched[j-1], touched[j]
-		}
-	}
+	// touched must be ascending for the deadlock-free lock order.
+	sort.Ints(touched)
 	for _, si := range touched {
 		db.shards[si].mu.Lock()
 	}
@@ -118,106 +148,90 @@ func (db *DB) ApplyBatch(writes []Write) error {
 		}
 	}()
 
-	// Build every shard's successor snapshot before publishing any of
-	// them: a clash detected while building aborts the whole batch with
-	// nothing published. Builders are created lazily per entry kind so a
-	// plain-only batch never copies a shard's dynamic chunk table (and
-	// vice versa).
-	type pendingShard struct {
-		si   int
-		sets *chunkBuilder[setEntry]
-		dyn  *chunkBuilder[membership.DynamicMembership]
-	}
-	pending := make([]pendingShard, 0, len(touched))
-	for _, si := range touched {
-		cur := db.shards[si].load()
-		p := pendingShard{si: si}
+	// Build every shard's successor map before publishing any of them: an
+	// error met while building aborts the whole batch with nothing
+	// published. A shard's builder is created by the first write that
+	// changes the shard, so one touched only by unbinds of absent keys
+	// copies nothing and publishes nothing.
+	builders := make([]*chunkBuilder[entry], len(touched))
+	for ti, si := range touched {
+		cur := db.shards[si].load().sets
+		var b *chunkBuilder[entry]
 		for _, wi := range byShard[si] {
-			w := &writes[wi]
-			h := hashes[wi]
-			if w.Remove {
-				if w.Dynamic {
-					if p.dyn == nil {
-						p.dyn = newChunkBuilder(cur.dynamic)
-					}
-					c, ok := p.dyn.get(h, w.Key)
-					if !ok {
-						return fmt.Errorf("%w %q (dynamic)", ErrNoSet, w.Key)
-					}
-					next, err := c.CloneRemove(w.IDs...)
-					if err != nil {
-						return err
-					}
-					p.dyn.set(h, w.Key, next)
-				} else {
-					// Delete-miss is a no-op; don't build (or later
-					// publish) a snapshot for a shard only touched by
-					// misses.
-					if p.sets != nil {
-						p.sets.delete(h, w.Key)
-					} else if _, ok := cur.sets.get(h, w.Key); ok {
-						p.sets = newChunkBuilder(cur.sets)
-						p.sets.delete(h, w.Key)
-					}
-				}
+			w, h := &writes[wi], hashes[wi]
+			// Later writes observe earlier ones of the batch.
+			var e entry
+			var bound bool
+			if b != nil {
+				e, bound = b.get(h, w.Key)
+			} else {
+				e, bound = cur.get(h, w.Key)
+			}
+			e, bind, err := db.next(e, bound, w)
+			if err != nil {
+				return 0, err
+			}
+			if !bind && !bound {
 				continue
 			}
-			if w.Dynamic {
-				if p.sets != nil {
-					if _, clash := p.sets.get(h, w.Key); clash {
-						return fmt.Errorf("%w: %q already exists as a plain set", ErrKeyClash, w.Key)
-					}
-				} else if _, clash := cur.sets.get(h, w.Key); clash {
-					return fmt.Errorf("%w: %q already exists as a plain set", ErrKeyClash, w.Key)
-				}
-				if p.dyn == nil {
-					p.dyn = newChunkBuilder(cur.dynamic)
-				}
-				if c, ok := p.dyn.get(h, w.Key); ok {
-					p.dyn.set(h, w.Key, c.CloneAddDynamic(w.IDs...))
-				} else {
-					c, err := db.newDynamic(w.IDs)
-					if err != nil {
-						return err
-					}
-					p.dyn.set(h, w.Key, c)
-				}
+			if b == nil {
+				b = newChunkBuilder(cur)
+			}
+			if bind {
+				b.set(h, w.Key, e)
 			} else {
-				if p.dyn != nil {
-					if _, clash := p.dyn.get(h, w.Key); clash {
-						return fmt.Errorf("%w: %q already exists as a dynamic set", ErrKeyClash, w.Key)
-					}
-				} else if _, clash := cur.dynamic.get(h, w.Key); clash {
-					return fmt.Errorf("%w: %q already exists as a dynamic set", ErrKeyClash, w.Key)
-				}
-				if p.sets == nil {
-					p.sets = newChunkBuilder(cur.sets)
-				}
-				if e, ok := p.sets.get(h, w.Key); ok {
-					p.sets.set(h, w.Key, setEntry{f: e.f.CloneAdd(w.IDs...), gen: e.gen, ver: e.ver + 1})
-				} else {
-					p.sets.set(h, w.Key, setEntry{f: membership.FromBloom(bloom.NewFromElements(db.fam, w.IDs)), gen: db.gen.Add(1)})
-				}
+				b.delete(h, w.Key)
+				unbound++
 			}
 		}
-		pending = append(pending, p)
+		builders[ti] = b
 	}
 
-	// Publish: one atomic store per touched shard.
-	var copied uint64
-	for _, p := range pending {
-		cur := db.shards[p.si].load()
-		next := &shardState{sets: cur.sets, dynamic: cur.dynamic}
-		if p.sets != nil {
-			next.sets = p.sets.freeze()
-			copied += p.sets.bytes
+	// Publish: one atomic store per changed shard.
+	var publishes, copied uint64
+	for ti, b := range builders {
+		if b != nil {
+			db.shards[touched[ti]].state.Store(&shardState{sets: b.freeze()})
+			publishes++
+			copied += b.bytes
 		}
-		if p.dyn != nil {
-			next.dynamic = p.dyn.freeze()
-			copied += p.dyn.bytes
-		}
-		db.shards[p.si].state.Store(next)
 	}
-	db.recordWrites(uint64(len(writes)), uint64(len(pending)), copied)
-	return nil
+	db.recordWrites(uint64(len(writes)), publishes, copied)
+	return unbound, nil
 }
+
+// The single-write forms: each is a batch of one.
+
+// Add inserts ids into the plain set stored under key, creating it on first
+// use. The stored filter is replaced by a copy-on-write clone, so in-flight
+// readers of the previous version are never disturbed and new readers see
+// the update atomically.
+func (db *DB) Add(key string, ids ...uint64) error {
+	return db.ApplyBatch([]Write{{Key: key, IDs: ids}})
+}
+
+// AddDynamic inserts ids into the removable set under key, creating it on
+// first use with the database's configured backend.
+func (db *DB) AddDynamic(key string, ids ...uint64) error {
+	return db.ApplyBatch([]Write{{Key: key, IDs: ids, Dynamic: true}})
+}
+
+// RemoveDynamic removes one insertion of each id from the removable set
+// under key. The batch is all-or-nothing: removing an id that is not
+// currently a member is an error and leaves the whole set unchanged — no
+// partially-removed state is ever published. (The shared pruned tree
+// retains the id's range — tree occupancy is monotone — which affects only
+// performance, never correctness.)
+func (db *DB) RemoveDynamic(key string, ids ...uint64) error {
+	return db.ApplyBatch([]Write{{Key: key, IDs: ids, Dynamic: true, Remove: true}})
+}
+
+// Delete unbinds key, whatever kind of set it holds. It returns false if
+// the key is absent.
+func (db *DB) Delete(key string) bool {
+	unbound, _ := db.apply([]Write{{Key: key, Remove: true}}) // an unbind carries no ids and meets no kind: it cannot fail
+	return unbound > 0
+}
+
+// AddMany is the variadic convenience form of ApplyBatch.
+func (db *DB) AddMany(writes ...Write) error { return db.ApplyBatch(writes) }

@@ -38,13 +38,13 @@ func TestApplyBatchGroupCommit(t *testing.T) {
 	if ok, err := db.Contains("b", 4); err != nil || !ok {
 		t.Fatalf("b should contain 4 (ok=%v err=%v)", ok, err)
 	}
-	if ok, err := db.ContainsDynamic("dyn", 5); err != nil || !ok {
+	if ok, err := db.Contains("dyn", 5); err != nil || !ok {
 		t.Fatalf("dyn should contain 5 (ok=%v err=%v)", ok, err)
 	}
-	if got := db.Len(); got != 2 {
-		t.Fatalf("Len = %d, want 2 plain sets", got)
-	}
 	st := db.Stats()
+	if got := db.Len(); got != 3 || st.Sets != 2 || st.DynamicSets != 1 {
+		t.Fatalf("Len = %d over %d plain and %d dynamic sets, want 3 over 2 and 1", got, st.Sets, st.DynamicSets)
+	}
 	if st.StateWrites != 4 {
 		t.Fatalf("StateWrites = %d, want 4", st.StateWrites)
 	}
@@ -140,8 +140,8 @@ func TestApplyBatchGrowsPrunedTree(t *testing.T) {
 			t.Fatalf("id %d never sampled after batch insert into pruned tree (got %v)", id, got)
 		}
 	}
-	if x, err := db.SampleDynamic("d", rng, nil); err != nil || x != 40 {
-		t.Fatalf("SampleDynamic = %d, %v; want 40", x, err)
+	if x, err := db.Sample("d", rng, nil); err != nil || x != 40 {
+		t.Fatalf("Sample = %d, %v; want 40", x, err)
 	}
 }
 
@@ -305,7 +305,7 @@ func TestConcurrentApplyBatch(t *testing.T) {
 		t.Fatalf("batches did not coalesce publishes: writes=%d publishes=%d", st.StateWrites, st.StatePublishes)
 	}
 	for w := 0; w < 4; w++ {
-		if ok, err := db.ContainsDynamic(fmt.Sprintf("dyn%d", w), 39); err != nil || !ok {
+		if ok, err := db.Contains(fmt.Sprintf("dyn%d", w), 39); err != nil || !ok {
 			t.Fatalf("dyn%d lost writes (ok=%v err=%v)", w, ok, err)
 		}
 	}

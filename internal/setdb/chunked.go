@@ -27,7 +27,7 @@ package setdb
 const (
 	// maxChunks caps the number of chunks a shard map grows to. With the
 	// 64-way shard split in front of it, a saturated database holds 16384
-	// chunks per kind; at 10⁵ keys in one shard a chunk carries ~400
+	// chunks; at 10⁵ keys in one shard a chunk carries ~400
 	// keys, so a write copies ~2 KB of table plus ~20 KB of chunk instead
 	// of several MB of flat map.
 	maxChunks = 256
@@ -98,8 +98,8 @@ func chunkIndexIn(h uint64, n int) int {
 // immutable table of small immutable maps whose length is a power of two
 // in [1, maxChunks], grown with occupancy. The zero value is the empty
 // map. Readers use get/len/rangeAll with no synchronization; successor
-// versions are produced by with/without (single write) or a chunkBuilder
-// (group commit), which clone the table and only the touched chunks.
+// versions are produced by a chunkBuilder, which clones the table and only
+// the touched chunks.
 type chunkedMap[V any] struct {
 	chunks []map[string]V // nil for the empty map; immutable once published
 	count  int
@@ -128,46 +128,6 @@ func (c chunkedMap[V]) rangeAll(fn func(key string, v V)) {
 			fn(k, v)
 		}
 	}
-}
-
-// with returns a successor version with key bound to v, plus the
-// estimated bytes copied building it.
-func (c chunkedMap[V]) with(h uint64, key string, v V) (chunkedMap[V], uint64) {
-	b := newChunkBuilder(c)
-	b.set(h, key, v)
-	return b.freeze(), b.bytes
-}
-
-// without returns a successor version with key removed, plus the
-// estimated bytes copied. When the key is absent it returns the receiver
-// unchanged with zero copies — a delete-miss must not pay for (or
-// publish) a clone of anything. The table keeps its size: chunk counts
-// never shrink.
-func (c chunkedMap[V]) without(h uint64, key string) (chunkedMap[V], uint64, bool) {
-	n := len(c.chunks)
-	if n == 0 {
-		return c, 0, false
-	}
-	ci := chunkIndexIn(h, n)
-	old := c.chunks[ci]
-	if _, ok := old[key]; !ok {
-		return c, 0, false
-	}
-	next := make([]map[string]V, n)
-	copy(next, c.chunks)
-	bytes := tableCopyBytes(n)
-	var m map[string]V
-	if len(old) > 1 {
-		m = make(map[string]V, len(old)-1)
-		for k, v := range old {
-			if k != key {
-				m[k] = v
-				bytes += EntryCopyBytes(len(k))
-			}
-		}
-	}
-	next[ci] = m
-	return chunkedMap[V]{chunks: next, count: c.count - 1}, bytes, true
 }
 
 // chunkBuilder accumulates any number of writes into one successor
@@ -242,8 +202,8 @@ func (b *chunkBuilder[V]) set(h uint64, key string, v V) {
 }
 
 // delete removes key from the working state, cloning the target chunk on
-// first touch; it reports whether the key was present. The table keeps
-// its size.
+// first touch; it reports whether the key was present, and a miss copies
+// nothing. The table keeps its size: chunk counts never shrink.
 func (b *chunkBuilder[V]) delete(h uint64, key string) bool {
 	ci := chunkIndexIn(h, len(b.chunks))
 	old := b.chunks[ci]

@@ -5,6 +5,14 @@ import (
 	"testing"
 )
 
+// with is one write through a builder: the successor version with key bound
+// to v.
+func with(m chunkedMap[int], key string, v int) chunkedMap[int] {
+	b := newChunkBuilder(m)
+	b.set(keyHash(key), key, v)
+	return b.freeze()
+}
+
 // TestChunkedMapAdaptiveGrowth pins the growth schedule: a table starts
 // at one chunk, doubles when average occupancy crosses chunkGrowKeys,
 // never exceeds maxChunks, and every stored key remains reachable across
@@ -18,7 +26,7 @@ func TestChunkedMapAdaptiveGrowth(t *testing.T) {
 	keys := make([]string, n)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%d", i)
-		m, _ = m.with(keyHash(keys[i]), keys[i], i)
+		m = with(m, keys[i], i)
 
 		nc := m.numChunks()
 		if nc&(nc-1) != 0 || nc < 1 || nc > maxChunks {
@@ -40,10 +48,11 @@ func TestChunkedMapAdaptiveGrowth(t *testing.T) {
 	}
 
 	// Removal keeps the table size (never shrink) and the remaining keys.
-	m2, bytes, ok := m.without(keyHash(keys[0]), keys[0])
-	if !ok || bytes == 0 {
-		t.Fatalf("without: ok=%v bytes=%d", ok, bytes)
+	b := newChunkBuilder(m)
+	if ok := b.delete(keyHash(keys[0]), keys[0]); !ok || b.bytes == 0 {
+		t.Fatalf("delete: ok=%v bytes=%d", ok, b.bytes)
 	}
+	m2 := b.freeze()
 	if m2.numChunks() != m.numChunks() {
 		t.Fatalf("table shrank %d -> %d on removal", m.numChunks(), m2.numChunks())
 	}
@@ -62,11 +71,11 @@ func TestChunkBuilderDelete(t *testing.T) {
 	var m chunkedMap[int]
 	for i := 0; i < 10; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		m, _ = m.with(keyHash(k), k, i)
+		m = with(m, k, i)
 	}
 	b := newChunkBuilder(m)
-	if b.delete(keyHash("nope"), "nope") {
-		t.Fatal("delete of absent key reported true")
+	if table := b.bytes; b.delete(keyHash("nope"), "nope") || b.bytes != table {
+		t.Fatalf("delete of absent key reported true or copied %d bytes beyond the table", b.bytes-table)
 	}
 	b.set(keyHash("fresh"), "fresh", 99)
 	if !b.delete(keyHash("fresh"), "fresh") {

@@ -151,35 +151,35 @@ func TestConcurrentDynamicMix(t *testing.T) {
 						t.Error(err)
 					}
 				case 2:
-					db.ContainsDynamic("dyn", uint64(rng.Intn(1000)))
+					db.Contains("dyn", uint64(rng.Intn(1000)))
 				case 3:
-					db.SampleDynamic("dyn", rng, nil)
+					db.Sample("dyn", rng, nil)
 				case 4:
-					db.ReconstructDynamic("dyn", core.PruneByAndBits, nil)
+					db.Reconstruct("dyn", core.PruneByAndBits, nil)
 				case 5:
-					db.DynamicKeys()
-					db.SnapshotDynamic("dyn")
+					db.Keys()
+					db.Filter("dyn")
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
 	for _, id := range seeds {
-		ok, err := db.ContainsDynamic("dyn", id)
+		ok, err := db.Contains("dyn", id)
 		if err != nil || !ok {
 			t.Fatalf("seed id %d lost after churn (ok=%v err=%v)", id, ok, err)
 		}
 	}
 	// Ids added in case 0 (never removed) must be members; a plain filter
 	// snapshot of the final state must agree.
-	snap, err := db.SnapshotDynamic("dyn")
-	if err != nil {
-		t.Fatal(err)
+	snap := db.Filter("dyn")
+	if snap == nil {
+		t.Fatal("dyn has no published version")
 	}
 	for g := 0; g < 8; g++ {
 		for i := 0; i < perG; i += 6 { // case 0 iterations
 			id := uint64(100 + g*1000 + i)
-			if ok, _ := db.ContainsDynamic("dyn", id); !ok {
+			if ok, _ := db.Contains("dyn", id); !ok {
 				t.Fatalf("kept id %d lost", id)
 			}
 			if !snap.Contains(id) {

@@ -14,8 +14,8 @@ package setdb
 //
 // Non-pruned databases rebuild their full tree deterministically from
 // the header options, so they carry presence 0. ReadBundle also accepts
-// a bare SETDB1/SETDB2 stream (non-pruned only), so a pre-durability
-// snapshot file restores directly.
+// a bare SETDB2 stream (non-pruned only), so a file written by Save
+// restores directly.
 
 import (
 	"bufio"
@@ -60,41 +60,39 @@ func (v *SnapshotView) WriteTo(w io.Writer) (int64, error) {
 		return cw.n, err
 	}
 
-	var keys []string
-	for i := range v.states {
-		v.states[i].sets.rangeAll(func(k string, _ setEntry) {
-			keys = append(keys, k)
+	plain, dynamic := v.keys()
+	for _, keys := range [][]string{plain, dynamic} {
+		err := writeSection(bw, keys, func(k string) membership.Membership {
+			h := keyHash(k)
+			e, _ := v.states[h%numShards].sets.get(h, k)
+			return e.m
 		})
-	}
-	sort.Strings(keys)
-	lookupSet := func(k string) (membership.Membership, error) {
-		h := keyHash(k)
-		e, _ := v.states[h%numShards].sets.get(h, k)
-		return e.f, nil
-	}
-	if err := writeSection(bw, keys, lookupSet); err != nil {
-		return cw.n, err
-	}
-
-	keys = keys[:0]
-	for i := range v.states {
-		v.states[i].dynamic.rangeAll(func(k string, _ membership.DynamicMembership) {
-			keys = append(keys, k)
-		})
-	}
-	sort.Strings(keys)
-	lookupDynamic := func(k string) (membership.Membership, error) {
-		h := keyHash(k)
-		c, _ := v.states[h%numShards].dynamic.get(h, k)
-		return c, nil
-	}
-	if err := writeSection(bw, keys, lookupDynamic); err != nil {
-		return cw.n, err
+		if err != nil {
+			return cw.n, err
+		}
 	}
 	if err := bw.Flush(); err != nil {
 		return cw.n, err
 	}
 	return cw.n, nil
+}
+
+// keys returns the pinned keys, each list sorted, split by capability into
+// the format's two sections: the keys whose values cannot remove ids, then
+// those whose values can.
+func (v *SnapshotView) keys() (plain, dynamic []string) {
+	for i := range v.states {
+		v.states[i].sets.rangeAll(func(k string, e entry) {
+			if _, ok := e.removable(); ok {
+				dynamic = append(dynamic, k)
+			} else {
+				plain = append(plain, k)
+			}
+		})
+	}
+	sort.Strings(plain)
+	sort.Strings(dynamic)
+	return plain, dynamic
 }
 
 // writeHeader emits the SETDB2 header fields after the magic.
@@ -149,8 +147,8 @@ func (v *SnapshotView) WriteBundleTo(w io.Writer) (int64, error) {
 }
 
 // ReadBundle deserializes a bundle written by WriteBundleTo, or a bare
-// SETDB1/SETDB2 stream for non-pruned databases (a bare pruned stream
-// has no tree and is rejected — use ReadFromWithIDs for those).
+// SETDB2 stream for non-pruned databases (a bare pruned stream has no tree
+// and is rejected — use ReadFromWithIDs for those).
 func ReadBundle(r io.Reader) (*DB, error) {
 	// One shared buffered reader for all three sections. parse and
 	// core.ReadTree wrap their reader in bufio.NewReader, which returns

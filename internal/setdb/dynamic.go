@@ -1,167 +1,31 @@
 package setdb
 
-import (
-	"fmt"
-	"math/rand"
-	"sort"
+import "repro/internal/bloom"
 
-	"repro/internal/bloom"
-	"repro/internal/core"
-	"repro/internal/membership"
-)
+// Names from when removable sets had a key space of their own. The frozen
+// benchmark (bench/) still compiles against them; each forwards to the
+// method that now serves every key, and goes the next time bench/ is open.
 
-// Dynamic sets: the paper's motivating applications track communities
-// whose membership changes over time (§1). A plain Bloom filter cannot
-// forget a member, so DB also supports deletable sets behind the
-// membership.DynamicMembership interface: ids can be removed, and
-// queries run against a point-in-time view compatible with the shared
-// tree. Options.Backend picks the implementation — the counting Bloom
-// filter (8-bit counters, 8× the plain filter's memory) or the cuckoo
-// filter (16-bit fingerprints, ~2.4 bytes per live entry plus a plain
-// query view).
+// ContainsDynamic is Contains.
 //
-// Dynamic sets live in a separate key space from plain sets (a key is
-// either plain or dynamic; mixing is an error). They shard with the
-// plain sets — a key's plain and dynamic entries always live in the same
-// shard snapshot — and they follow the same copy-on-write discipline:
-// mutations publish a fresh immutable membership value, so readers (and
-// any memoized query-view projection) never observe a set mid-update.
+// Deprecated: kept for bench/.
+func (db *DB) ContainsDynamic(key string, id uint64) (bool, error) { return db.Contains(key, id) }
 
-// AddDynamic inserts ids into the dynamic (deletable) set under key,
-// creating it on first use. On a pruned database the shared tree grows
-// to cover the new ids before the update is published; the growth runs
-// outside the shard lock (the tree has its own per-subtree
-// synchronization), so a slow tree epoch never stalls the shard's other
-// writers, and readers are never stalled by anything.
-func (db *DB) AddDynamic(key string, ids ...uint64) error {
-	if err := db.validateIDs(ids); err != nil {
-		return err
-	}
-	s, h := db.shardFor(key)
-	// Advisory clash precheck before paying for tree growth; the
-	// authoritative check runs under the shard mutex below.
-	if _, clash := s.load().sets.get(h, key); clash {
-		return fmt.Errorf("%w: %q already exists as a plain set", ErrKeyClash, key)
-	}
-	if err := db.growTree(ids); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.load()
-	if _, clash := cur.sets.get(h, key); clash {
-		return fmt.Errorf("%w: %q already exists as a plain set", ErrKeyClash, key)
-	}
-	var next membership.DynamicMembership
-	if c, ok := cur.dynamic.get(h, key); ok {
-		next = c.CloneAddDynamic(ids...)
-	} else {
-		var err error
-		next, err = db.newDynamic(ids)
-		if err != nil {
-			return err
-		}
-	}
-	nextState, copied := cur.withDynamic(h, key, next)
-	s.state.Store(nextState)
-	db.recordWrites(1, 1, copied)
-	return nil
-}
-
-// RemoveDynamic removes one insertion of each id from the dynamic set
-// under key. The batch is all-or-nothing: removing an id that is not
-// currently a member is an error and leaves the whole set unchanged —
-// no partially-removed state is ever published. (The shared pruned tree
-// retains the id's range — tree occupancy is monotone — which affects
-// only performance, never correctness.)
+// SnapshotDynamic is Filter with an error wrapping ErrNoSet in place of nil.
 //
-// Ids are namespace-validated like Add's: an out-of-range id can alias
-// onto occupied counter positions and would otherwise corrupt genuine
-// members' counters while looking like a successful remove.
-func (db *DB) RemoveDynamic(key string, ids ...uint64) error {
-	if err := db.validateIDs(ids); err != nil {
-		return err
-	}
-	s, h := db.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.load()
-	c, ok := cur.dynamic.get(h, key)
-	if !ok {
-		return fmt.Errorf("%w %q (dynamic)", ErrNoSet, key)
-	}
-	next, err := c.CloneRemove(ids...)
-	if err != nil {
-		return err
-	}
-	nextState, copied := cur.withDynamic(h, key, next)
-	s.state.Store(nextState)
-	db.recordWrites(1, 1, copied)
-	return nil
-}
-
-// ContainsDynamic reports membership in the dynamic set under key.
-func (db *DB) ContainsDynamic(key string, id uint64) (bool, error) {
-	c, ok := db.getDynamic(key)
-	if !ok {
-		return false, fmt.Errorf("%w %q (dynamic)", ErrNoSet, key)
-	}
-	return c.Contains(id), nil
-}
-
-// SnapshotDynamic returns a point-in-time plain filter of the dynamic
-// set, compatible with the shared tree (and with every plain set). The
-// snapshot is immutable and shared (the backend memoizes or maintains
-// it on the published version): treat it as read-only. For the cuckoo
-// backend the view is a monotone over-approximation across deletes;
-// ContainsDynamic goes through the delete-aware native probe.
+// Deprecated: kept for bench/.
 func (db *DB) SnapshotDynamic(key string) (*bloom.Filter, error) {
-	c, ok := db.getDynamic(key)
-	if !ok {
-		return nil, fmt.Errorf("%w %q (dynamic)", ErrNoSet, key)
-	}
-	return c.QueryView(), nil
-}
-
-// MembershipDynamic returns the stored dynamic membership value for key
-// (nil if absent), exposing the backend-native probe surface.
-func (db *DB) MembershipDynamic(key string) membership.DynamicMembership {
-	c, ok := db.getDynamic(key)
-	if !ok {
-		return nil
-	}
-	return c
-}
-
-// SampleDynamic draws one element from the current state of the dynamic
-// set under key. The snapshot is a lock-free load of the published
-// version; the tree query then runs against that immutable projection.
-func (db *DB) SampleDynamic(key string, rng *rand.Rand, ops *core.Ops) (uint64, error) {
-	snap, err := db.SnapshotDynamic(key)
-	if err != nil {
-		return 0, err
-	}
-	return db.tree.Sample(snap, rng, ops)
-}
-
-// ReconstructDynamic reconstructs the current state of the dynamic set
-// under key.
-func (db *DB) ReconstructDynamic(key string, rule core.PruneRule, ops *core.Ops) ([]uint64, error) {
-	snap, err := db.SnapshotDynamic(key)
+	e, err := db.get(key)
 	if err != nil {
 		return nil, err
 	}
-	return db.tree.Reconstruct(snap, rule, ops)
+	return e.m.QueryView(), nil
 }
 
-// DynamicKeys returns the dynamic set keys in sorted order.
+// DynamicKeys returns the keys of the removable sets in sorted order.
+//
+// Deprecated: kept for bench/; use Keys.
 func (db *DB) DynamicKeys() []string {
-	var keys []string
-	for i := range db.shards {
-		db.shards[i].load().dynamic.rangeAll(func(k string, _ membership.DynamicMembership) {
-			keys = append(keys, k)
-		})
-	}
-	sort.Strings(keys)
-	return keys
+	_, dynamic := db.SnapshotView().keys()
+	return dynamic
 }

@@ -1,7 +1,9 @@
 package setdb
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -16,19 +18,16 @@ func TestDynamicAddRemoveSample(t *testing.T) {
 	if err := db.AddDynamic("community", 10, 20, 30, 40); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := db.ContainsDynamic("community", 20)
+	ok, err := db.Contains("community", 20)
 	if err != nil || !ok {
-		t.Fatalf("ContainsDynamic = %v, %v", ok, err)
+		t.Fatalf("Contains = %v, %v", ok, err)
 	}
-	x, err := db.SampleDynamic("community", rng, nil)
+	x, err := db.Sample("community", rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := db.SnapshotDynamic("community")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !snap.Contains(x) {
+	snap := db.Filter("community")
+	if snap == nil || !snap.Contains(x) {
 		t.Fatalf("sample %d not in snapshot", x)
 	}
 
@@ -36,11 +35,11 @@ func TestDynamicAddRemoveSample(t *testing.T) {
 	if err := db.RemoveDynamic("community", 20); err != nil {
 		t.Fatal(err)
 	}
-	ok, _ = db.ContainsDynamic("community", 20)
+	ok, _ = db.Contains("community", 20)
 	if ok {
 		t.Fatal("removed member still present")
 	}
-	recon, err := db.ReconstructDynamic("community", core.PruneByAndBits, nil)
+	recon, err := db.Reconstruct("community", core.PruneByAndBits, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,17 +68,17 @@ func TestDynamicErrors(t *testing.T) {
 	if err := db.RemoveDynamic("nope", 1); err == nil {
 		t.Fatal("remove from missing set accepted")
 	}
-	if _, err := db.ContainsDynamic("nope", 1); err == nil {
+	if _, err := db.Contains("nope", 1); err == nil {
 		t.Fatal("contains on missing set accepted")
 	}
-	if _, err := db.SampleDynamic("nope", rng, nil); err == nil {
+	if _, err := db.Sample("nope", rng, nil); err == nil {
 		t.Fatal("sample from missing set accepted")
 	}
-	if _, err := db.ReconstructDynamic("nope", core.PruneByEstimate, nil); err == nil {
+	if _, err := db.Reconstruct("nope", core.PruneByEstimate, nil); err == nil {
 		t.Fatal("reconstruct of missing set accepted")
 	}
-	if _, err := db.SnapshotDynamic("nope"); err == nil {
-		t.Fatal("snapshot of missing set accepted")
+	if db.Filter("nope") != nil || db.Membership("nope") != nil {
+		t.Fatal("a missing set has a published version")
 	}
 	if err := db.AddDynamic("d", 1_000_000); err == nil {
 		t.Fatal("out-of-namespace id accepted")
@@ -92,26 +91,101 @@ func TestDynamicErrors(t *testing.T) {
 	}
 }
 
-func TestDynamicPlainKeySpacesDisjoint(t *testing.T) {
+// TestOneKeySpace states the contract of the one key space: a key holds one
+// set, of the kind the write that created it named; the other kind's add
+// clashes; every read serves either kind; Delete drops either kind, and a
+// re-add starts a new key lifetime.
+func TestOneKeySpace(t *testing.T) {
 	db, err := Open(testOptions(t, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Add("k", 1); err != nil {
+	if err := db.Add("k", 1, 2, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.AddDynamic("k", 2); err == nil {
-		t.Fatal("dynamic set allowed over plain key")
+	if err := db.AddDynamic("k", 2); !errors.Is(err, ErrKeyClash) {
+		t.Fatalf("dynamic add over a plain key: %v, want ErrKeyClash", err)
 	}
-	if err := db.AddDynamic("d", 2); err != nil {
+	if err := db.AddDynamic("d", 2, 3, 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Add("d", 3); err == nil {
-		t.Fatal("plain set allowed over dynamic key")
+	if err := db.Add("d", 3); !errors.Is(err, ErrKeyClash) {
+		t.Fatalf("plain add over a dynamic key: %v, want ErrKeyClash", err)
 	}
-	keys := db.DynamicKeys()
-	if len(keys) != 1 || keys[0] != "d" {
-		t.Fatalf("DynamicKeys = %v", keys)
+	if err := db.RemoveDynamic("k", 1); !errors.Is(err, ErrNoSet) {
+		t.Fatalf("remove of ids from a plain key: %v, want ErrNoSet", err)
+	}
+
+	// One key space, listed once; the deprecated capability listing agrees.
+	if keys := db.Keys(); !slices.Equal(keys, []string{"d", "k"}) || db.Len() != 2 {
+		t.Fatalf("Keys = %v, Len = %d; want [d k], 2", keys, db.Len())
+	}
+	if keys := db.DynamicKeys(); !slices.Equal(keys, []string{"d"}) {
+		t.Fatalf("DynamicKeys = %v, want [d]", keys)
+	}
+	if st := db.Stats(); st.Sets != 1 || st.DynamicSets != 1 {
+		t.Fatalf("Stats counts %d plain and %d dynamic sets, want 1 and 1", st.Sets, st.DynamicSets)
+	}
+
+	// Every read serves either kind.
+	rng := rand.New(rand.NewSource(5))
+	for _, key := range []string{"k", "d"} {
+		if ok, err := db.Contains(key, 3); err != nil || !ok {
+			t.Fatalf("Contains(%s, 3) = %v, %v", key, ok, err)
+		}
+		if db.Filter(key) == nil || db.Membership(key) == nil {
+			t.Fatalf("Filter/Membership(%s) is nil", key)
+		}
+		if x, err := db.Sample(key, rng, nil); err != nil || !db.Filter(key).Contains(x) {
+			t.Fatalf("Sample(%s) = %d, %v", key, x, err)
+		}
+		if xs, err := db.SampleN(key, 2, true, rng, nil); err != nil || len(xs) == 0 {
+			t.Fatalf("SampleN(%s) = %v, %v", key, xs, err)
+		}
+		if xs, err := db.SampleMany(key, 8); err != nil || len(xs) == 0 {
+			t.Fatalf("SampleMany(%s) = %v, %v", key, xs, err)
+		}
+		if xs, err := db.Reconstruct(key, core.PruneByAndBits, nil); err != nil || !slices.Contains(xs, 3) {
+			t.Fatalf("Reconstruct(%s) = %v, %v", key, xs, err)
+		}
+	}
+	if est, err := db.IntersectionEstimate("k", "d"); err != nil || est <= 0 {
+		t.Fatalf("IntersectionEstimate(k, d) = %v, %v; the sets share 2 and 3", est, err)
+	}
+	all, err := db.ReconstructAll(core.PruneByAndBits, 2)
+	if err != nil || len(all) != 2 || !slices.Contains(all["k"], 1) || !slices.Contains(all["d"], 4) {
+		t.Fatalf("ReconstructAll = %v, %v; want both keys", all, err)
+	}
+
+	// The uniform sampler's calibration only ever rises: it refuses a set
+	// that can shrink, and says so with its own error.
+	if _, err := db.UniformSampler("d"); !errors.Is(err, ErrNotPlain) {
+		t.Fatalf("UniformSampler on a removable key: %v, want ErrNotPlain", err)
+	}
+	smp, err := db.UniformSampler("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Delete drops either kind; the key is then free for the other one, as
+	// a new lifetime that a sampler bound to the old one refuses to serve.
+	if !db.Delete("d") || db.Delete("d") {
+		t.Fatal("Delete of a removable key: want true, then false")
+	}
+	if _, err := db.Contains("d", 2); !errors.Is(err, ErrNoSet) {
+		t.Fatalf("deleted removable key still answers: %v", err)
+	}
+	if err := db.Add("d", 9); err != nil {
+		t.Fatalf("plain add over a deleted dynamic key: %v", err)
+	}
+	if !db.Delete("k") {
+		t.Fatal("Delete of a plain key returned false")
+	}
+	if err := db.AddDynamic("k", 1); err != nil {
+		t.Fatalf("dynamic add over a deleted plain key: %v", err)
+	}
+	if _, err := smp.Sample(rng, nil); !errors.Is(err, ErrSamplerInvalid) || smp.Valid() {
+		t.Fatalf("sampler of the deleted lifetime: %v (valid %v), want ErrSamplerInvalid", err, smp.Valid())
 	}
 }
 
@@ -128,12 +202,11 @@ func TestDynamicOnPrunedTreeGrows(t *testing.T) {
 		t.Fatal("pruned tree did not grow for dynamic insert")
 	}
 	rng := rand.New(rand.NewSource(3))
-	x, err := db.SampleDynamic("d", rng, nil)
+	x, err := db.Sample("d", rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, _ := db.SnapshotDynamic("d")
-	if !snap.Contains(x) {
+	if !db.Filter("d").Contains(x) {
 		t.Fatalf("sample %d not positive", x)
 	}
 }
@@ -167,7 +240,7 @@ func TestDynamicChurn(t *testing.T) {
 			}
 		}
 	}
-	recon, err := db.ReconstructDynamic("churn", core.PruneByAndBits, nil)
+	recon, err := db.Reconstruct("churn", core.PruneByAndBits, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/bloom"
 	"repro/internal/core"
 	"repro/internal/membership"
 )
@@ -218,15 +217,7 @@ func TestIndexSizeFollowsItsVersion(t *testing.T) {
 		{"mixed_wal", 1_000, 100_000, true, 8, 4},
 	} {
 		db, _ := openShape(t, c.setSize, c.namespace, 1, int(c.setSize), c.dynamic)
-		var f *bloom.Filter
-		if c.dynamic {
-			var err error
-			if f, err = db.SnapshotDynamic("k0"); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			f = db.Filter("k0")
-		}
+		f := db.Filter("k0")
 		x := db.tree.IndexFor(f)
 		if db.tree.Depth() != c.depth || x.Levels() != c.levels || x.Bytes() == 0 || x.Bytes() > f.SizeBytes()/8 {
 			t.Errorf("%s: depth %d, index of %d levels and %d bytes beside a view of %d bytes; want depth %d, %d levels, at most an eighth",

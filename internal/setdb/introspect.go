@@ -11,14 +11,13 @@ import "repro/internal/membership"
 
 // ShardStats describes one key shard.
 type ShardStats struct {
-	// Sets and Dynamic are the number of plain and dynamic keys stored in
-	// the shard's current snapshot.
+	// Sets and Dynamic are the number of keys in the shard's current
+	// snapshot holding a plain set and a removable one.
 	Sets    int
 	Dynamic int
-	// Chunks is the number of chunks currently allocated across the
-	// shard's plain and dynamic tables combined. Each table grows
-	// independently from 1 up to MaxChunksPerShard with occupancy, so a
-	// lightly loaded shard reports 2 while a saturated one reports 512.
+	// Chunks is the number of chunks currently allocated in the shard's
+	// one key table, which grows from 1 up to MaxChunksPerShard with
+	// occupancy.
 	Chunks int
 	// OccupiedChunks is the number of those chunks holding at least one
 	// key; MaxChunkKeys is the largest key count of any single chunk —
@@ -31,18 +30,19 @@ type ShardStats struct {
 // each shard is read atomically, but shards are read one after another,
 // so counts can straddle concurrent writes (fine for monitoring).
 type DBStats struct {
-	// Sets and DynamicSets are the database-wide key counts.
+	// Sets and DynamicSets are the database-wide counts of keys holding a
+	// plain set and a removable one.
 	Sets        int
 	DynamicSets int
 	// Shards holds per-shard occupancy, indexed by shard number.
 	Shards []ShardStats
-	// MaxChunksPerShard is the cap each shard's persistent key maps grow
+	// MaxChunksPerShard is the cap each shard's persistent key map grows
 	// to — the asymptotic denominator of the copy-on-write bound (a
 	// write into a saturated shard copies ~keys/MaxChunksPerShard
 	// entries, not the whole shard). TotalChunks is the number of chunks
-	// currently allocated across all shards and kinds; an untouched
-	// shard map contributes 0, and the total approaches
-	// 2·numShards·MaxChunksPerShard as shards saturate.
+	// currently allocated across all shards, one table per shard; an
+	// untouched shard contributes 0, and the total approaches
+	// numShards·MaxChunksPerShard as shards saturate.
 	MaxChunksPerShard int
 	TotalChunks       int
 	// StateWrites counts logical write operations applied (Add, Delete,
@@ -90,10 +90,10 @@ type DBStats struct {
 // BackendStats is the per-DB membership-backend descriptor surfaced by
 // Stats() and /v1/stats.
 type BackendStats struct {
-	// Kind is the configured dynamic-set backend (plain sets are always
-	// "bloom").
+	// Kind is the configured backend of removable sets (plain sets are
+	// always "bloom").
 	Kind string `json:"kind"`
-	// Entries is the total number of live elements across dynamic sets;
+	// Entries is the total number of live elements across removable sets;
 	// MemoryBytes their total resident bytes (tables plus query views).
 	Entries     uint64 `json:"entries"`
 	MemoryBytes uint64 `json:"memory_bytes"`
@@ -138,29 +138,22 @@ func (db *DB) Stats() DBStats {
 	var lfSum float64
 	var lfN int
 	for i := range db.shards {
-		snap := db.shards[i].load()
-		ss := ShardStats{
-			Sets:    snap.sets.len(),
-			Dynamic: snap.dynamic.len(),
-			Chunks:  snap.sets.numChunks() + snap.dynamic.numChunks(),
-		}
-		snap.dynamic.rangeAll(func(_ string, m membership.DynamicMembership) {
-			st.Backend.Entries += m.Live()
-			st.Backend.MemoryBytes += m.SizeBytes()
-			if lf, ok := m.(membership.LoadFactorer); ok {
+		snap := db.shards[i].load().sets
+		ss := ShardStats{Chunks: snap.numChunks()}
+		snap.rangeAll(func(_ string, e entry) {
+			if _, ok := e.removable(); !ok {
+				ss.Sets++
+				return
+			}
+			ss.Dynamic++
+			st.Backend.Entries += e.m.Live()
+			st.Backend.MemoryBytes += e.m.SizeBytes()
+			if lf, ok := e.m.(membership.LoadFactorer); ok {
 				lfSum += lf.LoadFactor()
 				lfN++
 			}
 		})
-		for _, chunk := range snap.sets.chunks {
-			if n := len(chunk); n > 0 {
-				ss.OccupiedChunks++
-				if n > ss.MaxChunkKeys {
-					ss.MaxChunkKeys = n
-				}
-			}
-		}
-		for _, chunk := range snap.dynamic.chunks {
+		for _, chunk := range snap.chunks {
 			if n := len(chunk); n > 0 {
 				ss.OccupiedChunks++
 				if n > ss.MaxChunkKeys {

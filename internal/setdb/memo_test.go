@@ -70,16 +70,7 @@ func TestBatchDrawsMatchSampleScratch(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				view := func() *bloom.Filter {
-					if !dynamic {
-						return db.Filter("a")
-					}
-					f, err := db.SnapshotDynamic("a")
-					if err != nil {
-						t.Fatal(err)
-					}
-					return f
-				}
+				view := func() *bloom.Filter { return db.Filter("a") }
 
 				worker := &sampleWorker{rng: rand.New(rand.NewSource(21))}
 				ref := rand.New(rand.NewSource(21))

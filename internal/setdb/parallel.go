@@ -37,33 +37,21 @@ func (db *DB) SampleMany(key string, n int) ([]uint64, error) {
 // GOMAXPROCS) and an optional Ops accumulator that receives the summed
 // operation counts of all workers.
 func (db *DB) SampleManyWorkers(key string, n, workers int, ops *core.Ops) ([]uint64, error) {
-	// Load the published filter version once: it is immutable, so the
-	// whole batch shares it directly — no clone, no lock, and a
-	// consistent view for free (concurrent Adds to the key publish new
+	// Load the published version once: it is immutable, so the whole
+	// batch shares it directly — no clone, no lock, and a consistent view
+	// for free (concurrent adds to or removes from the key publish new
 	// versions that apply to the next batch, not halfway through this
 	// one). A missing key errors even for n <= 0, so the batch API
 	// always validates key existence.
-	e, ok := db.getSet(key)
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrNoSet, key)
-	}
-	return db.sampleManyFilter(e.f.QueryView(), n, workers, ops)
-}
-
-// SampleManyDynamic is SampleManyWorkers for a dynamic set: the batch
-// runs against one immutable point-in-time snapshot of the counting
-// filter, so concurrent RemoveDynamic calls never yield a half-updated
-// view partway through the batch.
-func (db *DB) SampleManyDynamic(key string, n, workers int, ops *core.Ops) ([]uint64, error) {
-	snap, err := db.SnapshotDynamic(key)
+	e, err := db.get(key)
 	if err != nil {
 		return nil, err
 	}
-	return db.sampleManyFilter(snap, n, workers, ops)
+	return db.sampleManyFilter(e.m.QueryView(), n, workers, ops)
 }
 
 // SampleManyFrom draws n samples from one caller-held immutable filter
-// version (obtained from Filter or SnapshotDynamic). It is the hook for
+// version (obtained from Filter). It is the hook for
 // callers that spread one logical batch over several calls — chunked
 // streaming, pagination — and need every chunk drawn from the same
 // point-in-time version regardless of concurrent writes.
@@ -248,7 +236,7 @@ func (db *DB) recordDraws(lost int, computed, remembered uint64) {
 	}
 }
 
-// ReconstructAll reconstructs every plain set in the database using up to
+// ReconstructAll reconstructs every set in the database using up to
 // workers goroutines (0 means GOMAXPROCS), returning key → reconstructed
 // set. Keys deleted while the scan runs are silently skipped. Each
 // reconstruction is read-only, so the workers proceed without serializing

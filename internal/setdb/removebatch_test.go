@@ -38,11 +38,11 @@ func TestApplyBatchMixedAddRemove(t *testing.T) {
 	if _, cerr := db.Contains("gone", 1); !errors.Is(cerr, ErrNoSet) {
 		t.Fatalf("gone should be deleted, got %v", cerr)
 	}
-	if ok, cerr := db.ContainsDynamic("dyn", 11); cerr != nil || ok {
+	if ok, cerr := db.Contains("dyn", 11); cerr != nil || ok {
 		t.Fatalf("dyn should have forgotten 11 (ok=%v err=%v)", ok, cerr)
 	}
 	for _, id := range []uint64{10, 12, 13} {
-		if ok, cerr := db.ContainsDynamic("dyn", id); cerr != nil || !ok {
+		if ok, cerr := db.Contains("dyn", id); cerr != nil || !ok {
 			t.Fatalf("dyn should contain %d (ok=%v err=%v)", id, ok, cerr)
 		}
 	}
@@ -87,17 +87,18 @@ func TestApplyBatchRemoveAllOrNothing(t *testing.T) {
 		t.Fatalf("err = %v, want ErrNoSet", err)
 	}
 
-	// A plain remove carrying ids is a caller mistake caught up front.
+	// A remove carrying ids removes ids, with or without Dynamic: here there
+	// is no set to remove them from.
 	err = db.ApplyBatch([]Write{{Key: "dyn2", IDs: []uint64{1}, Remove: true}})
-	if err == nil {
-		t.Fatal("plain remove with ids should be rejected")
+	if !errors.Is(err, ErrNoSet) {
+		t.Fatalf("err = %v, want ErrNoSet", err)
 	}
 
 	after := db.Stats()
 	if after.StateWrites != before.StateWrites || after.StatePublishes != before.StatePublishes {
 		t.Fatalf("aborted batches moved write counters: %+v -> %+v", before, after)
 	}
-	if ok, cerr := db.ContainsDynamic("dyn", 1); cerr != nil || !ok {
+	if ok, cerr := db.Contains("dyn", 1); cerr != nil || !ok {
 		t.Fatalf("dyn lost its member across aborted batches (ok=%v err=%v)", ok, cerr)
 	}
 }
@@ -133,8 +134,8 @@ func TestConcurrentMixedBatches(t *testing.T) {
 					t.Errorf("Contains(%q): %v", key, err)
 				}
 				dkey := fmt.Sprintf("w%d-dyn", rng.Intn(writers))
-				if _, err := db.SnapshotDynamic(dkey); err != nil && !errors.Is(err, ErrNoSet) {
-					t.Errorf("SnapshotDynamic(%q): %v", dkey, err)
+				if _, err := db.Contains(dkey, uint64(rng.Intn(256))); err != nil && !errors.Is(err, ErrNoSet) {
+					t.Errorf("Contains(%q): %v", dkey, err)
 				}
 			}
 		}(int64(100 + r))
@@ -179,7 +180,7 @@ func TestConcurrentMixedBatches(t *testing.T) {
 		if ok, err := db.Contains(plain, last); err != nil || !ok {
 			t.Fatalf("%s should contain %d (ok=%v err=%v)", plain, last, ok, err)
 		}
-		if ok, err := db.ContainsDynamic(dyn, last); err != nil || !ok {
+		if ok, err := db.Contains(dyn, last); err != nil || !ok {
 			t.Fatalf("%s should contain %d (ok=%v err=%v)", dyn, last, ok, err)
 		}
 	}

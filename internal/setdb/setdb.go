@@ -6,6 +6,12 @@
 // reconstruct any of them, without the database ever materializing the
 // sets themselves.
 //
+// There is one key space and one kind of entry: a key is a set. Whether ids
+// can be removed from it is a capability of the membership value stored
+// under the key — a plain Bloom filter cannot forget a member, a counting or
+// cuckoo set can — chosen by the write that creates the key and fixed for
+// the key's lifetime. Every read serves every key.
+//
 // The database persists to a single file (Save/Load, or the streaming
 // WriteTo/ReadFrom), so a collection built by an ingest job can be served
 // by a separate process.
@@ -48,10 +54,11 @@ type Options struct {
 	// inserted (recommended for sparse namespaces). A full tree is built
 	// eagerly otherwise.
 	Pruned bool
-	// Backend selects the membership backend for dynamic sets (counting
-	// or cuckoo; default counting). Plain sets are always Bloom-backed —
-	// they never delete, so nothing beats the plain filter. The choice is
-	// persisted in the snapshot header.
+	// Backend selects the membership backend a key created by a Dynamic
+	// write gets (counting or cuckoo; default counting). A key created by a
+	// plain write is always Bloom-backed — it never deletes, so nothing
+	// beats the plain filter. Both live in the one key space. The choice
+	// is persisted in the snapshot header.
 	Backend membership.Kind
 }
 
@@ -88,17 +95,22 @@ func PlanOptions(accuracy float64, designSetSize, namespace uint64, k int) (Opti
 // absent key; match it with errors.Is.
 var ErrNoSet = errors.New("setdb: no set")
 
-// ErrKeyClash is wrapped by Add/AddDynamic when the key already exists
-// with the other storage kind (a key is either plain or dynamic, never
-// both); match it with errors.Is.
+// ErrKeyClash is wrapped by an add whose Dynamic flag disagrees with the
+// kind the key was created with (removability is fixed for a key's
+// lifetime); match it with errors.Is.
 var ErrKeyClash = errors.New("setdb: key clash")
+
+// ErrNotPlain is returned by UniformSampler for a removable set: the
+// sampler's calibration is an atomic maximum, written for sets that only
+// grow. It marks a caller mistake; match it with errors.Is.
+var ErrNotPlain = errors.New("setdb: uniform sampling serves plain sets only")
 
 // ErrOutOfRange is wrapped by writes carrying an id outside the
 // database namespace; match it with errors.Is. It marks a caller
 // mistake, as opposed to an internal failure.
 var ErrOutOfRange = errors.New("setdb: id outside namespace")
 
-// numShards is the number of key shards the set maps are split across.
+// numShards is the number of key shards the set map is split across.
 // Writers to different shards never contend; the count is an internal
 // constant (not persisted). It is sized generously for many-core
 // write-heavy workloads; the copy-on-write cost of a single write is
@@ -107,61 +119,53 @@ var ErrOutOfRange = errors.New("setdb: id outside namespace")
 // of them.
 const numShards = 64
 
-// setEntry is one stored plain set: an immutable filter plus the
+// entry is one stored set: an immutable membership value plus the
 // generation stamped when the key was created and the version advanced
-// on every copy-on-write swap. The generation survives filter swaps
-// (Add) but not Delete/re-Add, which is how a Sampler distinguishes "my
-// set grew" (recalibrate and continue) from "my set was replaced" (fail
-// loudly); the monotone version lets the Sampler retarget strictly
-// forward even when goroutines race with stale snapshots in hand.
-type setEntry struct {
-	f   membership.Membership
+// on every copy-on-write swap. The generation survives value swaps (adds,
+// removes of ids) but not Delete/re-Add, which is how a Sampler
+// distinguishes "my set grew" (recalibrate and continue) from "my set was
+// replaced" (fail loudly); the monotone version lets the Sampler retarget
+// strictly forward even when goroutines race with stale snapshots in hand.
+//
+// The paper's motivating applications track communities whose membership
+// changes over time (§1), and a plain Bloom filter cannot forget a member.
+// A key created by a Dynamic write therefore holds a
+// membership.DynamicMembership — Options.Backend picks the counting Bloom
+// filter (8-bit counters, 8× the plain filter's memory) or the cuckoo
+// filter (16-bit fingerprints, ~2.4 bytes per live entry plus a plain query
+// view) — and every other key a plain Bloom filter. That is the whole
+// difference: queries run against the value's point-in-time QueryView,
+// which is compatible with the shared tree whatever the backend, and
+// mutations of either kind publish a fresh immutable value, so readers (and
+// any memoized query-view projection) never observe a set mid-update.
+type entry struct {
+	m   membership.Membership
 	gen uint64
 	ver uint64
 }
 
+// removable returns the entry's value as a set ids can be removed from; ok
+// is false for a plain one. Removability is read off the stored value — no
+// field beside it could disagree with it.
+func (e entry) removable() (membership.DynamicMembership, bool) {
+	d, ok := e.m.(membership.DynamicMembership)
+	return d, ok
+}
+
 // shardState is the immutable snapshot of one shard: readers load it from
-// the shard's atomic pointer and never lock. Both chunked maps (and every
-// filter they reach) are frozen once published; a writer builds the next
-// snapshot by cloning the chunk table and only the chunk it modifies
-// (see chunked.go) and publishes it with a single store. An untouched
-// chunk — and an untouched kind's whole map — is carried over by
-// reference, so the copied volume of one write is O(keys/chunk), not
-// O(keys/shard).
+// the shard's atomic pointer and never lock. The chunked map (and every
+// membership value it reaches) is frozen once published; a writer builds
+// the next snapshot by cloning the chunk table and only the chunks it
+// modifies (see chunked.go) and publishes it with a single store. An
+// untouched chunk is carried over by reference, so the copied volume of one
+// write is O(keys/chunk), not O(keys/shard).
 type shardState struct {
-	sets    chunkedMap[setEntry]
-	dynamic chunkedMap[membership.DynamicMembership]
-}
-
-// withSet returns a successor snapshot with key bound to e, plus the
-// estimated bytes copied building it.
-func (st *shardState) withSet(h uint64, key string, e setEntry) (*shardState, uint64) {
-	sets, copied := st.sets.with(h, key, e)
-	return &shardState{sets: sets, dynamic: st.dynamic}, copied
-}
-
-// withoutSet returns a successor snapshot with key removed. When the key
-// is absent it returns the receiver itself with zero copies.
-func (st *shardState) withoutSet(h uint64, key string) (*shardState, uint64, bool) {
-	sets, copied, ok := st.sets.without(h, key)
-	if !ok {
-		return st, 0, false
-	}
-	return &shardState{sets: sets, dynamic: st.dynamic}, copied, true
-}
-
-// withDynamic returns a successor snapshot with key bound to c, plus the
-// estimated bytes copied building it.
-func (st *shardState) withDynamic(h uint64, key string, c membership.DynamicMembership) (*shardState, uint64) {
-	dynamic, copied := st.dynamic.with(h, key, c)
-	return &shardState{sets: st.sets, dynamic: dynamic}, copied
+	sets chunkedMap[entry]
 }
 
 // shard is one slice of the key space: an atomically swapped immutable
 // snapshot plus a small mutex that serializes the shard's writers (and
-// only them — readers never touch it). Plain and dynamic sets for a key
-// always live in the same shard, so the plain/dynamic clash check needs
-// only one snapshot.
+// only them — readers never touch it).
 type shard struct {
 	mu    sync.Mutex
 	state atomic.Pointer[shardState]
@@ -178,12 +182,13 @@ func (s *shard) load() *shardState { return s.state.Load() }
 // Contains, IntersectionEstimate, …) loads an immutable shard snapshot
 // through an atomic pointer and touches no lock, so readers never block —
 // not on each other, and not on writers, even under a 100% write mix.
-// Writers are copy-on-write: Add/Delete serialize briefly on their
-// shard's mutex, build the successor snapshot (cloning only the filter
-// they change and the one chunk of the shard's chunked key map holding
-// their key) and publish it with one atomic store; group commit
-// (AddMany/ApplyBatch, see batch.go) folds a whole batch of writes into
-// one publish per touched shard; on a pruned
+// Writers are copy-on-write and there is one write path (ApplyBatch, see
+// batch.go; Add, Delete and the rest are its single-write forms): it
+// serializes briefly on the mutexes of the shards it touches, builds their
+// successor snapshots (cloning only the values it changes and the chunks
+// of the shard's chunked key map holding their keys) and publishes each
+// with one atomic store, however many writes of the batch landed in the
+// shard; on a pruned
 // database the shared tree grows through its own lock-free epoch-based
 // path (core.Tree.InsertBatch) before the new filter becomes visible, so
 // a published set is always coverable by the tree.
@@ -194,7 +199,7 @@ type DB struct {
 	opts   Options
 	fam    hashfam.Family
 	tree   *core.Tree
-	gen    atomic.Uint64 // key-lifetime generator for setEntry.gen
+	gen    atomic.Uint64 // key-lifetime generator for entry.gen
 	shards [numShards]shard
 
 	// Write-amplification accounting (see Stats): logical write
@@ -271,20 +276,19 @@ func (db *DB) shardFor(key string) (*shard, uint64) {
 	return &db.shards[h%numShards], h
 }
 
-// getSet is the lock-free read-path lookup of a plain entry: one hash,
-// one atomic snapshot load, one chunk map lookup, zero allocations.
-func (db *DB) getSet(key string) (setEntry, bool) {
+// get is the lock-free lookup under every read: one hash, one atomic
+// snapshot load, one chunk map lookup, zero allocations for a present key.
+// An absent key is an error wrapping ErrNoSet.
+func (db *DB) get(key string) (entry, error) {
 	s, h := db.shardFor(key)
-	return s.load().sets.get(h, key)
+	e, ok := s.load().sets.get(h, key)
+	if !ok {
+		return entry{}, fmt.Errorf("%w %q", ErrNoSet, key)
+	}
+	return e, nil
 }
 
-// getDynamic is getSet for dynamic entries.
-func (db *DB) getDynamic(key string) (membership.DynamicMembership, bool) {
-	s, h := db.shardFor(key)
-	return s.load().dynamic.get(h, key)
-}
-
-// newDynamic creates an empty dynamic set with the database's configured
+// newDynamic creates a removable set on the database's configured
 // backend, pre-populated with ids.
 func (db *DB) newDynamic(ids []uint64) (membership.DynamicMembership, error) {
 	return membership.NewDynamicWith(db.opts.Backend, db.fam, db.opts.DesignSetSize, ids)
@@ -297,7 +301,7 @@ func (db *DB) Options() Options { return db.opts }
 // database it may grow concurrently with Add).
 func (db *DB) Tree() *core.Tree { return db.tree }
 
-// Len returns the number of stored sets.
+// Len returns the number of stored sets, of either kind.
 func (db *DB) Len() int {
 	n := 0
 	for i := range db.shards {
@@ -306,11 +310,11 @@ func (db *DB) Len() int {
 	return n
 }
 
-// Keys returns the stored set keys in sorted order.
+// Keys returns the keys of all stored sets, of either kind, in sorted order.
 func (db *DB) Keys() []string {
 	var keys []string
 	for i := range db.shards {
-		db.shards[i].load().sets.rangeAll(func(k string, _ setEntry) {
+		db.shards[i].load().sets.rangeAll(func(k string, _ entry) {
 			keys = append(keys, k)
 		})
 	}
@@ -328,117 +332,58 @@ func (db *DB) validateIDs(ids []uint64) error {
 	return nil
 }
 
-// growTree covers ids in the shared pruned tree. It runs before the new
-// filter version is published and outside any shard lock: tree growth has
-// its own per-subtree synchronization and never blocks readers, and ids
-// present in the tree but not (yet, or ever, if the write later fails)
-// in any filter only cost occupancy, never correctness.
-func (db *DB) growTree(ids []uint64) error {
-	if !db.opts.Pruned {
-		return nil
-	}
-	return db.tree.InsertBatch(ids)
-}
-
-// Add inserts ids into the set stored under key, creating it on first
-// use. On a pruned database the shared tree grows to cover the new ids
-// before the updated filter is published. The stored filter is replaced
-// by a copy-on-write clone, so in-flight readers of the previous version
-// are never disturbed and new readers see the update atomically.
-func (db *DB) Add(key string, ids ...uint64) error {
-	if err := db.validateIDs(ids); err != nil {
-		return err
-	}
-	s, h := db.shardFor(key)
-	// Advisory clash precheck before paying for tree growth; the
-	// authoritative check runs under the shard mutex below.
-	if _, clash := s.load().dynamic.get(h, key); clash {
-		return fmt.Errorf("%w: %q already exists as a dynamic set", ErrKeyClash, key)
-	}
-	if err := db.growTree(ids); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.load()
-	if _, clash := cur.dynamic.get(h, key); clash {
-		return fmt.Errorf("%w: %q already exists as a dynamic set", ErrKeyClash, key)
-	}
-	e, ok := cur.sets.get(h, key)
-	if ok {
-		e = setEntry{f: e.f.CloneAdd(ids...), gen: e.gen, ver: e.ver + 1}
-	} else {
-		e = setEntry{f: membership.FromBloom(bloom.NewFromElements(db.fam, ids)), gen: db.gen.Add(1)}
-	}
-	next, copied := cur.withSet(h, key, e)
-	s.state.Store(next)
-	db.recordWrites(1, 1, copied)
-	return nil
-}
-
-// Delete removes a stored set. It returns false if the key is absent.
-// (Individual ids cannot be removed from a Bloom filter.)
-func (db *DB) Delete(key string) bool {
-	s, h := db.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	next, copied, ok := s.load().withoutSet(h, key)
-	if !ok {
-		// Delete-miss: no clone was built and nothing is published.
-		return false
-	}
-	s.state.Store(next)
-	db.recordWrites(1, 1, copied)
-	return true
-}
-
-// Filter returns the stored filter for key (nil if absent) as its plain
-// Bloom query view. The returned filter is immutable: an Add to the same
-// key publishes a new version rather than mutating it, so it is always
-// safe to keep reading.
+// Filter returns the currently published version of the set under key (nil
+// if absent) as its plain Bloom query view: a point-in-time filter
+// compatible with the shared tree and with every other set, whatever the
+// key's backend. It is immutable and shared (a removable backend memoizes or
+// maintains it on the published version) — a write to the same key
+// publishes a new version rather than mutating it, so it is always safe to
+// keep reading. For the cuckoo backend the view is a monotone
+// over-approximation across removes; Contains goes through the
+// delete-aware native probe.
 func (db *DB) Filter(key string) *bloom.Filter {
-	e, ok := db.getSet(key)
-	if !ok {
+	e, err := db.get(key)
+	if err != nil {
 		return nil
 	}
-	return e.f.QueryView()
+	return e.m.QueryView()
 }
 
 // Membership returns the stored membership value for key (nil if
 // absent), exposing the backend-native probe surface.
 func (db *DB) Membership(key string) membership.Membership {
-	e, ok := db.getSet(key)
-	if !ok {
+	e, err := db.get(key)
+	if err != nil {
 		return nil
 	}
-	return e.f
+	return e.m
 }
 
 // Contains reports whether id answers positively for the set under key.
 func (db *DB) Contains(key string, id uint64) (bool, error) {
-	e, ok := db.getSet(key)
-	if !ok {
-		return false, fmt.Errorf("%w %q", ErrNoSet, key)
+	e, err := db.get(key)
+	if err != nil {
+		return false, err
 	}
-	return e.f.Contains(id), nil
+	return e.m.Contains(id), nil
 }
 
 // Sample draws one element from the set under key using BSTSample.
 func (db *DB) Sample(key string, rng *rand.Rand, ops *core.Ops) (uint64, error) {
-	e, ok := db.getSet(key)
-	if !ok {
-		return 0, fmt.Errorf("%w %q", ErrNoSet, key)
+	e, err := db.get(key)
+	if err != nil {
+		return 0, err
 	}
-	return db.tree.Sample(e.f.QueryView(), rng, ops)
+	return db.tree.Sample(e.m.QueryView(), rng, ops)
 }
 
 // SampleN draws r elements in a single tree pass (§5.3).
 func (db *DB) SampleN(key string, r int, withReplacement bool, rng *rand.Rand, ops *core.Ops) ([]uint64, error) {
-	e, ok := db.getSet(key)
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrNoSet, key)
+	e, err := db.get(key)
+	if err != nil {
+		return nil, err
 	}
-	return db.tree.SampleN(e.f.QueryView(), r, withReplacement, rng, ops)
+	return db.tree.SampleN(e.m.QueryView(), r, withReplacement, rng, ops)
 }
 
 // Sampler is a rejection-corrected exactly-uniform sampler bound to its
@@ -475,8 +420,8 @@ var ErrSamplerInvalid = fmt.Errorf("setdb: sampler invalidated: its set was dele
 // returns ErrSamplerInvalid if the sampler's key no longer maps to the
 // key lifetime it was created on.
 func (s *Sampler) Sample(rng *rand.Rand, ops *core.Ops) (uint64, error) {
-	e, ok := s.db.getSet(s.key)
-	if !ok || e.gen != s.gen {
+	e, err := s.db.get(s.key)
+	if err != nil || e.gen != s.gen {
 		return 0, ErrSamplerInvalid
 	}
 	if e.ver > s.ver.Load() && s.retargetMu.TryLock() {
@@ -486,7 +431,7 @@ func (s *Sampler) Sample(rng *rand.Rand, ops *core.Ops) (uint64, error) {
 		// the shared sampler backward; a draw that loses TryLock just
 		// samples the currently bound version, which is equally valid.
 		if e.ver > s.ver.Load() {
-			if err := s.u.Retarget(e.f.QueryView()); err != nil {
+			if err := s.u.Retarget(e.m.QueryView()); err != nil {
 				s.retargetMu.Unlock()
 				return 0, err
 			}
@@ -521,8 +466,8 @@ func (s *Sampler) Stats() core.UniformStats { return s.u.Stats() }
 // return ErrSamplerInvalid (the key was Deleted, or Deleted and
 // re-Added). Caches of shareable samplers use it to evict dead entries.
 func (s *Sampler) Valid() bool {
-	e, ok := s.db.getSet(s.key)
-	return ok && e.gen == s.gen
+	e, err := s.db.get(s.key)
+	return err == nil && e.gen == s.gen
 }
 
 // SafetyFactor returns the underlying sampler's current acceptance
@@ -536,13 +481,18 @@ func (s *Sampler) MaxAttempts() int { return s.u.MaxAttempts() }
 // for the set under key. The returned Sampler is lock-free on every draw
 // and safe to share across goroutines; it keeps serving (and
 // self-recalibrating) while other goroutines Add to the database,
-// including to its own key.
+// including to its own key. A removable set is refused with ErrNotPlain:
+// Retarget calibrates through an atomic maximum over the cardinality
+// estimate, which is only right for a set that never shrinks.
 func (db *DB) UniformSampler(key string) (*Sampler, error) {
-	e, ok := db.getSet(key)
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrNoSet, key)
+	e, err := db.get(key)
+	if err != nil {
+		return nil, err
 	}
-	u, err := db.tree.NewUniformSampler(e.f.QueryView())
+	if _, ok := e.removable(); ok {
+		return nil, fmt.Errorf("%w (%q is removable)", ErrNotPlain, key)
+	}
+	u, err := db.tree.NewUniformSampler(e.m.QueryView())
 	if err != nil {
 		return nil, err
 	}
@@ -553,23 +503,26 @@ func (db *DB) UniformSampler(key string) (*Sampler, error) {
 
 // Reconstruct returns the set stored under key (§6).
 func (db *DB) Reconstruct(key string, rule core.PruneRule, ops *core.Ops) ([]uint64, error) {
-	e, ok := db.getSet(key)
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrNoSet, key)
+	e, err := db.get(key)
+	if err != nil {
+		return nil, err
 	}
-	return db.tree.Reconstruct(e.f.QueryView(), rule, ops)
+	return db.tree.Reconstruct(e.m.QueryView(), rule, ops)
 }
 
 // IntersectionEstimate estimates |A ∩ B| for two stored sets. The two
 // shard snapshots are loaded independently (no locks, so no ordering
 // concerns); each filter is an immutable point-in-time version.
 func (db *DB) IntersectionEstimate(keyA, keyB string) (float64, error) {
-	a, okA := db.getSet(keyA)
-	b, okB := db.getSet(keyB)
-	if !okA || !okB {
-		return 0, fmt.Errorf("%w %q or %q", ErrNoSet, keyA, keyB)
+	a, err := db.get(keyA)
+	if err != nil {
+		return 0, err
 	}
-	return a.f.IntersectionEstimate(b.f.QueryView()), nil
+	b, err := db.get(keyB)
+	if err != nil {
+		return 0, err
+	}
+	return a.m.IntersectionEstimate(b.m.QueryView()), nil
 }
 
 // File format:
@@ -583,14 +536,12 @@ func (db *DB) IntersectionEstimate(keyA, keyB string) (float64, error) {
 // Each set is a tagged membership envelope ("BSM1" + backend kind), so a
 // snapshot can mix backends and a reader reconstructs the right
 // implementation per set; views are validated against the database
-// profile on load. Snapshots written before backends existed ("SETDB1")
-// still load: they carry no backend field (the dynamic backend defaults
-// to counting), no dynamic section, and bare "BSF1" filter payloads,
-// which decode as the Bloom backend.
-const (
-	dbMagic       = "SETDB2"
-	dbMagicLegacy = "SETDB1"
-)
+// profile on load. The two sections are the one key space written by
+// capability — the keys whose values cannot remove ids, then those whose
+// values can — and the loader holds a file to that: a key appears once in
+// the whole file, and an envelope's backend belongs in the section it was
+// found in.
+const dbMagic = "SETDB2"
 
 // snapshotAll captures a cross-shard-consistent view of the database by
 // briefly holding every shard's writer mutex while loading the snapshots.
@@ -618,7 +569,7 @@ func (db *DB) WriteTo(w io.Writer) (int64, error) {
 
 // writeSection serializes one keyed section (plain or dynamic): a count,
 // then sorted key/envelope pairs.
-func writeSection(bw *bufio.Writer, keys []string, lookup func(string) (membership.Membership, error)) error {
+func writeSection(bw *bufio.Writer, keys []string, lookup func(string) membership.Membership) error {
 	var cnt [4]byte
 	binary.LittleEndian.PutUint32(cnt[:], uint32(len(keys)))
 	if _, err := bw.Write(cnt[:]); err != nil {
@@ -628,11 +579,7 @@ func writeSection(bw *bufio.Writer, keys []string, lookup func(string) (membersh
 		if len(k) > 1<<16-1 {
 			return fmt.Errorf("setdb: key %.20q... too long", k)
 		}
-		m, err := lookup(k)
-		if err != nil {
-			return err
-		}
-		data, err := m.MarshalBinary()
+		data, err := lookup(k).MarshalBinary()
 		if err != nil {
 			return err
 		}
@@ -678,12 +625,7 @@ func parse(r io.Reader) (*DB, error) {
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, err
 	}
-	legacy := false
-	switch string(magic) {
-	case dbMagic:
-	case dbMagicLegacy:
-		legacy = true
-	default:
+	if string(magic) != dbMagic {
 		return nil, fmt.Errorf("setdb: bad magic %q", magic)
 	}
 	fixed := make([]byte, 8+8+4+8+4+8+1+1)
@@ -705,66 +647,54 @@ func parse(r io.Reader) (*DB, error) {
 		return nil, err
 	}
 	opts.HashKind = hashfam.Kind(kind)
-	if !legacy {
-		// The configured dynamic backend rides in the v2 header; legacy
-		// snapshots predate backends and default to counting.
-		var bl [1]byte
-		if _, err := io.ReadFull(br, bl[:]); err != nil {
-			return nil, err
-		}
-		bk := make([]byte, bl[0])
-		if _, err := io.ReadFull(br, bk); err != nil {
-			return nil, err
-		}
-		backend, err := membership.ParseKind(string(bk))
-		if err != nil {
-			return nil, fmt.Errorf("setdb: header: %w", err)
-		}
-		opts.Backend = backend
+	// The configured dynamic backend rides in the header.
+	var bl [1]byte
+	if _, err := io.ReadFull(br, bl[:]); err != nil {
+		return nil, err
 	}
+	bk := make([]byte, bl[0])
+	if _, err := io.ReadFull(br, bk); err != nil {
+		return nil, err
+	}
+	backend, err := membership.ParseKind(string(bk))
+	if err != nil {
+		return nil, fmt.Errorf("setdb: header: %w", err)
+	}
+	opts.Backend = backend
 
 	db, err := Open(opts)
 	if err != nil {
 		return nil, err
 	}
 	// Accumulate per-shard builders and publish each snapshot once, so
-	// the load is O(keys), not O(keys × shard size).
-	var sets [numShards]*chunkBuilder[setEntry]
-	err = readSection(br, func(key string, data []byte) error {
-		m, err := membership.Unmarshal(data)
-		if err != nil {
-			return fmt.Errorf("setdb: set %q: %w", key, err)
-		}
-		if err := m.QueryView().MatchesFamily(db.fam); err != nil {
-			return fmt.Errorf("setdb: set %q: %w", key, err)
-		}
-		h := keyHash(key)
-		si := int(h % numShards)
-		if sets[si] == nil {
-			sets[si] = newChunkBuilder(chunkedMap[setEntry]{})
-		}
-		sets[si].set(h, key, setEntry{f: m, gen: db.gen.Add(1)})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var dyn [numShards]*chunkBuilder[membership.DynamicMembership]
-	if !legacy {
-		err = readSection(br, func(key string, data []byte) error {
-			m, err := membership.UnmarshalDynamic(data)
+	// the load is O(keys), not O(keys × shard size). Both sections load
+	// into the one map under the invariants the write path keeps: a key is
+	// bound once, and only a dynamic-section value can remove ids (a
+	// counting envelope in the plain section would otherwise load as a
+	// removable key no write had created as one).
+	var sets [numShards]*chunkBuilder[entry]
+	for _, section := range []string{"plain", "dynamic"} {
+		removable := section == "dynamic"
+		err := readSection(br, func(key string, data []byte) error {
+			m, err := membership.Unmarshal(data)
 			if err != nil {
-				return fmt.Errorf("setdb: dynamic set %q: %w", key, err)
+				return fmt.Errorf("setdb: %s set %q: %w", section, key, err)
+			}
+			if _, ok := m.(membership.DynamicMembership); ok != removable {
+				return fmt.Errorf("setdb: %s set %q: backend %q does not belong in this section", section, key, m.Backend())
 			}
 			if err := m.QueryView().MatchesFamily(db.fam); err != nil {
-				return fmt.Errorf("setdb: dynamic set %q: %w", key, err)
+				return fmt.Errorf("setdb: %s set %q: %w", section, key, err)
 			}
 			h := keyHash(key)
 			si := int(h % numShards)
-			if dyn[si] == nil {
-				dyn[si] = newChunkBuilder(chunkedMap[membership.DynamicMembership]{})
+			if sets[si] == nil {
+				sets[si] = newChunkBuilder(chunkedMap[entry]{})
 			}
-			dyn[si].set(h, key, m)
+			if _, dup := sets[si].get(h, key); dup {
+				return fmt.Errorf("setdb: %s set %q: key appears twice in the file", section, key)
+			}
+			sets[si].set(h, key, entry{m: m, gen: db.gen.Add(1)})
 			return nil
 		})
 		if err != nil {
@@ -772,23 +702,17 @@ func parse(r io.Reader) (*DB, error) {
 		}
 	}
 	for i := range db.shards {
-		if sets[i] == nil && dyn[i] == nil {
-			continue
-		}
-		st := &shardState{}
 		if sets[i] != nil {
-			st.sets = sets[i].freeze()
+			db.shards[i].state.Store(&shardState{sets: sets[i].freeze()})
 		}
-		if dyn[i] != nil {
-			st.dynamic = dyn[i].freeze()
-		}
-		db.shards[i].state.Store(st)
 	}
 	return db, nil
 }
 
 // readSection decodes one keyed section written by writeSection, calling
-// fn for each key/envelope pair.
+// fn for each key/envelope pair. An envelope's declared length is read
+// through a bounded reader, so memory is allocated as bytes arrive: a forged
+// length cannot make the loader allocate what the stream does not hold.
 func readSection(br *bufio.Reader, fn func(key string, data []byte) error) error {
 	var cnt [4]byte
 	if _, err := io.ReadFull(br, cnt[:]); err != nil {
@@ -808,9 +732,13 @@ func readSection(br *bufio.Reader, fn func(key string, data []byte) error) error
 		if _, err := io.ReadFull(br, fl[:]); err != nil {
 			return err
 		}
-		data := make([]byte, binary.LittleEndian.Uint32(fl[:]))
-		if _, err := io.ReadFull(br, data); err != nil {
+		n := binary.LittleEndian.Uint32(fl[:])
+		data, err := io.ReadAll(io.LimitReader(br, int64(n)))
+		if err != nil {
 			return err
+		}
+		if uint32(len(data)) != n {
+			return io.ErrUnexpectedEOF
 		}
 		if err := fn(string(key), data); err != nil {
 			return err

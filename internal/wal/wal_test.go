@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/hashfam"
 	"repro/internal/membership"
 	"repro/internal/setdb"
 )
@@ -387,35 +386,24 @@ func TestTornTailDroppedCleanly(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotWithWAL seeds the data directory with a bare
-// pre-durability SETDB1 snapshot (no bundle magic, no meta sidecar) plus
-// a hand-built SETDB2-era WAL segment, and verifies recovery composes
-// both.
-func TestLegacySnapshotWithWAL(t *testing.T) {
-	const (
-		namespace = uint64(10_000)
-		bits      = uint64(4096)
-		k         = 3
-		seed      = uint64(9)
-		depth     = 8
-	)
+// TestBareSnapshotWithWAL seeds the data directory with a bare SETDB2
+// stream as its snapshot (what DB.Save writes: no bundle magic, no tree, no
+// meta sidecar) plus a hand-built WAL segment, and verifies recovery
+// composes both, replaying every record for want of a covered sequence.
+func TestBareSnapshotWithWAL(t *testing.T) {
+	opts := testOptions(t, membership.KindCounting)
+	opts.Pruned = false // a bare stream carries no tree to restore a pruned database from
+	seedDB, err := setdb.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seedDB.Add("saved", 3); err != nil {
+		t.Fatal(err)
+	}
 	var snap bytes.Buffer
-	snap.WriteString("SETDB1")
-	hdr := make([]byte, 0, 64)
-	hdr = binary.LittleEndian.AppendUint64(hdr, namespace)
-	hdr = binary.LittleEndian.AppendUint64(hdr, bits)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(k))
-	hdr = binary.LittleEndian.AppendUint64(hdr, seed)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(depth))
-	hdr = binary.LittleEndian.AppendUint64(hdr, 100) // design set size
-	hdr = append(hdr, 0)                             // not pruned
-	kind := string(hashfam.DefaultKind)
-	hdr = append(hdr, byte(len(kind)))
-	hdr = append(hdr, kind...)
-	snap.Write(hdr)
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], 0) // zero plain sets
-	snap.Write(cnt[:])
+	if _, err := seedDB.WriteTo(&snap); err != nil {
+		t.Fatal(err)
+	}
 
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, snapshotName(1)), snap.Bytes(), 0o644); err != nil {
@@ -429,7 +417,7 @@ func TestLegacySnapshotWithWAL(t *testing.T) {
 	}
 
 	s, err := Open(dir, func() (*setdb.DB, error) {
-		t.Fatal("fresh called with a legacy snapshot present")
+		t.Fatal("fresh called with a snapshot present")
 		return nil, nil
 	}, Options{})
 	if err != nil {
@@ -440,11 +428,10 @@ func TestLegacySnapshotWithWAL(t *testing.T) {
 		t.Fatalf("ReplayedAtBoot = %d, want 2", st.ReplayedAtBoot)
 	}
 	db := s.DB()
-	if ok, err := db.Contains("old", 5); err != nil || !ok {
-		t.Fatalf("Contains(old, 5) = %v, %v after legacy mix recovery", ok, err)
-	}
-	if ok, err := db.ContainsDynamic("dyn", 7); err != nil || !ok {
-		t.Fatalf("ContainsDynamic(dyn, 7) = %v, %v after legacy mix recovery", ok, err)
+	for key, id := range map[string]uint64{"saved": 3, "old": 5, "dyn": 7} {
+		if ok, err := db.Contains(key, id); err != nil || !ok {
+			t.Fatalf("Contains(%s, %d) = %v, %v after recovery over a bare snapshot", key, id, ok, err)
+		}
 	}
 }
 

@@ -170,7 +170,7 @@ func (c *Client) roundTripOnce(op, flags byte, body []byte, wantOp byte) ([]byte
 // SampleOpts selects the sampling mode of Sample/SampleStream.
 type SampleOpts struct {
 	Workers int
-	Dynamic bool
+	Dynamic bool // Deprecated: sets FlagDynamic, which the server ignores.
 	Uniform bool
 }
 
@@ -284,7 +284,7 @@ func (c *Client) Add(sets ...AddSet) (AckResult, error) {
 	return DecodeAckResult(resp)
 }
 
-// Remove removes ids from a dynamic set (all-or-nothing).
+// Remove removes ids from a removable set (all-or-nothing).
 func (c *Client) Remove(key string, ids []uint64) (AckResult, error) {
 	resp, err := c.roundTrip(OpRemove, 0, RemoveReq{Key: key, IDs: ids}.Encode(nil), OpAckResult)
 	if err != nil {
@@ -293,7 +293,8 @@ func (c *Client) Remove(key string, ids []uint64) (AckResult, error) {
 	return DecodeAckResult(resp)
 }
 
-// Reconstruct returns the full contents of a stored set.
+// Reconstruct returns the full contents of a stored set. dynamic is
+// deprecated: it sets FlagDynamic, which the server ignores.
 func (c *Client) Reconstruct(key string, dynamic bool) ([]uint64, error) {
 	var flags byte
 	if dynamic {

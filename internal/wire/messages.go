@@ -109,8 +109,8 @@ func appendIDs(dst []byte, ids []uint64) []byte {
 	return dst
 }
 
-// SampleReq is the body of OpSample and OpSampleStream. Dynamic/Uniform
-// travel as header flags, not body fields. Credit is only meaningful for
+// SampleReq is the body of OpSample and OpSampleStream. Uniform (and the
+// deprecated Dynamic) travel as header flags, not body fields. Credit is only meaningful for
 // OpSampleStream: the number of samples the server may send before it
 // must wait for an OpCredit grant (0 means "no initial credit" — the
 // client grants separately).
@@ -159,7 +159,7 @@ func DecodeCreditGrant(body []byte) (CreditGrant, error) {
 	return m, r.done()
 }
 
-// ReconstructReq is the body of OpReconstruct (dynamic via FlagDynamic).
+// ReconstructReq is the body of OpReconstruct.
 type ReconstructReq struct{ Key string }
 
 func (m ReconstructReq) Encode(dst []byte) []byte { return appendString(dst, m.Key) }
@@ -184,7 +184,8 @@ func DecodeIntersectionReq(body []byte) (IntersectionReq, error) {
 	return m, r.done()
 }
 
-// AddSet is one key's pending writes within an AddReq.
+// AddSet is one key's pending writes within an AddReq. Dynamic is the kind
+// a new key gets (a removable set); it must match an existing key's kind.
 type AddSet struct {
 	Key     string
 	Dynamic bool
@@ -237,7 +238,7 @@ func DecodeAddReq(body []byte) (AddReq, error) {
 	return m, r.done()
 }
 
-// RemoveReq is the body of OpRemove (dynamic sets only, all-or-nothing).
+// RemoveReq is the body of OpRemove (removable sets only, all-or-nothing).
 type RemoveReq struct {
 	Key string
 	IDs []uint64

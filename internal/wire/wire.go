@@ -75,8 +75,11 @@ const (
 
 // Flags.
 const (
-	// FlagDynamic selects the counting-set (deletable) storage kind on
-	// sample/reconstruct requests, mirroring the JSON "dynamic" field.
+	// FlagDynamic mirrors the JSON "dynamic" field on sample/reconstruct
+	// requests.
+	//
+	// Deprecated: the server accepts and ignores it — the key says what
+	// kind of set it holds. To be dropped with bench/'s use of it.
 	FlagDynamic byte = 1 << 0
 	// FlagUniform selects the rejection-corrected exactly-uniform sampler
 	// on sample requests (plain sets only).

@@ -88,9 +88,11 @@ func WithHash(kind HashKind) Option { return func(o *options) { o.hash = kind } 
 // dimensions and seed.
 func WithSeed(seed uint64) Option { return func(o *options) { o.seed = seed } }
 
-// WithBackend selects the membership backend for dynamic sets (default
-// BackendCounting). Plain sets always use the Bloom filter — they never
-// delete, so nothing beats it.
+// WithBackend selects the membership backend a key created by a dynamic
+// write gets (SetDB.AddDynamic, SetDBWrite.Dynamic; default
+// BackendCounting). A key created by a plain write always holds a Bloom
+// filter — it never deletes, so nothing beats it. Both kinds of key live in
+// the database's one key space, and every read serves either.
 func WithBackend(kind BackendKind) Option { return func(o *options) { o.backend = kind } }
 
 // WithAccuracy sets the target sampling accuracy the planner sizes for
@@ -210,9 +212,8 @@ func NewPrunedTreeWith(plan TreePlan, occupied []uint64, opts ...Option) (*Tree,
 	return core.BuildPruned(plan.TreeConfig(o.hash, o.seed), occupied)
 }
 
-// UnmarshalMembership decodes any membership value encoded by
-// Membership.MarshalBinary — enveloped backends and bare legacy
-// filter/counting encodings alike.
+// UnmarshalMembership decodes a membership value of any backend from the
+// tagged envelope Membership.MarshalBinary writes.
 func UnmarshalMembership(data []byte) (Membership, error) {
 	return membership.Unmarshal(data)
 }

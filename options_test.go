@@ -33,12 +33,12 @@ func TestOptionsOpenWithBackend(t *testing.T) {
 	if err := db.RemoveDynamic("d", 2); err != nil {
 		t.Fatalf("RemoveDynamic: %v", err)
 	}
-	if db.MembershipDynamic("d").Backend() != bloomsample.BackendCuckoo {
+	if db.Membership("d").Backend() != bloomsample.BackendCuckoo {
 		t.Fatal("dynamic set not cuckoo-backed")
 	}
 	rng := rand.New(rand.NewSource(1))
-	if _, err := db.SampleDynamic("d", rng, nil); err != nil && !errors.Is(err, bloomsample.ErrNoSample) {
-		t.Fatalf("SampleDynamic: %v", err)
+	if _, err := db.Sample("d", rng, nil); err != nil && !errors.Is(err, bloomsample.ErrNoSample) {
+		t.Fatalf("Sample: %v", err)
 	}
 	if st := db.Stats(); st.Backend.Kind != string(bloomsample.BackendCuckoo) {
 		t.Fatalf("Stats().Backend.Kind = %q, want cuckoo", st.Backend.Kind)
