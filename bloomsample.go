@@ -99,14 +99,12 @@ type HashKind = hashfam.Kind
 // split into k positions by double hashing — is the recommended default
 // and what every layer defaults to; Simple is weakly invertible (required
 // by HashInvert); Murmur3 is the previous default, kept byte-compatible;
-// MD5 is slow and present for parity with the paper's evaluation; FNV is
-// a cheap extra.
+// MD5 is slow and present for parity with the paper's evaluation.
 const (
 	Fast    = hashfam.KindFast
 	Simple  = hashfam.KindSimple
 	Murmur3 = hashfam.KindMurmur3
 	MD5     = hashfam.KindMD5
-	FNV     = hashfam.KindFNV
 )
 
 // ErrNoSample is returned by Tree.Sample when no element of the namespace

@@ -157,8 +157,8 @@ func TestPublicAPIEstimators(t *testing.T) {
 	if p := bloomsample.FalseSetOverlapProb(1000, 3, 10, 10); p <= 0 || p >= 1 {
 		t.Fatalf("fso = %v", p)
 	}
-	a, _ := bloomsample.NewFilterWith(10_000, 3, bloomsample.WithHash(bloomsample.FNV), bloomsample.WithSeed(1))
-	b, _ := bloomsample.NewFilterWith(10_000, 3, bloomsample.WithHash(bloomsample.FNV), bloomsample.WithSeed(1))
+	a, _ := bloomsample.NewFilterWith(10_000, 3, bloomsample.WithHash(bloomsample.Murmur3), bloomsample.WithSeed(1))
+	b, _ := bloomsample.NewFilterWith(10_000, 3, bloomsample.WithHash(bloomsample.Murmur3), bloomsample.WithSeed(1))
 	for x := uint64(0); x < 100; x++ {
 		a.Add(x)
 		b.Add(x + 50)

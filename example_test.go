@@ -94,7 +94,7 @@ func ExampleUniformSampler() {
 
 // DictionaryAttack is the O(M) baseline — exact but namespace-bound.
 func ExampleDictionaryAttack() {
-	f, _ := bloomsample.NewFilterWith(10_000, 3, bloomsample.WithHash(bloomsample.FNV), bloomsample.WithSeed(1))
+	f, _ := bloomsample.NewFilterWith(10_000, 3, bloomsample.WithHash(bloomsample.Murmur3), bloomsample.WithSeed(1))
 	f.Add(700)
 
 	da := bloomsample.DictionaryAttack{Namespace: 1_000}

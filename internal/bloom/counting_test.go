@@ -148,7 +148,7 @@ func TestCountingSizeBytes(t *testing.T) {
 // Property: after any sequence of adds and (valid) removes, every element
 // with a positive net count is present — no false negatives, ever.
 func TestQuickCountingNoFalseNegatives(t *testing.T) {
-	fam := hashfam.MustNew(hashfam.KindFNV, 4096, 3, 9)
+	fam := hashfam.MustNew(hashfam.KindFast, 4096, 3, 9)
 	f := func(ops []uint16) bool {
 		c := NewCounting(fam)
 		net := map[uint64]int{}
@@ -178,7 +178,7 @@ func TestQuickCountingNoFalseNegatives(t *testing.T) {
 
 // Property: Snapshot agrees with Contains on every queried element.
 func TestQuickCountingSnapshotConsistent(t *testing.T) {
-	fam := hashfam.MustNew(hashfam.KindFNV, 4096, 3, 11)
+	fam := hashfam.MustNew(hashfam.KindFast, 4096, 3, 11)
 	f := func(xs []uint16, probes []uint16) bool {
 		c := NewCounting(fam)
 		for _, x := range xs {

@@ -53,7 +53,7 @@ func TestEmptyReset(t *testing.T) {
 
 func TestNoFalseNegativesProperty(t *testing.T) {
 	fn := func(xs []uint64) bool {
-		f := New(hashfam.MustNew(hashfam.KindFNV, 4096, 3, 9))
+		f := New(hashfam.MustNew(hashfam.KindFast, 4096, 3, 9))
 		for _, x := range xs {
 			f.Add(x)
 		}
@@ -147,7 +147,7 @@ func TestIncompatibleCombinations(t *testing.T) {
 		New(hashfam.MustNew(hashfam.KindMurmur3, 2000, 3, 1)), // different m
 		New(hashfam.MustNew(hashfam.KindMurmur3, 1000, 4, 1)), // different k
 		New(hashfam.MustNew(hashfam.KindMurmur3, 1000, 3, 2)), // different seed
-		New(hashfam.MustNew(hashfam.KindFNV, 1000, 3, 1)),     // different kind
+		New(hashfam.MustNew(hashfam.KindFast, 1000, 3, 1)),    // different kind
 	}
 	for i, b := range cases {
 		if _, err := a.Union(b); err == nil {
@@ -301,7 +301,7 @@ func TestFalseSetOverlapEmpirical(t *testing.T) {
 	trials := 3000
 	hits := 0
 	for i := 0; i < trials; i++ {
-		fm := hashfam.MustNew(hashfam.KindFNV, m, k, uint64(i))
+		fm := hashfam.MustNew(hashfam.KindFast, m, k, uint64(i))
 		a, b := New(fm), New(fm)
 		for x := uint64(0); x < n1; x++ {
 			a.Add(x)

@@ -3,6 +3,7 @@ package bloom
 import (
 	"encoding/binary"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/hashfam"
@@ -46,7 +47,7 @@ func TestUnmarshalFilterErrors(t *testing.T) {
 	if _, err := UnmarshalFilter([]byte("XXXX....")); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	fam := hashfam.MustNew(hashfam.KindFNV, 1000, 3, 1)
+	fam := hashfam.MustNew(hashfam.KindMD5, 1000, 3, 1)
 	good, err := NewFromElements(fam, []uint64{1}).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -57,11 +58,14 @@ func TestUnmarshalFilterErrors(t *testing.T) {
 	if _, err := UnmarshalFilter(good[:len(good)-3]); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
-	// Corrupt family kind.
-	bad := append([]byte(nil), good...)
-	copy(bad[5:], "zzz")
-	if _, err := UnmarshalFilter(bad); err == nil {
-		t.Fatal("unknown family accepted")
+	// Corrupt family kind, and the fnv family deleted in PR 18: a filter
+	// persisted under it no longer loads.
+	for _, kind := range []string{"zzz", "fnv"} {
+		bad := append([]byte(nil), good...)
+		copy(bad[5:], kind)
+		if _, err := UnmarshalFilter(bad); err == nil || !strings.Contains(err.Error(), "unknown kind") {
+			t.Fatalf("family %q: err = %v, want hashfam's unknown-kind error", kind, err)
+		}
 	}
 }
 

@@ -257,7 +257,7 @@ func TestQuickLeafRangeCoversNamespace(t *testing.T) {
 	f := func(nsSel uint16, depthSel uint8) bool {
 		M := uint64(nsSel)%100000 + 16
 		depth := int(depthSel) % 5
-		cfg := Config{Namespace: M, Bits: 1024, K: 2, Depth: depth, HashKind: hashfam.KindFNV}
+		cfg := Config{Namespace: M, Bits: 1024, K: 2, Depth: depth, HashKind: hashfam.KindFast}
 		tree, err := BuildTree(cfg)
 		if err != nil {
 			return false

@@ -1,8 +1,9 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§7 static namespaces, §8 low-occupancy namespaces). Each
 // experiment is a function from a Config to one or more Tables whose rows
-// mirror the series the paper plots; the bstbench command and the
-// repository's benchmark suite drive them.
+// mirror the series the paper plots; the bstbench command drives them.
+// Numbers about the served system (throughput, write amplification,
+// recovery, tracing overhead) are not measured here: bench/ measures them.
 package experiments
 
 import (
@@ -25,7 +26,7 @@ type Config struct {
 	// HashKind is the hash family (the paper's default is the simple
 	// family for most experiments; the package default is the fast
 	// multiply-fold family, which behaves equivalently and hashes
-	// cheapest — the fig7/hash sweeps compare all of them).
+	// cheapest — fig7 compares them).
 	HashKind hashfam.Kind
 	// K is the number of hash functions (paper: 3).
 	K int
@@ -50,10 +51,6 @@ type Config struct {
 	// paper scale: 2.2B namespace, 7.2M ids; 100 = 22M namespace, 72K
 	// ids). Structure (256 leaves, fractions) is preserved.
 	TwitterScale int
-	// WriteFrac is the fraction of operations that are writes in the
-	// concurrency experiment's read/write mix (0 = read-only sampling,
-	// 0.5 = every other operation is an Add to the sampled key).
-	WriteFrac float64
 	// ChiSqRoundsFactor is T/n for the uniformity test (paper: 130).
 	ChiSqRoundsFactor int
 }
@@ -179,14 +176,18 @@ func (t *Table) WriteCSV(w io.Writer) error {
 type Runner func(Config) ([]*Table, error)
 
 // Registry maps experiment ids (fig3..fig15, tab2..tab6, abl*) to runners.
+// Where one runner serves figures at several namespace sizes the pairing
+// is the paper's 10⁵/10⁶/10⁷ sweep: the first figure of a two-figure group
+// runs at the middle namespace, the second at the largest (fig5/fig6 are
+// the one pair numbered the other way round).
 func Registry() map[string]Runner {
 	return map[string]Runner{
 		"fig3":            func(c Config) ([]*Table, error) { return RunSamplingOps(c, false) },
 		"fig4":            func(c Config) ([]*Table, error) { return RunSamplingOps(c, true) },
 		"fig5":            func(c Config) ([]*Table, error) { return RunSamplingTime(c, largestNamespace(c)) },
-		"fig6":            func(c Config) ([]*Table, error) { return RunSamplingTime(c, smallestNamespace(c)) },
+		"fig6":            func(c Config) ([]*Table, error) { return RunSamplingTime(c, middleNamespace(c)) },
 		"fig7":            RunHashFamilies,
-		"tab2":            func(c Config) ([]*Table, error) { return RunPlanTable(c, smallestNamespace(c)) },
+		"tab2":            func(c Config) ([]*Table, error) { return RunPlanTable(c, middleNamespace(c)) },
 		"tab3":            func(c Config) ([]*Table, error) { return RunPlanTable(c, largestNamespace(c)) },
 		"tab4":            RunCreationTime,
 		"tab5":            RunChiSquared,
@@ -194,7 +195,7 @@ func Registry() map[string]Runner {
 		"fig8":            func(c Config) ([]*Table, error) { return RunReconstructionOps(c, smallestNamespace(c)) },
 		"fig9":            func(c Config) ([]*Table, error) { return RunReconstructionOps(c, middleNamespace(c)) },
 		"fig10":           func(c Config) ([]*Table, error) { return RunReconstructionOps(c, largestNamespace(c)) },
-		"fig11":           func(c Config) ([]*Table, error) { return RunReconstructionTime(c, smallestNamespace(c)) },
+		"fig11":           func(c Config) ([]*Table, error) { return RunReconstructionTime(c, middleNamespace(c)) },
 		"fig12":           func(c Config) ([]*Table, error) { return RunReconstructionTime(c, largestNamespace(c)) },
 		"fig13":           func(c Config) ([]*Table, error) { return RunLowOccupancy(c, "time") },
 		"fig14":           func(c Config) ([]*Table, error) { return RunLowOccupancy(c, "memory") },
@@ -205,13 +206,6 @@ func Registry() map[string]Runner {
 		"abl-multisample": RunAblationMultiSample,
 		"abl-build":       RunAblationBuild,
 		"abl-hashinvert":  RunAblationHashInvert,
-		"concurrency":     RunConcurrency,
-		"serving":         RunServing,
-		"obs":             RunObs,
-		"writeamp":        RunWriteAmp,
-		"recovery":        RunRecovery,
-		"hash":            RunHash,
-		"backend":         RunBackend,
 	}
 }
 
@@ -224,7 +218,6 @@ func ExperimentIDs() []string {
 		"fig13", "fig14", "fig15",
 		"abl-threshold", "abl-multisample", "abl-build", "abl-hashinvert",
 		"abl-parallel", "abl-dynamic",
-		"concurrency", "serving", "obs", "writeamp", "recovery", "hash", "backend",
 	}
 }
 

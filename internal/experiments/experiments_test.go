@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -52,9 +53,23 @@ func TestTableAddPanicsOnArity(t *testing.T) {
 
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 	reg := Registry()
+	// The registry is the paper's list and nothing else: the same ids as
+	// ExperimentIDs in both directions, each a figure, a table or an
+	// ablation. Anything about the served system belongs to bench/.
+	paperID := regexp.MustCompile(`^(fig([3-9]|1[0-5])|tab[2-6]|abl-[a-z]+)$`)
+	listed := map[string]bool{}
 	for _, id := range ExperimentIDs() {
 		if _, ok := reg[id]; !ok {
 			t.Errorf("experiment %s listed but not registered", id)
+		}
+		listed[id] = true
+	}
+	for id := range reg {
+		if !listed[id] {
+			t.Errorf("experiment %s registered but not listed", id)
+		}
+		if !paperID.MatchString(id) {
+			t.Errorf("experiment %s is not a paper figure, table or ablation", id)
 		}
 	}
 	// Every evaluation figure (3–15) and table (2–6) must be present.
@@ -66,6 +81,33 @@ func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 	for tab := 2; tab <= 6; tab++ {
 		if _, ok := reg["tab"+strconv.Itoa(tab)]; !ok {
 			t.Errorf("missing runner for table %d", tab)
+		}
+	}
+}
+
+// Each figure and table runs at the namespace the paper gives it: of the
+// 10⁵/10⁶/10⁷ sweep, Figures 6, 9, 11 and Table 2 at the middle, Figures
+// 5, 10, 12 and Table 3 at the largest, Figure 8 at the smallest. Table
+// ids embed the namespace they ran at.
+func TestRegistryBindsPaperNamespaces(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Rounds = 5
+	cfg.Namespaces = []uint64{10_000, 20_000, 40_000}
+	want := map[string]string{
+		"fig8": "M10000",
+		"fig6": "M20000", "tab2": "M20000", "fig9": "M20000", "fig11": "M20000",
+		"fig5": "M40000", "tab3": "M40000", "fig10": "M40000", "fig12": "M40000",
+	}
+	reg := Registry()
+	for id, ns := range want {
+		tables, err := reg[id](cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		for _, tbl := range tables {
+			if !strings.Contains(tbl.ID, ns) {
+				t.Errorf("%s: table %s, want namespace %s", id, tbl.ID, ns)
+			}
 		}
 	}
 }

@@ -70,10 +70,10 @@ func RunReconstructionOps(cfg Config, M uint64) ([]*Table, error) {
 	return tables, nil
 }
 
-// RunReconstructionTime reproduces Figures 11–12: wall-clock time to
-// reconstruct query sets of the smallest and a larger configured size, for
-// BST, HashInvert and DictionaryAttack, over uniform and clustered query
-// sets.
+// RunReconstructionTime reproduces Figures 11 (M = 10⁶) and 12 (M = 10⁷):
+// wall-clock time to reconstruct query sets of the smallest and a larger
+// configured size, for BST, HashInvert and DictionaryAttack, over uniform
+// and clustered query sets.
 func RunReconstructionTime(cfg Config, M uint64) ([]*Table, error) {
 	cfg.HashKind = hashfam.KindSimple
 	sizes := []int{cfg.SetSizes[0]}

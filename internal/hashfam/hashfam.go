@@ -2,11 +2,11 @@
 // the paper evaluates (§7.1): the "Simple" affine family (a·x+b) mod m,
 // which is weakly invertible; MurmurHash3 (implemented from scratch, x64
 // 128-bit variant); and MD5 (via crypto/md5, kept as an opt-in
-// compatibility kind). Two extra hardware-friendly families are provided:
+// compatibility kind). One hardware-friendly family is added to them:
 // KindFast (the default — one 128-bit multiply-fold mix per key, see
-// fast.go) and FNV-1a. Families implementing BatchFamily additionally
-// expose a batched PositionsMany path that amortizes per-key setup across
-// bulk probe loops.
+// fast.go). Families implementing BatchFamily additionally expose a
+// batched PositionsMany path that amortizes per-key setup across bulk
+// probe loops.
 //
 // A Family maps a namespace element x (a uint64) to k positions in
 // [0, m). Families are deterministic given (kind, m, k, seed), so that a
@@ -28,7 +28,6 @@ const (
 	KindSimple  Kind = "simple"  // (a·x + b) mod m, weakly invertible
 	KindMurmur3 Kind = "murmur3" // MurmurHash3 x64_128 + double hashing
 	KindMD5     Kind = "md5"     // crypto/md5 + double hashing (compatibility only)
-	KindFNV     Kind = "fnv"     // FNV-1a 64 + double hashing
 )
 
 // DefaultKind is the family every layer that picks a default uses: the
@@ -39,7 +38,7 @@ const (
 const DefaultKind = KindFast
 
 // Kinds lists every supported family kind.
-func Kinds() []Kind { return []Kind{KindFast, KindSimple, KindMurmur3, KindMD5, KindFNV} }
+func Kinds() []Kind { return []Kind{KindFast, KindSimple, KindMurmur3, KindMD5} }
 
 // Family is a set of k hash functions h_1..h_k, each mapping namespace
 // elements to bit positions in [0, m).
@@ -130,8 +129,6 @@ func New(kind Kind, m uint64, k int, seed uint64) (Family, error) {
 		return newMurmur3(m, k, seed), nil
 	case KindMD5:
 		return newMD5(m, k, seed), nil
-	case KindFNV:
-		return newFNV(m, k, seed), nil
 	default:
 		return nil, fmt.Errorf("hashfam: unknown kind %q", kind)
 	}

@@ -289,17 +289,6 @@ func TestMurmur3TailLengths(t *testing.T) {
 	}
 }
 
-func TestFNV1a64KnownValue(t *testing.T) {
-	// FNV-1a of 8 zero bytes, computed from the reference algorithm.
-	h := uint64(fnvOffset)
-	for i := 0; i < 8; i++ {
-		h *= fnvPrime
-	}
-	if got := fnv1a64(0); got != h {
-		t.Fatalf("fnv1a64(0) = %#x, want %#x", got, h)
-	}
-}
-
 func TestDoublePositionsCoversK(t *testing.T) {
 	// Even with h2 ≡ 0 (forced to 1), positions must stay in range and be
 	// k of them.

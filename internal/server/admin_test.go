@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
@@ -259,6 +262,46 @@ func TestTraceDisabled(t *testing.T) {
 	}
 	if !strings.Contains(body, `bst_requests_total{endpoint="/v1/sample"} 1`) {
 		t.Error("per-endpoint counters must stay on with tracing off")
+	}
+}
+
+// TestTracingCostPerRequest is the tracing-overhead gate as the exact
+// quantity it is: on one database, in process, a traced POST /v1/sample
+// allocates 7 more times and ≈ 0.5 KB more than an untraced one (request
+// id, trace, response header, context, request copy; 32 → 39 allocations,
+// 7 304 → 7 800 B), which is the ≈ 1 µs a request that no timed gate can
+// read (README, "Observability"). It fails when tracing is made to
+// allocate more, and when TraceDisabled stops disabling (on == off).
+func TestTracingCostPerRequest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under the race detector: allocation counts are not exact")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pools mid-count
+	_, db := newTestServer(t, Config{})
+	perRequest := func(cfg Config) (allocs, bytes float64) {
+		h := New(db, cfg)
+		serve := func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sample", strings.NewReader(`{"key":"plain"}`)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
+		}
+		serve() // warms the pools
+		const runs = 2000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			serve()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	offAllocs, offBytes := perRequest(Config{TraceDisabled: true})
+	onAllocs, onBytes := perRequest(Config{})
+	if d := math.Round(onAllocs - offAllocs); d < 1 || d > 7 || onBytes-offBytes > 512 {
+		t.Fatalf("tracing costs %+.2f allocations and %+.0f B a request (off %.2f / %.0f B, on %.2f / %.0f B), want +1..7 and at most +512 B",
+			onAllocs-offAllocs, onBytes-offBytes, offAllocs, offBytes, onAllocs, onBytes)
 	}
 }
 

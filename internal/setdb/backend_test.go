@@ -2,6 +2,7 @@ package setdb
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -160,5 +161,44 @@ func TestBackendBatchAndSnapshotRoundTrip(t *testing.T) {
 				t.Fatal("reloaded plain set lost a member")
 			}
 		})
+	}
+}
+
+// TestBackendBytesPerLiveEntry pins the memory row of README's "Membership
+// backends" table. At one planned false-positive point (accuracy 0.9,
+// M = 100 000, k = 3, n seeded distinct ids under one key) a cuckoo set is
+// no larger than a counting set at either n, and at n = 1 000 the three
+// backends cost README's 3.4 / 30.8 / 7.5 B per live entry.
+func TestBackendBytesPerLiveEntry(t *testing.T) {
+	readme := map[membership.Kind]float64{membership.KindBloom: 3.4, membership.KindCounting: 30.8, membership.KindCuckoo: 7.5}
+	ids := rand.New(rand.NewSource(1)).Perm(100_000)
+	for _, n := range []int{100, 1000} {
+		perEntry := map[membership.Kind]float64{}
+		for kind, want := range readme {
+			opts, err := PlanOptions(0.9, uint64(n), 100_000, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Backend = kind
+			db, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := Write{Key: "s", Dynamic: kind != membership.KindBloom}
+			for _, id := range ids[:n] {
+				w.IDs = append(w.IDs, uint64(id))
+			}
+			if err := db.ApplyBatch([]Write{w}); err != nil {
+				t.Fatal(err)
+			}
+			got := float64(db.Membership("s").SizeBytes()) / float64(n)
+			perEntry[kind] = got
+			if n == 1000 && math.Abs(got-want) > 0.05*want {
+				t.Errorf("%s at n = 1000: %.2f B per live entry, README says %.1f", kind, got, want)
+			}
+		}
+		if perEntry[membership.KindCuckoo] > perEntry[membership.KindCounting] {
+			t.Errorf("n = %d: cuckoo %.2f B per entry, above counting's %.2f", n, perEntry[membership.KindCuckoo], perEntry[membership.KindCounting])
+		}
 	}
 }

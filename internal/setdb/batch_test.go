@@ -171,8 +171,8 @@ func TestDeleteMissCopiesNothing(t *testing.T) {
 	}
 }
 
-// TestWriteAmplificationBounded is the unit-level form of the writeamp
-// acceptance criterion: at high single-shard occupancy, one write must
+// TestWriteAmplificationBounded pins the write-amplification claim of
+// the chunked map: at high single-shard occupancy, one write must
 // copy several times less state than the old whole-shard flat map clone
 // would have.
 func TestWriteAmplificationBounded(t *testing.T) {
@@ -190,7 +190,7 @@ func TestWriteAmplificationBounded(t *testing.T) {
 			continue
 		}
 		keys = append(keys, k)
-		flatBytes += EntryCopyBytes(len(k))
+		flatBytes += entryCopyBytes(len(k))
 		batch = append(batch, Write{Key: k, IDs: []uint64{uint64(i) % 4096}})
 		if len(batch) == cap(batch) {
 			if err := db.ApplyBatch(batch); err != nil {

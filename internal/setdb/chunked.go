@@ -46,12 +46,11 @@ const (
 // cloned (one map header per chunk).
 func tableCopyBytes(n int) uint64 { return uint64(n) * 8 }
 
-// EntryCopyBytes is the database's estimate of the bytes copied when one
-// stored entry with a key of keyLen bytes is carried into a cloned map.
-// It is exported so external write-amplification accounting (the
-// bstbench writeamp experiment's flat-map baseline) uses the same
-// formula the database's own Stats counters use.
-func EntryCopyBytes(keyLen int) uint64 { return perEntryCopyBytes + uint64(keyLen) }
+// entryCopyBytes is the database's estimate of the bytes copied when one
+// stored entry with a key of keyLen bytes is carried into a cloned map:
+// the formula behind the Stats counters, and the one a flat-map baseline
+// must be charged by (TestWriteAmplificationBounded).
+func entryCopyBytes(keyLen int) uint64 { return perEntryCopyBytes + uint64(keyLen) }
 
 // keyHash is the FNV-1a hash both the shard split and the chunk split
 // derive from: the shard index uses the hash modulo numShards, the chunk
@@ -72,10 +71,10 @@ func keyHash(key string) uint64 {
 // shardIndex maps a key to its shard.
 func shardIndex(key string) int { return int(keyHash(key) % numShards) }
 
-// ShardOf returns the shard index key maps to. Exposed for experiments
-// and workload planning that need shard-local key sets (the bstbench
-// writeamp sweep stresses one shard at a chosen occupancy); the mapping
-// is stable for a given key, but the shard count is an internal constant.
+// ShardOf returns the shard index key maps to. Exposed for tests and
+// workload planning that need shard-local key sets (stressing one shard
+// at a chosen occupancy); the mapping is stable for a given key, but the
+// shard count is an internal constant.
 func ShardOf(key string) int { return shardIndex(key) }
 
 // chunkIndexIn maps a key hash to its chunk within an n-chunk table
@@ -186,7 +185,7 @@ func (b *chunkBuilder[V]) set(h uint64, key string, v V) {
 		m := make(map[string]V, len(old)+1)
 		for k, val := range old {
 			m[k] = val
-			b.bytes += EntryCopyBytes(len(k))
+			b.bytes += entryCopyBytes(len(k))
 		}
 		b.chunks[ci] = m
 		b.dirty[ci] = true
@@ -217,7 +216,7 @@ func (b *chunkBuilder[V]) delete(h uint64, key string) bool {
 			for k, val := range old {
 				if k != key {
 					m[k] = val
-					b.bytes += EntryCopyBytes(len(k))
+					b.bytes += entryCopyBytes(len(k))
 				}
 			}
 		}
@@ -253,7 +252,7 @@ func (b *chunkBuilder[V]) grow() {
 				dirty[ci] = true
 			}
 			nm[k] = v
-			b.bytes += EntryCopyBytes(len(k))
+			b.bytes += entryCopyBytes(len(k))
 		}
 	}
 	b.bytes += tableCopyBytes(target)

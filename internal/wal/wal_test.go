@@ -25,14 +25,14 @@ func testOptions(t *testing.T, backend membership.Kind) setdb.Options {
 	return opts
 }
 
-func freshFunc(t *testing.T, opts setdb.Options) func() (*setdb.DB, error) {
+func freshFunc(t testing.TB, opts setdb.Options) func() (*setdb.DB, error) {
 	t.Helper()
 	return func() (*setdb.DB, error) { return setdb.Open(opts) }
 }
 
 // bundleBytes serializes a database as a restore bundle for byte-exact
 // comparison.
-func bundleBytes(t *testing.T, db *setdb.DB) []byte {
+func bundleBytes(t testing.TB, db *setdb.DB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := db.SnapshotView().WriteBundleTo(&buf); err != nil {
@@ -197,14 +197,26 @@ func TestEmptyWAL(t *testing.T) {
 	}
 }
 
+// TestSnapshotWithNoTail: a snapshot bounds the records a boot replays.
+// Taken after all n batches the boot replays none; taken after k of them
+// it replays exactly the n − k behind it; either way it recovers the
+// pre-close state byte for byte. (TestStoreRecoversAllBackends is the far
+// end: no snapshot, every batch replayed.)
 func TestSnapshotWithNoTail(t *testing.T) {
+	for _, tail := range []int{0, 5} {
+		t.Run(fmt.Sprintf("tail=%d", tail), func(t *testing.T) { snapshotThenTail(t, tail) })
+	}
+}
+
+func snapshotThenTail(t *testing.T, tail int) {
 	opts := testOptions(t, membership.KindCuckoo)
 	dir := t.TempDir()
 	s, err := Open(dir, freshFunc(t, opts), Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	for _, b := range testBatches() {
+	batches := testBatches()
+	for _, b := range batches[:len(batches)-tail] {
 		if err := s.Apply(b); err != nil {
 			t.Fatalf("Apply: %v", err)
 		}
@@ -215,6 +227,11 @@ func TestSnapshotWithNoTail(t *testing.T) {
 	}
 	if info.Seq == 0 || info.Bytes == 0 {
 		t.Fatalf("SnapshotInfo = %+v, want nonzero seq and bytes", info)
+	}
+	for _, b := range batches[len(batches)-tail:] {
+		if err := s.Apply(b); err != nil {
+			t.Fatalf("Apply: %v", err)
+		}
 	}
 	want := bundleBytes(t, s.DB())
 	if err := s.Close(); err != nil {
@@ -227,8 +244,8 @@ func TestSnapshotWithNoTail(t *testing.T) {
 	}
 	defer s2.Close()
 	st := s2.Stats()
-	if st.ReplayedAtBoot != 0 {
-		t.Fatalf("ReplayedAtBoot = %d after snapshot-with-no-tail, want 0", st.ReplayedAtBoot)
+	if st.ReplayedAtBoot != uint64(tail) {
+		t.Fatalf("ReplayedAtBoot = %d with %d batches behind the snapshot, want %d", st.ReplayedAtBoot, tail, tail)
 	}
 	if st.Seq == 0 {
 		t.Fatal("recovered seq = 0, want the snapshot's covered seq")
