@@ -179,8 +179,11 @@ func FalseSetOverlapProb(m uint64, k int, n1, n2 uint64) float64 {
 
 // UniformSampler draws exactly uniform samples from a query filter by
 // rejection, correcting the estimator-noise bias of the plain tree
-// descent. Create one per query filter with Tree.NewUniformSampler; a
-// single instance may be shared across goroutines.
+// descent. Create one per query filter with Tree.NewUniformSampler, or
+// ask SetDB.UniformSampler for one over the published version of a key
+// (it shares what its draws learn with every other sampler of that key's
+// lifetime, and like a held filter goes stale when the key is written);
+// a single instance may be shared across goroutines.
 type UniformSampler = core.UniformSampler
 
 // UniformStats reports a UniformSampler's rejection behaviour.
@@ -199,12 +202,6 @@ type SetDB = setdb.DB
 // SetDBOptions is the profile a SetDB was opened with, as SetDB.Options
 // reports it; Open plans one from its With* options.
 type SetDBOptions = setdb.Options
-
-// SetDBSampler is the database-bound exactly-uniform sampler returned by
-// SetDB.UniformSampler: draws are lock-free, shareable across
-// goroutines, and follow the key across copy-on-write Adds by
-// recalibrating against the newly published filter version.
-type SetDBSampler = setdb.Sampler
 
 // SetDBWrite is one pending mutation for SetDB's group-commit path
 // (SetDB.AddMany/ApplyBatch): a whole batch of writes publishes one

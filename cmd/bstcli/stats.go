@@ -125,8 +125,8 @@ func runStats(args []string) {
 			if s.Attempts > 0 {
 				acc = float64(s.Accepted) / float64(s.Attempts)
 			}
-			fmt.Printf("  %s: %d attempts, %.1f%% accepted, %d clamped, %d retargets\n",
-				name, s.Attempts, 100*acc, s.Clamped, s.Retargets)
+			fmt.Printf("  %s: %d attempts, %.1f%% accepted, %d clamped\n",
+				name, s.Attempts, 100*acc, s.Clamped)
 		}
 	}
 }

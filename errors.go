@@ -12,8 +12,7 @@ import (
 // protocol (whose OpError code field reuses the HTTP status numbers):
 //
 //	ErrNoSet                            → 404 Not Found
-//	ErrKeyClash, ErrNotMember,
-//	ErrSamplerInvalid                   → 409 Conflict
+//	ErrKeyClash, ErrNotMember           → 409 Conflict
 //	ErrOutOfRange, ErrNotPlain          → 400 Bad Request
 //	anything else                       → 500 Internal Server Error
 //
@@ -38,10 +37,6 @@ var (
 	// the database namespace — a caller mistake, not an internal
 	// failure.
 	ErrOutOfRange = setdb.ErrOutOfRange
-
-	// ErrSamplerInvalid is returned by a SetDBSampler whose set was
-	// deleted or replaced; obtain a fresh sampler.
-	ErrSamplerInvalid = setdb.ErrSamplerInvalid
 
 	// ErrNotMember is wrapped by dynamic removals of an id that is not
 	// currently a member; the set is left unchanged (removals are

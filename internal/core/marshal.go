@@ -11,7 +11,6 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/bloom"
 	"repro/internal/hashfam"
-	"repro/internal/membership"
 )
 
 // Binary encoding of a Tree. Building a BloomSampleTree costs one hash
@@ -73,7 +72,7 @@ func writeNode(w *bufio.Writer, n *node) error {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	bits, err := n.filter().QueryView().Bits().MarshalBinary()
+	bits, err := n.filter().Bits().MarshalBinary()
 	if err != nil {
 		return err
 	}
@@ -149,7 +148,7 @@ func ReadTree(r io.Reader) (*Tree, error) {
 		return nil, err
 	}
 	if hasRoot {
-		root, count, err := readNode(br, t)
+		root, count, err := readNode(br, t, cfg.Depth)
 		if err != nil {
 			return nil, err
 		}
@@ -162,7 +161,14 @@ func ReadTree(r io.Reader) (*Tree, error) {
 	return t, nil
 }
 
-func readNode(r *bufio.Reader, t *Tree) (*node, uint64, error) {
+// readNode decodes one node and, as its child mask says, its subtrees. What
+// the stream claims sizes nothing: depth is how many levels the header's
+// Depth (bounded by Config.validate) still allows below this node, so a chain
+// of minimal nodes cannot grow the stack past it, and a node's payload is
+// read through a bounded reader, so memory is allocated as bytes arrive and a
+// forged length — or a forged Bits in the header, which the length is checked
+// against — cannot make the loader allocate what the stream does not hold.
+func readNode(r *bufio.Reader, t *Tree, depth int) (*node, uint64, error) {
 	var hdr [16]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, 0, err
@@ -176,9 +182,12 @@ func readNode(r *bufio.Reader, t *Tree) (*node, uint64, error) {
 	if uint64(blen) > 8+(t.cfg.Bits/64+1)*8+8 {
 		return nil, 0, fmt.Errorf("core: node filter payload %d bytes too large", blen)
 	}
-	payload := make([]byte, blen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := io.ReadAll(io.LimitReader(r, int64(blen)))
+	if err != nil {
 		return nil, 0, err
+	}
+	if uint32(len(payload)) != blen {
+		return nil, 0, io.ErrUnexpectedEOF
 	}
 	var bits bitset.Set
 	if err := bits.UnmarshalBinary(payload); err != nil {
@@ -187,14 +196,17 @@ func readNode(r *bufio.Reader, t *Tree) (*node, uint64, error) {
 	if bits.Len() != t.cfg.Bits {
 		return nil, 0, fmt.Errorf("core: node filter has %d bits, tree expects %d", bits.Len(), t.cfg.Bits)
 	}
-	n.setFilter(membership.FromBloom(bloom.NewFromBits(t.fam, &bits)))
+	n.setFilter(bloom.NewFromBits(t.fam, &bits))
 	mask, err := r.ReadByte()
 	if err != nil {
 		return nil, 0, err
 	}
+	if mask&3 != 0 && depth == 0 {
+		return nil, 0, fmt.Errorf("core: node [%d,%d) has children below the tree's depth %d", n.lo, n.hi, t.cfg.Depth)
+	}
 	count := uint64(1)
 	if mask&1 != 0 {
-		child, c, err := readNode(r, t)
+		child, c, err := readNode(r, t, depth-1)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -202,7 +214,7 @@ func readNode(r *bufio.Reader, t *Tree) (*node, uint64, error) {
 		count += c
 	}
 	if mask&2 != 0 {
-		child, c, err := readNode(r, t)
+		child, c, err := readNode(r, t, depth-1)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -86,5 +86,5 @@ func (t *Tree) childAlive(child *node, q *bloom.Filter, rule PruneRule, ops *Ops
 	if rule == PruneByAndBits {
 		return child.filter().IntersectsAny(q)
 	}
-	return bloom.IntersectionAtLeast(child.filter().QueryView(), q, t.cfg.EmptyThreshold)
+	return bloom.IntersectionAtLeast(child.filter(), q, t.cfg.EmptyThreshold)
 }

@@ -32,7 +32,7 @@ func (t *Tree) reconstructByEstimate(n *node, q *bloom.Filter, ops *Ops, examine
 		if examined != nil {
 			examined(child)
 		}
-		if child.filter().IntersectionEstimate(q) >= t.cfg.EmptyThreshold {
+		if bloom.EstimateIntersectionOf(child.filter(), q) >= t.cfg.EmptyThreshold {
 			out = t.reconstructByEstimate(child, q, ops, examined, out)
 		}
 	}
@@ -109,7 +109,7 @@ func TestReconstructBatchShapeCosts(t *testing.T) {
 	var ops Ops
 	read, verdicts := 0, 0
 	want := tree.reconstructByEstimate(tree.rootNode(), q, &ops, func(child *node) {
-		f := child.filter().QueryView()
+		f := child.filter()
 		t1, t2 := f.SetBits(), q.SetBits()
 		need := uint64(sort.Search(int(min(t1, t2))+1, func(tand int) bool {
 			return bloom.EstimateIntersection(f.M(), f.K(), t1, t2, uint64(tand)) >= tree.cfg.EmptyThreshold

@@ -278,7 +278,7 @@ func (t *Tree) childEstimate(child *node, q *bloom.Filter, ops *Ops) float64 {
 	if ops != nil {
 		ops.Intersections++
 	}
-	return child.filter().IntersectionEstimate(q)
+	return bloom.EstimateIntersectionOf(child.filter(), q)
 }
 
 // sampleLeaf picks one of the leaf's positives — the ids of its range that

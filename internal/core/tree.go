@@ -4,6 +4,12 @@
 // sampling (§5.3), set reconstruction (§6), empty-intersection
 // thresholding (§5.6), and the cost-model-driven choice of the leaf range
 // M⊥ (§5.4).
+//
+// A tree node is a plain Bloom filter (*bloom.Filter) and is held as one:
+// the tree stores ranges of the namespace, never deletes from them, and
+// every estimate and verdict of a descent is computed on bit vectors. The
+// backend contract of internal/membership is for the sets a database
+// stores, and this package does not import it (a test keeps it so).
 package core
 
 import (
@@ -14,7 +20,6 @@ import (
 
 	"repro/internal/bloom"
 	"repro/internal/hashfam"
-	"repro/internal/membership"
 )
 
 // DefaultEmptyThreshold is the default estimated-intersection size below
@@ -46,6 +51,14 @@ type Config struct {
 	EmptyThreshold float64
 }
 
+// maxK bounds Config.K. A config can come from a file or a socket (ReadTree,
+// setdb's loader through Open), and a hash family may allocate per function,
+// so k must not be the stream's to choose freely. The optimal k is
+// log₂(1/FP rate): 64 functions already plan for a false-positive rate below
+// 2⁻⁶⁴, which no namespace of 64-bit ids can tell from zero, and every caller
+// in the repository uses 3.
+const maxK = 64
+
 func (c *Config) validate() error {
 	if c.Namespace < 2 {
 		return fmt.Errorf("core: namespace size %d too small", c.Namespace)
@@ -53,8 +66,8 @@ func (c *Config) validate() error {
 	if c.Bits < 2 {
 		return fmt.Errorf("core: filter size %d too small", c.Bits)
 	}
-	if c.K < 1 {
-		return fmt.Errorf("core: k = %d, need k >= 1", c.K)
+	if c.K < 1 || c.K > maxK {
+		return fmt.Errorf("core: k = %d, need 1 <= k <= %d", c.K, maxK)
 	}
 	if c.Depth < 0 {
 		return fmt.Errorf("core: depth = %d, need depth >= 0", c.Depth)
@@ -94,9 +107,8 @@ type node struct {
 	left, right atomic.Pointer[node]
 }
 
-// boxedFilter boxes a Membership interface value behind a concrete
-// pointer: atomic.Pointer cannot hold interfaces directly, and boxing
-// happens only on publish (rare) while reads pay one extra dereference.
+// boxedFilter is a node's filter with its stamp: boxing happens only on
+// publish (rare) while reads pay one extra dereference.
 //
 // stamp names the bit vector inside: a serial drawn once per box, larger
 // than that of any box made before it, and growth publishes a new box only
@@ -107,7 +119,7 @@ type node struct {
 // whoever remembers an address keeps a superseded vector alive, and because
 // a serial has an order (indexSlot relies on it).
 type boxedFilter struct {
-	m     membership.Membership
+	f     *bloom.Filter
 	stamp uint64
 }
 
@@ -117,13 +129,13 @@ type boxedFilter struct {
 // one each would buy nothing.
 var filterStamps atomic.Uint64
 
-func box(m membership.Membership) *boxedFilter {
-	return &boxedFilter{m: m, stamp: filterStamps.Add(1)}
+func box(f *bloom.Filter) *boxedFilter {
+	return &boxedFilter{f: f, stamp: filterStamps.Add(1)}
 }
 
 // newNode returns a node over [lo, hi) holding f (which may be nil during
 // private subtree construction).
-func newNode(lo, hi uint64, f membership.Membership) *node {
+func newNode(lo, hi uint64, f *bloom.Filter) *node {
 	n := &node{lo: lo, hi: hi}
 	if f != nil {
 		n.f.Store(box(f))
@@ -131,19 +143,10 @@ func newNode(lo, hi uint64, f membership.Membership) *node {
 	return n
 }
 
-// newNodeBloom wraps a plain Bloom filter — what tree construction
-// produces natively — as a node.
-func newNodeBloom(lo, hi uint64, f *bloom.Filter) *node {
-	if f == nil {
-		return newNode(lo, hi, nil)
-	}
-	return newNode(lo, hi, membership.FromBloom(f))
-}
-
-// filter returns the node's current (immutable) membership value.
-func (n *node) filter() membership.Membership {
+// filter returns the node's current (immutable) Bloom filter.
+func (n *node) filter() *bloom.Filter {
 	if b := n.f.Load(); b != nil {
-		return b.m
+		return b.f
 	}
 	return nil
 }
@@ -157,8 +160,8 @@ func (n *node) stamp() uint64 {
 	return n.f.Load().stamp
 }
 
-// setFilter publishes a new membership value for the node.
-func (n *node) setFilter(m membership.Membership) { n.f.Store(box(m)) }
+// setFilter publishes a new filter for the node.
+func (n *node) setFilter(f *bloom.Filter) { n.f.Store(box(f)) }
 
 // children loads both child pointers once; traversals load them into
 // locals so one visit sees one consistent pair (a node with neither

@@ -98,11 +98,11 @@ func TestBuildFullStructure(t *testing.T) {
 			}
 		}
 		if left, right := n.children(); left != nil || right != nil {
-			u, err := left.filter().QueryView().Union(right.filter().QueryView())
+			u, err := left.filter().Union(right.filter())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !u.Equal(n.filter().QueryView()) {
+			if !u.Equal(n.filter()) {
 				t.Fatalf("node [%d,%d) is not the union of its children", n.lo, n.hi)
 			}
 			if left.lo != n.lo || right.hi != n.hi || left.hi != right.lo {

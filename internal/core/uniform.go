@@ -36,43 +36,60 @@ import (
 // exact; there is no backtracking — a failed leaf is a rejection, and the
 // sampler retries from the root.
 //
-// A UniformSampler is safe for concurrent use: the query filter, the
-// cardinality estimate and the self-calibration (safety factor, attempt
-// bound, rejection statistics) all live in atomics, so any number of
-// goroutines can share one sampler — each still owns its rand source and
-// Ops accumulator. Calibration updates are monotone (the safety factor
-// and the cardinality estimate only ever rise via compare-and-swap max),
-// which keeps racing recalibrations from regressing the learned headroom.
-// Retarget rebinds the sampler to a newer copy-on-write version of its
-// filter without discarding that calibration.
+// A UniformSampler is an immutable (tree, query filter, n̂ of that filter)
+// bound to a Calibration, and is safe for concurrent use: any number of
+// goroutines can share one — each still owns its rand source and Ops
+// accumulator — and any number of samplers, over successive versions of one
+// growing set, can share one Calibration. Nothing of a sampler moves: a
+// newer version of the filter gets a sampler of its own.
 type UniformSampler struct {
-	t *Tree
-	q atomic.Pointer[bloom.Filter]
-	// nHatBits and safetyBits hold float64 bits; both are raised
-	// monotonically with CAS-max (atomicMaxFloat). safety is C in the
-	// acceptance rule: larger values reduce clamping (better uniformity
-	// in the extreme tails) but cost proportionally more attempts.
-	nHatBits    atomic.Uint64
-	safetyBits  atomic.Uint64
-	maxAttempts atomic.Int64
-	// uniformMix is β, the weight of the uniform-over-namespace component
-	// in the proposal; fixed at creation.
-	uniformMix float64
-
-	attempts, accepted, clamped, retargets atomic.Uint64
+	t    *Tree
+	q    *bloom.Filter
+	nHat float64
+	*Calibration
 }
 
-// UniformStats reports the sampler's rejection behaviour.
+// uniformMix is β, the weight of the uniform-over-namespace component in
+// the proposal.
+const uniformMix = 2.0
+
+// Calibration is what uniform draws have learned about a set and must not
+// forget for as long as it lives: the acceptance headroom, the attempt
+// bound that follows it, and the rejection statistics. It is all atomics,
+// and its updates are monotone (the safety factor only ever rises, via
+// compare-and-swap max), which keeps racing recalibrations — by the draws
+// of one sampler or of several bound to it — from regressing the learned
+// headroom. Exactness does not depend on who else shares it: an attempt
+// loads its sampler's n̂ and C once and accepts with ℓ/(n̂·p·C) < 1, so
+// every positive of that sampler's filter is returned with probability
+// 1/(n̂·C) by that attempt, whatever C other attempts read. The zero value
+// is a fresh calibration.
+type Calibration struct {
+	// safetyBits holds float64 bits, raised monotonically with CAS-max
+	// (atomicMaxFloat). safety is C in the acceptance rule: larger values
+	// reduce clamping (better uniformity in the extreme tails) but cost
+	// proportionally more attempts.
+	safetyBits  atomic.Uint64
+	maxAttempts atomic.Int64
+
+	attempts, accepted, clamped atomic.Uint64
+}
+
+// UniformStats reports a calibration: its rejection behaviour and what it
+// has learned. It carries the JSON tags it is served under (/v1/stats,
+// "samplers").
 type UniformStats struct {
 	// Attempts is the total number of root-to-leaf descents.
-	Attempts uint64
+	Attempts uint64 `json:"attempts"`
 	// Accepted is the number of samples returned.
-	Accepted uint64
+	Accepted uint64 `json:"accepted"`
 	// Clamped counts acceptances whose probability was capped at 1
 	// (slight local over-sampling; the safety factor doubles on each).
-	Clamped uint64
-	// Retargets counts Retarget calls that actually swapped the filter.
-	Retargets uint64
+	Clamped uint64 `json:"clamped"`
+	// SafetyFactor is the acceptance headroom C, MaxAttempts the
+	// rejection-loop bound, both as they stand.
+	SafetyFactor float64 `json:"safety_factor"`
+	MaxAttempts  int     `json:"max_attempts"`
 }
 
 // atomicMaxFloat raises the float64 stored in bits to at least v.
@@ -88,10 +105,17 @@ func atomicMaxFloat(bits *atomic.Uint64, v float64) {
 	}
 }
 
-// NewUniformSampler prepares a uniform sampler for one query filter. The
-// filter's estimated cardinality is computed once and reused; Retarget
-// the sampler if the filter is replaced by a newer version.
+// NewUniformSampler prepares a uniform sampler for one query filter, with a
+// calibration of its own.
 func (t *Tree) NewUniformSampler(q *bloom.Filter) (*UniformSampler, error) {
+	return t.NewUniformSamplerWith(q, new(Calibration))
+}
+
+// NewUniformSamplerWith prepares a uniform sampler for one query filter,
+// bound to cal: what earlier samplers on cal — over earlier versions of the
+// same set — learned is where this one starts, and what it learns they
+// keep. The filter's estimated cardinality is computed once, here.
+func (t *Tree) NewUniformSamplerWith(q *bloom.Filter, cal *Calibration) (*UniformSampler, error) {
 	if err := t.checkQuery(q); err != nil {
 		return nil, err
 	}
@@ -105,12 +129,14 @@ func (t *Tree) NewUniformSampler(q *bloom.Filter) (*UniformSampler, error) {
 	if scaled := 4 * leaves / nHat; scaled > c {
 		c = scaled
 	}
-	s := &UniformSampler{t: t, uniformMix: 2}
-	s.q.Store(q)
-	s.nHatBits.Store(math.Float64bits(nHat))
-	s.safetyBits.Store(math.Float64bits(c))
-	s.maxAttempts.Store(int64(64 * c))
-	return s, nil
+	atomicMaxFloat(&cal.safetyBits, c)
+	for {
+		old := cal.maxAttempts.Load()
+		if old >= int64(64*c) || cal.maxAttempts.CompareAndSwap(old, int64(64*c)) {
+			break
+		}
+	}
+	return &UniformSampler{t: t, q: q, nHat: nHat, Calibration: cal}, nil
 }
 
 // clampEstimate bounds a cardinality estimate to [1, Namespace].
@@ -124,47 +150,27 @@ func (t *Tree) clampEstimate(nHat float64) float64 {
 	return nHat
 }
 
-// Retarget rebinds the sampler to a newer version of its query filter —
-// typically the copy-on-write successor published by a writer — while
-// keeping the learned safety calibration. The cardinality estimate is
-// recalibrated by atomic max: it only ever rises, so concurrent
-// retargets (or retargets racing draws) cannot regress the acceptance
-// rule below a level already proven necessary. Draws racing a Retarget
-// use either filter version; both are valid snapshots of the set.
-func (s *UniformSampler) Retarget(q *bloom.Filter) error {
-	if err := s.t.checkQuery(q); err != nil {
-		return err
-	}
-	if s.q.Swap(q) == q {
-		return nil
-	}
-	atomicMaxFloat(&s.nHatBits, s.t.clampEstimate(q.EstimateCardinality()))
-	s.retargets.Add(1)
-	return nil
-}
-
-// Filter returns the query filter the sampler currently draws from.
-func (s *UniformSampler) Filter() *bloom.Filter { return s.q.Load() }
-
 // SafetyFactor returns the current acceptance headroom C.
-func (s *UniformSampler) SafetyFactor() float64 {
-	return math.Float64frombits(s.safetyBits.Load())
+func (c *Calibration) SafetyFactor() float64 {
+	return math.Float64frombits(c.safetyBits.Load())
 }
 
 // SetMaxAttempts bounds the rejection loop (default 64·C, doubled on each
 // clamp event).
-func (s *UniformSampler) SetMaxAttempts(n int) { s.maxAttempts.Store(int64(n)) }
+func (c *Calibration) SetMaxAttempts(n int) { c.maxAttempts.Store(int64(n)) }
 
 // MaxAttempts returns the current rejection-loop bound.
-func (s *UniformSampler) MaxAttempts() int { return int(s.maxAttempts.Load()) }
+func (c *Calibration) MaxAttempts() int { return int(c.maxAttempts.Load()) }
 
-// Stats returns cumulative rejection statistics.
-func (s *UniformSampler) Stats() UniformStats {
+// Stats returns the cumulative rejection statistics and the calibration
+// they led to.
+func (c *Calibration) Stats() UniformStats {
 	return UniformStats{
-		Attempts:  s.attempts.Load(),
-		Accepted:  s.accepted.Load(),
-		Clamped:   s.clamped.Load(),
-		Retargets: s.retargets.Load(),
+		Attempts:     c.attempts.Load(),
+		Accepted:     c.accepted.Load(),
+		Clamped:      c.clamped.Load(),
+		SafetyFactor: c.SafetyFactor(),
+		MaxAttempts:  c.MaxAttempts(),
 	}
 }
 
@@ -213,14 +219,12 @@ func (s *UniformSampler) SampleN(r int, rng *rand.Rand, ops *Ops) ([]uint64, err
 	return out, nil
 }
 
-// descend performs one proposal walk and the acceptance test. The query
-// filter, estimate and safety factor are loaded once per attempt so the
-// walk is internally consistent even while another goroutine retargets or
-// recalibrates.
+// descend performs one proposal walk and the acceptance test. The safety
+// factor is loaded once per attempt so the walk is internally consistent
+// even while another goroutine recalibrates.
 func (s *UniformSampler) descend(rng *rand.Rand, ops *Ops, scratch *[]uint64) (uint64, bool) {
-	q := s.q.Load()
-	nHat := math.Float64frombits(s.nHatBits.Load())
-	safety := math.Float64frombits(s.safetyBits.Load())
+	q, nHat := s.q, s.nHat
+	safety := s.SafetyFactor()
 	n := s.t.rootNode()
 	pathProb := 1.0
 	for {
@@ -288,7 +292,7 @@ func (s *UniformSampler) childWeight(child *node, q *bloom.Filter, nHat float64,
 	if ops != nil {
 		ops.Intersections++
 	}
-	cf := child.filter().QueryView()
+	cf := child.filter()
 	m := cf.M()
 	k := cf.K()
 	t1 := cf.SetBits()
@@ -320,12 +324,12 @@ func (s *UniformSampler) childWeight(child *node, q *bloom.Filter, nHat float64,
 		est = estLo
 	}
 	frac := float64(child.hi-child.lo) / float64(s.t.cfg.Namespace)
-	return est + s.uniformMix*nHat*frac
+	return est + uniformMix*nHat*frac
 }
 
 // String summarizes the sampler's configuration and statistics.
 func (s *UniformSampler) String() string {
-	return fmt.Sprintf("UniformSampler(n̂=%.1f C=%.1f β=%.2f attempts=%d accepted=%d clamped=%d retargets=%d)",
-		math.Float64frombits(s.nHatBits.Load()), s.SafetyFactor(), s.uniformMix,
-		s.attempts.Load(), s.accepted.Load(), s.clamped.Load(), s.retargets.Load())
+	return fmt.Sprintf("UniformSampler(n̂=%.1f C=%.1f β=%.2f attempts=%d accepted=%d clamped=%d)",
+		s.nHat, s.SafetyFactor(), uniformMix,
+		s.attempts.Load(), s.accepted.Load(), s.clamped.Load())
 }

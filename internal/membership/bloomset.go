@@ -20,10 +20,4 @@ func (s bloomSet) ContainsBatch(ids []uint64, out []bool, scratch []uint64) []ui
 	return s.f.ContainsBatch(ids, out, scratch)
 }
 
-func (s bloomSet) IntersectionEstimate(q *bloom.Filter) float64 {
-	return bloom.EstimateIntersectionOf(s.f, q)
-}
-
-func (s bloomSet) IntersectsAny(q *bloom.Filter) bool { return s.f.IntersectsAny(q) }
-
 func (s bloomSet) CloneAdd(ids ...uint64) Membership { return bloomSet{s.f.CloneAdd(ids...)} }

@@ -28,12 +28,6 @@ func (s countingSet) ContainsBatch(ids []uint64, out []bool, scratch []uint64) [
 	return s.c.Snapshot().ContainsBatch(ids, out, scratch)
 }
 
-func (s countingSet) IntersectionEstimate(q *bloom.Filter) float64 {
-	return bloom.EstimateIntersectionOf(s.c.Snapshot(), q)
-}
-
-func (s countingSet) IntersectsAny(q *bloom.Filter) bool { return s.c.Snapshot().IntersectsAny(q) }
-
 func (s countingSet) CloneAdd(ids ...uint64) Membership { return s.CloneAddDynamic(ids...) }
 
 func (s countingSet) CloneAddDynamic(ids ...uint64) DynamicMembership {

@@ -97,12 +97,6 @@ func (s *cuckooSet) ContainsBatch(ids []uint64, out []bool, scratch []uint64) []
 func (s *cuckooSet) Live() uint64             { return s.live }
 func (s *cuckooSet) QueryView() *bloom.Filter { return s.view }
 
-func (s *cuckooSet) IntersectionEstimate(q *bloom.Filter) float64 {
-	return bloom.EstimateIntersectionOf(s.view, q)
-}
-
-func (s *cuckooSet) IntersectsAny(q *bloom.Filter) bool { return s.view.IntersectsAny(q) }
-
 func (s *cuckooSet) SizeBytes() uint64 {
 	total := s.view.SizeBytes()
 	for _, t := range s.tables {

@@ -1,13 +1,13 @@
 // Package membership defines the backend contract behind every set the
-// system stores: tree nodes in internal/core and shard entries in
-// internal/setdb hold Membership values instead of concrete Bloom
-// filters, so approximate-membership structures with different
-// memory/delete trade-offs (plain Bloom, counting Bloom, cuckoo) plug in
-// behind one interface. The paper's sampling machinery needs only a
-// small contract from each node — probe, batched probe, copy-on-write
-// add/remove, an intersection estimate against a query filter, and a
-// tagged serialization — and this package is that contract plus the
-// adapters for the backends the repository ships.
+// database stores: shard entries in internal/setdb hold Membership values
+// instead of concrete Bloom filters, so approximate-membership structures
+// with different memory/delete trade-offs (plain Bloom, counting Bloom,
+// cuckoo) plug in behind one interface. (The nodes of the BloomSampleTree
+// in internal/core do not: a node is a plain Bloom filter and is held as
+// one.) The contract is what an entry needs — probe, batched probe,
+// copy-on-write add/remove, a Bloom query view, and a tagged serialization
+// — and this package is that contract plus the adapters for the backends
+// the repository ships.
 //
 // The tree descent itself works on bit-level intersection estimates, a
 // Bloom-specific operation; backends whose native representation cannot
@@ -36,8 +36,7 @@ type Kind string
 
 const (
 	// KindBloom is a plain Bloom filter: cheapest probes and memory, no
-	// deletion. The only legal backend for static (plain) sets and tree
-	// nodes.
+	// deletion. The only legal backend for static (plain) sets.
 	KindBloom Kind = "bloom"
 	// KindCounting is the counting Bloom filter: 8-bit counters, native
 	// delete, 8x a plain filter's memory.
@@ -83,11 +82,6 @@ type Membership interface {
 	// is the filter itself (free); other backends maintain or memoize a
 	// projection. The returned filter is shared — treat it as immutable.
 	QueryView() *bloom.Filter
-	// IntersectionEstimate estimates |self ∩ q| from bit-level overlap
-	// with the query filter (Papapetrou's inner-intersection estimator).
-	IntersectionEstimate(q *bloom.Filter) float64
-	// IntersectsAny reports whether any query bit overlaps the view.
-	IntersectsAny(q *bloom.Filter) bool
 	// CloneAdd returns a new Membership equal to the receiver with ids
 	// inserted. The receiver is never mutated.
 	CloneAdd(ids ...uint64) Membership

@@ -146,7 +146,7 @@ func (s *Server) collectMetrics() *obs.Exposition {
 	e.Counter("bst_db_sample_draws_lost_total", "Batch sample draws that ended on a false-positive path (requested minus returned).", float64(st.SampleDrawsLost))
 	e.Counter("bst_db_estimates_computed_total", "Intersection estimates computed by sampling requests.", float64(st.EstimatesComputed))
 	e.Counter("bst_db_estimates_remembered_total", "Intersection estimates sampling requests read back from a filter version's index or the request's memo instead of computing them.", float64(st.EstimatesRemembered))
-	e.Counter("bst_db_generations_total", "Filter-version generations published.", float64(st.Generations))
+	e.Counter("bst_db_generations_total", "Key lifetimes ever created (a write to an existing key does not move it).", float64(st.Generations))
 	e.Gauge("bst_db_tree_nodes", "Materialized BST nodes.", float64(st.TreeNodes))
 	e.Gauge("bst_db_tree_memory_bytes", "Bytes held by the sampling tree.", float64(st.TreeMemoryBytes))
 	e.Gauge("bst_db_growth_epoch", "Adaptive shard-layout growth epoch.", float64(st.GrowthEpoch))

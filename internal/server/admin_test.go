@@ -37,7 +37,6 @@ func newObsServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *httptes
 	if err := db.Add("plain", 1, 2, 3, 4, 5, 6, 7, 8); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Seed = 42
 	srv := New(db, cfg)
 	data := httptest.NewServer(srv)
 	admin := httptest.NewServer(srv.AdminHandler())

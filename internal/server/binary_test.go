@@ -20,7 +20,6 @@ import (
 func newBinaryTestServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
 	_, db := newTestServer(t, Config{}) // reuse the db builder; its httptest server is torn down by Cleanup
-	cfg.Seed = 42
 	s := New(db, cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

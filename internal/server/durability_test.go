@@ -44,7 +44,6 @@ func newDurableTestServer(t *testing.T, cfg Config) (*httptest.Server, *Server, 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	cfg.Seed = 42
 	cfg.Durability = store
 	s := New(store.DB(), cfg)
 	ts := httptest.NewServer(s)

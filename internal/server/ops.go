@@ -51,11 +51,10 @@ var (
 
 // statusFor maps errors onto HTTP statuses — and, the numbers being
 // shared, onto wire error codes: absent keys are 404, semantic conflicts
-// (plain/dynamic clash, remove of a non-member, invalidated sampler) are
-// 409, known caller mistakes (an id outside the namespace, uniform
-// sampling of a removable set) are 400, and anything unrecognized is a
-// genuine server-side failure — 500, so monitoring never blames the
-// client for an internal bug.
+// (plain/dynamic clash, remove of a non-member) are 409, known caller
+// mistakes (an id outside the namespace, uniform sampling of a removable
+// set) are 400, and anything unrecognized is a genuine server-side failure
+// — 500, so monitoring never blames the client for an internal bug.
 func statusFor(err error) int {
 	var ae *apiError
 	switch {
@@ -64,7 +63,6 @@ func statusFor(err error) int {
 	case errors.Is(err, setdb.ErrNoSet):
 		return http.StatusNotFound
 	case errors.Is(err, setdb.ErrKeyClash),
-		errors.Is(err, setdb.ErrSamplerInvalid),
 		errors.Is(err, bloom.ErrNotMember):
 		return http.StatusConflict
 	case errors.Is(err, setdb.ErrOutOfRange),
@@ -94,8 +92,10 @@ func pinned(db *setdb.DB, key string) (*bloom.Filter, error) {
 //
 // Two sampling modes: the near-uniform BSTSample batch path (parallel
 // workers), which serves every key, and — Uniform — the
-// rejection-corrected exactly-uniform sampler (plain sets only;
-// calibration is shared and shows up in /v1/stats). Stream switches the
+// rejection-corrected exactly-uniform sampler (plain sets only; its
+// calibration lives on the key, is shared by every request for it and
+// shows up in /v1/stats). Either way the request is drawn whole from the
+// version of the set published when it arrived. Stream switches the
 // response to chunks — NDJSON lines over HTTP, credit-gated frames on the
 // wire — drawn and sent a chunk at a time, for batches too large to
 // buffer.
@@ -122,14 +122,11 @@ type SampleResponse struct {
 }
 
 // pin validates a sample request (defaulting req.N to 1) and resolves
-// its sampling mode to a draw function. The batch mode pins the key's
-// currently published filter version here, once: a batch
-// spread over many chunks (streaming) is drawn entirely from that one
-// point-in-time version of that one database, never interleaving set
-// versions mid-response no matter how writers or a restore race it. The
-// uniform mode deliberately does the opposite — the shared sampler
-// follows its key across copy-on-write swaps, which is its documented
-// contract.
+// its sampling mode to a draw function. Both modes pin the key's currently
+// published filter version here, once: a batch spread over many chunks
+// (streaming) is drawn entirely from that one point-in-time version of
+// that one database, never interleaving set versions mid-response no
+// matter how writers, a Delete/re-Add of the key or a restore race it.
 func (s *Server) pin(req *SampleRequest) (draw func(n int) ([]uint64, error), err error) {
 	if req.N == 0 {
 		req.N = 1
@@ -146,21 +143,15 @@ func (s *Server) pin(req *SampleRequest) (draw func(n int) ([]uint64, error), er
 	}
 	db := s.DB()
 	if req.Uniform {
-		// Resolve the shared sampler once per request (a removable set has
-		// none: setdb.ErrNotPlain, 400). A Delete/re-Add racing the request
-		// surfaces as ErrSamplerInvalid from the draw (409, or an in-band
-		// stream error) — one response never silently splices ids from two
-		// key lifetimes.
-		smp, err := s.uniformSampler(db, req.Key)
+		// The uniform mode's pin is a sampler over that version, bound to
+		// the calibration the key carries (a removable set has none:
+		// setdb.ErrNotPlain, 400).
+		smp, err := db.UniformSampler(req.Key)
 		if err != nil {
 			return nil, err
 		}
-		// Only this mode consumes a request-side rng; the batch paths
-		// draw with setdb's pooled workers.
 		return func(n int) ([]uint64, error) {
-			rng := s.rng()
-			defer s.putRNG(rng)
-			return smp.SampleN(n, rng, nil)
+			return db.SampleUniformFrom(smp, n)
 		}, nil
 	}
 	f, err := pinned(db, req.Key)
@@ -173,34 +164,6 @@ func (s *Server) pin(req *SampleRequest) (draw func(n int) ([]uint64, error), er
 	return func(n int) ([]uint64, error) {
 		return db.SampleManyFrom(f, n, workers, nil)
 	}, nil
-}
-
-// uniformSampler returns the shared per-key uniform sampler, building it
-// on first use. A cached sampler invalidated by Delete/re-Add is dropped
-// and rebuilt against the key's current lifetime.
-func (s *Server) uniformSampler(db *setdb.DB, key string) (*setdb.Sampler, error) {
-	for attempt := 0; attempt < 2; attempt++ {
-		v, ok := s.samplers.Load(key)
-		if !ok {
-			smp, err := db.UniformSampler(key)
-			if err != nil {
-				return nil, err
-			}
-			v, _ = s.samplers.LoadOrStore(key, smp)
-		}
-		smp := v.(*setdb.Sampler)
-		if smp.Valid() {
-			return smp, nil
-		}
-		// Evict only the sampler we observed stale: a plain Delete could
-		// race-discard a valid replacement (and its calibration) that
-		// another request already stored.
-		s.samplers.CompareAndDelete(key, v)
-	}
-	// Two cache rounds both raced Delete/re-Adds of this key; serve the
-	// request from a fresh sampler bound to the current lifetime rather
-	// than trusting the churning cache.
-	return db.UniformSampler(key)
 }
 
 // sample serves a buffered sample request: the whole batch in one draw.
@@ -452,8 +415,7 @@ type RestoreResponse struct {
 // wire — bundles beyond that must use POST /v1/restore, which streams
 // arbitrary sizes). The freshly-decoded database is persisted through
 // the WAL first (the restore is itself durable), then published to
-// readers, then the sampler cache — calibrated against the old
-// database's sets — is dropped wholesale.
+// readers.
 func (s *Server) restore(r io.Reader) (RestoreResponse, error) {
 	db, err := setdb.ReadBundle(r)
 	if err != nil {
@@ -470,10 +432,6 @@ func (s *Server) restore(r io.Reader) (RestoreResponse, error) {
 		db = d.DB()
 	}
 	s.db.Store(db)
-	s.samplers.Range(func(k, _ any) bool {
-		s.samplers.Delete(k)
-		return true
-	})
 	st := db.Stats()
 	return RestoreResponse{Restored: true, Sets: st.Sets, Dynamic: st.DynamicSets, Backend: string(db.Options().Backend)}, nil
 }
@@ -508,7 +466,7 @@ type DBStats struct {
 	SampleDrawsLost         uint64  `json:"sample_draws_lost"`    // batch draws that ended on a false-positive path: Σ requested − returned
 	EstimatesComputed       uint64  `json:"estimates_computed"`   // intersection estimates sampling requests computed
 	EstimatesRemembered     uint64  `json:"estimates_remembered"` // and those read back from a filter version's index or the request's memo
-	Generations             uint64  `json:"generations"`
+	Generations             uint64  `json:"generations"`          // key lifetimes ever created; a write to an existing key does not move it
 	TreeNodes               uint64  `json:"tree_nodes"`
 	TreeDepth               int     `json:"tree_depth"`
 	TreePruned              bool    `json:"tree_pruned"`
@@ -519,16 +477,6 @@ type DBStats struct {
 	// kind plus realized entries, memory, bits/entry and (cuckoo) load
 	// factor. setdb.BackendStats carries its own JSON tags.
 	Backend setdb.BackendStats `json:"backend"`
-}
-
-// SamplerStats is the calibration view of one cached uniform sampler.
-type SamplerStats struct {
-	Attempts     uint64  `json:"attempts"`
-	Accepted     uint64  `json:"accepted"`
-	Clamped      uint64  `json:"clamped"`
-	Retargets    uint64  `json:"retargets"`
-	SafetyFactor float64 `json:"safety_factor"`
-	MaxAttempts  int     `json:"max_attempts"`
 }
 
 // OptionsStats echoes the database profile.
@@ -569,7 +517,9 @@ type StatsResponse struct {
 	Wire          WireStats                `json:"wire"`
 	Durability    *wal.Stats               `json:"durability,omitempty"`
 	Endpoints     map[string]EndpointStats `json:"endpoints"`
-	Samplers      map[string]SamplerStats  `json:"samplers,omitempty"`
+	// Samplers is the calibration of every plain key whose uniform sampler
+	// has made an attempt; core.UniformStats carries its own JSON tags.
+	Samplers map[string]core.UniformStats `json:"samplers,omitempty"`
 }
 
 // stats assembles the stats document served by both GET /v1/stats and
@@ -604,6 +554,7 @@ func (s *Server) stats() StatsResponse {
 			Backend:                 st.Backend,
 		},
 		Endpoints: map[string]EndpointStats{},
+		Samplers:  st.Samplers,
 	}
 	opts := db.Options()
 	resp.Options = OptionsStats{
@@ -654,29 +605,5 @@ func (s *Server) stats() StatsResponse {
 	for path, m := range s.metrics {
 		resp.Endpoints[path] = m.snapshot(uptime)
 	}
-	s.samplers.Range(func(k, v any) bool {
-		smp := v.(*setdb.Sampler)
-		if !smp.Valid() {
-			// The key was deleted (or deleted and re-created) since this
-			// sampler was cached: evict it instead of reporting
-			// calibration for a dead set. CompareAndDelete so a valid
-			// replacement stored meanwhile is left alone.
-			s.samplers.CompareAndDelete(k, v)
-			return true
-		}
-		us := smp.Stats()
-		if resp.Samplers == nil {
-			resp.Samplers = map[string]SamplerStats{}
-		}
-		resp.Samplers[k.(string)] = SamplerStats{
-			Attempts:     us.Attempts,
-			Accepted:     us.Accepted,
-			Clamped:      us.Clamped,
-			Retargets:    us.Retargets,
-			SafetyFactor: smp.SafetyFactor(),
-			MaxAttempts:  smp.MaxAttempts(),
-		}
-		return true
-	})
 	return resp
 }

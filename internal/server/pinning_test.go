@@ -2,14 +2,19 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/bloom"
 	"repro/internal/setdb"
 	"repro/internal/wire"
 )
@@ -233,4 +238,249 @@ func TestReconstructRacingRestore(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// flushHook is a ResponseWriter that calls hook after the first flush — in
+// the handler's goroutine, between one stream chunk leaving and the next
+// being drawn, which is where a test of pinning needs to stand.
+type flushHook struct {
+	http.ResponseWriter
+	hook func()
+}
+
+func (w *flushHook) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+func (w *flushHook) Flush() {
+	w.ResponseWriter.(http.Flusher).Flush()
+	if w.hook != nil {
+		w.hook()
+		w.hook = nil
+	}
+}
+
+// TestUniformStreamFinishesOnTheLifetimeItPinned is the one pin rule on the
+// mode that used to be its exception. A uniform stream's key is deleted and
+// re-created with disjoint ids between its first chunk and its second — on
+// the wire inside the first chunk's callback, before any credit for a second
+// is granted; over HTTP right after the first chunk is flushed — and the
+// stream must finish as if nothing had happened: 200 / a final chunk, no
+// in-band error, every id a positive of the version it pinned and none of the
+// lifetime that took the key's name. A request that arrives afterwards is
+// served by that new lifetime alone.
+func TestUniformStreamFinishesOnTheLifetimeItPinned(t *testing.T) {
+	const n, chunk = 64, 16
+	for _, codec := range []string{"http", "binary"} {
+		t.Run(codec, func(t *testing.T) {
+			s, addr := newBinaryTestServer(t, Config{StreamChunk: chunk})
+			db := s.DB()
+			pinned := db.Filter("plain")
+			var reborn []uint64
+			for id := uint64(90_000); len(reborn) < 32; id++ {
+				if !pinned.Contains(id) {
+					reborn = append(reborn, id)
+				}
+			}
+			swapped := false
+			swap := func() {
+				swapped = true
+				if !db.Delete("plain") {
+					t.Error("Delete(plain) = false")
+				}
+				if err := db.Add("plain", reborn...); err != nil {
+					t.Error(err)
+				}
+			}
+
+			var got, after []uint64
+			if codec == "binary" {
+				c := dialTestClient(t, addr)
+				err := c.SampleStream("plain", n, wire.SampleOpts{Uniform: true}, chunk, func(ids []uint64) error {
+					if !swapped {
+						swap()
+					}
+					got = append(got, ids...)
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("stream across a Delete and re-Add: %v", err)
+				}
+				if after, err = c.Sample("plain", 8, wire.SampleOpts{Uniform: true}); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					s.ServeHTTP(&flushHook{ResponseWriter: w, hook: swap}, r)
+				}))
+				defer ts.Close()
+				resp, err := http.Post(ts.URL+"/v1/sample", "application/json",
+					strings.NewReader(`{"key":"plain","n":64,"uniform":true,"stream":true}`))
+				if err != nil {
+					t.Fatal(err)
+				}
+				lines := strings.Split(strings.TrimSpace(string(readAll(t, resp))), "\n")
+				if resp.StatusCode != http.StatusOK || lines[len(lines)-1] != `{"done":true}` {
+					t.Fatalf("stream across a Delete and re-Add: status %d, last line %q", resp.StatusCode, lines[len(lines)-1])
+				}
+				for _, line := range lines[:len(lines)-1] {
+					var l StreamLine
+					if err := json.Unmarshal([]byte(line), &l); err != nil || l.Error != "" {
+						t.Fatalf("stream line %q: in-band error or no line at all (%v)", line, err)
+					}
+					got = append(got, l.ID)
+				}
+				var smp SampleResponse
+				if code := post(t, ts, "/v1/sample", `{"key":"plain","n":8,"uniform":true}`, &smp); code != http.StatusOK {
+					t.Fatalf("uniform sample of the new lifetime: status %d", code)
+				}
+				after = smp.IDs
+			}
+
+			if !swapped || len(got) <= chunk {
+				t.Fatalf("swapped=%v and %d ids streamed: the stream never spanned the swap", swapped, len(got))
+			}
+			for _, id := range got {
+				if !pinned.Contains(id) {
+					t.Fatalf("streamed id %d is no positive of the version the stream pinned", id)
+				}
+			}
+			if len(after) == 0 {
+				t.Fatal("the new lifetime served nothing")
+			}
+			for _, id := range after {
+				if !slices.Contains(reborn, id) {
+					t.Fatalf("a request after the swap drew %d, not of the lifetime it arrived in", id)
+				}
+			}
+		})
+	}
+}
+
+// TestUniformRacingWritesAndRebirths hammers one key, under -race, with what
+// the entry's calibration has to stand: uniform requests on both codecs
+// (buffered and streamed), adds to the key, and the key deleted and
+// re-created under them. Every request ends 200 or — in the gap between a
+// Delete and the Add after it — 404, and every answer is drawn from one
+// lifetime: the two lifetimes' ids come from disjoint pools, and an answer
+// must lie wholly inside what one pool's filter answers for.
+func TestUniformRacingWritesAndRebirths(t *testing.T) {
+	s, addr := newBinaryTestServer(t, Config{StreamChunk: 8})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	db := s.DB()
+	var pools [2][]uint64
+	var poolFilters [2]*bloom.Filter
+	for p := range pools {
+		poolFilters[p] = db.Tree().NewQueryFilter()
+		for i := uint64(0); i < 300; i++ {
+			id := uint64(p)*50_000 + i*31
+			pools[p] = append(pools[p], id)
+			poolFilters[p].Add(id)
+		}
+	}
+	oneLifetime := func(ids []uint64) bool {
+		for _, f := range poolFilters {
+			if !slices.ContainsFunc(ids, func(id uint64) bool { return !f.Contains(id) }) {
+				return true
+			}
+		}
+		return false
+	}
+	// postJSON is post for goroutines other than the test's: it reports,
+	// and leaves failing to its caller.
+	postJSON := func(path, body string, out any) int {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Errorf("%s: decode: %v", path, err)
+		}
+		return resp.StatusCode
+	}
+	// A lifetime starts with 64 ids (a sampler's headroom scales with
+	// leaves ÷ n̂: a key reborn with two ids would make every draw cost
+	// hundreds of attempts, and the test minutes under -race).
+	rebirth := func(pool []uint64) {
+		db.Delete("hot")
+		if err := db.Add("hot", pool[:64]...); err != nil {
+			t.Error(err)
+		}
+	}
+	rebirth(pools[0])
+
+	stop := make(chan struct{})
+	var writers, readers sync.WaitGroup
+	writers.Add(1)
+	go func() { // adds to whichever lifetime is current, and every eighth time a rebirth
+		defer writers.Done()
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			pool := pools[(i/8)%2]
+			if i%8 == 0 {
+				rebirth(pool)
+			}
+			var added AddResponse
+			if code := postJSON("/v1/add", fmt.Sprintf(`{"key":"hot","ids":[%d,%d]}`, pool[i%300], pool[(i*7)%300]), &added); code != http.StatusOK {
+				t.Errorf("add: status %d", code)
+				return
+			}
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			c, err := wire.Dial(addr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			c.Timeout = 30 * time.Second
+			for i := 0; i < 30; i++ {
+				var ids []uint64
+				var err error
+				switch (g + i) % 3 {
+				case 0:
+					var smp SampleResponse
+					if code := postJSON("/v1/sample", `{"key":"hot","n":12,"uniform":true}`, &smp); code != http.StatusOK && code != http.StatusNotFound {
+						t.Errorf("HTTP uniform sample: status %d", code)
+						return
+					}
+					ids = smp.IDs
+				case 1:
+					ids, err = c.Sample("hot", 12, wire.SampleOpts{Uniform: true})
+				default:
+					err = c.SampleStream("hot", 24, wire.SampleOpts{Uniform: true}, 8, func(chunk []uint64) error {
+						ids = append(ids, chunk...)
+						return nil
+					})
+				}
+				var er wire.ErrorResult
+				if err != nil && !(errors.As(err, &er) && er.Code == http.StatusNotFound) {
+					t.Errorf("wire uniform sample: %v", err)
+					return
+				}
+				if !oneLifetime(ids) {
+					t.Errorf("one answer spliced two lifetimes: %v", ids)
+					return
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	writers.Wait()
+	if _, err := dialTestClient(t, addr).Sample("hot", 4, wire.SampleOpts{Uniform: true}); err != nil {
+		t.Fatal(err)
+	}
+	if smp := s.stats().Samplers["hot"]; smp.Attempts < 4 || smp.Accepted == 0 {
+		t.Fatalf("the key's calibration after the hammering: %+v", smp)
+	}
 }

@@ -47,9 +47,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -72,7 +70,7 @@ const (
 	DefaultMaxRestoreBytes = int64(1) << 30
 )
 
-// Config bounds and seeds a Server. The zero value gets sensible
+// Config bounds a Server. The zero value gets sensible
 // defaults from withDefaults.
 type Config struct {
 	// MaxBatch caps the n of a buffered sample request, the ids of an
@@ -132,10 +130,6 @@ type Config struct {
 	// DefaultMaxRestoreBytes). Restore bundles are full database images,
 	// so they get their own, much larger cap than MaxBodyBytes.
 	MaxRestoreBytes int64
-	// Seed makes uniform-mode sampling deterministic-ish for tests (each
-	// uniform request's rng derives from it); the batch path seeds its
-	// workers internally. 0 seeds from the clock.
-	Seed uint64
 	// Logger receives the server's structured log lines (request access
 	// logs at debug, slow requests and internal failures at warn/error).
 	// Nil discards everything.
@@ -186,9 +180,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxRestoreBytes <= 0 {
 		c.MaxRestoreBytes = DefaultMaxRestoreBytes
 	}
-	if c.Seed == 0 {
-		c.Seed = uint64(time.Now().UnixNano())
-	}
 	return c
 }
 
@@ -206,20 +197,6 @@ type Server struct {
 	mux     *http.ServeMux
 	start   time.Time
 	metrics map[string]*endpointMetrics
-
-	// samplers caches one shared exactly-uniform sampler per key:
-	// setdb.Sampler is lock-free on draws and follows its key across
-	// copy-on-write Adds, so all requests for a key share calibration.
-	// Entries invalidated by an (in-process) db.Delete are evicted
-	// lazily — on the next uniform draw or /v1/stats call — which is
-	// bounded for the HTTP surface (it exposes no delete); embedders
-	// that churn keys should poll stats or manage samplers themselves.
-	samplers sync.Map // string → *setdb.Sampler
-
-	// rngs pools per-request rand sources; seq derives each new source's
-	// seed so pooled misses never collide.
-	rngs sync.Pool
-	seq  atomic.Uint64
 
 	// Admission gates, shared by the HTTP and binary listeners: inflight
 	// is the global work budget, writeGate the tighter write sub-budget.
@@ -256,10 +233,6 @@ func New(db *setdb.DB, cfg Config) *Server {
 		db = s.cfg.Durability.DB()
 	}
 	s.db.Store(db)
-	s.rngs.New = func() any {
-		n := s.seq.Add(1)
-		return rand.New(rand.NewSource(int64(s.cfg.Seed ^ n*0x9E3779B97F4A7C15)))
-	}
 	s.inflight = newGate(s.cfg.MaxInFlight)
 	s.writeGate = newGate(s.cfg.MaxWrites)
 	for i := range endpoints {
@@ -620,8 +593,3 @@ func (s *Server) httpSample(w http.ResponseWriter, r *http.Request) error {
 	}
 	return err
 }
-
-// rng hands out a pooled rand source for one uniform draw.
-func (s *Server) rng() *rand.Rand { return s.rngs.Get().(*rand.Rand) }
-
-func (s *Server) putRNG(r *rand.Rand) { s.rngs.Put(r) }

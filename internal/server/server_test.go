@@ -39,7 +39,6 @@ func newTestServer(t *testing.T, cfg Config) (*httptest.Server, *setdb.DB) {
 	if err := db.AddDynamic("dyn", 1, 2, 3, 4, 5); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Seed = 42
 	ts := httptest.NewServer(New(db, cfg))
 	t.Cleanup(ts.Close)
 	return ts, db
@@ -136,9 +135,9 @@ func TestSampleUniformAndDynamic(t *testing.T) {
 	}
 }
 
-// TestSampleUniformSurvivesDeleteReAdd covers the sampler-cache
-// invalidation path: after Delete+Add the old sampler is discarded and a
-// fresh one bound to the new key lifetime.
+// TestSampleUniformSurvivesDeleteReAdd covers a key's second lifetime:
+// the calibration went with the deleted key, and a uniform request after
+// Delete+Add is served by the new lifetime alone.
 func TestSampleUniformSurvivesDeleteReAdd(t *testing.T) {
 	ts, db := newTestServer(t, Config{})
 	if code := post(t, ts, "/v1/sample", `{"key":"plain","n":5,"uniform":true}`, nil); code != 200 {
@@ -147,8 +146,8 @@ func TestSampleUniformSurvivesDeleteReAdd(t *testing.T) {
 	if !db.Delete("plain") {
 		t.Fatal("delete failed")
 	}
-	// A stats call between the delete and the next draw evicts the dead
-	// sampler instead of reporting calibration for a set that is gone.
+	// A stats call between the delete and the next draw reports no
+	// calibration for a set that is gone.
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)

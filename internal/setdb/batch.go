@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/bloom"
+	"repro/internal/core"
 	"repro/internal/membership"
 )
 
@@ -54,18 +55,20 @@ func (db *DB) next(cur entry, bound bool, w *Write) (entry, bool, error) {
 			return entry{}, false, fmt.Errorf("%w %q (dynamic)", ErrNoSet, w.Key)
 		}
 		m, err := d.CloneRemove(w.IDs...)
-		return entry{m: m, gen: cur.gen, ver: cur.ver + 1}, err == nil, err
+		return entry{m: m}, err == nil, err
 	case !bound && w.Dynamic:
+		db.gen.Add(1)
 		m, err := db.newDynamic(w.IDs)
-		return entry{m: m, gen: db.gen.Add(1)}, err == nil, err
+		return entry{m: m}, err == nil, err
 	case !bound:
-		return entry{m: membership.FromBloom(bloom.NewFromElements(db.fam, w.IDs)), gen: db.gen.Add(1)}, true, nil
+		db.gen.Add(1)
+		return entry{m: membership.FromBloom(bloom.NewFromElements(db.fam, w.IDs)), cal: new(core.Calibration)}, true, nil
 	case removable && !w.Dynamic:
 		return entry{}, false, fmt.Errorf("%w: %q already exists as a dynamic set", ErrKeyClash, w.Key)
 	case w.Dynamic && !removable:
 		return entry{}, false, fmt.Errorf("%w: %q already exists as a plain set", ErrKeyClash, w.Key)
 	}
-	return entry{m: cur.m.CloneAdd(w.IDs...), gen: cur.gen, ver: cur.ver + 1}, true, nil
+	return entry{m: cur.m.CloneAdd(w.IDs...), cal: cur.cal}, true, nil
 }
 
 // ApplyBatch applies a batch of writes with one snapshot publish per

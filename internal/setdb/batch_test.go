@@ -57,6 +57,15 @@ func TestApplyBatchGroupCommit(t *testing.T) {
 	if st.StateBytesCopied == 0 || st.MeanBytesCopiedPerWrite() <= 0 {
 		t.Fatalf("write-amplification accounting missing: %+v", st)
 	}
+	// Generations counts key lifetimes, not filter versions: three creates
+	// (the fourth write went to an existing key), unmoved by a further add,
+	// moved once by a delete and re-create.
+	db.Add("b", 8)
+	db.Delete("b")
+	db.Add("b", 9)
+	if got := db.Stats().Generations; st.Generations != 3 || got != 4 {
+		t.Fatalf("Generations = %d after 3 creates and 1 further add, %d after 1 more add and a delete + re-create; want 3, then 4", st.Generations, got)
+	}
 }
 
 func TestApplyBatchAllOrNothing(t *testing.T) {

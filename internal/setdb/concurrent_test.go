@@ -1,6 +1,7 @@
 package setdb
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -189,10 +190,10 @@ func TestConcurrentDynamicMix(t *testing.T) {
 	}
 }
 
-// TestConcurrentSamplerShared pins the new Sampler contract: one Sampler
+// TestConcurrentSamplerShared pins the shared-sampler contract: one sampler
 // instance shared by many goroutines keeps serving valid members while a
-// writer goroutine keeps growing the same key (forcing copy-on-write
-// filter swaps and sampler retargets).
+// writer goroutine keeps growing the same key (copy-on-write filter swaps
+// the sampler, pinned to the version it was bound to, never sees).
 func TestConcurrentSamplerShared(t *testing.T) {
 	db, err := Open(testOptions(t, false))
 	if err != nil {
@@ -216,8 +217,8 @@ func TestConcurrentSamplerShared(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		// A bounded writer keeps the key growing (each Add publishes a
-		// copy-on-write swap the samplers must follow); keeping the set
-		// small keeps the rejection loops fast under -race.
+		// copy-on-write swap beside the draws); keeping the set small
+		// keeps the rejection loops fast under -race.
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(99))
 		for i := 0; i < 60; i++ {
@@ -378,36 +379,42 @@ func TestShardDistribution(t *testing.T) {
 	}
 }
 
-// TestSamplerInvalidatedByDelete pins the Sampler detachment rule: after
-// its key is deleted (or deleted and re-added), draws must fail loudly
-// instead of silently serving the old set version.
-func TestSamplerInvalidatedByDelete(t *testing.T) {
+// TestHeldUniformSamplerIsAPin pins what a sampler held across writes to its
+// key is: a pin on the version it was bound to, as a held Filter is. After
+// its key is deleted (or deleted and re-added) its draws go on serving that
+// version — stale, never an error, and never an id of the lifetime that took
+// the key's name; a sampler asked for afterwards serves the new lifetime.
+func TestHeldUniformSamplerIsAPin(t *testing.T) {
 	db, err := Open(testOptions(t, false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	db.Add("s", 10, 20, 30, 40)
+	pinned := db.Filter("s")
 	us, err := db.UniformSampler("s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	if _, err := us.Sample(rng, nil); err != nil {
-		t.Fatalf("fresh sampler: %v", err)
+	draw := func(when string) {
+		t.Helper()
+		if x, err := us.Sample(rng, nil); err != nil || !pinned.Contains(x) {
+			t.Fatalf("%s: held sampler drew %d, %v; want a positive of the version it pinned", when, x, err)
+		}
 	}
+	draw("fresh sampler")
 	db.Delete("s")
-	if _, err := us.Sample(rng, nil); err != ErrSamplerInvalid {
-		t.Fatalf("after Delete: err = %v, want ErrSamplerInvalid", err)
+	draw("after Delete")
+	if _, err := db.UniformSampler("s"); !errors.Is(err, ErrNoSet) {
+		t.Fatalf("UniformSampler of a deleted key: %v, want ErrNoSet", err)
 	}
 	db.Add("s", 99)
-	if _, err := us.Sample(rng, nil); err != ErrSamplerInvalid {
-		t.Fatalf("after re-Add: err = %v, want ErrSamplerInvalid", err)
-	}
+	draw("after re-Add")
 	us2, err := db.UniformSampler("s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := us2.Sample(rng, nil); err != nil {
-		t.Fatalf("rebuilt sampler: %v", err)
+	if x, err := us2.Sample(rng, nil); err != nil || !db.Filter("s").Contains(x) || pinned.Contains(x) {
+		t.Fatalf("sampler of the new lifetime drew %d, %v; want 99 (or a false positive of its filter)", x, err)
 	}
 }

@@ -1,6 +1,9 @@
 package setdb
 
-import "repro/internal/membership"
+import (
+	"repro/internal/core"
+	"repro/internal/membership"
+)
 
 // Introspection: a point-in-time view of the database's internal shape —
 // shard occupancy, chunk occupancy, write amplification, tree growth
@@ -69,8 +72,13 @@ type DBStats struct {
 	EstimatesComputed   uint64
 	EstimatesRemembered uint64
 	// Generations is the number of key lifetimes ever created (it only
-	// grows; Delete does not reclaim it).
+	// grows; Delete does not reclaim it, and a write to an existing key
+	// does not move it).
 	Generations uint64
+	// Samplers holds, by key, the calibration of every plain key whose
+	// exactly-uniform sampler has made an attempt (core.Calibration: the
+	// one the uniform draws of a key lifetime share).
+	Samplers map[string]core.UniformStats
 	// TreeNodes, TreeDepth, TreePruned and TreeMemoryBytes describe the
 	// shared BloomSampleTree.
 	TreeNodes       uint64
@@ -127,6 +135,7 @@ func (db *DB) Stats() DBStats {
 		EstimatesComputed:   db.estimatesComputed.Load(),
 		EstimatesRemembered: db.estimatesRemembered.Load(),
 		Generations:         db.gen.Load(),
+		Samplers:            map[string]core.UniformStats{},
 		TreeNodes:           db.tree.Nodes(),
 		TreeDepth:           db.tree.Depth(),
 		TreePruned:          db.tree.Pruned(),
@@ -140,9 +149,12 @@ func (db *DB) Stats() DBStats {
 	for i := range db.shards {
 		snap := db.shards[i].load().sets
 		ss := ShardStats{Chunks: snap.numChunks()}
-		snap.rangeAll(func(_ string, e entry) {
+		snap.rangeAll(func(key string, e entry) {
 			if _, ok := e.removable(); !ok {
 				ss.Sets++
+				if us := e.cal.Stats(); us.Attempts > 0 {
+					st.Samplers[key] = us
+				}
 				return
 			}
 			ss.Dynamic++

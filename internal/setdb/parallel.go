@@ -62,6 +62,17 @@ func (db *DB) SampleManyFrom(f *bloom.Filter, n, workers int, ops *core.Ops) ([]
 	return db.sampleManyFilter(f, n, workers, ops)
 }
 
+// SampleUniformFrom draws up to n exactly-uniform samples (with replacement)
+// through one caller-held sampler (obtained from UniformSampler), which is to
+// this call what the filter is to SampleManyFrom: every chunk of a batch
+// spread over several calls is drawn from the one version it is bound to.
+// Fewer than n results means the rejection loop ran into its attempt bound.
+func (db *DB) SampleUniformFrom(u *core.UniformSampler, n int) ([]uint64, error) {
+	w := sampleWorkers.Get().(*sampleWorker)
+	defer sampleWorkers.Put(w)
+	return u.SampleN(n, w.rng, nil)
+}
+
 // sampleWorker is what one goroutine of a batch draws with. Workers are
 // pooled because seeding a math/rand source (607 words, ≈ 12 µs) per
 // worker per request cost more than the rest of the fan-out together; each

@@ -102,7 +102,8 @@ var ErrKeyClash = errors.New("setdb: key clash")
 
 // ErrNotPlain is returned by UniformSampler for a removable set: the
 // sampler's calibration is an atomic maximum, written for sets that only
-// grow. It marks a caller mistake; match it with errors.Is.
+// grow, and only a plain key carries one. It marks a caller mistake; match
+// it with errors.Is.
 var ErrNotPlain = errors.New("setdb: uniform sampling serves plain sets only")
 
 // ErrOutOfRange is wrapped by writes carrying an id outside the
@@ -119,13 +120,12 @@ var ErrOutOfRange = errors.New("setdb: id outside namespace")
 // of them.
 const numShards = 64
 
-// entry is one stored set: an immutable membership value plus the
-// generation stamped when the key was created and the version advanced
-// on every copy-on-write swap. The generation survives value swaps (adds,
-// removes of ids) but not Delete/re-Add, which is how a Sampler
-// distinguishes "my set grew" (recalibrate and continue) from "my set was
-// replaced" (fail loudly); the monotone version lets the Sampler retarget
-// strictly forward even when goroutines race with stale snapshots in hand.
+// entry is one stored set, and everything the database keeps about its key:
+// the immutable membership value, replaced by every write, and — for a plain
+// key — the calibration its exactly-uniform draws share (core.Calibration),
+// created with the key, carried unchanged by every later write and garbage
+// with the key on Delete. A key deleted and re-added, or loaded from a file,
+// starts a fresh one; a removable set has none (ErrNotPlain).
 //
 // The paper's motivating applications track communities whose membership
 // changes over time (§1), and a plain Bloom filter cannot forget a member.
@@ -140,8 +140,7 @@ const numShards = 64
 // any memoized query-view projection) never observe a set mid-update.
 type entry struct {
 	m   membership.Membership
-	gen uint64
-	ver uint64
+	cal *core.Calibration
 }
 
 // removable returns the entry's value as a set ids can be removed from; ok
@@ -199,7 +198,7 @@ type DB struct {
 	opts   Options
 	fam    hashfam.Family
 	tree   *core.Tree
-	gen    atomic.Uint64 // key-lifetime generator for entry.gen
+	gen    atomic.Uint64 // key lifetimes ever created (see Stats)
 	shards [numShards]shard
 
 	// Write-amplification accounting (see Stats): logical write
@@ -386,119 +385,24 @@ func (db *DB) SampleN(key string, r int, withReplacement bool, rng *rand.Rand, o
 	return db.tree.SampleN(e.m.QueryView(), r, withReplacement, rng, ops)
 }
 
-// Sampler is a rejection-corrected exactly-uniform sampler bound to its
-// database key (see core.UniformSampler). It is shareable: any number of
-// goroutines may draw from one Sampler concurrently (each with its own
-// rand source), and it follows its key across copy-on-write Adds by
-// retargeting the underlying sampler to the newly published filter
-// version — recalibrating through an atomic max over the cardinality
-// estimate, so no draw ever blocks on a writer. Deleting (or deleting
-// and re-adding) the key invalidates the sampler: subsequent draws
-// return ErrSamplerInvalid.
-type Sampler struct {
-	db  *DB
-	key string
-	gen uint64 // key lifetime the sampler is bound to
-	u   *core.UniformSampler
-
-	// ver is the entry version u was last retargeted to; retargetMu
-	// serializes the (rare) retargets so the underlying sampler can only
-	// ever move forward — a goroutine holding a stale shard snapshot
-	// must not rebind the shared sampler to an older filter version.
-	// Draws never block on it: a draw that fails to acquire it simply
-	// samples the version already bound, which is equally valid.
-	ver        atomic.Uint64
-	retargetMu sync.Mutex
-}
-
-// ErrSamplerInvalid is returned by Sampler.Sample after the sampler's key
-// is Deleted (or Deleted and re-Added): the sampler is bound to the old
-// key lifetime and would silently keep serving the deleted set version.
-var ErrSamplerInvalid = fmt.Errorf("setdb: sampler invalidated: its set was deleted or replaced")
-
-// Sample draws one uniform element; see core.UniformSampler.Sample. It
-// returns ErrSamplerInvalid if the sampler's key no longer maps to the
-// key lifetime it was created on.
-func (s *Sampler) Sample(rng *rand.Rand, ops *core.Ops) (uint64, error) {
-	e, err := s.db.get(s.key)
-	if err != nil || e.gen != s.gen {
-		return 0, ErrSamplerInvalid
-	}
-	if e.ver > s.ver.Load() && s.retargetMu.TryLock() {
-		// The key grew since the last retarget: follow it strictly
-		// forward. The version re-check under the mutex (and the mutex
-		// itself) keep a goroutine with a stale snapshot from rebinding
-		// the shared sampler backward; a draw that loses TryLock just
-		// samples the currently bound version, which is equally valid.
-		if e.ver > s.ver.Load() {
-			if err := s.u.Retarget(e.m.QueryView()); err != nil {
-				s.retargetMu.Unlock()
-				return 0, err
-			}
-			s.ver.Store(e.ver)
-		}
-		s.retargetMu.Unlock()
-	}
-	return s.u.Sample(rng, ops)
-}
-
-// SampleN draws r uniform samples (with replacement) by repeated Sample.
-func (s *Sampler) SampleN(r int, rng *rand.Rand, ops *core.Ops) ([]uint64, error) {
-	out := make([]uint64, 0, r)
-	for i := 0; i < r; i++ {
-		x, err := s.Sample(rng, ops)
-		if err == core.ErrNoSample {
-			break
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, x)
-	}
-	return out, nil
-}
-
-// Stats returns cumulative rejection statistics.
-func (s *Sampler) Stats() core.UniformStats { return s.u.Stats() }
-
-// Valid reports whether the sampler's key still maps to the key
-// lifetime it was created on; false means every future Sample will
-// return ErrSamplerInvalid (the key was Deleted, or Deleted and
-// re-Added). Caches of shareable samplers use it to evict dead entries.
-func (s *Sampler) Valid() bool {
-	e, err := s.db.get(s.key)
-	return err == nil && e.gen == s.gen
-}
-
-// SafetyFactor returns the underlying sampler's current acceptance
-// headroom C (calibration introspection; it only ever rises).
-func (s *Sampler) SafetyFactor() float64 { return s.u.SafetyFactor() }
-
-// MaxAttempts returns the underlying sampler's rejection-loop bound.
-func (s *Sampler) MaxAttempts() int { return s.u.MaxAttempts() }
-
-// UniformSampler returns a rejection-corrected exactly-uniform sampler
-// for the set under key. The returned Sampler is lock-free on every draw
-// and safe to share across goroutines; it keeps serving (and
-// self-recalibrating) while other goroutines Add to the database,
-// including to its own key. A removable set is refused with ErrNotPlain:
-// Retarget calibrates through an atomic maximum over the cardinality
-// estimate, which is only right for a set that never shrinks.
-func (db *DB) UniformSampler(key string) (*Sampler, error) {
+// UniformSampler returns a rejection-corrected exactly-uniform sampler (see
+// core.UniformSampler) over the currently published version of the plain set
+// under key: to uniform draws what Filter is to the rest. It is immutable,
+// lock-free on every draw and safe to share across goroutines, and like a
+// held Filter it goes stale, never invalid — a write to the key, or a Delete,
+// publishes versions it does not see; ask again for one that does. What its
+// draws learn is kept on the key, not on the sampler: every sampler of one
+// key lifetime shares the entry's calibration. A removable set is refused
+// with ErrNotPlain.
+func (db *DB) UniformSampler(key string) (*core.UniformSampler, error) {
 	e, err := db.get(key)
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := e.removable(); ok {
+	if e.cal == nil {
 		return nil, fmt.Errorf("%w (%q is removable)", ErrNotPlain, key)
 	}
-	u, err := db.tree.NewUniformSampler(e.m.QueryView())
-	if err != nil {
-		return nil, err
-	}
-	s := &Sampler{db: db, key: key, gen: e.gen, u: u}
-	s.ver.Store(e.ver)
-	return s, nil
+	return db.tree.NewUniformSamplerWith(e.m.QueryView(), e.cal)
 }
 
 // Reconstruct returns the set stored under key (§6).
@@ -522,7 +426,7 @@ func (db *DB) IntersectionEstimate(keyA, keyB string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return a.m.IntersectionEstimate(b.m.QueryView()), nil
+	return bloom.EstimateIntersectionOf(a.m.QueryView(), b.m.QueryView()), nil
 }
 
 // File format:
@@ -694,7 +598,12 @@ func parse(r io.Reader) (*DB, error) {
 			if _, dup := sets[si].get(h, key); dup {
 				return fmt.Errorf("setdb: %s set %q: key appears twice in the file", section, key)
 			}
-			sets[si].set(h, key, entry{m: m, gen: db.gen.Add(1)})
+			e := entry{m: m}
+			if !removable {
+				e.cal = new(core.Calibration)
+			}
+			db.gen.Add(1)
+			sets[si].set(h, key, e)
 			return nil
 		})
 		if err != nil {
@@ -769,8 +678,12 @@ func ReadFromWithIDs(r io.Reader, occupied []uint64) (*DB, error) {
 	return db, nil
 }
 
-// Save writes the database (and, for pruned databases, the occupied ids)
-// to path atomically (write to temp file, then rename).
+// Save writes the database's sets — the SETDB2 stream of WriteTo, and
+// nothing else — to path atomically (write to temp file, then rename). The
+// shared tree is not in the file: Load rebuilds a full tree from the header's
+// options, and a pruned one only from the occupied ids the caller kept and
+// hands it. A file that restarts a pruned database on its own is the bundle
+// (SnapshotView().WriteBundleTo / ReadBundle), which carries the tree.
 func (db *DB) Save(path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
