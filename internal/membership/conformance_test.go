@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -84,14 +85,24 @@ func TestConformanceCopyOnWriteIsolation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewDynamicWith: %v", err)
 			}
-			view := base.QueryView()
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
 			for r := 0; r < 4; r++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
+					held := []uint64{10, 20, 30}
+					out := make([]bool, len(held))
+					var scratch []uint64
 					for {
+						// Each reader asks for the view itself: the first
+						// asks race the writer's first clones, which carry
+						// the view on only once it is there.
+						view := base.QueryView()
+						if scratch = base.ContainsBatch(held, out, scratch); !out[0] || !out[1] || !out[2] {
+							t.Error("published version lost a member to a batched probe")
+							return
+						}
 						select {
 						case <-stop:
 							return
@@ -118,6 +129,11 @@ func TestConformanceCopyOnWriteIsolation(t *testing.T) {
 			}
 			cur := base
 			for i := uint64(0); i < 200; i++ {
+				// Straight from the version the readers hold, both ways…
+				if less, err := base.CloneAddDynamic(5000+i).CloneRemove(20, 5000+i); err != nil || less.QueryView().Contains(555) {
+					t.Fatalf("clone of the published version: %v", err)
+				}
+				// …and down a chain of versions of its own.
 				cur = cur.CloneAddDynamic(1000 + i)
 				if i%3 == 0 {
 					next, err := cur.CloneRemove(1000 + i)
@@ -246,6 +262,72 @@ func TestConformanceQueryViewTracksAdds(t *testing.T) {
 				}
 				if !view.Contains(i * 3) {
 					t.Fatalf("query view misses live member %d", i*3)
+				}
+			}
+		})
+	}
+}
+
+func TestConformanceQueryViewAfterWriteChains(t *testing.T) {
+	// Whatever chain of adds, removes and reads led to a version, its
+	// query view holds every live id. The counting backend carries its view
+	// from version to version instead of rebuilding it, and owes more: the
+	// carried view is the projection of the version's counters — checked
+	// against a copy of the counters that has never had a view — under the
+	// version's own live count.
+	for _, kind := range conformanceKinds {
+		t.Run(string(kind), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			cur, err := NewDynamic(kind, testFamily(t), 0)
+			if err != nil {
+				t.Fatalf("NewDynamic: %v", err)
+			}
+			var live []uint64
+			for step := 0; step < 600; step++ {
+				switch r := rng.Intn(10); {
+				case r < 5 || len(live) < 4:
+					batch := make([]uint64, 1+rng.Intn(4))
+					for i := range batch {
+						batch[i] = uint64(rng.Intn(2000))
+					}
+					cur = cur.CloneAddDynamic(batch...)
+					live = append(live, batch...)
+				case r < 8:
+					n := 1 + rng.Intn(min(4, len(live)))
+					rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+					if cur, err = cur.CloneRemove(live[:n]...); err != nil {
+						t.Fatalf("step %d: CloneRemove of live ids: %v", step, err)
+					}
+					live = live[n:]
+				default:
+					cur.QueryView() // a read: later versions descend from a viewed one
+				}
+				if step%7 != 0 {
+					continue // most versions are never read, as on a server
+				}
+				view := cur.QueryView()
+				for _, id := range live {
+					if !view.Contains(id) {
+						t.Fatalf("step %d: the query view misses live id %d", step, id)
+					}
+				}
+				cs, ok := cur.(interface{ Counting() *bloom.CountingFilter })
+				if !ok {
+					continue
+				}
+				data, err := cs.Counting().MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				unviewed, err := bloom.UnmarshalCounting(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fresh := unviewed.Snapshot(); !view.Equal(fresh) || view.SetBits() != fresh.SetBits() {
+					t.Fatalf("step %d: the carried view is not the projection of the counters", step)
+				}
+				if view.Insertions() != cur.Live() || cur.Live() != uint64(len(live)) {
+					t.Fatalf("step %d: view counts %d insertions, Live() = %d, model holds %d", step, view.Insertions(), cur.Live(), len(live))
 				}
 			}
 		})

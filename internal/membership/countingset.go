@@ -3,9 +3,11 @@ package membership
 import "repro/internal/bloom"
 
 // countingSet adapts a *bloom.CountingFilter to the DynamicMembership
-// contract. Its query view is the filter's memoized plain-Bloom
-// Snapshot, which the counting filter already keeps consistent with
-// every mutation — so unlike the cuckoo view it is exact after deletes.
+// contract. Its query view is the filter's plain-Bloom Snapshot: built by
+// the first read of the key, then carried from version to version by the
+// filter's own CloneAdd/CloneRemove, which patch the bits whose counter
+// crossed zero — so unlike the cuckoo view it is exact after deletes, and
+// a key that is never read never has one.
 type countingSet struct {
 	c *bloom.CountingFilter
 }
@@ -14,14 +16,18 @@ func (s countingSet) Backend() Kind           { return KindCounting }
 func (s countingSet) Contains(id uint64) bool { return s.c.Contains(id) }
 func (s countingSet) Live() uint64            { return s.c.Live() }
 
-// QueryView returns the memoized snapshot; on a published (immutable)
-// filter the projection is computed at most once.
+// QueryView returns the snapshot; only a version with no viewed ancestor
+// computes it.
 func (s countingSet) QueryView() *bloom.Filter { return s.c.Snapshot() }
 
-// SizeBytes counts the counter array plus the materialized query view,
-// which serving always ends up holding.
+// SizeBytes counts what is resident: the counter array, plus the query
+// view once a read has materialized it. Asking never builds the view.
 func (s countingSet) SizeBytes() uint64 {
-	return s.c.SizeBytes() + s.c.Snapshot().SizeBytes()
+	size := s.c.SizeBytes()
+	if view := s.c.PeekSnapshot(); view != nil {
+		size += view.SizeBytes()
+	}
+	return size
 }
 
 func (s countingSet) ContainsBatch(ids []uint64, out []bool, scratch []uint64) []uint64 {

@@ -13,14 +13,18 @@
 // Bloom-specific operation; backends whose native representation cannot
 // intersect bit vectors (the cuckoo filter stores fingerprints) expose a
 // QueryView: a plain Bloom projection of their contents used only to
-// steer the descent and size estimates. The cuckoo backend maintains its
-// view incrementally on CloneAdd and leaves it unchanged on CloneRemove,
-// making the view a monotone over-approximation — exactly the argument
-// the pruned tree already uses for node occupancy: a stale view can only
-// send the sampler down a branch that turns out empty (a performance
-// cost), never hide a live element (a correctness cost), because leaf
-// probes and Contains go through the backend's native, delete-aware
-// representation.
+// steer the descent and size estimates. The counting backend builds its
+// view on the first read and from then on maintains it incrementally and
+// exactly: CloneAdd and CloneRemove patch the bits whose counter crossed
+// zero, so every version's view is the projection of its counters, and a
+// key nobody reads has none. The cuckoo backend maintains its view
+// incrementally and monotonically — patched on CloneAdd, left unchanged
+// on CloneRemove — which makes it a monotone over-approximation, exactly
+// the argument the pruned tree already uses for node occupancy: a stale
+// view can only send the sampler down a branch that turns out empty (a
+// performance cost), never hide a live element (a correctness cost),
+// because leaf probes and Contains go through the backend's native,
+// delete-aware representation.
 package membership
 
 import (
@@ -79,14 +83,15 @@ type Membership interface {
 	Live() uint64
 	// QueryView returns a plain Bloom projection of the contents for the
 	// tree descent and intersection estimates. For a Bloom backend this
-	// is the filter itself (free); other backends maintain or memoize a
-	// projection. The returned filter is shared — treat it as immutable.
+	// is the filter itself (free); other backends maintain a projection
+	// across versions (counting from the first read on). The returned
+	// filter is shared — treat it as immutable.
 	QueryView() *bloom.Filter
 	// CloneAdd returns a new Membership equal to the receiver with ids
 	// inserted. The receiver is never mutated.
 	CloneAdd(ids ...uint64) Membership
-	// SizeBytes returns the backend's resident memory, including any
-	// query-view projection it maintains.
+	// SizeBytes returns the backend's resident memory, including the
+	// query-view projection it holds; it builds nothing.
 	SizeBytes() uint64
 	// MarshalBinary serializes the backend with an embedded kind tag
 	// (the "BSM1" envelope; see Unmarshal).

@@ -149,7 +149,7 @@ func (s *Server) collectMetrics() *obs.Exposition {
 	e.Counter("bst_db_generations_total", "Key lifetimes ever created (a write to an existing key does not move it).", float64(st.Generations))
 	e.Gauge("bst_db_tree_nodes", "Materialized BST nodes.", float64(st.TreeNodes))
 	e.Gauge("bst_db_tree_memory_bytes", "Bytes held by the sampling tree.", float64(st.TreeMemoryBytes))
-	e.Gauge("bst_db_growth_epoch", "Adaptive shard-layout growth epoch.", float64(st.GrowthEpoch))
+	e.Gauge("bst_db_growth_epoch", "Growth publishes of the pruned sampling tree, summed over its subtrees (0 for a full tree).", float64(st.GrowthEpoch))
 	e.Gauge("bst_db_total_chunks", "Chunks across all shard key maps (one map per shard).", float64(st.TotalChunks))
 
 	// Dynamic-set membership backend descriptor.

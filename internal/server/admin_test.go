@@ -151,6 +151,7 @@ func TestMetricsExposition(t *testing.T) {
 		"bst_ready 1",
 		"bst_go_goroutines",
 		`bst_admission_limit{budget="global"}`,
+		"# HELP bst_db_growth_epoch Growth publishes of the pruned sampling tree, summed over its subtrees (0 for a full tree).\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("scrape missing %q", want)

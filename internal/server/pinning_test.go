@@ -484,3 +484,52 @@ func TestUniformRacingWritesAndRebirths(t *testing.T) {
 		t.Fatalf("the key's calibration after the hammering: %+v", smp)
 	}
 }
+
+// TestPinnedCountingViewSurvivesLaterWrites pins the other half of the
+// carried query view: a write to a counting key hands its successor a view
+// patched from the one readers hold, so what a request pinned must stay
+// bit for bit what it was however many writes follow. A request's pin is
+// taken the way the handlers take it, 100 writes then go through the
+// binary server — the first takes out every id the pinned version held —
+// and the pinned filter still has its bits, its insertion count and its
+// members, while the served version has moved on.
+func TestPinnedCountingViewSurvivesLaterWrites(t *testing.T) {
+	s, addr := newBinaryTestServer(t, Config{})
+	c := dialTestClient(t, addr)
+	held := []uint64{1, 2, 3, 4, 5}
+	view, err := pinned(s.DB(), "dyn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := slices.Clone(view.Bits().Raw())
+	insertions := view.Insertions()
+
+	if _, err := c.Remove("dyn", held); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i < 100; i++ {
+		id := 1000 + i
+		if _, err := c.Add(wire.AddSet{Key: "dyn", Dynamic: true, IDs: []uint64{id, id + 5000}}); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			if _, err := c.Remove("dyn", []uint64{id}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if now := s.DB().Filter("dyn"); now == view || !now.Contains(id+5000) || now.Insertions() != s.DB().Membership("dyn").Live() {
+			t.Fatalf("write %d: the served view did not follow the write", i)
+		}
+	}
+	if !slices.Equal(view.Bits().Raw(), before) || view.Insertions() != insertions {
+		t.Fatal("later writes changed the view a request had pinned")
+	}
+	for _, id := range held {
+		if !view.Contains(id) {
+			t.Fatalf("the pinned view lost %d", id)
+		}
+		if s.DB().Filter("dyn").Contains(id) {
+			t.Fatalf("the served view still holds the removed %d", id)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bloom"
 	"repro/internal/core"
 	"repro/internal/membership"
 )
@@ -168,7 +169,9 @@ func TestBackendBatchAndSnapshotRoundTrip(t *testing.T) {
 // backends" table. At one planned false-positive point (accuracy 0.9,
 // M = 100 000, k = 3, n seeded distinct ids under one key) a cuckoo set is
 // no larger than a counting set at either n, and at n = 1 000 the three
-// backends cost README's 3.4 / 30.8 / 7.5 B per live entry.
+// backends cost README's 3.4 / 30.8 / 7.5 B per live entry. The row is a
+// served key's: the key is read once before it is sized, since a counting
+// key nobody has read holds its counters only (m B, 27.3 an entry).
 func TestBackendBytesPerLiveEntry(t *testing.T) {
 	readme := map[membership.Kind]float64{membership.KindBloom: 3.4, membership.KindCounting: 30.8, membership.KindCuckoo: 7.5}
 	ids := rand.New(rand.NewSource(1)).Perm(100_000)
@@ -191,6 +194,10 @@ func TestBackendBytesPerLiveEntry(t *testing.T) {
 			if err := db.ApplyBatch([]Write{w}); err != nil {
 				t.Fatal(err)
 			}
+			if unread := db.Membership("s").SizeBytes(); kind == membership.KindCounting && unread != opts.Bits {
+				t.Errorf("an unread counting key reports %d B, want its %d counters", unread, opts.Bits)
+			}
+			db.Filter("s")
 			got := float64(db.Membership("s").SizeBytes()) / float64(n)
 			perEntry[kind] = got
 			if n == 1000 && math.Abs(got-want) > 0.05*want {
@@ -199,6 +206,63 @@ func TestBackendBytesPerLiveEntry(t *testing.T) {
 		}
 		if perEntry[membership.KindCuckoo] > perEntry[membership.KindCounting] {
 			t.Errorf("n = %d: cuckoo %.2f B per entry, above counting's %.2f", n, perEntry[membership.KindCuckoo], perEntry[membership.KindCounting])
+		}
+	}
+}
+
+// countingView returns the query view the counting key holds, nil when it
+// has none; unlike db.Filter it builds nothing.
+func countingView(t *testing.T, db *DB, key string) *bloom.Filter {
+	t.Helper()
+	m, ok := db.Membership(key).(interface{ Counting() *bloom.CountingFilter })
+	if !ok {
+		t.Fatalf("key %q is not counting-backed", key)
+	}
+	return m.Counting().PeekSnapshot()
+}
+
+// TestStatsBuildsNoView pins that introspection reports what is resident
+// and builds nothing: Stats over counting keys nobody has read leaves each
+// without a query view and counts their counters only; a key that has been
+// read adds its view, and keeps it across a later write while the unread
+// keys still have none.
+func TestStatsBuildsNoView(t *testing.T) {
+	db := openBackendDB(t, membership.KindCounting)
+	keys := []string{"a", "b", "c", "d"}
+	for i, key := range keys {
+		if err := db.AddDynamic(key, uint64(i), uint64(i)+100, uint64(i)+2000); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.RemoveDynamic(key, uint64(i)+100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counters := uint64(len(keys)) * db.Options().Bits
+	if got := db.Stats().Backend.MemoryBytes; got != counters {
+		t.Fatalf("Stats reports %d B over unread keys, want the %d B of counters", got, counters)
+	}
+	for _, key := range keys {
+		if countingView(t, db, key) != nil {
+			t.Fatalf("Stats built a query view for %q", key)
+		}
+	}
+
+	view := db.Filter("b")
+	if got := db.Stats().Backend.MemoryBytes; got != counters+view.SizeBytes() {
+		t.Fatalf("Stats reports %d B with one key read, want %d", got, counters+view.SizeBytes())
+	}
+	if err := db.AddDynamic("b", 77); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddDynamic("c", 78); err != nil {
+		t.Fatal(err)
+	}
+	if carried := countingView(t, db, "b"); carried == nil || carried == view || !carried.Contains(77) {
+		t.Fatalf("the write to a read key did not carry its view on: %v", carried)
+	}
+	for _, key := range []string{"a", "c", "d"} {
+		if countingView(t, db, key) != nil {
+			t.Fatalf("unread key %q has a view after the writes", key)
 		}
 	}
 }

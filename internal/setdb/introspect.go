@@ -102,7 +102,8 @@ type BackendStats struct {
 	// always "bloom").
 	Kind string `json:"kind"`
 	// Entries is the total number of live elements across removable sets;
-	// MemoryBytes their total resident bytes (tables plus query views).
+	// MemoryBytes their total resident bytes (tables plus the query views
+	// reads have materialized; Stats builds none).
 	Entries     uint64 `json:"entries"`
 	MemoryBytes uint64 `json:"memory_bytes"`
 	// BitsPerEntry is 8·MemoryBytes/Entries (0 with no entries) — the
