@@ -63,6 +63,8 @@ func runStats(args []string) {
 		[2]string{"writes", fmt.Sprintf("%d (%d publishes, %.0f B copied/write)", st.DB.StateWrites, st.DB.StatePublishes, st.DB.MeanBytesCopiedPerWrite)},
 		[2]string{"sample draws lost", num(st.DB.SampleDrawsLost)},
 		[2]string{"estimates", fmt.Sprintf("%d computed, %d remembered", st.DB.EstimatesComputed, st.DB.EstimatesRemembered)},
+		[2]string{"draws", fmt.Sprintf("%d warm, %d descended", st.DB.DrawsWarm, st.DB.DrawsDescended)},
+		[2]string{"positives", fmt.Sprintf("%d scans (%d declined), %d dropped, %d B packed", st.DB.PositivesScans, st.DB.PositivesDeclined, st.DB.PositivesDropped, st.DB.PositivesBytes)},
 		[2]string{"generations", num(st.DB.Generations)},
 		[2]string{"growth epoch", num(st.DB.GrowthEpoch)},
 		[2]string{"backend", fmt.Sprintf("%s: %d entries, %.1f bits/entry", st.DB.Backend.Kind, st.DB.Backend.Entries, st.DB.Backend.BitsPerEntry)},

@@ -75,6 +75,12 @@ func (c *CountingFilter) M() uint64 { return uint64(len(c.counts)) }
 // K returns the number of hash functions.
 func (c *CountingFilter) K() int { return c.fam.K() }
 
+// MatchesFamily is Filter.MatchesFamily for the counters: what its Snapshot
+// would answer, without building one.
+func (c *CountingFilter) MatchesFamily(fam hashfam.Family) error {
+	return matchFamily(c.M(), c.fam, fam)
+}
+
 // Live returns the net number of insertions (Add calls minus successful
 // Remove calls).
 func (c *CountingFilter) Live() uint64 { return c.n }

@@ -359,11 +359,16 @@ func (f *Filter) Compatible(g *Filter) error { return f.MatchesFamily(g.fam) }
 // to fam's (m, k, kind, seed), and a descriptive error otherwise. It is the
 // allocation-free form of Compatible for callers that hold a family rather
 // than a second filter (the BloomSampleTree query check).
-func (f *Filter) MatchesFamily(fam hashfam.Family) error {
-	if f.M() != fam.M() || f.K() != fam.K() ||
-		f.fam.Kind() != fam.Kind() || f.fam.Seed() != fam.Seed() {
+func (f *Filter) MatchesFamily(fam hashfam.Family) error { return matchFamily(f.M(), f.fam, fam) }
+
+// matchFamily is the parameter comparison under Filter.MatchesFamily and
+// CountingFilter.MatchesFamily: m is the length of the structure built with
+// own.
+func matchFamily(m uint64, own, fam hashfam.Family) error {
+	if m != fam.M() || own.K() != fam.K() ||
+		own.Kind() != fam.Kind() || own.Seed() != fam.Seed() {
 		return fmt.Errorf("%w: (m=%d,k=%d,%s,seed=%d) vs (m=%d,k=%d,%s,seed=%d)",
-			ErrIncompatible, f.M(), f.K(), f.fam.Kind(), f.fam.Seed(),
+			ErrIncompatible, m, own.K(), own.Kind(), own.Seed(),
 			fam.M(), fam.K(), fam.Kind(), fam.Seed())
 	}
 	return nil

@@ -5,8 +5,6 @@ import (
 	"math/bits"
 	"runtime"
 	"sync/atomic"
-
-	"repro/internal/bloom"
 )
 
 // EstimateIndex remembers the child estimates of the top of the tree against
@@ -15,11 +13,10 @@ import (
 // a query filter that is published copy-on-write (setdb's stored sets, the
 // counting filter's snapshot, the cuckoo set's view) never changes, so
 // whatever a request computed against it holds for every later request on
-// the same version, and the index hangs on the version itself
-// (bloom.Filter's derived slot, IndexFor): no table of versions, nothing to
-// evict, nothing for a writer to invalidate — a write publishes a new
-// filter, which starts without an index, and the old one is garbage with
-// the version it describes.
+// the same version, and the index hangs on the version itself (it is the
+// cold half of the filter's Version, which says where that lives and why
+// nothing evicts or invalidates it) until the version has paid for a scan of
+// the leaves and draws from its Positives instead.
 //
 // The tree side can change under a version: pruned-tree growth swaps node
 // filters. Every remembered pair is therefore filed under the stamps of the
@@ -114,25 +111,6 @@ func indexLevels(viewBytes uint64, depth int) int {
 		levels++
 	}
 	return levels
-}
-
-// IndexFor returns the estimate index of q against this tree, creating and
-// attaching it on first use. q must be an immutable filter version: the
-// index is only as good as the promise that q's bits no longer change
-// (bloom drops it on every in-place mutator, but cannot see a write through
-// Bits()). It is nil when q's derived slot is taken by something else —
-// another tree's index included: stamps are comparable within one tree's
-// nodes only. Safe for concurrent callers, who all get the same index.
-func (t *Tree) IndexFor(q *bloom.Filter) *EstimateIndex {
-	d := q.Derived()
-	if d == nil {
-		levels := indexLevels(q.SizeBytes(), t.cfg.Depth)
-		d = q.AttachDerived(&EstimateIndex{tree: t, slots: make([]indexSlot, 1<<levels-1)})
-	}
-	if x, ok := d.(*EstimateIndex); ok && x.tree == t {
-		return x
-	}
-	return nil
 }
 
 // Levels returns how many levels from the root down the index covers; 0 for

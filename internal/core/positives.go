@@ -1,0 +1,109 @@
+package core
+
+import (
+	"encoding/binary"
+
+	"repro/internal/bloom"
+)
+
+// Positives is every id of the tree's leaves that one filter version
+// answers for — {x in a leaf's range : q.Contains(x)}, the universe
+// sampleLeaf draws from — ascending and packed. A Bloom filter has no false
+// negatives, so one unpruned scan of the leaves finds the complete set, and
+// an immutable version keeps it for as long as the same leaves exist: a draw
+// is then Select(rng.Intn(Len())), exactly uniform over the version's
+// positives, with no estimate, no backtracking and no lost draw.
+//
+// The ids are cut into blocks of positivesBlock. A block is its first id
+// and the byte offset of its gaps (12 bytes: the skip entry Select jumps
+// to) followed in gaps by the uvarint difference of each later id from its
+// predecessor, so Select decodes at most positivesBlock−1 varints. At the
+// planned filter sizes a gap fits one byte three times in four: ≈ 1.4 bytes
+// an id, a little under half of the version's own bit vector.
+type Positives struct {
+	count  int
+	firsts []uint64 // a block's first id
+	offs   []uint32 // where the block's gaps start
+	gaps   []byte
+	last   uint64 // the id packed last
+	// nodes is Tree.Nodes() read before the scan began: the table describes
+	// the leaves that existed then (see Version.Positives).
+	nodes uint64
+}
+
+// positivesBlock is the number of ids under one skip entry.
+const positivesBlock = 64
+
+// Len returns the number of positives.
+func (p *Positives) Len() int { return p.count }
+
+// Bytes returns the size of the packed table.
+func (p *Positives) Bytes() uint64 {
+	return uint64(len(p.gaps)) + 12*uint64(len(p.firsts))
+}
+
+// Select returns the i-th positive in ascending order, 0 ≤ i < Len().
+func (p *Positives) Select(i int) uint64 {
+	b := i / positivesBlock
+	x := p.firsts[b]
+	gaps := p.gaps[p.offs[b]:]
+	// binary.Uvarint's bytes, read without a branch on the continuation bit:
+	// three gaps in four are one byte long and the fourth is not, which no
+	// predictor learns.
+	for r, shift := uint(i%positivesBlock), uint(0); r > 0; {
+		c := gaps[0]
+		gaps = gaps[1:]
+		x += uint64(c&0x7f) << shift
+		more := uint(c >> 7)
+		shift = (shift + 7) & -more
+		r -= 1 - more
+	}
+	return x
+}
+
+// AppendAll appends every positive to out, ascending.
+func (p *Positives) AppendAll(out []uint64) []uint64 {
+	gaps := p.gaps
+	for i := 0; i < p.count; i++ {
+		if i%positivesBlock == 0 {
+			out = append(out, p.firsts[i/positivesBlock])
+			continue
+		}
+		gap, n := binary.Uvarint(gaps)
+		out = append(out, out[len(out)-1]+gap)
+		gaps = gaps[n:]
+	}
+	return out
+}
+
+// add packs x, which must exceed every id packed before it.
+func (p *Positives) add(x uint64) {
+	if p.count%positivesBlock == 0 {
+		p.firsts = append(p.firsts, x)
+		p.offs = append(p.offs, uint32(len(p.gaps)))
+	} else {
+		p.gaps = binary.AppendUvarint(p.gaps, x-p.last)
+	}
+	p.last = x
+	p.count++
+}
+
+// packPositives scans every leaf under n, left to right, and packs the ids
+// q answers for. No child is pruned on an estimate or a verdict: a leaf
+// either rule drops can still hold positives a descent reaches by
+// backtracking. It stops, reporting false, once the table outgrows budget
+// bytes. buf is the scan's scratch (AppendPositives).
+func (t *Tree) packPositives(n *node, q *bloom.Filter, p *Positives, budget uint64, buf *[]uint64) bool {
+	if n == nil {
+		return true
+	}
+	left, right := n.children()
+	if left == nil && right == nil {
+		*buf = q.AppendPositives(n.lo, n.hi, (*buf)[:0])
+		for _, x := range *buf {
+			p.add(x)
+		}
+		return p.Bytes() <= budget
+	}
+	return t.packPositives(left, q, p, budget, buf) && t.packPositives(right, q, p, budget, buf)
+}

@@ -1,0 +1,307 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/bits"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"repro/internal/bloom"
+	"repro/internal/hashfam"
+)
+
+// naivePositives is what a version's table is held to: every id of every
+// leaf's range that q answers for, one Contains at a time.
+func naivePositives(tree *Tree, q *bloom.Filter) []uint64 {
+	var out []uint64
+	eachNode(tree.rootNode(), 1, func(n *node, _ uint64) {
+		if left, right := n.children(); left != nil || right != nil {
+			return
+		}
+		for x := n.lo; x < n.hi; x++ {
+			if q.Contains(x) {
+				out = append(out, x)
+			}
+		}
+	})
+	slices.Sort(out)
+	return out
+}
+
+// packed packs ids with no budget.
+func packed(ids []uint64) *Positives {
+	p := new(Positives)
+	for _, x := range ids {
+		p.add(x)
+	}
+	return p
+}
+
+// checkTable holds p to ids: its length, its unpacking, and Select at every
+// index.
+func checkTable(t *testing.T, p *Positives, ids []uint64) {
+	t.Helper()
+	if p.Len() != len(ids) {
+		t.Fatalf("table of %d ids, want %d", p.Len(), len(ids))
+	}
+	if got := p.AppendAll(nil); !slices.Equal(got, ids) {
+		t.Fatalf("table unpacks to %v, want %v", got, ids)
+	}
+	for i, x := range ids {
+		if got := p.Select(i); got != x {
+			t.Fatalf("Select(%d) = %d, want %d", i, got, x)
+		}
+	}
+}
+
+// TestPositivesAreTheTruth is the exactness gate, exhaustively on small
+// domains: for every namespace 2..512 (a tree needs two ids), every depth
+// 0..5 it admits, a full tree and a pruned one of random occupancy, and the
+// fused-scan and block-scan hash families, the table a version pays for is
+// exactly {x in a leaf : q.Contains(x)} enumerated one id at a time, Select
+// returns its i-th element for every i, and it is kept only within the
+// filter's own bytes — otherwise the version has declined, for good, and
+// still samples by descent. The query is filled to where its false
+// positives outnumber its members, so a scan that pruned a child on §5.6's
+// threshold or on an empty AND would leave ids out, and the filter sizes
+// straddle the budget.
+func TestPositivesAreTheTruth(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	kept, declinedCount := 0, 0
+	for _, kind := range []hashfam.Kind{hashfam.KindFast, hashfam.KindMurmur3} {
+		for M := uint64(2); M <= 512; M++ {
+			for depth := 0; depth <= 5 && depth <= bits.Len64(M-1); depth++ {
+				for _, pruned := range []bool{false, true} {
+					cfg := Config{Namespace: M, Bits: 32 << rng.Intn(5), K: 2, HashKind: kind, Seed: M, Depth: depth}
+					var tree *Tree
+					var err error
+					if pruned {
+						tree, err = BuildPruned(cfg, uniformSet(rng, M, 1+rng.Intn(int(M))))
+					} else {
+						tree, err = BuildTree(cfg)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					q := buildQueryFilter(t, tree, uniformSet(rng, M, rng.Intn(int(M)/4+1)))
+					want := naivePositives(tree, q)
+
+					v := tree.VersionFor(q)
+					if v.Positives() != nil {
+						t.Fatal("a version nobody has drawn from has a table")
+					}
+					v.Pay(M - 1)
+					if v.Positives() != nil || tree.PositivesStats().Scans != 0 {
+						t.Fatal("a version scanned before it had tested a scan's worth of ids")
+					}
+					v.Pay(1)
+					name := fmt.Sprintf("%s M=%d depth=%d pruned=%v m=%d", kind, M, depth, pruned, cfg.Bits)
+					st := tree.PositivesStats()
+					if st.Scans != 1 {
+						t.Fatalf("%s: %d scans after the payment that crossed the price", name, st.Scans)
+					}
+					p := v.Positives()
+					if full := packed(want); full.Bytes() > q.SizeBytes() {
+						if p != nil || v.pos.Load() != declined || st.Declined != 1 || st.PackedBytes != 0 {
+							t.Fatalf("%s: %d B of positives beside a %d B filter were not declined (%+v)", name, full.Bytes(), q.SizeBytes(), st)
+						}
+						declinedCount++
+					} else {
+						if p == nil || st.Declined != 0 || st.PackedBytes != p.Bytes() || p.Bytes() != full.Bytes() {
+							t.Fatalf("%s: %d B of positives beside a %d B filter were not kept (%+v)", name, full.Bytes(), q.SizeBytes(), st)
+						}
+						checkTable(t, p, want)
+						kept++
+					}
+					// Either way the scan ran once and the descent still
+					// serves: a counted draw, and a served one that pays.
+					v.Pay(2 * M)
+					if got := tree.PositivesStats().Scans; got != 1 {
+						t.Fatalf("%s: a version scanned %d times", name, got)
+					}
+					if len(want) > 0 {
+						est := Estimates{Index: v.Index()}
+						x, _, err := tree.SampleMemo(q, rng, nil, nil, &est)
+						if err != nil && err != ErrNoSample {
+							t.Fatal(err)
+						}
+						if _, found := slices.BinarySearch(want, x); err == nil && !found {
+							t.Fatalf("%s: the descent drew %d, not a positive", name, x)
+						}
+					}
+				}
+			}
+		}
+	}
+	if kept < 1000 || declinedCount < 1000 {
+		t.Fatalf("%d tables kept and %d declined: the filter sizes were meant to straddle the budget", kept, declinedCount)
+	}
+}
+
+// TestPositivesPackingAtTheEdges packs hand-made id lists around the block
+// size — 0, 1, 63, 64, 65 and 4 097 ids — that start at 0, pass 2³² and end
+// at the largest id there is, so one gap is as wide as a gap can be.
+func TestPositivesPackingAtTheEdges(t *testing.T) {
+	for _, count := range []int{0, 1, 63, 64, 65, 4097} {
+		ids := make([]uint64, count)
+		for i := range ids {
+			switch {
+			case i == 0:
+				ids[i] = 0
+			case i == count-1:
+				ids[i] = math.MaxUint64
+			case i%2 == 1:
+				ids[i] = ids[i-1] + 1 // the narrowest gap
+			default:
+				ids[i] = ids[i-1] + 1<<32 + uint64(i)*977
+			}
+		}
+		if count == 1 {
+			ids[0] = math.MaxUint64
+		}
+		p := packed(ids)
+		checkTable(t, p, ids)
+		blocks := (count + positivesBlock - 1) / positivesBlock
+		if len(p.firsts) != blocks || len(p.offs) != blocks || p.Bytes() != uint64(len(p.gaps)+12*blocks) {
+			t.Fatalf("%d ids: %d firsts, %d offsets, %d B; want %d blocks", count, len(p.firsts), len(p.offs), p.Bytes(), blocks)
+		}
+	}
+	// At the planned sizes (ids 90 apart on average) a table is ≈ 1.4 B an id.
+	rng := rand.New(rand.NewSource(1))
+	ids := make([]uint64, 11_000)
+	for i, x := 0, uint64(0); i < len(ids); i++ {
+		x += 1 + uint64(rng.ExpFloat64()*90)
+		ids[i] = x
+	}
+	if perID := float64(packed(ids).Bytes()) / float64(len(ids)); perID < 1.2 || perID > 1.6 {
+		t.Fatalf("ids 90 apart pack to %.2f B an id, want ≈ 1.4", perID)
+	}
+}
+
+// TestPositivesFollowTheLeaves: a table describes the leaves that existed
+// when its scan began. Growth that creates a node drops it at the next look
+// — and with it the payments made, so the version rents again before it
+// scans again — and the table paid for afterwards holds the new leaf's
+// positives; growth into leaves that exist already (the saturated tree)
+// drops nothing, whatever it does to node filters.
+func TestPositivesFollowTheLeaves(t *testing.T) {
+	const M = 1 << 12
+	// One hash function: a query of 300 ids in 8 192 bits answers for one id
+	// in 28, a handful in every leaf of 256.
+	cfg := Config{Namespace: M, Bits: 8192, K: 1, Seed: 3, Depth: 4}
+	rng := rand.New(rand.NewSource(4))
+	left := uniformSet(rng, M/2, 400) // leaves 0–7
+	tree, err := BuildPruned(cfg, left)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := buildQueryFilter(t, tree, left[:300])
+	v := tree.VersionFor(q)
+	if v.Index() == nil || v.Index() != tree.IndexFor(q) {
+		t.Fatal("a cold version has one estimate index")
+	}
+	v.Pay(M)
+	first := v.Positives()
+	if first == nil {
+		t.Fatal("no table after paying the price")
+	}
+	checkTable(t, first, naivePositives(tree, q))
+	if v.index.Load() != nil {
+		t.Fatal("the warm version still holds its estimate index")
+	}
+
+	// Ids the existing leaves already cover, and new ones inside them: node
+	// filters change, the set of leaves does not.
+	nodes := tree.Nodes()
+	if err := tree.InsertBatch(append(uniformSet(rng, M/2, 300), left...)); err != nil {
+		t.Fatal(err)
+	}
+	if tree.Nodes() != nodes || tree.GrowthEpoch() == 0 {
+		t.Fatalf("the saturated insert was meant to publish filters and no node (%d → %d nodes)", nodes, tree.Nodes())
+	}
+	if v.Positives() != first || tree.PositivesStats().Dropped != 0 {
+		t.Fatal("growth that created no node dropped the table")
+	}
+
+	// One id in the right half: a new leaf, whose range holds false positives
+	// of q.
+	if err := tree.Insert(M/2 + 5); err != nil {
+		t.Fatal(err)
+	}
+	if tree.Nodes() == nodes {
+		t.Fatal("the insert was meant to create a leaf")
+	}
+	if v.Positives() != nil {
+		t.Fatal("a table older than a leaf was served")
+	}
+	if st := tree.PositivesStats(); st.Dropped != 1 || st.Scans != 1 {
+		t.Fatalf("after growth under a warm version: %+v", st)
+	}
+	v.Pay(M - 1)
+	if v.Positives() != nil || tree.PositivesStats().Scans != 1 {
+		t.Fatal("the version scanned again without paying again")
+	}
+	v.Pay(1)
+	second := v.Positives()
+	if second == nil || second == first || tree.PositivesStats().Scans != 2 {
+		t.Fatalf("the version did not pay for a second table (%+v)", tree.PositivesStats())
+	}
+	want := naivePositives(tree, q)
+	checkTable(t, second, want)
+	if second.Len() <= first.Len() || want[len(want)-1] < M/2 {
+		t.Fatalf("the new leaf added no positive (%d → %d): the test needs one", first.Len(), second.Len())
+	}
+}
+
+// TestPositivesOneScanUnderContention: eight goroutines draw from one cold
+// version and pay as they go; they cross the price together, exactly one of
+// them scans, and every id any of them returns — by descent before, from
+// the table after — is a positive of the version. Run under -race.
+func TestPositivesOneScanUnderContention(t *testing.T) {
+	const M = 1 << 14
+	tree, err := BuildTree(Config{Namespace: M, Bits: 1 << 14, K: 3, Seed: 5, Depth: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := buildQueryFilter(t, tree, uniformSet(rand.New(rand.NewSource(6)), M, 600))
+	want := naivePositives(tree, q)
+	v := tree.VersionFor(q)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			est := Estimates{Index: v.Index()}
+			var scratch []uint64
+			warm := 0
+			for i := 0; warm < 200; i++ {
+				var x uint64
+				if p := v.Positives(); p != nil {
+					x = p.Select(rng.Intn(p.Len()))
+					warm++
+				} else {
+					tested := est.Tested
+					var err error
+					if x, scratch, err = tree.SampleMemo(q, rng, nil, scratch, &est); err != nil {
+						t.Error(err)
+						return
+					}
+					v.Pay(est.Tested - tested)
+				}
+				if _, found := slices.BinarySearch(want, x); !found {
+					t.Errorf("goroutine %d drew %d, not a positive", g, x)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := tree.PositivesStats(); st.Scans != 1 || st.Declined != 0 || st.Dropped != 0 {
+		t.Fatalf("eight goroutines crossing the price together: %+v", st)
+	}
+	checkTable(t, v.Positives(), want)
+}

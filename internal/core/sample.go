@@ -130,6 +130,10 @@ type Estimates struct {
 	// (what Ops.Intersections counts), Remembered those they read back from
 	// Index or Memo instead.
 	Computed, Remembered uint64
+	// Tested counts the ids the calls tested at their leaves, probes fired
+	// and ranges scanned (what Ops.Memberships counts): what a served draw
+	// pays its Version.
+	Tested uint64
 }
 
 // SampleMemo is SampleScratch reading child estimates back where est has
@@ -160,6 +164,7 @@ func (t *Tree) SampleMemo(q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch []u
 	if est != nil {
 		est.Computed += d.computed
 		est.Remembered += d.remembered
+		est.Tested += d.tested
 	}
 	if !ok {
 		return 0, d.scratch, ErrNoSample
@@ -175,8 +180,9 @@ type descent struct {
 	scratch []uint64
 	memo    *Memo
 	index   *EstimateIndex
-	// Estimates computed and read back so far; see Estimates.
-	computed, remembered uint64
+	// Estimates computed and read back, and ids tested at leaves, so far;
+	// see Estimates.
+	computed, remembered, tested uint64
 }
 
 // sampleNode samples from the subtree of the root n.
@@ -312,6 +318,7 @@ func (t *Tree) sampleLeaf(n *node, d *descent) (uint64, bool) {
 			x := n.lo + uint64(d.rng.Int63n(int64(span)))
 			var hit bool
 			if hit, d.scratch = d.q.Probe(x, d.scratch); hit {
+				d.tested += fired
 				if d.ops != nil {
 					d.ops.LeavesScanned++
 					d.ops.Memberships += fired
@@ -319,10 +326,12 @@ func (t *Tree) sampleLeaf(n *node, d *descent) (uint64, bool) {
 				return x, true
 			}
 		}
+		d.tested += span / leafProbeShare
 		if d.ops != nil {
 			d.ops.Memberships += span / leafProbeShare
 		}
 	}
+	d.tested += n.hi - n.lo
 	hits := t.positivesInLeaf(n, d.q, d.ops, d.scratch[:0])
 	d.scratch = hits
 	var chosen uint64

@@ -211,6 +211,10 @@ type Tree struct {
 	// after construction.
 	spineDepth int
 	stripes    []growthStripe
+
+	// What the versions of the filters served have done between them; see
+	// PositivesStats.
+	scans, scansDeclined, tablesDropped, packedBytes atomic.Uint64
 }
 
 // rootNode returns the current root (nil for an empty pruned tree).
@@ -259,10 +263,11 @@ func (t *Tree) MemoryBytes() uint64 {
 // of a pruned tree (one per stripe, in namespace order; each counts the
 // insert batches published into that subtree). Nil for full trees. The
 // counters let callers observe that concurrent inserts into different
-// subtrees really do proceed independently. They invalidate nothing: the one
-// thing that remembers estimates across growth, the EstimateIndex, checks
-// each pair against the stamps of the two child filters it was computed
-// from, which is exact and per node where an epoch is per region.
+// subtrees really do proceed independently. They invalidate nothing: of the
+// two things remembered across growth, the EstimateIndex checks each pair
+// against the stamps of the two child filters it was computed from, which is
+// exact and per node where an epoch is per region, and a version's Positives
+// depend on which leaves exist and are checked against Nodes().
 func (t *Tree) SubtreeEpochs() []uint64 {
 	if t.stripes == nil {
 		return nil

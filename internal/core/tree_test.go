@@ -527,9 +527,10 @@ func TestPlanTreeMatchesPaperTable3(t *testing.T) {
 	// With the default cost model the planned depth should track the
 	// paper's Table 3 (M = 10⁷, n = 10³) within one level; no single
 	// icost/mcost model reproduces every row of the paper's table exactly
-	// (its rows are mutually inconsistent under the §5.4 rule — see
-	// EXPERIMENTS.md), so the anchors at 0.5, 0.9 and 1.0 are checked
-	// exactly and the rest within ±1.
+	// (its rows are mutually inconsistent under the §5.4 rule; README's
+	// second paragraph records the reproduction's other known deviation,
+	// Table 5), so the anchors at 0.5, 0.9 and 1.0 are checked exactly and
+	// the rest within ±1.
 	cases := []struct {
 		acc       float64
 		wantDepth int

@@ -1,0 +1,165 @@
+package core
+
+import (
+	"math"
+	"slices"
+	"sync/atomic"
+
+	"repro/internal/bloom"
+)
+
+// Version is what a tree remembers about one immutable version of a query
+// filter, for as long as that version lives: it hangs on the filter itself
+// (bloom.Filter's derived slot, VersionFor), so there is no table of
+// versions, nothing to evict and nothing for a writer to invalidate — a
+// write publishes a new filter, which starts without one, and the old one is
+// garbage with the version it describes.
+//
+// It has a cold half and a warm one. Cold, a draw is Algorithm 1's descent
+// and what is remembered is estimates: the EstimateIndex. Warm, the version
+// holds its Positives and a draw is a uniform pick among them.
+//
+// The move from one to the other is ski-rental in the paper's own cost unit
+// (§5.4: memberships). Every served draw reports the ids it tested at its
+// leaf (Pay); a scan of the leaves would test at most Namespace ids — all of
+// them on a full tree or a fully occupied pruned one, so that is the price —
+// and the draw that takes the version's total past the price runs the scan,
+// once, inline, while everyone else keeps descending. A version therefore
+// never tests more than twice the ids its best offline choice would have: a
+// key written every few draws (hundreds of ids tested a version against a
+// price of 10⁵) never scans, a read-mostly key always does, and no clock or
+// tunable decides which. The table is kept only if it fits in the bytes of
+// the version's own bit vector (≈ 0.46 of them at the planned sizes); a
+// filter so full that its positives outweigh it declines once and stays on
+// the descent. Once warm the index is released: nothing reads estimates any
+// more.
+type Version struct {
+	tree *Tree
+	q    *bloom.Filter
+
+	index atomic.Pointer[EstimateIndex]
+	// rent is the ids served draws have tested at their leaves since the
+	// version last had no table.
+	rent atomic.Uint64
+	// pos is nil while renting, one of the two sentinels below while or
+	// after a scan that left nothing to serve, and the table otherwise.
+	pos atomic.Pointer[Positives]
+}
+
+var (
+	scanning = new(Positives) // a scan is under way
+	declined = new(Positives) // the positives outweigh the filter
+)
+
+// PositivesStats counts, over every version of every filter the tree has
+// served, the scans run, those of them that declined (the table outgrew its
+// version's bytes), the tables dropped because the tree grew a leaf under
+// them, and the bytes of all tables kept.
+type PositivesStats struct {
+	Scans, Declined, Dropped, PackedBytes uint64
+}
+
+// PositivesStats returns the tree's counts.
+func (t *Tree) PositivesStats() PositivesStats {
+	return PositivesStats{
+		Scans:       t.scans.Load(),
+		Declined:    t.scansDeclined.Load(),
+		Dropped:     t.tablesDropped.Load(),
+		PackedBytes: t.packedBytes.Load(),
+	}
+}
+
+// VersionFor returns what this tree remembers about q, creating and
+// attaching it on first use. q must be an immutable filter version: what is
+// remembered is only as good as the promise that q's bits no longer change
+// (bloom drops it on every in-place mutator, but cannot see a write through
+// Bits()). It is nil when q's derived slot is taken by something else —
+// another tree's Version included: stamps and leaves are one tree's. Safe
+// for concurrent callers, who all get the same value.
+func (t *Tree) VersionFor(q *bloom.Filter) *Version {
+	d := q.Derived()
+	if d == nil {
+		d = q.AttachDerived(&Version{tree: t, q: q})
+	}
+	if v, ok := d.(*Version); ok && v.tree == t {
+		return v
+	}
+	return nil
+}
+
+// IndexFor returns the estimate index of q against this tree: VersionFor's
+// cold half.
+func (t *Tree) IndexFor(q *bloom.Filter) *EstimateIndex { return t.VersionFor(q).Index() }
+
+// Index returns the version's estimate index, creating it when there is none
+// — on first use, and again after a scan released it if somebody still
+// descends (a caller counting Ops, a version whose table was dropped). Nil
+// for a nil version.
+func (v *Version) Index() *EstimateIndex {
+	if v == nil {
+		return nil
+	}
+	x := v.index.Load()
+	if x == nil {
+		levels := indexLevels(v.q.SizeBytes(), v.tree.cfg.Depth)
+		x = &EstimateIndex{tree: v.tree, slots: make([]indexSlot, 1<<levels-1)}
+		if !v.index.CompareAndSwap(nil, x) {
+			return v.Index()
+		}
+	}
+	return x
+}
+
+// Positives returns the version's table while it is true, nil otherwise (a
+// nil version included). What a version answers for depends on the query and
+// on which leaves exist, never on a node filter's bits, and a pruned tree
+// publishes a leaf before it counts it: a table whose scan began at today's
+// node count saw every leaf there is. One that did not is dropped here, and
+// the version starts renting again.
+func (v *Version) Positives() *Positives {
+	if v == nil {
+		return nil
+	}
+	p := v.pos.Load()
+	if p == nil || p == scanning || p == declined {
+		return nil
+	}
+	if p.nodes != v.tree.Nodes() {
+		v.rent.Store(0)
+		if v.pos.CompareAndSwap(p, nil) {
+			v.tree.tablesDropped.Add(1)
+		}
+		return nil
+	}
+	return p
+}
+
+// Pay adds the ids a served draw tested at its leaf to what the version has
+// spent descending, and runs the scan if this payment is the one that takes
+// the total past the price. Callers that count a descent's Ops neither pay
+// nor are served from the table: theirs is the nil version, which takes
+// nothing.
+func (v *Version) Pay(tested uint64) {
+	if v == nil || tested == 0 || v.rent.Add(tested) < v.tree.cfg.Namespace ||
+		v.pos.Load() != nil || !v.pos.CompareAndSwap(nil, scanning) {
+		return
+	}
+	t := v.tree
+	t.scans.Add(1)
+	p := &Positives{nodes: t.Nodes()}
+	buf := make([]uint64, 0, ScratchHint)
+	// The version's own bytes, and never more than a block's 32-bit offset
+	// can address.
+	budget := min(v.q.SizeBytes(), math.MaxUint32)
+	if !t.packPositives(t.rootNode(), v.q, p, budget, &buf) {
+		t.scansDeclined.Add(1)
+		v.pos.Store(declined)
+		return
+	}
+	// Packed by append, kept at its size.
+	p.firsts, p.offs, p.gaps = slices.Clone(p.firsts), slices.Clone(p.offs), slices.Clone(p.gaps)
+	t.packedBytes.Add(p.Bytes())
+	// The table first: whoever still finds none finds the index it was using.
+	v.pos.Store(p)
+	v.index.Store(nil)
+}

@@ -124,7 +124,7 @@ func RunChiSquared(cfg Config) ([]*Table, error) {
 			// Raw BSTSample (batched through SampleN, which preserves the
 			// per-path distribution, §5.3) for comparison: at the paper's
 			// filter sizes the estimator noise makes it visibly
-			// non-uniform (see EXPERIMENTS.md).
+			// non-uniform (README's second paragraph has the numbers).
 			rawCounts := make([]int, n)
 			for done := 0; done < rounds; {
 				want := rounds - done

@@ -151,6 +151,17 @@ func newDynamicWith(kind Kind, fam hashfam.Family, capacityHint uint64, ids []ui
 	return nil, fmt.Errorf("membership: unknown backend kind %q", kind)
 }
 
+// MatchesFamily returns nil if m was built with parameters equal to fam's,
+// and the error of bloom.Filter.MatchesFamily otherwise. It builds nothing:
+// a counting set is asked about its counters, not about the query view a
+// loader has no use for; the other backends hold theirs already.
+func MatchesFamily(m Membership, fam hashfam.Family) error {
+	if s, ok := m.(countingSet); ok {
+		return s.c.MatchesFamily(fam)
+	}
+	return m.QueryView().MatchesFamily(fam)
+}
+
 // FromBloom wraps a plain Bloom filter as a (static) Membership.
 func FromBloom(f *bloom.Filter) Membership { return bloomSet{f} }
 

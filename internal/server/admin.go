@@ -146,6 +146,12 @@ func (s *Server) collectMetrics() *obs.Exposition {
 	e.Counter("bst_db_sample_draws_lost_total", "Batch sample draws that ended on a false-positive path (requested minus returned).", float64(st.SampleDrawsLost))
 	e.Counter("bst_db_estimates_computed_total", "Intersection estimates computed by sampling requests.", float64(st.EstimatesComputed))
 	e.Counter("bst_db_estimates_remembered_total", "Intersection estimates sampling requests read back from a filter version's index or the request's memo instead of computing them.", float64(st.EstimatesRemembered))
+	e.Counter("bst_db_draws_warm_total", "Sample draws that were uniform picks from a filter version's packed positives.", float64(st.DrawsWarm))
+	e.Counter("bst_db_draws_descended_total", "Sample draws that were descents of the sampling tree (lost ones included).", float64(st.DrawsDescended))
+	e.Counter("bst_db_positives_scans_total", "Leaf scans run by filter versions whose draws had tested as many ids as the scan would.", float64(st.PositivesScans))
+	e.Counter("bst_db_positives_declined_total", "Leaf scans that kept nothing because the packed positives outgrew the filter version's own bytes.", float64(st.PositivesDeclined))
+	e.Counter("bst_db_positives_dropped_total", "Packed-positives tables dropped because the pruned sampling tree grew a leaf under them.", float64(st.PositivesDropped))
+	e.Counter("bst_db_positives_bytes_total", "Bytes of every packed-positives table kept (cumulative; tables die with their filter version).", float64(st.PositivesBytes))
 	e.Counter("bst_db_generations_total", "Key lifetimes ever created (a write to an existing key does not move it).", float64(st.Generations))
 	e.Gauge("bst_db_tree_nodes", "Materialized BST nodes.", float64(st.TreeNodes))
 	e.Gauge("bst_db_tree_memory_bytes", "Bytes held by the sampling tree.", float64(st.TreeMemoryBytes))

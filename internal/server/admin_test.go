@@ -152,9 +152,68 @@ func TestMetricsExposition(t *testing.T) {
 		"bst_go_goroutines",
 		`bst_admission_limit{budget="global"}`,
 		"# HELP bst_db_growth_epoch Growth publishes of the pruned sampling tree, summed over its subtrees (0 for a full tree).\n",
+		"# HELP bst_db_draws_warm_total Sample draws that were uniform picks from a filter version's packed positives.\n",
+		"# HELP bst_db_draws_descended_total Sample draws that were descents of the sampling tree (lost ones included).\n",
+		"bst_db_draws_descended_total 12\n",
+		"# HELP bst_db_positives_scans_total Leaf scans run by filter versions whose draws had tested as many ids as the scan would.\n",
+		"# HELP bst_db_positives_declined_total Leaf scans that kept nothing because the packed positives outgrew the filter version's own bytes.\n",
+		"# HELP bst_db_positives_dropped_total Packed-positives tables dropped because the pruned sampling tree grew a leaf under them.\n",
+		"# HELP bst_db_positives_bytes_total Bytes of every packed-positives table kept (cumulative; tables die with their filter version).\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("scrape missing %q", want)
+		}
+	}
+}
+
+// TestVersionCountersAreServed samples one key until its filter version has
+// paid for its scan and a request has been served from the table, writes to
+// another key so that the pruned tree grows a leaf under it, samples once
+// more, and reads the six counters of that life from both stats surfaces:
+// /v1/stats and /metrics report the same numbers, and they are the numbers
+// of what happened — one scan, none declined, one table dropped, its bytes,
+// and draws on both sides.
+func TestVersionCountersAreServed(t *testing.T) {
+	srv, data, admin := newObsServer(t, Config{})
+	sample := func() {
+		t.Helper()
+		resp, err := http.Post(data.URL+"/v1/sample", "application/json", strings.NewReader(`{"key":"plain","n":32}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	for i := 0; srv.DB().Stats().DrawsWarm == 0; i++ {
+		if i == 10_000 {
+			t.Fatal("the key never went warm")
+		}
+		sample()
+	}
+	if err := srv.DB().Add("elsewhere", 99_000); err != nil {
+		t.Fatal(err)
+	}
+	sample()
+	var st StatsResponse
+	_, body := get(t, data.URL+"/v1/stats")
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.DB.PositivesScans != 1 || st.DB.PositivesDeclined != 0 || st.DB.PositivesDropped != 1 || st.DB.PositivesBytes == 0 ||
+		st.DB.DrawsWarm == 0 || st.DB.DrawsDescended < 64 {
+		t.Fatalf("/v1/stats after a key went warm and the tree grew under it: %+v", st.DB)
+	}
+	_, metrics := get(t, admin.URL+"/metrics")
+	for name, v := range map[string]uint64{
+		"bst_db_draws_warm_total":         st.DB.DrawsWarm,
+		"bst_db_draws_descended_total":    st.DB.DrawsDescended,
+		"bst_db_positives_scans_total":    st.DB.PositivesScans,
+		"bst_db_positives_declined_total": st.DB.PositivesDeclined,
+		"bst_db_positives_dropped_total":  st.DB.PositivesDropped,
+		"bst_db_positives_bytes_total":    st.DB.PositivesBytes,
+	} {
+		if want := name + " " + strconv.FormatUint(v, 10); !strings.Contains(metrics, want+"\n") {
+			t.Errorf("/metrics lacks %q", want)
 		}
 	}
 }

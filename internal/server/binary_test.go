@@ -21,6 +21,13 @@ func newBinaryTestServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
 	_, db := newTestServer(t, Config{}) // reuse the db builder; its httptest server is torn down by Cleanup
 	s := New(db, cfg)
+	return s, serveBinaryForTest(t, s)
+}
+
+// serveBinaryForTest serves s on a loopback binary listener until the test
+// ends and returns the dial address.
+func serveBinaryForTest(t *testing.T, s *Server) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +42,7 @@ func newBinaryTestServer(t *testing.T, cfg Config) (*Server, string) {
 			t.Errorf("ServeBinary returned %v, want ErrBinaryClosed", err)
 		}
 	})
-	return s, ln.Addr().String()
+	return ln.Addr().String()
 }
 
 func dialTestClient(t *testing.T, addr string) *wire.Client {

@@ -233,6 +233,12 @@ type ReconstructResponse struct {
 // before the walk is paid for, and on the ids the walk returned, which
 // hold the filter's false positives too and are what the cap promises to
 // bound.
+//
+// It is the paper's traversal (§6) even when the version holds its packed
+// positives (core.Version), and on purpose: the thresholded walk drops
+// leaves that hold only false positives, so it answers with fewer of them —
+// and on a saturated tree with fewer members — than the table does. The
+// endpoint is pinned to that answer; the table is sampling's.
 func (s *Server) reconstruct(req ReconstructRequest) (ReconstructResponse, error) {
 	db := s.DB()
 	f, err := pinned(db, req.Key)
@@ -466,6 +472,12 @@ type DBStats struct {
 	SampleDrawsLost         uint64  `json:"sample_draws_lost"`    // batch draws that ended on a false-positive path: Σ requested − returned
 	EstimatesComputed       uint64  `json:"estimates_computed"`   // intersection estimates sampling requests computed
 	EstimatesRemembered     uint64  `json:"estimates_remembered"` // and those read back from a filter version's index or the request's memo
+	DrawsWarm               uint64  `json:"draws_warm"`           // draws that were uniform picks from a filter version's packed positives
+	DrawsDescended          uint64  `json:"draws_descended"`      // draws that were descents of the tree (lost ones included)
+	PositivesScans          uint64  `json:"positives_scans"`      // leaf scans run by filter versions whose draws had tested a scan's worth of ids
+	PositivesDeclined       uint64  `json:"positives_declined"`   // scans that kept nothing: the table outgrew the version's own bytes
+	PositivesDropped        uint64  `json:"positives_dropped"`    // tables dropped because the pruned tree grew a leaf under them
+	PositivesBytes          uint64  `json:"positives_bytes"`      // bytes of every table kept, cumulative
 	Generations             uint64  `json:"generations"`          // key lifetimes ever created; a write to an existing key does not move it
 	TreeNodes               uint64  `json:"tree_nodes"`
 	TreeDepth               int     `json:"tree_depth"`
@@ -545,6 +557,12 @@ func (s *Server) stats() StatsResponse {
 			SampleDrawsLost:         st.SampleDrawsLost,
 			EstimatesComputed:       st.EstimatesComputed,
 			EstimatesRemembered:     st.EstimatesRemembered,
+			DrawsWarm:               st.DrawsWarm,
+			DrawsDescended:          st.DrawsDescended,
+			PositivesScans:          st.PositivesScans,
+			PositivesDeclined:       st.PositivesDeclined,
+			PositivesDropped:        st.PositivesDropped,
+			PositivesBytes:          st.PositivesBytes,
 			Generations:             st.Generations,
 			TreeNodes:               st.TreeNodes,
 			TreeDepth:               st.TreeDepth,

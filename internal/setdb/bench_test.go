@@ -149,25 +149,52 @@ func TestSampleManyAllocsPerDraw(t *testing.T) {
 	}
 }
 
-// BenchmarkSampleManyWarmVersion times the request the estimate index
-// exists for: a 64-draw frame on the benchmark's batch shape (depth 7,
-// m = 273 404) from a filter version whose 254 estimates are all
-// remembered, so that what is left is 64 descents of atomic loads and 64
-// sampled leaves. Run it at -cpu 1 against the parent commit's binary to
-// time the layer in pairs.
-func BenchmarkSampleManyWarmVersion(b *testing.B) {
-	db, _ := openShape(b, 10_000, 1_000_000, 16, 10_000, false)
-	for i := 0; i < 100; i++ { // warm the version
-		if _, err := db.SampleManyWorkers("k3", 64, 1, nil); err != nil {
-			b.Fatal(err)
+// BenchmarkSampleManyVersion times one request on the two halves of a filter
+// version's life, on the benchmark's batch shape (M = 10⁶, depth 7, 64 draws
+// a frame) and point shape (M = 10⁵, depth 8, one draw): cold, the indexed
+// descent with every estimate the index covers remembered — what a version
+// serves until it has tested a scan's worth of ids, held there by counting
+// Ops — and warm, picks from the version's packed positives. Run it at
+// -cpu 1 against the parent commit's binary to time the layer in pairs; the
+// result slice is each side's one allocation.
+func BenchmarkSampleManyVersion(b *testing.B) {
+	for _, shape := range []struct {
+		name               string
+		setSize, namespace uint64
+		keys, draws        int
+	}{
+		{"batch", 10_000, 1_000_000, 16, 64},
+		{"point", 1_000, 100_000, 50, 1},
+	} {
+		db, _ := openShape(b, shape.setSize, shape.namespace, shape.keys, int(shape.setSize), false)
+		// More than the price on either shape, so nil Ops is warm from here
+		// on; the counted requests fill the index on the way.
+		for tested := uint64(0); tested < 2*shape.namespace; {
+			var ops core.Ops
+			if _, err := db.SampleManyWorkers("k3", 64, 1, &ops); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := db.SampleManyWorkers("k3", 64, 1, nil); err != nil {
+				b.Fatal(err)
+			}
+			tested += ops.Memberships
 		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		xs, err := db.SampleManyWorkers("k3", 64, 1, nil)
-		if err != nil || len(xs) != 64 {
-			b.Fatalf("%d ids, err %v", len(xs), err)
+		if db.tree.VersionFor(db.Filter("k3")).Positives() == nil {
+			b.Fatal("the version never went warm")
+		}
+		for _, side := range []struct {
+			name string
+			ops  *core.Ops
+		}{{"cold", new(core.Ops)}, {"warm", nil}} {
+			b.Run(shape.name+"/"+side.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					xs, err := db.SampleManyWorkers("k3", shape.draws, 1, side.ops)
+					if err != nil || len(xs) != shape.draws {
+						b.Fatalf("%d ids, err %v", len(xs), err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -71,6 +71,24 @@ type DBStats struct {
 	// the share of the descent's dominant cost that sampling did not pay.
 	EstimatesComputed   uint64
 	EstimatesRemembered uint64
+	// DrawsWarm counts the draws of those requests that were uniform picks
+	// from a filter version's packed positives (core.Positives),
+	// DrawsDescended those that were descents of the tree, lost ones
+	// included: only the second kind reads an estimate, so their share is how
+	// much of the sampling traffic the index and the memo still serve.
+	DrawsWarm      uint64
+	DrawsDescended uint64
+	// PositivesScans counts the leaf scans filter versions have run to find
+	// their positives (one per version, once its draws had tested as many
+	// ids as the scan would), PositivesDeclined those of them that kept
+	// nothing because the table outgrew the version's own bytes,
+	// PositivesDropped the tables dropped because the pruned tree grew a
+	// leaf under them, and PositivesBytes the bytes of every table kept
+	// (dropped and garbage ones included: it only grows).
+	PositivesScans    uint64
+	PositivesDeclined uint64
+	PositivesDropped  uint64
+	PositivesBytes    uint64
 	// Generations is the number of key lifetimes ever created (it only
 	// grows; Delete does not reclaim it, and a write to an existing key
 	// does not move it).
@@ -135,6 +153,8 @@ func (db *DB) Stats() DBStats {
 		SampleDrawsLost:     db.lostDraws.Load(),
 		EstimatesComputed:   db.estimatesComputed.Load(),
 		EstimatesRemembered: db.estimatesRemembered.Load(),
+		DrawsWarm:           db.drawsWarm.Load(),
+		DrawsDescended:      db.drawsDescended.Load(),
 		Generations:         db.gen.Load(),
 		Samplers:            map[string]core.UniformStats{},
 		TreeNodes:           db.tree.Nodes(),
@@ -144,6 +164,9 @@ func (db *DB) Stats() DBStats {
 		GrowthEpoch:         db.tree.GrowthEpoch(),
 		SubtreeEpochs:       db.tree.SubtreeEpochs(),
 	}
+	ps := db.tree.PositivesStats()
+	st.PositivesScans, st.PositivesDeclined = ps.Scans, ps.Declined
+	st.PositivesDropped, st.PositivesBytes = ps.Dropped, ps.PackedBytes
 	st.Backend.Kind = string(db.opts.Backend)
 	var lfSum float64
 	var lfN int

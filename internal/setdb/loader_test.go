@@ -3,9 +3,11 @@ package setdb
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"runtime"
 	"testing"
 
+	"repro/internal/bloom"
 	"repro/internal/membership"
 )
 
@@ -180,4 +182,65 @@ func FuzzReadBundleSets(f *testing.F) {
 			t.Fatalf("a reloaded database serialises differently (err %v)", err)
 		}
 	})
+}
+
+// TestLoaderBuildsNoView: a restore checks every set against the database's
+// hash family, and a counting set answers for its counters — so the keys of
+// a loaded database are as viewless as they were written (the check used to
+// go through QueryView and project, and pin, a view per removable key at
+// boot). A set built with another family is still refused, in the words the
+// view's comparison used.
+func TestLoaderBuildsNoView(t *testing.T) {
+	src, err := Open(loaderOptions(membership.KindCounting))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"a", "b", "c", "d"}
+	for i, key := range keys {
+		if err := src.AddDynamic(key, uint64(i), uint64(i)+10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var bare, bundle bytes.Buffer
+	if _, err := src.WriteTo(&bare); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.SnapshotView().WriteBundleTo(&bundle); err != nil {
+		t.Fatal(err)
+	}
+	for name, load := range map[string]func() (*DB, error){
+		"ReadFrom":   func() (*DB, error) { return ReadFrom(bytes.NewReader(bare.Bytes())) },
+		"ReadBundle": func() (*DB, error) { return ReadBundle(bytes.NewReader(bundle.Bytes())) },
+	} {
+		db, err := load()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, key := range keys {
+			if countingView(t, db, key) != nil {
+				t.Errorf("%s built a query view for %q", name, key)
+			}
+			if ok, err := db.Contains(key, uint64(i)+10); err != nil || !ok {
+				t.Errorf("%s: %q lost id %d (err %v)", name, key, i+10, err)
+			}
+		}
+	}
+
+	// The sections of a seed-7 database under the header of a seed-8 one.
+	other := loaderOptions(membership.KindCounting)
+	other.Seed = 8
+	odb, err := Open(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var forged bytes.Buffer
+	if _, err := odb.WriteTo(&forged); err != nil {
+		t.Fatal(err)
+	}
+	header := forged.Len() - 8 // an empty database ends in its two section counts
+	_, err = ReadFrom(bytes.NewReader(append(forged.Bytes()[:header:header], bare.Bytes()[header:]...)))
+	const want = `setdb: dynamic set "a": bloom: incompatible filters: (m=64,k=2,fast,seed=7) vs (m=64,k=2,fast,seed=8)`
+	if !errors.Is(err, bloom.ErrIncompatible) || err.Error() != want {
+		t.Fatalf("a counting set of another family: err %v, want %s", err, want)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bloom"
 	"repro/internal/core"
@@ -16,14 +17,17 @@ import (
 // the tree is never mutated in place, so the workers below run genuinely
 // in parallel, each with its own sampleWorker and Ops accumulator, all
 // sharing the same stored filter and what is remembered about it: the
-// version's core.EstimateIndex, which hangs on the filter itself, outlives
-// the request and is read without a lock, and for the tree levels the index
-// does not cover the request's core.Memo — whose lock covers a table lookup,
+// filter's core.Version, which hangs on the filter itself, outlives the
+// request and is read without a lock — its positives once it has paid for
+// them, its estimate index until then — and for the tree levels the index
+// does not cover the request's core.Memo, whose lock covers a table lookup,
 // never a computation, and is the only one taken.
 
 // SampleMany draws n samples from the set under key using up to
-// GOMAXPROCS goroutines. The samples follow the same per-sample
-// distribution as n repeated Sample calls; their order is unspecified.
+// GOMAXPROCS goroutines; their order is unspecified. A filter version that
+// has not yet spent a scan's worth of draws is sampled by n independent
+// descents, each distributed as a Sample call; from then on by n exactly
+// uniform picks among the version's positives (sampleManyFilter).
 // Fewer than n results means some descents ended on false-positive paths
 // (the per-call ErrNoSample); an empty result for a present key is
 // possible only for an (almost) empty filter. A missing key returns an
@@ -83,9 +87,10 @@ func (db *DB) SampleUniformFrom(u *core.UniformSampler, n int) ([]uint64, error)
 type sampleWorker struct {
 	rng     *rand.Rand
 	scratch []uint64 // leaf-scan hits, threaded through every draw
-	// The estimates the worker's latest share computed and read back, left
-	// for whoever ran it to add to the database's counters.
-	computed, remembered uint64
+	// The estimates the worker's latest share computed and read back, and
+	// the draws of it that were picks from the version's positives, left for
+	// whoever ran it to add to the database's counters.
+	computed, remembered, warm uint64
 }
 
 var sampleWorkers = sync.Pool{New: func() any {
@@ -100,16 +105,16 @@ var sampleWorkers = sync.Pool{New: func() any {
 // earlier one.
 var requestMemos = sync.Pool{New: func() any { return new(core.Memo) }}
 
-// estimatesFor returns what the workers of one request of n draws from f
-// read child estimates through. f is pinned and immutable, so every request
-// gets the index that lives on it (created here by the first), a single draw
-// included: what a request pays for at the top of the tree no later request
-// on the version pays for again. The levels below the index are remembered
-// for the length of the request, in a pooled memo, when there are such
-// levels and a second draw to profit; putMemo takes it back once every
-// worker has returned.
-func estimatesFor(tree *core.Tree, f *bloom.Filter, n int) core.Estimates {
-	est := core.Estimates{Index: tree.IndexFor(f)}
+// estimatesFor returns what the workers of one request of n descents from
+// the version v read child estimates through. The version is pinned and
+// immutable, so every request gets the index that lives on it (created here
+// by the first), a single draw included: what a request pays for at the top
+// of the tree no later request on the version pays for again. The levels
+// below the index are remembered for the length of the request, in a pooled
+// memo, when there are such levels and a second draw to profit; putMemo
+// takes it back once every worker has returned.
+func estimatesFor(tree *core.Tree, v *core.Version, n int) core.Estimates {
+	est := core.Estimates{Index: v.Index()}
 	if n > 1 && est.Index.Levels() < tree.Depth() {
 		est.Memo = requestMemos.Get().(*core.Memo)
 	}
@@ -123,12 +128,28 @@ func putMemo(memo *core.Memo) {
 	}
 }
 
+// served returns the version a request's draws pay and may be served from:
+// v, or nil for a caller counting Ops, who keeps the descent it is counting.
+func served(v *core.Version, ops *core.Ops) *core.Version {
+	if ops != nil {
+		return nil
+	}
+	return v
+}
+
 // draw is a whole request on one worker: drawShared with the request's
-// estimates fetched and released around it.
+// estimates fetched and released around it — unless the version serves the
+// request from its positives, which reads no estimate and leaves the index
+// the version released where it is.
 func (w *sampleWorker) draw(tree *core.Tree, f *bloom.Filter, quota int, ops *core.Ops, out []uint64) (_ []uint64, lost int, err error) {
-	est := estimatesFor(tree, f, quota)
-	defer putMemo(est.Memo)
-	return w.drawShared(tree, f, quota, ops, out, est)
+	v := tree.VersionFor(f)
+	pay := served(v, ops)
+	var est core.Estimates
+	if pay.Positives() == nil {
+		est = estimatesFor(tree, v, quota)
+		defer putMemo(est.Memo)
+	}
+	return w.drawShared(tree, f, quota, ops, out, est, pay)
 }
 
 // drawShared makes quota independent root-to-leaf draws from f, reading
@@ -137,10 +158,23 @@ func (w *sampleWorker) draw(tree *core.Tree, f *bloom.Filter, quota int, ops *co
 // false-positive paths (core.ErrNoSample). Any other tree error ends the
 // worker's share. The ids are exactly what quota SampleScratch calls on the
 // same rng would return. The draw loop itself allocates nothing.
-func (w *sampleWorker) drawShared(tree *core.Tree, f *bloom.Filter, quota int, ops *core.Ops, out []uint64, est core.Estimates) (_ []uint64, lost int, err error) {
+//
+// With a version to serve (v non-nil) each descent pays v the ids it tested
+// at its leaf, and once v has its positives — this worker's payment may be
+// the one that scans for them — the rest of the share is picked from those.
+func (w *sampleWorker) drawShared(tree *core.Tree, f *bloom.Filter, quota int, ops *core.Ops, out []uint64, est core.Estimates, v *core.Version) (_ []uint64, lost int, err error) {
+	w.warm = 0
 	for i := 0; i < quota && err == nil; i++ {
+		if p := v.Positives(); p != nil {
+			var unpicked int
+			out, unpicked = w.pick(p, quota-i, out)
+			lost += unpicked
+			break
+		}
 		var x uint64
+		tested := est.Tested
 		x, w.scratch, err = tree.SampleMemo(f, w.rng, ops, w.scratch, &est)
+		v.Pay(est.Tested - tested)
 		switch err {
 		case nil:
 			out = append(out, x)
@@ -153,10 +187,27 @@ func (w *sampleWorker) drawShared(tree *core.Tree, f *bloom.Filter, quota int, o
 	return out, lost, err
 }
 
+// pick appends n ids drawn uniformly, with replacement, from p: the whole of
+// a draw on a version that has its positives. A version with none (a filter
+// whose set bits answer for no id of any leaf) loses all n.
+func (w *sampleWorker) pick(p *core.Positives, n int, out []uint64) (_ []uint64, lost int) {
+	w.warm += uint64(n)
+	if p.Len() == 0 {
+		return out, n
+	}
+	for i := 0; i < n; i++ {
+		out = append(out, p.Select(w.rng.Intn(p.Len())))
+	}
+	return out, 0
+}
+
 // sampleManyFilter draws n samples from one immutable filter with up to
 // workers goroutines (0 means GOMAXPROCS); a one-worker batch runs on the
-// caller's. Draws lost to false-positive paths, and the estimates the
-// request computed and read back, are counted in the database's Stats.
+// caller's, and so does any batch on a version that has its positives — n
+// picks are microseconds, less than the fan-out. Draws lost to
+// false-positive paths, the estimates the request computed and read back,
+// and how many of its draws were picks and how many descents, are counted in
+// the database's Stats.
 func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) ([]uint64, error) {
 	if n <= 0 {
 		return nil, nil
@@ -168,10 +219,12 @@ func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) (
 		workers = n
 	}
 	out := make([]uint64, 0, n)
-	if workers == 1 {
+	v := db.tree.VersionFor(f)
+	pay := served(v, ops)
+	if workers == 1 || pay.Positives() != nil {
 		w := sampleWorkers.Get().(*sampleWorker)
 		out, lost, err := w.draw(db.tree, f, n, ops, out)
-		db.recordDraws(lost, w.computed, w.remembered)
+		db.recordDraws(n, lost, w.computed, w.remembered, w.warm)
 		sampleWorkers.Put(w)
 		return out, err
 	}
@@ -179,14 +232,14 @@ func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) (
 	// Each worker fills its own quota-sized window of out; the windows are
 	// closed up afterwards, since a worker may return fewer than its quota.
 	type result struct {
-		xs                   []uint64
-		lost                 int
-		computed, remembered uint64
-		ops                  core.Ops
-		err                  error
+		xs                         []uint64
+		lost                       int
+		computed, remembered, warm uint64
+		ops                        core.Ops
+		err                        error
 	}
 	results := make([]result, workers)
-	est := estimatesFor(db.tree, f, n)
+	est := estimatesFor(db.tree, v, n)
 	var wg sync.WaitGroup
 	start := 0
 	for w := 0; w < workers; w++ {
@@ -204,8 +257,8 @@ func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) (
 				wops = &res.ops
 			}
 			sw := sampleWorkers.Get().(*sampleWorker)
-			res.xs, res.lost, res.err = sw.drawShared(db.tree, f, quota, wops, window, est)
-			res.computed, res.remembered = sw.computed, sw.remembered
+			res.xs, res.lost, res.err = sw.drawShared(db.tree, f, quota, wops, window, est, pay)
+			res.computed, res.remembered, res.warm = sw.computed, sw.remembered, sw.warm
 			sampleWorkers.Put(sw)
 		}()
 	}
@@ -213,13 +266,14 @@ func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) (
 	putMemo(est.Memo)
 
 	var firstErr error
-	var computed, remembered uint64
+	var computed, remembered, warm uint64
 	lost := 0
 	for i := range results {
 		out = append(out, results[i].xs...)
 		lost += results[i].lost
 		computed += results[i].computed
 		remembered += results[i].remembered
+		warm += results[i].warm
 		if ops != nil {
 			ops.Add(results[i].ops)
 		}
@@ -227,24 +281,28 @@ func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) (
 			firstErr = results[i].err
 		}
 	}
-	db.recordDraws(lost, computed, remembered)
+	db.recordDraws(n, lost, computed, remembered, warm)
 	return out, firstErr
 }
 
-// recordDraws adds one request's lost draws and its estimates, computed and
-// read back, to the database's counts: once per request, and leaving a
-// shared counter alone where the request has nothing to add — the usual
-// batch loses no draw, and on a warm version computes nothing.
-func (db *DB) recordDraws(lost int, computed, remembered uint64) {
-	if lost > 0 {
-		db.lostDraws.Add(uint64(lost))
+// recordDraws adds one request of n draws to the database's counts — the
+// draws it lost, the estimates it computed and read back, and how many of
+// the n were picks from a version's positives (the rest were descents):
+// once per request, and leaving a shared counter alone where the request has
+// nothing to add — a request on a version that has its positives touches one
+// counter, the usual descending batch loses no draw and on a version whose
+// index is full computes nothing.
+func (db *DB) recordDraws(n, lost int, computed, remembered, warm uint64) {
+	add := func(c *atomic.Uint64, d uint64) {
+		if d > 0 {
+			c.Add(d)
+		}
 	}
-	if computed > 0 {
-		db.estimatesComputed.Add(computed)
-	}
-	if remembered > 0 {
-		db.estimatesRemembered.Add(remembered)
-	}
+	add(&db.lostDraws, uint64(lost))
+	add(&db.estimatesComputed, computed)
+	add(&db.estimatesRemembered, remembered)
+	add(&db.drawsWarm, warm)
+	add(&db.drawsDescended, uint64(n)-warm)
 }
 
 // ReconstructAll reconstructs every set in the database using up to

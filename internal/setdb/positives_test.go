@@ -1,0 +1,250 @@
+package setdb
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"repro/internal/bloom"
+	"repro/internal/core"
+	"repro/internal/membership"
+)
+
+// leafPositives enumerates, one Contains at a time, the ids f answers for
+// inside the leaves of the database's tree: a pruned tree's leaves are the
+// leaf-sized ranges holding an id of any key.
+func leafPositives(db *DB, f *bloom.Filter, occupied ...[]uint64) []uint64 {
+	span := db.tree.LeafRange()
+	leaves := map[uint64]bool{}
+	for _, ids := range occupied {
+		for _, x := range ids {
+			leaves[x/span] = true
+		}
+	}
+	var out []uint64
+	for x := uint64(0); x < db.opts.Namespace; x++ {
+		if (!db.opts.Pruned || leaves[x/span]) && f.Contains(x) {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// warmUp samples key until its published version has its positives and
+// returns them.
+func warmUp(t *testing.T, db *DB, key string) *core.Positives {
+	t.Helper()
+	v := db.tree.VersionFor(db.Filter(key))
+	for i := 0; v.Positives() == nil; i++ {
+		if i == 100_000 {
+			t.Fatalf("%q is still descending after %d requests (%+v)", key, i, db.tree.PositivesStats())
+		}
+		if _, err := db.SampleMany(key, 16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return v.Positives()
+}
+
+// TestWarmVersionFollowsTreeGrowth is the growth gate at the request level,
+// on a pruned database whose namespace divides into leaves of equal span:
+// once a key's version is warm a request is all picks; after another key's
+// write creates a leaf, the next request on that same version is served by
+// descent and not from the table that predates the leaf; having paid again
+// the version holds the new leaf's false positives and draws them; and a
+// write that lands in existing leaves costs the warm version nothing.
+func TestWarmVersionFollowsTreeGrowth(t *testing.T) {
+	opts := Options{Namespace: 1 << 14, Bits: 1 << 14, K: 2, Seed: 11, TreeDepth: 4, Pruned: true}
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := rand.New(rand.NewSource(12))
+	low := make([]uint64, 900) // leaves 0–7 of 16
+	for i := range low {
+		low[i] = uint64(data.Intn(1 << 13))
+	}
+	if err := db.Add("a", low...); err != nil {
+		t.Fatal(err)
+	}
+	f := db.Filter("a")
+	table := warmUp(t, db, "a")
+	if got, want := table.AppendAll(nil), leafPositives(db, f, low); !slices.Equal(got, want) {
+		t.Fatalf("the warm table holds %d ids, the leaves %d positives", len(got), len(want))
+	}
+
+	before := db.Stats()
+	if ids, err := db.SampleManyFrom(f, 50, 0, nil); err != nil || len(ids) != 50 {
+		t.Fatalf("%d ids, err %v", len(ids), err)
+	}
+	if st := db.Stats(); st.DrawsWarm-before.DrawsWarm != 50 || st.DrawsDescended != before.DrawsDescended || st.EstimatesRemembered != before.EstimatesRemembered {
+		t.Fatalf("a request on a warm version: %d warm draws, %d descents", st.DrawsWarm-before.DrawsWarm, st.DrawsDescended-before.DrawsDescended)
+	}
+
+	// Saturated growth: ids of "a" again under another key.
+	if err := db.Add("b", low[:300]...); err != nil {
+		t.Fatal(err)
+	}
+	if v := db.tree.VersionFor(f); v.Positives() != table || db.Stats().PositivesDropped != 0 {
+		t.Fatal("a write into existing leaves dropped the table")
+	}
+
+	// One id in leaf 12: a new node.
+	high := []uint64{12<<10 + 7}
+	if err := db.Add("b", high...); err != nil {
+		t.Fatal(err)
+	}
+	before = db.Stats()
+	ids, err := db.SampleManyFrom(f, 50, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := db.Stats()
+	if st.DrawsWarm != before.DrawsWarm || st.DrawsDescended-before.DrawsDescended != 50 || st.PositivesDropped != 1 {
+		t.Fatalf("the request after a leaf appeared: %d warm draws, %d descents, %d tables dropped",
+			st.DrawsWarm-before.DrawsWarm, st.DrawsDescended-before.DrawsDescended, st.PositivesDropped)
+	}
+	want := leafPositives(db, f, low, high)
+	for _, x := range ids {
+		if _, found := slices.BinarySearch(want, x); !found {
+			t.Fatalf("drew %d, not a positive of the version", x)
+		}
+	}
+
+	again := warmUp(t, db, "a")
+	if st := db.Stats(); st.PositivesScans != 2 || again == table {
+		t.Fatalf("the version did not pay for a second table: %d scans", st.PositivesScans)
+	}
+	if got := again.AppendAll(nil); !slices.Equal(got, want) {
+		t.Fatalf("the second table holds %d ids, the leaves %d positives", len(got), len(want))
+	}
+	fresh := want[len(want)-1]
+	if fresh < 12<<10 {
+		t.Fatal("the new leaf holds no positive of the version: the test needs one")
+	}
+	drawn := false
+	for i := 0; i < 400 && !drawn; i++ {
+		ids, err := db.SampleManyFrom(f, 256, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drawn = slices.Contains(ids, fresh)
+	}
+	if !drawn {
+		t.Fatalf("id %d of the new leaf was never drawn", fresh)
+	}
+}
+
+// TestWriteHeavyKeysNeverScan drives the shape of the benchmark's mixed_wal
+// workload in process — 70 % single draws, 20 % adds, 10 % removes over
+// counting keys, ≈ 2.3 draws a filter version — and holds the rule to what
+// it is for: no version comes near a scan's worth of ids tested, so none
+// scans, and every draw is a descent.
+func TestWriteHeavyKeysNeverScan(t *testing.T) {
+	db, held := openShape(t, 1_000, 100_000, 40, 500, true)
+	rng := rand.New(rand.NewSource(3))
+	draws := uint64(0)
+	for op := 0; op < 20_000; op++ {
+		k := rng.Intn(len(held))
+		key := fmt.Sprintf("k%d", k)
+		switch p := rng.Intn(10); {
+		case p < 7:
+			if _, err := db.SampleMany(key, 1); err != nil {
+				t.Fatal(err)
+			}
+			draws++
+		case p < 9 || len(held[k]) < 8:
+			ids := []uint64{uint64(rng.Intn(100_000)), uint64(rng.Intn(100_000))}
+			if err := db.AddDynamic(key, ids...); err != nil {
+				t.Fatal(err)
+			}
+			held[k] = append(held[k], ids...)
+		default:
+			n := 1 + rng.Intn(4)
+			if err := db.RemoveDynamic(key, held[k][len(held[k])-n:]...); err != nil {
+				t.Fatal(err)
+			}
+			held[k] = held[k][:len(held[k])-n]
+		}
+	}
+	if st := db.Stats(); st.PositivesScans != 0 || st.PositivesBytes != 0 || st.DrawsWarm != 0 || st.DrawsDescended != draws {
+		t.Fatalf("%d draws on write-heavy keys: %d scans, %d B packed, %d warm draws, %d descents",
+			draws, st.PositivesScans, st.PositivesBytes, st.DrawsWarm, st.DrawsDescended)
+	}
+}
+
+// TestReadMostlyKeyScansOnce: requests on 8 goroutines, single draws and
+// frames, fanned out and not, take one cold version of each backend's key
+// past the price together. Exactly one scan runs per version however they
+// interleave, no later request runs another, every id returned on either
+// side of it is a positive of the version, and none is lost once it is
+// warm. Run under -race.
+func TestReadMostlyKeyScansOnce(t *testing.T) {
+	for _, backend := range []membership.Kind{membership.KindBloom, membership.KindCounting, membership.KindCuckoo} {
+		t.Run(string(backend), func(t *testing.T) {
+			opts, err := PlanOptions(0.9, 300, 20_000, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Seed = 17
+			if backend != membership.KindBloom {
+				opts.Backend = backend
+			}
+			db, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := rand.New(rand.NewSource(18))
+			ids := make([]uint64, 300)
+			for i := range ids {
+				ids[i] = uint64(data.Intn(20_000))
+			}
+			if err := db.AddMany(Write{Key: "s", IDs: ids, Dynamic: backend != membership.KindBloom}); err != nil {
+				t.Fatal(err)
+			}
+			f := db.Filter("s")
+			want := leafPositives(db, f)
+
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					n, workers := 1+g%3*20, g%2*3
+					for i := 0; i < 600; i++ {
+						got, err := db.SampleManyFrom(f, n, workers, nil)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						for _, x := range got {
+							if _, found := slices.BinarySearch(want, x); !found {
+								t.Errorf("goroutine %d drew %d, not a positive", g, x)
+								return
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			st := db.Stats()
+			if st.PositivesScans != 1 || st.PositivesDeclined != 0 || st.PositivesDropped != 0 || st.DrawsWarm == 0 || st.DrawsDescended == 0 {
+				t.Fatalf("eight goroutines on one version: %d scans, %d declined, %d dropped, %d warm draws, %d descents",
+					st.PositivesScans, st.PositivesDeclined, st.PositivesDropped, st.DrawsWarm, st.DrawsDescended)
+			}
+			table := db.tree.VersionFor(f).Positives()
+			if table == nil || !slices.Equal(table.AppendAll(nil), want) || table.Bytes() != st.PositivesBytes || table.Bytes() > f.SizeBytes() {
+				t.Fatalf("the table does not hold the version's %d positives within its %d B", len(want), f.SizeBytes())
+			}
+			lost := st.SampleDrawsLost
+			if got, err := db.SampleManyFrom(f, 5_000, 4, nil); err != nil || len(got) != 5_000 {
+				t.Fatalf("a warm version returned %d of 5000 ids, err %v", len(got), err)
+			}
+			if st := db.Stats(); st.PositivesScans != 1 || st.SampleDrawsLost != lost {
+				t.Fatalf("after the version went warm: %d scans, %d more draws lost", st.PositivesScans, st.SampleDrawsLost-lost)
+			}
+		})
+	}
+}

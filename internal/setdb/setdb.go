@@ -216,6 +216,10 @@ type DB struct {
 	// estimates sampling requests computed and those they read back from a
 	// filter version's index or their own memo instead (see Stats).
 	estimatesComputed, estimatesRemembered atomic.Uint64
+	// drawsWarm and drawsDescended count the draws of the same requests that
+	// were picks from a filter version's positives and those that were
+	// descents of the tree (see Stats).
+	drawsWarm, drawsDescended atomic.Uint64
 }
 
 // recordWrites accumulates write-amplification accounting for one
@@ -587,7 +591,7 @@ func parse(r io.Reader) (*DB, error) {
 			if _, ok := m.(membership.DynamicMembership); ok != removable {
 				return fmt.Errorf("setdb: %s set %q: backend %q does not belong in this section", section, key, m.Backend())
 			}
-			if err := m.QueryView().MatchesFamily(db.fam); err != nil {
+			if err := membership.MatchesFamily(m, db.fam); err != nil {
 				return fmt.Errorf("setdb: %s set %q: %w", section, key, err)
 			}
 			h := keyHash(key)
