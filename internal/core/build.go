@@ -19,7 +19,9 @@ func BuildTree(cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.root.Store(t.buildFull(0, cfg.Namespace, cfg.Depth))
+	root := t.buildFull(0, cfg.Namespace, cfg.Depth)
+	t.root.Store(root)
+	t.count(measure(root))
 	return t, nil
 }
 
@@ -42,9 +44,9 @@ func BuildPruned(cfg Config, occupied []uint64) (*Tree, error) {
 		}
 	}
 	if len(ids) > 0 {
-		root, count := t.buildSubtree(0, cfg.Namespace, cfg.Depth, ids)
+		root := t.buildSubtree(0, cfg.Namespace, cfg.Depth, ids)
 		t.root.Store(root)
-		t.nodes.Store(count)
+		t.count(measure(root))
 	}
 	return t, nil
 }
@@ -69,12 +71,36 @@ func newTree(cfg Config, pruned bool) (*Tree, error) {
 	return t, nil
 }
 
+// measure returns the number of nodes under n, n included, and the number
+// of ids their leaves cover between them. It is taken of a subtree while
+// that is still private and folded into the tree's counts (count) only once
+// the subtree is published, so one discarded after a lost publish race never
+// skews them.
+func measure(n *node) (nodes, leafIDs uint64) {
+	if n == nil {
+		return 0, 0
+	}
+	left, right := n.children()
+	if left == nil && right == nil {
+		return 1, n.hi - n.lo
+	}
+	ln, li := measure(left)
+	rn, ri := measure(right)
+	return 1 + ln + rn, li + ri
+}
+
+// count folds a published subtree's measure into the tree's. The ids first:
+// they are a price, read when convenient, and the node count is what a
+// version's table is validated against.
+func (t *Tree) count(nodes, leafIDs uint64) {
+	t.leafIDs.Add(leafIDs)
+	t.nodes.Add(nodes)
+}
+
 // buildFull recursively builds the complete tree for [lo, hi) with the
-// given remaining depth. The node counter is advanced atomically so
-// BuildTreeParallel workers can share it.
+// given remaining depth.
 func (t *Tree) buildFull(lo, hi uint64, depth int) *node {
 	n := newNode(lo, hi, nil)
-	t.nodes.Add(1)
 	if depth == 0 || hi-lo <= 1 {
 		f := bloom.New(t.fam)
 		var buf []uint64
@@ -98,30 +124,26 @@ func (t *Tree) buildFull(lo, hi uint64, depth int) *node {
 }
 
 // buildSubtree builds a complete private subtree over [lo, hi) holding
-// exactly ids (sorted, non-empty) and returns it with its node count. The
-// subtree is not yet reachable by readers; the caller publishes it with a
-// single pointer store and only then folds the count into t.nodes, so a
-// subtree discarded after a lost publish race never skews the counter.
-func (t *Tree) buildSubtree(lo, hi uint64, depth int, ids []uint64) (*node, uint64) {
+// exactly ids (sorted, non-empty). The subtree is not yet reachable by
+// readers; the caller measures it, publishes it with a single pointer store
+// and only then counts it.
+func (t *Tree) buildSubtree(lo, hi uint64, depth int, ids []uint64) *node {
 	n := newNode(lo, hi, nil)
 	if depth == 0 || hi-lo <= 1 {
 		n.setFilter(bloom.NewFromElements(t.fam, ids))
-		return n, 1
+		return n
 	}
 	mid := split(lo, hi)
 	cut := sort.Search(len(ids), func(i int) bool { return ids[i] >= mid })
-	count := uint64(1)
 	var lf, rf *bloom.Filter
 	if cut > 0 {
-		child, c := t.buildSubtree(lo, mid, depth-1, ids[:cut])
+		child := t.buildSubtree(lo, mid, depth-1, ids[:cut])
 		n.left.Store(child)
-		count += c
 		lf = child.filter()
 	}
 	if cut < len(ids) {
-		child, c := t.buildSubtree(mid, hi, depth-1, ids[cut:])
+		child := t.buildSubtree(mid, hi, depth-1, ids[cut:])
 		n.right.Store(child)
-		count += c
 		rf = child.filter()
 	}
 	switch {
@@ -136,7 +158,7 @@ func (t *Tree) buildSubtree(lo, hi uint64, depth int, ids []uint64) (*node, uint
 		}
 		n.setFilter(f)
 	}
-	return n, count
+	return n
 }
 
 // stripeOf maps an id to the index of the subtree (stripe) that owns it,
@@ -218,9 +240,10 @@ func (t *Tree) growRoot(ids []uint64) {
 			t.growNode(root, t.cfg.Depth, ids)
 			return
 		}
-		sub, count := t.buildSubtree(0, t.cfg.Namespace, t.cfg.Depth, ids)
+		sub := t.buildSubtree(0, t.cfg.Namespace, t.cfg.Depth, ids)
+		nodes, leafIDs := measure(sub)
 		if t.root.CompareAndSwap(nil, sub) {
-			t.nodes.Add(count)
+			t.count(nodes, leafIDs)
 			return
 		}
 		// Another stripe published the first root; retry against it.
@@ -276,9 +299,10 @@ func (t *Tree) growChild(slot *atomic.Pointer[node], lo, hi uint64, depth int, i
 			t.growNode(child, depth, ids)
 			return
 		}
-		sub, count := t.buildSubtree(lo, hi, depth, ids)
+		sub := t.buildSubtree(lo, hi, depth, ids)
+		nodes, leafIDs := measure(sub)
 		if slot.CompareAndSwap(nil, sub) {
-			t.nodes.Add(count)
+			t.count(nodes, leafIDs)
 			return
 		}
 	}

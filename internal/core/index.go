@@ -15,8 +15,9 @@ import (
 // whatever a request computed against it holds for every later request on
 // the same version, and the index hangs on the version itself (it is the
 // cold half of the filter's Version, which says where that lives and why
-// nothing evicts or invalidates it) until the version has paid for a scan of
-// the leaves and draws from its Positives instead.
+// nothing evicts or invalidates it). Once the version has paid for a scan of
+// the leaves its draws pick from its Positives and read no estimate; its
+// reconstructions still read every verdict here.
 //
 // The tree side can change under a version: pruned-tree growth swaps node
 // filters. Every remembered pair is therefore filed under the stamps of the
@@ -35,10 +36,11 @@ import (
 // depth 8: 15 pairs, 360 B beside 3.4 KB). Below it a request's Memo
 // serves, as before.
 //
-// Only SampleMemo reads it. Sample, SampleScratch, SampleN, Reconstruct and
-// the uniform sampler compute what they always computed, so the paper's cost
-// units are not touched, and a remembered pair is the pair of float64s that
-// would have been computed: ids for a given rng state are SampleScratch's.
+// Only SampleMemo and ReconstructVersion read it. Sample, SampleScratch,
+// SampleN, Reconstruct and the uniform sampler compute what they always
+// computed, so the paper's cost units are not touched, and a remembered pair
+// is the pair of float64s that would have been computed: ids for a given rng
+// state are SampleScratch's, and a walk's verdicts are Reconstruct's.
 type EstimateIndex struct {
 	tree *Tree
 	// slots[i-1] belongs to the internal node at heap position i.

@@ -148,12 +148,12 @@ func ReadTree(r io.Reader) (*Tree, error) {
 		return nil, err
 	}
 	if hasRoot {
-		root, count, err := readNode(br, t, cfg.Depth)
+		root, err := readNode(br, t, cfg.Depth)
 		if err != nil {
 			return nil, err
 		}
 		t.root.Store(root)
-		t.nodes.Store(count)
+		t.count(measure(root))
 	}
 	if err := t.validateShape(); err != nil {
 		return nil, err
@@ -168,60 +168,57 @@ func ReadTree(r io.Reader) (*Tree, error) {
 // read through a bounded reader, so memory is allocated as bytes arrive and a
 // forged length — or a forged Bits in the header, which the length is checked
 // against — cannot make the loader allocate what the stream does not hold.
-func readNode(r *bufio.Reader, t *Tree, depth int) (*node, uint64, error) {
+func readNode(r *bufio.Reader, t *Tree, depth int) (*node, error) {
 	var hdr [16]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	n := newNode(binary.LittleEndian.Uint64(hdr[0:]), binary.LittleEndian.Uint64(hdr[8:]), nil)
 	var bl [4]byte
 	if _, err := io.ReadFull(r, bl[:]); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	blen := binary.LittleEndian.Uint32(bl[:])
 	if uint64(blen) > 8+(t.cfg.Bits/64+1)*8+8 {
-		return nil, 0, fmt.Errorf("core: node filter payload %d bytes too large", blen)
+		return nil, fmt.Errorf("core: node filter payload %d bytes too large", blen)
 	}
 	payload, err := io.ReadAll(io.LimitReader(r, int64(blen)))
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if uint32(len(payload)) != blen {
-		return nil, 0, io.ErrUnexpectedEOF
+		return nil, io.ErrUnexpectedEOF
 	}
 	var bits bitset.Set
 	if err := bits.UnmarshalBinary(payload); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if bits.Len() != t.cfg.Bits {
-		return nil, 0, fmt.Errorf("core: node filter has %d bits, tree expects %d", bits.Len(), t.cfg.Bits)
+		return nil, fmt.Errorf("core: node filter has %d bits, tree expects %d", bits.Len(), t.cfg.Bits)
 	}
 	n.setFilter(bloom.NewFromBits(t.fam, &bits))
 	mask, err := r.ReadByte()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if mask&3 != 0 && depth == 0 {
-		return nil, 0, fmt.Errorf("core: node [%d,%d) has children below the tree's depth %d", n.lo, n.hi, t.cfg.Depth)
+		return nil, fmt.Errorf("core: node [%d,%d) has children below the tree's depth %d", n.lo, n.hi, t.cfg.Depth)
 	}
-	count := uint64(1)
 	if mask&1 != 0 {
-		child, c, err := readNode(r, t, depth-1)
+		child, err := readNode(r, t, depth-1)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		n.left.Store(child)
-		count += c
 	}
 	if mask&2 != 0 {
-		child, c, err := readNode(r, t, depth-1)
+		child, err := readNode(r, t, depth-1)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		n.right.Store(child)
-		count += c
 	}
-	return n, count, nil
+	return n, nil
 }
 
 // validateShape checks structural invariants of a decoded tree: ranges

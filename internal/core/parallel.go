@@ -29,8 +29,7 @@ func BuildTreeParallel(cfg Config, workers int) (*Tree, error) {
 		fanDepth++
 	}
 	if fanDepth == 0 {
-		t.root.Store(t.buildFull(0, cfg.Namespace, cfg.Depth))
-		return t, nil
+		return BuildTree(cfg)
 	}
 
 	type job struct {
@@ -52,8 +51,6 @@ func BuildTreeParallel(cfg Config, workers int) (*Tree, error) {
 	}
 	enumerate(0, cfg.Namespace, cfg.Depth, fanDepth)
 
-	// Workers share the tree's atomic node counter, so subtrees build
-	// concurrently with no per-worker bookkeeping.
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
 	for _, j := range jobs {
@@ -88,12 +85,12 @@ func BuildTreeParallel(cfg Config, workers int) (*Tree, error) {
 			parent := newNode(l.lo, r.hi, f)
 			parent.left.Store(l)
 			parent.right.Store(r)
-			t.nodes.Add(1)
 			next = append(next, parent)
 		}
 		level = next
 	}
 	t.root.Store(level[0])
+	t.count(measure(level[0]))
 	return t, nil
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"encoding/binary"
+	"math"
+	"sort"
 
 	"repro/internal/bloom"
 )
@@ -62,16 +64,42 @@ func (p *Positives) Select(i int) uint64 {
 }
 
 // AppendAll appends every positive to out, ascending.
-func (p *Positives) AppendAll(out []uint64) []uint64 {
-	gaps := p.gaps
-	for i := 0; i < p.count; i++ {
+func (p *Positives) AppendAll(out []uint64) []uint64 { return p.appendBetween(0, math.MaxUint64, out) }
+
+// AppendRange appends the positives in [lo, hi) to out, ascending: what a
+// scan of a leaf over that range finds, read back.
+func (p *Positives) AppendRange(lo, hi uint64, out []uint64) []uint64 {
+	if hi <= lo {
+		return out
+	}
+	return p.appendBetween(lo, hi-1, out)
+}
+
+// appendBetween appends the positives in [lo, last] — last included, so that
+// the largest id there is has a range that holds it. It starts at the last
+// block whose first id does not exceed lo (the skip entries are searched,
+// no gap is read to get there) and decodes forward until an id passes last.
+func (p *Positives) appendBetween(lo, last uint64, out []uint64) []uint64 {
+	b := max(sort.Search(len(p.firsts), func(b int) bool { return p.firsts[b] > lo })-1, 0)
+	if b == len(p.firsts) {
+		return out
+	}
+	var x uint64
+	gaps := p.gaps[p.offs[b]:]
+	for i := b * positivesBlock; i < p.count; i++ {
 		if i%positivesBlock == 0 {
-			out = append(out, p.firsts[i/positivesBlock])
-			continue
+			x = p.firsts[i/positivesBlock]
+		} else {
+			gap, n := binary.Uvarint(gaps)
+			x += gap
+			gaps = gaps[n:]
 		}
-		gap, n := binary.Uvarint(gaps)
-		out = append(out, out[len(out)-1]+gap)
-		gaps = gaps[n:]
+		if x > last {
+			break
+		}
+		if x >= lo {
+			out = append(out, x)
+		}
 	}
 	return out
 }

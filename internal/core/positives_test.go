@@ -17,10 +17,7 @@ import (
 // leaf's range that q answers for, one Contains at a time.
 func naivePositives(tree *Tree, q *bloom.Filter) []uint64 {
 	var out []uint64
-	eachNode(tree.rootNode(), 1, func(n *node, _ uint64) {
-		if left, right := n.children(); left != nil || right != nil {
-			return
-		}
+	eachLeaf(tree, func(n *node) {
 		for x := n.lo; x < n.hi; x++ {
 			if q.Contains(x) {
 				out = append(out, x)
@@ -29,6 +26,22 @@ func naivePositives(tree *Tree, q *bloom.Filter) []uint64 {
 	})
 	slices.Sort(out)
 	return out
+}
+
+// eachLeaf calls visit with every leaf of the tree.
+func eachLeaf(tree *Tree, visit func(n *node)) {
+	eachNode(tree.rootNode(), 1, func(n *node, _ uint64) {
+		if left, right := n.children(); left == nil && right == nil {
+			visit(n)
+		}
+	})
+}
+
+// scanPrice is what the tree's LeafIDs is held to: the ids one scan of every
+// leaf tests, added up leaf by leaf.
+func scanPrice(tree *Tree) (price uint64) {
+	eachLeaf(tree, func(n *node) { price += n.hi - n.lo })
+	return price
 }
 
 // packed packs ids with no budget.
@@ -64,7 +77,9 @@ func checkTable(t *testing.T, p *Positives, ids []uint64) {
 // exactly {x in a leaf : q.Contains(x)} enumerated one id at a time, Select
 // returns its i-th element for every i, and it is kept only within the
 // filter's own bytes — otherwise the version has declined, for good, and
-// still samples by descent. The query is filled to where its false
+// still samples by descent. The price of the scan is the ids the leaves
+// hold, M on a full tree and what is occupied on a pruned one, and the
+// payment that reaches it is the one that scans. The query is filled to where its false
 // positives outnumber its members, so a scan that pruned a child on §5.6's
 // threshold or on an empty AND would leave ids out, and the filter sizes
 // straddle the budget.
@@ -93,7 +108,11 @@ func TestPositivesAreTheTruth(t *testing.T) {
 					if v.Positives() != nil {
 						t.Fatal("a version nobody has drawn from has a table")
 					}
-					v.Pay(M - 1)
+					price := tree.LeafIDs()
+					if price != scanPrice(tree) || price > M || !pruned && price != M {
+						t.Fatalf("M=%d depth=%d pruned=%v: a scan priced at %d ids, the leaves hold %d", M, depth, pruned, price, scanPrice(tree))
+					}
+					v.Pay(price - 1)
 					if v.Positives() != nil || tree.PositivesStats().Scans != 0 {
 						t.Fatal("a version scanned before it had tested a scan's worth of ids")
 					}
@@ -209,8 +228,8 @@ func TestPositivesFollowTheLeaves(t *testing.T) {
 		t.Fatal("no table after paying the price")
 	}
 	checkTable(t, first, naivePositives(tree, q))
-	if v.index.Load() != nil {
-		t.Fatal("the warm version still holds its estimate index")
+	if v.index.Load() == nil {
+		t.Fatal("the warm version dropped the estimate index its reconstructions read")
 	}
 
 	// Ids the existing leaves already cover, and new ones inside them: node
@@ -240,7 +259,10 @@ func TestPositivesFollowTheLeaves(t *testing.T) {
 	if st := tree.PositivesStats(); st.Dropped != 1 || st.Scans != 1 {
 		t.Fatalf("after growth under a warm version: %+v", st)
 	}
-	v.Pay(M - 1)
+	if price := tree.LeafIDs(); price != scanPrice(tree) || price != 9*M/16 {
+		t.Fatalf("nine leaves of %d ids priced at %d", M/16, price)
+	}
+	v.Pay(tree.LeafIDs() - 1)
 	if v.Positives() != nil || tree.PositivesStats().Scans != 1 {
 		t.Fatal("the version scanned again without paying again")
 	}

@@ -37,12 +37,49 @@ const (
 // On a pruned tree the reconstruction is restricted to the occupied
 // portion of the namespace, which is exactly the §8 setting.
 func (t *Tree) Reconstruct(q *bloom.Filter, rule PruneRule, ops *Ops) ([]uint64, error) {
+	ids, _, err := t.ReconstructVersion(q, rule, ops, nil)
+	return ids, err
+}
+
+// ReconstructVersion is Reconstruct reading back what v — q's version
+// (VersionFor), or nil for a caller that is owed the walk as the paper counts
+// it — already knows, and returns the same ids. The walk asks for nothing
+// that a version does not keep for sampling: the verdict on a child is its
+// estimate compared with the threshold (bloom.IntersectionAtLeast is that
+// comparison, decided early), so under PruneByEstimate a node the version's
+// EstimateIndex covers reads its pair there, computed and filed on a miss
+// like a draw's; and what a surviving leaf's brute-force check finds is the
+// part of the version's Positives inside the leaf's range.
+//
+// The walk first collects its surviving leaves and pays the version the ids
+// it is about to test in them (Version.Pay), and only then reads or scans:
+// the reconstruction that takes a version past the price runs the version's
+// one scan and answers from the table it leaves, and a version with a table
+// tests nothing. Without a table — a nil version, one still renting, one
+// that declined — every surviving leaf is scanned, as in Reconstruct.
+//
+// The tally returned holds the estimates the walk computed and read back
+// (verdicts, which are not estimates, in neither) and the ids it tested: 0
+// when every leaf was read from the table.
+func (t *Tree) ReconstructVersion(q *bloom.Filter, rule PruneRule, ops *Ops, v *Version) ([]uint64, Estimates, error) {
 	if err := t.checkQuery(q); err != nil {
-		return nil, err
+		return nil, Estimates{}, err
 	}
 	root := t.rootNode()
 	if root == nil {
-		return nil, nil
+		return nil, Estimates{}, nil
+	}
+	d := descent{q: q, ops: ops}
+	if rule == PruneByEstimate {
+		d.index = v.Index()
+	}
+	// Room for the leaves of a depth-8 tree without a trip to the heap.
+	var room [256]*node
+	leaves := t.reconstructNode(root, 1, rule, &d, room[:0])
+	tally := Estimates{Computed: d.computed, Remembered: d.remembered}
+	var span uint64
+	for _, n := range leaves {
+		span += n.hi - n.lo
 	}
 	// The answer holds about n̂ ids plus the filter's false positives; sized
 	// once from the cardinality estimate (O(1): the popcount is remembered)
@@ -52,24 +89,59 @@ func (t *Tree) Reconstruct(q *bloom.Filter, rule PruneRule, ops *Ops) ([]uint64,
 		n := int(est)
 		out = make([]uint64, 0, n+n/8+64)
 	}
-	return t.reconstructNode(root, q, rule, ops, out), nil
+	p := v.Positives()
+	if p == nil {
+		v.Pay(span)
+		p = v.Positives()
+	}
+	if p != nil {
+		for _, n := range leaves {
+			out = p.AppendRange(n.lo, n.hi, out)
+		}
+		// A leaf published since the table's scan began may be among those
+		// just read, and the table holds nothing of it: the table answers
+		// only if the tree still has the nodes it was scanned under.
+		if p.nodes == t.Nodes() {
+			return out, tally, nil
+		}
+		out = out[:0]
+	}
+	for _, n := range leaves {
+		out = t.positivesInLeaf(n, q, ops, out)
+	}
+	tally.Tested = span
+	return out, tally, nil
 }
 
-func (t *Tree) reconstructNode(n *node, q *bloom.Filter, rule PruneRule, ops *Ops, out []uint64) []uint64 {
-	if ops != nil {
-		ops.NodesVisited++
+// reconstructNode appends to leaves, left to right, the leaves under n that
+// the walk reaches. n is the node at heap position pos (sampleAt has the
+// numbering). Under PruneByEstimate a node the descent's index covers
+// decides on its children's estimates, read through childEstimates; every
+// other node, and the other rule, by childAlive.
+func (t *Tree) reconstructNode(n *node, pos uint64, rule PruneRule, d *descent, leaves []*node) []*node {
+	if d.ops != nil {
+		d.ops.NodesVisited++
 	}
 	left, right := n.children()
 	if left == nil && right == nil {
-		return t.positivesInLeaf(n, q, ops, out)
+		return append(leaves, n)
 	}
-	if left != nil && t.childAlive(left, q, rule, ops) {
-		out = t.reconstructNode(left, q, rule, ops, out)
+	var lOK, rOK bool
+	if d.index.covers(pos) {
+		// A missing child estimates to 0, under every threshold there is.
+		lEst, rEst := t.childEstimates(n, pos, left, right, d)
+		lOK, rOK = lEst >= t.cfg.EmptyThreshold, rEst >= t.cfg.EmptyThreshold
+	} else {
+		lOK = left != nil && t.childAlive(left, d.q, rule, d.ops)
+		rOK = right != nil && t.childAlive(right, d.q, rule, d.ops)
 	}
-	if right != nil && t.childAlive(right, q, rule, ops) {
-		out = t.reconstructNode(right, q, rule, ops, out)
+	if lOK {
+		leaves = t.reconstructNode(left, 2*pos, rule, d, leaves)
 	}
-	return out
+	if rOK {
+		leaves = t.reconstructNode(right, 2*pos+1, rule, d, leaves)
+	}
+	return leaves
 }
 
 // childAlive applies the prune rule to one child. Neither rule needs the

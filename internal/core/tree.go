@@ -206,6 +206,9 @@ type Tree struct {
 	root   atomic.Pointer[node]
 	pruned bool
 	nodes  atomic.Uint64 // number of allocated (published) nodes
+	// leafIDs is the number of ids the published leaves cover between them:
+	// what one scan of the leaves tests (see LeafIDs).
+	leafIDs atomic.Uint64
 
 	// Growth machinery; stripes is nil on full trees, which are immutable
 	// after construction.
@@ -251,6 +254,12 @@ func (t *Tree) Pruned() bool { return t.pruned }
 // is 2^(Depth+1) − 1; a pruned tree allocates only nodes whose range is
 // occupied.
 func (t *Tree) Nodes() uint64 { return t.nodes.Load() }
+
+// LeafIDs returns the number of namespace ids the tree's leaves cover
+// between them: the whole namespace for a full tree, the occupied leaf
+// ranges for a pruned one. It is what a scan of every leaf tests, and so the
+// price a filter version pays before it runs one (Version.Pay).
+func (t *Tree) LeafIDs() uint64 { return t.leafIDs.Load() }
 
 // MemoryBytes returns the total size of all node Bloom filters in bytes —
 // the quantity reported in the paper's memory tables (Tables 2–3, Fig. 14).

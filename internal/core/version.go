@@ -17,22 +17,24 @@ import (
 //
 // It has a cold half and a warm one. Cold, a draw is Algorithm 1's descent
 // and what is remembered is estimates: the EstimateIndex. Warm, the version
-// holds its Positives and a draw is a uniform pick among them.
+// holds its Positives too: a draw is a uniform pick among them, and §6's
+// walk (ReconstructVersion) takes its verdicts from the index and its leaves
+// from the table — which is why a warm version keeps its index.
 //
 // The move from one to the other is ski-rental in the paper's own cost unit
 // (§5.4: memberships). Every served draw reports the ids it tested at its
-// leaf (Pay); a scan of the leaves would test at most Namespace ids — all of
-// them on a full tree or a fully occupied pruned one, so that is the price —
-// and the draw that takes the version's total past the price runs the scan,
-// once, inline, while everyone else keeps descending. A version therefore
-// never tests more than twice the ids its best offline choice would have: a
-// key written every few draws (hundreds of ids tested a version against a
-// price of 10⁵) never scans, a read-mostly key always does, and no clock or
-// tunable decides which. The table is kept only if it fits in the bytes of
-// the version's own bit vector (≈ 0.46 of them at the planned sizes); a
-// filter so full that its positives outweigh it declines once and stays on
-// the descent. Once warm the index is released: nothing reads estimates any
-// more.
+// leaf, every served reconstruction the ids it is about to test in the
+// leaves it reached (Pay); a scan of the leaves tests the ids they hold
+// between them (Tree.LeafIDs: the namespace on a full tree, the occupied
+// leaf ranges on a pruned one), so that is the price, and the payment that
+// takes the version's total past it runs the scan, once, inline, while
+// everyone else keeps descending. A version therefore never tests more than
+// twice the ids its best offline choice would have: a key written every few
+// draws (hundreds of ids tested a version against a price of 10⁵) never
+// scans, a read-mostly key always does, and no clock or tunable decides
+// which. The table is kept only if it fits in the bytes of the version's own
+// bit vector (≈ 0.46 of them at the planned sizes); a filter so full that
+// its positives outweigh it declines once and stays on the descent.
 type Version struct {
 	tree *Tree
 	q    *bloom.Filter
@@ -91,9 +93,7 @@ func (t *Tree) VersionFor(q *bloom.Filter) *Version {
 // cold half.
 func (t *Tree) IndexFor(q *bloom.Filter) *EstimateIndex { return t.VersionFor(q).Index() }
 
-// Index returns the version's estimate index, creating it when there is none
-// — on first use, and again after a scan released it if somebody still
-// descends (a caller counting Ops, a version whose table was dropped). Nil
+// Index returns the version's estimate index, creating it on first use. Nil
 // for a nil version.
 func (v *Version) Index() *EstimateIndex {
 	if v == nil {
@@ -134,13 +134,13 @@ func (v *Version) Positives() *Positives {
 	return p
 }
 
-// Pay adds the ids a served draw tested at its leaf to what the version has
-// spent descending, and runs the scan if this payment is the one that takes
-// the total past the price. Callers that count a descent's Ops neither pay
-// nor are served from the table: theirs is the nil version, which takes
-// nothing.
+// Pay adds the ids a served draw tested at its leaf, or a served
+// reconstruction is about to test in its leaves, to what the version has
+// spent without a table, and runs the scan if this payment is the one that
+// takes the total past the price. Callers that count Ops neither pay nor are
+// served from the table: theirs is the nil version, which takes nothing.
 func (v *Version) Pay(tested uint64) {
-	if v == nil || tested == 0 || v.rent.Add(tested) < v.tree.cfg.Namespace ||
+	if v == nil || tested == 0 || v.rent.Add(tested) < v.tree.LeafIDs() ||
 		v.pos.Load() != nil || !v.pos.CompareAndSwap(nil, scanning) {
 		return
 	}
@@ -159,7 +159,5 @@ func (v *Version) Pay(tested uint64) {
 	// Packed by append, kept at its size.
 	p.firsts, p.offs, p.gaps = slices.Clone(p.firsts), slices.Clone(p.offs), slices.Clone(p.gaps)
 	t.packedBytes.Add(p.Bytes())
-	// The table first: whoever still finds none finds the index it was using.
 	v.pos.Store(p)
-	v.index.Store(nil)
 }

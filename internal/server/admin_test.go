@@ -45,6 +45,23 @@ func newObsServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *httptes
 	return srv, data, admin
 }
 
+// widen adds a key whose 64 ids lie in as many leaves of the pruned tree, so
+// that a scan of the leaves is priced at some 12 500 ids and the two dozen
+// draws a test makes (≤ 220 ids tested each) leave every version cold.
+func widen(t *testing.T, srv *Server) {
+	t.Helper()
+	ids := make([]uint64, 64)
+	for i := range ids {
+		ids[i] = uint64(i) * 1500
+	}
+	if err := srv.DB().Add("wide", ids...); err != nil {
+		t.Fatal(err)
+	}
+	if price := srv.DB().Tree().LeafIDs(); price < 12_000 {
+		t.Fatalf("a scan is priced at %d ids", price)
+	}
+}
+
 func get(t *testing.T, url string) (int, string) {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -65,6 +82,7 @@ func get(t *testing.T, url string) (int, string) {
 // the per-endpoint and per-stage series show the traffic just sent.
 func TestMetricsExposition(t *testing.T) {
 	srv, data, admin := newObsServer(t, Config{})
+	widen(t, srv)
 	srv.SetReady(true)
 	for i := 0; i < 3; i++ {
 		resp, err := http.Post(data.URL+"/v1/sample", "application/json",
@@ -155,7 +173,9 @@ func TestMetricsExposition(t *testing.T) {
 		"# HELP bst_db_draws_warm_total Sample draws that were uniform picks from a filter version's packed positives.\n",
 		"# HELP bst_db_draws_descended_total Sample draws that were descents of the sampling tree (lost ones included).\n",
 		"bst_db_draws_descended_total 12\n",
-		"# HELP bst_db_positives_scans_total Leaf scans run by filter versions whose draws had tested as many ids as the scan would.\n",
+		"# HELP bst_db_reconstructs_warm_total Reconstructions whose leaves were all read from a filter version's packed positives.\n",
+		"# HELP bst_db_reconstructs_walked_total Reconstructions that scanned their leaves (the version had no packed positives to read).\n",
+		"# HELP bst_db_positives_scans_total Leaf scans run by filter versions whose requests had tested as many ids as the scan would.\n",
 		"# HELP bst_db_positives_declined_total Leaf scans that kept nothing because the packed positives outgrew the filter version's own bytes.\n",
 		"# HELP bst_db_positives_dropped_total Packed-positives tables dropped because the pruned sampling tree grew a leaf under them.\n",
 		"# HELP bst_db_positives_bytes_total Bytes of every packed-positives table kept (cumulative; tables die with their filter version).\n",
@@ -167,17 +187,18 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 // TestVersionCountersAreServed samples one key until its filter version has
-// paid for its scan and a request has been served from the table, writes to
-// another key so that the pruned tree grows a leaf under it, samples once
-// more, and reads the six counters of that life from both stats surfaces:
-// /v1/stats and /metrics report the same numbers, and they are the numbers
-// of what happened — one scan, none declined, one table dropped, its bytes,
-// and draws on both sides.
+// paid for its scan and a request has been served from the table,
+// reconstructs it, writes to another key so that the pruned tree grows
+// leaves under it, reconstructs and samples once more, and reads the eight
+// counters of that life from both stats surfaces: /v1/stats and /metrics
+// report the same numbers, and they are the numbers of what happened — one
+// scan, none declined, one table dropped, its bytes, and draws and
+// reconstructions on both sides.
 func TestVersionCountersAreServed(t *testing.T) {
 	srv, data, admin := newObsServer(t, Config{})
-	sample := func() {
+	post := func(path, body string) {
 		t.Helper()
-		resp, err := http.Post(data.URL+"/v1/sample", "application/json", strings.NewReader(`{"key":"plain","n":32}`))
+		resp, err := http.Post(data.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,29 +209,35 @@ func TestVersionCountersAreServed(t *testing.T) {
 		if i == 10_000 {
 			t.Fatal("the key never went warm")
 		}
-		sample()
+		post("/v1/sample", `{"key":"plain","n":32}`)
 	}
-	if err := srv.DB().Add("elsewhere", 99_000); err != nil {
+	post("/v1/reconstruct", `{"key":"plain"}`)
+	// Four more leaves: the price of a scan goes from one leaf's ids to
+	// five's, more than the walk and the draw below test between them.
+	if err := srv.DB().Add("elsewhere", 96_000, 97_000, 98_000, 99_000); err != nil {
 		t.Fatal(err)
 	}
-	sample()
+	post("/v1/reconstruct", `{"key":"plain"}`)
+	post("/v1/sample", `{"key":"plain","n":1}`)
 	var st StatsResponse
 	_, body := get(t, data.URL+"/v1/stats")
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.DB.PositivesScans != 1 || st.DB.PositivesDeclined != 0 || st.DB.PositivesDropped != 1 || st.DB.PositivesBytes == 0 ||
-		st.DB.DrawsWarm == 0 || st.DB.DrawsDescended < 64 {
+		st.DB.DrawsWarm == 0 || st.DB.DrawsDescended < 2 || st.DB.ReconstructsWarm != 1 || st.DB.ReconstructsWalked != 1 {
 		t.Fatalf("/v1/stats after a key went warm and the tree grew under it: %+v", st.DB)
 	}
 	_, metrics := get(t, admin.URL+"/metrics")
 	for name, v := range map[string]uint64{
-		"bst_db_draws_warm_total":         st.DB.DrawsWarm,
-		"bst_db_draws_descended_total":    st.DB.DrawsDescended,
-		"bst_db_positives_scans_total":    st.DB.PositivesScans,
-		"bst_db_positives_declined_total": st.DB.PositivesDeclined,
-		"bst_db_positives_dropped_total":  st.DB.PositivesDropped,
-		"bst_db_positives_bytes_total":    st.DB.PositivesBytes,
+		"bst_db_draws_warm_total":          st.DB.DrawsWarm,
+		"bst_db_draws_descended_total":     st.DB.DrawsDescended,
+		"bst_db_reconstructs_warm_total":   st.DB.ReconstructsWarm,
+		"bst_db_reconstructs_walked_total": st.DB.ReconstructsWalked,
+		"bst_db_positives_scans_total":     st.DB.PositivesScans,
+		"bst_db_positives_declined_total":  st.DB.PositivesDeclined,
+		"bst_db_positives_dropped_total":   st.DB.PositivesDropped,
+		"bst_db_positives_bytes_total":     st.DB.PositivesBytes,
 	} {
 		if want := name + " " + strconv.FormatUint(v, 10); !strings.Contains(metrics, want+"\n") {
 			t.Errorf("/metrics lacks %q", want)
@@ -451,7 +478,8 @@ func TestSampleShortfallIsReported(t *testing.T) {
 // computes estimates, the later ones read them back from the version's
 // index, and /v1/stats and /metrics report the same pair of numbers.
 func TestEstimateCountersAreServed(t *testing.T) {
-	_, data, admin := newObsServer(t, Config{})
+	srv, data, admin := newObsServer(t, Config{})
+	widen(t, srv)
 	for i := 0; i < 3; i++ {
 		resp, err := http.Post(data.URL+"/v1/sample", "application/json", strings.NewReader(`{"key":"plain","n":8}`))
 		if err != nil {

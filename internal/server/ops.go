@@ -234,11 +234,13 @@ type ReconstructResponse struct {
 // hold the filter's false positives too and are what the cap promises to
 // bound.
 //
-// It is the paper's traversal (§6) even when the version holds its packed
-// positives (core.Version), and on purpose: the thresholded walk drops
-// leaves that hold only false positives, so it answers with fewer of them —
-// and on a saturated tree with fewer members — than the table does. The
-// endpoint is pinned to that answer; the table is sampling's.
+// It is the paper's traversal (§6) and answers with exactly its ids — the
+// thresholded walk drops leaves that hold only false positives, which the
+// version's whole table of packed positives (core.Version) would not — but
+// it does not compute again what the pinned version already knows: verdicts
+// are read from the version's estimate index, and the surviving leaves from
+// the table once the version has paid for it, this request's leaves counting
+// toward the price (setdb.ReconstructFrom).
 func (s *Server) reconstruct(req ReconstructRequest) (ReconstructResponse, error) {
 	db := s.DB()
 	f, err := pinned(db, req.Key)
@@ -255,7 +257,7 @@ func (s *Server) reconstruct(req ReconstructRequest) (ReconstructResponse, error
 	if err := overCap(f.EstimateCardinality()); err != nil {
 		return ReconstructResponse{}, err
 	}
-	ids, err := db.Tree().Reconstruct(f, core.PruneByEstimate, nil)
+	ids, err := db.ReconstructFrom(f, core.PruneByEstimate, nil)
 	if err != nil {
 		return ReconstructResponse{}, err
 	}
@@ -470,11 +472,13 @@ type DBStats struct {
 	StateBytesCopied        uint64  `json:"state_bytes_copied"`
 	MeanBytesCopiedPerWrite float64 `json:"mean_bytes_copied_per_write"`
 	SampleDrawsLost         uint64  `json:"sample_draws_lost"`    // batch draws that ended on a false-positive path: Σ requested − returned
-	EstimatesComputed       uint64  `json:"estimates_computed"`   // intersection estimates sampling requests computed
+	EstimatesComputed       uint64  `json:"estimates_computed"`   // intersection estimates sampling and reconstruction requests computed
 	EstimatesRemembered     uint64  `json:"estimates_remembered"` // and those read back from a filter version's index or the request's memo
 	DrawsWarm               uint64  `json:"draws_warm"`           // draws that were uniform picks from a filter version's packed positives
 	DrawsDescended          uint64  `json:"draws_descended"`      // draws that were descents of the tree (lost ones included)
-	PositivesScans          uint64  `json:"positives_scans"`      // leaf scans run by filter versions whose draws had tested a scan's worth of ids
+	ReconstructsWarm        uint64  `json:"reconstructs_warm"`    // reconstructions whose leaves were all read from a version's packed positives
+	ReconstructsWalked      uint64  `json:"reconstructs_walked"`  // reconstructions that scanned their leaves
+	PositivesScans          uint64  `json:"positives_scans"`      // leaf scans run by filter versions whose requests had tested a scan's worth of ids
 	PositivesDeclined       uint64  `json:"positives_declined"`   // scans that kept nothing: the table outgrew the version's own bytes
 	PositivesDropped        uint64  `json:"positives_dropped"`    // tables dropped because the pruned tree grew a leaf under them
 	PositivesBytes          uint64  `json:"positives_bytes"`      // bytes of every table kept, cumulative
@@ -559,6 +563,8 @@ func (s *Server) stats() StatsResponse {
 			EstimatesRemembered:     st.EstimatesRemembered,
 			DrawsWarm:               st.DrawsWarm,
 			DrawsDescended:          st.DrawsDescended,
+			ReconstructsWarm:        st.ReconstructsWarm,
+			ReconstructsWalked:      st.ReconstructsWalked,
 			PositivesScans:          st.PositivesScans,
 			PositivesDeclined:       st.PositivesDeclined,
 			PositivesDropped:        st.PositivesDropped,

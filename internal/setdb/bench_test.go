@@ -198,3 +198,59 @@ func BenchmarkSampleManyVersion(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReconstructVersion times one reconstruction on the two halves of
+// a filter version's life, on the benchmark's batch shape (M = 10⁶, depth 7,
+// every leaf live) and point shape (M = 10⁵, depth 8): cold, §6's walk with
+// every verdict computed and every surviving leaf scanned — what a caller
+// counting Ops is owed, and what every request paid before versions — and
+// warm, the verdicts read from the version's estimate index and the leaves
+// from its packed positives — and first, what the request that meets a
+// fresh version pays on the way from one to the other (a clone of the
+// filter each iteration: estimates where cold computes verdicts, and on the
+// batch shape, where every leaf survives, the version's one unpruned scan
+// and its packing in place of the walk's scan). Run it at -cpu 1 with
+// -benchmem: the warm side's one allocation is the result.
+func BenchmarkReconstructVersion(b *testing.B) {
+	for _, shape := range []struct {
+		name               string
+		setSize, namespace uint64
+		keys               int
+	}{
+		{"batch", 10_000, 1_000_000, 16},
+		{"point", 1_000, 100_000, 50},
+	} {
+		db, _ := openShape(b, shape.setSize, shape.namespace, shape.keys, int(shape.setSize), false)
+		// Two calls are enough on either shape: what the first pays is most
+		// of the price, and the second answers from the table.
+		for i := 0; i < 2; i++ {
+			if _, err := db.Reconstruct("k3", core.PruneByEstimate, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if st := db.Stats(); st.ReconstructsWarm == 0 {
+			b.Fatalf("the version never went warm: %+v", st)
+		}
+		for _, side := range []struct {
+			name  string
+			ops   *core.Ops
+			fresh bool
+		}{{"cold", new(core.Ops), false}, {"first", nil, true}, {"warm", nil, false}} {
+			b.Run(shape.name+"/"+side.name, func(b *testing.B) {
+				b.ReportAllocs()
+				f := db.Filter("k3")
+				for i := 0; i < b.N; i++ {
+					if side.fresh {
+						f = f.Clone()
+					}
+					ids, err := db.ReconstructFrom(f, core.PruneByEstimate, side.ops)
+					// The threshold may prune a sparse live leaf (§5.6): most of
+					// the set, not all of it.
+					if err != nil || len(ids) < int(shape.setSize)/2 {
+						b.Fatalf("%d ids, err %v", len(ids), err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -65,10 +65,11 @@ type DBStats struct {
 	// comes back short is explained here and nowhere else.
 	SampleDrawsLost uint64
 	// EstimatesComputed counts the intersection estimates the same requests
-	// computed, EstimatesRemembered those they read back instead — from the
-	// estimate index that lives on a filter version (core.EstimateIndex) or
-	// from the request's own memo. Remembered ÷ (computed + remembered) is
-	// the share of the descent's dominant cost that sampling did not pay.
+	// and the reconstructions served (ReconstructFrom) computed,
+	// EstimatesRemembered those they read back instead — from the estimate
+	// index that lives on a filter version (core.EstimateIndex) or from the
+	// request's own memo. Remembered ÷ (computed + remembered) is the share
+	// of the descent's dominant cost that was not paid.
 	EstimatesComputed   uint64
 	EstimatesRemembered uint64
 	// DrawsWarm counts the draws of those requests that were uniform picks
@@ -78,6 +79,12 @@ type DBStats struct {
 	// much of the sampling traffic the index and the memo still serve.
 	DrawsWarm      uint64
 	DrawsDescended uint64
+	// ReconstructsWarm counts the reconstructions whose leaves were all read
+	// from a filter version's packed positives (no id tested),
+	// ReconstructsWalked those that scanned their leaves: a version still
+	// renting or declined, and every caller that counts Ops.
+	ReconstructsWarm   uint64
+	ReconstructsWalked uint64
 	// PositivesScans counts the leaf scans filter versions have run to find
 	// their positives (one per version, once its draws had tested as many
 	// ids as the scan would), PositivesDeclined those of them that kept
@@ -155,6 +162,8 @@ func (db *DB) Stats() DBStats {
 		EstimatesRemembered: db.estimatesRemembered.Load(),
 		DrawsWarm:           db.drawsWarm.Load(),
 		DrawsDescended:      db.drawsDescended.Load(),
+		ReconstructsWarm:    db.reconstructsWarm.Load(),
+		ReconstructsWalked:  db.reconstructsWalked.Load(),
 		Generations:         db.gen.Load(),
 		Samplers:            map[string]core.UniformStats{},
 		TreeNodes:           db.tree.Nodes(),

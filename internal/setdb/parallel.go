@@ -66,6 +66,31 @@ func (db *DB) SampleManyFrom(f *bloom.Filter, n, workers int, ops *core.Ops) ([]
 	return db.sampleManyFilter(f, n, workers, ops)
 }
 
+// ReconstructFrom reconstructs one caller-held immutable filter version
+// (obtained from Filter) by §6's walk, reading back what the version already
+// knows (core.Tree.ReconstructVersion): its verdicts from the estimate index,
+// its leaves from the packed positives once the version has paid for them —
+// and this request's leaves are part of the payment. The ids are those of
+// tree.Reconstruct(f, rule, nil) either way. A caller that passes ops gets
+// the walk it is counting, every verdict computed and every leaf scanned.
+func (db *DB) ReconstructFrom(f *bloom.Filter, rule core.PruneRule, ops *core.Ops) ([]uint64, error) {
+	if f == nil {
+		return nil, fmt.Errorf("%w (nil filter)", ErrNoSet)
+	}
+	ids, tally, err := db.tree.ReconstructVersion(f, rule, ops, served(db.tree.VersionFor(f), ops))
+	if err != nil {
+		return nil, err
+	}
+	addSome(&db.estimatesComputed, tally.Computed)
+	addSome(&db.estimatesRemembered, tally.Remembered)
+	if tally.Tested == 0 {
+		db.reconstructsWarm.Add(1)
+	} else {
+		db.reconstructsWalked.Add(1)
+	}
+	return ids, nil
+}
+
 // SampleUniformFrom draws up to n exactly-uniform samples (with replacement)
 // through one caller-held sampler (obtained from UniformSampler), which is to
 // this call what the filter is to SampleManyFrom: every chunk of a batch
@@ -128,8 +153,9 @@ func putMemo(memo *core.Memo) {
 	}
 }
 
-// served returns the version a request's draws pay and may be served from:
-// v, or nil for a caller counting Ops, who keeps the descent it is counting.
+// served returns the version a request pays and may be served from: v, or
+// nil for a caller counting Ops, who keeps the descent or the walk it is
+// counting.
 func served(v *core.Version, ops *core.Ops) *core.Version {
 	if ops != nil {
 		return nil
@@ -139,8 +165,7 @@ func served(v *core.Version, ops *core.Ops) *core.Version {
 
 // draw is a whole request on one worker: drawShared with the request's
 // estimates fetched and released around it — unless the version serves the
-// request from its positives, which reads no estimate and leaves the index
-// the version released where it is.
+// request from its positives, which reads no estimate.
 func (w *sampleWorker) draw(tree *core.Tree, f *bloom.Filter, quota int, ops *core.Ops, out []uint64) (_ []uint64, lost int, err error) {
 	v := tree.VersionFor(f)
 	pay := served(v, ops)
@@ -293,16 +318,18 @@ func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) (
 // counter, the usual descending batch loses no draw and on a version whose
 // index is full computes nothing.
 func (db *DB) recordDraws(n, lost int, computed, remembered, warm uint64) {
-	add := func(c *atomic.Uint64, d uint64) {
-		if d > 0 {
-			c.Add(d)
-		}
+	addSome(&db.lostDraws, uint64(lost))
+	addSome(&db.estimatesComputed, computed)
+	addSome(&db.estimatesRemembered, remembered)
+	addSome(&db.drawsWarm, warm)
+	addSome(&db.drawsDescended, uint64(n)-warm)
+}
+
+// addSome adds d to a shared counter, which it leaves alone when d is 0.
+func addSome(c *atomic.Uint64, d uint64) {
+	if d > 0 {
+		c.Add(d)
 	}
-	add(&db.lostDraws, uint64(lost))
-	add(&db.estimatesComputed, computed)
-	add(&db.estimatesRemembered, remembered)
-	add(&db.drawsWarm, warm)
-	add(&db.drawsDescended, uint64(n)-warm)
 }
 
 // ReconstructAll reconstructs every set in the database using up to

@@ -248,3 +248,94 @@ func TestReadMostlyKeyScansOnce(t *testing.T) {
 		})
 	}
 }
+
+// TestReconstructFromServesTheVersion: a reconstruction through the database
+// returns §6's walk whoever asks, and what it costs depends on who. A caller
+// that counts Ops gets the walk it counts — every verdict, every surviving
+// leaf scanned — and leaves the version as cold as it found it. A caller that
+// does not pays the version the leaves it scans, goes warm on the call that
+// has paid a scan's worth — the second at the latest when most leaves
+// survive, which is ski-rental's bound — and from then on computes nothing
+// and tests nothing. ReconstructAll is the same call per key.
+func TestReconstructFromServesTheVersion(t *testing.T) {
+	db, _ := openShape(t, 1_000, 100_000, 4, 1_000, false)
+	f := db.Filter("k1")
+	want, err := db.tree.Reconstruct(f, core.PruneByEstimate, nil)
+	if err != nil || len(want) < 500 {
+		t.Fatalf("the walk returns %d ids, err %v", len(want), err)
+	}
+	var counted, again core.Ops
+	if _, err := db.tree.Reconstruct(f, core.PruneByEstimate, &counted); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		again = core.Ops{}
+		got, err := db.ReconstructFrom(f, core.PruneByEstimate, &again)
+		if err != nil || !slices.Equal(got, want) || again != counted {
+			t.Fatalf("a counted reconstruction: %d ids counting %v, the walk %d counting %v (err %v)", len(got), &again, len(want), &counted, err)
+		}
+	}
+	v := db.tree.VersionFor(f)
+	if st := db.Stats(); st.ReconstructsWalked != 3 || st.ReconstructsWarm != 0 || st.PositivesScans != 0 || st.EstimatesComputed != 0 || v.Positives() != nil {
+		t.Fatalf("three counted reconstructions: %d walked, %d warm, %d scans, %d estimates on the version's account", st.ReconstructsWalked, st.ReconstructsWarm, st.PositivesScans, st.EstimatesComputed)
+	}
+
+	calls := 0
+	for ; v.Positives() == nil; calls++ {
+		if calls == 2 {
+			t.Fatalf("two walks over %d of the leaves' %d ids and the version still rents", counted.Memberships, db.tree.LeafIDs())
+		}
+		if got, err := db.ReconstructFrom(f, core.PruneByEstimate, nil); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("call %d: %d ids, the walk returns %d (err %v)", calls, len(got), len(want), err)
+		}
+	}
+	before := db.Stats()
+	if before.PositivesScans != 1 || before.ReconstructsWarm != 1 || before.ReconstructsWalked != 3+uint64(calls)-1 || before.EstimatesComputed == 0 {
+		t.Fatalf("going warm in %d calls: %+v", calls, before)
+	}
+	if got, err := db.Reconstruct("k1", core.PruneByEstimate, nil); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("warm: %d ids, the walk returns %d (err %v)", len(got), len(want), err)
+	}
+	st := db.Stats()
+	if st.ReconstructsWarm-before.ReconstructsWarm != 1 || st.EstimatesComputed != before.EstimatesComputed ||
+		st.EstimatesRemembered == before.EstimatesRemembered || st.PositivesScans != 1 {
+		t.Fatalf("a reconstruction on a warm version: %d warm, %d estimates computed, %d read back, %d scans", st.ReconstructsWarm-before.ReconstructsWarm,
+			st.EstimatesComputed-before.EstimatesComputed, st.EstimatesRemembered-before.EstimatesRemembered, st.PositivesScans)
+	}
+
+	all, err := db.ReconstructAll(core.PruneByEstimate, 2)
+	if err != nil || len(all) != 4 {
+		t.Fatalf("ReconstructAll: %d keys, err %v", len(all), err)
+	}
+	for key, got := range all {
+		want, err := db.tree.Reconstruct(db.Filter(key), core.PruneByEstimate, nil)
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("ReconstructAll[%s]: %d ids, the walk returns %d (err %v)", key, len(got), len(want), err)
+		}
+	}
+	if after := db.Stats(); after.ReconstructsWarm+after.ReconstructsWalked != st.ReconstructsWarm+st.ReconstructsWalked+4 {
+		t.Fatalf("ReconstructAll over 4 keys counted %d reconstructions", after.ReconstructsWarm+after.ReconstructsWalked-st.ReconstructsWarm-st.ReconstructsWalked)
+	}
+}
+
+// TestScanIsPricedAtTheLeaves is the sparse pruned tree — one key of 1 000
+// ids under M = 10⁶, which occupy some 630 of a full tree's 1 024 leaves of
+// 977 ids — on which a scan priced at M kept a version renting longer than
+// the scan would have cost: the price is the ids the leaves hold, and the
+// second reconstruction of the key is served from its table.
+func TestScanIsPricedAtTheLeaves(t *testing.T) {
+	const M = 1_000_000
+	db, _ := openShape(t, 1_000, M, 1, 1_000, false)
+	price := db.tree.LeafIDs()
+	if span := db.tree.LeafRange(); price > 1_000*span || price > 3*M/4 || price < 500*(span-1) {
+		t.Fatalf("%d nodes, leaves of up to %d ids, priced at %d", db.tree.Nodes(), span, price)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := db.Reconstruct("k0", core.PruneByEstimate, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := db.Stats(); st.PositivesScans != 1 || st.ReconstructsWarm == 0 {
+		t.Fatalf("two reconstructions under a price of %d ids: %d scans, %d warm, %d walked", price, st.PositivesScans, st.ReconstructsWarm, st.ReconstructsWalked)
+	}
+}

@@ -213,13 +213,18 @@ type DB struct {
 	// and returned nothing (see Stats).
 	lostDraws atomic.Uint64
 	// estimatesComputed and estimatesRemembered count the intersection
-	// estimates sampling requests computed and those they read back from a
-	// filter version's index or their own memo instead (see Stats).
+	// estimates sampling and reconstruction requests computed and those they
+	// read back from a filter version's index or their own memo instead (see
+	// Stats).
 	estimatesComputed, estimatesRemembered atomic.Uint64
 	// drawsWarm and drawsDescended count the draws of the same requests that
 	// were picks from a filter version's positives and those that were
 	// descents of the tree (see Stats).
 	drawsWarm, drawsDescended atomic.Uint64
+	// reconstructsWarm and reconstructsWalked count the reconstructions that
+	// read every leaf from a filter version's positives and those that
+	// scanned their leaves (see Stats).
+	reconstructsWarm, reconstructsWalked atomic.Uint64
 }
 
 // recordWrites accumulates write-amplification accounting for one
@@ -409,13 +414,14 @@ func (db *DB) UniformSampler(key string) (*core.UniformSampler, error) {
 	return db.tree.NewUniformSamplerWith(e.m.QueryView(), e.cal)
 }
 
-// Reconstruct returns the set stored under key (§6).
+// Reconstruct returns the set stored under key (§6): ReconstructFrom on the
+// key's published version.
 func (db *DB) Reconstruct(key string, rule core.PruneRule, ops *core.Ops) ([]uint64, error) {
 	e, err := db.get(key)
 	if err != nil {
 		return nil, err
 	}
-	return db.tree.Reconstruct(e.m.QueryView(), rule, ops)
+	return db.ReconstructFrom(e.m.QueryView(), rule, ops)
 }
 
 // IntersectionEstimate estimates |A ∩ B| for two stored sets. The two
