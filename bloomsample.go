@@ -30,9 +30,11 @@
 // its keyed sets live in atomically swapped immutable shard snapshots,
 // every read is lock-free, writers briefly serialize per shard, and the
 // batch helpers SetDB.SampleMany and SetDB.ReconstructAll fan work out
-// across GOMAXPROCS goroutines. A UniformSampler self-calibrates through
-// atomics and may be shared by any number of goroutines (each with its
-// own rand source).
+// across GOMAXPROCS goroutines. What a tree remembers about one immutable
+// filter version (Tree.VersionFor: its estimate index, and the packed
+// positives an exactly uniform draw picks from, Version.Exact) hangs on the
+// filter, is built once however many goroutines ask, and is read without a
+// lock.
 //
 // Quick start:
 //
@@ -176,18 +178,6 @@ func EstimateIntersection(a, b *Filter) float64 { return bloom.EstimateIntersect
 func FalseSetOverlapProb(m uint64, k int, n1, n2 uint64) float64 {
 	return bloom.FalseSetOverlapProb(m, k, n1, n2)
 }
-
-// UniformSampler draws exactly uniform samples from a query filter by
-// rejection, correcting the estimator-noise bias of the plain tree
-// descent. Create one per query filter with Tree.NewUniformSampler, or
-// ask SetDB.UniformSampler for one over the published version of a key
-// (it shares what its draws learn with every other sampler of that key's
-// lifetime, and like a held filter goes stale when the key is written);
-// a single instance may be shared across goroutines.
-type UniformSampler = core.UniformSampler
-
-// UniformStats reports a UniformSampler's rejection behaviour.
-type UniformStats = core.UniformStats
 
 // SetDB is a keyed database of sets stored only as Bloom filters over a
 // shared namespace and BloomSampleTree — the paper's §3.2 framework. It

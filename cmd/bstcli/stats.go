@@ -114,22 +114,4 @@ func runStats(args []string) {
 				width, name, e.Requests, e.Errors, e.Shed, e.AvgLatencyUS, e.P50LatencyUS, e.P99LatencyUS, e.QPS)
 		}
 	}
-
-	if len(st.Samplers) > 0 {
-		fmt.Println("\nsamplers")
-		names := make([]string, 0, len(st.Samplers))
-		for name := range st.Samplers {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			s := st.Samplers[name]
-			acc := 0.0
-			if s.Attempts > 0 {
-				acc = float64(s.Accepted) / float64(s.Attempts)
-			}
-			fmt.Printf("  %s: %d attempts, %.1f%% accepted, %d clamped\n",
-				name, s.Attempts, 100*acc, s.Clamped)
-		}
-	}
 }

@@ -13,7 +13,7 @@ import (
 //
 //	ErrNoSet                            → 404 Not Found
 //	ErrKeyClash, ErrNotMember           → 409 Conflict
-//	ErrOutOfRange, ErrNotPlain          → 400 Bad Request
+//	ErrOutOfRange                       → 400 Bad Request
 //	anything else                       → 500 Internal Server Error
 //
 // ErrNoSample and ErrIncompatible never cross the server boundary:
@@ -28,10 +28,6 @@ var (
 	// than the key was created with (a key holds a plain set or a
 	// removable one for its whole lifetime).
 	ErrKeyClash = setdb.ErrKeyClash
-
-	// ErrNotPlain is wrapped by SetDB.UniformSampler for a removable
-	// set: the exactly-uniform sampler serves sets that only grow.
-	ErrNotPlain = setdb.ErrNotPlain
 
 	// ErrOutOfRange is wrapped by SetDB writes carrying an id outside
 	// the database namespace — a caller mistake, not an internal

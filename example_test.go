@@ -74,9 +74,10 @@ func ExampleOpen() {
 	// keys: [team-a team-b]
 }
 
-// The UniformSampler trades throughput for exact uniformity — use it when
-// downstream statistics assume unbiased samples.
-func ExampleUniformSampler() {
+// A filter version's exact table trades one scan of the leaves for exact
+// uniformity from the first draw — use it when downstream statistics assume
+// unbiased samples.
+func ExampleTree_VersionFor() {
 	plan, _ := bloomsample.Plan(0.9, 100, 100_000, 3)
 	tree, _ := bloomsample.NewTreeWith(plan, bloomsample.WithHash(bloomsample.Murmur3), bloomsample.WithSeed(42))
 	q := tree.NewQueryFilter()
@@ -84,9 +85,9 @@ func ExampleUniformSampler() {
 		q.Add(x * 997)
 	}
 
-	sampler, _ := tree.NewUniformSampler(q)
+	positives := tree.VersionFor(q).Exact()
 	rng := rand.New(rand.NewSource(3))
-	x, _ := sampler.Sample(rng, nil)
+	x := positives.Select(rng.Intn(positives.Len()))
 	fmt.Println("uniform sample is a positive:", q.Contains(x))
 	// Output:
 	// uniform sample is a positive: true

@@ -3,7 +3,7 @@
 // filter. This example builds a persistent SetDB posting index, saves it
 // to disk, reloads it in a fresh database (as a serving process would),
 // and answers queries by sampling and reconstruction — including an
-// exactly-uniform sample via the rejection-corrected UniformSampler.
+// exactly-uniform sample picked from a filter version's packed positives.
 //
 // Run with:
 //
@@ -100,19 +100,15 @@ func main() {
 		est, len(hits), trueBoth)
 
 	// Query 3: an exactly-uniform document sample from a big posting list
-	// (for unbiased corpus statistics), via the rejection-corrected
-	// sampler.
-	us, err := srv.UniformSampler("query")
-	if err != nil {
-		log.Fatal(err)
+	// (for unbiased corpus statistics): picks from the packed positives of
+	// the list's filter version, found by one scan of the tree's leaves.
+	positives := srv.Tree().VersionFor(srv.Filter("query")).Exact()
+	sample := make([]uint64, 1000)
+	for i := range sample {
+		sample[i] = positives.Select(rng.Intn(positives.Len()))
 	}
-	sample, err := us.SampleN(1000, rng, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	st := us.Stats()
-	fmt.Printf("uniform sample of %d docs from 'query' (df %d): %.1f attempts/sample, %d clamped\n",
-		len(sample), keywords["query"], float64(st.Attempts)/float64(st.Accepted), st.Clamped)
+	fmt.Printf("uniform sample of %d docs from 'query' (df %d): picked among the filter's %d positives (%d B packed)\n",
+		len(sample), keywords["query"], positives.Len(), positives.Bytes())
 
 	// Query 4: full posting reconstruction for a rare keyword with the
 	// fast estimate-pruned traversal; recall is measured against the

@@ -33,14 +33,14 @@ import (
 // version's own bit vector: it covers the whole tree where estimates are
 // dear (m = 273 404, depth 7: all 127 pairs, 3 KB beside a 34 KB filter)
 // and only the levels every draw passes where they are cheap (m = 27 341,
-// depth 8: 15 pairs, 360 B beside 3.4 KB). Below it a request's Memo
-// serves, as before.
+// depth 8: 15 pairs, 360 B beside 3.4 KB). Below it a descent computes its
+// estimates, each time.
 //
-// Only SampleMemo and ReconstructVersion read it. Sample, SampleScratch,
-// SampleN, Reconstruct and the uniform sampler compute what they always
-// computed, so the paper's cost units are not touched, and a remembered pair
-// is the pair of float64s that would have been computed: ids for a given rng
-// state are SampleScratch's, and a walk's verdicts are Reconstruct's.
+// Only SampleVersion and ReconstructVersion read it. Sample, SampleScratch,
+// SampleN and Reconstruct compute what they always computed, so the paper's
+// cost units are not touched, and a remembered pair is the pair of float64s
+// that would have been computed: ids for a given rng state are
+// SampleScratch's, and a walk's verdicts are Reconstruct's.
 type EstimateIndex struct {
 	tree *Tree
 	// slots[i-1] belongs to the internal node at heap position i.

@@ -155,8 +155,9 @@ func TestGrowthThatChangesNothingPublishesNothing(t *testing.T) {
 
 // TestIndexedDrawsMatchSampleScratch is the id-for-id guarantee of the
 // per-version index, on every backend's query view and on a fused-probe and
-// a block-scanned hash family: draws through the index (and a memo for the
-// levels below it) return exactly what SampleScratch returns on an
+// a block-scanned hash family: counted draws through the version's index (it
+// stops short of the leaves, so the levels below are computed) return exactly
+// what SampleScratch returns on an
 // identically seeded rng — on a cold index, on a warm one, and on a warm one
 // after tree growth has swapped some of the filters its pairs were computed
 // from — with fewer estimates computed and every other count equal.
@@ -188,7 +189,7 @@ func TestIndexedDrawsMatchSampleScratch(t *testing.T) {
 				}
 				index := tree.IndexFor(q)
 				if l := index.Levels(); l < 1 || l >= cfg.Depth {
-					t.Fatalf("the index covers %d of %d levels; the test wants both it and the memo in play", l, cfg.Depth)
+					t.Fatalf("the index covers %d of %d levels; the test wants levels above and below its edge", l, cfg.Depth)
 				}
 				if tree.IndexFor(q) != index {
 					t.Fatal("a second IndexFor made a second index")
@@ -201,13 +202,12 @@ func TestIndexedDrawsMatchSampleScratch(t *testing.T) {
 				var scratch, refScratch []uint64
 				pass := func(step string) Estimates {
 					t.Helper()
-					var memo Memo
-					est := Estimates{Index: index, Memo: &memo}
+					var est Estimates
 					var ops, refOps Ops
 					for i := 0; i < draws; i++ {
 						var got, want uint64
 						var err, refErr error
-						got, scratch, err = tree.SampleMemo(q, rng, &ops, scratch, &est)
+						got, scratch, err = tree.SampleVersion(q, rng, &ops, scratch, tree.VersionFor(q), &est)
 						want, refScratch, refErr = tree.SampleScratch(q, ref, &refOps, refScratch)
 						if got != want || err != refErr {
 							t.Fatalf("%s, draw %d: indexed (%d, %v), SampleScratch (%d, %v)", step, i, got, err, want, refErr)
@@ -265,12 +265,14 @@ func TestIndexDroppedWithTheBitsItDescribes(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	draw := func(n int) (right int, computed uint64) {
 		t.Helper()
-		est := Estimates{Index: tree.IndexFor(q)}
+		// Counted, so that the draws stay on the descent through the index.
+		var est Estimates
+		var ops Ops
 		var scratch []uint64
 		for i := 0; i < n; i++ {
 			var x uint64
 			var err error
-			if x, scratch, err = tree.SampleMemo(q, rng, nil, scratch, &est); err != nil {
+			if x, scratch, err = tree.SampleVersion(q, rng, &ops, scratch, tree.VersionFor(q), &est); err != nil {
 				t.Fatal(err)
 			}
 			if x >= M/2 {
@@ -329,19 +331,18 @@ func TestIndexUnderConcurrentGrowth(t *testing.T) {
 			defer wg.Done()
 			q := views[s%len(views)]
 			rng := rand.New(rand.NewSource(int64(s)))
-			var memo Memo
 			var scratch []uint64
+			var ops Ops // counted: the draws stay on the descent through the index
 			for request := 0; ; request++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				est := Estimates{Index: tree.IndexFor(q), Memo: &memo}
 				for i := 0; i < 16; i++ {
 					var x uint64
 					var err error
-					x, scratch, err = tree.SampleMemo(q, rng, nil, scratch, &est)
+					x, scratch, err = tree.SampleVersion(q, rng, &ops, scratch, tree.VersionFor(q), nil)
 					if err == nil && !q.Contains(x) {
 						t.Errorf("sampler %d drew %d, which its view does not hold", s, x)
 						return
@@ -351,7 +352,6 @@ func TestIndexUnderConcurrentGrowth(t *testing.T) {
 						return
 					}
 				}
-				memo.Reset()
 			}
 		}()
 	}
@@ -368,11 +368,11 @@ func TestIndexUnderConcurrentGrowth(t *testing.T) {
 		checkIndex(t, tree, q, index)
 		// A pass on the settled tree brings every pair it touches up to
 		// date; those are then all served, and all exact.
-		est := Estimates{Index: index}
 		rng := rand.New(rand.NewSource(int64(100 + i)))
 		var scratch []uint64
+		var ops Ops
 		for d := 0; d < 200; d++ {
-			_, scratch, _ = tree.SampleMemo(q, rng, nil, scratch, &est)
+			_, scratch, _ = tree.SampleVersion(q, rng, &ops, scratch, tree.VersionFor(q), nil)
 		}
 		if valid := checkIndex(t, tree, q, index); valid < index.Levels() {
 			t.Errorf("view %d: %d pairs served after 200 draws through %d levels", i, valid, index.Levels())

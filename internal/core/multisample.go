@@ -24,7 +24,7 @@ import (
 // SampleN is the paper's algorithm and is kept as that: for the library, the
 // examples and the bstbench arms that count its operations. It is not what
 // the database serves batches with, and will not be. A served batch is r
-// independent draws (SampleMemo under setdb.SampleMany) that read their child
+// independent draws (SampleVersion under setdb.SampleMany) that read their child
 // estimates from the filter version's EstimateIndex and sample their leaf,
 // where SampleN shares path prefixes within one call but scans every leaf it
 // reaches whole: on the benchmark's batch shape (64 draws, 128 leaves of

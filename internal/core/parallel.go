@@ -165,8 +165,7 @@ func (t *Tree) ComputeStats() Stats {
 }
 
 // EstimateSetSize estimates the cardinality of the set stored in a query
-// filter — convenience re-export of the §5.2-proof estimator used by the
-// uniform sampler.
+// filter — convenience re-export of the §5.2-proof estimator.
 func (t *Tree) EstimateSetSize(q *bloom.Filter) (float64, error) {
 	if err := t.checkQuery(q); err != nil {
 		return 0, err

@@ -70,6 +70,43 @@ func checkTable(t *testing.T, p *Positives, ids []uint64) {
 	}
 }
 
+// checkExact holds Exact to want on v, which has paid for its one scan and
+// kept the table or declined, and on a version of the same bits that has paid
+// nothing. A kept table is the one Exact returns, with no further scan; a
+// declined version scans into a table it does not keep, every call, and
+// declines once; the cold version pays whatever it owes at the first call.
+func checkExact(t *testing.T, name string, tree *Tree, v *Version, want []uint64, kept bool) {
+	t.Helper()
+	if kept {
+		if p := v.Exact(); p != v.Positives() || tree.PositivesStats().Scans != 1 {
+			t.Fatalf("%s: Exact on a version with its table returned another or scanned (%+v)", name, tree.PositivesStats())
+		}
+	} else {
+		for call := uint64(1); call <= 2; call++ {
+			p := v.Exact()
+			if p == nil {
+				t.Fatalf("%s: Exact on a declined version returned no table", name)
+			}
+			checkTable(t, p, want)
+			if st := tree.PositivesStats(); st.Scans != 1+call || st.Declined != 1 || st.PackedBytes != 0 || v.Positives() != nil || v.pos.Load() != declined {
+				t.Fatalf("%s: Exact call %d on a declined version kept something or did not scan (%+v)", name, call, st)
+			}
+		}
+	}
+	before := tree.PositivesStats()
+	cold := tree.VersionFor(v.q.Clone())
+	p := cold.Exact()
+	if p == nil {
+		t.Fatalf("%s: Exact on a cold version returned no table", name)
+	}
+	checkTable(t, p, want)
+	st := tree.PositivesStats()
+	if kept && (cold.Positives() != p || st.Scans != before.Scans+1 || st.Declined != before.Declined) ||
+		!kept && (cold.Positives() != nil || st.Scans != before.Scans+2 || st.Declined != before.Declined+1) {
+		t.Fatalf("%s: Exact on a cold version (kept=%v): %+v → %+v", name, kept, before, st)
+	}
+}
+
 // TestPositivesAreTheTruth is the exactness gate, exhaustively on small
 // domains: for every namespace 2..512 (a tree needs two ids), every depth
 // 0..5 it admits, a full tree and a pruned one of random occupancy, and the
@@ -77,12 +114,13 @@ func checkTable(t *testing.T, p *Positives, ids []uint64) {
 // exactly {x in a leaf : q.Contains(x)} enumerated one id at a time, Select
 // returns its i-th element for every i, and it is kept only within the
 // filter's own bytes — otherwise the version has declined, for good, and
-// still samples by descent. The price of the scan is the ids the leaves
-// hold, M on a full tree and what is occupied on a pruned one, and the
-// payment that reaches it is the one that scans. The query is filled to where its false
-// positives outnumber its members, so a scan that pruned a child on §5.6's
-// threshold or on an empty AND would leave ids out, and the filter sizes
-// straddle the budget.
+// still samples by descent — while Exact is that enumeration on every one of
+// them, paid up or cold, kept or declined (checkExact). The price of the scan
+// is the ids the leaves hold, M on a full tree and what is occupied on a
+// pruned one, and the payment that reaches it is the one that scans. The
+// query is filled to where its false positives outnumber its members, so a
+// scan that pruned a child on §5.6's threshold or on an empty AND would leave
+// ids out, and the filter sizes straddle the budget.
 func TestPositivesAreTheTruth(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	kept, declinedCount := 0, 0
@@ -136,14 +174,13 @@ func TestPositivesAreTheTruth(t *testing.T) {
 						kept++
 					}
 					// Either way the scan ran once and the descent still
-					// serves: a counted draw, and a served one that pays.
+					// serves a counted draw.
 					v.Pay(2 * M)
 					if got := tree.PositivesStats().Scans; got != 1 {
 						t.Fatalf("%s: a version scanned %d times", name, got)
 					}
 					if len(want) > 0 {
-						est := Estimates{Index: v.Index()}
-						x, _, err := tree.SampleMemo(q, rng, nil, nil, &est)
+						x, _, err := tree.SampleVersion(q, rng, new(Ops), nil, v, nil)
 						if err != nil && err != ErrNoSample {
 							t.Fatal(err)
 						}
@@ -151,6 +188,7 @@ func TestPositivesAreTheTruth(t *testing.T) {
 							t.Fatalf("%s: the descent drew %d, not a positive", name, x)
 						}
 					}
+					checkExact(t, name, tree, v, want, p != nil)
 				}
 			}
 		}
@@ -276,6 +314,21 @@ func TestPositivesFollowTheLeaves(t *testing.T) {
 	if second.Len() <= first.Len() || want[len(want)-1] < M/2 {
 		t.Fatalf("the new leaf added no positive (%d → %d): the test needs one", first.Len(), second.Len())
 	}
+
+	// Exact does not wait for the rent: a tenth leaf drops the second table,
+	// and the call that finds it gone scans for the third, new leaf included.
+	if err := tree.Insert(M/2 + M/16 + 5); err != nil {
+		t.Fatal(err)
+	}
+	third := v.Exact()
+	if st := tree.PositivesStats(); third == second || third != v.Positives() || st.Dropped != 2 || st.Scans != 3 {
+		t.Fatalf("Exact after growth under a warm version: %+v", st)
+	}
+	want = naivePositives(tree, q)
+	checkTable(t, third, want)
+	if third.Len() <= second.Len() || want[len(want)-1] < M/2+M/16 {
+		t.Fatalf("the tenth leaf added no positive (%d → %d): the test needs one", second.Len(), third.Len())
+	}
 }
 
 // TestPositivesOneScanUnderContention: eight goroutines draw from one cold
@@ -297,22 +350,14 @@ func TestPositivesOneScanUnderContention(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
-			est := Estimates{Index: v.Index()}
+			var est Estimates
 			var scratch []uint64
-			warm := 0
-			for i := 0; warm < 200; i++ {
+			for est.Picked < 200 {
 				var x uint64
-				if p := v.Positives(); p != nil {
-					x = p.Select(rng.Intn(p.Len()))
-					warm++
-				} else {
-					tested := est.Tested
-					var err error
-					if x, scratch, err = tree.SampleMemo(q, rng, nil, scratch, &est); err != nil {
-						t.Error(err)
-						return
-					}
-					v.Pay(est.Tested - tested)
+				var err error
+				if x, scratch, err = tree.SampleVersion(q, rng, nil, scratch, v, &est); err != nil {
+					t.Error(err)
+					return
 				}
 				if _, found := slices.BinarySearch(want, x); !found {
 					t.Errorf("goroutine %d drew %d, not a positive", g, x)
@@ -326,4 +371,69 @@ func TestPositivesOneScanUnderContention(t *testing.T) {
 		t.Fatalf("eight goroutines crossing the price together: %+v", st)
 	}
 	checkTable(t, v.Positives(), want)
+}
+
+// TestExactScansOnceUnderContention: eight goroutines ask one cold version
+// for its exact table at once. One of them scans, the others wait for that
+// scan and get its table: positives_scans is 1. Run under -race.
+func TestExactScansOnceUnderContention(t *testing.T) {
+	const M = 1 << 14
+	tree, err := BuildTree(Config{Namespace: M, Bits: 1 << 14, K: 3, Seed: 5, Depth: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := buildQueryFilter(t, tree, uniformSet(rand.New(rand.NewSource(6)), M, 600))
+	v := tree.VersionFor(q)
+	tables := make([]*Positives, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range tables {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			tables[g] = v.Exact()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if st := tree.PositivesStats(); st.Scans != 1 || st.Declined != 0 || st.Dropped != 0 {
+		t.Fatalf("eight goroutines asking a cold version for its table together: %+v", st)
+	}
+	for g, p := range tables {
+		if p == nil || p != tables[0] {
+			t.Fatalf("goroutine %d was handed table %p, goroutine 0 %p", g, p, tables[0])
+		}
+	}
+	checkTable(t, tables[0], naivePositives(tree, q))
+}
+
+// TestExactOnAnEmptyTree: a pruned tree with no leaf yet has nothing to scan;
+// Exact is the empty table, a draw from it is ErrNoSample, and a filter of
+// another profile is told so rather than scanned.
+func TestExactOnAnEmptyTree(t *testing.T) {
+	cfg := testConfig(t, 10_000, 100, 0.9, 5)
+	tree, err := BuildPruned(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := buildQueryFilter(t, tree, []uint64{1, 2, 3})
+	v := tree.VersionFor(q)
+	if p := v.Exact(); p == nil || p.Len() != 0 {
+		t.Fatalf("Exact on an empty tree: %v", p)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var tally Estimates
+	if _, _, err := tree.SampleVersion(q, rng, nil, nil, v, &tally); err != ErrNoSample || tally.Picked != 1 {
+		t.Fatalf("a draw from the empty table: %v, %d picks", err, tally.Picked)
+	}
+	cfg.Bits++
+	other, err := BuildPruned(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := other.NewQueryFilter()
+	if _, _, err := tree.SampleVersion(foreign, rng, nil, nil, tree.VersionFor(foreign), nil); err == nil || err == ErrNoSample {
+		t.Fatalf("a descent on a filter of another profile: %v", err)
+	}
 }

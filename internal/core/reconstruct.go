@@ -129,7 +129,7 @@ func (t *Tree) reconstructNode(n *node, pos uint64, rule PruneRule, d *descent, 
 	var lOK, rOK bool
 	if d.index.covers(pos) {
 		// A missing child estimates to 0, under every threshold there is.
-		lEst, rEst := t.childEstimates(n, pos, left, right, d)
+		lEst, rEst := t.childEstimates(pos, left, right, d)
 		lOK, rOK = lEst >= t.cfg.EmptyThreshold, rEst >= t.cfg.EmptyThreshold
 	} else {
 		lOK = left != nil && t.childAlive(left, d.q, rule, d.ops)

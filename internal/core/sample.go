@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/bloom"
 )
@@ -40,115 +39,61 @@ func (t *Tree) Sample(q *bloom.Filter, rng *rand.Rand, ops *Ops) (uint64, error)
 // heap allocations per draw. Like Sample it is read-only on the tree and
 // the query filter; the caller owns rng, ops and scratch.
 func (t *Tree) SampleScratch(q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch []uint64) (uint64, []uint64, error) {
-	return t.SampleMemo(q, rng, ops, scratch, nil)
+	return t.SampleVersion(q, rng, ops, scratch, nil, nil)
 }
 
-// Memo remembers, for the draws one request makes against one pinned,
-// immutable query filter, the child estimates of every internal node a
-// descent has already passed that the version's EstimateIndex does not
-// cover. The estimates depend only on the node's filters and the query, so a
-// later descent that reaches the node reads them back instead of paying two
-// m-bit AND-popcounts again: r draws cost as many estimates as they touch
-// distinct nodes, not r·depth — what §5.3's multi-sample achieves, with the
-// draws left independent. It is the request-long half of the arrangement:
-// the index keeps the top of the tree for as long as the filter version
-// lives and checks every pair against tree growth; the Memo keeps the levels
-// below, where a pair is not worth its bytes for longer, and checks nothing.
-//
-// The zero Memo is ready to use, and all the workers of a request share
-// one: whichever reaches a node first computes its pair of estimates, the
-// others wait for that pair alone — the table's lock is held for the
-// lookup, never across an AND-popcount — so a request pays for each node
-// once however many goroutines it runs on. It must be Reset at the end of
-// the request, once its workers have returned and before it meets another
-// filter or filter version: what it remembers describes one query against
-// the tree as the request saw it (later growth would go unnoticed) and
-// keeps the nodes reachable.
-type Memo struct {
-	mu   sync.Mutex
-	ests map[*node]*memoEntry
-	// Entries are handed out in order from fixed-size slabs that survive
-	// Reset, so a pooled Memo serves its next request without allocating.
-	// A slab is never reallocated: entries are shared by pointer.
-	slabs [][]memoEntry
-	used  int
-}
-
-// memoEntry is one node's pair of child estimates, computed under once.
-type memoEntry struct {
-	once        sync.Once
-	left, right float64
-}
-
-// memoSlab is the number of entries per slab (4 KB).
-const memoSlab = 128
-
-// entry returns n's entry, a fresh one the first time n is asked for.
-func (m *Memo) entry(n *node) *memoEntry {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e := m.ests[n]; e != nil {
-		return e
-	}
-	if m.ests == nil {
-		m.ests = make(map[*node]*memoEntry)
-	}
-	if m.used == len(m.slabs)*memoSlab {
-		m.slabs = append(m.slabs, make([]memoEntry, memoSlab))
-	}
-	e := &m.slabs[m.used/memoSlab][m.used%memoSlab]
-	*e = memoEntry{}
-	m.used++
-	m.ests[n] = e
-	return e
-}
-
-// Reset forgets everything. The table's memory is kept for the next request
-// unless this one was large enough that clearing it again and again would
-// cost small requests more than allocating afresh.
-func (m *Memo) Reset() {
-	if m.used > memoKeep {
-		m.ests, m.slabs = nil, nil
-	} else {
-		clear(m.ests)
-	}
-	m.used = 0
-}
-
-// memoKeep is the largest table a Memo holds on to across Reset.
-const memoKeep = 1024
-
-// Estimates is where the draws of one worker of a sampling request get their
-// child estimates from, and its tally of what they cost. Index must be
-// IndexFor's for the filter sampled; Memo is the request's. Either may be
-// nil. Index and Memo are shared by the request's workers, the tally is each
-// worker's own.
+// Estimates is the tally of what the draws of one worker of a sampling
+// request, or one reconstruction, cost and where they were served from.
 type Estimates struct {
-	Index *EstimateIndex
-	Memo  *Memo
 	// Computed counts the estimates the calls handed this value computed
 	// (what Ops.Intersections counts), Remembered those they read back from
-	// Index or Memo instead.
+	// the version's index instead.
 	Computed, Remembered uint64
 	// Tested counts the ids the calls tested at their leaves, probes fired
 	// and ranges scanned (what Ops.Memberships counts): what a served draw
 	// pays its Version.
 	Tested uint64
+	// Picked counts the draws that were picks from the version's positives:
+	// they read no estimate and tested no id.
+	Picked uint64
 }
 
-// SampleMemo is SampleScratch reading child estimates back where est has
-// them (nil means nowhere): the top levels from the filter version's index,
-// which outlives the call and the request, the rest from the request's memo.
-// For a given rng state it returns exactly the id SampleScratch would — same
-// branch rule, same backtracking, same rng consumption, and a remembered
-// estimate is the float64 that would have been computed — so everything
-// known about the draws' distribution carries over; only the intersections
-// drop. ops.Intersections counts estimates this call computed, not
-// remembered ones read back: summed over every call ever made on one filter
-// version it is at most twice the internal nodes the index covers (while the
-// tree does not grow), plus, per request, twice the distinct nodes passed
-// below it.
-func (t *Tree) SampleMemo(q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch []uint64, est *Estimates) (uint64, []uint64, error) {
+// SampleVersion is SampleScratch served from what v — q's version
+// (VersionFor), or nil for SampleScratch itself — already knows, adding what
+// the draw cost to tally (which may be nil).
+//
+// A version that holds its positives answers with a uniform pick among them
+// (ErrNoSample when there are none): exactly uniform, no estimate read, no id
+// tested. Until then the draw is Algorithm 1's descent reading child
+// estimates back from the version's index for the levels it covers, and it
+// pays the version the ids it tested at its leaf (Version.Pay) — which may
+// be the payment that runs the version's scan. For a given rng state the
+// descent returns exactly the id SampleScratch would — same branch rule,
+// same backtracking, same rng consumption, and a remembered estimate is the
+// float64 that would have been computed — so everything known about the
+// draws' distribution carries over; only the intersections drop.
+// ops.Intersections counts estimates this call computed, not remembered
+// ones read back: summed over every call ever made on one filter version it
+// is at most twice the internal nodes the index covers (while the tree does
+// not grow), plus what each descent passes below it.
+//
+// A caller that counts ops keeps the descent it is counting: it reads the
+// index, is never served a pick and pays nothing.
+func (t *Tree) SampleVersion(q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch []uint64, v *Version, tally *Estimates) (uint64, []uint64, error) {
+	if tally == nil {
+		tally = new(Estimates)
+	}
+	served := v // what may pick and must pay: not a caller who counts
+	if ops != nil {
+		served = nil
+	}
+	if p := served.Positives(); p != nil {
+		tally.Picked++
+		if p.Len() == 0 {
+			return 0, scratch, ErrNoSample
+		}
+		return p.Select(rng.Intn(p.Len())), scratch, nil
+	}
 	if err := t.checkQuery(q); err != nil {
 		return 0, scratch, err
 	}
@@ -156,16 +101,12 @@ func (t *Tree) SampleMemo(q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch []u
 	if root == nil { // empty pruned tree
 		return 0, scratch, ErrNoSample
 	}
-	d := descent{q: q, rng: rng, ops: ops, scratch: scratch}
-	if est != nil {
-		d.index, d.memo = est.Index, est.Memo
-	}
+	d := descent{q: q, rng: rng, ops: ops, scratch: scratch, index: v.Index()}
 	x, ok := t.sampleNode(root, &d)
-	if est != nil {
-		est.Computed += d.computed
-		est.Remembered += d.remembered
-		est.Tested += d.tested
-	}
+	tally.Computed += d.computed
+	tally.Remembered += d.remembered
+	tally.Tested += d.tested
+	served.Pay(d.tested)
 	if !ok {
 		return 0, d.scratch, ErrNoSample
 	}
@@ -178,7 +119,6 @@ type descent struct {
 	rng     *rand.Rand
 	ops     *Ops
 	scratch []uint64
-	memo    *Memo
 	index   *EstimateIndex
 	// Estimates computed and read back, and ids tested at leaves, so far;
 	// see Estimates.
@@ -203,7 +143,7 @@ func (t *Tree) sampleAt(n *node, pos uint64, d *descent) (uint64, bool) {
 		return t.sampleLeaf(n, d)
 	}
 
-	lEst, rEst := t.childEstimates(n, pos, left, right, d)
+	lEst, rEst := t.childEstimates(pos, left, right, d)
 	thr := t.cfg.EmptyThreshold
 	lOK, rOK := lEst >= thr, rEst >= thr
 
@@ -236,11 +176,10 @@ func (t *Tree) sampleAt(n *node, pos uint64, d *descent) (uint64, bool) {
 	return t.sampleAt(second, firstPos^1, d)
 }
 
-// childEstimates returns the estimates of n's two children against the
-// descent's query from the nearest place that has them — the version's
-// index for the levels it covers, the request's memo below — and computes
-// them where neither does, tallying which it was.
-func (t *Tree) childEstimates(n *node, pos uint64, left, right *node, d *descent) (lEst, rEst float64) {
+// childEstimates returns the estimates of the two children of the node at
+// heap position pos against the descent's query — from the version's index
+// for the levels it covers, computed below it — tallying which it was.
+func (t *Tree) childEstimates(pos uint64, left, right *node, d *descent) (lEst, rEst float64) {
 	pair := uint64(2)
 	if left == nil || right == nil {
 		pair = 1 // a missing child is not estimated
@@ -249,22 +188,13 @@ func (t *Tree) childEstimates(n *node, pos uint64, left, right *node, d *descent
 		return t.childEstimate(left, d.q, d.ops), t.childEstimate(right, d.q, d.ops)
 	}
 	computed := true
-	switch {
-	case d.index.covers(pos):
+	if d.index.covers(pos) {
 		// The stamps are read before anything is computed and filters only
 		// move forward, so what is filed under them can describe filters
 		// newer than its label — and is then computed once more than needed
 		// — never older.
 		lEst, rEst, computed = d.index.slots[pos-1].estimates(left.stamp()+right.stamp(), compute)
-	case d.memo != nil:
-		e := d.memo.entry(n)
-		computed = false
-		e.once.Do(func() {
-			e.left, e.right = compute()
-			computed = true
-		})
-		lEst, rEst = e.left, e.right
-	default:
+	} else {
 		lEst, rEst = compute()
 	}
 	if computed {

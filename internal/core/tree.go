@@ -319,8 +319,8 @@ type Ops struct {
 	Intersections uint64
 	// Memberships counts the membership probes actually fired at the query
 	// filter: a leaf's whole range where it is scanned (SampleN,
-	// Reconstruct, the uniform sampler, a draw's fallback), the ids tried
-	// where a draw samples it.
+	// Reconstruct, a draw's fallback), the ids tried where a draw samples
+	// it.
 	Memberships uint64
 	// NodesVisited counts tree nodes entered.
 	NodesVisited uint64

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/bloom"
@@ -19,7 +20,9 @@ import (
 // and what is remembered is estimates: the EstimateIndex. Warm, the version
 // holds its Positives too: a draw is a uniform pick among them, and §6's
 // walk (ReconstructVersion) takes its verdicts from the index and its leaves
-// from the table — which is why a warm version keeps its index.
+// from the table — which is why a warm version keeps its index. SampleVersion
+// and ReconstructVersion are the two requests served from it; Exact is the
+// table itself, for a caller that needs exactly uniform draws from the first.
 //
 // The move from one to the other is ski-rental in the paper's own cost unit
 // (§5.4: memberships). Every served draw reports the ids it tested at its
@@ -34,7 +37,8 @@ import (
 // scans, a read-mostly key always does, and no clock or tunable decides
 // which. The table is kept only if it fits in the bytes of the version's own
 // bit vector (≈ 0.46 of them at the planned sizes); a filter so full that
-// its positives outweigh it declines once and stays on the descent.
+// its positives outweigh it declines once and stays on the descent, unless it
+// is asked for Exact draws, which scan each time.
 type Version struct {
 	tree *Tree
 	q    *bloom.Filter
@@ -43,15 +47,16 @@ type Version struct {
 	// rent is the ids served draws have tested at their leaves since the
 	// version last had no table.
 	rent atomic.Uint64
-	// pos is nil while renting, one of the two sentinels below while or
-	// after a scan that left nothing to serve, and the table otherwise.
+	// pos is nil while renting, declined after a scan that left nothing to
+	// keep, and the table otherwise.
 	pos atomic.Pointer[Positives]
+	// scanning is held by the version's one scan under way. Pay tries it and
+	// keeps descending when it is taken; Exact waits on it.
+	scanning sync.Mutex
 }
 
-var (
-	scanning = new(Positives) // a scan is under way
-	declined = new(Positives) // the positives outweigh the filter
-)
+// declined stands in pos for a table that outgrew its version's bytes.
+var declined = new(Positives)
 
 // PositivesStats counts, over every version of every filter the tree has
 // served, the scans run, those of them that declined (the table outgrew its
@@ -121,7 +126,7 @@ func (v *Version) Positives() *Positives {
 		return nil
 	}
 	p := v.pos.Load()
-	if p == nil || p == scanning || p == declined {
+	if p == nil || p == declined {
 		return nil
 	}
 	if p.nodes != v.tree.Nodes() {
@@ -138,26 +143,71 @@ func (v *Version) Positives() *Positives {
 // reconstruction is about to test in its leaves, to what the version has
 // spent without a table, and runs the scan if this payment is the one that
 // takes the total past the price. Callers that count Ops neither pay nor are
-// served from the table: theirs is the nil version, which takes nothing.
+// served from the table (SampleVersion pays for none of theirs, and a counted
+// walk's is the nil version, which takes nothing).
 func (v *Version) Pay(tested uint64) {
 	if v == nil || tested == 0 || v.rent.Add(tested) < v.tree.LeafIDs() ||
-		v.pos.Load() != nil || !v.pos.CompareAndSwap(nil, scanning) {
+		v.pos.Load() != nil || !v.scanning.TryLock() {
 		return
 	}
-	t := v.tree
+	v.scan()
+	v.scanning.Unlock()
+}
+
+// Exact returns the table an exactly uniform draw from the version picks
+// from — Select(rng.Intn(Len())) — whatever the version has paid so far: a
+// version still renting pays the rest of the price now and scans, or waits
+// for the scan already under way rather than running a second; one whose
+// table was dropped because the tree grew a leaf scans again; and one that
+// declined scans into a table it hands over and does not keep (so each call
+// scans). It never falls back to the descent. Nil for a nil version, and for
+// a table past what a block's 32-bit offset can address.
+func (v *Version) Exact() *Positives {
+	if v == nil {
+		return nil
+	}
+	for {
+		if p := v.Positives(); p != nil {
+			return p
+		}
+		if v.pos.Load() == declined {
+			return v.tree.scanPositives(v.q, math.MaxUint32)
+		}
+		v.scanning.Lock()
+		v.scan()
+		v.scanning.Unlock()
+	}
+}
+
+// scan runs the version's one scan and leaves the table, or declined, in
+// pos — unless a scan that finished since the caller looked has done so. The
+// caller holds v.scanning.
+func (v *Version) scan() {
+	if v.pos.Load() != nil {
+		return
+	}
+	// The version's own bytes, and never more than a block's 32-bit offset
+	// can address.
+	p := v.tree.scanPositives(v.q, min(v.q.SizeBytes(), math.MaxUint32))
+	if p == nil {
+		v.tree.scansDeclined.Add(1)
+		p = declined
+	} else {
+		v.tree.packedBytes.Add(p.Bytes())
+	}
+	v.pos.Store(p)
+}
+
+// scanPositives runs one unpruned scan of the leaves and returns the table of
+// what q answers for in them, nil once it outgrows budget bytes.
+func (t *Tree) scanPositives(q *bloom.Filter, budget uint64) *Positives {
 	t.scans.Add(1)
 	p := &Positives{nodes: t.Nodes()}
 	buf := make([]uint64, 0, ScratchHint)
-	// The version's own bytes, and never more than a block's 32-bit offset
-	// can address.
-	budget := min(v.q.SizeBytes(), math.MaxUint32)
-	if !t.packPositives(t.rootNode(), v.q, p, budget, &buf) {
-		t.scansDeclined.Add(1)
-		v.pos.Store(declined)
-		return
+	if !t.packPositives(t.rootNode(), q, p, budget, &buf) {
+		return nil
 	}
 	// Packed by append, kept at its size.
 	p.firsts, p.offs, p.gaps = slices.Clone(p.firsts), slices.Clone(p.offs), slices.Clone(p.gaps)
-	t.packedBytes.Add(p.Bytes())
-	v.pos.Store(p)
+	return p
 }

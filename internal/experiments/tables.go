@@ -94,24 +94,14 @@ func RunChiSquared(cfg Config) ([]*Table, error) {
 			}
 			rounds := cfg.ChiSqRoundsFactor * n
 
-			// Corrected sampler: the rejection-corrected UniformSampler,
-			// whose accepted samples are exactly uniform (see
-			// core.UniformSampler); this is the headline p-value.
-			sampler, err := tree.NewUniformSampler(q)
-			if err != nil {
-				return nil, err
-			}
+			// Corrected sampler: picks from the filter version's packed
+			// positives, which are exactly uniform over them (see
+			// core.Version.Exact); this is the headline p-value.
+			exact := tree.VersionFor(q).Exact()
 			counts := make([]int, n)
 			inSet := 0
-			for i := 0; i < rounds; i++ {
-				x, err := sampler.Sample(rng, nil)
-				if err == core.ErrNoSample {
-					break
-				}
-				if err != nil {
-					return nil, err
-				}
-				if j, ok := index[x]; ok {
+			for i := 0; i < rounds && exact.Len() > 0; i++ {
+				if j, ok := index[exact.Select(rng.Intn(exact.Len()))]; ok {
 					counts[j]++
 					inSet++
 				}

@@ -170,12 +170,13 @@ func TestMetricsExposition(t *testing.T) {
 		"bst_go_goroutines",
 		`bst_admission_limit{budget="global"}`,
 		"# HELP bst_db_growth_epoch Growth publishes of the pruned sampling tree, summed over its subtrees (0 for a full tree).\n",
-		"# HELP bst_db_draws_warm_total Sample draws that were uniform picks from a filter version's packed positives.\n",
+		"# HELP bst_db_estimates_remembered_total Intersection estimates sampling and reconstruction requests read back from a filter version's index instead of computing them.\n",
+		"# HELP bst_db_draws_warm_total Sample draws that were uniform picks from a filter version's packed positives (a uniform request's, every one; a default request's once the version has scanned).\n",
 		"# HELP bst_db_draws_descended_total Sample draws that were descents of the sampling tree (lost ones included).\n",
 		"bst_db_draws_descended_total 12\n",
 		"# HELP bst_db_reconstructs_warm_total Reconstructions whose leaves were all read from a filter version's packed positives.\n",
 		"# HELP bst_db_reconstructs_walked_total Reconstructions that scanned their leaves (the version had no packed positives to read).\n",
-		"# HELP bst_db_positives_scans_total Leaf scans run by filter versions whose requests had tested as many ids as the scan would.\n",
+		"# HELP bst_db_positives_scans_total Leaf scans run by filter versions: once their requests had tested as many ids as the scan would, or for a uniform request, which does not wait.\n",
 		"# HELP bst_db_positives_declined_total Leaf scans that kept nothing because the packed positives outgrew the filter version's own bytes.\n",
 		"# HELP bst_db_positives_dropped_total Packed-positives tables dropped because the pruned sampling tree grew a leaf under them.\n",
 		"# HELP bst_db_positives_bytes_total Bytes of every packed-positives table kept (cumulative; tables die with their filter version).\n",
@@ -189,11 +190,13 @@ func TestMetricsExposition(t *testing.T) {
 // TestVersionCountersAreServed samples one key until its filter version has
 // paid for its scan and a request has been served from the table,
 // reconstructs it, writes to another key so that the pruned tree grows
-// leaves under it, reconstructs and samples once more, and reads the eight
-// counters of that life from both stats surfaces: /v1/stats and /metrics
-// report the same numbers, and they are the numbers of what happened — one
-// scan, none declined, one table dropped, its bytes, and draws and
-// reconstructions on both sides.
+// leaves under it, reconstructs and samples once more, asks the other key —
+// whose version nobody has drawn from — for five uniform draws, and reads
+// the eight counters of that life from both stats surfaces: /v1/stats and
+// /metrics report the same numbers, and they are the numbers of what
+// happened — one scan paid for by descents and one by the uniform request,
+// whose five draws were all picks, none declined, one table dropped, their
+// bytes, and draws and reconstructions on both sides.
 func TestVersionCountersAreServed(t *testing.T) {
 	srv, data, admin := newObsServer(t, Config{})
 	post := func(path, body string) {
@@ -219,14 +222,18 @@ func TestVersionCountersAreServed(t *testing.T) {
 	}
 	post("/v1/reconstruct", `{"key":"plain"}`)
 	post("/v1/sample", `{"key":"plain","n":1}`)
+	before := srv.DB().Stats()
+	post("/v1/sample", `{"key":"elsewhere","n":5,"uniform":true}`)
 	var st StatsResponse
 	_, body := get(t, data.URL+"/v1/stats")
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.DB.PositivesScans != 1 || st.DB.PositivesDeclined != 0 || st.DB.PositivesDropped != 1 || st.DB.PositivesBytes == 0 ||
-		st.DB.DrawsWarm == 0 || st.DB.DrawsDescended < 2 || st.DB.ReconstructsWarm != 1 || st.DB.ReconstructsWalked != 1 {
-		t.Fatalf("/v1/stats after a key went warm and the tree grew under it: %+v", st.DB)
+	if before.PositivesScans != 1 || st.DB.PositivesScans != 2 || st.DB.PositivesDeclined != 0 || st.DB.PositivesDropped != 1 || st.DB.PositivesBytes <= before.PositivesBytes ||
+		before.DrawsWarm == 0 || st.DB.DrawsWarm != before.DrawsWarm+5 || st.DB.DrawsDescended != before.DrawsDescended || st.DB.DrawsDescended < 2 ||
+		st.DB.ReconstructsWarm != 1 || st.DB.ReconstructsWalked != 1 {
+		t.Fatalf("/v1/stats after a key went warm, the tree grew under it and another was drawn from exactly: %+v (before the uniform request: %d scans, %d picks)",
+			st.DB, before.PositivesScans, before.DrawsWarm)
 	}
 	_, metrics := get(t, admin.URL+"/metrics")
 	for name, v := range map[string]uint64{

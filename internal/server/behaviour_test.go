@@ -95,15 +95,18 @@ var behaviourRows = []behaviourRow{
 	{name: "reconstruct dynamic key unflagged", call: behaviourCall{op: "reconstruct", key: "dyn"}, want: 200},
 	{name: "sample plain key as dynamic", call: behaviourCall{op: "sample", key: "plain", n: 1, dynamic: true}, want: 200},
 	{name: "intersection plain with dynamic", call: behaviourCall{op: "intersection", key: "plain", keyB: "dyn"}, want: 200},
+	// Exact draws pick from the pinned version's positives, which a
+	// removable set's query view has like any other.
+	{name: "uniform+dynamic", call: behaviourCall{op: "sample", key: "dyn", n: 1, uniform: true, dynamic: true}, want: 200},
+	{name: "uniform on dynamic key unflagged", call: behaviourCall{op: "sample", key: "dyn", n: 1, uniform: true}, want: 200},
+	{name: "uniform stream on dynamic key", call: behaviourCall{op: "stream", key: "dyn", n: 150, uniform: true}, want: 200},
 
-	// Unknown keys and mode mismatches. The uniform sampler refuses a
-	// removable set because of what the key holds, flagged or not.
+	// Unknown keys and kind clashes.
 	{name: "unknown key", call: behaviourCall{op: "sample", key: "nope", n: 1}, want: 404},
 	{name: "stream unknown key", call: behaviourCall{op: "stream", key: "nope", n: 10}, want: 404},
 	{name: "reconstruct unknown key", call: behaviourCall{op: "reconstruct", key: "nope"}, want: 404},
 	{name: "intersection unknown key", call: behaviourCall{op: "intersection", key: "plain", keyB: "nope"}, want: 404},
-	{name: "uniform+dynamic", call: behaviourCall{op: "sample", key: "dyn", n: 1, uniform: true, dynamic: true}, want: 400},
-	{name: "uniform on dynamic key unflagged", call: behaviourCall{op: "sample", key: "dyn", n: 1, uniform: true}, want: 400},
+	{name: "uniform unknown key", call: behaviourCall{op: "sample", key: "nope", n: 1, uniform: true}, want: 404},
 	{name: "add kind clash", call: behaviourCall{op: "add", key: "dyn", ids: []uint64{1}}, want: 409},
 	{name: "add out of namespace", call: behaviourCall{op: "add", key: "far", ids: []uint64{999_999_999}}, want: 400},
 

@@ -52,9 +52,9 @@ var (
 // statusFor maps errors onto HTTP statuses — and, the numbers being
 // shared, onto wire error codes: absent keys are 404, semantic conflicts
 // (plain/dynamic clash, remove of a non-member) are 409, known caller
-// mistakes (an id outside the namespace, uniform sampling of a removable
-// set) are 400, and anything unrecognized is a genuine server-side failure
-// — 500, so monitoring never blames the client for an internal bug.
+// mistakes (an id outside the namespace) are 400, and anything unrecognized
+// is a genuine server-side failure — 500, so monitoring never blames the
+// client for an internal bug.
 func statusFor(err error) int {
 	var ae *apiError
 	switch {
@@ -65,8 +65,7 @@ func statusFor(err error) int {
 	case errors.Is(err, setdb.ErrKeyClash),
 		errors.Is(err, bloom.ErrNotMember):
 		return http.StatusConflict
-	case errors.Is(err, setdb.ErrOutOfRange),
-		errors.Is(err, setdb.ErrNotPlain):
+	case errors.Is(err, setdb.ErrOutOfRange):
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError
@@ -90,11 +89,12 @@ func pinned(db *setdb.DB, key string) (*bloom.Filter, error) {
 
 // SampleRequest asks for n samples from the set under Key.
 //
-// Two sampling modes: the near-uniform BSTSample batch path (parallel
-// workers), which serves every key, and — Uniform — the
-// rejection-corrected exactly-uniform sampler (plain sets only; its
-// calibration lives on the key, is shared by every request for it and
-// shows up in /v1/stats). Either way the request is drawn whole from the
+// Two sampling modes, both serving every key: the default draws from the
+// pinned version as it stands — BSTSample descents (parallel workers) until
+// the version has served a scan's worth of them, exactly uniform picks from
+// its packed positives after — and Uniform draws exactly uniformly from the
+// version's first draw, paying for the version's scan there and then if
+// nobody has yet. Either way the request is drawn whole from the
 // version of the set published when it arrived. Stream switches the
 // response to chunks — NDJSON lines over HTTP, credit-gated frames on the
 // wire — drawn and sent a chunk at a time, for batches too large to
@@ -112,8 +112,8 @@ type SampleRequest struct {
 
 // SampleResponse carries the drawn ids. Returned can be less than
 // Requested: a BSTSample descent that ends on a false-positive path
-// yields no sample (the near-uniform modes), and the uniform sampler
-// stops at its rejection bound.
+// yields no sample, and a version that answers for no id of the tree's
+// leaves has nothing to pick (Returned is then 0, in either mode).
 type SampleResponse struct {
 	Key       string   `json:"key"`
 	Requested int      `json:"requested"`
@@ -142,21 +142,14 @@ func (s *Server) pin(req *SampleRequest) (draw func(n int) ([]uint64, error), er
 		return nil, errf(http.StatusRequestEntityTooLarge, "n %d exceeds the batch limit %d (stream mode affords up to %d)", req.N, s.cfg.MaxBatch, s.cfg.MaxStreamBatch)
 	}
 	db := s.DB()
-	if req.Uniform {
-		// The uniform mode's pin is a sampler over that version, bound to
-		// the calibration the key carries (a removable set has none:
-		// setdb.ErrNotPlain, 400).
-		smp, err := db.UniformSampler(req.Key)
-		if err != nil {
-			return nil, err
-		}
-		return func(n int) ([]uint64, error) {
-			return db.SampleUniformFrom(smp, n)
-		}, nil
-	}
 	f, err := pinned(db, req.Key)
 	if err != nil {
 		return nil, err
+	}
+	if req.Uniform {
+		return func(n int) ([]uint64, error) {
+			return db.SampleExactFrom(f, n)
+		}, nil
 	}
 	// Clamp the client-supplied worker count: it is a hint, not a lever
 	// to make the server spawn 100k goroutines for one request.
@@ -198,7 +191,7 @@ func (s *Server) sampleStream(req SampleRequest, st *binStream, emit func(ids []
 			return err
 		}
 		// The drawer may return fewer ids than asked (false-positive
-		// descents, the uniform rejection bound). Credit is charged for
+		// descents, a version with no positive). Credit is charged for
 		// ids actually sent — the client can only grant back what it
 		// received, so charging the ask would leak the difference and
 		// starve a stream over a lossy key. Progress is counted by the
@@ -473,12 +466,12 @@ type DBStats struct {
 	MeanBytesCopiedPerWrite float64 `json:"mean_bytes_copied_per_write"`
 	SampleDrawsLost         uint64  `json:"sample_draws_lost"`    // batch draws that ended on a false-positive path: Σ requested − returned
 	EstimatesComputed       uint64  `json:"estimates_computed"`   // intersection estimates sampling and reconstruction requests computed
-	EstimatesRemembered     uint64  `json:"estimates_remembered"` // and those read back from a filter version's index or the request's memo
-	DrawsWarm               uint64  `json:"draws_warm"`           // draws that were uniform picks from a filter version's packed positives
+	EstimatesRemembered     uint64  `json:"estimates_remembered"` // and those read back from a filter version's index
+	DrawsWarm               uint64  `json:"draws_warm"`           // draws that were uniform picks from a filter version's packed positives: every draw of a uniform request, a default request's once the version has scanned
 	DrawsDescended          uint64  `json:"draws_descended"`      // draws that were descents of the tree (lost ones included)
 	ReconstructsWarm        uint64  `json:"reconstructs_warm"`    // reconstructions whose leaves were all read from a version's packed positives
 	ReconstructsWalked      uint64  `json:"reconstructs_walked"`  // reconstructions that scanned their leaves
-	PositivesScans          uint64  `json:"positives_scans"`      // leaf scans run by filter versions whose requests had tested a scan's worth of ids
+	PositivesScans          uint64  `json:"positives_scans"`      // leaf scans run by filter versions: once their requests had tested a scan's worth of ids, or for a uniform request
 	PositivesDeclined       uint64  `json:"positives_declined"`   // scans that kept nothing: the table outgrew the version's own bytes
 	PositivesDropped        uint64  `json:"positives_dropped"`    // tables dropped because the pruned tree grew a leaf under them
 	PositivesBytes          uint64  `json:"positives_bytes"`      // bytes of every table kept, cumulative
@@ -533,9 +526,6 @@ type StatsResponse struct {
 	Wire          WireStats                `json:"wire"`
 	Durability    *wal.Stats               `json:"durability,omitempty"`
 	Endpoints     map[string]EndpointStats `json:"endpoints"`
-	// Samplers is the calibration of every plain key whose uniform sampler
-	// has made an attempt; core.UniformStats carries its own JSON tags.
-	Samplers map[string]core.UniformStats `json:"samplers,omitempty"`
 }
 
 // stats assembles the stats document served by both GET /v1/stats and
@@ -578,7 +568,6 @@ func (s *Server) stats() StatsResponse {
 			Backend:                 st.Backend,
 		},
 		Endpoints: map[string]EndpointStats{},
-		Samplers:  st.Samplers,
 	}
 	opts := db.Options()
 	resp.Options = OptionsStats{

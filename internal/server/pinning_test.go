@@ -259,14 +259,17 @@ func (w *flushHook) Flush() {
 }
 
 // TestUniformStreamFinishesOnTheLifetimeItPinned is the one pin rule on the
-// mode that used to be its exception. A uniform stream's key is deleted and
+// exact mode. A uniform stream's key is deleted and
 // re-created with disjoint ids between its first chunk and its second — on
 // the wire inside the first chunk's callback, before any credit for a second
 // is granted; over HTTP right after the first chunk is flushed — and the
 // stream must finish as if nothing had happened: 200 / a final chunk, no
 // in-band error, every id a positive of the version it pinned and none of the
 // lifetime that took the key's name. A request that arrives afterwards is
-// served by that new lifetime alone.
+// served by that new lifetime alone. Every draw of both was a pick: each of
+// the two versions scanned for its first chunk, and the pinned one once more
+// for its second, because the reborn ids grew the pruned tree new leaves
+// under its table.
 func TestUniformStreamFinishesOnTheLifetimeItPinned(t *testing.T) {
 	const n, chunk = 64, 16
 	for _, codec := range []string{"http", "binary"} {
@@ -351,13 +354,18 @@ func TestUniformStreamFinishesOnTheLifetimeItPinned(t *testing.T) {
 					t.Fatalf("a request after the swap drew %d, not of the lifetime it arrived in", id)
 				}
 			}
+			if st := s.stats().DB; st.PositivesScans != 3 || st.PositivesDropped != 1 || st.DrawsWarm != uint64(len(got)+len(after)) || st.DrawsDescended != 0 {
+				t.Fatalf("a stream and a request on two lifetimes: %d scans, %d tables dropped, %d picks, %d descents; want 3, 1, %d, 0",
+					st.PositivesScans, st.PositivesDropped, st.DrawsWarm, st.DrawsDescended, len(got)+len(after))
+			}
 		})
 	}
 }
 
 // TestUniformRacingWritesAndRebirths hammers one key, under -race, with what
-// the entry's calibration has to stand: uniform requests on both codecs
-// (buffered and streamed), adds to the key, and the key deleted and
+// a version's one scan has to stand: uniform requests on both codecs
+// (buffered and streamed) meeting on versions nobody has scanned yet, adds
+// to the key, and the key deleted and
 // re-created under them. Every request ends 200 or — in the gap between a
 // Delete and the Add after it — 404, and every answer is drawn from one
 // lifetime: the two lifetimes' ids come from disjoint pools, and an answer
@@ -399,9 +407,7 @@ func TestUniformRacingWritesAndRebirths(t *testing.T) {
 		}
 		return resp.StatusCode
 	}
-	// A lifetime starts with 64 ids (a sampler's headroom scales with
-	// leaves ÷ n̂: a key reborn with two ids would make every draw cost
-	// hundreds of attempts, and the test minutes under -race).
+	// A lifetime starts with 64 ids.
 	rebirth := func(pool []uint64) {
 		db.Delete("hot")
 		if err := db.Add("hot", pool[:64]...); err != nil {
@@ -480,8 +486,10 @@ func TestUniformRacingWritesAndRebirths(t *testing.T) {
 	if _, err := dialTestClient(t, addr).Sample("hot", 4, wire.SampleOpts{Uniform: true}); err != nil {
 		t.Fatal(err)
 	}
-	if smp := s.stats().Samplers["hot"]; smp.Attempts < 4 || smp.Accepted == 0 {
-		t.Fatalf("the key's calibration after the hammering: %+v", smp)
+	// Every draw was a pick from a table some request's scan had left: no
+	// uniform request falls back to the descent, however cold its version.
+	if st := s.stats().DB; st.DrawsWarm < 4 || st.DrawsDescended != 0 || st.PositivesScans == 0 {
+		t.Fatalf("after the hammering: %d picks, %d descents, %d scans", st.DrawsWarm, st.DrawsDescended, st.PositivesScans)
 	}
 }
 

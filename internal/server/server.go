@@ -24,7 +24,7 @@
 //	POST /v1/intersection  estimate |A ∩ B| for two stored sets
 //	POST /v1/add           insert ids ("dynamic" is the kind a new key gets: a removable set; multi-key batches group-commit)
 //	POST /v1/remove        remove ids from a removable set (all-or-nothing)
-//	GET  /v1/stats         shard/epoch/calibration introspection + per-endpoint metrics
+//	GET  /v1/stats         shard/epoch/version-counter introspection + per-endpoint metrics
 //	GET  /v1/snapshot      download a live restore bundle (binary body; works with or without a WAL)
 //	POST /v1/snapshot      trigger an on-disk snapshot (requires a durability layer)
 //	POST /v1/restore       replace the database with an uploaded bundle (binary body)

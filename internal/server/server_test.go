@@ -95,13 +95,36 @@ func TestSampleSingleAndBatch(t *testing.T) {
 }
 
 func TestSampleUniformAndDynamic(t *testing.T) {
-	ts, _ := newTestServer(t, Config{})
+	ts, db := newTestServer(t, Config{})
+	stats := func() StatsResponse {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st StatsResponse
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
 	var uni SampleResponse
 	if code := post(t, ts, "/v1/sample", `{"key":"plain","n":50,"uniform":true}`, &uni); code != 200 {
 		t.Fatalf("uniform sample: status %d", code)
 	}
-	if len(uni.IDs) == 0 {
-		t.Fatal("uniform sample returned nothing")
+	if uni.Returned != 50 || len(uni.IDs) != 50 {
+		t.Fatalf("uniform sample returned %d of 50", len(uni.IDs))
+	}
+	for _, id := range uni.IDs {
+		if !db.Filter("plain").Contains(id) {
+			t.Fatalf("uniform sample %d is not a positive of its key", id)
+		}
+	}
+	// A fresh version's first uniform request pays for its scan and is
+	// served from it: every draw a pick, none a descent.
+	if st := stats(); st.DB.PositivesScans != 1 || st.DB.DrawsWarm != 50 || st.DB.DrawsDescended != 0 {
+		t.Fatalf("after one uniform request: %d scans, %d picks, %d descents", st.DB.PositivesScans, st.DB.DrawsWarm, st.DB.DrawsDescended)
 	}
 	var dyn SampleResponse
 	if code := post(t, ts, "/v1/sample", `{"key":"dyn","n":20,"dynamic":true}`, &dyn); code != 200 {
@@ -112,32 +135,39 @@ func TestSampleUniformAndDynamic(t *testing.T) {
 			t.Fatalf("dynamic sample %d outside {1..5}", id)
 		}
 	}
-	// Uniform + dynamic is rejected.
-	if code := post(t, ts, "/v1/sample", `{"key":"dyn","uniform":true,"dynamic":true}`, nil); code != 400 {
-		t.Fatalf("uniform+dynamic: status %d, want 400", code)
+	// Uniform serves a removable key too, flagged or not.
+	for _, body := range []string{`{"key":"dyn","n":20,"uniform":true,"dynamic":true}`, `{"key":"dyn","n":20,"uniform":true}`} {
+		var got SampleResponse
+		if code := post(t, ts, "/v1/sample", body, &got); code != 200 || got.Returned != 20 {
+			t.Fatalf("%s: status %d, %d ids", body, code, got.Returned)
+		}
+		for _, id := range got.IDs {
+			if !db.Filter("dyn").Contains(id) {
+				t.Fatalf("%s: %d is not a positive of its key", body, id)
+			}
+		}
 	}
-	// The uniform sampler's calibration must show in /v1/stats.
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
+	// A present key that answers for no id has nothing to pick: 200, and
+	// every draw asked for reported lost.
+	if err := db.AddDynamic("hollow", 9); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := db.RemoveDynamic("hollow", 9); err != nil {
 		t.Fatal(err)
 	}
-	smp, ok := st.Samplers["plain"]
-	if !ok {
-		t.Fatalf("no sampler calibration for 'plain' in stats: %+v", st.Samplers)
+	lost := stats().DB.SampleDrawsLost
+	var none SampleResponse
+	if code := post(t, ts, "/v1/sample", `{"key":"hollow","n":7,"uniform":true}`, &none); code != 200 || none.Requested != 7 || none.Returned != 0 {
+		t.Fatalf("uniform sample of a key with no positive: status %d, %+v", code, none)
 	}
-	if smp.Attempts == 0 || smp.SafetyFactor <= 0 || smp.MaxAttempts <= 0 {
-		t.Fatalf("sampler calibration not populated: %+v", smp)
+	if st := stats(); st.DB.SampleDrawsLost != lost+7 {
+		t.Fatalf("7 draws with nothing to pick moved sample_draws_lost by %d", st.DB.SampleDrawsLost-lost)
 	}
 }
 
-// TestSampleUniformSurvivesDeleteReAdd covers a key's second lifetime:
-// the calibration went with the deleted key, and a uniform request after
-// Delete+Add is served by the new lifetime alone.
+// TestSampleUniformSurvivesDeleteReAdd covers a key's second lifetime: what
+// the first lifetime's version had scanned went with the deleted key, and a
+// uniform request after Delete+Add is served by the new lifetime alone.
 func TestSampleUniformSurvivesDeleteReAdd(t *testing.T) {
 	ts, db := newTestServer(t, Config{})
 	if code := post(t, ts, "/v1/sample", `{"key":"plain","n":5,"uniform":true}`, nil); code != 200 {
@@ -146,19 +176,8 @@ func TestSampleUniformSurvivesDeleteReAdd(t *testing.T) {
 	if !db.Delete("plain") {
 		t.Fatal("delete failed")
 	}
-	// A stats call between the delete and the next draw reports no
-	// calibration for a set that is gone.
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if _, ok := st.Samplers["plain"]; ok {
-		t.Fatal("stats still reports a sampler for the deleted key")
+	if code := post(t, ts, "/v1/sample", `{"key":"plain","n":5,"uniform":true}`, nil); code != 404 {
+		t.Fatalf("uniform sample of a deleted key: status %d, want 404", code)
 	}
 	if err := db.Add("plain", 10, 20, 30); err != nil {
 		t.Fatal(err)
@@ -171,6 +190,9 @@ func TestSampleUniformSurvivesDeleteReAdd(t *testing.T) {
 		if id != 10 && id != 20 && id != 30 {
 			t.Fatalf("sampled %d from the dead key lifetime", id)
 		}
+	}
+	if st := db.Stats(); st.PositivesScans != 2 || st.DrawsWarm != 10 {
+		t.Fatalf("two lifetimes drawn from exactly: %d scans, %d picks; want 2 and 10", st.PositivesScans, st.DrawsWarm)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/bloom"
-	"repro/internal/core"
 	"repro/internal/membership"
 )
 
@@ -62,13 +61,13 @@ func (db *DB) next(cur entry, bound bool, w *Write) (entry, bool, error) {
 		return entry{m: m}, err == nil, err
 	case !bound:
 		db.gen.Add(1)
-		return entry{m: membership.FromBloom(bloom.NewFromElements(db.fam, w.IDs)), cal: new(core.Calibration)}, true, nil
+		return entry{m: membership.FromBloom(bloom.NewFromElements(db.fam, w.IDs))}, true, nil
 	case removable && !w.Dynamic:
 		return entry{}, false, fmt.Errorf("%w: %q already exists as a dynamic set", ErrKeyClash, w.Key)
 	case w.Dynamic && !removable:
 		return entry{}, false, fmt.Errorf("%w: %q already exists as a plain set", ErrKeyClash, w.Key)
 	}
-	return entry{m: cur.m.CloneAdd(w.IDs...), cal: cur.cal}, true, nil
+	return entry{m: cur.m.CloneAdd(w.IDs...)}, true, nil
 }
 
 // ApplyBatch applies a batch of writes with one snapshot publish per

@@ -154,9 +154,12 @@ func TestSampleManyAllocsPerDraw(t *testing.T) {
 // a frame) and point shape (M = 10⁵, depth 8, one draw): cold, the indexed
 // descent with every estimate the index covers remembered — what a version
 // serves until it has tested a scan's worth of ids, held there by counting
-// Ops — and warm, picks from the version's packed positives. Run it at
-// -cpu 1 against the parent commit's binary to time the layer in pairs; the
-// result slice is each side's one allocation.
+// Ops — and warm, picks from the version's packed positives; and the same
+// request asked for exactly (SampleExactFrom): exact-first on a version
+// nobody has drawn from (a clone of the filter each iteration), which runs
+// the version's scan before it picks, and exact-warm. Run it at -cpu 1
+// against the parent commit's binary to time the layer in pairs; the result
+// slice is the one allocation of every side but exact-first.
 func BenchmarkSampleManyVersion(b *testing.B) {
 	for _, shape := range []struct {
 		name               string
@@ -190,6 +193,24 @@ func BenchmarkSampleManyVersion(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					xs, err := db.SampleManyWorkers("k3", shape.draws, 1, side.ops)
+					if err != nil || len(xs) != shape.draws {
+						b.Fatalf("%d ids, err %v", len(xs), err)
+					}
+				}
+			})
+		}
+		for _, side := range []struct {
+			name  string
+			fresh bool
+		}{{"exact-first", true}, {"exact-warm", false}} {
+			b.Run(shape.name+"/"+side.name, func(b *testing.B) {
+				b.ReportAllocs()
+				f := db.Filter("k3")
+				for i := 0; i < b.N; i++ {
+					if side.fresh {
+						f = f.Clone()
+					}
+					xs, err := db.SampleExactFrom(f, shape.draws)
 					if err != nil || len(xs) != shape.draws {
 						b.Fatalf("%d ids, err %v", len(xs), err)
 					}

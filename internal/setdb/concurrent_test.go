@@ -1,7 +1,6 @@
 package setdb
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -90,11 +89,7 @@ func TestConcurrentPrunedGrowth(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
-			us, err := db.UniformSampler("seedset")
-			if err != nil {
-				t.Error(err)
-				return
-			}
+			pinned := db.Filter("seedset")
 			for i := 0; i < 40; i++ {
 				if g%2 == 0 {
 					db.Add("seedset", uint64(rng.Intn(1_000_000)))
@@ -102,8 +97,11 @@ func TestConcurrentPrunedGrowth(t *testing.T) {
 					db.Sample("seedset", rng, nil)
 					db.Reconstruct("seedset", core.PruneByAndBits, nil)
 					if i%8 == 0 {
-						// Sampler draws must stay gated against tree growth.
-						us.Sample(rng, nil)
+						// Exact draws from a held version must stay true
+						// while the tree grows leaves under its table.
+						if ids, err := db.SampleExactFrom(pinned, 1); err != nil || len(ids) != 1 || !pinned.Contains(ids[0]) {
+							t.Errorf("exact draw from a held version: %v, %v", ids, err)
+						}
 					}
 				}
 			}
@@ -190,17 +188,16 @@ func TestConcurrentDynamicMix(t *testing.T) {
 	}
 }
 
-// TestConcurrentSamplerShared pins the shared-sampler contract: one sampler
-// instance shared by many goroutines keeps serving valid members while a
+// TestConcurrentSamplerShared pins the shared-version contract: one held
+// filter version shared by many goroutines drawing exactly from it keeps
+// serving its own positives, from the one table one scan found, while a
 // writer goroutine keeps growing the same key (copy-on-write filter swaps
-// the sampler, pinned to the version it was bound to, never sees).
+// the held version never sees).
 func TestConcurrentSamplerShared(t *testing.T) {
 	db, err := Open(testOptions(t, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Seed with a design-sized set so the rejection sampler's initial
-	// safety factor (∝ leaves/n̂) stays small and draws stay cheap.
 	seedRng := rand.New(rand.NewSource(7))
 	seedIDs := make([]uint64, 400)
 	for i := range seedIDs {
@@ -209,16 +206,12 @@ func TestConcurrentSamplerShared(t *testing.T) {
 	if err := db.Add("hot", seedIDs...); err != nil {
 		t.Fatal(err)
 	}
-	us, err := db.UniformSampler("hot")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pinned := db.Filter("hot")
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		// A bounded writer keeps the key growing (each Add publishes a
-		// copy-on-write swap beside the draws); keeping the set small
-		// keeps the rejection loops fast under -race.
+		// copy-on-write swap beside the draws).
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(99))
 		for i := 0; i < 60; i++ {
@@ -230,30 +223,20 @@ func TestConcurrentSamplerShared(t *testing.T) {
 	}()
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(1000 + g)))
 			for i := 0; i < 25; i++ {
-				x, err := us.Sample(rng, nil)
-				if err == core.ErrNoSample {
-					continue
-				}
-				if err != nil {
-					t.Errorf("shared sampler: %v", err)
-					return
-				}
-				// The sample must be a member of some published version —
-				// the current filter is a superset of all earlier ones.
-				if ok, cerr := db.Contains("hot", x); cerr != nil || !ok {
-					t.Errorf("sample %d not a member (err=%v)", x, cerr)
+				ids, err := db.SampleExactFrom(pinned, 1)
+				if err != nil || len(ids) != 1 || !pinned.Contains(ids[0]) {
+					t.Errorf("shared version: drew %v, %v; want a positive of the held version", ids, err)
 					return
 				}
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
-	if st := us.Stats(); st.Accepted == 0 {
-		t.Fatal("shared sampler accepted nothing")
+	if st := db.Stats(); st.DrawsWarm != 8*25 || st.PositivesScans != 1 {
+		t.Fatalf("eight goroutines on one held version: %d picks from %d scans, want 200 from 1", st.DrawsWarm, st.PositivesScans)
 	}
 }
 
@@ -379,11 +362,12 @@ func TestShardDistribution(t *testing.T) {
 	}
 }
 
-// TestHeldUniformSamplerIsAPin pins what a sampler held across writes to its
-// key is: a pin on the version it was bound to, as a held Filter is. After
-// its key is deleted (or deleted and re-added) its draws go on serving that
-// version — stale, never an error, and never an id of the lifetime that took
-// the key's name; a sampler asked for afterwards serves the new lifetime.
+// TestHeldUniformSamplerIsAPin pins what a caller who samples a key exactly
+// holds across writes to it — the key's filter — as what it is: a pin on the
+// version it was read at. After its key is deleted (or deleted and re-added)
+// its draws go on serving that version —
+// stale, never an error, and never an id of the lifetime that took the key's
+// name; a filter asked for afterwards serves the new lifetime.
 func TestHeldUniformSamplerIsAPin(t *testing.T) {
 	db, err := Open(testOptions(t, false))
 	if err != nil {
@@ -391,30 +375,25 @@ func TestHeldUniformSamplerIsAPin(t *testing.T) {
 	}
 	db.Add("s", 10, 20, 30, 40)
 	pinned := db.Filter("s")
-	us, err := db.UniformSampler("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
 	draw := func(when string) {
 		t.Helper()
-		if x, err := us.Sample(rng, nil); err != nil || !pinned.Contains(x) {
-			t.Fatalf("%s: held sampler drew %d, %v; want a positive of the version it pinned", when, x, err)
+		if ids, err := db.SampleExactFrom(pinned, 1); err != nil || len(ids) != 1 || !pinned.Contains(ids[0]) {
+			t.Fatalf("%s: held version drew %v, %v; want a positive of the version pinned", when, ids, err)
 		}
 	}
-	draw("fresh sampler")
+	draw("fresh version")
 	db.Delete("s")
 	draw("after Delete")
-	if _, err := db.UniformSampler("s"); !errors.Is(err, ErrNoSet) {
-		t.Fatalf("UniformSampler of a deleted key: %v, want ErrNoSet", err)
+	if db.Filter("s") != nil {
+		t.Fatal("Filter of a deleted key is not nil")
 	}
 	db.Add("s", 99)
 	draw("after re-Add")
-	us2, err := db.UniformSampler("s")
-	if err != nil {
-		t.Fatal(err)
+	reborn := db.Filter("s")
+	if ids, err := db.SampleExactFrom(reborn, 1); err != nil || len(ids) != 1 || !reborn.Contains(ids[0]) || pinned.Contains(ids[0]) {
+		t.Fatalf("the new lifetime drew %v, %v; want 99 (or a false positive of its filter)", ids, err)
 	}
-	if x, err := us2.Sample(rng, nil); err != nil || !db.Filter("s").Contains(x) || pinned.Contains(x) {
-		t.Fatalf("sampler of the new lifetime drew %d, %v; want 99 (or a false positive of its filter)", x, err)
+	if st := db.Stats(); st.PositivesScans != 2 || st.DrawsWarm != 4 {
+		t.Fatalf("two versions drawn from exactly: %d scans, %d picks; want 2 and 4", st.PositivesScans, st.DrawsWarm)
 	}
 }

@@ -157,20 +157,25 @@ func TestOneKeySpace(t *testing.T) {
 		t.Fatalf("ReconstructAll = %v, %v; want both keys", all, err)
 	}
 
-	// The uniform sampler's calibration only ever rises: it refuses a set
-	// that can shrink, and says so with its own error.
-	if _, err := db.UniformSampler("d"); !errors.Is(err, ErrNotPlain) {
-		t.Fatalf("UniformSampler on a removable key: %v, want ErrNotPlain", err)
-	}
-	smp, err := db.UniformSampler("k")
-	if err != nil {
-		t.Fatal(err)
+	// Exact draws serve both kinds: they pick from the pinned version's
+	// positives, which a removable set's query view has like any other.
+	for _, key := range []string{"k", "d"} {
+		f := db.Filter(key)
+		ids, err := db.SampleExactFrom(f, 20)
+		if err != nil || len(ids) != 20 {
+			t.Fatalf("SampleExactFrom(%s) = %d ids, %v", key, len(ids), err)
+		}
+		for _, x := range ids {
+			if !f.Contains(x) {
+				t.Fatalf("exact draw %d from %s is not a positive of its version", x, key)
+			}
+		}
 	}
 	pinned := db.Filter("k")
 
 	// Delete drops either kind; the key is then free for the other one, as
-	// a new lifetime of which a sampler held from the old one, being a pin
-	// on the version it was bound to, serves nothing.
+	// a new lifetime of which a filter held from the old one, being a pin
+	// on the version it was read at, serves nothing.
 	if !db.Delete("d") || db.Delete("d") {
 		t.Fatal("Delete of a removable key: want true, then false")
 	}
@@ -186,8 +191,8 @@ func TestOneKeySpace(t *testing.T) {
 	if err := db.AddDynamic("k", 1); err != nil {
 		t.Fatalf("dynamic add over a deleted plain key: %v", err)
 	}
-	if x, err := smp.Sample(rng, nil); err != nil || !pinned.Contains(x) {
-		t.Fatalf("sampler of the deleted lifetime drew %d, %v; want a positive of the version it pinned", x, err)
+	if ids, err := db.SampleExactFrom(pinned, 1); err != nil || len(ids) != 1 || !pinned.Contains(ids[0]) {
+		t.Fatalf("the deleted lifetime's filter drew %v, %v; want a positive of the version it pinned", ids, err)
 	}
 }
 

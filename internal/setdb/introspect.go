@@ -1,7 +1,6 @@
 package setdb
 
 import (
-	"repro/internal/core"
 	"repro/internal/membership"
 )
 
@@ -66,17 +65,18 @@ type DBStats struct {
 	SampleDrawsLost uint64
 	// EstimatesComputed counts the intersection estimates the same requests
 	// and the reconstructions served (ReconstructFrom) computed,
-	// EstimatesRemembered those they read back instead — from the estimate
-	// index that lives on a filter version (core.EstimateIndex) or from the
-	// request's own memo. Remembered ÷ (computed + remembered) is the share
-	// of the descent's dominant cost that was not paid.
+	// EstimatesRemembered those they read back instead from the estimate
+	// index that lives on a filter version (core.EstimateIndex). Remembered ÷
+	// (computed + remembered) is the share of the descent's dominant cost
+	// that was not paid.
 	EstimatesComputed   uint64
 	EstimatesRemembered uint64
 	// DrawsWarm counts the draws of those requests that were uniform picks
-	// from a filter version's packed positives (core.Positives),
-	// DrawsDescended those that were descents of the tree, lost ones
-	// included: only the second kind reads an estimate, so their share is how
-	// much of the sampling traffic the index and the memo still serve.
+	// from a filter version's packed positives (core.Positives) — every
+	// draw of SampleExactFrom, and SampleManyFrom's once the version has paid
+	// for its scan — DrawsDescended those that were descents of the tree,
+	// lost ones included: only the second kind reads an estimate, so their
+	// share is how much of the sampling traffic the index still serves.
 	DrawsWarm      uint64
 	DrawsDescended uint64
 	// ReconstructsWarm counts the reconstructions whose leaves were all read
@@ -87,7 +87,8 @@ type DBStats struct {
 	ReconstructsWalked uint64
 	// PositivesScans counts the leaf scans filter versions have run to find
 	// their positives (one per version, once its draws had tested as many
-	// ids as the scan would), PositivesDeclined those of them that kept
+	// ids as the scan would or at its first exact draw; one per exact request
+	// on a version that declined), PositivesDeclined those of them that kept
 	// nothing because the table outgrew the version's own bytes,
 	// PositivesDropped the tables dropped because the pruned tree grew a
 	// leaf under them, and PositivesBytes the bytes of every table kept
@@ -100,10 +101,6 @@ type DBStats struct {
 	// grows; Delete does not reclaim it, and a write to an existing key
 	// does not move it).
 	Generations uint64
-	// Samplers holds, by key, the calibration of every plain key whose
-	// exactly-uniform sampler has made an attempt (core.Calibration: the
-	// one the uniform draws of a key lifetime share).
-	Samplers map[string]core.UniformStats
 	// TreeNodes, TreeDepth, TreePruned and TreeMemoryBytes describe the
 	// shared BloomSampleTree.
 	TreeNodes       uint64
@@ -165,7 +162,6 @@ func (db *DB) Stats() DBStats {
 		ReconstructsWarm:    db.reconstructsWarm.Load(),
 		ReconstructsWalked:  db.reconstructsWalked.Load(),
 		Generations:         db.gen.Load(),
-		Samplers:            map[string]core.UniformStats{},
 		TreeNodes:           db.tree.Nodes(),
 		TreeDepth:           db.tree.Depth(),
 		TreePruned:          db.tree.Pruned(),
@@ -182,12 +178,9 @@ func (db *DB) Stats() DBStats {
 	for i := range db.shards {
 		snap := db.shards[i].load().sets
 		ss := ShardStats{Chunks: snap.numChunks()}
-		snap.rangeAll(func(key string, e entry) {
+		snap.rangeAll(func(_ string, e entry) {
 			if _, ok := e.removable(); !ok {
 				ss.Sets++
-				if us := e.cal.Stats(); us.Attempts > 0 {
-					st.Samplers[key] = us
-				}
 				return
 			}
 			ss.Dynamic++

@@ -19,9 +19,9 @@ import (
 // sharing the same stored filter and what is remembered about it: the
 // filter's core.Version, which hangs on the filter itself, outlives the
 // request and is read without a lock — its positives once it has paid for
-// them, its estimate index until then — and for the tree levels the index
-// does not cover the request's core.Memo, whose lock covers a table lookup,
-// never a computation, and is the only one taken.
+// them, its estimate index until then. What a draw is served from, and when
+// a version scans, is core's to decide (Tree.SampleVersion, Version.Exact,
+// Tree.ReconstructVersion); this file pins, fans out and counts.
 
 // SampleMany draws n samples from the set under key using up to
 // GOMAXPROCS goroutines; their order is unspecified. A filter version that
@@ -77,7 +77,11 @@ func (db *DB) ReconstructFrom(f *bloom.Filter, rule core.PruneRule, ops *core.Op
 	if f == nil {
 		return nil, fmt.Errorf("%w (nil filter)", ErrNoSet)
 	}
-	ids, tally, err := db.tree.ReconstructVersion(f, rule, ops, served(db.tree.VersionFor(f), ops))
+	var v *core.Version // a counted walk's stays nil
+	if ops == nil {
+		v = db.tree.VersionFor(f)
+	}
+	ids, tally, err := db.tree.ReconstructVersion(f, rule, ops, v)
 	if err != nil {
 		return nil, err
 	}
@@ -91,15 +95,38 @@ func (db *DB) ReconstructFrom(f *bloom.Filter, rule core.PruneRule, ops *core.Op
 	return ids, nil
 }
 
-// SampleUniformFrom draws up to n exactly-uniform samples (with replacement)
-// through one caller-held sampler (obtained from UniformSampler), which is to
-// this call what the filter is to SampleManyFrom: every chunk of a batch
-// spread over several calls is drawn from the one version it is bound to.
-// Fewer than n results means the rejection loop ran into its attempt bound.
-func (db *DB) SampleUniformFrom(u *core.UniformSampler, n int) ([]uint64, error) {
-	w := sampleWorkers.Get().(*sampleWorker)
-	defer sampleWorkers.Put(w)
-	return u.SampleN(n, w.rng, nil)
+// SampleExactFrom draws n exactly uniform samples (with replacement) from one
+// caller-held immutable filter version (obtained from Filter), whatever the
+// key's backend: n picks from the version's packed positives
+// (core.Version.Exact), which a version that has not scanned for them yet pays
+// for here, once — so the draws are exact from the version's first, where
+// SampleManyFrom's are Algorithm 1's until the version has served a scan's
+// worth. Fewer than n results — none — means the version answers for no id
+// of any leaf.
+func (db *DB) SampleExactFrom(f *bloom.Filter, n int) ([]uint64, error) {
+	if f == nil {
+		return nil, fmt.Errorf("%w (nil filter)", ErrNoSet)
+	}
+	if err := f.MatchesFamily(db.fam); err != nil {
+		return nil, err
+	}
+	if n <= 0 {
+		return nil, nil
+	}
+	p := db.tree.VersionFor(f).Exact()
+	if p == nil {
+		return nil, errors.New("setdb: the filter has no version on this tree to draw exactly from")
+	}
+	out := make([]uint64, 0, n)
+	if p.Len() > 0 {
+		w := sampleWorkers.Get().(*sampleWorker)
+		for len(out) < n {
+			out = append(out, p.Select(w.rng.Intn(p.Len())))
+		}
+		sampleWorkers.Put(w)
+	}
+	db.recordDraws(n, n-len(out), core.Estimates{Picked: uint64(n)})
+	return out, nil
 }
 
 // sampleWorker is what one goroutine of a batch draws with. Workers are
@@ -107,15 +134,13 @@ func (db *DB) SampleUniformFrom(u *core.UniformSampler, n int) ([]uint64, error)
 // worker per request cost more than the rest of the fan-out together; each
 // rng is seeded once, from the global source, when the pool creates it.
 // What the draws of a request learn about the tree is not a worker's to
-// keep: it sits in the filter version's index and the request's memo, which
-// every worker is handed.
+// keep: it sits on the filter version, which every worker is handed.
 type sampleWorker struct {
 	rng     *rand.Rand
 	scratch []uint64 // leaf-scan hits, threaded through every draw
-	// The estimates the worker's latest share computed and read back, and
-	// the draws of it that were picks from the version's positives, left for
-	// whoever ran it to add to the database's counters.
-	computed, remembered, warm uint64
+	// What the worker's latest share cost and where it was served from, left
+	// for whoever ran it to add to the database's counters.
+	tally core.Estimates
 }
 
 var sampleWorkers = sync.Pool{New: func() any {
@@ -125,81 +150,21 @@ var sampleWorkers = sync.Pool{New: func() any {
 	}
 }}
 
-// requestMemos pools the child-estimate memos, one per request in flight
-// that needs one, so a request finds the table and the entry slab of an
-// earlier one.
-var requestMemos = sync.Pool{New: func() any { return new(core.Memo) }}
-
-// estimatesFor returns what the workers of one request of n descents from
-// the version v read child estimates through. The version is pinned and
-// immutable, so every request gets the index that lives on it (created here
-// by the first), a single draw included: what a request pays for at the top
-// of the tree no later request on the version pays for again. The levels
-// below the index are remembered for the length of the request, in a pooled
-// memo, when there are such levels and a second draw to profit; putMemo
-// takes it back once every worker has returned.
-func estimatesFor(tree *core.Tree, v *core.Version, n int) core.Estimates {
-	est := core.Estimates{Index: v.Index()}
-	if n > 1 && est.Index.Levels() < tree.Depth() {
-		est.Memo = requestMemos.Get().(*core.Memo)
-	}
-	return est
-}
-
-func putMemo(memo *core.Memo) {
-	if memo != nil {
-		memo.Reset()
-		requestMemos.Put(memo)
-	}
-}
-
-// served returns the version a request pays and may be served from: v, or
-// nil for a caller counting Ops, who keeps the descent or the walk it is
-// counting.
-func served(v *core.Version, ops *core.Ops) *core.Version {
-	if ops != nil {
-		return nil
-	}
-	return v
-}
-
-// draw is a whole request on one worker: drawShared with the request's
-// estimates fetched and released around it — unless the version serves the
-// request from its positives, which reads no estimate.
+// draw makes quota independent draws from f through its version on tree
+// (core.Tree.SampleVersion: picks from the version's positives once it has
+// them, descents that read its index and pay it until then — this worker's
+// payment may be the one that scans), appending the ids to out and returning
+// how many draws were lost (core.ErrNoSample: a false-positive path, or a
+// version with no positive to pick). Any other tree error ends the worker's
+// share. A caller that passes ops gets quota descents: the ids are exactly
+// what quota SampleScratch calls on the same rng would return. The draw loop
+// itself allocates nothing.
 func (w *sampleWorker) draw(tree *core.Tree, f *bloom.Filter, quota int, ops *core.Ops, out []uint64) (_ []uint64, lost int, err error) {
 	v := tree.VersionFor(f)
-	pay := served(v, ops)
-	var est core.Estimates
-	if pay.Positives() == nil {
-		est = estimatesFor(tree, v, quota)
-		defer putMemo(est.Memo)
-	}
-	return w.drawShared(tree, f, quota, ops, out, est, pay)
-}
-
-// drawShared makes quota independent root-to-leaf draws from f, reading
-// child estimates through est (its own copy: the tally is per worker),
-// appending the ids to out and returning how many draws were lost to
-// false-positive paths (core.ErrNoSample). Any other tree error ends the
-// worker's share. The ids are exactly what quota SampleScratch calls on the
-// same rng would return. The draw loop itself allocates nothing.
-//
-// With a version to serve (v non-nil) each descent pays v the ids it tested
-// at its leaf, and once v has its positives — this worker's payment may be
-// the one that scans for them — the rest of the share is picked from those.
-func (w *sampleWorker) drawShared(tree *core.Tree, f *bloom.Filter, quota int, ops *core.Ops, out []uint64, est core.Estimates, v *core.Version) (_ []uint64, lost int, err error) {
-	w.warm = 0
+	w.tally = core.Estimates{}
 	for i := 0; i < quota && err == nil; i++ {
-		if p := v.Positives(); p != nil {
-			var unpicked int
-			out, unpicked = w.pick(p, quota-i, out)
-			lost += unpicked
-			break
-		}
 		var x uint64
-		tested := est.Tested
-		x, w.scratch, err = tree.SampleMemo(f, w.rng, ops, w.scratch, &est)
-		v.Pay(est.Tested - tested)
+		x, w.scratch, err = tree.SampleVersion(f, w.rng, ops, w.scratch, v, &w.tally)
 		switch err {
 		case nil:
 			out = append(out, x)
@@ -208,22 +173,7 @@ func (w *sampleWorker) drawShared(tree *core.Tree, f *bloom.Filter, quota int, o
 			err = nil
 		}
 	}
-	w.computed, w.remembered = est.Computed, est.Remembered
 	return out, lost, err
-}
-
-// pick appends n ids drawn uniformly, with replacement, from p: the whole of
-// a draw on a version that has its positives. A version with none (a filter
-// whose set bits answer for no id of any leaf) loses all n.
-func (w *sampleWorker) pick(p *core.Positives, n int, out []uint64) (_ []uint64, lost int) {
-	w.warm += uint64(n)
-	if p.Len() == 0 {
-		return out, n
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, p.Select(w.rng.Intn(p.Len())))
-	}
-	return out, 0
 }
 
 // sampleManyFilter draws n samples from one immutable filter with up to
@@ -244,12 +194,10 @@ func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) (
 		workers = n
 	}
 	out := make([]uint64, 0, n)
-	v := db.tree.VersionFor(f)
-	pay := served(v, ops)
-	if workers == 1 || pay.Positives() != nil {
+	if workers == 1 || ops == nil && db.tree.VersionFor(f).Positives() != nil {
 		w := sampleWorkers.Get().(*sampleWorker)
 		out, lost, err := w.draw(db.tree, f, n, ops, out)
-		db.recordDraws(n, lost, w.computed, w.remembered, w.warm)
+		db.recordDraws(n, lost, w.tally)
 		sampleWorkers.Put(w)
 		return out, err
 	}
@@ -257,14 +205,13 @@ func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) (
 	// Each worker fills its own quota-sized window of out; the windows are
 	// closed up afterwards, since a worker may return fewer than its quota.
 	type result struct {
-		xs                         []uint64
-		lost                       int
-		computed, remembered, warm uint64
-		ops                        core.Ops
-		err                        error
+		xs    []uint64
+		lost  int
+		tally core.Estimates
+		ops   core.Ops
+		err   error
 	}
 	results := make([]result, workers)
-	est := estimatesFor(db.tree, v, n)
 	var wg sync.WaitGroup
 	start := 0
 	for w := 0; w < workers; w++ {
@@ -282,23 +229,22 @@ func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) (
 				wops = &res.ops
 			}
 			sw := sampleWorkers.Get().(*sampleWorker)
-			res.xs, res.lost, res.err = sw.drawShared(db.tree, f, quota, wops, window, est, pay)
-			res.computed, res.remembered, res.warm = sw.computed, sw.remembered, sw.warm
+			res.xs, res.lost, res.err = sw.draw(db.tree, f, quota, wops, window)
+			res.tally = sw.tally
 			sampleWorkers.Put(sw)
 		}()
 	}
 	wg.Wait()
-	putMemo(est.Memo)
 
 	var firstErr error
-	var computed, remembered, warm uint64
+	var tally core.Estimates
 	lost := 0
 	for i := range results {
 		out = append(out, results[i].xs...)
 		lost += results[i].lost
-		computed += results[i].computed
-		remembered += results[i].remembered
-		warm += results[i].warm
+		tally.Computed += results[i].tally.Computed
+		tally.Remembered += results[i].tally.Remembered
+		tally.Picked += results[i].tally.Picked
 		if ops != nil {
 			ops.Add(results[i].ops)
 		}
@@ -306,7 +252,7 @@ func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) (
 			firstErr = results[i].err
 		}
 	}
-	db.recordDraws(n, lost, computed, remembered, warm)
+	db.recordDraws(n, lost, tally)
 	return out, firstErr
 }
 
@@ -317,12 +263,12 @@ func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) (
 // nothing to add — a request on a version that has its positives touches one
 // counter, the usual descending batch loses no draw and on a version whose
 // index is full computes nothing.
-func (db *DB) recordDraws(n, lost int, computed, remembered, warm uint64) {
+func (db *DB) recordDraws(n, lost int, tally core.Estimates) {
 	addSome(&db.lostDraws, uint64(lost))
-	addSome(&db.estimatesComputed, computed)
-	addSome(&db.estimatesRemembered, remembered)
-	addSome(&db.drawsWarm, warm)
-	addSome(&db.drawsDescended, uint64(n)-warm)
+	addSome(&db.estimatesComputed, tally.Computed)
+	addSome(&db.estimatesRemembered, tally.Remembered)
+	addSome(&db.drawsWarm, tally.Picked)
+	addSome(&db.drawsDescended, uint64(n)-tally.Picked)
 }
 
 // addSome adds d to a shared counter, which it leaves alone when d is 0.

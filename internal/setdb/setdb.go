@@ -100,12 +100,6 @@ var ErrNoSet = errors.New("setdb: no set")
 // lifetime); match it with errors.Is.
 var ErrKeyClash = errors.New("setdb: key clash")
 
-// ErrNotPlain is returned by UniformSampler for a removable set: the
-// sampler's calibration is an atomic maximum, written for sets that only
-// grow, and only a plain key carries one. It marks a caller mistake; match
-// it with errors.Is.
-var ErrNotPlain = errors.New("setdb: uniform sampling serves plain sets only")
-
 // ErrOutOfRange is wrapped by writes carrying an id outside the
 // database namespace; match it with errors.Is. It marks a caller
 // mistake, as opposed to an internal failure.
@@ -121,11 +115,9 @@ var ErrOutOfRange = errors.New("setdb: id outside namespace")
 const numShards = 64
 
 // entry is one stored set, and everything the database keeps about its key:
-// the immutable membership value, replaced by every write, and — for a plain
-// key — the calibration its exactly-uniform draws share (core.Calibration),
-// created with the key, carried unchanged by every later write and garbage
-// with the key on Delete. A key deleted and re-added, or loaded from a file,
-// starts a fresh one; a removable set has none (ErrNotPlain).
+// the immutable membership value, replaced by every write. What reads learn
+// about a version of it hangs on that version's query view (core.Version) and
+// is garbage with it.
 //
 // The paper's motivating applications track communities whose membership
 // changes over time (§1), and a plain Bloom filter cannot forget a member.
@@ -139,8 +131,7 @@ const numShards = 64
 // mutations of either kind publish a fresh immutable value, so readers (and
 // any memoized query-view projection) never observe a set mid-update.
 type entry struct {
-	m   membership.Membership
-	cal *core.Calibration
+	m membership.Membership
 }
 
 // removable returns the entry's value as a set ids can be removed from; ok
@@ -214,8 +205,7 @@ type DB struct {
 	lostDraws atomic.Uint64
 	// estimatesComputed and estimatesRemembered count the intersection
 	// estimates sampling and reconstruction requests computed and those they
-	// read back from a filter version's index or their own memo instead (see
-	// Stats).
+	// read back from a filter version's index instead (see Stats).
 	estimatesComputed, estimatesRemembered atomic.Uint64
 	// drawsWarm and drawsDescended count the draws of the same requests that
 	// were picks from a filter version's positives and those that were
@@ -392,26 +382,6 @@ func (db *DB) SampleN(key string, r int, withReplacement bool, rng *rand.Rand, o
 		return nil, err
 	}
 	return db.tree.SampleN(e.m.QueryView(), r, withReplacement, rng, ops)
-}
-
-// UniformSampler returns a rejection-corrected exactly-uniform sampler (see
-// core.UniformSampler) over the currently published version of the plain set
-// under key: to uniform draws what Filter is to the rest. It is immutable,
-// lock-free on every draw and safe to share across goroutines, and like a
-// held Filter it goes stale, never invalid — a write to the key, or a Delete,
-// publishes versions it does not see; ask again for one that does. What its
-// draws learn is kept on the key, not on the sampler: every sampler of one
-// key lifetime shares the entry's calibration. A removable set is refused
-// with ErrNotPlain.
-func (db *DB) UniformSampler(key string) (*core.UniformSampler, error) {
-	e, err := db.get(key)
-	if err != nil {
-		return nil, err
-	}
-	if e.cal == nil {
-		return nil, fmt.Errorf("%w (%q is removable)", ErrNotPlain, key)
-	}
-	return db.tree.NewUniformSamplerWith(e.m.QueryView(), e.cal)
 }
 
 // Reconstruct returns the set stored under key (§6): ReconstructFrom on the
@@ -608,12 +578,8 @@ func parse(r io.Reader) (*DB, error) {
 			if _, dup := sets[si].get(h, key); dup {
 				return fmt.Errorf("setdb: %s set %q: key appears twice in the file", section, key)
 			}
-			e := entry{m: m}
-			if !removable {
-				e.cal = new(core.Calibration)
-			}
 			db.gen.Add(1)
-			sets[si].set(h, key, e)
+			sets[si].set(h, key, entry{m: m})
 			return nil
 		})
 		if err != nil {

@@ -2,6 +2,7 @@ package setdb
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -108,8 +109,8 @@ func TestMissingKeyErrors(t *testing.T) {
 	if _, err := db.Contains("nope", 1); err == nil {
 		t.Fatal("missing key accepted by Contains")
 	}
-	if _, err := db.UniformSampler("nope"); err == nil {
-		t.Fatal("missing key accepted by UniformSampler")
+	if _, err := db.SampleExactFrom(db.Filter("nope"), 1); !errors.Is(err, ErrNoSet) {
+		t.Fatalf("SampleExactFrom of a missing key's filter: %v, want ErrNoSet", err)
 	}
 	if _, err := db.IntersectionEstimate("nope", "nope2"); err == nil {
 		t.Fatal("missing keys accepted by IntersectionEstimate")
@@ -199,23 +200,36 @@ func TestIntersectionEstimate(t *testing.T) {
 	}
 }
 
-func TestUniformSamplerThroughDB(t *testing.T) {
+// TestExactDrawsThroughDB: exact draws from a key's pinned filter are its
+// positives, a foreign filter is refused, and the draws are counted as picks.
+func TestExactDrawsThroughDB(t *testing.T) {
 	db, err := Open(testOptions(t, false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	db.Add("s", 10, 20, 30, 40)
-	s, err := db.UniformSampler("s")
+	f := db.Filter("s")
+	ids, err := db.SampleExactFrom(f, 50)
+	if err != nil || len(ids) != 50 {
+		t.Fatalf("SampleExactFrom: %d ids, %v", len(ids), err)
+	}
+	for _, x := range ids {
+		if !f.Contains(x) {
+			t.Fatalf("exact sample %d not a positive", x)
+		}
+	}
+	if st := db.Stats(); st.DrawsWarm != 50 || st.DrawsDescended != 0 || st.PositivesScans != 1 {
+		t.Fatalf("50 exact draws on a fresh version: %d picks, %d descents, %d scans", st.DrawsWarm, st.DrawsDescended, st.PositivesScans)
+	}
+	opts := testOptions(t, false)
+	opts.Bits++
+	other, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(4))
-	x, err := s.Sample(rng, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, _ := db.Contains("s", x); !ok {
-		t.Fatalf("uniform sample %d not a member", x)
+	other.Add("s", 10)
+	if _, err := db.SampleExactFrom(other.Filter("s"), 1); err == nil {
+		t.Fatal("a filter of another profile was accepted")
 	}
 }
 

@@ -81,8 +81,9 @@ const (
 	// Deprecated: the server accepts and ignores it — the key says what
 	// kind of set it holds. To be dropped with bench/'s use of it.
 	FlagDynamic byte = 1 << 0
-	// FlagUniform selects the rejection-corrected exactly-uniform sampler
-	// on sample requests (plain sets only).
+	// FlagUniform makes a sample request exactly uniform from the pinned
+	// version's first draw, on any key: picks from the version's positives,
+	// which the request scans for if nobody has yet.
 	FlagUniform byte = 1 << 1
 	// FlagFinal marks the last chunk frame of a streaming response.
 	FlagFinal byte = 1 << 2
