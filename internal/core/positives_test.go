@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -121,9 +122,16 @@ func checkExact(t *testing.T, name string, tree *Tree, v *Version, want []uint64
 // query is filled to where its false positives outnumber its members, so a
 // scan that pruned a child on §5.6's threshold or on an empty AND would leave
 // ids out, and the filter sizes straddle the budget.
+//
+// The range read a reconstruction is served by is held to the same
+// enumeration, not sampled: on one tree of every namespace — its depth and
+// pruning moving with M, so that the tables are dense, sparse and holed —
+// AppendRange(lo, hi) is the enumeration cut to [lo, hi) for every
+// lo ≤ hi ≤ M (rangeCases).
 func TestPositivesAreTheTruth(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	kept, declinedCount := 0, 0
+	var ranges rangeCases
 	for _, kind := range []hashfam.Kind{hashfam.KindFast, hashfam.KindMurmur3} {
 		for M := uint64(2); M <= 512; M++ {
 			for depth := 0; depth <= 5 && depth <= bits.Len64(M-1); depth++ {
@@ -189,6 +197,9 @@ func TestPositivesAreTheTruth(t *testing.T) {
 						}
 					}
 					checkExact(t, name, tree, v, want, p != nil)
+					if deepest := min(5, bits.Len64(M-1)); kind == hashfam.KindFast && depth == int(M)%(deepest+1) && pruned == (M/uint64(deepest+1)%2 == 1) {
+						ranges.queued = append(ranges.queued, rangeTable{name, want, M})
+					}
 				}
 			}
 		}
@@ -196,6 +207,98 @@ func TestPositivesAreTheTruth(t *testing.T) {
 	if kept < 1000 || declinedCount < 1000 {
 		t.Fatalf("%d tables kept and %d declined: the filter sizes were meant to straddle the budget", kept, declinedCount)
 	}
+	if ranges.run(t); ranges.tables != 511 || ranges.midBlock < 1000 || ranges.onFirst < 1000 || ranges.shortLast < 100 || ranges.twoByteGaps < 1 {
+		t.Fatalf("range reads checked: %d tables, %d reads, %d from inside a block, %d up to a block's first id, %d tables with a short last block, %d two-byte gaps: want one table a namespace and every case met",
+			ranges.tables, ranges.reads, ranges.midBlock, ranges.onFirst, ranges.shortLast, ranges.twoByteGaps)
+	}
+}
+
+// rangeCases is the exhaustive range check: the tables queued for it, and
+// what their reads met.
+type rangeCases struct {
+	queued []rangeTable
+
+	tables, reads                             int
+	midBlock, onFirst, shortLast, twoByteGaps int
+}
+
+type rangeTable struct {
+	name string
+	all  []uint64 // the table's ids, ascending
+	M    uint64
+}
+
+// run checks the queued tables, a worker a CPU — some 22 million reads between
+// them — and adds up what they met.
+func (c *rangeCases) run(t *testing.T) {
+	t.Helper()
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	next := make(chan rangeTable)
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for table := range next {
+				met, err := table.check()
+				mu.Lock()
+				if err != nil {
+					t.Error(err)
+				}
+				c.tables++
+				c.reads += met.reads
+				c.midBlock += met.midBlock
+				c.onFirst += met.onFirst
+				c.shortLast += met.shortLast
+				c.twoByteGaps += met.twoByteGaps
+				mu.Unlock()
+			}
+		}()
+	}
+	for _, table := range c.queued {
+		next <- table
+	}
+	close(next)
+	wg.Wait()
+}
+
+// check holds AppendRange(lo, hi) on the packed table to the ids of all in
+// [lo, hi), for every lo ≤ hi ≤ M.
+func (rt rangeTable) check() (met rangeCases, err error) {
+	p, all := packed(rt.all), rt.all
+	if len(all) > positivesBlock && len(all)%positivesBlock != 0 {
+		met.shortLast++
+	}
+	for i := 1; i < len(all); i++ {
+		if all[i]-all[i-1] >= 1<<7 && i%positivesBlock != 0 {
+			met.twoByteGaps++
+		}
+	}
+	var got []uint64
+	i := 0 // all[i:] are the ids from lo up
+	for lo := uint64(0); lo <= rt.M; lo++ {
+		for i < len(all) && all[i] < lo {
+			i++
+		}
+		j := i // all[i:j] are the ids in [lo, hi)
+		for hi := lo; hi <= rt.M; hi++ {
+			for j < len(all) && all[j] < hi {
+				j++
+			}
+			got = p.AppendRange(lo, hi, got[:0])
+			if !slices.Equal(got, all[i:j]) {
+				return met, fmt.Errorf("%s: AppendRange(%d, %d) of %v read %v, want %v", rt.name, lo, hi, all, got, all[i:j])
+			}
+			met.reads++
+			if j > i && i%positivesBlock != 0 {
+				met.midBlock++
+			}
+			if j-1 > i && (j-1)%positivesBlock == 0 {
+				met.onFirst++
+			}
+		}
+	}
+	return met, nil
 }
 
 // TestPositivesPackingAtTheEdges packs hand-made id lists around the block

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/bloom"
 )
 
@@ -62,12 +64,20 @@ func (t *Tree) Reconstruct(q *bloom.Filter, rule PruneRule, ops *Ops) ([]uint64,
 // (verdicts, which are not estimates, in neither) and the ids it tested: 0
 // when every leaf was read from the table.
 func (t *Tree) ReconstructVersion(q *bloom.Filter, rule PruneRule, ops *Ops, v *Version) ([]uint64, Estimates, error) {
+	return t.AppendReconstruct(nil, q, rule, ops, v)
+}
+
+// AppendReconstruct is ReconstructVersion appending its ids to dst, for a
+// caller that serves one reconstruction after another and keeps the slice:
+// with room in dst a warm version's answer allocates nothing. On an error dst
+// comes back as it was.
+func (t *Tree) AppendReconstruct(dst []uint64, q *bloom.Filter, rule PruneRule, ops *Ops, v *Version) ([]uint64, Estimates, error) {
 	if err := t.checkQuery(q); err != nil {
-		return nil, Estimates{}, err
+		return dst, Estimates{}, err
 	}
 	root := t.rootNode()
 	if root == nil {
-		return nil, Estimates{}, nil
+		return dst, Estimates{}, nil
 	}
 	d := descent{q: q, ops: ops}
 	if rule == PruneByEstimate {
@@ -84,10 +94,10 @@ func (t *Tree) ReconstructVersion(q *bloom.Filter, rule PruneRule, ops *Ops, v *
 	// The answer holds about n̂ ids plus the filter's false positives; sized
 	// once from the cardinality estimate (O(1): the popcount is remembered)
 	// it is not regrown, and copied, a dozen times on the way there.
-	var out []uint64
+	out := dst
 	if est := q.EstimateCardinality(); est < float64(t.cfg.Namespace) {
 		n := int(est)
-		out = make([]uint64, 0, n+n/8+64)
+		out = slices.Grow(out, n+n/8+64)
 	}
 	p := v.Positives()
 	if p == nil {
@@ -95,8 +105,15 @@ func (t *Tree) ReconstructVersion(q *bloom.Filter, rule PruneRule, ops *Ops, v *
 		p = v.Positives()
 	}
 	if p != nil {
-		for _, n := range leaves {
-			out = p.AppendRange(n.lo, n.hi, out)
+		// Surviving leaves that touch are read as one run: one search of the
+		// skip entries and one block entered mid-way for the run, not for
+		// each leaf — and where the threshold drops nothing, one for the set.
+		for i := 0; i < len(leaves); {
+			lo, hi := leaves[i].lo, leaves[i].hi
+			for i++; i < len(leaves) && leaves[i].lo == hi; i++ {
+				hi = leaves[i].hi
+			}
+			out = p.AppendRange(lo, hi, out)
 		}
 		// A leaf published since the table's scan began may be among those
 		// just read, and the table holds nothing of it: the table answers
@@ -104,7 +121,7 @@ func (t *Tree) ReconstructVersion(q *bloom.Filter, rule PruneRule, ops *Ops, v *
 		if p.nodes == t.Nodes() {
 			return out, tally, nil
 		}
-		out = out[:0]
+		out = out[:len(dst)]
 	}
 	for _, n := range leaves {
 		out = t.positivesInLeaf(n, q, ops, out)

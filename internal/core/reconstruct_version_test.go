@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -10,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bloom"
 	"repro/internal/hashfam"
 )
 
@@ -28,9 +30,15 @@ import (
 // not return. Beside the ids: a version with a table tests no id, a call
 // after the first computes no estimate (it reads back exactly those the first
 // computed), and a version scans once per table.
+//
+// A warm version reads its surviving leaves as runs, leaves that touch as one
+// range of the table, so the grid must hold both kinds of tree a thousand
+// times each: one whose every leaf survives (several leaves, one run), and
+// one with a hole between two surviving leaves in which a leaf the walk
+// dropped holds positives the table has — runs that must not merge.
 func TestReconstructFromVersionIsTheWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	var cold, crossed, refused, regrown int
+	var cold, crossed, refused, regrown, oneRun, gapped int
 	var coverage [3]int // of PruneByEstimate walks: no level, the top, every level
 	for _, kind := range []hashfam.Kind{hashfam.KindFast, hashfam.KindMurmur3} {
 		for M := uint64(2); M <= 512; M++ {
@@ -80,6 +88,12 @@ func TestReconstructFromVersionIsTheWalk(t *testing.T) {
 						}
 						table := func() bool { p := v.pos.Load(); return p != nil && p != declined }
 
+						switch runs, leaves, between := survivingRuns(tree, q, rule); {
+						case runs == 1 && leaves > 1 && leaves == countLeaves(tree):
+							oneRun++
+						case runs > 1 && between > 0:
+							gapped++
+						}
 						price := tree.LeafIDs()
 						first, span := serve("first")
 						if first.Remembered != 0 || rule == PruneByAndBits && first.Computed != 0 {
@@ -160,29 +174,76 @@ func TestReconstructFromVersionIsTheWalk(t *testing.T) {
 			}
 		}
 	}
-	for _, n := range append(coverage[:], cold, crossed, refused, regrown) {
+	for _, n := range append(coverage[:], cold, crossed, refused, regrown, oneRun, gapped) {
 		if n < 1000 {
-			t.Fatalf("cases met: %d cold, %d crossing, %d declined, %d regrown, index coverage none/top/all %v: every one was meant to be met a thousand times",
-				cold, crossed, refused, regrown, coverage)
+			t.Fatalf("cases met: %d cold, %d crossing, %d declined, %d regrown, %d read as one run, %d as runs around a dropped leaf's positives, index coverage none/top/all %v: every one was meant to be met a thousand times",
+				cold, crossed, refused, regrown, oneRun, gapped, coverage)
 		}
 	}
 }
 
+// survivingRuns walks the tree for q as a caller with no version does and
+// returns the leaves that survive, the runs they form — maximal stretches of
+// leaves that touch — and the positives of q that leaves the walk dropped
+// hold between two runs: what a read that merged across the hole would add.
+func survivingRuns(tree *Tree, q *bloom.Filter, rule PruneRule) (runs, leaves, between int) {
+	surviving := tree.reconstructNode(tree.rootNode(), 1, rule, &descent{q: q}, nil)
+	dropped := map[*node]bool{}
+	eachLeaf(tree, func(n *node) { dropped[n] = !slices.Contains(surviving, n) })
+	for i, n := range surviving {
+		if i > 0 && surviving[i-1].hi == n.lo {
+			continue
+		}
+		runs++
+		if i == 0 {
+			continue
+		}
+		for leaf := range dropped {
+			if dropped[leaf] && leaf.lo >= surviving[i-1].hi && leaf.hi <= n.lo {
+				between += len(q.AppendPositives(leaf.lo, leaf.hi, nil))
+			}
+		}
+	}
+	return runs, len(surviving), between
+}
+
+func countLeaves(tree *Tree) (leaves int) {
+	eachLeaf(tree, func(*node) { leaves++ })
+	return leaves
+}
+
 // TestPositivesRangeRead holds the range read to AppendAll filtered, for
 // every [lo, hi) whose ends are an id at either end of a block, or one off
-// it, or one of the ends of the id space.
+// it, or one of the ends of the id space — on tables whose gaps take one
+// byte, two, and from three to all ten a uvarint has (ids far wider apart
+// than the small namespaces of TestPositivesAreTheTruth, which reads every
+// range there is, can put them).
 func TestPositivesRangeRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var gapBytes [binary.MaxVarintLen64 + 1]int
+	defer func() {
+		if gapBytes[1] == 0 || gapBytes[2] == 0 || gapBytes[3]+gapBytes[4]+gapBytes[5] == 0 || gapBytes[10] == 0 {
+			t.Errorf("gaps met, by their bytes: %v — want one, two, three to five, and ten", gapBytes)
+		}
+	}()
 	for _, count := range []int{0, 1, 63, 64, 65, 200} {
 		ids := make([]uint64, count)
 		for i, x := 0, uint64(3); i < count; i++ {
 			x += 1 + uint64(rng.Intn(300))*uint64(rng.Intn(3))
+			if i%7 == 3 {
+				x += 1 << (14 + rng.Intn(20)) // three bytes of gap, to five
+			}
 			ids[i] = x
 		}
 		if count > 1 {
 			ids[count-1] = math.MaxUint64
 		}
 		p := packed(ids)
+		for i := 1; i < count; i++ {
+			if i%positivesBlock != 0 {
+				gapBytes[len(binary.AppendUvarint(nil, ids[i]-ids[i-1]))]++
+			}
+		}
 		ends := []uint64{0, 1, math.MaxUint64 - 1, math.MaxUint64}
 		for i, x := range ids {
 			if i%positivesBlock == 0 || i%positivesBlock == positivesBlock-1 || i == count-1 {

@@ -398,6 +398,76 @@ func TestTracingCostPerRequest(t *testing.T) {
 	}
 }
 
+// nullWriter is the http.ResponseWriter of the allocation gates: it keeps
+// nothing of a reply but its status and length, so what a request allocates
+// is the server's.
+type nullWriter struct {
+	h         http.Header
+	status, n int
+}
+
+func (w *nullWriter) Header() http.Header         { return w.h }
+func (w *nullWriter) WriteHeader(status int)      { w.status = status }
+func (w *nullWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+// allocsPerRequest serves the same POST through h runs times, after once to
+// warm the pools, and returns the mean allocations and bytes of one, and the
+// length of its reply.
+func allocsPerRequest(t *testing.T, h http.Handler, path, body string, runs int) (allocs, bytes float64, replyLen int) {
+	t.Helper()
+	w := &nullWriter{h: http.Header{}}
+	serve := func() {
+		w.n = 0
+		h.ServeHTTP(w, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		if w.status != http.StatusOK {
+			t.Fatalf("%s %s: status %d", path, body, w.status)
+		}
+	}
+	serve()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs), w.n
+}
+
+// TestReplyCostPerRequest is the reply buffer's allocation gate, in process
+// like the tracing gate above. A warm reconstruction through the HTTP
+// handler allocates the same number of times whether it answers with some
+// 100 ids or some 11 000 — the result and the reply bytes are pooled, and no
+// id allocates — and under 1 KB beyond what the request itself costs, where
+// the result slice and the reply text were ≈ 190 KB a request. And a
+// single-id /v1/sample, the point workload's request, allocates no more than
+// it did through encoding/json: 24 times and 6 325 B untraced, as at the
+// parent commit (the reply's share: 6 allocations, 496 B).
+func TestReplyCostPerRequest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under the race detector: allocation counts are not exact")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pools mid-count
+	h := New(batchShapeDB(t), Config{TraceDisabled: true})
+	smallAllocs, smallBytes, smallLen := allocsPerRequest(t, h, "/v1/reconstruct", `{"key":"small"}`, 500)
+	bigAllocs, bigBytes, bigLen := allocsPerRequest(t, h, "/v1/reconstruct", `{"key":"big"}`, 500)
+	t.Logf("warm reconstruction: %d reply bytes %.2f allocations %.0f B, %d reply bytes %.2f allocations %.0f B",
+		smallLen, smallAllocs, smallBytes, bigLen, bigAllocs, bigBytes)
+	if smallLen > 2_000 || bigLen < 70_000 {
+		t.Fatalf("replies of %d and %d bytes: the gate wants one of about 100 ids and one of about 11 000", smallLen, bigLen)
+	}
+	if math.Round(bigAllocs) != math.Round(smallAllocs) || bigBytes > smallBytes+1024 {
+		t.Fatalf("a reconstruction of %d reply bytes costs %.2f allocations and %.0f B, one of %d bytes %.2f and %.0f B: want the same count, and the bytes within 1 KB",
+			bigLen, bigAllocs, bigBytes, smallLen, smallAllocs, smallBytes)
+	}
+
+	_, db := newTestServer(t, Config{})
+	allocs, bytes, _ := allocsPerRequest(t, New(db, Config{TraceDisabled: true}), "/v1/sample", `{"key":"plain"}`, 2000)
+	t.Logf("single-id sample: %.2f allocations %.0f B", allocs, bytes)
+	if math.Round(allocs) > 24 || bytes > 6_400 {
+		t.Fatalf("a single-id sample costs %.2f allocations and %.0f B, want at most the 24 and 6 325 B it cost through encoding/json", allocs, bytes)
+	}
+}
+
 // TestSlowRequestLog sets an absurdly low threshold so every request is
 // "slow" and asserts the warn line carries the joinable fields.
 func TestSlowRequestLog(t *testing.T) {

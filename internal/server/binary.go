@@ -282,14 +282,26 @@ func (bc *binConn) dispatch(h wire.Header, body []byte) {
 	}()
 }
 
-// writeFrame writes one frame under the write lock with a write
-// deadline, so one dead peer cannot park every handler goroutine of its
-// connection forever.
-func (bc *binConn) writeFrame(op, flags byte, reqID uint32, body []byte) error {
+// frameBody is a wire message as a sender sees it: it packs itself behind
+// whatever dst already holds.
+type frameBody interface{ Encode(dst []byte) []byte }
+
+// writeFrame packs one frame in place — its header, then m's body behind
+// it (nil for an empty-body opcode) — in a pooled reply buffer (reply.go) and
+// writes it under the write lock with a write deadline, so one dead peer
+// cannot park every handler goroutine of its connection forever.
+func (bc *binConn) writeFrame(op, flags byte, reqID uint32, m frameBody) error {
+	rb := newReply()
+	rb.b = wire.AppendHeader(rb.b, op, flags, reqID)
+	if m != nil {
+		rb.b = m.Encode(rb.b)
+	}
+	wire.EndFrame(rb.b)
 	bc.writeMu.Lock()
-	defer bc.writeMu.Unlock()
 	_ = bc.conn.SetWriteDeadline(time.Now().Add(bc.srv.cfg.StreamWriteTimeout))
-	err := wire.WriteFrame(bc.conn, op, flags, reqID, body)
+	_, err := bc.conn.Write(rb.b)
+	bc.writeMu.Unlock()
+	rb.release()
 	if err == nil {
 		bc.srv.bin.framesOut.Add(1)
 	}
@@ -297,18 +309,17 @@ func (bc *binConn) writeFrame(op, flags byte, reqID uint32, body []byte) error {
 }
 
 func (bc *binConn) writeError(reqID uint32, code uint64, msg string) {
-	_ = bc.writeFrame(wire.OpError, 0, reqID, wire.ErrorResult{Code: code, Msg: msg}.Encode(nil))
+	_ = bc.writeFrame(wire.OpError, 0, reqID, wire.ErrorResult{Code: code, Msg: msg})
 }
 
-// reply writes one response frame, charging the wire write to the
-// trace's encode stage. (Varint body packing happens at the call sites
-// and rides in execute — it is allocation-light; the frame write with
-// its lock and deadline is where encode time actually goes.) A failed
-// write means the peer is gone: the request ends as aborted, with no
-// error frame sent after it.
-func (bc *binConn) reply(tr *obs.Trace, op, flags byte, reqID uint32, body []byte) error {
+// reply writes one response frame, charging the body's varint packing and
+// the wire write, with its lock and deadline, to the trace's encode stage:
+// the stage covers what writeJSON's does over HTTP. A failed write means the
+// peer is gone: the request ends as aborted, with no error frame sent after
+// it.
+func (bc *binConn) reply(tr *obs.Trace, op, flags byte, reqID uint32, m frameBody) error {
 	t0 := time.Now()
-	err := bc.writeFrame(op, flags, reqID, body)
+	err := bc.writeFrame(op, flags, reqID, m)
 	tr.Add(obs.StageEncode, time.Since(t0))
 	if err != nil {
 		return fmt.Errorf("%w: %v", errStreamAborted, err)
@@ -455,7 +466,7 @@ func (bc *binConn) binSample(tr *obs.Trace, h wire.Header, body []byte) error {
 			return err
 		}
 		out := wire.SampleResult{Requested: uint64(resp.Requested), IDs: resp.IDs}
-		return bc.reply(tr, wire.OpSampleResult, 0, h.RequestID, out.Encode(nil))
+		return bc.reply(tr, wire.OpSampleResult, 0, h.RequestID, out)
 	}
 	st := &binStream{notify: make(chan struct{}, 1), done: make(chan struct{})}
 	st.credit.Store(int64(m.Credit))
@@ -470,7 +481,7 @@ func (bc *binConn) binSample(tr *obs.Trace, h wire.Header, body []byte) error {
 		if final {
 			flags = wire.FlagFinal
 		}
-		return bc.reply(tr, wire.OpSampleChunk, flags, h.RequestID, wire.SampleChunk{IDs: ids}.Encode(nil))
+		return bc.reply(tr, wire.OpSampleChunk, flags, h.RequestID, wire.SampleChunk{IDs: ids})
 	})
 }
 
@@ -479,11 +490,13 @@ func (bc *binConn) binReconstruct(tr *obs.Trace, h wire.Header, body []byte) err
 	if err != nil {
 		return err
 	}
-	resp, err := bc.srv.reconstruct(ReconstructRequest{Key: m.Key})
+	ids := newIDs()
+	defer ids.release()
+	resp, err := bc.srv.reconstruct(ReconstructRequest{Key: m.Key}, ids)
 	if err != nil {
 		return err
 	}
-	return bc.reply(tr, wire.OpIDsResult, 0, h.RequestID, wire.IDsResult{IDs: resp.IDs}.Encode(nil))
+	return bc.reply(tr, wire.OpIDsResult, 0, h.RequestID, wire.IDsResult{IDs: resp.IDs})
 }
 
 func (bc *binConn) binIntersection(tr *obs.Trace, h wire.Header, body []byte) error {
@@ -495,7 +508,7 @@ func (bc *binConn) binIntersection(tr *obs.Trace, h wire.Header, body []byte) er
 	if err != nil {
 		return err
 	}
-	return bc.reply(tr, wire.OpEstimateResult, 0, h.RequestID, wire.EstimateResult{Estimate: resp.Estimate}.Encode(nil))
+	return bc.reply(tr, wire.OpEstimateResult, 0, h.RequestID, wire.EstimateResult{Estimate: resp.Estimate})
 }
 
 func (bc *binConn) binAdd(tr *obs.Trace, h wire.Header, body []byte) error {
@@ -512,7 +525,7 @@ func (bc *binConn) binAdd(tr *obs.Trace, h wire.Header, body []byte) error {
 		return err
 	}
 	ack := wire.AckResult{Count: uint64(resp.Added), Keys: uint64(resp.Keys)}
-	return bc.reply(tr, wire.OpAckResult, 0, h.RequestID, ack.Encode(nil))
+	return bc.reply(tr, wire.OpAckResult, 0, h.RequestID, ack)
 }
 
 func (bc *binConn) binRemove(tr *obs.Trace, h wire.Header, body []byte) error {
@@ -525,7 +538,7 @@ func (bc *binConn) binRemove(tr *obs.Trace, h wire.Header, body []byte) error {
 		return err
 	}
 	ack := wire.AckResult{Count: uint64(resp.Removed), Keys: 1}
-	return bc.reply(tr, wire.OpAckResult, 0, h.RequestID, ack.Encode(nil))
+	return bc.reply(tr, wire.OpAckResult, 0, h.RequestID, ack)
 }
 
 // binStats and binSnapshot answer with the HTTP API's JSON document
@@ -535,7 +548,7 @@ func (bc *binConn) binStats(tr *obs.Trace, h wire.Header, _ []byte) error {
 	if err != nil {
 		return err
 	}
-	return bc.reply(tr, wire.OpStatsResult, 0, h.RequestID, wire.StatsResult{JSON: doc}.Encode(nil))
+	return bc.reply(tr, wire.OpStatsResult, 0, h.RequestID, wire.StatsResult{JSON: doc})
 }
 
 func (bc *binConn) binSnapshot(tr *obs.Trace, h wire.Header, _ []byte) error {
@@ -547,7 +560,7 @@ func (bc *binConn) binSnapshot(tr *obs.Trace, h wire.Header, _ []byte) error {
 	if err != nil {
 		return err
 	}
-	return bc.reply(tr, wire.OpSnapshotResult, 0, h.RequestID, wire.SnapshotInfoResult{JSON: doc}.Encode(nil))
+	return bc.reply(tr, wire.OpSnapshotResult, 0, h.RequestID, wire.SnapshotInfoResult{JSON: doc})
 }
 
 // binRestore takes the bundle from one frame: the frame-body cap has
@@ -562,5 +575,5 @@ func (bc *binConn) binRestore(tr *obs.Trace, h wire.Header, body []byte) error {
 		return err
 	}
 	keys := uint64(resp.Sets + resp.Dynamic)
-	return bc.reply(tr, wire.OpAckResult, 0, h.RequestID, wire.AckResult{Count: keys, Keys: keys}.Encode(nil))
+	return bc.reply(tr, wire.OpAckResult, 0, h.RequestID, wire.AckResult{Count: keys, Keys: keys})
 }

@@ -233,8 +233,11 @@ type ReconstructResponse struct {
 // it does not compute again what the pinned version already knows: verdicts
 // are read from the version's estimate index, and the surviving leaves from
 // the table once the version has paid for it, this request's leaves counting
-// toward the price (setdb.ReconstructFrom).
-func (s *Server) reconstruct(req ReconstructRequest) (ReconstructResponse, error) {
+// toward the price (setdb.AppendReconstructFrom).
+//
+// The ids are appended into buf, which the codec took from the pool and
+// gives back once it has written the reply: the response's IDs are buf's.
+func (s *Server) reconstruct(req ReconstructRequest, buf *idBuf) (ReconstructResponse, error) {
 	db := s.DB()
 	f, err := pinned(db, req.Key)
 	if err != nil {
@@ -250,17 +253,17 @@ func (s *Server) reconstruct(req ReconstructRequest) (ReconstructResponse, error
 	if err := overCap(f.EstimateCardinality()); err != nil {
 		return ReconstructResponse{}, err
 	}
-	ids, err := db.ReconstructFrom(f, core.PruneByEstimate, nil)
+	buf.ids, err = db.AppendReconstructFrom(buf.ids[:0], f, core.PruneByEstimate, nil)
 	if err != nil {
 		return ReconstructResponse{}, err
 	}
-	if err := overCap(float64(len(ids))); err != nil {
+	if err := overCap(float64(len(buf.ids))); err != nil {
 		return ReconstructResponse{}, err
 	}
-	if ids == nil {
-		ids = []uint64{}
+	if buf.ids == nil {
+		buf.ids = []uint64{}
 	}
-	return ReconstructResponse{Key: req.Key, Count: len(ids), IDs: ids}, nil
+	return ReconstructResponse{Key: req.Key, Count: len(buf.ids), IDs: buf.ids}, nil
 }
 
 // IntersectionRequest names the two stored sets to compare.

@@ -1,0 +1,647 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"log/slog"
+	"math"
+	"math/rand"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/setdb"
+	"repro/internal/wire"
+)
+
+// encodingJSON is what every hand-appended reply is held to: v through an
+// encoding/json Encoder, its trailing newline included.
+func encodingJSON(t testing.TB, v any) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// appended is v through the reply buffer.
+func appended(t testing.TB, v any) string {
+	t.Helper()
+	rb := new(replyBuf)
+	if err := rb.appendJSON(v); err != nil {
+		t.Fatal(err)
+	}
+	return string(rb.b)
+}
+
+// replyKeys are keys encoding/json escapes in every way it has, and ones it
+// copies.
+var replyKeys = []string{
+	"", "k3", "plain key ~ {[,:]}", `quo"te`, `back\slash`, "<script>", "a>b", "a&b",
+	"tab\there", "nul\x00", "\x1f", "\x7f", "line\nfeed\r", "\b\f",
+	"bad\xffutf8", "\xc3", "\xe2\x80", "sep\u2028\u2029", "héllo", "日本語", "😀", "\ufffd",
+}
+
+// replyIDs holds 0, 10^k − 1, 10^k for every k and the largest id there is:
+// both ends of every decimal length from 1 to 20.
+func replyIDs() []uint64 {
+	ids := []uint64{0, math.MaxUint64, math.MaxUint64 - 1, 1<<63 - 1, 1 << 63, 1 << 32, 1<<32 - 1, 7, 42, 1234567, 12345678}
+	for p := uint64(1); ; p *= 10 {
+		ids = append(ids, p-1, p, p+1)
+		if p > math.MaxUint64/10 {
+			return ids
+		}
+	}
+}
+
+// TestReplyJSONIsEncodingJSON is the byte-identity gate of the hand-written
+// half of the reply buffer: the two JSON documents that carry ids and the
+// three NDJSON lines are, byte for byte and newline included, what
+// encoding/json writes for the same values — nil ids as null, no ids as [],
+// every key it escapes, ids of every decimal length.
+func TestReplyJSONIsEncodingJSON(t *testing.T) {
+	ids := replyIDs()
+	for n := uint64(1); n <= 20; n++ {
+		if !slices.ContainsFunc(ids, func(x uint64) bool { return uint64(len(fmt.Sprint(x))) == n }) {
+			t.Fatalf("no id of %d digits among the cases", n)
+		}
+	}
+	lists := [][]uint64{nil, {}, {0}, {math.MaxUint64}, ids}
+	for _, x := range ids {
+		lists = append(lists, []uint64{x})
+	}
+	for _, key := range replyKeys {
+		for _, list := range lists {
+			for _, v := range []any{
+				SampleResponse{Key: key, Requested: len(list) + 3, Returned: len(list), IDs: list},
+				SampleResponse{Key: key, Requested: -1, Returned: math.MinInt64, IDs: list},
+				ReconstructResponse{Key: key, Count: len(list), IDs: list},
+			} {
+				if got, want := appended(t, v), encodingJSON(t, v); got != want {
+					t.Fatalf("%T of key %q, ids %v:\n appended %q\n encoding/json %q", v, key, list, got, want)
+				}
+			}
+		}
+		rb := new(replyBuf)
+		rb.appendErrorLine(key)
+		if got, want := string(rb.b), encodingJSON(t, struct {
+			Error string `json:"error"`
+		}{key}); got != want {
+			t.Fatalf("error line of %q: appended %q, encoding/json %q", key, got, want)
+		}
+	}
+	// The NDJSON lines: one line an id — an id of 0 too, which an omitempty
+	// field would have dropped — and the terminator.
+	rb := new(replyBuf)
+	rb.appendIDLines(ids)
+	rb.appendDoneLine()
+	var want strings.Builder
+	for _, x := range ids {
+		want.WriteString(encodingJSON(t, struct {
+			ID uint64 `json:"id"`
+		}{x}))
+	}
+	want.WriteString(encodingJSON(t, struct {
+		Done bool `json:"done"`
+	}{true}))
+	if string(rb.b) != want.String() {
+		t.Fatalf("NDJSON lines: appended %q, encoding/json %q", rb.b, want.String())
+	}
+	if !strings.HasPrefix(string(rb.b), "{\"id\":0}\n") {
+		t.Fatalf("an id of 0 is written as %q", rb.b[:12])
+	}
+	// Every other reply is encoding/json's own, through the same buffer.
+	other := errorBody{Error: "no such <key>", RequestID: "r-1"}
+	if got, want := appended(t, other), encodingJSON(t, other); got != want {
+		t.Fatalf("error body: %q, want %q", got, want)
+	}
+	if err := new(replyBuf).appendJSON(math.NaN()); err == nil {
+		t.Fatal("a value encoding/json refuses was appended")
+	}
+}
+
+// FuzzReplyJSON holds the same identity on arbitrary keys and id lists: the
+// key is the fuzzer's bytes as they come, valid UTF-8 or not, and the ids are
+// its second argument read eight bytes at a time, then shortened to every
+// decimal length.
+func FuzzReplyJSON(f *testing.F) {
+	for _, key := range replyKeys {
+		f.Add([]byte(key), []byte{})
+	}
+	f.Add([]byte("k"), binary.LittleEndian.AppendUint64(nil, math.MaxUint64))
+	f.Add([]byte("k"), bytes.Repeat([]byte{0x9a, 0x3c}, 36))
+	f.Fuzz(func(t *testing.T, key, packed []byte) {
+		var ids []uint64
+		for ; len(packed) >= 8; packed = packed[8:] {
+			for x := binary.LittleEndian.Uint64(packed); ; x /= 10 {
+				ids = append(ids, x)
+				if x == 0 {
+					break
+				}
+			}
+		}
+		for _, v := range []any{
+			SampleResponse{Key: string(key), Requested: len(packed), Returned: len(ids), IDs: ids},
+			ReconstructResponse{Key: string(key), Count: len(ids), IDs: ids},
+		} {
+			if got, want := appended(t, v), encodingJSON(t, v); got != want {
+				t.Fatalf("%T of key %q, ids %v:\n appended %q\n encoding/json %q", v, key, ids, got, want)
+			}
+		}
+		rb := new(replyBuf)
+		rb.appendErrorLine(string(key))
+		rb.appendIDLines(ids)
+		want := encodingJSON(t, struct {
+			Error string `json:"error"`
+		}{string(key)})
+		for _, x := range ids {
+			want += encodingJSON(t, struct {
+				ID uint64 `json:"id"`
+			}{x})
+		}
+		if string(rb.b) != want {
+			t.Fatalf("NDJSON lines of %q, %v: appended %q, encoding/json %q", key, ids, rb.b, want)
+		}
+	})
+}
+
+// sinkConn is the net.Conn of a binConn whose frames a test reads back: every
+// Write is kept, or refused once fail is set.
+type sinkConn struct {
+	net.Conn // the methods a frame write never calls
+	wrote    bytes.Buffer
+	fail     error
+}
+
+func (c *sinkConn) Write(p []byte) (int, error) {
+	if c.fail != nil {
+		return 0, c.fail
+	}
+	return c.wrote.Write(p)
+}
+func (c *sinkConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestReplyFrameIsAppendFrame: the frame a binConn packs in place behind its
+// reserved header is, for every message the server sends and for the
+// empty-body BUSY, the frame AppendFrame builds from the message encoded on
+// its own — through a pooled buffer that has held a longer frame before.
+func TestReplyFrameIsAppendFrame(t *testing.T) {
+	ids := replyIDs()
+	doc := []byte(`{"uptime_seconds":1.5}`)
+	conn := new(sinkConn)
+	bc := &binConn{srv: New(nil, Config{}), conn: conn}
+	for i, c := range []struct {
+		op, flags byte
+		m         frameBody
+	}{
+		{wire.OpSampleResult, 0, wire.SampleResult{Requested: 1 << 40, IDs: ids}},
+		{wire.OpSampleResult, 0, wire.SampleResult{}},
+		{wire.OpSampleChunk, wire.FlagFinal, wire.SampleChunk{IDs: ids[:3]}},
+		{wire.OpSampleChunk, 0, wire.SampleChunk{}},
+		{wire.OpIDsResult, 0, wire.IDsResult{IDs: ids}},
+		{wire.OpIDsResult, 0, wire.IDsResult{IDs: []uint64{}}},
+		{wire.OpEstimateResult, 0, wire.EstimateResult{Estimate: 12.75}},
+		{wire.OpAckResult, 0, wire.AckResult{Count: 300, Keys: 2}},
+		{wire.OpStatsResult, 0, wire.StatsResult{JSON: doc}},
+		{wire.OpSnapshotResult, 0, wire.SnapshotInfoResult{JSON: doc}},
+		{wire.OpError, 0, wire.ErrorResult{Code: wire.ErrCodeNotFound, Msg: `no set "k"`}},
+		{wire.OpBusy, 0, nil},
+	} {
+		reqID := uint32(0xfffffff0 + i)
+		var body []byte
+		if c.m != nil {
+			body = c.m.Encode(nil)
+		}
+		want := wire.AppendFrame(nil, c.op, c.flags, reqID, body)
+		conn.wrote.Reset()
+		if err := bc.reply(nil, c.op, c.flags, reqID, c.m); err != nil {
+			t.Fatal(err)
+		}
+		if got := conn.wrote.Bytes(); !bytes.Equal(got, want) {
+			t.Fatalf("opcode %d, %T: packed in place %x, AppendFrame %x", c.op, c.m, got, want)
+		}
+		if h, gotBody, err := wire.ReadFrame(&conn.wrote, 0); err != nil || h.RequestID != reqID || !bytes.Equal(gotBody, body) {
+			t.Fatalf("opcode %d: the frame reads back as %+v, %d body bytes, err %v", c.op, h, len(gotBody), err)
+		}
+	}
+	if out := bc.srv.bin.framesOut.Load(); out != 12 {
+		t.Fatalf("%d frames counted out of 12", out)
+	}
+	conn.fail = net.ErrClosed
+	if err := bc.reply(nil, wire.OpAckResult, 0, 1, wire.AckResult{}); err == nil || bc.srv.bin.framesOut.Load() != 12 {
+		t.Fatalf("a frame the peer never got: err %v, %d frames counted", err, bc.srv.bin.framesOut.Load())
+	}
+}
+
+// failingWriter is the http.ResponseWriter of a client that hangs up: Write
+// takes the first accept bytes and fails from then on.
+type failingWriter struct {
+	h      http.Header
+	status int
+	accept int
+	wrote  int
+}
+
+func (w *failingWriter) Header() http.Header { return w.h }
+func (w *failingWriter) WriteHeader(status int) {
+	if w.status == 0 {
+		w.status = status
+	}
+}
+func (w *failingWriter) Write(p []byte) (int, error) {
+	n := min(len(p), w.accept-w.wrote)
+	w.wrote += n
+	if n < len(p) {
+		return n, net.ErrClosed
+	}
+	return n, nil
+}
+
+// TestUndeliveredReplyIsCounted: a buffered HTTP reply whose one Write fails
+// — outright, or after part of it went out — ends its request as aborted:
+// counted in the endpoint's errors, as the binary listener counts a frame
+// the peer never got, logged once at debug, with nothing written after it.
+// (The parent dropped the write error and recorded a success.)
+func TestUndeliveredReplyIsCounted(t *testing.T) {
+	_, db := newTestServer(t, Config{})
+	var logged bytes.Buffer
+	h := New(db, Config{Logger: slog.New(slog.NewTextHandler(&logged, &slog.HandlerOptions{Level: slog.LevelDebug}))})
+	stats := func(path string) EndpointStats {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/stats", nil))
+		var st StatsResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Endpoints[path]
+	}
+	for i, c := range []struct {
+		path, body string
+		accept     int
+	}{
+		{"/v1/reconstruct", `{"key":"plain"}`, 0},
+		{"/v1/reconstruct", `{"key":"plain"}`, 100},
+		{"/v1/sample", `{"key":"plain","n":64}`, 0},
+		{"/v1/sample", `{"key":"plain","n":64}`, 17},
+		{"/v1/intersection", `{"key_a":"plain","key_b":"dyn"}`, 5},
+	} {
+		before := stats(c.path)
+		logged.Reset()
+		w := &failingWriter{h: http.Header{}, accept: c.accept}
+		h.ServeHTTP(w, httptest.NewRequest("POST", c.path, strings.NewReader(c.body)))
+		if lines := strings.Count(logged.String(), `error="stream aborted"`); lines != 1 || strings.Count(logged.String(), "\n") != 1 {
+			t.Fatalf("case %d: the aborted reply was logged %d times in:\n%s", i, lines, logged.String())
+		}
+		after := stats(c.path)
+		if after.Requests != before.Requests+1 || after.Errors != before.Errors+1 {
+			t.Fatalf("case %d, %s cut off after %d bytes: requests %d → %d, errors %d → %d", i, c.path, c.accept,
+				before.Requests, after.Requests, before.Errors, after.Errors)
+		}
+		// One reply was begun — a 200 with its length — and no error
+		// document chased it down the dead connection.
+		if w.status != http.StatusOK || w.h.Get("Content-Length") == "" || w.wrote != c.accept {
+			t.Fatalf("case %d: status %d, Content-Length %q, %d bytes accepted of %d allowed", i, w.status, w.h.Get("Content-Length"), w.wrote, c.accept)
+		}
+	}
+	// A reply that arrives is a success, and says how long it is.
+	rec := httptest.NewRecorder()
+	before := stats("/v1/reconstruct")
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/reconstruct", strings.NewReader(`{"key":"plain"}`)))
+	if after := stats("/v1/reconstruct"); rec.Code != 200 || after.Errors != before.Errors ||
+		rec.Header().Get("Content-Length") != fmt.Sprint(rec.Body.Len()) {
+		t.Fatalf("delivered reply: status %d, errors %d → %d, Content-Length %q of %d bytes",
+			rec.Code, before.Errors, after.Errors, rec.Header().Get("Content-Length"), rec.Body.Len())
+	}
+}
+
+// BenchmarkReplyJSON times the encoding of one id-bearing reply into a
+// reused buffer, by encoding/json (std: what every reply went through before
+// the reply buffer, and the oracle since) and by the reply buffer's own
+// appenders (append), at the benchmark's three reply sizes: a point sample,
+// a 64-id batch and a reconstruction of the batch shape (ids ≈ 90 apart
+// below 10⁶). Run with -benchmem.
+func BenchmarkReplyJSON(b *testing.B) {
+	for _, n := range []int{1, 64, 11100} {
+		ids := make([]uint64, n)
+		for i := range ids {
+			ids[i] = uint64(i)*90 + uint64(i*i)%89
+		}
+		var v any = ReconstructResponse{Key: "k3", Count: n, IDs: ids}
+		if n <= 64 {
+			v = SampleResponse{Key: "k3", Requested: n, Returned: n, IDs: ids}
+		}
+		for _, side := range []struct {
+			name   string
+			encode func(rb *replyBuf) error
+		}{
+			{"std", func(rb *replyBuf) error { return json.NewEncoder(rb).Encode(v) }},
+			{"append", func(rb *replyBuf) error { return rb.appendJSON(v) }},
+		} {
+			b.Run(fmt.Sprintf("ids=%d/%s", n, side.name), func(b *testing.B) {
+				b.ReportAllocs()
+				rb := new(replyBuf)
+				for i := 0; i < b.N; i++ {
+					rb.b = rb.b[:0]
+					if err := side.encode(rb); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.SetBytes(int64(len(rb.b)))
+			})
+		}
+	}
+}
+
+// batchShapeDB is a database of the benchmark's batch shape (M = 10⁶, planned
+// for 10 000 ids at accuracy 0.9, every leaf of the pruned tree occupied)
+// holding "big", 10 000 ids that reconstruct to some 11 000, and "small", 100
+// ids — both versions warm: each has scanned for its packed positives.
+func batchShapeDB(tb testing.TB) *setdb.DB {
+	tb.Helper()
+	opts, err := setdb.PlanOptions(0.9, 10_000, 1_000_000, 3)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	opts.Pruned = true
+	opts.Seed = 7
+	db, err := setdb.Open(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data := rand.New(rand.NewSource(1))
+	for key, n := range map[string]int{"big": 10_000, "small": 100} {
+		ids := make([]uint64, n)
+		for i := range ids {
+			ids[i] = uint64(data.Int63n(1_000_000))
+		}
+		if err := db.AddMany(setdb.Write{Key: key, IDs: ids}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for _, key := range []string{"big", "small"} {
+		if _, err := db.SampleExactFrom(db.Filter(key), 1); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return db
+}
+
+// TestPooledRepliesStayWithTheirRequest: the reply buffer and the
+// reconstruction's result slice go from one request to the next through
+// pools, so a buffer handed back early, or twice, would carry one key's ids
+// into another key's reply. Eight goroutines reconstruct and sample 16 keys
+// at once over both codecs, 2 048 requests a round, each reply held to its
+// own key: a reconstruction to the bytes (HTTP) and ids (binary) the walk
+// gives for that key, a sample to the key's enumerated positives — the keys
+// live in disjoint stripes of the namespace, so another key's ids are
+// nobody's positives. The second round runs the same loop beside clients
+// that give up mid-reply: an HTTP reply cut off after some bytes, which must
+// be counted as aborted every time, and binary connections closed with the
+// frame half read. Run under -race.
+func TestPooledRepliesStayWithTheirRequest(t *testing.T) {
+	const M, keys, perKey, stripe = 20_000, 16, 200, 20_000 / 16
+	opts, err := setdb.PlanOptions(0.9, perKey, M, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Seed = 11
+	db, err := setdb.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := rand.New(rand.NewSource(11))
+	type truth struct {
+		ids      []uint64
+		body     string
+		positive map[uint64]bool
+	}
+	want := make([]truth, keys)
+	for k := range want {
+		ids := make([]uint64, perKey)
+		for i := range ids {
+			ids[i] = uint64(k*stripe + data.Intn(stripe))
+		}
+		key := fmt.Sprintf("k%d", k)
+		if err := db.AddMany(setdb.Write{Key: key, IDs: ids}); err != nil {
+			t.Fatal(err)
+		}
+		f := db.Filter(key)
+		walked, err := db.Tree().Reconstruct(f, core.PruneByEstimate, nil)
+		if err != nil || len(walked) < perKey/2 {
+			t.Fatalf("%s: the walk returns %d ids, err %v", key, len(walked), err)
+		}
+		want[k] = truth{ids: walked, body: encodingJSON(t, ReconstructResponse{Key: key, Count: len(walked), IDs: walked}), positive: map[uint64]bool{}}
+		for x := uint64(0); x < M; x++ {
+			if f.Contains(x) {
+				want[k].positive[x] = true
+			}
+		}
+	}
+	srv := New(db, Config{})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	addr := serveBinaryForTest(t, srv)
+
+	positives := func(who string, k int, ids []uint64) bool {
+		for _, x := range ids {
+			if !want[k].positive[x] {
+				t.Errorf("%s: %d is no positive of k%d", who, x, k)
+				return false
+			}
+		}
+		return len(ids) > 0
+	}
+	round := func(aborters int) (aborted uint64) {
+		stop := make(chan struct{})
+		var clients, quitters sync.WaitGroup
+		var cut atomic.Uint64
+		for a := 0; a < aborters; a++ {
+			quitters.Add(1)
+			go func() {
+				defer quitters.Done()
+				for i := a; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					key := fmt.Sprintf("k%d", i%keys)
+					// Over HTTP the reply's one Write fails part-way, for sure.
+					w := &failingWriter{h: http.Header{}, accept: i * 37 % len(want[i%keys].body)}
+					srv.ServeHTTP(w, httptest.NewRequest("POST", "/v1/reconstruct", strings.NewReader(`{"key":"`+key+`"}`)))
+					cut.Add(1)
+					// On the wire the peer reads the header and a little more, and hangs up.
+					conn, err := net.Dial("tcp", addr)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					var some [wire.HeaderSize + 8]byte
+					if err := wire.WriteFrame(conn, wire.OpReconstruct, 0, 1, wire.ReconstructReq{Key: key}.Encode(nil)); err == nil {
+						_, _ = io.ReadFull(conn, some[:])
+					}
+					conn.Close()
+				}
+			}()
+		}
+		for g := 0; g < 8; g++ {
+			clients.Add(1)
+			go func() {
+				defer clients.Done()
+				bin, err := wire.Dial(addr)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer bin.Close()
+				for i := 0; i < 256; i++ {
+					k := (g*5 + i*3) % keys
+					key, who := fmt.Sprintf("k%d", k), fmt.Sprintf("client %d, request %d", g, i)
+					switch i % 4 {
+					case 0:
+						resp, err := http.Post(ts.URL+"/v1/reconstruct", "application/json", strings.NewReader(`{"key":"`+key+`"}`))
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						body, err := io.ReadAll(resp.Body)
+						resp.Body.Close()
+						if err != nil || string(body) != want[k].body {
+							t.Errorf("%s: /v1/reconstruct of %s answered %d bytes that are not its %d (err %v)", who, key, len(body), len(want[k].body), err)
+							return
+						}
+					case 1:
+						if ids, err := bin.Reconstruct(key, false); err != nil || !slices.Equal(ids, want[k].ids) {
+							t.Errorf("%s: the binary reconstruction of %s holds %d ids that are not its %d (err %v)", who, key, len(ids), len(want[k].ids), err)
+							return
+						}
+					case 2:
+						var smp SampleResponse
+						if code := post(t, ts, "/v1/sample", fmt.Sprintf(`{"key":%q,"n":48,"uniform":%v}`, key, i%8 == 2), &smp); code != 200 ||
+							smp.Key != key || smp.Returned != len(smp.IDs) || !positives(who, k, smp.IDs) {
+							t.Errorf("%s: /v1/sample of %s: status %d, key %q, %d ids", who, key, code, smp.Key, len(smp.IDs))
+							return
+						}
+					case 3:
+						if ids, err := bin.Sample(key, 48, wire.SampleOpts{Uniform: i%8 == 3}); err != nil || !positives(who, k, ids) {
+							t.Errorf("%s: the binary sample of %s: %d ids, err %v", who, key, len(ids), err)
+							return
+						}
+					}
+				}
+			}()
+		}
+		clients.Wait()
+		close(stop)
+		quitters.Wait()
+		return cut.Load()
+	}
+	round(0)
+	if st := srv.stats().Endpoints["/v1/reconstruct"]; st.Requests != 8*64 || st.Errors != 0 {
+		t.Fatalf("a round nobody gave up in: %d reconstructions, %d errors", st.Requests, st.Errors)
+	}
+	cut := round(2)
+	if st := srv.stats().Endpoints["/v1/reconstruct"]; cut == 0 || st.Requests != 2*8*64+cut || st.Errors != cut {
+		t.Fatalf("%d HTTP replies were cut off: %d reconstructions counted, %d of them errors", cut, st.Requests, st.Errors)
+	}
+}
+
+// pipeListener hands ServeBinary the server end of one net.Pipe.
+type pipeListener struct {
+	conn chan net.Conn
+	done chan struct{}
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conn:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+func (l *pipeListener) Close() error   { close(l.done); return nil }
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe"} }
+
+// BenchmarkServedReconstruct times one warm reconstruction of the batch shape
+// (≈ 11 000 ids) as the server serves it, in process: through the HTTP
+// handler into a writer that keeps nothing, and through the binary listener
+// over a net.Pipe, the client's decode included. Run with -benchmem: what is
+// left per request is the request's own (headers, context, trace; on the
+// binary side the client's decoded ids).
+func BenchmarkServedReconstruct(b *testing.B) {
+	db := batchShapeDB(b)
+	b.Run("http", func(b *testing.B) {
+		h := New(db, Config{})
+		w := &nullWriter{h: http.Header{}}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			w.n = 0
+			h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/reconstruct", strings.NewReader(`{"key":"big"}`)))
+			if w.status != http.StatusOK || w.n < 70_000 {
+				b.Fatalf("status %d, %d reply bytes", w.status, w.n)
+			}
+		}
+		b.SetBytes(int64(w.n))
+	})
+	b.Run("binary", func(b *testing.B) {
+		srv := New(db, Config{})
+		ln := &pipeListener{conn: make(chan net.Conn, 1), done: make(chan struct{})}
+		served := make(chan error, 1)
+		go func() { served <- srv.ServeBinary(ln) }()
+		near, far := net.Pipe()
+		ln.conn <- far
+		c := wire.NewClient(near)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if ids, err := c.Reconstruct("big", false); err != nil || len(ids) < 10_000 {
+				b.Fatalf("%d ids, err %v", len(ids), err)
+			}
+		}
+		b.StopTimer()
+		c.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		if err := srv.ShutdownBinary(ctx); err != nil {
+			b.Fatal(err)
+		}
+		if err := <-served; !errors.Is(err, ErrBinaryClosed) {
+			b.Fatal(err)
+		}
+	})
+}
+
+// TestOutsizedBuffersAreNotPooled: a reply buffer grown past 1 MiB and a
+// result slice past the default batch cap are dropped on release, not kept
+// for the next request; at the cap they are emptied and kept.
+func TestOutsizedBuffersAreNotPooled(t *testing.T) {
+	for _, over := range []int{0, 1} {
+		rb := &replyBuf{b: make([]byte, 5, maxPooledReply+over)}
+		ib := &idBuf{ids: make([]uint64, 5, maxPooledIDs+over)}
+		rb.release()
+		ib.release()
+		// What a pool is handed has been emptied for its next request.
+		if kept := over == 0; (len(rb.b) == 0) != kept || (len(ib.ids) == 0) != kept {
+			t.Fatalf("%d past the cap: the reply buffer was kept: %v, the result slice: %v", over, len(rb.b) == 0, len(ib.ids) == 0)
+		}
+		for i := 0; i < 64; i++ {
+			if rb, ib := newReply(), newIDs(); len(rb.b) != 0 || len(ib.ids) != 0 || cap(rb.b) > maxPooledReply || cap(ib.ids) > maxPooledIDs {
+				t.Fatalf("the pools gave out %d bytes in %d, %d ids in %d", len(rb.b), cap(rb.b), len(ib.ids), cap(ib.ids))
+			}
+		}
+	}
+}

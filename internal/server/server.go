@@ -16,6 +16,8 @@
 //     slow-request log).
 //   - two codecs that decode, call the operation and encode: HTTP/JSON
 //     (this file) and the binary wire protocol (binary.go, internal/wire).
+//     Both build a reply in the one pooled buffer of reply.go and send it
+//     in one Write.
 //
 // HTTP endpoints (JSON bodies unless noted):
 //
@@ -48,6 +50,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -302,7 +305,7 @@ var endpoints = []endpoint{
 	{path: "/v1/sample", post: (*Server).httpSample, bin: "bin:sample", opcode: wire.OpSample, frame: (*binConn).binSample},
 	// Over HTTP a stream is /v1/sample with "stream": true.
 	{bin: "bin:sample_stream", opcode: wire.OpSampleStream, frame: (*binConn).binSample},
-	{path: "/v1/reconstruct", post: jsonOp((*Server).reconstruct), bin: "bin:reconstruct", opcode: wire.OpReconstruct, frame: (*binConn).binReconstruct},
+	{path: "/v1/reconstruct", post: (*Server).httpReconstruct, bin: "bin:reconstruct", opcode: wire.OpReconstruct, frame: (*binConn).binReconstruct},
 	{path: "/v1/intersection", post: jsonOp((*Server).intersection), bin: "bin:intersection", opcode: wire.OpIntersection, frame: (*binConn).binIntersection},
 	{path: "/v1/add", post: jsonOp((*Server).add), bin: "bin:add", opcode: wire.OpAdd, frame: (*binConn).binAdd, isWrite: true},
 	{path: "/v1/remove", post: jsonOp((*Server).remove), bin: "bin:remove", opcode: wire.OpRemove, frame: (*binConn).binRemove, isWrite: true},
@@ -353,7 +356,8 @@ func (s *Server) serveHTTP(ep *endpoint, m *endpointMetrics, w http.ResponseWrit
 	if refused := s.admit(ep, nil); refused != "" {
 		s.shed(m, ep.path, "http", tr, refused)
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, r, http.StatusServiceUnavailable,
+		// A shed is counted as a shed whether or not the rejection arrives.
+		_ = writeJSON(w, r, http.StatusServiceUnavailable,
 			errorBody{Error: refused + " exhausted, request shed", RequestID: tr.ID()})
 		return
 	}
@@ -368,7 +372,8 @@ func (s *Server) serveHTTP(ep *endpoint, m *endpointMetrics, w http.ResponseWrit
 		err = codec(s, w, r)
 	}
 	if err != nil && !errors.Is(err, errStreamAborted) {
-		writeJSON(w, r, statusFor(err), errorBody{Error: err.Error(), RequestID: tr.ID()})
+		// The request already counts as failed; a lost error reply adds nothing.
+		_ = writeJSON(w, r, statusFor(err), errorBody{Error: err.Error(), RequestID: tr.ID()})
 	}
 	s.finish(m, ep.path, "http", tr, start, err)
 }
@@ -447,16 +452,35 @@ func decodeJSON(body io.Reader, dst any) error {
 
 // writeJSON writes one JSON response, charging the marshal+write to the
 // request's encode stage (r carries the trace; a nil trace costs two
-// clock reads and nothing else).
-func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
+// clock reads and nothing else). The document is built whole in a pooled
+// reply buffer (reply.go) and sent behind its Content-Length in one Write,
+// so a reply that never reached the client is known here: the write's
+// failure comes back as errStreamAborted, as a failed frame write does on
+// the binary listener.
+func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) error {
 	tr := obs.TraceFrom(r.Context())
 	t0 := time.Now()
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v) // header already sent; nothing useful left on failure
+	rb := newReply()
+	err := rb.appendJSON(v) // on a failure nothing is sent yet: serveHTTP answers with a 500
+	if err == nil {
+		h := w.Header()
+		h["Content-Type"] = jsonContentType
+		h.Set("Content-Length", strconv.Itoa(len(rb.b)))
+		w.WriteHeader(status)
+		if _, werr := w.Write(rb.b); werr != nil {
+			err = fmt.Errorf("%w: %v", errStreamAborted, werr)
+		}
+	}
+	rb.release()
 	tr.Add(obs.StageEncode, time.Since(t0))
+	return err
 }
+
+// jsonContentType is every JSON reply's Content-Type value, shared: the
+// header map takes the slice as it is, where Set would allocate one a reply
+// (the Content-Length beside it is the one a reply does allocate). Nothing
+// writes through a header value, and an Add to it reallocates.
+var jsonContentType = []string{"application/json"}
 
 // respond writes an operation's result as the 200 JSON document, or
 // passes its error up to serveHTTP.
@@ -464,8 +488,7 @@ func respond(w http.ResponseWriter, r *http.Request, resp any, err error) error 
 	if err != nil {
 		return err
 	}
-	writeJSON(w, r, http.StatusOK, resp)
-	return nil
+	return writeJSON(w, r, http.StatusOK, resp)
 }
 
 // jsonOp is the HTTP codec of every operation whose request and result
@@ -479,6 +502,19 @@ func jsonOp[Req, Resp any](op func(*Server, Req) (Resp, error)) httpCodec {
 		resp, err := op(s, req)
 		return respond(w, r, resp, err)
 	}
+}
+
+// httpReconstruct serves /v1/reconstruct. The ids are appended into a pooled
+// slice, which goes back once the reply encoded from it is written.
+func (s *Server) httpReconstruct(w http.ResponseWriter, r *http.Request) error {
+	var req ReconstructRequest
+	if err := s.decode(w, r, &req); err != nil {
+		return err
+	}
+	ids := newIDs()
+	defer ids.release()
+	resp, err := s.reconstruct(req, ids)
+	return respond(w, r, resp, err)
 }
 
 func (s *Server) httpStats(w http.ResponseWriter, r *http.Request) error {
@@ -515,27 +551,14 @@ func (s *Server) httpRestore(w http.ResponseWriter, r *http.Request) error {
 // StreamLine is the decoded form of one NDJSON record of a streamed
 // sample response: exactly one of the three shapes below applies per
 // line — an id line {"id":N}, an in-band error {"error":"..."}, or the
-// {"done":true} terminator. Clients unmarshal each line into this.
+// {"done":true} terminator. Clients unmarshal each line into this; the
+// server appends the three shapes by hand (reply.go), so that a sampled id
+// of 0 is still {"id":0}.
 type StreamLine struct {
 	ID    uint64 `json:"id"`
 	Error string `json:"error"`
 	Done  bool   `json:"done"`
 }
-
-// The three NDJSON record shapes used for *encoding*. They are distinct
-// types (rather than StreamLine with omitempty) so that a sampled id of
-// 0 still encodes as {"id":0}.
-type (
-	streamIDLine struct {
-		ID uint64 `json:"id"`
-	}
-	streamErrorLine struct {
-		Error string `json:"error"`
-	}
-	streamDoneLine struct {
-		Done bool `json:"done"`
-	}
-)
 
 // httpSample serves /v1/sample: one JSON document, or — "stream": true —
 // the NDJSON framing of sampleStream: one id per line, flushed chunk by
@@ -559,7 +582,8 @@ func (s *Server) httpSample(w http.ResponseWriter, r *http.Request) error {
 	// Clear the per-chunk deadline on the way out so it never bleeds
 	// into the next request on a kept-alive connection.
 	defer rc.SetWriteDeadline(time.Time{})
-	enc := json.NewEncoder(w)
+	rb := newReply()
+	defer rb.release()
 	committed := false
 	err := s.sampleStream(req, nil, func(ids []uint64, final bool) error {
 		if ctx.Err() != nil {
@@ -576,19 +600,22 @@ func (s *Server) httpSample(w http.ResponseWriter, r *http.Request) error {
 		_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.StreamWriteTimeout))
 		t0 := time.Now()
 		defer func() { tr.Add(obs.StageEncode, time.Since(t0)) }()
-		for _, id := range ids {
-			if enc.Encode(streamIDLine{ID: id}) != nil {
-				return errStreamAborted // client went away
-			}
+		// A chunk's lines, and the terminator after the last, in one Write.
+		rb.b = rb.b[:0]
+		rb.appendIDLines(ids)
+		if final {
+			rb.appendDoneLine()
 		}
-		if final && enc.Encode(streamDoneLine{Done: true}) != nil {
-			return errStreamAborted // terminator never reached the client
+		if _, err := w.Write(rb.b); err != nil {
+			return errStreamAborted // client went away
 		}
 		_ = rc.Flush() // a failed flush shows as the next write's error
 		return nil
 	})
 	if err != nil && committed && !errors.Is(err, errStreamAborted) {
-		_ = enc.Encode(streamErrorLine{Error: err.Error()})
+		rb.b = rb.b[:0]
+		rb.appendErrorLine(err.Error())
+		_, _ = w.Write(rb.b) // the stream ends as aborted either way
 		return errStreamAborted
 	}
 	return err

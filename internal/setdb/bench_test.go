@@ -230,8 +230,10 @@ func BenchmarkSampleManyVersion(b *testing.B) {
 // fresh version pays on the way from one to the other (a clone of the
 // filter each iteration: estimates where cold computes verdicts, and on the
 // batch shape, where every leaf survives, the version's one unpruned scan
-// and its packing in place of the walk's scan). Run it at -cpu 1 with
-// -benchmem: the warm side's one allocation is the result.
+// and its packing in place of the walk's scan) — and warm-into, warm
+// appending to the slice the previous call returned, as the server's pooled
+// result does. Run it at -cpu 1 with -benchmem: the warm side's one
+// allocation is the result, and warm-into has none.
 func BenchmarkReconstructVersion(b *testing.B) {
 	for _, shape := range []struct {
 		name               string
@@ -253,18 +255,23 @@ func BenchmarkReconstructVersion(b *testing.B) {
 			b.Fatalf("the version never went warm: %+v", st)
 		}
 		for _, side := range []struct {
-			name  string
-			ops   *core.Ops
-			fresh bool
-		}{{"cold", new(core.Ops), false}, {"first", nil, true}, {"warm", nil, false}} {
+			name        string
+			ops         *core.Ops
+			fresh, into bool
+		}{{"cold", new(core.Ops), false, false}, {"first", nil, true, false}, {"warm", nil, false, false}, {"warm-into", nil, false, true}} {
 			b.Run(shape.name+"/"+side.name, func(b *testing.B) {
 				b.ReportAllocs()
 				f := db.Filter("k3")
+				var dst []uint64
+				if side.into { // a slice that has served a request already
+					dst, _ = db.AppendReconstructFrom(nil, f, core.PruneByEstimate, nil)
+					b.ResetTimer()
+				}
 				for i := 0; i < b.N; i++ {
 					if side.fresh {
 						f = f.Clone()
 					}
-					ids, err := db.ReconstructFrom(f, core.PruneByEstimate, side.ops)
+					ids, err := db.AppendReconstructFrom(dst[:0], f, core.PruneByEstimate, side.ops)
 					// The threshold may prune a sparse live leaf (§5.6): most of
 					// the set, not all of it.
 					if err != nil || len(ids) < int(shape.setSize)/2 {

@@ -74,16 +74,24 @@ func (db *DB) SampleManyFrom(f *bloom.Filter, n, workers int, ops *core.Ops) ([]
 // tree.Reconstruct(f, rule, nil) either way. A caller that passes ops gets
 // the walk it is counting, every verdict computed and every leaf scanned.
 func (db *DB) ReconstructFrom(f *bloom.Filter, rule core.PruneRule, ops *core.Ops) ([]uint64, error) {
+	return db.AppendReconstructFrom(nil, f, rule, ops)
+}
+
+// AppendReconstructFrom is ReconstructFrom appending its ids to dst
+// (core.Tree.AppendReconstruct): a server that keeps the slice between
+// requests pays for no result once it has grown to the sets it serves. On an
+// error dst comes back as it was.
+func (db *DB) AppendReconstructFrom(dst []uint64, f *bloom.Filter, rule core.PruneRule, ops *core.Ops) ([]uint64, error) {
 	if f == nil {
-		return nil, fmt.Errorf("%w (nil filter)", ErrNoSet)
+		return dst, fmt.Errorf("%w (nil filter)", ErrNoSet)
 	}
 	var v *core.Version // a counted walk's stays nil
 	if ops == nil {
 		v = db.tree.VersionFor(f)
 	}
-	ids, tally, err := db.tree.ReconstructVersion(f, rule, ops, v)
+	ids, tally, err := db.tree.AppendReconstruct(dst, f, rule, ops, v)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	addSome(&db.estimatesComputed, tally.Computed)
 	addSome(&db.estimatesRemembered, tally.Remembered)

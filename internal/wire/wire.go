@@ -135,15 +135,29 @@ type Header struct {
 // AppendFrame appends one complete frame (header + body) to dst and
 // returns the extended slice. body may be nil for empty-body opcodes.
 func AppendFrame(dst []byte, op, flags byte, requestID uint32, body []byte) []byte {
+	start := len(dst)
+	dst = append(AppendHeader(dst, op, flags, requestID), body...)
+	EndFrame(dst[start:])
+	return dst
+}
+
+// AppendHeader appends a frame's header to dst with the body length left
+// open. It is the in-place form of AppendFrame, for a sender whose body
+// exists nowhere yet: append the header, have the message Encode itself
+// behind it, and EndFrame closes the frame — the body is written once.
+func AppendHeader(dst []byte, op, flags byte, requestID uint32) []byte {
 	var hdr [HeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
 	hdr[4] = Version
 	hdr[5] = op
 	hdr[6] = flags
-	hdr[7] = 0
 	binary.LittleEndian.PutUint32(hdr[8:12], requestID)
-	dst = append(dst, hdr[:]...)
-	return append(dst, body...)
+	return append(dst, hdr[:]...)
+}
+
+// EndFrame fills in the body length of the frame that starts at frame[0]:
+// an AppendHeader header and every byte appended behind it since.
+func EndFrame(frame []byte) {
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(frame)-HeaderSize))
 }
 
 // DecodeHeader decodes the fixed 12-byte prefix. It validates version
