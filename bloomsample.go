@@ -198,11 +198,11 @@ type SetDBOptions = setdb.Options
 // snapshot per touched shard instead of one per key, all-or-nothing.
 type SetDBWrite = setdb.Write
 
-// LoadSetDB reads a database written by (*SetDB).Save. Pruned databases
-// need their occupied ids; pass nil otherwise.
-func LoadSetDB(path string, occupied []uint64) (*SetDB, error) {
-	return setdb.Load(path, occupied)
-}
+// LoadSetDB reads a database from the one file a database has: the bundle
+// (*SetDB).Save writes, a running bstserved hands out at GET /v1/snapshot and
+// a durability directory keeps as its newest snap-*.snap. A pruned database's
+// tree is in the file, so nothing but the path is needed.
+func LoadSetDB(path string) (*SetDB, error) { return setdb.Load(path) }
 
 // UnmarshalFilter decodes a filter encoded by (*Filter).MarshalBinary,
 // reconstructing its hash family from the embedded parameters.

@@ -6,8 +6,12 @@
 //
 //	bstserved                               # empty in-memory db, defaults
 //	bstserved -addr :9000 -demo 5000        # preload a "demo" set to curl against
-//	bstserved -db sets.db                   # serve a db built by an ingest job
-//	bstserved -db sets.db -ids occupied.txt # pruned db + its occupied ids
+//	bstserved -db sets.db                   # serve a database file
+//
+// A database has one file, the bundle (sets plus, for a pruned database, its
+// tree), and -db boots from it wherever it came from: DB.Save of an ingest
+// job, GET /v1/snapshot of a running server, or the newest snap-*.snap of a
+// -data-dir.
 //
 // Endpoints: POST /v1/sample, /v1/reconstruct, /v1/intersection, /v1/add,
 // /v1/remove; GET /v1/stats; GET/POST /v1/snapshot and POST /v1/restore
@@ -41,7 +45,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -52,7 +55,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -67,8 +69,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "HTTP/JSON listen address")
 		binAddr   = flag.String("bin-addr", "", "binary-protocol listen address (empty: disabled)")
-		dbPath    = flag.String("db", "", "setdb file to serve (empty: start a fresh in-memory database)")
-		idsPath   = flag.String("ids", "", "occupied-ids file (one decimal id per line) for loading a pruned database")
+		dbPath    = flag.String("db", "", "database file to serve: a bundle written by Save, GET /v1/snapshot or a -data-dir snapshot (empty: start a fresh in-memory database)")
 		noSpace   = flag.Uint64("namespace", 1_000_000, "namespace size for a fresh database")
 		setSize   = flag.Uint64("setsize", 1000, "design set size for a fresh database")
 		accuracy  = flag.Float64("accuracy", 0.9, "design sampling accuracy for a fresh database")
@@ -117,7 +118,7 @@ func main() {
 			fatalf("%v", err)
 		}
 		store, err = wal.Open(*dataDir, func() (*setdb.DB, error) {
-			return openDB("", "", *noSpace, *setSize, *accuracy, *k, *pruned, *backend)
+			return openDB("", *noSpace, *setSize, *accuracy, *k, *pruned, *backend)
 		}, wal.Options{
 			Fsync:            policy,
 			FsyncInterval:    interval,
@@ -135,7 +136,7 @@ func main() {
 			"dropped_tail_bytes", ws.DroppedTailBytes)
 	} else {
 		var err error
-		db, err = openDB(*dbPath, *idsPath, *noSpace, *setSize, *accuracy, *k, *pruned, *backend)
+		db, err = openDB(*dbPath, *noSpace, *setSize, *accuracy, *k, *pruned, *backend)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -306,53 +307,22 @@ func parseFsync(s string) (wal.FsyncPolicy, time.Duration, error) {
 	return p, 0, err
 }
 
-// openDB loads the database file (plus occupied ids for pruned trees) or
-// creates a fresh one from the planning flags. The backend flag applies
-// only to fresh databases — a loaded file carries its own backend kind.
-func openDB(dbPath, idsPath string, namespace, setSize uint64, accuracy float64, k int, pruned bool, backend string) (*setdb.DB, error) {
-	if dbPath == "" {
-		opts, err := setdb.PlanOptions(accuracy, setSize, namespace, k)
-		if err != nil {
-			return nil, err
-		}
-		opts.Pruned = pruned
-		kind, err := membership.ParseKind(backend)
-		if err != nil {
-			return nil, err
-		}
-		opts.Backend = kind
-		return setdb.Open(opts)
+// openDB loads the database file or creates a fresh database from the
+// planning flags, which apply only to a fresh one — a file carries its own
+// profile, tree and backend kind.
+func openDB(dbPath string, namespace, setSize uint64, accuracy float64, k int, pruned bool, backend string) (*setdb.DB, error) {
+	if dbPath != "" {
+		return setdb.Load(dbPath)
 	}
-	var occupied []uint64
-	if idsPath != "" {
-		var err error
-		occupied, err = readIDs(idsPath)
-		if err != nil {
-			return nil, fmt.Errorf("reading %s: %w", idsPath, err)
-		}
-	}
-	return setdb.Load(dbPath, occupied)
-}
-
-// readIDs parses one decimal id per line, skipping blanks.
-func readIDs(path string) ([]uint64, error) {
-	f, err := os.Open(path)
+	opts, err := setdb.PlanOptions(accuracy, setSize, namespace, k)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	var ids []uint64
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		id, err := strconv.ParseUint(line, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("line %q: %w", line, err)
-		}
-		ids = append(ids, id)
+	opts.Pruned = pruned
+	kind, err := membership.ParseKind(backend)
+	if err != nil {
+		return nil, err
 	}
-	return ids, sc.Err()
+	opts.Backend = kind
+	return setdb.Open(opts)
 }

@@ -68,7 +68,7 @@ func main() {
 		db.Len(), filepath.Base(path), float64(info.Size())/(1<<20))
 
 	// Serve: a fresh process loads the index.
-	srv, err := bloomsample.LoadSetDB(path, nil)
+	srv, err := bloomsample.LoadSetDB(path)
 	if err != nil {
 		log.Fatal(err)
 	}

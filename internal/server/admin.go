@@ -65,13 +65,15 @@ var latencyUppers = func() []float64 {
 // collectMetrics assembles the full exposition: request counters and
 // histograms per endpoint, stage timings, admission and wire state,
 // database and backend gauges, WAL durability counters, and Go runtime
-// basics. Map iteration is sorted so consecutive scrapes are
-// byte-comparable apart from the values.
+// basics. Everything /v1/stats also serves is rendered from the one document
+// stats() builds; only the histograms, which that document summarizes, are
+// read from the endpoint metrics directly. Map iteration is sorted so
+// consecutive scrapes are byte-comparable apart from the values.
 func (s *Server) collectMetrics() *obs.Exposition {
 	e := obs.NewExposition()
-	uptime := time.Since(s.start)
+	doc := s.stats()
 
-	e.Gauge("bst_uptime_seconds", "Seconds since the server started.", uptime.Seconds())
+	e.Gauge("bst_uptime_seconds", "Seconds since the server started.", doc.UptimeSeconds)
 	ready := 0.0
 	if s.Ready() {
 		ready = 1
@@ -120,24 +122,24 @@ func (s *Server) collectMetrics() *obs.Exposition {
 
 	// Admission gates: point-in-time occupancy against the budget.
 	e.Gauge("bst_admission_in_flight", "Requests currently holding an admission slot.",
-		float64(s.inflight.inUse()), obs.L("budget", "global"))
-	e.Gauge("bst_admission_in_flight", "", float64(s.writeGate.inUse()), obs.L("budget", "write"))
+		float64(doc.Wire.InFlight), obs.L("budget", "global"))
+	e.Gauge("bst_admission_in_flight", "", float64(doc.Wire.WritesInFlight), obs.L("budget", "write"))
 	e.Gauge("bst_admission_limit", "Admission budget size.",
-		float64(s.cfg.MaxInFlight), obs.L("budget", "global"))
-	e.Gauge("bst_admission_limit", "", float64(s.cfg.MaxWrites), obs.L("budget", "write"))
+		float64(doc.Wire.MaxInFlight), obs.L("budget", "global"))
+	e.Gauge("bst_admission_limit", "", float64(doc.Wire.MaxWrites), obs.L("budget", "write"))
 
 	// Binary wire listener.
-	e.Gauge("bst_wire_conns_active", "Open binary-protocol connections.", float64(s.bin.connsActive.Load()))
-	e.Counter("bst_wire_conns_total", "Binary-protocol connections accepted.", float64(s.bin.connsTotal.Load()))
-	e.Counter("bst_wire_frames_in_total", "Frames received on the binary listener.", float64(s.bin.framesIn.Load()))
-	e.Counter("bst_wire_frames_out_total", "Frames sent on the binary listener.", float64(s.bin.framesOut.Load()))
-	e.Gauge("bst_wire_streams_active", "Binary sample streams in progress.", float64(s.bin.streamsActive.Load()))
-	e.Counter("bst_wire_credit_stalls_total", "Stream pauses waiting for client credit.", float64(s.bin.creditStalls.Load()))
-	e.Counter("bst_wire_protocol_errors_total", "Malformed frames and protocol violations.", float64(s.bin.protoErrors.Load()))
-	e.Counter("bst_wire_shed_total", "BUSY frames sent by admission control.", float64(s.bin.shed.Load()))
+	e.Gauge("bst_wire_conns_active", "Open binary-protocol connections.", float64(doc.Wire.ConnsActive))
+	e.Counter("bst_wire_conns_total", "Binary-protocol connections accepted.", float64(doc.Wire.ConnsTotal))
+	e.Counter("bst_wire_frames_in_total", "Frames received on the binary listener.", float64(doc.Wire.FramesIn))
+	e.Counter("bst_wire_frames_out_total", "Frames sent on the binary listener.", float64(doc.Wire.FramesOut))
+	e.Gauge("bst_wire_streams_active", "Binary sample streams in progress.", float64(doc.Wire.StreamsActive))
+	e.Counter("bst_wire_credit_stalls_total", "Stream pauses waiting for client credit.", float64(doc.Wire.CreditStalls))
+	e.Counter("bst_wire_protocol_errors_total", "Malformed frames and protocol violations.", float64(doc.Wire.ProtocolErrors))
+	e.Counter("bst_wire_shed_total", "BUSY frames sent by admission control.", float64(doc.Wire.Shed))
 
 	// Database state: copy-on-write write path and tree memory.
-	st := s.DB().Stats()
+	st := doc.DB
 	e.Gauge("bst_db_sets", "Keys holding a plain set.", float64(st.Sets))
 	e.Gauge("bst_db_dynamic_sets", "Keys holding a dynamic (removable) set.", float64(st.DynamicSets))
 	e.Counter("bst_db_state_writes_total", "Copy-on-write shard-state writes.", float64(st.StateWrites))
@@ -168,8 +170,7 @@ func (s *Server) collectMetrics() *obs.Exposition {
 	e.Gauge("bst_backend_load_factor", "Fingerprint-slot occupancy (cuckoo backends).", st.Backend.LoadFactor, kind)
 
 	// Durability (only when a WAL store backs the server).
-	if d := s.cfg.Durability; d != nil {
-		ds := d.Stats()
+	if ds := doc.Durability; ds != nil {
 		e.Counter("bst_wal_appended_bytes_total", "Bytes appended to the write-ahead log.", float64(ds.AppendedBytes))
 		e.Counter("bst_wal_fsyncs_total", "Successful fsyncs of the active segment.", float64(ds.Fsyncs))
 		e.Counter("bst_wal_fsync_errors_total", "Failed fsyncs of the active segment.", float64(ds.FsyncErrors))

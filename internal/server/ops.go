@@ -440,57 +440,6 @@ func (s *Server) restore(r io.Reader) (RestoreResponse, error) {
 	return RestoreResponse{Restored: true, Sets: st.Sets, Dynamic: st.DynamicSets, Backend: string(db.Options().Backend)}, nil
 }
 
-// DBStats mirrors setdb.DBStats with JSON tags; per-shard occupancy is
-// summarized to occupied/min/max so the payload stays small at 64 shards.
-type DBStats struct {
-	Sets           int `json:"sets"`
-	DynamicSets    int `json:"dynamic_sets"`
-	Shards         int `json:"shards"`
-	OccupiedShards int `json:"occupied_shards"`
-	MaxShardKeys   int `json:"max_shard_keys"`
-	// Chunk occupancy and write-amplification observability: every write
-	// copies one chunk of its shard's chunked key map (plus the chunk
-	// table), so mean_bytes_copied_per_write is the live amplification
-	// figure, and occupied_chunks/max_chunk_keys show how evenly the
-	// copy units are loaded. Chunk tables are adaptive — each shard map
-	// grows from 1 chunk toward max_chunks_per_shard with occupancy — so
-	// total_chunks tracks how far the layout has fanned out (it counts one
-	// map per shard; sets and dynamic_sets count the keys of that one map
-	// by what they hold).
-	// state_publishes < state_writes means group commit (batch /v1/add)
-	// is coalescing writes into shared publishes.
-	MaxChunksPerShard       int     `json:"max_chunks_per_shard"`
-	TotalChunks             int     `json:"total_chunks"`
-	OccupiedChunks          int     `json:"occupied_chunks"`
-	MaxChunkKeys            int     `json:"max_chunk_keys"`
-	StateWrites             uint64  `json:"state_writes"`
-	StatePublishes          uint64  `json:"state_publishes"`
-	StateBytesCopied        uint64  `json:"state_bytes_copied"`
-	MeanBytesCopiedPerWrite float64 `json:"mean_bytes_copied_per_write"`
-	SampleDrawsLost         uint64  `json:"sample_draws_lost"`    // batch draws that ended on a false-positive path: Σ requested − returned
-	EstimatesComputed       uint64  `json:"estimates_computed"`   // intersection estimates sampling and reconstruction requests computed
-	EstimatesRemembered     uint64  `json:"estimates_remembered"` // and those read back from a filter version's index
-	DrawsWarm               uint64  `json:"draws_warm"`           // draws that were uniform picks from a filter version's packed positives: every draw of a uniform request, a default request's once the version has scanned
-	DrawsDescended          uint64  `json:"draws_descended"`      // draws that were descents of the tree (lost ones included)
-	ReconstructsWarm        uint64  `json:"reconstructs_warm"`    // reconstructions whose leaves were all read from a version's packed positives
-	ReconstructsWalked      uint64  `json:"reconstructs_walked"`  // reconstructions that scanned their leaves
-	PositivesScans          uint64  `json:"positives_scans"`      // leaf scans run by filter versions: once their requests had tested a scan's worth of ids, or for a uniform request
-	PositivesDeclined       uint64  `json:"positives_declined"`   // scans that kept nothing: the table outgrew the version's own bytes
-	PositivesDropped        uint64  `json:"positives_dropped"`    // tables dropped because the pruned tree grew a leaf under them
-	PositivesBytes          uint64  `json:"positives_bytes"`      // bytes of every table kept, cumulative
-	Generations             uint64  `json:"generations"`          // key lifetimes ever created; a write to an existing key does not move it
-	TreeNodes               uint64  `json:"tree_nodes"`
-	TreeDepth               int     `json:"tree_depth"`
-	TreePruned              bool    `json:"tree_pruned"`
-	TreeMemoryBytes         uint64  `json:"tree_memory_bytes"`
-	GrowthEpoch             uint64  `json:"growth_epoch"`
-	SubtreeEpochs           uint64  `json:"subtree_epochs_active"` // stripes with ≥1 completed epoch
-	// Backend is the dynamic-set membership backend descriptor: configured
-	// kind plus realized entries, memory, bits/entry and (cuckoo) load
-	// factor. setdb.BackendStats carries its own JSON tags.
-	Backend setdb.BackendStats `json:"backend"`
-}
-
 // OptionsStats echoes the database profile.
 type OptionsStats struct {
 	Namespace uint64 `json:"namespace"`
@@ -525,94 +474,48 @@ type WireStats struct {
 type StatsResponse struct {
 	UptimeSeconds float64                  `json:"uptime_seconds"`
 	Options       OptionsStats             `json:"options"`
-	DB            DBStats                  `json:"db"`
+	DB            setdb.DBStats            `json:"db"`
 	Wire          WireStats                `json:"wire"`
 	Durability    *wal.Stats               `json:"durability,omitempty"`
 	Endpoints     map[string]EndpointStats `json:"endpoints"`
 }
 
 // stats assembles the stats document served by both GET /v1/stats and
-// the binary OpStats — one schema, two framings.
+// the binary OpStats — one schema, two framings — and rendered as the bst_*
+// families of /metrics (collectMetrics): every counter is read here, once.
 func (s *Server) stats() StatsResponse {
 	db := s.DB()
-	st := db.Stats()
+	opts := db.Options()
 	// One clock read: the QPS denominators below must agree with the
 	// uptime field they ship with.
 	uptime := time.Since(s.start)
 	resp := StatsResponse{
 		UptimeSeconds: uptime.Seconds(),
-		DB: DBStats{
-			Sets:                    st.Sets,
-			DynamicSets:             st.DynamicSets,
-			Shards:                  len(st.Shards),
-			MaxChunksPerShard:       st.MaxChunksPerShard,
-			TotalChunks:             st.TotalChunks,
-			StateWrites:             st.StateWrites,
-			StatePublishes:          st.StatePublishes,
-			StateBytesCopied:        st.StateBytesCopied,
-			MeanBytesCopiedPerWrite: st.MeanBytesCopiedPerWrite(),
-			SampleDrawsLost:         st.SampleDrawsLost,
-			EstimatesComputed:       st.EstimatesComputed,
-			EstimatesRemembered:     st.EstimatesRemembered,
-			DrawsWarm:               st.DrawsWarm,
-			DrawsDescended:          st.DrawsDescended,
-			ReconstructsWarm:        st.ReconstructsWarm,
-			ReconstructsWalked:      st.ReconstructsWalked,
-			PositivesScans:          st.PositivesScans,
-			PositivesDeclined:       st.PositivesDeclined,
-			PositivesDropped:        st.PositivesDropped,
-			PositivesBytes:          st.PositivesBytes,
-			Generations:             st.Generations,
-			TreeNodes:               st.TreeNodes,
-			TreeDepth:               st.TreeDepth,
-			TreePruned:              st.TreePruned,
-			TreeMemoryBytes:         st.TreeMemoryBytes,
-			GrowthEpoch:             st.GrowthEpoch,
-			Backend:                 st.Backend,
+		Options: OptionsStats{
+			Namespace: opts.Namespace,
+			Bits:      opts.Bits,
+			K:         opts.K,
+			HashKind:  string(opts.HashKind),
+			TreeDepth: opts.TreeDepth,
+			Pruned:    opts.Pruned,
+		},
+		DB: db.Stats(),
+		Wire: WireStats{
+			ConnsActive:    s.bin.connsActive.Load(),
+			ConnsTotal:     s.bin.connsTotal.Load(),
+			FramesIn:       s.bin.framesIn.Load(),
+			FramesOut:      s.bin.framesOut.Load(),
+			StreamsActive:  s.bin.streamsActive.Load(),
+			CreditStalls:   s.bin.creditStalls.Load(),
+			ProtocolErrors: s.bin.protoErrors.Load(),
+			Shed:           s.bin.shed.Load(),
+			InFlight:       s.inflight.inUse(),
+			MaxInFlight:    s.cfg.MaxInFlight,
+			WritesInFlight: s.writeGate.inUse(),
+			MaxWrites:      s.cfg.MaxWrites,
+			ConnWindow:     s.cfg.ConnWindow,
 		},
 		Endpoints: map[string]EndpointStats{},
-	}
-	opts := db.Options()
-	resp.Options = OptionsStats{
-		Namespace: opts.Namespace,
-		Bits:      opts.Bits,
-		K:         opts.K,
-		HashKind:  string(opts.HashKind),
-		TreeDepth: opts.TreeDepth,
-		Pruned:    opts.Pruned,
-	}
-	for i := range st.Shards {
-		keys := st.Shards[i].Sets + st.Shards[i].Dynamic
-		if keys > 0 {
-			resp.DB.OccupiedShards++
-		}
-		if keys > resp.DB.MaxShardKeys {
-			resp.DB.MaxShardKeys = keys
-		}
-		resp.DB.OccupiedChunks += st.Shards[i].OccupiedChunks
-		if st.Shards[i].MaxChunkKeys > resp.DB.MaxChunkKeys {
-			resp.DB.MaxChunkKeys = st.Shards[i].MaxChunkKeys
-		}
-	}
-	for _, e := range st.SubtreeEpochs {
-		if e > 0 {
-			resp.DB.SubtreeEpochs++
-		}
-	}
-	resp.Wire = WireStats{
-		ConnsActive:    s.bin.connsActive.Load(),
-		ConnsTotal:     s.bin.connsTotal.Load(),
-		FramesIn:       s.bin.framesIn.Load(),
-		FramesOut:      s.bin.framesOut.Load(),
-		StreamsActive:  s.bin.streamsActive.Load(),
-		CreditStalls:   s.bin.creditStalls.Load(),
-		ProtocolErrors: s.bin.protoErrors.Load(),
-		Shed:           s.bin.shed.Load(),
-		InFlight:       s.inflight.inUse(),
-		MaxInFlight:    s.cfg.MaxInFlight,
-		WritesInFlight: s.writeGate.inUse(),
-		MaxWrites:      s.cfg.MaxWrites,
-		ConnWindow:     s.cfg.ConnWindow,
 	}
 	if d := s.cfg.Durability; d != nil {
 		ds := d.Stats()

@@ -395,7 +395,7 @@ func TestStatsIntrospection(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.DB.Sets != 1 || st.DB.DynamicSets != 1 || st.DB.Shards != 64 {
+	if st.DB.Sets != 1 || st.DB.DynamicSets != 1 || st.DB.NumShards != 64 {
 		t.Fatalf("db stats wrong: %+v", st.DB)
 	}
 	if st.DB.OccupiedShards == 0 || st.DB.MaxShardKeys == 0 || st.DB.TreeNodes == 0 {

@@ -1,0 +1,209 @@
+package server
+
+import (
+	"encoding/json"
+	"net/http/httptest"
+	"os"
+	"regexp"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// The two stats surfaces, /v1/stats and /metrics, are rendered from one
+// document (stats() in ops.go). These tests hold them to each other, to the
+// README's table of them, and to what the parent of the PR that merged their
+// code served.
+
+// liveSurfaces boots a WAL-backed server, gives it the traffic that makes
+// every conditional series appear (a request, so the histograms render; a
+// snapshot, so its age does), and returns the key paths of /v1/stats and
+// the body of /metrics.
+func liveSurfaces(t *testing.T) (doc map[string]any, metrics string) {
+	t.Helper()
+	ts, s, _ := newDurableTestServer(t, Config{})
+	admin := httptest.NewServer(s.AdminHandler())
+	t.Cleanup(admin.Close)
+	for _, call := range [][2]string{
+		{"/v1/add", `{"key":"demo","ids":[1,2,3,500,70000]}`},
+		{"/v1/sample", `{"key":"demo","n":5}`},
+		{"/v1/snapshot", ``},
+	} {
+		if code := post(t, ts, call[0], call[1], nil); code != 200 {
+			t.Fatalf("%s: status %d", call[0], code)
+		}
+	}
+	_, body := get(t, ts.URL+"/v1/stats")
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatal(err)
+	}
+	_, metrics = get(t, admin.URL+"/metrics")
+	return doc, metrics
+}
+
+// leafPaths lists the dotted path of every leaf under v.
+func leafPaths(v any, prefix string, out []string) []string {
+	obj, ok := v.(map[string]any)
+	if !ok {
+		return append(out, prefix)
+	}
+	for k, child := range obj {
+		path := k
+		if prefix != "" {
+			path = prefix + "." + k
+		}
+		out = leafPaths(child, path, out)
+	}
+	return out
+}
+
+func readLines(t *testing.T, path string) []string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+}
+
+// TestSurfacesAreTheParents: testdata/stats_keys.txt and
+// testdata/metrics_help_type.txt were captured from the binary of commit
+// cd0fc32 (`bstserved -data-dir … -demo 100`, one sample, one snapshot),
+// before setdb.DBStats took over server.DBStats and /metrics began to render
+// from the stats document. Neither surface gained, lost or reworded a name.
+func TestSurfacesAreTheParents(t *testing.T) {
+	doc, metrics := liveSurfaces(t)
+	keys := leafPaths(doc, "", nil)
+	sort.Strings(keys)
+	if want := readLines(t, "testdata/stats_keys.txt"); !slices.Equal(keys, want) {
+		t.Errorf("/v1/stats keys differ from the parent's:\n got %v\nwant %v", keys, want)
+	}
+	var meta []string
+	for _, line := range strings.Split(metrics, "\n") {
+		if strings.HasPrefix(line, "# ") {
+			meta = append(meta, line)
+		}
+	}
+	if want := readLines(t, "testdata/metrics_help_type.txt"); !slices.Equal(meta, want) {
+		t.Errorf("/metrics # HELP / # TYPE lines differ from the parent's:\n got %s\nwant %s",
+			strings.Join(meta, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// statSections are the sections of /v1/stats whose numbers /metrics also
+// serves, and the family prefix each renders under: a key is the family
+// prefix + key, with _total appended when it is a counter.
+var statSections = map[string]string{
+	"db":         "bst_db_",
+	"db.backend": "bst_backend_",
+	"wire":       "bst_wire_",
+	"durability": "bst_wal_",
+}
+
+// statRenames are the keys whose family is not the rule's.
+var statRenames = map[string]string{
+	"wire.in_flight":                        "bst_admission_in_flight", // {budget="global"}
+	"wire.writes_in_flight":                 "bst_admission_in_flight", // {budget="write"}
+	"wire.max_in_flight":                    "bst_admission_limit",     // {budget="global"}
+	"wire.max_writes":                       "bst_admission_limit",     // {budget="write"}
+	"durability.wal_bytes":                  "bst_wal_bytes",
+	"durability.last_snapshot_unix":         "bst_wal_snapshot_age_seconds", // rendered as an age
+	"durability.replayed_records_at_boot":   "bst_wal_replayed_records",
+	"durability.dropped_tail_bytes_at_boot": "bst_wal_dropped_tail_bytes",
+}
+
+// statJSONOnly are the numbers /v1/stats serves and /metrics does not:
+// configuration and layout summaries nobody alerts on.
+var statJSONOnly = []string{
+	"db.shards", "db.occupied_shards", "db.max_shard_keys",
+	"db.max_chunks_per_shard", "db.occupied_chunks", "db.max_chunk_keys",
+	"db.mean_bytes_copied_per_write", "db.tree_depth", "db.subtree_epochs_active",
+	"wire.conn_window",
+	"durability.active_segment", "durability.bytes_since_snapshot",
+	"durability.last_snapshot_ms", "durability.last_snapshot_bytes",
+	"durability.skipped_records_at_boot",
+}
+
+// TestEveryNumberOnBothSurfaces: a number in the db, wire or durability
+// section of /v1/stats has its /metrics family under the one naming rule, or
+// is listed above as renamed or JSON-only; a bst_db_*, bst_backend_*,
+// bst_wire_* or bst_wal_* family has its key; and every pair README's table
+// names exists on both. A counter added to one surface and forgotten on the
+// other, or documented under a name neither serves, fails here.
+func TestEveryNumberOnBothSurfaces(t *testing.T) {
+	doc, metrics := liveSurfaces(t)
+	families := map[string]bool{}
+	for _, line := range strings.Split(metrics, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			families[f[2]] = true
+		}
+	}
+	section := func(name string) map[string]any {
+		var v any = doc
+		for _, part := range strings.Split(name, ".") {
+			v = v.(map[string]any)[part]
+		}
+		return v.(map[string]any)
+	}
+
+	claimed := map[string]bool{} // families some key accounts for
+	for name, prefix := range statSections {
+		for key, v := range section(name) {
+			if _, numeric := v.(float64); !numeric {
+				continue
+			}
+			path := name + "." + key
+			family, renamed := statRenames[path]
+			switch {
+			case slices.Contains(statJSONOnly, path):
+				if families[prefix+key] || families[prefix+key+"_total"] {
+					t.Errorf("%s is listed as JSON-only and /metrics serves it", path)
+				}
+				continue
+			case renamed:
+			case families[prefix+key]:
+				family = prefix + key
+			default:
+				family = prefix + key + "_total"
+			}
+			if !families[family] {
+				t.Errorf("%s of /v1/stats has no family %s in /metrics and is not listed as renamed or JSON-only", path, family)
+			}
+			claimed[family] = true
+		}
+	}
+	// load_factor is omitted from the JSON when it is zero (every backend but
+	// cuckoo); its family is always rendered.
+	claimed["bst_backend_load_factor"] = true
+	for family := range families {
+		for _, prefix := range statSections {
+			if strings.HasPrefix(family, prefix) && !claimed[family] {
+				t.Errorf("family %s of /metrics has no key in /v1/stats", family)
+			}
+		}
+	}
+	for path := range statRenames {
+		name, key, _ := strings.Cut(path, ".")
+		if _, ok := section(name)[key]; !ok {
+			t.Errorf("renamed key %s is not in /v1/stats", path)
+		}
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := regexp.MustCompile("(?m)^\\| `([a-z_]+)` \\| `(bst_[a-z_]+)` \\|").FindAllStringSubmatch(string(readme), -1)
+	if len(rows) < 8 {
+		t.Fatalf("README's /v1/stats ↔ /metrics table has %d rows the test can read, want ≥ 8", len(rows))
+	}
+	for _, row := range rows {
+		if _, ok := section("db")[row[1]]; !ok {
+			t.Errorf("README names db.%s, which /v1/stats does not serve", row[1])
+		}
+		if !families[row[2]] {
+			t.Errorf("README names %s, which /metrics does not serve", row[2])
+		}
+	}
+}

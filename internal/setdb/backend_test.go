@@ -1,7 +1,6 @@
 package setdb
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -101,14 +100,7 @@ func TestCuckooBackendEndToEnd(t *testing.T) {
 	}
 
 	// Persistence round-trip keeps the backend kind and the live members.
-	var buf bytes.Buffer
-	if _, err := db.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	db2, err := ReadFrom(&buf)
-	if err != nil {
-		t.Fatalf("ReadFrom: %v", err)
-	}
+	db2 := reload(t, db)
 	if db2.Options().Backend != membership.KindCuckoo {
 		t.Fatalf("reloaded backend = %q, want cuckoo", db2.Options().Backend)
 	}
@@ -141,14 +133,7 @@ func TestBackendBatchAndSnapshotRoundTrip(t *testing.T) {
 			if ok, _ := db.Contains("d", 20); ok {
 				t.Fatal("batched remove left 20 a member")
 			}
-			var buf bytes.Buffer
-			if _, err := db.WriteTo(&buf); err != nil {
-				t.Fatalf("WriteTo: %v", err)
-			}
-			db2, err := ReadFrom(&buf)
-			if err != nil {
-				t.Fatalf("ReadFrom: %v", err)
-			}
+			db2 := reload(t, db)
 			if db2.Options().Backend != kind {
 				t.Fatalf("reloaded backend = %q, want %q", db2.Options().Backend, kind)
 			}

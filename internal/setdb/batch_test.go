@@ -54,7 +54,7 @@ func TestApplyBatchGroupCommit(t *testing.T) {
 	if st.StatePublishes >= st.StateWrites {
 		t.Fatalf("StatePublishes = %d, want < StateWrites = %d (group commit)", st.StatePublishes, st.StateWrites)
 	}
-	if st.StateBytesCopied == 0 || st.MeanBytesCopiedPerWrite() <= 0 {
+	if st.StateBytesCopied == 0 || st.MeanBytesCopiedPerWrite <= 0 {
 		t.Fatalf("write-amplification accounting missing: %+v", st)
 	}
 	// Generations counts key lifetimes, not filter versions: three creates

@@ -1,34 +1,51 @@
 package setdb
 
 // Durability primitives: a version-pinned SnapshotView over the shard
-// states, and the self-delimiting "bundle" container the durability
-// layer (internal/wal) and the snapshot/restore API ship around.
+// states, and the one on-disk form of a database — the self-delimiting
+// "bundle" that Save and Load, GET /v1/snapshot and POST /v1/restore, the
+// wire restore op and every snapshot of the durability layer (internal/wal)
+// read and write. Which leaves of a pruned tree exist is part of a
+// database's state (the filters do not say), so the bundle carries the sets
+// followed by the serialized BloomSampleTree:
 //
-// A plain SETDB2 file is not enough to restart a pruned database — the
-// tree occupancy lives outside the filters — so the bundle carries the
-// database followed by its serialized BloomSampleTree:
+//	magic    [7]byte "BSTBND1"
+//	sets     [6]byte "SETDB2"
+//	         namespace uint64, bits uint64, k uint32, seed uint64,
+//	         depth uint32, design uint64, pruned uint8,
+//	         uint8 length + hash kind, uint8 length + backend kind
+//	         plain    uint32 count × { keyLen uint16, key, len uint32, membership envelope }
+//	         dynamic  uint32 count × { keyLen uint16, key, len uint32, membership envelope }
+//	tree     uint8 presence flag; when 1, a core.Tree stream ("BST1")
 //
-//	magic  [7]byte "BSTBND1"
-//	db     SETDB2 stream (WriteTo; self-delimiting)
-//	tree   uint8 presence flag; when 1, a core.Tree stream ("BST1")
-//
-// Non-pruned databases rebuild their full tree deterministically from
-// the header options, so they carry presence 0. ReadBundle also accepts
-// a bare SETDB2 stream (non-pruned only), so a file written by Save
-// restores directly.
+// All integers are little-endian. Each set is a tagged membership envelope
+// ("BSM1" + backend kind), so a bundle can mix backends and a reader
+// reconstructs the right implementation per set; views are validated against
+// the database profile on load. The two sections are the one key space
+// written by capability — the keys whose values cannot remove ids, then those
+// whose values can — and the loader holds a bundle to that: a key appears
+// once in the whole stream, and an envelope's backend belongs in the section
+// it was found in. A full tree is rebuilt deterministically from the header
+// options, so its bundle carries presence 0; a pruned one carries its tree.
+// The sets alone (a stream that begins "SETDB2", what Save wrote before it
+// wrote bundles) are not a database and are refused.
 
 import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/membership"
 )
 
-const bundleMagic = "BSTBND1"
+const (
+	bundleMagic = "BSTBND1"
+	dbMagic     = "SETDB2"
+)
 
 // SnapshotView is a cross-shard-consistent, immutable view of the
 // database's sets, pinned at construction. Serializing it never blocks
@@ -43,23 +60,21 @@ type SnapshotView struct {
 
 // SnapshotView pins a consistent view of the current sets. The pin
 // itself briefly holds every shard's writer mutex (pointer loads only);
-// everything after — including WriteTo — runs lock-free.
+// everything after — including WriteBundleTo — runs lock-free.
 func (db *DB) SnapshotView() *SnapshotView {
 	return &SnapshotView{db: db, states: db.snapshotAll()}
 }
 
-// WriteTo serializes the pinned view in the SETDB2 format. It implements
-// io.WriterTo.
-func (v *SnapshotView) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriter(cw)
+// writeSets emits the bundle's sets: the SETDB2 magic, the header and the
+// two keyed sections.
+func (v *SnapshotView) writeSets(w io.Writer) error {
+	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(dbMagic); err != nil {
-		return cw.n, err
+		return err
 	}
 	if err := v.writeHeader(bw); err != nil {
-		return cw.n, err
+		return err
 	}
-
 	plain, dynamic := v.keys()
 	for _, keys := range [][]string{plain, dynamic} {
 		err := writeSection(bw, keys, func(k string) membership.Membership {
@@ -68,13 +83,10 @@ func (v *SnapshotView) WriteTo(w io.Writer) (int64, error) {
 			return e.m
 		})
 		if err != nil {
-			return cw.n, err
+			return err
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+	return bw.Flush()
 }
 
 // keys returns the pinned keys, each list sorted, split by capability into
@@ -95,7 +107,7 @@ func (v *SnapshotView) keys() (plain, dynamic []string) {
 	return plain, dynamic
 }
 
-// writeHeader emits the SETDB2 header fields after the magic.
+// writeHeader emits the header fields after the SETDB2 magic.
 func (v *SnapshotView) writeHeader(bw *bufio.Writer) error {
 	opts := v.db.opts
 	kind := string(opts.HashKind)
@@ -120,17 +132,16 @@ func (v *SnapshotView) writeHeader(bw *bufio.Writer) error {
 	return err
 }
 
-// WriteBundleTo serializes the pinned view as a restore bundle: the
-// SETDB2 stream plus, for pruned databases, the serialized tree. The
-// tree bytes are produced after the view pin, which is exactly the safe
-// order — the monotone tree can only cover more than the pinned filters
-// need, never less.
+// WriteBundleTo serializes the pinned view as a bundle: the sets plus, for
+// pruned databases, the serialized tree. The tree bytes are produced after
+// the view pin, which is exactly the safe order — the monotone tree can only
+// cover more than the pinned filters need, never less.
 func (v *SnapshotView) WriteBundleTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
 	if _, err := io.WriteString(cw, bundleMagic); err != nil {
 		return cw.n, err
 	}
-	if _, err := v.WriteTo(cw); err != nil {
+	if err := v.writeSets(cw); err != nil {
 		return cw.n, err
 	}
 	if !v.db.opts.Pruned {
@@ -146,30 +157,73 @@ func (v *SnapshotView) WriteBundleTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// ReadBundle deserializes a bundle written by WriteBundleTo, or a bare
-// SETDB2 stream for non-pruned databases (a bare pruned stream has no tree
-// and is rejected — use ReadFromWithIDs for those).
+// WriteBundleFile writes the pinned view's bundle to path so that a crash, or
+// a write that fails, leaves either the file that was there or the whole new
+// one: the bytes go to path+".tmp", are synced, and only then renamed over
+// path, and the directory is synced after. It returns the bundle's size.
+func (v *SnapshotView) WriteBundleFile(path string) (int64, error) {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return 0, err
+	}
+	n, err := v.WriteBundleTo(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return 0, err
+	}
+	// Best-effort: not every platform can sync a directory.
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
+		_ = d.Sync()
+		d.Close()
+	}
+	return n, nil
+}
+
+// Save writes the database to path as a bundle (WriteBundleFile of a view
+// pinned now): the same bytes GET /v1/snapshot serves and the durability
+// layer keeps as snap-*.snap, and the file Load and bstserved -db read.
+func (db *DB) Save(path string) error {
+	_, err := db.SnapshotView().WriteBundleFile(path)
+	return err
+}
+
+// Load reads a database from a bundle file: one written by Save, downloaded
+// from GET /v1/snapshot, or a durability directory's snap-*.snap.
+func Load(path string) (*DB, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return ReadBundle(f)
+}
+
+// ReadBundle deserializes a bundle written by WriteBundleTo.
 func ReadBundle(r io.Reader) (*DB, error) {
-	// One shared buffered reader for all three sections. parse and
-	// core.ReadTree wrap their reader in bufio.NewReader, which returns
-	// the argument unchanged when it is already a *bufio.Reader of at
-	// least default size — so no reader ever buffers ahead past its
-	// section.
+	// One shared buffered reader for all three sections. core.ReadTree wraps
+	// its reader in bufio.NewReader, which returns the argument unchanged
+	// when it is already a *bufio.Reader of at least default size — so no
+	// reader ever buffers ahead past its section.
 	br := bufio.NewReader(r)
 	head, err := br.Peek(len(bundleMagic))
 	if err != nil {
 		return nil, fmt.Errorf("setdb: reading bundle magic: %w", err)
 	}
 	if string(head) != bundleMagic {
-		// Bare database stream (parse validates its own magic).
-		db, err := parse(br)
-		if err != nil {
-			return nil, err
+		if string(head[:len(dbMagic)]) == dbMagic {
+			return nil, fmt.Errorf("setdb: a bare %s stream holds a database's sets without its tree and is not a bundle (%s); write one with Save or GET /v1/snapshot", dbMagic, bundleMagic)
 		}
-		if db.opts.Pruned {
-			return nil, fmt.Errorf("setdb: bare pruned snapshot has no tree; restore needs a bundle (or ReadFromWithIDs)")
-		}
-		return db, nil
+		return nil, fmt.Errorf("setdb: bad magic %q", head)
 	}
 	if _, err := br.Discard(len(bundleMagic)); err != nil {
 		return nil, err
@@ -200,6 +254,17 @@ func ReadBundle(r io.Reader) (*DB, error) {
 	default:
 		return nil, fmt.Errorf("setdb: bad bundle tree flag %d", presence)
 	}
+}
+
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // adoptTree swaps in a deserialized tree after checking it was built

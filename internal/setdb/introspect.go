@@ -30,23 +30,36 @@ type ShardStats struct {
 
 // DBStats is a consistent-enough introspection snapshot of the database:
 // each shard is read atomically, but shards are read one after another,
-// so counts can straddle concurrent writes (fine for monitoring).
+// so counts can straddle concurrent writes (fine for monitoring). It is the
+// "db" section of /v1/stats as it stands — the JSON tags are the document's
+// keys, and /metrics renders the same fields — with per-shard occupancy
+// summarized so the payload stays small at 64 shards.
 type DBStats struct {
 	// Sets and DynamicSets are the database-wide counts of keys holding a
 	// plain set and a removable one.
-	Sets        int
-	DynamicSets int
-	// Shards holds per-shard occupancy, indexed by shard number.
-	Shards []ShardStats
+	Sets        int `json:"sets"`
+	DynamicSets int `json:"dynamic_sets"`
+	// NumShards is the number of key shards, OccupiedShards those holding at
+	// least one key and MaxShardKeys the largest key count of any one shard.
+	// Shards holds the per-shard occupancy they summarize, indexed by shard
+	// number.
+	NumShards      int          `json:"shards"`
+	OccupiedShards int          `json:"occupied_shards"`
+	MaxShardKeys   int          `json:"max_shard_keys"`
+	Shards         []ShardStats `json:"-"`
 	// MaxChunksPerShard is the cap each shard's persistent key map grows
 	// to — the asymptotic denominator of the copy-on-write bound (a
 	// write into a saturated shard copies ~keys/MaxChunksPerShard
 	// entries, not the whole shard). TotalChunks is the number of chunks
 	// currently allocated across all shards, one table per shard; an
 	// untouched shard contributes 0, and the total approaches
-	// numShards·MaxChunksPerShard as shards saturate.
-	MaxChunksPerShard int
-	TotalChunks       int
+	// numShards·MaxChunksPerShard as shards saturate. OccupiedChunks counts
+	// those holding at least one key and MaxChunkKeys is the largest key
+	// count of any one chunk — how evenly the copy units are loaded.
+	MaxChunksPerShard int `json:"max_chunks_per_shard"`
+	TotalChunks       int `json:"total_chunks"`
+	OccupiedChunks    int `json:"occupied_chunks"`
+	MaxChunkKeys      int `json:"max_chunk_keys"`
 	// StateWrites counts logical write operations applied (Add, Delete,
 	// AddDynamic, RemoveDynamic, and each Write of a batch).
 	// StatePublishes counts snapshot publishes; group commit makes it
@@ -54,37 +67,39 @@ type DBStats struct {
 	// StateBytesCopied is the estimated total bytes copied building
 	// successor snapshots (chunk tables plus cloned chunk entries; filter
 	// clones are not included — they are payload, not amplification).
-	// StateBytesCopied/StateWrites is the mean write amplification.
-	StateWrites      uint64
-	StatePublishes   uint64
-	StateBytesCopied uint64
+	// MeanBytesCopiedPerWrite is StateBytesCopied/StateWrites (0 before the
+	// first write) — the headline write-amplification figure.
+	StateWrites             uint64  `json:"state_writes"`
+	StatePublishes          uint64  `json:"state_publishes"`
+	StateBytesCopied        uint64  `json:"state_bytes_copied"`
+	MeanBytesCopiedPerWrite float64 `json:"mean_bytes_copied_per_write"`
 	// SampleDrawsLost counts the draws of batch samples (SampleMany and
 	// its variants) that ended on a false-positive path and produced no
 	// id: the sum over all batches of requested − returned. A batch that
 	// comes back short is explained here and nowhere else.
-	SampleDrawsLost uint64
+	SampleDrawsLost uint64 `json:"sample_draws_lost"`
 	// EstimatesComputed counts the intersection estimates the same requests
 	// and the reconstructions served (ReconstructFrom) computed,
 	// EstimatesRemembered those they read back instead from the estimate
 	// index that lives on a filter version (core.EstimateIndex). Remembered ÷
 	// (computed + remembered) is the share of the descent's dominant cost
 	// that was not paid.
-	EstimatesComputed   uint64
-	EstimatesRemembered uint64
+	EstimatesComputed   uint64 `json:"estimates_computed"`
+	EstimatesRemembered uint64 `json:"estimates_remembered"`
 	// DrawsWarm counts the draws of those requests that were uniform picks
 	// from a filter version's packed positives (core.Positives) — every
 	// draw of SampleExactFrom, and SampleManyFrom's once the version has paid
 	// for its scan — DrawsDescended those that were descents of the tree,
 	// lost ones included: only the second kind reads an estimate, so their
 	// share is how much of the sampling traffic the index still serves.
-	DrawsWarm      uint64
-	DrawsDescended uint64
+	DrawsWarm      uint64 `json:"draws_warm"`
+	DrawsDescended uint64 `json:"draws_descended"`
 	// ReconstructsWarm counts the reconstructions whose leaves were all read
 	// from a filter version's packed positives (no id tested),
 	// ReconstructsWalked those that scanned their leaves: a version still
 	// renting or declined, and every caller that counts Ops.
-	ReconstructsWarm   uint64
-	ReconstructsWalked uint64
+	ReconstructsWarm   uint64 `json:"reconstructs_warm"`
+	ReconstructsWalked uint64 `json:"reconstructs_walked"`
 	// PositivesScans counts the leaf scans filter versions have run to find
 	// their positives (one per version, once its draws had tested as many
 	// ids as the scan would or at its first exact draw; one per exact request
@@ -93,28 +108,32 @@ type DBStats struct {
 	// PositivesDropped the tables dropped because the pruned tree grew a
 	// leaf under them, and PositivesBytes the bytes of every table kept
 	// (dropped and garbage ones included: it only grows).
-	PositivesScans    uint64
-	PositivesDeclined uint64
-	PositivesDropped  uint64
-	PositivesBytes    uint64
+	PositivesScans    uint64 `json:"positives_scans"`
+	PositivesDeclined uint64 `json:"positives_declined"`
+	PositivesDropped  uint64 `json:"positives_dropped"`
+	PositivesBytes    uint64 `json:"positives_bytes"`
 	// Generations is the number of key lifetimes ever created (it only
 	// grows; Delete does not reclaim it, and a write to an existing key
 	// does not move it).
-	Generations uint64
+	Generations uint64 `json:"generations"`
 	// TreeNodes, TreeDepth, TreePruned and TreeMemoryBytes describe the
 	// shared BloomSampleTree.
-	TreeNodes       uint64
-	TreeDepth       int
-	TreePruned      bool
-	TreeMemoryBytes uint64
+	TreeNodes       uint64 `json:"tree_nodes"`
+	TreeDepth       int    `json:"tree_depth"`
+	TreePruned      bool   `json:"tree_pruned"`
+	TreeMemoryBytes uint64 `json:"tree_memory_bytes"`
 	// GrowthEpoch is the total number of completed growth epochs across
-	// all subtrees of a pruned tree (0 for a full tree); SubtreeEpochs is
-	// the per-stripe breakdown.
-	GrowthEpoch   uint64
-	SubtreeEpochs []uint64
+	// all subtrees of a pruned tree (0 for a full tree), SubtreeEpochs the
+	// per-stripe breakdown and SubtreeEpochsActive the stripes with at least
+	// one. They are the operator's signal that, and how widely, a pruned
+	// tree is still growing; nothing is validated against them (a version's
+	// index and table check filter stamps and the node count).
+	GrowthEpoch         uint64   `json:"growth_epoch"`
+	SubtreeEpochsActive uint64   `json:"subtree_epochs_active"`
+	SubtreeEpochs       []uint64 `json:"-"`
 	// Backend describes the configured dynamic-set membership backend and
 	// its realized aggregates.
-	Backend BackendStats
+	Backend BackendStats `json:"backend"`
 }
 
 // BackendStats is the per-DB membership-backend descriptor surfaced by
@@ -136,19 +155,11 @@ type BackendStats struct {
 	LoadFactor float64 `json:"load_factor,omitempty"`
 }
 
-// MeanBytesCopiedPerWrite returns StateBytesCopied/StateWrites (0 before
-// the first write) — the headline write-amplification figure.
-func (st DBStats) MeanBytesCopiedPerWrite() float64 {
-	if st.StateWrites == 0 {
-		return 0
-	}
-	return float64(st.StateBytesCopied) / float64(st.StateWrites)
-}
-
 // Stats returns an introspection snapshot. It is lock-free and safe to
 // call at any frequency while readers and writers run.
 func (db *DB) Stats() DBStats {
 	st := DBStats{
+		NumShards:           numShards,
 		Shards:              make([]ShardStats, numShards),
 		MaxChunksPerShard:   maxChunks,
 		StateWrites:         db.stateWrites.Load(),
@@ -168,6 +179,14 @@ func (db *DB) Stats() DBStats {
 		TreeMemoryBytes:     db.tree.MemoryBytes(),
 		GrowthEpoch:         db.tree.GrowthEpoch(),
 		SubtreeEpochs:       db.tree.SubtreeEpochs(),
+	}
+	if st.StateWrites > 0 {
+		st.MeanBytesCopiedPerWrite = float64(st.StateBytesCopied) / float64(st.StateWrites)
+	}
+	for _, e := range st.SubtreeEpochs {
+		if e > 0 {
+			st.SubtreeEpochsActive++
+		}
 	}
 	ps := db.tree.PositivesStats()
 	st.PositivesScans, st.PositivesDeclined = ps.Scans, ps.Declined
@@ -201,8 +220,14 @@ func (db *DB) Stats() DBStats {
 		}
 		st.Shards[i] = ss
 		st.TotalChunks += ss.Chunks
+		st.OccupiedChunks += ss.OccupiedChunks
+		st.MaxChunkKeys = max(st.MaxChunkKeys, ss.MaxChunkKeys)
 		st.Sets += ss.Sets
 		st.DynamicSets += ss.Dynamic
+		if keys := ss.Sets + ss.Dynamic; keys > 0 {
+			st.OccupiedShards++
+			st.MaxShardKeys = max(st.MaxShardKeys, keys)
+		}
 	}
 	if st.Backend.Entries > 0 {
 		st.Backend.BitsPerEntry = 8 * float64(st.Backend.MemoryBytes) / float64(st.Backend.Entries)

@@ -12,9 +12,10 @@
 // cuckoo set can — chosen by the write that creates the key and fixed for
 // the key's lifetime. Every read serves every key.
 //
-// The database persists to a single file (Save/Load, or the streaming
-// WriteTo/ReadFrom), so a collection built by an ingest job can be served
-// by a separate process.
+// The database persists to a single file, the bundle (Save/Load, or the
+// streaming SnapshotView().WriteBundleTo/ReadBundle; durability.go has the
+// format), so a collection built by an ingest job can be served by a separate
+// process.
 package setdb
 
 import (
@@ -24,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -58,7 +58,7 @@ type Options struct {
 	// write gets (counting or cuckoo; default counting). A key created by a
 	// plain write is always Bloom-backed — it never deletes, so nothing
 	// beats the plain filter. Both live in the one key space. The choice
-	// is persisted in the snapshot header.
+	// is persisted in the bundle's header.
 	Backend membership.Kind
 }
 
@@ -409,24 +409,6 @@ func (db *DB) IntersectionEstimate(keyA, keyB string) (float64, error) {
 	return bloom.EstimateIntersectionOf(a.m.QueryView(), b.m.QueryView()), nil
 }
 
-// File format:
-//
-//	magic    [6]byte "SETDB2"
-//	opts     namespace, bits, k, kind, seed, depth, pruned, design
-//	backend  uint8 length + backend kind string
-//	plain    uint32 count × { keyLen uint16, key, len uint32, membership envelope }
-//	dynamic  uint32 count × { keyLen uint16, key, len uint32, membership envelope }
-//
-// Each set is a tagged membership envelope ("BSM1" + backend kind), so a
-// snapshot can mix backends and a reader reconstructs the right
-// implementation per set; views are validated against the database
-// profile on load. The two sections are the one key space written by
-// capability — the keys whose values cannot remove ids, then those whose
-// values can — and the loader holds a file to that: a key appears once in
-// the whole file, and an envelope's backend belongs in the section it was
-// found in.
-const dbMagic = "SETDB2"
-
 // snapshotAll captures a cross-shard-consistent view of the database by
 // briefly holding every shard's writer mutex while loading the snapshots.
 // Readers are unaffected; writers wait only for the pointer loads.
@@ -442,13 +424,6 @@ func (db *DB) snapshotAll() [numShards]*shardState {
 		db.shards[i].mu.Unlock()
 	}
 	return states
-}
-
-// WriteTo serializes the database. It implements io.WriterTo. The
-// snapshot is consistent across shards; neither readers nor writers are
-// blocked while the bytes are produced.
-func (db *DB) WriteTo(w io.Writer) (int64, error) {
-	return db.SnapshotView().WriteTo(w)
 }
 
 // writeSection serializes one keyed section (plain or dynamic): a count,
@@ -487,24 +462,10 @@ func writeSection(bw *bufio.Writer, keys []string, lookup func(string) membershi
 	return nil
 }
 
-// ReadFrom deserializes a non-pruned database written by WriteTo. Pruned
-// databases need the occupied ids to rebuild their tree; use
-// ReadFromWithIDs (or Load with ids) for those.
-func ReadFrom(r io.Reader) (*DB, error) {
-	db, err := parse(r)
-	if err != nil {
-		return nil, err
-	}
-	if db.opts.Pruned {
-		return nil, fmt.Errorf("setdb: pruned database requires the occupied ids; use ReadFromWithIDs")
-	}
-	return db, nil
-}
-
-// parse reads the on-disk format. For pruned databases the returned DB's
-// tree is empty until the caller rebuilds it.
-func parse(r io.Reader) (*DB, error) {
-	br := bufio.NewReader(r)
+// parse reads a bundle's sets (durability.go has the format). For pruned
+// databases the returned DB's tree is empty until ReadBundle adopts the one
+// that follows.
+func parse(br *bufio.Reader) (*DB, error) {
 	magic := make([]byte, len(dbMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, err
@@ -630,75 +591,4 @@ func readSection(br *bufio.Reader, fn func(key string, data []byte) error) error
 		}
 	}
 	return nil
-}
-
-// ReadFromWithIDs deserializes a pruned database, rebuilding its tree
-// from the supplied occupied ids (typically persisted alongside by the
-// application, which owns the id universe).
-func ReadFromWithIDs(r io.Reader, occupied []uint64) (*DB, error) {
-	db, err := parse(r)
-	if err != nil {
-		return nil, err
-	}
-	if db.opts.Pruned {
-		cfg := core.Config{
-			Namespace: db.opts.Namespace, Bits: db.opts.Bits, K: db.opts.K,
-			HashKind: db.opts.HashKind, Seed: db.opts.Seed, Depth: db.opts.TreeDepth,
-		}
-		tree, err := core.BuildPruned(cfg, occupied)
-		if err != nil {
-			return nil, err
-		}
-		db.tree = tree
-	}
-	return db, nil
-}
-
-// Save writes the database's sets — the SETDB2 stream of WriteTo, and
-// nothing else — to path atomically (write to temp file, then rename). The
-// shared tree is not in the file: Load rebuilds a full tree from the header's
-// options, and a pruned one only from the occupied ids the caller kept and
-// hands it. A file that restarts a pruned database on its own is the bundle
-// (SnapshotView().WriteBundleTo / ReadBundle), which carries the tree.
-func (db *DB) Save(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := db.WriteTo(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// Load reads a database saved with Save. For pruned databases pass the
-// occupied ids via opts.
-func Load(path string, occupied []uint64) (*DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if occupied != nil {
-		return ReadFromWithIDs(f, occupied)
-	}
-	return ReadFrom(f)
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

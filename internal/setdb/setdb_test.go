@@ -233,7 +233,7 @@ func TestExactDrawsThroughDB(t *testing.T) {
 	}
 }
 
-func TestWriteToReadFromRoundTrip(t *testing.T) {
+func TestBundleRoundTrip(t *testing.T) {
 	db, err := Open(testOptions(t, false))
 	if err != nil {
 		t.Fatal(err)
@@ -241,14 +241,7 @@ func TestWriteToReadFromRoundTrip(t *testing.T) {
 	db.Add("alpha", 1, 2, 3)
 	db.Add("beta", 100_000, 200_000)
 
-	var buf bytes.Buffer
-	if _, err := db.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrom(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := reload(t, db)
 	if got.Len() != 2 {
 		t.Fatalf("Len = %d", got.Len())
 	}
@@ -266,33 +259,36 @@ func TestWriteToReadFromRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadFromRejectsGarbage(t *testing.T) {
-	if _, err := ReadFrom(bytes.NewReader([]byte("not a db"))); err == nil {
+func TestReadBundleRejectsGarbage(t *testing.T) {
+	if _, err := ReadBundle(bytes.NewReader([]byte("not a db"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := ReadFrom(bytes.NewReader(nil)); err == nil {
+	if _, err := ReadBundle(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input accepted")
 	}
 }
 
+// TestPrunedSaveLoad: a pruned database's file loads with nothing beside it
+// and covers what grew the tree after Open — which leaves exist is in the
+// file, not in a list the caller kept.
 func TestPrunedSaveLoad(t *testing.T) {
 	db, err := Open(testOptions(t, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	occupied := []uint64{5, 10, 500_000, 900_001}
 	db.Add("s1", 5, 10)
 	db.Add("s2", 500_000, 900_001)
+	nodes := db.Tree().Nodes()
+	db.Add("s1", 250_000) // a leaf no earlier write had made
+	if db.Tree().Nodes() == nodes {
+		t.Fatal("the late id grew no node: the test needs it to")
+	}
 
 	path := filepath.Join(t.TempDir(), "sets.db")
 	if err := db.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	// Loading a pruned database without ids must fail loudly.
-	if _, err := Load(path, nil); err == nil {
-		t.Fatal("pruned load without ids accepted")
-	}
-	got, err := Load(path, occupied)
+	got, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,16 +300,20 @@ func TestPrunedSaveLoad(t *testing.T) {
 	if ok, _ := got.Contains("s1", x); !ok {
 		t.Fatalf("sample %d not a member", x)
 	}
-	recon, err := got.Reconstruct("s2", core.PruneByAndBits, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := map[uint64]bool{}
-	for _, id := range recon {
-		found[id] = true
-	}
-	if !found[500_000] || !found[900_001] {
-		t.Fatalf("pruned reconstruction missing members: %v", recon)
+	for key, ids := range map[string][]uint64{"s1": {5, 10, 250_000}, "s2": {500_000, 900_001}} {
+		recon, err := got.Reconstruct(key, core.PruneByAndBits, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := map[uint64]bool{}
+		for _, id := range recon {
+			found[id] = true
+		}
+		for _, id := range ids {
+			if !found[id] {
+				t.Fatalf("pruned reconstruction of %s missing member %d: %v", key, id, recon)
+			}
+		}
 	}
 }
 
@@ -327,7 +327,7 @@ func TestSaveLoadFullDB(t *testing.T) {
 	if err := db.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path, nil)
+	got, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}

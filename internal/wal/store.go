@@ -785,9 +785,9 @@ func (s *Store) syncActive() error {
 }
 
 // writeSnapshotFiles persists one bundle + meta pair atomically: both
-// land under temp names, are synced, and the bundle's rename is the
-// commit point (recovery keys on the .snap file; the meta is already in
-// place when it appears).
+// land under temp names, are synced, and the bundle's rename (inside
+// WriteBundleFile, the sequence DB.Save runs) is the commit point: recovery
+// keys on the .snap file, and the meta is already in place when it appears.
 func (s *Store) writeSnapshotFiles(idx uint64, view *setdb.SnapshotView, seq uint64) (int64, error) {
 	metaPath := filepath.Join(s.dir, metaName(idx))
 	metaTmp := metaPath + ".tmp"
@@ -801,29 +801,7 @@ func (s *Store) writeSnapshotFiles(idx uint64, view *setdb.SnapshotView, seq uin
 	if err := os.Rename(metaTmp, metaPath); err != nil {
 		return 0, err
 	}
-
-	snapPath := filepath.Join(s.dir, snapshotName(idx))
-	snapTmp := snapPath + ".tmp"
-	f, err := os.OpenFile(snapTmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return 0, err
-	}
-	n, err := view.WriteBundleTo(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(snapTmp)
-		return 0, err
-	}
-	if err := os.Rename(snapTmp, snapPath); err != nil {
-		return 0, err
-	}
-	syncDir(s.dir)
-	return n, nil
+	return view.WriteBundleFile(filepath.Join(s.dir, snapshotName(idx)))
 }
 
 // prune removes segments and snapshots below keepIdx, best-effort (a
@@ -879,13 +857,4 @@ func writeFileSync(path string, data []byte) error {
 		err = cerr
 	}
 	return err
-}
-
-// syncDir fsyncs a directory so renames within it survive a crash;
-// best-effort (not all platforms support it).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
 }

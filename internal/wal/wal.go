@@ -7,7 +7,7 @@
 // snapshot bundles:
 //
 //	wal-00000007.log    append log segment (records with seq > snapshot seq)
-//	snap-00000007.snap  setdb bundle (SETDB2 stream + pruned tree)
+//	snap-00000007.snap  setdb bundle (format: internal/setdb/durability.go)
 //	snap-00000007.meta  JSON sidecar: the last sequence number the bundle covers
 //
 // Each segment starts with an 8-byte magic ("BSTWAL01") followed by

@@ -403,28 +403,22 @@ func TestTornTailDroppedCleanly(t *testing.T) {
 	}
 }
 
-// TestBareSnapshotWithWAL seeds the data directory with a bare SETDB2
-// stream as its snapshot (what DB.Save writes: no bundle magic, no tree, no
-// meta sidecar) plus a hand-built WAL segment, and verifies recovery
-// composes both, replaying every record for want of a covered sequence.
+// TestBareSnapshotWithWAL: a file DB.Save wrote, dropped into a data
+// directory under a snapshot's name with no meta sidecar beside it, is a
+// valid WAL snapshot — pruned tree included — and recovery composes it with
+// a hand-built WAL segment, replaying every record for want of a covered
+// sequence.
 func TestBareSnapshotWithWAL(t *testing.T) {
-	opts := testOptions(t, membership.KindCounting)
-	opts.Pruned = false // a bare stream carries no tree to restore a pruned database from
-	seedDB, err := setdb.Open(opts)
+	seedDB, err := setdb.Open(testOptions(t, membership.KindCounting))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := seedDB.Add("saved", 3); err != nil {
 		t.Fatal(err)
 	}
-	var snap bytes.Buffer
-	if _, err := seedDB.WriteTo(&snap); err != nil {
-		t.Fatal(err)
-	}
-
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, snapshotName(1)), snap.Bytes(), 0o644); err != nil {
-		t.Fatalf("WriteFile snapshot: %v", err)
+	if err := seedDB.Save(filepath.Join(dir, snapshotName(1))); err != nil {
+		t.Fatalf("Save: %v", err)
 	}
 	seg := []byte(segMagic)
 	seg = appendRecord(seg, 1, []setdb.Write{{Key: "old", IDs: []uint64{5, 17}}})
@@ -447,7 +441,7 @@ func TestBareSnapshotWithWAL(t *testing.T) {
 	db := s.DB()
 	for key, id := range map[string]uint64{"saved": 3, "old": 5, "dyn": 7} {
 		if ok, err := db.Contains(key, id); err != nil || !ok {
-			t.Fatalf("Contains(%s, %d) = %v, %v after recovery over a bare snapshot", key, id, ok, err)
+			t.Fatalf("Contains(%s, %d) = %v, %v after recovery over a Save file", key, id, ok, err)
 		}
 	}
 }
