@@ -74,7 +74,7 @@ func runStats(args []string) {
 	fmt.Println("\nwire")
 	kv(
 		[2]string{"connections", fmt.Sprintf("%d active / %d total", st.Wire.ConnsActive, st.Wire.ConnsTotal)},
-		[2]string{"frames", fmt.Sprintf("%d in / %d out", st.Wire.FramesIn, st.Wire.FramesOut)},
+		[2]string{"frames", fmt.Sprintf("%d in / %d out, %d served by their reader", st.Wire.FramesIn, st.Wire.FramesOut, st.Wire.ServedInline)},
 		[2]string{"streams", fmt.Sprintf("%d active, %d credit stalls", st.Wire.StreamsActive, st.Wire.CreditStalls)},
 		[2]string{"admission", fmt.Sprintf("%d/%d in flight, %d/%d writes, %d shed", st.Wire.InFlight, st.Wire.MaxInFlight, st.Wire.WritesInFlight, st.Wire.MaxWrites, st.Wire.Shed)},
 		[2]string{"protocol errors", num(st.Wire.ProtocolErrors)},

@@ -193,7 +193,10 @@ func (t *Tree) Insert(x uint64) error { return t.InsertBatch([]uint64{x}) }
 // and attached with a single pointer store. Queries therefore never block:
 // a concurrent reader sees either the previous or the new version of each
 // node. The cost per id is proportional to the height of the tree plus
-// one filter copy per path node (amortized across the batch).
+// one filter copy per path node (amortized across the batch). Every node
+// filter shares the tree's one family, so each id is hashed once, here,
+// and its positions ride down its path beside it (growNode); only an id
+// that opens a new leaf is hashed again, into that leaf.
 //
 // InsertBatch returns an error on full trees (which already store the
 // whole namespace) and on out-of-range ids; on an out-of-range id the
@@ -213,6 +216,7 @@ func (t *Tree) InsertBatch(ids []uint64) error {
 	sorted := make([]uint64, len(ids))
 	copy(sorted, ids)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	var pos []uint64 // one stripe's positions at a time, in one buffer
 	// Stripe intervals partition the namespace in order, so sorted ids
 	// fall into contiguous runs of equal stripe.
 	for start := 0; start < len(sorted); {
@@ -221,9 +225,10 @@ func (t *Tree) InsertBatch(ids []uint64) error {
 		for end < len(sorted) && t.stripeOf(sorted[end]) == stripe {
 			end++
 		}
+		pos = hashfam.PositionsMany(t.fam, sorted[start:end], pos[:0])
 		s := &t.stripes[stripe]
 		s.mu.Lock()
-		t.growRoot(sorted[start:end])
+		t.growRoot(sorted[start:end], pos)
 		s.epoch.Add(1)
 		s.mu.Unlock()
 		start = end
@@ -232,12 +237,13 @@ func (t *Tree) InsertBatch(ids []uint64) error {
 }
 
 // growRoot inserts one stripe's sorted ids starting at the root, creating
-// it if the tree is still empty.
-func (t *Tree) growRoot(ids []uint64) {
+// it if the tree is still empty. pos holds the ids' positions under the
+// tree's family, K to an id in the ids' order, here and all the way down.
+func (t *Tree) growRoot(ids, pos []uint64) {
 	for {
 		root := t.root.Load()
 		if root != nil {
-			t.growNode(root, t.cfg.Depth, ids)
+			t.growNode(root, t.cfg.Depth, ids, pos)
 			return
 		}
 		sub := t.buildSubtree(0, t.cfg.Namespace, t.cfg.Depth, ids)
@@ -253,8 +259,8 @@ func (t *Tree) growRoot(ids []uint64) {
 // growNode inserts sorted ids into the subtree rooted at the existing
 // node n (remaining depth `depth`), publishing copy-on-write filters. A
 // node whose filter already answers positively for every id publishes
-// nothing — CloneAdd hands back the receiver's own bit vector then, and
-// that is the test used, so no id is hashed twice to find out: on a
+// nothing — CloneAddPositions hands back the receiver's own bit vector then,
+// and that is the test used, so no id is probed twice to find out: on a
 // saturated tree an insert replaces no box at all, and a published box is a
 // changed bit vector, which is what boxedFilter.stamp promises. (A node
 // filter's insertion counter therefore counts only the batches that changed
@@ -262,10 +268,10 @@ func (t *Tree) growRoot(ids []uint64) {
 // GrowthEpoch still advances per batch.)
 // The children are visited either way: an id can be a false positive here
 // and still be missing below.
-func (t *Tree) growNode(n *node, depth int, ids []uint64) {
+func (t *Tree) growNode(n *node, depth int, ids, pos []uint64) {
 	for {
 		old := n.f.Load()
-		next := old.f.CloneAdd(ids...)
+		next := old.f.CloneAddPositions(pos)
 		if next.Bits() == old.f.Bits() {
 			break
 		}
@@ -280,11 +286,12 @@ func (t *Tree) growNode(n *node, depth int, ids []uint64) {
 	}
 	mid := split(n.lo, n.hi)
 	cut := sort.Search(len(ids), func(i int) bool { return ids[i] >= mid })
+	k := t.fam.K()
 	if cut > 0 {
-		t.growChild(&n.left, n.lo, mid, depth-1, ids[:cut])
+		t.growChild(&n.left, n.lo, mid, depth-1, ids[:cut], pos[:cut*k])
 	}
 	if cut < len(ids) {
-		t.growChild(&n.right, mid, n.hi, depth-1, ids[cut:])
+		t.growChild(&n.right, mid, n.hi, depth-1, ids[cut:], pos[cut*k:])
 	}
 }
 
@@ -293,10 +300,10 @@ func (t *Tree) growNode(n *node, depth int, ids []uint64) {
 // compare-and-swap, so readers only ever see fully formed nodes; losing
 // the swap (another stripe created the shared child first) discards the
 // private subtree and merges into the published one instead.
-func (t *Tree) growChild(slot *atomic.Pointer[node], lo, hi uint64, depth int, ids []uint64) {
+func (t *Tree) growChild(slot *atomic.Pointer[node], lo, hi uint64, depth int, ids, pos []uint64) {
 	for {
 		if child := slot.Load(); child != nil {
-			t.growNode(child, depth, ids)
+			t.growNode(child, depth, ids, pos)
 			return
 		}
 		sub := t.buildSubtree(lo, hi, depth, ids)

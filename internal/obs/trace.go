@@ -5,6 +5,7 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"log/slog"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -42,16 +43,31 @@ func (s Stage) String() string {
 // or a context without a trace) cost a nil check and nothing else.
 type Trace struct {
 	id     string
+	conn   uint64 // a frame's trace: its connection's ordinal, from 1 (0: not a frame's)
+	frame  uint32 // and the frame's request id
 	stages [NumStages]time.Duration
 }
 
 // NewTrace starts a trace under the given request ID.
 func NewTrace(id string) *Trace { return &Trace{id: id} }
 
+// NewFrameTrace starts the trace of one binary-protocol request: frame is
+// the request id its response frame echoes and conn the ordinal of the
+// connection it came in on, so a client can quote "bin-3-17" and the
+// server's log line is findable. The two numbers are all a request carries;
+// the text is built by ID, which only a shed, an error reply and the
+// slow/debug request log read.
+func NewFrameTrace(conn uint64, frame uint32) *Trace { return &Trace{conn: conn, frame: frame} }
+
 // ID returns the request ID ("" on a nil trace).
 func (t *Trace) ID() string {
 	if t == nil {
 		return ""
+	}
+	if t.conn != 0 {
+		b := strconv.AppendUint([]byte("bin-"), t.conn, 10)
+		b = strconv.AppendUint(append(b, '-'), uint64(t.frame), 10)
+		return string(b)
 	}
 	return t.id
 }

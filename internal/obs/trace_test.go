@@ -84,6 +84,23 @@ func TestTraceStagesAndFillExecute(t *testing.T) {
 	}
 }
 
+// TestFrameTraceID: a binary request's trace keeps the connection ordinal
+// and the frame's request id and spells them only when asked.
+func TestFrameTraceID(t *testing.T) {
+	if got := NewFrameTrace(3, 17).ID(); got != "bin-3-17" {
+		t.Errorf("ID() = %q, want bin-3-17", got)
+	}
+	if got := NewFrameTrace(1, 0).ID(); got != "bin-1-0" {
+		t.Errorf("ID() = %q, want bin-1-0", got)
+	}
+	if got := NewTrace("rid1").ID(); got != "rid1" {
+		t.Errorf("ID() = %q, want rid1", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = NewFrameTrace(3, 17) }); n > 1 {
+		t.Errorf("NewFrameTrace allocates %v times, want the trace alone", n)
+	}
+}
+
 func TestStageNames(t *testing.T) {
 	want := []string{"admission", "decode", "execute", "encode"}
 	for i, name := range want {

@@ -133,6 +133,7 @@ func (s *Server) collectMetrics() *obs.Exposition {
 	e.Counter("bst_wire_conns_total", "Binary-protocol connections accepted.", float64(doc.Wire.ConnsTotal))
 	e.Counter("bst_wire_frames_in_total", "Frames received on the binary listener.", float64(doc.Wire.FramesIn))
 	e.Counter("bst_wire_frames_out_total", "Frames sent on the binary listener.", float64(doc.Wire.FramesOut))
+	e.Counter("bst_wire_served_inline_total", "Binary requests served by their connection's reader, no goroutine of their own.", float64(doc.Wire.ServedInline))
 	e.Gauge("bst_wire_streams_active", "Binary sample streams in progress.", float64(doc.Wire.StreamsActive))
 	e.Counter("bst_wire_credit_stalls_total", "Stream pauses waiting for client credit.", float64(doc.Wire.CreditStalls))
 	e.Counter("bst_wire_protocol_errors_total", "Malformed frames and protocol violations.", float64(doc.Wire.ProtocolErrors))

@@ -8,6 +8,15 @@ package server
 // replaces it with varint frames and replaces HTTP's per-request
 // connection machinery with pipelined frames on long-lived connections.
 //
+// What runs where: each connection has one reader goroutine (binConn.serve).
+// A request that arrives alone — nothing else of its connection in flight,
+// nothing read behind it, not a stream — is served by that reader, the way
+// net/http serves a connection's requests; a frame of a pipelined burst, a
+// stream, and anything arriving beside a stream or another request gets a
+// goroutine of its own, so bursts still run concurrently up to the window
+// and credit frames still overtake (binConn.dispatch has the rule and what
+// it costs a client that trickles its pipeline).
+//
 // Backpressure happens at three levels, innermost first:
 //
 //   - per-connection window (Config.ConnWindow): at most that many
@@ -50,26 +59,23 @@ var ErrBinaryClosed = errors.New("server: binary listener closed")
 // binState is the binary listener's shared state and counters, embedded
 // in Server so /v1/stats can report it and both protocols share gates.
 type binState struct {
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[*binConn]struct{}
-	draining bool
-	wg       sync.WaitGroup
+	mu    sync.Mutex
+	ln    net.Listener
+	conns map[*binConn]struct{} // every connection whose reader is running
+	// draining is set once, under mu, by ShutdownBinary: the accept loop reads
+	// it under mu too, so no connection joins conns after it is set; the
+	// request path reads it without the lock.
+	draining atomic.Bool
 
 	connsActive   atomic.Int64
 	connsTotal    atomic.Uint64
 	framesIn      atomic.Uint64
 	framesOut     atomic.Uint64
+	servedInline  atomic.Uint64
 	streamsActive atomic.Int64
 	creditStalls  atomic.Uint64
 	protoErrors   atomic.Uint64
 	shed          atomic.Uint64
-}
-
-func (b *binState) isDraining() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.draining
 }
 
 // ServeBinary accepts and serves binary-protocol connections on ln until
@@ -77,7 +83,7 @@ func (b *binState) isDraining() bool {
 // error. Call it from its own goroutine, like http.Server.Serve.
 func (s *Server) ServeBinary(ln net.Listener) error {
 	s.bin.mu.Lock()
-	if s.bin.draining {
+	if s.bin.draining.Load() {
 		s.bin.mu.Unlock()
 		ln.Close()
 		return ErrBinaryClosed
@@ -95,14 +101,14 @@ func (s *Server) ServeBinary(ln net.Listener) error {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			if s.bin.isDraining() {
+			if s.bin.draining.Load() {
 				return ErrBinaryClosed
 			}
 			return err
 		}
 		bc := &binConn{srv: s, conn: conn, streams: map[uint32]*binStream{}}
 		s.bin.mu.Lock()
-		if s.bin.draining {
+		if s.bin.draining.Load() {
 			s.bin.mu.Unlock()
 			conn.Close()
 			continue
@@ -111,14 +117,14 @@ func (s *Server) ServeBinary(ln net.Listener) error {
 		s.bin.mu.Unlock()
 		s.bin.connsActive.Add(1)
 		bc.id = s.bin.connsTotal.Add(1)
-		s.bin.wg.Add(1)
 		go func() {
-			defer s.bin.wg.Done()
 			bc.serve()
+			// Leaving conns is the reader's last act: an empty set is what
+			// ShutdownBinary waits for.
+			s.bin.connsActive.Add(-1)
 			s.bin.mu.Lock()
 			delete(s.bin.conns, bc)
 			s.bin.mu.Unlock()
-			s.bin.connsActive.Add(-1)
 		}()
 	}
 }
@@ -128,38 +134,45 @@ func (s *Server) ServeBinary(ln net.Listener) error {
 // finish until ctx expires, then force-close whatever remains. It always
 // returns with every connection closed; the error reports whether the
 // drain was graceful (nil) or cut short (ctx.Err()).
+//
+// A forced close makes every reader's next read fail, so the readers are
+// waited for — all but one that is inside a request of its own (a lone
+// request runs on its reader, see dispatch) and parked where closing the
+// socket cannot reach it, a write waiting for its fsync: that request is
+// abandoned to finish or fail by itself, as a forced close has always
+// abandoned the requests that run on goroutines of their own, and ctx
+// bounds the drain whatever any request is waiting for.
 func (s *Server) ShutdownBinary(ctx context.Context) error {
 	s.bin.mu.Lock()
-	s.bin.draining = true
+	s.bin.draining.Store(true)
 	ln := s.bin.ln
 	s.bin.mu.Unlock()
 	if ln != nil {
 		ln.Close()
 	}
-	done := make(chan struct{})
-	go func() {
-		s.bin.wg.Wait()
-		close(done)
-	}()
 	ticker := time.NewTicker(5 * time.Millisecond)
 	defer ticker.Stop()
+	expired, force := ctx.Done(), false
 	for {
-		s.closeBinaryConns(false)
-		select {
-		case <-done:
+		if s.closeBinaryConns(force) == 0 {
+			if force {
+				return ctx.Err()
+			}
 			return nil
-		case <-ctx.Done():
-			s.closeBinaryConns(true)
-			<-done // force-close unblocks every handler promptly
-			return ctx.Err()
+		}
+		select {
+		case <-expired:
+			expired, force = nil, true
 		case <-ticker.C:
 		}
 	}
 }
 
 // closeBinaryConns closes idle connections (zero in-flight requests), or
-// every connection when force is set.
-func (s *Server) closeBinaryConns(force bool) {
+// every connection when force is set, and returns how many readers the
+// drain has yet to see leave: every one still running, less — once the
+// close is forced — those serving a request themselves.
+func (s *Server) closeBinaryConns(force bool) (waiting int) {
 	s.bin.mu.Lock()
 	conns := make([]*binConn, 0, len(s.bin.conns))
 	for bc := range s.bin.conns {
@@ -170,19 +183,25 @@ func (s *Server) closeBinaryConns(force bool) {
 		if force || bc.inflight.Load() == 0 {
 			bc.close()
 		}
+		if !force || !bc.serving.Load() {
+			waiting++
+		}
 	}
+	return waiting
 }
 
 // binConn is one accepted binary-protocol connection. The reader loop
-// (serve) owns the read side; responses are written by per-request
-// goroutines under writeMu, one whole frame per critical section, so
-// pipelined responses never interleave.
+// (serve) owns the read side. A response is written by whoever runs its
+// request — the reader itself for a lone request, the request's own
+// goroutine otherwise (dispatch) — under writeMu, one whole frame per
+// critical section, so pipelined responses never interleave.
 type binConn struct {
 	srv      *Server
 	conn     net.Conn
 	id       uint64 // connection ordinal, the request-ID prefix in traces
 	writeMu  sync.Mutex
 	inflight atomic.Int32
+	serving  atomic.Bool // the reader is inside a request; read by a forced drain
 
 	streamsMu sync.Mutex
 	streams   map[uint32]*binStream
@@ -217,14 +236,30 @@ func (bc *binConn) serve() {
 			return
 		}
 		bc.srv.bin.framesIn.Add(1)
-		bc.dispatch(h, body)
+		bc.dispatch(h, body, br.Buffered() == 0)
 	}
 }
 
-// dispatch admits one request frame and hands it to a goroutine, or
-// sheds it. Credit grants are handled inline — they must overtake queued
-// requests, that is their whole point.
-func (bc *binConn) dispatch(h wire.Header, body []byte) {
+// dispatch admits one request frame and starts it, or sheds it. Credit
+// grants are handled inline — they must overtake queued requests, that is
+// their whole point.
+//
+// An admitted request is started one of two ways, chosen by what the
+// connection's input shows. When it is the connection's only request in
+// flight, nothing more has been read behind it (last) and it is not a
+// stream, there is nothing a goroutine of its own could overlap with — the
+// client is waiting for this reply — so the reader runs it itself, as
+// net/http serves an HTTP/1.1 connection's requests on the connection's
+// goroutine: no spawn, no fresh stack grown down the descent, no wake-up per
+// frame. Everything else gets its goroutine: a frame of a pipelined burst
+// (up to ConnWindow run at once), anything that arrives beside a live
+// stream or another request, and a stream itself, whose credit frames only
+// a free reader can take. What a client pays for the first way: a frame
+// sent on its own while the reader is serving waits in the socket buffer
+// for that one request instead of starting beside it. A client that wants
+// its requests to run at once sends them together, or on connections of
+// their own.
+func (bc *binConn) dispatch(h wire.Header, body []byte, last bool) {
 	if h.Opcode == wire.OpCredit {
 		bc.grantCredit(h.RequestID, body)
 		return
@@ -242,7 +277,7 @@ func (bc *binConn) dispatch(h wire.Header, body []byte) {
 		return
 	}
 	m := bc.srv.metrics[ep.bin]
-	if bc.srv.bin.isDraining() {
+	if bc.srv.bin.draining.Load() {
 		bc.writeError(h.RequestID, wire.ErrCodeShutdown, "server draining")
 		return
 	}
@@ -256,30 +291,41 @@ func (bc *binConn) dispatch(h wire.Header, body []byte) {
 		return
 	}
 	// The trace's request ID combines the connection ordinal with the
-	// frame's request id — the same id the response frame echoes, so a
-	// client can quote "bin-3-17" and the server log line is findable.
+	// frame's request id, the one the response frame echoes: the trace
+	// keeps the two numbers and spells "bin-3-17" when a log line asks.
 	var tr *obs.Trace
 	if !bc.srv.cfg.TraceDisabled {
-		tr = obs.NewTrace(fmt.Sprintf("bin-%d-%d", bc.id, h.RequestID))
+		tr = obs.NewFrameTrace(bc.id, h.RequestID)
 		tr.Add(obs.StageAdmission, time.Since(arrived))
 	}
-	go func() {
-		start := time.Now()
-		err := ep.frame(bc, tr, h, body)
-		if err != nil && !errors.Is(err, errStreamAborted) {
-			// One taxonomy for both protocols: the wire error code is the
-			// HTTP status. Decode failures are the client's mistake and
-			// additionally count as protocol errors.
-			code := uint64(statusFor(err))
-			if errors.Is(err, wire.ErrMalformed) {
-				bc.srv.bin.protoErrors.Add(1)
-				code = wire.ErrCodeBadRequest
-			}
-			bc.writeError(h.RequestID, code, err.Error())
+	if !last || bc.inflight.Load() != 1 || h.Opcode == wire.OpSampleStream {
+		go bc.run(ep, m, tr, h, body)
+		return
+	}
+	bc.srv.bin.servedInline.Add(1)
+	bc.serving.Store(true)
+	bc.run(ep, m, tr, h, body)
+	bc.serving.Store(false)
+}
+
+// run serves one admitted request to its end: the codec, the error frame,
+// the books (finish) and the admission slots (release).
+func (bc *binConn) run(ep *endpoint, m *endpointMetrics, tr *obs.Trace, h wire.Header, body []byte) {
+	start := time.Now()
+	err := ep.frame(bc, tr, h, body)
+	if err != nil && !errors.Is(err, errStreamAborted) {
+		// One taxonomy for both protocols: the wire error code is the
+		// HTTP status. Decode failures are the client's mistake and
+		// additionally count as protocol errors.
+		code := uint64(statusFor(err))
+		if errors.Is(err, wire.ErrMalformed) {
+			bc.srv.bin.protoErrors.Add(1)
+			code = wire.ErrCodeBadRequest
 		}
-		bc.srv.finish(m, ep.bin, "binary", tr, start, err)
-		bc.srv.release(ep, &bc.inflight)
-	}()
+		bc.writeError(h.RequestID, code, err.Error())
+	}
+	bc.srv.finish(m, ep.bin, "binary", tr, start, err)
+	bc.srv.release(ep, &bc.inflight)
 }
 
 // frameBody is a wire message as a sender sees it: it packs itself behind

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -32,17 +33,55 @@ func serveBinaryForTest(t *testing.T, s *Server) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	serveBinaryOn(t, s, ln)
+	return ln.Addr().String()
+}
+
+// serveBinaryOn serves s on ln until the test (or benchmark) ends.
+func serveBinaryOn(tb testing.TB, s *Server, ln net.Listener) {
+	tb.Helper()
 	done := make(chan error, 1)
 	go func() { done <- s.ServeBinary(ln) }()
-	t.Cleanup(func() {
+	tb.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
 		_ = s.ShutdownBinary(ctx)
 		if err := <-done; !errors.Is(err, ErrBinaryClosed) {
-			t.Errorf("ServeBinary returned %v, want ErrBinaryClosed", err)
+			tb.Errorf("ServeBinary returned %v, want ErrBinaryClosed", err)
 		}
 	})
-	return ln.Addr().String()
+}
+
+// pipeListener hands ServeBinary the server ends of net.Pipes: a connection
+// with no buffer of its own, where a write lasts until the peer has read it
+// and nothing but the two ends allocates.
+type pipeListener struct {
+	conn chan net.Conn
+	done chan struct{}
+	once sync.Once
+}
+
+func newPipeListener() *pipeListener {
+	return &pipeListener{conn: make(chan net.Conn), done: make(chan struct{})}
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conn:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+func (l *pipeListener) Close() error   { l.once.Do(func() { close(l.done) }); return nil }
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe"} }
+
+// dial returns the client end of a new connection once the server has
+// accepted the other.
+func (l *pipeListener) dial() net.Conn {
+	near, far := net.Pipe()
+	l.conn <- far
+	return near
 }
 
 func dialTestClient(t *testing.T, addr string) *wire.Client {
@@ -374,55 +413,99 @@ func TestSharedAdmissionAcrossProtocols(t *testing.T) {
 
 // TestBinaryShutdownBounded pins the drain contract: idle connections
 // close immediately, and a mid-flight stream cannot stretch the drain
-// past the context deadline — it is force-closed instead.
+// past the context deadline — it is force-closed instead. Nor can a lone
+// request, which runs on its connection's reader: parked inside its fsync,
+// where closing the socket does not reach, it is waited for while the
+// context allows and abandoned when it expires.
 func TestBinaryShutdownBounded(t *testing.T) {
-	s, addr := newBinaryTestServer(t, Config{StreamChunk: 64})
-	// One idle connection (a finished request, then nothing).
-	idle := dialTestClient(t, addr)
-	if _, err := idle.Sample("plain", 1, wire.SampleOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	// One connection parked mid-stream on credit.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	stream := wire.SampleReq{Key: "plain", N: 1000, Credit: 0}.Encode(nil, true)
-	if err := wire.WriteFrame(conn, wire.OpSampleStream, 0, 1, stream); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for s.bin.streamsActive.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("stream never started")
+	t.Run("stream", func(t *testing.T) {
+		s, addr := newBinaryTestServer(t, Config{StreamChunk: 64})
+		// One idle connection (a finished request, then nothing).
+		idle := dialTestClient(t, addr)
+		if _, err := idle.Sample("plain", 1, wire.SampleOpts{}); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
-	}
+		// One connection parked mid-stream on credit.
+		conn := dialRaw(t, addr)
+		stream := wire.SampleReq{Key: "plain", N: 1000, Credit: 0}.Encode(nil, true)
+		if err := wire.WriteFrame(conn, wire.OpSampleStream, 0, 1, stream); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "the stream to start", func() bool { return s.bin.streamsActive.Load() == 1 })
 
+		shutdownCutShort(t, s)
+		// Both connections must now be closed server-side: reads fail fast.
+		_ = conn.SetReadDeadline(time.Now().Add(1 * time.Second))
+		for {
+			if _, _, err := wire.ReadFrame(conn, 0); err != nil {
+				var ne net.Error
+				if errors.As(err, &ne) && ne.Timeout() {
+					t.Fatal("stream connection still open after bounded drain")
+				}
+				break
+			}
+		}
+		if got := s.bin.connsActive.Load(); got != 0 {
+			t.Fatalf("%d connections still tracked after drain", got)
+		}
+	})
+
+	// parkedAdd sends a lone add whose fsync is held and returns once its
+	// connection's reader is inside it.
+	parkedAdd := func(t *testing.T) (s *Server, conn net.Conn, release func()) {
+		_, s, store := newDurableTestServer(t, Config{})
+		conn = dialRaw(t, serveBinaryForTest(t, s))
+		entered, release := parkFsync(t, store)
+		add := wire.AddReq{Sets: []wire.AddSet{{Key: "k", IDs: []uint64{1, 2, 3}}}}.Encode(nil)
+		if err := wire.WriteFrame(conn, wire.OpAdd, 0, 1, add); err != nil {
+			t.Fatal(err)
+		}
+		<-entered
+		if got := s.bin.servedInline.Load(); got != 1 {
+			t.Fatalf("served_inline = %d with a lone add in flight, want 1: it is not on its reader", got)
+		}
+		return s, conn, release
+	}
+	t.Run("lone add, fsync released", func(t *testing.T) {
+		s, conn, release := parkedAdd(t)
+		drained := make(chan error, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			drained <- s.ShutdownBinary(ctx)
+		}()
+		select {
+		case err := <-drained:
+			t.Fatalf("drain returned %v with a request in flight and its context live", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		release()
+		expectReply(t, conn, wire.OpAckResult, 1)
+		if err := <-drained; err != nil {
+			t.Fatalf("drain returned %v, want nil: the request finished inside the deadline", err)
+		}
+	})
+	t.Run("lone add, fsync held", func(t *testing.T) {
+		s, _, release := parkedAdd(t)
+		shutdownCutShort(t, s)
+		release()
+		waitFor(t, "the abandoned reader to leave", func() bool { return s.bin.connsActive.Load() == 0 })
+	})
+}
+
+// shutdownCutShort drains s under a 150 ms deadline that something in flight
+// is known to outlast: the drain must report the deadline, and not long
+// after it.
+func shutdownCutShort(t *testing.T, s *Server) {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err = s.ShutdownBinary(ctx)
-	elapsed := time.Since(start)
+	err := s.ShutdownBinary(ctx)
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("drain returned %v, want DeadlineExceeded (stream was mid-flight)", err)
+		t.Fatalf("drain returned %v, want DeadlineExceeded (a request was mid-flight)", err)
 	}
-	if elapsed > 1*time.Second {
+	if elapsed := time.Since(start); elapsed > 1*time.Second {
 		t.Fatalf("drain took %v, want ≈150ms — the deadline did not bound it", elapsed)
-	}
-	// Both connections must now be closed server-side: reads fail fast.
-	_ = conn.SetReadDeadline(time.Now().Add(1 * time.Second))
-	for {
-		if _, _, err := wire.ReadFrame(conn, 0); err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				t.Fatal("stream connection still open after bounded drain")
-			}
-			break
-		}
-	}
-	if got := s.bin.connsActive.Load(); got != 0 {
-		t.Fatalf("%d connections still tracked after drain", got)
 	}
 }

@@ -459,6 +459,7 @@ type WireStats struct {
 	ConnsTotal     uint64 `json:"conns_total"`
 	FramesIn       uint64 `json:"frames_in"`
 	FramesOut      uint64 `json:"frames_out"`
+	ServedInline   uint64 `json:"served_inline"` // requests the connection's reader served itself (binConn.dispatch)
 	StreamsActive  int64  `json:"streams_active"`
 	CreditStalls   uint64 `json:"credit_stalls"` // stream pauses waiting for client credit
 	ProtocolErrors uint64 `json:"protocol_errors"`
@@ -505,6 +506,7 @@ func (s *Server) stats() StatsResponse {
 			ConnsTotal:     s.bin.connsTotal.Load(),
 			FramesIn:       s.bin.framesIn.Load(),
 			FramesOut:      s.bin.framesOut.Load(),
+			ServedInline:   s.bin.servedInline.Load(),
 			StreamsActive:  s.bin.streamsActive.Load(),
 			CreditStalls:   s.bin.creditStalls.Load(),
 			ProtocolErrors: s.bin.protoErrors.Load(),

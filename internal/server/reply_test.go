@@ -2,10 +2,8 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -560,23 +558,6 @@ func TestPooledRepliesStayWithTheirRequest(t *testing.T) {
 	}
 }
 
-// pipeListener hands ServeBinary the server end of one net.Pipe.
-type pipeListener struct {
-	conn chan net.Conn
-	done chan struct{}
-}
-
-func (l *pipeListener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.conn:
-		return c, nil
-	case <-l.done:
-		return nil, net.ErrClosed
-	}
-}
-func (l *pipeListener) Close() error   { close(l.done); return nil }
-func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe"} }
-
 // BenchmarkServedReconstruct times one warm reconstruction of the batch shape
 // (≈ 11 000 ids) as the server serves it, in process: through the HTTP
 // handler into a writer that keeps nothing, and through the binary listener
@@ -599,28 +580,15 @@ func BenchmarkServedReconstruct(b *testing.B) {
 		b.SetBytes(int64(w.n))
 	})
 	b.Run("binary", func(b *testing.B) {
-		srv := New(db, Config{})
-		ln := &pipeListener{conn: make(chan net.Conn, 1), done: make(chan struct{})}
-		served := make(chan error, 1)
-		go func() { served <- srv.ServeBinary(ln) }()
-		near, far := net.Pipe()
-		ln.conn <- far
-		c := wire.NewClient(near)
+		ln := newPipeListener()
+		serveBinaryOn(b, New(db, Config{}), ln)
+		c := wire.NewClient(ln.dial())
+		defer c.Close()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if ids, err := c.Reconstruct("big", false); err != nil || len(ids) < 10_000 {
 				b.Fatalf("%d ids, err %v", len(ids), err)
 			}
-		}
-		b.StopTimer()
-		c.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		if err := srv.ShutdownBinary(ctx); err != nil {
-			b.Fatal(err)
-		}
-		if err := <-served; !errors.Is(err, ErrBinaryClosed) {
-			b.Fatal(err)
 		}
 	})
 }

@@ -139,9 +139,9 @@ type Store struct {
 	snapshotErrors atomic.Uint64
 	lastSnapSeq    atomic.Uint64
 
-	// syncHook, when non-nil, replaces the active segment's Sync —
-	// package-internal tests inject fsync failures through it to assert
-	// the error surfacing above.
+	// syncHook, when non-nil, replaces the active segment's Sync — tests
+	// inject fsync failures through it to assert the error surfacing
+	// above, and park a write inside its fsync (SetSyncHook).
 	syncHook func() error
 
 	stopc chan struct{}
@@ -764,6 +764,17 @@ func (s *Store) rotateLocked() error {
 	s.rotations.Add(1)
 	s.walBytes += int64(len(segMagic))
 	return nil
+}
+
+// SetSyncHook makes hook stand in for the active segment's Sync from the
+// next fsync on; nil restores the real one. It is the fault-injection seam
+// of tests outside this package: an fsync that fails, or one that lasts as
+// long as the test holds it (the write it belongs to stays unacknowledged,
+// and holds mu, until hook returns).
+func (s *Store) SetSyncHook(hook func() error) {
+	s.mu.Lock()
+	s.syncHook = hook
+	s.mu.Unlock()
 }
 
 // syncActive fsyncs the active segment (or runs the test hook) and
