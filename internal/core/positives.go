@@ -3,8 +3,10 @@ package core
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"repro/internal/bloom"
 )
@@ -17,51 +19,63 @@ import (
 // is then Select(rng.Intn(Len())), exactly uniform over the version's
 // positives, with no estimate, no backtracking and no lost draw.
 //
-// The ids are cut into blocks of positivesBlock. A block is its first id
-// and the byte offset of its gaps (12 bytes: the skip entry Select jumps
-// to) followed in gaps by the uvarint difference of each later id from its
-// predecessor, so Select decodes at most positivesBlock−1 varints. At the
-// planned filter sizes a gap fits one byte three times in four: ≈ 1.4 bytes
-// an id, a little under half of the version's own bit vector.
+// The ids are cut into blocks of positivesBlock. A block is its skip entry —
+// its first id, the byte offset of its offsets in packed, and their width —
+// and the offset of each of its ids from the first, bit-packed at one width
+// a block: the bit length of the block's largest offset. packed ends in
+// positivesPad zero bytes, so any offset is one unaligned 8-byte load, a
+// shift and a mask (offsetAt), and Select is O(1). At the planned filter
+// sizes (ids ≈ 90 apart) an offset takes 13 bits: ≈ 1.9 bytes an id with the
+// skip entries, ≈ 0.61 of the version's own bit vector.
 type Positives struct {
 	count  int
-	firsts []uint64 // a block's first id
-	offs   []uint32 // where the block's gaps start
-	gaps   []byte
-	last   uint64 // the id packed last
+	skips  []positivesSkip
+	packed []byte
 	// nodes is Tree.Nodes() read before the scan began: the table describes
 	// the leaves that existed then (see Version.Positives).
 	nodes uint64
 }
 
-// positivesBlock is the number of ids under one skip entry.
-const positivesBlock = 64
+// positivesSkip is one block's skip entry.
+type positivesSkip struct {
+	first uint64 // the block's first id
+	off   uint32 // where the block's offsets start in packed
+	width uint8  // the bits of each offset
+}
+
+const (
+	// positivesBlock is the number of ids under one skip entry.
+	positivesBlock = 64
+	// positivesPad is the zero bytes packed ends in: an 8-byte load at the
+	// last offset's first byte stays inside the slice.
+	positivesPad = 8
+)
 
 // Len returns the number of positives.
 func (p *Positives) Len() int { return p.count }
 
 // Bytes returns the size of the packed table.
 func (p *Positives) Bytes() uint64 {
-	return uint64(len(p.gaps)) + 12*uint64(len(p.firsts))
+	return uint64(len(p.packed)) + uint64(len(p.skips))*uint64(unsafe.Sizeof(positivesSkip{}))
 }
 
 // Select returns the i-th positive in ascending order, 0 ≤ i < Len().
 func (p *Positives) Select(i int) uint64 {
-	b := i / positivesBlock
-	x := p.firsts[b]
-	gaps := p.gaps[p.offs[b]:]
-	// binary.Uvarint's bytes, read without a branch on the continuation bit:
-	// three gaps in four are one byte long and the fourth is not, which no
-	// predictor learns.
-	for r, shift := uint(i%positivesBlock), uint(0); r > 0; {
-		c := gaps[0]
-		gaps = gaps[1:]
-		x += uint64(c&0x7f) << shift
-		more := uint(c >> 7)
-		shift = (shift + 7) & -more
-		r -= 1 - more
+	s := &p.skips[uint(i)/positivesBlock]
+	w := uint(s.width)
+	return s.first + offsetAt(p.packed[s.off:], uint(i)%positivesBlock*w, w)
+}
+
+// offsetAt reads the width-bit offset that starts bit bits into packed: an
+// unaligned 8-byte load, a shift and a mask, and a ninth byte only when the
+// offset runs past the eight (bit%8 + width > 64, so widths of 58 and more).
+func offsetAt(packed []byte, bit, width uint) uint64 {
+	b, s := bit/8, bit%8
+	v := binary.LittleEndian.Uint64(packed[b:]) >> s
+	if s+width > 64 {
+		v |= uint64(packed[b+8]) << (64 - s)
 	}
-	return x
+	return v & (1<<width - 1)
 }
 
 // AppendAll appends every positive to out, ascending.
@@ -77,83 +91,133 @@ func (p *Positives) AppendRange(lo, hi uint64, out []uint64) []uint64 {
 }
 
 // appendBetween appends the positives in [lo, last] — last included, so that
-// the largest id there is has a range that holds it. It starts at the last
-// block whose first id does not exceed lo (the skip entries are searched,
-// no gap is read to get there) and decodes forward a block at a time until
-// a block starts past last. A block that lies inside the range is unpacked
-// straight into out; only the block at either end of the range can hold ids
-// outside it, and is unpacked aside and filtered.
+// the largest id there is has a range that holds it. The first of them is
+// found by a binary search of Select, which is O(1). From there a block the
+// range holds whole is unpacked straight into out (appendBlock), and the
+// ids of a block at either end of the range are read one offset at a time
+// until one lies past last.
 func (p *Positives) appendBetween(lo, last uint64, out []uint64) []uint64 {
-	b := max(sort.Search(len(p.firsts), func(b int) bool { return p.firsts[b] > lo })-1, 0)
-	for ; b < len(p.firsts) && p.firsts[b] <= last; b++ {
+	i := sort.Search(p.count, func(i int) bool { return p.Select(i) >= lo })
+	for b, r := i/positivesBlock, i%positivesBlock; b < len(p.skips); b, r = b+1, 0 {
 		// The block's ids are below the next block's first; the last block's
-		// end at the id packed last.
-		end := p.last
-		if b+1 < len(p.firsts) {
-			end = p.firsts[b+1] - 1
+		// end at the last id.
+		var end uint64
+		if b+1 < len(p.skips) {
+			end = p.skips[b+1].first - 1
+		} else {
+			end = p.Select(p.count - 1)
 		}
-		if p.firsts[b] >= lo && end <= last {
+		if r == 0 && end <= last {
 			out = p.appendBlock(b, out)
 			continue
 		}
-		var aside [positivesBlock]uint64
-		for _, x := range p.appendBlock(b, aside[:0]) {
+		s := p.skips[b]
+		packed, w := p.packed[s.off:], uint(s.width)
+		for n := min(positivesBlock, p.count-b*positivesBlock); r < n; r++ {
+			x := s.first + offsetAt(packed, uint(r)*w, w)
 			if x > last {
 				return out
 			}
-			if x >= lo {
-				out = append(out, x)
-			}
+			out = append(out, x)
 		}
 	}
 	return out
 }
 
-// appendBlock appends the ids of block b to out. Like Select it reads the
-// gaps' bytes without a branch on the continuation bit — three gaps in four
-// are one byte long, which no predictor learns: every byte adds its seven
-// bits to the running id and stores it, and the store moves on only when the
-// byte was a gap's last.
+// appendBlock appends the ids of block b to out: one pass over the block's
+// offsets, a bit cursor moving a width at a time. Below 58 bits no offset
+// reaches a ninth byte, and the loop is offsetAt's load, shift and mask
+// with the mask made once.
 func (p *Positives) appendBlock(b int, out []uint64) []uint64 {
 	n := min(positivesBlock, p.count-b*positivesBlock)
-	gaps := p.gaps[p.offs[b]:]
-	if b+1 < len(p.offs) {
-		gaps = gaps[:p.offs[b+1]-p.offs[b]]
-	}
+	s := p.skips[b]
+	packed, w := p.packed[s.off:], uint(s.width)
 	i := len(out)
 	out = slices.Grow(out, n)[:i+n]
-	x := p.firsts[b]
-	out[i] = x
-	i++
-	shift := uint(0)
-	for _, c := range gaps {
-		x += uint64(c&0x7f) << shift
-		more := uint(c >> 7)
-		shift = (shift + 7) & -more
-		out[i] = x
-		i += int(1 - more)
+	ids, bit := out[i:], uint(0)
+	if w > 57 {
+		for j := range ids {
+			ids[j] = s.first + offsetAt(packed, bit, w)
+			bit += w
+		}
+		return out
+	}
+	mask := uint64(1)<<w - 1
+	for j := range ids {
+		ids[j] = s.first + binary.LittleEndian.Uint64(packed[bit/8:])>>(bit%8)&mask
+		bit += w
 	}
 	return out
 }
 
-// add packs x, which must exceed every id packed before it.
-func (p *Positives) add(x uint64) {
-	if p.count%positivesBlock == 0 {
-		p.firsts = append(p.firsts, x)
-		p.offs = append(p.offs, uint32(len(p.gaps)))
-	} else {
-		p.gaps = binary.AppendUvarint(p.gaps, x-p.last)
-	}
-	p.last = x
-	p.count++
+// positivesPacker builds a table from ids that arrive ascending. A block's
+// width is known only once its last id is, so a block is packed when it is
+// full, and the last one by finish.
+type positivesPacker struct {
+	p     *Positives
+	block []uint64 // the ids of the block being filled
 }
 
-// packPositives scans every leaf under n, left to right, and packs the ids
-// q answers for. No child is pruned on an estimate or a verdict: a leaf
+func newPositivesPacker(nodes uint64) *positivesPacker {
+	return &positivesPacker{p: &Positives{nodes: nodes}, block: make([]uint64, 0, positivesBlock)}
+}
+
+// add packs x, which must exceed every id added before it.
+func (pk *positivesPacker) add(x uint64) {
+	pk.block = append(pk.block, x)
+	pk.p.count++
+	if len(pk.block) == positivesBlock {
+		pk.pack()
+	}
+}
+
+// pack appends the block being filled to the table: its skip entry, then
+// the offsets, written into packed through a 64-bit accumulator.
+func (pk *positivesPacker) pack() {
+	p, first := pk.p, pk.block[0]
+	w := uint(bits.Len64(pk.block[len(pk.block)-1] - first))
+	p.skips = append(p.skips, positivesSkip{first: first, off: uint32(len(p.packed)), width: uint8(w)})
+	var acc uint64 // the bits not yet written, n of them
+	n := uint(0)
+	for _, x := range pk.block {
+		d := x - first
+		acc |= d << n
+		if n+w < 64 {
+			n += w
+			continue
+		}
+		p.packed = binary.LittleEndian.AppendUint64(p.packed, acc)
+		acc = d >> (64 - n) // what did not fit; nothing when n is 0
+		n = n + w - 64
+	}
+	for ; n > 0; n -= min(n, 8) {
+		p.packed = append(p.packed, byte(acc))
+		acc >>= 8
+	}
+	pk.block = pk.block[:0]
+}
+
+// finish packs the last block, pads packed and returns the table, kept at
+// its size.
+func (pk *positivesPacker) finish() *Positives {
+	p := pk.p
+	if len(pk.block) > 0 {
+		pk.pack()
+	}
+	if len(p.skips) > 0 {
+		p.packed = append(p.packed, make([]byte, positivesPad)...)
+	}
+	p.skips, p.packed = slices.Clone(p.skips), slices.Clone(p.packed)
+	return p
+}
+
+// packPositives scans every leaf under n, left to right, and adds the ids q
+// answers for to pk. No child is pruned on an estimate or a verdict: a leaf
 // either rule drops can still hold positives a descent reaches by
-// backtracking. It stops, reporting false, once the table outgrows budget
-// bytes. buf is the scan's scratch (AppendPositives).
-func (t *Tree) packPositives(n *node, q *bloom.Filter, p *Positives, budget uint64, buf *[]uint64) bool {
+// backtracking. It stops, reporting false, once what is packed outgrows
+// budget bytes (the finished table can only be larger). buf is the scan's
+// scratch (AppendPositives).
+func (t *Tree) packPositives(n *node, q *bloom.Filter, pk *positivesPacker, budget uint64, buf *[]uint64) bool {
 	if n == nil {
 		return true
 	}
@@ -161,9 +225,9 @@ func (t *Tree) packPositives(n *node, q *bloom.Filter, p *Positives, budget uint
 	if left == nil && right == nil {
 		*buf = q.AppendPositives(n.lo, n.hi, (*buf)[:0])
 		for _, x := range *buf {
-			p.add(x)
+			pk.add(x)
 		}
-		return p.Bytes() <= budget
+		return pk.p.Bytes() <= budget
 	}
-	return t.packPositives(left, q, p, budget, buf) && t.packPositives(right, q, p, budget, buf)
+	return t.packPositives(left, q, pk, budget, buf) && t.packPositives(right, q, pk, budget, buf)
 }

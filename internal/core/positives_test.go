@@ -47,11 +47,11 @@ func scanPrice(tree *Tree) (price uint64) {
 
 // packed packs ids with no budget.
 func packed(ids []uint64) *Positives {
-	p := new(Positives)
+	pk := newPositivesPacker(0)
 	for _, x := range ids {
-		p.add(x)
+		pk.add(x)
 	}
-	return p
+	return pk.finish()
 }
 
 // checkTable holds p to ids: its length, its unpacking, and Select at every
@@ -301,9 +301,110 @@ func (rt rangeTable) check() (met rangeCases, err error) {
 	return met, nil
 }
 
-// TestPositivesPackingAtTheEdges packs hand-made id lists around the block
-// size — 0, 1, 63, 64, 65 and 4 097 ids — that start at 0, pass 2³² and end
-// at the largest id there is, so one gap is as wide as a gap can be.
+// checkPacking holds p to ids beyond checkTable: one skip entry a block,
+// holding the block's first id, where its offsets start and the bit length
+// of its largest offset; each block's offsets in ⌈ids × width / 8⌉ bytes,
+// then the padding; and Bytes counting those and 16 bytes a skip entry. It
+// returns the blocks' widths.
+func checkPacking(t *testing.T, p *Positives, ids []uint64) (widths []uint) {
+	t.Helper()
+	checkTable(t, p, ids)
+	off := 0
+	for b := 0; b*positivesBlock < len(ids); b++ {
+		block := ids[b*positivesBlock : min(len(ids), (b+1)*positivesBlock)]
+		w := uint(bits.Len64(block[len(block)-1] - block[0]))
+		if b >= len(p.skips) || p.skips[b] != (positivesSkip{first: block[0], off: uint32(off), width: uint8(w)}) {
+			t.Fatalf("%d ids: block %d's skip entry is not {%d %d %d}", len(ids), b, block[0], off, w)
+		}
+		widths = append(widths, w)
+		off += (len(block)*int(w) + 7) / 8
+	}
+	if len(ids) > 0 {
+		off += positivesPad
+	}
+	if len(p.skips) != len(widths) || len(p.packed) != off || p.Bytes() != uint64(off+16*len(widths)) {
+		t.Fatalf("%d ids: %d skip entries, %d packed bytes, %d B; want %d, %d and %d",
+			len(ids), len(p.skips), len(p.packed), p.Bytes(), len(widths), off, off+16*len(widths))
+	}
+	return widths
+}
+
+// checkBlockEnds holds AppendRange(lo, hi) to ids cut to [lo, hi) for every
+// lo and hi among the ends of the id space and, for every block, its first
+// and last id and the ids either side of them.
+func checkBlockEnds(t *testing.T, p *Positives, ids []uint64) {
+	t.Helper()
+	ends := []uint64{0, 1, math.MaxUint64 - 1, math.MaxUint64}
+	for i, x := range ids {
+		if i%positivesBlock == 0 || i%positivesBlock == positivesBlock-1 || i == len(ids)-1 {
+			ends = append(ends, x-1, x, x+1)
+		}
+	}
+	var got []uint64
+	for _, lo := range ends {
+		for _, hi := range ends {
+			i, _ := slices.BinarySearch(ids, lo)
+			j, _ := slices.BinarySearch(ids, hi)
+			want := ids[i:max(i, j)]
+			if got = p.AppendRange(lo, hi, got[:0]); !slices.Equal(got, want) {
+				t.Fatalf("%d ids, [%d, %d): read %v, want %v", len(ids), lo, hi, got, want)
+			}
+		}
+	}
+}
+
+// blockOfWidth returns n ascending ids from first — fewer if that many do
+// not fit — whose offsets from it have bit length w: the largest is drawn
+// from [2^(w−1), 2^(w−1) + 2^(w−2)), so that a block can follow it even at
+// w = 64, and the others at random below it. One id is a block of width 0.
+func blockOfWidth(rng *rand.Rand, first uint64, w uint, n int) []uint64 {
+	if n == 1 {
+		return []uint64{first}
+	}
+	half := uint64(1) << (w - 1)
+	top := half | rng.Uint64()%half/2
+	if top < uint64(n-1) {
+		n = int(top) + 1
+	}
+	offsets := map[uint64]bool{0: true, top: true}
+	for len(offsets) < n {
+		offsets[1+rng.Uint64()%(top-1)] = true
+	}
+	ids := make([]uint64, 0, n)
+	for d := range offsets {
+		ids = append(ids, first+d)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// plannedIDs returns 11 000 ascending ids 90 apart on average, as the
+// positives of a filter at the planned sizes are.
+func plannedIDs(rng *rand.Rand) []uint64 {
+	ids := make([]uint64, 11_000)
+	for i, x := 0, uint64(0); i < len(ids); i++ {
+		x += 1 + uint64(rng.ExpFloat64()*90)
+		ids[i] = x
+	}
+	return ids
+}
+
+// TestPositivesPackingAtTheEdges packs hand-made id lists and checks each by
+// Select at every index, AppendRange at every block's ends and the bytes of
+// its layout (checkPacking):
+//
+//   - lists around the block size — 0, 1, 63, 64, 65 and 4 097 ids — that
+//     start at 0, pass 2³² and end at the largest id there is, so one offset
+//     is as wide as an offset can be;
+//   - for every width 1..64, a block of that width alone (64 ids from width
+//     7 on, as many as fit below), and from width 7 on that block followed by
+//     a last block of one id, of 8 (whose last offset ends on the final byte
+//     before the padding, as a full block's does) and of 37: the widths from
+//     58 on read offsets that straddle nine bytes;
+//   - ids 90 apart on average, the planned sizes, for the bytes an id.
+//
+// Then the budget, exactly: a scan whose finished table is at the budget
+// keeps it, and one byte less declines it.
 func TestPositivesPackingAtTheEdges(t *testing.T) {
 	for _, count := range []int{0, 1, 63, 64, 65, 4097} {
 		ids := make([]uint64, count)
@@ -323,21 +424,168 @@ func TestPositivesPackingAtTheEdges(t *testing.T) {
 			ids[0] = math.MaxUint64
 		}
 		p := packed(ids)
-		checkTable(t, p, ids)
-		blocks := (count + positivesBlock - 1) / positivesBlock
-		if len(p.firsts) != blocks || len(p.offs) != blocks || p.Bytes() != uint64(len(p.gaps)+12*blocks) {
-			t.Fatalf("%d ids: %d firsts, %d offsets, %d B; want %d blocks", count, len(p.firsts), len(p.offs), p.Bytes(), blocks)
+		checkPacking(t, p, ids)
+		checkBlockEnds(t, p, ids)
+	}
+
+	rng := rand.New(rand.NewSource(2))
+	var seen [65]bool // the widths met
+	ninthByte, lastOfOne, lastOnByte := 0, 0, 0
+	for w := uint(1); w <= 64; w++ {
+		block := blockOfWidth(rng, 0, w, positivesBlock)
+		tables := [][]uint64{block}
+		if len(block) == positivesBlock {
+			for _, tail := range []int{1, 8, 37} {
+				last := blockOfWidth(rng, block[len(block)-1]+1, min(w, 62), tail)
+				tables = append(tables, append(slices.Clone(block), last...))
+			}
+		}
+		for _, ids := range tables {
+			p := packed(ids)
+			widths := checkPacking(t, p, ids)
+			checkBlockEnds(t, p, ids)
+			for b, bw := range widths {
+				seen[bw] = true
+				for j := 0; j < min(positivesBlock, len(ids)-b*positivesBlock); j++ {
+					if uint(j)*bw%8+bw > 64 {
+						ninthByte++
+					}
+				}
+			}
+			n, lw := len(ids)-(len(widths)-1)*positivesBlock, widths[len(widths)-1]
+			if n == 1 {
+				lastOfOne++
+			}
+			if lw > 0 && uint(n)*lw%8 == 0 {
+				lastOnByte++
+			}
 		}
 	}
-	// At the planned sizes (ids 90 apart on average) a table is ≈ 1.4 B an id.
-	rng := rand.New(rand.NewSource(1))
-	ids := make([]uint64, 11_000)
-	for i, x := 0, uint64(0); i < len(ids); i++ {
-		x += 1 + uint64(rng.ExpFloat64()*90)
-		ids[i] = x
+	if slices.Contains(seen[1:], false) || ninthByte == 0 || lastOfOne == 0 || lastOnByte == 0 {
+		t.Fatalf("widths met %v, %d nine-byte offsets, %d last blocks of one id, %d ending on a byte: want every width 1..64 and each case",
+			seen[1:], ninthByte, lastOfOne, lastOnByte)
 	}
-	if perID := float64(packed(ids).Bytes()) / float64(len(ids)); perID < 1.2 || perID > 1.6 {
-		t.Fatalf("ids 90 apart pack to %.2f B an id, want ≈ 1.4", perID)
+
+	// At the planned sizes (ids 90 apart on average) a table is ≈ 1.9 B an id.
+	ids := plannedIDs(rng)
+	if perID := float64(packed(ids).Bytes()) / float64(len(ids)); perID < 1.7 || perID > 2.1 {
+		t.Fatalf("ids 90 apart pack to %.2f B an id, want ≈ 1.9", perID)
+	}
+
+	const M = 1 << 14
+	tree, err := BuildTree(Config{Namespace: M, Bits: 1 << 14, K: 3, Seed: 5, Depth: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := buildQueryFilter(t, tree, uniformSet(rand.New(rand.NewSource(6)), M, 600))
+	full := tree.scanPositives(q, math.MaxUint64)
+	checkPacking(t, full, naivePositives(tree, q))
+	if at := tree.scanPositives(q, full.Bytes()); at == nil || at.Bytes() != full.Bytes() {
+		t.Fatalf("a table of %d B was not kept at a budget of %d B", full.Bytes(), full.Bytes())
+	}
+	if over := tree.scanPositives(q, full.Bytes()-1); over != nil {
+		t.Fatalf("a table of %d B was kept at a budget of %d B", full.Bytes(), full.Bytes()-1)
+	}
+}
+
+// FuzzPositives packs ascending ids read from the fuzz input — a byte c is a
+// gap of 2^(c mod 64) + c/64, so that a few bytes reach every width — and
+// holds the table to them: Select(i) is ids[i] at every i, the layout is
+// checkPacking's, and AppendRange(lo, hi) is the ids in [lo, hi) at every
+// block's ends and for the fuzzer's lo and hi.
+func FuzzPositives(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 63, 64, 200}, uint64(0), uint64(100))
+	f.Add(slices.Repeat([]byte{7}, 130), uint64(1000), uint64(1<<20))
+	f.Add([]byte{5, 63, 0, 0, 62, 61, 1}, uint64(1)<<62, uint64(math.MaxUint64))
+	f.Add([]byte{0, 0, 58, 0}, uint64(3), uint64(1)<<58) // width 59: the third offset straddles nine bytes
+	f.Fuzz(func(t *testing.T, data []byte, lo, hi uint64) {
+		ids := make([]uint64, 0, len(data))
+		for _, c := range data[:min(len(data), 4*positivesBlock)] {
+			gap := uint64(1)<<(c%64) + uint64(c/64)
+			x := gap - 1 // the first id: its gap from −1
+			if len(ids) > 0 {
+				last := ids[len(ids)-1]
+				if x = last + gap; x <= last {
+					break // past the largest id there is
+				}
+			}
+			ids = append(ids, x)
+		}
+		p := packed(ids)
+		checkPacking(t, p, ids)
+		checkBlockEnds(t, p, ids)
+		i, _ := slices.BinarySearch(ids, lo)
+		j, _ := slices.BinarySearch(ids, hi)
+		if got := p.AppendRange(lo, hi, nil); !slices.Equal(got, ids[i:max(i, j)]) {
+			t.Fatalf("[%d, %d) of %v read %v", lo, hi, ids, got)
+		}
+	})
+}
+
+// selected keeps the compiler from dropping a pick nobody reads.
+var selected uint64
+
+// BenchmarkPositives times the two reads of a warm version's table, on the
+// benchmark's batch shape (M = 10⁶, 10 000 ids a key: ≈ 11 000 positives)
+// and point shape (M = 10⁵, 1 000 ids a key): select, one pick at a random
+// index, as a warm draw makes it; range, the positives of a random
+// leaf-wide range appended into a slice with room, as a warm reconstruction
+// reads a leaf. Every iteration draws a fresh index or range, so that no
+// predictor learns the reads. Neither allocates
+// (TestPositivesReadsAllocateNothing).
+func BenchmarkPositives(b *testing.B) {
+	for _, shape := range []struct {
+		name         string
+		M            uint64
+		keys, perKey int
+	}{
+		{"batch", 1_000_000, 16, 10_000},
+		{"point", 100_000, 50, 1_000},
+	} {
+		tree, queries := plannedShape(b, shape.M, shape.keys, shape.perKey)
+		v := tree.VersionFor(queries[3])
+		v.Pay(tree.LeafIDs())
+		p := v.Positives()
+		if p == nil {
+			b.Fatalf("%s: the table was not kept", shape.name)
+		}
+		span := shape.M >> tree.Depth()
+		rng := rand.New(rand.NewSource(1))
+		b.Run("select/"+shape.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				selected = p.Select(rng.Intn(p.Len()))
+			}
+		})
+		b.Run("range/"+shape.name, func(b *testing.B) {
+			out := make([]uint64, 0, p.Len())
+			read := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := rng.Uint64() % (shape.M - span)
+				out = p.AppendRange(lo, lo+span, out[:0])
+				read += len(out)
+			}
+			b.ReportMetric(float64(read)/float64(b.N), "ids/op")
+		})
+		b.Logf("%s: %d positives in %d B, %.2f B an id, beside a %d B filter",
+			shape.name, p.Len(), p.Bytes(), float64(p.Bytes())/float64(p.Len()), queries[3].SizeBytes())
+	}
+}
+
+// TestPositivesReadsAllocateNothing: a pick, and a range read into a slice
+// with room for it, allocate nothing.
+func TestPositivesReadsAllocateNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ids := plannedIDs(rng)
+	p := packed(ids)
+	out := make([]uint64, 0, len(ids))
+	allocs := testing.AllocsPerRun(1000, func() {
+		selected = p.Select(rng.Intn(p.Len()))
+		lo := rng.Uint64() % ids[len(ids)-1]
+		out = p.AppendRange(lo, lo+7_812, out[:0])
+	})
+	if allocs != 0 {
+		t.Fatalf("a pick and a range read allocate %v times", allocs)
 	}
 }
 

@@ -106,7 +106,7 @@ func (t *Tree) AppendReconstruct(dst []uint64, q *bloom.Filter, rule PruneRule, 
 	}
 	if p != nil {
 		// Surviving leaves that touch are read as one run: one search of the
-		// skip entries and one block entered mid-way for the run, not for
+		// table and one block entered mid-way for the run, not for
 		// each leaf — and where the threshold drops nothing, one for the set.
 		for i := 0; i < len(leaves); {
 			lo, hi := leaves[i].lo, leaves[i].hi

@@ -160,8 +160,19 @@ func TestReconstructBatchShapeCosts(t *testing.T) {
 // It returns the tree and the 16 query filters.
 func batchShape(tb testing.TB) (*Tree, []*bloom.Filter) {
 	tb.Helper()
-	const M, keys, perKey = 1_000_000, 16, 10_000
-	plan, err := PlanTree(0.9, perKey, M, 3, 0)
+	tree, queries := plannedShape(tb, 1_000_000, 16, 10_000)
+	if tree.Depth() != 7 || tree.Config().Bits != 273_404 {
+		tb.Fatalf("planned depth %d and m = %d; the gates on this shape are written for 7 and 273 404", tree.Depth(), tree.Config().Bits)
+	}
+	return tree, queries
+}
+
+// plannedShape builds a served shape: keys sets of perKey uniform ids in M,
+// filters planned for accuracy 0.9 (k = 3, the fast family) and the tree
+// pruned to the ids in use. It returns the tree and the query filters.
+func plannedShape(tb testing.TB, M uint64, keys, perKey int) (*Tree, []*bloom.Filter) {
+	tb.Helper()
+	plan, err := PlanTree(0.9, uint64(perKey), M, 3, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -176,9 +187,6 @@ func batchShape(tb testing.TB) (*Tree, []*bloom.Filter) {
 	tree, err := BuildPruned(cfg, occupied)
 	if err != nil {
 		tb.Fatal(err)
-	}
-	if tree.Depth() != 7 || cfg.Bits != 273_404 {
-		tb.Fatalf("planned depth %d and m = %d; the gates on this shape are written for 7 and 273 404", tree.Depth(), cfg.Bits)
 	}
 	queries := make([]*bloom.Filter, keys)
 	for k, set := range sets {

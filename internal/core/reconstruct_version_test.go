@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -212,18 +211,18 @@ func countLeaves(tree *Tree) (leaves int) {
 	return leaves
 }
 
-// TestPositivesRangeRead holds the range read to AppendAll filtered, for
-// every [lo, hi) whose ends are an id at either end of a block, or one off
-// it, or one of the ends of the id space — on tables whose gaps take one
-// byte, two, and from three to all ten a uvarint has (ids far wider apart
-// than the small namespaces of TestPositivesAreTheTruth, which reads every
-// range there is, can put them).
+// TestPositivesRangeRead holds the range read to the ids filtered, for every
+// [lo, hi) whose ends are an id at either end of a block, or one off it, or
+// one of the ends of the id space (checkBlockEnds) — on tables whose gaps
+// run from one id to 2³³ and to the largest id there is, so that their
+// blocks' widths do too (ids far wider apart than the small namespaces of
+// TestPositivesAreTheTruth, which reads every range there is, can put them).
 func TestPositivesRangeRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var gapBytes [binary.MaxVarintLen64 + 1]int
+	widths := map[uint]bool{}
 	defer func() {
-		if gapBytes[1] == 0 || gapBytes[2] == 0 || gapBytes[3]+gapBytes[4]+gapBytes[5] == 0 || gapBytes[10] == 0 {
-			t.Errorf("gaps met, by their bytes: %v — want one, two, three to five, and ten", gapBytes)
+		if len(widths) < 4 || !widths[64] {
+			t.Errorf("block widths met: %v — want four or more, 64 among them", widths)
 		}
 	}()
 	for _, count := range []int{0, 1, 63, 64, 65, 200} {
@@ -239,30 +238,10 @@ func TestPositivesRangeRead(t *testing.T) {
 			ids[count-1] = math.MaxUint64
 		}
 		p := packed(ids)
-		for i := 1; i < count; i++ {
-			if i%positivesBlock != 0 {
-				gapBytes[len(binary.AppendUvarint(nil, ids[i]-ids[i-1]))]++
-			}
+		for _, w := range checkPacking(t, p, ids) {
+			widths[w] = true
 		}
-		ends := []uint64{0, 1, math.MaxUint64 - 1, math.MaxUint64}
-		for i, x := range ids {
-			if i%positivesBlock == 0 || i%positivesBlock == positivesBlock-1 || i == count-1 {
-				ends = append(ends, x-1, x, x+1)
-			}
-		}
-		for _, lo := range ends {
-			for _, hi := range ends {
-				var want []uint64
-				for _, x := range p.AppendAll(nil) {
-					if lo <= x && x < hi {
-						want = append(want, x)
-					}
-				}
-				if got := p.AppendRange(lo, hi, nil); !slices.Equal(got, want) {
-					t.Fatalf("%d ids, [%d, %d): read %v, want %v", count, lo, hi, got, want)
-				}
-			}
-		}
+		checkBlockEnds(t, p, ids)
 		below := count // ids below the largest there is, which ends every longer list
 		if count > 1 {
 			below--

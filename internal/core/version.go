@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -36,7 +35,7 @@ import (
 // draws (hundreds of ids tested a version against a price of 10⁵) never
 // scans, a read-mostly key always does, and no clock or tunable decides
 // which. The table is kept only if it fits in the bytes of the version's own
-// bit vector (≈ 0.46 of them at the planned sizes); a filter so full that
+// bit vector (≈ 0.61 of them at the planned sizes); a filter so full that
 // its positives outweigh it declines once and stays on the descent, unless it
 // is asked for Exact draws, which scan each time.
 type Version struct {
@@ -199,15 +198,17 @@ func (v *Version) scan() {
 }
 
 // scanPositives runs one unpruned scan of the leaves and returns the table of
-// what q answers for in them, nil once it outgrows budget bytes.
+// what q answers for in them, nil if the finished table outgrows budget
+// bytes.
 func (t *Tree) scanPositives(q *bloom.Filter, budget uint64) *Positives {
 	t.scans.Add(1)
-	p := &Positives{nodes: t.Nodes()}
+	pk := newPositivesPacker(t.Nodes())
 	buf := make([]uint64, 0, ScratchHint)
-	if !t.packPositives(t.rootNode(), q, p, budget, &buf) {
+	if !t.packPositives(t.rootNode(), q, pk, budget, &buf) {
 		return nil
 	}
-	// Packed by append, kept at its size.
-	p.firsts, p.offs, p.gaps = slices.Clone(p.firsts), slices.Clone(p.offs), slices.Clone(p.gaps)
-	return p
+	if p := pk.finish(); p.Bytes() <= budget {
+		return p
+	}
+	return nil
 }

@@ -2,13 +2,20 @@ package server
 
 import (
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"maps"
 	"net/http/httptest"
 	"os"
 	"regexp"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // The two stats surfaces, /v1/stats and /metrics, are rendered from one
@@ -210,6 +217,104 @@ func TestEveryNumberOnBothSurfaces(t *testing.T) {
 		}
 		if !families[row[2]] {
 			t.Errorf("README names %s, which /metrics does not serve", row[2])
+		}
+	}
+}
+
+// wireOpcodes reads the opcode constants of internal/wire off its source,
+// named as README names them: OpSampleStream is sample_stream, OpIDsResult
+// ids_result.
+func wireOpcodes(t *testing.T) map[string]int {
+	t.Helper()
+	file, err := parser.ParseFile(token.NewFileSet(), "../wire/wire.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := regexp.MustCompile(`([a-z])([A-Z])`)
+	ops := map[string]int{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		spec, ok := n.(*ast.ValueSpec)
+		if !ok || len(spec.Names) != 1 || len(spec.Values) != 1 || !strings.HasPrefix(spec.Names[0].Name, "Op") {
+			return true
+		}
+		lit, ok := spec.Values[0].(*ast.BasicLit)
+		if !ok {
+			t.Fatalf("opcode %s is not a literal", spec.Names[0].Name)
+		}
+		code, err := strconv.Atoi(lit.Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops[strings.ToLower(words.ReplaceAllString(strings.TrimPrefix(spec.Names[0].Name, "Op"), "${1}_$2"))] = code
+		return true
+	})
+	return ops
+}
+
+// TestEndpointsAndOpcodesInREADME holds README's endpoint table and its
+// **Opcodes.** paragraph to the code, both ways, as TestFlagsOnEverySurface
+// holds its flags: every method and path of the endpoint table is a row and
+// there is no other; every opcode of internal/wire — every request opcode of
+// the endpoint table among them, under its metrics name — is in the
+// paragraph with its number, requests before responses, and nothing else is.
+func TestEndpointsAndOpcodesInREADME(t *testing.T) {
+	data, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := string(data)
+
+	var routes []string
+	for _, ep := range endpoints {
+		if ep.get != nil {
+			routes = append(routes, "GET "+ep.path)
+		}
+		if ep.post != nil {
+			routes = append(routes, "POST "+ep.path)
+		}
+	}
+	_, table, _ := strings.Cut(readme, "| Endpoint | Request | Response |\n| --- | --- | --- |\n")
+	table, _, _ = strings.Cut(table, "\n\n")
+	var rows []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `([A-Z]+ /[^`]*)` \\|").FindAllStringSubmatch(table, -1) {
+		rows = append(rows, m[1])
+	}
+	if len(rows) != strings.Count(table, "\n")+1 {
+		t.Fatalf("README's endpoint table has %d lines and %d rows the test can read:\n%s", strings.Count(table, "\n")+1, len(rows), table)
+	}
+	slices.Sort(routes)
+	slices.Sort(rows)
+	if !slices.Equal(rows, routes) {
+		t.Errorf("README's endpoint table lists %v; the endpoint table serves %v", rows, routes)
+	}
+
+	_, para, _ := strings.Cut(readme, "**Opcodes.**")
+	para, _, _ = strings.Cut(para, "\n\n")
+	requests, responses, _ := strings.Cut(para, "Responses:")
+	entry := regexp.MustCompile("`([a-z_]+)` \\((\\d+)")
+	listed := map[string]int{}
+	for side, text := range map[bool]string{false: requests, true: responses} {
+		for _, m := range entry.FindAllStringSubmatch(text, -1) {
+			code, _ := strconv.Atoi(m[2])
+			if _, twice := listed[m[1]]; twice {
+				t.Errorf("README lists opcode %s twice", m[1])
+			}
+			listed[m[1]] = code
+			if isResponse := code >= int(wire.OpSampleResult); isResponse != side {
+				t.Errorf("README lists %s (%d) on the wrong side of Responses:", m[1], code)
+			}
+		}
+	}
+	ops := wireOpcodes(t)
+	if len(ops) < 19 {
+		t.Fatalf("read %d opcodes off internal/wire: %v", len(ops), ops)
+	}
+	if !maps.Equal(listed, ops) {
+		t.Errorf("README's opcodes are %v; internal/wire's are %v", listed, ops)
+	}
+	for _, ep := range endpoints {
+		if name := strings.TrimPrefix(ep.bin, "bin:"); listed[name] != int(ep.opcode) {
+			t.Errorf("endpoint %s has opcode %d; README lists %s as %d", ep.bin, ep.opcode, name, listed[name])
 		}
 	}
 }

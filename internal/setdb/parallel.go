@@ -125,16 +125,18 @@ func (db *DB) SampleExactFrom(f *bloom.Filter, n int) ([]uint64, error) {
 	if p == nil {
 		return nil, errors.New("setdb: the filter has no version on this tree to draw exactly from")
 	}
-	out := make([]uint64, 0, n)
-	if p.Len() > 0 {
-		w := sampleWorkers.Get().(*sampleWorker)
-		for len(out) < n {
-			out = append(out, p.Select(w.rng.Intn(p.Len())))
-		}
-		sampleWorkers.Put(w)
-	}
+	return db.pickFrom(p, n), nil
+}
+
+// pickFrom makes n picks from the packed positives p on a pooled worker
+// (sampleWorker.pick) and counts them as n warm draws, all lost when p is
+// empty.
+func (db *DB) pickFrom(p *core.Positives, n int) []uint64 {
+	w := sampleWorkers.Get().(*sampleWorker)
+	out := w.pick(p, n, make([]uint64, 0, n))
+	sampleWorkers.Put(w)
 	db.recordDraws(n, n-len(out), core.Estimates{Picked: uint64(n)})
-	return out, nil
+	return out
 }
 
 // sampleWorker is what one goroutine of a batch draws with. Workers are
@@ -184,16 +186,35 @@ func (w *sampleWorker) draw(tree *core.Tree, f *bloom.Filter, quota int, ops *co
 	return out, lost, err
 }
 
+// pick appends n exactly uniform picks (with replacement) from the packed
+// positives p to out, none when p is empty: the ids, and the rng consumed, of
+// n Tree.SampleVersion calls served from p.
+func (w *sampleWorker) pick(p *core.Positives, n int, out []uint64) []uint64 {
+	if p.Len() > 0 {
+		for range n {
+			out = append(out, p.Select(w.rng.Intn(p.Len())))
+		}
+	}
+	return out
+}
+
 // sampleManyFilter draws n samples from one immutable filter with up to
 // workers goroutines (0 means GOMAXPROCS); a one-worker batch runs on the
-// caller's, and so does any batch on a version that has its positives — n
-// picks are microseconds, less than the fan-out. Draws lost to
-// false-positive paths, the estimates the request computed and read back,
-// and how many of its draws were picks and how many descents, are counted in
-// the database's Stats.
+// caller's. A batch on a version that has its positives is n picks on the
+// caller's goroutine (pickFrom) — microseconds, less than the fan-out — from the
+// table looked up once for the request: a table the tree's growth drops
+// while they run is dropped from the next request on. A caller that counts
+// ops always descends. Draws lost to false-positive paths, the estimates the
+// request computed and read back, and how many of its draws were picks and
+// how many descents, are counted in the database's Stats.
 func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) ([]uint64, error) {
 	if n <= 0 {
 		return nil, nil
+	}
+	if ops == nil {
+		if p := db.tree.VersionFor(f).Positives(); p != nil {
+			return db.pickFrom(p, n), nil
+		}
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -202,7 +223,7 @@ func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) (
 		workers = n
 	}
 	out := make([]uint64, 0, n)
-	if workers == 1 || ops == nil && db.tree.VersionFor(f).Positives() != nil {
+	if workers == 1 {
 		w := sampleWorkers.Get().(*sampleWorker)
 		out, lost, err := w.draw(db.tree, f, n, ops, out)
 		db.recordDraws(n, lost, w.tally)

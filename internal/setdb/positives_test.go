@@ -48,6 +48,68 @@ func warmUp(t *testing.T, db *DB, key string) *core.Positives {
 	return v.Positives()
 }
 
+// TestWarmRequestIsPicks: a request on a warm version is picks from the table
+// it looked up once — on the same rng state, the ids that as many
+// Tree.SampleVersion calls served from that table return — counted as warm
+// draws, and all lost when the table is empty; a caller that counts Ops
+// still descends.
+func TestWarmRequestIsPicks(t *testing.T) {
+	db, err := Open(Options{Namespace: 1 << 14, Bits: 1 << 14, K: 2, Seed: 11, TreeDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := rand.New(rand.NewSource(13))
+	for range 600 {
+		if err := db.Add("a", uint64(data.Intn(1<<14))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := db.Filter("a")
+	table := warmUp(t, db, "a")
+
+	picker := &sampleWorker{rng: rand.New(rand.NewSource(5))}
+	drawer := &sampleWorker{rng: rand.New(rand.NewSource(5))}
+	picked := picker.pick(table, 200, nil)
+	drawn, lost, err := drawer.draw(db.tree, f, 200, nil, nil)
+	if err != nil || lost != 0 || drawer.tally != (core.Estimates{Picked: 200}) || !slices.Equal(picked, drawn) {
+		t.Fatalf("200 picks and 200 draws served from the table on one rng state differ (%d lost, %+v, err %v)", lost, drawer.tally, err)
+	}
+
+	before := db.Stats()
+	ids, err := db.SampleManyWorkers("a", 200, 4, nil)
+	if err != nil || len(ids) != 200 {
+		t.Fatalf("%d ids, err %v", len(ids), err)
+	}
+	for _, x := range ids {
+		if !f.Contains(x) {
+			t.Fatalf("drew %d, not a positive of the version", x)
+		}
+	}
+	st := db.Stats()
+	if st.DrawsWarm-before.DrawsWarm != 200 || st.DrawsDescended != before.DrawsDescended || st.SampleDrawsLost != before.SampleDrawsLost {
+		t.Fatalf("a warm request of 200: %d warm draws, %d descents, %d lost",
+			st.DrawsWarm-before.DrawsWarm, st.DrawsDescended-before.DrawsDescended, st.SampleDrawsLost-before.SampleDrawsLost)
+	}
+
+	var ops core.Ops
+	if _, err := db.SampleManyWorkers("a", 50, 1, &ops); err != nil {
+		t.Fatal(err)
+	}
+	before, st = st, db.Stats()
+	if st.DrawsWarm != before.DrawsWarm || st.DrawsDescended-before.DrawsDescended != 50 || ops.NodesVisited == 0 {
+		t.Fatalf("a counted request on a warm version: %d warm draws, %d descents, %d nodes visited",
+			st.DrawsWarm-before.DrawsWarm, st.DrawsDescended-before.DrawsDescended, ops.NodesVisited)
+	}
+
+	if ids := db.pickFrom(new(core.Positives), 7); len(ids) != 0 {
+		t.Fatalf("7 picks from an empty table returned %v", ids)
+	}
+	before, st = st, db.Stats()
+	if st.DrawsWarm-before.DrawsWarm != 7 || st.SampleDrawsLost-before.SampleDrawsLost != 7 {
+		t.Fatalf("7 picks from an empty table: %d warm draws, %d lost", st.DrawsWarm-before.DrawsWarm, st.SampleDrawsLost-before.SampleDrawsLost)
+	}
+}
+
 // TestWarmVersionFollowsTreeGrowth is the growth gate at the request level,
 // on a pruned database whose namespace divides into leaves of equal span:
 // once a key's version is warm a request is all picks; after another key's
