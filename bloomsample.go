@@ -47,8 +47,8 @@
 //
 // Construction is options-based (see Option and the With* functions):
 // databases open with Open(namespace, ...Option), which plans the
-// filter profile from WithAccuracy and selects the deletable-set
-// backend — counting Bloom or cuckoo filter — with WithBackend.
+// filter profile from WithAccuracy. A deletable set is a counting Bloom
+// filter.
 //
 // The two baselines the paper compares against (DictionaryAttack and
 // HashInvert) are exported for benchmarking and for the niches where they

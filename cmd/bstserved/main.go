@@ -75,7 +75,7 @@ func main() {
 		accuracy  = flag.Float64("accuracy", 0.9, "design sampling accuracy for a fresh database")
 		k         = flag.Int("k", 3, "hash functions for a fresh database")
 		pruned    = flag.Bool("pruned", true, "use a pruned tree for a fresh database (grows on demand)")
-		backend   = flag.String("backend", "", "dynamic-set membership backend for a fresh database: counting (default) or cuckoo")
+		backend   = flag.String("backend", "", "dynamic-set membership backend for a fresh database: counting, the one removable backend (default)") // kept for bench/, which passes -backend counting (ROADMAP item 12(6))
 		demo      = flag.Int("demo", 0, "preload a plain set 'demo' with this many random ids (0: none)")
 		maxBatch  = flag.Int("max-batch", server.DefaultMaxBatch, "largest buffered sample n / add-remove id batch / reconstruction accepted (0: default)")
 		maxSets   = flag.Int("max-batch-sets", server.DefaultMaxBatchSets, "largest number of sets in one batch /v1/add request (0: default)")
@@ -309,8 +309,12 @@ func parseFsync(s string) (wal.FsyncPolicy, time.Duration, error) {
 
 // openDB loads the database file or creates a fresh database from the
 // planning flags, which apply only to a fresh one — a file carries its own
-// profile, tree and backend kind.
+// profile, tree and backend kind. The backend name is checked either way.
 func openDB(dbPath string, namespace, setSize uint64, accuracy float64, k int, pruned bool, backend string) (*setdb.DB, error) {
+	kind, err := membership.ParseKind(backend)
+	if err != nil {
+		return nil, err
+	}
 	if dbPath != "" {
 		return setdb.Load(dbPath)
 	}
@@ -319,10 +323,6 @@ func openDB(dbPath string, namespace, setSize uint64, accuracy float64, k int, p
 		return nil, err
 	}
 	opts.Pruned = pruned
-	kind, err := membership.ParseKind(backend)
-	if err != nil {
-		return nil, err
-	}
 	opts.Backend = kind
 	return setdb.Open(opts)
 }

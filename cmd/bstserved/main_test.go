@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -44,8 +45,8 @@ func call(t *testing.T, ts *httptest.Server, path, body string) []byte {
 }
 
 // TestServedSnapshotBoots: the file a server writes is the file a server
-// boots from. A WAL-backed server, full tree and pruned, ingests plain,
-// counting and cuckoo keys over HTTP and then adds ids that grow the pruned
+// boots from. A WAL-backed server, full tree and pruned, ingests plain and
+// counting keys over HTTP and then adds ids that grow the pruned
 // tree; the body of GET /v1/snapshot and the snap-*.snap that POST
 // /v1/snapshot leaves in the data directory each go to openDB as -db would
 // hand them over, and the booted server answers /v1/reconstruct for every
@@ -54,7 +55,7 @@ func call(t *testing.T, ts *httptest.Server, path, body string) []byte {
 // neither file: `bad magic "BSTBND"`.)
 func TestServedSnapshotBoots(t *testing.T) {
 	for _, pruned := range []bool{false, true} {
-		for _, backend := range []string{"bloom", "counting", "cuckoo"} {
+		for _, backend := range []string{"bloom", "counting"} {
 			t.Run(fmt.Sprintf("pruned=%v/%s", pruned, backend), func(t *testing.T) {
 				dynamic, kind := backend != "bloom", backend
 				if !dynamic {
@@ -262,6 +263,30 @@ func TestDrainBoundedWithStreamsMidFlight(t *testing.T) {
 	}
 }
 
+// build compiles bstserved into a temporary directory and returns its path.
+func build(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "bstserved")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestBackendCuckooRefused: the backend that served removed ids is gone, and
+// asking for it is an error that names it, before anything listens.
+func TestBackendCuckooRefused(t *testing.T) {
+	out, err := exec.Command(build(t), "-backend", "cuckoo", "-addr", "127.0.0.1:0").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("bstserved -backend cuckoo: err %v, want a non-zero exit\n%s", err, out)
+	}
+	// The logger quotes the message, so its quotes come back escaped.
+	if !strings.Contains(string(out), "cuckoo") || !strings.Contains(string(out), "was removed") {
+		t.Fatalf("bstserved -backend cuckoo printed %q, want the refusal by name", out)
+	}
+}
+
 // flagTokens lists what looks like a command-line flag in text: a dash and a
 // lower-case name after a space, a backquote or a parenthesis ("kill -9" and
 // "curl -X" are not).
@@ -282,11 +307,7 @@ func flagTokens(text string) []string {
 // comment is a flag. A flag that is deleted (-ids, with the loader it fed) or
 // added and not documented fails here rather than being found by eye.
 func TestFlagsOnEverySurface(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "bstserved")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	help, _ := exec.Command(bin, "-h").CombinedOutput() // the exit status of -h is not the point
+	help, _ := exec.Command(build(t), "-h").CombinedOutput() // the exit status of -h is not the point
 	var flags []string
 	for _, m := range regexp.MustCompile(`(?m)^  (-[a-z][a-z-]*)`).FindAllStringSubmatch(string(help), -1) {
 		flags = append(flags, m[1])

@@ -11,11 +11,11 @@ import (
 // one immutable version of a query filter, for as long as that version
 // lives. An estimate is a function of a node filter and the query filter;
 // a query filter that is published copy-on-write (setdb's stored sets, the
-// counting filter's snapshot, the cuckoo set's view) never changes, so
-// whatever a request computed against it holds for every later request on
-// the same version, and the index hangs on the version itself (it is the
-// cold half of the filter's Version, which says where that lives and why
-// nothing evicts or invalidates it). Once the version has paid for a scan of
+// counting filter's snapshot) never changes, so whatever a request computed
+// against it holds for every later request on the same version, and the
+// index hangs on the version itself (it is the cold half of the filter's
+// Version, which says where that lives and why nothing evicts or invalidates
+// it). Once the version has paid for a scan of
 // the leaves its draws pick from its Positives and read no estimate; its
 // reconstructions still read every verdict here.
 //

@@ -166,7 +166,7 @@ func TestIndexedDrawsMatchSampleScratch(t *testing.T) {
 		M     = 1 << 16
 		draws = 300
 	)
-	for _, backend := range []membership.Kind{membership.KindBloom, membership.KindCounting, membership.KindCuckoo} {
+	for _, backend := range []membership.Kind{membership.KindBloom, membership.KindCounting} {
 		for _, kind := range []hashfam.Kind{hashfam.KindFast, hashfam.KindMurmur3} {
 			t.Run(fmt.Sprintf("%s/%s", backend, kind), func(t *testing.T) {
 				cfg := testConfig(t, M, 300, 0.9, 6)

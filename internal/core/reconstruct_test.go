@@ -57,7 +57,7 @@ func TestReconstructVerdictPrunesLikeTheEstimate(t *testing.T) {
 			}
 			for _, size := range []int{400, 4} {
 				set := uniformSet(rand.New(rand.NewSource(int64(size))), M, size)
-				for _, backend := range []membership.Kind{membership.KindBloom, membership.KindCounting, membership.KindCuckoo} {
+				for _, backend := range []membership.Kind{membership.KindBloom, membership.KindCounting} {
 					q := buildQueryFilter(t, tree, set)
 					if backend != membership.KindBloom {
 						dyn, err := membership.NewDynamicWith(backend, tree.Family(), 400, set)

@@ -6,8 +6,8 @@ import "repro/internal/bloom"
 // contract. Its query view is the filter's plain-Bloom Snapshot: built by
 // the first read of the key, then carried from version to version by the
 // filter's own CloneAdd/CloneRemove, which patch the bits whose counter
-// crossed zero — so unlike the cuckoo view it is exact after deletes, and
-// a key that is never read never has one.
+// crossed zero — so it is exact after deletes, and a key that is never
+// read never has one.
 type countingSet struct {
 	c *bloom.CountingFilter
 }

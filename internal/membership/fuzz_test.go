@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/bloom"
@@ -45,8 +46,7 @@ func envelopes(t testing.TB) map[Kind][]byte {
 // of any process that decodes what a socket sends, since a Go out-of-memory
 // is fatal: the plain filter's bit count (2³⁸ bits, 32 GB) and its hash
 // count under the family that precomputes per function (2³¹ moduli, 16 GB;
-// the counting filter's likewise), the cuckoo set's table count (2³⁰ pointers, 8 GB), and a cuckoo table's
-// bucket count, which overflowed the length check into a makeslice panic.
+// the counting filter's likewise).
 func forged(t testing.TB) map[string][]byte {
 	t.Helper()
 	bits := envelopes(t)[KindBloom]
@@ -69,24 +69,29 @@ func forged(t testing.TB) map[string][]byte {
 	}
 	binary.LittleEndian.PutUint32(counters[k+len(KindCounting)-len(KindBloom):], 1<<31-1)
 
-	// The cuckoo payload: live, view length, view, table count, tables.
-	tables := envelopes(t)[KindCuckoo]
-	payload := len(envelopeMagic) + 1 + len(KindCuckoo)
-	count := payload + 12 + int(binary.LittleEndian.Uint32(tables[payload+8:]))
-	buckets := append([]byte(nil), tables[:count]...)
-	binary.LittleEndian.PutUint32(tables[count:], 1<<30)
+	return map[string][]byte{"filter bits": bits, "filter hashes": hashes, "counting hashes": counters}
+}
 
-	// One table, all header: seed, 2⁶¹ buckets, no entries, no slots.
-	buckets = binary.LittleEndian.AppendUint32(buckets, 1)
-	buckets = binary.LittleEndian.AppendUint32(buckets, 4+24)
-	buckets = append(buckets, "CKF1"...)
-	buckets = binary.LittleEndian.AppendUint64(buckets, 42)
-	buckets = binary.LittleEndian.AppendUint64(buckets, 1<<61)
-	buckets = binary.LittleEndian.AppendUint64(buckets, 0)
+// retagged is a well-formed counting envelope under another kind tag: the
+// name of the backend the repository no longer serves, which the tag alone
+// refuses; a name it never had; or none, which reads as counting.
+func retagged(t testing.TB, kind Kind) []byte {
+	t.Helper()
+	counting := envelopes(t)[KindCounting]
+	return envelope(kind, counting[len(envelopeMagic)+1+len(KindCounting):])
+}
 
-	return map[string][]byte{
-		"filter bits": bits, "filter hashes": hashes, "counting hashes": counters,
-		"cuckoo tables": tables, "cuckoo buckets": buckets,
+func TestUnmarshalRefusesRemovedBackend(t *testing.T) {
+	if _, err := ParseKind("cuckoo"); err == nil || !strings.Contains(err.Error(), `backend "cuckoo" was removed`) {
+		t.Fatalf("ParseKind(cuckoo) = %v, want the named refusal", err)
+	}
+	for _, name := range []string{"", "bloom", "counting"} {
+		if _, err := ParseKind(name); err != nil {
+			t.Fatalf("ParseKind(%q) = %v", name, err)
+		}
+	}
+	if _, err := Unmarshal(retagged(t, "cuckoo")); err == nil || !strings.Contains(err.Error(), "cuckoo") {
+		t.Fatalf("Unmarshal of a cuckoo envelope = %v, want the named refusal", err)
 	}
 }
 
@@ -115,6 +120,9 @@ func FuzzMembershipUnmarshal(f *testing.F) {
 	}
 	for _, env := range forged(f) {
 		f.Add(env)
+	}
+	for _, kind := range []Kind{"cuckoo", "quotient", ""} {
+		f.Add(retagged(f, kind))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unmarshal(data)

@@ -1,30 +1,22 @@
 // Package membership defines the backend contract behind every set the
 // database stores: shard entries in internal/setdb hold Membership values
-// instead of concrete Bloom filters, so approximate-membership structures
-// with different memory/delete trade-offs (plain Bloom, counting Bloom,
-// cuckoo) plug in behind one interface. (The nodes of the BloomSampleTree
-// in internal/core do not: a node is a plain Bloom filter and is held as
-// one.) The contract is what an entry needs — probe, batched probe,
-// copy-on-write add/remove, a Bloom query view, and a tagged serialization
-// — and this package is that contract plus the adapters for the backends
-// the repository ships.
+// instead of concrete Bloom filters, so a set that never deletes (a plain
+// Bloom filter) and one that does (a counting Bloom filter) sit behind one
+// interface. (The nodes of the BloomSampleTree in internal/core do not: a
+// node is a plain Bloom filter and is held as one.) The contract is what an
+// entry needs — probe, batched probe, copy-on-write add/remove, a Bloom
+// query view, and a tagged serialization — and this package is that
+// contract plus the adapters for the two backends the repository ships.
 //
-// The tree descent itself works on bit-level intersection estimates, a
-// Bloom-specific operation; backends whose native representation cannot
-// intersect bit vectors (the cuckoo filter stores fingerprints) expose a
-// QueryView: a plain Bloom projection of their contents used only to
-// steer the descent and size estimates. The counting backend builds its
-// view on the first read and from then on maintains it incrementally and
-// exactly: CloneAdd and CloneRemove patch the bits whose counter crossed
-// zero, so every version's view is the projection of its counters, and a
-// key nobody reads has none. The cuckoo backend maintains its view
-// incrementally and monotonically — patched on CloneAdd, left unchanged
-// on CloneRemove — which makes it a monotone over-approximation, exactly
-// the argument the pruned tree already uses for node occupancy: a stale
-// view can only send the sampler down a branch that turns out empty (a
-// performance cost), never hide a live element (a correctness cost),
-// because leaf probes and Contains go through the backend's native,
-// delete-aware representation.
+// The tree descent works on bit-level intersection estimates, so every
+// backend exposes a QueryView: a plain Bloom filter of its contents, which
+// the descent, the leaf probes and the scan all read. For a Bloom backend
+// the view is the filter itself. The counting backend builds its view on
+// the first read and from then on maintains it incrementally and exactly:
+// CloneAdd and CloneRemove patch the bits whose counter crossed zero. So
+// every version's view is the projection of its counters, a removed id is
+// gone from it unless it is a false positive of what is left, and a key
+// nobody reads has no view.
 package membership
 
 import (
@@ -43,24 +35,23 @@ const (
 	// deletion. The only legal backend for static (plain) sets.
 	KindBloom Kind = "bloom"
 	// KindCounting is the counting Bloom filter: 8-bit counters, native
-	// delete, 8x a plain filter's memory.
+	// delete, 8x a plain filter's memory. The one removable backend.
 	KindCounting Kind = "counting"
-	// KindCuckoo is the cuckoo filter backend: 16-bit fingerprints in
-	// 4-slot buckets, native delete at roughly 2.4 bytes per live entry
-	// plus a plain-Bloom query view — well under the counting filter's
-	// one byte per filter *position*.
-	KindCuckoo Kind = "cuckoo"
 )
 
-// ParseKind validates a backend name from a flag or wire header.
+// ParseKind validates a backend name from a flag, an option, a bundle
+// header or an envelope; "" means counting. It is the one gate for all of
+// them, so a name the repository no longer serves is refused by name here.
 func ParseKind(s string) (Kind, error) {
 	switch Kind(s) {
-	case KindBloom, KindCounting, KindCuckoo:
+	case KindBloom, KindCounting:
 		return Kind(s), nil
 	case "":
 		return KindCounting, nil
+	case "cuckoo":
+		return "", fmt.Errorf("membership: backend %q was removed: its query view served removed ids; rebuild the database on counting", s)
 	}
-	return "", fmt.Errorf("membership: unknown backend kind %q (want bloom, counting or cuckoo)", s)
+	return "", fmt.Errorf("membership: unknown backend kind %q (want bloom or counting)", s)
 }
 
 // Membership is the read-plus-COW-write contract every backend satisfies.
@@ -83,8 +74,8 @@ type Membership interface {
 	Live() uint64
 	// QueryView returns a plain Bloom projection of the contents for the
 	// tree descent and intersection estimates. For a Bloom backend this
-	// is the filter itself (free); other backends maintain a projection
-	// across versions (counting from the first read on). The returned
+	// is the filter itself (free); the counting backend maintains its
+	// projection across versions from the first read on. The returned
 	// filter is shared — treat it as immutable.
 	QueryView() *bloom.Filter
 	// CloneAdd returns a new Membership equal to the receiver with ids
@@ -98,8 +89,8 @@ type Membership interface {
 	MarshalBinary() ([]byte, error)
 }
 
-// DynamicMembership extends Membership with deletion for the backends
-// that support it (counting, cuckoo).
+// DynamicMembership extends Membership with deletion for the backend that
+// supports it (counting).
 type DynamicMembership interface {
 	Membership
 	// CloneAddDynamic is CloneAdd with a dynamic static type, so writers
@@ -112,30 +103,13 @@ type DynamicMembership interface {
 	CloneRemove(ids ...uint64) (DynamicMembership, error)
 }
 
-// LoadFactorer is implemented by backends with a meaningful slot
-// occupancy (the cuckoo filter); stats report it when present.
-type LoadFactorer interface {
-	LoadFactor() float64
-}
-
-// NewDynamic creates an empty dynamic set of the given kind. The family
-// supplies the Bloom geometry (query view and, for counting, the counter
-// array); capacityHint sizes the cuckoo fingerprint table (the design
-// set size is the natural hint — the table stacks more capacity on
-// demand, so the hint is not a cap).
-func NewDynamic(kind Kind, fam hashfam.Family, capacityHint uint64) (DynamicMembership, error) {
-	return newDynamicWith(kind, fam, capacityHint, nil)
-}
-
-// NewDynamicWith creates a dynamic set pre-populated with ids in one
-// step, mutating only private state before first publication (cheaper
-// than NewDynamic followed by CloneAddDynamic, which clones the empty
-// value).
+// NewDynamicWith creates a dynamic set of the given kind pre-populated with
+// ids in one step, mutating only private state before first publication.
+// The family supplies the counter array's geometry.
+//
+// capacityHint is unused; the signature is kept for bench/ (ROADMAP item
+// 12(6)).
 func NewDynamicWith(kind Kind, fam hashfam.Family, capacityHint uint64, ids []uint64) (DynamicMembership, error) {
-	return newDynamicWith(kind, fam, capacityHint, ids)
-}
-
-func newDynamicWith(kind Kind, fam hashfam.Family, capacityHint uint64, ids []uint64) (DynamicMembership, error) {
 	switch kind {
 	case KindCounting:
 		c := bloom.NewCounting(fam)
@@ -143,10 +117,8 @@ func newDynamicWith(kind Kind, fam hashfam.Family, capacityHint uint64, ids []ui
 			c.Add(id)
 		}
 		return countingSet{c}, nil
-	case KindCuckoo:
-		return newCuckooSet(fam, capacityHint, ids), nil
 	case KindBloom:
-		return nil, fmt.Errorf("membership: backend %q cannot delete; use counting or cuckoo for dynamic sets", kind)
+		return nil, fmt.Errorf("membership: backend %q cannot delete; use counting for dynamic sets", kind)
 	}
 	return nil, fmt.Errorf("membership: unknown backend kind %q", kind)
 }
@@ -154,7 +126,7 @@ func newDynamicWith(kind Kind, fam hashfam.Family, capacityHint uint64, ids []ui
 // MatchesFamily returns nil if m was built with parameters equal to fam's,
 // and the error of bloom.Filter.MatchesFamily otherwise. It builds nothing:
 // a counting set is asked about its counters, not about the query view a
-// loader has no use for; the other backends hold theirs already.
+// loader has no use for; a Bloom set is its own view.
 func MatchesFamily(m Membership, fam hashfam.Family) error {
 	if s, ok := m.(countingSet); ok {
 		return s.c.MatchesFamily(fam)

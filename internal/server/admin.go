@@ -168,7 +168,6 @@ func (s *Server) collectMetrics() *obs.Exposition {
 	e.Gauge("bst_backend_entries", "Live elements across dynamic sets.", float64(st.Backend.Entries), kind)
 	e.Gauge("bst_backend_memory_bytes", "Resident bytes of the membership backend.", float64(st.Backend.MemoryBytes), kind)
 	e.Gauge("bst_backend_bits_per_entry", "Realized bits per stored element.", st.Backend.BitsPerEntry, kind)
-	e.Gauge("bst_backend_load_factor", "Fingerprint-slot occupancy (cuckoo backends).", st.Backend.LoadFactor, kind)
 
 	// Durability (only when a WAL store backs the server).
 	if ds := doc.Durability; ds != nil {

@@ -182,9 +182,6 @@ func TestEveryNumberOnBothSurfaces(t *testing.T) {
 			claimed[family] = true
 		}
 	}
-	// load_factor is omitted from the JSON when it is zero (every backend but
-	// cuckoo); its family is always rendered.
-	claimed["bst_backend_load_factor"] = true
 	for family := range families {
 		for _, prefix := range statSections {
 			if strings.HasPrefix(family, prefix) && !claimed[family] {

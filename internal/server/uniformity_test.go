@@ -96,7 +96,7 @@ func TestServedDefaultDrawPassesTable5(t *testing.T) {
 		t.Logf("%s: %d positives, %v", when, len(cell), res)
 		return !res.Reject(0.08)
 	}
-	for _, backend := range []membership.Kind{membership.KindBloom, membership.KindCounting, membership.KindCuckoo} {
+	for _, backend := range []membership.Kind{membership.KindBloom, membership.KindCounting} {
 		t.Run(string(backend), func(t *testing.T) {
 			passed := map[string]int{}
 			for seed := int64(1); seed <= seeds; seed++ {
@@ -194,7 +194,7 @@ func TestServedDefaultDrawPassesTable5(t *testing.T) {
 // positive of the version pinned, never one of the ids written since.
 func TestStreamGoingWarmKeepsItsVersion(t *testing.T) {
 	const n = 30_000
-	for _, backend := range []membership.Kind{membership.KindBloom, membership.KindCounting, membership.KindCuckoo} {
+	for _, backend := range []membership.Kind{membership.KindBloom, membership.KindCounting} {
 		for _, codec := range []string{"http", "binary"} {
 			t.Run(string(backend)+"/"+codec, func(t *testing.T) {
 				srv, ts, bin, cell := uniformityServer(t, backend, 3, 200, Config{StreamChunk: 64})
@@ -268,10 +268,9 @@ func TestStreamGoingWarmKeepsItsVersion(t *testing.T) {
 // HTTP the same bytes — while the key's version is cold, on the request that
 // pays for its scan and once it is warm, with the counters saying which was
 // which; and a write to the key (an add, and on the counting backend the
-// remove that undoes it — a cuckoo set's view does not change on a remove,
-// nor then its version) starts its successor cold and as correct.
+// remove that undoes it) starts its successor cold and as correct.
 func TestServedReconstructIsTheWalk(t *testing.T) {
-	for _, backend := range []membership.Kind{membership.KindBloom, membership.KindCounting, membership.KindCuckoo} {
+	for _, backend := range []membership.Kind{membership.KindBloom, membership.KindCounting} {
 		t.Run(string(backend), func(t *testing.T) {
 			srv, ts, bin, _ := uniformityServer(t, backend, 5, 200, Config{})
 			db := srv.DB()

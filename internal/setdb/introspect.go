@@ -1,9 +1,5 @@
 package setdb
 
-import (
-	"repro/internal/membership"
-)
-
 // Introspection: a point-in-time view of the database's internal shape —
 // shard occupancy, chunk occupancy, write amplification, tree growth
 // epochs, memory — for operational surfaces (the bstserved /v1/stats
@@ -150,9 +146,6 @@ type BackendStats struct {
 	// BitsPerEntry is 8·MemoryBytes/Entries (0 with no entries) — the
 	// figure the backend bench sweeps compare.
 	BitsPerEntry float64 `json:"bits_per_entry"`
-	// LoadFactor is the mean fingerprint-slot occupancy for backends
-	// that have one (cuckoo); 0 otherwise.
-	LoadFactor float64 `json:"load_factor,omitempty"`
 }
 
 // Stats returns an introspection snapshot. It is lock-free and safe to
@@ -192,8 +185,6 @@ func (db *DB) Stats() DBStats {
 	st.PositivesScans, st.PositivesDeclined = ps.Scans, ps.Declined
 	st.PositivesDropped, st.PositivesBytes = ps.Dropped, ps.PackedBytes
 	st.Backend.Kind = string(db.opts.Backend)
-	var lfSum float64
-	var lfN int
 	for i := range db.shards {
 		snap := db.shards[i].load().sets
 		ss := ShardStats{Chunks: snap.numChunks()}
@@ -205,10 +196,6 @@ func (db *DB) Stats() DBStats {
 			ss.Dynamic++
 			st.Backend.Entries += e.m.Live()
 			st.Backend.MemoryBytes += e.m.SizeBytes()
-			if lf, ok := e.m.(membership.LoadFactorer); ok {
-				lfSum += lf.LoadFactor()
-				lfN++
-			}
 		})
 		for _, chunk := range snap.chunks {
 			if n := len(chunk); n > 0 {
@@ -231,9 +218,6 @@ func (db *DB) Stats() DBStats {
 	}
 	if st.Backend.Entries > 0 {
 		st.Backend.BitsPerEntry = 8 * float64(st.Backend.MemoryBytes) / float64(st.Backend.Entries)
-	}
-	if lfN > 0 {
-		st.Backend.LoadFactor = lfSum / float64(lfN)
 	}
 	return st
 }

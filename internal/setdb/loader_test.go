@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/bloom"
@@ -153,6 +154,15 @@ func TestLoaderForgedSectionLength(t *testing.T) {
 	}
 }
 
+// removedBackendBundle is a valid counting bundle whose header names the
+// backend the repository no longer serves, in place of counting.
+func removedBackendBundle(header, tail []byte) []byte {
+	named := append([]byte(nil), header[:len(header)-1-len(membership.KindCounting)]...)
+	named = append(named, byte(len("cuckoo")))
+	named = append(named, "cuckoo"...)
+	return append(named, tail...)
+}
+
 // FuzzReadBundleSets fuzzes the loader behind ReadBundle — the two keyed
 // sections and the tree flag — under a fixed valid header: it must not
 // panic, must not allocate beyond a small multiple of its input, and a
@@ -163,7 +173,8 @@ func TestLoaderForgedSectionLength(t *testing.T) {
 // bounding those belongs to the ROADMAP's correctness item. An input that
 // does not begin with the bundle's magic is also read as a whole stream,
 // which must refuse it: the sets without their container (a stream that
-// begins SETDB2, the last seed) are not a database.
+// begins SETDB2, the last seed) are not a database. A bundle whose header
+// names the removed cuckoo backend is refused by name.
 func FuzzReadBundleSets(f *testing.F) {
 	script := []Write{
 		{Key: "plain", IDs: []uint64{1, 2, 3}},
@@ -172,9 +183,12 @@ func FuzzReadBundleSets(f *testing.F) {
 		{Key: "empty", Dynamic: true},
 	}
 	header, counting := bundleOf(f, membership.KindCounting, script...)
-	_, cuckoo := bundleOf(f, membership.KindCuckoo, script...)
+	removed := removedBackendBundle(header, counting)
+	if _, err := ReadBundle(bytes.NewReader(removed)); err == nil || !strings.Contains(err.Error(), `backend "cuckoo" was removed`) {
+		f.Fatalf("ReadBundle of a header naming cuckoo = %v, want the named refusal", err)
+	}
 	_, clash := clashingTail(f)
-	for _, tail := range [][]byte{counting, cuckoo, clash, forgedLengthTail()} {
+	for _, tail := range [][]byte{counting, removed, clash, forgedLengthTail()} {
 		f.Add(tail)
 	}
 	// Truncations at each section boundary: before the plain section, after

@@ -244,7 +244,7 @@ func TestWriteHeavyKeysNeverScan(t *testing.T) {
 // side of it is a positive of the version, and none is lost once it is
 // warm. Run under -race.
 func TestReadMostlyKeyScansOnce(t *testing.T) {
-	for _, backend := range []membership.Kind{membership.KindBloom, membership.KindCounting, membership.KindCuckoo} {
+	for _, backend := range []membership.Kind{membership.KindBloom, membership.KindCounting} {
 		t.Run(string(backend), func(t *testing.T) {
 			opts, err := PlanOptions(0.9, 300, 20_000, 3)
 			if err != nil {

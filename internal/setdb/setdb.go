@@ -8,8 +8,8 @@
 //
 // There is one key space and one kind of entry: a key is a set. Whether ids
 // can be removed from it is a capability of the membership value stored
-// under the key — a plain Bloom filter cannot forget a member, a counting or
-// cuckoo set can — chosen by the write that creates the key and fixed for
+// under the key — a plain Bloom filter cannot forget a member, a counting
+// Bloom filter can — chosen by the write that creates the key and fixed for
 // the key's lifetime. Every read serves every key.
 //
 // The database persists to a single file, the bundle (Save/Load, or the
@@ -54,11 +54,11 @@ type Options struct {
 	// inserted (recommended for sparse namespaces). A full tree is built
 	// eagerly otherwise.
 	Pruned bool
-	// Backend selects the membership backend a key created by a Dynamic
-	// write gets (counting or cuckoo; default counting). A key created by a
-	// plain write is always Bloom-backed — it never deletes, so nothing
-	// beats the plain filter. Both live in the one key space. The choice
-	// is persisted in the bundle's header.
+	// Backend names the membership backend a key created by a Dynamic
+	// write gets: counting, the one removable backend ("" means counting).
+	// Open checks the name with membership.ParseKind. A key created by a
+	// plain write is always Bloom-backed. The name is persisted in the
+	// bundle's header. Kept for bench/, which sets it (ROADMAP item 12(6)).
 	Backend membership.Kind
 }
 
@@ -68,9 +68,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DesignSetSize == 0 {
 		o.DesignSetSize = 1000
-	}
-	if o.Backend == "" {
-		o.Backend = membership.KindCounting
 	}
 	return o
 }
@@ -122,14 +119,13 @@ const numShards = 64
 // The paper's motivating applications track communities whose membership
 // changes over time (§1), and a plain Bloom filter cannot forget a member.
 // A key created by a Dynamic write therefore holds a
-// membership.DynamicMembership — Options.Backend picks the counting Bloom
-// filter (8-bit counters, 8× the plain filter's memory) or the cuckoo
-// filter (16-bit fingerprints, ~2.4 bytes per live entry plus a plain query
-// view) — and every other key a plain Bloom filter. That is the whole
-// difference: queries run against the value's point-in-time QueryView,
-// which is compatible with the shared tree whatever the backend, and
-// mutations of either kind publish a fresh immutable value, so readers (and
-// any memoized query-view projection) never observe a set mid-update.
+// membership.DynamicMembership — a counting Bloom filter (8-bit counters, 8×
+// the plain filter's memory) — and every other key a plain Bloom filter.
+// That is the whole difference: queries run against the value's
+// point-in-time QueryView, which is compatible with the shared tree whatever
+// the backend, and mutations of either kind publish a fresh immutable value,
+// so readers (and any memoized query-view projection) never observe a set
+// mid-update.
 type entry struct {
 	m membership.Membership
 }
@@ -228,6 +224,11 @@ func (db *DB) recordWrites(writes, publishes, bytes uint64) {
 // Open creates an empty database with the given options.
 func Open(opts Options) (*DB, error) {
 	opts = opts.withDefaults()
+	backend, err := membership.ParseKind(string(opts.Backend))
+	if err != nil {
+		return nil, err
+	}
+	opts.Backend = backend
 	if opts.TreeDepth == 0 {
 		ratio := float64(opts.Bits) / core.DefaultCostRatioDivisor
 		leaf := core.LeafRangeForRatio(ratio)
@@ -246,7 +247,6 @@ func Open(opts Options) (*DB, error) {
 		Depth:     opts.TreeDepth,
 	}
 	var tree *core.Tree
-	var err error
 	if opts.Pruned {
 		tree, err = core.BuildPruned(cfg, nil)
 	} else {
@@ -336,9 +336,8 @@ func (db *DB) validateIDs(ids []uint64) error {
 // key's backend. It is immutable and shared (a removable backend memoizes or
 // maintains it on the published version) — a write to the same key
 // publishes a new version rather than mutating it, so it is always safe to
-// keep reading. For the cuckoo backend the view is a monotone
-// over-approximation across removes; Contains goes through the
-// delete-aware native probe.
+// keep reading. A removable key's view is the projection of its counters, so
+// a removed id answers only as a false positive of what is left.
 func (db *DB) Filter(key string) *bloom.Filter {
 	e, err := db.get(key)
 	if err != nil {

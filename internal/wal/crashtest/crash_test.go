@@ -353,7 +353,6 @@ func TestCrashRecovery(t *testing.T) {
 	}{
 		{membership.KindBloom, false},
 		{membership.KindCounting, true},
-		{membership.KindCuckoo, true},
 	}
 	for _, b := range backends {
 		b := b

@@ -36,8 +36,7 @@ func goldenOptions(backend membership.Kind, pruned bool) setdb.Options {
 
 // goldenScript covers every write the server can log (add and dynamic add,
 // creating and extending; remove with ids) plus the unbind of a plain key,
-// an empty set, and a dynamic set large enough to stack a second cuckoo
-// table and then shrunk.
+// an empty set, and a large dynamic set that is then shrunk.
 func goldenScript() [][]setdb.Write {
 	big := make([]uint64, 200)
 	for i := range big {
@@ -71,7 +70,7 @@ func digest(b []byte) string {
 }
 
 // goldenSegment is the digest of the segment the script leaves behind; the
-// log records writes, not backends, so both cases share it.
+// log records writes, not backends.
 const goldenSegment = "278ae59f1d5c0664d24a15ea01a09fab0926230c4e86f50754b716521f767d7c"
 
 func TestGoldenBundleAndWAL(t *testing.T) {
@@ -84,11 +83,6 @@ func TestGoldenBundleAndWAL(t *testing.T) {
 			name:   "counting-pruned",
 			opts:   goldenOptions(membership.KindCounting, true),
 			bundle: "c20caad4ae68e1d03eed8e851cd9d35ab9f23aeba5c40cd2ffb3f0fc80440f73",
-		},
-		{
-			name:   "cuckoo-full",
-			opts:   goldenOptions(membership.KindCuckoo, false),
-			bundle: "32ddb6ff2a15669c96f0c69968b3766ae55c237dcf08711298afd58f71110610",
 		},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -28,7 +28,7 @@
 //	  ids    uvarint count + uvarint ids
 //
 // The sequence number is what makes replay idempotent for the
-// non-idempotent backends (counting increments, cuckoo inserts):
+// non-idempotent counting backend (an add increments counters):
 // recovery skips every record at or below the snapshot's covered seq,
 // so replaying a segment twice — or a segment the snapshot already
 // absorbed — applies nothing twice.

@@ -113,7 +113,7 @@ func TestRecordDecodeRejectsDamage(t *testing.T) {
 }
 
 func TestStoreRecoversAllBackends(t *testing.T) {
-	for _, kind := range []membership.Kind{membership.KindBloom, membership.KindCounting, membership.KindCuckoo} {
+	for _, kind := range []membership.Kind{membership.KindBloom, membership.KindCounting} {
 		t.Run(string(kind), func(t *testing.T) {
 			opts := testOptions(t, kind)
 			dir := t.TempDir()
@@ -209,7 +209,7 @@ func TestSnapshotWithNoTail(t *testing.T) {
 }
 
 func snapshotThenTail(t *testing.T, tail int) {
-	opts := testOptions(t, membership.KindCuckoo)
+	opts := testOptions(t, membership.KindCounting)
 	dir := t.TempDir()
 	s, err := Open(dir, freshFunc(t, opts), Options{})
 	if err != nil {

@@ -9,36 +9,18 @@ import (
 )
 
 // Functional-options construction API. The parameter space — hash
-// family, seed, membership backend, accuracy, tree shape — is too wide
-// for positional signatures: every new knob would break them or force
-// another NewXxxWithYyy variant. The With* options below compose
-// instead: each constructor takes the values that define what is being
-// built (a namespace, a plan, filter dimensions) positionally, and
-// everything with a sensible default as options.
+// family, seed, accuracy, tree shape — is too wide for positional
+// signatures: every new knob would break them or force another
+// NewXxxWithYyy variant. The With* options below compose instead: each
+// constructor takes the values that define what is being built (a
+// namespace, a plan, filter dimensions) positionally, and everything with
+// a sensible default as options.
 //
 //	db, _ := bloomsample.Open(1_000_000,
 //	        bloomsample.WithAccuracy(0.95),
-//	        bloomsample.WithBackend(bloomsample.BackendCuckoo),
 //	        bloomsample.WithPruned(true))
 //	tree, _ := bloomsample.NewTreeWith(plan, bloomsample.WithSeed(42))
 //	f, _ := bloomsample.NewFilterWith(1<<20, 3, bloomsample.WithHash(bloomsample.Murmur3))
-
-// BackendKind selects a membership backend for dynamic (deletable)
-// sets.
-type BackendKind = membership.Kind
-
-// Membership backends. BackendCounting (the default) stores 8-bit
-// counters — 8× a plain filter's memory, constant-time removes.
-// BackendCuckoo stores 16-bit fingerprints in 4-slot buckets — roughly
-// 2.4 bytes per live entry at its design load factor plus a plain query
-// view, native deletes, and a ~3·2⁻¹⁵ false-positive rate. BackendBloom
-// is the plain filter: valid wherever nothing needs deleting, rejected
-// for dynamic sets.
-const (
-	BackendBloom    = membership.KindBloom
-	BackendCounting = membership.KindCounting
-	BackendCuckoo   = membership.KindCuckoo
-)
 
 // Membership is the read surface every backend satisfies: membership
 // probes, cardinality, a tree-compatible plain-filter query view, and
@@ -53,7 +35,6 @@ type DynamicMembership = membership.DynamicMembership
 type options struct {
 	hash          HashKind
 	seed          uint64
-	backend       BackendKind
 	accuracy      float64
 	k             int
 	bits          uint64
@@ -88,13 +69,6 @@ func WithHash(kind HashKind) Option { return func(o *options) { o.hash = kind } 
 // dimensions and seed.
 func WithSeed(seed uint64) Option { return func(o *options) { o.seed = seed } }
 
-// WithBackend selects the membership backend a key created by a dynamic
-// write gets (SetDB.AddDynamic, SetDBWrite.Dynamic; default
-// BackendCounting). A key created by a plain write always holds a Bloom
-// filter — it never deletes, so nothing beats it. Both kinds of key live in
-// the database's one key space, and every read serves either.
-func WithBackend(kind BackendKind) Option { return func(o *options) { o.backend = kind } }
-
 // WithAccuracy sets the target sampling accuracy the planner sizes for
 // (default 0.9; values above 0.99 are capped).
 func WithAccuracy(a float64) Option { return func(o *options) { o.accuracy = a } }
@@ -115,8 +89,8 @@ func WithTreeDepth(d int) Option { return func(o *options) { o.treeDepth = d } }
 // namespaces). Default false: the full tree is built eagerly.
 func WithPruned(pruned bool) Option { return func(o *options) { o.pruned = pruned } }
 
-// WithDesignSetSize sets the typical stored-set size the planner and
-// backends size for (default 1000).
+// WithDesignSetSize sets the typical stored-set size the planner sizes
+// for (default 1000).
 func WithDesignSetSize(n uint64) Option { return func(o *options) { o.designSetSize = n } }
 
 // WithWorkers sets the goroutine count for parallel tree builds
@@ -125,12 +99,13 @@ func WithDesignSetSize(n uint64) Option { return func(o *options) { o.designSetS
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 
 // Open creates an empty set database over the namespace [0, M),
-// planning the filter profile from the accuracy options and selecting
-// the dynamic-set backend from WithBackend:
+// planning the filter profile from the accuracy options. A key created by
+// a dynamic write (SetDB.AddDynamic, SetDBWrite.Dynamic) holds a counting
+// Bloom filter, and one created by a plain write a Bloom filter; both live
+// in the database's one key space, and every read serves either:
 //
 //	db, err := bloomsample.Open(1_000_000,
 //	        bloomsample.WithAccuracy(0.95),
-//	        bloomsample.WithBackend(bloomsample.BackendCuckoo),
 //	        bloomsample.WithPruned(true))
 func Open(namespace uint64, opts ...Option) (*SetDB, error) {
 	o := buildOptions(opts)
@@ -140,7 +115,6 @@ func Open(namespace uint64, opts ...Option) (*SetDB, error) {
 	}
 	dbo.HashKind = o.hash
 	dbo.Seed = o.seed
-	dbo.Backend = o.backend
 	dbo.Pruned = o.pruned
 	if o.bits != 0 {
 		dbo.Bits = o.bits
@@ -175,21 +149,16 @@ func NewCountingFilterWith(m uint64, k int, opts ...Option) (*CountingFilter, er
 	return bloom.NewCounting(fam), nil
 }
 
-// NewDynamicMembership returns an empty deletable set on the backend
-// selected by WithBackend (default BackendCounting), dimensioned m bits
-// (counting: counters; cuckoo: query-view bits) by k hash functions.
-// WithDesignSetSize hints the cuckoo backend's initial table capacity.
+// NewDynamicMembership returns an empty deletable set: a counting Bloom
+// filter of m counters and k hash functions; WithHash and WithSeed select
+// the family.
 func NewDynamicMembership(m uint64, k int, opts ...Option) (DynamicMembership, error) {
 	o := buildOptions(opts)
 	fam, err := hashfam.New(o.hash, m, k, o.seed)
 	if err != nil {
 		return nil, err
 	}
-	kind := o.backend
-	if kind == "" {
-		kind = BackendCounting
-	}
-	return membership.NewDynamic(kind, fam, o.designSetSize)
+	return membership.FromCounting(bloom.NewCounting(fam)), nil
 }
 
 // NewTreeWith builds the BloomSampleTree for the plan. WithHash and
