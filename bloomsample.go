@@ -86,9 +86,12 @@ type Ops = core.Ops
 // PruneRule selects the reconstruction pruning strategy.
 type PruneRule = core.PruneRule
 
-// Reconstruction pruning strategies: PruneByEstimate is the paper's
-// thresholding heuristic (fast, may trade recall); PruneByAndBits prunes
-// only provably-empty branches (perfect recall, slower).
+// Reconstruction pruning strategies for a library walk (Tree.Reconstruct):
+// PruneByEstimate is the paper's thresholding heuristic (§5.6: fast, and it
+// can lose members, most of all of a set below its design size);
+// PruneByAndBits prunes only provably-empty branches (perfect recall,
+// slower). The server uses neither: a served reconstruction is the filter
+// version's whole table of positives.
 const (
 	PruneByEstimate = core.PruneByEstimate
 	PruneByAndBits  = core.PruneByAndBits

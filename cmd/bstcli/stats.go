@@ -64,7 +64,6 @@ func runStats(args []string) {
 		[2]string{"sample draws lost", num(st.DB.SampleDrawsLost)},
 		[2]string{"estimates", fmt.Sprintf("%d computed, %d remembered", st.DB.EstimatesComputed, st.DB.EstimatesRemembered)},
 		[2]string{"draws", fmt.Sprintf("%d warm, %d descended", st.DB.DrawsWarm, st.DB.DrawsDescended)},
-		[2]string{"reconstructions", fmt.Sprintf("%d warm, %d walked", st.DB.ReconstructsWarm, st.DB.ReconstructsWalked)},
 		[2]string{"positives", fmt.Sprintf("%d scans (%d declined), %d dropped, %d B packed", st.DB.PositivesScans, st.DB.PositivesDeclined, st.DB.PositivesDropped, st.DB.PositivesBytes)},
 		[2]string{"generations", num(st.DB.Generations)},
 		[2]string{"growth epoch", num(st.DB.GrowthEpoch)},

@@ -16,8 +16,7 @@ import (
 // index hangs on the version itself (it is the cold half of the filter's
 // Version, which says where that lives and why nothing evicts or invalidates
 // it). Once the version has paid for a scan of
-// the leaves its draws pick from its Positives and read no estimate; its
-// reconstructions still read every verdict here.
+// the leaves its draws pick from its Positives and read no estimate.
 //
 // The tree side can change under a version: pruned-tree growth swaps node
 // filters. Every remembered pair is therefore filed under the stamps of the
@@ -36,11 +35,10 @@ import (
 // depth 8: 15 pairs, 360 B beside 3.4 KB). Below it a descent computes its
 // estimates, each time.
 //
-// Only SampleVersion and ReconstructVersion read it. Sample, SampleScratch,
-// SampleN and Reconstruct compute what they always computed, so the paper's
-// cost units are not touched, and a remembered pair is the pair of float64s
-// that would have been computed: ids for a given rng state are
-// SampleScratch's, and a walk's verdicts are Reconstruct's.
+// Only SampleVersion reads it. Sample, SampleScratch, SampleN and
+// Reconstruct compute what they always computed, so the paper's cost units
+// are not touched, and a remembered pair is the pair of float64s that would
+// have been computed: ids for a given rng state are SampleScratch's.
 type EstimateIndex struct {
 	tree *Tree
 	// slots[i-1] belongs to the internal node at heap position i.

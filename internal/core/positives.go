@@ -78,8 +78,11 @@ func offsetAt(packed []byte, bit, width uint) uint64 {
 	return v & (1<<width - 1)
 }
 
-// AppendAll appends every positive to out, ascending.
-func (p *Positives) AppendAll(out []uint64) []uint64 { return p.appendBetween(0, math.MaxUint64, out) }
+// AppendAll appends every positive to out, ascending, growing out at most
+// once.
+func (p *Positives) AppendAll(out []uint64) []uint64 {
+	return p.appendBetween(0, math.MaxUint64, slices.Grow(out, p.count))
+}
 
 // AppendRange appends the positives in [lo, hi) to out, ascending: what a
 // scan of a leaf over that range finds, read back.

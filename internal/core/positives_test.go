@@ -123,7 +123,7 @@ func checkExact(t *testing.T, name string, tree *Tree, v *Version, want []uint64
 // scan that pruned a child on §5.6's threshold or on an empty AND would leave
 // ids out, and the filter sizes straddle the budget.
 //
-// The range read a reconstruction is served by is held to the same
+// The range read is held to the same
 // enumeration, not sampled: on one tree of every namespace — its depth and
 // pruning moving with M, so that the tables are dense, sparse and holed —
 // AppendRange(lo, hi) is the enumeration cut to [lo, hi) for every
@@ -387,6 +387,47 @@ func plannedIDs(rng *rand.Rand) []uint64 {
 		ids[i] = x
 	}
 	return ids
+}
+
+// TestPositivesRangeRead holds the range read to the ids filtered, for every
+// [lo, hi) whose ends are an id at either end of a block, or one off it, or
+// one of the ends of the id space (checkBlockEnds) — on tables whose gaps
+// run from one id to 2³³ and to the largest id there is, so that their
+// blocks' widths do too (ids far wider apart than the small namespaces of
+// TestPositivesAreTheTruth, which reads every range there is, can put them).
+func TestPositivesRangeRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	widths := map[uint]bool{}
+	defer func() {
+		if len(widths) < 4 || !widths[64] {
+			t.Errorf("block widths met: %v — want four or more, 64 among them", widths)
+		}
+	}()
+	for _, count := range []int{0, 1, 63, 64, 65, 200} {
+		ids := make([]uint64, count)
+		for i, x := 0, uint64(3); i < count; i++ {
+			x += 1 + uint64(rng.Intn(300))*uint64(rng.Intn(3))
+			if i%7 == 3 {
+				x += 1 << (14 + rng.Intn(20)) // three bytes of gap, to five
+			}
+			ids[i] = x
+		}
+		if count > 1 {
+			ids[count-1] = math.MaxUint64
+		}
+		p := packed(ids)
+		for _, w := range checkPacking(t, p, ids) {
+			widths[w] = true
+		}
+		checkBlockEnds(t, p, ids)
+		below := count // ids below the largest there is, which ends every longer list
+		if count > 1 {
+			below--
+		}
+		if got := p.AppendRange(0, math.MaxUint64, []uint64{9}); len(got) != 1+below || got[0] != 9 {
+			t.Fatalf("%d ids: a read into a slice that holds one id returned %d", count, len(got))
+		}
+	}
 }
 
 // TestPositivesPackingAtTheEdges packs hand-made id lists and checks each by

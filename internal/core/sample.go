@@ -43,16 +43,12 @@ func (t *Tree) SampleScratch(q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch 
 }
 
 // Estimates is the tally of what the draws of one worker of a sampling
-// request, or one reconstruction, cost and where they were served from.
+// request cost and where they were served from.
 type Estimates struct {
 	// Computed counts the estimates the calls handed this value computed
 	// (what Ops.Intersections counts), Remembered those they read back from
 	// the version's index instead.
 	Computed, Remembered uint64
-	// Tested counts the ids the calls tested at their leaves, probes fired
-	// and ranges scanned (what Ops.Memberships counts): what a served draw
-	// pays its Version.
-	Tested uint64
 	// Picked counts the draws that were picks from the version's positives:
 	// they read no estimate and tested no id.
 	Picked uint64
@@ -105,7 +101,6 @@ func (t *Tree) SampleVersion(q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch 
 	x, ok := t.sampleNode(root, &d)
 	tally.Computed += d.computed
 	tally.Remembered += d.remembered
-	tally.Tested += d.tested
 	served.Pay(d.tested)
 	if !ok {
 		return 0, d.scratch, ErrNoSample
@@ -120,8 +115,9 @@ type descent struct {
 	ops     *Ops
 	scratch []uint64
 	index   *EstimateIndex
-	// Estimates computed and read back, and ids tested at leaves, so far;
-	// see Estimates.
+	// Estimates computed and read back so far (see Estimates), and the ids
+	// tested at leaves: probes fired and ranges scanned, what Ops.Memberships
+	// counts and what the draw pays its Version.
 	computed, remembered, tested uint64
 }
 

@@ -17,27 +17,27 @@ import (
 //
 // It has a cold half and a warm one. Cold, a draw is Algorithm 1's descent
 // and what is remembered is estimates: the EstimateIndex. Warm, the version
-// holds its Positives too: a draw is a uniform pick among them, and §6's
-// walk (ReconstructVersion) takes its verdicts from the index and its leaves
-// from the table — which is why a warm version keeps its index. SampleVersion
-// and ReconstructVersion are the two requests served from it; Exact is the
-// table itself, for a caller that needs exactly uniform draws from the first.
+// holds its Positives too, and a draw is a uniform pick among them.
+// SampleVersion is the request served from it. Exact is the table itself, for
+// a caller that needs every positive from the first: an exactly uniform
+// draw, or a served reconstruction, which is §6's S ∪ S(B) over the leaves
+// and so the whole table.
 //
 // The move from one to the other is ski-rental in the paper's own cost unit
 // (§5.4: memberships). Every served draw reports the ids it tested at its
-// leaf, every served reconstruction the ids it is about to test in the
-// leaves it reached (Pay); a scan of the leaves tests the ids they hold
-// between them (Tree.LeafIDs: the namespace on a full tree, the occupied
-// leaf ranges on a pruned one), so that is the price, and the payment that
-// takes the version's total past it runs the scan, once, inline, while
-// everyone else keeps descending. A version therefore never tests more than
-// twice the ids its best offline choice would have: a key written every few
-// draws (hundreds of ids tested a version against a price of 10⁵) never
-// scans, a read-mostly key always does, and no clock or tunable decides
-// which. The table is kept only if it fits in the bytes of the version's own
-// bit vector (≈ 0.61 of them at the planned sizes); a filter so full that
-// its positives outweigh it declines once and stays on the descent, unless it
-// is asked for Exact draws, which scan each time.
+// leaf (Pay); a scan of the leaves tests the ids they hold between them
+// (Tree.LeafIDs: the namespace on a full tree, the occupied leaf ranges on a
+// pruned one), so that is the price, and the payment that takes the
+// version's total past it runs the scan, once, inline, while everyone else
+// keeps descending. A version therefore never tests more than twice the ids
+// its best offline choice would have: a key written every few draws
+// (hundreds of ids tested a version against a price of 10⁵) never scans, a
+// read-mostly key always does, and no clock or tunable decides which. A
+// caller of Exact pays whatever is left of the price at once. The table is
+// kept only if it fits in the bytes of the version's own bit vector (≈ 0.61
+// of them at the planned sizes); a filter so full that its positives
+// outweigh it declines once and stays on the descent, and each call of
+// Exact on it scans.
 type Version struct {
 	tree *Tree
 	q    *bloom.Filter
@@ -138,12 +138,10 @@ func (v *Version) Positives() *Positives {
 	return p
 }
 
-// Pay adds the ids a served draw tested at its leaf, or a served
-// reconstruction is about to test in its leaves, to what the version has
+// Pay adds the ids a served draw tested at its leaf to what the version has
 // spent without a table, and runs the scan if this payment is the one that
 // takes the total past the price. Callers that count Ops neither pay nor are
-// served from the table (SampleVersion pays for none of theirs, and a counted
-// walk's is the nil version, which takes nothing).
+// served from the table (SampleVersion pays for none of theirs).
 func (v *Version) Pay(tested uint64) {
 	if v == nil || tested == 0 || v.rent.Add(tested) < v.tree.LeafIDs() ||
 		v.pos.Load() != nil || !v.scanning.TryLock() {
@@ -154,7 +152,8 @@ func (v *Version) Pay(tested uint64) {
 }
 
 // Exact returns the table an exactly uniform draw from the version picks
-// from — Select(rng.Intn(Len())) — whatever the version has paid so far: a
+// from — Select(rng.Intn(Len())) — and a served reconstruction reads whole
+// (AppendAll), whatever the version has paid so far: a
 // version still renting pays the rest of the price now and scans, or waits
 // for the scan already under way rather than running a second; one whose
 // table was dropped because the tree grew a leaf scans again; and one that

@@ -147,13 +147,11 @@ func (s *Server) collectMetrics() *obs.Exposition {
 	e.Counter("bst_db_state_publishes_total", "Shard-state snapshot publishes (group commit coalesces writes).", float64(st.StatePublishes))
 	e.Counter("bst_db_state_bytes_copied_total", "Bytes copied by the copy-on-write write path.", float64(st.StateBytesCopied))
 	e.Counter("bst_db_sample_draws_lost_total", "Batch sample draws that ended on a false-positive path (requested minus returned).", float64(st.SampleDrawsLost))
-	e.Counter("bst_db_estimates_computed_total", "Intersection estimates computed by sampling and reconstruction requests.", float64(st.EstimatesComputed))
-	e.Counter("bst_db_estimates_remembered_total", "Intersection estimates sampling and reconstruction requests read back from a filter version's index instead of computing them.", float64(st.EstimatesRemembered))
+	e.Counter("bst_db_estimates_computed_total", "Intersection estimates computed by sampling requests.", float64(st.EstimatesComputed))
+	e.Counter("bst_db_estimates_remembered_total", "Intersection estimates sampling requests read back from a filter version's index instead of computing them.", float64(st.EstimatesRemembered))
 	e.Counter("bst_db_draws_warm_total", "Sample draws that were uniform picks from a filter version's packed positives (a uniform request's, every one; a default request's once the version has scanned).", float64(st.DrawsWarm))
 	e.Counter("bst_db_draws_descended_total", "Sample draws that were descents of the sampling tree (lost ones included).", float64(st.DrawsDescended))
-	e.Counter("bst_db_reconstructs_warm_total", "Reconstructions whose leaves were all read from a filter version's packed positives.", float64(st.ReconstructsWarm))
-	e.Counter("bst_db_reconstructs_walked_total", "Reconstructions that scanned their leaves (the version had no packed positives to read).", float64(st.ReconstructsWalked))
-	e.Counter("bst_db_positives_scans_total", "Leaf scans run by filter versions: once their requests had tested as many ids as the scan would, or for a uniform request, which does not wait.", float64(st.PositivesScans))
+	e.Counter("bst_db_positives_scans_total", "Leaf scans run by filter versions: once their requests had tested as many ids as the scan would, or for a uniform request or a reconstruction, which do not wait.", float64(st.PositivesScans))
 	e.Counter("bst_db_positives_declined_total", "Leaf scans that kept nothing because the packed positives outgrew the filter version's own bytes.", float64(st.PositivesDeclined))
 	e.Counter("bst_db_positives_dropped_total", "Packed-positives tables dropped because the pruned sampling tree grew a leaf under them.", float64(st.PositivesDropped))
 	e.Counter("bst_db_positives_bytes_total", "Bytes of every packed-positives table kept (cumulative; tables die with their filter version).", float64(st.PositivesBytes))

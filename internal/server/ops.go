@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/bloom"
-	"repro/internal/core"
 	"repro/internal/setdb"
 	"repro/internal/wal"
 )
@@ -221,19 +220,14 @@ type ReconstructResponse struct {
 
 // reconstruct pins the published filter version, bounds the response (a
 // reconstruction buffers the whole set in memory, so it obeys the same
-// cap as a buffered sample batch) and walks the tree. The cap is checked
+// cap as a buffered sample batch) and answers with every positive of the
+// version: §6's S ∪ S(B) over the tree's leaves, every stored id among them.
+// That is the version's packed positives (core.Version.Exact), which the
+// first request on a version pays for with one scan of the leaves and every
+// later one reads back (setdb.AppendReconstructFrom). The cap is checked
 // twice: on the cardinality estimate, so that a set far over it is refused
-// before the walk is paid for, and on the ids the walk returned, which
-// hold the filter's false positives too and are what the cap promises to
-// bound.
-//
-// It is the paper's traversal (§6) and answers with exactly its ids — the
-// thresholded walk drops leaves that hold only false positives, which the
-// version's whole table of packed positives (core.Version) would not — but
-// it does not compute again what the pinned version already knows: verdicts
-// are read from the version's estimate index, and the surviving leaves from
-// the table once the version has paid for it, this request's leaves counting
-// toward the price (setdb.AppendReconstructFrom).
+// before the scan is paid for, and on the ids returned, which hold the
+// filter's false positives too and are what the cap promises to bound.
 //
 // The ids are appended into buf, which the codec took from the pool and
 // gives back once it has written the reply: the response's IDs are buf's.
@@ -253,7 +247,7 @@ func (s *Server) reconstruct(req ReconstructRequest, buf *idBuf) (ReconstructRes
 	if err := overCap(f.EstimateCardinality()); err != nil {
 		return ReconstructResponse{}, err
 	}
-	buf.ids, err = db.AppendReconstructFrom(buf.ids[:0], f, core.PruneByEstimate, nil)
+	buf.ids, err = db.AppendReconstructFrom(buf.ids[:0], f)
 	if err != nil {
 		return ReconstructResponse{}, err
 	}

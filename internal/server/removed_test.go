@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/membership"
 	"repro/internal/setdb"
 	"repro/internal/wire"
@@ -21,9 +20,11 @@ import (
 // the request pinned, never an id removed before it. A removable key of 100
 // ids has half of them removed, on a seed where no removed id is a false
 // positive of what is left; then through the library, HTTP and binary a cold
-// reconstruction, a cold default draw, a stream (NDJSON or binary) that goes
-// warm on its way, the draws that pay for the version's scan, a warm default
-// draw, a uniform draw and a warm reconstruction each serve zero removed ids.
+// default draw, a stream (NDJSON or binary) that goes warm on its way, the
+// draws that pay for the version's scan, a warm default draw, a uniform draw
+// and a reconstruction each serve zero removed ids. (A reconstruction comes
+// last because it pays for the scan itself; TestServedReconstructIsTheSet
+// holds the one that scans to the version's positives.)
 // (A backend whose query view kept removed ids, on this key, served a removed
 // id in 1 903 of 4 000 cold default draws, and 22 among the 47 ids of its
 // reconstruction.)
@@ -116,7 +117,7 @@ func TestRemovedIdsAreNeverServed(t *testing.T) {
 				t.Helper()
 				switch via {
 				case "library":
-					got, err := db.ReconstructFrom(db.Filter("r"), core.PruneByEstimate, nil)
+					got, err := db.AppendReconstructFrom(nil, db.Filter("r"))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -135,7 +136,6 @@ func TestRemovedIdsAreNeverServed(t *testing.T) {
 				return got
 			}
 
-			served("cold reconstruction", reconstruct())
 			served("cold draw", sample(64, false))
 			if st := db.Stats(); st.DrawsWarm != 0 || st.DrawsDescended == 0 {
 				t.Fatalf("the first draw was not cold: %d warm, %d descended", st.DrawsWarm, st.DrawsDescended)
@@ -165,7 +165,7 @@ func TestRemovedIdsAreNeverServed(t *testing.T) {
 				t.Fatalf("%d of the %d draws on a paid-up version were warm", warm, draws)
 			}
 			served("uniform draw", sample(draws, true))
-			served("warm reconstruction", reconstruct())
+			served("reconstruction", reconstruct())
 		})
 	}
 }

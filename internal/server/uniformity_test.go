@@ -4,34 +4,53 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/membership"
 	"repro/internal/setdb"
 	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
+// servedM is the namespace of the databases these tests serve: small enough
+// to enumerate one Contains at a time.
+const servedM = 20_000
+
 // uniformityServer serves, over both protocols, a full-tree database planned
-// for the paper's accuracy 0.9 at M = 20 000 holding one key "s" of n ids on
+// for the paper's accuracy 0.9 at servedM holding one key "s" of n ids on
 // the given backend. It returns the server, its HTTP front, a binary client
 // and the key's positives: every id of the namespace its published query view
 // answers for, one Contains at a time.
 func uniformityServer(t *testing.T, backend membership.Kind, seed int64, n int, cfg Config) (*Server, *httptest.Server, *wire.Client, map[uint64]int) {
 	t.Helper()
-	const M = 20_000
-	opts, err := setdb.PlanOptions(0.9, uint64(n), M, 3)
+	srv, ts, bin, _ := servedKey(t, backend, seed, uint64(n), n, false, cfg)
+	f := srv.DB().Filter("s")
+	cell := map[uint64]int{}
+	for x := uint64(0); x < servedM; x++ {
+		if f.Contains(x) {
+			cell[x] = len(cell)
+		}
+	}
+	return srv, ts, bin, cell
+}
+
+// servedKey serves, over both protocols, a database planned for the paper's
+// accuracy 0.9 for design ids at servedM — on a full tree, or on one pruned
+// to the leaves its ids occupy — holding one key "s" of n ids on the given
+// backend. It returns the server, its HTTP front, a binary client and the
+// ids stored.
+func servedKey(t *testing.T, backend membership.Kind, seed int64, design uint64, n int, pruned bool, cfg Config) (*Server, *httptest.Server, *wire.Client, []uint64) {
+	t.Helper()
+	opts, err := setdb.PlanOptions(0.9, design, servedM, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Seed = uint64(seed)
+	opts.Pruned = pruned
 	if backend != membership.KindBloom {
 		opts.Backend = backend
 	}
@@ -42,7 +61,7 @@ func uniformityServer(t *testing.T, backend membership.Kind, seed int64, n int, 
 	data := rand.New(rand.NewSource(seed))
 	ids := make([]uint64, n)
 	for i := range ids {
-		ids[i] = uint64(data.Intn(M))
+		ids[i] = uint64(data.Intn(servedM))
 	}
 	if err := db.AddMany(setdb.Write{Key: "s", IDs: ids, Dynamic: backend != membership.KindBloom}); err != nil {
 		t.Fatal(err)
@@ -50,14 +69,7 @@ func uniformityServer(t *testing.T, backend membership.Kind, seed int64, n int, 
 	srv := New(db, cfg)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	f := db.Filter("s")
-	cell := map[uint64]int{}
-	for x := uint64(0); x < M; x++ {
-		if f.Contains(x) {
-			cell[x] = len(cell)
-		}
-	}
-	return srv, ts, dialTestClient(t, serveBinaryForTest(t, srv)), cell
+	return srv, ts, dialTestClient(t, serveBinaryForTest(t, srv)), ids
 }
 
 // TestServedDefaultDrawPassesTable5 holds the default sampling path — no
@@ -259,93 +271,5 @@ func TestStreamGoingWarmKeepsItsVersion(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestServedReconstructIsTheWalk holds /v1/reconstruct and the binary
-// Reconstruct, on every backend, to §6's walk as a caller with no version
-// runs it (core.Tree.Reconstruct on the pinned view): the same ids — over
-// HTTP the same bytes — while the key's version is cold, on the request that
-// pays for its scan and once it is warm, with the counters saying which was
-// which; and a write to the key (an add, and on the counting backend the
-// remove that undoes it) starts its successor cold and as correct.
-func TestServedReconstructIsTheWalk(t *testing.T) {
-	for _, backend := range []membership.Kind{membership.KindBloom, membership.KindCounting} {
-		t.Run(string(backend), func(t *testing.T) {
-			srv, ts, bin, _ := uniformityServer(t, backend, 5, 200, Config{})
-			db := srv.DB()
-			// check reconstructs the key's published version through both
-			// codecs and returns the HTTP reply.
-			check := func(when string) string {
-				t.Helper()
-				want, err := db.Tree().Reconstruct(db.Filter("s"), core.PruneByEstimate, nil)
-				if err != nil || len(want) < 50 {
-					t.Fatalf("%s: the walk returns %d ids, err %v", when, len(want), err)
-				}
-				resp, err := http.Post(ts.URL+"/v1/reconstruct", "application/json", strings.NewReader(`{"key":"s"}`))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer resp.Body.Close()
-				body, err := io.ReadAll(resp.Body)
-				if err != nil || resp.StatusCode != 200 {
-					t.Fatalf("%s: status %d, err %v", when, resp.StatusCode, err)
-				}
-				wantBody, _ := json.Marshal(ReconstructResponse{Key: "s", Count: len(want), IDs: want})
-				if string(body) != string(wantBody)+"\n" {
-					t.Fatalf("%s: /v1/reconstruct answered %d bytes, the walk encodes to %d", when, len(body), len(wantBody)+1)
-				}
-				ids, err := bin.Reconstruct("s", false)
-				if err != nil || !slices.Equal(ids, want) {
-					t.Fatalf("%s: the binary reply holds %d ids, the walk %d (err %v)", when, len(ids), len(want), err)
-				}
-				return string(body)
-			}
-			cold := check("cold")
-			for i := 0; db.Stats().PositivesScans == 0; i++ {
-				if i == 100 {
-					t.Fatal("the key never paid for its scan")
-				}
-				check("renting")
-			}
-			before := db.Stats()
-			if before.PositivesScans != 1 || before.ReconstructsWalked == 0 || before.ReconstructsWarm == 0 {
-				t.Fatalf("going warm: %d scans, %d reconstructions walked, %d warm", before.PositivesScans, before.ReconstructsWalked, before.ReconstructsWarm)
-			}
-			if warm := check("warm"); warm != cold {
-				t.Fatal("the warm reply differs from the cold one")
-			}
-			st := db.Stats()
-			if st.ReconstructsWarm-before.ReconstructsWarm != 2 || st.ReconstructsWalked != before.ReconstructsWalked ||
-				st.EstimatesComputed != before.EstimatesComputed || st.PositivesScans != 1 {
-				t.Fatalf("two requests on a warm version: %d warm, %d walked, %d estimates computed, %d scans",
-					st.ReconstructsWarm-before.ReconstructsWarm, st.ReconstructsWalked-before.ReconstructsWalked,
-					st.EstimatesComputed-before.EstimatesComputed, st.PositivesScans)
-			}
-
-			// A write publishes a successor that knows nothing yet.
-			writes := [][2]string{{"/v1/add", fmt.Sprintf(`{"key":"s","ids":[7],"dynamic":%v}`, backend != membership.KindBloom)}}
-			if backend == membership.KindCounting {
-				writes = append(writes, [2]string{"/v1/remove", `{"key":"s","ids":[7]}`})
-			}
-			for _, write := range writes {
-				path := write[0]
-				if code := post(t, ts, path, write[1], nil); code != 200 {
-					t.Fatalf("%s: status %d", path, code)
-				}
-				if db.Tree().VersionFor(db.Filter("s")).Positives() != nil {
-					t.Fatalf("the version %s published was born warm", path)
-				}
-				walked := db.Stats().ReconstructsWalked
-				after := check("after " + path)
-				// The add shows; the remove takes it back.
-				if (after == cold) != (path == "/v1/remove") {
-					t.Fatalf("the reply after %s: same as before the writes: %v", path, after == cold)
-				}
-				if db.Stats().ReconstructsWalked == walked {
-					t.Fatalf("the successor of %s scanned no leaf", path)
-				}
-			}
-		})
 	}
 }

@@ -1,6 +1,7 @@
 package setdb
 
 import (
+	"slices"
 	"strconv"
 	"testing"
 
@@ -220,62 +221,70 @@ func BenchmarkSampleManyVersion(b *testing.B) {
 	}
 }
 
-// BenchmarkReconstructVersion times one reconstruction on the two halves of
-// a filter version's life, on the benchmark's batch shape (M = 10⁶, depth 7,
-// every leaf live) and point shape (M = 10⁵, depth 8): cold, §6's walk with
-// every verdict computed and every surviving leaf scanned — what a caller
-// counting Ops is owed, and what every request paid before versions — and
-// warm, the verdicts read from the version's estimate index and the leaves
-// from its packed positives — and first, what the request that meets a
-// fresh version pays on the way from one to the other (a clone of the
-// filter each iteration: estimates where cold computes verdicts, and on the
-// batch shape, where every leaf survives, the version's one unpruned scan
-// and its packing in place of the walk's scan) — and warm-into, warm
-// appending to the slice the previous call returned, as the server's pooled
-// result does. Run it at -cpu 1 with -benchmem: the warm side's one
-// allocation is the result, and warm-into has none.
+// BenchmarkReconstructVersion times one reconstruction of a key on the
+// benchmark's batch shape (M = 10⁶, depth 7) and point shape (M = 10⁵,
+// depth 8), each with a key of the design size, and the point shape with a
+// key of design/40 too (25 ids, where §5.6's threshold loses most of a set):
+// walk, §6's walk under PruneByAndBits counting Ops — the library's complete
+// walk, for scale — and the served call (AppendReconstructFrom) in three
+// arms: first, what the request that meets a fresh version pays (a clone of
+// the filter each iteration: the version's one scan and its packing, then
+// the read); warm, the table read back; and warm-into, warm appending to
+// the slice the previous call returned, as the server's pooled result does.
+// Every arm returns every stored id. Run it at -cpu 1 with -benchmem: the
+// warm side's one allocation is the result, and warm-into has none.
 func BenchmarkReconstructVersion(b *testing.B) {
 	for _, shape := range []struct {
 		name               string
 		setSize, namespace uint64
-		keys               int
+		keys, stored       int
 	}{
-		{"batch", 10_000, 1_000_000, 16},
-		{"point", 1_000, 100_000, 50},
+		{"batch", 10_000, 1_000_000, 16, 10_000},
+		{"point", 1_000, 100_000, 50, 1_000},
+		{"point-n25", 1_000, 100_000, 50, 25},
 	} {
-		db, _ := openShape(b, shape.setSize, shape.namespace, shape.keys, int(shape.setSize), false)
-		// Two calls are enough on either shape: what the first pays is most
-		// of the price, and the second answers from the table.
-		for i := 0; i < 2; i++ {
-			if _, err := db.Reconstruct("k3", core.PruneByEstimate, nil); err != nil {
-				b.Fatal(err)
+		db, ids := openShape(b, shape.setSize, shape.namespace, shape.keys, int(shape.setSize), false)
+		// The key holds ids the tree's leaves already cover: no growth.
+		stored := slices.Clone(ids[3][:shape.stored])
+		if err := db.AddMany(Write{Key: "r", IDs: stored}); err != nil {
+			b.Fatal(err)
+		}
+		f := db.Filter("r")
+		served, err := db.AppendReconstructFrom(nil, f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, x := range stored {
+			if _, found := slices.BinarySearch(served, x); !found {
+				b.Fatalf("stored id %d is not among the %d served", x, len(served))
 			}
 		}
-		if st := db.Stats(); st.ReconstructsWarm == 0 {
-			b.Fatalf("the version never went warm: %+v", st)
-		}
-		for _, side := range []struct {
-			name        string
-			ops         *core.Ops
-			fresh, into bool
-		}{{"cold", new(core.Ops), false, false}, {"first", nil, true, false}, {"warm", nil, false, false}, {"warm-into", nil, false, true}} {
-			b.Run(shape.name+"/"+side.name, func(b *testing.B) {
+		slices.Sort(stored)
+		floor := len(slices.Compact(stored)) // every stored id
+		for _, side := range []string{"walk", "first", "warm", "warm-into"} {
+			b.Run(shape.name+"/"+side, func(b *testing.B) {
 				b.ReportAllocs()
-				f := db.Filter("k3")
+				f := f
 				var dst []uint64
-				if side.into { // a slice that has served a request already
-					dst, _ = db.AppendReconstructFrom(nil, f, core.PruneByEstimate, nil)
+				if side == "warm-into" { // a slice that has served a request already
+					dst = slices.Clone(served)
 					b.ResetTimer()
 				}
+				var ops core.Ops
 				for i := 0; i < b.N; i++ {
-					if side.fresh {
+					var ids []uint64
+					var err error
+					switch side {
+					case "walk":
+						ids, err = db.tree.Reconstruct(f, core.PruneByAndBits, &ops)
+					case "first":
 						f = f.Clone()
+						fallthrough
+					default:
+						ids, err = db.AppendReconstructFrom(dst[:0], f)
 					}
-					ids, err := db.AppendReconstructFrom(dst[:0], f, core.PruneByEstimate, side.ops)
-					// The threshold may prune a sparse live leaf (§5.6): most of
-					// the set, not all of it.
-					if err != nil || len(ids) < int(shape.setSize)/2 {
-						b.Fatalf("%d ids, err %v", len(ids), err)
+					if err != nil || len(ids) < floor {
+						b.Fatalf("%d ids of %d stored, err %v", len(ids), floor, err)
 					}
 				}
 			})

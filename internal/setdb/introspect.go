@@ -75,11 +75,10 @@ type DBStats struct {
 	// comes back short is explained here and nowhere else.
 	SampleDrawsLost uint64 `json:"sample_draws_lost"`
 	// EstimatesComputed counts the intersection estimates the same requests
-	// and the reconstructions served (ReconstructFrom) computed,
-	// EstimatesRemembered those they read back instead from the estimate
-	// index that lives on a filter version (core.EstimateIndex). Remembered ÷
-	// (computed + remembered) is the share of the descent's dominant cost
-	// that was not paid.
+	// computed, EstimatesRemembered those they read back instead from the
+	// estimate index that lives on a filter version (core.EstimateIndex).
+	// Remembered ÷ (computed + remembered) is the share of the descent's
+	// dominant cost that was not paid.
 	EstimatesComputed   uint64 `json:"estimates_computed"`
 	EstimatesRemembered uint64 `json:"estimates_remembered"`
 	// DrawsWarm counts the draws of those requests that were uniform picks
@@ -90,20 +89,16 @@ type DBStats struct {
 	// share is how much of the sampling traffic the index still serves.
 	DrawsWarm      uint64 `json:"draws_warm"`
 	DrawsDescended uint64 `json:"draws_descended"`
-	// ReconstructsWarm counts the reconstructions whose leaves were all read
-	// from a filter version's packed positives (no id tested),
-	// ReconstructsWalked those that scanned their leaves: a version still
-	// renting or declined, and every caller that counts Ops.
-	ReconstructsWarm   uint64 `json:"reconstructs_warm"`
-	ReconstructsWalked uint64 `json:"reconstructs_walked"`
 	// PositivesScans counts the leaf scans filter versions have run to find
 	// their positives (one per version, once its draws had tested as many
-	// ids as the scan would or at its first exact draw; one per exact request
-	// on a version that declined), PositivesDeclined those of them that kept
-	// nothing because the table outgrew the version's own bytes,
-	// PositivesDropped the tables dropped because the pruned tree grew a
-	// leaf under them, and PositivesBytes the bytes of every table kept
-	// (dropped and garbage ones included: it only grows).
+	// ids as the scan would, or at its first exact draw or served
+	// reconstruction; one per such request on a version that declined): a
+	// served reconstruction either reads a table kept or is counted here.
+	// PositivesDeclined counts those of them that kept nothing because the
+	// table outgrew the version's own bytes, PositivesDropped the tables
+	// dropped because the pruned tree grew a leaf under them, and
+	// PositivesBytes the bytes of every table kept (dropped and garbage ones
+	// included: it only grows).
 	PositivesScans    uint64 `json:"positives_scans"`
 	PositivesDeclined uint64 `json:"positives_declined"`
 	PositivesDropped  uint64 `json:"positives_dropped"`
@@ -163,8 +158,6 @@ func (db *DB) Stats() DBStats {
 		EstimatesRemembered: db.estimatesRemembered.Load(),
 		DrawsWarm:           db.drawsWarm.Load(),
 		DrawsDescended:      db.drawsDescended.Load(),
-		ReconstructsWarm:    db.reconstructsWarm.Load(),
-		ReconstructsWalked:  db.reconstructsWalked.Load(),
 		Generations:         db.gen.Load(),
 		TreeNodes:           db.tree.Nodes(),
 		TreeDepth:           db.tree.Depth(),

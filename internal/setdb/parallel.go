@@ -20,8 +20,10 @@ import (
 // filter's core.Version, which hangs on the filter itself, outlives the
 // request and is read without a lock — its positives once it has paid for
 // them, its estimate index until then. What a draw is served from, and when
-// a version scans, is core's to decide (Tree.SampleVersion, Version.Exact,
-// Tree.ReconstructVersion); this file pins, fans out and counts.
+// a version scans, is core's to decide (Tree.SampleVersion, Version.Exact);
+// a served reconstruction is the version's whole table of positives
+// (AppendReconstructFrom), paid for at its first request. This file pins,
+// fans out and counts.
 
 // SampleMany draws n samples from the set under key using up to
 // GOMAXPROCS goroutines; their order is unspecified. A filter version that
@@ -66,41 +68,21 @@ func (db *DB) SampleManyFrom(f *bloom.Filter, n, workers int, ops *core.Ops) ([]
 	return db.sampleManyFilter(f, n, workers, ops)
 }
 
-// ReconstructFrom reconstructs one caller-held immutable filter version
-// (obtained from Filter) by §6's walk, reading back what the version already
-// knows (core.Tree.ReconstructVersion): its verdicts from the estimate index,
-// its leaves from the packed positives once the version has paid for them —
-// and this request's leaves are part of the payment. The ids are those of
-// tree.Reconstruct(f, rule, nil) either way. A caller that passes ops gets
-// the walk it is counting, every verdict computed and every leaf scanned.
-func (db *DB) ReconstructFrom(f *bloom.Filter, rule core.PruneRule, ops *core.Ops) ([]uint64, error) {
-	return db.AppendReconstructFrom(nil, f, rule, ops)
-}
-
-// AppendReconstructFrom is ReconstructFrom appending its ids to dst
-// (core.Tree.AppendReconstruct): a server that keeps the slice between
-// requests pays for no result once it has grown to the sets it serves. On an
-// error dst comes back as it was.
-func (db *DB) AppendReconstructFrom(dst []uint64, f *bloom.Filter, rule core.PruneRule, ops *core.Ops) ([]uint64, error) {
-	if f == nil {
-		return dst, fmt.Errorf("%w (nil filter)", ErrNoSet)
-	}
-	var v *core.Version // a counted walk's stays nil
-	if ops == nil {
-		v = db.tree.VersionFor(f)
-	}
-	ids, tally, err := db.tree.AppendReconstruct(dst, f, rule, ops, v)
+// AppendReconstructFrom appends to dst the reconstruction of one caller-held
+// immutable filter version (obtained from Filter): every id of the tree's
+// leaves the version answers for, ascending — §6's S ∪ S(B), every stored id
+// among them. That is the version's packed positives (core.Version.Exact),
+// which a version that has not scanned for them yet pays for here, once, as
+// SampleExactFrom's first draw does; every later request on the version reads
+// them back. A server that keeps dst between requests pays for no result
+// once it has grown to the sets it serves. On an error dst comes back as it
+// was.
+func (db *DB) AppendReconstructFrom(dst []uint64, f *bloom.Filter) ([]uint64, error) {
+	p, err := db.exact(f)
 	if err != nil {
 		return dst, err
 	}
-	addSome(&db.estimatesComputed, tally.Computed)
-	addSome(&db.estimatesRemembered, tally.Remembered)
-	if tally.Tested == 0 {
-		db.reconstructsWarm.Add(1)
-	} else {
-		db.reconstructsWalked.Add(1)
-	}
-	return ids, nil
+	return p.AppendAll(dst), nil
 }
 
 // SampleExactFrom draws n exactly uniform samples (with replacement) from one
@@ -112,20 +94,35 @@ func (db *DB) AppendReconstructFrom(dst []uint64, f *bloom.Filter, rule core.Pru
 // worth. Fewer than n results — none — means the version answers for no id
 // of any leaf.
 func (db *DB) SampleExactFrom(f *bloom.Filter, n int) ([]uint64, error) {
-	if f == nil {
-		return nil, fmt.Errorf("%w (nil filter)", ErrNoSet)
+	if n <= 0 {
+		return nil, db.checkFilter(f)
 	}
-	if err := f.MatchesFamily(db.fam); err != nil {
+	p, err := db.exact(f)
+	if err != nil {
 		return nil, err
 	}
-	if n <= 0 {
-		return nil, nil
+	return db.pickFrom(p, n), nil
+}
+
+// checkFilter refuses a nil filter version and one of another hash family.
+func (db *DB) checkFilter(f *bloom.Filter) error {
+	if f == nil {
+		return fmt.Errorf("%w (nil filter)", ErrNoSet)
+	}
+	return f.MatchesFamily(db.fam)
+}
+
+// exact returns the packed positives of the filter version f on the
+// database's tree (core.Version.Exact), scanning for them if nobody has yet.
+func (db *DB) exact(f *bloom.Filter) (*core.Positives, error) {
+	if err := db.checkFilter(f); err != nil {
+		return nil, err
 	}
 	p := db.tree.VersionFor(f).Exact()
 	if p == nil {
-		return nil, errors.New("setdb: the filter has no version on this tree to draw exactly from")
+		return nil, errors.New("setdb: the filter has no version on this tree to read its positives from")
 	}
-	return db.pickFrom(p, n), nil
+	return p, nil
 }
 
 // pickFrom makes n picks from the packed positives p on a pooled worker
@@ -307,9 +304,10 @@ func addSome(c *atomic.Uint64, d uint64) {
 	}
 }
 
-// ReconstructAll reconstructs every set in the database using up to
-// workers goroutines (0 means GOMAXPROCS), returning key → reconstructed
-// set. Keys deleted while the scan runs are silently skipped. Each
+// ReconstructAll reconstructs every set in the database by §6's walk under
+// rule (Reconstruct) using up to workers goroutines (0 means GOMAXPROCS),
+// returning key → reconstructed set. Keys deleted while the scan runs are
+// silently skipped. Each
 // reconstruction is read-only, so the workers proceed without serializing
 // against concurrent samplers.
 func (db *DB) ReconstructAll(rule core.PruneRule, workers int) (map[string][]uint64, error) {

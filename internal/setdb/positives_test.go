@@ -1,6 +1,7 @@
 package setdb
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -311,72 +312,82 @@ func TestReadMostlyKeyScansOnce(t *testing.T) {
 	}
 }
 
-// TestReconstructFromServesTheVersion: a reconstruction through the database
-// returns §6's walk whoever asks, and what it costs depends on who. A caller
-// that counts Ops gets the walk it counts — every verdict, every surviving
-// leaf scanned — and leaves the version as cold as it found it. A caller that
-// does not pays the version the leaves it scans, goes warm on the call that
-// has paid a scan's worth — the second at the latest when most leaves
-// survive, which is ski-rental's bound — and from then on computes nothing
-// and tests nothing. ReconstructAll is the same call per key.
+// TestReconstructFromServesTheVersion: a served reconstruction
+// (AppendReconstructFrom) is every positive of the version's leaves — the
+// enumeration, every stored id among them, and §6's walk under either rule
+// inside it — appended to what dst holds. The first call on a version pays
+// for its one scan; the second scans nothing and answers the same. Reconstruct
+// and ReconstructAll are the library's walk, counted as the walk counts, and
+// neither scans nor computes an estimate on the version's account. A nil
+// filter and one of another profile are refused, with dst as it was.
 func TestReconstructFromServesTheVersion(t *testing.T) {
-	db, _ := openShape(t, 1_000, 100_000, 4, 1_000, false)
+	db, ids := openShape(t, 1_000, 100_000, 4, 1_000, false)
 	f := db.Filter("k1")
-	want, err := db.tree.Reconstruct(f, core.PruneByEstimate, nil)
-	if err != nil || len(want) < 500 {
-		t.Fatalf("the walk returns %d ids, err %v", len(want), err)
+	want := leafPositives(db, f, ids...)
+	for _, x := range ids[1] {
+		if _, found := slices.BinarySearch(want, x); !found {
+			t.Fatalf("stored id %d is not among the version's %d positives", x, len(want))
+		}
 	}
 	var counted, again core.Ops
-	if _, err := db.tree.Reconstruct(f, core.PruneByEstimate, &counted); err != nil {
+	walk, err := db.tree.Reconstruct(f, core.PruneByEstimate, &counted)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		again = core.Ops{}
-		got, err := db.ReconstructFrom(f, core.PruneByEstimate, &again)
-		if err != nil || !slices.Equal(got, want) || again != counted {
-			t.Fatalf("a counted reconstruction: %d ids counting %v, the walk %d counting %v (err %v)", len(got), &again, len(want), &counted, err)
-		}
+	if got, err := db.Reconstruct("k1", core.PruneByEstimate, &again); err != nil || !slices.Equal(got, walk) || again != counted {
+		t.Fatalf("Reconstruct: %d ids counting %v, the walk %d counting %v (err %v)", len(got), &again, len(walk), &counted, err)
 	}
-	v := db.tree.VersionFor(f)
-	if st := db.Stats(); st.ReconstructsWalked != 3 || st.ReconstructsWarm != 0 || st.PositivesScans != 0 || st.EstimatesComputed != 0 || v.Positives() != nil {
-		t.Fatalf("three counted reconstructions: %d walked, %d warm, %d scans, %d estimates on the version's account", st.ReconstructsWalked, st.ReconstructsWarm, st.PositivesScans, st.EstimatesComputed)
+	if st := db.Stats(); st.PositivesScans != 0 || st.EstimatesComputed != 0 {
+		t.Fatalf("the library's walk: %d scans, %d estimates on the version's account", st.PositivesScans, st.EstimatesComputed)
 	}
 
-	calls := 0
-	for ; v.Positives() == nil; calls++ {
-		if calls == 2 {
-			t.Fatalf("two walks over %d of the leaves' %d ids and the version still rents", counted.Memberships, db.tree.LeafIDs())
+	for _, call := range []string{"first", "second"} {
+		got, err := db.AppendReconstructFrom([]uint64{7}, f)
+		if err != nil || len(got) == 0 || got[0] != 7 || !slices.Equal(got[1:], want) {
+			t.Fatalf("%s call: %d ids after the one dst held, the version has %d positives (err %v)", call, len(got)-1, len(want), err)
 		}
-		if got, err := db.ReconstructFrom(f, core.PruneByEstimate, nil); err != nil || !slices.Equal(got, want) {
-			t.Fatalf("call %d: %d ids, the walk returns %d (err %v)", calls, len(got), len(want), err)
+		if st := db.Stats(); st.PositivesScans != 1 || st.EstimatesComputed != 0 {
+			t.Fatalf("after the %s call: %d scans, %d estimates computed", call, st.PositivesScans, st.EstimatesComputed)
 		}
 	}
-	before := db.Stats()
-	if before.PositivesScans != 1 || before.ReconstructsWarm != 1 || before.ReconstructsWalked != 3+uint64(calls)-1 || before.EstimatesComputed == 0 {
-		t.Fatalf("going warm in %d calls: %+v", calls, before)
-	}
-	if got, err := db.Reconstruct("k1", core.PruneByEstimate, nil); err != nil || !slices.Equal(got, want) {
-		t.Fatalf("warm: %d ids, the walk returns %d (err %v)", len(got), len(want), err)
-	}
-	st := db.Stats()
-	if st.ReconstructsWarm-before.ReconstructsWarm != 1 || st.EstimatesComputed != before.EstimatesComputed ||
-		st.EstimatesRemembered == before.EstimatesRemembered || st.PositivesScans != 1 {
-		t.Fatalf("a reconstruction on a warm version: %d warm, %d estimates computed, %d read back, %d scans", st.ReconstructsWarm-before.ReconstructsWarm,
-			st.EstimatesComputed-before.EstimatesComputed, st.EstimatesRemembered-before.EstimatesRemembered, st.PositivesScans)
+	for _, rule := range []core.PruneRule{core.PruneByEstimate, core.PruneByAndBits} {
+		walk, err := db.tree.Reconstruct(f, rule, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range walk {
+			if _, found := slices.BinarySearch(want, x); !found {
+				t.Fatalf("rule %d: the walk returns %d, which the version's positives lack", rule, x)
+			}
+		}
 	}
 
-	all, err := db.ReconstructAll(core.PruneByEstimate, 2)
+	all, err := db.ReconstructAll(core.PruneByAndBits, 2)
 	if err != nil || len(all) != 4 {
 		t.Fatalf("ReconstructAll: %d keys, err %v", len(all), err)
 	}
 	for key, got := range all {
-		want, err := db.tree.Reconstruct(db.Filter(key), core.PruneByEstimate, nil)
+		want, err := db.tree.Reconstruct(db.Filter(key), core.PruneByAndBits, nil)
 		if err != nil || !slices.Equal(got, want) {
 			t.Fatalf("ReconstructAll[%s]: %d ids, the walk returns %d (err %v)", key, len(got), len(want), err)
 		}
 	}
-	if after := db.Stats(); after.ReconstructsWarm+after.ReconstructsWalked != st.ReconstructsWarm+st.ReconstructsWalked+4 {
-		t.Fatalf("ReconstructAll over 4 keys counted %d reconstructions", after.ReconstructsWarm+after.ReconstructsWalked-st.ReconstructsWarm-st.ReconstructsWalked)
+	if st := db.Stats(); st.PositivesScans != 1 {
+		t.Fatalf("ReconstructAll ran %d scans", st.PositivesScans-1)
+	}
+
+	opts := db.opts
+	opts.Seed++
+	other, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.Add("s", 10)
+	dst := []uint64{7}
+	for name, g := range map[string]*bloom.Filter{"nil": nil, "foreign": other.Filter("s")} {
+		if got, err := db.AppendReconstructFrom(dst, g); err == nil || !slices.Equal(got, dst) || (g == nil) != errors.Is(err, ErrNoSet) {
+			t.Fatalf("a %s filter: %v, err %v", name, got, err)
+		}
 	}
 }
 
@@ -384,7 +395,7 @@ func TestReconstructFromServesTheVersion(t *testing.T) {
 // ids under M = 10⁶, which occupy some 630 of a full tree's 1 024 leaves of
 // 977 ids — on which a scan priced at M kept a version renting longer than
 // the scan would have cost: the price is the ids the leaves hold, and the
-// second reconstruction of the key is served from its table.
+// payment that reaches it, not one id before, runs the scan.
 func TestScanIsPricedAtTheLeaves(t *testing.T) {
 	const M = 1_000_000
 	db, _ := openShape(t, 1_000, M, 1, 1_000, false)
@@ -392,12 +403,13 @@ func TestScanIsPricedAtTheLeaves(t *testing.T) {
 	if span := db.tree.LeafRange(); price > 1_000*span || price > 3*M/4 || price < 500*(span-1) {
 		t.Fatalf("%d nodes, leaves of up to %d ids, priced at %d", db.tree.Nodes(), span, price)
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := db.Reconstruct("k0", core.PruneByEstimate, nil); err != nil {
-			t.Fatal(err)
-		}
+	v := db.tree.VersionFor(db.Filter("k0"))
+	v.Pay(price - 1)
+	if v.Positives() != nil {
+		t.Fatalf("a version scanned one id short of a price of %d", price)
 	}
-	if st := db.Stats(); st.PositivesScans != 1 || st.ReconstructsWarm == 0 {
-		t.Fatalf("two reconstructions under a price of %d ids: %d scans, %d warm, %d walked", price, st.PositivesScans, st.ReconstructsWarm, st.ReconstructsWalked)
+	v.Pay(1)
+	if st := db.Stats(); st.PositivesScans != 1 || v.Positives() == nil {
+		t.Fatalf("a version paid its price of %d ids: %d scans", price, st.PositivesScans)
 	}
 }

@@ -200,17 +200,13 @@ type DB struct {
 	// and returned nothing (see Stats).
 	lostDraws atomic.Uint64
 	// estimatesComputed and estimatesRemembered count the intersection
-	// estimates sampling and reconstruction requests computed and those they
-	// read back from a filter version's index instead (see Stats).
+	// estimates sampling requests computed and those they read back from a
+	// filter version's index instead (see Stats).
 	estimatesComputed, estimatesRemembered atomic.Uint64
 	// drawsWarm and drawsDescended count the draws of the same requests that
 	// were picks from a filter version's positives and those that were
 	// descents of the tree (see Stats).
 	drawsWarm, drawsDescended atomic.Uint64
-	// reconstructsWarm and reconstructsWalked count the reconstructions that
-	// read every leaf from a filter version's positives and those that
-	// scanned their leaves (see Stats).
-	reconstructsWarm, reconstructsWalked atomic.Uint64
 }
 
 // recordWrites accumulates write-amplification accounting for one
@@ -383,14 +379,15 @@ func (db *DB) SampleN(key string, r int, withReplacement bool, rng *rand.Rand, o
 	return db.tree.SampleN(e.m.QueryView(), r, withReplacement, rng, ops)
 }
 
-// Reconstruct returns the set stored under key (§6): ReconstructFrom on the
-// key's published version.
+// Reconstruct returns the set stored under key by §6's walk under rule
+// (core.Tree.Reconstruct) on the key's published version, counted into ops
+// if non-nil. What a server answers with is AppendReconstructFrom.
 func (db *DB) Reconstruct(key string, rule core.PruneRule, ops *core.Ops) ([]uint64, error) {
 	e, err := db.get(key)
 	if err != nil {
 		return nil, err
 	}
-	return db.ReconstructFrom(e.m.QueryView(), rule, ops)
+	return db.tree.Reconstruct(e.m.QueryView(), rule, ops)
 }
 
 // IntersectionEstimate estimates |A ∩ B| for two stored sets. The two
