@@ -2,10 +2,8 @@ package core
 
 import (
 	"encoding/binary"
-	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"unsafe"
 
 	"repro/internal/bloom"
@@ -79,50 +77,11 @@ func offsetAt(packed []byte, bit, width uint) uint64 {
 }
 
 // AppendAll appends every positive to out, ascending, growing out at most
-// once.
+// once: every block unpacked in turn.
 func (p *Positives) AppendAll(out []uint64) []uint64 {
-	return p.appendBetween(0, math.MaxUint64, slices.Grow(out, p.count))
-}
-
-// AppendRange appends the positives in [lo, hi) to out, ascending: what a
-// scan of a leaf over that range finds, read back.
-func (p *Positives) AppendRange(lo, hi uint64, out []uint64) []uint64 {
-	if hi <= lo {
-		return out
-	}
-	return p.appendBetween(lo, hi-1, out)
-}
-
-// appendBetween appends the positives in [lo, last] — last included, so that
-// the largest id there is has a range that holds it. The first of them is
-// found by a binary search of Select, which is O(1). From there a block the
-// range holds whole is unpacked straight into out (appendBlock), and the
-// ids of a block at either end of the range are read one offset at a time
-// until one lies past last.
-func (p *Positives) appendBetween(lo, last uint64, out []uint64) []uint64 {
-	i := sort.Search(p.count, func(i int) bool { return p.Select(i) >= lo })
-	for b, r := i/positivesBlock, i%positivesBlock; b < len(p.skips); b, r = b+1, 0 {
-		// The block's ids are below the next block's first; the last block's
-		// end at the last id.
-		var end uint64
-		if b+1 < len(p.skips) {
-			end = p.skips[b+1].first - 1
-		} else {
-			end = p.Select(p.count - 1)
-		}
-		if r == 0 && end <= last {
-			out = p.appendBlock(b, out)
-			continue
-		}
-		s := p.skips[b]
-		packed, w := p.packed[s.off:], uint(s.width)
-		for n := min(positivesBlock, p.count-b*positivesBlock); r < n; r++ {
-			x := s.first + offsetAt(packed, uint(r)*w, w)
-			if x > last {
-				return out
-			}
-			out = append(out, x)
-		}
+	out = slices.Grow(out, p.count)
+	for b := range p.skips {
+		out = p.appendBlock(b, out)
 	}
 	return out
 }

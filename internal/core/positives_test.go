@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -54,19 +53,29 @@ func packed(ids []uint64) *Positives {
 	return pk.finish()
 }
 
-// checkTable holds p to ids: its length, its unpacking, and Select at every
-// index.
+// checkTable holds p to ids: its length, Select at every index, and the
+// whole-table read — into nothing, and behind an id a slice already holds,
+// which it keeps — to Select at every index.
 func checkTable(t *testing.T, p *Positives, ids []uint64) {
 	t.Helper()
 	if p.Len() != len(ids) {
 		t.Fatalf("table of %d ids, want %d", p.Len(), len(ids))
 	}
-	if got := p.AppendAll(nil); !slices.Equal(got, ids) {
-		t.Fatalf("table unpacks to %v, want %v", got, ids)
-	}
 	for i, x := range ids {
 		if got := p.Select(i); got != x {
 			t.Fatalf("Select(%d) = %d, want %d", i, got, x)
+		}
+	}
+	if got := p.AppendAll(nil); !slices.Equal(got, ids) {
+		t.Fatalf("table unpacks to %v, want %v", got, ids)
+	}
+	got := p.AppendAll([]uint64{9})
+	if len(got) != 1+p.Len() || got[0] != 9 {
+		t.Fatalf("a read of %d ids behind one id returned %d, the first %d", p.Len(), len(got), got[0])
+	}
+	for i, x := range got[1:] {
+		if x != p.Select(i) {
+			t.Fatalf("the read's id %d is %d, Select(%d) = %d", i, x, i, p.Select(i))
 		}
 	}
 }
@@ -122,16 +131,9 @@ func checkExact(t *testing.T, name string, tree *Tree, v *Version, want []uint64
 // query is filled to where its false positives outnumber its members, so a
 // scan that pruned a child on §5.6's threshold or on an empty AND would leave
 // ids out, and the filter sizes straddle the budget.
-//
-// The range read is held to the same
-// enumeration, not sampled: on one tree of every namespace — its depth and
-// pruning moving with M, so that the tables are dense, sparse and holed —
-// AppendRange(lo, hi) is the enumeration cut to [lo, hi) for every
-// lo ≤ hi ≤ M (rangeCases).
 func TestPositivesAreTheTruth(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	kept, declinedCount := 0, 0
-	var ranges rangeCases
 	for _, kind := range []hashfam.Kind{hashfam.KindFast, hashfam.KindMurmur3} {
 		for M := uint64(2); M <= 512; M++ {
 			for depth := 0; depth <= 5 && depth <= bits.Len64(M-1); depth++ {
@@ -197,9 +199,6 @@ func TestPositivesAreTheTruth(t *testing.T) {
 						}
 					}
 					checkExact(t, name, tree, v, want, p != nil)
-					if deepest := min(5, bits.Len64(M-1)); kind == hashfam.KindFast && depth == int(M)%(deepest+1) && pruned == (M/uint64(deepest+1)%2 == 1) {
-						ranges.queued = append(ranges.queued, rangeTable{name, want, M})
-					}
 				}
 			}
 		}
@@ -207,98 +206,6 @@ func TestPositivesAreTheTruth(t *testing.T) {
 	if kept < 1000 || declinedCount < 1000 {
 		t.Fatalf("%d tables kept and %d declined: the filter sizes were meant to straddle the budget", kept, declinedCount)
 	}
-	if ranges.run(t); ranges.tables != 511 || ranges.midBlock < 1000 || ranges.onFirst < 1000 || ranges.shortLast < 100 || ranges.twoByteGaps < 1 {
-		t.Fatalf("range reads checked: %d tables, %d reads, %d from inside a block, %d up to a block's first id, %d tables with a short last block, %d two-byte gaps: want one table a namespace and every case met",
-			ranges.tables, ranges.reads, ranges.midBlock, ranges.onFirst, ranges.shortLast, ranges.twoByteGaps)
-	}
-}
-
-// rangeCases is the exhaustive range check: the tables queued for it, and
-// what their reads met.
-type rangeCases struct {
-	queued []rangeTable
-
-	tables, reads                             int
-	midBlock, onFirst, shortLast, twoByteGaps int
-}
-
-type rangeTable struct {
-	name string
-	all  []uint64 // the table's ids, ascending
-	M    uint64
-}
-
-// run checks the queued tables, a worker a CPU — some 22 million reads between
-// them — and adds up what they met.
-func (c *rangeCases) run(t *testing.T) {
-	t.Helper()
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	next := make(chan rangeTable)
-	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for table := range next {
-				met, err := table.check()
-				mu.Lock()
-				if err != nil {
-					t.Error(err)
-				}
-				c.tables++
-				c.reads += met.reads
-				c.midBlock += met.midBlock
-				c.onFirst += met.onFirst
-				c.shortLast += met.shortLast
-				c.twoByteGaps += met.twoByteGaps
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, table := range c.queued {
-		next <- table
-	}
-	close(next)
-	wg.Wait()
-}
-
-// check holds AppendRange(lo, hi) on the packed table to the ids of all in
-// [lo, hi), for every lo ≤ hi ≤ M.
-func (rt rangeTable) check() (met rangeCases, err error) {
-	p, all := packed(rt.all), rt.all
-	if len(all) > positivesBlock && len(all)%positivesBlock != 0 {
-		met.shortLast++
-	}
-	for i := 1; i < len(all); i++ {
-		if all[i]-all[i-1] >= 1<<7 && i%positivesBlock != 0 {
-			met.twoByteGaps++
-		}
-	}
-	var got []uint64
-	i := 0 // all[i:] are the ids from lo up
-	for lo := uint64(0); lo <= rt.M; lo++ {
-		for i < len(all) && all[i] < lo {
-			i++
-		}
-		j := i // all[i:j] are the ids in [lo, hi)
-		for hi := lo; hi <= rt.M; hi++ {
-			for j < len(all) && all[j] < hi {
-				j++
-			}
-			got = p.AppendRange(lo, hi, got[:0])
-			if !slices.Equal(got, all[i:j]) {
-				return met, fmt.Errorf("%s: AppendRange(%d, %d) of %v read %v, want %v", rt.name, lo, hi, all, got, all[i:j])
-			}
-			met.reads++
-			if j > i && i%positivesBlock != 0 {
-				met.midBlock++
-			}
-			if j-1 > i && (j-1)%positivesBlock == 0 {
-				met.onFirst++
-			}
-		}
-	}
-	return met, nil
 }
 
 // checkPacking holds p to ids beyond checkTable: one skip entry a block,
@@ -327,30 +234,6 @@ func checkPacking(t *testing.T, p *Positives, ids []uint64) (widths []uint) {
 			len(ids), len(p.skips), len(p.packed), p.Bytes(), len(widths), off, off+16*len(widths))
 	}
 	return widths
-}
-
-// checkBlockEnds holds AppendRange(lo, hi) to ids cut to [lo, hi) for every
-// lo and hi among the ends of the id space and, for every block, its first
-// and last id and the ids either side of them.
-func checkBlockEnds(t *testing.T, p *Positives, ids []uint64) {
-	t.Helper()
-	ends := []uint64{0, 1, math.MaxUint64 - 1, math.MaxUint64}
-	for i, x := range ids {
-		if i%positivesBlock == 0 || i%positivesBlock == positivesBlock-1 || i == len(ids)-1 {
-			ends = append(ends, x-1, x, x+1)
-		}
-	}
-	var got []uint64
-	for _, lo := range ends {
-		for _, hi := range ends {
-			i, _ := slices.BinarySearch(ids, lo)
-			j, _ := slices.BinarySearch(ids, hi)
-			want := ids[i:max(i, j)]
-			if got = p.AppendRange(lo, hi, got[:0]); !slices.Equal(got, want) {
-				t.Fatalf("%d ids, [%d, %d): read %v, want %v", len(ids), lo, hi, got, want)
-			}
-		}
-	}
 }
 
 // blockOfWidth returns n ascending ids from first — fewer if that many do
@@ -389,12 +272,11 @@ func plannedIDs(rng *rand.Rand) []uint64 {
 	return ids
 }
 
-// TestPositivesRangeRead holds the range read to the ids filtered, for every
-// [lo, hi) whose ends are an id at either end of a block, or one off it, or
-// one of the ends of the id space (checkBlockEnds) — on tables whose gaps
-// run from one id to 2³³ and to the largest id there is, so that their
-// blocks' widths do too (ids far wider apart than the small namespaces of
-// TestPositivesAreTheTruth, which reads every range there is, can put them).
+// TestPositivesRangeRead holds the read of a table's whole range, AppendAll,
+// to the ids packed and to Select at every index (checkPacking, checkTable)
+// — on tables whose gaps run from one id to 2³³ and to the largest id there
+// is, so that their blocks' widths do too (ids far wider apart than the small
+// namespaces of TestPositivesAreTheTruth can put them).
 func TestPositivesRangeRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	widths := map[uint]bool{}
@@ -419,20 +301,12 @@ func TestPositivesRangeRead(t *testing.T) {
 		for _, w := range checkPacking(t, p, ids) {
 			widths[w] = true
 		}
-		checkBlockEnds(t, p, ids)
-		below := count // ids below the largest there is, which ends every longer list
-		if count > 1 {
-			below--
-		}
-		if got := p.AppendRange(0, math.MaxUint64, []uint64{9}); len(got) != 1+below || got[0] != 9 {
-			t.Fatalf("%d ids: a read into a slice that holds one id returned %d", count, len(got))
-		}
 	}
 }
 
 // TestPositivesPackingAtTheEdges packs hand-made id lists and checks each by
-// Select at every index, AppendRange at every block's ends and the bytes of
-// its layout (checkPacking):
+// Select and AppendAll at every index and the bytes of its layout
+// (checkPacking):
 //
 //   - lists around the block size — 0, 1, 63, 64, 65 and 4 097 ids — that
 //     start at 0, pass 2³² and end at the largest id there is, so one offset
@@ -464,9 +338,7 @@ func TestPositivesPackingAtTheEdges(t *testing.T) {
 		if count == 1 {
 			ids[0] = math.MaxUint64
 		}
-		p := packed(ids)
-		checkPacking(t, p, ids)
-		checkBlockEnds(t, p, ids)
+		checkPacking(t, packed(ids), ids)
 	}
 
 	rng := rand.New(rand.NewSource(2))
@@ -482,9 +354,7 @@ func TestPositivesPackingAtTheEdges(t *testing.T) {
 			}
 		}
 		for _, ids := range tables {
-			p := packed(ids)
-			widths := checkPacking(t, p, ids)
-			checkBlockEnds(t, p, ids)
+			widths := checkPacking(t, packed(ids), ids)
 			for b, bw := range widths {
 				seen[bw] = true
 				for j := 0; j < min(positivesBlock, len(ids)-b*positivesBlock); j++ {
@@ -531,15 +401,14 @@ func TestPositivesPackingAtTheEdges(t *testing.T) {
 
 // FuzzPositives packs ascending ids read from the fuzz input — a byte c is a
 // gap of 2^(c mod 64) + c/64, so that a few bytes reach every width — and
-// holds the table to them: Select(i) is ids[i] at every i, the layout is
-// checkPacking's, and AppendRange(lo, hi) is the ids in [lo, hi) at every
-// block's ends and for the fuzzer's lo and hi.
+// holds the table to them: Select(i) is ids[i] at every i, AppendAll is
+// Select at every index, and the layout is checkPacking's.
 func FuzzPositives(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 63, 64, 200}, uint64(0), uint64(100))
-	f.Add(slices.Repeat([]byte{7}, 130), uint64(1000), uint64(1<<20))
-	f.Add([]byte{5, 63, 0, 0, 62, 61, 1}, uint64(1)<<62, uint64(math.MaxUint64))
-	f.Add([]byte{0, 0, 58, 0}, uint64(3), uint64(1)<<58) // width 59: the third offset straddles nine bytes
-	f.Fuzz(func(t *testing.T, data []byte, lo, hi uint64) {
+	f.Add([]byte{0, 1, 2, 63, 64, 200})
+	f.Add(slices.Repeat([]byte{7}, 130))
+	f.Add([]byte{5, 63, 0, 0, 62, 61, 1})
+	f.Add([]byte{0, 0, 58, 0}) // width 59: the third offset straddles nine bytes
+	f.Fuzz(func(t *testing.T, data []byte) {
 		ids := make([]uint64, 0, len(data))
 		for _, c := range data[:min(len(data), 4*positivesBlock)] {
 			gap := uint64(1)<<(c%64) + uint64(c/64)
@@ -552,14 +421,7 @@ func FuzzPositives(f *testing.F) {
 			}
 			ids = append(ids, x)
 		}
-		p := packed(ids)
-		checkPacking(t, p, ids)
-		checkBlockEnds(t, p, ids)
-		i, _ := slices.BinarySearch(ids, lo)
-		j, _ := slices.BinarySearch(ids, hi)
-		if got := p.AppendRange(lo, hi, nil); !slices.Equal(got, ids[i:max(i, j)]) {
-			t.Fatalf("[%d, %d) of %v read %v", lo, hi, ids, got)
-		}
+		checkPacking(t, packed(ids), ids)
 	})
 }
 
@@ -569,10 +431,9 @@ var selected uint64
 // BenchmarkPositives times the two reads of a warm version's table, on the
 // benchmark's batch shape (M = 10⁶, 10 000 ids a key: ≈ 11 000 positives)
 // and point shape (M = 10⁵, 1 000 ids a key): select, one pick at a random
-// index, as a warm draw makes it; range, the positives of a random
-// leaf-wide range appended into a slice with room, as a warm reconstruction
-// reads a leaf. Every iteration draws a fresh index or range, so that no
-// predictor learns the reads. Neither allocates
+// index, as a warm draw makes it — every iteration a fresh index, so that no
+// predictor learns the reads; all, the whole table appended into a slice
+// with room, as a served reconstruction reads it. Neither allocates
 // (TestPositivesReadsAllocateNothing).
 func BenchmarkPositives(b *testing.B) {
 	for _, shape := range []struct {
@@ -590,31 +451,27 @@ func BenchmarkPositives(b *testing.B) {
 		if p == nil {
 			b.Fatalf("%s: the table was not kept", shape.name)
 		}
-		span := shape.M >> tree.Depth()
 		rng := rand.New(rand.NewSource(1))
 		b.Run("select/"+shape.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				selected = p.Select(rng.Intn(p.Len()))
 			}
 		})
-		b.Run("range/"+shape.name, func(b *testing.B) {
+		b.Run("all/"+shape.name, func(b *testing.B) {
 			out := make([]uint64, 0, p.Len())
-			read := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				lo := rng.Uint64() % (shape.M - span)
-				out = p.AppendRange(lo, lo+span, out[:0])
-				read += len(out)
+				out = p.AppendAll(out[:0])
 			}
-			b.ReportMetric(float64(read)/float64(b.N), "ids/op")
+			b.ReportMetric(float64(len(out)), "ids/op")
 		})
 		b.Logf("%s: %d positives in %d B, %.2f B an id, beside a %d B filter",
 			shape.name, p.Len(), p.Bytes(), float64(p.Bytes())/float64(p.Len()), queries[3].SizeBytes())
 	}
 }
 
-// TestPositivesReadsAllocateNothing: a pick, and a range read into a slice
-// with room for it, allocate nothing.
+// TestPositivesReadsAllocateNothing: a pick, and a read of the whole table
+// into a slice with room for it, allocate nothing.
 func TestPositivesReadsAllocateNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ids := plannedIDs(rng)
@@ -622,11 +479,10 @@ func TestPositivesReadsAllocateNothing(t *testing.T) {
 	out := make([]uint64, 0, len(ids))
 	allocs := testing.AllocsPerRun(1000, func() {
 		selected = p.Select(rng.Intn(p.Len()))
-		lo := rng.Uint64() % ids[len(ids)-1]
-		out = p.AppendRange(lo, lo+7_812, out[:0])
+		out = p.AppendAll(out[:0])
 	})
 	if allocs != 0 {
-		t.Fatalf("a pick and a range read allocate %v times", allocs)
+		t.Fatalf("a pick and a whole-table read allocate %v times", allocs)
 	}
 }
 

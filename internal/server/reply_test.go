@@ -64,11 +64,48 @@ func replyIDs() []uint64 {
 	}
 }
 
+// idRun returns n ids from first, gap apart.
+func idRun(first uint64, n int, gap uint64) []uint64 {
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = first + uint64(i)*gap
+	}
+	return ids
+}
+
+// ascendingIDLists are the lists a reconstruction's writer keeps a head for:
+// runs of gap 1 across every change in the head's digit count, 10⁴ to 10¹⁰,
+// and across 10¹¹ and 10¹², where ids leave for appendUint; runs across the
+// 10⁴ boundaries of heads of every length, of gap 1 and 7; ids 90 apart from
+// 0, as a reconstruction's are; gaps of 9 999, 10⁴ and 10 007, a new head
+// almost every id; every id of replyIDs in order; and all of them together,
+// then descending.
+func ascendingIDLists() [][]uint64 {
+	var lists [][]uint64
+	for p := uint64(1e4); p <= 1e12; p *= 10 {
+		lists = append(lists, idRun(p-30, 60, 1))
+	}
+	for _, h := range []uint64{1, 2, 9, 10, 99, 100, 12_345, 999_999, 1_000_000, 9_999_999} {
+		lists = append(lists, idRun(h*1e4-3, 7, 1), idRun(h*1e4-120, 40, 7))
+	}
+	lists = append(lists, idRun(0, 2_000, 90), idRun(5, 300, 9_999), idRun(0, 300, 1e4), idRun(9_999, 300, 10_007),
+		idRun(1e11-5*10_007, 10, 10_007), slices.Sorted(slices.Values(replyIDs())))
+	var all []uint64
+	for _, list := range lists {
+		all = append(all, list...)
+	}
+	slices.Sort(all)
+	descending := slices.Clone(all)
+	slices.Reverse(descending)
+	return append(lists, all, descending)
+}
+
 // TestReplyJSONIsEncodingJSON is the byte-identity gate of the hand-written
 // half of the reply buffer: the two JSON documents that carry ids and the
 // three NDJSON lines are, byte for byte and newline included, what
 // encoding/json writes for the same values — nil ids as null, no ids as [],
-// every key it escapes, ids of every decimal length.
+// every key it escapes, ids of every decimal length, and the lists a
+// reconstruction writes from its neighbours' digits (ascendingIDLists).
 func TestReplyJSONIsEncodingJSON(t *testing.T) {
 	ids := replyIDs()
 	for n := uint64(1); n <= 20; n++ {
@@ -98,6 +135,16 @@ func TestReplyJSONIsEncodingJSON(t *testing.T) {
 			Error string `json:"error"`
 		}{key}); got != want {
 			t.Fatalf("error line of %q: appended %q, encoding/json %q", key, got, want)
+		}
+	}
+	for _, list := range ascendingIDLists() {
+		for _, v := range []any{
+			SampleResponse{Key: "k", Requested: len(list), Returned: len(list), IDs: list},
+			ReconstructResponse{Key: "k", Count: len(list), IDs: list},
+		} {
+			if got, want := appended(t, v), encodingJSON(t, v); got != want {
+				t.Fatalf("%T of %d ids from %d:\n appended %q\n encoding/json %q", v, len(list), list[0], got, want)
+			}
 		}
 	}
 	// The NDJSON lines: one line an id — an id of 0 too, which an omitempty
@@ -133,29 +180,43 @@ func TestReplyJSONIsEncodingJSON(t *testing.T) {
 // FuzzReplyJSON holds the same identity on arbitrary keys and id lists: the
 // key is the fuzzer's bytes as they come, valid UTF-8 or not, and the ids are
 // its second argument read eight bytes at a time, then shortened to every
-// decimal length.
+// decimal length — as they come, sorted, and as a run that starts at the
+// first of them cut below 10¹² and climbs by every byte of the argument, so
+// that neighbours share a head as a reconstruction's ids do.
 func FuzzReplyJSON(f *testing.F) {
 	for _, key := range replyKeys {
 		f.Add([]byte(key), []byte{})
 	}
 	f.Add([]byte("k"), binary.LittleEndian.AppendUint64(nil, math.MaxUint64))
 	f.Add([]byte("k"), bytes.Repeat([]byte{0x9a, 0x3c}, 36))
+	f.Add([]byte("k"), append(binary.LittleEndian.AppendUint64(nil, 1e11-3_000), bytes.Repeat([]byte{90}, 64)...))
+	f.Add([]byte("k"), append(binary.LittleEndian.AppendUint64(nil, 99_998_000), bytes.Repeat([]byte{255, 1}, 16)...))
 	f.Fuzz(func(t *testing.T, key, packed []byte) {
 		var ids []uint64
-		for ; len(packed) >= 8; packed = packed[8:] {
-			for x := binary.LittleEndian.Uint64(packed); ; x /= 10 {
+		for rest := packed; len(rest) >= 8; rest = rest[8:] {
+			for x := binary.LittleEndian.Uint64(rest); ; x /= 10 {
 				ids = append(ids, x)
 				if x == 0 {
 					break
 				}
 			}
 		}
-		for _, v := range []any{
-			SampleResponse{Key: string(key), Requested: len(packed), Returned: len(ids), IDs: ids},
-			ReconstructResponse{Key: string(key), Count: len(ids), IDs: ids},
-		} {
-			if got, want := appended(t, v), encodingJSON(t, v); got != want {
-				t.Fatalf("%T of key %q, ids %v:\n appended %q\n encoding/json %q", v, key, ids, got, want)
+		var run []uint64
+		if len(ids) > 0 {
+			x := ids[0] % 1e12
+			for _, gap := range packed {
+				run = append(run, x)
+				x += uint64(gap)
+			}
+		}
+		for _, list := range [][]uint64{ids, slices.Sorted(slices.Values(ids)), run} {
+			for _, v := range []any{
+				SampleResponse{Key: string(key), Requested: len(packed), Returned: len(list), IDs: list},
+				ReconstructResponse{Key: string(key), Count: len(list), IDs: list},
+			} {
+				if got, want := appended(t, v), encodingJSON(t, v); got != want {
+					t.Fatalf("%T of key %q, ids %v:\n appended %q\n encoding/json %q", v, key, list, got, want)
+				}
 			}
 		}
 		rb := new(replyBuf)
@@ -330,8 +391,16 @@ func TestUndeliveredReplyIsCounted(t *testing.T) {
 // the reply buffer, and the oracle since) and by the reply buffer's own
 // appenders (append), at the benchmark's three reply sizes: a point sample,
 // a 64-id batch and a reconstruction of the batch shape (ids ≈ 90 apart
-// below 10⁶). Run with -benchmem.
+// below 10⁶) — and on the reconstruction of batchShapeDB's "big" itself
+// (table=big), and on 64 and 11 100 ids in random order as a sample's
+// (shuffled=N), which the reconstruction's writer would be slower on. Run
+// with -benchmem.
 func BenchmarkReplyJSON(b *testing.B) {
+	type shape struct {
+		name string
+		v    any
+	}
+	var shapes []shape
 	for _, n := range []int{1, 64, 11100} {
 		ids := make([]uint64, n)
 		for i := range ids {
@@ -341,6 +410,21 @@ func BenchmarkReplyJSON(b *testing.B) {
 		if n <= 64 {
 			v = SampleResponse{Key: "k3", Requested: n, Returned: n, IDs: ids}
 		}
+		shapes = append(shapes, shape{fmt.Sprintf("ids=%d", n), v})
+		if n > 1 {
+			shuffled := slices.Clone(ids)
+			rand.New(rand.NewSource(int64(n))).Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			shapes = append(shapes, shape{fmt.Sprintf("shuffled=%d", n), SampleResponse{Key: "k3", Requested: n, Returned: n, IDs: shuffled}})
+		}
+	}
+	db := batchShapeDB(b)
+	big, err := db.AppendReconstructFrom(nil, db.Filter("big"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	shapes = append(shapes, shape{"table=big", ReconstructResponse{Key: "big", Count: len(big), IDs: big}})
+	for _, s := range shapes {
+		v := s.v
 		for _, side := range []struct {
 			name   string
 			encode func(rb *replyBuf) error
@@ -348,7 +432,7 @@ func BenchmarkReplyJSON(b *testing.B) {
 			{"std", func(rb *replyBuf) error { return json.NewEncoder(rb).Encode(v) }},
 			{"append", func(rb *replyBuf) error { return rb.appendJSON(v) }},
 		} {
-			b.Run(fmt.Sprintf("ids=%d/%s", n, side.name), func(b *testing.B) {
+			b.Run(s.name+"/"+side.name, func(b *testing.B) {
 				b.ReportAllocs()
 				rb := new(replyBuf)
 				for i := 0; i < b.N; i++ {
