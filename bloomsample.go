@@ -219,6 +219,6 @@ func LoadTree(path string) (*Tree, error) { return core.LoadTree(path) }
 type TreeStats = core.Stats
 
 // CountingFilter is a counting Bloom filter supporting Remove, for the
-// paper's dynamic-community setting; project it onto a tree-compatible
-// plain Filter with Snapshot.
+// paper's dynamic-community setting; Snapshot returns it as a
+// tree-compatible plain Filter, an O(1) header over its bit vector.
 type CountingFilter = bloom.CountingFilter

@@ -45,8 +45,8 @@ func New(n uint64) *Set {
 // FromWords wraps a caller-built packed word slice (bit i lives at word
 // i/64, bit i%64) in a vector of n bits, taking ownership of the slice.
 // The slice length must be exactly (n+63)/64; bits beyond n are masked
-// off. It lets bulk producers (the counting-filter snapshot projection)
-// assemble a vector word-at-a-time instead of bit-at-a-time.
+// off. It lets bulk producers (the counting-filter decoder) assemble a
+// vector word-at-a-time instead of bit-at-a-time.
 func FromWords(n uint64, words []uint64) *Set {
 	if uint64(len(words)) != (n+wordBits-1)/wordBits {
 		panic(fmt.Sprintf("bitset: %d words for %d bits, want %d", len(words), n, (n+wordBits-1)/wordBits))

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -20,10 +21,16 @@ var ErrNotMember = errors.New("bloom: remove of non-member")
 // CountingFilter is a counting Bloom filter: each position holds an 8-bit
 // saturating counter instead of one bit, so elements can be removed. The
 // paper's motivating applications store *dynamic* communities (§1); a
-// plain Bloom filter cannot forget a member, while a counting filter can,
-// at 8× the memory. Snapshot() projects the current state onto a plain
-// Filter compatible with a BloomSampleTree, so dynamic sets can still be
-// sampled and reconstructed.
+// plain Bloom filter cannot forget a member, while a counting filter can.
+// Snapshot() returns the current state as a plain Filter compatible with a
+// BloomSampleTree, so dynamic sets can still be sampled and reconstructed.
+//
+// The counters are held as two parts. bits has bit p set iff counter p is
+// non-zero: it is the plain filter, and Snapshot is a header over it. over
+// lists every counter of 2 or more, sorted by position. At planned load
+// almost every non-zero counter is 1 (Fan et al., Summary Cache), so a
+// filter costs m/8 bytes plus 8 per entry of over, at most m/8 + 4·k·Live()
+// — what it stores, not m bytes of counters.
 //
 // Counters saturate at 255 rather than wrap; a saturated counter is never
 // decremented (standard counting-filter practice: correctness degrades to
@@ -31,52 +38,42 @@ var ErrNotMember = errors.New("bloom: remove of non-member")
 // elements, as long as Remove is only called for previously Added
 // elements).
 //
-// The projection is built at most once in the life of a served value: the
-// first Snapshot of a version folds all m counters, and the copy-on-write
-// forms (CloneAdd, CloneRemove) hand it on, patching only the bits whose
-// counter crossed 0 ↔ 1, so the successor's projection is bit for bit the
-// one a fresh fold of its counters would give. The hand-on happens only
-// when the receiver has a projection: a chain of versions nobody reads
-// (ingest, log replay) builds none.
-//
 // Like Filter, the query side (Contains, Snapshot) is read-only and safe
 // for unsynchronized concurrent callers on a filter that is no longer
 // being mutated (e.g. one published immutably, as setdb does). The
 // mutating operations (Add, Remove, Reset) require external
-// synchronization against both mutators and readers: a Snapshot racing a
-// mutation may memoize the pre-mutation projection over the mutation's
-// cache invalidation, making the stale projection sticky until the next
-// mutation. The copy-on-write forms never mutate the receiver or its
-// projection, so a publisher holding filters behind an atomic pointer can
-// apply them against the current version and swap in the result without
-// stalling readers — of the version or of a projection they took from it.
+// synchronization against both mutators and readers. The copy-on-write
+// forms (Clone, CloneAdd, CloneRemove) never mutate the receiver or a
+// snapshot taken from it: the result shares both parts with the receiver
+// and copies a part only on its first change, so a publisher holding
+// filters behind an atomic pointer can apply them against the current
+// version and swap in the result without stalling readers.
 type CountingFilter struct {
-	counts []uint8
-	fam    hashfam.Family
-	n      uint64 // live insertions (Add minus Remove)
+	bits *bitset.Set // bit p set iff counter p > 0
+	over []uint64    // p<<8 | count for every counter ≥ 2, ascending
+	fam  hashfam.Family
+	n    uint64 // live insertions (Add minus Remove)
 
-	// snap is the plain-filter projection of the current counts, nil while
-	// none has been asked for. In-place mutation drops it; Clone shares it
-	// and CloneAdd/CloneRemove carry it (viewPatch).
+	// frozen says bits or over may be shared — with a clone, a derived
+	// version or a snapshot — so an in-place mutation copies both first.
+	frozen atomic.Bool
+	// snap is the Filter header over bits, made by the first Snapshot.
 	snap atomic.Pointer[Filter]
 }
 
 // NewCounting returns an empty counting filter for the family.
 func NewCounting(fam hashfam.Family) *CountingFilter {
-	return &CountingFilter{
-		counts: make([]uint8, fam.M()),
-		fam:    fam,
-	}
+	return &CountingFilter{bits: bitset.New(fam.M()), fam: fam}
 }
 
 // M returns the filter length in positions.
-func (c *CountingFilter) M() uint64 { return uint64(len(c.counts)) }
+func (c *CountingFilter) M() uint64 { return c.bits.Len() }
 
 // K returns the number of hash functions.
 func (c *CountingFilter) K() int { return c.fam.K() }
 
 // MatchesFamily is Filter.MatchesFamily for the counters: what its Snapshot
-// would answer, without building one.
+// would answer.
 func (c *CountingFilter) MatchesFamily(fam hashfam.Family) error {
 	return matchFamily(c.M(), c.fam, fam)
 }
@@ -85,95 +82,93 @@ func (c *CountingFilter) MatchesFamily(fam hashfam.Family) error {
 // Remove calls).
 func (c *CountingFilter) Live() uint64 { return c.n }
 
-// viewPatch carries a parent version's projection to the version being
-// derived from it. The parent's bit vector is cloned on the first counter
-// that crosses 0 ↔ 1 and only those bits are written; when none crosses,
-// the child shares the vector (both are immutable by contract, as in
-// Filter.CloneAdd). The zero patch — a parent without a projection —
-// carries nothing and costs a nil check per crossing.
-type viewPatch struct {
-	parent *Filter
-	bits   *bitset.Set // the parent's vector, cloned on the first crossing
-}
+// owned records which parts a write has made its own; a part still shared
+// is copied before its first change.
+type owned struct{ bits, over bool }
 
-// cross records that the counter at p left zero (set) or reached it.
-func (v *viewPatch) cross(p uint64, set bool) {
-	if v.parent == nil {
-		return
-	}
-	if v.bits == nil {
-		v.bits = v.parent.bits.Clone()
-	}
-	if set {
-		v.bits.Set(p)
-	} else {
-		v.bits.Clear(p)
+func (c *CountingFilter) ownBits(o *owned) {
+	if !o.bits {
+		c.bits, o.bits = c.bits.Clone(), true
 	}
 }
 
-// handOn installs the carried projection on next, under a header of its
-// own: next's insertion count, and no derived value — what was computed
-// from the parent filter stays with the parent.
-func (v *viewPatch) handOn(next *CountingFilter) {
-	if v.parent == nil {
-		return
+func (c *CountingFilter) ownOver(o *owned) {
+	if !o.over {
+		c.over, o.over = slices.Clone(c.over), true
 	}
-	bits := v.bits
-	if bits == nil {
-		bits = v.parent.bits
-	}
-	next.snap.Store(&Filter{bits: bits, fam: next.fam, n: next.n})
 }
 
-// add counts one insertion at each position, reporting to v the counters
-// that leave zero.
-func (c *CountingFilter) add(pos []uint64, v *viewPatch) {
+// find returns the index of p's entry in over, or where it would go, and
+// whether it is there.
+func (c *CountingFilter) find(p uint64) (int, bool) {
+	i, _ := slices.BinarySearch(c.over, p<<8)
+	return i, i < len(c.over) && c.over[i]>>8 == p
+}
+
+// add counts one insertion at each position.
+func (c *CountingFilter) add(pos []uint64, o *owned) {
 	for _, p := range pos {
-		switch c.counts[p] {
-		case 255: // saturated counters are pinned
-		case 0:
-			c.counts[p] = 1
-			v.cross(p, true)
-		default:
-			c.counts[p]++
+		if !c.bits.Test(p) {
+			c.ownBits(o)
+			c.bits.Set(p)
+			continue
+		}
+		switch i, ok := c.find(p); {
+		case !ok:
+			c.ownOver(o)
+			c.over = slices.Insert(c.over, i, p<<8|2)
+		case uint8(c.over[i]) < 255: // saturated counters are pinned
+			c.ownOver(o)
+			c.over[i]++
 		}
 	}
 	c.n++
 }
 
-// remove takes one insertion back from each position, reporting to v the
-// counters that reach zero; it changes nothing and returns false when some
-// position is already zero (the element is not a positive).
-func (c *CountingFilter) remove(pos []uint64, v *viewPatch) bool {
+// remove takes one insertion back from each position; the caller has
+// checked that every position is non-zero (the element is a positive).
+func (c *CountingFilter) remove(pos []uint64, o *owned) {
 	for _, p := range pos {
-		if c.counts[p] == 0 {
-			return false
+		if !c.bits.Test(p) {
+			continue // a position this element hashes to twice, already taken back
 		}
-	}
-	for _, p := range pos {
-		switch c.counts[p] {
-		case 255: // saturated counters are pinned
-		case 0: // a position this element hashes to twice, already taken back
-		case 1:
-			c.counts[p] = 0
-			v.cross(p, false)
+		switch i, ok := c.find(p); {
+		case !ok:
+			c.ownBits(o)
+			c.bits.Clear(p)
+		case uint8(c.over[i]) == 255: // saturated counters are pinned
+		case uint8(c.over[i]) == 2:
+			c.ownOver(o)
+			c.over = slices.Delete(c.over, i, i+1)
 		default:
-			c.counts[p]--
+			c.ownOver(o)
+			c.over[i]--
 		}
 	}
 	if c.n > 0 {
 		c.n--
 	}
-	return true
+}
+
+// thaw readies the filter for an in-place mutation: when its parts may be
+// shared it copies both and drops the snapshot of the state about to
+// change. It returns the filter's claim to both parts.
+func (c *CountingFilter) thaw() owned {
+	if c.frozen.Load() {
+		c.bits, c.over = c.bits.Clone(), slices.Clone(c.over)
+		c.frozen.Store(false)
+		c.snap.Store(nil)
+	}
+	return owned{bits: true, over: true}
 }
 
 // Add inserts x. Add mutates the filter; callers must serialize it against
 // concurrent readers and writers.
 func (c *CountingFilter) Add(x uint64) {
 	bp, pos := getPositions(c.fam, x)
-	c.add(pos, &viewPatch{})
+	o := c.thaw()
+	c.add(pos, &o)
 	putPositions(bp, pos)
-	c.snap.Store(nil)
 }
 
 // Remove deletes one previous insertion of x. It returns an error if x is
@@ -181,113 +176,128 @@ func (c *CountingFilter) Add(x uint64) {
 // other elements' counters).
 func (c *CountingFilter) Remove(x uint64) error {
 	bp, pos := getPositions(c.fam, x)
-	ok := c.remove(pos, &viewPatch{})
-	putPositions(bp, pos)
-	if !ok {
+	defer putPositions(bp, pos)
+	if !c.bits.TestAll(pos) {
 		return fmt.Errorf("%w %d", ErrNotMember, x)
 	}
-	c.snap.Store(nil)
+	o := c.thaw()
+	c.remove(pos, &o)
 	return nil
 }
 
 // Contains reports whether x is a (possibly false) positive. Contains is
-// read-only and safe for unsynchronized concurrent callers. When the
-// plain-filter projection is there (a version that has served a Snapshot,
-// or descends from one that has), the probe runs through its word-sliced
-// bit vector instead of k scattered counter loads; the projection always
-// equals the counters' fold, so the two paths agree.
+// read-only and safe for unsynchronized concurrent callers.
 func (c *CountingFilter) Contains(x uint64) bool {
-	if f := c.snap.Load(); f != nil {
-		return f.Contains(x)
-	}
 	bp, pos := getPositions(c.fam, x)
-	ok := true
-	for _, p := range pos {
-		if c.counts[p] == 0 {
-			ok = false
-			break
-		}
-	}
+	ok := c.bits.TestAll(pos)
 	putPositions(bp, pos)
 	return ok
 }
 
-// Clone returns a deep copy of the counters (sharing the immutable family).
-// The copy starts with the receiver's projection when there is one: the
-// counters are equal and the projection is immutable, so it is shared, and
-// the copy's first in-place mutation drops only the copy's reference.
+// Clone returns a copy of the filter in O(1): the two share both parts,
+// and whichever is mutated in place first copies them.
 func (c *CountingFilter) Clone() *CountingFilter {
-	next := &CountingFilter{counts: slices.Clone(c.counts), fam: c.fam, n: c.n}
-	next.snap.Store(c.snap.Load())
+	next := c.derive()
+	next.frozen.Store(true)
 	return next
 }
 
 // CloneAdd is the copy-on-write form of Add: it returns a new counting
-// filter equal to c with ids inserted, leaving c untouched. When c has its
-// projection the result has its own, patched from c's.
+// filter equal to c with ids inserted, leaving c untouched. The result
+// copies bits only if a counter leaves zero and over only if a non-zero
+// counter moves; whatever it did not copy it shares with c.
 func (c *CountingFilter) CloneAdd(ids ...uint64) *CountingFilter {
-	next := c.Clone()
-	v := viewPatch{parent: next.snap.Load()}
+	next, o := c.derive(), owned{}
 	bp := posBuf.Get().(*[]uint64)
 	pos := (*bp)[:0]
 	for _, x := range ids {
 		pos = c.fam.Positions(x, pos[:0])
-		next.add(pos, &v)
+		next.add(pos, &o)
 	}
 	putPositions(bp, pos)
-	v.handOn(next)
+	next.frozen.Store(!o.bits || !o.over)
 	return next
 }
 
 // CloneRemove is the copy-on-write form of Remove with all-or-nothing
 // batch semantics: it returns a new counting filter equal to c with one
-// insertion of each id removed, leaving c and its projection untouched. If
+// insertion of each id removed, leaving c and its snapshot untouched. If
 // any id is not a member at its turn, an error is returned and no new
 // filter is produced — unlike repeated Remove calls, a failed batch leaves
-// no partial state for a publisher to expose. When c has its projection
-// the result has its own, patched from c's.
+// no partial state for a publisher to expose. Parts are copied as in
+// CloneAdd: bits when a counter reaches zero, over when one of 2 or more
+// moves.
 func (c *CountingFilter) CloneRemove(ids ...uint64) (*CountingFilter, error) {
-	next := c.Clone()
-	v := viewPatch{parent: next.snap.Load()}
+	next, o := c.derive(), owned{}
 	bp := posBuf.Get().(*[]uint64)
 	pos := (*bp)[:0]
 	for _, x := range ids {
 		pos = c.fam.Positions(x, pos[:0])
-		if !next.remove(pos, &v) {
+		if !next.bits.TestAll(pos) {
 			putPositions(bp, pos)
 			return nil, fmt.Errorf("%w %d", ErrNotMember, x)
 		}
+		next.remove(pos, &o)
 	}
 	putPositions(bp, pos)
-	v.handOn(next)
+	next.frozen.Store(!o.bits || !o.over)
 	return next, nil
 }
 
-// Snapshot projects the counting filter onto a plain Filter (counter > 0
-// → bit set) sharing the same family, ready for use against a
-// BloomSampleTree built with the same parameters. The projection is
-// remembered until the next in-place mutation and handed on by the
-// copy-on-write forms, so only a version with no viewed ancestor (first
-// read after boot, restore or ingest) pays the fold over all m counters.
-// The returned filter is shared: treat it as immutable.
+// derive starts a version from c: a header over c's parts, which c may no
+// longer change in place.
+func (c *CountingFilter) derive() *CountingFilter {
+	if !c.frozen.Load() {
+		c.frozen.Store(true)
+	}
+	return &CountingFilter{bits: c.bits, over: c.over, fam: c.fam, n: c.n}
+}
+
+// Snapshot returns the counting filter as a plain Filter (counter > 0 →
+// bit set) sharing the same family, ready for use against a
+// BloomSampleTree built with the same parameters. It is a header over the
+// filter's own bit vector, made once per value: O(1), and every caller
+// gets the same one. The returned filter is shared: treat it as immutable.
 func (c *CountingFilter) Snapshot() *Filter {
 	if f := c.snap.Load(); f != nil {
 		return f
 	}
-	m := uint64(len(c.counts))
-	f := &Filter{bits: bitset.FromWords(m, project(c.counts)), fam: c.fam, n: c.n}
-	c.snap.Store(f)
-	return f
+	c.frozen.Store(true)
+	f := &Filter{bits: c.bits, fam: c.fam, n: c.n}
+	if c.snap.CompareAndSwap(nil, f) {
+		return f
+	}
+	return c.snap.Load()
 }
 
-// PeekSnapshot returns the projection if the filter holds one and nil
-// otherwise; unlike Snapshot it never builds it (memory accounting,
-// tests).
-func (c *CountingFilter) PeekSnapshot() *Filter { return c.snap.Load() }
+// expand writes the filter's m counters into dst: the inverse of
+// fromCounters, and the BSC1 encoding's payload.
+func (c *CountingFilter) expand(dst []uint8) {
+	for wi, w := range c.bits.Raw() {
+		for ; w != 0; w &= w - 1 {
+			dst[wi*64+bits.TrailingZeros64(w)] = 1
+		}
+	}
+	for _, e := range c.over {
+		dst[e>>8] = uint8(e)
+	}
+}
+
+// fromCounters returns the filter holding counts, one counter a position,
+// with n live insertions.
+func fromCounters(fam hashfam.Family, counts []uint8, n uint64) *CountingFilter {
+	c := &CountingFilter{bits: bitset.FromWords(uint64(len(counts)), project(counts)), fam: fam, n: n}
+	for p, cnt := range counts {
+		if cnt >= 2 {
+			c.over = append(c.over, uint64(p)<<8|uint64(cnt))
+		}
+	}
+	return c
+}
 
 // project folds counters to packed bits, bit p set iff counts[p] > 0, a
 // word of 64 counters at a time; the counters past the last full word are
-// folded bytewise.
+// folded bytewise. It decodes the BSC1 encoding's counters.
 func project(counts []uint8) []uint64 {
 	words := make([]uint64, (len(counts)+63)/64)
 	rest := counts
@@ -319,12 +329,15 @@ func fold8(counts []uint8) uint64 {
 	return (nonzero >> 7) * gather >> 56
 }
 
-// SizeBytes returns the in-memory size of the counter array.
-func (c *CountingFilter) SizeBytes() uint64 { return uint64(len(c.counts)) }
+// SizeBytes returns the in-memory size of the two parts: the bit vector
+// and 8 bytes per counter of 2 or more.
+func (c *CountingFilter) SizeBytes() uint64 {
+	return c.bits.SizeBytes() + 8*uint64(len(c.over))
+}
 
 // Reset clears the filter.
 func (c *CountingFilter) Reset() {
-	clear(c.counts)
-	c.n = 0
+	c.bits, c.over, c.n = bitset.New(c.M()), nil, 0
+	c.frozen.Store(false)
 	c.snap.Store(nil)
 }

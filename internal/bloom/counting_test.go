@@ -132,16 +132,47 @@ func TestCountingReset(t *testing.T) {
 	}
 }
 
+// TestCountingSizeBytes pins what a counting filter holds: its bit
+// vector — a plain filter's bytes, which its Snapshot shares — and 8 bytes
+// per counter of 2 or more.
 func TestCountingSizeBytes(t *testing.T) {
 	c := NewCounting(countingFam(t))
-	if c.SizeBytes() != 10000 {
-		t.Fatalf("SizeBytes = %d", c.SizeBytes())
-	}
-	// ~8x a plain filter of the same m (one byte per position vs one bit,
-	// modulo the plain filter's word alignment).
 	plain := New(countingFam(t))
-	if c.SizeBytes() < plain.SizeBytes()*7 || c.SizeBytes() > plain.SizeBytes()*8 {
-		t.Fatalf("counting %d vs plain %d bytes", c.SizeBytes(), plain.SizeBytes())
+	if c.SizeBytes() != plain.SizeBytes() || c.Snapshot().SizeBytes() != plain.SizeBytes() {
+		t.Fatalf("empty: counting %d B, its view %d, a plain filter %d", c.SizeBytes(), c.Snapshot().SizeBytes(), plain.SizeBytes())
+	}
+	c = c.CloneAdd(1, 2, 1, 1, 3)
+	if want := plain.SizeBytes() + 8*uint64(len(c.over)); len(c.over) < 3 || c.SizeBytes() != want {
+		t.Fatalf("three counters at 3: %d B over %d entries, want %d", c.SizeBytes(), len(c.over), want)
+	}
+}
+
+// TestCountingMemoryBound holds a counting filter to its bound under
+// overload. A counter of 2 or more holds at least two of the k·Live()
+// insertions, so the list has at most k·Live()/2 entries and the filter
+// costs at most m/8 + 4·k·Live() bytes — what it stores, not m. On the
+// served mixed_wal shape (m = 27 391, k = 3, 500 ids planned) it checks
+// that bound at 1×, 4× and 16× the plan, and that at plan the filter holds
+// under a quarter of the m bytes its counters once took.
+func TestCountingMemoryBound(t *testing.T) {
+	const m, k, planned = 27_391, 3, 500
+	fam := hashfam.MustNew(hashfam.DefaultKind, m, k, 1)
+	rng := rand.New(rand.NewSource(1))
+	c := NewCounting(fam)
+	for _, load := range []int{1, 4, 16} {
+		batch := make([]uint64, load*planned-int(c.Live()))
+		for i := range batch {
+			batch[i] = rng.Uint64()
+		}
+		c = c.CloneAdd(batch...)
+		bound := New(fam).SizeBytes() + 4*k*c.Live()
+		t.Logf("%2d× plan: %d B (%d overflow entries), bound %d, %d counters", load, c.SizeBytes(), len(c.over), bound, m)
+		if c.SizeBytes() > bound {
+			t.Errorf("%d× plan: %d B, above the bound m/8 + 4·k·live = %d", load, c.SizeBytes(), bound)
+		}
+		if load == 1 && c.SizeBytes() > m/4 {
+			t.Errorf("at plan: %d B, want under m/4 = %d", c.SizeBytes(), m/4)
+		}
 	}
 }
 

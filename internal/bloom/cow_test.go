@@ -141,9 +141,9 @@ func TestCountingCloneRemoveAtomic(t *testing.T) {
 	}
 }
 
-// TestCountingSnapshotCache pins that Snapshot memoizes until the next
-// mutation and that the cached projection stays correct across the
-// mutate/invalidate cycle.
+// TestCountingSnapshotCache pins that Snapshot returns one header until the
+// next in-place mutation, which leaves that header as it was and gets a new
+// one.
 func TestCountingSnapshotCache(t *testing.T) {
 	fam := cowFam(t)
 	c := NewCounting(fam)

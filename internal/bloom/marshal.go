@@ -60,24 +60,23 @@ func (f *Filter) MarshalBinary() ([]byte, error) {
 const countingMagic = "BSC1"
 
 // MarshalBinary encodes the counting filter, including its hash-family
-// parameters.
+// parameters. The counters are expanded straight into the encoding.
 func (c *CountingFilter) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteString(countingMagic)
 	kind := string(c.fam.Kind())
 	if len(kind) > 255 {
 		return nil, fmt.Errorf("bloom: family kind %q too long", kind)
 	}
-	buf.WriteByte(byte(len(kind)))
-	buf.WriteString(kind)
-	var hdr [28]byte
-	binary.LittleEndian.PutUint64(hdr[0:], c.M())
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(c.K()))
-	binary.LittleEndian.PutUint64(hdr[12:], c.fam.Seed())
-	binary.LittleEndian.PutUint64(hdr[20:], c.n)
-	buf.Write(hdr[:])
-	buf.Write(c.counts)
-	return buf.Bytes(), nil
+	buf := make([]byte, 0, len(countingMagic)+1+len(kind)+28+int(c.M()))
+	buf = append(buf, countingMagic...)
+	buf = append(buf, byte(len(kind)))
+	buf = append(buf, kind...)
+	buf = binary.LittleEndian.AppendUint64(buf, c.M())
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.K()))
+	buf = binary.LittleEndian.AppendUint64(buf, c.fam.Seed())
+	buf = binary.LittleEndian.AppendUint64(buf, c.n)
+	counts := buf[len(buf) : len(buf)+int(c.M())]
+	c.expand(counts)
+	return buf[:len(buf)+len(counts)], nil
 }
 
 // UnmarshalCounting decodes a counting filter produced by its
@@ -109,10 +108,7 @@ func UnmarshalCounting(data []byte) (*CountingFilter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bloom: decoding family: %w", err)
 	}
-	c := NewCounting(fam)
-	copy(c.counts, data)
-	c.n = n
-	return c, nil
+	return fromCounters(fam, data, n), nil
 }
 
 // UnmarshalFilter decodes a filter produced by MarshalBinary,

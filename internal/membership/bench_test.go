@@ -6,12 +6,11 @@ import (
 	"repro/internal/hashfam"
 )
 
-// BenchmarkCountingWriteThenRead times what a removable key pays between a
-// write and the first read after it, on the shape bench/'s mixed_wal
-// workload serves (m = 27 391, k = 3, 500 ids under the key, 4 ids added):
-// viewed-parent is the copy-on-write step plus QueryView on a key that has
-// been read before, cold is QueryView alone on a version with no viewed
-// ancestor (first read after boot, restore or ingest).
+// BenchmarkCountingWriteThenRead times a removable key's copy-on-write step
+// on the shape bench/'s mixed_wal workload serves (m = 27 391, k = 3, 500
+// ids under the key): add4 and remove4 are a write of 4 ids alone, and
+// write-read is add4 plus the QueryView the first read after it takes.
+// Every arm derives from the same parent, which has been read.
 func BenchmarkCountingWriteThenRead(b *testing.B) {
 	fam, err := hashfam.New(hashfam.DefaultKind, 27_391, 3, 1)
 	if err != nil {
@@ -22,38 +21,34 @@ func BenchmarkCountingWriteThenRead(b *testing.B) {
 		ids[i] = uint64(i) * 199
 	}
 	fresh := []uint64{7, 1_000_003, 1_000_033, 1_000_037}
+	held := ids[:4]
+	dm, err := NewDynamicWith(KindCounting, fam, 0, ids)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dm.QueryView()
 	var sink uint64
 
-	b.Run("viewed-parent", func(b *testing.B) {
-		dm, err := NewDynamicWith(KindCounting, fam, 0, ids)
-		if err != nil {
-			b.Fatal(err)
+	b.Run("add4", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink += dm.CloneAddDynamic(fresh...).Live()
 		}
-		dm.QueryView()
+	})
+	b.Run("remove4", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			next, err := dm.CloneRemove(held...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sink += next.Live()
+		}
+	})
+	b.Run("write-read", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sink += dm.CloneAddDynamic(fresh...).QueryView().M()
-		}
-	})
-	b.Run("cold", func(b *testing.B) {
-		dm, err := NewDynamicWith(KindCounting, fam, 0, ids)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Versions of a parent nobody has read carry no view; they are
-		// made off the clock, a few at a time.
-		versions := make([]DynamicMembership, 32)
-		b.ReportAllocs()
-		for done := 0; done < b.N; {
-			b.StopTimer()
-			for i := range versions {
-				versions[i] = dm.CloneAddDynamic(fresh...)
-			}
-			b.StartTimer()
-			for i := 0; i < len(versions) && done < b.N; i++ {
-				sink += versions[i].QueryView().M()
-				done++
-			}
 		}
 	})
 	_ = sink

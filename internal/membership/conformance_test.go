@@ -268,11 +268,10 @@ func TestConformanceQueryViewTracksAdds(t *testing.T) {
 
 func TestConformanceQueryViewAfterWriteChains(t *testing.T) {
 	// Whatever chain of adds, removes and reads led to a version, its
-	// query view holds every live id. The counting backend carries its view
-	// from version to version instead of rebuilding it, and owes more: the
-	// carried view is the projection of the version's counters — checked
-	// against a copy of the counters that has never had a view — under the
-	// version's own live count.
+	// query view holds every live id. The counting backend's view is the
+	// bit vector its writes maintain, and owes more: it is the projection
+	// of the version's counters — checked against a decoded copy of the
+	// counters — under the version's own live count.
 	for _, kind := range conformanceKinds {
 		t.Run(string(kind), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(5))
@@ -298,7 +297,7 @@ func TestConformanceQueryViewAfterWriteChains(t *testing.T) {
 					}
 					live = live[n:]
 				default:
-					cur.QueryView() // a read: later versions descend from a viewed one
+					cur.QueryView() // a read: later versions derive from a snapshotted one
 				}
 				if step%7 != 0 {
 					continue // most versions are never read, as on a server
@@ -317,12 +316,12 @@ func TestConformanceQueryViewAfterWriteChains(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				unviewed, err := bloom.UnmarshalCounting(data)
+				decoded, err := bloom.UnmarshalCounting(data)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if fresh := unviewed.Snapshot(); !view.Equal(fresh) || view.SetBits() != fresh.SetBits() {
-					t.Fatalf("step %d: the carried view is not the projection of the counters", step)
+				if fresh := decoded.Snapshot(); !view.Equal(fresh) || view.SetBits() != fresh.SetBits() {
+					t.Fatalf("step %d: the view is not the projection of the counters", step)
 				}
 				if view.Insertions() != cur.Live() || cur.Live() != uint64(len(live)) {
 					t.Fatalf("step %d: view counts %d insertions, Live() = %d, model holds %d", step, view.Insertions(), cur.Live(), len(live))

@@ -3,11 +3,10 @@ package membership
 import "repro/internal/bloom"
 
 // countingSet adapts a *bloom.CountingFilter to the DynamicMembership
-// contract. Its query view is the filter's plain-Bloom Snapshot: built by
-// the first read of the key, then carried from version to version by the
-// filter's own CloneAdd/CloneRemove, which patch the bits whose counter
-// crossed zero — so it is exact after deletes, and a key that is never
-// read never has one.
+// contract. The filter holds its counters as a bit vector (counter > 0)
+// and a list of the counters of 2 or more, so its query view is a header
+// over that vector: every version has it, exact after deletes, and a
+// write copies only the part it changes.
 type countingSet struct {
 	c *bloom.CountingFilter
 }
@@ -16,19 +15,12 @@ func (s countingSet) Backend() Kind           { return KindCounting }
 func (s countingSet) Contains(id uint64) bool { return s.c.Contains(id) }
 func (s countingSet) Live() uint64            { return s.c.Live() }
 
-// QueryView returns the snapshot; only a version with no viewed ancestor
-// computes it.
+// QueryView returns the snapshot, an O(1) header over the filter's bits.
 func (s countingSet) QueryView() *bloom.Filter { return s.c.Snapshot() }
 
-// SizeBytes counts what is resident: the counter array, plus the query
-// view once a read has materialized it. Asking never builds the view.
-func (s countingSet) SizeBytes() uint64 {
-	size := s.c.SizeBytes()
-	if view := s.c.PeekSnapshot(); view != nil {
-		size += view.SizeBytes()
-	}
-	return size
-}
+// SizeBytes counts what is resident: the bit vector, which the query view
+// shares, and the overflow list.
+func (s countingSet) SizeBytes() uint64 { return s.c.SizeBytes() }
 
 func (s countingSet) ContainsBatch(ids []uint64, out []bool, scratch []uint64) []uint64 {
 	return s.c.Snapshot().ContainsBatch(ids, out, scratch)

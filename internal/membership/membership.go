@@ -11,12 +11,12 @@
 // The tree descent works on bit-level intersection estimates, so every
 // backend exposes a QueryView: a plain Bloom filter of its contents, which
 // the descent, the leaf probes and the scan all read. For a Bloom backend
-// the view is the filter itself. The counting backend builds its view on
-// the first read and from then on maintains it incrementally and exactly:
-// CloneAdd and CloneRemove patch the bits whose counter crossed zero. So
-// every version's view is the projection of its counters, a removed id is
-// gone from it unless it is a false positive of what is left, and a key
-// nobody reads has no view.
+// the view is the filter itself. The counting backend holds its counters
+// as a bit vector (counter > 0) plus a list of the counters of 2 or more,
+// and its view is a header over that vector: CloneAdd and CloneRemove copy
+// the vector only when a counter crosses zero, so every version's view is
+// exactly its counters' and a removed id is gone from it unless it is a
+// false positive of what is left.
 package membership
 
 import (
@@ -35,7 +35,8 @@ const (
 	// deletion. The only legal backend for static (plain) sets.
 	KindBloom Kind = "bloom"
 	// KindCounting is the counting Bloom filter: 8-bit counters, native
-	// delete, 8x a plain filter's memory. The one removable backend.
+	// delete, a plain filter's memory plus 8 bytes per counter of 2 or
+	// more. The one removable backend.
 	KindCounting Kind = "counting"
 )
 
@@ -74,15 +75,14 @@ type Membership interface {
 	Live() uint64
 	// QueryView returns a plain Bloom projection of the contents for the
 	// tree descent and intersection estimates. For a Bloom backend this
-	// is the filter itself (free); the counting backend maintains its
-	// projection across versions from the first read on. The returned
-	// filter is shared — treat it as immutable.
+	// is the filter itself; for the counting backend an O(1) header over
+	// the bit vector it holds. The returned filter is shared — treat it as
+	// immutable.
 	QueryView() *bloom.Filter
 	// CloneAdd returns a new Membership equal to the receiver with ids
 	// inserted. The receiver is never mutated.
 	CloneAdd(ids ...uint64) Membership
-	// SizeBytes returns the backend's resident memory, including the
-	// query-view projection it holds; it builds nothing.
+	// SizeBytes returns the backend's resident memory; it builds nothing.
 	SizeBytes() uint64
 	// MarshalBinary serializes the backend with an embedded kind tag
 	// (the "BSM1" envelope; see Unmarshal).
@@ -124,9 +124,8 @@ func NewDynamicWith(kind Kind, fam hashfam.Family, capacityHint uint64, ids []ui
 }
 
 // MatchesFamily returns nil if m was built with parameters equal to fam's,
-// and the error of bloom.Filter.MatchesFamily otherwise. It builds nothing:
-// a counting set is asked about its counters, not about the query view a
-// loader has no use for; a Bloom set is its own view.
+// and the error of bloom.Filter.MatchesFamily otherwise. A counting set is
+// asked about its counters; a Bloom set is its own view.
 func MatchesFamily(m Membership, fam hashfam.Family) error {
 	if s, ok := m.(countingSet); ok {
 		return s.c.MatchesFamily(fam)

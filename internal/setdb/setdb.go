@@ -119,12 +119,13 @@ const numShards = 64
 // The paper's motivating applications track communities whose membership
 // changes over time (§1), and a plain Bloom filter cannot forget a member.
 // A key created by a Dynamic write therefore holds a
-// membership.DynamicMembership — a counting Bloom filter (8-bit counters, 8×
-// the plain filter's memory) — and every other key a plain Bloom filter.
+// membership.DynamicMembership — a counting Bloom filter (8-bit counters,
+// held as the plain filter's bits plus its counters of 2 or more) — and
+// every other key a plain Bloom filter.
 // That is the whole difference: queries run against the value's
 // point-in-time QueryView, which is compatible with the shared tree whatever
 // the backend, and mutations of either kind publish a fresh immutable value,
-// so readers (and any memoized query-view projection) never observe a set
+// so readers (and any query view taken from a value) never observe a set
 // mid-update.
 type entry struct {
 	m membership.Membership
@@ -329,8 +330,8 @@ func (db *DB) validateIDs(ids []uint64) error {
 // Filter returns the currently published version of the set under key (nil
 // if absent) as its plain Bloom query view: a point-in-time filter
 // compatible with the shared tree and with every other set, whatever the
-// key's backend. It is immutable and shared (a removable backend memoizes or
-// maintains it on the published version) — a write to the same key
+// key's backend. It is immutable and shared (a removable backend's view is a
+// header over the published version's bit vector) — a write to the same key
 // publishes a new version rather than mutating it, so it is always safe to
 // keep reading. A removable key's view is the projection of its counters, so
 // a removed id answers only as a false positive of what is left.
