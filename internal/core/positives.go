@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/bloom"
@@ -32,6 +33,14 @@ type Positives struct {
 	// nodes is Tree.Nodes() read before the scan began: the table describes
 	// the leaves that existed then (see Version.Positives).
 	nodes uint64
+
+	// derived is one value a caller computed from the table and keeps beside
+	// it (the server hangs a reconstruction's reply bytes here), as
+	// bloom.Filter's derived slot carries a Version. A table never changes,
+	// so it is set at most once and never dropped: it lives exactly as long
+	// as the table, which a tree that grows a node drops, and which a
+	// declined version hands out afresh to every caller.
+	derived atomic.Pointer[any]
 }
 
 // positivesSkip is one block's skip entry.
@@ -51,6 +60,24 @@ const (
 
 // Len returns the number of positives.
 func (p *Positives) Len() int { return p.count }
+
+// Derived returns the value attached to the table, nil when there is none.
+// Safe for concurrent callers.
+func (p *Positives) Derived() any {
+	if d := p.derived.Load(); d != nil {
+		return *d
+	}
+	return nil
+}
+
+// AttachDerived attaches v unless a value is attached already, and returns
+// the attached one: of several concurrent callers all get the first's.
+func (p *Positives) AttachDerived(v any) any {
+	if p.derived.CompareAndSwap(nil, &v) {
+		return v
+	}
+	return p.Derived()
+}
 
 // Bytes returns the size of the packed table.
 func (p *Positives) Bytes() uint64 {

@@ -435,18 +435,22 @@ func allocsPerRequest(t *testing.T, h http.Handler, path, body string, runs int)
 // TestReplyCostPerRequest is the reply buffer's allocation gate, in process
 // like the tracing gate above. A warm reconstruction through the HTTP
 // handler allocates the same number of times whether it answers with some
-// 100 ids or some 11 000 — the result and the reply bytes are pooled, and no
-// id allocates — and under 1 KB beyond what the request itself costs, where
-// the result slice and the reply text were ≈ 190 KB a request. And a
-// single-id /v1/sample, the point workload's request, allocates no more than
-// it did through encoding/json: 24 times and 6 325 B untraced, as at the
-// parent commit (the reply's share: 6 allocations, 496 B).
+// 100 ids or some 11 000 — the head is written in a pooled buffer and the ids
+// are the table's kept rendering — and under 1 KB beyond what the request
+// itself costs, where the result slice and the reply text were ≈ 190 KB a
+// request; traced, as BenchmarkServedReconstruct/http serves it, it
+// allocates no more than the 30 times it did when every request unpacked and
+// printed its ids. And a single-id /v1/sample, the point workload's request,
+// allocates no more than it did through encoding/json: 24 times and 6 325 B
+// untraced, as at the parent commit (the reply's share: 6 allocations,
+// 496 B).
 func TestReplyCostPerRequest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under the race detector: allocation counts are not exact")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pools mid-count
-	h := New(batchShapeDB(t), Config{TraceDisabled: true})
+	db := batchShapeDB(t)
+	h := New(db, Config{TraceDisabled: true})
 	smallAllocs, smallBytes, smallLen := allocsPerRequest(t, h, "/v1/reconstruct", `{"key":"small"}`, 500)
 	bigAllocs, bigBytes, bigLen := allocsPerRequest(t, h, "/v1/reconstruct", `{"key":"big"}`, 500)
 	t.Logf("warm reconstruction: %d reply bytes %.2f allocations %.0f B, %d reply bytes %.2f allocations %.0f B",
@@ -458,9 +462,17 @@ func TestReplyCostPerRequest(t *testing.T) {
 		t.Fatalf("a reconstruction of %d reply bytes costs %.2f allocations and %.0f B, one of %d bytes %.2f and %.0f B: want the same count, and the bytes within 1 KB",
 			bigLen, bigAllocs, bigBytes, smallLen, smallAllocs, smallBytes)
 	}
+	traced, w := New(db, Config{}), &nullWriter{h: http.Header{}}
+	warm := testing.AllocsPerRun(200, func() {
+		traced.ServeHTTP(w, httptest.NewRequest("POST", "/v1/reconstruct", strings.NewReader(`{"key":"big"}`)))
+	})
+	t.Logf("warm traced reconstruction: %.2f allocations", warm)
+	if w.status != http.StatusOK || warm > 30 {
+		t.Fatalf("a warm traced reconstruction: status %d, %.2f allocations, want at most 30", w.status, warm)
+	}
 
-	_, db := newTestServer(t, Config{})
-	allocs, bytes, _ := allocsPerRequest(t, New(db, Config{TraceDisabled: true}), "/v1/sample", `{"key":"plain"}`, 2000)
+	_, small := newTestServer(t, Config{})
+	allocs, bytes, _ := allocsPerRequest(t, New(small, Config{TraceDisabled: true}), "/v1/sample", `{"key":"plain"}`, 2000)
 	t.Logf("single-id sample: %.2f allocations %.0f B", allocs, bytes)
 	if math.Round(allocs) > 24 || bytes > 6_400 {
 		t.Fatalf("a single-id sample costs %.2f allocations and %.0f B, want at most the 24 and 6 325 B it cost through encoding/json", allocs, bytes)

@@ -536,14 +536,16 @@ func (bc *binConn) binReconstruct(tr *obs.Trace, h wire.Header, body []byte) err
 	if err != nil {
 		return err
 	}
-	ids := newIDs()
-	defer ids.release()
-	resp, err := bc.srv.reconstruct(ReconstructRequest{Key: m.Key}, ids)
+	rec, err := bc.srv.reconstruct(ReconstructRequest{Key: m.Key})
 	if err != nil {
 		return err
 	}
-	return bc.reply(tr, wire.OpIDsResult, 0, h.RequestID, wire.IDsResult{IDs: resp.IDs})
+	return bc.reply(tr, wire.OpIDsResult, 0, h.RequestID, rec)
 }
+
+// Encode appends the reconstruction's OpIDsResult body — wire.IDsResult's
+// bytes, kept beside the table (rendering.wireBody) — to dst.
+func (rec reconstruction) Encode(dst []byte) []byte { return append(dst, rec.kept.wireBody()...) }
 
 func (bc *binConn) binIntersection(tr *obs.Trace, h wire.Header, body []byte) error {
 	m, err := decodeFrame(tr, wire.DecodeIntersectionReq, body)

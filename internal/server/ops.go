@@ -211,31 +211,40 @@ type ReconstructRequest struct {
 	Dynamic bool `json:"dynamic,omitempty"`
 }
 
-// ReconstructResponse returns the reconstructed ids in ascending order.
+// ReconstructResponse returns the reconstructed ids in ascending order. It is
+// the document a client decodes; the server writes it from a reconstruction.
 type ReconstructResponse struct {
 	Key   string   `json:"key"`
 	Count int      `json:"count"`
 	IDs   []uint64 `json:"ids"`
 }
 
+// reconstruction is a served reconstruction as the codecs write it: the key
+// asked for, the number of ids, and the rendering kept beside the pinned
+// version's table, which holds the ids in each codec's bytes.
+type reconstruction struct {
+	key   string
+	count int
+	kept  *rendering
+}
+
 // reconstruct pins the published filter version, bounds the response (a
-// reconstruction buffers the whole set in memory, so it obeys the same
-// cap as a buffered sample batch) and answers with every positive of the
-// version: §6's S ∪ S(B) over the tree's leaves, every stored id among them.
-// That is the version's packed positives (core.Version.Exact), which the
-// first request on a version pays for with one scan of the leaves and every
-// later one reads back (setdb.AppendReconstructFrom). The cap is checked
-// twice: on the cardinality estimate, so that a set far over it is refused
-// before the scan is paid for, and on the ids returned, which hold the
-// filter's false positives too and are what the cap promises to bound.
-//
-// The ids are appended into buf, which the codec took from the pool and
-// gives back once it has written the reply: the response's IDs are buf's.
-func (s *Server) reconstruct(req ReconstructRequest, buf *idBuf) (ReconstructResponse, error) {
+// reconstruction is sent whole, so it obeys the same cap as a buffered sample
+// batch) and answers with every positive of the version: §6's S ∪ S(B) over
+// the tree's leaves, every stored id among them. That is the version's packed
+// positives (setdb.PositivesFrom), which the first request on a version pays
+// for with one scan of the leaves; the codecs write the table's rendering,
+// which the first request of each codec on the table renders and every later
+// one writes as it is. The cap is checked twice: on the cardinality
+// estimate, so that a set far over it is refused before the scan is paid
+// for, and on the table's size, which holds the filter's false positives too
+// and is what the cap promises to bound — so an over-cap table is never
+// rendered.
+func (s *Server) reconstruct(req ReconstructRequest) (reconstruction, error) {
 	db := s.DB()
 	f, err := pinned(db, req.Key)
 	if err != nil {
-		return ReconstructResponse{}, err
+		return reconstruction{}, err
 	}
 	overCap := func(n float64) error {
 		if n <= float64(s.cfg.MaxBatch) {
@@ -245,19 +254,16 @@ func (s *Server) reconstruct(req ReconstructRequest, buf *idBuf) (ReconstructRes
 			"set %q reconstructs to %.0f ids, above the %d reconstruction limit", req.Key, n, s.cfg.MaxBatch)
 	}
 	if err := overCap(f.EstimateCardinality()); err != nil {
-		return ReconstructResponse{}, err
+		return reconstruction{}, err
 	}
-	buf.ids, err = db.AppendReconstructFrom(buf.ids[:0], f)
+	p, err := db.PositivesFrom(f)
 	if err != nil {
-		return ReconstructResponse{}, err
+		return reconstruction{}, err
 	}
-	if err := overCap(float64(len(buf.ids))); err != nil {
-		return ReconstructResponse{}, err
+	if err := overCap(float64(p.Len())); err != nil {
+		return reconstruction{}, err
 	}
-	if buf.ids == nil {
-		buf.ids = []uint64{}
-	}
-	return ReconstructResponse{Key: req.Key, Count: len(buf.ids), IDs: buf.ids}, nil
+	return reconstruction{key: req.Key, count: p.Len(), kept: renderingOf(p)}, nil
 }
 
 // IntersectionRequest names the two stored sets to compare.

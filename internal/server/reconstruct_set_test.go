@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"slices"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/bloom"
 	"repro/internal/core"
 	"repro/internal/membership"
+	"repro/internal/wire"
 )
 
 // leafOf returns the first id of the leaf of tree whose range holds x: the
@@ -185,24 +187,38 @@ func TestServedReconstructIsTheSet(t *testing.T) {
 	// binary — while writes to another key grow the pruned tree leaf by leaf
 	// under it, each one outdating the version's table. Whatever a reader
 	// meets — the table, a table a leaf has just outdated, a scan — its reply
-	// holds every id stored and nothing the version does not answer for. Run
-	// under -race.
+	// holds every id stored and nothing the version does not answer for. At
+	// rest, the version's replies are its kept rendering until one more leaf
+	// grows — one where the version has positives — and then they are the
+	// new enumeration, that leaf's positives in it, never the bytes kept
+	// before. Run under -race.
 	t.Run("growth", func(t *testing.T) {
 		srv, ts, bin, ids := servedKey(t, membership.KindBloom, 6, design, design/10, true, Config{})
 		db := srv.DB()
 		f := db.Filter("s")
 		slices.Sort(ids)
-		// One id at the start of each leaf the key leaves empty.
+		// One id at the start of each leaf the key leaves empty; the first
+		// such leaf where f has positives is held back (late).
 		occupied := map[uint64]bool{}
 		for _, x := range ids {
 			occupied[leafOf(db.Tree(), x)] = true
 		}
-		var grow []uint64
+		var grow, lateIDs []uint64
+		late := uint64(servedM)
 		for x := uint64(0); x < servedM; x++ {
-			if leafOf(db.Tree(), x) == x && !occupied[x] {
+			leaf := leafOf(db.Tree(), x)
+			if leaf == x && !occupied[x] {
 				grow = append(grow, x)
 			}
+			if !occupied[leaf] && f.Contains(x) && (late == servedM || late == leaf) {
+				late = leaf
+				lateIDs = append(lateIDs, x)
+			}
 		}
+		if late == servedM {
+			t.Fatal("the version has no positive in a leaf it leaves empty: the test needs one")
+		}
+		grow = slices.DeleteFunc(grow, func(x uint64) bool { return x == late })
 
 		var grown atomic.Bool
 		var replies atomic.Int64
@@ -268,6 +284,125 @@ func TestServedReconstructIsTheSet(t *testing.T) {
 		got, err := db.AppendReconstructFrom(nil, f)
 		if want := enumerated(db.Tree(), f, append(ids, grow...)); err != nil || !slices.Equal(got, want) {
 			t.Fatalf("at rest the version answers %d ids, its leaves hold %d positives (err %v)", len(got), len(want), err)
+		}
+
+		overHTTP := func() string {
+			t.Helper()
+			resp, err := http.Post(ts.URL+"/v1/reconstruct", "application/json", strings.NewReader(`{"key":"s"}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d, err %v", resp.StatusCode, err)
+			}
+			return string(body)
+		}
+		kept := overHTTP()
+		if again := overHTTP(); again != kept {
+			t.Fatal("two replies on a version at rest differ")
+		}
+		if err := db.Add("g", late); err != nil {
+			t.Fatal(err)
+		}
+		want := enumerated(db.Tree(), f, append(append(ids, grow...), late))
+		if x, ok := lacking(want, lateIDs); ok {
+			t.Fatalf("the enumeration lacks %d, a positive of the leaf grown last", x)
+		}
+		if body := overHTTP(); body == kept || body != encodingJSON(t, ReconstructResponse{Key: "s", Count: len(want), IDs: want}) {
+			t.Fatalf("after the tree grew a leaf with %d of the version's positives: a reply of %d bytes (%d before), not the enumeration's", len(lateIDs), len(body), len(kept))
+		}
+		if got, err := bin.Reconstruct("s", false); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("after the tree grew: the binary reply holds %d ids, the enumeration %d (err %v)", len(got), len(want), err)
+		}
+	})
+
+	// A version whose table outgrows its own bytes declines it: each request
+	// scans into a table of its own, renders it and drops both. Its replies
+	// are still the enumeration, the same bytes twice in a row, and the
+	// version never keeps a table.
+	t.Run("declined", func(t *testing.T) {
+		srv, ts, bin, _ := servedKey(t, membership.KindBloom, 7, design, 5*design/2, false, Config{})
+		db := srv.DB()
+		f := db.Filter("s")
+		want := enumerated(db.Tree(), f, nil)
+		doc := encodingJSON(t, ReconstructResponse{Key: "s", Count: len(want), IDs: want})
+		var bodies []string
+		for i := 0; i < 2; i++ {
+			var body []byte
+			resp, err := http.Post(ts.URL+"/v1/reconstruct", "application/json", strings.NewReader(`{"key":"s"}`))
+			if err == nil {
+				body, err = io.ReadAll(resp.Body)
+				resp.Body.Close()
+			}
+			if err != nil || string(body) != doc {
+				t.Fatalf("call %d: a reply of %d bytes, the enumeration's is %d (err %v)", i, len(body), len(doc), err)
+			}
+			bodies = append(bodies, string(body))
+			if got, err := bin.Reconstruct("s", false); err != nil || !slices.Equal(got, want) {
+				t.Fatalf("call %d: the binary reply holds %d ids, the enumeration %d (err %v)", i, len(got), len(want), err)
+			}
+		}
+		if st := db.Stats(); bodies[0] != bodies[1] || st.PositivesDeclined == 0 || db.Tree().VersionFor(f).Positives() != nil {
+			t.Fatalf("%d tables declined, and the version keeps one: %v", st.PositivesDeclined, db.Tree().VersionFor(f).Positives() != nil)
+		}
+	})
+
+	// Sixteen requests, half over HTTP and half over binary, reconstruct one
+	// fresh version at once: one scans, one of each codec renders, and every
+	// reply is the enumeration. The table ends with one rendering attached,
+	// holding both bodies. Run under -race.
+	t.Run("first-render", func(t *testing.T) {
+		srv, _, _, ids := servedKey(t, membership.KindBloom, 8, design, design, true, Config{})
+		db := srv.DB()
+		f := db.Filter("s")
+		want := enumerated(db.Tree(), f, ids)
+		doc := encodingJSON(t, ReconstructResponse{Key: "s", Count: len(want), IDs: want})
+		// A second server over the same database: servedKey's has its one
+		// binary listener, and a wire.Client is one goroutine's.
+		other := New(db, Config{})
+		ts := httptest.NewServer(other)
+		t.Cleanup(ts.Close)
+		addr := serveBinaryForTest(t, other)
+		var clients []*wire.Client
+		for range 8 {
+			clients = append(clients, dialTestClient(t, addr))
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := range 16 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if g%2 == 1 {
+					if got, err := clients[g/2].Reconstruct("s", false); err != nil || !slices.Equal(got, want) {
+						t.Errorf("binary %d: %d ids, the enumeration %d (err %v)", g, len(got), len(want), err)
+					}
+					return
+				}
+				var body []byte
+				resp, err := http.Post(ts.URL+"/v1/reconstruct", "application/json", strings.NewReader(`{"key":"s"}`))
+				if err == nil {
+					body, err = io.ReadAll(resp.Body)
+					resp.Body.Close()
+				}
+				if err != nil || string(body) != doc {
+					t.Errorf("http %d: a reply of %d bytes, the enumeration's is %d (err %v)", g, len(body), len(doc), err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		p := db.Tree().VersionFor(f).Positives()
+		if p == nil || db.Stats().PositivesScans != 1 {
+			t.Fatalf("sixteen first requests ran %d scans and kept a table: %v", db.Stats().PositivesScans, p != nil)
+		}
+		r, ok := p.Derived().(*rendering)
+		if !ok || renderingOf(p) != r || string(r.jsonTail()) != doc[strings.Index(doc, `"ids":`)+len(`"ids":`):] ||
+			!slices.Equal(r.wireBody(), wire.IDsResult{IDs: want}.Encode(nil)) {
+			t.Fatalf("the table carries %T, not one rendering of both bodies", p.Derived())
 		}
 	})
 }

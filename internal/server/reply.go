@@ -3,14 +3,16 @@ package server
 // The reply buffer: every byte either codec sends is appended into one
 // pooled buffer and leaves in one Write — a JSON document behind its
 // Content-Length, a chunk of NDJSON lines, a wire frame packed in place
-// behind its header. The two JSON documents that carry ids
-// (SampleResponse, ReconstructResponse) and the NDJSON lines are appended by
-// hand: a sample's ids, random draws, each written once by appendUint; a
-// reconstruction's, which ascend, from the high digits they share with their
-// neighbours (appendAscendingIDs). Everything else that is JSON — stats,
-// acks, errors — goes through encoding/json into the same buffer. The
-// hand-written bytes are encoding/json's, which TestReplyJSONIsEncodingJSON
-// and FuzzReplyJSON hold them to.
+// behind its header — except a reconstruction's ids, which are rendered once
+// per table of positives and kept beside it (rendering): an HTTP
+// reconstruction is its head from the buffer, then the table's kept bytes as
+// they are, behind one Content-Length. The JSON documents that carry ids and
+// the NDJSON lines are appended by hand: a sample's ids, random draws, each
+// written once by appendUint; a reconstruction's, which ascend, from the high
+// digits they share with their neighbours (appendAscendingIDs). Everything
+// else that is JSON — stats, acks, errors — goes through encoding/json into
+// the same buffer. The hand-written bytes are encoding/json's, which
+// TestReplyJSONIsEncodingJSON and FuzzReplyJSON hold them to.
 
 import (
 	"encoding/binary"
@@ -19,15 +21,15 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+
+	"repro/internal/core"
+	"repro/internal/wire"
 )
 
-// What a pool keeps: a reply buffer grown past maxPooledReply bytes, or a
-// reconstruction result past the default batch cap, is dropped when it is
-// released, so one outsized reply does not stay resident for good.
-const (
-	maxPooledReply = 1 << 20
-	maxPooledIDs   = DefaultMaxBatch
-)
+// maxPooledReply is what the pool keeps: a reply buffer grown past it is
+// dropped when it is released, so one outsized reply does not stay resident
+// for good.
+const maxPooledReply = 1 << 20
 
 // replyBuf is one reply's bytes. It is an io.Writer so that encoding/json
 // can encode into it.
@@ -52,27 +54,66 @@ func (rb *replyBuf) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// idBuf is a reconstruction's result, kept between requests: the ≈ 100 KB
-// of ids a reply is encoded from outlive it only as capacity.
-type idBuf struct{ ids []uint64 }
+// rendering is a table of positives as the replies carry it: the end of the
+// JSON document, from its ids array on, and the wire frame's body, each
+// rendered by the first request that needs it and written as it is by every
+// later one. It hangs in the table's derived slot (renderingOf), so it lives
+// exactly as long as the table: a table that the tree's growth drops takes
+// its rendering with it, and a declined version, whose table is new on every
+// call, renders on every call. The JSON takes at most 21 B an id (≈ 7 below
+// 10⁶), the wire body at most 10, and a table over the reconstruction cap is
+// refused before it is rendered.
+type rendering struct {
+	ids                func() []uint64 // the table's ids, read once for each body
+	jsonOnce, wireOnce sync.Once
+	json, wire         []byte
+}
 
-var idBufs = sync.Pool{New: func() any { return new(idBuf) }}
-
-func newIDs() *idBuf { return idBufs.Get().(*idBuf) }
-
-// release hands the slice back once the reply that was encoded from it is
-// written.
-func (ib *idBuf) release() {
-	if cap(ib.ids) > maxPooledIDs {
-		return
+// renderingOf returns the rendering kept beside p, attaching one on first
+// use; of concurrent first callers all get the same.
+func renderingOf(p *core.Positives) *rendering {
+	if r, ok := p.Derived().(*rendering); ok {
+		return r
 	}
-	ib.ids = ib.ids[:0]
-	idBufs.Put(ib)
+	fresh := &rendering{ids: func() []uint64 { return p.AppendAll(nil) }}
+	if r, ok := p.AttachDerived(fresh).(*rendering); ok {
+		return r
+	}
+	return fresh // the slot holds something else: render for this request alone
+}
+
+// jsonTail returns the end of the reconstruction document: the ids as an
+// array — [] when there are none — and the } and newline that close it.
+func (r *rendering) jsonTail() []byte {
+	r.jsonOnce.Do(func() {
+		r.json = keep(func(dst []byte) []byte { return append(appendAscendingIDs(dst, r.ids()), "}\n"...) })
+	})
+	return r.json
+}
+
+// wireBody returns the body of the reconstruction's OpIDsResult frame.
+func (r *rendering) wireBody() []byte {
+	r.wireOnce.Do(func() {
+		r.wire = keep(func(dst []byte) []byte { return wire.IDsResult{IDs: r.ids()}.Encode(dst) })
+	})
+	return r.wire
+}
+
+// keep renders a body into a pooled reply buffer and returns a copy of it at
+// its size: what stays beside a table is the body, not the buffer it grew in.
+func keep(render func(dst []byte) []byte) []byte {
+	rb := newReply()
+	rb.b = render(rb.b)
+	kept := slices.Clone(rb.b)
+	rb.release()
+	return kept
 }
 
 // appendJSON appends v as encoding/json's Encoder writes it, trailing newline
-// included.
-func (rb *replyBuf) appendJSON(v any) error {
+// included — all of it but tail, which a reconstruction's document ends with:
+// the rendering kept beside its table, which nothing may write to. tail is nil
+// for every other reply.
+func (rb *replyBuf) appendJSON(v any) (tail []byte, err error) {
 	switch v := v.(type) {
 	case SampleResponse:
 		rb.b = append(rb.b, `{"key":`...)
@@ -84,18 +125,16 @@ func (rb *replyBuf) appendJSON(v any) error {
 		rb.b = append(rb.b, `,"ids":`...)
 		rb.b = appendIDs(rb.b, v.IDs)
 		rb.b = append(rb.b, "}\n"...)
-		return nil
-	case ReconstructResponse:
+		return nil, nil
+	case reconstruction:
 		rb.b = append(rb.b, `{"key":`...)
-		rb.b = appendString(rb.b, v.Key)
+		rb.b = appendString(rb.b, v.key)
 		rb.b = append(rb.b, `,"count":`...)
-		rb.b = strconv.AppendInt(rb.b, int64(v.Count), 10)
+		rb.b = strconv.AppendInt(rb.b, int64(v.count), 10)
 		rb.b = append(rb.b, `,"ids":`...)
-		rb.b = appendAscendingIDs(rb.b, v.IDs)
-		rb.b = append(rb.b, "}\n"...)
-		return nil
+		return v.kept.jsonTail(), nil
 	}
-	return json.NewEncoder(rb).Encode(v)
+	return nil, json.NewEncoder(rb).Encode(v)
 }
 
 // The NDJSON lines of a streamed sample: {"id":N} for every id of a chunk
@@ -148,18 +187,19 @@ func appendIDs(dst []byte, ids []uint64) []byte {
 	return append(dst, ']')
 }
 
-// appendAscendingIDs appends ids as appendIDs does, byte for byte, in any
-// order, and is fast when neighbours share their high digits, as a
-// reconstruction's ascending ids do (≈ 90 apart at the planned sizes, so
-// some 110 in a row agree on all but the last four). An id v in [10⁴, 10¹¹)
-// is its head, h = v / 10⁴, and a four-digit tail. The separator and h's
-// digits — eight bytes at most — are kept as one little-endian word and
-// rendered again only when h changes; an id in [base, base + 10⁴), where
-// base = 10⁴h, writes that word and its tail, two lookups in tailPairs, as
-// one 8-byte and one 4-byte store. Any other id is appendUint's.
+// appendAscendingIDs appends ids as appendIDs does a non-nil slice, byte for
+// byte — [] when there are none — in any order, and is fast when neighbours
+// share their high digits, as a reconstruction's ascending ids do (≈ 90
+// apart at the planned sizes, so some 110 in a row agree on all but the last
+// four). An id v in [10⁴, 10¹¹) is its head, h = v / 10⁴, and a four-digit
+// tail. The separator and h's digits — eight bytes at most — are kept as one
+// little-endian word and rendered again only when h changes; an id in
+// [base, base + 10⁴), where base = 10⁴h, writes that word and its tail, two
+// lookups in tailPairs, as one 8-byte and one 4-byte store. Any other id is
+// appendUint's.
 func appendAscendingIDs(dst []byte, ids []uint64) []byte {
 	if len(ids) == 0 {
-		return appendIDs(dst, ids)
+		return append(dst, "[]"...)
 	}
 	dst = appendUint(append(dst, '['), ids[0])
 	// Start from the head of h = 1: a real one, so the span test needs no

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -38,10 +39,39 @@ func encodingJSON(t testing.TB, v any) string {
 func appended(t testing.TB, v any) string {
 	t.Helper()
 	rb := new(replyBuf)
-	if err := rb.appendJSON(v); err != nil {
+	tail, err := rb.appendJSON(v)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return string(rb.b)
+	return string(rb.b) + string(tail)
+}
+
+// written is v as writeJSON sends it: the bytes a client receives, held to
+// the Content-Length that announced them.
+func written(t testing.TB, v any) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	if err := writeJSON(rec, httptest.NewRequest("POST", "/v1/reconstruct", nil), http.StatusOK, v); err != nil {
+		t.Fatal(err)
+	}
+	if n := rec.Header().Get("Content-Length"); n != strconv.Itoa(rec.Body.Len()) {
+		t.Fatalf("Content-Length %q before a body of %d bytes", n, rec.Body.Len())
+	}
+	return rec.Body.String()
+}
+
+// renderedFrom is the reconstruction of key whose table holds ids: the
+// rendering the codecs write, made from ids as a table's is made from the
+// ids it unpacks.
+func renderedFrom(key string, ids []uint64) reconstruction {
+	return reconstruction{key: key, count: len(ids), kept: &rendering{ids: func() []uint64 { return ids }}}
+}
+
+// reconstructed is the document a reconstruction of ids is held to:
+// encoding/json's, with no ids an empty array, never null.
+func reconstructed(t testing.TB, key string, ids []uint64) string {
+	t.Helper()
+	return encodingJSON(t, ReconstructResponse{Key: key, Count: len(ids), IDs: append([]uint64{}, ids...)})
 }
 
 // replyKeys are keys encoding/json escapes in every way it has, and ones it
@@ -100,12 +130,55 @@ func ascendingIDLists() [][]uint64 {
 	return append(lists, all, descending)
 }
 
+// tableDB is a pruned database over [0, 2⁴⁰) whose keys' tables hold the
+// shapes a reconstruction's writer has a case for: "empty", a removable key
+// whose one id was removed again, so that its version answers for no id of
+// the leaf left behind; "one", one id; "small", ids below 10⁴; "crossing",
+// runs across the 10⁴ boundaries of heads of one to seven digits; and
+// "huge", ids about 10¹¹ and above 10¹². It returns the ids each key stores.
+func tableDB(t testing.TB) (*setdb.DB, map[string][]uint64) {
+	t.Helper()
+	db, err := setdb.Open(setdb.Options{Namespace: 1 << 40, Bits: 1 << 12, K: 3, TreeDepth: 30, Pruned: true, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var crossing []uint64
+	for _, h := range []uint64{1, 99, 12_345, 9_999_999} {
+		crossing = append(crossing, idRun(h*1e4-3, 7, 1)...)
+	}
+	stored := map[string][]uint64{
+		"empty":    nil,
+		"one":      {123_456_789},
+		"small":    idRun(3, 270, 37),
+		"crossing": crossing,
+		"huge":     append(idRun(1e11-3, 7, 1), 5e11, 1e12+7, 1<<40-1),
+	}
+	for key, ids := range stored {
+		if key != "empty" {
+			if err := db.AddMany(setdb.Write{Key: key, IDs: ids}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := db.AddDynamic("empty", 77); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RemoveDynamic("empty", 77); err != nil {
+		t.Fatal(err)
+	}
+	return db, stored
+}
+
 // TestReplyJSONIsEncodingJSON is the byte-identity gate of the hand-written
-// half of the reply buffer: the two JSON documents that carry ids and the
-// three NDJSON lines are, byte for byte and newline included, what
-// encoding/json writes for the same values — nil ids as null, no ids as [],
-// every key it escapes, ids of every decimal length, and the lists a
-// reconstruction writes from its neighbours' digits (ascendingIDLists).
+// half of the reply buffer: the JSON documents that carry ids and the three
+// NDJSON lines are, byte for byte and newline included, what encoding/json
+// writes for the same values — nil ids as null, no ids as [], every key it
+// escapes, ids of every decimal length, and the lists a reconstruction
+// writes from its neighbours' digits (ascendingIDLists). A reconstruction is
+// held to it as it is sent: the head from the reply buffer, then its table's
+// kept rendering, behind one Content-Length — and for real tables
+// (tableDB), down to the wire body and the reply the server sends, whose
+// empty table is "ids":[], never null.
 func TestReplyJSONIsEncodingJSON(t *testing.T) {
 	ids := replyIDs()
 	for n := uint64(1); n <= 20; n++ {
@@ -122,11 +195,13 @@ func TestReplyJSONIsEncodingJSON(t *testing.T) {
 			for _, v := range []any{
 				SampleResponse{Key: key, Requested: len(list) + 3, Returned: len(list), IDs: list},
 				SampleResponse{Key: key, Requested: -1, Returned: math.MinInt64, IDs: list},
-				ReconstructResponse{Key: key, Count: len(list), IDs: list},
 			} {
 				if got, want := appended(t, v), encodingJSON(t, v); got != want {
 					t.Fatalf("%T of key %q, ids %v:\n appended %q\n encoding/json %q", v, key, list, got, want)
 				}
+			}
+			if got, want := written(t, renderedFrom(key, list)), reconstructed(t, key, list); got != want {
+				t.Fatalf("reconstruction of key %q, ids %v:\n written %q\n encoding/json %q", key, list, got, want)
 			}
 		}
 		rb := new(replyBuf)
@@ -138,13 +213,39 @@ func TestReplyJSONIsEncodingJSON(t *testing.T) {
 		}
 	}
 	for _, list := range ascendingIDLists() {
-		for _, v := range []any{
-			SampleResponse{Key: "k", Requested: len(list), Returned: len(list), IDs: list},
-			ReconstructResponse{Key: "k", Count: len(list), IDs: list},
-		} {
-			if got, want := appended(t, v), encodingJSON(t, v); got != want {
-				t.Fatalf("%T of %d ids from %d:\n appended %q\n encoding/json %q", v, len(list), list[0], got, want)
-			}
+		v := SampleResponse{Key: "k", Requested: len(list), Returned: len(list), IDs: list}
+		if got, want := appended(t, v), encodingJSON(t, v); got != want {
+			t.Fatalf("%T of %d ids from %d:\n appended %q\n encoding/json %q", v, len(list), list[0], got, want)
+		}
+		if got, want := written(t, renderedFrom("k", list)), reconstructed(t, "k", list); got != want {
+			t.Fatalf("reconstruction of %d ids from %d:\n written %q\n encoding/json %q", len(list), list[0], got, want)
+		}
+	}
+	db, stored := tableDB(t)
+	srv := New(db, Config{})
+	for key, members := range stored {
+		p, err := db.PositivesFrom(db.Filter(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		table := p.AppendAll(nil)
+		if x, ok := lacking(table, members); ok || (key == "empty") != (len(table) == 0) || (key == "one") != (len(table) == 1) {
+			t.Fatalf("%s: a table of %d ids for %d stored, lacking %d: %v", key, len(table), len(members), x, ok)
+		}
+		want := reconstructed(t, key, table)
+		if got := written(t, reconstruction{key: key, count: p.Len(), kept: renderingOf(p)}); got != want {
+			t.Fatalf("%s: the document written from the table's rendering:\n %q\n encoding/json %q", key, got, want)
+		}
+		if got := renderingOf(p).wireBody(); !bytes.Equal(got, wire.IDsResult{IDs: table}.Encode(nil)) {
+			t.Fatalf("%s: the wire body of the table's rendering is %x", key, got)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/reconstruct", strings.NewReader(`{"key":"`+key+`"}`)))
+		if rec.Code != http.StatusOK || rec.Body.String() != want {
+			t.Fatalf("%s: /v1/reconstruct answered %d: %q, want %q", key, rec.Code, rec.Body.String(), want)
+		}
+		if key == "empty" && !strings.HasSuffix(rec.Body.String(), `,"count":0,"ids":[]}`+"\n") {
+			t.Fatalf("a version with no positives is reconstructed as %q", rec.Body.String())
 		}
 	}
 	// The NDJSON lines: one line an id — an id of 0 too, which an omitempty
@@ -172,7 +273,7 @@ func TestReplyJSONIsEncodingJSON(t *testing.T) {
 	if got, want := appended(t, other), encodingJSON(t, other); got != want {
 		t.Fatalf("error body: %q, want %q", got, want)
 	}
-	if err := new(replyBuf).appendJSON(math.NaN()); err == nil {
+	if _, err := new(replyBuf).appendJSON(math.NaN()); err == nil {
 		t.Fatal("a value encoding/json refuses was appended")
 	}
 }
@@ -182,7 +283,9 @@ func TestReplyJSONIsEncodingJSON(t *testing.T) {
 // its second argument read eight bytes at a time, then shortened to every
 // decimal length — as they come, sorted, and as a run that starts at the
 // first of them cut below 10¹² and climbs by every byte of the argument, so
-// that neighbours share a head as a reconstruction's ids do.
+// that neighbours share a head as a reconstruction's ids do. A
+// reconstruction is written as the server sends one: its head, then the
+// rendering of a table holding the list.
 func FuzzReplyJSON(f *testing.F) {
 	for _, key := range replyKeys {
 		f.Add([]byte(key), []byte{})
@@ -210,13 +313,12 @@ func FuzzReplyJSON(f *testing.F) {
 			}
 		}
 		for _, list := range [][]uint64{ids, slices.Sorted(slices.Values(ids)), run} {
-			for _, v := range []any{
-				SampleResponse{Key: string(key), Requested: len(packed), Returned: len(list), IDs: list},
-				ReconstructResponse{Key: string(key), Count: len(list), IDs: list},
-			} {
-				if got, want := appended(t, v), encodingJSON(t, v); got != want {
-					t.Fatalf("%T of key %q, ids %v:\n appended %q\n encoding/json %q", v, key, list, got, want)
-				}
+			v := SampleResponse{Key: string(key), Requested: len(packed), Returned: len(list), IDs: list}
+			if got, want := appended(t, v), encodingJSON(t, v); got != want {
+				t.Fatalf("%T of key %q, ids %v:\n appended %q\n encoding/json %q", v, key, list, got, want)
+			}
+			if got, want := written(t, renderedFrom(string(key), list)), reconstructed(t, string(key), list); got != want {
+				t.Fatalf("reconstruction of key %q, ids %v:\n written %q\n encoding/json %q", key, list, got, want)
 			}
 		}
 		rb := new(replyBuf)
@@ -393,8 +495,9 @@ func TestUndeliveredReplyIsCounted(t *testing.T) {
 // a 64-id batch and a reconstruction of the batch shape (ids ≈ 90 apart
 // below 10⁶) — and on the reconstruction of batchShapeDB's "big" itself
 // (table=big), and on 64 and 11 100 ids in random order as a sample's
-// (shuffled=N), which the reconstruction's writer would be slower on. Run
-// with -benchmem.
+// (shuffled=N), which the reconstruction's writer would be slower on. A
+// reconstruction's append is its table's first: the rendering made afresh.
+// Run with -benchmem.
 func BenchmarkReplyJSON(b *testing.B) {
 	type shape struct {
 		name string
@@ -427,21 +530,29 @@ func BenchmarkReplyJSON(b *testing.B) {
 		v := s.v
 		for _, side := range []struct {
 			name   string
-			encode func(rb *replyBuf) error
+			encode func(rb *replyBuf) (tail []byte, err error)
 		}{
-			{"std", func(rb *replyBuf) error { return json.NewEncoder(rb).Encode(v) }},
-			{"append", func(rb *replyBuf) error { return rb.appendJSON(v) }},
+			{"std", func(rb *replyBuf) ([]byte, error) { return nil, json.NewEncoder(rb).Encode(v) }},
+			{"append", func(rb *replyBuf) ([]byte, error) {
+				if r, ok := v.(ReconstructResponse); ok {
+					// Rendered afresh: what a table's first reply pays.
+					return rb.appendJSON(renderedFrom(r.Key, r.IDs))
+				}
+				return rb.appendJSON(v)
+			}},
 		} {
 			b.Run(s.name+"/"+side.name, func(b *testing.B) {
 				b.ReportAllocs()
 				rb := new(replyBuf)
+				var tail []byte
 				for i := 0; i < b.N; i++ {
 					rb.b = rb.b[:0]
-					if err := side.encode(rb); err != nil {
+					var err error
+					if tail, err = side.encode(rb); err != nil {
 						b.Fatal(err)
 					}
 				}
-				b.SetBytes(int64(len(rb.b)))
+				b.SetBytes(int64(len(rb.b) + len(tail)))
 			})
 		}
 	}
@@ -481,10 +592,11 @@ func batchShapeDB(tb testing.TB) *setdb.DB {
 	return db
 }
 
-// TestPooledRepliesStayWithTheirRequest: the reply buffer and the
-// reconstruction's result slice go from one request to the next through
-// pools, so a buffer handed back early, or twice, would carry one key's ids
-// into another key's reply. Eight goroutines reconstruct and sample 16 keys
+// TestPooledRepliesStayWithTheirRequest: the reply buffer goes from one
+// request to the next through a pool, and a reconstruction's ids are kept
+// beside its table, so a buffer handed back early, or twice, or a rendering
+// found on the wrong table, would carry one key's ids into another key's
+// reply. Eight goroutines reconstruct and sample 16 keys
 // at once over both codecs, 2 048 requests a round, each reply held to its
 // own key: a reconstruction to the bytes (HTTP) and ids (binary) of the key's
 // enumerated positives, a sample to those positives — the keys
@@ -639,57 +751,96 @@ func TestPooledRepliesStayWithTheirRequest(t *testing.T) {
 	}
 }
 
-// BenchmarkServedReconstruct times one warm reconstruction of the batch shape
+// BenchmarkServedReconstruct times one reconstruction of the batch shape
 // (≈ 11 000 ids) as the server serves it, in process: through the HTTP
 // handler into a writer that keeps nothing, and through the binary listener
-// over a net.Pipe, the client's decode included. Run with -benchmem: what is
-// left per request is the request's own (headers, context, trace; on the
-// binary side the client's decoded ids).
+// over a net.Pipe, the client's decode included. http and binary are warm:
+// the version's table and its rendering are kept, and a request writes them.
+// first/http and first/binary serve a fresh version every iteration — the
+// same bits published again, outside the timer — so the scan, the render and
+// the write are all in it. Run with -benchmem: what is left per warm request
+// is the request's own (headers, context, trace; on the binary side the
+// client's decoded ids).
 func BenchmarkServedReconstruct(b *testing.B) {
 	db := batchShapeDB(b)
-	b.Run("http", func(b *testing.B) {
-		h := New(db, Config{})
-		w := &nullWriter{h: http.Header{}}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			w.n = 0
-			h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/reconstruct", strings.NewReader(`{"key":"big"}`)))
-			if w.status != http.StatusOK || w.n < 70_000 {
-				b.Fatalf("status %d, %d reply bytes", w.status, w.n)
+	positive, err := db.PositivesFrom(db.Filter("big"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	// A codec's serve makes one request and returns the reply bytes it counted.
+	codecs := []struct {
+		name  string
+		serve func(b *testing.B) func() int
+	}{
+		{"http", func(b *testing.B) func() int {
+			h := New(db, Config{})
+			w := &nullWriter{h: http.Header{}}
+			return func() int {
+				w.n = 0
+				h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/reconstruct", strings.NewReader(`{"key":"big"}`)))
+				if w.status != http.StatusOK || w.n < 70_000 {
+					b.Fatalf("status %d, %d reply bytes", w.status, w.n)
+				}
+				return w.n
 			}
-		}
-		b.SetBytes(int64(w.n))
-	})
-	b.Run("binary", func(b *testing.B) {
-		ln := newPipeListener()
-		serveBinaryOn(b, New(db, Config{}), ln)
-		c := wire.NewClient(ln.dial())
-		defer c.Close()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if ids, err := c.Reconstruct("big", false); err != nil || len(ids) < 10_000 {
-				b.Fatalf("%d ids, err %v", len(ids), err)
+		}},
+		{"binary", func(b *testing.B) func() int {
+			ln := newPipeListener()
+			serveBinaryOn(b, New(db, Config{}), ln)
+			c := wire.NewClient(ln.dial())
+			b.Cleanup(func() { c.Close() })
+			return func() int {
+				if ids, err := c.Reconstruct("big", false); err != nil || len(ids) < 10_000 {
+					b.Fatalf("%d ids, err %v", len(ids), err)
+				}
+				return 0
 			}
+		}},
+	}
+	for _, first := range []bool{false, true} {
+		for _, codec := range codecs {
+			name := codec.name
+			if first {
+				name = "first/" + name
+			}
+			b.Run(name, func(b *testing.B) {
+				serve := codec.serve(b)
+				b.ReportAllocs()
+				n := 0
+				for i := 0; i < b.N; i++ {
+					if first {
+						// Adding a positive again sets no bit: a new version of the same set.
+						b.StopTimer()
+						f := db.Filter("big")
+						if err := db.Add("big", positive.Select(0)); err != nil || db.Filter("big") == f {
+							b.Fatalf("no new version of big (err %v)", err)
+						}
+						b.StartTimer()
+					}
+					n = serve()
+				}
+				if n > 0 {
+					b.SetBytes(int64(n))
+				}
+			})
 		}
-	})
+	}
 }
 
-// TestOutsizedBuffersAreNotPooled: a reply buffer grown past 1 MiB and a
-// result slice past the default batch cap are dropped on release, not kept
-// for the next request; at the cap they are emptied and kept.
+// TestOutsizedBuffersAreNotPooled: a reply buffer grown past 1 MiB is dropped
+// on release, not kept for the next request; at the cap it is emptied and
+// kept.
 func TestOutsizedBuffersAreNotPooled(t *testing.T) {
 	for _, over := range []int{0, 1} {
 		rb := &replyBuf{b: make([]byte, 5, maxPooledReply+over)}
-		ib := &idBuf{ids: make([]uint64, 5, maxPooledIDs+over)}
 		rb.release()
-		ib.release()
-		// What a pool is handed has been emptied for its next request.
-		if kept := over == 0; (len(rb.b) == 0) != kept || (len(ib.ids) == 0) != kept {
-			t.Fatalf("%d past the cap: the reply buffer was kept: %v, the result slice: %v", over, len(rb.b) == 0, len(ib.ids) == 0)
+		// What the pool is handed has been emptied for its next request.
+		if kept := over == 0; (len(rb.b) == 0) != kept {
+			t.Fatalf("%d past the cap: the reply buffer was kept: %v", over, len(rb.b) == 0)
 		}
 		for i := 0; i < 64; i++ {
-			if rb, ib := newReply(), newIDs(); len(rb.b) != 0 || len(ib.ids) != 0 || cap(rb.b) > maxPooledReply || cap(ib.ids) > maxPooledIDs {
-				t.Fatalf("the pools gave out %d bytes in %d, %d ids in %d", len(rb.b), cap(rb.b), len(ib.ids), cap(ib.ids))
+			if rb := newReply(); len(rb.b) != 0 || cap(rb.b) > maxPooledReply {
+				t.Fatalf("the pool gave out %d bytes in %d", len(rb.b), cap(rb.b))
 			}
 		}
 	}

@@ -17,7 +17,8 @@
 //   - two codecs that decode, call the operation and encode: HTTP/JSON
 //     (this file) and the binary wire protocol (binary.go, internal/wire).
 //     Both build a reply in the one pooled buffer of reply.go and send it
-//     in one Write.
+//     in one Write, but for a reconstruction's ids, which are rendered once
+//     per table and kept beside it.
 //
 // HTTP endpoints (JSON bodies unless noted):
 //
@@ -305,7 +306,7 @@ var endpoints = []endpoint{
 	{path: "/v1/sample", post: (*Server).httpSample, bin: "bin:sample", opcode: wire.OpSample, frame: (*binConn).binSample},
 	// Over HTTP a stream is /v1/sample with "stream": true.
 	{bin: "bin:sample_stream", opcode: wire.OpSampleStream, frame: (*binConn).binSample},
-	{path: "/v1/reconstruct", post: (*Server).httpReconstruct, bin: "bin:reconstruct", opcode: wire.OpReconstruct, frame: (*binConn).binReconstruct},
+	{path: "/v1/reconstruct", post: jsonOp((*Server).reconstruct), bin: "bin:reconstruct", opcode: wire.OpReconstruct, frame: (*binConn).binReconstruct},
 	{path: "/v1/intersection", post: jsonOp((*Server).intersection), bin: "bin:intersection", opcode: wire.OpIntersection, frame: (*binConn).binIntersection},
 	{path: "/v1/add", post: jsonOp((*Server).add), bin: "bin:add", opcode: wire.OpAdd, frame: (*binConn).binAdd, isWrite: true},
 	{path: "/v1/remove", post: jsonOp((*Server).remove), bin: "bin:remove", opcode: wire.OpRemove, frame: (*binConn).binRemove, isWrite: true},
@@ -452,22 +453,26 @@ func decodeJSON(body io.Reader, dst any) error {
 
 // writeJSON writes one JSON response, charging the marshal+write to the
 // request's encode stage (r carries the trace; a nil trace costs two
-// clock reads and nothing else). The document is built whole in a pooled
-// reply buffer (reply.go) and sent behind its Content-Length in one Write,
-// so a reply that never reached the client is known here: the write's
-// failure comes back as errStreamAborted, as a failed frame write does on
-// the binary listener.
+// clock reads and nothing else). The document is built in a pooled reply
+// buffer (reply.go) — all of it but a reconstruction's kept ids, written
+// after it as they are — and sent behind its Content-Length, so a reply that
+// never reached the client is known here: a write's failure comes back as
+// errStreamAborted, as a failed frame write does on the binary listener.
 func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) error {
 	tr := obs.TraceFrom(r.Context())
 	t0 := time.Now()
 	rb := newReply()
-	err := rb.appendJSON(v) // on a failure nothing is sent yet: serveHTTP answers with a 500
+	tail, err := rb.appendJSON(v) // on a failure nothing is sent yet: serveHTTP answers with a 500
 	if err == nil {
 		h := w.Header()
 		h["Content-Type"] = jsonContentType
-		h.Set("Content-Length", strconv.Itoa(len(rb.b)))
+		h.Set("Content-Length", strconv.Itoa(len(rb.b)+len(tail)))
 		w.WriteHeader(status)
-		if _, werr := w.Write(rb.b); werr != nil {
+		_, werr := w.Write(rb.b)
+		if werr == nil && len(tail) > 0 {
+			_, werr = w.Write(tail)
+		}
+		if werr != nil {
 			err = fmt.Errorf("%w: %v", errStreamAborted, werr)
 		}
 	}
@@ -502,19 +507,6 @@ func jsonOp[Req, Resp any](op func(*Server, Req) (Resp, error)) httpCodec {
 		resp, err := op(s, req)
 		return respond(w, r, resp, err)
 	}
-}
-
-// httpReconstruct serves /v1/reconstruct. The ids are appended into a pooled
-// slice, which goes back once the reply encoded from it is written.
-func (s *Server) httpReconstruct(w http.ResponseWriter, r *http.Request) error {
-	var req ReconstructRequest
-	if err := s.decode(w, r, &req); err != nil {
-		return err
-	}
-	ids := newIDs()
-	defer ids.release()
-	resp, err := s.reconstruct(req, ids)
-	return respond(w, r, resp, err)
 }
 
 func (s *Server) httpStats(w http.ResponseWriter, r *http.Request) error {

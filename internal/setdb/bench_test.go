@@ -226,13 +226,13 @@ func BenchmarkSampleManyVersion(b *testing.B) {
 // depth 8), each with a key of the design size, and the point shape with a
 // key of design/40 too (25 ids, where §5.6's threshold loses most of a set):
 // walk, §6's walk under PruneByAndBits counting Ops — the library's complete
-// walk, for scale — and the served call (AppendReconstructFrom) in three
-// arms: first, what the request that meets a fresh version pays (a clone of
-// the filter each iteration: the version's one scan and its packing, then
-// the read); warm, the table read back; and warm-into, warm appending to
-// the slice the previous call returned, as the server's pooled result does.
+// walk, for scale — and the library's read of the version's table
+// (AppendReconstructFrom) in two arms: first, what the call that meets a
+// fresh version pays (a clone of the filter each iteration: the version's
+// one scan and its packing, then the read); and warm, the table read back.
 // Every arm returns every stored id. Run it at -cpu 1 with -benchmem: the
-// warm side's one allocation is the result, and warm-into has none.
+// warm side's one allocation is the result. (The server writes the table's
+// rendering instead: BenchmarkServedReconstruct in ./internal/server.)
 func BenchmarkReconstructVersion(b *testing.B) {
 	for _, shape := range []struct {
 		name               string
@@ -261,15 +261,10 @@ func BenchmarkReconstructVersion(b *testing.B) {
 		}
 		slices.Sort(stored)
 		floor := len(slices.Compact(stored)) // every stored id
-		for _, side := range []string{"walk", "first", "warm", "warm-into"} {
+		for _, side := range []string{"walk", "first", "warm"} {
 			b.Run(shape.name+"/"+side, func(b *testing.B) {
 				b.ReportAllocs()
 				f := f
-				var dst []uint64
-				if side == "warm-into" { // a slice that has served a request already
-					dst = slices.Clone(served)
-					b.ResetTimer()
-				}
 				var ops core.Ops
 				for i := 0; i < b.N; i++ {
 					var ids []uint64
@@ -281,7 +276,7 @@ func BenchmarkReconstructVersion(b *testing.B) {
 						f = f.Clone()
 						fallthrough
 					default:
-						ids, err = db.AppendReconstructFrom(dst[:0], f)
+						ids, err = db.AppendReconstructFrom(nil, f)
 					}
 					if err != nil || len(ids) < floor {
 						b.Fatalf("%d ids of %d stored, err %v", len(ids), floor, err)

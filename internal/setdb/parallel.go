@@ -22,7 +22,7 @@ import (
 // them, its estimate index until then. What a draw is served from, and when
 // a version scans, is core's to decide (Tree.SampleVersion, Version.Exact);
 // a served reconstruction is the version's whole table of positives
-// (AppendReconstructFrom), paid for at its first request. This file pins,
+// (PositivesFrom), paid for at its first request. This file pins,
 // fans out and counts.
 
 // SampleMany draws n samples from the set under key using up to
@@ -71,14 +71,10 @@ func (db *DB) SampleManyFrom(f *bloom.Filter, n, workers int, ops *core.Ops) ([]
 // AppendReconstructFrom appends to dst the reconstruction of one caller-held
 // immutable filter version (obtained from Filter): every id of the tree's
 // leaves the version answers for, ascending — §6's S ∪ S(B), every stored id
-// among them. That is the version's packed positives (core.Version.Exact),
-// which a version that has not scanned for them yet pays for here, once, as
-// SampleExactFrom's first draw does; every later request on the version reads
-// them back. A server that keeps dst between requests pays for no result
-// once it has grown to the sets it serves. On an error dst comes back as it
-// was.
+// among them. That is the version's table of positives (PositivesFrom),
+// unpacked. On an error dst comes back as it was.
 func (db *DB) AppendReconstructFrom(dst []uint64, f *bloom.Filter) ([]uint64, error) {
-	p, err := db.exact(f)
+	p, err := db.PositivesFrom(f)
 	if err != nil {
 		return dst, err
 	}
@@ -97,7 +93,7 @@ func (db *DB) SampleExactFrom(f *bloom.Filter, n int) ([]uint64, error) {
 	if n <= 0 {
 		return nil, db.checkFilter(f)
 	}
-	p, err := db.exact(f)
+	p, err := db.PositivesFrom(f)
 	if err != nil {
 		return nil, err
 	}
@@ -112,9 +108,14 @@ func (db *DB) checkFilter(f *bloom.Filter) error {
 	return f.MatchesFamily(db.fam)
 }
 
-// exact returns the packed positives of the filter version f on the
-// database's tree (core.Version.Exact), scanning for them if nobody has yet.
-func (db *DB) exact(f *bloom.Filter) (*core.Positives, error) {
+// PositivesFrom returns the packed positives of one caller-held immutable
+// filter version (obtained from Filter) on the database's tree
+// (core.Version.Exact): every id of the tree's leaves the version answers
+// for, which a version that has not scanned for them yet pays for here, once,
+// as SampleExactFrom's first draw does. Every later call on the version gets
+// the same table back for as long as the version keeps it — a caller may
+// hang what it derives from the table on it (core.Positives.AttachDerived).
+func (db *DB) PositivesFrom(f *bloom.Filter) (*core.Positives, error) {
 	if err := db.checkFilter(f); err != nil {
 		return nil, err
 	}

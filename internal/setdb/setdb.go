@@ -382,7 +382,8 @@ func (db *DB) SampleN(key string, r int, withReplacement bool, rng *rand.Rand, o
 
 // Reconstruct returns the set stored under key by §6's walk under rule
 // (core.Tree.Reconstruct) on the key's published version, counted into ops
-// if non-nil. What a server answers with is AppendReconstructFrom.
+// if non-nil. What a server answers with is the version's table
+// (PositivesFrom).
 func (db *DB) Reconstruct(key string, rule core.PruneRule, ops *core.Ops) ([]uint64, error) {
 	e, err := db.get(key)
 	if err != nil {
