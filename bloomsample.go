@@ -28,10 +28,10 @@
 // still requires external synchronization; prefer Filter.CloneAdd,
 // which returns a new immutable version. SetDB composes all of this:
 // its keyed sets live in atomically swapped immutable shard snapshots,
-// every read is lock-free, writers briefly serialize per shard, and the
-// batch helpers SetDB.SampleMany and SetDB.ReconstructAll fan work out
-// across GOMAXPROCS goroutines. What a tree remembers about one immutable
-// filter version (Tree.VersionFor: its estimate index, and the packed
+// every read is lock-free, writers briefly serialize per shard, and a
+// batch (SetDB.SampleMany) draws on its caller's goroutine, so concurrent
+// callers are what runs in parallel. What a tree remembers about one
+// immutable filter version (Tree.VersionFor: its estimate index, and the packed
 // positives an exactly uniform draw picks from, Version.Exact) hangs on the
 // filter, is built once however many goroutines ask, and is read without a
 // lock.
@@ -188,8 +188,9 @@ func FalseSetOverlapProb(m uint64, k int, n1, n2 uint64) float64 {
 // file. SetDB is safe for concurrent use with a wait-free read path:
 // queries load immutable shard snapshots through atomic pointers and
 // take no locks at all, so concurrent Sample/Contains/Reconstruct calls
-// — even on the same key, even racing writers — never serialize. The
-// batch APIs SampleMany and ReconstructAll parallelize internally.
+// — even on the same key, even racing writers — never serialize. SampleMany
+// draws a batch on its caller's goroutine; to reconstruct every set, loop
+// Keys over Reconstruct.
 type SetDB = setdb.DB
 
 // SetDBOptions is the profile a SetDB was opened with, as SetDB.Options

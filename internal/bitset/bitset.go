@@ -59,9 +59,6 @@ func FromWords(n uint64, words []uint64) *Set {
 // Len returns the number of bits in the vector.
 func (s *Set) Len() uint64 { return s.n }
 
-// Words returns the number of 64-bit words backing the vector.
-func (s *Set) Words() int { return len(s.words) }
-
 // Raw returns the backing words (bit i is bit i%64 of word i/64) for
 // read-only use by probe loops that cannot afford a call per bit. Writing
 // through it would bypass the remembered popcount.
@@ -215,24 +212,6 @@ func (s *Set) Or(t *Set) *Set {
 	return r
 }
 
-// AndWith replaces s with s AND t. It panics if the lengths differ.
-func (s *Set) AndWith(t *Set) {
-	s.checkSameLen(t)
-	for i := range s.words {
-		s.words[i] &= t.words[i]
-	}
-	s.invalidate()
-}
-
-// OrWith replaces s with s OR t. It panics if the lengths differ.
-func (s *Set) OrWith(t *Set) {
-	s.checkSameLen(t)
-	for i := range s.words {
-		s.words[i] |= t.words[i]
-	}
-	s.invalidate()
-}
-
 // AndCount returns popcount(s AND t) without allocating the intersection.
 // It panics if the lengths differ.
 func (s *Set) AndCount(t *Set) uint64 {
@@ -290,70 +269,10 @@ func (s *Set) AndAny(t *Set) bool {
 	return false
 }
 
-// IsSubsetOf reports whether every set bit of s is also set in t.
-// It panics if the lengths differ.
-func (s *Set) IsSubsetOf(t *Set) bool {
-	s.checkSameLen(t)
-	for i := range s.words {
-		if s.words[i]&^t.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 func (s *Set) checkSameLen(t *Set) {
 	if s.n != t.n {
 		panic(fmt.Sprintf("bitset: length mismatch %d != %d", s.n, t.n))
 	}
-}
-
-// NextSet returns the index of the first set bit at or after i, and whether
-// one exists.
-func (s *Set) NextSet(i uint64) (uint64, bool) {
-	if i >= s.n {
-		return 0, false
-	}
-	wi := i / wordBits
-	w := s.words[wi] >> (i % wordBits)
-	if w != 0 {
-		r := i + uint64(bits.TrailingZeros64(w))
-		return r, r < s.n
-	}
-	for wi++; wi < uint64(len(s.words)); wi++ {
-		if s.words[wi] != 0 {
-			r := wi*wordBits + uint64(bits.TrailingZeros64(s.words[wi]))
-			return r, r < s.n
-		}
-	}
-	return 0, false
-}
-
-// NextClear returns the index of the first clear bit at or after i, and
-// whether one exists.
-func (s *Set) NextClear(i uint64) (uint64, bool) {
-	if i >= s.n {
-		return 0, false
-	}
-	wi := i / wordBits
-	w := ^s.words[wi] >> (i % wordBits)
-	if w != 0 {
-		r := i + uint64(bits.TrailingZeros64(w))
-		if r < s.n {
-			return r, true
-		}
-		return 0, false
-	}
-	for wi++; wi < uint64(len(s.words)); wi++ {
-		if ^s.words[wi] != 0 {
-			r := wi*wordBits + uint64(bits.TrailingZeros64(^s.words[wi]))
-			if r < s.n {
-				return r, true
-			}
-			return 0, false
-		}
-	}
-	return 0, false
 }
 
 // ForEachSet calls fn for every set bit in ascending order. If fn returns

@@ -116,25 +116,6 @@ func TestAndOr(t *testing.T) {
 	}
 }
 
-func TestAndWithOrWith(t *testing.T) {
-	a := New(70)
-	b := New(70)
-	a.Set(5)
-	a.Set(69)
-	b.Set(5)
-	b.Set(6)
-	c := a.Clone()
-	c.AndWith(b)
-	if c.Count() != 1 || !c.Test(5) {
-		t.Fatal("AndWith wrong")
-	}
-	d := a.Clone()
-	d.OrWith(b)
-	if d.Count() != 3 {
-		t.Fatal("OrWith wrong")
-	}
-}
-
 func TestAndCountAndAny(t *testing.T) {
 	a := New(500)
 	b := New(500)
@@ -182,9 +163,9 @@ func TestAndCountAtLeastMatchesAndCount(t *testing.T) {
 				// The count is looked at after every whole stride, then
 				// after every word of the partial stride at the end.
 				want, running := 0, uint64(0)
-				for want < a.Words() && running < need {
+				for want < len(a.words) && running < need {
 					step := 1
-					if want+andStride <= a.Words() {
+					if want+andStride <= len(a.words) {
 						step = andStride
 					}
 					for ; step > 0; step-- {
@@ -193,7 +174,7 @@ func TestAndCountAtLeastMatchesAndCount(t *testing.T) {
 					}
 				}
 				if read != want {
-					t.Fatalf("n=%d fill=%v need=%d of %d: read %d of %d words, want %d", n, fill, need, count, read, a.Words(), want)
+					t.Fatalf("n=%d fill=%v need=%d of %d: read %d of %d words, want %d", n, fill, need, count, read, len(a.words), want)
 				}
 			}
 		}
@@ -215,68 +196,6 @@ func TestLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	a.And(b)
-}
-
-func TestIsSubsetOf(t *testing.T) {
-	a := New(100)
-	b := New(100)
-	if !a.IsSubsetOf(b) {
-		t.Fatal("empty not subset of empty")
-	}
-	b.Set(10)
-	b.Set(20)
-	a.Set(10)
-	if !a.IsSubsetOf(b) {
-		t.Fatal("{10} not subset of {10,20}")
-	}
-	a.Set(30)
-	if a.IsSubsetOf(b) {
-		t.Fatal("{10,30} subset of {10,20}")
-	}
-}
-
-func TestNextSet(t *testing.T) {
-	s := New(300)
-	for _, i := range []uint64{5, 64, 128, 299} {
-		s.Set(i)
-	}
-	var got []uint64
-	for i, ok := s.NextSet(0); ok; i, ok = s.NextSet(i + 1) {
-		got = append(got, i)
-	}
-	want := []uint64{5, 64, 128, 299}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	if _, ok := s.NextSet(300); ok {
-		t.Fatal("NextSet beyond length returned ok")
-	}
-}
-
-func TestNextClear(t *testing.T) {
-	s := New(66)
-	s.Fill()
-	s.Clear(0)
-	s.Clear(65)
-	if i, ok := s.NextClear(0); !ok || i != 0 {
-		t.Fatalf("NextClear(0) = %d,%v", i, ok)
-	}
-	if i, ok := s.NextClear(1); !ok || i != 65 {
-		t.Fatalf("NextClear(1) = %d,%v", i, ok)
-	}
-	if _, ok := s.NextClear(66); ok {
-		t.Fatal("NextClear beyond length returned ok")
-	}
-	full := New(64)
-	full.Fill()
-	if _, ok := full.NextClear(0); ok {
-		t.Fatal("NextClear on full set returned ok")
-	}
 }
 
 func TestForEachSet(t *testing.T) {
@@ -531,8 +450,6 @@ func TestCountSurvivesEveryMutator(t *testing.T) {
 		{"Clear(already clear)", func(s *Set) *Set { s.Clear(1); return s }},
 		{"Reset", func(s *Set) *Set { s.Reset(); return s }},
 		{"Fill", func(s *Set) *Set { s.Fill(); return s }},
-		{"AndWith", func(s *Set) *Set { s.AndWith(other); return s }},
-		{"OrWith", func(s *Set) *Set { s.OrWith(other); return s }},
 		{"UnmarshalBinary", func(s *Set) *Set {
 			data, _ := other.MarshalBinary()
 			if err := s.UnmarshalBinary(data); err != nil {
@@ -615,8 +532,8 @@ func TestAndOrExactAllocation(t *testing.T) {
 	if and.Len() != 130 || or.Len() != 130 {
 		t.Fatalf("result lengths %d/%d, want 130", and.Len(), or.Len())
 	}
-	if and.Words() != s.Words() || or.Words() != s.Words() {
-		t.Fatalf("result words %d/%d, want %d", and.Words(), or.Words(), s.Words())
+	if len(and.words) != len(s.words) || len(or.words) != len(s.words) {
+		t.Fatalf("result words %d/%d, want %d", len(and.words), len(or.words), len(s.words))
 	}
 	if and.Count() != 1 || !and.Test(129) {
 		t.Fatalf("AND wrong: %v", and)

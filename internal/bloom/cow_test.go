@@ -184,11 +184,6 @@ func TestDerivedLivesWithTheBits(t *testing.T) {
 		"AddScratch": func(f *Filter) { f.AddScratch(9, nil) },
 		"AddMany":    func(f *Filter) { f.AddMany([]uint64{9, 10}) },
 		"Reset":      func(f *Filter) { f.Reset() },
-		"UnionWith": func(f *Filter) {
-			if err := f.UnionWith(NewFromElements(fam, []uint64{9})); err != nil {
-				t.Fatal(err)
-			}
-		},
 	}
 	for name, mutate := range mutators {
 		f := NewFromElements(fam, []uint64{1, 2, 3})

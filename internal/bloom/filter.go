@@ -23,12 +23,12 @@ import (
 // share the same length m and hash family H (§3.1, §5.1); Compatible checks
 // this.
 //
-// Query-side operations (Contains, SetBits, IntersectionSetBits,
+// Query-side operations (Contains, SetBits, IntersectsAny,
 // EstimateCardinality, EstimateIntersectionOf, …) are read-only on the
 // filter and safe for unsynchronized concurrent callers; position buffers
 // are drawn from a shared pool rather than stored per instance. Mutating
-// operations (Add, UnionWith, Reset) require external synchronization
-// against both writers and readers.
+// operations (Add, Reset) require external synchronization against both
+// writers and readers.
 type Filter struct {
 	bits *bitset.Set
 	fam  hashfam.Family
@@ -415,22 +415,6 @@ func (f *Filter) Intersect(g *Filter) (*Filter, error) {
 	}
 	return &Filter{bits: f.bits.And(g.bits), fam: f.fam}, nil
 }
-
-// UnionWith ORs g into f in place. It returns an error if incompatible.
-func (f *Filter) UnionWith(g *Filter) error {
-	if err := f.Compatible(g); err != nil {
-		return err
-	}
-	f.dropDerived()
-	f.bits.OrWith(g.bits)
-	f.n += g.n
-	return nil
-}
-
-// IntersectionSetBits returns popcount(f AND g) — t∧ in the intersection
-// estimator — without materializing the intersection. It is read-only and
-// safe for unsynchronized concurrent callers.
-func (f *Filter) IntersectionSetBits(g *Filter) uint64 { return f.bits.AndCount(g.bits) }
 
 // IntersectsAny reports whether f AND g has any set bit.
 func (f *Filter) IntersectsAny(g *Filter) bool { return f.bits.AndAny(g.bits) }

@@ -114,18 +114,6 @@ func TestUnionSemantics(t *testing.T) {
 	}
 }
 
-func TestUnionWith(t *testing.T) {
-	fm := fam(t, 50000)
-	a := NewFromElements(fm, []uint64{1, 2})
-	b := NewFromElements(fm, []uint64{3})
-	if err := a.UnionWith(b); err != nil {
-		t.Fatal(err)
-	}
-	if !a.Equal(NewFromElements(fm, []uint64{1, 2, 3})) {
-		t.Fatal("UnionWith wrong")
-	}
-}
-
 func TestIntersectContainsSharedElements(t *testing.T) {
 	fm := fam(t, 100000)
 	a := NewFromElements(fm, []uint64{1, 2, 3, 50})
@@ -156,9 +144,6 @@ func TestIncompatibleCombinations(t *testing.T) {
 		if _, err := a.Intersect(b); err == nil {
 			t.Fatalf("case %d: Intersect accepted incompatible filters", i)
 		}
-		if err := a.UnionWith(b); err == nil {
-			t.Fatalf("case %d: UnionWith accepted incompatible filters", i)
-		}
 	}
 }
 
@@ -184,8 +169,8 @@ func TestIntersectionSetBitsMatchesIntersect(t *testing.T) {
 		b.Add(rng.Uint64() % 100000)
 	}
 	i, _ := a.Intersect(b)
-	if a.IntersectionSetBits(b) != i.SetBits() {
-		t.Fatal("IntersectionSetBits disagrees with Intersect().SetBits()")
+	if a.Bits().AndCount(b.Bits()) != i.SetBits() {
+		t.Fatal("the AND count of the bit vectors disagrees with Intersect().SetBits()")
 	}
 	if a.IntersectsAny(b) != (i.SetBits() > 0) {
 		t.Fatal("IntersectsAny disagrees")
@@ -484,7 +469,7 @@ func TestContainsConcurrent(t *testing.T) {
 				}
 				if i%100 == 0 {
 					EstimateIntersectionOf(f, g)
-					f.IntersectionSetBits(g)
+					f.Bits().AndCount(g.Bits())
 					f.EstimateCardinality()
 				}
 			}
@@ -569,7 +554,7 @@ func TestEstimateIntersectionOfConcurrentReaders(t *testing.T) {
 		a.Add(uint64(i))
 		b.Add(uint64(i + 400))
 	}
-	want := EstimateIntersection(a.M(), a.K(), a.Clone().SetBits(), b.Clone().SetBits(), a.IntersectionSetBits(b))
+	want := EstimateIntersection(a.M(), a.K(), a.Clone().SetBits(), b.Clone().SetBits(), a.Bits().AndCount(b.Bits()))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

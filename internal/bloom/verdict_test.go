@@ -79,7 +79,7 @@ func TestIntersectionAtLeastMatchesEstimate(t *testing.T) {
 		for _, thr := range []float64{0, 0.25, 0.5, 1, 3, est * 0.999, est, est * 1.001, est + 1} {
 			if got := IntersectionAtLeast(a, b, thr); got != (est >= thr) {
 				t.Fatalf("trial %d (m=%d, bits %d and %d, %d shared): IntersectionAtLeast(%v) = %v, the estimate is %v",
-					trial, a.M(), a.SetBits(), b.SetBits(), a.IntersectionSetBits(b), thr, got, est)
+					trial, a.M(), a.SetBits(), b.SetBits(), a.Bits().AndCount(b.Bits()), thr, got, est)
 			}
 		}
 	}

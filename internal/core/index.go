@@ -74,9 +74,9 @@ const (
 // holds and through compute otherwise. Whoever finds the slot behind v
 // claims it, computes and files the pair; whoever arrives meanwhile waits
 // for that pair alone — two AND-popcounts, microseconds, so it yields
-// rather than parks — and reads it back: the workers of one request, and
-// the requests on one version, pay for each state of a pair once between
-// them. computed reports whether this call ran compute.
+// rather than parks — and reads it back: the concurrent requests on one
+// version pay for each state of a pair once between them. computed reports
+// whether this call ran compute.
 func (s *indexSlot) estimates(v uint64, compute func() (left, right float64)) (left, right float64, computed bool) {
 	for {
 		switch cur := s.version.Load(); {

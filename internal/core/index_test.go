@@ -187,14 +187,14 @@ func TestIndexedDrawsMatchSampleScratch(t *testing.T) {
 					}
 					q = dyn.QueryView()
 				}
-				index := tree.IndexFor(q)
+				index := tree.VersionFor(q).Index()
 				if l := index.Levels(); l < 1 || l >= cfg.Depth {
 					t.Fatalf("the index covers %d of %d levels; the test wants levels above and below its edge", l, cfg.Depth)
 				}
-				if tree.IndexFor(q) != index {
-					t.Fatal("a second IndexFor made a second index")
+				if tree.VersionFor(q).Index() != index {
+					t.Fatal("a second Index made a second index")
 				}
-				if other, err := BuildPruned(cfg, set); err != nil || other.IndexFor(q) != nil {
+				if other, err := BuildPruned(cfg, set); err != nil || other.VersionFor(q).Index() != nil {
 					t.Fatalf("another tree was handed this tree's index (err %v): stamps compare within one tree only", err)
 				}
 
@@ -258,7 +258,7 @@ func TestIndexDroppedWithTheBitsItDescribes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l := tree.IndexFor(tree.NewQueryFilter()).Levels(); l != 5 {
+	if l := tree.VersionFor(tree.NewQueryFilter()).Index().Levels(); l != 5 {
 		t.Fatalf("the index covers %d levels of 5", l)
 	}
 	q := buildQueryFilter(t, tree, uniformSet(rand.New(rand.NewSource(1)), M/2, 150))
@@ -287,11 +287,11 @@ func TestIndexDroppedWithTheBitsItDescribes(t *testing.T) {
 	if _, computed := draw(500); computed != 0 {
 		t.Fatalf("a tree the index covers whole computed %d estimates on its second pass", computed)
 	}
-	old := tree.IndexFor(q)
+	old := tree.VersionFor(q).Index()
 	for _, x := range uniformSet(rand.New(rand.NewSource(3)), M/2, 150) {
 		q.Add(M/2 + x)
 	}
-	if q.Derived() != nil || tree.IndexFor(q) == old {
+	if q.Derived() != nil || tree.VersionFor(q).Index() == old {
 		t.Fatal("Add left the index of the old bits in place")
 	}
 	right, computed := draw(500)
@@ -364,7 +364,7 @@ func TestIndexUnderConcurrentGrowth(t *testing.T) {
 	wg.Wait()
 
 	for i, q := range views {
-		index := tree.IndexFor(q)
+		index := tree.VersionFor(q).Index()
 		checkIndex(t, tree, q, index)
 		// A pass on the settled tree brings every pair it touches up to
 		// date; those are then all served, and all exact.

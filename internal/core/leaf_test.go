@@ -184,7 +184,7 @@ func TestSampledLeafDrawsLikeScannedLeaf(t *testing.T) {
 					}
 					return counts
 				}
-				sampled := descent{q: q, rng: rand.New(rand.NewSource(5)), index: tree.IndexFor(q)}
+				sampled := descent{q: q, rng: rand.New(rand.NewSource(5)), index: tree.VersionFor(q).Index()}
 				scanned := descent{q: q, rng: rand.New(rand.NewSource(6))}
 				got := count("sampled", func() (uint64, bool) { return tree.sampleNode(tree.rootNode(), &sampled) })
 				want := count("scanned", func() (uint64, bool) { return tree.sampleScanned(tree.rootNode(), &scanned) })

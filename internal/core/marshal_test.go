@@ -233,29 +233,3 @@ func TestComputeStatsEmptyTree(t *testing.T) {
 		t.Fatalf("empty tree stats: %+v", s)
 	}
 }
-
-func TestEstimateSetSize(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	cfg := testConfig(t, 100000, 1000, 0.9, 7)
-	tree, err := BuildTree(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := buildQueryFilter(t, tree, uniformSet(rng, 100000, 1000))
-	est, err := tree.EstimateSetSize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est < 900 || est > 1100 {
-		t.Fatalf("estimate %.1f, want ~1000", est)
-	}
-	cfg2 := cfg
-	cfg2.Bits++
-	other, err := BuildTree(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tree.EstimateSetSize(other.NewQueryFilter()); err == nil {
-		t.Fatal("incompatible filter accepted")
-	}
-}

@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-
-	"repro/internal/bloom"
 )
 
 // BuildTreeParallel constructs the same full BloomSampleTree as BuildTree
@@ -162,13 +160,4 @@ func (t *Tree) ComputeStats() Stats {
 		}
 	}
 	return s
-}
-
-// EstimateSetSize estimates the cardinality of the set stored in a query
-// filter — convenience re-export of the §5.2-proof estimator.
-func (t *Tree) EstimateSetSize(q *bloom.Filter) (float64, error) {
-	if err := t.checkQuery(q); err != nil {
-		return 0, err
-	}
-	return q.EstimateCardinality(), nil
 }

@@ -505,7 +505,7 @@ func TestPositivesFollowTheLeaves(t *testing.T) {
 	}
 	q := buildQueryFilter(t, tree, left[:300])
 	v := tree.VersionFor(q)
-	if v.Index() == nil || v.Index() != tree.IndexFor(q) {
+	if v.Index() == nil || v.Index() != tree.VersionFor(q).Index() {
 		t.Fatal("a cold version has one estimate index")
 	}
 	v.Pay(M)

@@ -184,8 +184,8 @@ type growthStripe struct {
 // elements of its range (full tree) or the occupied elements of its range
 // (pruned tree). Build once, query many times (§5).
 //
-// Sample, SampleN, Reconstruct and EstimateSetSize are read-only on the
-// tree and on the query filter, so any number of goroutines may call them
+// Sample, SampleN and Reconstruct are read-only on the tree and on the
+// query filter, so any number of goroutines may call them
 // concurrently — even sharing a single query Filter — as long as each
 // goroutine owns its rand source and Ops accumulator.
 //

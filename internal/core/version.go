@@ -93,10 +93,6 @@ func (t *Tree) VersionFor(q *bloom.Filter) *Version {
 	return nil
 }
 
-// IndexFor returns the estimate index of q against this tree: VersionFor's
-// cold half.
-func (t *Tree) IndexFor(q *bloom.Filter) *EstimateIndex { return t.VersionFor(q).Index() }
-
 // Index returns the version's estimate index, creating it on first use. Nil
 // for a nil version.
 func (v *Version) Index() *EstimateIndex {

@@ -168,9 +168,13 @@ func TestConformanceMarshalRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("MarshalBinary: %v", err)
 			}
-			got, err := UnmarshalDynamic(data)
+			decoded, err := Unmarshal(data)
 			if err != nil {
-				t.Fatalf("UnmarshalDynamic: %v", err)
+				t.Fatalf("Unmarshal: %v", err)
+			}
+			got, ok := decoded.(DynamicMembership)
+			if !ok {
+				t.Fatalf("decoded %q is not a DynamicMembership", decoded.Backend())
 			}
 			if got.Backend() != kind {
 				t.Fatalf("decoded Backend() = %q, want %q", got.Backend(), kind)

@@ -61,20 +61,6 @@ func Unmarshal(data []byte) (Membership, error) {
 	return unmarshalPayload(kind, data[5+kl:])
 }
 
-// UnmarshalDynamic decodes a DynamicMembership, rejecting backends that
-// cannot delete.
-func UnmarshalDynamic(data []byte) (DynamicMembership, error) {
-	m, err := Unmarshal(data)
-	if err != nil {
-		return nil, err
-	}
-	d, ok := m.(DynamicMembership)
-	if !ok {
-		return nil, fmt.Errorf("membership: backend %q is not dynamic", m.Backend())
-	}
-	return d, nil
-}
-
 func unmarshalPayload(kind Kind, payload []byte) (Membership, error) {
 	switch kind {
 	case KindBloom:

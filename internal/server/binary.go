@@ -502,7 +502,6 @@ func (bc *binConn) binSample(tr *obs.Trace, h wire.Header, body []byte) error {
 	req := SampleRequest{
 		Key:     m.Key,
 		N:       int(m.N),
-		Workers: int(m.Workers),
 		Uniform: h.Flags&wire.FlagUniform != 0,
 		Stream:  stream,
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"net"
@@ -116,6 +117,27 @@ func TestBinaryRoundTrips(t *testing.T) {
 		t.Fatal("no samples returned")
 	}
 	for _, id := range ids {
+		if !member[id] {
+			t.Fatalf("sample %d not a member", id)
+		}
+	}
+
+	// An older client's frame, whose retired workers slot holds a count, is
+	// served: the slot is read and ignored.
+	body := binary.AppendUvarint(nil, uint64(len("plain")))
+	body = append(body, "plain"...)
+	body = binary.AppendUvarint(body, 64)     // n
+	body = binary.AppendUvarint(body, 99_999) // workers
+	raw := dialRaw(t, addr)
+	if _, err := raw.Write(wire.AppendFrame(nil, wire.OpSample, 0, 5, body)); err != nil {
+		t.Fatal(err)
+	}
+	h, resp := readReply(t, raw)
+	res, err := wire.DecodeSampleResult(resp)
+	if h.Opcode != wire.OpSampleResult || h.RequestID != 5 || err != nil || res.Requested != 64 || len(res.IDs) == 0 {
+		t.Fatalf("a frame with the workers slot set: opcode %d, request %d, %+v, err %v", h.Opcode, h.RequestID, res, err)
+	}
+	for _, id := range res.IDs {
 		if !member[id] {
 			t.Fatalf("sample %d not a member", id)
 		}

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"time"
 
 	"repro/internal/bloom"
@@ -89,19 +88,21 @@ func pinned(db *setdb.DB, key string) (*bloom.Filter, error) {
 // SampleRequest asks for n samples from the set under Key.
 //
 // Two sampling modes, both serving every key: the default draws from the
-// pinned version as it stands — BSTSample descents (parallel workers) until
-// the version has served a scan's worth of them, exactly uniform picks from
-// its packed positives after — and Uniform draws exactly uniformly from the
-// version's first draw, paying for the version's scan there and then if
-// nobody has yet. Either way the request is drawn whole from the
-// version of the set published when it arrived. Stream switches the
-// response to chunks — NDJSON lines over HTTP, credit-gated frames on the
-// wire — drawn and sent a chunk at a time, for batches too large to
-// buffer.
+// pinned version as it stands — BSTSample descents until the version has
+// served a scan's worth of them, exactly uniform picks from its packed
+// positives after, all on the request's goroutine — and Uniform draws
+// exactly uniformly from the version's first draw, paying for the version's
+// scan there and then if nobody has yet. Either way the request is drawn
+// whole from the version of the set published when it arrived. Stream
+// switches the response to chunks — NDJSON lines over HTTP, credit-gated
+// frames on the wire — drawn and sent a chunk at a time, for batches too
+// large to buffer.
 type SampleRequest struct {
-	Key     string `json:"key"`
-	N       int    `json:"n,omitempty"` // default 1
-	Workers int    `json:"workers,omitempty"`
+	Key string `json:"key"`
+	N   int    `json:"n,omitempty"` // default 1
+	// Deprecated: accepted and ignored — a request draws on its own
+	// goroutine. Decoded so that an old client's body is not refused.
+	Workers int `json:"workers,omitempty"`
 	// Deprecated: accepted and ignored — the key says what kind of set it
 	// holds. To be dropped with bench/'s use of it.
 	Dynamic bool `json:"dynamic,omitempty"`
@@ -150,11 +151,8 @@ func (s *Server) pin(req *SampleRequest) (draw func(n int) ([]uint64, error), er
 			return db.SampleExactFrom(f, n)
 		}, nil
 	}
-	// Clamp the client-supplied worker count: it is a hint, not a lever
-	// to make the server spawn 100k goroutines for one request.
-	workers := min(max(req.Workers, 0), runtime.GOMAXPROCS(0))
 	return func(n int) ([]uint64, error) {
-		return db.SampleManyFrom(f, n, workers, nil)
+		return db.SampleManyFrom(f, n, 0, nil)
 	}, nil
 }
 

@@ -78,8 +78,8 @@ func TestSampleSingleAndBatch(t *testing.T) {
 	if single.Requested != 1 || single.Returned != len(single.IDs) {
 		t.Fatalf("single sample shape: %+v", single)
 	}
-	// An absurd client-supplied worker count is clamped server-side, not
-	// honored.
+	// A client-supplied worker count, however absurd, is accepted and
+	// ignored: a request draws on its own goroutine.
 	var batch SampleResponse
 	if code := post(t, ts, "/v1/sample", `{"key":"plain","n":200,"workers":99999}`, &batch); code != 200 {
 		t.Fatalf("batch sample: status %d", code)

@@ -136,7 +136,7 @@ func TestSampleManyAllocsPerDraw(t *testing.T) {
 	}
 	var ops core.Ops
 	allocs := testing.AllocsPerRun(5, func() {
-		xs, err := db.SampleManyWorkers("bench", draws, 1, &ops)
+		xs, err := db.SampleManyFrom(db.Filter("bench"), draws, 0, &ops)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,17 +173,18 @@ func BenchmarkSampleManyVersion(b *testing.B) {
 		db, _ := openShape(b, shape.setSize, shape.namespace, shape.keys, int(shape.setSize), false)
 		// More than the price on either shape, so nil Ops is warm from here
 		// on; the counted requests fill the index on the way.
+		f := db.Filter("k3")
 		for tested := uint64(0); tested < 2*shape.namespace; {
 			var ops core.Ops
-			if _, err := db.SampleManyWorkers("k3", 64, 1, &ops); err != nil {
+			if _, err := db.SampleManyFrom(f, 64, 0, &ops); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := db.SampleManyWorkers("k3", 64, 1, nil); err != nil {
+			if _, err := db.SampleManyFrom(f, 64, 0, nil); err != nil {
 				b.Fatal(err)
 			}
 			tested += ops.Memberships
 		}
-		if db.tree.VersionFor(db.Filter("k3")).Positives() == nil {
+		if db.tree.VersionFor(f).Positives() == nil {
 			b.Fatal("the version never went warm")
 		}
 		for _, side := range []struct {
@@ -193,7 +194,7 @@ func BenchmarkSampleManyVersion(b *testing.B) {
 			b.Run(shape.name+"/"+side.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					xs, err := db.SampleManyWorkers("k3", shape.draws, 1, side.ops)
+					xs, err := db.SampleManyFrom(f, shape.draws, 0, side.ops)
 					if err != nil || len(xs) != shape.draws {
 						b.Fatalf("%d ids, err %v", len(xs), err)
 					}

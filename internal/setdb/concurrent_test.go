@@ -283,7 +283,7 @@ func TestSampleMany(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ops core.Ops
-	got, err := db.SampleManyWorkers("s", 200, 4, &ops)
+	got, err := db.SampleManyFrom(db.Filter("s"), 200, 0, &ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,56 +296,13 @@ func TestSampleMany(t *testing.T) {
 		}
 	}
 	if ops.NodesVisited == 0 {
-		t.Fatal("Ops not accumulated across workers")
+		t.Fatal("Ops not accumulated")
 	}
 	if _, err := db.SampleMany("absent", 5); err == nil {
 		t.Fatal("missing key accepted by SampleMany")
 	}
 	if got, err := db.SampleMany("s", 0); err != nil || got != nil {
 		t.Fatalf("SampleMany(0) = %v, %v", got, err)
-	}
-}
-
-func TestReconstructAll(t *testing.T) {
-	db, err := Open(testOptions(t, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string][]uint64{
-		"odds":  {1, 3, 5},
-		"evens": {2, 4, 6},
-		"big":   {999_999},
-	}
-	for k, ids := range want {
-		if err := db.Add(k, ids...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := db.ReconstructAll(core.PruneByAndBits, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("ReconstructAll returned %d sets, want %d", len(got), len(want))
-	}
-	for k, ids := range want {
-		found := map[uint64]bool{}
-		for _, x := range got[k] {
-			found[x] = true
-		}
-		for _, id := range ids {
-			if !found[id] {
-				t.Fatalf("set %q: reconstruction missing %d", k, id)
-			}
-		}
-	}
-
-	empty, err := Open(testOptions(t, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := empty.ReconstructAll(core.PruneByEstimate, 0); err != nil || len(got) != 0 {
-		t.Fatalf("empty ReconstructAll = %v, %v", got, err)
 	}
 }
 

@@ -40,13 +40,13 @@ func openShape(tb testing.TB, setSize, namespace uint64, keys, idsPerKey int, dy
 	return db, ids
 }
 
-// spend serves requests frames of n draws from key on the given worker
-// count and returns the estimates they computed between them.
-func spend(t *testing.T, db *DB, key string, requests, n, workers int) (computed uint64) {
+// spend serves requests frames of n draws from key and returns the
+// estimates they computed between them.
+func spend(t *testing.T, db *DB, key string, requests, n int) (computed uint64) {
 	t.Helper()
 	for i := 0; i < requests; i++ {
 		var ops core.Ops
-		ids, err := db.SampleManyWorkers(key, n, workers, &ops)
+		ids, err := db.SampleManyFrom(db.Filter(key), n, 0, &ops)
 		if err != nil || len(ids) != n {
 			t.Fatalf("%s: %d of %d ids, err %v", key, len(ids), n, err)
 		}
@@ -58,12 +58,13 @@ func spend(t *testing.T, db *DB, key string, requests, n, workers int) (computed
 // TestVersionPaysForEachEstimateOnce gates the paper's cost unit across
 // requests, on the shape the benchmark's batch workload serves (depth 7,
 // 127 internal nodes, the index covering all of them): however many
-// requests, chunks and workers draw from one filter version they compute
-// each of the tree's 254 estimates at most once between them — concurrent
-// workers included: whoever reaches a cold pair first computes it and the
-// others wait for it — and nothing at all from then on; growth that changes
-// no node filter costs the version nothing, and growth that changes one
-// root-to-leaf path costs it that path.
+// requests and chunks draw from one filter version they compute each of
+// the tree's 254 estimates at most once between them — concurrent requests
+// included: whoever reaches a cold pair first computes it and the others
+// wait for it (TestReadMostlyKeyScansOnce races them) — and nothing at all
+// from then on; growth that changes no node filter costs the version
+// nothing, and growth that changes one root-to-leaf path costs it that
+// path.
 func TestVersionPaysForEachEstimateOnce(t *testing.T) {
 	db, ids := openShape(t, 10_000, 1_000_000, 16, 10_000, false)
 	const depth, all = 7, 2 * 127
@@ -71,23 +72,20 @@ func TestVersionPaysForEachEstimateOnce(t *testing.T) {
 		t.Fatalf("tree depth %d, the gates below are written for %d", d, depth)
 	}
 
-	// One version, frames on 16, 2 and 1 workers, then single draws: a
-	// 64-draw frame passes ≈ 95 of the 127 internal nodes, so the sum
-	// climbs to 254 within a few frames and stays there.
-	var total uint64
-	for _, workers := range []int{16, 2, 1, 16, 2, 1} {
-		total += spend(t, db, "k3", 1, 64, workers)
-	}
+	// One version, six frames, then more: a 64-draw frame passes ≈ 95 of
+	// the 127 internal nodes, so the sum climbs to 254 within a few frames
+	// and stays there.
+	total := spend(t, db, "k3", 6, 64)
 	if total > all || total < all/2 {
 		t.Fatalf("six frames on one version computed %d estimates; the tree has %d", total, all)
 	}
 	for i := 0; total < all && i < 500; i++ {
-		total += spend(t, db, "k3", 1, 64, 1+i%3)
+		total += spend(t, db, "k3", 1, 64)
 	}
 	if total != all {
 		t.Fatalf("requests on one version computed %d estimates between them, want all %d and no more", total, all)
 	}
-	if c := spend(t, db, "k3", 20, 64, 2) + spend(t, db, "k3", 50, 1, 1); c != 0 {
+	if c := spend(t, db, "k3", 20, 64) + spend(t, db, "k3", 50, 1); c != 0 {
 		t.Fatalf("a version with every pair remembered computed %d estimates", c)
 	}
 
@@ -126,7 +124,7 @@ func TestVersionPaysForEachEstimateOnce(t *testing.T) {
 	if err := db.Add("k0", ids[1][:500]...); err != nil {
 		t.Fatal(err)
 	}
-	if c := spend(t, db, "k3", 20, 64, 2); c != 0 {
+	if c := spend(t, db, "k3", 20, 64); c != 0 {
 		t.Fatalf("after growth that changed no node filter a remembered version computed %d estimates", c)
 	}
 
@@ -143,10 +141,10 @@ func TestVersionPaysForEachEstimateOnce(t *testing.T) {
 	if db.tree.Nodes() != before {
 		t.Fatal("the id was meant to land in an existing leaf")
 	}
-	if c := spend(t, db, "k3", 200, 64, 2); c == 0 || c > 2*depth {
+	if c := spend(t, db, "k3", 200, 64); c == 0 || c > 2*depth {
 		t.Fatalf("after one new id in the tree a remembered version computed %d estimates, want 1 to %d", c, 2*depth)
 	}
-	if c := spend(t, db, "k3", 20, 64, 2); c != 0 {
+	if c := spend(t, db, "k3", 20, 64); c != 0 {
 		t.Fatalf("the path recomputed, the version computed %d more estimates", c)
 	}
 }
@@ -157,15 +155,15 @@ func TestVersionPaysForEachEstimateOnce(t *testing.T) {
 // levels 4–7 and reads the 8 above them back.
 func TestPointDrawPaysForTheLevelsBelowTheIndex(t *testing.T) {
 	db, _ := openShape(t, 1_000, 100_000, 50, 1_000, false)
-	if d, l := db.tree.Depth(), db.tree.IndexFor(db.Filter("k3")).Levels(); d != 8 || l != 4 {
+	if d, l := db.tree.Depth(), db.tree.VersionFor(db.Filter("k3")).Index().Levels(); d != 8 || l != 4 {
 		t.Fatalf("depth %d, index levels %d; the gate is written for 8 and 4", d, l)
 	}
-	spend(t, db, "k3", 400, 1, 1) // every one of the 15 pairs, but for a chance of 16·e⁻²⁵
+	spend(t, db, "k3", 400, 1) // every one of the 15 pairs, but for a chance of 16·e⁻²⁵
 	before := db.Stats()
 	clean := 0
 	for i := 0; i < 200; i++ {
 		var ops core.Ops
-		if _, err := db.SampleManyWorkers("k3", 1, 1, &ops); err != nil {
+		if _, err := db.SampleManyFrom(db.Filter("k3"), 1, 0, &ops); err != nil {
 			t.Fatal(err)
 		}
 		if ops.Backtracks != 0 {
@@ -218,7 +216,7 @@ func TestIndexSizeFollowsItsVersion(t *testing.T) {
 	} {
 		db, _ := openShape(t, c.setSize, c.namespace, 1, int(c.setSize), c.dynamic)
 		f := db.Filter("k0")
-		x := db.tree.IndexFor(f)
+		x := db.tree.VersionFor(f).Index()
 		if db.tree.Depth() != c.depth || x.Levels() != c.levels || x.Bytes() == 0 || x.Bytes() > f.SizeBytes()/8 {
 			t.Errorf("%s: depth %d, index of %d levels and %d bytes beside a view of %d bytes; want depth %d, %d levels, at most an eighth",
 				c.workload, db.tree.Depth(), x.Levels(), x.Bytes(), f.SizeBytes(), c.depth, c.levels)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -14,35 +13,27 @@ import (
 
 // Batch read APIs. These exploit the wait-free read path: stored filters
 // are immutable versions published through atomic shard snapshots and
-// the tree is never mutated in place, so the workers below run genuinely
-// in parallel, each with its own sampleWorker and Ops accumulator, all
+// the tree is never mutated in place, so concurrent requests draw without
+// a lock, each on its own goroutine with its own pooled sampleWorker, all
 // sharing the same stored filter and what is remembered about it: the
 // filter's core.Version, which hangs on the filter itself, outlives the
 // request and is read without a lock — its positives once it has paid for
 // them, its estimate index until then. What a draw is served from, and when
 // a version scans, is core's to decide (Tree.SampleVersion, Version.Exact);
 // a served reconstruction is the version's whole table of positives
-// (PositivesFrom), paid for at its first request. This file pins,
-// fans out and counts.
+// (PositivesFrom), paid for at its first request. This file pins and
+// counts.
 
-// SampleMany draws n samples from the set under key using up to
-// GOMAXPROCS goroutines; their order is unspecified. A filter version that
-// has not yet spent a scan's worth of draws is sampled by n independent
-// descents, each distributed as a Sample call; from then on by n exactly
-// uniform picks among the version's positives (sampleManyFilter).
-// Fewer than n results means some descents ended on false-positive paths
-// (the per-call ErrNoSample); an empty result for a present key is
-// possible only for an (almost) empty filter. A missing key returns an
-// error wrapping ErrNoSet; any other tree error aborts the batch and is
-// returned alongside the samples drawn so far.
+// SampleMany draws n samples from the set under key, on the caller's
+// goroutine. A filter version that has not yet spent a scan's worth of
+// draws is sampled by n independent descents, each distributed as a Sample
+// call; from then on by n exactly uniform picks among the version's
+// positives (sampleManyFilter). Fewer than n results means some descents
+// ended on false-positive paths (the per-call ErrNoSample); an empty result
+// for a present key is possible only for an (almost) empty filter. A
+// missing key returns an error wrapping ErrNoSet; any other tree error
+// aborts the batch and is returned alongside the samples drawn so far.
 func (db *DB) SampleMany(key string, n int) ([]uint64, error) {
-	return db.SampleManyWorkers(key, n, 0, nil)
-}
-
-// SampleManyWorkers is SampleMany with an explicit worker count (0 means
-// GOMAXPROCS) and an optional Ops accumulator that receives the summed
-// operation counts of all workers.
-func (db *DB) SampleManyWorkers(key string, n, workers int, ops *core.Ops) ([]uint64, error) {
 	// Load the published version once: it is immutable, so the whole
 	// batch shares it directly — no clone, no lock, and a consistent view
 	// for free (concurrent adds to or removes from the key publish new
@@ -53,19 +44,21 @@ func (db *DB) SampleManyWorkers(key string, n, workers int, ops *core.Ops) ([]ui
 	if err != nil {
 		return nil, err
 	}
-	return db.sampleManyFilter(e.m.QueryView(), n, workers, ops)
+	return db.sampleManyFilter(e.m.QueryView(), n, nil)
 }
 
 // SampleManyFrom draws n samples from one caller-held immutable filter
-// version (obtained from Filter). It is the hook for
-// callers that spread one logical batch over several calls — chunked
+// version (obtained from Filter), on the caller's goroutine. It is the hook
+// for callers that spread one logical batch over several calls — chunked
 // streaming, pagination — and need every chunk drawn from the same
-// point-in-time version regardless of concurrent writes.
+// point-in-time version regardless of concurrent writes. A non-nil ops
+// receives the batch's operation counts and keeps it on the descent.
+// workers is ignored.
 func (db *DB) SampleManyFrom(f *bloom.Filter, n, workers int, ops *core.Ops) ([]uint64, error) {
 	if f == nil {
 		return nil, fmt.Errorf("%w (nil filter)", ErrNoSet)
 	}
-	return db.sampleManyFilter(f, n, workers, ops)
+	return db.sampleManyFilter(f, n, ops)
 }
 
 // AppendReconstructFrom appends to dst the reconstruction of one caller-held
@@ -137,16 +130,16 @@ func (db *DB) pickFrom(p *core.Positives, n int) []uint64 {
 	return out
 }
 
-// sampleWorker is what one goroutine of a batch draws with. Workers are
-// pooled because seeding a math/rand source (607 words, ≈ 12 µs) per
-// worker per request cost more than the rest of the fan-out together; each
-// rng is seeded once, from the global source, when the pool creates it.
-// What the draws of a request learn about the tree is not a worker's to
-// keep: it sits on the filter version, which every worker is handed.
+// sampleWorker is what a batch draws with. Workers are pooled because
+// seeding a math/rand source (607 words, ≈ 12 µs) per request would cost
+// more than a warm request's picks together; each rng is seeded once, from
+// the global source, when the pool creates it. What the draws of a request
+// learn about the tree is not a worker's to keep: it sits on the filter
+// version, which the worker is handed.
 type sampleWorker struct {
 	rng     *rand.Rand
 	scratch []uint64 // leaf-scan hits, threaded through every draw
-	// What the worker's latest share cost and where it was served from, left
+	// What the worker's latest batch cost and where it was served from, left
 	// for whoever ran it to add to the database's counters.
 	tally core.Estimates
 }
@@ -158,19 +151,19 @@ var sampleWorkers = sync.Pool{New: func() any {
 	}
 }}
 
-// draw makes quota independent draws from f through its version on tree
+// draw makes n independent draws from f through its version on tree
 // (core.Tree.SampleVersion: picks from the version's positives once it has
 // them, descents that read its index and pay it until then — this worker's
 // payment may be the one that scans), appending the ids to out and returning
 // how many draws were lost (core.ErrNoSample: a false-positive path, or a
-// version with no positive to pick). Any other tree error ends the worker's
-// share. A caller that passes ops gets quota descents: the ids are exactly
-// what quota SampleScratch calls on the same rng would return. The draw loop
-// itself allocates nothing.
-func (w *sampleWorker) draw(tree *core.Tree, f *bloom.Filter, quota int, ops *core.Ops, out []uint64) (_ []uint64, lost int, err error) {
+// version with no positive to pick). Any other tree error ends the batch. A
+// caller that passes ops gets n descents: the ids are exactly what n
+// SampleScratch calls on the same rng would return. The draw loop itself
+// allocates nothing.
+func (w *sampleWorker) draw(tree *core.Tree, f *bloom.Filter, n int, ops *core.Ops, out []uint64) (_ []uint64, lost int, err error) {
 	v := tree.VersionFor(f)
 	w.tally = core.Estimates{}
-	for i := 0; i < quota && err == nil; i++ {
+	for i := 0; i < n && err == nil; i++ {
 		var x uint64
 		x, w.scratch, err = tree.SampleVersion(f, w.rng, ops, w.scratch, v, &w.tally)
 		switch err {
@@ -196,16 +189,15 @@ func (w *sampleWorker) pick(p *core.Positives, n int, out []uint64) []uint64 {
 	return out
 }
 
-// sampleManyFilter draws n samples from one immutable filter with up to
-// workers goroutines (0 means GOMAXPROCS); a one-worker batch runs on the
-// caller's. A batch on a version that has its positives is n picks on the
-// caller's goroutine (pickFrom) — microseconds, less than the fan-out — from the
-// table looked up once for the request: a table the tree's growth drops
-// while they run is dropped from the next request on. A caller that counts
-// ops always descends. Draws lost to false-positive paths, the estimates the
-// request computed and read back, and how many of its draws were picks and
-// how many descents, are counted in the database's Stats.
-func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) ([]uint64, error) {
+// sampleManyFilter draws n samples from one immutable filter on the
+// caller's goroutine. A batch on a version that has its positives is n
+// picks (pickFrom) from the table looked up once for the request: a table
+// the tree's growth drops while they run is dropped from the next request
+// on. A caller that counts ops always descends. Draws lost to
+// false-positive paths, the estimates the request computed and read back,
+// and how many of its draws were picks and how many descents, are counted
+// in the database's Stats.
+func (db *DB) sampleManyFilter(f *bloom.Filter, n int, ops *core.Ops) ([]uint64, error) {
 	if n <= 0 {
 		return nil, nil
 	}
@@ -214,73 +206,11 @@ func (db *DB) sampleManyFilter(f *bloom.Filter, n, workers int, ops *core.Ops) (
 			return db.pickFrom(p, n), nil
 		}
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	out := make([]uint64, 0, n)
-	if workers == 1 {
-		w := sampleWorkers.Get().(*sampleWorker)
-		out, lost, err := w.draw(db.tree, f, n, ops, out)
-		db.recordDraws(n, lost, w.tally)
-		sampleWorkers.Put(w)
-		return out, err
-	}
-
-	// Each worker fills its own quota-sized window of out; the windows are
-	// closed up afterwards, since a worker may return fewer than its quota.
-	type result struct {
-		xs    []uint64
-		lost  int
-		tally core.Estimates
-		ops   core.Ops
-		err   error
-	}
-	results := make([]result, workers)
-	var wg sync.WaitGroup
-	start := 0
-	for w := 0; w < workers; w++ {
-		quota := n / workers
-		if w < n%workers {
-			quota++
-		}
-		res, window := &results[w], out[start:start:start+quota]
-		start += quota
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var wops *core.Ops
-			if ops != nil {
-				wops = &res.ops
-			}
-			sw := sampleWorkers.Get().(*sampleWorker)
-			res.xs, res.lost, res.err = sw.draw(db.tree, f, quota, wops, window)
-			res.tally = sw.tally
-			sampleWorkers.Put(sw)
-		}()
-	}
-	wg.Wait()
-
-	var firstErr error
-	var tally core.Estimates
-	lost := 0
-	for i := range results {
-		out = append(out, results[i].xs...)
-		lost += results[i].lost
-		tally.Computed += results[i].tally.Computed
-		tally.Remembered += results[i].tally.Remembered
-		tally.Picked += results[i].tally.Picked
-		if ops != nil {
-			ops.Add(results[i].ops)
-		}
-		if firstErr == nil {
-			firstErr = results[i].err
-		}
-	}
-	db.recordDraws(n, lost, tally)
-	return out, firstErr
+	w := sampleWorkers.Get().(*sampleWorker)
+	out, lost, err := w.draw(db.tree, f, n, ops, make([]uint64, 0, n))
+	db.recordDraws(n, lost, w.tally)
+	sampleWorkers.Put(w)
+	return out, err
 }
 
 // recordDraws adds one request of n draws to the database's counts — the
@@ -303,60 +233,4 @@ func addSome(c *atomic.Uint64, d uint64) {
 	if d > 0 {
 		c.Add(d)
 	}
-}
-
-// ReconstructAll reconstructs every set in the database by §6's walk under
-// rule (Reconstruct) using up to workers goroutines (0 means GOMAXPROCS),
-// returning key → reconstructed set. Keys deleted while the scan runs are
-// silently skipped. Each
-// reconstruction is read-only, so the workers proceed without serializing
-// against concurrent samplers.
-func (db *DB) ReconstructAll(rule core.PruneRule, workers int) (map[string][]uint64, error) {
-	keys := db.Keys()
-	if len(keys) == 0 {
-		return map[string][]uint64{}, nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(keys) {
-		workers = len(keys)
-	}
-
-	var (
-		mu       sync.Mutex
-		out      = make(map[string][]uint64, len(keys))
-		next     = make(chan string)
-		wg       sync.WaitGroup
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for key := range next {
-				set, rerr := db.Reconstruct(key, rule, nil)
-				if errors.Is(rerr, ErrNoSet) {
-					continue // key deleted mid-scan
-				}
-				if rerr != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = rerr
-					}
-					mu.Unlock()
-					continue
-				}
-				mu.Lock()
-				out[key] = set
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, key := range keys {
-		next <- key
-	}
-	close(next)
-	wg.Wait()
-	return out, firstErr
 }

@@ -77,7 +77,7 @@ func TestWarmRequestIsPicks(t *testing.T) {
 	}
 
 	before := db.Stats()
-	ids, err := db.SampleManyWorkers("a", 200, 4, nil)
+	ids, err := db.SampleMany("a", 200)
 	if err != nil || len(ids) != 200 {
 		t.Fatalf("%d ids, err %v", len(ids), err)
 	}
@@ -93,7 +93,7 @@ func TestWarmRequestIsPicks(t *testing.T) {
 	}
 
 	var ops core.Ops
-	if _, err := db.SampleManyWorkers("a", 50, 1, &ops); err != nil {
+	if _, err := db.SampleManyFrom(f, 50, 0, &ops); err != nil {
 		t.Fatal(err)
 	}
 	before, st = st, db.Stats()
@@ -239,8 +239,8 @@ func TestWriteHeavyKeysNeverScan(t *testing.T) {
 }
 
 // TestReadMostlyKeyScansOnce: requests on 8 goroutines, single draws and
-// frames, fanned out and not, take one cold version of each backend's key
-// past the price together. Exactly one scan runs per version however they
+// frames, take one cold version of each backend's key past the price
+// together, racing on its index and on the payment that scans. Exactly one scan runs per version however they
 // interleave, no later request runs another, every id returned on either
 // side of it is a positive of the version, and none is lost once it is
 // warm. Run under -race.
@@ -275,9 +275,9 @@ func TestReadMostlyKeyScansOnce(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					n, workers := 1+g%3*20, g%2*3
+					n := 1 + g%3*20
 					for i := 0; i < 600; i++ {
-						got, err := db.SampleManyFrom(f, n, workers, nil)
+						got, err := db.SampleManyFrom(f, n, 0, nil)
 						if err != nil {
 							t.Error(err)
 							return
@@ -302,7 +302,7 @@ func TestReadMostlyKeyScansOnce(t *testing.T) {
 				t.Fatalf("the table does not hold the version's %d positives within its %d B", len(want), f.SizeBytes())
 			}
 			lost := st.SampleDrawsLost
-			if got, err := db.SampleManyFrom(f, 5_000, 4, nil); err != nil || len(got) != 5_000 {
+			if got, err := db.SampleManyFrom(f, 5_000, 0, nil); err != nil || len(got) != 5_000 {
 				t.Fatalf("a warm version returned %d of 5000 ids, err %v", len(got), err)
 			}
 			if st := db.Stats(); st.PositivesScans != 1 || st.SampleDrawsLost != lost {
@@ -317,8 +317,8 @@ func TestReadMostlyKeyScansOnce(t *testing.T) {
 // enumeration, every stored id among them, and §6's walk under either rule
 // inside it — appended to what dst holds. The first call on a version pays
 // for its one scan; the second scans nothing and answers the same. Reconstruct
-// and ReconstructAll are the library's walk, counted as the walk counts, and
-// neither scans nor computes an estimate on the version's account. A nil
+// is the library's walk, counted as the walk counts, and neither scans nor
+// computes an estimate on the version's account. A nil
 // filter and one of another profile are refused, with dst as it was.
 func TestReconstructFromServesTheVersion(t *testing.T) {
 	db, ids := openShape(t, 1_000, 100_000, 4, 1_000, false)
@@ -360,20 +360,6 @@ func TestReconstructFromServesTheVersion(t *testing.T) {
 				t.Fatalf("rule %d: the walk returns %d, which the version's positives lack", rule, x)
 			}
 		}
-	}
-
-	all, err := db.ReconstructAll(core.PruneByAndBits, 2)
-	if err != nil || len(all) != 4 {
-		t.Fatalf("ReconstructAll: %d keys, err %v", len(all), err)
-	}
-	for key, got := range all {
-		want, err := db.tree.Reconstruct(db.Filter(key), core.PruneByAndBits, nil)
-		if err != nil || !slices.Equal(got, want) {
-			t.Fatalf("ReconstructAll[%s]: %d ids, the walk returns %d (err %v)", key, len(got), len(want), err)
-		}
-	}
-	if st := db.Stats(); st.PositivesScans != 1 {
-		t.Fatalf("ReconstructAll ran %d scans", st.PositivesScans-1)
 	}
 
 	opts := db.opts

@@ -180,8 +180,8 @@ func (s *shard) load() *shardState { return s.state.Load() }
 // path (core.Tree.InsertBatch) before the new filter becomes visible, so
 // a published set is always coverable by the tree.
 //
-// SampleMany and ReconstructAll (parallel.go) exploit these guarantees
-// with internal worker pools.
+// SampleMany (parallel.go) exploits these guarantees: a batch draws on its
+// caller's goroutine, without a lock, however many callers draw at once.
 type DB struct {
 	opts   Options
 	fam    hashfam.Family

@@ -169,7 +169,6 @@ func (c *Client) roundTripOnce(op, flags byte, body []byte, wantOp byte) ([]byte
 
 // SampleOpts selects the sampling mode of Sample/SampleStream.
 type SampleOpts struct {
-	Workers int
 	Dynamic bool // Deprecated: sets FlagDynamic, which the server ignores.
 	Uniform bool
 }
@@ -187,7 +186,7 @@ func (o SampleOpts) flags() byte {
 
 // Sample draws n samples in one buffered response.
 func (c *Client) Sample(key string, n int, o SampleOpts) ([]uint64, error) {
-	body := SampleReq{Key: key, N: uint64(n), Workers: uint64(o.Workers)}.Encode(nil, false)
+	body := SampleReq{Key: key, N: uint64(n)}.Encode(nil, false)
 	resp, err := c.roundTrip(OpSample, o.flags(), body, OpSampleResult)
 	if err != nil {
 		return nil, err
@@ -230,7 +229,7 @@ func (c *Client) sampleStreamOnce(key string, n int, o SampleOpts, window int, e
 	}
 	c.nextID++
 	id := c.nextID
-	body := SampleReq{Key: key, N: uint64(n), Workers: uint64(o.Workers), Credit: uint64(window)}.Encode(nil, true)
+	body := SampleReq{Key: key, N: uint64(n), Credit: uint64(window)}.Encode(nil, true)
 	if c.Timeout > 0 {
 		if err := c.conn.SetDeadline(time.Now().Add(c.Timeout)); err != nil {
 			return err

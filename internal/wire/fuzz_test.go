@@ -14,7 +14,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	// Seed corpus: one valid frame per opcode family, plus classic
 	// corruption shapes, so coverage starts inside the decoders instead
 	// of dying at the header check.
-	f.Add(AppendFrame(nil, OpSample, 0, 1, SampleReq{Key: "k", N: 10, Workers: 2}.Encode(nil, false)))
+	f.Add(AppendFrame(nil, OpSample, 0, 1, appendUvarint(appendUvarint(appendString(nil, "k"), 10), 2))) // key, n, a non-zero retired workers slot
 	f.Add(AppendFrame(nil, OpSampleStream, FlagUniform, 2, SampleReq{Key: "k", N: 10, Credit: 4}.Encode(nil, true)))
 	f.Add(AppendFrame(nil, OpCredit, 0, 2, CreditGrant{N: 64}.Encode(nil)))
 	f.Add(AppendFrame(nil, OpAdd, 0, 3, AddReq{Sets: []AddSet{{Key: "a", IDs: []uint64{1, 2, 3}}, {Key: "b", Dynamic: true}}}.Encode(nil)))

@@ -114,11 +114,14 @@ func appendIDs(dst []byte, ids []uint64) []byte {
 // OpSampleStream: the number of samples the server may send before it
 // must wait for an OpCredit grant (0 means "no initial credit" — the
 // client grants separately).
+//
+// Between N and Credit the body keeps the slot of a retired worker-count
+// hint: Encode writes 0 there and DecodeSampleReq reads and discards
+// whatever it holds, so an older client's frames still parse.
 type SampleReq struct {
-	Key     string
-	N       uint64
-	Workers uint64
-	Credit  uint64
+	Key    string
+	N      uint64
+	Credit uint64
 }
 
 // Encode appends the body to dst. The stream form always carries the
@@ -126,7 +129,7 @@ type SampleReq struct {
 func (m SampleReq) Encode(dst []byte, stream bool) []byte {
 	dst = appendString(dst, m.Key)
 	dst = appendUvarint(dst, m.N)
-	dst = appendUvarint(dst, m.Workers)
+	dst = appendUvarint(dst, 0) // the retired workers slot
 	if stream {
 		dst = appendUvarint(dst, m.Credit)
 	}
@@ -136,11 +139,8 @@ func (m SampleReq) Encode(dst []byte, stream bool) []byte {
 // DecodeSampleReq parses the body of OpSample/OpSampleStream.
 func DecodeSampleReq(body []byte, stream bool) (SampleReq, error) {
 	r := newBodyReader(body)
-	m := SampleReq{
-		Key:     r.str("key", MaxKeyLen),
-		N:       r.uvarint("n"),
-		Workers: r.uvarint("workers"),
-	}
+	m := SampleReq{Key: r.str("key", MaxKeyLen), N: r.uvarint("n")}
+	r.uvarint("workers") // the retired slot: read and ignored
 	if stream {
 		m.Credit = r.uvarint("credit")
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -9,8 +10,21 @@ import (
 	"testing"
 )
 
+// TestFrameRoundTrip carries a sample-stream body whose retired workers slot
+// holds 4, as an older client writes it, built byte by byte: it decodes, the
+// slot is ignored, and Encode writes the same layout with the slot at 0.
 func TestFrameRoundTrip(t *testing.T) {
-	body := SampleReq{Key: "plain", N: 100, Workers: 4, Credit: 8}.Encode(nil, true)
+	rawBody := func(workers uint64) []byte {
+		b := binary.AppendUvarint(nil, uint64(len("plain")))
+		b = append(b, "plain"...)
+		b = binary.AppendUvarint(b, 100)     // n
+		b = binary.AppendUvarint(b, workers) // the retired workers slot
+		return binary.AppendUvarint(b, 8)    // credit
+	}
+	body := rawBody(4)
+	if enc := (SampleReq{Key: "plain", N: 100, Credit: 8}).Encode(nil, true); !bytes.Equal(enc, rawBody(0)) {
+		t.Fatalf("Encode wrote % x, want % x", enc, rawBody(0))
+	}
 	frame := AppendFrame(nil, OpSampleStream, FlagDynamic, 7, body)
 	h, got, err := ReadFrame(bytes.NewReader(frame), 0)
 	if err != nil {
@@ -26,7 +40,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Key != "plain" || m.N != 100 || m.Workers != 4 || m.Credit != 8 {
+	if m != (SampleReq{Key: "plain", N: 100, Credit: 8}) {
 		t.Fatalf("message mismatch: %+v", m)
 	}
 }
