@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"runtime"
 	"sort"
 	"sync/atomic"
 
@@ -14,12 +16,20 @@ import (
 // insertion; internal filters are formed by unioning children (valid
 // because all filters share m and H, §3.1), which is much cheaper than
 // re-inserting every element at every level.
+//
+// The top ⌈log₂ GOMAXPROCS⌉ levels fan out: a node there builds its left
+// half on a goroutine of its own and its right half on the caller's, so
+// up to GOMAXPROCS subtrees are filled at once; below them the recursion
+// is serial (at GOMAXPROCS 1, all of it). Each node is the same union of
+// the same children either way, so the tree is byte-identical whatever
+// GOMAXPROCS is.
 func BuildTree(cfg Config) (*Tree, error) {
 	t, err := newTree(cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	root := t.buildFull(0, cfg.Namespace, cfg.Depth)
+	fork := bits.Len(uint(runtime.GOMAXPROCS(0) - 1))
+	root := t.buildFull(0, cfg.Namespace, cfg.Depth, fork)
 	t.root.Store(root)
 	t.count(measure(root))
 	return t, nil
@@ -98,8 +108,9 @@ func (t *Tree) count(nodes, leafIDs uint64) {
 }
 
 // buildFull recursively builds the complete tree for [lo, hi) with the
-// given remaining depth.
-func (t *Tree) buildFull(lo, hi uint64, depth int) *node {
+// given remaining depth, building the left child concurrently for the top
+// fork levels.
+func (t *Tree) buildFull(lo, hi uint64, depth, fork int) *node {
 	n := newNode(lo, hi, nil)
 	if depth == 0 || hi-lo <= 1 {
 		f := bloom.New(t.fam)
@@ -111,8 +122,19 @@ func (t *Tree) buildFull(lo, hi uint64, depth int) *node {
 		return n
 	}
 	mid := split(lo, hi)
-	left := t.buildFull(lo, mid, depth-1)
-	right := t.buildFull(mid, hi, depth-1)
+	var left, right *node
+	if fork > 0 {
+		done := make(chan struct{})
+		go func() {
+			left = t.buildFull(lo, mid, depth-1, fork-1)
+			close(done)
+		}()
+		right = t.buildFull(mid, hi, depth-1, fork-1)
+		<-done
+	} else {
+		left = t.buildFull(lo, mid, depth-1, 0)
+		right = t.buildFull(mid, hi, depth-1, 0)
+	}
 	n.left.Store(left)
 	n.right.Store(right)
 	f, err := left.filter().Union(right.filter())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -142,49 +143,40 @@ func TestReadTreeRejectsCorrupt(t *testing.T) {
 	}
 }
 
-func TestBuildTreeParallelEquivalent(t *testing.T) {
-	cfg := testConfig(t, 100000, 500, 0.8, 7)
-	serial, err := BuildTree(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 16} {
-		parallel, err := BuildTreeParallel(cfg, workers)
+// TestBuildTreeIsTheSameAtAnyGOMAXPROCS holds BuildTree's concurrent top
+// levels to the serial recursion: at every GOMAXPROCS the tree encodes to
+// the bytes of the GOMAXPROCS-1 build and counts the same nodes and leaf
+// ids. The namespaces include a depth-1 tree, ranges that stop splitting
+// above the planned depth, and trees shallower than the fork levels.
+func TestBuildTreeIsTheSameAtAnyGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	build := func(cfg Config, procs int) ([]byte, uint64, uint64) {
+		runtime.GOMAXPROCS(procs)
+		tree, err := BuildTree(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if parallel.Nodes() != serial.Nodes() {
-			t.Fatalf("workers=%d: %d nodes vs %d serial", workers, parallel.Nodes(), serial.Nodes())
-		}
-		// Identical trees: every query reconstructs identically; compare
-		// via serialization equality, the strongest check.
-		var b1, b2 bytes.Buffer
-		if _, err := serial.WriteTo(&b1); err != nil {
+		var b bytes.Buffer
+		if _, err := tree.WriteTo(&b); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := parallel.WriteTo(&b2); err != nil {
-			t.Fatal(err)
+		return b.Bytes(), tree.Nodes(), tree.LeafIDs()
+	}
+	for _, c := range []struct {
+		M, n  uint64
+		depth int
+	}{
+		{2, 1, 1}, {3, 1, 2}, {5, 2, 3}, {5000, 100, 6}, {100000, 500, 7}, {1000003, 500, 10},
+	} {
+		cfg := testConfig(t, c.M, c.n, 0.8, c.depth)
+		wantBytes, wantNodes, wantLeafIDs := build(cfg, 1)
+		for _, procs := range []int{1, 2, 3, 4, 16} {
+			got, nodes, leafIDs := build(cfg, procs)
+			if nodes != wantNodes || leafIDs != wantLeafIDs || !bytes.Equal(got, wantBytes) {
+				t.Fatalf("M=%d depth=%d GOMAXPROCS=%d: %d nodes, %d leaf ids, %d bytes; GOMAXPROCS 1 built %d, %d, %d (bytes equal: %v)",
+					c.M, c.depth, procs, nodes, leafIDs, len(got), wantNodes, wantLeafIDs, len(wantBytes), bytes.Equal(got, wantBytes))
+			}
 		}
-		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-			t.Fatalf("workers=%d: parallel build differs from serial", workers)
-		}
-	}
-}
-
-func TestBuildTreeParallelDefaultWorkers(t *testing.T) {
-	cfg := testConfig(t, 20000, 100, 0.8, 5)
-	tree, err := BuildTreeParallel(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.Nodes() != 63 {
-		t.Fatalf("nodes = %d, want 63", tree.Nodes())
-	}
-}
-
-func TestBuildTreeParallelValidation(t *testing.T) {
-	if _, err := BuildTreeParallel(Config{Namespace: 1, Bits: 10, K: 1}, 2); err == nil {
-		t.Fatal("invalid config accepted")
 	}
 }
 

@@ -73,20 +73,27 @@ func PlanTree(accuracy float64, n, M uint64, k int, costRatio float64) (Plan, er
 	if err != nil {
 		return Plan{}, err
 	}
+	depth, costRatio := PlanDepth(M, params.Bits, costRatio)
+	plan := Plan{Params: params, Depth: depth, CostRatio: costRatio}
+	plan.LeafRange = leafRangeAtDepth(M, depth)
+	return plan, nil
+}
+
+// PlanDepth returns the §5.4 tree depth over a namespace of M ids for
+// filters of the given bits: the fewest halvings of M that bring a leaf's
+// range within LeafRangeForRatio(costRatio). costRatio <= 0 uses the
+// default model bits/DefaultCostRatioDivisor; the ratio used is returned
+// beside the depth.
+func PlanDepth(M, bits uint64, costRatio float64) (int, float64) {
 	if costRatio <= 0 {
-		costRatio = float64(params.Bits) / DefaultCostRatioDivisor
+		costRatio = float64(bits) / DefaultCostRatioDivisor
 	}
 	leaf := LeafRangeForRatio(costRatio)
-	if leaf > M {
-		leaf = M
-	}
 	depth := 0
 	for r := M; r > leaf; r = (r + 1) / 2 {
 		depth++
 	}
-	plan := Plan{Params: params, Depth: depth, CostRatio: costRatio}
-	plan.LeafRange = leafRangeAtDepth(M, depth)
-	return plan, nil
+	return depth, costRatio
 }
 
 func leafRangeAtDepth(M uint64, depth int) uint64 {

@@ -38,7 +38,8 @@ type Config struct {
 	Bits uint64
 	// K is the number of hash functions.
 	K int
-	// HashKind selects the hash family (default Murmur3).
+	// HashKind selects the hash family (default hashfam.DefaultKind, which
+	// is fast).
 	HashKind hashfam.Kind
 	// Seed derives the hash functions deterministically.
 	Seed uint64

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/baseline"
@@ -108,15 +109,18 @@ func RunAblationMultiSample(cfg Config) ([]*Table, error) {
 // RunAblationBuild compares the leaf-up union construction used by
 // BuildTree against the naive construction that re-inserts every element
 // at every level, validating the §5.1 construction (a node's filter is the
-// union of its children's).
+// union of its children's). Both arms run at GOMAXPROCS 1, so the serial
+// naive build meets a serial union build; GOMAXPROCS is restored
+// afterwards.
 func RunAblationBuild(cfg Config) ([]*Table, error) {
 	M := smallestNamespace(cfg)
 	n := closestSetSize(cfg, 1000)
 	tbl := &Table{
 		ID:      "abl-build",
-		Title:   fmt.Sprintf("Tree construction: leaf-up unions vs per-level insertion (M=%d)", M),
+		Title:   fmt.Sprintf("Tree construction: leaf-up unions vs per-level insertion (M=%d, GOMAXPROCS=1)", M),
 		Columns: []string{"accuracy", "union_ms", "naive_ms", "speedup"},
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, acc := range cfg.Accuracies {
 		plan, err := core.PlanTree(acc, uint64(n), M, cfg.K, 0)
 		if err != nil {

@@ -9,8 +9,11 @@ import (
 	"repro/internal/workload"
 )
 
-// RunAblationParallelBuild measures BuildTreeParallel speedup over the
-// serial construction at increasing worker counts.
+// RunAblationParallelBuild measures BuildTree's speedup from building its
+// top levels concurrently, at GOMAXPROCS 1, 2, 4 and 8 against the 1 row
+// (the serial recursion). An untimed build goes first, because a process's
+// first tree pays for fresh heap pages that later ones reuse. GOMAXPROCS is
+// restored afterwards.
 func RunAblationParallelBuild(cfg Config) ([]*Table, error) {
 	M := largestNamespace(cfg)
 	n := closestSetSize(cfg, 1000)
@@ -21,22 +24,25 @@ func RunAblationParallelBuild(cfg Config) ([]*Table, error) {
 	treeCfg := plan.TreeConfig(cfg.HashKind, cfg.Seed)
 	tbl := &Table{
 		ID:      "abl-parallel",
-		Title:   fmt.Sprintf("Parallel tree construction (M=%d, m=%d, depth=%d, GOMAXPROCS=%d)", M, plan.Bits, plan.Depth, runtime.GOMAXPROCS(0)),
-		Columns: []string{"workers", "build_ms", "speedup"},
+		Title:   fmt.Sprintf("Parallel tree construction (M=%d, m=%d, depth=%d, NumCPU=%d)", M, plan.Bits, plan.Depth, runtime.NumCPU()),
+		Columns: []string{"gomaxprocs", "build_ms", "speedup"},
 	}
-	start := time.Now()
 	if _, err := core.BuildTree(treeCfg); err != nil {
 		return nil, err
 	}
-	serialMS := float64(time.Since(start).Microseconds()) / 1000
-	tbl.Add("serial", fmt.Sprintf("%.2f", serialMS), "1.00x")
-	for _, w := range []int{1, 2, 4, 8} {
-		start = time.Now()
-		if _, err := core.BuildTreeParallel(treeCfg, w); err != nil {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var serialMS float64
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		start := time.Now()
+		if _, err := core.BuildTree(treeCfg); err != nil {
 			return nil, err
 		}
 		ms := float64(time.Since(start).Microseconds()) / 1000
-		tbl.Add(fmt.Sprint(w), fmt.Sprintf("%.2f", ms), fmt.Sprintf("%.2fx", serialMS/ms))
+		if procs == 1 {
+			serialMS = ms
+		}
+		tbl.Add(fmt.Sprint(procs), fmt.Sprintf("%.2f", ms), fmt.Sprintf("%.2fx", serialMS/ms))
 	}
 	return []*Table{tbl}, nil
 }

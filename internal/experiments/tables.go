@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -41,7 +42,7 @@ func RunCreationTime(cfg Config) ([]*Table, error) {
 	n := closestSetSize(cfg, 1000)
 	tbl := &Table{
 		ID:      "creation-time",
-		Title:   fmt.Sprintf("BloomSampleTree creation time (n=%d)", n),
+		Title:   fmt.Sprintf("BloomSampleTree creation time (n=%d, GOMAXPROCS=%d)", n, runtime.GOMAXPROCS(0)),
 		Columns: []string{"M", "accuracy", "m_bits", "depth", "create_ms"},
 	}
 	for _, M := range cfg.Namespaces {

@@ -227,13 +227,7 @@ func Open(opts Options) (*DB, error) {
 	}
 	opts.Backend = backend
 	if opts.TreeDepth == 0 {
-		ratio := float64(opts.Bits) / core.DefaultCostRatioDivisor
-		leaf := core.LeafRangeForRatio(ratio)
-		depth := 0
-		for r := opts.Namespace; r > leaf; r = (r + 1) / 2 {
-			depth++
-		}
-		opts.TreeDepth = depth
+		opts.TreeDepth, _ = core.PlanDepth(opts.Namespace, opts.Bits, 0)
 	}
 	cfg := core.Config{
 		Namespace: opts.Namespace,

@@ -35,18 +35,25 @@ func TestPlanOptions(t *testing.T) {
 	}
 }
 
+// TestOpenDerivesDepth holds Open's depth for TreeDepth 0 to PlanTree's
+// for the same namespace and filter size, up to §8's 2.2·10⁹ ids. The trees
+// are pruned so that the largest namespace is not built in full.
 func TestOpenDerivesDepth(t *testing.T) {
-	opts := testOptions(t, false)
-	opts.TreeDepth = 0
-	db, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.Options().TreeDepth == 0 {
-		t.Fatal("depth not derived")
-	}
-	if db.Tree() == nil {
-		t.Fatal("no tree")
+	for _, M := range []uint64{1e3, 1e6, 1e7, 2.2e9} {
+		for _, acc := range []float64{0.5, 0.7, 0.9, 0.99} {
+			plan, err := core.PlanTree(acc, 100, M, 3, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db, err := Open(Options{Namespace: M, Bits: plan.Bits, K: plan.K, Pruned: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := db.Options().TreeDepth; got != plan.Depth || db.Tree().Depth() != plan.Depth {
+				t.Errorf("M=%d accuracy %.2f: Open derived depth %d (tree %d), PlanTree %d",
+					M, acc, got, db.Tree().Depth(), plan.Depth)
+			}
+		}
 	}
 }
 

@@ -2,9 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"log/slog"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/membership"
@@ -126,5 +130,82 @@ func TestRotationAndAppendCounters(t *testing.T) {
 	}
 	if int(st.Rotations) != st.Segments-1 {
 		t.Errorf("rotations %d vs segments %d: want segments-1 rotations", st.Rotations, st.Segments)
+	}
+}
+
+// recordingHandler keeps every record logged through it.
+type recordingHandler struct {
+	mu      sync.Mutex
+	records []slog.Record
+}
+
+func (h *recordingHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h *recordingHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *recordingHandler) WithGroup(string) slog.Handler            { return h }
+
+func (h *recordingHandler) Handle(_ context.Context, r slog.Record) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.records = append(h.records, r.Clone())
+	return nil
+}
+
+// TestTornTailIsLogged recovers over a segment with garbage after its last
+// record and checks that the Logger gets one warn line naming the segment,
+// the bytes dropped and the decode error.
+func TestTornTailIsLogged(t *testing.T) {
+	dir := t.TempDir()
+	opts := testOptions(t, membership.KindCounting)
+	s, err := Open(dir, freshFunc(t, opts), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range testBatches() {
+		if err := s.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segment := filepath.Join(dir, segmentName(1))
+	f, err := os.OpenFile(segment, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0xde, 0xad, 0xbe, 0xef, 0x01}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	h := &recordingHandler{}
+	s2, err := Open(dir, freshFunc(t, opts), Options{Logger: slog.New(h)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := s2.Stats().DroppedTailBytes; got != 5 {
+		t.Fatalf("DroppedTailBytes = %d, want 5", got)
+	}
+	var warned int
+	for _, r := range h.records {
+		if r.Message != "wal dropped torn tail" {
+			continue
+		}
+		warned++
+		attrs := map[string]slog.Value{}
+		r.Attrs(func(a slog.Attr) bool {
+			attrs[a.Key] = a.Value
+			return true
+		})
+		if r.Level != slog.LevelWarn || attrs["segment"].String() != segment ||
+			attrs["dropped_bytes"].Int64() != 5 || attrs["error"].Any() == nil {
+			t.Errorf("torn-tail line: level %v, attrs %v", r.Level, attrs)
+		}
+	}
+	if warned != 1 {
+		t.Fatalf("%d torn-tail lines logged, want 1; records: %v", warned, h.records)
 	}
 }

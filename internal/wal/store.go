@@ -59,12 +59,9 @@ type Options struct {
 	// SnapshotInterval takes a background snapshot this often when new
 	// records exist (default 0: snapshots only on demand).
 	SnapshotInterval time.Duration
-	// Logf, when set, receives recovery and background-error log lines
-	// (typically log.Printf).
-	Logf func(format string, args ...any)
 	// Logger, when set, receives structured log lines: recovery outcome
-	// at info, fsync/rotation/snapshot failures at error. Both sinks may
-	// be set; they receive the same events.
+	// at info, a dropped torn tail at warn, fsync/rotation/snapshot
+	// failures at error.
 	Logger *slog.Logger
 }
 
@@ -92,7 +89,7 @@ type Store struct {
 	dir  string
 	opts Options
 
-	// db is swapped atomically by Restore; readers (DB, the server's
+	// db is swapped atomically by RestoreDB; readers (DB, the server's
 	// request paths) never block on the store mutex.
 	db atomic.Pointer[setdb.DB]
 
@@ -281,14 +278,10 @@ func Open(dir string, fresh func() (*setdb.DB, error), opts Options) (*Store, er
 	// prune) are reclaimed now, best-effort.
 	s.prune(snapIdx)
 
-	if s.bootReplayed > 0 || s.bootDroppedTail > 0 {
-		s.logf("wal: recovered %s: %d records replayed, %d skipped, %d torn tail bytes dropped",
-			dir, s.bootReplayed, s.bootSkipped, s.bootDroppedTail)
-		if opts.Logger != nil {
-			opts.Logger.Info("wal recovered", "dir", dir,
-				"replayed", s.bootReplayed, "skipped", s.bootSkipped,
-				"dropped_tail_bytes", s.bootDroppedTail)
-		}
+	if opts.Logger != nil && (s.bootReplayed > 0 || s.bootDroppedTail > 0) {
+		opts.Logger.Info("wal recovered", "dir", dir,
+			"replayed", s.bootReplayed, "skipped", s.bootSkipped,
+			"dropped_tail_bytes", s.bootDroppedTail)
 	}
 
 	if s.opts.Fsync == FsyncInterval || s.opts.SnapshotInterval > 0 {
@@ -298,7 +291,7 @@ func Open(dir string, fresh func() (*setdb.DB, error), opts Options) (*Store, er
 	return s, nil
 }
 
-// DB returns the live database. After Restore the pointer changes;
+// DB returns the live database. After RestoreDB the pointer changes;
 // callers holding the old value keep a consistent (stale) view.
 func (s *Store) DB() *setdb.DB { return s.db.Load() }
 
@@ -406,27 +399,10 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 	}, nil
 }
 
-// WriteSnapshotTo streams a restore bundle of the live database to w —
-// the download half of the snapshot API. It touches no files and never
-// blocks writers.
-func (s *Store) WriteSnapshotTo(w io.Writer) (int64, error) {
-	return s.db.Load().SnapshotView().WriteBundleTo(w)
-}
-
-// Restore replaces the live database with the bundle read from r: the
-// new state is persisted as a snapshot, the log restarts empty, and the
-// old history is pruned. Writes are blocked for the (rare) duration.
-func (s *Store) Restore(r io.Reader) error {
-	db, err := setdb.ReadBundle(r)
-	if err != nil {
-		return err
-	}
-	return s.RestoreDB(db)
-}
-
-// RestoreDB is Restore with an already-decoded database — for callers
-// that need to distinguish a bad bundle (their input) from a
-// persistence failure (the store's disk).
+// RestoreDB replaces the live database with db (typically a bundle read
+// by setdb.ReadBundle): the new state is persisted as a snapshot, the log
+// restarts empty, and the old history is pruned. Writes are blocked for
+// the (rare) duration.
 func (s *Store) RestoreDB(db *setdb.DB) error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -545,7 +521,6 @@ func (s *Store) background() {
 					// next tick retries rather than silently dropping
 					// the pending records' durability.
 					s.dirty = true
-					s.logf("wal: interval fsync: %v", err)
 				}
 			}
 			s.mu.Unlock()
@@ -556,18 +531,9 @@ func (s *Store) background() {
 			if pending == 0 {
 				continue
 			}
-			if _, err := s.Snapshot(); err != nil && !errors.Is(err, ErrClosed) {
-				// Snapshot already counted and slog-logged the failure;
-				// keep the printf sink informed too.
-				s.logf("wal: background snapshot: %v", err)
-			}
+			// Snapshot counts and logs its own failure.
+			_, _ = s.Snapshot()
 		}
-	}
-}
-
-func (s *Store) logf(format string, args ...any) {
-	if s.opts.Logf != nil {
-		s.opts.Logf(format, args...)
 	}
 }
 
@@ -687,7 +653,10 @@ func (s *Store) replaySegment(idx uint64, last bool) (int64, error) {
 			return 0, fmt.Errorf("wal: %s is damaged %d bytes before its end but is not the final segment: refusing to recover past missing history (%v)", path, dropped, scanErr)
 		}
 		s.bootDroppedTail += dropped
-		s.logf("wal: %s: dropped %d torn tail bytes (%v)", path, dropped, scanErr)
+		if s.opts.Logger != nil {
+			s.opts.Logger.Warn("wal dropped torn tail", "segment", path,
+				"dropped_bytes", dropped, "error", scanErr)
+		}
 	default:
 		applyErr = scanErr
 	}

@@ -551,8 +551,12 @@ func TestRestoreResetsHistory(t *testing.T) {
 			t.Fatalf("Apply: %v", err)
 		}
 	}
-	if err := s.Restore(&bundle); err != nil {
-		t.Fatalf("Restore: %v", err)
+	db, err := setdb.ReadBundle(&bundle)
+	if err != nil {
+		t.Fatalf("ReadBundle: %v", err)
+	}
+	if err := s.RestoreDB(db); err != nil {
+		t.Fatalf("RestoreDB: %v", err)
 	}
 	if got := bundleBytes(t, s.DB()); !bytes.Equal(got, want) {
 		t.Fatal("live state after Restore differs from the bundle")

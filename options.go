@@ -41,7 +41,6 @@ type options struct {
 	treeDepth     int
 	pruned        bool
 	designSetSize uint64
-	workers       int
 }
 
 // Option configures a constructor. Options apply in order; later
@@ -92,11 +91,6 @@ func WithPruned(pruned bool) Option { return func(o *options) { o.pruned = prune
 // WithDesignSetSize sets the typical stored-set size the planner sizes
 // for (default 1000).
 func WithDesignSetSize(n uint64) Option { return func(o *options) { o.designSetSize = n } }
-
-// WithWorkers sets the goroutine count for parallel tree builds
-// (default 0 = GOMAXPROCS). Ignored by constructors that build nothing
-// parallel.
-func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 
 // Open creates an empty set database over the namespace [0, M),
 // planning the filter profile from the accuracy options. A key created by
@@ -163,15 +157,10 @@ func NewDynamicMembership(m uint64, k int, opts ...Option) (DynamicMembership, e
 
 // NewTreeWith builds the BloomSampleTree for the plan. WithHash and
 // WithSeed select the hash family; WithPruned(true) with occupied ids
-// is NewPrunedTreeWith's job (a pruned tree needs the ids);
-// WithWorkers(n) parallelizes the full build.
+// is NewPrunedTreeWith's job (a pruned tree needs the ids).
 func NewTreeWith(plan TreePlan, opts ...Option) (*Tree, error) {
 	o := buildOptions(opts)
-	cfg := plan.TreeConfig(o.hash, o.seed)
-	if o.workers != 0 {
-		return core.BuildTreeParallel(cfg, o.workers)
-	}
-	return core.BuildTree(cfg)
+	return core.BuildTree(plan.TreeConfig(o.hash, o.seed))
 }
 
 // NewPrunedTreeWith builds a Pruned-BloomSampleTree over only the
