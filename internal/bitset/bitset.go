@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync/atomic"
 )
@@ -121,10 +122,7 @@ func (s *Set) Count() uint64 {
 	if c := s.count.Load(); c != 0 {
 		return c - 1
 	}
-	var c uint64
-	for _, w := range s.words {
-		c += uint64(bits.OnesCount64(w))
-	}
+	c, _ := andCount(s.words, s.words, math.MaxUint64)
 	s.count.Store(c + 1)
 	return c
 }
@@ -216,45 +214,50 @@ func (s *Set) Or(t *Set) *Set {
 // It panics if the lengths differ.
 func (s *Set) AndCount(t *Set) uint64 {
 	s.checkSameLen(t)
-	var c uint64
-	for i := range s.words {
-		c += uint64(bits.OnesCount64(s.words[i] & t.words[i]))
-	}
+	c, _ := andCount(s.words, t.words, math.MaxUint64)
 	return c
 }
 
-// andStride is the number of words AndCountAtLeast counts between two looks
-// at its running total: long enough that the comparison is lost beside the
-// popcounts, short enough that a threshold met early is noticed early.
-const andStride = 8
-
 // AndCountAtLeast reports whether popcount(s AND t) ≥ need — AndCount(t) ≥
-// need — stopping at the first stride boundary where the running count
+// need — stopping at the first block boundary where the running count
 // reaches need, so a threshold far below the count costs a fraction of the
 // pass and only a count that falls short costs all of it. It panics if the
 // lengths differ.
 func (s *Set) AndCountAtLeast(t *Set, need uint64) bool {
-	reached, _ := s.andCountAtLeast(t, need)
-	return reached
+	s.checkSameLen(t)
+	c, _ := andCount(s.words, t.words, need)
+	return c >= need
 }
 
-// andCountAtLeast is AndCountAtLeast, also returning the words it read of
-// each vector.
-func (s *Set) andCountAtLeast(t *Set, need uint64) (reached bool, read int) {
-	s.checkSameLen(t)
-	a, b := s.words, t.words[:len(s.words)]
-	var c uint64
+// andBlock is the number of words andCount counts between two looks at its
+// running total: long enough that the look is lost beside the popcounts,
+// short enough that a threshold met early is noticed early.
+const andBlock = 8
+
+// andCount is the one popcount loop under Count, AndCount and
+// AndCountAtLeast: popcount(a AND b), andBlock words at a time, each
+// block's eight popcounts summed as four independent pairs before they
+// join the running count, then the last len(a) % andBlock words one by
+// one. It looks at the count only between blocks and stops at the first
+// boundary where it has reached need, returning the count of the words it
+// read and their number: a multiple of andBlock, or len(a). b must be at
+// least as long as a.
+func andCount(a, b []uint64, need uint64) (c uint64, read int) {
+	b = b[:len(a)]
 	i := 0
-	for ; c < need && i+andStride <= len(a); i += andStride {
-		x, y := a[i:i+andStride], b[i:i+andStride]
-		for j := range x {
-			c += uint64(bits.OnesCount64(x[j] & y[j]))
+	for ; i+andBlock <= len(a) && c < need; i += andBlock {
+		x, y := a[i:i+andBlock:i+andBlock], b[i:i+andBlock:i+andBlock]
+		c += uint64((bits.OnesCount64(x[0]&y[0]) + bits.OnesCount64(x[1]&y[1])) +
+			(bits.OnesCount64(x[2]&y[2]) + bits.OnesCount64(x[3]&y[3])) +
+			(bits.OnesCount64(x[4]&y[4]) + bits.OnesCount64(x[5]&y[5])) +
+			(bits.OnesCount64(x[6]&y[6]) + bits.OnesCount64(x[7]&y[7])))
+	}
+	if c < need {
+		for ; i < len(a); i++ {
+			c += uint64(bits.OnesCount64(a[i] & b[i]))
 		}
 	}
-	for ; c < need && i < len(a); i++ {
-		c += uint64(bits.OnesCount64(a[i] & b[i]))
-	}
-	return c >= need, i
+	return c, i
 }
 
 // AndAny reports whether s AND t has at least one set bit, short-circuiting

@@ -1,6 +1,9 @@
 package bitset
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"sync"
@@ -135,15 +138,15 @@ func TestAndCountAndAny(t *testing.T) {
 
 // TestAndCountAtLeastMatchesAndCount holds the early-exit count to the
 // full one on random vectors of every density, whose word counts are not
-// multiples of the stride (and one shorter than a stride), at the
-// thresholds where the verdict turns — and pins what it is allowed to
-// read: nothing for a threshold of zero, everything when the count falls
-// short, and otherwise the words up to the first stride boundary (or, in
-// the last partial stride, the first word) at which the running count
-// arrives. The tree's words-read gate (core) is computed from that rule.
+// multiples of the block (and one shorter than a block), at the thresholds
+// where the verdict turns — and pins what it is allowed to read: nothing
+// for a threshold of zero, everything when the count falls short, and
+// otherwise the words up to the first block boundary at which the running
+// count arrives; the partial block at the end is read whole. The tree's
+// words-read gate (core) is computed from that rule.
 func TestAndCountAtLeastMatchesAndCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	for _, n := range []uint64{1, 64, 300, 64*andStride - 1, 64 * andStride, 64*andStride + 1, 64*19 + 7, 273_404} {
+	for _, n := range []uint64{1, 64, 300, 64*andBlock - 1, 64 * andBlock, 64*andBlock + 1, 64*19 + 7, 273_404} {
 		for _, fill := range []float64{0, 0.02, 0.5, 1} {
 			a, b := New(n), New(n)
 			for i := uint64(0); i < n; i++ {
@@ -156,25 +159,20 @@ func TestAndCountAtLeastMatchesAndCount(t *testing.T) {
 			}
 			count := a.AndCount(b)
 			for _, need := range []uint64{0, 1, count / 2, count, count + 1, n + 1} {
-				reached, read := a.andCountAtLeast(b, need)
-				if reached != (count >= need) || a.AndCountAtLeast(b, need) != reached {
+				reached := a.AndCountAtLeast(b, need)
+				if reached != (count >= need) {
 					t.Fatalf("n=%d fill=%v: AndCountAtLeast(%d) = %v with AndCount = %d", n, fill, need, reached, count)
 				}
-				// The count is looked at after every whole stride, then
-				// after every word of the partial stride at the end.
 				want, running := 0, uint64(0)
 				for want < len(a.words) && running < need {
-					step := 1
-					if want+andStride <= len(a.words) {
-						step = andStride
-					}
+					step := min(andBlock, len(a.words)-want)
 					for ; step > 0; step-- {
 						running += uint64(bits.OnesCount64(a.words[want] & b.words[want]))
 						want++
 					}
 				}
-				if read != want {
-					t.Fatalf("n=%d fill=%v need=%d of %d: read %d of %d words, want %d", n, fill, need, count, read, len(a.words), want)
+				if c, read := andCount(a.words, b.words, need); read != want || c != running {
+					t.Fatalf("n=%d fill=%v need=%d of %d: read %d of %d words counting %d, want %d counting %d", n, fill, need, count, read, len(a.words), c, want, running)
 				}
 			}
 		}
@@ -185,6 +183,110 @@ func TestAndCountAtLeastMatchesAndCount(t *testing.T) {
 		}
 	}()
 	New(10).AndCountAtLeast(New(11), 1)
+}
+
+// andReference is popcount(a AND b) taken bit by bit, sharing nothing with
+// the word loop it checks.
+func andReference(a, b *Set) uint64 {
+	var c uint64
+	for i := uint64(0); i < a.Len(); i++ {
+		if a.Test(i) && b.Test(i) {
+			c++
+		}
+	}
+	return c
+}
+
+// checkCounts holds Count, AndCount and AndCountAtLeast(need) on a and b to
+// the bit-by-bit references, and the words an early exit reads to a whole
+// number of blocks or the whole vector.
+func checkCounts(t *testing.T, shape string, a, b *Set, needs ...uint64) {
+	t.Helper()
+	if got, want := a.Count(), recount(a); got != want {
+		t.Fatalf("%s: Count = %d, recount = %d", shape, got, want)
+	}
+	count := andReference(a, b)
+	if got := a.AndCount(b); got != count {
+		t.Fatalf("%s: AndCount = %d, bit by bit %d", shape, got, count)
+	}
+	for _, need := range append(needs, 0, 1, count, count+1, math.MaxUint64) {
+		if got := a.AndCountAtLeast(b, need); got != (count >= need) {
+			t.Fatalf("%s: AndCountAtLeast(%d) = %v with a count of %d", shape, need, got, count)
+		}
+		if _, read := andCount(a.words, b.words, need); read%andBlock != 0 && read != len(a.words) {
+			t.Fatalf("%s need=%d: read %d of %d words, neither whole blocks nor all", shape, need, read, len(a.words))
+		}
+	}
+}
+
+// TestAndCountEveryShape runs the popcount loop over every word count from
+// 0 to 40 — no block, whole blocks, and every length of the tail after
+// them — at a full last word, one bit short of it and one bit into it,
+// with every pairing of five fills, against the bit-by-bit references.
+func TestAndCountEveryShape(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	random := func(s *Set, p float64) {
+		for i := uint64(0); i < s.Len(); i++ {
+			if rng.Float64() < p {
+				s.Set(i)
+			}
+		}
+	}
+	fills := []struct {
+		name string
+		fill func(s *Set)
+	}{
+		{"empty", func(*Set) {}},
+		{"one", func(s *Set) { s.Set(rng.Uint64() % s.Len()) }},
+		{"sparse", func(s *Set) { random(s, 1.0/32) }},
+		{"half", func(s *Set) { random(s, 0.5) }},
+		{"full", (*Set).Fill},
+	}
+	for w := uint64(0); w <= 40; w++ {
+		for _, n := range []uint64{64 * w, 64*w - 1, 64*w - 63} {
+			if n > 64*w {
+				continue // at w = 0, 64w - 1 and 64w - 63 wrap around
+			}
+			for _, fa := range fills {
+				for _, fb := range fills {
+					a, b := New(n), New(n)
+					if n > 0 {
+						fa.fill(a)
+						fb.fill(b)
+					}
+					checkCounts(t, fmt.Sprintf("n=%d, %s AND %s", n, fa.name, fb.name), a, b)
+				}
+			}
+		}
+	}
+}
+
+// FuzzAndCount holds the three counts to the bit-by-bit references on two
+// vectors of one arbitrary length, their words read from the two inputs
+// (repeated to fill a vector longer than an input, zero if it is empty).
+func FuzzAndCount(f *testing.F) {
+	f.Add([]byte{}, []byte{}, uint16(0), uint64(0))
+	f.Add([]byte{0xff}, []byte{0xff}, uint16(1), uint64(1))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{0xff, 0x0f}, uint16(64*9-1), uint64(30))
+	f.Add(bytes.Repeat([]byte{0xff}, 64), bytes.Repeat([]byte{0xaa}, 64), uint16(64*17+5), uint64(500))
+	f.Fuzz(func(t *testing.T, x, y []byte, n uint16, need uint64) {
+		vector := func(data []byte) *Set {
+			words := make([]uint64, (uint64(n)+63)/64)
+			if len(data) > 0 {
+				for i := range words {
+					for j := range 8 {
+						words[i] |= uint64(data[(8*i+j)%len(data)]) << (8 * j)
+					}
+				}
+			}
+			return FromWords(uint64(n), words)
+		}
+		a, b := vector(x), vector(y)
+		count := andReference(a, b)
+		shape := fmt.Sprintf("n=%d", n)
+		checkCounts(t, shape, a, b, need, need%(count+2))
+		checkCounts(t, shape, b, a, need)
+	})
 }
 
 func TestLengthMismatchPanics(t *testing.T) {
@@ -405,19 +507,39 @@ func TestQuickMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// BenchmarkAndCount times one AND-popcount of a query against a node's
+// vector at the two filter sizes the served shapes plan: 27k (m = 27 392,
+// mixed_wal and point_http) and 273k (m = 273 404, batch_bin). The query
+// meets 511 vectors, a depth-8 tree's nodes, in a stride order, so that as
+// in a descent the vector it reads is seldom one the last few calls read.
 func BenchmarkAndCount(b *testing.B) {
-	a := New(1 << 17)
-	c := New(1 << 17)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1000; i++ {
-		a.Set(uint64(rng.Int63n(1 << 17)))
-		c.Set(uint64(rng.Int63n(1 << 17)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = a.AndCount(c)
+	for _, size := range []struct {
+		name string
+		m    uint64
+	}{{"27k", 27_392}, {"273k", 273_404}} {
+		b.Run(size.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			random := func() *Set {
+				words := make([]uint64, (size.m+63)/64)
+				for i := range words {
+					words[i] = rng.Uint64()
+				}
+				return FromWords(size.m, words)
+			}
+			q := random()
+			nodes := make([]*Set, 511)
+			for i := range nodes {
+				nodes[i] = random()
+			}
+			b.ResetTimer()
+			for i, j := 0, 0; i < b.N; i, j = i+1, (j+97)%len(nodes) {
+				benchSink += q.AndCount(nodes[j])
+			}
+		})
 	}
 }
+
+var benchSink uint64
 
 // recount is the popcount Count must agree with, taken bit by bit so it
 // shares nothing with the remembered value.
