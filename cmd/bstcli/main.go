@@ -48,7 +48,7 @@ func main() {
 		n    = flag.Uint64("n", 1000, "design query-set size")
 		k    = flag.Int("k", 3, "hash functions")
 		seed = flag.Uint64("seed", 42, "hash seed")
-		hash = flag.String("hash", "murmur3", "hash family")
+		hash = flag.String("hash", string(bloomsample.Fast), "hash family")
 	)
 	flag.Parse()
 

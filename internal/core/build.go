@@ -29,9 +29,7 @@ func BuildTree(cfg Config) (*Tree, error) {
 		return nil, err
 	}
 	fork := bits.Len(uint(runtime.GOMAXPROCS(0) - 1))
-	root := t.buildFull(0, cfg.Namespace, cfg.Depth, fork)
-	t.root.Store(root)
-	t.count(measure(root))
+	t.publish(&t.root, t.buildFull(0, cfg.Namespace, cfg.Depth, fork))
 	return t, nil
 }
 
@@ -54,9 +52,7 @@ func BuildPruned(cfg Config, occupied []uint64) (*Tree, error) {
 		}
 	}
 	if len(ids) > 0 {
-		root := t.buildSubtree(0, cfg.Namespace, cfg.Depth, ids)
-		t.root.Store(root)
-		t.count(measure(root))
+		t.publish(&t.root, t.buildSubtree(0, cfg.Namespace, cfg.Depth, ids))
 	}
 	return t, nil
 }
@@ -70,22 +66,11 @@ func newTree(cfg Config, pruned bool) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{cfg: cfg, fam: fam, pruned: pruned}
-	if pruned {
-		t.spineDepth = cfg.Depth
-		if t.spineDepth > maxSpineDepth {
-			t.spineDepth = maxSpineDepth
-		}
-		t.stripes = make([]growthStripe, 1<<t.spineDepth)
-	}
-	return t, nil
+	return &Tree{cfg: cfg, fam: fam, pruned: pruned}, nil
 }
 
 // measure returns the number of nodes under n, n included, and the number
-// of ids their leaves cover between them. It is taken of a subtree while
-// that is still private and folded into the tree's counts (count) only once
-// the subtree is published, so one discarded after a lost publish race never
-// skews them.
+// of ids their leaves cover between them.
 func measure(n *node) (nodes, leafIDs uint64) {
 	if n == nil {
 		return 0, 0
@@ -99,10 +84,14 @@ func measure(n *node) (nodes, leafIDs uint64) {
 	return 1 + ln + rn, li + ri
 }
 
-// count folds a published subtree's measure into the tree's. The ids first:
+// publish attaches a privately built subtree at slot: it is measured while
+// still private, stored, and only then counted into the tree. The ids first:
 // they are a price, read when convenient, and the node count is what a
-// version's table is validated against.
-func (t *Tree) count(nodes, leafIDs uint64) {
+// version's table is validated against, so it must not move before the
+// nodes it counts are reachable.
+func (t *Tree) publish(slot *atomic.Pointer[node], sub *node) {
+	nodes, leafIDs := measure(sub)
+	slot.Store(sub)
 	t.leafIDs.Add(leafIDs)
 	t.nodes.Add(nodes)
 }
@@ -183,42 +172,28 @@ func (t *Tree) buildSubtree(lo, hi uint64, depth int, ids []uint64) *node {
 	return n
 }
 
-// stripeOf maps an id to the index of the subtree (stripe) that owns it,
-// by following the first spineDepth midpoint splits.
-func (t *Tree) stripeOf(x uint64) int {
-	lo, hi := uint64(0), t.cfg.Namespace
-	idx := 0
-	for d := 0; d < t.spineDepth; d++ {
-		mid := split(lo, hi)
-		idx <<= 1
-		if x >= mid {
-			idx |= 1
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return idx
-}
-
 // Insert adds one occupied identifier to a pruned tree; see InsertBatch.
 func (t *Tree) Insert(x uint64) error { return t.InsertBatch([]uint64{x}) }
+
+// growRun bounds the ids InsertBatch walks down the tree at once. Their
+// positions are hashed into one buffer (K words an id) that is reused from
+// run to run, so a large batch never holds all of its hashes at once.
+const growRun = 4096
 
 // InsertBatch adds occupied identifiers to a pruned tree, growing nodes
 // along the root-to-leaf paths as needed (§5.2: "either we need to insert
 // this new element into already existing nodes in the tree, or we need to
-// create a new node"). The ids are grouped by subtree and each group is
-// published as one epoch under its subtree's stripe lock, so batches
-// touching different subtrees proceed in parallel; existing node filters
-// are replaced by copy-on-write clones (spine nodes via compare-and-swap,
-// since several stripes share them), and missing paths are built privately
-// and attached with a single pointer store. Queries therefore never block:
-// a concurrent reader sees either the previous or the new version of each
-// node. The cost per id is proportional to the height of the tree plus
-// one filter copy per path node (amortized across the batch). Every node
-// filter shares the tree's one family, so each id is hashed once, here,
-// and its positions ride down its path beside it (growNode); only an id
-// that opens a new leaf is hashed again, into that leaf.
+// create a new node"). The ids are sorted and grown under the tree's one
+// growth lock, one walk from the root for each run of at most growRun of
+// them. Existing node filters are replaced by copy-on-write clones, and
+// missing paths are built privately and attached with a single pointer
+// store, so queries never block: a concurrent reader sees either the
+// previous or the new version of each node. The cost per id is
+// proportional to the height of the tree plus one filter copy per path
+// node (amortized across the run). Every node filter shares the tree's one
+// family, so each id is hashed once, here, and its positions ride down its
+// path beside it (growNode); only an id that opens a new leaf is hashed
+// again, into that leaf.
 //
 // InsertBatch returns an error on full trees (which already store the
 // whole namespace) and on out-of-range ids; on an out-of-range id the
@@ -238,70 +213,35 @@ func (t *Tree) InsertBatch(ids []uint64) error {
 	sorted := make([]uint64, len(ids))
 	copy(sorted, ids)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var pos []uint64 // one stripe's positions at a time, in one buffer
-	// Stripe intervals partition the namespace in order, so sorted ids
-	// fall into contiguous runs of equal stripe.
-	for start := 0; start < len(sorted); {
-		stripe := t.stripeOf(sorted[start])
-		end := start + 1
-		for end < len(sorted) && t.stripeOf(sorted[end]) == stripe {
-			end++
-		}
-		pos = hashfam.PositionsMany(t.fam, sorted[start:end], pos[:0])
-		s := &t.stripes[stripe]
-		s.mu.Lock()
-		t.growRoot(sorted[start:end], pos)
-		s.epoch.Add(1)
-		s.mu.Unlock()
-		start = end
+	pos := make([]uint64, 0, min(len(sorted), growRun)*t.fam.K())
+	t.grow.Lock()
+	defer t.grow.Unlock()
+	for start := 0; start < len(sorted); start += growRun {
+		run := sorted[start:min(start+growRun, len(sorted))]
+		pos = hashfam.PositionsMany(t.fam, run, pos[:0])
+		t.growChild(&t.root, 0, t.cfg.Namespace, t.cfg.Depth, run, pos)
 	}
+	t.epoch.Add(1)
 	return nil
 }
 
-// growRoot inserts one stripe's sorted ids starting at the root, creating
-// it if the tree is still empty. pos holds the ids' positions under the
-// tree's family, K to an id in the ids' order, here and all the way down.
-func (t *Tree) growRoot(ids, pos []uint64) {
-	for {
-		root := t.root.Load()
-		if root != nil {
-			t.growNode(root, t.cfg.Depth, ids, pos)
-			return
-		}
-		sub := t.buildSubtree(0, t.cfg.Namespace, t.cfg.Depth, ids)
-		nodes, leafIDs := measure(sub)
-		if t.root.CompareAndSwap(nil, sub) {
-			t.count(nodes, leafIDs)
-			return
-		}
-		// Another stripe published the first root; retry against it.
-	}
-}
-
 // growNode inserts sorted ids into the subtree rooted at the existing
-// node n (remaining depth `depth`), publishing copy-on-write filters. A
-// node whose filter already answers positively for every id publishes
-// nothing — CloneAddPositions hands back the receiver's own bit vector then,
-// and that is the test used, so no id is probed twice to find out: on a
-// saturated tree an insert replaces no box at all, and a published box is a
-// changed bit vector, which is what boxedFilter.stamp promises. (A node
-// filter's insertion counter therefore counts only the batches that changed
-// it; nothing reads it and the tree's encoding stores bit vectors alone.
-// GrowthEpoch still advances per batch.)
+// node n (remaining depth `depth`), publishing copy-on-write filters. pos
+// holds the ids' positions under the tree's family, K to an id in the ids'
+// order. A node whose filter already answers positively for every id
+// publishes nothing — CloneAddPositions hands back the receiver's own bit
+// vector then, and that is the test used, so no id is probed twice to find
+// out: on a saturated tree an insert replaces no box at all, and a
+// published box is a changed bit vector, which is what boxedFilter.stamp
+// promises. (A node filter's insertion counter therefore counts only the
+// batches that changed it; nothing reads it and the tree's encoding stores
+// bit vectors alone. GrowthEpoch still advances per batch.)
 // The children are visited either way: an id can be a false positive here
 // and still be missing below.
 func (t *Tree) growNode(n *node, depth int, ids, pos []uint64) {
-	for {
-		old := n.f.Load()
-		next := old.f.CloneAddPositions(pos)
-		if next.Bits() == old.f.Bits() {
-			break
-		}
-		if n.f.CompareAndSwap(old, box(next)) {
-			break
-		}
-		// CAS failure: a writer of another stripe updated this shared
-		// spine node between our load and swap; redo against its filter.
+	old := n.filter()
+	if next := old.CloneAddPositions(pos); next.Bits() != old.Bits() {
+		n.setFilter(next)
 	}
 	if depth == 0 || n.hi-n.lo <= 1 {
 		return
@@ -317,22 +257,13 @@ func (t *Tree) growNode(n *node, depth int, ids, pos []uint64) {
 	}
 }
 
-// growChild descends into (or creates) one child slot. A missing child is
-// built as a complete private subtree and attached with a single
-// compare-and-swap, so readers only ever see fully formed nodes; losing
-// the swap (another stripe created the shared child first) discards the
-// private subtree and merges into the published one instead.
+// growChild grows the node at slot (a child slot, or the root's) over
+// [lo, hi), or, if the slot is empty, builds that node as a complete private
+// subtree and publishes it, so readers only ever see fully formed nodes.
 func (t *Tree) growChild(slot *atomic.Pointer[node], lo, hi uint64, depth int, ids, pos []uint64) {
-	for {
-		if child := slot.Load(); child != nil {
-			t.growNode(child, depth, ids, pos)
-			return
-		}
-		sub := t.buildSubtree(lo, hi, depth, ids)
-		nodes, leafIDs := measure(sub)
-		if slot.CompareAndSwap(nil, sub) {
-			t.count(nodes, leafIDs)
-			return
-		}
+	if n := slot.Load(); n != nil {
+		t.growNode(n, depth, ids, pos)
+		return
 	}
+	t.publish(slot, t.buildSubtree(lo, hi, depth, ids))
 }

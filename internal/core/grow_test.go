@@ -1,13 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/hashfam"
 )
 
-// TestInsertBatchMatchesSequentialInsert pins that the batched, striped
-// growth path stores exactly what repeated single Inserts store.
+// TestInsertBatchMatchesSequentialInsert pins that one batch, grown in runs
+// from the root, stores exactly what repeated single Inserts store.
 func TestInsertBatchMatchesSequentialInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	M := uint64(1 << 20)
@@ -77,9 +80,9 @@ func TestInsertBatchRejectsOutOfRange(t *testing.T) {
 // TestConcurrentGrowthAndQueries hammers a pruned tree with parallel
 // InsertBatch writers in different subtrees while readers sample,
 // reconstruct and run the shared uniform sampler. Under -race this is the
-// regression test for the lock-free growth path; afterwards every
-// inserted id must be reachable and per-subtree epochs must have
-// advanced independently.
+// regression test for growth beside lock-free readers; afterwards every
+// inserted id must be reachable, the epoch must count every batch, and the
+// tree must be byte for byte the one BuildPruned makes of the same ids.
 func TestConcurrentGrowthAndQueries(t *testing.T) {
 	M := uint64(1 << 20)
 	cfg := testConfig(t, M, 200, 0.9, 10)
@@ -94,8 +97,8 @@ func TestConcurrentGrowthAndQueries(t *testing.T) {
 	const writers = 8
 	perWriter := make([][]uint64, writers)
 	for w := 0; w < writers; w++ {
-		// Writer w owns the namespace slice [w*M/writers, (w+1)*M/writers):
-		// disjoint subtrees, so their stripes should advance in parallel.
+		// Writer w owns the namespace slice [w*M/writers, (w+1)*M/writers),
+		// so the writers grow disjoint subtrees below shared top levels.
 		base := uint64(w) * (M / writers)
 		rng := rand.New(rand.NewSource(int64(100 + w)))
 		for i := 0; i < 60; i++ {
@@ -156,20 +159,115 @@ func TestConcurrentGrowthAndQueries(t *testing.T) {
 			}
 		}
 	}
-	epochs := tree.SubtreeEpochs()
-	if len(epochs) == 0 {
-		t.Fatal("pruned tree reports no stripes")
+	if got, want := tree.GrowthEpoch(), uint64(writers*6); got != want {
+		t.Fatalf("GrowthEpoch = %d after %d batches", got, want)
 	}
-	advanced := 0
-	for _, e := range epochs {
-		if e > 0 {
-			advanced++
+	all := append([]uint64(nil), seedIDs...)
+	for _, ids := range perWriter {
+		all = append(all, ids...)
+	}
+	built, err := BuildPruned(cfg, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var grown, want bytes.Buffer
+	if _, err := tree.WriteTo(&grown); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := built.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(grown.Bytes(), want.Bytes()) {
+		t.Fatalf("the concurrently grown tree (%d bytes) is not BuildPruned's over the same ids (%d bytes)", grown.Len(), want.Len())
+	}
+}
+
+// TestInsertBatchPublishesEachNodeOncePerRun: a batch of at most growRun ids
+// is one walk from the root, so each node it changes is boxed once, however
+// widely the ids spread. Every node of the tree gains bits here, and the
+// stamps drawn must number at most the nodes.
+func TestInsertBatchPublishesEachNodeOncePerRun(t *testing.T) {
+	const M, depth = 1 << 12, 4
+	cfg := Config{Namespace: M, Bits: 1 << 12, K: 3, Seed: 7, Depth: depth}
+	leaf := uint64(M >> depth)
+	var seed, batch []uint64
+	for lo := uint64(0); lo < M; lo += leaf {
+		seed = append(seed, lo)
+		for i := uint64(1); i <= 4; i++ {
+			batch = append(batch, lo+i*leaf/8)
 		}
 	}
-	if advanced < 2 {
-		t.Fatalf("only %d subtree(s) advanced; growth is not striped (epochs=%v)", advanced, epochs)
+	tree, err := BuildPruned(cfg, seed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if tree.GrowthEpoch() == 0 {
-		t.Fatal("GrowthEpoch did not advance")
+	before := map[*node]*boxedFilter{}
+	eachNode(tree.rootNode(), 1, func(n *node, _ uint64) { before[n] = n.f.Load() })
+	stamps := filterStamps.Load()
+	if err := tree.InsertBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	drawn := filterStamps.Load() - stamps
+	eachNode(tree.rootNode(), 1, func(n *node, _ uint64) {
+		if n.f.Load() == before[n] {
+			t.Fatalf("the batch left the filter of [%d, %d) as it was", n.lo, n.hi)
+		}
+	})
+	if nodes := tree.Nodes(); len(before) != int(nodes) || drawn > nodes {
+		t.Fatalf("a batch of %d ids drew %d stamps on a tree of %d nodes (%d before)", len(batch), drawn, nodes, len(before))
+	}
+}
+
+// BenchmarkInsertBatch grows a fresh pruned tree over each of the served
+// benchmark's two ingest shapes, in the batches of at most 50 000 ids its
+// set-up sends: batch, 16 keys of 10 000 uniform ids in M = 10⁶
+// (m = 273 404, depth 7), and point, 2 000 keys of 1 000 in M = 10⁵
+// (m = 27 341 in 428 words, depth 8). Filters are planned for accuracy 0.9
+// (k = 3, the fast family).
+func BenchmarkInsertBatch(b *testing.B) {
+	for _, shape := range []struct {
+		name         string
+		M            uint64
+		keys, perKey int
+		bits         uint64
+		depth        int
+	}{
+		{"batch", 1_000_000, 16, 10_000, 273_404, 7},
+		{"point", 100_000, 2_000, 1_000, 27_341, 8},
+	} {
+		plan, err := PlanTree(0.9, uint64(shape.perKey), shape.M, 3, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if plan.Bits != shape.bits || plan.Depth != shape.depth {
+			b.Fatalf("%s: planned m = %d and depth %d, want %d and %d", shape.name, plan.Bits, plan.Depth, shape.bits, shape.depth)
+		}
+		cfg := Config{Namespace: shape.M, Bits: plan.Bits, K: plan.K, HashKind: hashfam.KindFast, Seed: 1, Depth: plan.Depth}
+		rng := rand.New(rand.NewSource(1))
+		var batches [][]uint64
+		var batch []uint64
+		for k := 0; k < shape.keys; k++ {
+			set := uniformSet(rng, shape.M, shape.perKey)
+			if len(batch)+len(set) > 50_000 {
+				batches = append(batches, batch)
+				batch = nil
+			}
+			batch = append(batch, set...)
+		}
+		batches = append(batches, batch)
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tree, err := BuildPruned(cfg, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, batch := range batches {
+					if err := tree.InsertBatch(batch); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -31,7 +31,7 @@ const treeMagic = "BST1"
 
 // WriteTo serializes the tree. It implements io.WriterTo. On a pruned
 // tree, growth concurrent with WriteTo yields a valid snapshot that may
-// include in-flight epochs only partially; quiesce writers first when an
+// hold an in-flight batch only partially; quiesce writers first when an
 // exact point-in-time image is required.
 func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	root := t.rootNode()
@@ -152,8 +152,7 @@ func ReadTree(r io.Reader) (*Tree, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.root.Store(root)
-		t.count(measure(root))
+		t.publish(&t.root, root)
 	}
 	if err := t.validateShape(); err != nil {
 		return nil, err

@@ -169,17 +169,6 @@ func (n *node) setFilter(f *bloom.Filter) { n.f.Store(box(f)) }
 // child is a leaf).
 func (n *node) children() (left, right *node) { return n.left.Load(), n.right.Load() }
 
-// maxSpineDepth bounds the number of top tree levels treated as the
-// shared spine by pruned-tree growth; below it the namespace splits into
-// up to 1<<maxSpineDepth independently locked subtrees.
-const maxSpineDepth = 4
-
-// growthStripe serializes writers of one subtree and counts its publishes.
-type growthStripe struct {
-	mu    sync.Mutex
-	epoch atomic.Uint64
-}
-
 // Tree is a BloomSampleTree: a complete binary tree over the namespace
 // with a Bloom filter per node, where each node's filter stores the
 // elements of its range (full tree) or the occupied elements of its range
@@ -190,17 +179,14 @@ type growthStripe struct {
 // concurrently — even sharing a single query Filter — as long as each
 // goroutine owns its rand source and Ops accumulator.
 //
-// Pruned trees additionally support concurrent growth: Insert/InsertBatch
-// publish copy-on-write filter swaps and privately built subtrees through
-// the nodes' atomic pointers, so queries never wait on a writer — there is
-// no tree-wide lock at all. Writers serialize per subtree (see
-// growthStripe): the top spineDepth levels form a shared spine updated
-// with per-node compare-and-swap, and each of the 1<<spineDepth subtrees
-// below it is guarded by its own stripe mutex, so inserts into different
-// subtrees proceed in parallel. A query racing a growth epoch sees the
-// tree somewhere between the two versions (filters only ever gain bits,
-// so previously visible elements never disappear); ids being inserted
-// become sampleable when their epoch publishes.
+// Pruned trees also grow while they are read: Insert/InsertBatch take the
+// tree's one growth lock, so writers run one at a time, and publish
+// copy-on-write filter swaps and privately built subtrees through the
+// nodes' atomic pointers with single stores, so queries take no lock and
+// never wait on a writer. A query racing a growth batch sees the tree
+// somewhere between the two versions (filters only ever gain bits, so
+// previously visible elements never disappear); ids being inserted become
+// sampleable as their run of the batch publishes.
 type Tree struct {
 	cfg    Config
 	fam    hashfam.Family
@@ -211,10 +197,10 @@ type Tree struct {
 	// what one scan of the leaves tests (see LeafIDs).
 	leafIDs atomic.Uint64
 
-	// Growth machinery; stripes is nil on full trees, which are immutable
-	// after construction.
-	spineDepth int
-	stripes    []growthStripe
+	// grow serializes the writers of a pruned tree (a full tree is
+	// immutable after construction); epoch counts the batches they grew.
+	grow  sync.Mutex
+	epoch atomic.Uint64
 
 	// What the versions of the filters served have done between them; see
 	// PositivesStats.
@@ -269,36 +255,12 @@ func (t *Tree) MemoryBytes() uint64 {
 	return t.nodes.Load() * perNode
 }
 
-// SubtreeEpochs returns a copy of the per-subtree growth epoch counters
-// of a pruned tree (one per stripe, in namespace order; each counts the
-// insert batches published into that subtree). Nil for full trees. The
-// counters let callers observe that concurrent inserts into different
-// subtrees really do proceed independently. They invalidate nothing: of the
-// two things remembered across growth, the EstimateIndex checks each pair
-// against the stamps of the two child filters it was computed from, which is
-// exact and per node where an epoch is per region, and a version's Positives
-// depend on which leaves exist and are checked against Nodes().
-func (t *Tree) SubtreeEpochs() []uint64 {
-	if t.stripes == nil {
-		return nil
-	}
-	out := make([]uint64, len(t.stripes))
-	for i := range t.stripes {
-		out[i] = t.stripes[i].epoch.Load()
-	}
-	return out
-}
-
-// GrowthEpoch returns the total number of growth publishes across all
-// subtrees (0 for full trees); it advances exactly when new ids become
-// visible to queries.
-func (t *Tree) GrowthEpoch() uint64 {
-	var sum uint64
-	for i := range t.stripes {
-		sum += t.stripes[i].epoch.Load()
-	}
-	return sum
-}
+// GrowthEpoch returns the number of non-empty insert batches a pruned tree
+// has grown by (0 for full trees). It is the operator's signal that the
+// tree is still growing; nothing is validated against it: an EstimateIndex
+// checks each pair against the stamps of the two child filters it was
+// computed from, and a version's Positives are checked against Nodes().
+func (t *Tree) GrowthEpoch() uint64 { return t.epoch.Load() }
 
 // NewQueryFilter returns an empty Bloom filter compatible with the tree
 // (same m, k, family and seed), ready to receive a query set.

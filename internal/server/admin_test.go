@@ -169,7 +169,7 @@ func TestMetricsExposition(t *testing.T) {
 		"bst_ready 1",
 		"bst_go_goroutines",
 		`bst_admission_limit{budget="global"}`,
-		"# HELP bst_db_growth_epoch Growth publishes of the pruned sampling tree, summed over its subtrees (0 for a full tree).\n",
+		"# HELP bst_db_growth_epoch Growth batches of the pruned sampling tree (0 for a full tree).\n",
 		"# HELP bst_db_estimates_remembered_total Intersection estimates sampling requests read back from a filter version's index instead of computing them.\n",
 		"# HELP bst_db_draws_warm_total Sample draws that were uniform picks from a filter version's packed positives (a uniform request's, every one; a default request's once the version has scanned).\n",
 		"# HELP bst_db_draws_descended_total Sample draws that were descents of the sampling tree (lost ones included).\n",

@@ -127,7 +127,7 @@ var statRenames = map[string]string{
 var statJSONOnly = []string{
 	"db.shards", "db.occupied_shards", "db.max_shard_keys",
 	"db.max_chunks_per_shard", "db.occupied_chunks", "db.max_chunk_keys",
-	"db.mean_bytes_copied_per_write", "db.tree_depth", "db.subtree_epochs_active",
+	"db.mean_bytes_copied_per_write", "db.tree_depth",
 	"wire.conn_window",
 	"durability.active_segment", "durability.bytes_since_snapshot",
 	"durability.last_snapshot_ms", "durability.last_snapshot_bytes",

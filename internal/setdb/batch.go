@@ -82,11 +82,11 @@ func (db *DB) next(cur entry, bound bool, w *Write) (entry, bool, error) {
 // published, and a failure (ErrOutOfRange, ErrKeyClash, ErrNoSet,
 // bloom.ErrNotMember) leaves the database exactly as it was. On a pruned
 // database the shared tree grows once for the union of all inserted ids,
-// before any shard lock is taken — tree growth has its own per-subtree
-// synchronization, so a slow tree epoch never stalls a shard's other
-// writers — and before the new versions become visible, so a published set
-// is always coverable by the tree. Ids present in the tree but, because the
-// batch later fails, in no filter cost occupancy, never correctness.
+// before any shard lock is taken — tree growth has its own lock, so a slow
+// growth never stalls a shard's other writers — and before the new
+// versions become visible, so a published set is always coverable by the
+// tree. Ids present in the tree but, because the batch later fails, in no
+// filter cost occupancy, never correctness.
 //
 // Locking: the touched shards are locked in ascending index order (the
 // same order snapshotAll uses), so concurrent batches and serialization

@@ -1,8 +1,8 @@
 package setdb
 
 // Introspection: a point-in-time view of the database's internal shape —
-// shard occupancy, chunk occupancy, write amplification, tree growth
-// epochs, memory — for operational surfaces (the bstserved /v1/stats
+// shard occupancy, chunk occupancy, write amplification, tree growth,
+// memory — for operational surfaces (the bstserved /v1/stats
 // endpoint, debugging, capacity planning). All of it reads the same
 // lock-free snapshots the query path uses, so calling Stats on a hot
 // database disturbs nothing.
@@ -113,15 +113,11 @@ type DBStats struct {
 	TreeDepth       int    `json:"tree_depth"`
 	TreePruned      bool   `json:"tree_pruned"`
 	TreeMemoryBytes uint64 `json:"tree_memory_bytes"`
-	// GrowthEpoch is the total number of completed growth epochs across
-	// all subtrees of a pruned tree (0 for a full tree), SubtreeEpochs the
-	// per-stripe breakdown and SubtreeEpochsActive the stripes with at least
-	// one. They are the operator's signal that, and how widely, a pruned
-	// tree is still growing; nothing is validated against them (a version's
-	// index and table check filter stamps and the node count).
-	GrowthEpoch         uint64   `json:"growth_epoch"`
-	SubtreeEpochsActive uint64   `json:"subtree_epochs_active"`
-	SubtreeEpochs       []uint64 `json:"-"`
+	// GrowthEpoch is the number of batches a pruned tree has grown by (0
+	// for a full tree): the operator's signal that it is still growing.
+	// Nothing is validated against it (a version's index and table check
+	// filter stamps and the node count).
+	GrowthEpoch uint64 `json:"growth_epoch"`
 	// Backend describes the configured dynamic-set membership backend and
 	// its realized aggregates.
 	Backend BackendStats `json:"backend"`
@@ -164,15 +160,9 @@ func (db *DB) Stats() DBStats {
 		TreePruned:          db.tree.Pruned(),
 		TreeMemoryBytes:     db.tree.MemoryBytes(),
 		GrowthEpoch:         db.tree.GrowthEpoch(),
-		SubtreeEpochs:       db.tree.SubtreeEpochs(),
 	}
 	if st.StateWrites > 0 {
 		st.MeanBytesCopiedPerWrite = float64(st.StateBytesCopied) / float64(st.StateWrites)
-	}
-	for _, e := range st.SubtreeEpochs {
-		if e > 0 {
-			st.SubtreeEpochsActive++
-		}
 	}
 	ps := db.tree.PositivesStats()
 	st.PositivesScans, st.PositivesDeclined = ps.Scans, ps.Declined

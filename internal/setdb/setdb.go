@@ -175,10 +175,9 @@ func (s *shard) load() *shardState { return s.state.Load() }
 // successor snapshots (cloning only the values it changes and the chunks
 // of the shard's chunked key map holding their keys) and publishes each
 // with one atomic store, however many writes of the batch landed in the
-// shard; on a pruned
-// database the shared tree grows through its own lock-free epoch-based
-// path (core.Tree.InsertBatch) before the new filter becomes visible, so
-// a published set is always coverable by the tree.
+// shard; on a pruned database the shared tree grows under its own lock
+// (core.Tree.InsertBatch), which readers never take, before the new filter
+// becomes visible, so a published set is always coverable by the tree.
 //
 // SampleMany (parallel.go) exploits these guarantees: a batch draws on its
 // caller's goroutine, without a lock, however many callers draw at once.

@@ -60,6 +60,22 @@ func (r *bodyReader) str(field string, max int) string {
 	return s
 }
 
+// bytes takes one length-prefixed byte field, copied out of the body. The
+// frame-body cap bounds it.
+func (r *bodyReader) bytes(field string) []byte {
+	n := r.uvarint(field)
+	if r.err != nil {
+		return nil
+	}
+	if n > uint64(len(r.b)) {
+		r.fail(field)
+		return nil
+	}
+	b := append([]byte(nil), r.b[:n]...)
+	r.b = r.b[n:]
+	return b
+}
+
 // ids takes a count-prefixed id list. The count is validated against the
 // remaining body length (each id costs at least one byte) before any
 // allocation.
@@ -99,6 +115,11 @@ func appendUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(ds
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
+}
+
+func appendBytes(dst, b []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(b)))
+	return append(dst, b...)
 }
 
 func appendIDs(dst []byte, ids []uint64) []byte {
@@ -337,22 +358,11 @@ func DecodeAckResult(body []byte) (AckResult, error) {
 // framing still saves the HTTP envelope.
 type StatsResult struct{ JSON []byte }
 
-func (m StatsResult) Encode(dst []byte) []byte {
-	dst = appendUvarint(dst, uint64(len(m.JSON)))
-	return append(dst, m.JSON...)
-}
+func (m StatsResult) Encode(dst []byte) []byte { return appendBytes(dst, m.JSON) }
 
 func DecodeStatsResult(body []byte) (StatsResult, error) {
 	r := newBodyReader(body)
-	n := r.uvarint("json.len")
-	if r.err == nil && n > uint64(len(r.b)) {
-		r.fail("json.len")
-	}
-	m := StatsResult{}
-	if r.err == nil {
-		m.JSON = append([]byte(nil), r.b[:n]...)
-		r.b = r.b[n:]
-	}
+	m := StatsResult{JSON: r.bytes("json.len")}
 	return m, r.done()
 }
 
@@ -361,22 +371,11 @@ func DecodeStatsResult(body []byte) (StatsResult, error) {
 // length-prefixed like StatsResult — snapshots are an operator surface.
 type SnapshotInfoResult struct{ JSON []byte }
 
-func (m SnapshotInfoResult) Encode(dst []byte) []byte {
-	dst = appendUvarint(dst, uint64(len(m.JSON)))
-	return append(dst, m.JSON...)
-}
+func (m SnapshotInfoResult) Encode(dst []byte) []byte { return appendBytes(dst, m.JSON) }
 
 func DecodeSnapshotInfoResult(body []byte) (SnapshotInfoResult, error) {
 	r := newBodyReader(body)
-	n := r.uvarint("json.len")
-	if r.err == nil && n > uint64(len(r.b)) {
-		r.fail("json.len")
-	}
-	m := SnapshotInfoResult{}
-	if r.err == nil {
-		m.JSON = append([]byte(nil), r.b[:n]...)
-		r.b = r.b[n:]
-	}
+	m := SnapshotInfoResult{JSON: r.bytes("json.len")}
 	return m, r.done()
 }
 
@@ -386,22 +385,11 @@ func DecodeSnapshotInfoResult(body []byte) (SnapshotInfoResult, error) {
 // HTTP surface, which streams.
 type RestoreReq struct{ Data []byte }
 
-func (m RestoreReq) Encode(dst []byte) []byte {
-	dst = appendUvarint(dst, uint64(len(m.Data)))
-	return append(dst, m.Data...)
-}
+func (m RestoreReq) Encode(dst []byte) []byte { return appendBytes(dst, m.Data) }
 
 func DecodeRestoreReq(body []byte) (RestoreReq, error) {
 	r := newBodyReader(body)
-	n := r.uvarint("data.len")
-	if r.err == nil && n > uint64(len(r.b)) {
-		r.fail("data.len")
-	}
-	m := RestoreReq{}
-	if r.err == nil {
-		m.Data = append([]byte(nil), r.b[:n]...)
-		r.b = r.b[n:]
-	}
+	m := RestoreReq{Data: r.bytes("data.len")}
 	return m, r.done()
 }
 
