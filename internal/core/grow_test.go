@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,7 +14,8 @@ import (
 )
 
 // TestInsertBatchMatchesSequentialInsert pins that one batch, grown in runs
-// from the root, stores exactly what repeated single Inserts store.
+// leaf first, stores exactly what repeated single Inserts store, byte for
+// byte.
 func TestInsertBatchMatchesSequentialInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	M := uint64(1 << 20)
@@ -35,6 +40,9 @@ func TestInsertBatchMatchesSequentialInsert(t *testing.T) {
 	}
 	if batched.Nodes() != single.Nodes() {
 		t.Fatalf("Nodes: batched %d, single %d", batched.Nodes(), single.Nodes())
+	}
+	if !bytes.Equal(treeBytes(t, batched), treeBytes(t, single)) {
+		t.Fatal("one batch and single Inserts of the same ids grew different trees")
 	}
 	q := buildQueryFilter(t, batched, ids[:200])
 	for _, tree := range []*Tree{batched, single} {
@@ -79,10 +87,11 @@ func TestInsertBatchRejectsOutOfRange(t *testing.T) {
 
 // TestConcurrentGrowthAndQueries hammers a pruned tree with parallel
 // InsertBatch writers in different subtrees while readers sample,
-// reconstruct and run the shared uniform sampler. Under -race this is the
-// regression test for growth beside lock-free readers; afterwards every
-// inserted id must be reachable, the epoch must count every batch, and the
-// tree must be byte for byte the one BuildPruned makes of the same ids.
+// reconstruct, run the shared uniform sampler and write the tree out, which
+// must load. Under -race this is the regression test for growth beside
+// lock-free readers; afterwards every inserted id must be reachable, the
+// epoch must count every batch, and the tree must be byte for byte the one
+// BuildPruned makes of the same ids.
 func TestConcurrentGrowthAndQueries(t *testing.T) {
 	M := uint64(1 << 20)
 	cfg := testConfig(t, M, 200, 0.9, 10)
@@ -135,6 +144,10 @@ func TestConcurrentGrowthAndQueries(t *testing.T) {
 					if x := p.Select(rng.Intn(p.Len())); !q.Contains(x) {
 						t.Errorf("exact draw %d is not a positive", x)
 					}
+					// A tree written mid-growth is written between batches.
+					if _, err := ReadTree(bytes.NewReader(treeBytes(t, tree))); err != nil {
+						t.Errorf("a tree written while it grew: %v", err)
+					}
 				}
 			}
 		}(w)
@@ -170,16 +183,185 @@ func TestConcurrentGrowthAndQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var grown, want bytes.Buffer
-	if _, err := tree.WriteTo(&grown); err != nil {
+	if grown, want := treeBytes(t, tree), treeBytes(t, built); !bytes.Equal(grown, want) {
+		t.Fatalf("the concurrently grown tree (%d bytes) is not BuildPruned's over the same ids (%d bytes)", len(grown), len(want))
+	}
+}
+
+// treeBytes is the tree's encoding (WriteTo).
+func treeBytes(t testing.TB, tree *Tree) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := tree.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := built.WriteTo(&want); err != nil {
+	return buf.Bytes()
+}
+
+// leafFalsePositives returns, ascending, the ids that some leaf of tree
+// answers for and that are not in inserted: ids a batch can add without
+// changing any node.
+func leafFalsePositives(tree *Tree, inserted map[uint64]bool) []uint64 {
+	var out []uint64
+	eachNode(tree.rootNode(), 1, func(n *node, _ uint64) {
+		if left, right := n.children(); left != nil || right != nil {
+			return
+		}
+		for x := n.lo; x < n.hi; x++ {
+			if !inserted[x] && n.filter().Contains(x) {
+				out = append(out, x)
+			}
+		}
+	})
+	return out
+}
+
+// TestGrowthIsBuildPrunedExhaustive grows a pruned tree batch by batch for
+// every namespace 2..256 at every depth its namespace allows, and after
+// every batch holds its bytes to BuildPruned's over every id so far. The
+// batches mix fresh ids, duplicates within a batch, re-inserts of ids
+// already grown and leaf false positives, on filters small enough (61 bits)
+// that internal nodes answer for ids their leaves lack: every way an id can
+// be covered or not at a leaf while its path says otherwise.
+func TestGrowthIsBuildPrunedExhaustive(t *testing.T) {
+	for M := uint64(2); M <= 256; M++ {
+		for depth := 0; depth <= bits.Len64(M-1); depth++ {
+			cfg := Config{Namespace: M, Bits: 61, K: 3, Seed: M, Depth: depth}
+			tree, err := BuildPruned(cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(M<<8) + int64(depth)))
+			inserted := map[uint64]bool{}
+			var all []uint64
+			for b := 0; b < 4; b++ {
+				var batch []uint64
+				for range 1 + rng.Intn(6) {
+					x := rng.Uint64() % M
+					batch = append(batch, x, x) // a fresh id, or a covered one, twice
+				}
+				for i, x := range all {
+					if i%3 == b%3 {
+						batch = append(batch, x)
+					}
+				}
+				if fps := leafFalsePositives(tree, inserted); len(fps) > 0 {
+					batch = append(batch, fps[rng.Intn(len(fps))])
+				}
+				rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+				if err := tree.InsertBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+				for _, x := range batch {
+					inserted[x] = true
+				}
+				all = append(all, batch...)
+				built, err := BuildPruned(cfg, all)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(treeBytes(t, tree), treeBytes(t, built)) {
+					t.Fatalf("M = %d, depth %d, batch %d %v: the grown tree is not BuildPruned's over %v", M, depth, b, batch, all)
+				}
+			}
+		}
+	}
+}
+
+// TestCoveredBatchPublishesNothing: a batch whose every id its leaf already
+// holds — ids grown before, and leaf false positives — changes no node, so
+// it boxes nothing and leaves the node count and leaf ids as they were. It
+// is still a batch (GrowthEpoch advances by one), and costs no more than
+// its sorted copy and its positions.
+func TestCoveredBatchPublishesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const M = 1 << 14
+	cfg := Config{Namespace: M, Bits: 512, K: 3, Seed: 5, Depth: 6}
+	ids := uniformSet(rng, M, 2000)
+	tree, err := BuildPruned(cfg, ids)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(grown.Bytes(), want.Bytes()) {
-		t.Fatalf("the concurrently grown tree (%d bytes) is not BuildPruned's over the same ids (%d bytes)", grown.Len(), want.Len())
+	inserted := map[uint64]bool{}
+	for _, x := range ids {
+		inserted[x] = true
 	}
+	fps := leafFalsePositives(tree, inserted)
+	if len(fps) < 4 {
+		t.Fatalf("%d leaf false positives: the tree is too sparse to test them", len(fps))
+	}
+	batch := append([]uint64{ids[7], ids[900], ids[1999], ids[7]}, fps[:4]...)
+	before := map[*node]*boxedFilter{}
+	eachNode(tree.rootNode(), 1, func(n *node, _ uint64) { before[n] = n.f.Load() })
+	nodes, leafIDs, epoch := tree.Nodes(), tree.LeafIDs(), tree.GrowthEpoch()
+	if err := tree.InsertBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	eachNode(tree.rootNode(), 1, func(n *node, _ uint64) {
+		if box, ok := before[n]; !ok || n.f.Load() != box {
+			t.Fatalf("a covered batch republished [%d, %d)", n.lo, n.hi)
+		}
+	})
+	if tree.Nodes() != nodes || tree.LeafIDs() != leafIDs || tree.GrowthEpoch() != epoch+1 {
+		t.Fatalf("a covered batch moved nodes %d → %d, leaf ids %d → %d, epoch %d → %d",
+			nodes, tree.Nodes(), leafIDs, tree.LeafIDs(), epoch, tree.GrowthEpoch())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tree.InsertBatch(batch) }); allocs > 3 {
+		t.Fatalf("a covered batch of %d ids allocates %.1f times, want at most 3", len(batch), allocs)
+	}
+}
+
+// TestSortIDsIsSlicesSort holds sortIDs to slices.Sort on both sides of
+// radixFrom, for limits one digit apart and the widest, with duplicates.
+func TestSortIDsIsSlicesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, limit := range []uint64{2, 256, 257, 1 << 16, 1<<16 + 1, 1<<40 + 1, math.MaxUint64} {
+		for _, n := range []int{0, 1, 8, radixFrom - 1, radixFrom, 5000} {
+			ids := make([]uint64, n)
+			for i := range ids {
+				if i > 0 && rng.Intn(4) == 0 {
+					ids[i] = ids[rng.Intn(i)]
+				} else {
+					ids[i] = rng.Uint64() % limit
+				}
+			}
+			checkSortIDs(t, ids, limit)
+		}
+	}
+}
+
+func checkSortIDs(t *testing.T, ids []uint64, limit uint64) {
+	t.Helper()
+	in := slices.Clone(ids)
+	want := slices.Clone(ids)
+	slices.Sort(want)
+	if got := sortIDs(ids, limit); !slices.Equal(got, want) {
+		t.Fatalf("limit %d, %d ids: sortIDs differs from slices.Sort", limit, len(ids))
+	}
+	if !slices.Equal(ids, in) {
+		t.Fatalf("limit %d, %d ids: sortIDs moved its input", limit, len(ids))
+	}
+}
+
+// FuzzSortIDs reads a limit and ids below it from the input (eight bytes
+// each, the ids taken modulo the limit) and holds sortIDs to slices.Sort,
+// repeated so that a short input still reaches the radix passes.
+func FuzzSortIDs(f *testing.F) {
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4, 5, 6, 7, 8}, uint16(300))
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 1, 0, 9, 9, 9, 9, 9, 9, 9, 9, 0, 0, 0, 0, 0, 0, 0, 0}, uint16(2))
+	f.Fuzz(func(t *testing.T, data []byte, repeat uint16) {
+		if len(data) < 16 {
+			return
+		}
+		limit := max(binary.LittleEndian.Uint64(data), 2)
+		var ids []uint64
+		for range 1 + int(repeat)%512 {
+			for i := 8; i+8 <= len(data); i += 8 {
+				ids = append(ids, (binary.LittleEndian.Uint64(data[i:])+uint64(len(ids)))%limit)
+			}
+		}
+		checkSortIDs(t, ids, limit)
+	})
 }
 
 // TestInsertBatchPublishesEachNodeOncePerRun: a batch of at most growRun ids
@@ -223,7 +405,8 @@ func TestInsertBatchPublishesEachNodeOncePerRun(t *testing.T) {
 // set-up sends: batch, 16 keys of 10 000 uniform ids in M = 10⁶
 // (m = 273 404, depth 7), and point, 2 000 keys of 1 000 in M = 10⁵
 // (m = 27 341 in 428 words, depth 8). Filters are planned for accuracy 0.9
-// (k = 3, the fast family).
+// (k = 3, the fast family). write adds batches of 1–8 uniform ids, a mixed
+// stream's adds, to the grown point tree: an op is one batch.
 func BenchmarkInsertBatch(b *testing.B) {
 	for _, shape := range []struct {
 		name         string
@@ -255,17 +438,38 @@ func BenchmarkInsertBatch(b *testing.B) {
 			batch = append(batch, set...)
 		}
 		batches = append(batches, batch)
+		grow := func(b *testing.B) *Tree {
+			tree, err := BuildPruned(cfg, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, batch := range batches {
+				if err := tree.InsertBatch(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			return tree
+		}
 		b.Run(shape.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tree, err := BuildPruned(cfg, nil)
-				if err != nil {
+				grow(b)
+			}
+		})
+		if shape.name != "point" {
+			continue
+		}
+		b.Run("write", func(b *testing.B) {
+			tree := grow(b)
+			adds := make([][]uint64, 4096)
+			for i := range adds {
+				adds[i] = uniformSet(rng, shape.M, 1+rng.Intn(8))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tree.InsertBatch(adds[i%len(adds)]); err != nil {
 					b.Fatal(err)
-				}
-				for _, batch := range batches {
-					if err := tree.InsertBatch(batch); err != nil {
-						b.Fatal(err)
-					}
 				}
 			}
 		})

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/bloom"
@@ -30,16 +31,19 @@ import (
 const treeMagic = "BST1"
 
 // WriteTo serializes the tree. It implements io.WriterTo. On a pruned
-// tree, growth concurrent with WriteTo yields a valid snapshot that may
-// hold an in-flight batch only partially; quiesce writers first when an
-// exact point-in-time image is required.
+// tree it writes the tree between two growth batches: the nodes are copied
+// under the growth lock (frozen), sharing their immutable filters, and
+// written from the copy, so a writer waits for the copy and not for w, and
+// every internal node written is its children's union (ReadTree checks).
 func (t *Tree) WriteTo(w io.Writer) (int64, error) {
-	root := t.rootNode()
+	t.grow.Lock()
+	root := frozen(t.rootNode())
+	t.grow.Unlock()
 	cw := &countingWriter{w: w}
+	// bufio.Writer keeps its first error and writes nothing after it, so
+	// only Flush's is checked.
 	bw := bufio.NewWriter(cw)
-	if _, err := bw.WriteString(treeMagic); err != nil {
-		return cw.n, err
-	}
+	bw.WriteString(treeMagic)
 	kind := string(t.cfg.HashKind)
 	hdr := make([]byte, 0, 64)
 	hdr = append(hdr, byte(len(kind)))
@@ -51,61 +55,44 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	hdr = binary.LittleEndian.AppendUint64(hdr, t.cfg.Seed)
 	hdr = binary.LittleEndian.AppendUint64(hdr, math.Float64bits(t.cfg.EmptyThreshold))
 	hdr = append(hdr, b2u8(t.pruned), b2u8(root != nil))
-	if _, err := bw.Write(hdr); err != nil {
-		return cw.n, err
-	}
+	bw.Write(hdr)
 	if root != nil {
-		if err := writeNode(bw, root); err != nil {
-			return cw.n, err
-		}
+		writeNode(bw, root)
 	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+	err := bw.Flush()
+	return cw.n, err
 }
 
-func writeNode(w *bufio.Writer, n *node) error {
-	var hdr [16]byte
+// frozen returns a private copy of the subtree at n that shares its
+// filters.
+func frozen(n *node) *node {
+	if n == nil {
+		return nil
+	}
+	c := &node{lo: n.lo, hi: n.hi}
+	c.f.Store(n.f.Load())
+	left, right := n.children()
+	c.left.Store(frozen(left))
+	c.right.Store(frozen(right))
+	return c
+}
+
+func writeNode(w *bufio.Writer, n *node) {
+	var hdr [20]byte
 	binary.LittleEndian.PutUint64(hdr[0:], n.lo)
 	binary.LittleEndian.PutUint64(hdr[8:], n.hi)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	bits, err := n.filter().Bits().MarshalBinary()
-	if err != nil {
-		return err
-	}
-	var bl [4]byte
-	binary.LittleEndian.PutUint32(bl[:], uint32(len(bits)))
-	if _, err := w.Write(bl[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(bits); err != nil {
-		return err
-	}
+	bits, _ := n.filter().Bits().MarshalBinary() // a bit vector always encodes
+	binary.LittleEndian.PutUint32(hdr[16:], uint32(len(bits)))
+	w.Write(hdr[:])
+	w.Write(bits)
 	left, right := n.children()
-	var mask byte
+	w.WriteByte(b2u8(left != nil) | b2u8(right != nil)<<1)
 	if left != nil {
-		mask |= 1
+		writeNode(w, left)
 	}
 	if right != nil {
-		mask |= 2
+		writeNode(w, right)
 	}
-	if err := w.WriteByte(mask); err != nil {
-		return err
-	}
-	if left != nil {
-		if err := writeNode(w, left); err != nil {
-			return err
-		}
-	}
-	if right != nil {
-		if err := writeNode(w, right); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ReadTree deserializes a tree written by WriteTo. The result is fully
@@ -221,8 +208,9 @@ func readNode(r *bufio.Reader, t *Tree, depth int) (*node, error) {
 }
 
 // validateShape checks structural invariants of a decoded tree: ranges
-// nest and partition, and children of internal nodes exist per the
-// pruned/full contract.
+// nest and partition, children of internal nodes exist per the
+// pruned/full contract, and an internal node's bits are exactly its
+// children's union, which growth relies on (growNode).
 func (t *Tree) validateShape() error {
 	root := t.rootNode()
 	if root == nil {
@@ -234,6 +222,7 @@ func (t *Tree) validateShape() error {
 	if root.lo != 0 || root.hi != t.cfg.Namespace {
 		return fmt.Errorf("core: root range [%d,%d) != namespace [0,%d)", root.lo, root.hi, t.cfg.Namespace)
 	}
+	union := make([]uint64, len(root.filterWords()))
 	var walk func(n *node) error
 	walk = func(n *node) error {
 		if n.lo >= n.hi {
@@ -245,6 +234,15 @@ func (t *Tree) validateShape() error {
 		}
 		if !t.pruned && (left == nil || right == nil) {
 			return fmt.Errorf("core: full-tree internal node [%d,%d) missing a child", n.lo, n.hi)
+		}
+		clear(union)
+		for _, c := range []*node{left, right} {
+			for i, w := range c.filterWords() {
+				union[i] |= w
+			}
+		}
+		if !slices.Equal(union, n.filterWords()) {
+			return fmt.Errorf("core: node [%d,%d) is not its children's union", n.lo, n.hi)
 		}
 		mid := split(n.lo, n.hi)
 		if left != nil {

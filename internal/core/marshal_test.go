@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -140,6 +142,38 @@ func TestReadTreeRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := ReadTree(bytes.NewReader(bad)); err == nil {
 		t.Fatal("corrupt root range accepted")
+	}
+}
+
+// TestReadTreeRefusesANodeThatIsNotItsChildrensUnion flips one bit of the
+// root's filter, set or clear, in a full and in a pruned tree: the loader
+// refuses the tree by name, since growth takes a node's bits to be exactly
+// its children's union.
+func TestReadTreeRefusesANodeThatIsNotItsChildrensUnion(t *testing.T) {
+	cfg := testConfig(t, 10000, 100, 0.9, 4)
+	full, err := BuildTree(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned, err := BuildPruned(cfg, uniformSet(rand.New(rand.NewSource(4)), 10000, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The root's first filter word follows the header, its range and
+	// payload length (20 bytes) and the vector's length (8).
+	word := 4 + 1 + len(cfg.HashKind) + 42 + 20 + 8
+	for _, tree := range []*Tree{full, pruned} {
+		good := treeBytes(t, tree)
+		if _, err := ReadTree(bytes.NewReader(good)); err != nil {
+			t.Fatal(err)
+		}
+		for _, bit := range []byte{1, 1 << 5} {
+			bad := slices.Clone(good)
+			bad[word] ^= bit
+			if _, err := ReadTree(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "not its children's union") {
+				t.Fatalf("pruned %v, root bit %#x flipped: err %v, want the union refused", tree.Pruned(), bit, err)
+			}
+		}
 	}
 }
 

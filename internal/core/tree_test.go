@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/bloom"
@@ -137,7 +138,7 @@ func TestBuildFullNonPowerOfTwoNamespace(t *testing.T) {
 	if len(leaves) != 32 {
 		t.Fatalf("leaves = %d, want 32", len(leaves))
 	}
-	sort.Slice(leaves, func(i, j int) bool { return leaves[i].lo < leaves[j].lo })
+	slices.SortFunc(leaves, func(a, b *node) int { return cmp.Compare(a.lo, b.lo) })
 	pos := uint64(0)
 	for _, l := range leaves {
 		if l.lo != pos {
@@ -353,7 +354,7 @@ func TestReconstructExact(t *testing.T) {
 			t.Fatalf("element %d: got %d, want %d", i, got[i], want[i])
 		}
 	}
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
+	if !slices.IsSorted(got) {
 		t.Fatal("reconstruction not sorted")
 	}
 }

@@ -3,7 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // NamespaceLeaves is the number of equal ranges the §8.1 construction
@@ -43,7 +43,7 @@ func SelectLeavesUniform(rng *rand.Rand, count int, fraction float64) ([]int, er
 	}
 	perm := rng.Perm(count)
 	idx := append([]int(nil), perm[:k]...)
-	sort.Ints(idx)
+	slices.Sort(idx)
 	return idx, nil
 }
 
@@ -64,7 +64,7 @@ func SelectLeavesClustered(rng *rand.Rand, count int, fraction float64, p float6
 	for i, x := range picked {
 		idx[i] = int(x)
 	}
-	sort.Ints(idx)
+	slices.Sort(idx)
 	return idx, nil
 }
 
@@ -138,7 +138,7 @@ func PopulateNamespace(rng *rand.Rand, M uint64, leafCount int, leafIdx []int, p
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return &OccupiedNamespace{M: M, Leaves: leaves, IDs: ids}, nil
 }
 
