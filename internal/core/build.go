@@ -230,18 +230,18 @@ func (t *Tree) InsertBatch(ids []uint64) error {
 // positions to the front of pos.
 //
 // Every internal node's bits are exactly its children's union: buildFull,
-// buildSubtree and this walk all keep it, and ReadTree refuses a tree that
-// breaks it. So an id whose positions its leaf already holds changes no
-// node on its path, and a leaf keeps only the ids it lacks (TestAll). On
-// the way back up a node adds only the kept ids' positions, once per run,
-// and publishes a new box only when its bits changed — CloneAddPositions
-// hands back the receiver's own bit vector otherwise, and a published box
-// is a changed bit vector, which is what boxedFilter.stamp promises. A node
-// is published after its children, which no reader can tell apart: a
-// version from before the batch holds every earlier id on its whole path,
-// and the batch's ids are sampleable as their run publishes. (A node
-// filter's insertion counter counts only the kept ids; nothing reads it and
-// the tree's encoding stores bit vectors alone.)
+// buildSubtree and this walk all keep it, and ReadTree gives each internal
+// node it loads that union. So an id whose positions its leaf already holds
+// changes no node on its path, and a leaf keeps only the ids it lacks
+// (TestAll). On the way back up a node adds only the kept ids' positions,
+// once per run, and publishes a new box only when its bits changed —
+// CloneAddPositions hands back the receiver's own bit vector otherwise, and
+// a published box is a changed bit vector, which is what boxedFilter.stamp
+// promises. A node is published after its children, which no reader can
+// tell apart: a version from before the batch holds every earlier id on its
+// whole path, and the batch's ids are sampleable as their run publishes. (A
+// node filter's insertion counter counts only the kept ids; nothing reads
+// it and the tree's encoding stores bit vectors alone.)
 func (t *Tree) growNode(n *node, depth int, ids, pos []uint64) int {
 	k := t.fam.K()
 	old, kept := n.filter(), 0

@@ -144,7 +144,8 @@ func TestConcurrentGrowthAndQueries(t *testing.T) {
 					if x := p.Select(rng.Intn(p.Len())); !q.Contains(x) {
 						t.Errorf("exact draw %d is not a positive", x)
 					}
-					// A tree written mid-growth is written between batches.
+					// A tree written while it grows loads (ReadTree mends
+					// a node its children outgrew).
 					if _, err := ReadTree(bytes.NewReader(treeBytes(t, tree))); err != nil {
 						t.Errorf("a tree written while it grew: %v", err)
 					}

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 )
 
@@ -145,35 +144,62 @@ func TestReadTreeRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// TestReadTreeRefusesANodeThatIsNotItsChildrensUnion flips one bit of the
-// root's filter, set or clear, in a full and in a pruned tree: the loader
-// refuses the tree by name, since growth takes a node's bits to be exactly
-// its children's union.
-func TestReadTreeRefusesANodeThatIsNotItsChildrensUnion(t *testing.T) {
+// TestReadTreeMendsANodeThatIsNotItsChildrensUnion flips, one at a time,
+// each bit of the root's first filter word in a full and in a pruned tree,
+// which leaves the root with a bit its children lack or without one they
+// hold, as a tree saved while a batch grew it can: the loader gives the root
+// its children's union back, so the tree loads to the bytes it was saved
+// from, and the pruned one then grows like BuildPruned.
+func TestReadTreeMendsANodeThatIsNotItsChildrensUnion(t *testing.T) {
 	cfg := testConfig(t, 10000, 100, 0.9, 4)
+	rng := rand.New(rand.NewSource(4))
+	ids := uniformSet(rng, 10000, 400)
 	full, err := BuildTree(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := BuildPruned(cfg, uniformSet(rand.New(rand.NewSource(4)), 10000, 300))
+	pruned, err := BuildPruned(cfg, ids[:300])
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The root's first filter word follows the header, its range and
-	// payload length (20 bytes) and the vector's length (8).
-	word := 4 + 1 + len(cfg.HashKind) + 42 + 20 + 8
+	want, err := BuildPruned(cfg, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The root's first filter word follows the header, its range (16
+	// bytes), its payload length (4) and the vector's length (8).
+	word := 4 + 1 + len(cfg.HashKind) + 42 + 16 + 4 + 8
+	var missing, extra int
 	for _, tree := range []*Tree{full, pruned} {
 		good := treeBytes(t, tree)
-		if _, err := ReadTree(bytes.NewReader(good)); err != nil {
-			t.Fatal(err)
-		}
-		for _, bit := range []byte{1, 1 << 5} {
+		for bit := range 64 {
 			bad := slices.Clone(good)
-			bad[word] ^= bit
-			if _, err := ReadTree(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "not its children's union") {
-				t.Fatalf("pruned %v, root bit %#x flipped: err %v, want the union refused", tree.Pruned(), bit, err)
+			bad[word+bit/8] ^= 1 << (bit % 8)
+			if bad[word+bit/8]&(1<<(bit%8)) == 0 {
+				missing++
+			} else {
+				extra++
+			}
+			got, err := ReadTree(bytes.NewReader(bad))
+			if err != nil {
+				t.Fatalf("pruned %v, root bit %d flipped: %v", tree.Pruned(), bit, err)
+			}
+			if !bytes.Equal(treeBytes(t, got), good) {
+				t.Fatalf("pruned %v, root bit %d flipped: the root was not mended to its children's union", tree.Pruned(), bit)
+			}
+			if !tree.Pruned() {
+				continue
+			}
+			if err := got.InsertBatch(ids[300:]); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(treeBytes(t, got), treeBytes(t, want)) {
+				t.Fatalf("root bit %d flipped: the mended tree grows unlike BuildPruned", bit)
 			}
 		}
+	}
+	if missing == 0 || extra == 0 {
+		t.Fatalf("%d flips cleared a bit and %d set one; both kinds are wanted", missing, extra)
 	}
 }
 

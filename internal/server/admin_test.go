@@ -369,6 +369,10 @@ func TestTracingCostPerRequest(t *testing.T) {
 		t.Skip("sync.Pool drops puts under the race detector: allocation counts are not exact")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pools mid-count
+	// One P, so that the warm-up serve warms every pool slot there is: a
+	// request that moved to a P whose slot is cold would seed a sample
+	// worker (≈ 15 KB, +7.5 B a request) in whichever loop it ran.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	_, db := newTestServer(t, Config{})
 	perRequest := func(cfg Config) (allocs, bytes float64) {
 		h := New(db, cfg)

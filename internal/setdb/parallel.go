@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/bloom"
@@ -13,7 +14,7 @@ import (
 // Batch read APIs. These exploit the wait-free read path: stored filters
 // are immutable versions published through atomic shard snapshots and
 // the tree is never mutated in place, so concurrent requests draw without
-// a lock, each on its own goroutine with a sampleWorker of its own, all
+// a lock, each on its own goroutine with its own pooled sampleWorker, all
 // sharing the same stored filter and what is remembered about it: the
 // filter's core.Version, which hangs on the filter itself, outlives the
 // request and is read without a lock — its positives once it has paid for
@@ -118,23 +119,23 @@ func (db *DB) PositivesFrom(f *bloom.Filter) (*core.Positives, error) {
 	return p, nil
 }
 
-// pickFrom makes n picks from the packed positives p on an idle worker
+// pickFrom makes n picks from the packed positives p on a pooled worker
 // (sampleWorker.pick) and counts them as n warm draws, all lost when p is
 // empty.
 func (db *DB) pickFrom(p *core.Positives, n int) []uint64 {
-	w := db.worker()
+	w := sampleWorkers.Get().(*sampleWorker)
 	out := w.pick(p, n, make([]uint64, 0, n))
-	db.release(w)
+	sampleWorkers.Put(w)
 	db.recordDraws(n, n-len(out), core.Estimates{Picked: uint64(n)})
 	return out
 }
 
-// sampleWorker is what a batch draws with. Workers are kept (DB.worker)
-// because seeding a math/rand source (607 words, ≈ 12 µs) per request would
-// cost more than a warm request's picks together; each rng is seeded once,
-// from the global source, when its worker is made. What the draws of a
-// request learn about the tree is not a worker's to keep: it sits on the
-// filter version, which the worker is handed.
+// sampleWorker is what a batch draws with. Workers are pooled because
+// seeding a math/rand source (607 words, ≈ 12 µs) per request would cost
+// more than a warm request's picks together; each rng is seeded once, from
+// the global source, when the pool creates it. What the draws of a request
+// learn about the tree is not a worker's to keep: it sits on the filter
+// version, which the worker is handed.
 type sampleWorker struct {
 	rng     *rand.Rand
 	scratch []uint64 // leaf-scan hits, threaded through every draw
@@ -143,30 +144,12 @@ type sampleWorker struct {
 	tally core.Estimates
 }
 
-// worker takes a sample worker no request is drawing with, or makes one.
-// The idle workers are a locked list, not a sync.Pool: a worker put back in
-// a pool sits in the slot of the P its request ran on, which a request whose
-// goroutine has since moved to another P cannot see, so it would seed
-// another worker (≈ 15 KB) with one idle; and a collection empties a pool.
-// The list holds as many workers as requests ever drew at once.
-func (db *DB) worker() *sampleWorker {
-	db.idle.Lock()
-	if n := len(db.idle.workers) - 1; n >= 0 {
-		w := db.idle.workers[n]
-		db.idle.workers = db.idle.workers[:n]
-		db.idle.Unlock()
-		return w
+var sampleWorkers = sync.Pool{New: func() any {
+	return &sampleWorker{
+		rng:     rand.New(rand.NewSource(rand.Int63())),
+		scratch: make([]uint64, 0, core.ScratchHint),
 	}
-	db.idle.Unlock()
-	return &sampleWorker{rng: rand.New(rand.NewSource(rand.Int63())), scratch: make([]uint64, 0, core.ScratchHint)}
-}
-
-// release hands w back for the next request to draw with.
-func (db *DB) release(w *sampleWorker) {
-	db.idle.Lock()
-	db.idle.workers = append(db.idle.workers, w)
-	db.idle.Unlock()
-}
+}}
 
 // draw makes n independent draws from f through its version on tree
 // (core.Tree.SampleVersion: picks from the version's positives once it has
@@ -223,10 +206,10 @@ func (db *DB) sampleManyFilter(f *bloom.Filter, n int, ops *core.Ops) ([]uint64,
 			return db.pickFrom(p, n), nil
 		}
 	}
-	w := db.worker()
+	w := sampleWorkers.Get().(*sampleWorker)
 	out, lost, err := w.draw(db.tree, f, n, ops, make([]uint64, 0, n))
 	db.recordDraws(n, lost, w.tally)
-	db.release(w)
+	sampleWorkers.Put(w)
 	return out, err
 }
 

@@ -207,12 +207,6 @@ type DB struct {
 	// were picks from a filter version's positives and those that were
 	// descents of the tree (see Stats).
 	drawsWarm, drawsDescended atomic.Uint64
-
-	// idle holds the sample workers no request is drawing with (worker).
-	idle struct {
-		sync.Mutex
-		workers []*sampleWorker
-	}
 }
 
 // recordWrites accumulates write-amplification accounting for one

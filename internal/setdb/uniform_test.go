@@ -37,7 +37,7 @@ func positivesOf(db *DB, f *bloom.Filter) map[uint64]int {
 // interleaved with draws on the filter still held from the version before —
 // must be positives of that version, uniform over them by the paper's Table 5
 // chi-squared test. One seed lands a legitimate p below 0.08 one time in
-// twelve, and the draws' rng is the idle workers', seeded afresh each run,
+// twelve, and the draws' rng is the pooled workers', seeded afresh each run,
 // so each version is gated on a majority of nine seeds: five rejections in
 // nine come by chance once in ≈ 3 200 versions, ≈ 0.3 % of runs (a majority
 // of five failed ≈ 4 % of runs).
