@@ -228,8 +228,10 @@ func readNode(r *bufio.Reader, t *Tree, depth int) (*node, error) {
 		words := bits.Raw()
 		clear(words)
 		for _, c := range []*node{left, right} {
-			for i, w := range c.filterWords() {
-				words[i] |= w
+			if c != nil {
+				for i, w := range c.filter().Bits().Raw() {
+					words[i] |= w
+				}
 			}
 		}
 	}

@@ -161,15 +161,6 @@ func (n *node) stamp() uint64 {
 	return n.f.Load().stamp
 }
 
-// filterWords returns the words of the node's filter, none for a missing
-// (pruned) child.
-func (n *node) filterWords() []uint64 {
-	if n == nil {
-		return nil
-	}
-	return n.filter().Bits().Raw()
-}
-
 // setFilter publishes a new filter for the node.
 func (n *node) setFilter(f *bloom.Filter) { n.f.Store(box(f)) }
 
