@@ -23,8 +23,8 @@
 // Filter, as long as each owns its rand source and Ops accumulator.
 // Writes are copy-on-write: a pruned Tree grows (Insert/InsertBatch)
 // by publishing fresh immutable filters and privately built subtrees
-// through atomic pointers, with writers serialized per subtree — so
-// queries never wait on growth. Mutating a raw Filter in place (Add)
+// through atomic pointers, with writers serialized by the tree's one
+// growth lock — so queries never wait on growth. Mutating a raw Filter in place (Add)
 // still requires external synchronization; prefer Filter.CloneAdd,
 // which returns a new immutable version. SetDB composes all of this:
 // its keyed sets live in atomically swapped immutable shard snapshots,

@@ -325,6 +325,10 @@ func (s *Set) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
+// EncodedLen returns the length of MarshalBinary's encoding of an n-bit
+// vector, for readers that find one inside a larger stream.
+func EncodedLen(n uint64) uint64 { return 8 + 8*(n/wordBits+min(n%wordBits, 1)) }
+
 // ErrCorrupt is returned by UnmarshalBinary when the encoding is malformed.
 var ErrCorrupt = errors.New("bitset: corrupt encoding")
 
@@ -334,12 +338,11 @@ func (s *Set) UnmarshalBinary(data []byte) error {
 		return ErrCorrupt
 	}
 	n := binary.LittleEndian.Uint64(data)
-	nw := int((n + wordBits - 1) / wordBits)
-	if len(data) != 8+nw*8 {
+	if uint64(len(data)) != EncodedLen(n) {
 		return ErrCorrupt
 	}
 	s.n = n
-	s.words = make([]uint64, nw)
+	s.words = make([]uint64, len(data)/8-1)
 	for i := range s.words {
 		s.words[i] = binary.LittleEndian.Uint64(data[8+i*8:])
 	}

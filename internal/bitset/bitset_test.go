@@ -2,6 +2,7 @@ package bitset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -407,6 +408,15 @@ func TestUnmarshalCorrupt(t *testing.T) {
 	good, _ := New(100).MarshalBinary()
 	if err := s.UnmarshalBinary(good[:len(good)-1]); err != ErrCorrupt {
 		t.Fatalf("truncated input: err = %v, want ErrCorrupt", err)
+	}
+	// A length whose word count wraps to zero: no words cannot hold it.
+	if err := s.UnmarshalBinary(binary.LittleEndian.AppendUint64(nil, 1<<64-1)); err != ErrCorrupt {
+		t.Fatalf("length 2⁶⁴−1 with no words: err = %v, want ErrCorrupt", err)
+	}
+	for _, n := range []uint64{1, 64, 65, 1000} {
+		if data, _ := New(n).MarshalBinary(); uint64(len(data)) != EncodedLen(n) {
+			t.Fatalf("n=%d: %d bytes encoded, EncodedLen says %d", n, len(data), EncodedLen(n))
+		}
 	}
 }
 

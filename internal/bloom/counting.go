@@ -1,10 +1,8 @@
 package bloom
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -268,65 +266,6 @@ func (c *CountingFilter) Snapshot() *Filter {
 		return f
 	}
 	return c.snap.Load()
-}
-
-// expand writes the filter's m counters into dst: the inverse of
-// fromCounters, and the BSC1 encoding's payload.
-func (c *CountingFilter) expand(dst []uint8) {
-	for wi, w := range c.bits.Raw() {
-		for ; w != 0; w &= w - 1 {
-			dst[wi*64+bits.TrailingZeros64(w)] = 1
-		}
-	}
-	for _, e := range c.over {
-		dst[e>>8] = uint8(e)
-	}
-}
-
-// fromCounters returns the filter holding counts, one counter a position,
-// with n live insertions.
-func fromCounters(fam hashfam.Family, counts []uint8, n uint64) *CountingFilter {
-	c := &CountingFilter{bits: bitset.FromWords(uint64(len(counts)), project(counts)), fam: fam, n: n}
-	for p, cnt := range counts {
-		if cnt >= 2 {
-			c.over = append(c.over, uint64(p)<<8|uint64(cnt))
-		}
-	}
-	return c
-}
-
-// project folds counters to packed bits, bit p set iff counts[p] > 0, a
-// word of 64 counters at a time; the counters past the last full word are
-// folded bytewise. It decodes the BSC1 encoding's counters.
-func project(counts []uint8) []uint64 {
-	words := make([]uint64, (len(counts)+63)/64)
-	rest := counts
-	for i := 0; len(rest) >= 64; i, rest = i+1, rest[64:] {
-		words[i] = fold8(rest) | fold8(rest[8:])<<8 | fold8(rest[16:])<<16 | fold8(rest[24:])<<24 |
-			fold8(rest[32:])<<32 | fold8(rest[40:])<<40 | fold8(rest[48:])<<48 | fold8(rest[56:])<<56
-	}
-	for p := len(counts) - len(rest); p < len(counts); p++ {
-		if counts[p] != 0 {
-			words[p/64] |= 1 << (p % 64)
-		}
-	}
-	return words
-}
-
-// fold8 reads eight counters in one 64-bit load and returns a byte whose
-// bit j says whether counter j is non-zero. The add leaves bit 7 of every
-// non-zero byte set without carrying into its neighbour; the multiply then
-// gathers those eight bits into the top byte (byte j lands on bit 56+j,
-// and no two partial products meet, so nothing carries).
-func fold8(counts []uint8) uint64 {
-	const (
-		low7   = 0x7f7f7f7f7f7f7f7f
-		high1  = 0x8080808080808080
-		gather = 0x0102040810204080
-	)
-	w := binary.LittleEndian.Uint64(counts)
-	nonzero := ((w&low7 + low7) | w) & high1
-	return (nonzero >> 7) * gather >> 56
 }
 
 // SizeBytes returns the in-memory size of the two parts: the bit vector

@@ -11,8 +11,8 @@ import (
 	"repro/internal/hashfam"
 )
 
-// naiveProject is the per-counter reference the word-wise projection and
-// every view are checked against: bit p set iff counts[p] > 0.
+// naiveProject is the per-counter reference every view is checked against:
+// bit p set iff counts[p] > 0.
 func naiveProject(counts []uint8) []uint64 {
 	words := make([]uint64, (len(counts)+63)/64)
 	for p, cnt := range counts {
@@ -23,37 +23,92 @@ func naiveProject(counts []uint8) []uint64 {
 	return words
 }
 
-// counters returns c's m counters, one byte a position.
+// counters returns c's m counters, one byte a position: 1 where its bit is
+// set, the held count where it has an overflow entry.
 func counters(c *CountingFilter) []uint8 {
 	counts := make([]uint8, c.M())
-	c.expand(counts)
+	c.bits.ForEachSet(func(p uint64) bool {
+		counts[p] = 1
+		return true
+	})
+	for _, e := range c.over {
+		counts[e>>8] = uint8(e)
+	}
 	return counts
 }
 
-// TestProjectMatchesPerCounterReference runs the word-wise projection that
-// decodes a BSC1 payload over every length 1..200 — tails that are no
-// multiple of 8 or of 64 — with counters that exercise each byte of a
-// load: zero, one, the high bit alone, saturated, and sparse and dense
-// mixes of them.
+// encodingHeader is the magic and family header every filter encoding
+// begins with, assembled by hand.
+func encodingHeader(magic string, fam hashfam.Family, n uint64) []byte {
+	b := append([]byte(magic), byte(len(fam.Kind())))
+	b = append(b, fam.Kind()...)
+	b = binary.LittleEndian.AppendUint64(b, fam.M())
+	b = binary.LittleEndian.AppendUint32(b, uint32(fam.K()))
+	b = binary.LittleEndian.AppendUint64(b, fam.Seed())
+	return binary.LittleEndian.AppendUint64(b, n)
+}
+
+// modelEncoding is the BSC2 encoding of counts: the header, the vector of
+// the non-zero counters and the list of those of 2 or more.
+func modelEncoding(fam hashfam.Family, counts []uint8, n uint64) []byte {
+	b := binary.LittleEndian.AppendUint64(encodingHeader(countingMagic, fam, n), fam.M())
+	for _, w := range naiveProject(counts) {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	var over []uint64
+	for p, cnt := range counts {
+		if cnt >= 2 {
+			over = append(over, uint64(p)<<8|uint64(cnt))
+		}
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(over)))
+	for _, e := range over {
+		b = binary.LittleEndian.AppendUint64(b, e)
+	}
+	return b
+}
+
+// fromCounters decodes counts, with n live insertions, from the BSC1
+// encoding: the header and one byte a counter.
+func fromCounters(t testing.TB, fam hashfam.Family, counts []uint8, n uint64) *CountingFilter {
+	t.Helper()
+	c, err := UnmarshalCounting(append(encodingHeader(legacyCountingMagic, fam, n), counts...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestProjectMatchesPerCounterReference decodes BSC1 payloads, m counter
+// bytes, over every length 2..200 — tails that are no multiple of 8 or of
+// 64 — with counters that exercise each byte: zero, one, the high bit
+// alone, saturated, and sparse and dense mixes of them. The decoded filter
+// must project them as the per-counter reference does, hold each counter,
+// and encode as BSC2 byte for byte.
 func TestProjectMatchesPerCounterReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	values := []uint8{0, 0, 0, 1, 2, 0x7f, 0x80, 0xfe, 0xff}
-	for m := 1; m <= 200; m++ {
+	for m := 2; m <= 200; m++ {
+		fam := viewFam(t, uint64(m))
 		for round := 0; round < 20; round++ {
 			counts := make([]uint8, m)
 			density := rng.Intn(len(values)) + 1
 			for p := range counts {
 				counts[p] = values[rng.Intn(density)]
 			}
-			if got, want := project(counts), naiveProject(counts); !slices.Equal(got, want) {
+			c := fromCounters(t, fam, counts, uint64(round))
+			if got, want := c.bits.Raw(), naiveProject(counts); !slices.Equal(got, want) {
 				t.Fatalf("m = %d, counters %v: projected %x, want %x", m, counts, got, want)
 			}
-		}
-		if m < 2 {
-			continue // no hash family is that short
+			if got := counters(c); !slices.Equal(got, counts) {
+				t.Fatalf("m = %d: decoded counters %v, want %v", m, got, counts)
+			}
+			if data, err := c.MarshalBinary(); err != nil || !slices.Equal(data, modelEncoding(fam, counts, uint64(round))) {
+				t.Fatalf("m = %d: MarshalBinary = %x, %v; want the model's BSC2", m, data, err)
+			}
 		}
 		// Through Snapshot, whose vector also has its tail masked.
-		c := NewCounting(viewFam(t, uint64(m)))
+		c := NewCounting(fam)
 		for x := uint64(0); x < uint64(m)/3+1; x++ {
 			c.Add(x)
 		}
@@ -262,8 +317,8 @@ func (ch *modelChain) snapshot() {
 	ch.publish("Snapshot", ch.cur)
 }
 
-// roundTrip encodes the current version, which must be the BSC1 header and
-// the model's counters byte for byte, and publishes the decoded value.
+// roundTrip encodes the current version, which must be the model's BSC2
+// encoding byte for byte, and publishes the decoded value.
 func (ch *modelChain) roundTrip() {
 	t := ch.t
 	t.Helper()
@@ -271,13 +326,7 @@ func (ch *modelChain) roundTrip() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := append([]byte(countingMagic), byte(len(ch.fam.Kind())))
-	want = append(want, ch.fam.Kind()...)
-	want = binary.LittleEndian.AppendUint64(want, ch.fam.M())
-	want = binary.LittleEndian.AppendUint32(want, uint32(ch.fam.K()))
-	want = binary.LittleEndian.AppendUint64(want, ch.fam.Seed())
-	want = binary.LittleEndian.AppendUint64(want, ch.model.n)
-	if want = append(want, ch.model.counts...); !slices.Equal(data, want) {
+	if want := modelEncoding(ch.fam, ch.model.counts, ch.model.n); !slices.Equal(data, want) {
 		t.Fatalf("MarshalBinary\n got %x\nwant %x", data, want)
 	}
 	next, err := UnmarshalCounting(data)
@@ -509,7 +558,7 @@ func TestRemoveOfRepeatedPositionStopsAtZero(t *testing.T) {
 	for _, p := range pos {
 		counts[p] = 1
 	}
-	c := fromCounters(fam, counts, 1)
+	c := fromCounters(t, fam, counts, 1)
 	view := c.Snapshot()
 	next, err := c.CloneRemove(x)
 	if err != nil {

@@ -1,150 +1,189 @@
 package bloom
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/bitset"
 	"repro/internal/hashfam"
 )
 
-// Binary encoding of a Filter: a fixed header carrying the hash-family
+// Binary encoding of both filters: a fixed header carrying the hash-family
 // parameters (so a decoded filter is immediately usable and provably
 // compatible with its peers) followed by the packed bit vector.
 //
-//	magic   [4]byte  "BSF1"
+//	magic   [4]byte  "BSF1" (Filter) or "BSC2" (CountingFilter)
 //	kind    uint8    length of the family-kind string
 //	        []byte   family kind
 //	m       uint64   filter length in bits
 //	k       uint32   hash functions
 //	seed    uint64   family seed
-//	n       uint64   insertion count
-//	bits    []byte   bitset.Set encoding
-const filterMagic = "BSF1"
+//	n       uint64   insertion count (live insertions for a counting filter)
+//	bits    []byte   bitset.Set encoding of the m bits
+//
+// A counting filter follows it with its counters of 2 or more, as it holds
+// them (the bit vector says which counters are non-zero):
+//
+//	count   uint64   entries
+//	over    []uint64 p<<8 | counter, ascending p, each counter ≥ 2 and bit p set
+//
+// "BSC1", a counting filter as m counter bytes in place of bits and over, is
+// still read; nothing writes it.
+const (
+	filterMagic         = "BSF1"
+	countingMagic       = "BSC2"
+	legacyCountingMagic = "BSC1"
+)
 
-// MarshalBinary encodes the filter, including its hash-family parameters.
-func (f *Filter) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteString(filterMagic)
-	kind := string(f.fam.Kind())
+// encodeFilter returns the encoding shared by both filters: magic, family
+// header and bit vector.
+func encodeFilter(magic string, fam hashfam.Family, n uint64, bits *bitset.Set) ([]byte, error) {
+	kind := string(fam.Kind())
 	if len(kind) > 255 {
 		return nil, fmt.Errorf("bloom: family kind %q too long", kind)
 	}
-	buf.WriteByte(byte(len(kind)))
-	buf.WriteString(kind)
-	var hdr [28]byte
-	binary.LittleEndian.PutUint64(hdr[0:], f.M())
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(f.K()))
-	binary.LittleEndian.PutUint64(hdr[12:], f.fam.Seed())
-	binary.LittleEndian.PutUint64(hdr[20:], f.n)
-	buf.Write(hdr[:])
-	bits, err := f.bits.MarshalBinary()
+	buf := []byte(magic)
+	buf = append(buf, byte(len(kind)))
+	buf = append(buf, kind...)
+	buf = binary.LittleEndian.AppendUint64(buf, bits.Len())
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(fam.K()))
+	buf = binary.LittleEndian.AppendUint64(buf, fam.Seed())
+	buf = binary.LittleEndian.AppendUint64(buf, n)
+	vec, err := bits.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
-	buf.Write(bits)
-	return buf.Bytes(), nil
+	return append(buf, vec...), nil
 }
 
-// Binary encoding of a CountingFilter: the same family header as a plain
-// filter (magic "BSC1") followed by the raw counter array.
-//
-//	magic   [4]byte  "BSC1"
-//	kind    uint8    length of the family-kind string
-//	        []byte   family kind
-//	m       uint64   counter array length
-//	k       uint32   hash functions
-//	seed    uint64   family seed
-//	n       uint64   live insertion count
-//	counts  []byte   m 8-bit counters
-const countingMagic = "BSC1"
+// MarshalBinary encodes the filter, including its hash-family parameters.
+func (f *Filter) MarshalBinary() ([]byte, error) {
+	return encodeFilter(filterMagic, f.fam, f.n, f.bits)
+}
 
-// MarshalBinary encodes the counting filter, including its hash-family
-// parameters. The counters are expanded straight into the encoding.
+// MarshalBinary encodes the counting filter as it holds it: its bit vector
+// and its counters of 2 or more.
 func (c *CountingFilter) MarshalBinary() ([]byte, error) {
-	kind := string(c.fam.Kind())
-	if len(kind) > 255 {
-		return nil, fmt.Errorf("bloom: family kind %q too long", kind)
+	buf, err := encodeFilter(countingMagic, c.fam, c.n, c.bits)
+	if err != nil {
+		return nil, err
 	}
-	buf := make([]byte, 0, len(countingMagic)+1+len(kind)+28+int(c.M()))
-	buf = append(buf, countingMagic...)
-	buf = append(buf, byte(len(kind)))
-	buf = append(buf, kind...)
-	buf = binary.LittleEndian.AppendUint64(buf, c.M())
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.K()))
-	buf = binary.LittleEndian.AppendUint64(buf, c.fam.Seed())
-	buf = binary.LittleEndian.AppendUint64(buf, c.n)
-	counts := buf[len(buf) : len(buf)+int(c.M())]
-	c.expand(counts)
-	return buf[:len(buf)+len(counts)], nil
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(c.over)))
+	for _, e := range c.over {
+		buf = binary.LittleEndian.AppendUint64(buf, e)
+	}
+	return buf, nil
 }
 
-// UnmarshalCounting decodes a counting filter produced by its
-// MarshalBinary, reconstructing the hash family from the embedded
-// parameters.
-func UnmarshalCounting(data []byte) (*CountingFilter, error) {
-	if len(data) < len(countingMagic)+1 || string(data[:4]) != countingMagic {
-		return nil, fmt.Errorf("bloom: bad counting magic")
+// decodeHeader decodes the family header that follows a filter encoding's
+// magic and returns the family, the insertion count and the bytes after the
+// header. Those bytes bound m and k before anything is sized by them: the
+// filter by m, a family's per-function tables by k.
+func decodeHeader(data []byte) (fam hashfam.Family, n uint64, rest []byte, err error) {
+	if len(data) < 1 || len(data) < 1+int(data[0])+28 {
+		return nil, 0, nil, fmt.Errorf("bloom: truncated header")
 	}
-	data = data[4:]
 	kl := int(data[0])
-	if len(data) < 1+kl+28 {
-		return nil, fmt.Errorf("bloom: truncated counting header")
-	}
 	kind := hashfam.Kind(data[1 : 1+kl])
 	data = data[1+kl:]
 	m := binary.LittleEndian.Uint64(data[0:])
 	k := binary.LittleEndian.Uint32(data[8:])
 	seed := binary.LittleEndian.Uint64(data[12:])
-	n := binary.LittleEndian.Uint64(data[20:])
-	data = data[28:]
-	if uint64(len(data)) != m {
-		return nil, fmt.Errorf("bloom: header m=%d but payload has %d counters", m, len(data))
+	n = binary.LittleEndian.Uint64(data[20:])
+	rest = data[28:]
+	if limit := 8 * uint64(len(rest)); m > limit || uint64(k) > limit {
+		return nil, 0, nil, fmt.Errorf("bloom: header m=%d k=%d but payload has %d bytes", m, k, len(rest))
 	}
-	if uint64(k) > 8*m {
-		return nil, fmt.Errorf("bloom: header k=%d over m=%d counters", k, m)
+	if fam, err = hashfam.New(kind, m, int(k), seed); err != nil {
+		return nil, 0, nil, fmt.Errorf("bloom: decoding family: %w", err)
 	}
-	fam, err := hashfam.New(kind, m, int(k), seed)
-	if err != nil {
-		return nil, fmt.Errorf("bloom: decoding family: %w", err)
+	return fam, n, rest, nil
+}
+
+// decodeBits decodes the m-bit vector at the front of data and returns it
+// with the bytes after it.
+func decodeBits(data []byte, m uint64) (*bitset.Set, []byte, error) {
+	size := bitset.EncodedLen(m)
+	if uint64(len(data)) < size {
+		return nil, nil, fmt.Errorf("bloom: header m=%d but payload has %d bytes", m, len(data))
 	}
-	return fromCounters(fam, data, n), nil
+	var bits bitset.Set
+	if err := bits.UnmarshalBinary(data[:size]); err != nil {
+		return nil, nil, err
+	}
+	if bits.Len() != m {
+		return nil, nil, fmt.Errorf("bloom: header m=%d but payload has %d bits", m, bits.Len())
+	}
+	return &bits, data[size:], nil
 }
 
 // UnmarshalFilter decodes a filter produced by MarshalBinary,
 // reconstructing its hash family from the embedded parameters.
 func UnmarshalFilter(data []byte) (*Filter, error) {
-	if len(data) < len(filterMagic)+1 || string(data[:4]) != filterMagic {
+	if len(data) < len(filterMagic) || string(data[:4]) != filterMagic {
 		return nil, fmt.Errorf("bloom: bad magic")
 	}
-	data = data[4:]
-	kl := int(data[0])
-	if len(data) < 1+kl+28 {
-		return nil, fmt.Errorf("bloom: truncated header")
-	}
-	kind := hashfam.Kind(data[1 : 1+kl])
-	data = data[1+kl:]
-	m := binary.LittleEndian.Uint64(data[0:])
-	k := binary.LittleEndian.Uint32(data[8:])
-	seed := binary.LittleEndian.Uint64(data[12:])
-	n := binary.LittleEndian.Uint64(data[20:])
-	data = data[28:]
-	// The payload's own length bounds m and k before anything is sized by
-	// them: the filter by m, a family's per-function tables by k.
-	if limit := 8 * uint64(len(data)); m > limit || uint64(k) > limit {
-		return nil, fmt.Errorf("bloom: header m=%d k=%d but payload has %d bytes", m, k, len(data))
-	}
-	fam, err := hashfam.New(kind, m, int(k), seed)
+	fam, n, rest, err := decodeHeader(data[4:])
 	if err != nil {
-		return nil, fmt.Errorf("bloom: decoding family: %w", err)
-	}
-	f := New(fam)
-	if err := f.bits.UnmarshalBinary(data); err != nil {
 		return nil, err
 	}
-	if f.bits.Len() != m {
-		return nil, fmt.Errorf("bloom: header m=%d but payload has %d bits", m, f.bits.Len())
+	bits, rest, err := decodeBits(rest, fam.M())
+	if err != nil {
+		return nil, err
 	}
-	f.n = n
-	return f, nil
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("bloom: %d bytes after the filter", len(rest))
+	}
+	return &Filter{bits: bits, fam: fam, n: n}, nil
+}
+
+// UnmarshalCounting decodes a counting filter produced by its MarshalBinary
+// ("BSC2") or written as m counter bytes ("BSC1"), reconstructing the hash
+// family from the embedded parameters. The overflow list must be what the
+// filter would hold: ascending positions whose bits are set, each counter 2
+// or more, and nothing after it.
+func UnmarshalCounting(data []byte) (*CountingFilter, error) {
+	if len(data) < 4 || (string(data[:4]) != countingMagic && string(data[:4]) != legacyCountingMagic) {
+		return nil, fmt.Errorf("bloom: bad counting magic")
+	}
+	fam, n, rest, err := decodeHeader(data[4:])
+	if err != nil {
+		return nil, err
+	}
+	m := fam.M()
+	c := &CountingFilter{fam: fam, n: n}
+	if string(data[:4]) == legacyCountingMagic {
+		if uint64(len(rest)) != m {
+			return nil, fmt.Errorf("bloom: header m=%d but payload has %d counters", m, len(rest))
+		}
+		c.bits = bitset.New(m)
+		for p, cnt := range rest {
+			if cnt > 0 {
+				c.bits.Set(uint64(p))
+			}
+			if cnt >= 2 {
+				c.over = append(c.over, uint64(p)<<8|uint64(cnt))
+			}
+		}
+		return c, nil
+	}
+	if c.bits, rest, err = decodeBits(rest, m); err != nil {
+		return nil, err
+	}
+	if len(rest) < 8 {
+		return nil, fmt.Errorf("bloom: truncated counting overflow list")
+	}
+	count, rest := binary.LittleEndian.Uint64(rest), rest[8:]
+	if len(rest)%8 != 0 || count != uint64(len(rest)/8) {
+		return nil, fmt.Errorf("bloom: overflow list of %d entries in %d bytes", count, len(rest))
+	}
+	c.over = make([]uint64, count)
+	for i := range c.over {
+		e := binary.LittleEndian.Uint64(rest[8*i:])
+		if p := e >> 8; p >= m || !c.bits.Test(p) || uint8(e) < 2 || (i > 0 && p <= c.over[i-1]>>8) {
+			return nil, fmt.Errorf("bloom: overflow entry %d (position %d, counter %d) is not one the filter holds", i, e>>8, uint8(e))
+		}
+		c.over[i] = e
+	}
+	return c, nil
 }

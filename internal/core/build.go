@@ -125,11 +125,7 @@ func (t *Tree) buildFull(lo, hi uint64, depth, fork int) *node {
 	}
 	n.left.Store(left)
 	n.right.Store(right)
-	f, err := left.filter().Union(right.filter())
-	if err != nil {
-		panic("core: sibling filters incompatible: " + err.Error()) // unreachable
-	}
-	n.setFilter(f)
+	n.unite()
 	return n
 }
 
@@ -145,30 +141,34 @@ func (t *Tree) buildSubtree(lo, hi uint64, depth int, ids []uint64) *node {
 	}
 	mid := split(lo, hi)
 	cut := sort.Search(len(ids), func(i int) bool { return ids[i] >= mid })
-	var lf, rf *bloom.Filter
 	if cut > 0 {
-		child := t.buildSubtree(lo, mid, depth-1, ids[:cut])
-		n.left.Store(child)
-		lf = child.filter()
+		n.left.Store(t.buildSubtree(lo, mid, depth-1, ids[:cut]))
 	}
 	if cut < len(ids) {
-		child := t.buildSubtree(mid, hi, depth-1, ids[cut:])
-		n.right.Store(child)
-		rf = child.filter()
+		n.right.Store(t.buildSubtree(mid, hi, depth-1, ids[cut:]))
 	}
+	n.unite()
+	return n
+}
+
+// unite gives an internal node its children's union (§3.1), the vector
+// every internal node holds; in a pruned tree one child may be missing.
+// buildFull, buildSubtree and ReadTree form every internal node with it, and
+// growth keeps it so (growNode).
+func (n *node) unite() {
+	left, right := n.children()
 	switch {
-	case lf == nil:
-		n.setFilter(rf.Clone())
-	case rf == nil:
-		n.setFilter(lf.Clone())
+	case left == nil:
+		n.setFilter(right.filter().Clone())
+	case right == nil:
+		n.setFilter(left.filter().Clone())
 	default:
-		f, err := lf.Union(rf)
+		f, err := left.filter().Union(right.filter())
 		if err != nil {
 			panic("core: sibling filters incompatible: " + err.Error()) // unreachable
 		}
 		n.setFilter(f)
 	}
-	return n
 }
 
 // Insert adds one occupied identifier to a pruned tree; see InsertBatch.
@@ -230,8 +230,8 @@ func (t *Tree) InsertBatch(ids []uint64) error {
 // positions to the front of pos.
 //
 // Every internal node's bits are exactly its children's union: buildFull,
-// buildSubtree and this walk all keep it, and ReadTree gives each internal
-// node it loads that union. So an id whose positions its leaf already holds
+// buildSubtree and ReadTree form each one so (unite), and this walk keeps
+// it. So an id whose positions its leaf already holds
 // changes no node on its path, and a leaf keeps only the ids it lacks
 // (TestAll). On the way back up a node adds only the kept ids' positions,
 // once per run, and publishes a new box only when its bits changed —

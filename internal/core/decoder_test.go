@@ -6,6 +6,7 @@ import (
 	"go/build"
 	"io"
 	"math"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -28,10 +29,10 @@ func TestCoreDoesNotImportMembership(t *testing.T) {
 	}
 }
 
-// treeHeader is the BST1 header of cfg, hand-assembled so that a test can
-// claim what no tree would.
-func treeHeader(cfg Config, pruned, hasRoot bool) []byte {
-	b := append([]byte(treeMagic), byte(len(cfg.HashKind)))
+// treeHeader is a tree stream's header under magic (BST2, or BST1), hand-
+// assembled so that a test can claim what no tree would.
+func treeHeader(magic string, cfg Config, pruned, hasRoot bool) []byte {
+	b := append([]byte(magic), byte(len(cfg.HashKind)))
 	b = append(b, cfg.HashKind...)
 	b = binary.LittleEndian.AppendUint64(b, cfg.Namespace)
 	b = binary.LittleEndian.AppendUint64(b, cfg.Bits)
@@ -42,11 +43,36 @@ func treeHeader(cfg Config, pruned, hasRoot bool) []byte {
 	return append(b, b2u8(pruned), b2u8(hasRoot))
 }
 
-// nodeHead is a node up to the length of its payload.
+// nodeHead is a BST1 node up to the length of its payload.
 func nodeHead(lo, hi uint64, payloadLen uint32) []byte {
 	b := binary.LittleEndian.AppendUint64(nil, lo)
 	b = binary.LittleEndian.AppendUint64(b, hi)
 	return binary.LittleEndian.AppendUint32(b, payloadLen)
+}
+
+// nodeBytes is the tree in the BST1 layout: the header, then every node in
+// pre-order as its range, the length of its vector and the vector, and its
+// child mask. ReadTree still reads it, and tests compare trees by it: it
+// holds every node's vector, where WriteTo stores the leaves' alone.
+func nodeBytes(tree *Tree) []byte {
+	b := treeHeader(legacyTreeMagic, tree.cfg, tree.pruned, tree.rootNode() != nil)
+	var walk func(n *node)
+	walk = func(n *node) {
+		bits, _ := n.filter().Bits().MarshalBinary()
+		b = append(b, nodeHead(n.lo, n.hi, uint32(len(bits)))...)
+		b = append(b, bits...)
+		left, right := n.children()
+		b = append(b, b2u8(left != nil)|b2u8(right != nil)<<1)
+		for _, c := range []*node{left, right} {
+			if c != nil {
+				walk(c)
+			}
+		}
+	}
+	if root := tree.rootNode(); root != nil {
+		walk(root)
+	}
+	return b
 }
 
 // countingReader counts the bytes a decoder pulled from the stream.
@@ -72,9 +98,9 @@ func readTreeCounted(data []byte) (tree *Tree, consumed int, allocated uint64, e
 	return tree, cr.n, after.TotalAlloc - before.TotalAlloc, err
 }
 
-// forgedTrees are three short streams whose headers lie — each accepted for
-// long enough, before the decoder was bounded, to allocate or recurse as
-// told.
+// forgedTrees are short streams whose headers lie — the three BST1 ones
+// each accepted for long enough, before the decoder was bounded, to
+// allocate or recurse as told, and their BST2 counterparts.
 func forgedTrees() (names []string, streams [][]byte) {
 	base := Config{Namespace: 1 << 20, Bits: 64, K: 3, HashKind: hashfam.KindFast, Depth: 2, EmptyThreshold: 0.5}
 
@@ -85,6 +111,8 @@ func forgedTrees() (names []string, streams [][]byte) {
 
 	hugeBits := base
 	hugeBits.Bits = 1 << 40 // makes a 1 GiB payload plausible
+	hugeLeaf := hugeBits
+	hugeLeaf.Depth = 0 // the root is a leaf, which carries a vector
 	hugeK := base
 	hugeK.HashKind, hugeK.K = hashfam.KindSimple, 1<<20 // a family that allocates per function
 
@@ -92,10 +120,14 @@ func forgedTrees() (names []string, streams [][]byte) {
 			"payload length backed by a forged Bits",
 			"chain of nodes below the header's depth",
 			"forged k",
+			"leaf vector backed by a forged Bits",
+			"chain of masks below the header's depth",
 		}, [][]byte{
-			append(treeHeader(hugeBits, true, true), nodeHead(0, 1<<20, 1<<30)...),
-			append(treeHeader(base, true, true), bytes.Repeat(link, 10_000)...),
-			treeHeader(hugeK, true, false),
+			append(treeHeader(legacyTreeMagic, hugeBits, true, true), nodeHead(0, 1<<20, 1<<30)...),
+			append(treeHeader(legacyTreeMagic, base, true, true), bytes.Repeat(link, 10_000)...),
+			treeHeader(legacyTreeMagic, hugeK, true, false),
+			append(treeHeader(treeMagic, hugeLeaf, true, true), append([]byte{0}, emptyBits...)...),
+			append(treeHeader(treeMagic, base, true, true), bytes.Repeat([]byte{1}, 100_000)...),
 		}
 }
 
@@ -119,14 +151,17 @@ func TestReadTreeSizesNothingByTheStreamsClaims(t *testing.T) {
 	}
 }
 
-// FuzzReadTree fuzzes the BST1 decoder, header included (ReadTree builds
-// nothing from the header's namespace or depth; it only reads what follows):
-// it must not panic, must not allocate beyond a small multiple of its input,
-// and a tree it accepts must re-serialise to bytes that decode to a tree
-// serialising the same — byte-equal to the input itself for what WriteTo
-// wrote, which the seeds are. (Not for every accepted input: the decoder
-// forgives a zero threshold, flag bytes other than 0 and 1, set bits past a
-// filter's length and trailing bytes, all of which WriteTo normalises.)
+// FuzzReadTree fuzzes the decoder, BST2 and BST1's read-only branch, header
+// included (ReadTree builds nothing from the header's namespace or depth; it
+// only reads what follows): it must not panic, must not allocate beyond a
+// small multiple of its input, and a tree it accepts must re-serialise to
+// bytes that decode to a tree serialising the same — byte-equal to the input
+// itself for what WriteTo wrote, which the BST2 seeds are. (Not for every
+// accepted input: the decoder forgives a zero threshold, flag bytes other
+// than 0 and 1, set bits past a filter's length and trailing bytes, all of
+// which WriteTo normalises, and it writes a BST1 stream as BST2.) The BST1
+// seeds are the two trees as that format stored them and the tree of the
+// bundle internal/wal keeps from before BST2.
 func FuzzReadTree(f *testing.F) {
 	cfg := Config{Namespace: 4096, Bits: 256, K: 3, HashKind: hashfam.KindFast, Seed: 5, Depth: 3}
 	full, err := BuildTree(cfg)
@@ -143,30 +178,43 @@ func FuzzReadTree(f *testing.F) {
 			f.Fatal(err)
 		}
 		seed := buf.Bytes()
-		got, err := ReadTree(bytes.NewReader(seed))
-		if err != nil {
-			f.Fatal(err)
+		for _, stream := range [][]byte{seed, nodeBytes(tree)} {
+			got, err := ReadTree(bytes.NewReader(stream))
+			if err != nil {
+				f.Fatal(err)
+			}
+			var again bytes.Buffer
+			if _, err := got.WriteTo(&again); err != nil || !bytes.Equal(again.Bytes(), seed) {
+				f.Fatalf("a written tree does not re-serialise byte-equal (err %v)", err)
+			}
+			f.Add(stream)
 		}
-		var again bytes.Buffer
-		if _, err := got.WriteTo(&again); err != nil || !bytes.Equal(again.Bytes(), seed) {
-			f.Fatalf("a written tree does not re-serialise byte-equal (err %v)", err)
-		}
-		f.Add(seed)
-		// Truncations: inside the header, after it, inside the root's
-		// payload, after the first whole node, and one byte short.
-		hdr := len(treeHeader(cfg, false, false))
-		for _, cut := range []int{3, hdr - 1, hdr, hdr + 30, hdr + 16 + 4 + 8 + 32 + 1, len(seed) - 1} {
+		// Truncations: inside the header, after it, after the root's mask,
+		// inside the first leaf's vector, and one byte short.
+		hdr := len(treeHeader(treeMagic, cfg, false, false))
+		for _, cut := range []int{3, hdr - 1, hdr, hdr + 1, hdr + cfg.Depth + 20, len(seed) - 1} {
 			f.Add(seed[:cut])
 		}
 	}
+	bundle, err := os.ReadFile("../wal/testdata/golden-bsc1-bst1.snap")
+	if err != nil {
+		f.Fatal(err)
+	}
+	legacy := bundle[bytes.Index(bundle, []byte(legacyTreeMagic)):]
+	if _, err := ReadTree(bytes.NewReader(legacy)); err != nil {
+		f.Fatalf("the BST1 tree of the kept bundle does not load: %v", err)
+	}
+	f.Add(legacy)
 	// The forged streams, but for the one that names the simple family: its
 	// constructor finds primes below the header's Bits by trial division, and
 	// a mutated Bits there costs the fuzzer minutes of CPU, not memory (open
 	// in ROADMAP with the other costs a forged header can still ask for).
-	_, forged := forgedTrees()
-	f.Add(forged[0])
-	f.Add(forged[1])
-
+	names, forged := forgedTrees()
+	for i, stream := range forged {
+		if names[i] != "forged k" {
+			f.Add(stream)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tree, _, allocated, err := readTreeCounted(data)
 		if limit := uint64(1<<20 + 64*len(data)); allocated > limit {

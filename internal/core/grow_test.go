@@ -41,7 +41,7 @@ func TestInsertBatchMatchesSequentialInsert(t *testing.T) {
 	if batched.Nodes() != single.Nodes() {
 		t.Fatalf("Nodes: batched %d, single %d", batched.Nodes(), single.Nodes())
 	}
-	if !bytes.Equal(treeBytes(t, batched), treeBytes(t, single)) {
+	if !bytes.Equal(nodeBytes(batched), nodeBytes(single)) {
 		t.Fatal("one batch and single Inserts of the same ids grew different trees")
 	}
 	q := buildQueryFilter(t, batched, ids[:200])
@@ -144,8 +144,7 @@ func TestConcurrentGrowthAndQueries(t *testing.T) {
 					if x := p.Select(rng.Intn(p.Len())); !q.Contains(x) {
 						t.Errorf("exact draw %d is not a positive", x)
 					}
-					// A tree written while it grows loads (ReadTree mends
-					// a node its children outgrew).
+					// A tree written while it grows loads.
 					if _, err := ReadTree(bytes.NewReader(treeBytes(t, tree))); err != nil {
 						t.Errorf("a tree written while it grew: %v", err)
 					}
@@ -184,7 +183,7 @@ func TestConcurrentGrowthAndQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if grown, want := treeBytes(t, tree), treeBytes(t, built); !bytes.Equal(grown, want) {
+	if grown, want := nodeBytes(tree), nodeBytes(built); !bytes.Equal(grown, want) {
 		t.Fatalf("the concurrently grown tree (%d bytes) is not BuildPruned's over the same ids (%d bytes)", len(grown), len(want))
 	}
 }
@@ -261,7 +260,7 @@ func TestGrowthIsBuildPrunedExhaustive(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(treeBytes(t, tree), treeBytes(t, built)) {
+				if !bytes.Equal(nodeBytes(tree), nodeBytes(built)) {
 					t.Fatalf("M = %d, depth %d, batch %d %v: the grown tree is not BuildPruned's over %v", M, depth, b, batch, all)
 				}
 			}

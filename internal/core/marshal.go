@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 
 	"repro/internal/bitset"
 	"repro/internal/bloom"
@@ -16,24 +17,35 @@ import (
 // Binary encoding of a Tree. Building a BloomSampleTree costs one hash
 // pass over the namespace (or the occupied ids); at the paper's Twitter
 // scale that is minutes of work worth persisting. The format stores the
-// configuration once, then the nodes in pre-order with a presence byte
-// per child, so pruned trees serialize only what they allocated:
+// configuration once, then the nodes in pre-order: each node's child mask,
+// and a bit vector for each leaf. A node's range follows from its parent's
+// by split and an internal node's vector is its children's union (§3.1,
+// Definition 5.1), so neither is stored; pruned trees serialize only what
+// they allocated:
 //
-//	magic    [4]byte "BST1"
+//	magic    [4]byte "BST2"
 //	kindLen  uint8, kind string
 //	namespace, bits uint64; k, depth uint32; seed uint64
 //	emptyThreshold float64 bits (uint64)
 //	pruned   uint8
 //	hasRoot  uint8
-//	nodes    (pre-order): lo, hi uint64; bits payload; childMask uint8
-//	         (bit0 = left present, bit1 = right present)
-const treeMagic = "BST1"
+//	nodes    (pre-order): childMask uint8 (bit0 = left present, bit1 =
+//	         right present; 0 exactly where the depth is used up or the
+//	         range holds one id: a leaf), then for a leaf its bits payload
+//	         (bitset.Set encoding)
+//
+// "BST1", which stored every node as lo, hi uint64, a uint32 payload length
+// and its bits payload before the child mask, is still read; nothing
+// writes it.
+const (
+	treeMagic       = "BST2"
+	legacyTreeMagic = "BST1"
+)
 
 // WriteTo serializes the tree. It implements io.WriterTo. On a pruned
 // tree, growth concurrent with WriteTo yields a valid snapshot that may
-// hold an in-flight batch only partially (ReadTree gives each internal node
-// its children's union); quiesce writers first when an exact point-in-time
-// image is required.
+// hold an in-flight batch only partially; quiesce writers first when an
+// exact point-in-time image is required.
 func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	root := t.rootNode()
 	cw := &countingWriter{w: w}
@@ -67,57 +79,40 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 }
 
 func writeNode(w *bufio.Writer, n *node) error {
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], n.lo)
-	binary.LittleEndian.PutUint64(hdr[8:], n.hi)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	bits, err := n.filter().Bits().MarshalBinary()
-	if err != nil {
-		return err
-	}
-	var bl [4]byte
-	binary.LittleEndian.PutUint32(bl[:], uint32(len(bits)))
-	if _, err := w.Write(bl[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(bits); err != nil {
-		return err
-	}
 	left, right := n.children()
-	var mask byte
-	if left != nil {
-		mask |= 1
-	}
-	if right != nil {
-		mask |= 2
-	}
+	mask := b2u8(left != nil) | b2u8(right != nil)<<1
 	if err := w.WriteByte(mask); err != nil {
 		return err
 	}
-	if left != nil {
-		if err := writeNode(w, left); err != nil {
+	if mask == 0 {
+		bits, err := n.filter().Bits().MarshalBinary()
+		if err != nil {
 			return err
 		}
+		_, err = w.Write(bits)
+		return err
 	}
-	if right != nil {
-		if err := writeNode(w, right); err != nil {
-			return err
+	for _, c := range []*node{left, right} {
+		if c != nil {
+			if err := writeNode(w, c); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// ReadTree deserializes a tree written by WriteTo. The result is fully
-// usable (sampling, reconstruction, dynamic Insert on pruned trees).
+// ReadTree deserializes a tree written by WriteTo (or a BST1 stream). The
+// result is fully usable (sampling, reconstruction, dynamic Insert on
+// pruned trees).
 func ReadTree(r io.Reader) (*Tree, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(treeMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, err
 	}
-	if string(magic) != treeMagic {
+	legacy := string(magic) == legacyTreeMagic
+	if !legacy && string(magic) != treeMagic {
 		return nil, fmt.Errorf("core: bad tree magic %q", magic)
 	}
 	kl, err := br.ReadByte()
@@ -148,45 +143,98 @@ func ReadTree(r io.Reader) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	if hasRoot {
-		root, err := readNode(br, t, cfg.Depth)
-		if err != nil {
-			return nil, err
+	if !hasRoot {
+		if !pruned {
+			return nil, fmt.Errorf("core: full tree without a root")
 		}
-		t.publish(&t.root, root)
+		return t, nil
 	}
-	if err := t.validateShape(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// readNode decodes one node and, as its child mask says, its subtrees. What
-// the stream claims sizes nothing: depth is how many levels the header's
-// Depth (bounded by Config.validate) still allows below this node, so a chain
-// of minimal nodes cannot grow the stack past it, and a node's payload is
-// read through a bounded reader, so memory is allocated as bytes arrive and a
-// forged length — or a forged Bits in the header, which the length is checked
-// against — cannot make the loader allocate what the stream does not hold.
-func readNode(r *bufio.Reader, t *Tree, depth int) (*node, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := newNode(binary.LittleEndian.Uint64(hdr[0:]), binary.LittleEndian.Uint64(hdr[8:]), nil)
-	var bl [4]byte
-	if _, err := io.ReadFull(r, bl[:]); err != nil {
-		return nil, err
-	}
-	blen := binary.LittleEndian.Uint32(bl[:])
-	if uint64(blen) > 8+(t.cfg.Bits/64+1)*8+8 {
-		return nil, fmt.Errorf("core: node filter payload %d bytes too large", blen)
-	}
-	payload, err := io.ReadAll(io.LimitReader(r, int64(blen)))
+	root, err := t.readNode(br, legacy, 0, cfg.Namespace, cfg.Depth)
 	if err != nil {
 		return nil, err
 	}
-	if uint32(len(payload)) != blen {
+	t.publish(&t.root, root)
+	return t, nil
+}
+
+// readNode decodes the node over [lo, hi), depth levels above the leaves,
+// and, as its child mask says, its subtrees; an internal node is given its
+// children's union. What the stream claims sizes nothing: ranges and depth
+// are derived, so the recursion stops at the header's Depth (bounded by
+// Config.validate) however many masks follow, and a vector, whose length the
+// header's Bits fixes, is read through a bounded reader, so memory is
+// allocated as bytes arrive and a forged Bits cannot make the loader
+// allocate what the stream does not hold.
+//
+// A BST1 node (legacy) also carries its range, which must be the derived
+// one, and a vector before its mask; an internal node's is read and
+// dropped.
+func (t *Tree) readNode(r *bufio.Reader, legacy bool, lo, hi uint64, depth int) (*node, error) {
+	var bits *bitset.Set
+	if legacy {
+		var hdr [20]byte
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return nil, err
+		}
+		if l, h := binary.LittleEndian.Uint64(hdr[0:]), binary.LittleEndian.Uint64(hdr[8:]); l != lo || h != hi {
+			return nil, fmt.Errorf("core: node [%d,%d) where [%d,%d) belongs", l, h, lo, hi)
+		}
+		if blen := binary.LittleEndian.Uint32(hdr[16:]); uint64(blen) != bitset.EncodedLen(t.cfg.Bits) {
+			return nil, fmt.Errorf("core: node payload of %d bytes, %d bits take %d", blen, t.cfg.Bits, bitset.EncodedLen(t.cfg.Bits))
+		}
+		var err error
+		if bits, err = t.readBits(r); err != nil {
+			return nil, err
+		}
+	}
+	mask, err := r.ReadByte()
+	if err != nil {
+		return nil, err
+	}
+	leaf := depth == 0 || hi-lo <= 1
+	switch {
+	case mask > 3 || leaf != (mask == 0):
+		return nil, fmt.Errorf("core: node [%d,%d) at depth %d has child mask %d", lo, hi, depth, mask)
+	case !t.pruned && !leaf && mask != 3:
+		return nil, fmt.Errorf("core: full-tree internal node [%d,%d) missing a child", lo, hi)
+	}
+	n := newNode(lo, hi, nil)
+	if leaf {
+		if !legacy {
+			if bits, err = t.readBits(r); err != nil {
+				return nil, err
+			}
+		}
+		n.setFilter(bloom.NewFromBits(t.fam, bits))
+		return n, nil
+	}
+	mid := split(lo, hi)
+	if mask&1 != 0 {
+		child, err := t.readNode(r, legacy, lo, mid, depth-1)
+		if err != nil {
+			return nil, err
+		}
+		n.left.Store(child)
+	}
+	if mask&2 != 0 {
+		child, err := t.readNode(r, legacy, mid, hi, depth-1)
+		if err != nil {
+			return nil, err
+		}
+		n.right.Store(child)
+	}
+	n.unite()
+	return n, nil
+}
+
+// readBits reads one node vector of the tree's Bits.
+func (t *Tree) readBits(r io.Reader) (*bitset.Set, error) {
+	size := bitset.EncodedLen(t.cfg.Bits)
+	payload, err := io.ReadAll(io.LimitReader(r, int64(size)))
+	if err != nil {
+		return nil, err
+	}
+	if uint64(len(payload)) != size {
 		return nil, io.ErrUnexpectedEOF
 	}
 	var bits bitset.Set
@@ -196,113 +244,39 @@ func readNode(r *bufio.Reader, t *Tree, depth int) (*node, error) {
 	if bits.Len() != t.cfg.Bits {
 		return nil, fmt.Errorf("core: node filter has %d bits, tree expects %d", bits.Len(), t.cfg.Bits)
 	}
-	n.setFilter(bloom.NewFromBits(t.fam, &bits))
-	mask, err := r.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if mask&3 != 0 && depth == 0 {
-		return nil, fmt.Errorf("core: node [%d,%d) has children below the tree's depth %d", n.lo, n.hi, t.cfg.Depth)
-	}
-	if mask&1 != 0 {
-		child, err := readNode(r, t, depth-1)
-		if err != nil {
-			return nil, err
-		}
-		n.left.Store(child)
-	}
-	if mask&2 != 0 {
-		child, err := readNode(r, t, depth-1)
-		if err != nil {
-			return nil, err
-		}
-		n.right.Store(child)
-	}
-	// Growth takes an internal node's bits to be exactly its children's
-	// union (growNode), so the node is given that union. A tree saved while
-	// a batch grew it can hold a node written before or after its children
-	// took some of the batch's ids; those ids belong to writes after the
-	// saved view, which a log replays. The vector is the node's own and
-	// uncounted yet, so it is rewritten in place.
-	if left, right := n.children(); left != nil || right != nil {
-		words := bits.Raw()
-		clear(words)
-		for _, c := range []*node{left, right} {
-			if c != nil {
-				for i, w := range c.filter().Bits().Raw() {
-					words[i] |= w
-				}
-			}
-		}
-	}
-	return n, nil
+	return &bits, nil
 }
 
-// validateShape checks structural invariants of a decoded tree: ranges
-// nest and partition, and children of internal nodes exist per the
-// pruned/full contract.
-func (t *Tree) validateShape() error {
-	root := t.rootNode()
-	if root == nil {
-		if !t.pruned {
-			return fmt.Errorf("core: full tree without a root")
-		}
-		return nil
-	}
-	if root.lo != 0 || root.hi != t.cfg.Namespace {
-		return fmt.Errorf("core: root range [%d,%d) != namespace [0,%d)", root.lo, root.hi, t.cfg.Namespace)
-	}
-	var walk func(n *node) error
-	walk = func(n *node) error {
-		if n.lo >= n.hi {
-			return fmt.Errorf("core: empty node range [%d,%d)", n.lo, n.hi)
-		}
-		left, right := n.children()
-		if left == nil && right == nil {
-			return nil
-		}
-		if !t.pruned && (left == nil || right == nil) {
-			return fmt.Errorf("core: full-tree internal node [%d,%d) missing a child", n.lo, n.hi)
-		}
-		mid := split(n.lo, n.hi)
-		if left != nil {
-			if left.lo != n.lo || left.hi != mid {
-				return fmt.Errorf("core: left child [%d,%d) does not match split of [%d,%d)", left.lo, left.hi, n.lo, n.hi)
-			}
-			if err := walk(left); err != nil {
-				return err
-			}
-		}
-		if right != nil {
-			if right.lo != mid || right.hi != n.hi {
-				return fmt.Errorf("core: right child [%d,%d) does not match split of [%d,%d)", right.lo, right.hi, n.lo, n.hi)
-			}
-			if err := walk(right); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return walk(root)
-}
-
-// Save writes the tree to path atomically.
+// Save writes the tree to path so that a crash, or a write that fails,
+// leaves either the file that was there or the whole new one: the bytes go
+// to path+".tmp", are synced, and only then renamed over path, and the
+// directory is synced after.
 func (t *Tree) Save(path string) error {
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := t.WriteTo(f); err != nil {
-		f.Close()
+	_, err = t.WriteTo(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	// Best-effort: not every platform can sync a directory.
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
+		_ = d.Sync()
+		d.Close()
 	}
-	return os.Rename(tmp, path)
+	return nil
 }
 
 // LoadTree reads a tree saved with Save.

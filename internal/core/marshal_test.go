@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+
+	"repro/internal/bitset"
 )
 
 func TestTreeSaveLoadFull(t *testing.T) {
@@ -132,24 +134,108 @@ func TestReadTreeRejectsCorrupt(t *testing.T) {
 	if _, err := ReadTree(bytes.NewReader(full[:len(full)/2])); err == nil {
 		t.Fatal("truncated tree accepted")
 	}
-	// Corrupt a node range so the shape validation trips.
-	bad := append([]byte(nil), full...)
-	// The root's lo/hi sit right after the header; overwrite hi with 0.
-	hdrLen := 4 + 1 + len(tree.cfg.HashKind) + 42
-	for i := 0; i < 8; i++ {
-		bad[hdrLen+8+i] = 0
+	// The root's child mask follows the header: no children (a leaf above
+	// the leaves), one child (in a full tree), a bit no mask has.
+	hdrLen := len(treeHeader(treeMagic, tree.cfg, false, true))
+	for _, mask := range []byte{0, 1, 2, 4 | 3} {
+		bad := slices.Clone(full)
+		bad[hdrLen] = mask
+		if _, err := ReadTree(bytes.NewReader(bad)); err == nil {
+			t.Fatalf("root child mask %d accepted", mask)
+		}
 	}
+	// A BST1 stream whose root range is not the namespace: its hi, after
+	// the header and lo, overwritten with 0.
+	bad := nodeBytes(tree)
+	clear(bad[hdrLen+8 : hdrLen+16])
 	if _, err := ReadTree(bytes.NewReader(bad)); err == nil {
 		t.Fatal("corrupt root range accepted")
 	}
 }
 
+// TestWriteToStoresTheLeavesAlone holds the encoding to what a reader cannot
+// derive: the header, one child mask a node and one vector a leaf, so a full
+// tree's stream is about half its nodes' vectors and a pruned one's holds
+// one vector a leaf it allocated.
+func TestWriteToStoresTheLeavesAlone(t *testing.T) {
+	cfg := testConfig(t, 10000, 100, 0.9, 4)
+	ids := uniformSet(rand.New(rand.NewSource(5)), 10000, 40)
+	full, err := BuildTree(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned, err := BuildPruned(cfg, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tree := range []*Tree{full, pruned} {
+		_, leaves := measureLeaves(tree.rootNode())
+		want := len(treeHeader(treeMagic, tree.cfg, tree.pruned, true)) + int(tree.Nodes()) + leaves*int(bitset.EncodedLen(cfg.Bits))
+		if got := len(treeBytes(t, tree)); got != want {
+			t.Fatalf("pruned %v: %d nodes, %d leaves encode in %d bytes, want %d", tree.Pruned(), tree.Nodes(), leaves, got, want)
+		}
+	}
+}
+
+// measureLeaves returns the nodes under n, n included, and how many of them
+// are leaves.
+func measureLeaves(n *node) (nodes, leaves int) {
+	if n == nil {
+		return 0, 0
+	}
+	left, right := n.children()
+	if left == nil && right == nil {
+		return 1, 1
+	}
+	ln, ll := measureLeaves(left)
+	rn, rl := measureLeaves(right)
+	return 1 + ln + rn, ll + rl
+}
+
+// TestReadTreeReadsBST1 loads full, pruned and grown trees from the BST1
+// layout, which stored every node's range and vector: each loads to the tree
+// it was written from, node for node, and writes the BST2 bytes that tree
+// writes.
+func TestReadTreeReadsBST1(t *testing.T) {
+	cfg := testConfig(t, 10000, 100, 0.9, 4)
+	ids := uniformSet(rand.New(rand.NewSource(6)), 10000, 400)
+	full, err := BuildTree(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned, err := BuildPruned(cfg, ids[:200])
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown, err := BuildPruned(cfg, ids[:100])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := grown.InsertBatch(ids[100:]); err != nil {
+		t.Fatal(err)
+	}
+	empty, err := BuildPruned(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tree := range []*Tree{full, pruned, grown, empty} {
+		got, err := ReadTree(bytes.NewReader(nodeBytes(tree)))
+		if err != nil {
+			t.Fatalf("pruned %v, %d nodes: %v", tree.Pruned(), tree.Nodes(), err)
+		}
+		if !bytes.Equal(nodeBytes(got), nodeBytes(tree)) || !bytes.Equal(treeBytes(t, got), treeBytes(t, tree)) ||
+			got.Nodes() != tree.Nodes() || got.LeafIDs() != tree.LeafIDs() {
+			t.Fatalf("pruned %v, %d nodes: the BST1 stream loads to another tree", tree.Pruned(), tree.Nodes())
+		}
+	}
+}
+
 // TestReadTreeMendsANodeThatIsNotItsChildrensUnion flips, one at a time,
-// each bit of the root's first filter word in a full and in a pruned tree,
-// which leaves the root with a bit its children lack or without one they
-// hold, as a tree saved while a batch grew it can: the loader gives the root
-// its children's union back, so the tree loads to the bytes it was saved
-// from, and the pruned one then grows like BuildPruned.
+// each bit of the root's first filter word of a full and of a pruned tree in
+// the BST1 layout, which stored every node's vector, as a tree saved while
+// a batch grew it could: the root is given its children's union, so the
+// tree loads to the one it was saved from, and the pruned one then grows
+// like BuildPruned. (BST2 stores no internal vector to mend.)
 func TestReadTreeMendsANodeThatIsNotItsChildrensUnion(t *testing.T) {
 	cfg := testConfig(t, 10000, 100, 0.9, 4)
 	rng := rand.New(rand.NewSource(4))
@@ -168,10 +254,10 @@ func TestReadTreeMendsANodeThatIsNotItsChildrensUnion(t *testing.T) {
 	}
 	// The root's first filter word follows the header, its range (16
 	// bytes), its payload length (4) and the vector's length (8).
-	word := 4 + 1 + len(cfg.HashKind) + 42 + 16 + 4 + 8
+	word := len(treeHeader(legacyTreeMagic, cfg, false, true)) + 16 + 4 + 8
 	var missing, extra int
 	for _, tree := range []*Tree{full, pruned} {
-		good := treeBytes(t, tree)
+		good := nodeBytes(tree)
 		for bit := range 64 {
 			bad := slices.Clone(good)
 			bad[word+bit/8] ^= 1 << (bit % 8)
@@ -184,7 +270,7 @@ func TestReadTreeMendsANodeThatIsNotItsChildrensUnion(t *testing.T) {
 			if err != nil {
 				t.Fatalf("pruned %v, root bit %d flipped: %v", tree.Pruned(), bit, err)
 			}
-			if !bytes.Equal(treeBytes(t, got), good) {
+			if !bytes.Equal(nodeBytes(got), good) {
 				t.Fatalf("pruned %v, root bit %d flipped: the root was not mended to its children's union", tree.Pruned(), bit)
 			}
 			if !tree.Pruned() {
@@ -193,7 +279,7 @@ func TestReadTreeMendsANodeThatIsNotItsChildrensUnion(t *testing.T) {
 			if err := got.InsertBatch(ids[300:]); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(treeBytes(t, got), treeBytes(t, want)) {
+			if !bytes.Equal(nodeBytes(got), nodeBytes(want)) {
 				t.Fatalf("root bit %d flipped: the mended tree grows unlike BuildPruned", bit)
 			}
 		}

@@ -139,7 +139,7 @@ func TestQuickPrunedReconstructSuperset(t *testing.T) {
 }
 
 // Property: dynamic insertion is equivalent to batch pruned construction
-// — same node count and same serialized bytes.
+// — same node count and the same vector at every node.
 func TestQuickInsertEquivalentToBatchBuild(t *testing.T) {
 	f := func(seed uint64, depthSel, kindSel uint8, raw []uint16) bool {
 		occ := make([]uint64, 0, len(raw))
@@ -167,14 +167,7 @@ func TestQuickInsertEquivalentToBatchBuild(t *testing.T) {
 		if batch.Nodes() != dyn.Nodes() {
 			return false
 		}
-		var b1, b2 bytes.Buffer
-		if _, err := batch.WriteTo(&b1); err != nil {
-			return false
-		}
-		if _, err := dyn.WriteTo(&b2); err != nil {
-			return false
-		}
-		return bytes.Equal(b1.Bytes(), b2.Bytes())
+		return bytes.Equal(nodeBytes(batch), nodeBytes(dyn))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -204,7 +197,7 @@ func TestQuickTreeMarshalRoundTrip(t *testing.T) {
 		if _, err := got.WriteTo(&b2); err != nil {
 			return false
 		}
-		return bytes.Equal(b1.Bytes(), b2.Bytes())
+		return bytes.Equal(b1.Bytes(), b2.Bytes()) && bytes.Equal(nodeBytes(got), nodeBytes(tree))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

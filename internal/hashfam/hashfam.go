@@ -12,6 +12,15 @@
 // [0, m). Families are deterministic given (kind, m, k, seed), so that a
 // BloomSampleTree and the query Bloom filters it serves can be built with
 // identical hash functions, as the paper requires (§5.1).
+//
+// Only KindFast reduces a hash to [0, m) by reciprocal (fastReduce: a
+// multiply and one conditional subtraction, held to the hardware remainder
+// by FuzzFastReduce); it is the default and what every served path runs.
+// KindSimple, KindMurmur3 and KindMD5 reduce with %, and stay so: they are
+// kept for what they compute, not for speed. Simple's positions are
+// (a·x + b) mod c, the arithmetic HashInvert inverts (§4); Murmur3 and MD5
+// positions are persisted in filters that embed their kind, and Figure 7
+// sweeps the families as the paper defines them.
 package hashfam
 
 import (

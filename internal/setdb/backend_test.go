@@ -101,8 +101,9 @@ func TestBackendBytesPerLiveEntry(t *testing.T) {
 	}
 }
 
-// residentBytes is what a counting key holds, counted from its encoding:
-// the bit vector's words and 8 B per counter of 2 or more.
+// residentBytes is what a counting key holds, counted from its encoding,
+// which is that: past the family header, the vector's bit length and the
+// overflow count, the bit vector's words and 8 B per counter of 2 or more.
 func residentBytes(t *testing.T, db *DB, key string) uint64 {
 	t.Helper()
 	m, ok := db.Membership(key).(interface{ Counting() *bloom.CountingFilter })
@@ -113,14 +114,8 @@ func residentBytes(t *testing.T, db *DB, key string) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bits := db.Options().Bits
-	size := (bits + 63) / 64 * 8
-	for _, cnt := range data[uint64(len(data))-bits:] {
-		if cnt >= 2 {
-			size += 8
-		}
-	}
-	return size
+	header := len("BSC2") + 1 + len(db.Options().HashKind) + 28
+	return uint64(len(data) - header - 8 - 8)
 }
 
 // TestStatsBuildsNoView pins that introspection reports what is resident:

@@ -15,7 +15,8 @@ package setdb
 //	         uint8 length + hash kind, uint8 length + backend kind
 //	         plain    uint32 count × { keyLen uint16, key, len uint32, membership envelope }
 //	         dynamic  uint32 count × { keyLen uint16, key, len uint32, membership envelope }
-//	tree     uint8 presence flag; when 1, a core.Tree stream ("BST1")
+//	tree     uint8 presence flag; when 1, a core.Tree stream ("BST2";
+//	         a "BST1" one is still read)
 //
 // All integers are little-endian. Each set is a tagged membership envelope
 // ("BSM1" + backend kind), so a bundle can mix backends and a reader
