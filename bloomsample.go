@@ -27,9 +27,9 @@
 // growth lock — so queries never wait on growth. Mutating a raw Filter in place (Add)
 // still requires external synchronization; prefer Filter.CloneAdd,
 // which returns a new immutable version. SetDB composes all of this:
-// its keyed sets live in atomically swapped immutable shard snapshots,
-// every read is lock-free, writers briefly serialize per shard, and a
-// batch (SetDB.SampleMany) draws on its caller's goroutine, so concurrent
+// its keyed sets are immutable values in one sync.Map, every read loads
+// one without a lock, writers serialize on one mutex, and a batch
+// (SetDB.SampleMany) draws on its caller's goroutine, so concurrent
 // callers are what runs in parallel. What a tree remembers about one
 // immutable filter version (Tree.VersionFor: its estimate index, and the packed
 // positives an exactly uniform draw picks from, Version.Exact) hangs on the
@@ -185,9 +185,9 @@ func FalseSetOverlapProb(m uint64, k int, n1, n2 uint64) float64 {
 // SetDB is a keyed database of sets stored only as Bloom filters over a
 // shared namespace and BloomSampleTree — the paper's §3.2 framework. It
 // supports per-key sampling and reconstruction and persists to a single
-// file. SetDB is safe for concurrent use with a wait-free read path:
-// queries load immutable shard snapshots through atomic pointers and
-// take no locks at all, so concurrent Sample/Contains/Reconstruct calls
+// file. SetDB is safe for concurrent use with a lock-free read path:
+// queries load a key's immutable value from one sync.Map and take no
+// lock of the database's, so concurrent Sample/Contains/Reconstruct calls
 // — even on the same key, even racing writers — never serialize. SampleMany
 // draws a batch on its caller's goroutine; to reconstruct every set, loop
 // Keys over Reconstruct.
@@ -197,9 +197,9 @@ type SetDB = setdb.DB
 // reports it; Open plans one from its With* options.
 type SetDBOptions = setdb.Options
 
-// SetDBWrite is one pending mutation for SetDB's group-commit path
-// (SetDB.AddMany/ApplyBatch): a whole batch of writes publishes one
-// snapshot per touched shard instead of one per key, all-or-nothing.
+// SetDBWrite is one pending mutation for SetDB's batch write path
+// (SetDB.AddMany/ApplyBatch): a whole batch grows the tree once and takes
+// the writer lock once, all-or-nothing.
 type SetDBWrite = setdb.Write
 
 // LoadSetDB reads a database from the one file a database has: the bundle

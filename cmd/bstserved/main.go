@@ -75,7 +75,7 @@ func main() {
 		accuracy  = flag.Float64("accuracy", 0.9, "design sampling accuracy for a fresh database")
 		k         = flag.Int("k", 3, "hash functions for a fresh database")
 		pruned    = flag.Bool("pruned", true, "use a pruned tree for a fresh database (grows on demand)")
-		backend   = flag.String("backend", "", "dynamic-set membership backend for a fresh database: counting, the one removable backend (default)") // kept for bench/, which passes -backend counting (ROADMAP item 12(6))
+		backend   = flag.String("backend", "", "dynamic-set membership backend for a fresh database: counting, the one removable backend (default)") // kept for bench/, which passes -backend counting (ROADMAP item 1)
 		demo      = flag.Int("demo", 0, "preload a plain set 'demo' with this many random ids (0: none)")
 		maxBatch  = flag.Int("max-batch", server.DefaultMaxBatch, "largest buffered sample n / add-remove id batch / reconstruction accepted (0: default)")
 		maxSets   = flag.Int("max-batch-sets", server.DefaultMaxBatchSets, "largest number of sets in one batch /v1/add request (0: default)")

@@ -1,5 +1,5 @@
 // Package membership defines the backend contract behind every set the
-// database stores: shard entries in internal/setdb hold Membership values
+// database stores: the key map in internal/setdb holds Membership values
 // instead of concrete Bloom filters, so a set that never deletes (a plain
 // Bloom filter) and one that does (a counting Bloom filter) sit behind one
 // interface. (The nodes of the BloomSampleTree in internal/core do not: a
@@ -108,7 +108,7 @@ type DynamicMembership interface {
 // The family supplies the counter array's geometry.
 //
 // capacityHint is unused; the signature is kept for bench/ (ROADMAP item
-// 12(6)).
+// 1).
 func NewDynamicWith(kind Kind, fam hashfam.Family, capacityHint uint64, ids []uint64) (DynamicMembership, error) {
 	switch kind {
 	case KindCounting:

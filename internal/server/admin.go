@@ -139,13 +139,11 @@ func (s *Server) collectMetrics() *obs.Exposition {
 	e.Counter("bst_wire_protocol_errors_total", "Malformed frames and protocol violations.", float64(doc.Wire.ProtocolErrors))
 	e.Counter("bst_wire_shed_total", "BUSY frames sent by admission control.", float64(doc.Wire.Shed))
 
-	// Database state: copy-on-write write path and tree memory.
+	// Database state: keys, writes and tree memory.
 	st := doc.DB
 	e.Gauge("bst_db_sets", "Keys holding a plain set.", float64(st.Sets))
 	e.Gauge("bst_db_dynamic_sets", "Keys holding a dynamic (removable) set.", float64(st.DynamicSets))
-	e.Counter("bst_db_state_writes_total", "Copy-on-write shard-state writes.", float64(st.StateWrites))
-	e.Counter("bst_db_state_publishes_total", "Shard-state snapshot publishes (group commit coalesces writes).", float64(st.StatePublishes))
-	e.Counter("bst_db_state_bytes_copied_total", "Bytes copied by the copy-on-write write path.", float64(st.StateBytesCopied))
+	e.Counter("bst_db_state_writes_total", "Writes applied (each write of a batch; a failed batch counts none).", float64(st.StateWrites))
 	e.Counter("bst_db_sample_draws_lost_total", "Batch sample draws that ended on a false-positive path (requested minus returned).", float64(st.SampleDrawsLost))
 	e.Counter("bst_db_estimates_computed_total", "Intersection estimates computed by sampling requests.", float64(st.EstimatesComputed))
 	e.Counter("bst_db_estimates_remembered_total", "Intersection estimates sampling requests read back from a filter version's index instead of computing them.", float64(st.EstimatesRemembered))
@@ -159,7 +157,6 @@ func (s *Server) collectMetrics() *obs.Exposition {
 	e.Gauge("bst_db_tree_nodes", "Materialized BST nodes.", float64(st.TreeNodes))
 	e.Gauge("bst_db_tree_memory_bytes", "Bytes held by the sampling tree.", float64(st.TreeMemoryBytes))
 	e.Gauge("bst_db_growth_epoch", "Growth batches of the pruned sampling tree (0 for a full tree).", float64(st.GrowthEpoch))
-	e.Gauge("bst_db_total_chunks", "Chunks across all shard key maps (one map per shard).", float64(st.TotalChunks))
 
 	// Dynamic-set membership backend descriptor.
 	kind := obs.L("kind", st.Backend.Kind)

@@ -287,13 +287,11 @@ func (s *Server) intersection(req IntersectionRequest) (IntersectionResponse, er
 
 // AddRequest inserts ids, creating sets on first use. Two shapes apply:
 //
-//   - single-key: Key + IDs (+ Dynamic) — one copy-on-write publish.
-//   - batch: Sets — any number of key/ids pairs applied through the
-//     database's group-commit path (setdb.ApplyBatch), which folds the
-//     whole batch into one snapshot publish per touched shard, so heavy
-//     ingest pays one publish per batch rather than one per key. The
-//     batch is all-or-nothing: any clash or out-of-range id applies
-//     nothing.
+//   - single-key: Key + IDs (+ Dynamic) — one copy-on-write store.
+//   - batch: Sets — any number of key/ids pairs applied as one
+//     setdb.ApplyBatch, which grows the tree once and takes the writer
+//     lock once for the whole batch. The batch is all-or-nothing: any
+//     clash or out-of-range id applies nothing.
 //
 // Exactly one shape must be used per request (the wire protocol only has
 // the batch shape). Dynamic is the kind a new key gets — a removable set

@@ -27,7 +27,7 @@
 //	POST /v1/intersection  estimate |A ∩ B| for two stored sets
 //	POST /v1/add           insert ids ("dynamic" is the kind a new key gets: a removable set; multi-key batches group-commit)
 //	POST /v1/remove        remove ids from a removable set (all-or-nothing)
-//	GET  /v1/stats         shard/epoch/version-counter introspection + per-endpoint metrics
+//	GET  /v1/stats         key/epoch/version-counter introspection + per-endpoint metrics
 //	GET  /v1/snapshot      download a live restore bundle (binary body; works with or without a WAL)
 //	POST /v1/snapshot      trigger an on-disk snapshot (requires a durability layer)
 //	POST /v1/restore       replace the database with an uploaded bundle (binary body)
@@ -38,9 +38,9 @@
 //
 // The serving layer adds nothing to the concurrency story — it doesn't
 // need to: every request is decoded into a value, the database call is
-// lock-free (reads) or shard-serialized (writes), and the per-endpoint
-// metrics are atomics. Request limits (body size, batch size) bound the
-// work a single client can demand.
+// lock-free (reads) or serialized on the database's writer lock (writes),
+// and the per-endpoint metrics are atomics. Request limits (body size,
+// batch size) bound the work a single client can demand.
 package server
 
 import (
@@ -84,7 +84,7 @@ type Config struct {
 	// MaxBatchSets caps the number of sets in one batch add request
 	// (default DefaultMaxBatchSets). The id count alone does not bound a
 	// batch's work: every new key allocates a full-size filter and the
-	// whole group commit holds its shards' write mutexes while building,
+	// whole group commit holds the database's writer mutex while building,
 	// so the key count needs its own, much tighter cap.
 	MaxBatchSets int
 	// MaxStreamBatch caps the n of a streaming sample request (default
@@ -111,8 +111,8 @@ type Config struct {
 	// growing latency for everyone.
 	MaxInFlight int
 	// MaxWrites sub-budgets the write endpoints (add/remove, both
-	// protocols; default DefaultMaxWrites): each write holds shard
-	// mutexes through its group-commit build, so a write flood would
+	// protocols; default DefaultMaxWrites): each write holds the writer
+	// mutex through its group-commit build, so a write flood would
 	// otherwise convoy behind the commit path while still consuming the
 	// whole global budget. Exhaustion sheds the write, not the readers.
 	MaxWrites int
@@ -311,8 +311,8 @@ var endpoints = []endpoint{
 	{path: "/v1/add", post: jsonOp((*Server).add), bin: "bin:add", opcode: wire.OpAdd, frame: (*binConn).binAdd, isWrite: true},
 	{path: "/v1/remove", post: jsonOp((*Server).remove), bin: "bin:remove", opcode: wire.OpRemove, frame: (*binConn).binRemove, isWrite: true},
 	{path: "/v1/stats", get: (*Server).httpStats, bin: "bin:stats", opcode: wire.OpStats, frame: (*binConn).binStats},
-	// Snapshotting never touches the shard write path (it pins a read
-	// view), so it rides the global budget only.
+	// Snapshotting holds the writer mutex only to copy the key map (it
+	// pins a read view), so it rides the global budget only.
 	{path: "/v1/snapshot", get: (*Server).httpSnapshotDownload, post: (*Server).httpSnapshot, bin: "bin:snapshot", opcode: wire.OpSnapshot, frame: (*binConn).binSnapshot},
 	{path: "/v1/restore", post: (*Server).httpRestore, bin: "bin:restore", opcode: wire.OpRestore, frame: (*binConn).binRestore, isWrite: true},
 }

@@ -395,11 +395,11 @@ func TestStatsIntrospection(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.DB.Sets != 1 || st.DB.DynamicSets != 1 || st.DB.NumShards != 64 {
+	if st.DB.Sets != 1 || st.DB.DynamicSets != 1 {
 		t.Fatalf("db stats wrong: %+v", st.DB)
 	}
-	if st.DB.OccupiedShards == 0 || st.DB.MaxShardKeys == 0 || st.DB.TreeNodes == 0 {
-		t.Fatalf("shard/tree introspection empty: %+v", st.DB)
+	if st.DB.TreeNodes == 0 {
+		t.Fatalf("tree introspection empty: %+v", st.DB)
 	}
 	if !st.DB.TreePruned || st.DB.GrowthEpoch == 0 {
 		t.Fatalf("growth epochs not visible on a pruned tree: %+v", st.DB)
@@ -530,41 +530,20 @@ func TestAddBatch(t *testing.T) {
 	}
 }
 
-// TestStatsWriteAmplification checks the /v1/stats write-amplification
-// observability: chunk occupancy, copy counters and the coalescing
-// signal (publishes < writes after a batch add).
+// TestStatsWriteAmplification checks the /v1/stats write counter: a batch
+// add counts each of its writes. (No write copies key-map state, so there
+// is no copy counter to check.)
 func TestStatsWriteAmplification(t *testing.T) {
 	ts, _ := newTestServer(t, Config{})
-	// Four keys in one shard, so the group commit provably folds four
-	// writes into a single publish.
 	var sets []string
-	for i := 0; len(sets) < 4; i++ {
-		k := fmt.Sprintf("w%d", i)
-		if setdb.ShardOf(k) == setdb.ShardOf("w0") {
-			sets = append(sets, fmt.Sprintf(`{"key":%q,"ids":[%d]}`, k, i%100))
-		}
+	for i := 0; i < 4; i++ {
+		sets = append(sets, fmt.Sprintf(`{"key":"w%d","ids":[%d]}`, i, i))
 	}
-	body := fmt.Sprintf(`{"sets":[%s]}`, strings.Join(sets, ","))
-	if code := post(t, ts, "/v1/add", body, nil); code != 200 {
+	before := getStats(t, ts).DB.StateWrites
+	if code := post(t, ts, "/v1/add", fmt.Sprintf(`{"sets":[%s]}`, strings.Join(sets, ",")), nil); code != 200 {
 		t.Fatalf("batch add: status %d", code)
 	}
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.DB.MaxChunksPerShard == 0 || st.DB.TotalChunks == 0 || st.DB.OccupiedChunks == 0 || st.DB.MaxChunkKeys == 0 {
-		t.Fatalf("chunk occupancy not exposed: %+v", st.DB)
-	}
-	if st.DB.StateWrites == 0 || st.DB.StateBytesCopied == 0 || st.DB.MeanBytesCopiedPerWrite <= 0 {
-		t.Fatalf("write-amplification counters not exposed: %+v", st.DB)
-	}
-	if st.DB.StatePublishes >= st.DB.StateWrites {
-		t.Fatalf("batch add did not coalesce publishes: writes=%d publishes=%d",
-			st.DB.StateWrites, st.DB.StatePublishes)
+	if got := getStats(t, ts).DB.StateWrites; got != before+4 {
+		t.Fatalf("state_writes = %d after a 4-write batch, want %d", got, before+4)
 	}
 }

@@ -80,7 +80,9 @@ func readLines(t *testing.T, path string) []string {
 // before setdb.DBStats took over server.DBStats and /metrics began to render
 // from the stats document. Neither surface gained, lost or reworded a name
 // then; a series added since is added to both lists by hand, in the PR that
-// adds it (wire.served_inline / bst_wire_served_inline_total, PR 28).
+// adds it (wire.served_inline / bst_wire_served_inline_total, PR 28), and one
+// deleted is taken out of both the same way (the key map's shard, chunk and
+// copy counters, deleted with the shards).
 func TestSurfacesAreTheParents(t *testing.T) {
 	doc, metrics := liveSurfaces(t)
 	keys := leafPaths(doc, "", nil)
@@ -125,9 +127,7 @@ var statRenames = map[string]string{
 // statJSONOnly are the numbers /v1/stats serves and /metrics does not:
 // configuration and layout summaries nobody alerts on.
 var statJSONOnly = []string{
-	"db.shards", "db.occupied_shards", "db.max_shard_keys",
-	"db.max_chunks_per_shard", "db.occupied_chunks", "db.max_chunk_keys",
-	"db.mean_bytes_copied_per_write", "db.tree_depth",
+	"db.tree_depth",
 	"wire.conn_window",
 	"durability.active_segment", "durability.bytes_since_snapshot",
 	"durability.last_snapshot_ms", "durability.last_snapshot_bytes",

@@ -2,7 +2,6 @@ package setdb
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bloom"
 	"repro/internal/membership"
@@ -10,13 +9,10 @@ import (
 
 // The write path. There is one: every mutation is a Write, the rule that
 // applies one Write to one key is next, and ApplyBatch is the sequence
-// around it — validate, grow the tree, lock, build, publish. A single Add
-// is a batch of one. Folding N pending writes into one call is group
-// commit: the chunk table is cloned once per touched shard, each touched
-// chunk once, and the atomic store happens once — N writes landing in one
-// shard pay amortized O(keys/chunk · touched chunks / N) copying instead of
-// N full clones, which is what heavy ingest (bulk loads, the server's batch
-// /v1/add) needs.
+// around it — validate, grow the tree, lock, build, store. A single Add is
+// a batch of one; the server's batch /v1/add and bulk loads fold many
+// writes into one call, which grows the tree once and takes the writer
+// mutex once.
 
 // Write is one pending mutation of the set under Key.
 //
@@ -27,12 +23,11 @@ import (
 //
 // A remove with IDs (or with Dynamic set) removes one insertion of each id:
 // the key must hold a removable set (ErrNoSet) and every id must be a
-// member at its turn (bloom.ErrNotMember) or the whole batch aborts
-// unpublished; with Dynamic and no IDs it changes nothing. A remove without
-// IDs and without Dynamic unbinds the key, whatever its kind, and an absent
-// key is a no-op rather than an error, matching Delete's bool-not-error
-// contract. Mixed add/remove batches compose in slice order and still
-// publish once per touched shard.
+// member at its turn (bloom.ErrNotMember) or the whole batch aborts with
+// nothing stored; with Dynamic and no IDs it changes nothing. A remove
+// without IDs and without Dynamic unbinds the key, whatever its kind, and an
+// absent key is a no-op rather than an error, matching Delete's
+// bool-not-error contract. Mixed add/remove batches compose in slice order.
 type Write struct {
 	Key     string
 	IDs     []uint64
@@ -40,58 +35,49 @@ type Write struct {
 	Remove  bool
 }
 
-// next is the one rule a write is applied by: given the entry bound to
-// w.Key (bound false: none) it returns the entry to bind in its place, or
-// bind false to leave the key unbound. It touches no shard state, so a
-// failed batch has published nothing.
-func (db *DB) next(cur entry, bound bool, w *Write) (entry, bool, error) {
-	d, removable := cur.removable()
+// next is the one rule a write is applied by: given the value bound to
+// w.Key (nil: none) it returns the value to bind in its place, nil to leave
+// the key unbound. It stores nothing, so a failed batch has stored nothing.
+func (db *DB) next(cur membership.Membership, w *Write) (membership.Membership, error) {
+	d, removable := cur.(membership.DynamicMembership)
 	switch {
 	case w.Remove && !w.Dynamic && len(w.IDs) == 0:
-		return entry{}, false, nil
+		return nil, nil
 	case w.Remove:
-		if !bound || !removable {
-			return entry{}, false, fmt.Errorf("%w %q (dynamic)", ErrNoSet, w.Key)
+		if !removable {
+			return nil, fmt.Errorf("%w %q (dynamic)", ErrNoSet, w.Key)
 		}
-		m, err := d.CloneRemove(w.IDs...)
-		return entry{m: m}, err == nil, err
-	case !bound && w.Dynamic:
-		db.gen.Add(1)
-		m, err := db.newDynamic(w.IDs)
-		return entry{m: m}, err == nil, err
-	case !bound:
-		db.gen.Add(1)
-		return entry{m: membership.FromBloom(bloom.NewFromElements(db.fam, w.IDs))}, true, nil
+		return d.CloneRemove(w.IDs...)
+	case cur == nil && w.Dynamic:
+		return db.newDynamic(w.IDs)
+	case cur == nil:
+		return membership.FromBloom(bloom.NewFromElements(db.fam, w.IDs)), nil
 	case removable && !w.Dynamic:
-		return entry{}, false, fmt.Errorf("%w: %q already exists as a dynamic set", ErrKeyClash, w.Key)
+		return nil, fmt.Errorf("%w: %q already exists as a dynamic set", ErrKeyClash, w.Key)
 	case w.Dynamic && !removable:
-		return entry{}, false, fmt.Errorf("%w: %q already exists as a plain set", ErrKeyClash, w.Key)
+		return nil, fmt.Errorf("%w: %q already exists as a plain set", ErrKeyClash, w.Key)
 	}
-	return entry{m: cur.m.CloneAdd(w.IDs...)}, true, nil
+	return cur.CloneAdd(w.IDs...), nil
 }
 
-// ApplyBatch applies a batch of writes with one snapshot publish per
-// touched shard. Writes to the same key compose in slice order, exactly
-// as sequential single writes would; adds and removes may be mixed freely
-// in one batch.
+// ApplyBatch applies a batch of writes. Writes to the same key compose in
+// slice order, exactly as sequential single writes would; adds and removes
+// may be mixed freely in one batch.
 //
 // The batch is all-or-nothing: every id is namespace-validated (a remove's
 // too: an out-of-range id can alias onto occupied counter positions and
 // would otherwise corrupt genuine members' counters while looking like a
-// successful remove) and every key's kind is checked before anything is
-// published, and a failure (ErrOutOfRange, ErrKeyClash, ErrNoSet,
+// successful remove) and every touched key's final value is built before
+// anything is stored, so a failure (ErrOutOfRange, ErrKeyClash, ErrNoSet,
 // bloom.ErrNotMember) leaves the database exactly as it was. On a pruned
 // database the shared tree grows once for the union of all inserted ids,
-// before any shard lock is taken — tree growth has its own lock, so a slow
-// growth never stalls a shard's other writers — and before the new
-// versions become visible, so a published set is always coverable by the
-// tree. Ids present in the tree but, because the batch later fails, in no
-// filter cost occupancy, never correctness.
+// before the writer mutex is taken — tree growth has its own lock — and
+// before the new values become visible, so a stored set is always
+// coverable by the tree. Ids present in the tree but, because the batch
+// later fails, in no filter cost occupancy, never correctness.
 //
-// Locking: the touched shards are locked in ascending index order (the
-// same order snapshotAll uses), so concurrent batches and serialization
-// never deadlock. Readers are unaffected throughout — they keep loading
-// the previous snapshots until the single publishing store.
+// Readers are unaffected throughout: they load the previous values until
+// each key's store. SnapshotView waits for the whole batch.
 func (db *DB) ApplyBatch(writes []Write) error {
 	_, err := db.apply(writes)
 	return err
@@ -126,79 +112,36 @@ func (db *DB) apply(writes []Write) (unbound int, err error) {
 		}
 	}
 
-	// Group the writes by shard, keeping slice order within each group.
-	hashes := make([]uint64, len(writes))
-	var byShard [numShards][]int
-	var touched []int
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	// Each touched key's final value, built over the batch's own overlay so
+	// later writes see earlier ones; an error returns with nothing stored.
+	final := make(map[string]membership.Membership, len(writes))
+	var created uint64
 	for i := range writes {
-		h := keyHash(writes[i].Key)
-		hashes[i] = h
-		si := int(h % numShards)
-		if byShard[si] == nil {
-			touched = append(touched, si)
+		w := &writes[i]
+		cur, seen := final[w.Key]
+		if !seen {
+			cur = db.load(w.Key)
 		}
-		byShard[si] = append(byShard[si], i)
-	}
-	// touched must be ascending for the deadlock-free lock order.
-	sort.Ints(touched)
-	for _, si := range touched {
-		db.shards[si].mu.Lock()
-	}
-	defer func() {
-		for _, si := range touched {
-			db.shards[si].mu.Unlock()
+		m, err := db.next(cur, w)
+		if err != nil {
+			return 0, err
 		}
-	}()
-
-	// Build every shard's successor map before publishing any of them: an
-	// error met while building aborts the whole batch with nothing
-	// published. A shard's builder is created by the first write that
-	// changes the shard, so one touched only by unbinds of absent keys
-	// copies nothing and publishes nothing.
-	builders := make([]*chunkBuilder[entry], len(touched))
-	for ti, si := range touched {
-		cur := db.shards[si].load().sets
-		var b *chunkBuilder[entry]
-		for _, wi := range byShard[si] {
-			w, h := &writes[wi], hashes[wi]
-			// Later writes observe earlier ones of the batch.
-			var e entry
-			var bound bool
-			if b != nil {
-				e, bound = b.get(h, w.Key)
-			} else {
-				e, bound = cur.get(h, w.Key)
-			}
-			e, bind, err := db.next(e, bound, w)
-			if err != nil {
-				return 0, err
-			}
-			if !bind && !bound {
-				continue
-			}
-			if b == nil {
-				b = newChunkBuilder(cur)
-			}
-			if bind {
-				b.set(h, w.Key, e)
-			} else {
-				b.delete(h, w.Key)
-				unbound++
-			}
+		if cur == nil && m != nil {
+			created++
 		}
-		builders[ti] = b
+		final[w.Key] = m
 	}
-
-	// Publish: one atomic store per changed shard.
-	var publishes, copied uint64
-	for ti, b := range builders {
-		if b != nil {
-			db.shards[touched[ti]].state.Store(&shardState{sets: b.freeze()})
-			publishes++
-			copied += b.bytes
+	for k, m := range final {
+		if m != nil {
+			db.sets.Store(k, m)
+		} else if _, was := db.sets.LoadAndDelete(k); was {
+			unbound++
 		}
 	}
-	db.recordWrites(uint64(len(writes)), publishes, copied)
+	db.gen.Add(created)
+	db.stateWrites.Add(uint64(len(writes)))
 	return unbound, nil
 }
 
@@ -221,7 +164,7 @@ func (db *DB) AddDynamic(key string, ids ...uint64) error {
 // RemoveDynamic removes one insertion of each id from the removable set
 // under key. The batch is all-or-nothing: removing an id that is not
 // currently a member is an error and leaves the whole set unchanged — no
-// partially-removed state is ever published. (The shared pruned tree
+// partially-removed state is ever stored. (The shared pruned tree
 // retains the id's range — tree occupancy is monotone — which affects only
 // performance, never correctness.)
 func (db *DB) RemoveDynamic(key string, ids ...uint64) error {

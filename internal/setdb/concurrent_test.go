@@ -1,8 +1,11 @@
 package setdb
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -306,16 +309,56 @@ func TestSampleMany(t *testing.T) {
 	}
 }
 
-// TestShardDistribution sanity-checks that the FNV sharding actually
-// spreads keys over multiple shards (a constant shardIndex would silently
-// serialize all writers again).
-func TestShardDistribution(t *testing.T) {
-	used := map[int]bool{}
-	for i := 0; i < 256; i++ {
-		used[shardIndex(string(rune('a'+i%26))+string(rune('0'+i%10)))] = true
+// TestSnapshotViewHoldsWholeBatches: a pin sees a batch whole or not at
+// all. Writers add one id to a<w> and b<w> in one batch while the loop pins
+// views and loads their bundles; each loaded pair must hold as many ids.
+// The WAL's snapshots rely on it: the seq a snapshot records must name
+// whole batches.
+func TestSnapshotViewHoldsWholeBatches(t *testing.T) {
+	db, err := Open(smallOptions())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(used) < numShards/2 {
-		t.Fatalf("only %d of %d shards used by 256 keys", len(used), numShards)
+	const writers, rounds = 4, 200
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	var done atomic.Bool
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				id := []uint64{uint64(w*rounds + i)}
+				err := db.ApplyBatch([]Write{
+					{Key: fmt.Sprintf("a%d", w), IDs: id, Dynamic: true},
+					{Key: fmt.Sprintf("b%d", w), IDs: id, Dynamic: true},
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	go func() { wg.Wait(); done.Store(true) }()
+	for pins := 0; !done.Load() || pins == 0; pins++ {
+		var buf bytes.Buffer
+		if _, err := db.SnapshotView().WriteBundleTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := ReadBundle(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < writers; w++ {
+			a, b := loaded.Membership(fmt.Sprintf("a%d", w)), loaded.Membership(fmt.Sprintf("b%d", w))
+			if (a == nil) != (b == nil) {
+				t.Fatalf("pin %d holds half a batch: a%d present %v, b%d present %v", pins, w, a != nil, w, b != nil)
+			}
+			if a != nil && a.Live() != b.Live() {
+				t.Fatalf("pin %d holds half a batch: a%d holds %d ids, b%d %d", pins, w, a.Live(), w, b.Live())
+			}
+		}
 	}
 }
 

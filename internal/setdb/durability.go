@@ -1,12 +1,12 @@
 package setdb
 
-// Durability primitives: a version-pinned SnapshotView over the shard
-// states, and the one on-disk form of a database — the self-delimiting
-// "bundle" that Save and Load, GET /v1/snapshot and POST /v1/restore, the
-// wire restore op and every snapshot of the durability layer (internal/wal)
-// read and write. Which leaves of a pruned tree exist is part of a
-// database's state (the filters do not say), so the bundle carries the sets
-// followed by the serialized BloomSampleTree:
+// Durability primitives: a version-pinned SnapshotView of the key map, and
+// the one on-disk form of a database — the self-delimiting "bundle" that
+// Save and Load, GET /v1/snapshot and POST /v1/restore, the wire restore op
+// and every snapshot of the durability layer (internal/wal) read and write.
+// Which leaves of a pruned tree exist is part of a database's state (the
+// filters do not say), so the bundle carries the sets followed by the
+// serialized BloomSampleTree:
 //
 //	magic    [7]byte "BSTBND1"
 //	sets     [6]byte "SETDB2"
@@ -37,7 +37,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/membership"
@@ -48,22 +49,47 @@ const (
 	dbMagic     = "SETDB2"
 )
 
-// SnapshotView is a cross-shard-consistent, immutable view of the
-// database's sets, pinned at construction. Serializing it never blocks
-// writers or readers: the pinned shard states are copy-on-write
-// snapshots, and on a pruned database the shared tree is monotone — it
-// only ever grows — so any tree state serialized at or after the pin
-// covers every id reachable through the pinned filters.
+// SnapshotView is an immutable view of the database's sets, pinned at
+// construction: every key's value between two batches, never inside one.
+// Serializing it never blocks writers or readers: the pinned values are
+// immutable, and on a pruned database the shared tree is monotone — it only
+// ever grows — so any tree state serialized at or after the pin covers every
+// id reachable through the pinned filters.
 type SnapshotView struct {
-	db     *DB
-	states [numShards]*shardState
+	db *DB
+	// plain and dynamic are the pinned sets, each sorted by key, split by
+	// capability into the format's two sections: the values that cannot
+	// remove ids, then those that can.
+	plain, dynamic []pinned
 }
 
-// SnapshotView pins a consistent view of the current sets. The pin
-// itself briefly holds every shard's writer mutex (pointer loads only);
-// everything after — including WriteBundleTo — runs lock-free.
+// pinned is one key and its value in a SnapshotView.
+type pinned struct {
+	key string
+	m   membership.Membership
+}
+
+// SnapshotView pins the current sets. It copies the key map under the
+// writer mutex, so writers wait for the copy (not for the sort after it, nor
+// for anything done with the view) and readers for nothing.
 func (db *DB) SnapshotView() *SnapshotView {
-	return &SnapshotView{db: db, states: db.snapshotAll()}
+	var sets []pinned
+	db.mu.Lock()
+	db.sets.Range(func(k, v any) bool {
+		sets = append(sets, pinned{k.(string), v.(membership.Membership)})
+		return true
+	})
+	db.mu.Unlock()
+	slices.SortFunc(sets, func(a, b pinned) int { return strings.Compare(a.key, b.key) })
+	v := &SnapshotView{db: db}
+	for _, s := range sets {
+		if _, ok := s.m.(membership.DynamicMembership); ok {
+			v.dynamic = append(v.dynamic, s)
+		} else {
+			v.plain = append(v.plain, s)
+		}
+	}
+	return v
 }
 
 // writeSets emits the bundle's sets: the SETDB2 magic, the header and the
@@ -76,36 +102,12 @@ func (v *SnapshotView) writeSets(w io.Writer) error {
 	if err := v.writeHeader(bw); err != nil {
 		return err
 	}
-	plain, dynamic := v.keys()
-	for _, keys := range [][]string{plain, dynamic} {
-		err := writeSection(bw, keys, func(k string) membership.Membership {
-			h := keyHash(k)
-			e, _ := v.states[h%numShards].sets.get(h, k)
-			return e.m
-		})
-		if err != nil {
+	for _, sets := range [][]pinned{v.plain, v.dynamic} {
+		if err := writeSection(bw, sets); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
-}
-
-// keys returns the pinned keys, each list sorted, split by capability into
-// the format's two sections: the keys whose values cannot remove ids, then
-// those whose values can.
-func (v *SnapshotView) keys() (plain, dynamic []string) {
-	for i := range v.states {
-		v.states[i].sets.rangeAll(func(k string, e entry) {
-			if _, ok := e.removable(); ok {
-				dynamic = append(dynamic, k)
-			} else {
-				plain = append(plain, k)
-			}
-		})
-	}
-	sort.Strings(plain)
-	sort.Strings(dynamic)
-	return plain, dynamic
 }
 
 // writeHeader emits the header fields after the SETDB2 magic.

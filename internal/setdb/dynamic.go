@@ -15,17 +15,20 @@ func (db *DB) ContainsDynamic(key string, id uint64) (bool, error) { return db.C
 //
 // Deprecated: kept for bench/.
 func (db *DB) SnapshotDynamic(key string) (*bloom.Filter, error) {
-	e, err := db.get(key)
+	m, err := db.get(key)
 	if err != nil {
 		return nil, err
 	}
-	return e.m.QueryView(), nil
+	return m.QueryView(), nil
 }
 
 // DynamicKeys returns the keys of the removable sets in sorted order.
 //
 // Deprecated: kept for bench/; use Keys.
 func (db *DB) DynamicKeys() []string {
-	_, dynamic := db.SnapshotView().keys()
-	return dynamic
+	var keys []string
+	for _, s := range db.SnapshotView().dynamic {
+		keys = append(keys, s.key)
+	}
+	return keys
 }

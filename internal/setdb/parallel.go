@@ -12,7 +12,7 @@ import (
 )
 
 // Batch read APIs. These exploit the wait-free read path: stored filters
-// are immutable versions published through atomic shard snapshots and
+// are immutable versions loaded from the key map without a lock and
 // the tree is never mutated in place, so concurrent requests draw without
 // a lock, each on its own goroutine with its own pooled sampleWorker, all
 // sharing the same stored filter and what is remembered about it: the
@@ -40,11 +40,11 @@ func (db *DB) SampleMany(key string, n int) ([]uint64, error) {
 	// versions that apply to the next batch, not halfway through this
 	// one). A missing key errors even for n <= 0, so the batch API
 	// always validates key existence.
-	e, err := db.get(key)
+	m, err := db.get(key)
 	if err != nil {
 		return nil, err
 	}
-	return db.sampleManyFilter(e.m.QueryView(), n, nil)
+	return db.sampleManyFilter(m.QueryView(), n, nil)
 }
 
 // SampleManyFrom draws n samples from one caller-held immutable filter

@@ -25,7 +25,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -58,7 +58,7 @@ type Options struct {
 	// write gets: counting, the one removable backend ("" means counting).
 	// Open checks the name with membership.ParseKind. A key created by a
 	// plain write is always Bloom-backed. The name is persisted in the
-	// bundle's header. Kept for bench/, which sets it (ROADMAP item 12(6)).
+	// bundle's header. Kept for bench/, which sets it (ROADMAP item 1).
 	Backend membership.Kind
 }
 
@@ -102,99 +102,45 @@ var ErrKeyClash = errors.New("setdb: key clash")
 // mistake, as opposed to an internal failure.
 var ErrOutOfRange = errors.New("setdb: id outside namespace")
 
-// numShards is the number of key shards the set map is split across.
-// Writers to different shards never contend; the count is an internal
-// constant (not persisted). It is sized generously for many-core
-// write-heavy workloads; the copy-on-write cost of a single write is
-// bounded separately by the chunked shard state (see chunked.go), which
-// splits each shard into occupancy-adaptive chunks and copies only one
-// of them.
-const numShards = 64
-
-// entry is one stored set, and everything the database keeps about its key:
-// the immutable membership value, replaced by every write. What reads learn
-// about a version of it hangs on that version's query view (core.Version) and
-// is garbage with it.
-//
-// The paper's motivating applications track communities whose membership
-// changes over time (§1), and a plain Bloom filter cannot forget a member.
-// A key created by a Dynamic write therefore holds a
-// membership.DynamicMembership — a counting Bloom filter (8-bit counters,
-// held as the plain filter's bits plus its counters of 2 or more) — and
-// every other key a plain Bloom filter.
-// That is the whole difference: queries run against the value's
-// point-in-time QueryView, which is compatible with the shared tree whatever
-// the backend, and mutations of either kind publish a fresh immutable value,
-// so readers (and any query view taken from a value) never observe a set
-// mid-update.
-type entry struct {
-	m membership.Membership
-}
-
-// removable returns the entry's value as a set ids can be removed from; ok
-// is false for a plain one. Removability is read off the stored value — no
-// field beside it could disagree with it.
-func (e entry) removable() (membership.DynamicMembership, bool) {
-	d, ok := e.m.(membership.DynamicMembership)
-	return d, ok
-}
-
-// shardState is the immutable snapshot of one shard: readers load it from
-// the shard's atomic pointer and never lock. The chunked map (and every
-// membership value it reaches) is frozen once published; a writer builds
-// the next snapshot by cloning the chunk table and only the chunks it
-// modifies (see chunked.go) and publishes it with a single store. An
-// untouched chunk is carried over by reference, so the copied volume of one
-// write is O(keys/chunk), not O(keys/shard).
-type shardState struct {
-	sets chunkedMap[entry]
-}
-
-// shard is one slice of the key space: an atomically swapped immutable
-// snapshot plus a small mutex that serializes the shard's writers (and
-// only them — readers never touch it).
-type shard struct {
-	mu    sync.Mutex
-	state atomic.Pointer[shardState]
-}
-
-// load returns the shard's current snapshot.
-func (s *shard) load() *shardState { return s.state.Load() }
-
 // DB is a keyed collection of Bloom-filter-encoded sets over one shared
 // namespace and one shared BloomSampleTree.
 //
-// DB is safe for concurrent use, and the read path is wait-free: every
-// operation that evaluates a stored filter (Sample, SampleN, Reconstruct,
-// Contains, IntersectionEstimate, …) loads an immutable shard snapshot
-// through an atomic pointer and touches no lock, so readers never block —
-// not on each other, and not on writers, even under a 100% write mix.
-// Writers are copy-on-write and there is one write path (ApplyBatch, see
-// batch.go; Add, Delete and the rest are its single-write forms): it
-// serializes briefly on the mutexes of the shards it touches, builds their
-// successor snapshots (cloning only the values it changes and the chunks
-// of the shard's chunked key map holding their keys) and publishes each
-// with one atomic store, however many writes of the batch landed in the
-// shard; on a pruned database the shared tree grows under its own lock
-// (core.Tree.InsertBatch), which readers never take, before the new filter
-// becomes visible, so a published set is always coverable by the tree.
+// A key's value is its membership value and nothing else: a plain Bloom
+// filter, or, for a key created by a Dynamic write, a
+// membership.DynamicMembership — a counting Bloom filter (8-bit counters,
+// held as the plain filter's bits plus its counters of 2 or more), because
+// the paper's motivating applications track communities whose membership
+// changes over time (§1) and a plain Bloom filter cannot forget a member.
+// Values are immutable: every write stores a fresh one, and what reads learn
+// about a version hangs on that version's query view (core.Version) and is
+// garbage with it.
 //
-// SampleMany (parallel.go) exploits these guarantees: a batch draws on its
-// caller's goroutine, without a lock, however many callers draw at once.
+// DB is safe for concurrent use, and no read takes the writer mutex: every
+// operation that evaluates a stored filter (Sample, SampleN, Reconstruct,
+// Contains, IntersectionEstimate, …) loads the key's immutable value from
+// one sync.Map, so readers never wait on each other or on a write being
+// built. There is one write path (ApplyBatch, see batch.go; Add, Delete
+// and the rest are its single-write forms): it grows a pruned database's
+// tree before anything is visible, so a stored set is always coverable by
+// the tree, then builds every touched key's next value under one writer
+// mutex and stores them. SnapshotView takes the same mutex to copy the
+// key map, so a pin sees whole batches; a plain reader may see a
+// multi-key batch's keys change one at a time.
+//
+// SampleMany (parallel.go) draws a batch on its caller's goroutine, without
+// a lock, however many callers draw at once.
 type DB struct {
-	opts   Options
-	fam    hashfam.Family
-	tree   *core.Tree
-	gen    atomic.Uint64 // key lifetimes ever created (see Stats)
-	shards [numShards]shard
+	opts Options
+	fam  hashfam.Family
+	tree *core.Tree
 
-	// Write-amplification accounting (see Stats): logical write
-	// operations applied, snapshot publishes performed (fewer than
-	// stateWrites when group commit folds a batch into one publish), and
-	// the estimated bytes copied building successor snapshots.
-	stateWrites    atomic.Uint64
-	statePublishes atomic.Uint64
-	stateBytes     atomic.Uint64
+	// sets maps each key to its membership.Membership. mu is held by every
+	// writer and by SnapshotView, never by a reader.
+	sets sync.Map
+	mu   sync.Mutex
+
+	gen         atomic.Uint64 // key lifetimes ever created (see Stats)
+	stateWrites atomic.Uint64 // writes applied (see Stats)
 
 	// lostDraws counts batch draws that ended on a false-positive path
 	// and returned nothing (see Stats).
@@ -207,14 +153,6 @@ type DB struct {
 	// were picks from a filter version's positives and those that were
 	// descents of the tree (see Stats).
 	drawsWarm, drawsDescended atomic.Uint64
-}
-
-// recordWrites accumulates write-amplification accounting for one
-// publish-side operation.
-func (db *DB) recordWrites(writes, publishes, bytes uint64) {
-	db.stateWrites.Add(writes)
-	db.statePublishes.Add(publishes)
-	db.stateBytes.Add(bytes)
 }
 
 // Open creates an empty database with the given options.
@@ -249,31 +187,23 @@ func Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{opts: opts, fam: fam, tree: tree}
-	empty := &shardState{}
-	for i := range db.shards {
-		db.shards[i].state.Store(empty)
-	}
-	return db, nil
+	return &DB{opts: opts, fam: fam, tree: tree}, nil
 }
 
-// shardFor returns the shard responsible for key together with the key's
-// hash, which the chunked shard state reuses for chunk addressing.
-func (db *DB) shardFor(key string) (*shard, uint64) {
-	h := keyHash(key)
-	return &db.shards[h%numShards], h
+// load is the lookup under every read and write: the value stored under
+// key, or nil.
+func (db *DB) load(key string) membership.Membership {
+	v, _ := db.sets.Load(key)
+	m, _ := v.(membership.Membership)
+	return m
 }
 
-// get is the lock-free lookup under every read: one hash, one atomic
-// snapshot load, one chunk map lookup, zero allocations for a present key.
-// An absent key is an error wrapping ErrNoSet.
-func (db *DB) get(key string) (entry, error) {
-	s, h := db.shardFor(key)
-	e, ok := s.load().sets.get(h, key)
-	if !ok {
-		return entry{}, fmt.Errorf("%w %q", ErrNoSet, key)
+// get is load for a query: an absent key is an error wrapping ErrNoSet.
+func (db *DB) get(key string) (membership.Membership, error) {
+	if m := db.load(key); m != nil {
+		return m, nil
 	}
-	return e, nil
+	return nil, fmt.Errorf("%w %q", ErrNoSet, key)
 }
 
 // newDynamic creates a removable set on the database's configured
@@ -290,23 +220,16 @@ func (db *DB) Options() Options { return db.opts }
 func (db *DB) Tree() *core.Tree { return db.tree }
 
 // Len returns the number of stored sets, of either kind.
-func (db *DB) Len() int {
-	n := 0
-	for i := range db.shards {
-		n += db.shards[i].load().sets.len()
-	}
-	return n
-}
+func (db *DB) Len() int { return len(db.Keys()) }
 
 // Keys returns the keys of all stored sets, of either kind, in sorted order.
 func (db *DB) Keys() []string {
 	var keys []string
-	for i := range db.shards {
-		db.shards[i].load().sets.rangeAll(func(k string, _ entry) {
-			keys = append(keys, k)
-		})
-	}
-	sort.Strings(keys)
+	db.sets.Range(func(k, _ any) bool {
+		keys = append(keys, k.(string))
+		return true
+	})
+	slices.Sort(keys)
 	return keys
 }
 
@@ -329,48 +252,41 @@ func (db *DB) validateIDs(ids []uint64) error {
 // keep reading. A removable key's view is the projection of its counters, so
 // a removed id answers only as a false positive of what is left.
 func (db *DB) Filter(key string) *bloom.Filter {
-	e, err := db.get(key)
-	if err != nil {
-		return nil
+	if m := db.load(key); m != nil {
+		return m.QueryView()
 	}
-	return e.m.QueryView()
+	return nil
 }
 
 // Membership returns the stored membership value for key (nil if
 // absent), exposing the backend-native probe surface.
-func (db *DB) Membership(key string) membership.Membership {
-	e, err := db.get(key)
-	if err != nil {
-		return nil
-	}
-	return e.m
-}
+func (db *DB) Membership(key string) membership.Membership { return db.load(key) }
 
 // Contains reports whether id answers positively for the set under key.
 func (db *DB) Contains(key string, id uint64) (bool, error) {
-	e, err := db.get(key)
+	m, err := db.get(key)
 	if err != nil {
 		return false, err
 	}
-	return e.m.Contains(id), nil
+	return m.Contains(id), nil
 }
 
 // Sample draws one element from the set under key using BSTSample.
 func (db *DB) Sample(key string, rng *rand.Rand, ops *core.Ops) (uint64, error) {
-	e, err := db.get(key)
+	m, err := db.get(key)
 	if err != nil {
 		return 0, err
 	}
-	return db.tree.Sample(e.m.QueryView(), rng, ops)
+	return db.tree.Sample(m.QueryView(), rng, ops)
 }
 
 // SampleN draws r elements in a single tree pass (§5.3).
 func (db *DB) SampleN(key string, r int, withReplacement bool, rng *rand.Rand, ops *core.Ops) ([]uint64, error) {
-	e, err := db.get(key)
+	m, err := db.get(key)
 	if err != nil {
 		return nil, err
 	}
-	return db.tree.SampleN(e.m.QueryView(), r, withReplacement, rng, ops)
+	return db.tree.SampleN(m.QueryView(), r, withReplacement, rng, ops)
 }
 
 // Reconstruct returns the set stored under key by §6's walk under rule
@@ -378,16 +294,16 @@ func (db *DB) SampleN(key string, r int, withReplacement bool, rng *rand.Rand, o
 // if non-nil. What a server answers with is the version's table
 // (PositivesFrom).
 func (db *DB) Reconstruct(key string, rule core.PruneRule, ops *core.Ops) ([]uint64, error) {
-	e, err := db.get(key)
+	m, err := db.get(key)
 	if err != nil {
 		return nil, err
 	}
-	return db.tree.Reconstruct(e.m.QueryView(), rule, ops)
+	return db.tree.Reconstruct(m.QueryView(), rule, ops)
 }
 
 // IntersectionEstimate estimates |A ∩ B| for two stored sets. The two
-// shard snapshots are loaded independently (no locks, so no ordering
-// concerns); each filter is an immutable point-in-time version.
+// values are loaded independently (no locks, so no ordering concerns);
+// each filter is an immutable point-in-time version.
 func (db *DB) IntersectionEstimate(keyA, keyB string) (float64, error) {
 	a, err := db.get(keyA)
 	if err != nil {
@@ -397,39 +313,23 @@ func (db *DB) IntersectionEstimate(keyA, keyB string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return bloom.EstimateIntersectionOf(a.m.QueryView(), b.m.QueryView()), nil
-}
-
-// snapshotAll captures a cross-shard-consistent view of the database by
-// briefly holding every shard's writer mutex while loading the snapshots.
-// Readers are unaffected; writers wait only for the pointer loads.
-func (db *DB) snapshotAll() [numShards]*shardState {
-	var states [numShards]*shardState
-	for i := range db.shards {
-		db.shards[i].mu.Lock()
-	}
-	for i := range db.shards {
-		states[i] = db.shards[i].load()
-	}
-	for i := range db.shards {
-		db.shards[i].mu.Unlock()
-	}
-	return states
+	return bloom.EstimateIntersectionOf(a.QueryView(), b.QueryView()), nil
 }
 
 // writeSection serializes one keyed section (plain or dynamic): a count,
 // then sorted key/envelope pairs.
-func writeSection(bw *bufio.Writer, keys []string, lookup func(string) membership.Membership) error {
+func writeSection(bw *bufio.Writer, sets []pinned) error {
 	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(keys)))
+	binary.LittleEndian.PutUint32(cnt[:], uint32(len(sets)))
 	if _, err := bw.Write(cnt[:]); err != nil {
 		return err
 	}
-	for _, k := range keys {
+	for _, s := range sets {
+		k := s.key
 		if len(k) > 1<<16-1 {
 			return fmt.Errorf("setdb: key %.20q... too long", k)
 		}
-		data, err := lookup(k).MarshalBinary()
+		data, err := s.m.MarshalBinary()
 		if err != nil {
 			return err
 		}
@@ -502,13 +402,11 @@ func parse(br *bufio.Reader) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Accumulate per-shard builders and publish each snapshot once, so
-	// the load is O(keys), not O(keys × shard size). Both sections load
-	// into the one map under the invariants the write path keeps: a key is
-	// bound once, and only a dynamic-section value can remove ids (a
-	// counting envelope in the plain section would otherwise load as a
-	// removable key no write had created as one).
-	var sets [numShards]*chunkBuilder[entry]
+	// Both sections load into the one map under the invariants the write
+	// path keeps: a key is bound once, and only a dynamic-section value can
+	// remove ids (a counting envelope in the plain section would otherwise
+	// load as a removable key no write had created as one). No other
+	// goroutine holds the database yet, so nothing is locked.
 	for _, section := range []string{"plain", "dynamic"} {
 		removable := section == "dynamic"
 		err := readSection(br, func(key string, data []byte) error {
@@ -522,25 +420,14 @@ func parse(br *bufio.Reader) (*DB, error) {
 			if err := membership.MatchesFamily(m, db.fam); err != nil {
 				return fmt.Errorf("setdb: %s set %q: %w", section, key, err)
 			}
-			h := keyHash(key)
-			si := int(h % numShards)
-			if sets[si] == nil {
-				sets[si] = newChunkBuilder(chunkedMap[entry]{})
-			}
-			if _, dup := sets[si].get(h, key); dup {
+			if _, dup := db.sets.LoadOrStore(key, m); dup {
 				return fmt.Errorf("setdb: %s set %q: key appears twice in the file", section, key)
 			}
 			db.gen.Add(1)
-			sets[si].set(h, key, entry{m: m})
 			return nil
 		})
 		if err != nil {
 			return nil, err
-		}
-	}
-	for i := range db.shards {
-		if sets[i] != nil {
-			db.shards[i].state.Store(&shardState{sets: sets[i].freeze()})
 		}
 	}
 	return db, nil
