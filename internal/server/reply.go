@@ -7,17 +7,15 @@ package server
 // per table of positives and kept beside it (rendering): an HTTP
 // reconstruction is its head from the buffer, then the table's kept bytes as
 // they are, behind one Content-Length. The JSON documents that carry ids and
-// the NDJSON lines are appended by hand: a sample's ids, random draws, each
-// written once by appendUint; a reconstruction's, which ascend, from the high
-// digits they share with their neighbours (appendAscendingIDs). Everything
-// else that is JSON — stats, acks, errors — goes through encoding/json into
-// the same buffer. The hand-written bytes are encoding/json's, which
+// the NDJSON lines are appended by hand: every id by strconv.AppendUint,
+// alone on an NDJSON line or in an array by appendIDs, which writes a sample
+// reply's ids and a table's first rendering alike. Everything else that is
+// JSON — stats, acks, errors — goes through encoding/json into the same
+// buffer. The hand-written bytes are encoding/json's, which
 // TestReplyJSONIsEncodingJSON and FuzzReplyJSON hold them to.
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"math/bits"
 	"slices"
 	"strconv"
 	"sync"
@@ -86,7 +84,11 @@ func renderingOf(p *core.Positives) *rendering {
 // array — [] when there are none — and the } and newline that close it.
 func (r *rendering) jsonTail() []byte {
 	r.jsonOnce.Do(func() {
-		r.json = keep(func(dst []byte) []byte { return append(appendAscendingIDs(dst, r.ids()), "}\n"...) })
+		ids := r.ids()
+		if ids == nil {
+			ids = []uint64{} // no ids are [], not appendIDs' null
+		}
+		r.json = keep(func(dst []byte) []byte { return append(appendIDs(dst, ids), "}\n"...) })
 	})
 	return r.json
 }
@@ -143,7 +145,7 @@ func (rb *replyBuf) appendJSON(v any) (tail []byte, err error) {
 func (rb *replyBuf) appendIDLines(ids []uint64) {
 	for _, id := range ids {
 		rb.b = append(rb.b, `{"id":`...)
-		rb.b = appendUint(rb.b, id)
+		rb.b = strconv.AppendUint(rb.b, id, 10)
 		rb.b = append(rb.b, "}\n"...)
 	}
 }
@@ -182,97 +184,7 @@ func appendIDs(dst []byte, ids []uint64) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendUint(dst, id)
+		dst = strconv.AppendUint(dst, id, 10)
 	}
 	return append(dst, ']')
 }
-
-// appendAscendingIDs appends ids as appendIDs does a non-nil slice, byte for
-// byte — [] when there are none — in any order, and is fast when neighbours
-// share their high digits, as a reconstruction's ascending ids do (≈ 90
-// apart at the planned sizes, so some 110 in a row agree on all but the last
-// four). An id v in [10⁴, 10¹¹) is its head, h = v / 10⁴, and a four-digit
-// tail. The separator and h's digits — eight bytes at most — are kept as one
-// little-endian word and rendered again only when h changes; an id in
-// [base, base + 10⁴), where base = 10⁴h, writes that word and its tail, two
-// lookups in tailPairs, as one 8-byte and one 4-byte store. Any other id is
-// appendUint's.
-func appendAscendingIDs(dst []byte, ids []uint64) []byte {
-	if len(ids) == 0 {
-		return append(dst, "[]"...)
-	}
-	dst = appendUint(append(dst, '['), ids[0])
-	// Start from the head of h = 1: a real one, so the span test needs no
-	// case for "no head yet".
-	base, head, headLen := uint64(1e4), uint64(',')|'1'<<8, 2
-	for _, v := range ids[1:] {
-		r := v - base
-		if r >= 1e4 {
-			if v < 1e4 || v >= 1e11 {
-				dst = appendUint(append(dst, ','), v)
-				continue
-			}
-			h := v / 1e4
-			base, r = h*1e4, v%1e4
-			var b [8]byte
-			headLen = len(appendUint(append(b[:0], ','), h))
-			head = binary.LittleEndian.Uint64(b[:])
-		}
-		i := len(dst)
-		dst = slices.Grow(dst, 12)[:i+12]
-		binary.LittleEndian.PutUint64(dst[i:], head)
-		i += headLen
-		binary.LittleEndian.PutUint32(dst[i:], uint32(tailPairs[r/100])|uint32(tailPairs[r%100])<<16)
-		dst = dst[:i+4]
-	}
-	return append(dst, ']')
-}
-
-// tailPairs is digitPairs as little-endian words: 00 to 99, two bytes each.
-var tailPairs = func() (t [100]uint16) {
-	for i := range t {
-		t[i] = uint16(digitPairs[2*i]) | uint16(digitPairs[2*i+1])<<8
-	}
-	return t
-}()
-
-// appendUint appends v in decimal: the number is sized first and its digits
-// stored straight into dst, two at a time from the right, so an id is written
-// once — strconv formats into a temporary and copies it.
-func appendUint(dst []byte, v uint64) []byte {
-	// ⌊log₁₀⌋ is one of two neighbours given the bit length (1233/4096 ≈
-	// log₁₀ 2); the table says which. v|1 has v's digits and spares 0 a case.
-	n := bits.Len64(v|1) * 1233 >> 12
-	if v|1 >= pow10[n] {
-		n++
-	}
-	i := len(dst) + n
-	dst = slices.Grow(dst, n)[:i]
-	for v >= 100 {
-		q := v / 100
-		r := 2 * (v - 100*q)
-		i -= 2
-		dst[i], dst[i+1] = digitPairs[r], digitPairs[r+1]
-		v = q
-	}
-	if v >= 10 {
-		dst[i-2], dst[i-1] = digitPairs[2*v], digitPairs[2*v+1]
-	} else {
-		dst[i-1] = '0' + byte(v)
-	}
-	return dst
-}
-
-var pow10 = [20]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
-
-const digitPairs = "00010203040506070809" +
-	"10111213141516171819" +
-	"20212223242526272829" +
-	"30313233343536373839" +
-	"40414243444546474849" +
-	"50515253545556575859" +
-	"60616263646566676869" +
-	"70717273747576777879" +
-	"80818283848586878889" +
-	"90919293949596979899"

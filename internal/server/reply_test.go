@@ -103,13 +103,13 @@ func idRun(first uint64, n int, gap uint64) []uint64 {
 	return ids
 }
 
-// ascendingIDLists are the lists a reconstruction's writer keeps a head for:
-// runs of gap 1 across every change in the head's digit count, 10⁴ to 10¹⁰,
-// and across 10¹¹ and 10¹², where ids leave for appendUint; runs across the
-// 10⁴ boundaries of heads of every length, of gap 1 and 7; ids 90 apart from
-// 0, as a reconstruction's are; gaps of 9 999, 10⁴ and 10 007, a new head
-// almost every id; every id of replyIDs in order; and all of them together,
-// then descending.
+// ascendingIDLists are ascending lists, as a reconstruction's are, that
+// change their digit count and cross 10⁴ boundaries: runs of gap 1 across
+// every digit-count change from 10⁴ to 10¹²; runs of gap 1 and 7 across the
+// 10⁴ multiples of numbers of one to seven digits; ids 90 apart from 0, as a
+// reconstruction's are; gaps of 9 999, 10⁴ and 10 007, which cross a 10⁴
+// boundary almost every id; every id of replyIDs in order; and all of them
+// together, then descending.
 func ascendingIDLists() [][]uint64 {
 	var lists [][]uint64
 	for p := uint64(1e4); p <= 1e12; p *= 10 {
@@ -130,12 +130,12 @@ func ascendingIDLists() [][]uint64 {
 	return append(lists, all, descending)
 }
 
-// tableDB is a pruned database over [0, 2⁴⁰) whose keys' tables hold the
-// shapes a reconstruction's writer has a case for: "empty", a removable key
-// whose one id was removed again, so that its version answers for no id of
-// the leaf left behind; "one", one id; "small", ids below 10⁴; "crossing",
-// runs across the 10⁴ boundaries of heads of one to seven digits; and
-// "huge", ids about 10¹¹ and above 10¹². It returns the ids each key stores.
+// tableDB is a pruned database over [0, 2⁴⁰) whose keys' tables hold real
+// tables of every shape a reply is held to: "empty", a removable key whose
+// one id was removed again, so that its version answers for no id of the
+// leaf left behind; "one", one id; "small", ids below 10⁴; "crossing", runs
+// across the 10⁴ multiples of numbers of one to seven digits; and "huge", ids
+// about 10¹¹ and above 10¹². It returns the ids each key stores.
 func tableDB(t testing.TB) (*setdb.DB, map[string][]uint64) {
 	t.Helper()
 	db, err := setdb.Open(setdb.Options{Namespace: 1 << 40, Bits: 1 << 12, K: 3, TreeDepth: 30, Pruned: true, Seed: 5})
@@ -173,12 +173,12 @@ func tableDB(t testing.TB) (*setdb.DB, map[string][]uint64) {
 // half of the reply buffer: the JSON documents that carry ids and the three
 // NDJSON lines are, byte for byte and newline included, what encoding/json
 // writes for the same values — nil ids as null, no ids as [], every key it
-// escapes, ids of every decimal length, and the lists a reconstruction
-// writes from its neighbours' digits (ascendingIDLists). A reconstruction is
-// held to it as it is sent: the head from the reply buffer, then its table's
-// kept rendering, behind one Content-Length — and for real tables
-// (tableDB), down to the wire body and the reply the server sends, whose
-// empty table is "ids":[], never null.
+// escapes, ids of every decimal length, and ascending lists that change
+// their digit count and cross 10⁴ boundaries (ascendingIDLists). A
+// reconstruction is held to it as it is sent: the head from the reply
+// buffer, then its table's kept rendering, behind one Content-Length — and
+// for real tables (tableDB), down to the wire body and the reply the server
+// sends, whose empty table is "ids":[], never null.
 func TestReplyJSONIsEncodingJSON(t *testing.T) {
 	ids := replyIDs()
 	for n := uint64(1); n <= 20; n++ {
@@ -283,9 +283,9 @@ func TestReplyJSONIsEncodingJSON(t *testing.T) {
 // its second argument read eight bytes at a time, then shortened to every
 // decimal length — as they come, sorted, and as a run that starts at the
 // first of them cut below 10¹² and climbs by every byte of the argument, so
-// that neighbours share a head as a reconstruction's ids do. A
-// reconstruction is written as the server sends one: its head, then the
-// rendering of a table holding the list.
+// that neighbours are close and cross digit counts and 10⁴ boundaries as a
+// reconstruction's ids do. A reconstruction is written as the server sends
+// one: its head, then the rendering of a table holding the list.
 func FuzzReplyJSON(f *testing.F) {
 	for _, key := range replyKeys {
 		f.Add([]byte(key), []byte{})
@@ -495,8 +495,8 @@ func TestUndeliveredReplyIsCounted(t *testing.T) {
 // a 64-id batch and a reconstruction of the batch shape (ids ≈ 90 apart
 // below 10⁶) — and on the reconstruction of batchShapeDB's "big" itself
 // (table=big), and on 64 and 11 100 ids in random order as a sample's
-// (shuffled=N), which the reconstruction's writer would be slower on. A
-// reconstruction's append is its table's first: the rendering made afresh.
+// (shuffled=N). A reconstruction's append is its table's first: the
+// rendering made afresh.
 // Run with -benchmem.
 func BenchmarkReplyJSON(b *testing.B) {
 	type shape struct {

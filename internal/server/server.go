@@ -16,9 +16,10 @@
 //     slow-request log).
 //   - two codecs that decode, call the operation and encode: HTTP/JSON
 //     (this file) and the binary wire protocol (binary.go, internal/wire).
-//     Both build a reply in the one pooled buffer of reply.go and send it
-//     in one Write, but for a reconstruction's ids, which are rendered once
-//     per table and kept beside it.
+//     Both build a reply in the one pooled buffer of reply.go, every JSON
+//     id array by one writer (appendIDs), and send it in one Write, but for
+//     a reconstruction's ids, which are rendered once per table and kept
+//     beside it.
 //
 // HTTP endpoints (JSON bodies unless noted):
 //

@@ -785,25 +785,30 @@ func (s *Store) writeSnapshotFiles(idx uint64, view *setdb.SnapshotView, seq uin
 }
 
 // prune removes segments and snapshots below keepIdx, best-effort (a
-// leftover file is reclaimed by the next prune). It returns the number
-// of segments removed.
+// leftover file is reclaimed by the next prune). A snapshot's files include
+// what a crash leaves of one: a .meta without its .snap, and either one's
+// .tmp. None below keepIdx is being written: snapMu serialises snapshots
+// and restores, and a write in flight is at keepIdx or above. It returns the
+// number of segments removed.
 func (s *Store) prune(keepIdx uint64) int {
-	segs, snaps, err := s.scanDir()
+	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return 0
 	}
 	removed := 0
-	for _, idx := range segs {
-		if idx < keepIdx {
-			if os.Remove(filepath.Join(s.dir, segmentName(idx))) == nil {
+	for _, e := range entries {
+		name := e.Name()
+		var idx uint64
+		switch {
+		case matchIndexed(name, "wal-", ".log", &idx):
+			if idx < keepIdx && os.Remove(filepath.Join(s.dir, name)) == nil {
 				removed++
 			}
-		}
-	}
-	for _, idx := range snaps {
-		if idx < keepIdx {
-			os.Remove(filepath.Join(s.dir, snapshotName(idx)))
-			os.Remove(filepath.Join(s.dir, metaName(idx)))
+		case matchIndexed(name, "snap-", ".snap", &idx), matchIndexed(name, "snap-", ".meta", &idx),
+			matchIndexed(name, "snap-", ".snap.tmp", &idx), matchIndexed(name, "snap-", ".meta.tmp", &idx):
+			if idx < keepIdx {
+				os.Remove(filepath.Join(s.dir, name))
+			}
 		}
 	}
 	return removed

@@ -7,6 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/membership"
@@ -521,6 +524,110 @@ func TestSegmentRotationAndSnapshotPrune(t *testing.T) {
 	defer s2.Close()
 	if got := bundleBytes(t, s2.DB()); !bytes.Equal(got, want) {
 		t.Fatal("recovered state differs after rotation + snapshot + prune")
+	}
+}
+
+// TestCrashBetweenSnapshotRenames boots the directory a crash leaves when a
+// snapshot dies between its two renames: the previous snapshot, its
+// segments of acknowledged records, the segment the snapshot rotated to
+// (which acknowledged more), the new snapshot's meta renamed into place and
+// its bundle half written under the temp name. The store boots from the
+// previous snapshot, replays every record since it, answers every
+// acknowledged write, and the next snapshot leaves no file below its index.
+func TestCrashBetweenSnapshotRenames(t *testing.T) {
+	opts := testOptions(t, membership.KindCounting)
+	dir := t.TempDir()
+	// Tiny segment budget: every batch rotates.
+	s, err := Open(dir, freshFunc(t, opts), Options{SegmentBytes: 64})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	batches := testBatches()
+	apply := func(bs [][]setdb.Write) {
+		for _, b := range bs {
+			if err := s.Apply(b); err != nil {
+				t.Fatalf("Apply: %v", err)
+			}
+		}
+	}
+	apply(batches[:5])
+	prev, err := s.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	apply(batches[5:12])
+
+	// The crashing snapshot: it rotates, renames its meta into place and
+	// dies writing its bundle, while acknowledged writes go on.
+	s.mu.Lock()
+	seq := s.seq
+	if err := s.rotateLocked(); err != nil {
+		t.Fatalf("rotate: %v", err)
+	}
+	idx := s.activeIdx
+	s.mu.Unlock()
+	if err := os.WriteFile(filepath.Join(dir, metaName(idx)), []byte(fmt.Sprintf(`{"seq":%d}`, seq)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bundle := bundleBytes(t, s.DB())
+	if err := os.WriteFile(filepath.Join(dir, snapshotName(idx)+".tmp"), bundle[:len(bundle)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	apply(batches[12:])
+	want := bundleBytes(t, s.DB())
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	s2, err := Open(dir, freshFunc(t, opts), Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	since := uint64(len(batches) - 5)
+	if st := s2.Stats(); st.LastSnapshotSeq != prev.Seq || st.ReplayedAtBoot != since || st.SkippedAtBoot != 0 {
+		t.Fatalf("booted from the snapshot of seq %d, replaying %d and skipping %d; want seq %d and %d replayed",
+			st.LastSnapshotSeq, st.ReplayedAtBoot, st.SkippedAtBoot, prev.Seq, since)
+	}
+	if got := bundleBytes(t, s2.DB()); !bytes.Equal(got, want) {
+		t.Fatal("recovered state differs from the acknowledged one")
+	}
+	type member struct {
+		key string
+		id  uint64
+	}
+	removed := map[member]bool{} // every id written, and whether a write removed it
+	for _, w := range slices.Concat(batches...) {
+		for _, id := range w.IDs {
+			removed[member{w.Key, id}] = removed[member{w.Key, id}] || w.Remove
+		}
+	}
+	for m, gone := range removed {
+		if ok, err := s2.DB().Contains(m.key, m.id); !gone && !ok {
+			t.Fatalf("acknowledged id %d of %q does not answer (%v)", m.id, m.key, err)
+		}
+	}
+
+	next, err := s2.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	index := func(name string) uint64 { // wal-00000007.log, snap-00000007.meta.tmp: 7
+		_, digits, _ := strings.Cut(name, "-")
+		n, err := strconv.ParseUint(digits[:min(8, len(digits))], 10, 64)
+		if err != nil {
+			t.Fatalf("%s in the data directory: %v", name, err)
+		}
+		return n
+	}
+	for _, e := range entries {
+		if index(e.Name()) < index(next.File) {
+			t.Errorf("%s survived the snapshot %s", e.Name(), next.File)
+		}
 	}
 }
 
