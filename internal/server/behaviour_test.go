@@ -19,13 +19,14 @@ import (
 // operation layer's contract (ops.go); the two drivers below only say
 // how the same request is framed — an HTTP POST whose answer is a
 // status, a wire.Client call whose answer is an ErrorResult code (the
-// numbers are shared). Codec-only behaviour (malformed JSON, 405s,
-// unknown opcodes, frame limits) stays in TestErrorPaths and the
-// TestBinary* tests.
+// numbers are shared). The snapshot and restore rows run over HTTP only:
+// the binary protocol has no opcode for them. Codec-only behaviour
+// (malformed JSON, 405s, unknown opcodes, frame limits) stays in
+// TestErrorPaths and the TestBinary* tests.
 
 // behaviourCall is one request, described without a framing.
 type behaviourCall struct {
-	op      string // sample, stream, reconstruct, intersection, add, remove, snapshot, restore
+	op      string // sample, stream, reconstruct, intersection, add, remove; snapshot, restore (HTTP only)
 	key     string
 	keyB    string // intersection only
 	n       int
@@ -179,8 +180,10 @@ type behaviourDriver func(t *testing.T, row int, c behaviourCall) int
 
 // runBehaviourSuite serves the shared fixture (plus "dyn2", a dynamic
 // set the remove row may shrink, and "brim", the set that straddles the
-// reconstruction cap) through driver and checks every row.
-func runBehaviourSuite(t *testing.T, db *setdb.DB, driver behaviourDriver) {
+// reconstruction cap) through driver and checks every row whose operation
+// the driver can frame: all of them over HTTP, all but snapshot and
+// restore otherwise.
+func runBehaviourSuite(t *testing.T, db *setdb.DB, overHTTP bool, driver behaviourDriver) {
 	if err := db.AddDynamic("dyn2", 7, 8, 9); err != nil {
 		t.Fatal(err)
 	}
@@ -192,6 +195,9 @@ func runBehaviourSuite(t *testing.T, db *setdb.DB, driver behaviourDriver) {
 		t.Fatal(err)
 	}
 	for i, row := range behaviourRows {
+		if !overHTTP && (row.call.op == "snapshot" || row.call.op == "restore") {
+			continue
+		}
 		t.Run(row.name, func(t *testing.T) {
 			if got := driver(t, i, row.call); got != row.want {
 				t.Fatalf("%+v: status %d, want %d", row.call, got, row.want)
@@ -208,7 +214,7 @@ func runBehaviourSuite(t *testing.T, db *setdb.DB, driver behaviourDriver) {
 // body and in the response header.
 func TestHTTPErrorMapping(t *testing.T) {
 	ts, db := newTestServer(t, behaviourLimits)
-	runBehaviourSuite(t, db, func(t *testing.T, row int, c behaviourCall) int {
+	runBehaviourSuite(t, db, true, func(t *testing.T, row int, c behaviourCall) int {
 		var path string
 		var body any
 		switch c.op {
@@ -273,7 +279,7 @@ func postWithID(t *testing.T, ts *httptest.Server, path string, payload []byte, 
 func TestBinaryErrorMapping(t *testing.T) {
 	s, addr := newBinaryTestServer(t, behaviourLimits)
 	c := dialTestClient(t, addr)
-	runBehaviourSuite(t, s.DB(), func(t *testing.T, _ int, call behaviourCall) int {
+	runBehaviourSuite(t, s.DB(), false, func(t *testing.T, _ int, call behaviourCall) int {
 		opts := wire.SampleOpts{Dynamic: call.dynamic, Uniform: call.uniform}
 		var err error
 		switch call.op {
@@ -296,10 +302,6 @@ func TestBinaryErrorMapping(t *testing.T) {
 			_, err = c.Add(sets...)
 		case "remove":
 			_, err = c.Remove(call.key, call.ids)
-		case "snapshot":
-			_, err = c.Snapshot()
-		case "restore":
-			_, err = c.Restore(call.bundle)
 		}
 		var er wire.ErrorResult
 		switch {

@@ -1,12 +1,15 @@
 package server
 
 // The binary listener and codec: the compact wire protocol
-// (internal/wire) served next to the HTTP/JSON API, over the same
-// operations (ops.go), the same endpoint table and the same admission
+// (internal/wire) served next to the HTTP/JSON API for the data plane —
+// sampling, reconstruction, intersection estimates and writes — over the
+// same operations (ops.go), the same endpoint table and the same admission
 // gates. The protocol exists because the serving benchmark
 // showed JSON encode/decode as a visible per-request cost; this path
 // replaces it with varint frames and replaces HTTP's per-request
 // connection machinery with pipelined frames on long-lived connections.
+// The operator plane (stats, snapshot, restore) has no opcode: it is
+// HTTP's alone.
 //
 // What runs where: each connection has one reader goroutine (binConn.serve).
 // A request that arrives alone — nothing else of its connection in flight,
@@ -37,9 +40,7 @@ package server
 //     goroutine, not an unbounded buffer.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -266,7 +267,7 @@ func (bc *binConn) dispatch(h wire.Header, body []byte, last bool) {
 	}
 	var ep *endpoint
 	for i := range endpoints {
-		if endpoints[i].opcode == h.Opcode {
+		if endpoints[i].frame != nil && endpoints[i].opcode == h.Opcode {
 			ep = &endpoints[i]
 			break
 		}
@@ -586,41 +587,4 @@ func (bc *binConn) binRemove(tr *obs.Trace, h wire.Header, body []byte) error {
 	}
 	ack := wire.AckResult{Count: uint64(resp.Removed), Keys: 1}
 	return bc.reply(tr, wire.OpAckResult, 0, h.RequestID, ack)
-}
-
-// binStats and binSnapshot answer with the HTTP API's JSON document
-// inside a frame — one schema, two framings.
-func (bc *binConn) binStats(tr *obs.Trace, h wire.Header, _ []byte) error {
-	doc, err := json.Marshal(bc.srv.stats())
-	if err != nil {
-		return err
-	}
-	return bc.reply(tr, wire.OpStatsResult, 0, h.RequestID, wire.StatsResult{JSON: doc})
-}
-
-func (bc *binConn) binSnapshot(tr *obs.Trace, h wire.Header, _ []byte) error {
-	resp, err := bc.srv.snapshot()
-	if err != nil {
-		return err
-	}
-	doc, err := json.Marshal(resp)
-	if err != nil {
-		return err
-	}
-	return bc.reply(tr, wire.OpSnapshotResult, 0, h.RequestID, wire.SnapshotInfoResult{JSON: doc})
-}
-
-// binRestore takes the bundle from one frame: the frame-body cap has
-// already bounded it.
-func (bc *binConn) binRestore(tr *obs.Trace, h wire.Header, body []byte) error {
-	m, err := decodeFrame(tr, wire.DecodeRestoreReq, body)
-	if err != nil {
-		return err
-	}
-	resp, err := bc.srv.restore(bytes.NewReader(m.Data))
-	if err != nil {
-		return err
-	}
-	keys := uint64(resp.Sets + resp.Dynamic)
-	return bc.reply(tr, wire.OpAckResult, 0, h.RequestID, wire.AckResult{Count: keys, Keys: keys})
 }

@@ -3,8 +3,8 @@ package server
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -185,14 +185,7 @@ func TestBinaryRoundTrips(t *testing.T) {
 	}
 
 	// Stats carries the wire section and the binary endpoint metrics.
-	doc, err := c.StatsJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st StatsResponse
-	if err := json.Unmarshal(doc, &st); err != nil {
-		t.Fatalf("stats JSON: %v", err)
-	}
+	st := s.stats()
 	if st.Wire.ConnsActive < 1 || st.Wire.ConnsTotal < 1 || st.Wire.FramesIn == 0 {
 		t.Fatalf("wire stats not populated: %+v", st.Wire)
 	}
@@ -202,26 +195,34 @@ func TestBinaryRoundTrips(t *testing.T) {
 	}
 }
 
+// TestBinaryUnknownOpcode: an opcode no binary row serves — 0, which the
+// HTTP-only rows of the endpoint table hold and must never match, the
+// retired numbers of stats, snapshot and restore and of their replies, and
+// one never assigned — gets a 400 error frame that names it and counts as a
+// protocol error, and the connection goes on serving.
 func TestBinaryUnknownOpcode(t *testing.T) {
-	_, addr := newBinaryTestServer(t, Config{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
+	s, addr := newBinaryTestServer(t, Config{})
+	conn := dialRaw(t, addr)
+	for i, op := range []byte{0, 8, 9, 10, 21, 22, 0xEE} {
+		before := s.stats().Wire.ProtocolErrors
+		id := uint32(i + 1)
+		if err := wire.WriteFrame(conn, op, 0, id, nil); err != nil {
+			t.Fatal(err)
+		}
+		h, body := readReply(t, conn)
+		er, err := wire.DecodeErrorResult(body)
+		if h.Opcode != wire.OpError || h.RequestID != id || err != nil || er.Code != wire.ErrCodeBadRequest || er.Msg != fmt.Sprintf("unknown opcode %d", op) {
+			t.Fatalf("opcode %d: reply opcode %d for request %d, %+v (%v)", op, h.Opcode, h.RequestID, er, err)
+		}
+		if got := s.stats().Wire.ProtocolErrors; got != before+1 {
+			t.Fatalf("opcode %d: protocol_errors went from %d to %d", op, before, got)
+		}
+	}
+	if err := wire.WriteFrame(conn, wire.OpSample, 0, 100, sampleOne); err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if err := wire.WriteFrame(conn, 0xEE, 0, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	h, body, err := wire.ReadFrame(conn, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Opcode != wire.OpError {
-		t.Fatalf("opcode %d, want OpError", h.Opcode)
-	}
-	er, err := wire.DecodeErrorResult(body)
-	if err != nil || er.Code != wire.ErrCodeBadRequest {
-		t.Fatalf("error result %+v (%v)", er, err)
+	if h, body := readReply(t, conn); h.Opcode != wire.OpSampleResult || h.RequestID != 100 {
+		t.Fatalf("a sample after the unknown opcodes: opcode %d for request %d (% x)", h.Opcode, h.RequestID, body)
 	}
 }
 

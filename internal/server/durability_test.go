@@ -3,8 +3,8 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/setdb"
 	"repro/internal/wal"
-	"repro/internal/wire"
 )
 
 // readAll drains and closes a response body.
@@ -172,7 +171,7 @@ func TestRestoreHTTP(t *testing.T) {
 	bundle := readAll(t, resp)
 
 	// Destination: a WAL-backed server with unrelated contents.
-	dst, s, _ := newDurableTestServer(t, Config{})
+	dst, s, store := newDurableTestServer(t, Config{})
 	if code := post(t, dst, "/v1/add", `{"key":"doomed","ids":[1]}`, nil); code != 200 {
 		t.Fatalf("add: status %d", code)
 	}
@@ -200,9 +199,13 @@ func TestRestoreHTTP(t *testing.T) {
 	if code := post(t, dst, "/v1/sample", `{"key":"doomed"}`, &sr); code != http.StatusNotFound {
 		t.Fatalf("pre-restore set survived: status %d", code)
 	}
+	var rec ReconstructResponse
+	if code := post(t, dst, "/v1/reconstruct", `{"key":"plain"}`, &rec); code != http.StatusOK || rec.Count != len(want) {
+		t.Fatalf("served reconstruction of the restored set: status %d, %d ids, want %d", code, rec.Count, len(want))
+	}
 
-	// The restore is itself durable: re-download must be byte-identical
-	// to the uploaded bundle plus nothing (same serialization).
+	// Re-downloading gives the uploaded bundle back byte for byte (same
+	// serialization).
 	dresp, err := http.Get(dst.URL + "/v1/snapshot")
 	if err != nil {
 		t.Fatal(err)
@@ -220,56 +223,21 @@ func TestRestoreHTTP(t *testing.T) {
 	if code := post(t, tiny, "/v1/restore", string(bundle), nil); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized restore: status %d", code)
 	}
-}
 
-func TestBinarySnapshotAndRestore(t *testing.T) {
-	// A WAL-backed server on the binary listener.
-	_, s, store := newDurableTestServer(t, Config{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	// The restore is durable: the store reopened on its directory holds
+	// the restored sets and not the one the restore replaced.
+	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	go s.ServeBinary(ln)
-	t.Cleanup(func() { ln.Close() })
-	c := dialTestClient(t, ln.Addr().String())
-
-	if _, err := c.Add(wire.AddSet{Key: "wired", IDs: []uint64{7, 8, 9}}); err != nil {
-		t.Fatal(err)
-	}
-	info, err := c.Snapshot()
+	reopened, err := wal.Open(store.Dir(), func() (*setdb.DB, error) { return nil, errors.New("a restored directory needs no fresh database") }, wal.Options{})
 	if err != nil {
-		t.Fatalf("OpSnapshot: %v", err)
+		t.Fatalf("reopening the restored directory: %v", err)
 	}
-	var trig SnapshotTriggerResponse
-	if err := json.Unmarshal(info, &trig); err != nil {
-		t.Fatalf("snapshot info payload: %v", err)
+	defer reopened.Close()
+	if got, err := reopened.DB().Reconstruct("plain", 0, nil); err != nil || len(got) != len(want) {
+		t.Fatalf("after a reboot the restored set has %d ids (err %v), want %d", len(got), err, len(want))
 	}
-	if _, err := os.Stat(filepath.Join(store.Dir(), trig.Snapshot.File)); err != nil {
-		t.Fatalf("snapshot file missing: %v", err)
-	}
-
-	// Restore over the wire: replace the database with the shared test
-	// fixture's bundle.
-	_, fixtureDB := newTestServer(t, Config{})
-	var buf bytes.Buffer
-	if _, err := fixtureDB.SnapshotView().WriteBundleTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ack, err := c.Restore(buf.Bytes())
-	if err != nil {
-		t.Fatalf("OpRestore: %v", err)
-	}
-	if ack.Count == 0 {
-		t.Fatalf("restore ack: %+v", ack)
-	}
-	if _, err := s.DB().Reconstruct("plain", 0, nil); err != nil {
-		t.Fatalf("restored set unreachable: %v", err)
-	}
-
-	// OpSnapshot against a WAL-less server is a clean protocol error.
-	_, addr := newBinaryTestServer(t, Config{})
-	pc := dialTestClient(t, addr)
-	if _, err := pc.Snapshot(); err == nil {
-		t.Fatal("OpSnapshot without a WAL succeeded")
+	if reopened.DB().Filter("doomed") != nil {
+		t.Fatal("after a reboot the set the restore replaced is back")
 	}
 }

@@ -63,7 +63,8 @@ func statusFor(err error) int {
 	case errors.Is(err, setdb.ErrKeyClash),
 		errors.Is(err, bloom.ErrNotMember):
 		return http.StatusConflict
-	case errors.Is(err, setdb.ErrOutOfRange):
+	case errors.Is(err, setdb.ErrOutOfRange),
+		errors.Is(err, setdb.ErrKeyTooLong):
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError
@@ -384,7 +385,7 @@ func (s *Server) applyWrites(writes []setdb.Write) (total int, err error) {
 	return total, s.DB().ApplyBatch(writes)
 }
 
-// SnapshotTriggerResponse is the POST /v1/snapshot and OpSnapshot payload.
+// SnapshotTriggerResponse is the POST /v1/snapshot payload.
 type SnapshotTriggerResponse struct {
 	Snapshot wal.SnapshotInfo `json:"snapshot"`
 }
@@ -477,9 +478,9 @@ type StatsResponse struct {
 	Endpoints     map[string]EndpointStats `json:"endpoints"`
 }
 
-// stats assembles the stats document served by both GET /v1/stats and
-// the binary OpStats — one schema, two framings — and rendered as the bst_*
-// families of /metrics (collectMetrics): every counter is read here, once.
+// stats assembles the stats document served by GET /v1/stats and rendered
+// as the bst_* families of /metrics (collectMetrics): every counter is read
+// here, once.
 func (s *Server) stats() StatsResponse {
 	db := s.DB()
 	opts := db.Options()

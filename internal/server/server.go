@@ -33,9 +33,11 @@
 //	POST /v1/snapshot      trigger an on-disk snapshot (requires a durability layer)
 //	POST /v1/restore       replace the database with an uploaded bundle (binary body)
 //
-// The binary listener (ServeBinary) serves the same operations as the
+// The binary listener (ServeBinary) serves the data-plane operations —
+// sample, sample stream, reconstruct, intersection, add, remove — as the
 // opcodes of internal/wire; a sample stream there is a sequence of chunk
-// frames paced by client-granted credit, counted in ids sent.
+// frames paced by client-granted credit, counted in ids sent. Stats,
+// snapshots and restores are HTTP's alone.
 //
 // The serving layer adds nothing to the concurrency story — it doesn't
 // need to: every request is decoded into a value, the database call is
@@ -242,7 +244,9 @@ func New(db *setdb.DB, cfg Config) *Server {
 	s.writeGate = newGate(s.cfg.MaxWrites)
 	for i := range endpoints {
 		ep := &endpoints[i]
-		s.metrics[ep.bin] = &endpointMetrics{}
+		if ep.bin != "" {
+			s.metrics[ep.bin] = &endpointMetrics{}
+		}
 		if ep.path != "" {
 			m := &endpointMetrics{}
 			s.metrics[ep.path] = m
@@ -294,7 +298,7 @@ type (
 type endpoint struct {
 	path      string // "" when not served over HTTP
 	get, post httpCodec
-	bin       string
+	bin       string // "" (and no opcode or frame) when not served over the binary protocol
 	opcode    byte
 	frame     binCodec
 	isWrite   bool
@@ -302,7 +306,7 @@ type endpoint struct {
 
 // endpoints is the one table both listeners are built from: New
 // registers the HTTP routes and the metrics of both protocols from it,
-// the binary reader looks opcodes up in it.
+// the binary reader looks opcodes up among its rows that have a frame.
 var endpoints = []endpoint{
 	{path: "/v1/sample", post: (*Server).httpSample, bin: "bin:sample", opcode: wire.OpSample, frame: (*binConn).binSample},
 	// Over HTTP a stream is /v1/sample with "stream": true.
@@ -311,11 +315,12 @@ var endpoints = []endpoint{
 	{path: "/v1/intersection", post: jsonOp((*Server).intersection), bin: "bin:intersection", opcode: wire.OpIntersection, frame: (*binConn).binIntersection},
 	{path: "/v1/add", post: jsonOp((*Server).add), bin: "bin:add", opcode: wire.OpAdd, frame: (*binConn).binAdd, isWrite: true},
 	{path: "/v1/remove", post: jsonOp((*Server).remove), bin: "bin:remove", opcode: wire.OpRemove, frame: (*binConn).binRemove, isWrite: true},
-	{path: "/v1/stats", get: (*Server).httpStats, bin: "bin:stats", opcode: wire.OpStats, frame: (*binConn).binStats},
+	// The operator plane is HTTP's alone.
+	{path: "/v1/stats", get: (*Server).httpStats},
 	// Snapshotting holds the writer mutex only to copy the key map (it
 	// pins a read view), so it rides the global budget only.
-	{path: "/v1/snapshot", get: (*Server).httpSnapshotDownload, post: (*Server).httpSnapshot, bin: "bin:snapshot", opcode: wire.OpSnapshot, frame: (*binConn).binSnapshot},
-	{path: "/v1/restore", post: (*Server).httpRestore, bin: "bin:restore", opcode: wire.OpRestore, frame: (*binConn).binRestore, isWrite: true},
+	{path: "/v1/snapshot", get: (*Server).httpSnapshotDownload, post: (*Server).httpSnapshot},
+	{path: "/v1/restore", post: (*Server).httpRestore, isWrite: true},
 }
 
 // codecFor picks the codec serving an HTTP method; nil means 405 with

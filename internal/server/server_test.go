@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -331,6 +332,37 @@ func TestAddRemoveLifecycle(t *testing.T) {
 	// Namespace violation is a 400.
 	if code := post(t, ts, "/v1/add", `{"key":"web2","ids":[999999999]}`, nil); code != 400 {
 		t.Fatalf("out-of-namespace add: status %d, want 400", code)
+	}
+}
+
+// TestKeyLengthBound: the longest key a bundle can hold is served and
+// saved; one byte more is a 400 that stores nothing, so a later Save, a
+// snapshot or a WAL replay never meets a key it cannot write.
+func TestKeyLengthBound(t *testing.T) {
+	ts, db := newTestServer(t, Config{})
+	longest := strings.Repeat("k", setdb.MaxKeyLen)
+	var eb errorBody
+	if code := post(t, ts, "/v1/add", fmt.Sprintf(`{"key":"%sk","ids":[1]}`, longest), &eb); code != http.StatusBadRequest || !strings.Contains(eb.Error, "key too long") {
+		t.Fatalf("a %d-byte key: status %d, %q; want 400, key too long", setdb.MaxKeyLen+1, code, eb.Error)
+	}
+	if n := db.Len(); n != 2 {
+		t.Fatalf("a refused add left %d keys, want the fixture's 2", n)
+	}
+	if code := post(t, ts, "/v1/add", fmt.Sprintf(`{"key":"%s","ids":[1,2,3]}`, longest), nil); code != http.StatusOK {
+		t.Fatalf("a %d-byte key: status %d", setdb.MaxKeyLen, code)
+	}
+	path := filepath.Join(t.TempDir(), "db.snap")
+	if err := db.Save(path); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	loaded, err := setdb.Load(path)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	for _, id := range []uint64{1, 2, 3} {
+		if ok, err := loaded.Contains(longest, id); err != nil || !ok {
+			t.Fatalf("the loaded database lost id %d of the longest key (err %v)", id, err)
+		}
 	}
 }
 

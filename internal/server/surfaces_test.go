@@ -82,7 +82,8 @@ func readLines(t *testing.T, path string) []string {
 // then; a series added since is added to both lists by hand, in the PR that
 // adds it (wire.served_inline / bst_wire_served_inline_total, PR 28), and one
 // deleted is taken out of both the same way (the key map's shard, chunk and
-// copy counters, deleted with the shards).
+// copy counters, deleted with the shards; the bin:stats, bin:snapshot and
+// bin:restore endpoint metrics, deleted with their opcodes).
 func TestSurfacesAreTheParents(t *testing.T) {
 	doc, metrics := liveSurfaces(t)
 	keys := leafPaths(doc, "", nil)
@@ -303,13 +304,16 @@ func TestEndpointsAndOpcodesInREADME(t *testing.T) {
 		}
 	}
 	ops := wireOpcodes(t)
-	if len(ops) < 19 {
+	if len(ops) < 14 {
 		t.Fatalf("read %d opcodes off internal/wire: %v", len(ops), ops)
 	}
 	if !maps.Equal(listed, ops) {
 		t.Errorf("README's opcodes are %v; internal/wire's are %v", listed, ops)
 	}
 	for _, ep := range endpoints {
+		if ep.bin == "" {
+			continue
+		}
 		if name := strings.TrimPrefix(ep.bin, "bin:"); listed[name] != int(ep.opcode) {
 			t.Errorf("endpoint %s has opcode %d; README lists %s as %d", ep.bin, ep.opcode, name, listed[name])
 		}

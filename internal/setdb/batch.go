@@ -68,13 +68,13 @@ func (db *DB) next(cur membership.Membership, w *Write) (membership.Membership, 
 // too: an out-of-range id can alias onto occupied counter positions and
 // would otherwise corrupt genuine members' counters while looking like a
 // successful remove) and every touched key's final value is built before
-// anything is stored, so a failure (ErrOutOfRange, ErrKeyClash, ErrNoSet,
-// bloom.ErrNotMember) leaves the database exactly as it was. On a pruned
-// database the shared tree grows once for the union of all inserted ids,
-// before the writer mutex is taken — tree growth has its own lock — and
-// before the new values become visible, so a stored set is always
-// coverable by the tree. Ids present in the tree but, because the batch
-// later fails, in no filter cost occupancy, never correctness.
+// anything is stored, so a failure (ErrKeyTooLong, ErrOutOfRange,
+// ErrKeyClash, ErrNoSet, bloom.ErrNotMember) leaves the database exactly as
+// it was. On a pruned database the shared tree grows once for the union of
+// all inserted ids, before the writer mutex is taken — tree growth has its
+// own lock — and before the new values become visible, so a stored set is
+// always coverable by the tree. Ids present in the tree but, because the
+// batch later fails, in no filter cost occupancy, never correctness.
 //
 // Readers are unaffected throughout: they load the previous values until
 // each key's store. SnapshotView waits for the whole batch.
@@ -93,6 +93,9 @@ func (db *DB) apply(writes []Write) (unbound int, err error) {
 	// the tree is monotone anyway — removed ids keep their ranges).
 	total := 0
 	for i := range writes {
+		if k := writes[i].Key; len(k) > MaxKeyLen {
+			return 0, fmt.Errorf("%w: %d bytes, at most %d", ErrKeyTooLong, len(k), MaxKeyLen)
+		}
 		if err := db.validateIDs(writes[i].IDs); err != nil {
 			return 0, err
 		}

@@ -2,6 +2,7 @@ package setdb
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -102,9 +103,13 @@ func TestSaveIsTheBundle(t *testing.T) {
 
 			// A write that fails part-way: the section writer refuses a key
 			// its uint16 length cannot hold, after the header has gone out.
-			if err := db.Add(strings.Repeat("k", 1<<16), 9); err != nil {
-				t.Fatal(err)
+			// No write binds such a key, so the test binds one beneath the
+			// write path.
+			overlong := strings.Repeat("k", MaxKeyLen+1)
+			if err := db.Add(overlong, 9); !errors.Is(err, ErrKeyTooLong) {
+				t.Fatalf("an add under a %d-byte key: %v, want ErrKeyTooLong", len(overlong), err)
 			}
+			db.sets.Store(overlong, db.load("plain"))
 			if err := db.Save(saved); err == nil {
 				t.Fatal("a database that does not serialize was saved")
 			}

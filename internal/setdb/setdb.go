@@ -102,6 +102,14 @@ var ErrKeyClash = errors.New("setdb: key clash")
 // mistake, as opposed to an internal failure.
 var ErrOutOfRange = errors.New("setdb: id outside namespace")
 
+// MaxKeyLen is the longest key a database holds, in bytes: a bundle stores
+// a key's length in 16 bits, and the WAL refuses longer keys on replay.
+const MaxKeyLen = 1<<16 - 1
+
+// ErrKeyTooLong is wrapped by writes whose key is longer than MaxKeyLen;
+// match it with errors.Is. Like ErrOutOfRange it marks a caller mistake.
+var ErrKeyTooLong = errors.New("setdb: key too long")
+
 // DB is a keyed collection of Bloom-filter-encoded sets over one shared
 // namespace and one shared BloomSampleTree.
 //
@@ -326,8 +334,8 @@ func writeSection(bw *bufio.Writer, sets []pinned) error {
 	}
 	for _, s := range sets {
 		k := s.key
-		if len(k) > 1<<16-1 {
-			return fmt.Errorf("setdb: key %.20q... too long", k)
+		if len(k) > MaxKeyLen {
+			return fmt.Errorf("%w: %.20q...", ErrKeyTooLong, k)
 		}
 		data, err := s.m.MarshalBinary()
 		if err != nil {

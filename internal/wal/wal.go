@@ -56,8 +56,6 @@ const (
 	// maxRecordBytes bounds a declared payload length during decode, so
 	// a corrupt length prefix can never drive a giant allocation.
 	maxRecordBytes = 256 << 20
-	// maxKeyLen mirrors the setdb serialization bound (uint16 key length).
-	maxKeyLen = 1<<16 - 1
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -154,7 +152,7 @@ func decodePayload(p []byte) (uint64, []setdb.Write, error) {
 		flags := p[0]
 		p = p[1:]
 		klen, n := binary.Uvarint(p)
-		if n <= 0 || klen > maxKeyLen || klen > uint64(len(p)-n) {
+		if n <= 0 || klen > setdb.MaxKeyLen || klen > uint64(len(p)-n) {
 			return 0, nil, fmt.Errorf("%w: write %d key length", ErrCorrupt, i)
 		}
 		p = p[n:]

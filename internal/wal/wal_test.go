@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -255,6 +256,70 @@ func snapshotThenTail(t *testing.T, tail int) {
 	}
 	if got := bundleBytes(t, s2.DB()); !bytes.Equal(got, want) {
 		t.Fatal("recovered bundle differs from pre-close state")
+	}
+}
+
+// TestOverlongKeyIsRefused: a write whose key is longer than
+// setdb.MaxKeyLen — longer than a bundle or a log record can hold — is
+// refused before it is logged, with the rest of its batch, so the directory
+// goes on replaying every acknowledged write and snapshotting; a key of
+// exactly MaxKeyLen bytes is held, logged, snapshotted and booted.
+func TestOverlongKeyIsRefused(t *testing.T) {
+	opts := testOptions(t, membership.KindCounting)
+	dir := t.TempDir()
+	s, err := Open(dir, freshFunc(t, opts), Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	longest := strings.Repeat("k", setdb.MaxKeyLen)
+	if err := s.Apply([]setdb.Write{{Key: "a", IDs: []uint64{1, 2}}}); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	overlong := []setdb.Write{{Key: "b", IDs: []uint64{3}}, {Key: longest + "k", IDs: []uint64{4}}}
+	if err := s.Apply(overlong); !errors.Is(err, setdb.ErrKeyTooLong) {
+		t.Fatalf("a %d-byte key: Apply returned %v, want ErrKeyTooLong", setdb.MaxKeyLen+1, err)
+	}
+	if err := s.Apply([]setdb.Write{{Key: longest, IDs: []uint64{5}, Dynamic: true}}); err != nil {
+		t.Fatalf("a %d-byte key: %v", setdb.MaxKeyLen, err)
+	}
+	want := bundleBytes(t, s.DB())
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	// The log alone: both acknowledged writes replay, and nothing is torn.
+	s, err = Open(dir, freshFunc(t, opts), Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if st := s.Stats(); st.ReplayedAtBoot != 2 || st.DroppedTailBytes != 0 {
+		t.Fatalf("boot replayed %d records and dropped %d tail bytes, want 2 and 0", st.ReplayedAtBoot, st.DroppedTailBytes)
+	}
+	if got := bundleBytes(t, s.DB()); !bytes.Equal(got, want) {
+		t.Fatal("the replayed database differs from the one closed")
+	}
+	if s.DB().Filter("b") != nil {
+		t.Fatal("a write of the refused batch was stored")
+	}
+
+	// A snapshot, a write behind it, and a boot from both.
+	if _, err := s.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if err := s.Apply([]setdb.Write{{Key: "c", IDs: []uint64{6}}}); err != nil {
+		t.Fatalf("Apply after the snapshot: %v", err)
+	}
+	want = bundleBytes(t, s.DB())
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	s, err = Open(dir, freshFunc(t, opts), Options{})
+	if err != nil {
+		t.Fatalf("reopen after the snapshot: %v", err)
+	}
+	defer s.Close()
+	if got := bundleBytes(t, s.DB()); !bytes.Equal(got, want) {
+		t.Fatal("the database booted from the snapshot and its tail differs from the one closed")
 	}
 }
 

@@ -30,18 +30,6 @@ type Client struct {
 	// Timeout bounds each request round-trip (and each chunk of a
 	// stream). Zero means no deadline.
 	Timeout time.Duration
-
-	// Retries is how many times a request shed by admission control
-	// (ErrBusy) is retried before the error surfaces. A shed request did
-	// no server-side work, so retrying is always safe — including writes.
-	// Zero keeps the old fail-fast behavior.
-	Retries int
-	// RetryBase is the first retry's backoff (default 5ms). Subsequent
-	// attempts double it, capped at 500ms, each with random jitter so a
-	// fleet of shed clients does not return in lockstep.
-	RetryBase time.Duration
-
-	rngState uint64
 }
 
 // Dial connects to a binary-protocol listener.
@@ -102,51 +90,9 @@ func (c *Client) recv(reqID uint32) (Header, []byte, error) {
 	return h, body, nil
 }
 
-// backoff returns the sleep before retry attempt (0-based): capped
-// exponential growth with jitter drawn from the upper half.
-func (c *Client) backoff(attempt int) time.Duration {
-	base := c.RetryBase
-	if base <= 0 {
-		base = 5 * time.Millisecond
-	}
-	const maxBackoff = 500 * time.Millisecond
-	d := base
-	for i := 0; i < attempt && d < maxBackoff; i++ {
-		d *= 2
-	}
-	if d > maxBackoff {
-		d = maxBackoff
-	}
-	// xorshift64 jitter in [d/2, d): cheap, no locking, and good enough
-	// to de-synchronize retrying clients.
-	if c.rngState == 0 {
-		c.rngState = uint64(time.Now().UnixNano()) | 1
-	}
-	c.rngState ^= c.rngState << 13
-	c.rngState ^= c.rngState >> 7
-	c.rngState ^= c.rngState << 17
-	half := uint64(d / 2)
-	if half == 0 {
-		return d
-	}
-	return time.Duration(half + c.rngState%half)
-}
-
 // roundTrip sends one request and returns the single response frame,
-// retrying shed (ErrBusy) requests per the Retries policy.
-func (c *Client) roundTrip(op, flags byte, body []byte, wantOp byte) ([]byte, error) {
-	for attempt := 0; ; attempt++ {
-		resp, err := c.roundTripOnce(op, flags, body, wantOp)
-		if err == nil || !errors.Is(err, ErrBusy) || attempt >= c.Retries {
-			return resp, err
-		}
-		time.Sleep(c.backoff(attempt))
-	}
-}
-
-// roundTripOnce sends one request and returns the single response frame,
 // checking its opcode.
-func (c *Client) roundTripOnce(op, flags byte, body []byte, wantOp byte) ([]byte, error) {
+func (c *Client) roundTrip(op, flags byte, body []byte, wantOp byte) ([]byte, error) {
 	if c.Timeout > 0 {
 		if err := c.conn.SetDeadline(time.Now().Add(c.Timeout)); err != nil {
 			return nil, err
@@ -205,22 +151,6 @@ func (c *Client) Sample(key string, n int, o SampleOpts) ([]uint64, error) {
 // a slow consumer therefore stalls the server's drawing instead of
 // buffering the whole batch in either process.
 func (c *Client) SampleStream(key string, n int, o SampleOpts, window int, emit func(ids []uint64) error) error {
-	for attempt := 0; ; attempt++ {
-		emitted := false
-		err := c.sampleStreamOnce(key, n, o, window, func(ids []uint64) error {
-			emitted = true
-			return emit(ids)
-		})
-		// Retry only a stream shed before its first chunk: once samples
-		// have been emitted a retry would replay them to the consumer.
-		if err == nil || emitted || !errors.Is(err, ErrBusy) || attempt >= c.Retries {
-			return err
-		}
-		time.Sleep(c.backoff(attempt))
-	}
-}
-
-func (c *Client) sampleStreamOnce(key string, n int, o SampleOpts, window int, emit func(ids []uint64) error) error {
 	if window <= 0 {
 		window = 8192
 	}
@@ -321,43 +251,4 @@ func (c *Client) Intersection(keyA, keyB string) (float64, error) {
 		return 0, err
 	}
 	return res.Estimate, nil
-}
-
-// Snapshot triggers a durability snapshot and returns its descriptor
-// (same JSON schema as POST /v1/snapshot).
-func (c *Client) Snapshot() ([]byte, error) {
-	resp, err := c.roundTrip(OpSnapshot, 0, nil, OpSnapshotResult)
-	if err != nil {
-		return nil, err
-	}
-	res, err := DecodeSnapshotInfoResult(resp)
-	if err != nil {
-		return nil, err
-	}
-	return res.JSON, nil
-}
-
-// Restore replaces the server's database with the given restore bundle
-// (setdb.WriteBundleTo bytes). Bundles larger than the server's frame
-// body cap must use POST /v1/restore instead.
-func (c *Client) Restore(bundle []byte) (AckResult, error) {
-	resp, err := c.roundTrip(OpRestore, 0, RestoreReq{Data: bundle}.Encode(nil), OpAckResult)
-	if err != nil {
-		return AckResult{}, err
-	}
-	return DecodeAckResult(resp)
-}
-
-// StatsJSON returns the server's stats document (same JSON schema as
-// GET /v1/stats).
-func (c *Client) StatsJSON() ([]byte, error) {
-	resp, err := c.roundTrip(OpStats, 0, nil, OpStatsResult)
-	if err != nil {
-		return nil, err
-	}
-	res, err := DecodeStatsResult(resp)
-	if err != nil {
-		return nil, err
-	}
-	return res.JSON, nil
 }

@@ -3,14 +3,14 @@ package wire
 import (
 	"errors"
 	"net"
+	"slices"
 	"testing"
-	"time"
 )
 
 // shedServer answers the first shed requests with OpBusy frames, then a
-// StatsResult, echoing each request's id. It exercises exactly the
+// SampleResult, echoing each request's id. It exercises exactly the
 // shape admission control produces: the request did no work, the client
-// may safely retry.
+// may safely send it again.
 func shedServer(t *testing.T, conn net.Conn, sheds int) {
 	t.Helper()
 	go func() {
@@ -25,26 +25,10 @@ func shedServer(t *testing.T, conn net.Conn, sheds int) {
 				_ = WriteFrame(conn, OpBusy, 0, h.RequestID, nil)
 				continue
 			}
-			body := StatsResult{JSON: []byte(`{"ok":true}`)}.Encode(nil)
-			_ = WriteFrame(conn, OpStatsResult, 0, h.RequestID, body)
+			body := SampleResult{Requested: 2, IDs: []uint64{4, 9}}.Encode(nil)
+			_ = WriteFrame(conn, OpSampleResult, 0, h.RequestID, body)
 		}
 	}()
-}
-
-func TestClientRetriesBusy(t *testing.T) {
-	cc, sc := net.Pipe()
-	shedServer(t, sc, 2)
-	c := NewClient(cc)
-	defer c.Close()
-	c.Retries = 3
-	c.RetryBase = time.Millisecond
-	data, err := c.StatsJSON()
-	if err != nil {
-		t.Fatalf("StatsJSON with retries: %v", err)
-	}
-	if string(data) != `{"ok":true}` {
-		t.Fatalf("payload %q", data)
-	}
 }
 
 func TestClientBusySurfacesWithoutRetries(t *testing.T) {
@@ -52,39 +36,15 @@ func TestClientBusySurfacesWithoutRetries(t *testing.T) {
 	shedServer(t, sc, 1)
 	c := NewClient(cc)
 	defer c.Close()
-	if _, err := c.StatsJSON(); !errors.Is(err, ErrBusy) {
+	if _, err := c.Sample("k", 2, SampleOpts{}); !errors.Is(err, ErrBusy) {
 		t.Fatalf("err = %v, want ErrBusy", err)
 	}
 	// The same connection still works for the next (unshed) request.
-	if _, err := c.StatsJSON(); err != nil {
+	ids, err := c.Sample("k", 2, SampleOpts{})
+	if err != nil {
 		t.Fatalf("request after shed: %v", err)
 	}
-}
-
-func TestClientRetriesExhaust(t *testing.T) {
-	cc, sc := net.Pipe()
-	shedServer(t, sc, 100)
-	c := NewClient(cc)
-	defer c.Close()
-	c.Retries = 2
-	c.RetryBase = time.Microsecond
-	if _, err := c.StatsJSON(); !errors.Is(err, ErrBusy) {
-		t.Fatalf("err = %v, want ErrBusy after exhausting retries", err)
-	}
-}
-
-func TestBackoffBoundedWithJitter(t *testing.T) {
-	c := &Client{RetryBase: 10 * time.Millisecond}
-	for attempt := 0; attempt < 12; attempt++ {
-		want := 10 * time.Millisecond << attempt
-		if want > 500*time.Millisecond {
-			want = 500 * time.Millisecond
-		}
-		for i := 0; i < 50; i++ {
-			d := c.backoff(attempt)
-			if d < want/2 || d >= want {
-				t.Fatalf("attempt %d: backoff %v outside [%v, %v)", attempt, d, want/2, want)
-			}
-		}
+	if !slices.Equal(ids, []uint64{4, 9}) {
+		t.Fatalf("ids %v", ids)
 	}
 }

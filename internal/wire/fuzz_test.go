@@ -21,7 +21,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, OpRemove, 0, 4, RemoveReq{Key: "d", IDs: []uint64{9}}.Encode(nil)))
 	f.Add(AppendFrame(nil, OpReconstruct, FlagDynamic, 5, ReconstructReq{Key: "d"}.Encode(nil)))
 	f.Add(AppendFrame(nil, OpIntersection, 0, 6, IntersectionReq{KeyA: "a", KeyB: "b"}.Encode(nil)))
-	f.Add(AppendFrame(nil, OpStats, 0, 7, nil))
+	f.Add(AppendFrame(nil, OpAckResult, 0, 7, AckResult{Count: 3, Keys: 1}.Encode(nil)))
 	f.Add(AppendFrame(nil, OpSampleResult, 0, 8, SampleResult{Requested: 3, IDs: []uint64{1, 2, 3}}.Encode(nil)))
 	f.Add(AppendFrame(nil, OpSampleChunk, FlagFinal, 8, SampleChunk{IDs: []uint64{5}}.Encode(nil)))
 	f.Add(AppendFrame(nil, OpError, 0, 9, ErrorResult{Code: ErrCodeNotFound, Msg: "x"}.Encode(nil)))
@@ -64,8 +64,6 @@ func FuzzDecodeFrame(f *testing.F) {
 			_, _ = DecodeEstimateResult(body)
 		case OpAckResult:
 			_, _ = DecodeAckResult(body)
-		case OpStatsResult:
-			_, _ = DecodeStatsResult(body)
 		case OpError:
 			_, _ = DecodeErrorResult(body)
 		}

@@ -10,8 +10,9 @@ import (
 // the body could physically hold (one byte minimum per element), so a
 // forged count can never drive a huge allocation from a tiny frame.
 const (
-	// MaxKeyLen bounds a set key on the wire; the HTTP surface has no
-	// explicit key cap, but a multi-megabyte key is an attack, not a key.
+	// MaxKeyLen bounds a set key on the wire, well under the database's
+	// own bound (setdb.MaxKeyLen, which is all that bounds an HTTP key): a
+	// multi-megabyte key is an attack, not a key.
 	MaxKeyLen = 4096
 )
 
@@ -60,22 +61,6 @@ func (r *bodyReader) str(field string, max int) string {
 	return s
 }
 
-// bytes takes one length-prefixed byte field, copied out of the body. The
-// frame-body cap bounds it.
-func (r *bodyReader) bytes(field string) []byte {
-	n := r.uvarint(field)
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.b)) {
-		r.fail(field)
-		return nil
-	}
-	b := append([]byte(nil), r.b[:n]...)
-	r.b = r.b[n:]
-	return b
-}
-
 // ids takes a count-prefixed id list. The count is validated against the
 // remaining body length (each id costs at least one byte) before any
 // allocation.
@@ -115,11 +100,6 @@ func appendUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(ds
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
-}
-
-func appendBytes(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
 }
 
 func appendIDs(dst []byte, ids []uint64) []byte {
@@ -349,47 +329,6 @@ func (m AckResult) Encode(dst []byte) []byte {
 func DecodeAckResult(body []byte) (AckResult, error) {
 	r := newBodyReader(body)
 	m := AckResult{Count: r.uvarint("count"), Keys: r.uvarint("keys")}
-	return m, r.done()
-}
-
-// StatsResult is the body of OpStatsResult: the /v1/stats JSON document,
-// length-prefixed. Stats is an operator surface, not a hot path — reusing
-// the JSON shape keeps one schema for both protocols, and the binary
-// framing still saves the HTTP envelope.
-type StatsResult struct{ JSON []byte }
-
-func (m StatsResult) Encode(dst []byte) []byte { return appendBytes(dst, m.JSON) }
-
-func DecodeStatsResult(body []byte) (StatsResult, error) {
-	r := newBodyReader(body)
-	m := StatsResult{JSON: r.bytes("json.len")}
-	return m, r.done()
-}
-
-// SnapshotInfoResult is the body of OpSnapshotResult: the snapshot
-// descriptor as JSON (the same document POST /v1/snapshot returns),
-// length-prefixed like StatsResult — snapshots are an operator surface.
-type SnapshotInfoResult struct{ JSON []byte }
-
-func (m SnapshotInfoResult) Encode(dst []byte) []byte { return appendBytes(dst, m.JSON) }
-
-func DecodeSnapshotInfoResult(body []byte) (SnapshotInfoResult, error) {
-	r := newBodyReader(body)
-	m := SnapshotInfoResult{JSON: r.bytes("json.len")}
-	return m, r.done()
-}
-
-// RestoreReq is the body of OpRestore: a complete restore bundle
-// (setdb.WriteBundleTo bytes), length-prefixed. The frame-body cap
-// bounds it — bundles beyond the server's MaxBodyBytes must use the
-// HTTP surface, which streams.
-type RestoreReq struct{ Data []byte }
-
-func (m RestoreReq) Encode(dst []byte) []byte { return appendBytes(dst, m.Data) }
-
-func DecodeRestoreReq(body []byte) (RestoreReq, error) {
-	r := newBodyReader(body)
-	m := RestoreReq{Data: r.bytes("data.len")}
 	return m, r.done()
 }
 

@@ -1,6 +1,6 @@
-// Package wire is the compact binary protocol of the serving tier — the
-// length-prefixed frame format spoken on bstserved's -bin-addr listener,
-// next to (not instead of) the HTTP/JSON API.
+// Package wire is the compact binary protocol of the serving tier's data
+// plane — the length-prefixed frame format spoken on bstserved's -bin-addr
+// listener, next to (not instead of) the HTTP/JSON API.
 //
 // Every frame is a fixed 12-byte header followed by a varint-encoded
 // body:
@@ -46,29 +46,29 @@ const HeaderSize = 12
 // otherwise. It matches the HTTP API's default request-body cap.
 const DefaultMaxBody = 1 << 20
 
-// Opcodes. Requests flow client→server, responses server→client; the
-// ranges do not overlap so a trace is unambiguous about direction.
+// Opcodes: the data plane only — sampling, reconstruction, intersection
+// estimates and writes. Stats, snapshots and restores are HTTP's
+// (/v1/stats, /v1/snapshot, /v1/restore). Requests flow client→server,
+// responses server→client; the ranges do not overlap so a trace is
+// unambiguous about direction. 8, 9, 10, 21 and 22 are retired (they were
+// stats, snapshot and restore and their replies) and stay unassigned: a
+// server answers them as any unknown opcode.
 const (
 	// Requests.
-	OpSample       byte = 1  // SampleReq → OpSampleResult (buffered)
-	OpSampleStream byte = 2  // SampleReq → OpSampleChunk frames, last one FlagFinal
-	OpCredit       byte = 3  // CreditGrant: replenish a stream's sample credit
-	OpReconstruct  byte = 4  // ReconstructReq → OpIDsResult
-	OpIntersection byte = 5  // IntersectionReq → OpEstimateResult
-	OpAdd          byte = 6  // AddReq → OpAckResult
-	OpRemove       byte = 7  // RemoveReq → OpAckResult
-	OpStats        byte = 8  // empty body → OpStatsResult
-	OpSnapshot     byte = 9  // empty body: trigger a durability snapshot → OpSnapshotResult
-	OpRestore      byte = 10 // RestoreReq (a bundle) → OpAckResult
+	OpSample       byte = 1 // SampleReq → OpSampleResult (buffered)
+	OpSampleStream byte = 2 // SampleReq → OpSampleChunk frames, last one FlagFinal
+	OpCredit       byte = 3 // CreditGrant: replenish a stream's sample credit
+	OpReconstruct  byte = 4 // ReconstructReq → OpIDsResult
+	OpIntersection byte = 5 // IntersectionReq → OpEstimateResult
+	OpAdd          byte = 6 // AddReq → OpAckResult
+	OpRemove       byte = 7 // RemoveReq → OpAckResult
 
 	// Responses.
 	OpSampleResult   byte = 16 // SampleResult
 	OpSampleChunk    byte = 17 // SampleChunk (stream; FlagFinal on the last)
 	OpIDsResult      byte = 18 // IDsResult (reconstruction)
 	OpEstimateResult byte = 19 // EstimateResult (intersection)
-	OpAckResult      byte = 20 // AckResult (add/remove/restore)
-	OpStatsResult    byte = 21 // StatsResult (JSON payload)
-	OpSnapshotResult byte = 22 // SnapshotInfoResult (JSON payload)
+	OpAckResult      byte = 20 // AckResult (add/remove)
 	OpBusy           byte = 30 // empty body: admission control shed this request; retry later
 	OpError          byte = 31 // ErrorResult
 )

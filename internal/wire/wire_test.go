@@ -46,12 +46,12 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestEmptyBodyFrame(t *testing.T) {
-	frame := AppendFrame(nil, OpStats, 0, 3, nil)
+	frame := AppendFrame(nil, OpBusy, 0, 3, nil)
 	h, body, err := ReadFrame(bytes.NewReader(frame), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Opcode != OpStats || len(body) != 0 {
+	if h.Opcode != OpBusy || len(body) != 0 {
 		t.Fatalf("got opcode %d, %d body bytes", h.Opcode, len(body))
 	}
 }
@@ -109,7 +109,7 @@ func TestDecodeBodyErrors(t *testing.T) {
 		{"add: missing dynamic byte", func(b []byte) error { _, err := DecodeAddReq(b); return err }, []byte{1, 1, 'k'}},
 		{"remove: forged id count", func(b []byte) error { _, err := DecodeRemoveReq(b); return err }, []byte{1, 'k', 0xF0}},
 		{"ids result: forged count", func(b []byte) error { _, err := DecodeIDsResult(b); return err }, []byte{0xFF, 0xFF, 0xFF, 0x7F}},
-		{"stats: forged length", func(b []byte) error { _, err := DecodeStatsResult(b); return err }, []byte{0x80, 0x80, 0x04, 'x'}},
+		{"error: forged msg length", func(b []byte) error { _, err := DecodeErrorResult(b); return err }, []byte{1, 0x05, 'x'}},
 		{"error: oversized msg", func(b []byte) error { _, err := DecodeErrorResult(b); return err }, []byte{1, 0xFF, 0xFF, 0x7F}},
 	}
 	for _, tc := range cases {
@@ -176,16 +176,6 @@ func TestMessageRoundTrips(t *testing.T) {
 		}
 		if out.KeyA != "x" || out.KeyB != "y" {
 			t.Fatalf("mismatch: %+v", out)
-		}
-	})
-	t.Run("stats", func(t *testing.T) {
-		doc := []byte(`{"ok":true}`)
-		out, err := DecodeStatsResult(StatsResult{JSON: doc}.Encode(nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out.JSON, doc) {
-			t.Fatalf("mismatch: %s", out.JSON)
 		}
 	})
 	t.Run("error", func(t *testing.T) {
