@@ -64,6 +64,28 @@ func NewCounting(fam hashfam.Family) *CountingFilter {
 	return &CountingFilter{bits: bitset.New(fam.M()), fam: fam}
 }
 
+// NewCountingFromElements returns a counting filter holding one insertion of
+// each of xs, duplicates counted: what Add leaves called once for each. It
+// is built as NewFromElements builds a plain filter, the positions hashed
+// ProbeBlock ids at a time into one pooled buffer, with no pool round trip
+// and no copy-on-write check an id.
+func NewCountingFromElements(fam hashfam.Family, xs []uint64) *CountingFilter {
+	c := NewCounting(fam)
+	o, k := owned{bits: true, over: true}, fam.K()
+	bp := posBuf.Get().(*[]uint64)
+	pos := (*bp)[:0]
+	for rest := xs; len(rest) > 0; {
+		n := min(len(rest), ProbeBlock)
+		pos = hashfam.PositionsMany(fam, rest[:n], pos[:0])
+		for i := range n {
+			c.add(pos[i*k:(i+1)*k], &o)
+		}
+		rest = rest[n:]
+	}
+	putPositions(bp, pos)
+	return c
+}
+
 // M returns the filter length in positions.
 func (c *CountingFilter) M() uint64 { return c.bits.Len() }
 

@@ -18,19 +18,19 @@ import (
 // because all filters share m and H, §3.1), which is much cheaper than
 // re-inserting every element at every level.
 //
-// The top ⌈log₂ GOMAXPROCS⌉ levels fan out: a node there builds its left
-// half on a goroutine of its own and its right half on the caller's, so
-// up to GOMAXPROCS subtrees are filled at once; below them the recursion
-// is serial (at GOMAXPROCS 1, all of it). Each node is the same union of
-// the same children either way, so the tree is byte-identical whatever
-// GOMAXPROCS is.
+// The top ⌈log₂ GOMAXPROCS⌉ levels fan out (forkLevels): a node there
+// builds its left half on a goroutine of its own and its right half on the
+// caller's, so up to GOMAXPROCS subtrees are filled at once; below them the
+// recursion is serial (at GOMAXPROCS 1, all of it). Each node is the same
+// union of the same children either way, so the tree is byte-identical
+// whatever GOMAXPROCS is. A pruned tree's build and growth fork by the same
+// rule (buildSubtree, growSlot).
 func BuildTree(cfg Config) (*Tree, error) {
 	t, err := newTree(cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	fork := bits.Len(uint(runtime.GOMAXPROCS(0) - 1))
-	t.publish(&t.root, t.buildFull(0, cfg.Namespace, cfg.Depth, fork))
+	t.publish(&t.root, t.buildFull(0, cfg.Namespace, cfg.Depth, forkLevels()))
 	return t, nil
 }
 
@@ -51,7 +51,7 @@ func BuildPruned(cfg Config, occupied []uint64) (*Tree, error) {
 	}
 	ids := sortIDs(occupied, cfg.Namespace)
 	if len(ids) > 0 {
-		t.publish(&t.root, t.buildSubtree(0, cfg.Namespace, cfg.Depth, ids))
+		t.publish(&t.root, t.buildSubtree(0, cfg.Namespace, cfg.Depth, forkFor(len(ids)), ids))
 	}
 	return t, nil
 }
@@ -66,6 +66,39 @@ func newTree(cfg Config, pruned bool) (*Tree, error) {
 		return nil, err
 	}
 	return &Tree{cfg: cfg, fam: fam, pruned: pruned}, nil
+}
+
+// forkLevels is the number of top levels a build or a growth forks at,
+// ⌈log₂ GOMAXPROCS⌉: enough for every processor to fill a subtree of its
+// own, and none at GOMAXPROCS 1.
+func forkLevels() int { return bits.Len(uint(runtime.GOMAXPROCS(0) - 1)) }
+
+// forkFor is the fork levels of a pruned build or growth over n ids: a
+// batch of fewer than GrowRun ids is built or grown on its caller's
+// goroutine alone, so a small write starts no goroutine.
+func forkFor(n int) int {
+	if n < GrowRun {
+		return 0
+	}
+	return forkLevels()
+}
+
+// forkJoin runs left and right and returns once both have: left on a
+// goroutine of its own when fork > 0, beside right on the caller's, and
+// both on the caller's, left first, otherwise.
+func forkJoin(fork int, left, right func()) {
+	if fork <= 0 {
+		left()
+		right()
+		return
+	}
+	done := make(chan struct{})
+	go func() {
+		left()
+		close(done)
+	}()
+	right()
+	<-done
 }
 
 // measure returns the number of nodes under n, n included, and the number
@@ -110,30 +143,18 @@ func (t *Tree) buildFull(lo, hi uint64, depth, fork int) *node {
 		return n
 	}
 	mid := split(lo, hi)
-	var left, right *node
-	if fork > 0 {
-		done := make(chan struct{})
-		go func() {
-			left = t.buildFull(lo, mid, depth-1, fork-1)
-			close(done)
-		}()
-		right = t.buildFull(mid, hi, depth-1, fork-1)
-		<-done
-	} else {
-		left = t.buildFull(lo, mid, depth-1, 0)
-		right = t.buildFull(mid, hi, depth-1, 0)
-	}
-	n.left.Store(left)
-	n.right.Store(right)
+	forkJoin(fork,
+		func() { n.left.Store(t.buildFull(lo, mid, depth-1, fork-1)) },
+		func() { n.right.Store(t.buildFull(mid, hi, depth-1, fork-1)) })
 	n.unite()
 	return n
 }
 
 // buildSubtree builds a complete private subtree over [lo, hi) holding
-// exactly ids (sorted, non-empty). The subtree is not yet reachable by
-// readers; the caller measures it, publishes it with a single pointer store
-// and only then counts it.
-func (t *Tree) buildSubtree(lo, hi uint64, depth int, ids []uint64) *node {
+// exactly ids (sorted, non-empty), forking its top fork levels as buildFull
+// does. The subtree is not yet reachable by readers; the caller measures
+// it, publishes it with a single pointer store and only then counts it.
+func (t *Tree) buildSubtree(lo, hi uint64, depth, fork int, ids []uint64) *node {
 	n := newNode(lo, hi, nil)
 	if depth == 0 || hi-lo <= 1 {
 		n.setFilter(bloom.NewFromElements(t.fam, ids))
@@ -141,59 +162,73 @@ func (t *Tree) buildSubtree(lo, hi uint64, depth int, ids []uint64) *node {
 	}
 	mid := split(lo, hi)
 	cut := sort.Search(len(ids), func(i int) bool { return ids[i] >= mid })
-	if cut > 0 {
-		n.left.Store(t.buildSubtree(lo, mid, depth-1, ids[:cut]))
-	}
-	if cut < len(ids) {
-		n.right.Store(t.buildSubtree(mid, hi, depth-1, ids[cut:]))
-	}
+	forkJoin(fork, func() {
+		if cut > 0 {
+			n.left.Store(t.buildSubtree(lo, mid, depth-1, fork-1, ids[:cut]))
+		}
+	}, func() {
+		if cut < len(ids) {
+			n.right.Store(t.buildSubtree(mid, hi, depth-1, fork-1, ids[cut:]))
+		}
+	})
 	n.unite()
 	return n
 }
 
-// unite gives an internal node its children's union (§3.1), the vector
-// every internal node holds; in a pruned tree one child may be missing.
-// buildFull, buildSubtree and ReadTree form every internal node with it, and
-// growth keeps it so (growNode).
-func (n *node) unite() {
+// union returns the children's union (§3.1), the vector every internal
+// node holds; in a pruned tree one child may be missing.
+func (n *node) union() *bloom.Filter {
 	left, right := n.children()
 	switch {
 	case left == nil:
-		n.setFilter(right.filter().Clone())
+		return right.filter().Clone()
 	case right == nil:
-		n.setFilter(left.filter().Clone())
-	default:
-		f, err := left.filter().Union(right.filter())
-		if err != nil {
-			panic("core: sibling filters incompatible: " + err.Error()) // unreachable
-		}
-		n.setFilter(f)
+		return left.filter().Clone()
 	}
+	f, err := left.filter().Union(right.filter())
+	if err != nil {
+		panic("core: sibling filters incompatible: " + err.Error()) // unreachable
+	}
+	return f
 }
+
+// unite gives an internal node its children's union. buildFull,
+// buildSubtree and ReadTree form every internal node with it, and growth
+// keeps it so (growNode, growSlot).
+func (n *node) unite() { n.setFilter(n.union()) }
 
 // Insert adds one occupied identifier to a pruned tree; see InsertBatch.
 func (t *Tree) Insert(x uint64) error { return t.InsertBatch([]uint64{x}) }
 
-// growRun bounds the ids InsertBatch walks down the tree at once. Their
-// positions are hashed into one buffer (K words an id) that is reused from
-// run to run, so a large batch never holds all of its hashes at once.
-const growRun = 4096
+// GrowRun bounds the ids InsertBatch walks down the tree at once, and is the
+// batch length from which a pruned tree's build or growth forks (forkFor).
+// A run's positions are hashed into one buffer (K words an id) that is
+// reused from run to run, so a large batch never holds all of its hashes at
+// once.
+const GrowRun = 4096
 
 // InsertBatch adds occupied identifiers to a pruned tree, growing nodes
 // along the root-to-leaf paths as needed (§5.2: "either we need to insert
 // this new element into already existing nodes in the tree, or we need to
 // create a new node"). The ids are sorted (sortIDs) and grown under the
-// tree's one growth lock, one walk down to the leaves for each run of at
-// most growRun of them. An id whose leaf already holds its positions
-// changes no node, so it costs its hash, its share of the walk and one
-// test at the leaf (growNode); only the others' positions are added to the
-// nodes above. Existing node filters are replaced by copy-on-write clones,
-// and missing paths are built privately and attached with a single pointer
-// store, so queries never block: a concurrent reader sees either the
-// previous or the new version of each node. Every node filter shares the
-// tree's one family, so each id is hashed once, here, and its positions
-// ride down its path beside it; only an id that opens a new leaf is hashed
-// again, into that leaf.
+// tree's one growth lock.
+//
+// A batch of GrowRun ids or more forks its top ⌈log₂ GOMAXPROCS⌉ levels,
+// as BuildTree does (growSlot): a node there grows its left half on a
+// goroutine of its own and its right half on the caller's, splitting the
+// ids at its midpoint, and then becomes its children's union. Below the
+// fork levels, and for a smaller batch from the root, the ids are walked
+// down to the leaves a run of at most GrowRun at a time (growRuns). An id
+// whose leaf already holds its positions changes no node, so it costs its
+// hash, its share of the walk and one test at the leaf (growNode); only
+// the others' positions are added to the nodes above. Existing node
+// filters are replaced by copy-on-write clones, and missing paths are
+// built privately and attached with a single pointer store, so queries
+// never block: a concurrent reader sees either the previous or the new
+// version of each node. Every node filter shares the tree's one family, so
+// each id is hashed once, and its positions ride down its path beside it;
+// only an id that opens a new leaf is hashed again, into that leaf. The
+// tree is the same node for node whether and however far a batch forked.
 //
 // InsertBatch returns an error on full trees (which already store the
 // whole namespace) and on out-of-range ids; on an out-of-range id the
@@ -211,16 +246,56 @@ func (t *Tree) InsertBatch(ids []uint64) error {
 		return nil
 	}
 	sorted := sortIDs(ids, t.cfg.Namespace)
-	pos := make([]uint64, 0, min(len(sorted), growRun)*t.fam.K())
 	t.grow.Lock()
 	defer t.grow.Unlock()
-	for start := 0; start < len(sorted); start += growRun {
-		run := sorted[start:min(start+growRun, len(sorted))]
-		pos = hashfam.PositionsMany(t.fam, run, pos[:0])
-		t.growChild(&t.root, 0, t.cfg.Namespace, t.cfg.Depth, run, pos)
-	}
+	t.growSlot(&t.root, 0, t.cfg.Namespace, t.cfg.Depth, forkFor(len(sorted)), sorted)
 	t.epoch.Add(1)
 	return nil
+}
+
+// growSlot grows the subtree at slot (a child slot, or the root's) over
+// [lo, hi) by sorted ids. An empty slot gets a complete private subtree,
+// published at once (buildSubtree, forking as this would). At a fork level
+// an existing node grows its two halves on two goroutines (forkJoin) and,
+// once both are done, takes its children's union, publishing a new box
+// only if that changed its bits — which keeps the rule boxedFilter.stamp
+// promises. Below the fork levels it grows by runs (growRuns).
+func (t *Tree) growSlot(slot *atomic.Pointer[node], lo, hi uint64, depth, fork int, ids []uint64) {
+	n := slot.Load()
+	switch {
+	case n == nil:
+		t.publish(slot, t.buildSubtree(lo, hi, depth, fork, ids))
+		return
+	case fork <= 0 || depth == 0 || hi-lo <= 1:
+		t.growRuns(n, depth, ids)
+		return
+	}
+	mid := split(lo, hi)
+	cut := sort.Search(len(ids), func(i int) bool { return ids[i] >= mid })
+	forkJoin(fork, func() {
+		if cut > 0 {
+			t.growSlot(&n.left, lo, mid, depth-1, fork-1, ids[:cut])
+		}
+	}, func() {
+		if cut < len(ids) {
+			t.growSlot(&n.right, mid, hi, depth-1, fork-1, ids[cut:])
+		}
+	})
+	if u := n.union(); !u.Bits().Equal(n.filter().Bits()) {
+		n.setFilter(u)
+	}
+}
+
+// growRuns grows the existing node n (remaining depth `depth`) by sorted
+// ids, one walk down to the leaves for each run of at most GrowRun of them,
+// their positions hashed into one buffer reused from run to run.
+func (t *Tree) growRuns(n *node, depth int, ids []uint64) {
+	pos := make([]uint64, 0, min(len(ids), GrowRun)*t.fam.K())
+	for start := 0; start < len(ids); start += GrowRun {
+		run := ids[start:min(start+GrowRun, len(ids))]
+		pos = hashfam.PositionsMany(t.fam, run, pos[:0])
+		t.growNode(n, depth, run, pos)
+	}
 }
 
 // growNode inserts sorted ids into the subtree rooted at the existing node
@@ -239,9 +314,10 @@ func (t *Tree) InsertBatch(ids []uint64) error {
 // a published box is a changed bit vector, which is what boxedFilter.stamp
 // promises. A node is published after its children, which no reader can
 // tell apart: a version from before the batch holds every earlier id on its
-// whole path, and the batch's ids are sampleable as their run publishes. (A
-// node filter's insertion counter counts only the kept ids; nothing reads
-// it and the tree's encoding stores bit vectors alone.)
+// whole path, and the batch's ids are sampleable as their run publishes
+// (through a fork level, once that node's halves are done). (A node
+// filter's insertion counter counts only the kept ids; nothing reads it and
+// the tree's encoding stores bit vectors alone.)
 func (t *Tree) growNode(n *node, depth int, ids, pos []uint64) int {
 	k := t.fam.K()
 	old, kept := n.filter(), 0
@@ -272,15 +348,15 @@ func (t *Tree) growNode(n *node, depth int, ids, pos []uint64) int {
 	return kept
 }
 
-// growChild grows the node at slot (a child slot, or the root's) over
-// [lo, hi) and returns growNode's count, or, if the slot is empty, builds
-// that node as a complete private subtree and publishes it, so readers
-// only ever see fully formed nodes; all of its ids count as kept then.
+// growChild grows the child at slot over [lo, hi) and returns growNode's
+// count, or, if the slot is empty, builds that node as a complete private
+// subtree and publishes it, so readers only ever see fully formed nodes;
+// all of its ids count as kept then.
 func (t *Tree) growChild(slot *atomic.Pointer[node], lo, hi uint64, depth int, ids, pos []uint64) int {
 	if n := slot.Load(); n != nil {
 		return t.growNode(n, depth, ids, pos)
 	}
-	t.publish(slot, t.buildSubtree(lo, hi, depth, ids))
+	t.publish(slot, t.buildSubtree(lo, hi, depth, 0, ids))
 	return len(ids)
 }
 

@@ -55,14 +55,21 @@ func nodeHead(lo, hi uint64, payloadLen uint32) []byte {
 // child mask. ReadTree still reads it, and tests compare trees by it: it
 // holds every node's vector, where WriteTo stores the leaves' alone.
 func nodeBytes(tree *Tree) []byte {
-	b := treeHeader(legacyTreeMagic, tree.cfg, tree.pruned, tree.rootNode() != nil)
+	var b bytes.Buffer
+	writeNodeBytes(&b, tree)
+	return b.Bytes()
+}
+
+// writeNodeBytes writes nodeBytes(tree) to w a node at a time.
+func writeNodeBytes(w io.Writer, tree *Tree) {
+	w.Write(treeHeader(legacyTreeMagic, tree.cfg, tree.pruned, tree.rootNode() != nil))
 	var walk func(n *node)
 	walk = func(n *node) {
 		bits, _ := n.filter().Bits().MarshalBinary()
-		b = append(b, nodeHead(n.lo, n.hi, uint32(len(bits)))...)
-		b = append(b, bits...)
 		left, right := n.children()
-		b = append(b, b2u8(left != nil)|b2u8(right != nil)<<1)
+		w.Write(nodeHead(n.lo, n.hi, uint32(len(bits))))
+		w.Write(bits)
+		w.Write([]byte{b2u8(left != nil) | b2u8(right != nil)<<1})
 		for _, c := range []*node{left, right} {
 			if c != nil {
 				walk(c)
@@ -72,7 +79,6 @@ func nodeBytes(tree *Tree) []byte {
 	if root := tree.rootNode(); root != nil {
 		walk(root)
 	}
-	return b
 }
 
 // countingReader counts the bytes a decoder pulled from the stream.

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -364,10 +366,10 @@ func FuzzSortIDs(f *testing.F) {
 	})
 }
 
-// TestInsertBatchPublishesEachNodeOncePerRun: a batch of at most growRun ids
-// is one walk from the root, so each node it changes is boxed once, however
-// widely the ids spread. Every node of the tree gains bits here, and the
-// stamps drawn must number at most the nodes.
+// TestInsertBatchPublishesEachNodeOncePerRun: a batch of fewer than
+// GrowRun ids is one walk from the root, so each node it changes is boxed
+// once, however widely the ids spread. Every node of the tree gains bits
+// here, and the stamps drawn must number at most the nodes.
 func TestInsertBatchPublishesEachNodeOncePerRun(t *testing.T) {
 	const M, depth = 1 << 12, 4
 	cfg := Config{Namespace: M, Bits: 1 << 12, K: 3, Seed: 7, Depth: depth}
@@ -400,32 +402,122 @@ func TestInsertBatchPublishesEachNodeOncePerRun(t *testing.T) {
 	}
 }
 
-// BenchmarkInsertBatch grows a fresh pruned tree over each of the served
-// benchmark's two ingest shapes, in the batches of at most 50 000 ids its
-// set-up sends: batch, 16 keys of 10 000 uniform ids in M = 10⁶
-// (m = 273 404, depth 7), and point, 2 000 keys of 1 000 in M = 10⁵
-// (m = 27 341 in 428 words, depth 8). Filters are planned for accuracy 0.9
-// (k = 3, the fast family). write adds batches of 1–8 uniform ids, a mixed
-// stream's adds, to the grown point tree: an op is one batch.
+// servedShapes are the served benchmark's two ingest shapes: batch, 16
+// keys of 10 000 uniform ids in M = 10⁶ (m = 273 404, depth 7), and point,
+// 2 000 keys of 1 000 in M = 10⁵ (m = 27 341 in 428 words, depth 8).
+// Filters are planned for accuracy 0.9 (k = 3, the fast family).
+var servedShapes = []struct {
+	name         string
+	M            uint64
+	keys, perKey int
+	bits         uint64
+	depth        int
+}{
+	{"batch", 1_000_000, 16, 10_000, 273_404, 7},
+	{"point", 100_000, 2_000, 1_000, 27_341, 8},
+}
+
+// servedConfig plans the tree of servedShapes[i] and checks the plan.
+func servedConfig(tb testing.TB, i int) Config {
+	tb.Helper()
+	shape := servedShapes[i]
+	plan, err := PlanTree(0.9, uint64(shape.perKey), shape.M, 3, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if plan.Bits != shape.bits || plan.Depth != shape.depth {
+		tb.Fatalf("%s: planned m = %d and depth %d, want %d and %d", shape.name, plan.Bits, plan.Depth, shape.bits, shape.depth)
+	}
+	return Config{Namespace: shape.M, Bits: plan.Bits, K: plan.K, HashKind: hashfam.KindFast, Seed: 1, Depth: plan.Depth}
+}
+
+// treeDigest is what TestForkedGrowthIsBuildPruned compares trees by: the
+// digest of nodeBytes, the node count and the leaf ids.
+type treeDigest struct {
+	sum            [sha256.Size]byte
+	nodes, leafIDs uint64
+}
+
+func digestOf(tree *Tree) treeDigest {
+	h := sha256.New()
+	writeNodeBytes(h, tree)
+	d := treeDigest{nodes: tree.Nodes(), leafIDs: tree.LeafIDs()}
+	h.Sum(d.sum[:0])
+	return d
+}
+
+// TestForkedGrowthIsBuildPruned grows a fresh pruned tree over both served
+// shapes in batches of 20 000 ids — past GrowRun, so each batch forks its top
+// levels — at GOMAXPROCS 1, 2 and 4. After every batch the tree must be
+// BuildPruned's over every id so far, built at GOMAXPROCS 1: the same node
+// bytes, node count and leaf ids. Each batch after the first re-sends 4 000
+// earlier ids beside 16 000 fresh ones. A last batch of GrowRun ids the tree
+// already covers must leave every node's stamp as it was.
+func TestForkedGrowthIsBuildPruned(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const batches, fresh, again = 3, 16_000, 4_000
+	for i, shape := range servedShapes {
+		cfg := servedConfig(t, i)
+		rng := rand.New(rand.NewSource(int64(i)))
+		var grown [][]uint64
+		var all []uint64
+		for b := 0; b < batches; b++ {
+			batch := uniformSet(rng, shape.M, fresh)
+			if b > 0 {
+				for range again {
+					batch = append(batch, all[rng.Intn(len(all))])
+				}
+			}
+			rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+			grown = append(grown, batch)
+			all = append(all, batch...)
+		}
+		runtime.GOMAXPROCS(1)
+		var want []treeDigest
+		for b := range grown {
+			built, err := BuildPruned(cfg, slices.Concat(grown[:b+1]...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, digestOf(built))
+		}
+		covered := all[:GrowRun]
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			tree, err := BuildPruned(cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for b, batch := range grown {
+				if err := tree.InsertBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+				if got := digestOf(tree); got != want[b] {
+					t.Fatalf("%s, GOMAXPROCS %d, batch %d: %d nodes and %d leaf ids, BuildPruned %d and %d (node bytes equal: %v)",
+						shape.name, procs, b, got.nodes, got.leafIDs, want[b].nodes, want[b].leafIDs, got.sum == want[b].sum)
+				}
+			}
+			stamps := map[*node]uint64{}
+			eachNode(tree.rootNode(), 1, func(n *node, _ uint64) { stamps[n] = n.stamp() })
+			if err := tree.InsertBatch(covered); err != nil {
+				t.Fatal(err)
+			}
+			eachNode(tree.rootNode(), 1, func(n *node, _ uint64) {
+				if was, ok := stamps[n]; !ok || n.stamp() != was {
+					t.Fatalf("%s, GOMAXPROCS %d: a covered batch of %d ids republished [%d, %d)", shape.name, procs, len(covered), n.lo, n.hi)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkInsertBatch grows a fresh pruned tree over each of servedShapes
+// in the batches of at most 50 000 ids the served benchmark's set-up sends.
+// write adds batches of 1–8 uniform ids, a mixed stream's adds, to the
+// grown point tree: an op is one batch.
 func BenchmarkInsertBatch(b *testing.B) {
-	for _, shape := range []struct {
-		name         string
-		M            uint64
-		keys, perKey int
-		bits         uint64
-		depth        int
-	}{
-		{"batch", 1_000_000, 16, 10_000, 273_404, 7},
-		{"point", 100_000, 2_000, 1_000, 27_341, 8},
-	} {
-		plan, err := PlanTree(0.9, uint64(shape.perKey), shape.M, 3, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if plan.Bits != shape.bits || plan.Depth != shape.depth {
-			b.Fatalf("%s: planned m = %d and depth %d, want %d and %d", shape.name, plan.Bits, plan.Depth, shape.bits, shape.depth)
-		}
-		cfg := Config{Namespace: shape.M, Bits: plan.Bits, K: plan.K, HashKind: hashfam.KindFast, Seed: 1, Depth: plan.Depth}
+	for i, shape := range servedShapes {
+		cfg := servedConfig(b, i)
 		rng := rand.New(rand.NewSource(1))
 		var batches [][]uint64
 		var batch []uint64

@@ -186,7 +186,8 @@ func (n *node) children() (left, right *node) { return n.left.Load(), n.right.Lo
 // never wait on a writer. A query racing a growth batch sees the tree
 // somewhere between the two versions (filters only ever gain bits, so
 // previously visible elements never disappear); ids being inserted become
-// sampleable as their run of the batch publishes.
+// sampleable as their run of the batch publishes (a large batch grows its
+// top levels' halves on goroutines of its own; see InsertBatch).
 type Tree struct {
 	cfg    Config
 	fam    hashfam.Family

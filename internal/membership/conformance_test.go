@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
@@ -332,5 +333,62 @@ func TestConformanceQueryViewAfterWriteChains(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNewDynamicWithIsPerIDAdds holds the one-pass build of a counting set
+// to the per-id one, Add once an id, byte for byte in BSC2: the bit vector,
+// every counter of 2 or more and the insertion count. The sets are random,
+// with duplicates, on filters from 64 bits (where nearly every position
+// repeats) to mixed_wal's 27 391, and one id repeated 300 times saturates
+// its counters.
+func TestNewDynamicWithIsPerIDAdds(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, kind := range []hashfam.Kind{hashfam.KindFast, hashfam.KindMurmur3} {
+		for _, m := range []uint64{64, 1 << 10, 27_391} {
+			fam, err := hashfam.New(kind, m, 3, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []int{0, 1, 63, 64, 65, 500, 3000} {
+				ids := make([]uint64, n)
+				for i := range ids {
+					if i > 0 && rng.Intn(5) == 0 {
+						ids[i] = ids[rng.Intn(i)]
+					} else {
+						ids[i] = rng.Uint64() % (1 << 20)
+					}
+				}
+				if n == 500 {
+					for range 300 {
+						ids = append(ids, ids[0])
+					}
+				}
+				checkPerIDAdds(t, fam, ids)
+			}
+		}
+	}
+}
+
+func checkPerIDAdds(t *testing.T, fam hashfam.Family, ids []uint64) {
+	t.Helper()
+	one, err := NewDynamicWith(KindCounting, fam, 0, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := bloom.NewCounting(fam)
+	for _, x := range ids {
+		c.Add(x)
+	}
+	got, err := one.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := FromCounting(c).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("m = %d, %d ids: the one-pass build's BSC2 is not the per-id adds'", fam.M(), len(ids))
 	}
 }

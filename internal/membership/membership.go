@@ -104,7 +104,8 @@ type DynamicMembership interface {
 }
 
 // NewDynamicWith creates a dynamic set of the given kind pre-populated with
-// ids in one step, mutating only private state before first publication.
+// ids in one pass (bloom.NewCountingFromElements), mutating only private
+// state before first publication.
 // The family supplies the counter array's geometry.
 //
 // capacityHint is unused; the signature is kept for bench/ (ROADMAP item
@@ -112,11 +113,7 @@ type DynamicMembership interface {
 func NewDynamicWith(kind Kind, fam hashfam.Family, capacityHint uint64, ids []uint64) (DynamicMembership, error) {
 	switch kind {
 	case KindCounting:
-		c := bloom.NewCounting(fam)
-		for _, id := range ids {
-			c.Add(id)
-		}
-		return countingSet{c}, nil
+		return countingSet{bloom.NewCountingFromElements(fam, ids)}, nil
 	case KindBloom:
 		return nil, fmt.Errorf("membership: backend %q cannot delete; use counting for dynamic sets", kind)
 	}

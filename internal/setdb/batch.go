@@ -4,15 +4,16 @@ import (
 	"fmt"
 
 	"repro/internal/bloom"
+	"repro/internal/core"
 	"repro/internal/membership"
 )
 
 // The write path. There is one: every mutation is a Write, the rule that
 // applies one Write to one key is next, and ApplyBatch is the sequence
-// around it — validate, grow the tree, lock, build, store. A single Add is
-// a batch of one; the server's batch /v1/add and bulk loads fold many
-// writes into one call, which grows the tree once and takes the writer
-// mutex once.
+// around it — validate, grow the tree beside building the values under the
+// writer mutex, store. A single Add is a batch of one; the server's batch
+// /v1/add and bulk loads fold many writes into one call, which grows the
+// tree once and takes the writer mutex once.
 
 // Write is one pending mutation of the set under Key.
 //
@@ -71,10 +72,10 @@ func (db *DB) next(cur membership.Membership, w *Write) (membership.Membership, 
 // anything is stored, so a failure (ErrKeyTooLong, ErrOutOfRange,
 // ErrKeyClash, ErrNoSet, bloom.ErrNotMember) leaves the database exactly as
 // it was. On a pruned database the shared tree grows once for the union of
-// all inserted ids, before the writer mutex is taken — tree growth has its
-// own lock — and before the new values become visible, so a stored set is
-// always coverable by the tree. Ids present in the tree but, because the
-// batch later fails, in no filter cost occupancy, never correctness.
+// all inserted ids — tree growth has its own lock — and before the new
+// values become visible, so a stored set is always coverable by the tree.
+// Ids present in the tree but, because the batch later fails, in no filter
+// cost occupancy, never correctness.
 //
 // Readers are unaffected throughout: they load the previous values until
 // each key's store. SnapshotView waits for the whole batch.
@@ -84,6 +85,12 @@ func (db *DB) ApplyBatch(writes []Write) error {
 }
 
 // apply is ApplyBatch, also reporting how many bound keys the batch unbound.
+//
+// A batch inserting core.GrowRun ids or more grows the tree on a goroutine
+// of its own while this one builds the final values under the writer mutex;
+// the values are stored only once both are done, and a growth error comes
+// first, as it would have before any value was built. A smaller batch grows
+// the tree first, on this goroutine, and starts none.
 func (db *DB) apply(writes []Write) (unbound int, err error) {
 	if len(writes) == 0 {
 		return 0, nil
@@ -103,6 +110,7 @@ func (db *DB) apply(writes []Write) (unbound int, err error) {
 			total += len(writes[i].IDs)
 		}
 	}
+	var grown <-chan error
 	if db.opts.Pruned && total > 0 {
 		all := make([]uint64, 0, total)
 		for i := range writes {
@@ -110,7 +118,9 @@ func (db *DB) apply(writes []Write) (unbound int, err error) {
 				all = append(all, writes[i].IDs...)
 			}
 		}
-		if err := db.tree.InsertBatch(all); err != nil {
+		if total >= core.GrowRun {
+			grown = db.growAside(all)
+		} else if err := db.tree.InsertBatch(all); err != nil {
 			return 0, err
 		}
 	}
@@ -118,9 +128,11 @@ func (db *DB) apply(writes []Write) (unbound int, err error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	// Each touched key's final value, built over the batch's own overlay so
-	// later writes see earlier ones; an error returns with nothing stored.
+	// later writes see earlier ones; an error stops the build, and nothing is
+	// stored.
 	final := make(map[string]membership.Membership, len(writes))
 	var created uint64
+	var failed error
 	for i := range writes {
 		w := &writes[i]
 		cur, seen := final[w.Key]
@@ -129,12 +141,24 @@ func (db *DB) apply(writes []Write) (unbound int, err error) {
 		}
 		m, err := db.next(cur, w)
 		if err != nil {
-			return 0, err
+			failed = err
+			break
 		}
 		if cur == nil && m != nil {
 			created++
 		}
 		final[w.Key] = m
+	}
+	// The wait keeps the mutex: the values built are only right while no
+	// other writer stores, and growth takes the tree's lock alone, never
+	// this one.
+	if grown != nil {
+		if err := <-grown; err != nil {
+			return 0, err
+		}
+	}
+	if failed != nil {
+		return 0, failed
 	}
 	for k, m := range final {
 		if m != nil {
@@ -146,6 +170,14 @@ func (db *DB) apply(writes []Write) (unbound int, err error) {
 	db.gen.Add(created)
 	db.stateWrites.Add(uint64(len(writes)))
 	return unbound, nil
+}
+
+// growAside grows the tree by ids on a goroutine of its own and returns
+// where its error (or nil) arrives once it is done.
+func (db *DB) growAside(ids []uint64) <-chan error {
+	grown := make(chan error, 1)
+	go func() { grown <- db.tree.InsertBatch(ids) }()
+	return grown
 }
 
 // The single-write forms: each is a batch of one.

@@ -5,9 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/core"
 )
 
 // smallOptions is a cheap fixture for state-machinery tests that don't
@@ -95,6 +99,53 @@ func TestApplyBatchAllOrNothing(t *testing.T) {
 	}
 	if _, cerr := db.Contains("fresh", 2); !errors.Is(cerr, ErrNoSet) {
 		t.Fatalf("invalid batch leaked %q: %v", "fresh", cerr)
+	}
+}
+
+// TestGrownAsideBatchFailsWhole: a batch of core.GrowRun ids grows the
+// pruned tree on a goroutine beside its build. When its last write fails
+// with ErrKeyClash, the batch returns that error with nothing stored, the
+// tree has grown by then (ids in the tree and in no filter cost occupancy,
+// not correctness), and the goroutine it started is gone.
+func TestGrownAsideBatchFailsWhole(t *testing.T) {
+	opts := smallOptions()
+	opts.Pruned = true
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddDynamic("taken", 1); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]uint64, core.GrowRun)
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	before, epoch, goroutines := db.Stats(), db.Tree().GrowthEpoch(), runtime.NumGoroutine()
+	err = db.ApplyBatch([]Write{
+		{Key: "fresh", IDs: ids},
+		{Key: "fresh-dyn", IDs: ids[:10], Dynamic: true},
+		{Key: "taken", IDs: []uint64{3}}, // plain write onto a dynamic key
+	})
+	if !errors.Is(err, ErrKeyClash) {
+		t.Fatalf("err = %v, want ErrKeyClash", err)
+	}
+	if got := db.Tree().GrowthEpoch(); got != epoch+1 {
+		t.Fatalf("the batch returned with the tree at growth epoch %d, want %d", got, epoch+1)
+	}
+	if keys := db.Keys(); !slices.Equal(keys, []string{"taken"}) {
+		t.Fatalf("the failed batch stored keys: %v", keys)
+	}
+	if live := db.Membership("taken").Live(); live != 1 {
+		t.Fatalf("the failed batch changed %q: it holds %d ids, want 1", "taken", live)
+	}
+	if after := db.Stats(); after.StateWrites != before.StateWrites || after.Generations != before.Generations {
+		t.Fatalf("the failed batch moved write counters: %+v -> %+v", before, after)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() != goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the batch, %d before", runtime.NumGoroutine(), goroutines)
+		}
 	}
 }
 

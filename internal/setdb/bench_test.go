@@ -1,6 +1,7 @@
 package setdb
 
 import (
+	"math/rand"
 	"slices"
 	"strconv"
 	"testing"
@@ -268,5 +269,66 @@ func BenchmarkReconstructVersion(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkIngest loads a fresh pruned database the way the served
+// benchmark's set-up does, in process: every key's distinct uniform ids, in
+// batches of at most 1 000 sets and 50 000 ids, each one ApplyBatch. point
+// is 2 000 plain keys of 1 000 ids in M = 10⁵, batch 16 plain keys of 10 000
+// in M = 10⁶, and mixed 1 000 dynamic counting keys of 500 in M = 10⁵; the
+// filters are planned for accuracy 0.9 at each shape's set size, k = 3. An
+// op is one whole ingest. Its batches are past core.GrowRun ids, so each
+// grows the tree beside its build, and the tree forks at GOMAXPROCS > 1:
+// run it at -cpu 1 and -cpu 2.
+func BenchmarkIngest(b *testing.B) {
+	for _, shape := range []struct {
+		name         string
+		M, setSize   uint64
+		keys, perKey int
+		dynamic      bool
+	}{
+		{"point", 100_000, 1_000, 2_000, 1_000, false},
+		{"batch", 1_000_000, 10_000, 16, 10_000, false},
+		{"mixed", 100_000, 1_000, 1_000, 500, true},
+	} {
+		opts, err := PlanOptions(0.9, shape.setSize, shape.M, 3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts.Pruned = true
+		rng := rand.New(rand.NewSource(1))
+		var batches [][]Write
+		var batch []Write
+		ids := 0
+		for k := 0; k < shape.keys; k++ {
+			if len(batch) == 1_000 || ids+shape.perKey > 50_000 {
+				batches, batch, ids = append(batches, batch), nil, 0
+			}
+			set := map[uint64]bool{}
+			w := Write{Key: "k" + strconv.Itoa(k), Dynamic: shape.dynamic}
+			for len(w.IDs) < shape.perKey {
+				if x := uint64(rng.Int63n(int64(shape.M))); !set[x] {
+					set[x] = true
+					w.IDs = append(w.IDs, x)
+				}
+			}
+			batch, ids = append(batch, w), ids+shape.perKey
+		}
+		batches = append(batches, batch)
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				db, err := Open(opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, batch := range batches {
+					if err := db.ApplyBatch(batch); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

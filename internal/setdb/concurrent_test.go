@@ -310,55 +310,73 @@ func TestSampleMany(t *testing.T) {
 }
 
 // TestSnapshotViewHoldsWholeBatches: a pin sees a batch whole or not at
-// all. Writers add one id to a<w> and b<w> in one batch while the loop pins
-// views and loads their bundles; each loaded pair must hold as many ids.
-// The WAL's snapshots rely on it: the seq a snapshot records must name
-// whole batches.
+// all. Writers add the same ids to a<w> and b<w> in one batch while the loop
+// pins views and loads their bundles; each loaded pair must hold as many
+// ids. The WAL's snapshots rely on it: the seq a snapshot records must name
+// whole batches. one-id writes a single id a key; grown-aside writes
+// core.GrowRun ids a batch into a pruned database, which grows its tree on a
+// goroutine beside the batch's build.
 func TestSnapshotViewHoldsWholeBatches(t *testing.T) {
-	db, err := Open(smallOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const writers, rounds = 4, 200
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	var done atomic.Bool
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				id := []uint64{uint64(w*rounds + i)}
-				err := db.ApplyBatch([]Write{
-					{Key: fmt.Sprintf("a%d", w), IDs: id, Dynamic: true},
-					{Key: fmt.Sprintf("b%d", w), IDs: id, Dynamic: true},
-				})
+	for _, c := range []struct {
+		name           string
+		perKey, rounds int
+		pruned         bool
+	}{
+		{"one-id", 1, 200, false},
+		{"grown-aside", core.GrowRun / 2, 20, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := smallOptions()
+			opts.Pruned = c.pruned
+			db, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const writers = 4
+			var wg sync.WaitGroup
+			defer wg.Wait()
+			var done atomic.Bool
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < c.rounds; i++ {
+						ids := make([]uint64, c.perKey)
+						for j := range ids {
+							ids[j] = uint64((w*c.rounds+i)*c.perKey+j) % opts.Namespace
+						}
+						err := db.ApplyBatch([]Write{
+							{Key: fmt.Sprintf("a%d", w), IDs: ids, Dynamic: true},
+							{Key: fmt.Sprintf("b%d", w), IDs: ids, Dynamic: true},
+						})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			go func() { wg.Wait(); done.Store(true) }()
+			for pins := 0; !done.Load() || pins == 0; pins++ {
+				var buf bytes.Buffer
+				if _, err := db.SnapshotView().WriteBundleTo(&buf); err != nil {
+					t.Fatal(err)
+				}
+				loaded, err := ReadBundle(&buf)
 				if err != nil {
-					t.Error(err)
-					return
+					t.Fatal(err)
+				}
+				for w := 0; w < writers; w++ {
+					a, b := loaded.Membership(fmt.Sprintf("a%d", w)), loaded.Membership(fmt.Sprintf("b%d", w))
+					if (a == nil) != (b == nil) {
+						t.Fatalf("pin %d holds half a batch: a%d present %v, b%d present %v", pins, w, a != nil, w, b != nil)
+					}
+					if a != nil && a.Live() != b.Live() {
+						t.Fatalf("pin %d holds half a batch: a%d holds %d ids, b%d %d", pins, w, a.Live(), w, b.Live())
+					}
 				}
 			}
-		}(w)
-	}
-	go func() { wg.Wait(); done.Store(true) }()
-	for pins := 0; !done.Load() || pins == 0; pins++ {
-		var buf bytes.Buffer
-		if _, err := db.SnapshotView().WriteBundleTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := ReadBundle(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for w := 0; w < writers; w++ {
-			a, b := loaded.Membership(fmt.Sprintf("a%d", w)), loaded.Membership(fmt.Sprintf("b%d", w))
-			if (a == nil) != (b == nil) {
-				t.Fatalf("pin %d holds half a batch: a%d present %v, b%d present %v", pins, w, a != nil, w, b != nil)
-			}
-			if a != nil && a.Live() != b.Live() {
-				t.Fatalf("pin %d holds half a batch: a%d holds %d ids, b%d %d", pins, w, a.Live(), w, b.Live())
-			}
-		}
+		})
 	}
 }
 
