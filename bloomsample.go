@@ -57,6 +57,8 @@
 package bloomsample
 
 import (
+	"io"
+
 	"repro/internal/baseline"
 	"repro/internal/bloom"
 	"repro/internal/core"
@@ -212,8 +214,8 @@ func LoadSetDB(path string) (*SetDB, error) { return setdb.Load(path) }
 // reconstructing its hash family from the embedded parameters.
 func UnmarshalFilter(data []byte) (*Filter, error) { return bloom.UnmarshalFilter(data) }
 
-// LoadTree reads a tree written by (*Tree).Save.
-func LoadTree(path string) (*Tree, error) { return core.LoadTree(path) }
+// ReadTree reads a tree written by (*Tree).WriteTo.
+func ReadTree(r io.Reader) (*Tree, error) { return core.ReadTree(r) }
 
 // TreeStats describes a tree's realized structure (per-level fill
 // ratios, saturation depth); see (*Tree).ComputeStats.

@@ -12,10 +12,13 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 
 	bloomsample "repro"
 )
@@ -26,6 +29,14 @@ const (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run builds, saves, reloads and queries the index at the fixed seed 77,
+// printing what it finds to w.
+func run(w io.Writer) error {
 	rng := rand.New(rand.NewSource(77))
 
 	// A synthetic corpus: keyword df (document frequency) follows a rough
@@ -36,8 +47,8 @@ func main() {
 		"index": 9000, "query": 20000, "the": 60000,
 	}
 	postings := map[string][]uint64{}
-	for kw, df := range keywords {
-		postings[kw] = randomDocs(rng, df)
+	for _, kw := range slices.Sorted(maps.Keys(keywords)) { // in one order, so the seed fixes the corpus
+		postings[kw] = randomDocs(rng, keywords[kw])
 	}
 	// Make 'bloom' and 'filter' genuinely co-occur in 50 documents (as
 	// they would in a real corpus), so the AND query below has answers.
@@ -47,56 +58,56 @@ func main() {
 	// every posting list, persist.
 	db, err := bloomsample.Open(docSpace, bloomsample.WithAccuracy(accuracy), bloomsample.WithDesignSetSize(5000), bloomsample.WithK(3))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for kw, docs := range postings {
 		if err := db.Add(kw, docs...); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	dir, err := os.MkdirTemp("", "keywordindex")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "postings.db")
 	if err := db.Save(path); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	info, _ := os.Stat(path)
-	fmt.Printf("ingested %d keywords; index file %s (%.1f MB) — the corpus itself is discarded\n",
+	fmt.Fprintf(w, "ingested %d keywords; index file %s (%.1f MB) — the corpus itself is discarded\n",
 		db.Len(), filepath.Base(path), float64(info.Size())/(1<<20))
 
 	// Serve: a fresh process loads the index.
 	srv, err := bloomsample.LoadSetDB(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("serving %d keywords: %v\n", srv.Len(), srv.Keys())
+	fmt.Fprintf(w, "serving %d keywords: %v\n", srv.Len(), srv.Keys())
 
 	// Query 1: "show me a few documents mentioning 'sampling'".
 	docs, err := srv.SampleN("sampling", 5, false, rng, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("5 docs for 'sampling': %v\n", docs)
+	fmt.Fprintf(w, "5 docs for 'sampling': %v\n", docs)
 
 	// Query 2: estimated result size of "bloom AND filter", then the
 	// actual documents via reconstruction of the intersection filter.
 	est, err := srv.IntersectionEstimate("bloom", "filter")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	both, err := srv.Filter("bloom").Intersect(srv.Filter("filter"))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	hits, err := srv.Tree().Reconstruct(both, bloomsample.PruneByAndBits, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	trueBoth := intersectCount(postings["bloom"], postings["filter"])
-	fmt.Printf("'bloom AND filter': estimated %.0f docs, reconstructed %d candidates, %d true co-occurrences\n",
+	fmt.Fprintf(w, "'bloom AND filter': estimated %.0f docs, reconstructed %d candidates, %d true co-occurrences\n",
 		est, len(hits), trueBoth)
 
 	// Query 3: an exactly-uniform document sample from a big posting list
@@ -107,7 +118,7 @@ func main() {
 	for i := range sample {
 		sample[i] = positives.Select(rng.Intn(positives.Len()))
 	}
-	fmt.Printf("uniform sample of %d docs from 'query' (df %d): picked among the filter's %d positives (%d B packed)\n",
+	fmt.Fprintf(w, "uniform sample of %d docs from 'query' (df %d): picked among the filter's %d positives (%d B packed)\n",
 		len(sample), keywords["query"], positives.Len(), positives.Bytes())
 
 	// Query 4: full posting reconstruction for a rare keyword with the
@@ -116,12 +127,13 @@ func main() {
 	var ops bloomsample.Ops
 	recon, err := srv.Reconstruct("bloom", bloomsample.PruneByEstimate, &ops)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("reconstructed 'bloom': %d candidates for df %d (recall %.0f%%), %d membership queries instead of %d\n",
+	fmt.Fprintf(w, "reconstructed 'bloom': %d candidates for df %d (recall %.0f%%), %d membership queries instead of %d\n",
 		len(recon), keywords["bloom"],
 		100*float64(intersectCount(recon, postings["bloom"]))/float64(keywords["bloom"]),
 		ops.Memberships, docSpace)
+	return nil
 }
 
 func randomDocs(rng *rand.Rand, df int) []uint64 {

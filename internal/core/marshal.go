@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 
 	"repro/internal/bitset"
 	"repro/internal/bloom"
@@ -245,48 +243,6 @@ func (t *Tree) readBits(r io.Reader) (*bitset.Set, error) {
 		return nil, fmt.Errorf("core: node filter has %d bits, tree expects %d", bits.Len(), t.cfg.Bits)
 	}
 	return &bits, nil
-}
-
-// Save writes the tree to path so that a crash, or a write that fails,
-// leaves either the file that was there or the whole new one: the bytes go
-// to path+".tmp", are synced, and only then renamed over path, and the
-// directory is synced after.
-func (t *Tree) Save(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = t.WriteTo(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Best-effort: not every platform can sync a directory.
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
-// LoadTree reads a tree saved with Save.
-func LoadTree(path string) (*Tree, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadTree(f)
 }
 
 type countingWriter struct {

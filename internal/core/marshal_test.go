@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"math/rand"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"testing"
@@ -18,11 +17,11 @@ func TestTreeSaveLoadFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "tree.bst")
-	if err := tree.Save(path); err != nil {
+	var buf bytes.Buffer
+	if _, err := tree.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadTree(path)
+	got, err := ReadTree(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,11 +36,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/membership"
 )
 
@@ -160,43 +160,13 @@ func (v *SnapshotView) WriteBundleTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// WriteBundleFile writes the pinned view's bundle to path so that a crash, or
-// a write that fails, leaves either the file that was there or the whole new
-// one: the bytes go to path+".tmp", are synced, and only then renamed over
-// path, and the directory is synced after. It returns the bundle's size.
-func (v *SnapshotView) WriteBundleFile(path string) (int64, error) {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return 0, err
-	}
-	n, err := v.WriteBundleTo(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	// Best-effort: not every platform can sync a directory.
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-	return n, nil
-}
-
-// Save writes the database to path as a bundle (WriteBundleFile of a view
-// pinned now): the same bytes GET /v1/snapshot serves and the durability
-// layer keeps as snap-*.snap, and the file Load and bstserved -db read.
+// Save writes the database to path as a bundle of a view pinned now, through
+// durable.WriteFile: a crash, or a write that fails, leaves either the file
+// that was there or the whole new one. It is the same bytes GET /v1/snapshot
+// serves and the durability layer keeps as snap-*.snap, and the file Load
+// and bstserved -db read.
 func (db *DB) Save(path string) error {
-	_, err := db.SnapshotView().WriteBundleFile(path)
+	_, err := durable.WriteFile(durable.OS, path, db.SnapshotView().WriteBundleTo)
 	return err
 }
 

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/durable"
 )
 
 // saveOptions is a profile small enough to save and load dozens of times.
@@ -70,7 +71,7 @@ func TestSaveIsTheBundle(t *testing.T) {
 			if _, err := view.WriteBundleTo(&want); err != nil {
 				t.Fatal(err)
 			}
-			n, err := view.WriteBundleFile(path)
+			n, err := durable.WriteFile(durable.OS, path, view.WriteBundleTo)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +80,7 @@ func TestSaveIsTheBundle(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want.Bytes()) || n != int64(want.Len()) {
-				t.Fatalf("WriteBundleFile wrote %d bytes (reported %d) that are not WriteBundleTo's %d", len(got), n, want.Len())
+				t.Fatalf("durable.WriteFile of WriteBundleTo wrote %d bytes (reported %d) that are not WriteBundleTo's %d", len(got), n, want.Len())
 			}
 			saved := filepath.Join(dir, "saved.db")
 			if err := db.Save(saved); err != nil {

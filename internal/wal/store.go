@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/setdb"
 )
 
@@ -88,6 +90,9 @@ var ErrClosed = errors.New("wal: store closed")
 type Store struct {
 	dir  string
 	opts Options
+	// fs makes every change to dir that a crash could half-keep: creates,
+	// renames and removes. Only this package's tests pass another.
+	fs durable.FS
 
 	// db is swapped atomically by RestoreDB; readers (DB, the server's
 	// request paths) never block on the store mutex.
@@ -99,7 +104,7 @@ type Store struct {
 	// sequence, which the crash tests compare byte-for-byte.
 	mu          sync.Mutex
 	seq         uint64
-	active      *os.File
+	active      durable.File
 	activeIdx   uint64
 	activeBytes int64
 	oldestIdx   uint64
@@ -193,11 +198,16 @@ func metaName(idx uint64) string     { return fmt.Sprintf("snap-%08d.meta", idx)
 // from — its options are immediately pinned by the initial snapshot, so
 // every later boot reconstructs the exact same profile from disk alone.
 func Open(dir string, fresh func() (*setdb.DB, error), opts Options) (*Store, error) {
+	return open(dir, fresh, opts, durable.OS)
+}
+
+// open is Open making its changes to dir through fs.
+func open(dir string, fresh func() (*setdb.DB, error), opts Options, fs durable.FS) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, opts: opts, stopc: make(chan struct{})}
+	s := &Store{dir: dir, opts: opts, fs: fs, stopc: make(chan struct{})}
 
 	segs, snaps, err := s.scanDir()
 	if err != nil {
@@ -604,9 +614,9 @@ func (s *Store) loadSnapshot(idx uint64) (*setdb.DB, uint64, error) {
 			seq = m.Seq
 		}
 	}
-	// A missing or unreadable meta degrades to seq 0: replay then
-	// re-applies covered records only if stale segments also survived,
-	// and those are pruned right after every snapshot.
+	// A missing or unreadable meta degrades to seq 0. That re-applies no
+	// record: the bundle holds exactly the segments below idx, which replay
+	// skips by index. Only the seq the boot reports is lost.
 	return db, seq, nil
 }
 
@@ -666,10 +676,11 @@ func (s *Store) replaySegment(idx uint64, last bool) (int64, error) {
 	return int64(len(segMagic)) + int64(goodOff), nil
 }
 
-// createSegment creates a fresh active segment with its magic, synced
-// so the file survives a crash that follows immediately.
+// createSegment creates a fresh active segment with its magic, synced,
+// and syncs the directory, so the file and its name survive a crash that
+// follows: a record appended to it is acknowledged only after both.
 func (s *Store) createSegment(idx uint64) error {
-	f, err := os.OpenFile(filepath.Join(s.dir, segmentName(idx)), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := s.fs.Create(filepath.Join(s.dir, segmentName(idx)))
 	if err != nil {
 		return err
 	}
@@ -681,6 +692,7 @@ func (s *Store) createSegment(idx uint64) error {
 		f.Close()
 		return err
 	}
+	s.fs.SyncDir(s.dir)
 	s.active = f
 	s.activeBytes = int64(len(segMagic))
 	return nil
@@ -711,6 +723,9 @@ func (s *Store) openSegment(idx uint64, goodOffset int64) error {
 		f.Close()
 		return err
 	}
+	// A killed process can leave names no directory sync covered yet;
+	// this boot's writes depend on them.
+	s.fs.SyncDir(s.dir)
 	s.active = f
 	s.activeBytes = goodOffset
 	return nil
@@ -764,24 +779,19 @@ func (s *Store) syncActive() error {
 	return nil
 }
 
-// writeSnapshotFiles persists one bundle + meta pair atomically: both
-// land under temp names, are synced, and the bundle's rename (inside
-// WriteBundleFile, the sequence DB.Save runs) is the commit point: recovery
-// keys on the .snap file, and the meta is already in place when it appears.
+// writeSnapshotFiles persists one meta + bundle pair, each by
+// durable.WriteFile, meta first: the bundle's rename is the commit point
+// (recovery keys on the .snap file), and the meta's rename is durable
+// before it, so a .snap never appears without the seq it covers.
 func (s *Store) writeSnapshotFiles(idx uint64, view *setdb.SnapshotView, seq uint64) (int64, error) {
-	metaPath := filepath.Join(s.dir, metaName(idx))
-	metaTmp := metaPath + ".tmp"
 	meta, err := json.Marshal(snapMeta{Seq: seq})
 	if err != nil {
 		return 0, err
 	}
-	if err := writeFileSync(metaTmp, meta); err != nil {
+	if _, err := durable.WriteFile(s.fs, filepath.Join(s.dir, metaName(idx)), bytes.NewReader(meta).WriteTo); err != nil {
 		return 0, err
 	}
-	if err := os.Rename(metaTmp, metaPath); err != nil {
-		return 0, err
-	}
-	return view.WriteBundleFile(filepath.Join(s.dir, snapshotName(idx)))
+	return durable.WriteFile(s.fs, filepath.Join(s.dir, snapshotName(idx)), view.WriteBundleTo)
 }
 
 // prune removes segments and snapshots below keepIdx, best-effort (a
@@ -801,13 +811,13 @@ func (s *Store) prune(keepIdx uint64) int {
 		var idx uint64
 		switch {
 		case matchIndexed(name, "wal-", ".log", &idx):
-			if idx < keepIdx && os.Remove(filepath.Join(s.dir, name)) == nil {
+			if idx < keepIdx && s.fs.Remove(filepath.Join(s.dir, name)) == nil {
 				removed++
 			}
 		case matchIndexed(name, "snap-", ".snap", &idx), matchIndexed(name, "snap-", ".meta", &idx),
 			matchIndexed(name, "snap-", ".snap.tmp", &idx), matchIndexed(name, "snap-", ".meta.tmp", &idx):
 			if idx < keepIdx {
-				os.Remove(filepath.Join(s.dir, name))
+				s.fs.Remove(filepath.Join(s.dir, name))
 			}
 		}
 	}
@@ -827,19 +837,4 @@ func (s *Store) sumSegmentBytes() int64 {
 		}
 	}
 	return total
-}
-
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

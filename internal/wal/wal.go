@@ -33,6 +33,20 @@
 // so replaying a segment twice — or a segment the snapshot already
 // absorbed — applies nothing twice.
 //
+// A snapshot pins the database and rotates to segment N under the one
+// mutex every Apply holds, so snap-N holds exactly the records of the
+// segments below N, and recovery replays from segment N on. Its .meta only
+// carries the covered seq across a reboot: a .meta lost in a crash would
+// boot at seq 0 and still apply no record twice, but Stats().Seq and
+// LastSnapshotSeq would read 0. The .meta is written first all the same.
+//
+// Every create and every rename in the directory is followed by a sync of
+// the directory before anything that depends on it is acknowledged:
+// snapshot files go through durable.WriteFile (temp file, fsync, rename,
+// directory fsync), and a new segment's name is synced before its first
+// record is. TestEveryCrashState boots every state a crash could leave of
+// one scenario under that rule.
+//
 // A torn tail (the crash happened mid-append) fails the CRC or the
 // length prefix and is dropped cleanly: recovery keeps everything up to
 // the last intact record and truncates the rest before appending again.
