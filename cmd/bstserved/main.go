@@ -55,9 +55,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/membership"
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -220,12 +222,8 @@ func main() {
 		}()
 	}
 	if *addrFile != "" {
-		// Temp-and-rename so a reader never sees a partial file.
-		tmp := *addrFile + ".tmp"
-		if err := os.WriteFile(tmp, []byte(addrs), 0o644); err != nil {
-			fatalf("writing -addr-file: %v", err)
-		}
-		if err := os.Rename(tmp, *addrFile); err != nil {
+		// Whole or not at all, so a reader never sees a partial file.
+		if _, err := durable.WriteFile(durable.OS, *addrFile, strings.NewReader(addrs).WriteTo); err != nil {
 			fatalf("writing -addr-file: %v", err)
 		}
 	}

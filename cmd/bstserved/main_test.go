@@ -273,6 +273,56 @@ func build(t *testing.T) string {
 	return bin
 }
 
+// TestAddrFileIsWritten: -addr-file is written whole once the listeners are
+// bound, and a write that fails leaves no .tmp beside its target (here a
+// directory, which the rename cannot replace) and stops the server.
+func TestAddrFileIsWritten(t *testing.T) {
+	bin, dir := build(t), t.TempDir()
+	taken := filepath.Join(dir, "taken")
+	if err := os.Mkdir(taken, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, "-addr", "127.0.0.1:0", "-addr-file", taken).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || !strings.Contains(string(out), "-addr-file") {
+		t.Fatalf("-addr-file onto a directory: err %v, want a non-zero exit naming the flag\n%s", err, out)
+	}
+	if _, err := os.Stat(taken + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a failed -addr-file write left its .tmp behind (%v)", err)
+	}
+
+	addrs := filepath.Join(dir, "addrs")
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-bin-addr", "127.0.0.1:0", "-addr-file", addrs)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cmd.Process.Kill(); _ = cmd.Wait() }()
+	var data []byte
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if data, err = os.ReadFile(addrs); err == nil || time.Now().After(deadline) {
+			break
+		}
+	}
+	if err != nil {
+		t.Fatalf("-addr-file never appeared: %v", err)
+	}
+	lines := strings.Fields(string(data))
+	if len(lines) != 2 || !strings.HasPrefix(lines[0], "http=127.0.0.1:") || !strings.HasPrefix(lines[1], "bin=127.0.0.1:") {
+		t.Fatalf("-addr-file holds %q", data)
+	}
+	resp, err := http.Get("http://" + strings.TrimPrefix(lines[0], "http=") + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("the address -addr-file names answered %d", resp.StatusCode)
+	}
+	if _, err := os.Stat(addrs + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("-addr-file left its .tmp behind (%v)", err)
+	}
+}
+
 // TestBackendCuckooRefused: the backend that served removed ids is gone, and
 // asking for it is an error that names it, before anything listens.
 func TestBackendCuckooRefused(t *testing.T) {

@@ -16,8 +16,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	bloomsample "repro"
 )
@@ -28,6 +30,13 @@ const (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run runs the example, printing what it finds to w.
+func run(w io.Writer) error {
 	rng := rand.New(rand.NewSource(2024))
 
 	// Three towers; tower A and B share the suspects' phones.
@@ -42,13 +51,13 @@ func main() {
 	// storage model). The Simple family keeps HashInvert applicable.
 	plan, err := bloomsample.Plan(accuracy, 5_000, numberSpace, 3)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tree, err := bloomsample.NewTreeWith(plan, bloomsample.WithHash(bloomsample.Simple), bloomsample.WithSeed(7))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("per-tower filter: %d bits (%.1f KB) for ~4000 numbers; tree %.1f MB, built once\n",
+	fmt.Fprintf(w, "per-tower filter: %d bits (%.1f KB) for ~4000 numbers; tree %.1f MB, built once\n",
 		plan.Bits, float64(plan.Bits)/8/1024, float64(tree.MemoryBytes())/(1<<20))
 
 	filters := map[string]*bloomsample.Filter{}
@@ -66,9 +75,9 @@ func main() {
 	var ops bloomsample.Ops
 	recovered, err := tree.Reconstruct(filters["A"], bloomsample.PruneByEstimate, &ops)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("tower A reconstruction: %d candidates for %d true numbers "+
+	fmt.Fprintf(w, "tower A reconstruction: %d candidates for %d true numbers "+
 		"(%.1f%% precision, %.1f%% recall), %d membership queries instead of %d\n",
 		len(recovered), len(towerA), 100*float64(inCount(recovered, towerA))/float64(len(recovered)),
 		100*float64(inCount(recovered, towerA))/float64(len(towerA)),
@@ -80,33 +89,25 @@ func main() {
 	// overlapping).
 	ab, err := filters["A"].Intersect(filters["B"])
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	common, err := tree.Reconstruct(ab, bloomsample.PruneByAndBits, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	found := 0
-	for _, s := range suspects {
-		for _, x := range common {
-			if x == s {
-				found++
-				break
-			}
-		}
-	}
-	fmt.Printf("cross-reference A∩B: %d common numbers, %d/%d suspects present\n",
-		len(common), found, len(suspects))
+	fmt.Fprintf(w, "cross-reference A∩B: %d common numbers, %d/%d suspects present\n",
+		len(common), inCount(common, suspects), len(suspects))
 
 	// HashInvert alternative: no tree, just the invertible hashes.
 	hi := bloomsample.HashInvert{Namespace: numberSpace}
 	var hiOps bloomsample.Ops
 	hiRecovered, err := hi.Reconstruct(filters["C"], &hiOps)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("tower C via HashInvert: %d candidates, %d membership queries, zero index memory\n",
-		len(hiRecovered), hiOps.Memberships)
+	fmt.Fprintf(w, "tower C via HashInvert: %d candidates holding %d of %d true numbers, %d membership queries, zero index memory\n",
+		len(hiRecovered), inCount(hiRecovered, towerC), len(towerC), hiOps.Memberships)
+	return nil
 }
 
 // inCount returns how many elements of truth occur in got.

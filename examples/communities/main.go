@@ -18,14 +18,24 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
+	"slices"
 
 	bloomsample "repro"
 	"repro/internal/workload"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run runs the example, printing what it finds to w.
+func run(w io.Writer) error {
 	const (
 		namespace  = 50_000_000 // user-id space (sparse: ~1% occupied)
 		population = 500_000    // actual users
@@ -37,13 +47,13 @@ func main() {
 	// as real id spaces do (allocation in blocks).
 	leafIdx, err := workload.SelectLeavesUniform(rng, workload.NamespaceLeaves, 0.2)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ns, err := workload.PopulateNamespace(rng, namespace, workload.NamespaceLeaves, leafIdx, population)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("user base: %d users in %.0f%% of a %d-id namespace\n",
+	fmt.Fprintf(w, "user base: %d users in %.0f%% of a %d-id namespace\n",
 		len(ns.IDs), ns.Fraction()*100, namespace)
 
 	// Communities of heavy-tailed sizes, skewed toward active users.
@@ -51,19 +61,19 @@ func main() {
 		M: namespace, Population: population, Hashtags: 500, MinTagSize: 500,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// One pruned tree serves every community filter.
 	plan, err := bloomsample.Plan(accuracy, 5_000, namespace, 3)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tree, err := bloomsample.NewPrunedTreeWith(plan, ns.IDs, bloomsample.WithHash(bloomsample.Murmur3), bloomsample.WithSeed(1))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("pruned tree: %d nodes, %.1f MB (full tree would be %.1f MB)\n",
+	fmt.Fprintf(w, "pruned tree: %d nodes, %.1f MB (full tree would be %.1f MB)\n",
 		tree.Nodes(), float64(tree.MemoryBytes())/(1<<20),
 		float64((uint64(1)<<(plan.Depth+1)-1)*((plan.Bits+63)/64*8))/(1<<20))
 
@@ -78,13 +88,13 @@ func main() {
 		filters[i] = f
 	}
 	gadgets, photo := 0, 1
-	fmt.Printf("#gadgets: ~%.0f members (estimated from its filter alone; true %d)\n",
+	fmt.Fprintf(w, "#gadgets: ~%.0f members (estimated from its filter alone; true %d)\n",
 		filters[gadgets].EstimateCardinality(), len(crawl.Tags[gadgets]))
 
 	// Question 1: a 20-user panel from #gadgets, no member list needed.
 	panel, err := tree.SampleN(filters[gadgets], 20, false, rng, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	inTag := 0
 	for _, u := range panel {
@@ -92,36 +102,36 @@ func main() {
 			inTag++
 		}
 	}
-	fmt.Printf("panel of %d users drawn; %d verified true members (accuracy target %.2f)\n",
+	fmt.Fprintf(w, "panel of %d users drawn; %d verified true members (accuracy target %.2f)\n",
 		len(panel), inTag, accuracy)
 
 	// Question 2: overlap of two communities via filter intersection.
 	est := bloomsample.EstimateIntersection(filters[gadgets], filters[photo])
 	trueOverlap := overlap(crawl.Tags[gadgets], crawl.Tags[photo])
-	fmt.Printf("overlap #gadgets ∩ #photography: estimated %.0f users, true %d\n", est, trueOverlap)
+	fmt.Fprintf(w, "overlap #gadgets ∩ #photography: estimated %.0f users, true %d\n", est, trueOverlap)
 
 	both, err := filters[gadgets].Intersect(filters[photo])
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	common, err := tree.SampleN(both, 5, false, rng, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("sampled %d of 5 requested users from the intersection filter: %v\n", len(common), common)
+	inBoth := 0
+	for _, u := range common {
+		if containsSorted(crawl.Tags[gadgets], u) && containsSorted(crawl.Tags[photo], u) {
+			inBoth++
+		}
+	}
+	fmt.Fprintf(w, "sampled %d of 5 requested users from the intersection filter, %d in both communities: %v\n",
+		len(common), inBoth, common)
+	return nil
 }
 
 func containsSorted(xs []uint64, x uint64) bool {
-	lo, hi := 0, len(xs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if xs[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(xs) && xs[lo] == x
+	_, found := slices.BinarySearch(xs, x)
+	return found
 }
 
 func overlap(a, b []uint64) int {

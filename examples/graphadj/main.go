@@ -15,8 +15,11 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
+	"slices"
 
 	bloomsample "repro"
 )
@@ -28,6 +31,13 @@ const (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run runs the example, printing what it finds to w.
+func run(w io.Writer) error {
 	rng := rand.New(rand.NewSource(5))
 
 	// Preferential-attachment-style multigraph, deduplicated.
@@ -53,13 +63,13 @@ func main() {
 
 	plan, err := bloomsample.Plan(accuracy, 2*edgesPerV, vertices, 3)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tree, err := bloomsample.NewTreeWith(plan, bloomsample.WithHash(bloomsample.Murmur3), bloomsample.WithSeed(3))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("adjacency filters: %d bits each (%.0f B); tree %.1f MB shared by all %d vertices\n",
+	fmt.Fprintf(w, "adjacency filters: %d bits each (%.0f B); tree %.1f MB shared by all %d vertices\n",
 		plan.Bits, float64(plan.Bits)/8, float64(tree.MemoryBytes())/(1<<20), vertices)
 
 	// Keep only the filters.
@@ -72,10 +82,11 @@ func main() {
 		filters[v] = f
 	}
 
-	// Random walk: 10,000 steps of neighbour sampling.
+	// Random walk: 10,000 steps of neighbour sampling. A step that lands on
+	// a false positive of the filter follows an edge the graph lacks.
 	v := uint64(0)
 	visits := map[uint64]int{}
-	steps, dead := 0, 0
+	steps, along, dead := 0, 0, 0
 	for i := 0; i < 10_000; i++ {
 		next, err := tree.Sample(filters[v], rng, nil)
 		if err != nil {
@@ -84,17 +95,20 @@ func main() {
 			continue
 		}
 		steps++
+		if adj[v][next] {
+			along++
+		}
 		v = next % vertices
 		visits[v]++
 	}
 	top, topN := uint64(0), 0
 	for u, c := range visits {
-		if c > topN {
+		if c > topN || c == topN && u < top {
 			top, topN = u, c
 		}
 	}
-	fmt.Printf("random walk: %d steps (%d teleports); most-visited vertex %d (%d visits, degree %d)\n",
-		steps, dead, top, topN, len(adj[top]))
+	fmt.Fprintf(w, "random walk: %d steps (%d along true edges, %d teleports); most-visited vertex %d (%d visits, degree %d)\n",
+		steps, along, dead, top, topN, len(adj[top]))
 
 	// Triangle spotting around the densest vertices, where triangles
 	// actually live in a heavy-tailed graph: common neighbours of (hub, b)
@@ -109,16 +123,17 @@ func main() {
 	for u := range adj[hub] {
 		neighbours = append(neighbours, u)
 	}
+	slices.Sort(neighbours)
 	for i := 0; i < 5 && i < len(neighbours); i++ {
 		a := hub
 		b := neighbours[rng.Intn(len(neighbours))]
 		common, err := filters[a].Intersect(filters[b])
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		candidates, err := tree.Reconstruct(common, bloomsample.PruneByEstimate, nil)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		verified := 0
 		for _, c := range candidates {
@@ -126,7 +141,8 @@ func main() {
 				verified++
 			}
 		}
-		fmt.Printf("edge (%d,%d): %d common-neighbour candidates, %d verified triangles\n",
+		fmt.Fprintf(w, "edge (%d,%d): %d common-neighbour candidates, %d verified triangles\n",
 			a, b, len(candidates), verified)
 	}
+	return nil
 }

@@ -7,13 +7,23 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
+	"slices"
 
 	bloomsample "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run runs the example, printing what it finds to w.
+func run(w io.Writer) error {
 	const (
 		namespace = 1_000_000 // ids live in [0, 1M)
 		setSize   = 1_000
@@ -23,18 +33,18 @@ func main() {
 	// 1. Plan Bloom-filter and tree parameters for the desired accuracy.
 	plan, err := bloomsample.Plan(accuracy, setSize, namespace, 3)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("planned: m=%d bits, fp=%.2e, tree depth=%d, leaf range=%d\n",
+	fmt.Fprintf(w, "planned: m=%d bits, fp=%.2e, tree depth=%d, leaf range=%d\n",
 		plan.Bits, plan.FP, plan.Depth, plan.LeafRange)
 
 	// 2. Build the BloomSampleTree once; it serves any number of query
 	// filters with the same parameters.
 	tree, err := bloomsample.NewTreeWith(plan, bloomsample.WithHash(bloomsample.Murmur3), bloomsample.WithSeed(42))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("tree: %d nodes, %.2f MB\n", tree.Nodes(), float64(tree.MemoryBytes())/(1<<20))
+	fmt.Fprintf(w, "tree: %d nodes, %.2f MB\n", tree.Nodes(), float64(tree.MemoryBytes())/(1<<20))
 
 	// 3. Store a set in a query Bloom filter.
 	rng := rand.New(rand.NewSource(7))
@@ -55,43 +65,37 @@ func main() {
 	for i := 0; i < rounds; i++ {
 		x, err := tree.Sample(q, rng, &ops)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if truth[x] {
 			hits++
 		}
 	}
-	fmt.Printf("sampling: %d/%d samples were true elements (designed accuracy %.2f)\n",
+	fmt.Fprintf(w, "sampling: %d/%d samples were true elements (designed accuracy %.2f)\n",
 		hits, rounds, accuracy)
-	fmt.Printf("avg cost/sample: %.1f intersections, %.1f membership queries (namespace scan would be %d)\n",
+	fmt.Fprintf(w, "avg cost/sample: %.1f intersections, %.1f membership queries (namespace scan would be %d)\n",
 		float64(ops.Intersections)/rounds, float64(ops.Memberships)/rounds, namespace)
 
 	// 5. Draw 10 distinct elements in a single pass.
 	ten, err := tree.SampleN(q, 10, false, rng, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("10 distinct samples: %v\n", ten)
+	fmt.Fprintf(w, "10 distinct samples: %v\n", ten)
 
 	// 6. Reconstruct the set (true elements plus the filter's false
 	// positives; PruneByAndBits guarantees nothing is missed).
 	recon, err := tree.Reconstruct(q, bloomsample.PruneByAndBits, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	missed := 0
 	for x := range truth {
-		found := false
-		for _, y := range recon {
-			if y == x {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if _, found := slices.BinarySearch(recon, x); !found { // recon is ascending
 			missed++
 		}
 	}
-	fmt.Printf("reconstruction: %d elements (%d true + %d false positives), %d missed\n",
+	fmt.Fprintf(w, "reconstruction: %d elements (%d true + %d false positives), %d missed\n",
 		len(recon), setSize, len(recon)-setSize+missed, missed)
+	return nil
 }

@@ -25,9 +25,7 @@ type DictionaryAttack struct {
 // ok is false when the filter answers negatively for the whole namespace.
 func (d DictionaryAttack) Sample(q *bloom.Filter, rng *rand.Rand, ops *core.Ops) (x uint64, ok bool) {
 	count := 0
-	if ops != nil {
-		ops.Memberships += d.Namespace
-	}
+	ops.Add(core.Ops{Memberships: d.Namespace})
 	var scratch []uint64
 	for y := uint64(0); y < d.Namespace; y++ {
 		var hit bool
@@ -49,9 +47,7 @@ func (d DictionaryAttack) SampleN(q *bloom.Filter, r int, rng *rand.Rand, ops *c
 	if r <= 0 {
 		return nil
 	}
-	if ops != nil {
-		ops.Memberships += d.Namespace
-	}
+	ops.Add(core.Ops{Memberships: d.Namespace})
 	reservoir := make([]uint64, 0, r)
 	count := 0
 	var scratch []uint64
@@ -74,9 +70,7 @@ func (d DictionaryAttack) SampleN(q *bloom.Filter, r int, rng *rand.Rand, ops *c
 // Reconstruct returns every element of [0, M) answering positively, in
 // ascending order — the paper's definition of reconstructing S ∪ S(B).
 func (d DictionaryAttack) Reconstruct(q *bloom.Filter, ops *core.Ops) []uint64 {
-	if ops != nil {
-		ops.Memberships += d.Namespace
-	}
+	ops.Add(core.Ops{Memberships: d.Namespace})
 	var out []uint64
 	var scratch []uint64
 	for y := uint64(0); y < d.Namespace; y++ {

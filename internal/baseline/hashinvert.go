@@ -66,7 +66,7 @@ func (h HashInvert) Sample(q *bloom.Filter, rng *rand.Rand, ops *core.Ops) (uint
 	// may repeat across hash functions; de-duplicate by skipping y whose
 	// earlier-inverting function index already produced it.
 	var chosen uint64
-	count := 0
+	count, probes := 0, uint64(0)
 	var buf []uint64
 	for i := 0; i < q.K(); i++ {
 		buf = inv.Preimages(i, s, 0, h.Namespace, buf[:0])
@@ -74,9 +74,7 @@ func (h HashInvert) Sample(q *bloom.Filter, rng *rand.Rand, ops *core.Ops) (uint
 			if dup := firstHitIndex(inv, y, s); dup < i {
 				continue
 			}
-			if ops != nil {
-				ops.Memberships++
-			}
+			probes++
 			if q.Contains(y) {
 				count++
 				if rng.Intn(count) == 0 {
@@ -85,6 +83,7 @@ func (h HashInvert) Sample(q *bloom.Filter, rng *rand.Rand, ops *core.Ops) (uint
 			}
 		}
 	}
+	ops.Add(core.Ops{Memberships: probes})
 	return chosen, count > 0, nil
 }
 
@@ -122,20 +121,19 @@ func (h HashInvert) Reconstruct(q *bloom.Filter, ops *core.Ops) ([]uint64, error
 // partition the namespace, every positive element is found exactly once
 // (its h_1 bit is necessarily set) and no deduplication is needed.
 func (h HashInvert) reconstructFromSetBits(q *bloom.Filter, inv hashfam.Invertible, ops *core.Ops) []uint64 {
-	var out []uint64
-	var buf []uint64
+	var out, buf []uint64
+	probes := uint64(0)
 	q.ForEachSetBit(func(s uint64) bool {
 		buf = inv.Preimages(0, s, 0, h.Namespace, buf[:0])
+		probes += uint64(len(buf))
 		for _, y := range buf {
-			if ops != nil {
-				ops.Memberships++
-			}
 			if q.Contains(y) {
 				out = append(out, y)
 			}
 		}
 		return true
 	})
+	ops.Add(core.Ops{Memberships: probes})
 	slices.Sort(out)
 	return out
 }
@@ -153,16 +151,16 @@ func (h HashInvert) reconstructFromUnsetBits(q *bloom.Filter, inv hashfam.Invert
 		return true
 	})
 	var out []uint64
+	probes := uint64(0)
 	for y := uint64(0); y < h.Namespace; y++ {
 		if excluded[y] {
 			continue
 		}
-		if ops != nil {
-			ops.Memberships++
-		}
+		probes++
 		if q.Contains(y) {
 			out = append(out, y)
 		}
 	}
+	ops.Add(core.Ops{Memberships: probes})
 	return out
 }

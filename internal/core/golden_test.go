@@ -63,35 +63,35 @@ func TestGoldenDrawsMatchParentCommit(t *testing.T) {
 		{name: "fast/full/dense", kind: hashfam.KindFast, acc: 0.9, qsize: 300,
 			draws: [2]uint64{64, 0x448381c006a03586}, multi: [2]uint64{48, 0xf4cc0d10a4ba7d38}, multiR: [2]uint64{48, 0x23f94941f9356c7b},
 			recon: [2]uint64{294, 0x9686c6bedb261f2}, reconA: [2]uint64{332, 0xea7a04574d2836e},
-			dops: Ops{768, 11388, 448, 64, 0}, rops: Ops{448, 45312, 401, 177, 0}},
+			dops: Ops{768, 11388, 448, 64, 0, 0, 0}, rops: Ops{448, 45312, 401, 177, 0, 0, 0}},
 		{name: "fast/pruned/dense", kind: hashfam.KindFast, pruned: true, acc: 0.9, qsize: 300,
 			draws: [2]uint64{64, 0x413c7b4df3fbc295}, multi: [2]uint64{48, 0xac0b2161b2978e0a}, multiR: [2]uint64{48, 0x2aaa756000eaa6ce},
 			recon: [2]uint64{328, 0x13ee4699fd0e681b}, reconA: [2]uint64{332, 0xea7a04574d2836e},
-			dops: Ops{768, 8075, 448, 64, 0}, rops: Ops{464, 49664, 426, 194, 0}},
+			dops: Ops{768, 8075, 448, 64, 0, 0, 0}, rops: Ops{464, 49664, 426, 194, 0, 0, 0}},
 		{name: "murmur3/full/dense", kind: hashfam.KindMurmur3, acc: 0.9, qsize: 300,
 			draws: [2]uint64{64, 0xad42f75e43331bcc}, multi: [2]uint64{48, 0x2df54aeb57a3c2e8}, multiR: [2]uint64{48, 0xa091270ae61a7723},
 			recon: [2]uint64{290, 0x2d86bea53011328f}, reconA: [2]uint64{335, 0x68670ce80040bb0},
-			dops: Ops{768, 10842, 448, 64, 0}, rops: Ops{444, 45312, 399, 177, 0}},
+			dops: Ops{768, 10842, 448, 64, 0, 0, 0}, rops: Ops{444, 45312, 399, 177, 0, 0, 0}},
 		{name: "murmur3/pruned/dense", kind: hashfam.KindMurmur3, pruned: true, acc: 0.9, qsize: 300,
 			draws: [2]uint64{64, 0x23fc909b233e6e64}, multi: [2]uint64{48, 0xac4f79f775027fe2}, multiR: [2]uint64{48, 0xa72447e05d512d9c},
 			recon: [2]uint64{329, 0xe091ff02c3a95600}, reconA: [2]uint64{335, 0x68670ce80040bb0},
-			dops: Ops{768, 9135, 448, 64, 0}, rops: Ops{468, 47360, 419, 185, 0}},
+			dops: Ops{768, 9135, 448, 64, 0, 0, 0}, rops: Ops{468, 47360, 419, 185, 0, 0, 0}},
 		{name: "fast/full/sparse", kind: hashfam.KindFast, acc: 0.2, qsize: 4,
 			draws: [2]uint64{64, 0xb37a7266dc89e7f7}, multi: [2]uint64{2, 0xb887a09f9694a2e6}, multiR: [2]uint64{48, 0xa8a76a8ec213bb61},
 			recon: [2]uint64{2, 0xb887a09f9694a2e6}, reconA: [2]uint64{4, 0xe829f0b5fb50fe4a},
-			dops: Ops{1498, 104995, 1121, 372, 380}, rops: Ops{376, 29696, 304, 116, 37}},
+			dops: Ops{1498, 104995, 1121, 372, 380, 0, 0}, rops: Ops{376, 29696, 304, 116, 37, 0, 0}},
 		{name: "fast/pruned/sparse", kind: hashfam.KindFast, pruned: true, acc: 0.2, qsize: 4,
 			draws: [2]uint64{64, 0xda9ed0d25519fa31}, multi: [2]uint64{2, 0xe54d074f7522d537}, multiR: [2]uint64{48, 0xb6211031d6c18f5d},
 			recon: [2]uint64{2, 0xe54d074f7522d537}, reconA: [2]uint64{4, 0xe829f0b5fb50fe4a},
-			dops: Ops{1186, 50176, 775, 182, 175}, rops: Ops{234, 11776, 163, 46, 9}},
+			dops: Ops{1186, 50176, 775, 182, 175, 0, 0}, rops: Ops{234, 11776, 163, 46, 9, 0, 0}},
 		{name: "murmur3/full/sparse", kind: hashfam.KindMurmur3, acc: 0.2, qsize: 4,
 			draws: [2]uint64{64, 0x7b13498edf8adf25}, multi: [2]uint64{1, 0x8dff1f0764a0e9}, multiR: [2]uint64{48, 0x2beafc783ce3b025},
 			recon: [2]uint64{1, 0x8dff1f0764a0e9}, reconA: [2]uint64{4, 0xe829f0b5fb50fe4a},
-			dops: Ops{2714, 206311, 2079, 722, 882}, rops: Ops{386, 27904, 302, 109, 39}},
+			dops: Ops{2714, 206311, 2079, 722, 882, 0, 0}, rops: Ops{386, 27904, 302, 109, 39, 0, 0}},
 		{name: "murmur3/pruned/sparse", kind: hashfam.KindMurmur3, pruned: true, acc: 0.2, qsize: 4,
 			draws: [2]uint64{0, 0xcbf29ce484222325}, multi: [2]uint64{0, 0xcbf29ce484222325}, multiR: [2]uint64{0, 0xcbf29ce484222325},
 			recon: [2]uint64{0, 0xcbf29ce484222325}, reconA: [2]uint64{4, 0xe829f0b5fb50fe4a},
-			dops: Ops{2176, 147456, 1600, 512, 768}, rops: Ops{182, 10496, 132, 41, 8}},
+			dops: Ops{2176, 147456, 1600, 512, 768, 0, 0}, rops: Ops{182, 10496, 132, 41, 8, 0, 0}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

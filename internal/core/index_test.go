@@ -34,7 +34,8 @@ func checkIndex(t *testing.T, tree *Tree, q *bloom.Filter, x *EstimateIndex) (va
 		if left == nil && right == nil || !x.covers(pos) {
 			return
 		}
-		l, r := tree.childEstimate(left, q, nil), tree.childEstimate(right, q, nil)
+		var ops Ops
+		l, r := tree.childEstimate(left, q, &ops), tree.childEstimate(right, q, &ops)
 		gotL, gotR, computed := x.slots[pos-1].estimates(left.stamp()+right.stamp(), func() (float64, float64) { return l, r })
 		if computed {
 			return
@@ -200,10 +201,9 @@ func TestIndexedDrawsMatchSampleScratch(t *testing.T) {
 
 				rng, ref := rand.New(rand.NewSource(31)), rand.New(rand.NewSource(31))
 				var scratch, refScratch []uint64
-				pass := func(step string) Estimates {
+				pass := func(step string) Ops {
 					t.Helper()
-					var est Estimates
-					var ops, refOps Ops
+					var est, ops, refOps Ops
 					for i := 0; i < draws; i++ {
 						var got, want uint64
 						var err, refErr error
@@ -213,11 +213,10 @@ func TestIndexedDrawsMatchSampleScratch(t *testing.T) {
 							t.Fatalf("%s, draw %d: indexed (%d, %v), SampleScratch (%d, %v)", step, i, got, err, want, refErr)
 						}
 					}
-					if est.Computed != ops.Intersections || est.Computed+est.Remembered != refOps.Intersections {
-						t.Fatalf("%s: tallied %d computed and %d remembered, counted %d, independent draws %d",
-							step, est.Computed, est.Remembered, ops.Intersections, refOps.Intersections)
+					if est != ops || ops.Intersections+ops.Remembered != refOps.Intersections {
+						t.Fatalf("%s: tallied %v, counted %v, independent draws %v", step, &est, &ops, &refOps)
 					}
-					ops.Intersections, refOps.Intersections = 0, 0
+					ops.Intersections, ops.Remembered, refOps.Intersections = 0, 0, 0
 					if ops != refOps {
 						t.Fatalf("%s: indexed draws counted %v, independent draws %v", step, &ops, &refOps)
 					}
@@ -229,16 +228,16 @@ func TestIndexedDrawsMatchSampleScratch(t *testing.T) {
 
 				cold := pass("cold index")
 				warm := pass("warm index")
-				if warm.Computed >= cold.Computed {
-					t.Fatalf("the warm pass computed %d estimates, the cold one %d", warm.Computed, cold.Computed)
+				if warm.Intersections >= cold.Intersections {
+					t.Fatalf("the warm pass computed %d estimates, the cold one %d", warm.Intersections, cold.Intersections)
 				}
 				if err := tree.InsertBatch(uniformSet(data, M, 40)); err != nil {
 					t.Fatal(err)
 				}
 				grown := pass("warm index, grown tree")
-				if grown.Computed <= warm.Computed {
+				if grown.Intersections <= warm.Intersections {
 					t.Fatalf("growth swapped filters under the index and the next pass computed %d estimates, the one before %d",
-						grown.Computed, warm.Computed)
+						grown.Intersections, warm.Intersections)
 				}
 			})
 		}
@@ -266,8 +265,7 @@ func TestIndexDroppedWithTheBitsItDescribes(t *testing.T) {
 	draw := func(n int) (right int, computed uint64) {
 		t.Helper()
 		// Counted, so that the draws stay on the descent through the index.
-		var est Estimates
-		var ops Ops
+		var est, ops Ops
 		var scratch []uint64
 		for i := 0; i < n; i++ {
 			var x uint64
@@ -279,7 +277,7 @@ func TestIndexDroppedWithTheBitsItDescribes(t *testing.T) {
 				right++
 			}
 		}
-		return right, est.Computed
+		return right, est.Intersections
 	}
 	if right, _ := draw(500); right != 0 {
 		t.Fatalf("%d draws from a set in the left half landed in the right", right)

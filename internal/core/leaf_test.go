@@ -15,7 +15,7 @@ import (
 // the whole range, reservoir over the positives. It is kept as the
 // reference sampleLeaf's distribution is held to.
 func (t *Tree) scanLeaf(n *node, d *descent) (uint64, bool) {
-	hits := t.positivesInLeaf(n, d.q, d.ops, d.scratch[:0])
+	hits := t.positivesInLeaf(n, d.q, &d.ops, d.scratch[:0])
 	d.scratch = hits
 	var chosen uint64
 	for i, x := range hits {
@@ -27,13 +27,13 @@ func (t *Tree) scanLeaf(n *node, d *descent) (uint64, bool) {
 }
 
 // sampleScanned is sampleNode with scanLeaf at the bottom and nothing
-// counted or remembered: Algorithm 1 as the paper writes it.
+// remembered: Algorithm 1 as the paper writes it.
 func (t *Tree) sampleScanned(n *node, d *descent) (uint64, bool) {
 	left, right := n.children()
 	if left == nil && right == nil {
 		return t.scanLeaf(n, d)
 	}
-	lEst, rEst := t.childEstimate(left, d.q, nil), t.childEstimate(right, d.q, nil)
+	lEst, rEst := t.childEstimate(left, d.q, &d.ops), t.childEstimate(right, d.q, &d.ops)
 	if thr := t.cfg.EmptyThreshold; lEst < thr && rEst < thr {
 		return 0, false
 	}
@@ -73,7 +73,7 @@ func TestSampledLeafIsUniformOverItsPositives(t *testing.T) {
 					q.Add(x)
 				}
 			}
-			positives := tree.positivesInLeaf(tree.rootNode(), q, nil, nil)
+			positives := tree.positivesInLeaf(tree.rootNode(), q, new(Ops), nil)
 			if len(positives) != P {
 				t.Fatalf("the filter holds %d positives", len(positives))
 			}

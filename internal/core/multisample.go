@@ -43,38 +43,39 @@ func (t *Tree) SampleN(q *bloom.Filter, r int, withReplacement bool, rng *rand.R
 	if !withReplacement {
 		st.exclude = make(map[uint64]bool)
 	}
-	return t.multiNode(root, q, r, st, rng, ops), nil
+	out := t.multiNode(root, q, r, st, rng)
+	ops.Add(st.ops)
+	return out, nil
 }
 
 // multiState carries per-call bookkeeping for SampleN. exclude (nil in
 // with-replacement mode) holds elements already returned; drained marks
 // subtrees that have yielded everything they can, so backtracking never
 // re-descends them (this keeps the pass linear even when r far exceeds the
-// number of positives).
+// number of positives). ops is what the pass did.
 type multiState struct {
 	exclude map[uint64]bool
 	drained map[*node]bool
+	ops     Ops
 }
 
 // multiNode routes r paths through n and returns the samples produced.
-func (t *Tree) multiNode(n *node, q *bloom.Filter, r int, st *multiState, rng *rand.Rand, ops *Ops) []uint64 {
+func (t *Tree) multiNode(n *node, q *bloom.Filter, r int, st *multiState, rng *rand.Rand) []uint64 {
 	if st.drained[n] {
 		return nil
 	}
-	if ops != nil {
-		ops.NodesVisited++
-	}
+	st.ops.NodesVisited++
 	left, right := n.children()
 	if left == nil && right == nil {
-		out := t.multiLeaf(n, q, r, st, rng, ops)
+		out := t.multiLeaf(n, q, r, st, rng)
 		if len(out) < r {
 			st.drained[n] = true
 		}
 		return out
 	}
 
-	lEst := t.childEstimate(left, q, ops)
-	rEst := t.childEstimate(right, q, ops)
+	lEst := t.childEstimate(left, q, &st.ops)
+	rEst := t.childEstimate(right, q, &st.ops)
 	thr := t.cfg.EmptyThreshold
 	lOK, rOK := lEst >= thr, rEst >= thr
 
@@ -84,9 +85,9 @@ func (t *Tree) multiNode(n *node, q *bloom.Filter, r int, st *multiState, rng *r
 		st.drained[n] = true
 		return nil
 	case lOK && !rOK:
-		out = t.multiNode(left, q, r, st, rng, ops)
+		out = t.multiNode(left, q, r, st, rng)
 	case !lOK && rOK:
-		out = t.multiNode(right, q, r, st, rng, ops)
+		out = t.multiNode(right, q, r, st, rng)
 	default:
 		// Split the r paths between the children with independent biased
 		// coins, exactly as r separate BSTSample runs would (§5.3), so the
@@ -99,25 +100,23 @@ func (t *Tree) multiNode(n *node, q *bloom.Filter, r int, st *multiState, rng *r
 			}
 		}
 		if toLeft > 0 {
-			out = append(out, t.multiNode(left, q, toLeft, st, rng, ops)...)
+			out = append(out, t.multiNode(left, q, toLeft, st, rng)...)
 		}
 		if r-toLeft > 0 {
-			out = append(out, t.multiNode(right, q, r-toLeft, st, rng, ops)...)
+			out = append(out, t.multiNode(right, q, r-toLeft, st, rng)...)
 		}
 		// Reroute unsatisfied paths into the sibling (backtracking), as
 		// BSTSample does for a single path; drained marks prevent
 		// re-scanning exhausted subtrees.
 		if deficit := r - len(out); deficit > 0 {
-			if ops != nil {
-				ops.Backtracks++
-			}
+			st.ops.Backtracks++
 			firstChild, secondChild := left, right
 			if rEst > lEst {
 				firstChild, secondChild = right, left
 			}
-			out = append(out, t.multiNode(firstChild, q, deficit, st, rng, ops)...)
+			out = append(out, t.multiNode(firstChild, q, deficit, st, rng)...)
 			if deficit = r - len(out); deficit > 0 {
-				out = append(out, t.multiNode(secondChild, q, deficit, st, rng, ops)...)
+				out = append(out, t.multiNode(secondChild, q, deficit, st, rng)...)
 			}
 			if len(out) > r {
 				out = out[:r]
@@ -133,8 +132,8 @@ func (t *Tree) multiNode(n *node, q *bloom.Filter, r int, st *multiState, rng *r
 }
 
 // multiLeaf resolves r paths arriving at one leaf.
-func (t *Tree) multiLeaf(n *node, q *bloom.Filter, r int, st *multiState, rng *rand.Rand, ops *Ops) []uint64 {
-	pos := t.positivesInLeaf(n, q, ops, nil)
+func (t *Tree) multiLeaf(n *node, q *bloom.Filter, r int, st *multiState, rng *rand.Rand) []uint64 {
+	pos := t.positivesInLeaf(n, q, &st.ops, nil)
 	if st.exclude == nil { // with replacement
 		if len(pos) == 0 {
 			return nil

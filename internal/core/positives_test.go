@@ -598,7 +598,7 @@ func TestPositivesOneScanUnderContention(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
-			var est Estimates
+			var est Ops
 			var scratch []uint64
 			for est.Picked < 200 {
 				var x uint64
@@ -671,7 +671,7 @@ func TestExactOnAnEmptyTree(t *testing.T) {
 		t.Fatalf("Exact on an empty tree: %v", p)
 	}
 	rng := rand.New(rand.NewSource(1))
-	var tally Estimates
+	var tally Ops
 	if _, _, err := tree.SampleVersion(q, rng, nil, nil, v, &tally); err != ErrNoSample || tally.Picked != 1 {
 		t.Fatalf("a draw from the empty table: %v, %d picks", err, tally.Picked)
 	}

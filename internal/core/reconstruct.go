@@ -55,16 +55,17 @@ func (t *Tree) Reconstruct(q *bloom.Filter, rule PruneRule, ops *Ops) ([]uint64,
 		n := int(est)
 		out = make([]uint64, 0, n+n/8+64)
 	}
-	return t.reconstructNode(root, q, rule, ops, out), nil
+	var walked Ops
+	out = t.reconstructNode(root, q, rule, &walked, out)
+	ops.Add(walked)
+	return out, nil
 }
 
 // reconstructNode appends to out, ascending, the positives of the leaves
 // under n that the walk reaches: both children are judged by childAlive
-// before either is entered.
+// before either is entered, counting into ops.
 func (t *Tree) reconstructNode(n *node, q *bloom.Filter, rule PruneRule, ops *Ops, out []uint64) []uint64 {
-	if ops != nil {
-		ops.NodesVisited++
-	}
+	ops.NodesVisited++
 	left, right := n.children()
 	if left == nil && right == nil {
 		return t.positivesInLeaf(n, q, ops, out)
@@ -88,9 +89,7 @@ func (t *Tree) reconstructNode(n *node, q *bloom.Filter, rule PruneRule, ops *Op
 // gets to before the end of the vectors. Either way it is one intersection
 // in Ops.
 func (t *Tree) childAlive(child *node, q *bloom.Filter, rule PruneRule, ops *Ops) bool {
-	if ops != nil {
-		ops.Intersections++
-	}
+	ops.Intersections++
 	if rule == PruneByAndBits {
 		return child.filter().IntersectsAny(q)
 	}

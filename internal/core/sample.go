@@ -42,83 +42,74 @@ func (t *Tree) SampleScratch(q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch 
 	return t.SampleVersion(q, rng, ops, scratch, nil, nil)
 }
 
-// Estimates is the tally of what the draws of one worker of a sampling
-// request cost and where they were served from.
-type Estimates struct {
-	// Computed counts the estimates the calls handed this value computed
-	// (what Ops.Intersections counts), Remembered those they read back from
-	// the version's index instead.
-	Computed, Remembered uint64
-	// Picked counts the draws that were picks from the version's positives:
-	// they read no estimate and tested no id.
-	Picked uint64
-}
-
 // SampleVersion is SampleScratch served from what v — q's version
 // (VersionFor), or nil for SampleScratch itself — already knows, adding what
-// the draw cost to tally (which may be nil).
+// the draw did to tally (which may be nil) as well as to ops.
 //
 // A version that holds its positives answers with a uniform pick among them
 // (ErrNoSample when there are none): exactly uniform, no estimate read, no id
-// tested. Until then the draw is Algorithm 1's descent reading child
-// estimates back from the version's index for the levels it covers, and it
-// pays the version the ids it tested at its leaf (Version.Pay) — which may
-// be the payment that runs the version's scan. For a given rng state the
+// tested, counted as Picked. Until then the draw is Algorithm 1's descent
+// reading child estimates back from the version's index for the levels it
+// covers, and it pays the version the ids it tested at its leaf
+// (Version.Pay) — which may be the payment that runs the version's scan. For a given rng state the
 // descent returns exactly the id SampleScratch would — same branch rule,
 // same backtracking, same rng consumption, and a remembered estimate is the
 // float64 that would have been computed — so everything known about the
 // draws' distribution carries over; only the intersections drop.
-// ops.Intersections counts estimates this call computed, not remembered
-// ones read back: summed over every call ever made on one filter version it
-// is at most twice the internal nodes the index covers (while the tree does
-// not grow), plus what each descent passes below it.
+// Intersections counts the estimates this call computed and Remembered the
+// ones it read back: Intersections summed over every call ever made on one
+// filter version is at most twice the internal nodes the index covers (while
+// the tree does not grow), plus what each descent passes below it.
 //
 // A caller that counts ops keeps the descent it is counting: it reads the
 // index, is never served a pick and pays nothing.
-func (t *Tree) SampleVersion(q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch []uint64, v *Version, tally *Estimates) (uint64, []uint64, error) {
-	if tally == nil {
-		tally = new(Estimates)
+func (t *Tree) SampleVersion(q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch []uint64, v *Version, tally *Ops) (uint64, []uint64, error) {
+	var served *Version // what may pick and must pay: not a caller who counts
+	if ops == nil {
+		served = v
 	}
-	served := v // what may pick and must pay: not a caller who counts
-	if ops != nil {
-		served = nil
-	}
+	d := descent{q: q, rng: rng, scratch: scratch}
+	x, err := t.sampleServed(v, served, &d)
+	ops.Add(d.ops)
+	tally.Add(d.ops)
+	return x, d.scratch, err
+}
+
+// sampleServed is SampleVersion's draw on v: a pick when served (v, or nil
+// for a caller who counts) holds its positives, otherwise the descent through
+// v's index, paying served for the ids it tested.
+func (t *Tree) sampleServed(v, served *Version, d *descent) (uint64, error) {
 	if p := served.Positives(); p != nil {
-		tally.Picked++
+		d.ops.Picked++
 		if p.Len() == 0 {
-			return 0, scratch, ErrNoSample
+			return 0, ErrNoSample
 		}
-		return p.Select(rng.Intn(p.Len())), scratch, nil
+		return p.Select(d.rng.Intn(p.Len())), nil
 	}
-	if err := t.checkQuery(q); err != nil {
-		return 0, scratch, err
+	if err := t.checkQuery(d.q); err != nil {
+		return 0, err
 	}
 	root := t.rootNode()
 	if root == nil { // empty pruned tree
-		return 0, scratch, ErrNoSample
+		return 0, ErrNoSample
 	}
-	d := descent{q: q, rng: rng, ops: ops, scratch: scratch, index: v.Index()}
-	x, ok := t.sampleNode(root, &d)
-	tally.Computed += d.computed
-	tally.Remembered += d.remembered
-	served.Pay(d.tested)
+	d.index = v.Index()
+	x, ok := t.sampleNode(root, d)
+	served.Pay(d.ops.Memberships)
 	if !ok {
-		return 0, d.scratch, ErrNoSample
+		return 0, ErrNoSample
 	}
-	return x, d.scratch, nil
+	return x, nil
 }
 
-// descent is what one root-to-leaf search carries down the recursion.
+// descent is what one root-to-leaf search carries down the recursion, and
+// what it did: ops.Memberships is also what the draw pays its Version.
 type descent struct {
 	q       *bloom.Filter
 	rng     *rand.Rand
-	ops     *Ops
 	scratch []uint64
 	index   *EstimateIndex
-	// Estimates computed and read back so far (see Estimates), and the ids
-	// tested at leaves: probes fired and ranges scanned, what Ops.Memberships
-	// counts and what the draw pays its Version.
-	computed, remembered, tested uint64
+	ops     Ops
 }
 
 // sampleNode samples from the subtree of the root n.
@@ -131,9 +122,7 @@ func (t *Tree) sampleNode(n *node, d *descent) (uint64, bool) { return t.sampleA
 // concurrent growth publish only by seeing either the old or the new
 // version.
 func (t *Tree) sampleAt(n *node, pos uint64, d *descent) (uint64, bool) {
-	if d.ops != nil {
-		d.ops.NodesVisited++
-	}
+	d.ops.NodesVisited++
 	left, right := n.children()
 	if left == nil && right == nil {
 		return t.sampleLeaf(n, d)
@@ -163,9 +152,7 @@ func (t *Tree) sampleAt(n *node, pos uint64, d *descent) (uint64, bool) {
 	if x, ok := t.sampleAt(first, firstPos, d); ok {
 		return x, true
 	}
-	if d.ops != nil {
-		d.ops.Backtracks++
-	}
+	d.ops.Backtracks++
 	if second == nil { // pruned tree: missing sibling
 		return 0, false
 	}
@@ -174,29 +161,23 @@ func (t *Tree) sampleAt(n *node, pos uint64, d *descent) (uint64, bool) {
 
 // childEstimates returns the estimates of the two children of the node at
 // heap position pos against the descent's query — from the version's index
-// for the levels it covers, computed below it — tallying which it was.
+// for the levels it covers, computed below it — counting which it was.
 func (t *Tree) childEstimates(pos uint64, left, right *node, d *descent) (lEst, rEst float64) {
-	pair := uint64(2)
-	if left == nil || right == nil {
-		pair = 1 // a missing child is not estimated
-	}
 	compute := func() (float64, float64) {
-		return t.childEstimate(left, d.q, d.ops), t.childEstimate(right, d.q, d.ops)
+		return t.childEstimate(left, d.q, &d.ops), t.childEstimate(right, d.q, &d.ops)
 	}
-	computed := true
-	if d.index.covers(pos) {
-		// The stamps are read before anything is computed and filters only
-		// move forward, so what is filed under them can describe filters
-		// newer than its label — and is then computed once more than needed
-		// — never older.
-		lEst, rEst, computed = d.index.slots[pos-1].estimates(left.stamp()+right.stamp(), compute)
-	} else {
-		lEst, rEst = compute()
+	if !d.index.covers(pos) {
+		return compute()
 	}
-	if computed {
-		d.computed += pair
-	} else {
-		d.remembered += pair
+	// The stamps are read before anything is computed and filters only move
+	// forward, so what is filed under them can describe filters newer than
+	// its label — and is then computed once more than needed — never older.
+	lEst, rEst, computed := d.index.slots[pos-1].estimates(left.stamp()+right.stamp(), compute)
+	if !computed {
+		d.ops.Remembered += 2
+		if left == nil || right == nil {
+			d.ops.Remembered-- // a missing child is not estimated
+		}
 	}
 	return lEst, rEst
 }
@@ -207,9 +188,7 @@ func (t *Tree) childEstimate(child *node, q *bloom.Filter, ops *Ops) float64 {
 	if child == nil {
 		return 0
 	}
-	if ops != nil {
-		ops.Intersections++
-	}
+	ops.Intersections++
 	return bloom.EstimateIntersectionOf(child.filter(), q)
 }
 
@@ -244,21 +223,14 @@ func (t *Tree) sampleLeaf(n *node, d *descent) (uint64, bool) {
 			x := n.lo + uint64(d.rng.Int63n(int64(span)))
 			var hit bool
 			if hit, d.scratch = d.q.Probe(x, d.scratch); hit {
-				d.tested += fired
-				if d.ops != nil {
-					d.ops.LeavesScanned++
-					d.ops.Memberships += fired
-				}
+				d.ops.LeavesScanned++
+				d.ops.Memberships += fired
 				return x, true
 			}
 		}
-		d.tested += span / leafProbeShare
-		if d.ops != nil {
-			d.ops.Memberships += span / leafProbeShare
-		}
+		d.ops.Memberships += span / leafProbeShare
 	}
-	d.tested += n.hi - n.lo
-	hits := t.positivesInLeaf(n, d.q, d.ops, d.scratch[:0])
+	hits := t.positivesInLeaf(n, d.q, &d.ops, d.scratch[:0])
 	d.scratch = hits
 	var chosen uint64
 	for i, x := range hits {
@@ -289,9 +261,7 @@ const ScratchHint = bloom.ProbeBlock * (maxScratchK + 2)
 // positivesInLeaf appends every element of the leaf range answering
 // positively to out, ascending: the one leaf scan under every search.
 func (t *Tree) positivesInLeaf(n *node, q *bloom.Filter, ops *Ops, out []uint64) []uint64 {
-	if ops != nil {
-		ops.LeavesScanned++
-		ops.Memberships += n.hi - n.lo
-	}
+	ops.LeavesScanned++
+	ops.Memberships += n.hi - n.lo
 	return q.AppendPositives(n.lo, n.hi, out)
 }

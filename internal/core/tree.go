@@ -275,11 +275,12 @@ func (t *Tree) checkQuery(q *bloom.Filter) error {
 }
 
 // Ops counts the operations a sampling or reconstruction call performed;
-// these are the metrics of the paper's Figures 3–4 and 8–10. Pass nil to
-// skip counting.
+// these are the metrics of the paper's Figures 3–4 and 8–10. It is the one
+// tally of what a draw or a walk did: every call counts into an Ops of its
+// own and adds it to the caller's once. Pass nil to skip counting.
 type Ops struct {
 	// Intersections counts Bloom-filter intersection-size estimations
-	// (one per child filter examined at an internal node).
+	// computed (one per child filter examined at an internal node).
 	Intersections uint64
 	// Memberships counts the membership probes actually fired at the query
 	// filter: a leaf's whole range where it is scanned (SampleN,
@@ -294,20 +295,31 @@ type Ops struct {
 	// Backtracks counts the times the search exhausted one child and
 	// re-descended into the sibling (§5.3's false-positive paths).
 	Backtracks uint64
+	// Remembered counts the estimates SampleVersion read back from its
+	// version's EstimateIndex instead of computing them.
+	Remembered uint64
+	// Picked counts the draws SampleVersion served as picks from its
+	// version's Positives: they read no estimate and tested no id.
+	Picked uint64
 }
 
-// Add accumulates o2 into o.
+// Add accumulates o2 into o; a nil o counts nothing.
 func (o *Ops) Add(o2 Ops) {
+	if o == nil {
+		return
+	}
 	o.Intersections += o2.Intersections
 	o.Memberships += o2.Memberships
 	o.NodesVisited += o2.NodesVisited
 	o.LeavesScanned += o2.LeavesScanned
 	o.Backtracks += o2.Backtracks
+	o.Remembered += o2.Remembered
+	o.Picked += o2.Picked
 }
 
 func (o *Ops) String() string {
-	return fmt.Sprintf("intersections=%d memberships=%d nodes=%d leaves=%d backtracks=%d",
-		o.Intersections, o.Memberships, o.NodesVisited, o.LeavesScanned, o.Backtracks)
+	return fmt.Sprintf("intersections=%d memberships=%d nodes=%d leaves=%d backtracks=%d remembered=%d picked=%d",
+		o.Intersections, o.Memberships, o.NodesVisited, o.LeavesScanned, o.Backtracks, o.Remembered, o.Picked)
 }
 
 // split returns the midpoint used to halve [lo, hi).

@@ -312,16 +312,17 @@ func TestSampleNodesVisitedWithinBound(t *testing.T) {
 }
 
 func TestOpsAddString(t *testing.T) {
-	a := Ops{Intersections: 1, Memberships: 2, NodesVisited: 3, LeavesScanned: 4, Backtracks: 5}
+	a := Ops{Intersections: 1, Memberships: 2, NodesVisited: 3, LeavesScanned: 4, Backtracks: 5, Remembered: 6, Picked: 7}
 	b := a
 	a.Add(b)
-	if a.Intersections != 2 || a.Memberships != 4 || a.NodesVisited != 6 ||
-		a.LeavesScanned != 8 || a.Backtracks != 10 {
+	if a != (Ops{2, 4, 6, 8, 10, 12, 14}) {
 		t.Fatalf("Add wrong: %+v", a)
 	}
 	if a.String() == "" {
 		t.Fatal("empty String")
 	}
+	var none *Ops
+	none.Add(a) // counts nothing, and does not panic
 }
 
 func TestReconstructExact(t *testing.T) {

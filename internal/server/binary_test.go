@@ -8,10 +8,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/setdb"
 	"repro/internal/wire"
 )
 
@@ -192,6 +195,60 @@ func TestBinaryRoundTrips(t *testing.T) {
 	m := st.Endpoints["bin:sample"]
 	if m.Requests == 0 || m.P50LatencyUS <= 0 || m.P99LatencyUS < m.P50LatencyUS {
 		t.Fatalf("bin:sample metrics: %+v", m)
+	}
+}
+
+// TestOneKeyBoundOnBothProtocols: the protocols bound a key alike, by what
+// the database holds. A key of setdb.MaxKeyLen bytes added over HTTP is
+// sampled, reconstructed and removed from over the binary protocol, and a
+// key one byte longer is a 400 on both that stores nothing.
+func TestOneKeyBoundOnBothProtocols(t *testing.T) {
+	if wire.MaxKeyLen != setdb.MaxKeyLen {
+		t.Fatalf("wire.MaxKeyLen is %d bytes, setdb.MaxKeyLen %d", wire.MaxKeyLen, setdb.MaxKeyLen)
+	}
+	s, addr := newBinaryTestServer(t, Config{})
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	c := dialTestClient(t, addr)
+
+	longest := strings.Repeat("k", setdb.MaxKeyLen)
+	if code := post(t, ts, "/v1/add", fmt.Sprintf(`{"key":"%s","ids":[1,2,3],"dynamic":true}`, longest), nil); code != http.StatusOK {
+		t.Fatalf("HTTP add of a %d-byte key: status %d", len(longest), code)
+	}
+	ids, err := c.Sample(longest, 16, wire.SampleOpts{})
+	if err != nil || len(ids) != 16 {
+		t.Fatalf("binary sample of a %d-byte key: %d ids, %v", len(longest), len(ids), err)
+	}
+	for _, x := range ids {
+		if x < 1 || x > 3 {
+			t.Fatalf("binary sample of a %d-byte key drew %d, not one of 1, 2, 3", len(longest), x)
+		}
+	}
+	if got, err := c.Reconstruct(longest, false); err != nil || !slices.Contains(got, 1) || !slices.Contains(got, 2) || !slices.Contains(got, 3) {
+		t.Fatalf("binary reconstruction of a %d-byte key: %v, %v", len(longest), got, err)
+	}
+	if _, err := c.Remove(longest, []uint64{2}); err != nil {
+		t.Fatalf("binary remove from a %d-byte key: %v", len(longest), err)
+	}
+	if got, err := c.Reconstruct(longest, false); err != nil || slices.Contains(got, 2) || !slices.Contains(got, 1) {
+		t.Fatalf("binary reconstruction after removing 2: %v, %v", got, err)
+	}
+
+	over := longest + "k"
+	if code := post(t, ts, "/v1/add", fmt.Sprintf(`{"key":"%s","ids":[1]}`, over), nil); code != http.StatusBadRequest {
+		t.Fatalf("HTTP add of a %d-byte key: status %d, want 400", len(over), code)
+	}
+	for name, call := range map[string]func() error{
+		"add":    func() error { _, err := c.Add(wire.AddSet{Key: over, IDs: []uint64{1}}); return err },
+		"sample": func() error { _, err := c.Sample(over, 1, wire.SampleOpts{}); return err },
+	} {
+		var er wire.ErrorResult
+		if err := call(); !errors.As(err, &er) || er.Code != wire.ErrCodeBadRequest {
+			t.Fatalf("binary %s of a %d-byte key: %v, want a 400", name, len(over), err)
+		}
+	}
+	if keys := s.DB().Keys(); slices.Contains(keys, over) || len(keys) != 3 {
+		t.Fatalf("after the refused writes the database holds %d keys", len(keys))
 	}
 }
 

@@ -38,8 +38,8 @@ func drawUnmemoised(t *testing.T, tree *core.Tree, f *bloom.Filter, n int, rng *
 // per-batch estimate memo: a worker with a fixed rng seed returns exactly
 // what the same number of SampleScratch calls on an identically seeded rng
 // return — every backend's query filter, the default and a block-scanned
-// hash family — while computing fewer estimates and the same everything
-// else. The worker and both rngs live across three batches with the pruned
+// hash family — while computing fewer estimates, reading the rest back
+// from the index, and the same everything else. The worker and both rngs live across three batches with the pruned
 // tree grown in between, first under the same filter version and then
 // under a new one: an estimate remembered past its batch would send the
 // worker down different branches than the reference.
@@ -89,7 +89,11 @@ func TestBatchDrawsMatchSampleScratch(t *testing.T) {
 					if ops.Intersections >= refOps.Intersections {
 						t.Fatalf("%s: batch computed %d estimates, independent draws %d", step, ops.Intersections, refOps.Intersections)
 					}
-					ops.Intersections, refOps.Intersections = 0, 0
+					if ops.Intersections+ops.Remembered != refOps.Intersections {
+						t.Fatalf("%s: batch computed %d estimates and read %d back, independent draws computed %d",
+							step, ops.Intersections, ops.Remembered, refOps.Intersections)
+					}
+					ops.Intersections, ops.Remembered, refOps.Intersections = 0, 0, 0
 					if ops != refOps {
 						t.Fatalf("%s: batch counted %v, independent draws %v", step, &ops, &refOps)
 					}

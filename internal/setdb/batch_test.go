@@ -1,6 +1,7 @@
 package setdb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -106,7 +107,8 @@ func TestApplyBatchAllOrNothing(t *testing.T) {
 // pruned tree on a goroutine beside its build. When its last write fails
 // with ErrKeyClash, the batch returns that error with nothing stored, the
 // tree has grown by then (ids in the tree and in no filter cost occupancy,
-// not correctness), and the goroutine it started is gone.
+// not correctness), and the goroutine it started is gone: no goroutine's
+// stack holds a growAside frame, which no other goroutine can.
 func TestGrownAsideBatchFailsWhole(t *testing.T) {
 	opts := smallOptions()
 	opts.Pruned = true
@@ -121,7 +123,7 @@ func TestGrownAsideBatchFailsWhole(t *testing.T) {
 	for i := range ids {
 		ids[i] = uint64(i)
 	}
-	before, epoch, goroutines := db.Stats(), db.Tree().GrowthEpoch(), runtime.NumGoroutine()
+	before, epoch := db.Stats(), db.Tree().GrowthEpoch()
 	err = db.ApplyBatch([]Write{
 		{Key: "fresh", IDs: ids},
 		{Key: "fresh-dyn", IDs: ids[:10], Dynamic: true},
@@ -142,10 +144,22 @@ func TestGrownAsideBatchFailsWhole(t *testing.T) {
 	if after := db.Stats(); after.StateWrites != before.StateWrites || after.Generations != before.Generations {
 		t.Fatalf("the failed batch moved write counters: %+v -> %+v", before, after)
 	}
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() != goroutines; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); growingAside(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after the batch, %d before", runtime.NumGoroutine(), goroutines)
+			t.Fatal("the batch returned and its growAside goroutine is still running")
 		}
+	}
+}
+
+// growingAside reports whether some goroutine's stack holds a growAside
+// frame.
+func growingAside() bool {
+	buf := make([]byte, 1<<16)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return bytes.Contains(buf[:n], []byte("(*DB).growAside"))
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }
 

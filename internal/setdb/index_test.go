@@ -115,7 +115,7 @@ func TestVersionPaysForEachEstimateOnce(t *testing.T) {
 	if _, _, err := w.draw(db.tree, g, 64, &replay, nil); err != nil {
 		t.Fatal(err)
 	}
-	if first.Intersections == 0 || replay.Intersections != 0 || w.tally.Computed != 0 || w.tally.Remembered != 2*depth*64 {
+	if first.Intersections == 0 || replay.Intersections != 0 || w.tally.Intersections != 0 || w.tally.Remembered != 2*depth*64 {
 		t.Fatalf("a frame computed %d estimates, its replay computed %d and read %d back", first.Intersections, replay.Intersections, w.tally.Remembered)
 	}
 

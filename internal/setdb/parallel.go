@@ -126,7 +126,7 @@ func (db *DB) pickFrom(p *core.Positives, n int) []uint64 {
 	w := sampleWorkers.Get().(*sampleWorker)
 	out := w.pick(p, n, make([]uint64, 0, n))
 	sampleWorkers.Put(w)
-	db.recordDraws(n, n-len(out), core.Estimates{Picked: uint64(n)})
+	db.recordDraws(n, n-len(out), core.Ops{Picked: uint64(n)})
 	return out
 }
 
@@ -141,7 +141,7 @@ type sampleWorker struct {
 	scratch []uint64 // leaf-scan hits, threaded through every draw
 	// What the worker's latest batch cost and where it was served from, left
 	// for whoever ran it to add to the database's counters.
-	tally core.Estimates
+	tally core.Ops
 }
 
 var sampleWorkers = sync.Pool{New: func() any {
@@ -162,7 +162,7 @@ var sampleWorkers = sync.Pool{New: func() any {
 // allocates nothing.
 func (w *sampleWorker) draw(tree *core.Tree, f *bloom.Filter, n int, ops *core.Ops, out []uint64) (_ []uint64, lost int, err error) {
 	v := tree.VersionFor(f)
-	w.tally = core.Estimates{}
+	w.tally = core.Ops{}
 	for i := 0; i < n && err == nil; i++ {
 		var x uint64
 		x, w.scratch, err = tree.SampleVersion(f, w.rng, ops, w.scratch, v, &w.tally)
@@ -220,9 +220,9 @@ func (db *DB) sampleManyFilter(f *bloom.Filter, n int, ops *core.Ops) ([]uint64,
 // nothing to add — a request on a version that has its positives touches one
 // counter, the usual descending batch loses no draw and on a version whose
 // index is full computes nothing.
-func (db *DB) recordDraws(n, lost int, tally core.Estimates) {
+func (db *DB) recordDraws(n, lost int, tally core.Ops) {
 	addSome(&db.lostDraws, uint64(lost))
-	addSome(&db.estimatesComputed, tally.Computed)
+	addSome(&db.estimatesComputed, tally.Intersections)
 	addSome(&db.estimatesRemembered, tally.Remembered)
 	addSome(&db.drawsWarm, tally.Picked)
 	addSome(&db.drawsDescended, uint64(n)-tally.Picked)

@@ -72,7 +72,7 @@ func TestWarmRequestIsPicks(t *testing.T) {
 	drawer := &sampleWorker{rng: rand.New(rand.NewSource(5))}
 	picked := picker.pick(table, 200, nil)
 	drawn, lost, err := drawer.draw(db.tree, f, 200, nil, nil)
-	if err != nil || lost != 0 || drawer.tally != (core.Estimates{Picked: 200}) || !slices.Equal(picked, drawn) {
+	if err != nil || lost != 0 || drawer.tally != (core.Ops{Picked: 200}) || !slices.Equal(picked, drawn) {
 		t.Fatalf("200 picks and 200 draws served from the table on one rng state differ (%d lost, %+v, err %v)", lost, drawer.tally, err)
 	}
 

@@ -10,10 +10,11 @@ import (
 // the body could physically hold (one byte minimum per element), so a
 // forged count can never drive a huge allocation from a tiny frame.
 const (
-	// MaxKeyLen bounds a set key on the wire, well under the database's
-	// own bound (setdb.MaxKeyLen, which is all that bounds an HTTP key): a
-	// multi-megabyte key is an attack, not a key.
-	MaxKeyLen = 4096
+	// MaxKeyLen bounds a set key on the wire by the database's own bound
+	// (setdb.MaxKeyLen, what a bundle and a WAL record hold, which also
+	// bounds an HTTP key), so a key either protocol stores, the other can
+	// address. A frame stays capped by DefaultMaxBody.
+	MaxKeyLen = 1<<16 - 1
 )
 
 // bodyReader walks a frame body. All take-methods fail with ErrMalformed
