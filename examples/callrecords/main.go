@@ -69,24 +69,35 @@ func run(w io.Writer) error {
 		filters[name] = f
 	}
 
-	// Subpoena: all numbers seen at tower A, via the fast estimate-pruned
-	// traversal; precision is governed by the planned accuracy and recall
-	// is reported against the ground truth.
+	// Subpoena: all numbers seen at tower A. Evidence must be complete, so
+	// the answer walks under PruneByAndBits, which never drops a live
+	// branch: every number the tower saw is among the candidates, and
+	// precision is governed by the planned accuracy.
 	var ops bloomsample.Ops
-	recovered, err := tree.Reconstruct(filters["A"], bloomsample.PruneByEstimate, &ops)
+	recovered, err := tree.Reconstruct(filters["A"], bloomsample.PruneByAndBits, &ops)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "tower A reconstruction: %d candidates for %d true numbers "+
-		"(%.1f%% precision, %.1f%% recall), %d membership queries instead of %d\n",
+	fmt.Fprintf(w, "tower A subpoena: %d candidates for %d true numbers "+
+		"(%.1f%% precision, %.1f%% recall), %d of the %d numbers tested\n",
 		len(recovered), len(towerA), 100*float64(inCount(recovered, towerA))/float64(len(recovered)),
 		100*float64(inCount(recovered, towerA))/float64(len(towerA)),
 		ops.Memberships, numberSpace)
 
-	// Cross-reference: numbers present at BOTH towers A and B. Evidence
-	// must be complete, so use PruneByAndBits: it never drops a live
-	// branch (at the price of scanning leaves whose filters merely look
-	// overlapping).
+	// A fast preview: the estimate-pruned walk (§5.6's threshold) scans
+	// far fewer leaves, and prunes live ones when the filter holds fewer
+	// numbers than it was planned for; its recall says how many.
+	var preview bloomsample.Ops
+	glimpse, err := tree.Reconstruct(filters["A"], bloomsample.PruneByEstimate, &preview)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "tower A preview (estimate-pruned, incomplete): %d candidates, %.1f%% recall, %d membership queries\n",
+		len(glimpse), 100*float64(inCount(glimpse, towerA))/float64(len(towerA)), preview.Memberships)
+
+	// Cross-reference: numbers present at BOTH towers A and B, complete
+	// again under PruneByAndBits (at the price of scanning leaves whose
+	// filters merely look overlapping).
 	ab, err := filters["A"].Intersect(filters["B"])
 	if err != nil {
 		return err

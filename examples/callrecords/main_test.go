@@ -8,10 +8,11 @@ import (
 )
 
 // TestCallRecords runs the example at its seed and checks what it prints:
-// the estimate-pruned reconstruction of tower A is at least as precise as
-// the plan's accuracy, the cross-reference under PruneByAndBits finds every
-// suspect, and HashInvert's reconstruction of tower C holds every number
-// the tower saw, since a Bloom filter has no false negatives.
+// the subpoena of tower A recovers every number the tower saw and is at
+// least as precise as the plan's accuracy, the preview says it is
+// incomplete, the cross-reference under PruneByAndBits finds every suspect,
+// and HashInvert's reconstruction of tower C holds every number the tower
+// saw, since a Bloom filter has no false negatives.
 func TestCallRecords(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(&out); err != nil {
@@ -34,9 +35,14 @@ func TestCallRecords(t *testing.T) {
 		return v
 	}
 
-	if precision := find(`tower A reconstruction: \d+ candidates for \d+ true numbers \(([\d.]+)% precision`)[0]; precision < 100*accuracy {
-		t.Errorf("tower A's reconstruction is %.1f %% precise, below the planned accuracy %.2f", precision, accuracy)
+	a := find(`tower A subpoena: \d+ candidates for \d+ true numbers \(([\d.]+)% precision, ([\d.]+)% recall\)`)
+	if a[0] < 100*accuracy {
+		t.Errorf("tower A's subpoena is %.1f %% precise, below the planned accuracy %.2f", a[0], accuracy)
 	}
+	if a[1] != 100 {
+		t.Errorf("tower A's subpoena recalls %.1f %% of the tower's numbers, want all of them", a[1])
+	}
+	find(`tower A preview \(estimate-pruned, incomplete\): \d+ candidates, ([\d.]+)% recall`)
 	if s := find(`cross-reference A∩B: \d+ common numbers, (\d+)/(\d+) suspects present`); s[0] != s[1] || s[1] != 3 {
 		t.Errorf("the cross-reference found %v of %v suspects, want 3 of 3", s[0], s[1])
 	}

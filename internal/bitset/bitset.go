@@ -72,6 +72,22 @@ func (s *Set) Set(i uint64) {
 	s.invalidate()
 }
 
+// SetAll sets every bit in positions to 1, as Set called on each would,
+// with one bounds test a position and one invalidation of the remembered
+// popcount for the call: a Bloom filter's insert sets k bits a key, and a
+// block of keys k per key. It panics if any position is out of range,
+// having set the positions before it.
+func (s *Set) SetAll(positions []uint64) {
+	words, n := s.words, s.n
+	for _, p := range positions {
+		if p >= n {
+			s.check(p)
+		}
+		words[p/wordBits] |= 1 << (p % wordBits)
+	}
+	s.invalidate()
+}
+
 // Clear sets bit i to 0. It panics if i is out of range.
 func (s *Set) Clear(i uint64) {
 	s.check(i)

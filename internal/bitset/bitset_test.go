@@ -578,6 +578,8 @@ func TestCountSurvivesEveryMutator(t *testing.T) {
 	}{
 		{"Set", func(s *Set) *Set { s.Set(1); return s }},
 		{"Set(already set)", func(s *Set) *Set { s.Set(0); return s }},
+		{"SetAll", func(s *Set) *Set { s.SetAll([]uint64{1, 0, 2, 1}); return s }},
+		{"SetAll(already set)", func(s *Set) *Set { s.SetAll([]uint64{0, 3}); return s }},
 		{"Clear", func(s *Set) *Set { s.Clear(0); return s }},
 		{"Clear(already clear)", func(s *Set) *Set { s.Clear(1); return s }},
 		{"Reset", func(s *Set) *Set { s.Reset(); return s }},
@@ -737,4 +739,48 @@ func TestTestAllOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	s.TestAll([]uint64{5, 100})
+}
+
+// TestSetAllMatchesSet holds SetAll to a Set of each position, on vectors
+// whose popcount was remembered before the call, with positions repeated,
+// in one word and across the masked tail.
+func TestSetAllMatchesSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const n = 1000
+	for trial := 0; trial < 500; trial++ {
+		got, want := New(n), New(n)
+		for range 50 {
+			x := rng.Uint64() % n
+			got.Set(x)
+			want.Set(x)
+		}
+		got.Count()
+		want.Count()
+		pos := make([]uint64, rng.Intn(20))
+		for i := range pos {
+			if i > 0 && rng.Intn(3) == 0 {
+				pos[i] = pos[i-1] ^ uint64(rng.Intn(8)) // often the same word
+			} else {
+				pos[i] = rng.Uint64() % n
+			}
+			pos[i] %= n
+		}
+		got.SetAll(pos)
+		for _, p := range pos {
+			want.Set(p)
+		}
+		if !got.Equal(want) || got.Count() != want.Count() || got.Count() != recount(got) {
+			t.Fatalf("SetAll(%v): Count %d, per-bit Set %d, recount %d", pos, got.Count(), want.Count(), recount(got))
+		}
+	}
+}
+
+func TestSetAllOutOfRangePanics(t *testing.T) {
+	s := New(100)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-range position not detected")
+		}
+	}()
+	s.SetAll([]uint64{5, 100})
 }

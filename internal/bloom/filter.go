@@ -146,9 +146,7 @@ func (f *Filter) Insertions() uint64 { return f.n }
 func (f *Filter) Add(x uint64) {
 	f.dropDerived()
 	bp, pos := getPositions(f.fam, x)
-	for _, p := range pos {
-		f.bits.Set(p)
-	}
+	f.bits.SetAll(pos)
 	putPositions(bp, pos)
 	f.n++
 }
@@ -161,9 +159,7 @@ func (f *Filter) Add(x uint64) {
 func (f *Filter) AddScratch(x uint64, buf []uint64) []uint64 {
 	f.dropDerived()
 	buf = f.fam.Positions(x, buf[:0])
-	for _, p := range buf {
-		f.bits.Set(p)
-	}
+	f.bits.SetAll(buf)
 	f.n++
 	return buf
 }
@@ -278,9 +274,7 @@ func (f *Filter) AddMany(xs []uint64) {
 	for len(xs) > 0 {
 		n := min(len(xs), ProbeBlock)
 		scratch = hashfam.PositionsMany(f.fam, xs[:n], scratch[:0])
-		for _, p := range scratch {
-			f.bits.Set(p)
-		}
+		f.bits.SetAll(scratch)
 		f.n += uint64(n)
 		xs = xs[n:]
 	}

@@ -49,10 +49,13 @@ func BuildPruned(cfg Config, occupied []uint64) (*Tree, error) {
 			return nil, fmt.Errorf("core: occupied id %d outside namespace [0,%d)", id, cfg.Namespace)
 		}
 	}
-	ids := sortIDs(occupied, cfg.Namespace)
+	ids := sortIDs(slices.Clone(occupied), cfg.Namespace)
 	if len(ids) > 0 {
 		t.publish(&t.root, t.buildSubtree(0, cfg.Namespace, cfg.Depth, forkFor(len(ids)), ids))
 	}
+	t.grow.Lock()
+	t.record(ids)
+	t.grow.Unlock()
 	return t, nil
 }
 
@@ -210,8 +213,20 @@ const GrowRun = 4096
 // InsertBatch adds occupied identifiers to a pruned tree, growing nodes
 // along the root-to-leaf paths as needed (§5.2: "either we need to insert
 // this new element into already existing nodes in the tree, or we need to
-// create a new node"). The ids are sorted (sortIDs) and grown under the
-// tree's one growth lock.
+// create a new node"). It works under the tree's one growth lock.
+//
+// An id the tree has grown before costs one bit: the tree's occupancy
+// bitmap (Tree.grown) holds every id a batch grew or found covered at its
+// leaf, and the batch first drops those (fresh), since leaf filters only
+// gain bits. Only the rest are sorted (sortIDs), hashed and walked, and
+// their bits are set once the walk is done (record). The bitmap exists
+// from the first batch after which the tree's filters hold at least M bits
+// (Nodes() × Bits ≥ Namespace), so it at most doubles the tree's memory
+// and a sparse namespace never gets one; an id grown before it existed,
+// or before the tree was read back (ReadTree stores no bitmap), walks the
+// path once more, changes no node and gets its bit then. A batch whose
+// every id is covered sorts, hashes and publishes nothing, and allocates
+// nothing once the bitmap holds its ids.
 //
 // A batch of GrowRun ids or more forks its top ⌈log₂ GOMAXPROCS⌉ levels,
 // as BuildTree does (growSlot): a node there grows its left half on a
@@ -219,16 +234,17 @@ const GrowRun = 4096
 // ids at its midpoint, and then becomes its children's union. Below the
 // fork levels, and for a smaller batch from the root, the ids are walked
 // down to the leaves a run of at most GrowRun at a time (growRuns). An id
-// whose leaf already holds its positions changes no node, so it costs its
-// hash, its share of the walk and one test at the leaf (growNode); only
-// the others' positions are added to the nodes above. Existing node
-// filters are replaced by copy-on-write clones, and missing paths are
-// built privately and attached with a single pointer store, so queries
-// never block: a concurrent reader sees either the previous or the new
-// version of each node. Every node filter shares the tree's one family, so
-// each id is hashed once, and its positions ride down its path beside it;
-// only an id that opens a new leaf is hashed again, into that leaf. The
-// tree is the same node for node whether and however far a batch forked.
+// the bitmap did not drop but whose leaf already holds its positions
+// changes no node, so it costs its hash, its share of the walk and one test
+// at the leaf (growNode); only the others' positions are added to the nodes
+// above. Existing node filters are replaced by copy-on-write clones, and
+// missing paths are built privately and attached with a single pointer
+// store, so queries never block: a concurrent reader sees either the
+// previous or the new version of each node. Every node filter shares the
+// tree's one family, so each id is hashed once, and its positions ride down
+// its path beside it; only an id that opens a new leaf is hashed again,
+// into that leaf. The tree is the same node for node whether and however
+// far a batch forked.
 //
 // InsertBatch returns an error on full trees (which already store the
 // whole namespace) and on out-of-range ids; on an out-of-range id the
@@ -245,12 +261,57 @@ func (t *Tree) InsertBatch(ids []uint64) error {
 	if len(ids) == 0 {
 		return nil
 	}
-	sorted := sortIDs(ids, t.cfg.Namespace)
 	t.grow.Lock()
 	defer t.grow.Unlock()
-	t.growSlot(&t.root, 0, t.cfg.Namespace, t.cfg.Depth, forkFor(len(sorted)), sorted)
+	if fresh := t.fresh(ids); len(fresh) > 0 {
+		sorted := sortIDs(fresh, t.cfg.Namespace)
+		t.growSlot(&t.root, 0, t.cfg.Namespace, t.cfg.Depth, forkFor(len(sorted)), sorted)
+		t.record(sorted)
+	}
 	t.epoch.Add(1)
 	return nil
+}
+
+// fresh returns, in a slice of its own, the ids whose bits the occupancy
+// bitmap lacks: all of them while there is no bitmap, and nil when every
+// one is set, so a covered batch allocates nothing. Called under t.grow.
+func (t *Tree) fresh(ids []uint64) []uint64 {
+	if t.grown == nil {
+		return slices.Clone(ids)
+	}
+	n := 0
+	for _, x := range ids {
+		if t.grown[x/64]&(1<<(x%64)) == 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]uint64, 0, n)
+	for _, x := range ids {
+		if t.grown[x/64]&(1<<(x%64)) == 0 {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// record sets the occupancy bits of ids, which the tree has just grown or
+// found covered at their leaves. The bitmap is allocated here, the first
+// time the tree's filters hold at least M bits between them (Nodes() ×
+// Bits ≥ Namespace); until then record does nothing. Called under t.grow.
+func (t *Tree) record(ids []uint64) {
+	if t.grown == nil {
+		if t.Nodes() < (t.cfg.Namespace-1)/t.cfg.Bits+1 {
+			return
+		}
+		t.grown = make([]uint64, (t.cfg.Namespace-1)/64+1)
+		t.grownBytes.Store(uint64(len(t.grown)) * 8)
+	}
+	for _, x := range ids {
+		t.grown[x/64] |= 1 << (x % 64)
+	}
 }
 
 // growSlot grows the subtree at slot (a child slot, or the root's) over
@@ -304,20 +365,23 @@ func (t *Tree) growRuns(n *node, depth int, ids []uint64) {
 // many of the ids the subtree did not already cover, and moves their
 // positions to the front of pos.
 //
-// Every internal node's bits are exactly its children's union: buildFull,
-// buildSubtree and ReadTree form each one so (unite), and this walk keeps
-// it. So an id whose positions its leaf already holds
+// The ids are the ones InsertBatch's occupancy bitmap has not seen: fresh
+// ids, mostly, and ids grown before the bitmap existed or before the tree
+// was read back. Every internal node's bits are exactly its children's
+// union: buildFull, buildSubtree and ReadTree form each one so (unite), and
+// this walk keeps it. So an id whose positions its leaf already holds
 // changes no node on its path, and a leaf keeps only the ids it lacks
-// (TestAll). On the way back up a node adds only the kept ids' positions,
-// once per run, and publishes a new box only when its bits changed —
-// CloneAddPositions hands back the receiver's own bit vector otherwise, and
-// a published box is a changed bit vector, which is what boxedFilter.stamp
-// promises. A node is published after its children, which no reader can
-// tell apart: a version from before the batch holds every earlier id on its
-// whole path, and the batch's ids are sampleable as their run publishes
-// (through a fork level, once that node's halves are done). (A node
-// filter's insertion counter counts only the kept ids; nothing reads it and
-// the tree's encoding stores bit vectors alone.)
+// (TestAll); InsertBatch records both kinds afterwards. On the way back up
+// a node adds only the kept ids' positions, once per run, and publishes a
+// new box only when its bits changed — CloneAddPositions hands back the
+// receiver's own bit vector otherwise, and a published box is a changed bit
+// vector, which is what boxedFilter.stamp promises. A node is published
+// after its children, which no reader can tell apart: a version from before
+// the batch holds every earlier id on its whole path, and the batch's ids
+// are sampleable as their run publishes (through a fork level, once that
+// node's halves are done). (A node filter's insertion counter counts only
+// the kept ids; nothing reads it and the tree's encoding stores bit vectors
+// alone.)
 func (t *Tree) growNode(n *node, depth int, ids, pos []uint64) int {
 	k := t.fam.K()
 	old, kept := n.filter(), 0
@@ -366,11 +430,12 @@ func (t *Tree) growChild(slot *atomic.Pointer[node], lo, hi uint64, depth int, i
 // meet between 256 and 384 ids.
 const radixFrom = 256
 
-// sortIDs returns a sorted copy of ids, every one of them below limit. A
-// batch of radixFrom or more is sorted by LSD radix, one pass for each
-// 8-bit digit of the bits.Len64(limit−1) bits an id can have.
+// sortIDs sorts ids, every one of them below limit, and returns them
+// sorted: in ids itself, which it owns and may overwrite, or in a buffer of
+// its own. A batch of radixFrom or more is sorted by LSD radix, one pass
+// for each 8-bit digit of the bits.Len64(limit−1) bits an id can have.
 func sortIDs(ids []uint64, limit uint64) []uint64 {
-	out := slices.Clone(ids)
+	out := ids
 	if len(ids) < radixFrom {
 		slices.Sort(out)
 		return out

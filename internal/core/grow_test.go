@@ -218,13 +218,44 @@ func leafFalsePositives(tree *Tree, inserted map[uint64]bool) []uint64 {
 	return out
 }
 
+// checkGrown holds the tree's occupancy bitmap to what it promises: every
+// id whose bit is set has a leaf, and that leaf holds it.
+func checkGrown(t *testing.T, tree *Tree) {
+	t.Helper()
+	tree.grow.Lock()
+	defer tree.grow.Unlock()
+	for w, word := range tree.grown {
+		for ; word != 0; word &= word - 1 {
+			x := uint64(w)*64 + uint64(bits.TrailingZeros64(word))
+			n := tree.rootNode()
+			for n != nil {
+				left, right := n.children()
+				if left == nil && right == nil {
+					break
+				}
+				if x < split(n.lo, n.hi) {
+					n = left
+				} else {
+					n = right
+				}
+			}
+			if n == nil || !n.filter().Contains(x) {
+				t.Fatalf("id %d is marked grown, and its leaf does not hold it", x)
+			}
+		}
+	}
+}
+
 // TestGrowthIsBuildPrunedExhaustive grows a pruned tree batch by batch for
 // every namespace 2..256 at every depth its namespace allows, and after
 // every batch holds its bytes to BuildPruned's over every id so far. The
 // batches mix fresh ids, duplicates within a batch, re-inserts of ids
 // already grown and leaf false positives, on filters small enough (61 bits)
 // that internal nodes answer for ids their leaves lack: every way an id can
-// be covered or not at a leaf while its path says otherwise.
+// be covered or not at a leaf while its path says otherwise. The occupancy
+// bitmap exists from the first batch after which the filters hold M bits;
+// before the third batch the tree is written out and read back, which
+// drops it, and the reloaded tree must go on growing BuildPruned's tree.
 func TestGrowthIsBuildPrunedExhaustive(t *testing.T) {
 	for M := uint64(2); M <= 256; M++ {
 		for depth := 0; depth <= bits.Len64(M-1); depth++ {
@@ -237,6 +268,14 @@ func TestGrowthIsBuildPrunedExhaustive(t *testing.T) {
 			inserted := map[uint64]bool{}
 			var all []uint64
 			for b := 0; b < 4; b++ {
+				if b == 2 {
+					if tree, err = ReadTree(bytes.NewReader(treeBytes(t, tree))); err != nil {
+						t.Fatal(err)
+					}
+					if tree.grown != nil {
+						t.Fatal("a tree read back holds an occupancy bitmap")
+					}
+				}
 				var batch []uint64
 				for range 1 + rng.Intn(6) {
 					x := rng.Uint64() % M
@@ -265,6 +304,7 @@ func TestGrowthIsBuildPrunedExhaustive(t *testing.T) {
 				if !bytes.Equal(nodeBytes(tree), nodeBytes(built)) {
 					t.Fatalf("M = %d, depth %d, batch %d %v: the grown tree is not BuildPruned's over %v", M, depth, b, batch, all)
 				}
+				checkGrown(t, tree)
 			}
 		}
 	}
@@ -273,8 +313,9 @@ func TestGrowthIsBuildPrunedExhaustive(t *testing.T) {
 // TestCoveredBatchPublishesNothing: a batch whose every id its leaf already
 // holds — ids grown before, and leaf false positives — changes no node, so
 // it boxes nothing and leaves the node count and leaf ids as they were. It
-// is still a batch (GrowthEpoch advances by one), and costs no more than
-// its sorted copy and its positions.
+// is still a batch (GrowthEpoch advances by one). Once the occupancy bitmap
+// holds its ids, a covered id costs one bit, and the batch allocates
+// nothing.
 func TestCoveredBatchPublishesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const M = 1 << 14
@@ -313,6 +354,128 @@ func TestCoveredBatchPublishesNothing(t *testing.T) {
 	}
 }
 
+// TestOccupancyBitmapIsLazy: a pruned tree holds no occupancy bitmap while
+// its filters hold fewer than M bits between them, and MemoryBytes is its
+// filters alone; the batch after which they hold M bits allocates it, M/8
+// bytes more, and records its ids. A sparse namespace (2⁴⁰ ids, a few
+// hundred nodes) never gets one.
+func TestOccupancyBitmapIsLazy(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const M = 1 << 14
+	cfg := Config{Namespace: M, Bits: 512, K: 3, Seed: 9, Depth: 6}
+	perNode := (cfg.Bits + 63) / 64 * 8
+	tree, err := BuildPruned(cfg, []uint64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree.grown != nil || tree.MemoryBytes() != tree.Nodes()*perNode {
+		t.Fatalf("%d nodes of %d bits in M = %d: MemoryBytes %d, want the filters' %d",
+			tree.Nodes(), cfg.Bits, M, tree.MemoryBytes(), tree.Nodes()*perNode)
+	}
+	batch := uniformSet(rng, M, 500)
+	if err := tree.InsertBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if tree.Nodes()*cfg.Bits < M {
+		t.Fatalf("%d nodes of %d bits hold fewer than M = %d: the batch is too small", tree.Nodes(), cfg.Bits, M)
+	}
+	if want := tree.Nodes()*perNode + M/8; tree.grown == nil || tree.MemoryBytes() != want {
+		t.Fatalf("%d nodes of %d bits in M = %d: MemoryBytes %d, want %d with the bitmap",
+			tree.Nodes(), cfg.Bits, M, tree.MemoryBytes(), want)
+	}
+	marked := func(x uint64) bool { return tree.grown[x/64]&(1<<(x%64)) != 0 }
+	for _, x := range batch {
+		if !marked(x) {
+			t.Fatalf("id %d of the batch that allocated the bitmap is not in it", x)
+		}
+	}
+	for _, x := range []uint64{1, 2} {
+		if marked(x) && !slices.Contains(batch, x) {
+			t.Fatalf("id %d, built before the bitmap existed, is in it", x)
+		}
+	}
+	checkGrown(t, tree)
+
+	const sparse = 1 << 40
+	cfg = Config{Namespace: sparse, Bits: 1 << 12, K: 3, Seed: 9, Depth: 12}
+	tree, err = BuildPruned(cfg, uniformSet(rng, sparse, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.InsertBatch(uniformSet(rng, sparse, 20)); err != nil {
+		t.Fatal(err)
+	}
+	perNode = (cfg.Bits + 63) / 64 * 8
+	if tree.grown != nil || tree.MemoryBytes() != tree.Nodes()*perNode {
+		t.Fatalf("M = 2⁴⁰, %d nodes of %d bits: MemoryBytes %d, want the filters' %d",
+			tree.Nodes(), cfg.Bits, tree.MemoryBytes(), tree.Nodes()*perNode)
+	}
+}
+
+// TestConcurrentCoveredBatches runs writers whose batches mix ids the
+// occupancy bitmap holds with fresh ones, beside a reader, on a dense tree
+// that has the bitmap from its build. Under -race it is the test that the
+// bitmap is touched under the growth lock only; afterwards the tree must be
+// BuildPruned's over every id and every marked id held by its leaf.
+func TestConcurrentCoveredBatches(t *testing.T) {
+	const M, writers = 1 << 14, 4
+	cfg := Config{Namespace: M, Bits: 512, K: 3, Seed: 13, Depth: 6}
+	rng := rand.New(rand.NewSource(13))
+	seed := uniformSet(rng, M, 1000)
+	tree, err := BuildPruned(cfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree.grown == nil {
+		t.Fatal("the seeded tree has no occupancy bitmap")
+	}
+	perWriter := make([][]uint64, writers)
+	for w := range perWriter {
+		for range 200 {
+			if rng.Intn(2) == 0 {
+				perWriter[w] = append(perWriter[w], seed[rng.Intn(len(seed))])
+			} else {
+				perWriter[w] = append(perWriter[w], rng.Uint64()%M)
+			}
+		}
+	}
+	q := buildQueryFilter(t, tree, seed[:50])
+	var wg sync.WaitGroup
+	for w := range perWriter {
+		wg.Add(1)
+		go func(ids []uint64) {
+			defer wg.Done()
+			for i := 0; i < len(ids); i += 8 {
+				if err := tree.InsertBatch(ids[i : i+8]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(perWriter[w])
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(14))
+		for range 200 {
+			tree.Sample(q, rng, nil)
+			tree.MemoryBytes()
+		}
+	}()
+	wg.Wait()
+	built, err := BuildPruned(cfg, slices.Concat(append(perWriter, seed)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(nodeBytes(tree), nodeBytes(built)) {
+		t.Fatal("the concurrently grown tree is not BuildPruned's over the same ids")
+	}
+	if got, want := tree.GrowthEpoch(), uint64(writers*200/8); got != want {
+		t.Fatalf("GrowthEpoch = %d after %d batches", got, want)
+	}
+	checkGrown(t, tree)
+}
+
 // TestSortIDsIsSlicesSort holds sortIDs to slices.Sort on both sides of
 // radixFrom, for limits one digit apart and the widest, with duplicates.
 func TestSortIDsIsSlicesSort(t *testing.T) {
@@ -334,14 +497,10 @@ func TestSortIDsIsSlicesSort(t *testing.T) {
 
 func checkSortIDs(t *testing.T, ids []uint64, limit uint64) {
 	t.Helper()
-	in := slices.Clone(ids)
 	want := slices.Clone(ids)
 	slices.Sort(want)
-	if got := sortIDs(ids, limit); !slices.Equal(got, want) {
+	if got := sortIDs(slices.Clone(ids), limit); !slices.Equal(got, want) {
 		t.Fatalf("limit %d, %d ids: sortIDs differs from slices.Sort", limit, len(ids))
-	}
-	if !slices.Equal(ids, in) {
-		t.Fatalf("limit %d, %d ids: sortIDs moved its input", limit, len(ids))
 	}
 }
 

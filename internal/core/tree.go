@@ -202,6 +202,15 @@ type Tree struct {
 	// immutable after construction); epoch counts the batches they grew.
 	grow  sync.Mutex
 	epoch atomic.Uint64
+	// grown is the pruned tree's occupancy bitmap, one bit per namespace
+	// id, set for every id a batch (or BuildPruned) grew or found covered
+	// at its leaf: leaf filters only gain bits, so such an id never needs
+	// growing again. It is read and written under grow only, and nil until
+	// the first batch after which the filters hold at least M bits between
+	// them (record), so it at most doubles the tree's memory. grownBytes
+	// is its size, for MemoryBytes, which takes no lock.
+	grown      []uint64
+	grownBytes atomic.Uint64
 
 	// What the versions of the filters served have done between them; see
 	// PositivesStats.
@@ -250,10 +259,12 @@ func (t *Tree) Nodes() uint64 { return t.nodes.Load() }
 func (t *Tree) LeafIDs() uint64 { return t.leafIDs.Load() }
 
 // MemoryBytes returns the total size of all node Bloom filters in bytes —
-// the quantity reported in the paper's memory tables (Tables 2–3, Fig. 14).
+// the quantity reported in the paper's memory tables (Tables 2–3, Fig. 14)
+// — plus a grown pruned tree's occupancy bitmap (M/8 bytes, once its
+// filters hold at least M bits; see InsertBatch).
 func (t *Tree) MemoryBytes() uint64 {
 	perNode := (t.cfg.Bits + 63) / 64 * 8
-	return t.nodes.Load() * perNode
+	return t.nodes.Load()*perNode + t.grownBytes.Load()
 }
 
 // GrowthEpoch returns the number of non-empty insert batches a pruned tree
