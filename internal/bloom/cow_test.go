@@ -77,35 +77,6 @@ func TestCloneAddMatchesAdd(t *testing.T) {
 	}
 }
 
-// TestCloneAddPositionsIsCloneAdd: handed the positions PositionsMany gives
-// for a batch, CloneAddPositions returns what CloneAdd returns for the
-// batch — bit vector and insertion count — on every family kind, leaves the
-// receiver alone, and shares the receiver's vector exactly when CloneAdd
-// does: when no bit changes, which is the test tree growth relies on.
-func TestCloneAddPositionsIsCloneAdd(t *testing.T) {
-	for _, kind := range []hashfam.Kind{hashfam.KindFast, hashfam.KindSimple, hashfam.KindMurmur3, hashfam.KindMD5} {
-		fam, err := hashfam.New(kind, 4099, 3, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := NewFromElements(fam, []uint64{7, 8, 9})
-		before := base.Clone()
-		for _, batch := range [][]uint64{{7, 9}, {7, 1234}, {1234, 7, 1234, 99}, {}} {
-			want := base.CloneAdd(batch...)
-			got := base.CloneAddPositions(hashfam.PositionsMany(fam, batch, nil))
-			if !got.Equal(want) || got.Insertions() != want.Insertions() {
-				t.Fatalf("%s %v: CloneAddPositions differs from CloneAdd (%d against %d insertions)", kind, batch, got.Insertions(), want.Insertions())
-			}
-			if shared := got.Bits() == base.Bits(); shared != (want.Bits() == base.Bits()) {
-				t.Fatalf("%s %v: shares the receiver's bit vector: %v, CloneAdd: %v", kind, batch, shared, !shared)
-			}
-		}
-		if !base.Equal(before) || base.Insertions() != 3 {
-			t.Fatalf("%s: CloneAddPositions wrote to its receiver", kind)
-		}
-	}
-}
-
 // TestCountingCloneRemoveAtomic pins the all-or-nothing batch contract of
 // CloneRemove: a batch containing a non-member fails without producing a
 // new filter, and the receiver never changes.

@@ -314,49 +314,22 @@ func (f *Filter) Clone() *Filter {
 func (f *Filter) CloneAdd(ids ...uint64) *Filter {
 	bp := posBuf.Get().(*[]uint64)
 	pos := (*bp)[:0]
-	var bits *bitset.Set
+	bits := f.bits
 	for _, x := range ids {
 		pos = f.fam.Positions(x, pos[:0])
-		bits = f.setCopying(bits, pos)
+		for _, p := range pos {
+			if bits == f.bits {
+				if f.bits.Test(p) {
+					continue
+				}
+				bits = f.bits.Clone()
+			}
+			bits.Set(p)
+		}
 	}
 	*bp = pos[:0]
 	posBuf.Put(bp)
-	return f.withBits(bits, len(ids))
-}
-
-// CloneAddPositions is CloneAdd for a caller that has hashed its ids
-// already: pos holds their positions under f's family, K() to an id, as
-// hashfam.PositionsMany lays them out. Filters that share a family map an
-// id to the same positions, so a caller adding one batch to many of them
-// (a BloomSampleTree's path nodes) hashes it once. The result is CloneAdd's
-// to the bit, the shared vector when no bit changes included.
-func (f *Filter) CloneAddPositions(pos []uint64) *Filter {
-	return f.withBits(f.setCopying(nil, pos), len(pos)/f.fam.K())
-}
-
-// setCopying sets pos in f's bit vector without writing to it: bits is the
-// copy made so far, nil until the first position f does not already hold.
-func (f *Filter) setCopying(bits *bitset.Set, pos []uint64) *bitset.Set {
-	for _, p := range pos {
-		if bits == nil {
-			if f.bits.Test(p) {
-				continue
-			}
-			bits = f.bits.Clone()
-		}
-		bits.Set(p)
-	}
-	return bits
-}
-
-// withBits is f after added insertions that left it the bit vector bits:
-// nil for no bit changed, and the successor shares f's vector (immutable by
-// contract).
-func (f *Filter) withBits(bits *bitset.Set, added int) *Filter {
-	if bits == nil {
-		bits = f.bits
-	}
-	return &Filter{bits: bits, fam: f.fam, n: f.n + uint64(added)}
+	return &Filter{bits: bits, fam: f.fam, n: f.n + uint64(len(ids))}
 }
 
 // Equal reports whether two filters have identical bit vectors and

@@ -38,24 +38,16 @@ func BuildTree(cfg Config) (*Tree, error) {
 // occupied identifiers: nodes are allocated only for ranges containing at
 // least one occupied id, and node filters store only occupied ids. The
 // occupied slice need not be sorted; duplicates are tolerated. Every id
-// must lie in [0, Namespace).
+// must lie in [0, Namespace). The tree is grown from empty as InsertBatch
+// grows one, but the build is no batch: GrowthEpoch stays 0.
 func BuildPruned(cfg Config, occupied []uint64) (*Tree, error) {
 	t, err := newTree(cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	for _, id := range occupied {
-		if id >= cfg.Namespace {
-			return nil, fmt.Errorf("core: occupied id %d outside namespace [0,%d)", id, cfg.Namespace)
-		}
+	if err := t.insert(occupied); err != nil {
+		return nil, err
 	}
-	ids := sortIDs(slices.Clone(occupied), cfg.Namespace)
-	if len(ids) > 0 {
-		t.publish(&t.root, t.buildSubtree(0, cfg.Namespace, cfg.Depth, forkFor(len(ids)), ids))
-	}
-	t.grow.Lock()
-	t.record(ids)
-	t.grow.Unlock()
 	return t, nil
 }
 
@@ -197,17 +189,15 @@ func (n *node) union() *bloom.Filter {
 
 // unite gives an internal node its children's union. buildFull,
 // buildSubtree and ReadTree form every internal node with it, and growth
-// keeps it so (growNode, growSlot).
+// keeps it so (growSlot).
 func (n *node) unite() { n.setFilter(n.union()) }
 
 // Insert adds one occupied identifier to a pruned tree; see InsertBatch.
 func (t *Tree) Insert(x uint64) error { return t.InsertBatch([]uint64{x}) }
 
-// GrowRun bounds the ids InsertBatch walks down the tree at once, and is the
-// batch length from which a pruned tree's build or growth forks (forkFor).
-// A run's positions are hashed into one buffer (K words an id) that is
-// reused from run to run, so a large batch never holds all of its hashes at
-// once.
+// GrowRun is the batch length from which a pruned tree's build or growth
+// forks (forkFor), and from which setdb grows a batch's tree beside its
+// value build.
 const GrowRun = 4096
 
 // InsertBatch adds occupied identifiers to a pruned tree, growing nodes
@@ -218,33 +208,29 @@ const GrowRun = 4096
 // An id the tree has grown before costs one bit: the tree's occupancy
 // bitmap (Tree.grown) holds every id a batch grew or found covered at its
 // leaf, and the batch first drops those (fresh), since leaf filters only
-// gain bits. Only the rest are sorted (sortIDs), hashed and walked, and
-// their bits are set once the walk is done (record). The bitmap exists
-// from the first batch after which the tree's filters hold at least M bits
-// (Nodes() × Bits ≥ Namespace), so it at most doubles the tree's memory
-// and a sparse namespace never gets one; an id grown before it existed,
-// or before the tree was read back (ReadTree stores no bitmap), walks the
-// path once more, changes no node and gets its bit then. A batch whose
-// every id is covered sorts, hashes and publishes nothing, and allocates
-// nothing once the bitmap holds its ids.
+// gain bits. Only the rest are sorted (sortIDs) and grown, and their bits
+// are set once the walk is done (record). The bitmap exists from the first
+// batch after which the tree's filters hold at least M bits (Nodes() × Bits
+// ≥ Namespace), so it at most doubles the tree's memory and a sparse
+// namespace never gets one; an id grown before it existed, or before the
+// tree was read back (ReadTree stores no bitmap), walks the path once more,
+// changes no node and gets its bit then. A batch whose every id is covered
+// sorts and publishes nothing, and allocates nothing once the bitmap holds
+// its ids.
 //
-// A batch of GrowRun ids or more forks its top ⌈log₂ GOMAXPROCS⌉ levels,
-// as BuildTree does (growSlot): a node there grows its left half on a
-// goroutine of its own and its right half on the caller's, splitting the
-// ids at its midpoint, and then becomes its children's union. Below the
-// fork levels, and for a smaller batch from the root, the ids are walked
-// down to the leaves a run of at most GrowRun at a time (growRuns). An id
-// the bitmap did not drop but whose leaf already holds its positions
-// changes no node, so it costs its hash, its share of the walk and one test
-// at the leaf (growNode); only the others' positions are added to the nodes
-// above. Existing node filters are replaced by copy-on-write clones, and
-// missing paths are built privately and attached with a single pointer
-// store, so queries never block: a concurrent reader sees either the
-// previous or the new version of each node. Every node filter shares the
-// tree's one family, so each id is hashed once, and its positions ride down
-// its path beside it; only an id that opens a new leaf is hashed again,
-// into that leaf. The tree is the same node for node whether and however
-// far a batch forked.
+// The rest are grown in one walk from the root (growSlot): each leaf takes
+// its ids, and each internal node above a changed child takes its
+// children's union (§3.1), which is what every internal node holds
+// (buildFull, buildSubtree and ReadTree form each one so, with unite). A
+// node is boxed at most once a batch, and only when its bits changed. A batch of GrowRun ids or more forks its top
+// ⌈log₂ GOMAXPROCS⌉ levels, as BuildTree does: a node there grows its left
+// half on a goroutine of its own and its right half on the caller's,
+// splitting the ids at its midpoint. Existing node filters are replaced by
+// copy-on-write clones, and missing paths are built privately and attached
+// with a single pointer store, so queries never block: a concurrent reader
+// sees either the previous or the new version of each node, and a node is
+// published after its children. The tree is the same node for node whether
+// and however far a batch forked.
 //
 // InsertBatch returns an error on full trees (which already store the
 // whole namespace) and on out-of-range ids; on an out-of-range id the
@@ -253,13 +239,21 @@ func (t *Tree) InsertBatch(ids []uint64) error {
 	if !t.pruned {
 		return fmt.Errorf("core: Insert is only supported on pruned trees")
 	}
+	if err := t.insert(ids); err != nil || len(ids) == 0 {
+		return err
+	}
+	t.epoch.Add(1)
+	return nil
+}
+
+// insert is InsertBatch's body, and BuildPruned's: it validates ids whole,
+// then under the growth lock drops the ones the occupancy bitmap holds,
+// sorts and grows the rest, and records them.
+func (t *Tree) insert(ids []uint64) error {
 	for _, x := range ids {
 		if x >= t.cfg.Namespace {
 			return fmt.Errorf("core: id %d outside namespace [0,%d)", x, t.cfg.Namespace)
 		}
-	}
-	if len(ids) == 0 {
-		return nil
 	}
 	t.grow.Lock()
 	defer t.grow.Unlock()
@@ -268,7 +262,6 @@ func (t *Tree) InsertBatch(ids []uint64) error {
 		t.growSlot(&t.root, 0, t.cfg.Namespace, t.cfg.Depth, forkFor(len(sorted)), sorted)
 		t.record(sorted)
 	}
-	t.epoch.Add(1)
 	return nil
 }
 
@@ -315,113 +308,48 @@ func (t *Tree) record(ids []uint64) {
 }
 
 // growSlot grows the subtree at slot (a child slot, or the root's) over
-// [lo, hi) by sorted ids. An empty slot gets a complete private subtree,
-// published at once (buildSubtree, forking as this would). At a fork level
-// an existing node grows its two halves on two goroutines (forkJoin) and,
-// once both are done, takes its children's union, publishing a new box
-// only if that changed its bits — which keeps the rule boxedFilter.stamp
-// promises. Below the fork levels it grows by runs (growRuns).
-func (t *Tree) growSlot(slot *atomic.Pointer[node], lo, hi uint64, depth, fork int, ids []uint64) {
+// [lo, hi) by sorted ids and reports whether any of its bits changed. It is
+// the one growth walk. An empty slot gets a complete private subtree,
+// published at once (buildSubtree, forking as this would). A leaf takes the
+// ids into a copy of its filter (CloneAdd), which shares the old bit vector
+// when its leaf held every id already; only a new vector is published. An
+// internal node grows its two halves, at a fork level on two goroutines
+// (forkJoin), and if either changed takes their union (§3.1), publishing it
+// only if that is not the bits it holds. So a node is boxed at most once a
+// batch, after its children, and only when its bits changed: the rule
+// boxedFilter.stamp promises.
+func (t *Tree) growSlot(slot *atomic.Pointer[node], lo, hi uint64, depth, fork int, ids []uint64) bool {
 	n := slot.Load()
-	switch {
-	case n == nil:
+	if n == nil {
 		t.publish(slot, t.buildSubtree(lo, hi, depth, fork, ids))
-		return
-	case fork <= 0 || depth == 0 || hi-lo <= 1:
-		t.growRuns(n, depth, ids)
-		return
+		return true
+	}
+	old := n.filter()
+	if depth == 0 || hi-lo <= 1 {
+		next := old.CloneAdd(ids...)
+		if next.Bits() == old.Bits() {
+			return false
+		}
+		n.setFilter(next)
+		return true
 	}
 	mid := split(lo, hi)
 	cut := sort.Search(len(ids), func(i int) bool { return ids[i] >= mid })
+	var left, right bool
 	forkJoin(fork, func() {
-		if cut > 0 {
-			t.growSlot(&n.left, lo, mid, depth-1, fork-1, ids[:cut])
-		}
+		left = cut > 0 && t.growSlot(&n.left, lo, mid, depth-1, fork-1, ids[:cut])
 	}, func() {
-		if cut < len(ids) {
-			t.growSlot(&n.right, mid, hi, depth-1, fork-1, ids[cut:])
-		}
+		right = cut < len(ids) && t.growSlot(&n.right, mid, hi, depth-1, fork-1, ids[cut:])
 	})
-	if u := n.union(); !u.Bits().Equal(n.filter().Bits()) {
-		n.setFilter(u)
+	if !left && !right {
+		return false
 	}
-}
-
-// growRuns grows the existing node n (remaining depth `depth`) by sorted
-// ids, one walk down to the leaves for each run of at most GrowRun of them,
-// their positions hashed into one buffer reused from run to run.
-func (t *Tree) growRuns(n *node, depth int, ids []uint64) {
-	pos := make([]uint64, 0, min(len(ids), GrowRun)*t.fam.K())
-	for start := 0; start < len(ids); start += GrowRun {
-		run := ids[start:min(start+GrowRun, len(ids))]
-		pos = hashfam.PositionsMany(t.fam, run, pos[:0])
-		t.growNode(n, depth, run, pos)
+	u := n.union()
+	if u.Bits().Equal(old.Bits()) {
+		return false
 	}
-}
-
-// growNode inserts sorted ids into the subtree rooted at the existing node
-// n (remaining depth `depth`), leaf first. pos holds the ids' positions
-// under the tree's family, K to an id in the ids' order. It returns how
-// many of the ids the subtree did not already cover, and moves their
-// positions to the front of pos.
-//
-// The ids are the ones InsertBatch's occupancy bitmap has not seen: fresh
-// ids, mostly, and ids grown before the bitmap existed or before the tree
-// was read back. Every internal node's bits are exactly its children's
-// union: buildFull, buildSubtree and ReadTree form each one so (unite), and
-// this walk keeps it. So an id whose positions its leaf already holds
-// changes no node on its path, and a leaf keeps only the ids it lacks
-// (TestAll); InsertBatch records both kinds afterwards. On the way back up
-// a node adds only the kept ids' positions, once per run, and publishes a
-// new box only when its bits changed — CloneAddPositions hands back the
-// receiver's own bit vector otherwise, and a published box is a changed bit
-// vector, which is what boxedFilter.stamp promises. A node is published
-// after its children, which no reader can tell apart: a version from before
-// the batch holds every earlier id on its whole path, and the batch's ids
-// are sampleable as their run publishes (through a fork level, once that
-// node's halves are done). (A node filter's insertion counter counts only
-// the kept ids; nothing reads it and the tree's encoding stores bit vectors
-// alone.)
-func (t *Tree) growNode(n *node, depth int, ids, pos []uint64) int {
-	k := t.fam.K()
-	old, kept := n.filter(), 0
-	if depth == 0 || n.hi-n.lo <= 1 {
-		for i := range ids {
-			if p := pos[i*k : (i+1)*k]; !old.Bits().TestAll(p) {
-				copy(pos[kept*k:], p)
-				kept++
-			}
-		}
-	} else {
-		mid := split(n.lo, n.hi)
-		cut := sort.Search(len(ids), func(i int) bool { return ids[i] >= mid })
-		if cut > 0 {
-			kept = t.growChild(&n.left, n.lo, mid, depth-1, ids[:cut], pos[:cut*k])
-		}
-		if cut < len(ids) {
-			right := t.growChild(&n.right, mid, n.hi, depth-1, ids[cut:], pos[cut*k:])
-			copy(pos[kept*k:], pos[cut*k:(cut+right)*k])
-			kept += right
-		}
-	}
-	if kept > 0 {
-		if next := old.CloneAddPositions(pos[:kept*k]); next.Bits() != old.Bits() {
-			n.setFilter(next)
-		}
-	}
-	return kept
-}
-
-// growChild grows the child at slot over [lo, hi) and returns growNode's
-// count, or, if the slot is empty, builds that node as a complete private
-// subtree and publishes it, so readers only ever see fully formed nodes;
-// all of its ids count as kept then.
-func (t *Tree) growChild(slot *atomic.Pointer[node], lo, hi uint64, depth int, ids, pos []uint64) int {
-	if n := slot.Load(); n != nil {
-		return t.growNode(n, depth, ids, pos)
-	}
-	t.publish(slot, t.buildSubtree(lo, hi, depth, 0, ids))
-	return len(ids)
+	n.setFilter(u)
+	return true
 }
 
 // radixFrom is the batch length from which sortIDs sorts by radix. A pass

@@ -15,9 +15,8 @@ import (
 	"repro/internal/hashfam"
 )
 
-// TestInsertBatchMatchesSequentialInsert pins that one batch, grown in runs
-// leaf first, stores exactly what repeated single Inserts store, byte for
-// byte.
+// TestInsertBatchMatchesSequentialInsert pins that one batch, grown in one
+// walk, stores exactly what repeated single Inserts store, byte for byte.
 func TestInsertBatchMatchesSequentialInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	M := uint64(1 << 20)
@@ -256,6 +255,8 @@ func checkGrown(t *testing.T, tree *Tree) {
 // bitmap exists from the first batch after which the filters hold M bits;
 // before the third batch the tree is written out and read back, which
 // drops it, and the reloaded tree must go on growing BuildPruned's tree.
+// After every batch each node that was there before it must have a new box
+// if and only if its bits changed: the rule boxedFilter.stamp promises.
 func TestGrowthIsBuildPrunedExhaustive(t *testing.T) {
 	for M := uint64(2); M <= 256; M++ {
 		for depth := 0; depth <= bits.Len64(M-1); depth++ {
@@ -290,9 +291,21 @@ func TestGrowthIsBuildPrunedExhaustive(t *testing.T) {
 					batch = append(batch, fps[rng.Intn(len(fps))])
 				}
 				rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+				before := map[*node]*boxedFilter{}
+				eachNode(tree.rootNode(), 1, func(n *node, _ uint64) { before[n] = n.f.Load() })
 				if err := tree.InsertBatch(batch); err != nil {
 					t.Fatal(err)
 				}
+				eachNode(tree.rootNode(), 1, func(n *node, _ uint64) {
+					was, ok := before[n]
+					if !ok {
+						return
+					}
+					if reboxed, changed := n.f.Load() != was, !n.filter().Bits().Equal(was.f.Bits()); reboxed != changed {
+						t.Fatalf("M = %d, depth %d, batch %d %v: [%d, %d) got a new box: %v, its bits changed: %v",
+							M, depth, b, batch, n.lo, n.hi, reboxed, changed)
+					}
+				})
 				for _, x := range batch {
 					inserted[x] = true
 				}
@@ -525,39 +538,48 @@ func FuzzSortIDs(f *testing.F) {
 	})
 }
 
-// TestInsertBatchPublishesEachNodeOncePerRun: a batch of fewer than
-// GrowRun ids is one walk from the root, so each node it changes is boxed
-// once, however widely the ids spread. Every node of the tree gains bits
-// here, and the stamps drawn must number at most the nodes.
-func TestInsertBatchPublishesEachNodeOncePerRun(t *testing.T) {
-	const M, depth = 1 << 12, 4
+// TestInsertBatchPublishesEachNodeOncePerBatch: a batch is one walk from
+// the root, so each node it changes is boxed once, after its children,
+// however many ids the batch holds and however far it forks. Here a batch
+// of 20 000 uniform ids, past GrowRun, gives every node of a full-shaped
+// pruned tree new bits at GOMAXPROCS 1 and 2, and the stamps drawn must
+// number at most the nodes.
+func TestInsertBatchPublishesEachNodeOncePerBatch(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const M, depth, size = 1 << 16, 8, 20_000
 	cfg := Config{Namespace: M, Bits: 1 << 12, K: 3, Seed: 7, Depth: depth}
 	leaf := uint64(M >> depth)
 	var seed, batch []uint64
 	for lo := uint64(0); lo < M; lo += leaf {
 		seed = append(seed, lo)
-		for i := uint64(1); i <= 4; i++ {
-			batch = append(batch, lo+i*leaf/8)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, x := range uniformSet(rng, M, 2*size) {
+		if x%leaf != 0 && len(batch) < size {
+			batch = append(batch, x)
 		}
 	}
-	tree, err := BuildPruned(cfg, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := map[*node]*boxedFilter{}
-	eachNode(tree.rootNode(), 1, func(n *node, _ uint64) { before[n] = n.f.Load() })
-	stamps := filterStamps.Load()
-	if err := tree.InsertBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	drawn := filterStamps.Load() - stamps
-	eachNode(tree.rootNode(), 1, func(n *node, _ uint64) {
-		if n.f.Load() == before[n] {
-			t.Fatalf("the batch left the filter of [%d, %d) as it was", n.lo, n.hi)
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		tree, err := BuildPruned(cfg, seed)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if nodes := tree.Nodes(); len(before) != int(nodes) || drawn > nodes {
-		t.Fatalf("a batch of %d ids drew %d stamps on a tree of %d nodes (%d before)", len(batch), drawn, nodes, len(before))
+		before := map[*node]*boxedFilter{}
+		eachNode(tree.rootNode(), 1, func(n *node, _ uint64) { before[n] = n.f.Load() })
+		stamps := filterStamps.Load()
+		if err := tree.InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		drawn := filterStamps.Load() - stamps
+		eachNode(tree.rootNode(), 1, func(n *node, _ uint64) {
+			if n.f.Load() == before[n] {
+				t.Fatalf("GOMAXPROCS %d: the batch left the filter of [%d, %d) as it was", procs, n.lo, n.hi)
+			}
+		})
+		if nodes := tree.Nodes(); len(before) != int(nodes) || drawn > nodes {
+			t.Fatalf("GOMAXPROCS %d: a batch of %d ids drew %d stamps on a tree of %d nodes (%d before)", procs, len(batch), drawn, nodes, len(before))
+		}
 	}
 }
 

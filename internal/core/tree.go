@@ -113,7 +113,7 @@ type node struct {
 //
 // stamp names the bit vector inside: a serial drawn once per box, larger
 // than that of any box made before it, and growth publishes a new box only
-// when bits changed (growNode). So a node's stamp grows exactly when its bits
+// when bits changed (growSlot). So a node's stamp grows exactly when its bits
 // do, and two loads of a node that read the same stamp read the same bits:
 // what an EstimateIndex files a remembered estimate under. A serial rather
 // than the vector's address, which would do for the comparison, because
@@ -186,8 +186,9 @@ func (n *node) children() (left, right *node) { return n.left.Load(), n.right.Lo
 // never wait on a writer. A query racing a growth batch sees the tree
 // somewhere between the two versions (filters only ever gain bits, so
 // previously visible elements never disappear); ids being inserted become
-// sampleable as their run of the batch publishes (a large batch grows its
-// top levels' halves on goroutines of its own; see InsertBatch).
+// sampleable once every node on their path has published, children before
+// parents (a large batch grows its top levels' halves on goroutines of its
+// own; see InsertBatch).
 type Tree struct {
 	cfg    Config
 	fam    hashfam.Family

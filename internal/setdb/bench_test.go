@@ -279,8 +279,9 @@ func BenchmarkReconstructVersion(b *testing.B) {
 // in M = 10⁶, and mixed 1 000 dynamic counting keys of 500 in M = 10⁵; the
 // filters are planned for accuracy 0.9 at each shape's set size, k = 3. An
 // op is one whole ingest. Its batches are past core.GrowRun ids, so each
-// grows the tree beside its build, and the tree forks at GOMAXPROCS > 1:
-// run it at -cpu 1 and -cpu 2.
+// grows the tree beside its build, in one walk that boxes each changed node
+// once. The walk forks at GOMAXPROCS > 1 while a batch holds at least
+// core.GrowRun ids the tree has not grown yet: run it at -cpu 1 and -cpu 2.
 func BenchmarkIngest(b *testing.B) {
 	for _, shape := range []struct {
 		name         string
