@@ -203,12 +203,16 @@ const GrowRun = 4096
 // InsertBatch adds occupied identifiers to a pruned tree, growing nodes
 // along the root-to-leaf paths as needed (§5.2: "either we need to insert
 // this new element into already existing nodes in the tree, or we need to
-// create a new node"). It works under the tree's one growth lock.
+// create a new node"). It works under the tree's one growth lock. The batch
+// is every id of every list in sets, taken as the lists come (a database
+// batch passes each write's ids as they are): the tree grown is the same
+// however the ids are split between lists, and an id may be in several.
 //
 // An id the tree has grown before costs one bit: the tree's occupancy
 // bitmap (Tree.grown) holds every id a batch grew or found covered at its
-// leaf, and the batch first drops those (fresh), since leaf filters only
-// gain bits. Only the rest are sorted (sortIDs) and grown, and their bits
+// leaf, and the batch first drops those (fresh, which reads every list and
+// gathers the rest into one slice of its own), since leaf filters only gain
+// bits. Only the rest are sorted (sortIDs) and grown, and their bits
 // are set once the walk is done (record). The bitmap exists from the first
 // batch after which the tree's filters hold at least M bits (Nodes() × Bits
 // ≥ Namespace), so it at most doubles the tree's memory and a sparse
@@ -235,29 +239,36 @@ const GrowRun = 4096
 // InsertBatch returns an error on full trees (which already store the
 // whole namespace) and on out-of-range ids; on an out-of-range id the
 // whole batch is rejected before anything is published.
-func (t *Tree) InsertBatch(ids []uint64) error {
+func (t *Tree) InsertBatch(sets ...[]uint64) error {
 	if !t.pruned {
 		return fmt.Errorf("core: Insert is only supported on pruned trees")
 	}
-	if err := t.insert(ids); err != nil || len(ids) == 0 {
+	if err := t.insert(sets...); err != nil {
 		return err
 	}
-	t.epoch.Add(1)
+	for _, ids := range sets {
+		if len(ids) > 0 {
+			t.epoch.Add(1)
+			break
+		}
+	}
 	return nil
 }
 
-// insert is InsertBatch's body, and BuildPruned's: it validates ids whole,
-// then under the growth lock drops the ones the occupancy bitmap holds,
-// sorts and grows the rest, and records them.
-func (t *Tree) insert(ids []uint64) error {
-	for _, x := range ids {
-		if x >= t.cfg.Namespace {
-			return fmt.Errorf("core: id %d outside namespace [0,%d)", x, t.cfg.Namespace)
+// insert is InsertBatch's body, and BuildPruned's: it validates every list
+// whole, then under the growth lock drops the ids the occupancy bitmap
+// holds, sorts and grows the rest, and records them.
+func (t *Tree) insert(sets ...[]uint64) error {
+	for _, ids := range sets {
+		for _, x := range ids {
+			if x >= t.cfg.Namespace {
+				return fmt.Errorf("core: id %d outside namespace [0,%d)", x, t.cfg.Namespace)
+			}
 		}
 	}
 	t.grow.Lock()
 	defer t.grow.Unlock()
-	if fresh := t.fresh(ids); len(fresh) > 0 {
+	if fresh := t.fresh(sets); len(fresh) > 0 {
 		sorted := sortIDs(fresh, t.cfg.Namespace)
 		t.growSlot(&t.root, 0, t.cfg.Namespace, t.cfg.Depth, forkFor(len(sorted)), sorted)
 		t.record(sorted)
@@ -265,26 +276,31 @@ func (t *Tree) insert(ids []uint64) error {
 	return nil
 }
 
-// fresh returns, in a slice of its own, the ids whose bits the occupancy
-// bitmap lacks: all of them while there is no bitmap, and nil when every
-// one is set, so a covered batch allocates nothing. Called under t.grow.
-func (t *Tree) fresh(ids []uint64) []uint64 {
+// fresh returns, in one slice of its own, the ids of every list whose bits
+// the occupancy bitmap lacks: all of them while there is no bitmap, and nil
+// when every one is set, so a covered batch allocates nothing. Called under
+// t.grow.
+func (t *Tree) fresh(sets [][]uint64) []uint64 {
 	if t.grown == nil {
-		return slices.Clone(ids)
+		return slices.Concat(sets...)
 	}
 	n := 0
-	for _, x := range ids {
-		if t.grown[x/64]&(1<<(x%64)) == 0 {
-			n++
+	for _, ids := range sets {
+		for _, x := range ids {
+			if t.grown[x/64]&(1<<(x%64)) == 0 {
+				n++
+			}
 		}
 	}
 	if n == 0 {
 		return nil
 	}
 	out := make([]uint64, 0, n)
-	for _, x := range ids {
-		if t.grown[x/64]&(1<<(x%64)) == 0 {
-			out = append(out, x)
+	for _, ids := range sets {
+		for _, x := range ids {
+			if t.grown[x/64]&(1<<(x%64)) == 0 {
+				out = append(out, x)
+			}
 		}
 	}
 	return out

@@ -748,3 +748,66 @@ func BenchmarkInsertBatch(b *testing.B) {
 		})
 	}
 }
+
+// TestInsertBatchListsAreOneBatch: ids given to InsertBatch as many lists
+// grow the tree the same ids grow given as one list, node for node, with
+// ids repeated across lists and within them, empty lists among them, and
+// the occupancy bitmap both absent and present (a second round of lists
+// over the grown tree, half of them ids it holds); each call is one batch
+// of the epoch. An out-of-range id in a later list refuses the whole call
+// before anything grows.
+func TestInsertBatchListsAreOneBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	const M = 1 << 16
+	cfg := testConfig(t, M, 200, 0.9, 8)
+	one, err := BuildPruned(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	many, err := BuildPruned(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var grown []uint64
+	for round := 0; round < 3; round++ {
+		ids := append(uniformSet(rng, M, 5_000), grown[:len(grown)/2]...)
+		ids = append(ids, ids[:300]...)
+		var lists [][]uint64
+		for rest := ids; len(rest) > 0; {
+			n := min(rng.Intn(700), len(rest))
+			lists, rest = append(lists, rest[:n], nil), rest[n:]
+		}
+		lists = append(lists, ids[100:400]) // every one of them twice
+		if err := one.InsertBatch(ids); err != nil {
+			t.Fatal(err)
+		}
+		if err := many.InsertBatch(lists...); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(nodeBytes(one), nodeBytes(many)) || one.Nodes() != many.Nodes() || one.LeafIDs() != many.LeafIDs() {
+			t.Fatalf("round %d: %d lists grew a different tree from one list of the same ids", round, len(lists))
+		}
+		if many.GrowthEpoch() != uint64(round+1) {
+			t.Fatalf("round %d: epoch %d, want one a call", round, many.GrowthEpoch())
+		}
+		grown = append(grown, ids...)
+	}
+	if many.grown == nil {
+		t.Fatal("the tree never got its occupancy bitmap: the test does not cover it")
+	}
+	checkGrown(t, many)
+
+	fresh, err := BuildPruned(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tree := range []*Tree{fresh, many} {
+		before, nodes, epoch := nodeBytes(tree), tree.Nodes(), tree.GrowthEpoch()
+		if err := tree.InsertBatch([]uint64{1, 2}, uniformSet(rng, M, 5_000), []uint64{3, M, 4}); err == nil {
+			t.Fatal("an out-of-range id in a later list was accepted")
+		}
+		if !bytes.Equal(nodeBytes(tree), before) || tree.Nodes() != nodes || tree.GrowthEpoch() != epoch {
+			t.Fatalf("a refused call grew the tree: nodes %d → %d, epoch %d → %d", nodes, tree.Nodes(), epoch, tree.GrowthEpoch())
+		}
+	}
+}

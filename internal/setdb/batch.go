@@ -2,6 +2,9 @@ package setdb
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/bloom"
 	"repro/internal/core"
@@ -87,10 +90,11 @@ func (db *DB) ApplyBatch(writes []Write) error {
 // apply is ApplyBatch, also reporting how many bound keys the batch unbound.
 //
 // A batch inserting core.GrowRun ids or more grows the tree on a goroutine
-// of its own while this one builds the final values under the writer mutex;
-// the values are stored only once both are done, and a growth error comes
-// first, as it would have before any value was built. A smaller batch grows
-// the tree first, on this goroutine, and starts none.
+// of its own while this one builds the final values under the writer mutex
+// (build); the values are stored only once both are done, and a growth
+// error comes first, as it would have before any value was built. A smaller
+// batch grows the tree first, on this goroutine, and starts none. The tree
+// takes each add's id list as it is.
 func (db *DB) apply(writes []Write) (unbound int, err error) {
 	if len(writes) == 0 {
 		return 0, nil
@@ -98,7 +102,7 @@ func (db *DB) apply(writes []Write) (unbound int, err error) {
 	// Validate everything validatable before paying for tree growth.
 	// Only inserted ids grow the tree: removals never add occupancy (and
 	// the tree is monotone anyway — removed ids keep their ranges).
-	total := 0
+	ids, inserted := 0, 0
 	for i := range writes {
 		if k := writes[i].Key; len(k) > MaxKeyLen {
 			return 0, fmt.Errorf("%w: %d bytes, at most %d", ErrKeyTooLong, len(k), MaxKeyLen)
@@ -106,49 +110,29 @@ func (db *DB) apply(writes []Write) (unbound int, err error) {
 		if err := db.validateIDs(writes[i].IDs); err != nil {
 			return 0, err
 		}
+		ids += len(writes[i].IDs)
 		if !writes[i].Remove {
-			total += len(writes[i].IDs)
+			inserted += len(writes[i].IDs)
 		}
 	}
 	var grown <-chan error
-	if db.opts.Pruned && total > 0 {
-		all := make([]uint64, 0, total)
+	if db.opts.Pruned && inserted > 0 {
+		adds := make([][]uint64, 0, len(writes))
 		for i := range writes {
 			if !writes[i].Remove {
-				all = append(all, writes[i].IDs...)
+				adds = append(adds, writes[i].IDs)
 			}
 		}
-		if total >= core.GrowRun {
-			grown = db.growAside(all)
-		} else if err := db.tree.InsertBatch(all); err != nil {
+		if inserted >= core.GrowRun {
+			grown = db.growAside(adds)
+		} else if err := db.tree.InsertBatch(adds...); err != nil {
 			return 0, err
 		}
 	}
 
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	// Each touched key's final value, built over the batch's own overlay so
-	// later writes see earlier ones; an error stops the build, and nothing is
-	// stored.
-	final := make(map[string]membership.Membership, len(writes))
-	var created uint64
-	var failed error
-	for i := range writes {
-		w := &writes[i]
-		cur, seen := final[w.Key]
-		if !seen {
-			cur = db.load(w.Key)
-		}
-		m, err := db.next(cur, w)
-		if err != nil {
-			failed = err
-			break
-		}
-		if cur == nil && m != nil {
-			created++
-		}
-		final[w.Key] = m
-	}
+	keys, failed := db.build(writes, ids)
 	// The wait keeps the mutex: the values built are only right while no
 	// other writer stores, and growth takes the tree's lock alone, never
 	// this one.
@@ -160,10 +144,13 @@ func (db *DB) apply(writes []Write) (unbound int, err error) {
 	if failed != nil {
 		return 0, failed
 	}
-	for k, m := range final {
-		if m != nil {
-			db.sets.Store(k, m)
-		} else if _, was := db.sets.LoadAndDelete(k); was {
+	var created uint64
+	for i := range keys {
+		k := &keys[i]
+		created += k.created
+		if k.value != nil {
+			db.sets.Store(k.key, k.value)
+		} else if _, was := db.sets.LoadAndDelete(k.key); was {
 			unbound++
 		}
 	}
@@ -172,11 +159,112 @@ func (db *DB) apply(writes []Write) (unbound int, err error) {
 	return unbound, nil
 }
 
-// growAside grows the tree by ids on a goroutine of its own and returns
-// where its error (or nil) arrives once it is done.
-func (db *DB) growAside(ids []uint64) <-chan error {
+// keyBuild is one key's share of a batch: its writes, applied in batch
+// order to the value bound before the batch, and what they came to.
+type keyBuild struct {
+	key         string
+	first, last int // its first and last write; each one's next is in build's after
+	value       membership.Membership
+	created     uint64 // its writes that bound it while it was unbound
+	failed      int    // its first failing write, if err is set
+	err         error
+}
+
+// startGoroutine starts every goroutine a batch starts: its tree growth
+// (growAside) and its value builders beside the caller's (build).
+var startGoroutine = func(f func()) { go f() }
+
+// build builds the final value of every key the batch writes, called under
+// the writer mutex. The writes are grouped by key, and distinct keys are
+// built at once: a batch of core.GrowRun ids or more takes them one at a
+// time on up to GOMAXPROCS goroutines, this one among them; a smaller batch
+// (and any batch at GOMAXPROCS 1) builds every key on this goroutine and
+// starts none. Within a key the writes apply in batch order, each over what
+// the earlier ones built, so a key's value is the one a serial pass over
+// the batch builds, whichever goroutine builds it. A key stops at its first
+// failing write, and the failure returned is the earliest in batch order,
+// the one a serial pass would meet first; nothing is stored either way.
+func (db *DB) build(writes []Write, ids int) ([]keyBuild, error) {
+	at := make(map[string]int, len(writes))
+	keys := make([]keyBuild, 0, len(writes))
+	var after []int // each write's next write to its key, once a key repeats
+	for i := range writes {
+		k, seen := at[writes[i].Key]
+		if !seen {
+			at[writes[i].Key] = len(keys)
+			keys = append(keys, keyBuild{key: writes[i].Key, first: i, last: i})
+			continue
+		}
+		if after == nil {
+			after = make([]int, len(writes))
+		}
+		after[keys[k].last], keys[k].last = i, i
+	}
+	if procs := runtime.GOMAXPROCS(0); ids >= core.GrowRun && procs > 1 && len(keys) > 1 {
+		db.buildAcross(min(procs, len(keys)), writes, after, keys)
+	} else {
+		for i := range keys {
+			db.buildKey(writes, after, &keys[i])
+		}
+	}
+	var failed *keyBuild
+	for i := range keys {
+		if k := &keys[i]; k.err != nil && (failed == nil || k.failed < failed.failed) {
+			failed = k
+		}
+	}
+	if failed != nil {
+		return nil, failed.err
+	}
+	return keys, nil
+}
+
+// buildAcross builds keys on workers goroutines, this one among them, each
+// taking the next key no other has taken until none is left.
+func (db *DB) buildAcross(workers int, writes []Write, after []int, keys []keyBuild) {
+	var next atomic.Int64
+	run := func() {
+		for k := int(next.Add(1) - 1); k < len(keys); k = int(next.Add(1) - 1) {
+			db.buildKey(writes, after, &keys[k])
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for range workers - 1 {
+		startGoroutine(func() {
+			defer wg.Done()
+			run()
+		})
+	}
+	run()
+	wg.Wait()
+}
+
+// buildKey applies k's writes in order, from the value bound to its key,
+// stopping at the first that fails.
+func (db *DB) buildKey(writes []Write, after []int, k *keyBuild) {
+	k.value = db.load(k.key)
+	for i := k.first; ; i = after[i] {
+		m, err := db.next(k.value, &writes[i])
+		if err != nil {
+			k.failed, k.err = i, err
+			return
+		}
+		if k.value == nil && m != nil {
+			k.created++
+		}
+		k.value = m
+		if i == k.last {
+			return
+		}
+	}
+}
+
+// growAside grows the tree by the lists of ids on a goroutine of its own
+// and returns where its error (or nil) arrives once it is done.
+func (db *DB) growAside(adds [][]uint64) <-chan error {
 	grown := make(chan error, 1)
-	go func() { grown <- db.tree.InsertBatch(ids) }()
+	startGoroutine(func() { grown <- db.tree.InsertBatch(adds...) })
 	return grown
 }
 

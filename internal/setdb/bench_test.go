@@ -280,8 +280,10 @@ func BenchmarkReconstructVersion(b *testing.B) {
 // filters are planned for accuracy 0.9 at each shape's set size, k = 3. An
 // op is one whole ingest. Its batches are past core.GrowRun ids, so each
 // grows the tree beside its build, in one walk that boxes each changed node
-// once. The walk forks at GOMAXPROCS > 1 while a batch holds at least
-// core.GrowRun ids the tree has not grown yet: run it at -cpu 1 and -cpu 2.
+// once, from the writes' own id lists. At GOMAXPROCS > 1 the build spreads
+// the batch's keys over up to GOMAXPROCS goroutines, and the walk forks
+// while a batch holds at least core.GrowRun ids the tree has not grown yet:
+// run it at -cpu 1 and -cpu 2.
 func BenchmarkIngest(b *testing.B) {
 	for _, shape := range []struct {
 		name         string

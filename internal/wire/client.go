@@ -54,9 +54,12 @@ func NewClient(conn net.Conn) *Client {
 // Close closes the underlying connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// send writes one frame and flushes.
-func (c *Client) send(op, flags byte, reqID uint32, body []byte) error {
-	c.scratch = AppendFrame(c.scratch[:0], op, flags, reqID, body)
+// send writes one frame and flushes. The body is encoded once, in place
+// behind the header in the client's scratch buffer (encode appends it), and
+// EndFrame closes the frame.
+func (c *Client) send(op, flags byte, reqID uint32, encode func([]byte) []byte) error {
+	c.scratch = encode(AppendHeader(c.scratch[:0], op, flags, reqID))
+	EndFrame(c.scratch)
 	if _, err := c.bw.Write(c.scratch); err != nil {
 		return err
 	}
@@ -92,7 +95,7 @@ func (c *Client) recv(reqID uint32) (Header, []byte, error) {
 
 // roundTrip sends one request and returns the single response frame,
 // checking its opcode.
-func (c *Client) roundTrip(op, flags byte, body []byte, wantOp byte) ([]byte, error) {
+func (c *Client) roundTrip(op, flags byte, encode func([]byte) []byte, wantOp byte) ([]byte, error) {
 	if c.Timeout > 0 {
 		if err := c.conn.SetDeadline(time.Now().Add(c.Timeout)); err != nil {
 			return nil, err
@@ -100,7 +103,7 @@ func (c *Client) roundTrip(op, flags byte, body []byte, wantOp byte) ([]byte, er
 	}
 	c.nextID++
 	id := c.nextID
-	if err := c.send(op, flags, id, body); err != nil {
+	if err := c.send(op, flags, id, encode); err != nil {
 		return nil, err
 	}
 	h, resp, err := c.recv(id)
@@ -132,8 +135,8 @@ func (o SampleOpts) flags() byte {
 
 // Sample draws n samples in one buffered response.
 func (c *Client) Sample(key string, n int, o SampleOpts) ([]uint64, error) {
-	body := SampleReq{Key: key, N: uint64(n)}.Encode(nil, false)
-	resp, err := c.roundTrip(OpSample, o.flags(), body, OpSampleResult)
+	m := SampleReq{Key: key, N: uint64(n)}
+	resp, err := c.roundTrip(OpSample, o.flags(), func(dst []byte) []byte { return m.Encode(dst, false) }, OpSampleResult)
 	if err != nil {
 		return nil, err
 	}
@@ -159,13 +162,13 @@ func (c *Client) SampleStream(key string, n int, o SampleOpts, window int, emit 
 	}
 	c.nextID++
 	id := c.nextID
-	body := SampleReq{Key: key, N: uint64(n), Credit: uint64(window)}.Encode(nil, true)
+	m := SampleReq{Key: key, N: uint64(n), Credit: uint64(window)}
 	if c.Timeout > 0 {
 		if err := c.conn.SetDeadline(time.Now().Add(c.Timeout)); err != nil {
 			return err
 		}
 	}
-	if err := c.send(OpSampleStream, o.flags(), id, body); err != nil {
+	if err := c.send(OpSampleStream, o.flags(), id, func(dst []byte) []byte { return m.Encode(dst, true) }); err != nil {
 		return err
 	}
 	for {
@@ -197,7 +200,7 @@ func (c *Client) SampleStream(key string, n int, o SampleOpts, window int, emit 
 		// window. Granting after emit (not before) is what makes the
 		// window a real consumption bound.
 		if len(chunk.IDs) > 0 {
-			if err := c.send(OpCredit, 0, id, CreditGrant{N: uint64(len(chunk.IDs))}.Encode(nil)); err != nil {
+			if err := c.send(OpCredit, 0, id, CreditGrant{N: uint64(len(chunk.IDs))}.Encode); err != nil {
 				return err
 			}
 		}
@@ -206,7 +209,7 @@ func (c *Client) SampleStream(key string, n int, o SampleOpts, window int, emit 
 
 // Add writes one or more sets through the group-commit path.
 func (c *Client) Add(sets ...AddSet) (AckResult, error) {
-	resp, err := c.roundTrip(OpAdd, 0, AddReq{Sets: sets}.Encode(nil), OpAckResult)
+	resp, err := c.roundTrip(OpAdd, 0, AddReq{Sets: sets}.Encode, OpAckResult)
 	if err != nil {
 		return AckResult{}, err
 	}
@@ -215,7 +218,7 @@ func (c *Client) Add(sets ...AddSet) (AckResult, error) {
 
 // Remove removes ids from a removable set (all-or-nothing).
 func (c *Client) Remove(key string, ids []uint64) (AckResult, error) {
-	resp, err := c.roundTrip(OpRemove, 0, RemoveReq{Key: key, IDs: ids}.Encode(nil), OpAckResult)
+	resp, err := c.roundTrip(OpRemove, 0, RemoveReq{Key: key, IDs: ids}.Encode, OpAckResult)
 	if err != nil {
 		return AckResult{}, err
 	}
@@ -229,7 +232,7 @@ func (c *Client) Reconstruct(key string, dynamic bool) ([]uint64, error) {
 	if dynamic {
 		flags = FlagDynamic
 	}
-	resp, err := c.roundTrip(OpReconstruct, flags, ReconstructReq{Key: key}.Encode(nil), OpIDsResult)
+	resp, err := c.roundTrip(OpReconstruct, flags, ReconstructReq{Key: key}.Encode, OpIDsResult)
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +245,7 @@ func (c *Client) Reconstruct(key string, dynamic bool) ([]uint64, error) {
 
 // Intersection estimates |A ∩ B| for two stored sets.
 func (c *Client) Intersection(keyA, keyB string) (float64, error) {
-	resp, err := c.roundTrip(OpIntersection, 0, IntersectionReq{KeyA: keyA, KeyB: keyB}.Encode(nil), OpEstimateResult)
+	resp, err := c.roundTrip(OpIntersection, 0, IntersectionReq{KeyA: keyA, KeyB: keyB}.Encode, OpEstimateResult)
 	if err != nil {
 		return 0, err
 	}

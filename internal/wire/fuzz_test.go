@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -66,6 +67,39 @@ func FuzzDecodeFrame(f *testing.F) {
 			_, _ = DecodeAckResult(body)
 		case OpError:
 			_, _ = DecodeErrorResult(body)
+		}
+	})
+}
+
+// FuzzDecodeIDs holds the id-list decoder under every message that carries
+// ids to a loop of binary.Uvarint: over any bytes and any count, both
+// accept or both refuse, with the same ids and the same bytes left over;
+// and a count-prefixed list decodes as a SampleChunk exactly when the loop
+// takes it whole.
+func FuzzDecodeIDs(f *testing.F) {
+	f.Add([]byte{0x7f, 0x80, 0x01, 0xff, 0xff, 0x7f}, uint16(3))
+	f.Add([]byte{0x80, 0x00, 0x80, 0x80, 0x80, 0x01}, uint16(2))
+	f.Add(append(bytes.Repeat([]byte{0xff}, 9), 0x01, 0x05), uint16(2))
+	f.Add(append(bytes.Repeat([]byte{0xff}, 9), 0x02), uint16(1))
+	f.Add(append(bytes.Repeat([]byte{0x80}, 10), 0x00), uint16(1))
+	f.Add([]byte{0x05, 0x80}, uint16(2))
+	f.Fuzz(func(t *testing.T, data []byte, count uint16) {
+		n := min(int(count), len(data)+1)
+		out := make([]uint64, n)
+		rest, ok := decodeIDs(data, out)
+		want, wantRest, wantOK := refDecodeIDs(data, n)
+		if ok != wantOK {
+			t.Fatalf("%d ids of %x: accepted %v, binary.Uvarint %v", n, data, ok, wantOK)
+		}
+		if ok && (!slices.Equal(out, want) || !bytes.Equal(rest, wantRest)) {
+			t.Fatalf("%d ids of %x: %v rest %x, binary.Uvarint %v rest %x", n, data, out, rest, want, wantRest)
+		}
+		m, err := DecodeSampleChunk(append(appendUvarint(nil, uint64(n)), data...))
+		if whole := wantOK && len(wantRest) == 0; whole != (err == nil) {
+			t.Fatalf("SampleChunk of %d ids of %x: err %v, loop takes it whole: %v", n, data, err, whole)
+		}
+		if err == nil && !slices.Equal(m.IDs, want) {
+			t.Fatalf("SampleChunk of %x: %v, want %v", data, m.IDs, want)
 		}
 	})
 }

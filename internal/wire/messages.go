@@ -64,7 +64,7 @@ func (r *bodyReader) str(field string, max int) string {
 
 // ids takes a count-prefixed id list. The count is validated against the
 // remaining body length (each id costs at least one byte) before any
-// allocation.
+// allocation; the ids are decoded by decodeIDs.
 func (r *bodyReader) ids(field string) []uint64 {
 	n := r.uvarint(field + ".count")
 	if r.err != nil {
@@ -74,14 +74,48 @@ func (r *bodyReader) ids(field string) []uint64 {
 		r.fail(field + ".count")
 		return nil
 	}
-	out := make([]uint64, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, r.uvarint(field))
-		if r.err != nil {
-			return nil
-		}
+	out := make([]uint64, n)
+	rest, ok := decodeIDs(r.b, out)
+	if !ok {
+		r.fail(field)
+		return nil
 	}
+	r.b = rest
 	return out
+}
+
+// decodeIDs fills out with the len(out) varints at the head of b and
+// returns the bytes behind them, or false if b ends first or holds a varint
+// binary.Uvarint refuses. It accepts exactly what binary.Uvarint does,
+// non-canonical encodings (80 00 is 0) included: a varint of one to three
+// bytes with three bytes in hand — every id below 2²¹ — is decoded inline,
+// and any other by binary.Uvarint itself.
+func decodeIDs(b []byte, out []uint64) ([]byte, bool) {
+	for i := range out {
+		if len(b) >= 3 {
+			x := uint64(b[0])
+			if x < 0x80 {
+				out[i], b = x, b[1:]
+				continue
+			}
+			y := uint64(b[1])
+			if y < 0x80 {
+				out[i], b = x&0x7f|y<<7, b[2:]
+				continue
+			}
+			z := uint64(b[2])
+			if z < 0x80 {
+				out[i], b = x&0x7f|(y&0x7f)<<7|z<<14, b[3:]
+				continue
+			}
+		}
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			return nil, false
+		}
+		out[i], b = v, b[n:]
+	}
+	return b, true
 }
 
 // done checks that the body was consumed exactly — trailing bytes are a

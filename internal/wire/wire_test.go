@@ -6,7 +6,10 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
+	"strconv"
 	"testing"
 )
 
@@ -196,5 +199,105 @@ func TestForgedCountNoHugeAlloc(t *testing.T) {
 	body = appendUvarint(body, 1<<60)
 	if _, err := DecodeSampleChunk(body); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("got %v, want ErrMalformed", err)
+	}
+}
+
+// BenchmarkDecodeAddReq decodes one add of the point_http set-up's shape:
+// 50 sets of 1 000 distinct ids below 10⁵ (most take three varint bytes).
+// An op is one body; run it at -cpu 1.
+func BenchmarkDecodeAddReq(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	req := AddReq{Sets: make([]AddSet, 50)}
+	for i := range req.Sets {
+		ids := make([]uint64, 1_000)
+		for j := range ids {
+			ids[j] = uint64(rng.Int63n(100_000))
+		}
+		req.Sets[i] = AddSet{Key: "k" + strconv.Itoa(i), IDs: ids}
+	}
+	body := req.Encode(nil)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeAddReq(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// refDecodeIDs is the id-list decoder decodeIDs must match: n calls of
+// binary.Uvarint.
+func refDecodeIDs(b []byte, n int) ([]uint64, []byte, bool) {
+	out := make([]uint64, 0, n)
+	for i := 0; i < n; i++ {
+		v, k := binary.Uvarint(b)
+		if k <= 0 {
+			return nil, nil, false
+		}
+		out, b = append(out, v), b[k:]
+	}
+	return out, b, true
+}
+
+// TestDecodeIDsBoundaries is the table of varints at the edges of the
+// inline decoder and of binary.Uvarint: each is decoded last in its list
+// (fewer than three bytes in hand after it, so the fallback may take it)
+// and ahead of more ids (where the inline path takes the short ones), and
+// each must decode to the same value, or be refused, both ways and as a
+// one-id SampleChunk.
+func TestDecodeIDsBoundaries(t *testing.T) {
+	ff := func(n int) []byte { return bytes.Repeat([]byte{0xff}, n) }
+	cases := []struct {
+		name string
+		enc  []byte
+		want uint64
+		ok   bool
+	}{
+		{"0x7f", []byte{0x7f}, 0x7f, true},
+		{"80 01", []byte{0x80, 0x01}, 0x80, true},
+		{"2^21-1", []byte{0xff, 0xff, 0x7f}, 1<<21 - 1, true},
+		{"four bytes", []byte{0x80, 0x80, 0x80, 0x01}, 1 << 21, true},
+		{"2^64-1 in ten bytes", append(ff(9), 0x01), math.MaxUint64, true},
+		{"an 11th byte", append(bytes.Repeat([]byte{0x80}, 10), 0x00), 0, false},
+		{"a 10th byte above 1", append(ff(9), 0x02), 0, false},
+		{"non-canonical 80 00", []byte{0x80, 0x00}, 0, true},
+		{"non-canonical 80 80 00", []byte{0x80, 0x80, 0x00}, 0, true},
+		{"cut mid-varint", []byte{0x80}, 0, false},
+		{"cut mid-varint, three bytes", []byte{0xff, 0xff, 0xff}, 0, false},
+		{"empty", nil, 0, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, tail := range [][]byte{nil, {0x05, 0x7f, 0x80, 0x01}} {
+				in := append(append([]byte(nil), tc.enc...), tail...)
+				n := 1
+				if tail != nil {
+					n = 4
+				}
+				out := make([]uint64, n)
+				rest, ok := decodeIDs(in, out)
+				want, wantRest, wantOK := refDecodeIDs(in, n)
+				if ok != tc.ok || wantOK != tc.ok {
+					t.Fatalf("tail %x: accepted %v, binary.Uvarint %v, want %v", tail, ok, wantOK, tc.ok)
+				}
+				if ok && (out[0] != tc.want || !slices.Equal(out, want) || !bytes.Equal(rest, wantRest)) {
+					t.Fatalf("tail %x: got %v rest %x, want %v rest %x (first %d)", tail, out, rest, want, wantRest, tc.want)
+				}
+			}
+			m, err := DecodeSampleChunk(append([]byte{1}, tc.enc...))
+			if tc.ok != (err == nil) {
+				t.Fatalf("SampleChunk: err %v, want accepted %v", err, tc.ok)
+			}
+			if err != nil && !errors.Is(err, ErrMalformed) {
+				t.Fatalf("SampleChunk: err %v, want ErrMalformed", err)
+			}
+			if err == nil && (len(m.IDs) != 1 || m.IDs[0] != tc.want) {
+				t.Fatalf("SampleChunk: %v, want [%d]", m.IDs, tc.want)
+			}
+		})
+	}
+	// A list cut mid-varint: two ids declared, the second begun and not ended.
+	if _, err := DecodeSampleChunk([]byte{2, 0x05, 0x80}); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("list cut mid-varint: %v, want ErrMalformed", err)
 	}
 }
