@@ -181,10 +181,14 @@ func (s *Set) maskTail() {
 	}
 }
 
-// Clone returns a deep copy of s.
+// Clone returns a deep copy of s. The words are a make and a copy between
+// two local slices, which the compiler fuses into one allocation that is
+// not zeroed first (runtime.makeslicecopy): every word is overwritten.
 func (s *Set) Clone() *Set {
-	c := &Set{n: s.n, words: make([]uint64, len(s.words))}
-	copy(c.words, s.words)
+	src := s.words
+	words := make([]uint64, len(src))
+	copy(words, src)
+	c := &Set{n: s.n, words: words}
 	c.count.Store(s.count.Load())
 	return c
 }
@@ -215,15 +219,18 @@ func (s *Set) And(t *Set) *Set {
 }
 
 // Or returns a new vector that is the bitwise OR of s and t; the result
-// is allocated at the exact word count (New allocates (n+63)/64 words).
+// is allocated at the exact word count, (n+63)/64, as New allocates.
 // It panics if the lengths differ.
 func (s *Set) Or(t *Set) *Set {
 	s.checkSameLen(t)
-	r := New(s.n)
-	for i := range s.words {
-		r.words[i] = s.words[i] | t.words[i]
+	src := s.words
+	words := make([]uint64, len(src))
+	copy(words, src) // one allocation, not zeroed first (see Clone)
+	tw := t.words[:len(words)]
+	for i := range words {
+		words[i] |= tw[i]
 	}
-	return r
+	return &Set{n: s.n, words: words}
 }
 
 // AndCount returns popcount(s AND t) without allocating the intersection.

@@ -127,7 +127,7 @@ func EstimateIntersectionOf(a, b *Filter) float64 {
 // §5.6's "is this intersection empty?" — for the price of the verdict
 // instead of the estimate. t1 and t2 are O(1) and, while t1 + t2 ≤ m, the
 // estimate is non-decreasing in t∧ over every value the AND-popcount can
-// take (see intersectionNeed), so the verdict is a test on t∧ alone: the
+// take (see IntersectionNeed), so the verdict is a test on t∧ alone: the
 // smallest t∧ whose estimate reaches thr is worked out first, and the
 // popcount stops as soon as it gets there (bitset.AndCountAtLeast). For a
 // small threshold that count is about t1·t2/m, what two unrelated filters
@@ -148,11 +148,11 @@ func IntersectionAtLeast(a, b *Filter, thr float64) bool {
 		// the value.
 		return EstimateIntersectionOf(a, b) >= thr
 	}
-	need := intersectionNeed(m, a.K(), t1, t2, thr)
+	need := IntersectionNeed(m, a.K(), t1, t2, thr)
 	return need <= min(t1, t2) && a.bits.AndCountAtLeast(b.bits, need)
 }
 
-// intersectionNeed returns, for set-bit counts with t1 + t2 ≤ m, the
+// IntersectionNeed returns, for set-bit counts with t1 + t2 ≤ m, the
 // smallest t∧ in [0, min(t1, t2)] for which EstimateIntersection(m, k, t1,
 // t2, t∧) ≥ thr, and min(t1, t2) + 1 when none is. Every larger t∧ reaches
 // thr too: the estimate is 0 at t∧ = 0; above it the quotient (t∧·m −
@@ -166,7 +166,11 @@ func IntersectionAtLeast(a, b *Filter, thr float64) bool {
 // that: the estimator solved for t∧ only proposes the candidate — two
 // evaluations when it is right, which away from saturation it is — and
 // when it is not, a bisection of the same predicate finds it.
-func intersectionNeed(m uint64, k int, t1, t2 uint64, thr float64) uint64 {
+//
+// It is exported for a caller that counts t∧ without a second filter (a
+// tree node held as its set positions) and must reach IntersectionAtLeast's
+// verdict.
+func IntersectionNeed(m uint64, k int, t1, t2 uint64, thr float64) uint64 {
 	most := min(t1, t2)
 	reaches := func(tand uint64) bool { return EstimateIntersection(m, k, t1, t2, tand) >= thr }
 

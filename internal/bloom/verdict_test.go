@@ -9,7 +9,7 @@ import (
 // IntersectionAtLeast, checked exhaustively where that is affordable: for
 // every pair of set-bit counts with t1 + t2 ≤ m and every t∧ the AND of two
 // such vectors can count — 0 to min(t1, t2) — the estimate reaches thr
-// exactly when t∧ has reached intersectionNeed. That covers t∧ = 0, the
+// exactly when t∧ has reached IntersectionNeed. That covers t∧ = 0, the
 // saturated branch (a count of 0.9·m or more, with the other at most a
 // tenth) and filters with nothing in them. Where t1 + t2 > m the claim is
 // false, which the test shows once so that the fallback in
@@ -24,7 +24,7 @@ func TestIntersectionNeedIsTheEstimatesThreshold(t *testing.T) {
 			for _, thr := range []float64{0.25, 0.5, 1, 3} {
 				for t1 := uint64(0); t1 <= m; t1++ {
 					for t2 := uint64(0); t1+t2 <= m; t2++ {
-						need := intersectionNeed(m, k, t1, t2, thr)
+						need := IntersectionNeed(m, k, t1, t2, thr)
 						if need == 0 || need > min(t1, t2)+1 {
 							t.Fatalf("m=%d k=%d t1=%d t2=%d thr=%v: need = %d", m, k, t1, t2, thr, need)
 						}
@@ -39,7 +39,7 @@ func TestIntersectionNeedIsTheEstimatesThreshold(t *testing.T) {
 			}
 		}
 	}
-	if intersectionNeed(256, 3, 0, 0, 0) != 0 || intersectionNeed(256, 3, 100, 100, -1) != 0 {
+	if IntersectionNeed(256, 3, 0, 0, 0) != 0 || IntersectionNeed(256, 3, 100, 100, -1) != 0 {
 		t.Fatal("a threshold every estimate reaches needs no shared bit")
 	}
 

@@ -96,19 +96,19 @@ func forkJoin(fork int, left, right func()) {
 	<-done
 }
 
-// measure returns the number of nodes under n, n included, and the number
-// of ids their leaves cover between them.
-func measure(n *node) (nodes, leafIDs uint64) {
+// measure returns the number of nodes under n, n included, the number of
+// ids their leaves cover between them and the bytes their filters hold.
+func measure(n *node) (nodes, leafIDs, held uint64) {
 	if n == nil {
-		return 0, 0
+		return 0, 0, 0
 	}
 	left, right := n.children()
 	if left == nil && right == nil {
-		return 1, n.hi - n.lo
+		return 1, n.hi - n.lo, n.filter().bytes()
 	}
-	ln, li := measure(left)
-	rn, ri := measure(right)
-	return 1 + ln + rn, li + ri
+	ln, li, lh := measure(left)
+	rn, ri, rh := measure(right)
+	return 1 + ln + rn, li + ri, n.filter().bytes() + lh + rh
 }
 
 // publish attaches a privately built subtree at slot: it is measured while
@@ -117,31 +117,39 @@ func measure(n *node) (nodes, leafIDs uint64) {
 // version's table is validated against, so it must not move before the
 // nodes it counts are reachable.
 func (t *Tree) publish(slot *atomic.Pointer[node], sub *node) {
-	nodes, leafIDs := measure(sub)
+	nodes, leafIDs, held := measure(sub)
 	slot.Store(sub)
+	t.held.Add(held)
 	t.leafIDs.Add(leafIDs)
 	t.nodes.Add(nodes)
+}
+
+// replace publishes f as n's filter in place of old, which growth read
+// from n, and counts the bytes it adds.
+func (t *Tree) replace(n *node, old *nodeFilter, f nodeFilter) {
+	n.setFilter(f)
+	t.held.Add(f.bytes() - old.bytes()) // a node's bits, and so its bytes, only grow
 }
 
 // buildFull recursively builds the complete tree for [lo, hi) with the
 // given remaining depth, building the left child concurrently for the top
 // fork levels.
 func (t *Tree) buildFull(lo, hi uint64, depth, fork int) *node {
-	n := newNode(lo, hi, nil)
+	n := newNode(lo, hi)
 	if depth == 0 || hi-lo <= 1 {
 		f := bloom.New(t.fam)
 		var buf []uint64
 		for x := lo; x < hi; x++ {
 			buf = f.AddScratch(x, buf)
 		}
-		n.setFilter(f)
+		n.setFilter(t.holdVector(f.Bits()))
 		return n
 	}
 	mid := split(lo, hi)
 	forkJoin(fork,
 		func() { n.left.Store(t.buildFull(lo, mid, depth-1, fork-1)) },
 		func() { n.right.Store(t.buildFull(mid, hi, depth-1, fork-1)) })
-	n.unite()
+	t.unite(n)
 	return n
 }
 
@@ -150,9 +158,10 @@ func (t *Tree) buildFull(lo, hi uint64, depth, fork int) *node {
 // does. The subtree is not yet reachable by readers; the caller measures
 // it, publishes it with a single pointer store and only then counts it.
 func (t *Tree) buildSubtree(lo, hi uint64, depth, fork int, ids []uint64) *node {
-	n := newNode(lo, hi, nil)
+	n := newNode(lo, hi)
 	if depth == 0 || hi-lo <= 1 {
-		n.setFilter(bloom.NewFromElements(t.fam, ids))
+		f, _ := t.add(&nodeFilter{}, ids)
+		n.setFilter(f)
 		return n
 	}
 	mid := split(lo, hi)
@@ -166,31 +175,14 @@ func (t *Tree) buildSubtree(lo, hi uint64, depth, fork int, ids []uint64) *node 
 			n.right.Store(t.buildSubtree(mid, hi, depth-1, fork-1, ids[cut:]))
 		}
 	})
-	n.unite()
+	t.unite(n)
 	return n
 }
 
-// union returns the children's union (§3.1), the vector every internal
-// node holds; in a pruned tree one child may be missing.
-func (n *node) union() *bloom.Filter {
-	left, right := n.children()
-	switch {
-	case left == nil:
-		return right.filter().Clone()
-	case right == nil:
-		return left.filter().Clone()
-	}
-	f, err := left.filter().Union(right.filter())
-	if err != nil {
-		panic("core: sibling filters incompatible: " + err.Error()) // unreachable
-	}
-	return f
-}
-
-// unite gives an internal node its children's union. buildFull,
+// unite gives an internal node its children's union (union). buildFull,
 // buildSubtree and ReadTree form every internal node with it, and growth
 // keeps it so (growSlot).
-func (n *node) unite() { n.setFilter(n.union()) }
+func (t *Tree) unite(n *node) { n.setFilter(t.union(n)) }
 
 // Insert adds one occupied identifier to a pruned tree; see InsertBatch.
 func (t *Tree) Insert(x uint64) error { return t.InsertBatch([]uint64{x}) }
@@ -210,15 +202,15 @@ const GrowRun = 4096
 //
 // An id the tree has grown before costs one bit: the tree's occupancy
 // bitmap (Tree.grown) holds every id a batch grew or found covered at its
-// leaf, and the batch first drops those (fresh, which reads every list and
-// gathers the rest into one slice of its own), since leaf filters only gain
-// bits. Only the rest are sorted (sortIDs) and grown, and their bits
-// are set once the walk is done (record). The bitmap exists from the first
-// batch after which the tree's filters hold at least M bits (Nodes() × Bits
-// ≥ Namespace), so it at most doubles the tree's memory and a sparse
-// namespace never gets one; an id grown before it existed, or before the
-// tree was read back (ReadTree stores no bitmap), walks the path once more,
-// changes no node and gets its bit then. A batch whose every id is covered
+// leaf, and the batch first drops those (fresh, which range-checks every id
+// in its first pass and gathers the rest into one slice of its own),
+// since leaf filters only gain bits. Only the rest are sorted (sortIDs) and
+// grown, and their bits are set once the walk is done (record). The bitmap
+// exists from the first batch after which the tree's filters hold at least
+// the bitmap's M/8 bytes between them (MemoryBytes), so it at most doubles
+// the tree's memory and a sparse namespace never gets one; an id grown
+// before it existed, or before the tree was read back (ReadTree stores no
+// bitmap), walks the path once more, changes no node and gets its bit then. A batch whose every id is covered
 // sorts and publishes nothing, and allocates nothing once the bitmap holds
 // its ids.
 //
@@ -226,14 +218,16 @@ const GrowRun = 4096
 // its ids, and each internal node above a changed child takes its
 // children's union (§3.1), which is what every internal node holds
 // (buildFull, buildSubtree and ReadTree form each one so, with unite). A
-// node is boxed at most once a batch, and only when its bits changed. A batch of GrowRun ids or more forks its top
+// node is boxed at most once a batch, and only when its bits changed; a
+// sparse node that crosses the rule's line (nodeFilter) is boxed dense in
+// the batch that crosses it. A batch of GrowRun ids or more forks its top
 // ⌈log₂ GOMAXPROCS⌉ levels, as BuildTree does: a node there grows its left
 // half on a goroutine of its own and its right half on the caller's,
 // splitting the ids at its midpoint. Existing node filters are replaced by
-// copy-on-write clones, and missing paths are built privately and attached
-// with a single pointer store, so queries never block: a concurrent reader
-// sees either the previous or the new version of each node, and a node is
-// published after its children. The tree is the same node for node whether
+// copy-on-write clones or fresh position lists, and missing paths are built
+// privately and attached with a single pointer store, so queries never
+// block: a concurrent reader sees either the previous or the new version of
+// each node, and a node is published after its children. The tree is the same node for node whether
 // and however far a batch forked.
 //
 // InsertBatch returns an error on full trees (which already store the
@@ -255,20 +249,17 @@ func (t *Tree) InsertBatch(sets ...[]uint64) error {
 	return nil
 }
 
-// insert is InsertBatch's body, and BuildPruned's: it validates every list
-// whole, then under the growth lock drops the ids the occupancy bitmap
-// holds, sorts and grows the rest, and records them.
+// insert is InsertBatch's body, and BuildPruned's: under the growth lock it
+// validates every list and drops the ids the occupancy bitmap holds in one
+// pass (fresh), then sorts and grows the rest, and records them.
 func (t *Tree) insert(sets ...[]uint64) error {
-	for _, ids := range sets {
-		for _, x := range ids {
-			if x >= t.cfg.Namespace {
-				return fmt.Errorf("core: id %d outside namespace [0,%d)", x, t.cfg.Namespace)
-			}
-		}
-	}
 	t.grow.Lock()
 	defer t.grow.Unlock()
-	if fresh := t.fresh(sets); len(fresh) > 0 {
+	fresh, err := t.fresh(sets)
+	if err != nil {
+		return err
+	}
+	if len(fresh) > 0 {
 		sorted := sortIDs(fresh, t.cfg.Namespace)
 		t.growSlot(&t.root, 0, t.cfg.Namespace, t.cfg.Depth, forkFor(len(sorted)), sorted)
 		t.record(sorted)
@@ -278,45 +269,67 @@ func (t *Tree) insert(sets ...[]uint64) error {
 
 // fresh returns, in one slice of its own, the ids of every list whose bits
 // the occupancy bitmap lacks: all of them while there is no bitmap, and nil
-// when every one is set, so a covered batch allocates nothing. Called under
-// t.grow.
-func (t *Tree) fresh(sets [][]uint64) []uint64 {
-	if t.grown == nil {
-		return slices.Concat(sets...)
-	}
+// when every one is set, so a covered batch allocates nothing. The range
+// check rides in its first pass over the ids — the only one while there is
+// no bitmap, the count of the fresh ids once there is one, so the slice is
+// made at their number — and the first id outside the namespace refuses the
+// whole batch before anything is grown or recorded. Called under t.grow.
+func (t *Tree) fresh(sets [][]uint64) ([]uint64, error) {
+	grown, limit := t.grown, t.cfg.Namespace
+	outside := func(x uint64) error { return fmt.Errorf("core: id %d outside namespace [0,%d)", x, limit) }
 	n := 0
 	for _, ids := range sets {
+		n += len(ids)
+	}
+	if grown == nil {
+		out := make([]uint64, 0, n)
+		for _, ids := range sets {
+			for _, x := range ids {
+				if x >= limit {
+					return nil, outside(x)
+				}
+				out = append(out, x)
+			}
+		}
+		return out, nil
+	}
+	n = 0
+	for _, ids := range sets {
 		for _, x := range ids {
-			if t.grown[x/64]&(1<<(x%64)) == 0 {
+			if x >= limit {
+				return nil, outside(x)
+			}
+			if grown[x/64]&(1<<(x%64)) == 0 {
 				n++
 			}
 		}
 	}
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
 	out := make([]uint64, 0, n)
 	for _, ids := range sets {
 		for _, x := range ids {
-			if t.grown[x/64]&(1<<(x%64)) == 0 {
+			if grown[x/64]&(1<<(x%64)) == 0 {
 				out = append(out, x)
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 // record sets the occupancy bits of ids, which the tree has just grown or
 // found covered at their leaves. The bitmap is allocated here, the first
-// time the tree's filters hold at least M bits between them (Nodes() ×
-// Bits ≥ Namespace); until then record does nothing. Called under t.grow.
+// time the tree's filters hold at least its M/8 bytes between them; until
+// then record does nothing. Called under t.grow.
 func (t *Tree) record(ids []uint64) {
 	if t.grown == nil {
-		if t.Nodes() < (t.cfg.Namespace-1)/t.cfg.Bits+1 {
+		words := (t.cfg.Namespace-1)/64 + 1
+		if t.held.Load() < 8*words {
 			return
 		}
-		t.grown = make([]uint64, (t.cfg.Namespace-1)/64+1)
-		t.grownBytes.Store(uint64(len(t.grown)) * 8)
+		t.grown = make([]uint64, words)
+		t.grownBytes.Store(8 * words)
 	}
 	for _, x := range ids {
 		t.grown[x/64] |= 1 << (x % 64)
@@ -327,8 +340,9 @@ func (t *Tree) record(ids []uint64) {
 // [lo, hi) by sorted ids and reports whether any of its bits changed. It is
 // the one growth walk. An empty slot gets a complete private subtree,
 // published at once (buildSubtree, forking as this would). A leaf takes the
-// ids into a copy of its filter (CloneAdd), which shares the old bit vector
-// when its leaf held every id already; only a new vector is published. An
+// ids into a copy of its filter (add: a CloneAdd of a dense vector, which
+// shares it when its leaf held every id already, or a fresh position list,
+// dense once it reaches the rule's line); only new bits are published. An
 // internal node grows its two halves, at a fork level on two goroutines
 // (forkJoin), and if either changed takes their union (§3.1), publishing it
 // only if that is not the bits it holds. So a node is boxed at most once a
@@ -342,12 +356,11 @@ func (t *Tree) growSlot(slot *atomic.Pointer[node], lo, hi uint64, depth, fork i
 	}
 	old := n.filter()
 	if depth == 0 || hi-lo <= 1 {
-		next := old.CloneAdd(ids...)
-		if next.Bits() == old.Bits() {
-			return false
+		next, changed := t.add(old, ids)
+		if changed {
+			t.replace(n, old, next)
 		}
-		n.setFilter(next)
-		return true
+		return changed
 	}
 	mid := split(lo, hi)
 	cut := sort.Search(len(ids), func(i int) bool { return ids[i] >= mid })
@@ -360,11 +373,11 @@ func (t *Tree) growSlot(slot *atomic.Pointer[node], lo, hi uint64, depth, fork i
 	if !left && !right {
 		return false
 	}
-	u := n.union()
-	if u.Bits().Equal(old.Bits()) {
+	u := t.union(n)
+	if u.equal(old) {
 		return false
 	}
-	n.setFilter(u)
+	t.replace(n, old, u)
 	return true
 }
 

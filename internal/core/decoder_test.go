@@ -6,6 +6,7 @@ import (
 	"go/build"
 	"io"
 	"math"
+	"math/rand"
 	"os"
 	"runtime"
 	"strings"
@@ -65,7 +66,7 @@ func writeNodeBytes(w io.Writer, tree *Tree) {
 	w.Write(treeHeader(legacyTreeMagic, tree.cfg, tree.pruned, tree.rootNode() != nil))
 	var walk func(n *node)
 	walk = func(n *node) {
-		bits, _ := n.filter().Bits().MarshalBinary()
+		bits, _ := tree.bloomOf(n).Bits().MarshalBinary()
 		left, right := n.children()
 		w.Write(nodeHead(n.lo, n.hi, uint32(len(bits))))
 		w.Write(bits)
@@ -116,7 +117,7 @@ func forgedTrees() (names []string, streams [][]byte) {
 	link := append(append(nodeHead(0, 1<<20, uint32(len(emptyBits))), emptyBits...), 1)
 
 	hugeBits := base
-	hugeBits.Bits = 1 << 40 // makes a 1 GiB payload plausible
+	hugeBits.Bits = maxBits // makes a 512 MiB payload plausible
 	hugeLeaf := hugeBits
 	hugeLeaf.Depth = 0 // the root is a leaf, which carries a vector
 	hugeK := base
@@ -178,7 +179,18 @@ func FuzzReadTree(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, tree := range []*Tree{full, pruned} {
+	// Leaves that hold their set positions (nodeFilter): about five ids, 15
+	// bits, a leaf against 32 words; the nodes above them are denser.
+	sparseCfg := cfg
+	sparseCfg.Bits = 2048
+	sparse, err := BuildPruned(sparseCfg, uniformSet(rand.New(rand.NewSource(5)), cfg.Namespace, 40))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if s, leaves := sparseNodes(sparse); s == 0 || leaves == 0 {
+		f.Fatal("the sparse seed holds no sparse leaf")
+	}
+	for _, tree := range []*Tree{full, pruned, sparse} {
 		var buf bytes.Buffer
 		if _, err := tree.WriteTo(&buf); err != nil {
 			f.Fatal(err)

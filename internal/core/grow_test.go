@@ -208,8 +208,9 @@ func leafFalsePositives(tree *Tree, inserted map[uint64]bool) []uint64 {
 		if left, right := n.children(); left != nil || right != nil {
 			return
 		}
+		f := tree.bloomOf(n)
 		for x := n.lo; x < n.hi; x++ {
-			if !inserted[x] && n.filter().Contains(x) {
+			if !inserted[x] && f.Contains(x) {
 				out = append(out, x)
 			}
 		}
@@ -238,7 +239,7 @@ func checkGrown(t *testing.T, tree *Tree) {
 					n = right
 				}
 			}
-			if n == nil || !n.filter().Contains(x) {
+			if n == nil || !tree.bloomOf(n).Contains(x) {
 				t.Fatalf("id %d is marked grown, and its leaf does not hold it", x)
 			}
 		}
@@ -252,7 +253,7 @@ func checkGrown(t *testing.T, tree *Tree) {
 // already grown and leaf false positives, on filters small enough (61 bits)
 // that internal nodes answer for ids their leaves lack: every way an id can
 // be covered or not at a leaf while its path says otherwise. The occupancy
-// bitmap exists from the first batch after which the filters hold M bits;
+// bitmap exists from the first batch after which the filters hold M/8 bytes;
 // before the third batch the tree is written out and read back, which
 // drops it, and the reloaded tree must go on growing BuildPruned's tree.
 // After every batch each node that was there before it must have a new box
@@ -301,7 +302,7 @@ func TestGrowthIsBuildPrunedExhaustive(t *testing.T) {
 					if !ok {
 						return
 					}
-					if reboxed, changed := n.f.Load() != was, !n.filter().Bits().Equal(was.f.Bits()); reboxed != changed {
+					if reboxed, changed := n.f.Load() != was, !n.filter().vector(cfg.Bits).Equal(was.f.vector(cfg.Bits)); reboxed != changed {
 						t.Fatalf("M = %d, depth %d, batch %d %v: [%d, %d) got a new box: %v, its bits changed: %v",
 							M, depth, b, batch, n.lo, n.hi, reboxed, changed)
 					}
@@ -368,31 +369,30 @@ func TestCoveredBatchPublishesNothing(t *testing.T) {
 }
 
 // TestOccupancyBitmapIsLazy: a pruned tree holds no occupancy bitmap while
-// its filters hold fewer than M bits between them, and MemoryBytes is its
-// filters alone; the batch after which they hold M bits allocates it, M/8
-// bytes more, and records its ids. A sparse namespace (2⁴⁰ ids, a few
-// hundred nodes) never gets one.
+// its filters hold fewer than the bitmap's M/8 bytes between them, and
+// MemoryBytes is what its filters hold alone; the batch after which they
+// hold M/8 allocates it, M/8 bytes more, and records its ids. A sparse
+// namespace (2⁴⁰ ids, a few hundred nodes) never gets one.
 func TestOccupancyBitmapIsLazy(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const M = 1 << 14
 	cfg := Config{Namespace: M, Bits: 512, K: 3, Seed: 9, Depth: 6}
-	perNode := (cfg.Bits + 63) / 64 * 8
 	tree, err := BuildPruned(cfg, []uint64{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.grown != nil || tree.MemoryBytes() != tree.Nodes()*perNode {
+	if tree.grown != nil || tree.MemoryBytes() != heldBytes(tree) {
 		t.Fatalf("%d nodes of %d bits in M = %d: MemoryBytes %d, want the filters' %d",
-			tree.Nodes(), cfg.Bits, M, tree.MemoryBytes(), tree.Nodes()*perNode)
+			tree.Nodes(), cfg.Bits, M, tree.MemoryBytes(), heldBytes(tree))
 	}
 	batch := uniformSet(rng, M, 500)
 	if err := tree.InsertBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	if tree.Nodes()*cfg.Bits < M {
-		t.Fatalf("%d nodes of %d bits hold fewer than M = %d: the batch is too small", tree.Nodes(), cfg.Bits, M)
+	if heldBytes(tree) < M/8 {
+		t.Fatalf("%d nodes of %d bits hold %d bytes, fewer than M/8 = %d: the batch is too small", tree.Nodes(), cfg.Bits, heldBytes(tree), M/8)
 	}
-	if want := tree.Nodes()*perNode + M/8; tree.grown == nil || tree.MemoryBytes() != want {
+	if want := heldBytes(tree) + M/8; tree.grown == nil || tree.MemoryBytes() != want {
 		t.Fatalf("%d nodes of %d bits in M = %d: MemoryBytes %d, want %d with the bitmap",
 			tree.Nodes(), cfg.Bits, M, tree.MemoryBytes(), want)
 	}
@@ -418,10 +418,9 @@ func TestOccupancyBitmapIsLazy(t *testing.T) {
 	if err := tree.InsertBatch(uniformSet(rng, sparse, 20)); err != nil {
 		t.Fatal(err)
 	}
-	perNode = (cfg.Bits + 63) / 64 * 8
-	if tree.grown != nil || tree.MemoryBytes() != tree.Nodes()*perNode {
+	if tree.grown != nil || tree.MemoryBytes() != heldBytes(tree) {
 		t.Fatalf("M = 2⁴⁰, %d nodes of %d bits: MemoryBytes %d, want the filters' %d",
-			tree.Nodes(), cfg.Bits, tree.MemoryBytes(), tree.Nodes()*perNode)
+			tree.Nodes(), cfg.Bits, tree.MemoryBytes(), heldBytes(tree))
 	}
 }
 

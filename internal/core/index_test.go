@@ -132,7 +132,7 @@ func TestGrowthThatChangesNothingPublishesNothing(t *testing.T) {
 	}
 
 	var fresh uint64
-	for fresh = 0; tree.rootNode().filter().Contains(fresh); fresh++ {
+	for root := tree.bloomOf(tree.rootNode()); root.Contains(fresh); fresh++ {
 	}
 	if err := tree.Insert(fresh); err != nil {
 		t.Fatal(err)

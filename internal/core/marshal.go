@@ -8,7 +8,6 @@ import (
 	"math"
 
 	"repro/internal/bitset"
-	"repro/internal/bloom"
 	"repro/internal/hashfam"
 )
 
@@ -66,7 +65,7 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 		return cw.n, err
 	}
 	if root != nil {
-		if err := writeNode(bw, root); err != nil {
+		if err := writeNode(bw, root, t.cfg.Bits); err != nil {
 			return cw.n, err
 		}
 	}
@@ -76,23 +75,21 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-func writeNode(w *bufio.Writer, n *node) error {
+// writeNode writes n and its subtree in pre-order: each node's child mask,
+// and each leaf's bits as its dense vector of m bits encodes them, whichever
+// form it holds them in.
+func writeNode(w *bufio.Writer, n *node, m uint64) error {
 	left, right := n.children()
 	mask := b2u8(left != nil) | b2u8(right != nil)<<1
 	if err := w.WriteByte(mask); err != nil {
 		return err
 	}
 	if mask == 0 {
-		bits, err := n.filter().Bits().MarshalBinary()
-		if err != nil {
-			return err
-		}
-		_, err = w.Write(bits)
-		return err
+		return n.filter().writeTo(w, m)
 	}
 	for _, c := range []*node{left, right} {
 		if c != nil {
-			if err := writeNode(w, c); err != nil {
+			if err := writeNode(w, c, m); err != nil {
 				return err
 			}
 		}
@@ -196,14 +193,14 @@ func (t *Tree) readNode(r *bufio.Reader, legacy bool, lo, hi uint64, depth int) 
 	case !t.pruned && !leaf && mask != 3:
 		return nil, fmt.Errorf("core: full-tree internal node [%d,%d) missing a child", lo, hi)
 	}
-	n := newNode(lo, hi, nil)
+	n := newNode(lo, hi)
 	if leaf {
 		if !legacy {
 			if bits, err = t.readBits(r); err != nil {
 				return nil, err
 			}
 		}
-		n.setFilter(bloom.NewFromBits(t.fam, bits))
+		n.setFilter(t.holdVector(bits)) // the rule, on the bits as read
 		return n, nil
 	}
 	mid := split(lo, hi)
@@ -221,7 +218,7 @@ func (t *Tree) readNode(r *bufio.Reader, legacy bool, lo, hi uint64, depth int) 
 		}
 		n.right.Store(child)
 	}
-	n.unite()
+	t.unite(n)
 	return n, nil
 }
 

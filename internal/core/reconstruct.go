@@ -84,14 +84,15 @@ func (t *Tree) reconstructNode(n *node, q *bloom.Filter, rule PruneRule, ops *Op
 // childAlive applies the prune rule to one child. Neither rule needs the
 // size of the intersection: PruneByAndBits stops at the first shared bit,
 // and PruneByEstimate is §5.6's threshold read as a test on t∧ — the
-// AND-popcount is taken only as far as the count at which the estimate
+// AND-popcount (or, for a node held as its positions, the count of them
+// set in q) is taken only as far as the count at which the estimate
 // reaches EmptyThreshold (bloom.IntersectionAtLeast), which a live branch
 // gets to before the end of the vectors. Either way it is one intersection
 // in Ops.
 func (t *Tree) childAlive(child *node, q *bloom.Filter, rule PruneRule, ops *Ops) bool {
 	ops.Intersections++
 	if rule == PruneByAndBits {
-		return child.filter().IntersectsAny(q)
+		return child.filter().intersectsAny(q)
 	}
-	return bloom.IntersectionAtLeast(child.filter(), q, t.cfg.EmptyThreshold)
+	return child.filter().atLeast(q, t.cfg.EmptyThreshold)
 }

@@ -189,7 +189,7 @@ func (t *Tree) childEstimate(child *node, q *bloom.Filter, ops *Ops) float64 {
 		return 0
 	}
 	ops.Intersections++
-	return bloom.EstimateIntersectionOf(child.filter(), q)
+	return child.filter().estimate(q)
 }
 
 // sampleLeaf picks one of the leaf's positives — the ids of its range that

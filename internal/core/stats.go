@@ -44,7 +44,7 @@ func (t *Tree) ComputeStats() Stats {
 		for len(levels) <= depth {
 			levels = append(levels, lv{min: 2})
 		}
-		fill := n.filter().FillRatio()
+		fill := float64(n.filter().count()) / float64(t.cfg.Bits)
 		l := &levels[depth]
 		l.sum += fill
 		l.n++

@@ -5,11 +5,16 @@
 // thresholding (§5.6), and the cost-model-driven choice of the leaf range
 // M⊥ (§5.4).
 //
-// A tree node is a plain Bloom filter (*bloom.Filter) and is held as one:
-// the tree stores ranges of the namespace, never deletes from them, and
-// every estimate and verdict of a descent is computed on bit vectors. The
-// backend contract of internal/membership is for the sets a database
-// stores, and this package does not import it (a test keeps it so).
+// A tree node is a Bloom filter's bits (§5.1), held in one of two forms
+// (nodeFilter): the ascending positions of its set bits while it has fewer
+// of them than its dense vector has words (m/64), the dense *bloom.Filter
+// otherwise. So a pruned tree's memory follows its occupancy (§5.2, §8): a
+// leaf 1 % full takes a third of its vector's bytes. The tree stores ranges
+// of the namespace and never deletes from them, and every estimate and
+// verdict of a descent is the one the dense vector gives, whichever form
+// the node is in. The backend contract of internal/membership is for the
+// sets a database stores, and this package does not import it (a test
+// keeps it so).
 package core
 
 import (
@@ -60,12 +65,19 @@ type Config struct {
 // in the repository uses 3.
 const maxK = 64
 
+// maxBits bounds Config.Bits: a sparse node holds its set positions, each
+// below m, as uint32s (nodeFilter).
+const maxBits = 1 << 32
+
 func (c *Config) validate() error {
 	if c.Namespace < 2 {
 		return fmt.Errorf("core: namespace size %d too small", c.Namespace)
 	}
 	if c.Bits < 2 {
 		return fmt.Errorf("core: filter size %d too small", c.Bits)
+	}
+	if c.Bits > maxBits {
+		return fmt.Errorf("core: filter size %d, need at most %d", c.Bits, uint64(maxBits))
 	}
 	if c.K < 1 || c.K > maxK {
 		return fmt.Errorf("core: k = %d, need 1 <= k <= %d", c.K, maxK)
@@ -97,11 +109,11 @@ func (c *Config) withDefaults() Config {
 // In a pruned tree, children covering unoccupied ranges are nil.
 //
 // The filter and child pointers are atomic so that pruned-tree growth can
-// publish copy-on-write updates (a fresh immutable filter, or a fully
+// publish copy-on-write updates (a fresh immutable node filter, or a fully
 // built private subtree) with single stores while readers traverse
 // lock-free. Filters reachable from a node are immutable: growth swaps
-// the pointer to a CloneAdd result instead of mutating in place. lo and
-// hi never change after the node is created.
+// the pointer to a new one instead of mutating in place. lo and hi never
+// change after the node is created.
 type node struct {
 	lo, hi      uint64
 	f           atomic.Pointer[boxedFilter]
@@ -111,16 +123,18 @@ type node struct {
 // boxedFilter is a node's filter with its stamp: boxing happens only on
 // publish (rare) while reads pay one extra dereference.
 //
-// stamp names the bit vector inside: a serial drawn once per box, larger
-// than that of any box made before it, and growth publishes a new box only
-// when bits changed (growSlot). So a node's stamp grows exactly when its bits
-// do, and two loads of a node that read the same stamp read the same bits:
-// what an EstimateIndex files a remembered estimate under. A serial rather
-// than the vector's address, which would do for the comparison, because
-// whoever remembers an address keeps a superseded vector alive, and because
-// a serial has an order (indexSlot relies on it).
+// stamp names the bits inside: a serial drawn once per box, larger than
+// that of any box made before it, and growth publishes a new box only when
+// bits changed (growSlot) — a sparse node that reaches the dense form does
+// so in the box of the batch that took it there. So a node's stamp grows
+// exactly when its bits do, and two loads of a node that read the same
+// stamp read the same bits: what an EstimateIndex files a remembered
+// estimate under. A serial rather than the bits' address, which would do
+// for the comparison, because whoever remembers an address keeps a
+// superseded vector alive, and because a serial has an order (indexSlot
+// relies on it).
 type boxedFilter struct {
-	f     *bloom.Filter
+	f     nodeFilter
 	stamp uint64
 }
 
@@ -130,27 +144,12 @@ type boxedFilter struct {
 // one each would buy nothing.
 var filterStamps atomic.Uint64
 
-func box(f *bloom.Filter) *boxedFilter {
-	return &boxedFilter{f: f, stamp: filterStamps.Add(1)}
-}
+// newNode returns a node over [lo, hi) without a filter yet: it is built
+// privately and given one (setFilter) before it is published.
+func newNode(lo, hi uint64) *node { return &node{lo: lo, hi: hi} }
 
-// newNode returns a node over [lo, hi) holding f (which may be nil during
-// private subtree construction).
-func newNode(lo, hi uint64, f *bloom.Filter) *node {
-	n := &node{lo: lo, hi: hi}
-	if f != nil {
-		n.f.Store(box(f))
-	}
-	return n
-}
-
-// filter returns the node's current (immutable) Bloom filter.
-func (n *node) filter() *bloom.Filter {
-	if b := n.f.Load(); b != nil {
-		return b.f
-	}
-	return nil
-}
+// filter returns the node's current (immutable) filter.
+func (n *node) filter() *nodeFilter { return &n.f.Load().f }
 
 // stamp returns the stamp of the node's current filter, 0 for a missing
 // (pruned) child.
@@ -162,7 +161,9 @@ func (n *node) stamp() uint64 {
 }
 
 // setFilter publishes a new filter for the node.
-func (n *node) setFilter(f *bloom.Filter) { n.f.Store(box(f)) }
+func (n *node) setFilter(f nodeFilter) {
+	n.f.Store(&boxedFilter{f: f, stamp: filterStamps.Add(1)})
+}
 
 // children loads both child pointers once; traversals load them into
 // locals so one visit sees one consistent pair (a node with neither
@@ -198,6 +199,11 @@ type Tree struct {
 	// leafIDs is the number of ids the published leaves cover between them:
 	// what one scan of the leaves tests (see LeafIDs).
 	leafIDs atomic.Uint64
+	// held is the bytes the published nodes' filters hold (see MemoryBytes).
+	held atomic.Uint64
+	// scratch pools all-zero vectors of m bits' words, in which growth
+	// unites a sparse node's positions (unitePositions).
+	scratch sync.Pool
 
 	// grow serializes the writers of a pruned tree (a full tree is
 	// immutable after construction); epoch counts the batches they grew.
@@ -207,9 +213,9 @@ type Tree struct {
 	// id, set for every id a batch (or BuildPruned) grew or found covered
 	// at its leaf: leaf filters only gain bits, so such an id never needs
 	// growing again. It is read and written under grow only, and nil until
-	// the first batch after which the filters hold at least M bits between
-	// them (record), so it at most doubles the tree's memory. grownBytes
-	// is its size, for MemoryBytes, which takes no lock.
+	// the first batch after which the filters hold at least its M/8 bytes
+	// between them (record), so it at most doubles the tree's memory.
+	// grownBytes is its size, for MemoryBytes, which takes no lock.
 	grown      []uint64
 	grownBytes atomic.Uint64
 
@@ -259,14 +265,12 @@ func (t *Tree) Nodes() uint64 { return t.nodes.Load() }
 // price a filter version pays before it runs one (Version.Pay).
 func (t *Tree) LeafIDs() uint64 { return t.leafIDs.Load() }
 
-// MemoryBytes returns the total size of all node Bloom filters in bytes —
-// the quantity reported in the paper's memory tables (Tables 2–3, Fig. 14)
-// — plus a grown pruned tree's occupancy bitmap (M/8 bytes, once its
-// filters hold at least M bits; see InsertBatch).
-func (t *Tree) MemoryBytes() uint64 {
-	perNode := (t.cfg.Bits + 63) / 64 * 8
-	return t.nodes.Load()*perNode + t.grownBytes.Load()
-}
+// MemoryBytes returns the bytes the node filters hold — the quantity
+// reported in the paper's memory tables (Tables 2–3, Fig. 14): m/8 for a
+// node held as its dense vector, 4 a set bit for one held as its positions
+// (nodeFilter) — plus a grown pruned tree's occupancy bitmap (M/8 bytes,
+// once its filters hold at least as many bytes; see InsertBatch).
+func (t *Tree) MemoryBytes() uint64 { return t.held.Load() + t.grownBytes.Load() }
 
 // GrowthEpoch returns the number of non-empty insert batches a pruned tree
 // has grown by (0 for full trees). It is the operator's signal that the

@@ -59,6 +59,7 @@ func TestConfigValidation(t *testing.T) {
 		{Namespace: 100, Bits: 100, K: 3, Depth: -1},                    // negative depth
 		{Namespace: 100, Bits: 100, K: 3, Depth: 20},                    // depth > log2(M)
 		{Namespace: 100, Bits: 100, K: 3, Depth: 2, EmptyThreshold: -1}, // bad threshold
+		{Namespace: 100, Bits: maxBits + 1, K: 3, Depth: 2},             // a position past uint32
 	}
 	for i, cfg := range cases {
 		if _, err := BuildTree(cfg); err == nil {
@@ -93,17 +94,18 @@ func TestBuildFullStructure(t *testing.T) {
 		if n == nil {
 			return
 		}
+		f := tree.bloomOf(n)
 		for x := n.lo; x < n.hi; x++ {
-			if !n.filter().Contains(x) {
+			if !f.Contains(x) {
 				t.Fatalf("node [%d,%d) missing element %d", n.lo, n.hi, x)
 			}
 		}
 		if left, right := n.children(); left != nil || right != nil {
-			u, err := left.filter().Union(right.filter())
+			u, err := tree.bloomOf(left).Union(tree.bloomOf(right))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !u.Equal(n.filter()) {
+			if !u.Equal(f) {
 				t.Fatalf("node [%d,%d) is not the union of its children", n.lo, n.hi)
 			}
 			if left.lo != n.lo || right.hi != n.hi || left.hi != right.lo {
