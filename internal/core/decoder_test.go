@@ -6,6 +6,7 @@ import (
 	"go/build"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"runtime"
@@ -179,16 +180,23 @@ func FuzzReadTree(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// Leaves that hold their set positions (nodeFilter): about five ids, 15
-	// bits, a leaf against 32 words; the nodes above them are denser.
+	// Nodes that hold their set positions' code (nodeFilter) at two levels
+	// or more: about five ids, 15 bits, a leaf and about 30 the level above,
+	// against a line of 64 (32 words); the root is dense.
 	sparseCfg := cfg
 	sparseCfg.Bits = 2048
 	sparse, err := BuildPruned(sparseCfg, uniformSet(rand.New(rand.NewSource(5)), cfg.Namespace, 40))
 	if err != nil {
 		f.Fatal(err)
 	}
-	if s, leaves := sparseNodes(sparse); s == 0 || leaves == 0 {
-		f.Fatal("the sparse seed holds no sparse leaf")
+	levels := map[int]bool{}
+	eachNode(sparse.rootNode(), 1, func(n *node, pos uint64) {
+		if n.sparse() {
+			levels[bits.Len64(pos)-1] = true
+		}
+	})
+	if !levels[cfg.Depth] || !levels[cfg.Depth-1] || sparse.rootNode().sparse() {
+		f.Fatalf("the sparse seed holds coded nodes at levels %v of 0–%d", levels, cfg.Depth)
 	}
 	for _, tree := range []*Tree{full, pruned, sparse} {
 		var buf bytes.Buffer

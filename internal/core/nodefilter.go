@@ -2,10 +2,10 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"math"
 	mbits "math/bits"
-	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/bloom"
@@ -13,169 +13,355 @@ import (
 )
 
 // nodeFilter is a tree node's bits in the form the node holds them, one of
-// two, chosen by one rule: a node with fewer set bits than its dense vector
-// has words (m/64) holds their positions, ascending, in pos; any other node
-// holds the dense filter. The rule is applied where a node's bits are
-// counted (holdVector, unitePositions). Below that line the positions take
-// under half the vector's bytes (4 a position against m/8), and an estimate
-// tests fewer positions than the AND-popcount reads words. A pruned tree's
-// leaves in a low-occupancy namespace are such nodes, and so the tree's
-// memory follows its occupancy (§5.2, §8).
+// two, chosen by one rule: a node with fewer set bits than sparseLine a word
+// of its dense vector (2·m/64) holds their positions, ascending, as a gap
+// code (see codeNoted) with their number beside it; any other node holds the
+// dense filter. The rule is applied where a node's bits are counted
+// (holdVector, hold). Below that line the code takes about a byte
+// a position, at most about a quarter of the vector's m/8, and an estimate
+// tests fewer positions than two sparse children hold. A pruned tree's
+// leaves in a low-occupancy namespace, and the nodes just above them, are
+// such nodes, and so the tree's memory follows its occupancy (§5.2, §8).
 //
 // The form is a function of the bits alone — every constructor goes through
-// the rule, and a node's bits only grow — so two nodes hold the same bits
-// exactly when they hold equal values of one form (equal). Every estimate
-// and verdict is the one the dense vector gives: t₁ is the number of
-// positions and t∧ the number of them set in the query's words, fed to the
-// same estimator.
+// the rule, a node's bits only grow, and the code of a list of positions is
+// one — so two nodes hold the same bits exactly when they hold equal values
+// of one form (equal). Every estimate and verdict is the one the dense
+// vector gives: t₁ is the number of positions and t∧ the number of them set
+// in the query's words, fed to the same estimator.
 //
 // A nodeFilter is immutable once published, like the filter it stands for:
-// growth makes a new one (a fresh position list, a copy-on-write clone).
+// growth makes a new one (a fresh code, a copy-on-write clone).
 type nodeFilter struct {
 	dense *bloom.Filter // nil while the node is sparse
-	pos   []uint32      // the set positions, ascending, while it is sparse
+	code  []byte        // the set positions' gaps, coded, while it is sparse
+	n     uint64        // the number of positions code holds
 }
 
-// words is the length in words of a node's dense vector: a node with fewer
-// set bits holds their positions.
+// sparseLine is the set bits a word of its dense vector that a sparse node
+// holds fewer of, on average: the rule's line is sparseLine·m/64 set bits.
+const sparseLine = 2
+
+// words is the length in words of a node's dense vector.
 func (t *Tree) words() uint64 { return (t.cfg.Bits + 63) / 64 }
+
+// line is the rule's line: a node with fewer set bits holds their positions.
+func (t *Tree) line() uint64 { return sparseLine * t.words() }
+
+// escape is the code byte of a gap too long for one byte: the gap's 32 bits
+// follow it, little-endian.
+const escape = 0xff
+
+// slack is the bytes past a code's end that codeNoted may write.
+const slack = 2
+
+// codeNoted codes the set bits of the words noted in notes (a bit a word of
+// words), ascending, into buf, which has room for five bytes a position and
+// slack more, and returns the bytes written.
+//
+// A position p after last is coded as its gap p − last − 1 (last starts at
+// −1, so the first position is coded as itself): in one byte below escape,
+// otherwise as escape and the gap's 32 bits, little-endian. Only a word's
+// first gap can need the escape, since the others are below 64. A word's
+// first three gaps are written whether or not it has that many bits, and k
+// moves by the ones it has, so only a long first gap or a word of four bits
+// or more branches: which words hold how many bits is data, and a branch on
+// it would be mispredicted.
+func codeNoted(buf []byte, words, notes []uint64) (k int) {
+	last := uint32(math.MaxUint32)
+	for ni, nw := range notes {
+		for ; nw != 0; nw &= nw - 1 {
+			i := ni*64 + mbits.TrailingZeros64(nw)
+			w, base := words[i], uint32(i*64)
+			p := base + uint32(mbits.TrailingZeros64(w))
+			if v := p - last - 1; v < escape {
+				buf[k] = byte(v)
+				k++
+			} else {
+				buf[k] = escape
+				binary.LittleEndian.PutUint32(buf[k+1:k+5], v)
+				k += 5
+			}
+			c := mbits.OnesCount64(w)
+			last = base + 63 - uint32(mbits.LeadingZeros64(w))
+			w &= w - 1
+			q := base + uint32(mbits.TrailingZeros64(w)) // past the word when it has one bit
+			w &= w - 1
+			r := base + uint32(mbits.TrailingZeros64(w))
+			b := buf[k : k+2 : k+2]
+			b[0], b[1] = byte(q-p-1), byte(r-q-1)
+			k += min(c, 3) - 1
+			if c > 3 {
+				for w &= w - 1; w != 0; w &= w - 1 {
+					q := base + uint32(mbits.TrailingZeros64(w))
+					buf[k] = byte(q - r - 1)
+					k++
+					r = q
+				}
+			}
+		}
+	}
+	return k
+}
+
+// cursor reads a code's positions in ascending order.
+type cursor struct {
+	code []byte
+	i    int
+	p    uint32
+}
+
+func (f *nodeFilter) cursor() cursor { return cursor{code: f.code, p: math.MaxUint32} }
+
+// next returns the next position; the caller reads no more than the code's
+// count.
+func (c *cursor) next() uint32 {
+	v := uint32(c.code[c.i])
+	c.i++
+	if v == escape {
+		v = binary.LittleEndian.Uint32(c.code[c.i : c.i+4])
+		c.i += 4
+	}
+	c.p += v + 1
+	return c.p
+}
 
 // holdVector returns the node filter of the bits of a dense vector, which it
 // takes: the rule, applied where the bits are counted. A node with fewer set
-// bits than words() holds their positions, any other the vector.
+// bits than line() holds their code, any other the vector.
 func (t *Tree) holdVector(bits *bitset.Set) nodeFilter {
-	if c := bits.Count(); c < t.words() {
-		return nodeFilter{pos: positionsIn(bits.Raw(), c)}
+	c := bits.Count()
+	if c >= t.line() {
+		return nodeFilter{dense: bloom.NewFromBits(t.fam, bits)}
 	}
-	return nodeFilter{dense: bloom.NewFromBits(t.fam, bits)}
-}
-
-// positionsIn returns the positions of the n bits set in words, ascending,
-// in a list of exactly their number.
-func positionsIn(words []uint64, n uint64) []uint32 {
-	out := make([]uint32, n+2)
-	k := 0
+	words := bits.Raw()
+	notes := make([]uint64, (len(words)+63)/64)
 	for i, w := range words {
-		// Two slots a word, written whether or not the word has that many
-		// bits, and k moved by the ones it has: a vector of fewer set bits
-		// than words holds less than one a word, and only a word of three
-		// or more (one in twenty) branches.
-		c, base := mbits.OnesCount64(w), uint32(i*64)
-		o := out[k : k+2 : k+2]
-		o[0] = base + uint32(mbits.TrailingZeros64(w))
-		w &= w - 1
-		o[1] = base + uint32(mbits.TrailingZeros64(w))
-		w &= w - 1
-		k += c
-		for j := k - c + 2; w != 0; j++ {
-			out[j] = base + uint32(mbits.TrailingZeros64(w))
-			w &= w - 1
-		}
+		notes[i/64] |= min(w, 1) << (i % 64)
 	}
-	return out[:n:n]
+	buf := make([]byte, 5*c+slack)
+	return nodeFilter{code: bytes.Clone(buf[:codeNoted(buf, words, notes)]), n: c}
 }
 
 // add returns f with ids inserted and whether that changed its bits; when it
 // did not, f itself. A dense node takes them by CloneAdd, which shares its
 // vector when no bit changes; a sparse one hashes them and unites their
-// positions with its own (unitePositions).
-func (t *Tree) add(f *nodeFilter, ids []uint64) (nodeFilter, bool) {
+// positions with its own in a scratch (uniteIn), handed to *keep while it
+// holds the bits (see growSlot).
+func (t *Tree) add(f *nodeFilter, ids []uint64, keep **scratch) (nodeFilter, bool) {
 	if f.dense != nil {
 		next := f.dense.CloneAdd(ids...)
 		return nodeFilter{dense: next}, next.Bits() != f.dense.Bits()
 	}
-	return t.unitePositions(f.pos, t.positionsOf(ids))
+	s := t.scratchFor()
+	u, grew := t.uniteIn(s, f, ids)
+	t.keep(s, keep)
+	return u, grew
 }
 
-// positionsOf returns the bit positions of ids, k an id in id order, as
-// uint32s.
-func (t *Tree) positionsOf(ids []uint64) []uint32 {
-	k := t.fam.K()
-	pos := make([]uint32, 0, len(ids)*k)
-	buf := make([]uint64, 0, min(len(ids), bloom.ProbeBlock)*k)
+// uniteIn forms the union of f (a sparse node) and the positions of ids in
+// s, an all-zero scratch: f's positions are set into its vector, then the
+// ids', counting the bits they set first, and the count is the rule's
+// (hold). It returns the union's node filter and whether it has a bit f
+// lacks (f itself when it has none), and leaves s holding the union's bits
+// unless the union is dense and took s's vector. The work is one pass over
+// the positions and one over the words they fall in, however they fall: no
+// pass over the m/64 words.
+func (t *Tree) uniteIn(s *scratch, f *nodeFilter, ids []uint64) (nodeFilter, bool) {
+	s.set(f)
+	var fresh uint64
 	for len(ids) > 0 {
 		n := min(len(ids), bloom.ProbeBlock)
-		buf = hashfam.PositionsMany(t.fam, ids[:n], buf[:0])
-		for _, p := range buf {
-			pos = append(pos, uint32(p))
+		s.hashed = hashfam.PositionsMany(t.fam, ids[:n], s.hashed[:0])
+		for _, p := range s.hashed {
+			w, b := &s.words[p/64], p%64
+			fresh += ^*w >> b & 1 // counted without a branch: which bits are new is data
+			*w |= 1 << b
+			s.notes[p/4096] |= 1 << (p / 64 % 64)
 		}
 		ids = ids[n:]
 	}
-	return pos
+	if fresh == 0 {
+		return *f, false
+	}
+	return t.hold(s, f.n+fresh), true
 }
 
-// unitePositions returns the node filter of the union of pos (ascending and
-// distinct, a sparse node's) and more (in any order, repeats allowed), and
-// whether the union has a bit pos lacks; pos itself when it has none. The
-// union is formed in a vector of m bits from the tree's scratch pool: both
-// lists are set into it, counting the bits more sets first, and the count
-// is the rule's. Below words() the positions are read back out
-// (positionsIn) and the vector is cleared and goes back to the pool; from
-// there the vector is the dense node's own. The work is one pass over the positions and one over
-// the m/64 words, what a dense node's copy-on-write costs, however the new
-// positions fall.
-func (t *Tree) unitePositions(pos, more []uint32) (nodeFilter, bool) {
-	words := t.scratchWords()
-	setPositions(words, pos)
-	fresh := 0
-	for _, p := range more {
-		w, s := &words[p/64], p%64
-		fresh += int(^*w >> s & 1) // counted without a branch: which bits are new is data
-		*w |= 1 << s
+// uniteGrown returns the union (§3.1) of n's children once they have grown,
+// whether it differs from old (n's filter before, the empty one for a new
+// node), and the scratch it was formed in, which holds its bits unless the
+// union is dense. Above sparse children the union is formed in the scratch
+// a child grew in (kept[0] for the left, kept[1] for the right) when there
+// is one — the other's kept scratch is ORed into it, or its positions are
+// set — so no child's positions are read back from its code, and its count
+// is the rule's. A node's bits only grow, so the union differs from old
+// exactly when it has more bits. A union with a dense child is dense, and
+// is union's.
+func (t *Tree) uniteGrown(n *node, old *nodeFilter, kept [2]*scratch) (nodeFilter, bool, *scratch) {
+	left, right := n.children()
+	children := [2]*node{left, right}
+	if (left != nil && !left.sparse()) || (right != nil && !right.sparse()) {
+		for _, k := range kept {
+			if k != nil {
+				t.release(k)
+			}
+		}
+		u := t.union(n)
+		return u, !u.equal(old), nil
 	}
-	n := uint64(len(pos) + fresh)
+	i := 0
+	if kept[0] == nil {
+		i = 1
+	}
+	s, count := kept[i], uint64(0)
+	if s == nil {
+		s = t.scratchFor()
+	} else {
+		count = children[i].filter().n
+	}
+	for j, c := range children {
+		switch {
+		case j == i && kept[j] != nil:
+		case kept[j] != nil:
+			count += s.or(kept[j])
+			t.release(kept[j])
+		case c != nil:
+			count += s.set(c.filter())
+		}
+	}
+	if count == old.count() {
+		return *old, false, s
+	}
+	return t.hold(s, count), true, s
+}
+
+// hold returns the node filter of the n bits s holds: the rule, applied
+// where the bits were counted. Below line() the noted words are coded
+// (codeNoted) and s keeps them; from there its vector is the dense node's
+// own, and s has none.
+func (t *Tree) hold(s *scratch, n uint64) nodeFilter {
+	if n >= t.line() {
+		words := s.words
+		s.words = nil
+		return nodeFilter{dense: bloom.NewFromBits(t.fam, bitset.FromWords(t.cfg.Bits, words))}
+	}
+	return nodeFilter{code: bytes.Clone(s.code[:codeNoted(s.code, s.words, s.notes)]), n: n}
+}
+
+// scratch is growth's work space for uniting sparse nodes: a vector of m
+// bits, a note for each of its words that a position was set in, room for
+// the code of a sparse node and for a block of hashed positions. In the
+// pool, words and notes are all zero.
+type scratch struct {
+	words  []uint64
+	notes  []uint64
+	code   []byte
+	hashed []uint64
+}
+
+// scratchFor returns a scratch of the tree's m from its pool, or a new one.
+func (t *Tree) scratchFor() *scratch {
+	s, ok := t.scratch.Get().(*scratch)
+	if !ok {
+		s = &scratch{notes: make([]uint64, (t.words()+63)/64), code: make([]byte, 5*t.line()+slack)}
+	}
+	if s.words == nil {
+		s.words = make([]uint64, t.words())
+	}
+	return s
+}
+
+// release clears the words s noted, and the notes, and puts s back in the
+// pool. Past one noted word in eight, clearing the whole vector is the
+// cheaper way.
+func (t *Tree) release(s *scratch) {
+	noted := 0
+	for _, nw := range s.notes {
+		noted += mbits.OnesCount64(nw)
+	}
 	switch {
-	case fresh == 0:
-		clear(words)
-		t.scratch.Put(&words)
-		return nodeFilter{pos: pos}, false
-	case n >= t.words():
-		return nodeFilter{dense: bloom.NewFromBits(t.fam, bitset.FromWords(t.cfg.Bits, words))}, true
+	case s.words == nil:
+	case 8*noted > len(s.words):
+		clear(s.words)
+	default:
+		for ni, nw := range s.notes {
+			for ; nw != 0; nw &= nw - 1 {
+				s.words[ni*64+mbits.TrailingZeros64(nw)] = 0
+			}
+		}
 	}
-	out := positionsIn(words, n)
-	clear(words)
-	t.scratch.Put(&words)
-	return nodeFilter{pos: out}, true
+	clear(s.notes)
+	t.scratch.Put(s)
 }
 
-// scratchWords returns an all-zero vector of m bits' words from the tree's
-// pool, or a new one.
-func (t *Tree) scratchWords() []uint64 {
-	if p, ok := t.scratch.Get().(*[]uint64); ok {
-		return *p
-	}
-	return make([]uint64, t.words())
-}
-
-// setPositions sets the bits at pos in words.
-func setPositions(words []uint64, pos []uint32) {
-	for _, p := range pos {
-		words[p/64] |= 1 << (p % 64)
+// keep hands s to the caller's *keep while s holds a sparse node's bits, or
+// releases it.
+func (t *Tree) keep(s *scratch, keep **scratch) {
+	switch {
+	case s == nil:
+	case keep != nil && s.words != nil:
+		*keep = s
+	default:
+		t.release(s)
 	}
 }
 
-// union returns the filter of n's children's union (§3.1), which every
-// internal node holds; in a pruned tree one child may be missing, and the
-// other's bits are copied. Two sparse children's positions are united
-// (unitePositions), a sparse child's are set into a copy of its dense
-// sibling's vector, and two dense vectors are ORed. A union with a dense
-// child holds at least its set bits, so it is dense.
+// set sets the positions of the sparse f, notes their words and returns
+// how many were clear. The positions ascend, so a note word is kept in a
+// register until they leave its 64 words. It and setIn read the code as
+// cursor.next does, written out: through a cursor both run ≈ 20 % slower.
+func (s *scratch) set(f *nodeFilter) (fresh uint64) {
+	words, code := s.words, f.code
+	p, at, notes := uint32(math.MaxUint32), uint32(0), uint64(0)
+	for i := 0; i < len(code); i++ {
+		v := uint32(code[i])
+		if v == escape {
+			v = binary.LittleEndian.Uint32(code[i+1 : i+5])
+			i += 4
+		}
+		p += v + 1
+		w, b := &words[p/64], p%64
+		fresh += ^*w >> b & 1
+		*w |= 1 << b
+		if p/4096 != at {
+			s.notes[at] |= notes
+			at, notes = p/4096, 0
+		}
+		notes |= 1 << (p / 64 % 64)
+	}
+	s.notes[at] |= notes
+	return fresh
+}
+
+// or sets the bits of o in s, notes their words and returns how many were
+// clear.
+func (s *scratch) or(o *scratch) (fresh uint64) {
+	for ni, nw := range o.notes {
+		s.notes[ni] |= nw
+		for ; nw != 0; nw &= nw - 1 {
+			i := ni*64 + mbits.TrailingZeros64(nw)
+			fresh += uint64(mbits.OnesCount64(o.words[i] &^ s.words[i]))
+			s.words[i] |= o.words[i]
+		}
+	}
+	return fresh
+}
+
+// union returns the filter of the children's union of n, which has a dense
+// child (uniteGrown forms every other union): in a pruned tree one child
+// may be missing, and the other's vector is copied; a sparse child's
+// positions are set into a copy of its dense sibling's vector, and two
+// dense vectors are ORed. A union with a dense child holds at least its
+// set bits, so it is dense.
 func (t *Tree) union(n *node) nodeFilter {
 	left, right := n.children()
 	switch {
 	case left == nil:
-		return right.filter().clone()
+		return nodeFilter{dense: right.filter().dense.Clone()}
 	case right == nil:
-		return left.filter().clone()
+		return nodeFilter{dense: left.filter().dense.Clone()}
 	}
 	a, b := left.filter(), right.filter()
-	if a.dense == nil && b.dense == nil {
-		u, grew := t.unitePositions(a.pos, b.pos)
-		if !grew {
-			return a.clone() // b adds nothing: u is a's own list
-		}
-		return u
-	}
 	if a.dense == nil {
 		a, b = b, a
 	}
@@ -185,20 +371,17 @@ func (t *Tree) union(n *node) nodeFilter {
 	src := a.dense.Bits().Raw()
 	words := make([]uint64, len(src))
 	copy(words, src) // one allocation, not zeroed first
-	setPositions(words, b.pos)
+	c := b.cursor()
+	for range b.n {
+		p := c.next()
+		words[p/64] |= 1 << (p % 64)
+	}
 	return nodeFilter{dense: bloom.NewFromBits(t.fam, bitset.FromWords(t.cfg.Bits, words))}
 }
 
-// clone returns a copy of f that shares nothing with it.
-func (f *nodeFilter) clone() nodeFilter {
-	if f.dense != nil {
-		return nodeFilter{dense: f.dense.Clone()}
-	}
-	return nodeFilter{pos: slices.Clone(f.pos)}
-}
-
 // equal reports whether f and g hold the same bits. Since the form is a
-// function of the bits, filters of different forms hold different bits.
+// function of the bits, and the code a function of the positions, filters
+// of different forms or codes hold different bits.
 func (f *nodeFilter) equal(g *nodeFilter) bool {
 	if (f.dense == nil) != (g.dense == nil) {
 		return false
@@ -206,7 +389,7 @@ func (f *nodeFilter) equal(g *nodeFilter) bool {
 	if f.dense != nil {
 		return f.dense.Bits().Equal(g.dense.Bits())
 	}
-	return slices.Equal(f.pos, g.pos)
+	return f.n == g.n && bytes.Equal(f.code, g.code)
 }
 
 // count returns the number of set bits, t₁.
@@ -214,16 +397,16 @@ func (f *nodeFilter) count() uint64 {
 	if f.dense != nil {
 		return f.dense.SetBits()
 	}
-	return uint64(len(f.pos))
+	return f.n
 }
 
-// bytes returns what the node holds: 4 bytes a position, or the dense
+// bytes returns what the node holds: its code's bytes, or the dense
 // vector's m/8.
 func (f *nodeFilter) bytes() uint64 {
 	if f.dense != nil {
 		return f.dense.SizeBytes()
 	}
-	return 4 * uint64(len(f.pos))
+	return uint64(len(f.code))
 }
 
 // estimate returns bloom.EstimateIntersectionOf of the node's bits and q.
@@ -231,11 +414,11 @@ func (f *nodeFilter) estimate(q *bloom.Filter) float64 {
 	if f.dense != nil {
 		return bloom.EstimateIntersectionOf(f.dense, q)
 	}
-	tand := setIn(f.pos, q.Bits().Raw(), math.MaxUint64)
+	tand := f.setIn(q.Bits().Raw(), math.MaxUint64)
 	if tand == 0 {
 		return 0
 	}
-	return bloom.EstimateIntersection(q.M(), q.K(), uint64(len(f.pos)), q.SetBits(), tand)
+	return bloom.EstimateIntersection(q.M(), q.K(), f.n, q.SetBits(), tand)
 }
 
 // atLeast returns bloom.IntersectionAtLeast of the node's bits, q and thr: a
@@ -245,12 +428,12 @@ func (f *nodeFilter) atLeast(q *bloom.Filter, thr float64) bool {
 	if f.dense != nil {
 		return bloom.IntersectionAtLeast(f.dense, q, thr)
 	}
-	m, t1, t2 := q.M(), uint64(len(f.pos)), q.SetBits()
+	m, t1, t2 := q.M(), f.n, q.SetBits()
 	if t1+t2 > m {
 		return f.estimate(q) >= thr
 	}
 	need := bloom.IntersectionNeed(m, q.K(), t1, t2, thr)
-	return need <= min(t1, t2) && setIn(f.pos, q.Bits().Raw(), need) >= need
+	return need <= min(t1, t2) && f.setIn(q.Bits().Raw(), need) >= need
 }
 
 // intersectsAny reports whether the node and q share a set bit.
@@ -258,19 +441,25 @@ func (f *nodeFilter) intersectsAny(q *bloom.Filter) bool {
 	if f.dense != nil {
 		return f.dense.IntersectsAny(q)
 	}
-	return setIn(f.pos, q.Bits().Raw(), 1) > 0
+	return f.setIn(q.Bits().Raw(), 1) > 0
 }
 
-// setIn returns how many of pos are set in words, a sparse node's t∧,
-// looking at the count between blocks of 64 positions and stopping at the
-// first where it has reached need.
-func setIn(pos []uint32, words []uint64, need uint64) (c uint64) {
-	for len(pos) > 0 && c < need {
-		n := min(len(pos), 64)
-		for _, p := range pos[:n] {
-			c += words[p/64] >> (p % 64) & 1
+// setIn returns how many of a sparse node's positions are set in words, its
+// t∧, looking at the count before each block of 64 positions and stopping
+// at the first where it has reached need.
+func (f *nodeFilter) setIn(words []uint64, need uint64) (c uint64) {
+	code, p := f.code, uint32(math.MaxUint32)
+	for i, read := 0, 0; i < len(code); i, read = i+1, read+1 {
+		if read%64 == 0 && c >= need {
+			break
 		}
-		pos = pos[n:]
+		v := uint32(code[i])
+		if v == escape {
+			v = binary.LittleEndian.Uint32(code[i+1 : i+5])
+			i += 4
+		}
+		p += v + 1
+		c += words[p/64] >> (p % 64) & 1
 	}
 	return c
 }
@@ -288,14 +477,22 @@ func (f *nodeFilter) writeTo(w *bufio.Writer, m uint64) error {
 	if f.dense != nil {
 		dense = f.dense.Bits().Raw()
 	}
-	pos := f.pos
+	cur, left := f.cursor(), f.n
+	next := uint64(math.MaxUint64) // the next position to write, past every word once none is left
+	if left > 0 {
+		next = uint64(cur.next())
+	}
 	for i := uint64(0); i < (m+63)/64; i++ {
 		var x uint64
 		if dense != nil {
 			x = dense[i]
 		}
-		for ; len(pos) > 0 && uint64(pos[0])/64 == i; pos = pos[1:] {
-			x |= 1 << (pos[0] % 64)
+		for next/64 == i {
+			x |= 1 << (next % 64)
+			next, left = math.MaxUint64, left-1
+			if left > 0 {
+				next = uint64(cur.next())
+			}
 		}
 		binary.LittleEndian.PutUint64(word[:], x)
 		if _, err := w.Write(word[:]); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -22,10 +23,39 @@ func (f *nodeFilter) vector(m uint64) *bitset.Set {
 		return f.dense.Bits().Clone()
 	}
 	v := bitset.New(m)
-	for _, p := range f.pos {
+	for _, p := range f.positions() {
 		v.Set(uint64(p))
 	}
 	return v
+}
+
+// positions returns a sparse f's positions, read from its code.
+func (f *nodeFilter) positions() []uint32 {
+	out := make([]uint32, f.n)
+	c := f.cursor()
+	for i := range out {
+		out[i] = c.next()
+	}
+	return out
+}
+
+// gapCode is the code of ascending positions, written out from its
+// definition: each position's gap to the one before it (to −1 for the
+// first), less one, in a byte below 0xff, otherwise 0xff and the 32 bits,
+// little-endian.
+func gapCode(pos []uint32) []byte {
+	var out []byte
+	last := int64(-1)
+	for _, p := range pos {
+		v := int64(p) - last - 1
+		last = int64(p)
+		if v < 0xff {
+			out = append(out, byte(v))
+		} else {
+			out = binary.LittleEndian.AppendUint32(append(out, 0xff), uint32(v))
+		}
+	}
+	return out
 }
 
 // bloomOf returns n's bits as a Bloom filter of the tree's family, whichever
@@ -45,18 +75,24 @@ func readBack(t *testing.T, tree *Tree) *Tree {
 }
 
 // heldBytes is what MemoryBytes counts for the tree's filters, worked out
-// from each node's dense bits: 4 bytes a set bit while there are fewer than
-// m/64 of them, m/8 from there.
+// from each node's dense bits: the gap code of its set positions while
+// there are fewer than 2·m/64 of them, m/8 from there.
 func heldBytes(tree *Tree) (held uint64) {
 	words := (tree.cfg.Bits + 63) / 64
 	eachNode(tree.rootNode(), 1, func(n *node, _ uint64) {
-		if c := tree.bloomOf(n).SetBits(); c < words {
-			held += 4 * c
+		if v := tree.bloomOf(n).Bits(); v.Count() < 2*words {
+			held += uint64(len(gapCode(setPositions(v))))
 		} else {
 			held += 8 * words
 		}
 	})
 	return held
+}
+
+// setPositions returns the positions of v's set bits, ascending.
+func setPositions(v *bitset.Set) (out []uint32) {
+	v.ForEachSet(func(p uint64) bool { out = append(out, uint32(p)); return true })
+	return out
 }
 
 // sparseNodes returns how many of the tree's nodes hold their positions,
@@ -81,7 +117,7 @@ func sparseNodes(tree *Tree) (sparse, leaves int) {
 // what the nodes hold, plus the occupancy bitmap.
 func checkForms(t *testing.T, tree *Tree, inserted []uint64, queries []*bloom.Filter, what string) {
 	t.Helper()
-	words := tree.words()
+	line := 2 * tree.words()
 	eachNode(tree.rootNode(), 1, func(n *node, _ uint64) {
 		var ids []uint64
 		for _, x := range inserted {
@@ -94,8 +130,9 @@ func checkForms(t *testing.T, tree *Tree, inserted []uint64, queries []*bloom.Fi
 		if got := tree.bloomOf(n); !got.Equal(want) {
 			t.Fatalf("%s: [%d, %d) holds %v, its ids %v set %v", what, n.lo, n.hi, got.Bits(), ids, want.Bits())
 		}
-		if sparse, c := f.dense == nil, want.SetBits(); sparse != (c < words) || (sparse && !slices.IsSorted(f.pos)) {
-			t.Fatalf("%s: [%d, %d) with %d of %d words' bits set is sparse: %v, positions %v", what, n.lo, n.hi, c, words, sparse, f.pos)
+		if sparse, c := f.dense == nil, want.SetBits(); sparse != (c < line) ||
+			(sparse && (f.n != c || !bytes.Equal(f.code, gapCode(setPositions(want.Bits()))))) {
+			t.Fatalf("%s: [%d, %d) with %d set bits against a line of %d is sparse: %v, holding %d positions as %x", what, n.lo, n.hi, c, line, sparse, f.n, f.code)
 		}
 		var set []uint64
 		want.ForEachSetBit(func(p uint64) bool { set = append(set, p); return true })
@@ -127,8 +164,9 @@ func checkForms(t *testing.T, tree *Tree, inserted []uint64, queries []*bloom.Fi
 }
 
 // TestSparseNodesAreTheirDenseBitsExhaustive grows, for every namespace of
-// 2 to 16 ids at every depth it allows and two filter sizes (2 words, where
-// a node of one id or none is sparse, and 16, where a leaf of five is), a
+// 2 to 16 ids at every depth it allows and two filter sizes (2 words, a line
+// of 4 set bits, where a node of one id or none is sparse, and 16, a line of
+// 32, where every node of the six inserts is, with long gaps coded), a
 // pruned tree over one sequence of six inserts split into batches every way
 // it can be (32 splits). After every batch each node must hold the bits of
 // its ids in the form the rule gives their count, every estimate and
@@ -192,19 +230,19 @@ func TestSparseNodesAreTheirDenseBitsExhaustive(t *testing.T) {
 }
 
 // TestSparseLeafCrossesTheRule grows one leaf (a tree of depth 0, m = 640,
-// 10 words) an id at a time to exactly 9 set bits, where it holds their
-// positions, then by one id that sets exactly one more bit, to 10, where it
-// holds the dense vector: the batch that crosses publishes one new box, and
-// a batch of ids the leaf holds publishes none. At both counts the tree
-// read back (ReadTree applies the rule to the bits it reads) holds the
-// same form.
+// 10 words, so a line of 20 set bits) an id at a time to exactly 19 set
+// bits, where it holds their code, then by one id that sets exactly one more
+// bit, to 20, where it holds the dense vector: the batch that crosses
+// publishes one new box, and a batch of ids the leaf holds publishes none.
+// At both counts the tree read back (ReadTree applies the rule to the bits
+// it reads) holds the same form.
 func TestSparseLeafCrossesTheRule(t *testing.T) {
 	cfg := Config{Namespace: 1 << 20, Bits: 640, K: 3, Seed: 7, Depth: 0}
 	tree, err := BuildPruned(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	words := tree.words()
+	line := 2 * tree.words()
 	bitsOf := func(x uint64) map[uint64]bool {
 		set := map[uint64]bool{}
 		for _, p := range tree.fam.Positions(x, nil) {
@@ -233,15 +271,15 @@ func TestSparseLeafCrossesTheRule(t *testing.T) {
 		}
 	}
 	x := uint64(0)
-	for uint64(len(held)) < words-1 {
-		for ; uint64(len(held))+adds(x) > words-1; x++ {
+	for uint64(len(held)) < line-1 {
+		for ; uint64(len(held))+adds(x) > line-1; x++ {
 		}
 		grow(x)
 		x++
 	}
 	root := tree.rootNode()
-	if f := root.filter(); f.dense != nil || uint64(len(f.pos)) != words-1 {
-		t.Fatalf("a leaf of %d set bits, one short of %d words: dense %v, %d positions", len(held), words, f.dense != nil, len(f.pos))
+	if f := root.filter(); f.dense != nil || f.n != line-1 {
+		t.Fatalf("a leaf of %d set bits, one short of the line at %d: dense %v, %d positions", len(held), line, f.dense != nil, f.n)
 	}
 	checkForms(t, tree, grown, nil, "one short of the line")
 	checkForms(t, readBack(t, tree), grown, nil, "one short of the line, read back")
@@ -255,8 +293,8 @@ func TestSparseLeafCrossesTheRule(t *testing.T) {
 	for ; adds(x) != 1; x++ {
 	}
 	grow(x)
-	if f := root.filter(); f.dense == nil || f.count() != words {
-		t.Fatalf("a leaf of %d set bits, %d words: dense %v", f.count(), words, f.dense != nil)
+	if f := root.filter(); f.dense == nil || f.count() != line {
+		t.Fatalf("a leaf of %d set bits, the line at %d: dense %v", f.count(), line, f.dense != nil)
 	}
 	if root.stamp() <= stamp {
 		t.Fatal("the batch that crossed the line published no new box")
@@ -325,20 +363,21 @@ func TestWriteToIsTheDenseEncodingWithSparseLeaves(t *testing.T) {
 // TestServedShapesSparseWhereLeavesAreSparse grows the served benchmark's
 // trees as their set-ups do, in batches of at most 50 000 ids: point_http's
 // and mixed_wal's (M = 10⁵, m = 27 341 in 428 words; leaves of ≈ 390 ids,
-// all of them occupied) hold no sparse node, and batch_bin's (M = 10⁶,
-// m = 273 404 in 4 272 words; 148 k ids occupied) holds its 128 leaves,
-// 1.3 % full, as their positions and every other node dense, for about 6.2 MB
-// where every node dense took 8.84.
+// ≈ 1 147 set bits against a line of 856) hold no sparse node, and
+// batch_bin's (M = 10⁶, m = 273 404 in 4 272 words, a line of 8 544;
+// 148 k ids occupied) holds its 128 leaves, 1.3 % full, and the 64 nodes
+// above them, 2.5 % full, as their codes and every other node dense, in
+// under half of what every node dense takes (8.84 MB).
 func TestServedShapesSparseWhereLeavesAreSparse(t *testing.T) {
 	for _, shape := range []struct {
-		name         string
-		plan         int // servedShapes' index of its plan
-		keys, perKey int
-		sparse       int
+		name           string
+		plan           int // servedShapes' index of its plan
+		keys, perKey   int
+		sparse, leaves int
 	}{
-		{"point_http", 1, 2_000, 1_000, 0},
-		{"mixed_wal", 1, 1_000, 500, 0},
-		{"batch_bin", 0, 16, 10_000, 128},
+		{"point_http", 1, 2_000, 1_000, 0, 0},
+		{"mixed_wal", 1, 1_000, 500, 0, 0},
+		{"batch_bin", 0, 16, 10_000, 192, 128},
 	} {
 		cfg := servedConfig(t, shape.plan)
 		tree, err := BuildPruned(cfg, nil)
@@ -361,11 +400,11 @@ func TestServedShapesSparseWhereLeavesAreSparse(t *testing.T) {
 			t.Fatal(err)
 		}
 		sparse, leaves := sparseNodes(tree)
-		if sparse != shape.sparse || leaves != shape.sparse {
-			t.Fatalf("%s: %d sparse nodes, %d of them leaves; want %d leaves", shape.name, sparse, leaves, shape.sparse)
+		if sparse != shape.sparse || leaves != shape.leaves {
+			t.Fatalf("%s: %d sparse nodes, %d of them leaves; want %d, %d", shape.name, sparse, leaves, shape.sparse, shape.leaves)
 		}
 		dense := tree.Nodes()*tree.words()*8 + tree.grownBytes.Load()
-		if got := tree.MemoryBytes(); got != heldBytes(tree)+tree.grownBytes.Load() || (shape.sparse > 0 && got > dense*3/4) {
+		if got := tree.MemoryBytes(); got != heldBytes(tree)+tree.grownBytes.Load() || (shape.sparse > 0 && got > dense/2) {
 			t.Fatalf("%s: MemoryBytes %d, every node dense %d", shape.name, got, dense)
 		}
 		t.Logf("%s: %d nodes, %d sparse; MemoryBytes %.2f MB, every node dense %.2f MB", shape.name, tree.Nodes(), sparse,
@@ -505,5 +544,215 @@ func TestRefusedBatchRecordsNothing(t *testing.T) {
 	}
 	if !slices.Equal(tree.grown, grown) || !bytes.Equal(nodeBytes(tree), nodes) || tree.rootNode().stamp() != stamp {
 		t.Fatal("a refused call grew the tree or recorded its first list")
+	}
+}
+
+// TestNodeAboveTwoSparseLeavesHoldsPositions grows a tree of depth 1
+// (m = 640: 10 words, a line of 20 set bits) an id a batch, the two halves
+// in turn, until the root holds as many set bits as its vector has words —
+// where it held the dense vector while the line was m/64 — and both leaves
+// hold their positions: the root must hold its positions too, as the nodes
+// above batch_bin's leaves do. Grown on until the root reaches the line with
+// both leaves still under it, the root must hold the dense vector, published
+// by the batch that crossed.
+func TestNodeAboveTwoSparseLeavesHoldsPositions(t *testing.T) {
+	cfg := Config{Namespace: 1 << 10, Bits: 640, K: 3, Seed: 7, Depth: 1}
+	tree, err := BuildPruned(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words, line := tree.words(), tree.line()
+	root := func() *node { return tree.rootNode() }
+	var grown []uint64
+	next := [2]uint64{0, cfg.Namespace / 2}
+	grow := func() {
+		t.Helper()
+		x := next[len(grown)%2]
+		next[len(grown)%2]++
+		grown = append(grown, x)
+		if err := tree.Insert(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for len(grown) < 2 || root().filter().count() < words {
+		grow()
+	}
+	left, right := root().children()
+	if f := root().filter(); f.dense != nil || !left.sparse() || !right.sparse() {
+		t.Fatalf("a root of %d set bits (%d words, a line of %d) above leaves of %d and %d: root dense %v, leaves sparse %v and %v",
+			f.count(), words, line, left.filter().count(), right.filter().count(), f.dense != nil, left.sparse(), right.sparse())
+	}
+	full := tree.NewQueryFilter()
+	full.Bits().Fill()
+	queries := []*bloom.Filter{tree.NewQueryFilter(), buildQueryFilter(t, tree, grown[:1]), buildQueryFilter(t, tree, grown), full}
+	checkForms(t, tree, grown, queries, "a root of as many set bits as words")
+	checkForms(t, readBack(t, tree), grown, queries, "a root of as many set bits as words, read back")
+	stamp := root().stamp()
+	for root().filter().count() < line {
+		stamp = root().stamp()
+		grow()
+	}
+	left, right = root().children()
+	if f := root().filter(); f.dense == nil || !left.sparse() || !right.sparse() || root().stamp() == stamp {
+		t.Fatalf("a root of %d set bits (a line of %d) above leaves of %d and %d: dense %v, leaves sparse %v and %v, new box %v",
+			f.count(), line, left.filter().count(), right.filter().count(), f.dense != nil, left.sparse(), right.sparse(), root().stamp() != stamp)
+	}
+	checkForms(t, tree, grown, queries, "a root on the line")
+}
+
+// FuzzNodePositions holds the positions form's code to its definition
+// (gapCode) for any ascending list of positions below m, read from gap
+// bytes as the code reads them (0xff and 32 bits a long gap): coded from a
+// dense vector (codeNoted, under holdVector and hold) it is gapCode's
+// bytes; it reads back as the list (cursor, scratch.set), and a released
+// scratch is all zero again; the union of its two halves in a scratch
+// (set, hold) is the same code; and setIn at every need is the number of
+// positions set in a query vector over the fewest blocks of 64 positions
+// whose count reaches need (all of them when none does), which is the
+// dense AND count at need past every position.
+func FuzzNodePositions(f *testing.F) {
+	f.Add(uint32(640), int64(1), uint8(128), []byte{0, 1, 2, 0xfe, 0x10, 0x20, 0, 0})
+	f.Add(uint32(1<<20-3), int64(2), uint8(20), []byte{0xff, 0, 1, 0, 0, 3, 0xff, 0xff, 0xff, 0, 0, 7})
+	f.Add(uint32(273_404), int64(3), uint8(250), bytes.Repeat([]byte{63, 64, 200, 0}, 300))
+	f.Fuzz(func(t *testing.T, bitsM uint32, seed int64, fill uint8, gaps []byte) {
+		m := uint64(bitsM)%(1<<20) + 2
+		var pos []uint32
+		for i, p := 0, int64(-1); i < len(gaps); i++ {
+			g := int64(gaps[i])
+			if g == 0xff && i+4 < len(gaps) {
+				g = int64(binary.LittleEndian.Uint32(gaps[i+1:]))
+				i += 4
+			}
+			if p += g + 1; p >= int64(m) {
+				break
+			}
+			pos = append(pos, uint32(p))
+		}
+		n := uint64(len(pos))
+		v := bitset.New(m)
+		for _, p := range pos {
+			v.Set(uint64(p))
+		}
+		want := gapCode(pos)
+
+		words := slices.Clone(v.Raw())
+		notes := make([]uint64, (len(words)+63)/64)
+		for i, w := range words {
+			if w != 0 {
+				notes[i/64] |= 1 << (i % 64)
+			}
+		}
+		buf := make([]byte, 5*n+slack)
+		if k := codeNoted(buf, words, notes); !bytes.Equal(buf[:k], want) {
+			t.Fatalf("codeNoted of %v wrote %x, want %x", pos, buf[:k], want)
+		}
+		if !slices.Equal(words, v.Raw()) {
+			t.Fatal("codeNoted changed the vector it coded")
+		}
+		nf := nodeFilter{code: want, n: n}
+		if got := nf.positions(); !slices.Equal(got, pos) {
+			t.Fatalf("the code of %v reads back as %v", pos, got)
+		}
+
+		tree, err := BuildPruned(Config{Namespace: 2, Bits: m, K: 1, HashKind: hashfam.KindFast, Seed: 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := tree.scratchFor()
+		if fresh := s.set(&nf); fresh != n || !slices.Equal(s.words, v.Raw()) {
+			t.Fatalf("set of %d positions found %d clear and set other words", n, fresh)
+		}
+		tree.release(s)
+		if slices.ContainsFunc(s.words, func(w uint64) bool { return w != 0 }) || slices.ContainsFunc(s.notes, func(w uint64) bool { return w != 0 }) {
+			t.Fatal("a released scratch holds a word or a note")
+		}
+		if n > 0 && n < tree.line() {
+			var halves [2][]uint32
+			for i, p := range pos {
+				h := (i + int(seed&1)) % 2
+				halves[h] = append(halves[h], p)
+			}
+			a := nodeFilter{code: gapCode(halves[0]), n: uint64(len(halves[0]))}
+			b := nodeFilter{code: gapCode(halves[1]), n: uint64(len(halves[1]))}
+			s := tree.scratchFor()
+			s.set(&a)
+			if fresh := s.set(&b); fresh != b.n {
+				t.Fatalf("%d of the second half's %d positions found clear", fresh, b.n)
+			}
+			if u := tree.hold(s, n); !u.equal(&nf) {
+				t.Fatalf("the union of %v and %v holds %x, want %x", halves[0], halves[1], u.code, want)
+			}
+			tree.release(s)
+		}
+
+		q := bitset.New(m) // each position set in it with odds fill/256, and as many bits anywhere
+		rng := rand.New(rand.NewSource(seed))
+		for _, p := range pos {
+			if rng.Intn(256) < int(fill) {
+				q.Set(uint64(p))
+			}
+			q.Set(rng.Uint64() % m)
+		}
+		var hits []uint64 // hits[j]: positions set in q among the first 64·j
+		c := uint64(0)
+		for i, p := range pos {
+			if i%64 == 0 {
+				hits = append(hits, c)
+			}
+			if q.Test(uint64(p)) {
+				c++
+			}
+		}
+		hits = append(hits, c)
+		if and := v.AndCount(q); and != c || nf.setIn(q.Raw(), math.MaxUint64) != and {
+			t.Fatalf("%d of %d positions set in q, AND count %d, setIn %d", c, n, and, nf.setIn(q.Raw(), math.MaxUint64))
+		}
+		for need := uint64(0); need <= n+1; need++ {
+			j := 0
+			for j < len(hits)-1 && hits[j] < need {
+				j++
+			}
+			if got := nf.setIn(q.Raw(), need); got != hits[j] {
+				t.Fatalf("setIn at need %d counted %d, want %d (blocks %v)", need, got, hits[j], hits)
+			}
+		}
+	})
+}
+
+// BenchmarkNodeEstimate estimates one of batch_bin's leaves (≈ 3 460 set
+// bits, 1.3 % of m = 273 404) and one node of the level above them
+// (≈ 6 870), each held in both forms, against one of the shape's query
+// filters: the cost of the rule's line, at 2·m/64 = 8 544 set bits.
+func BenchmarkNodeEstimate(b *testing.B) {
+	tree, queries := batchShape(b)
+	var leaf, above *node
+	eachNode(tree.rootNode(), 1, func(n *node, pos uint64) {
+		switch {
+		case leaf == nil && bits.Len64(pos)-1 == tree.Depth():
+			leaf = n
+		case above == nil && bits.Len64(pos) == tree.Depth():
+			above = n
+		}
+	})
+	for _, at := range []struct {
+		name string
+		n    *node
+	}{{"leaf", leaf}, {"level6", above}} {
+		code := *at.n.filter()
+		if code.dense != nil {
+			b.Fatalf("%s: the node holds its dense vector", at.name)
+		}
+		dense := nodeFilter{dense: tree.bloomOf(at.n)}
+		for _, form := range []struct {
+			name string
+			f    *nodeFilter
+		}{{"code", &code}, {"dense", &dense}} {
+			b.Run(at.name+"/"+form.name, func(b *testing.B) {
+				b.ReportMetric(float64(code.n), "bits")
+				for i := 0; i < b.N; i++ {
+					form.f.estimate(queries[i%len(queries)])
+				}
+			})
+		}
 	}
 }

@@ -99,11 +99,11 @@ func TestReconstructVerdictPrunesLikeTheEstimate(t *testing.T) {
 // verdict reads about 64 % of what it counts over, at every level of the
 // tree (measured 0.641 of the two vectors' words when every node was
 // dense; the issue expected 0.30, which no exact test on t∧ can reach).
-// The 126 internal nodes below the root are dense and count the
-// AND-popcount, by the rule bitset.AndCountAtLeast is pinned to by its own
-// test — the count is looked at every 8 words; the 128 leaves, 1.3 % full,
-// hold their positions (nodeFilter) and count those set in the query,
-// looking every 64 positions. need is computed by its definition, the
+// The 62 internal nodes from the root's children to level 5 are dense and
+// count the AND-popcount, by the rule bitset.AndCountAtLeast is pinned to by
+// its own test — the count is looked at every 8 words; the 128 leaves, 1.3 %
+// full, and the 64 nodes above them, 2.5 % full, hold their positions
+// (nodeFilter) and count those set in the query, looking every 64 positions. need is computed by its definition, the
 // smallest t∧ whose estimate reaches the threshold.
 func TestReconstructBatchShapeCosts(t *testing.T) {
 	tree, queries := batchShape(t)
@@ -122,7 +122,8 @@ func TestReconstructBatchShapeCosts(t *testing.T) {
 			t.Fatalf("a node of %d words with %d + %d bits set of %d; the gate is written for verdicts that stop early", len(a), t1, t2, f.M())
 		}
 		verdicts++
-		if pos := child.filter().pos; child.filter().dense == nil {
+		if child.filter().dense == nil {
+			pos := child.filter().positions()
 			i, c := 0, uint64(0)
 			for ; c < need && i < len(pos); i += posStride {
 				for _, p := range pos[i:min(i+posStride, len(pos))] {
@@ -142,18 +143,18 @@ func TestReconstructBatchShapeCosts(t *testing.T) {
 		}
 		read += i
 	}, nil)
-	if wantOps := (Ops{Intersections: 254, Memberships: 1_000_000, NodesVisited: 255, LeavesScanned: 128}); ops != wantOps || verdicts != 254 || sparse != 128 {
-		t.Fatalf("the reference walk counted %v over %d verdicts, %d of them on sparse nodes; want %v, 254 and the 128 leaves", &ops, verdicts, sparse, &wantOps)
+	if wantOps := (Ops{Intersections: 254, Memberships: 1_000_000, NodesVisited: 255, LeavesScanned: 128}); ops != wantOps || verdicts != 254 || sparse != 192 {
+		t.Fatalf("the reference walk counted %v over %d verdicts, %d of them on sparse nodes; want %v, 254 and the 192 nodes of the bottom two levels", &ops, verdicts, sparse, &wantOps)
 	}
-	if share := float64(read) / (126 * words); share > 0.70 {
-		t.Fatalf("126 dense verdicts read %d words, %.3f of 126 × %d; measured 0.644", read, share, words)
+	if share := float64(read) / (62 * words); share > 0.70 {
+		t.Fatalf("62 dense verdicts read %d words, %.3f of 62 × %d; measured 0.649", read, share, words)
 	} else {
-		t.Logf("126 dense verdicts read %.3f of 126 × %d words", share, words)
+		t.Logf("62 dense verdicts read %.3f of 62 × %d words", share, words)
 	}
 	if share := float64(tested) / float64(held); share > 0.70 {
-		t.Fatalf("128 sparse verdicts tested %d of their %d positions, %.3f; measured 0.647", tested, held, share)
+		t.Fatalf("192 sparse verdicts tested %d of their %d positions, %.3f; measured 0.646", tested, held, share)
 	} else {
-		t.Logf("128 sparse verdicts tested %.3f of their %d positions (%.3f of 128 × %d words)", share, held, float64(tested)/(128*words), words)
+		t.Logf("192 sparse verdicts tested %.3f of their %d positions (%.3f of 192 × %d words)", share, held, float64(tested)/(192*words), words)
 	}
 
 	var got []uint64

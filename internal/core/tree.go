@@ -6,15 +6,15 @@
 // M⊥ (§5.4).
 //
 // A tree node is a Bloom filter's bits (§5.1), held in one of two forms
-// (nodeFilter): the ascending positions of its set bits while it has fewer
-// of them than its dense vector has words (m/64), the dense *bloom.Filter
-// otherwise. So a pruned tree's memory follows its occupancy (§5.2, §8): a
-// leaf 1 % full takes a third of its vector's bytes. The tree stores ranges
-// of the namespace and never deletes from them, and every estimate and
-// verdict of a descent is the one the dense vector gives, whichever form
-// the node is in. The backend contract of internal/membership is for the
-// sets a database stores, and this package does not import it (a test
-// keeps it so).
+// (nodeFilter): the ascending positions of its set bits, coded about a
+// byte each, while it has fewer of them than two a word of its dense
+// vector (2·m/64), the dense *bloom.Filter otherwise. So a pruned tree's
+// memory follows its occupancy (§5.2, §8): a leaf 1 % full takes about a
+// ninth of its vector's bytes. The tree stores ranges of the namespace and
+// never deletes from them, and every estimate and verdict of a descent is
+// the one the dense vector gives, whichever form the node is in. The
+// backend contract of internal/membership is for the sets a database
+// stores, and this package does not import it (a test keeps it so).
 package core
 
 import (
@@ -170,6 +170,10 @@ func (n *node) setFilter(f nodeFilter) {
 // child is a leaf).
 func (n *node) children() (left, right *node) { return n.left.Load(), n.right.Load() }
 
+// sparse reports whether n is a node that holds its positions (nodeFilter);
+// a missing node does not.
+func (n *node) sparse() bool { return n != nil && n.filter().dense == nil }
+
 // Tree is a BloomSampleTree: a complete binary tree over the namespace
 // with a Bloom filter per node, where each node's filter stores the
 // elements of its range (full tree) or the occupied elements of its range
@@ -201,8 +205,9 @@ type Tree struct {
 	leafIDs atomic.Uint64
 	// held is the bytes the published nodes' filters hold (see MemoryBytes).
 	held atomic.Uint64
-	// scratch pools all-zero vectors of m bits' words, in which growth
-	// unites a sparse node's positions (unitePositions).
+	// scratch pools growth's work space for sparse nodes: all-zero
+	// vectors of m bits' words, in which their positions are united
+	// (uniteIn, uniteGrown).
 	scratch sync.Pool
 
 	// grow serializes the writers of a pruned tree (a full tree is
@@ -267,9 +272,10 @@ func (t *Tree) LeafIDs() uint64 { return t.leafIDs.Load() }
 
 // MemoryBytes returns the bytes the node filters hold — the quantity
 // reported in the paper's memory tables (Tables 2–3, Fig. 14): m/8 for a
-// node held as its dense vector, 4 a set bit for one held as its positions
-// (nodeFilter) — plus a grown pruned tree's occupancy bitmap (M/8 bytes,
-// once its filters hold at least as many bytes; see InsertBatch).
+// node held as its dense vector, its code's bytes (about one a set bit) for
+// one held as its positions (nodeFilter) — plus a grown pruned tree's
+// occupancy bitmap (M/8 bytes, once its filters hold at least as many
+// bytes; see InsertBatch).
 func (t *Tree) MemoryBytes() uint64 { return t.held.Load() + t.grownBytes.Load() }
 
 // GrowthEpoch returns the number of non-empty insert batches a pruned tree

@@ -17,7 +17,7 @@ import (
 // 256-leaf structure and the desired accuracy of 0.8 are preserved.
 //
 // Figure 14's memory_MB is what the tree holds (Tree.MemoryBytes): a node
-// with fewer set bits than m/64 holds their positions, so it follows the
+// with fewer set bits than 2·m/64 holds their positions, so it follows the
 // occupied ids more than the nodes. dense_MB is the paper's measure, the
 // nodes at m/8 bytes each, which grows with the fraction as its Figure 14
 // does.
