@@ -155,43 +155,34 @@ func (t *Tree) buildFull(lo, hi uint64, depth, fork int) *node {
 
 // buildSubtree builds a complete private subtree over [lo, hi) holding
 // exactly ids (sorted, non-empty), forking its top fork levels as buildFull
-// does, and hands the scratch its root's bits were formed in to *keep (see
-// growSlot). The subtree is not yet reachable by readers; the caller
-// measures it, publishes it with a single pointer store and only then
-// counts it.
-func (t *Tree) buildSubtree(lo, hi uint64, depth, fork int, ids []uint64, keep **scratch) *node {
+// does. The subtree is not yet reachable by readers; the caller measures
+// it, publishes it with a single pointer store and only then counts it.
+func (t *Tree) buildSubtree(lo, hi uint64, depth, fork int, ids []uint64) *node {
 	n := newNode(lo, hi)
 	if depth == 0 || hi-lo <= 1 {
-		f, _ := t.add(&nodeFilter{}, ids, keep)
+		f, _ := t.add(&nodeFilter{}, ids)
 		n.setFilter(f)
 		return n
 	}
 	mid := split(lo, hi)
 	cut := sort.Search(len(ids), func(i int) bool { return ids[i] >= mid })
-	var kept [2]*scratch
 	forkJoin(fork, func() {
 		if cut > 0 {
-			n.left.Store(t.buildSubtree(lo, mid, depth-1, fork-1, ids[:cut], &kept[0]))
+			n.left.Store(t.buildSubtree(lo, mid, depth-1, fork-1, ids[:cut]))
 		}
 	}, func() {
 		if cut < len(ids) {
-			n.right.Store(t.buildSubtree(mid, hi, depth-1, fork-1, ids[cut:], &kept[1]))
+			n.right.Store(t.buildSubtree(mid, hi, depth-1, fork-1, ids[cut:]))
 		}
 	})
-	f, _, s := t.uniteGrown(n, &nodeFilter{}, kept)
-	n.setFilter(f)
-	t.keep(s, keep)
+	t.unite(n)
 	return n
 }
 
-// unite gives an internal node its children's union (uniteGrown, from their
-// filters). buildFull and ReadTree form every internal node with it;
-// buildSubtree and growth form the same union in their children's scratch.
-func (t *Tree) unite(n *node) {
-	f, _, s := t.uniteGrown(n, &nodeFilter{}, [2]*scratch{})
-	n.setFilter(f)
-	t.keep(s, nil)
-}
+// unite gives an internal node its children's union (union). buildFull,
+// buildSubtree and ReadTree form every internal node with it, and growth
+// keeps it so (growSlot).
+func (t *Tree) unite(n *node) { n.setFilter(t.union(n)) }
 
 // Insert adds one occupied identifier to a pruned tree; see InsertBatch.
 func (t *Tree) Insert(x uint64) error { return t.InsertBatch([]uint64{x}) }
@@ -270,7 +261,7 @@ func (t *Tree) insert(sets ...[]uint64) error {
 	}
 	if len(fresh) > 0 {
 		sorted := sortIDs(fresh, t.cfg.Namespace)
-		t.growSlot(&t.root, 0, t.cfg.Namespace, t.cfg.Depth, forkFor(len(sorted)), sorted, nil)
+		t.growSlot(&t.root, 0, t.cfg.Namespace, t.cfg.Depth, forkFor(len(sorted)), sorted)
 		t.record(sorted)
 	}
 	return nil
@@ -353,24 +344,19 @@ func (t *Tree) record(ids []uint64) {
 // shares it when its leaf held every id already, or a fresh code, dense
 // once it reaches the rule's line); only new bits are published. An
 // internal node grows its two halves, at a fork level on two goroutines
-// (forkJoin), and if either changed takes their union (§3.1, uniteGrown),
-// publishing it only if that is not the bits it holds. So a node is boxed
-// at most once a batch, after its children, and only when its bits
-// changed: the rule boxedFilter.stamp promises.
-//
-// A sparse node's bits are formed in a scratch vector (uniteIn). growSlot
-// hands that scratch to *keep while it holds them, so that the parent's
-// union is formed in it without reading the child's positions back from
-// its code; keep is nil at the root.
-func (t *Tree) growSlot(slot *atomic.Pointer[node], lo, hi uint64, depth, fork int, ids []uint64, keep **scratch) bool {
+// (forkJoin), and if either changed takes their union (§3.1), publishing it
+// only if that is not the bits it holds. So a node is boxed at most once a
+// batch, after its children, and only when its bits changed: the rule
+// boxedFilter.stamp promises.
+func (t *Tree) growSlot(slot *atomic.Pointer[node], lo, hi uint64, depth, fork int, ids []uint64) bool {
 	n := slot.Load()
 	if n == nil {
-		t.publish(slot, t.buildSubtree(lo, hi, depth, fork, ids, keep))
+		t.publish(slot, t.buildSubtree(lo, hi, depth, fork, ids))
 		return true
 	}
 	old := n.filter()
 	if depth == 0 || hi-lo <= 1 {
-		next, changed := t.add(old, ids, keep)
+		next, changed := t.add(old, ids)
 		if changed {
 			t.replace(n, old, next)
 		}
@@ -379,23 +365,20 @@ func (t *Tree) growSlot(slot *atomic.Pointer[node], lo, hi uint64, depth, fork i
 	mid := split(lo, hi)
 	cut := sort.Search(len(ids), func(i int) bool { return ids[i] >= mid })
 	var left, right bool
-	var kept [2]*scratch
 	forkJoin(fork, func() {
-		left = cut > 0 && t.growSlot(&n.left, lo, mid, depth-1, fork-1, ids[:cut], &kept[0])
+		left = cut > 0 && t.growSlot(&n.left, lo, mid, depth-1, fork-1, ids[:cut])
 	}, func() {
-		right = cut < len(ids) && t.growSlot(&n.right, mid, hi, depth-1, fork-1, ids[cut:], &kept[1])
+		right = cut < len(ids) && t.growSlot(&n.right, mid, hi, depth-1, fork-1, ids[cut:])
 	})
 	if !left && !right {
-		t.keep(kept[0], nil)
-		t.keep(kept[1], nil)
 		return false
 	}
-	u, changed, s := t.uniteGrown(n, old, kept)
-	if changed {
-		t.replace(n, old, u)
+	u := t.union(n)
+	if u.equal(old) {
+		return false
 	}
-	t.keep(s, keep)
-	return changed
+	t.replace(n, old, u)
+	return true
 }
 
 // radixFrom is the batch length from which sortIDs sorts by radix. A pass

@@ -66,7 +66,9 @@ const slack = 2
 // first three gaps are written whether or not it has that many bits, and k
 // moves by the ones it has, so only a long first gap or a word of four bits
 // or more branches: which words hold how many bits is data, and a branch on
-// it would be mispredicted.
+// it would be mispredicted. Growth codes every sparse node a batch touches
+// here, and with a plain loop over each word's bits BenchmarkInsertBatch/batch
+// reads ≈ 20 % slower.
 func codeNoted(buf []byte, words, notes []uint64) (k int) {
 	last := uint32(math.MaxUint32)
 	for ni, nw := range notes {
@@ -104,26 +106,21 @@ func codeNoted(buf []byte, words, notes []uint64) (k int) {
 	return k
 }
 
-// cursor reads a code's positions in ascending order.
-type cursor struct {
-	code []byte
-	i    int
-	p    uint32
-}
-
-func (f *nodeFilter) cursor() cursor { return cursor{code: f.code, p: math.MaxUint32} }
-
-// next returns the next position; the caller reads no more than the code's
-// count.
-func (c *cursor) next() uint32 {
-	v := uint32(c.code[c.i])
-	c.i++
-	if v == escape {
-		v = binary.LittleEndian.Uint32(c.code[c.i : c.i+4])
-		c.i += 4
+// all yields a sparse node's positions in ascending order, reading the
+// code (setIn reads it the same way, written out).
+func (f *nodeFilter) all(yield func(uint32) bool) {
+	code, p := f.code, uint32(math.MaxUint32)
+	for i := 0; i < len(code); i++ {
+		v := uint32(code[i])
+		if v == escape {
+			v = binary.LittleEndian.Uint32(code[i+1 : i+5])
+			i += 4
+		}
+		p += v + 1
+		if !yield(p) {
+			return
+		}
 	}
-	c.p += v + 1
-	return c.p
 }
 
 // holdVector returns the node filter of the bits of a dense vector, which it
@@ -145,27 +142,24 @@ func (t *Tree) holdVector(bits *bitset.Set) nodeFilter {
 
 // add returns f with ids inserted and whether that changed its bits; when it
 // did not, f itself. A dense node takes them by CloneAdd, which shares its
-// vector when no bit changes; a sparse one hashes them and unites their
-// positions with its own in a scratch (uniteIn), handed to *keep while it
-// holds the bits (see growSlot).
-func (t *Tree) add(f *nodeFilter, ids []uint64, keep **scratch) (nodeFilter, bool) {
+// vector when no bit changes; a sparse one unites its positions with the
+// ids' in a scratch (uniteIn).
+func (t *Tree) add(f *nodeFilter, ids []uint64) (nodeFilter, bool) {
 	if f.dense != nil {
 		next := f.dense.CloneAdd(ids...)
 		return nodeFilter{dense: next}, next.Bits() != f.dense.Bits()
 	}
 	s := t.scratchFor()
-	u, grew := t.uniteIn(s, f, ids)
-	t.keep(s, keep)
-	return u, grew
+	defer t.release(s)
+	return t.uniteIn(s, f, ids)
 }
 
 // uniteIn forms the union of f (a sparse node) and the positions of ids in
 // s, an all-zero scratch: f's positions are set into its vector, then the
 // ids', counting the bits they set first, and the count is the rule's
 // (hold). It returns the union's node filter and whether it has a bit f
-// lacks (f itself when it has none), and leaves s holding the union's bits
-// unless the union is dense and took s's vector. The work is one pass over
-// the positions and one over the words they fall in, however they fall: no
+// lacks (f itself when it has none). The work is one pass over the
+// positions and one over the words they fall in, however they fall: no
 // pass over the m/64 words.
 func (t *Tree) uniteIn(s *scratch, f *nodeFilter, ids []uint64) (nodeFilter, bool) {
 	s.set(f)
@@ -187,58 +181,10 @@ func (t *Tree) uniteIn(s *scratch, f *nodeFilter, ids []uint64) (nodeFilter, boo
 	return t.hold(s, f.n+fresh), true
 }
 
-// uniteGrown returns the union (§3.1) of n's children once they have grown,
-// whether it differs from old (n's filter before, the empty one for a new
-// node), and the scratch it was formed in, which holds its bits unless the
-// union is dense. Above sparse children the union is formed in the scratch
-// a child grew in (kept[0] for the left, kept[1] for the right) when there
-// is one — the other's kept scratch is ORed into it, or its positions are
-// set — so no child's positions are read back from its code, and its count
-// is the rule's. A node's bits only grow, so the union differs from old
-// exactly when it has more bits. A union with a dense child is dense, and
-// is union's.
-func (t *Tree) uniteGrown(n *node, old *nodeFilter, kept [2]*scratch) (nodeFilter, bool, *scratch) {
-	left, right := n.children()
-	children := [2]*node{left, right}
-	if (left != nil && !left.sparse()) || (right != nil && !right.sparse()) {
-		for _, k := range kept {
-			if k != nil {
-				t.release(k)
-			}
-		}
-		u := t.union(n)
-		return u, !u.equal(old), nil
-	}
-	i := 0
-	if kept[0] == nil {
-		i = 1
-	}
-	s, count := kept[i], uint64(0)
-	if s == nil {
-		s = t.scratchFor()
-	} else {
-		count = children[i].filter().n
-	}
-	for j, c := range children {
-		switch {
-		case j == i && kept[j] != nil:
-		case kept[j] != nil:
-			count += s.or(kept[j])
-			t.release(kept[j])
-		case c != nil:
-			count += s.set(c.filter())
-		}
-	}
-	if count == old.count() {
-		return *old, false, s
-	}
-	return t.hold(s, count), true, s
-}
-
 // hold returns the node filter of the n bits s holds: the rule, applied
 // where the bits were counted. Below line() the noted words are coded
-// (codeNoted) and s keeps them; from there its vector is the dense node's
-// own, and s has none.
+// (codeNoted); from there s's vector is the dense node's own, and s has
+// none.
 func (t *Tree) hold(s *scratch, n uint64) nodeFilter {
 	if n >= t.line() {
 		words := s.words
@@ -273,7 +219,8 @@ func (t *Tree) scratchFor() *scratch {
 
 // release clears the words s noted, and the notes, and puts s back in the
 // pool. Past one noted word in eight, clearing the whole vector is the
-// cheaper way.
+// cheaper way: clearing the noted words alone, BenchmarkInsertBatch/batch
+// reads ≈ 15–20 % slower.
 func (t *Tree) release(s *scratch) {
 	noted := 0
 	for _, nw := range s.notes {
@@ -294,74 +241,39 @@ func (t *Tree) release(s *scratch) {
 	t.scratch.Put(s)
 }
 
-// keep hands s to the caller's *keep while s holds a sparse node's bits, or
-// releases it.
-func (t *Tree) keep(s *scratch, keep **scratch) {
-	switch {
-	case s == nil:
-	case keep != nil && s.words != nil:
-		*keep = s
-	default:
-		t.release(s)
-	}
-}
-
 // set sets the positions of the sparse f, notes their words and returns
-// how many were clear. The positions ascend, so a note word is kept in a
-// register until they leave its 64 words. It and setIn read the code as
-// cursor.next does, written out: through a cursor both run ≈ 20 % slower.
+// how many were clear.
 func (s *scratch) set(f *nodeFilter) (fresh uint64) {
-	words, code := s.words, f.code
-	p, at, notes := uint32(math.MaxUint32), uint32(0), uint64(0)
-	for i := 0; i < len(code); i++ {
-		v := uint32(code[i])
-		if v == escape {
-			v = binary.LittleEndian.Uint32(code[i+1 : i+5])
-			i += 4
-		}
-		p += v + 1
-		w, b := &words[p/64], p%64
+	for p := range f.all {
+		w, b := &s.words[p/64], p%64
 		fresh += ^*w >> b & 1
 		*w |= 1 << b
-		if p/4096 != at {
-			s.notes[at] |= notes
-			at, notes = p/4096, 0
-		}
-		notes |= 1 << (p / 64 % 64)
-	}
-	s.notes[at] |= notes
-	return fresh
-}
-
-// or sets the bits of o in s, notes their words and returns how many were
-// clear.
-func (s *scratch) or(o *scratch) (fresh uint64) {
-	for ni, nw := range o.notes {
-		s.notes[ni] |= nw
-		for ; nw != 0; nw &= nw - 1 {
-			i := ni*64 + mbits.TrailingZeros64(nw)
-			fresh += uint64(mbits.OnesCount64(o.words[i] &^ s.words[i]))
-			s.words[i] |= o.words[i]
-		}
+		s.notes[p/4096] |= 1 << (p / 64 % 64)
 	}
 	return fresh
 }
 
-// union returns the filter of the children's union of n, which has a dense
-// child (uniteGrown forms every other union): in a pruned tree one child
-// may be missing, and the other's vector is copied; a sparse child's
-// positions are set into a copy of its dense sibling's vector, and two
-// dense vectors are ORed. A union with a dense child holds at least its
-// set bits, so it is dense.
+// union returns the filter of n's children's union (§3.1), which every
+// internal node holds; in a pruned tree one child may be missing, and the
+// other's bits are copied. Two sparse children's positions are set into a
+// scratch, and their count is the rule's (hold); a sparse child's are set
+// into a copy of its dense sibling's vector, and two dense vectors are
+// ORed. A union with a dense child holds at least its set bits, so it is
+// dense.
 func (t *Tree) union(n *node) nodeFilter {
 	left, right := n.children()
 	switch {
 	case left == nil:
-		return nodeFilter{dense: right.filter().dense.Clone()}
+		return right.filter().clone()
 	case right == nil:
-		return nodeFilter{dense: left.filter().dense.Clone()}
+		return left.filter().clone()
 	}
 	a, b := left.filter(), right.filter()
+	if a.dense == nil && b.dense == nil {
+		s := t.scratchFor()
+		defer t.release(s)
+		return t.hold(s, s.set(a)+s.set(b))
+	}
 	if a.dense == nil {
 		a, b = b, a
 	}
@@ -371,12 +283,18 @@ func (t *Tree) union(n *node) nodeFilter {
 	src := a.dense.Bits().Raw()
 	words := make([]uint64, len(src))
 	copy(words, src) // one allocation, not zeroed first
-	c := b.cursor()
-	for range b.n {
-		p := c.next()
+	for p := range b.all {
 		words[p/64] |= 1 << (p % 64)
 	}
 	return nodeFilter{dense: bloom.NewFromBits(t.fam, bitset.FromWords(t.cfg.Bits, words))}
+}
+
+// clone returns a copy of f that shares nothing with it.
+func (f *nodeFilter) clone() nodeFilter {
+	if f.dense != nil {
+		return nodeFilter{dense: f.dense.Clone()}
+	}
+	return nodeFilter{code: bytes.Clone(f.code), n: f.n}
 }
 
 // equal reports whether f and g hold the same bits. Since the form is a
@@ -446,7 +364,9 @@ func (f *nodeFilter) intersectsAny(q *bloom.Filter) bool {
 
 // setIn returns how many of a sparse node's positions are set in words, its
 // t∧, looking at the count before each block of 64 positions and stopping
-// at the first where it has reached need.
+// at the first where it has reached need. It reads the code as all does,
+// written out: every estimate and verdict on a sparse node runs here, and
+// ranging over all BenchmarkNodeEstimate reads ≈ 20–30 % slower.
 func (f *nodeFilter) setIn(words []uint64, need uint64) (c uint64) {
 	code, p := f.code, uint32(math.MaxUint32)
 	for i, read := 0, 0; i < len(code); i, read = i+1, read+1 {
@@ -469,33 +389,34 @@ func (f *nodeFilter) setIn(words []uint64, need uint64) (c uint64) {
 // say how it was held.
 func (f *nodeFilter) writeTo(w *bufio.Writer, m uint64) error {
 	var word [8]byte
-	binary.LittleEndian.PutUint64(word[:], m)
-	if _, err := w.Write(word[:]); err != nil {
+	put := func(x uint64) error {
+		binary.LittleEndian.PutUint64(word[:], x)
+		_, err := w.Write(word[:])
 		return err
 	}
-	var dense []uint64
+	if err := put(m); err != nil {
+		return err
+	}
 	if f.dense != nil {
-		dense = f.dense.Bits().Raw()
-	}
-	cur, left := f.cursor(), f.n
-	next := uint64(math.MaxUint64) // the next position to write, past every word once none is left
-	if left > 0 {
-		next = uint64(cur.next())
-	}
-	for i := uint64(0); i < (m+63)/64; i++ {
-		var x uint64
-		if dense != nil {
-			x = dense[i]
-		}
-		for next/64 == i {
-			x |= 1 << (next % 64)
-			next, left = math.MaxUint64, left-1
-			if left > 0 {
-				next = uint64(cur.next())
+		for _, x := range f.dense.Bits().Raw() {
+			if err := put(x); err != nil {
+				return err
 			}
 		}
-		binary.LittleEndian.PutUint64(word[:], x)
-		if _, err := w.Write(word[:]); err != nil {
+		return nil
+	}
+	var x uint64 // the bits of word i that the positions so far set
+	i := uint64(0)
+	for p := range f.all {
+		for ; uint64(p)/64 > i; i, x = i+1, 0 {
+			if err := put(x); err != nil {
+				return err
+			}
+		}
+		x |= 1 << (p % 64)
+	}
+	for ; i < (m+63)/64; i, x = i+1, 0 {
+		if err := put(x); err != nil {
 			return err
 		}
 	}

@@ -16,6 +16,10 @@ import (
 	"repro/internal/hashfam"
 )
 
+// sparse reports whether n is a node that holds its positions (nodeFilter);
+// a missing node does not.
+func (n *node) sparse() bool { return n != nil && n.filter().dense == nil }
+
 // vector returns f's bits as a dense vector of m bits of its own: what the
 // node would hold if every node were dense.
 func (f *nodeFilter) vector(m uint64) *bitset.Set {
@@ -31,10 +35,9 @@ func (f *nodeFilter) vector(m uint64) *bitset.Set {
 
 // positions returns a sparse f's positions, read from its code.
 func (f *nodeFilter) positions() []uint32 {
-	out := make([]uint32, f.n)
-	c := f.cursor()
-	for i := range out {
-		out[i] = c.next()
+	var out []uint32
+	for p := range f.all {
+		out = append(out, p)
 	}
 	return out
 }
@@ -604,7 +607,7 @@ func TestNodeAboveTwoSparseLeavesHoldsPositions(t *testing.T) {
 // (gapCode) for any ascending list of positions below m, read from gap
 // bytes as the code reads them (0xff and 32 bits a long gap): coded from a
 // dense vector (codeNoted, under holdVector and hold) it is gapCode's
-// bytes; it reads back as the list (cursor, scratch.set), and a released
+// bytes; it reads back as the list (all, scratch.set), and a released
 // scratch is all zero again; the union of its two halves in a scratch
 // (set, hold) is the same code; and setIn at every need is the number of
 // positions set in a query vector over the fewest blocks of 64 positions

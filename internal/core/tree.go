@@ -170,10 +170,6 @@ func (n *node) setFilter(f nodeFilter) {
 // child is a leaf).
 func (n *node) children() (left, right *node) { return n.left.Load(), n.right.Load() }
 
-// sparse reports whether n is a node that holds its positions (nodeFilter);
-// a missing node does not.
-func (n *node) sparse() bool { return n != nil && n.filter().dense == nil }
-
 // Tree is a BloomSampleTree: a complete binary tree over the namespace
 // with a Bloom filter per node, where each node's filter stores the
 // elements of its range (full tree) or the occupied elements of its range
@@ -207,7 +203,7 @@ type Tree struct {
 	held atomic.Uint64
 	// scratch pools growth's work space for sparse nodes: all-zero
 	// vectors of m bits' words, in which their positions are united
-	// (uniteIn, uniteGrown).
+	// (uniteIn, union).
 	scratch sync.Pool
 
 	// grow serializes the writers of a pruned tree (a full tree is
